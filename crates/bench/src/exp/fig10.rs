@@ -30,8 +30,6 @@ pub fn measure(policy: ClusterPolicy, scale: Scale, seed: u64) -> Result<Vec<f64
         cache: ear_types::CacheConfig::from_env(),
         durability: ear_types::DurabilityConfig::default(),
         reliability: Default::default(),
-        encode_path: ear_types::EncodePath::from_env(),
-        repair_path: ear_types::RepairPath::from_env(),
     };
     let cfs = MiniCfs::new(cfg)?;
 

@@ -11,25 +11,18 @@
 use crate::{Scale, Table};
 use ear_cluster::{ClusterConfig, ClusterPolicy, MiniCfs, RaidNode};
 use ear_netem::TrafficSnapshot;
-use ear_types::{ByteSize, EarConfig, EncodePath, ErasureParams, NodeId, ReplicationConfig, Result};
+use ear_types::{ByteSize, EarConfig, ErasureParams, NodeId, ReplicationConfig, Result};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// Builds the testbed cluster for a policy, erasure code, and encode path.
-fn testbed(
-    policy: ClusterPolicy,
-    n: usize,
-    k: usize,
-    scale: Scale,
-    path: EncodePath,
-) -> Result<MiniCfs> {
+/// Builds the testbed cluster for a policy and erasure code.
+fn testbed(policy: ClusterPolicy, n: usize, k: usize, scale: Scale) -> Result<MiniCfs> {
     let ear = EarConfig::new(ErasureParams::new(n, k)?, ReplicationConfig::two_way(), 1)?;
     let mut cfg = ClusterConfig::testbed(policy, ear);
     cfg.block_size = scale.pick(ByteSize::mib(1), ByteSize::mib(4));
     let bw = scale.pick(32e6, 128e6);
     cfg.node_bandwidth = ear_types::Bandwidth::bytes_per_sec(bw);
     cfg.rack_bandwidth = ear_types::Bandwidth::bytes_per_sec(bw);
-    cfg.encode_path = path;
     MiniCfs::new(cfg)
 }
 
@@ -53,8 +46,8 @@ fn fill(cfs: &MiniCfs, stripes: usize, k: usize) -> Result<usize> {
 }
 
 /// One measurement: the full encode statistics (throughput, cross-rack
-/// downloads, fault seed) for a policy, code, and encode path, plus the
-/// encode-phase traffic reading (bytes moved by the encode job alone —
+/// downloads, fault seed) for a policy and code, plus the encode-phase
+/// traffic reading (bytes moved by the encode job alone —
 /// snapshotted after the fill phase so write replication doesn't pollute
 /// the column).
 fn encode_throughput(
@@ -64,9 +57,8 @@ fn encode_throughput(
     stripes: usize,
     scale: Scale,
     background_mbps: f64,
-    path: EncodePath,
 ) -> Result<(ear_cluster::EncodeStats, TrafficSnapshot)> {
-    let cfs = testbed(policy, n, k, scale, path)?;
+    let cfs = testbed(policy, n, k, scale)?;
     fill(&cfs, stripes, k)?;
     let before = cfs.network().snapshot();
 
@@ -101,9 +93,8 @@ fn encode_throughput(
     Ok((stats, traffic))
 }
 
-/// Figure 8(a): throughput vs `(n, k)`, plus the DESIGN.md §15 encode-path
-/// matrix — cross-rack bytes the encode phase moved under the legacy
-/// gather path and the pipelined chain, per policy.
+/// Figure 8(a): throughput vs `(n, k)`, plus the cross-rack bytes the
+/// encode phase moved, per policy.
 pub fn run_a(scale: Scale) -> String {
     let stripes = scale.pick(12, 96);
     let kernel = ear_erasure::Kernel::active().name();
@@ -114,43 +105,15 @@ pub fn run_a(scale: Scale) -> String {
         "gain",
         "RR xrack",
         "EAR xrack",
-    ]);
-    let mut paths = Table::new(&[
-        "(n,k)",
-        "RR gather KiB",
-        "RR pipelined KiB",
-        "RR delta",
-        "EAR gather KiB",
-        "EAR pipelined KiB",
+        "RR xrack KiB",
+        "EAR xrack KiB",
     ]);
     let mut fault_seed = None;
     for (n, k) in [(6usize, 4usize), (8, 6), (10, 8), (12, 10)] {
-        let (rr_stats, rr_gather) =
-            encode_throughput(ClusterPolicy::Rr, n, k, stripes, scale, 0.0, EncodePath::Gather)
-                .expect("rr run");
-        let (ear_stats, ear_gather) =
-            encode_throughput(ClusterPolicy::Ear, n, k, stripes, scale, 0.0, EncodePath::Gather)
-                .expect("ear run");
-        let (_, rr_piped) = encode_throughput(
-            ClusterPolicy::Rr,
-            n,
-            k,
-            stripes,
-            scale,
-            0.0,
-            EncodePath::Pipelined,
-        )
-        .expect("rr pipelined run");
-        let (_, ear_piped) = encode_throughput(
-            ClusterPolicy::Ear,
-            n,
-            k,
-            stripes,
-            scale,
-            0.0,
-            EncodePath::Pipelined,
-        )
-        .expect("ear pipelined run");
+        let (rr_stats, rr_traffic) =
+            encode_throughput(ClusterPolicy::Rr, n, k, stripes, scale, 0.0).expect("rr run");
+        let (ear_stats, ear_traffic) =
+            encode_throughput(ClusterPolicy::Ear, n, k, stripes, scale, 0.0).expect("ear run");
         fault_seed = fault_seed.or(rr_stats.fault_seed).or(ear_stats.fault_seed);
         let (rr, ear) = (rr_stats.throughput_mibps(), ear_stats.throughput_mibps());
         t.row_owned(vec![
@@ -160,23 +123,8 @@ pub fn run_a(scale: Scale) -> String {
             format!("{:+.1}%", (ear / rr - 1.0) * 100.0),
             rr_stats.cross_rack_downloads.to_string(),
             ear_stats.cross_rack_downloads.to_string(),
-        ]);
-        let delta = if rr_gather.cross_rack_bytes == 0 {
-            "0.0%".to_string()
-        } else {
-            format!(
-                "{:+.1}%",
-                (rr_piped.cross_rack_bytes as f64 / rr_gather.cross_rack_bytes as f64 - 1.0)
-                    * 100.0
-            )
-        };
-        paths.row_owned(vec![
-            format!("({n},{k})"),
-            (rr_gather.cross_rack_bytes / 1024).to_string(),
-            (rr_piped.cross_rack_bytes / 1024).to_string(),
-            delta,
-            (ear_gather.cross_rack_bytes / 1024).to_string(),
-            (ear_piped.cross_rack_bytes / 1024).to_string(),
+            (rr_traffic.cross_rack_bytes / 1024).to_string(),
+            (ear_traffic.cross_rack_bytes / 1024).to_string(),
         ]);
     }
     let seed = crate::fault_seed_label(fault_seed);
@@ -185,12 +133,11 @@ pub fn run_a(scale: Scale) -> String {
     );
     out.push_str(&t.render());
     out.push_str(
-        "\nEncode-phase cross-rack bytes by data path (DESIGN.md 15). The pipelined\n\
-         chain folds racks holding more sources than parity rows, so it never ships\n\
-         more than gather; EAR sits at the floor (parity uploads only) under both\n\
-         paths, which is why its columns match.\n\n",
+        "\nxrack counts block-sized transfers towards the encoding node (raw sources\n\
+         plus folded partial rows, DESIGN.md 15); xrack KiB is every cross-rack byte\n\
+         of the encode phase. EAR reads every source inside the core rack, so its\n\
+         bytes are parity uploads only.\n",
     );
-    out.push_str(&paths.render());
     out
 }
 
@@ -206,18 +153,9 @@ pub fn run_b(scale: Scale) -> String {
     let mut fault_seed = None;
     for rate in rates {
         let (rr_stats, _) =
-            encode_throughput(ClusterPolicy::Rr, 10, 8, stripes, scale, rate, EncodePath::Gather)
-                .expect("rr run");
-        let (ear_stats, _) = encode_throughput(
-            ClusterPolicy::Ear,
-            10,
-            8,
-            stripes,
-            scale,
-            rate,
-            EncodePath::Gather,
-        )
-        .expect("ear run");
+            encode_throughput(ClusterPolicy::Rr, 10, 8, stripes, scale, rate).expect("rr run");
+        let (ear_stats, _) =
+            encode_throughput(ClusterPolicy::Ear, 10, 8, stripes, scale, rate).expect("ear run");
         fault_seed = fault_seed.or(rr_stats.fault_seed).or(ear_stats.fault_seed);
         let (rr, ear) = (rr_stats.throughput_mibps(), ear_stats.throughput_mibps());
         t.row_owned(vec![
@@ -248,56 +186,24 @@ mod tests {
             let line = s.lines().find(|l| l.starts_with(nk)).expect("row");
             assert!(line.contains('+'), "no gain in row: {line}");
         }
-        // The encode-path matrix rides along.
-        assert!(s.contains("RR pipelined KiB"), "{s}");
-        assert!(s.contains("cross-rack bytes by data path"), "{s}");
+        assert!(s.contains("EAR xrack KiB"), "{s}");
     }
 
     #[test]
-    fn pipelined_path_never_ships_more_cross_rack_bytes() {
+    fn ear_encode_phase_moves_parity_uploads_only() {
+        // Every EAR source has a core-rack replica: no block crosses a rack
+        // towards the encoding node, so the phase's cross-rack bytes are at
+        // most the m parity uploads per stripe.
+        let block = ByteSize::mib(1).as_u64();
         for (n, k) in [(6usize, 4usize), (12, 10)] {
-            let (_, rr_g) =
-                encode_throughput(ClusterPolicy::Rr, n, k, 6, Scale::Quick, 0.0, EncodePath::Gather)
-                    .unwrap();
-            let (_, rr_p) = encode_throughput(
-                ClusterPolicy::Rr,
-                n,
-                k,
-                6,
-                Scale::Quick,
-                0.0,
-                EncodePath::Pipelined,
-            )
-            .unwrap();
+            let (stats, traffic) =
+                encode_throughput(ClusterPolicy::Ear, n, k, 6, Scale::Quick, 0.0).unwrap();
+            assert_eq!(stats.cross_rack_downloads, 0, "({n},{k})");
             assert!(
-                rr_p.cross_rack_bytes <= rr_g.cross_rack_bytes,
-                "({n},{k}): RR pipelined {} cross bytes vs gather {}",
-                rr_p.cross_rack_bytes,
-                rr_g.cross_rack_bytes
-            );
-            let (_, ear_g) = encode_throughput(
-                ClusterPolicy::Ear,
-                n,
-                k,
-                6,
-                Scale::Quick,
-                0.0,
-                EncodePath::Gather,
-            )
-            .unwrap();
-            let (_, ear_p) = encode_throughput(
-                ClusterPolicy::Ear,
-                n,
-                k,
-                6,
-                Scale::Quick,
-                0.0,
-                EncodePath::Pipelined,
-            )
-            .unwrap();
-            assert_eq!(
-                ear_p.cross_rack_bytes, ear_g.cross_rack_bytes,
-                "({n},{k}): EAR is at the parity-upload floor under both paths"
+                traffic.cross_rack_bytes <= (stats.stripes * (n - k)) as u64 * block,
+                "({n},{k}): {} cross-rack bytes over {} stripes",
+                traffic.cross_rack_bytes,
+                stats.stripes
             );
         }
     }

@@ -9,8 +9,7 @@ use crate::{Scale, Table};
 use ear_cluster::chaos::{run_heal_plan, HealSoakConfig};
 use ear_cluster::{recover_node, ClusterConfig, ClusterPolicy, MiniCfs, RaidNode};
 use ear_types::{
-    Bandwidth, ByteSize, EarConfig, ErasureParams, Error, NodeId, RepairPath, ReplicationConfig,
-    Result,
+    Bandwidth, ByteSize, EarConfig, ErasureParams, Error, NodeId, ReplicationConfig, Result,
 };
 
 /// One configuration's recovery measurements.
@@ -20,8 +19,6 @@ pub struct RecoveryPoint {
     pub c: usize,
     /// Target racks, if restricted.
     pub target_racks: Option<usize>,
-    /// Which repair data path rebuilt the shards.
-    pub repair_path: RepairPath,
     /// Rack failures the encoded stripes tolerate.
     pub rack_failures_tolerated: usize,
     /// Fraction of recovery downloads that crossed racks.
@@ -33,8 +30,7 @@ pub struct RecoveryPoint {
     pub fault_seed: Option<u64>,
 }
 
-/// Measures recovery traffic for one `(params, c, target_racks,
-/// repair_path)` point.
+/// Measures recovery traffic for one `(params, c, target_racks)` point.
 ///
 /// # Errors
 ///
@@ -44,7 +40,6 @@ pub fn measure(
     c: usize,
     target_racks: Option<usize>,
     scale: Scale,
-    repair_path: RepairPath,
 ) -> Result<RecoveryPoint> {
     let mut ear = EarConfig::new(params, ReplicationConfig::hdfs_default(), c)?;
     if let Some(r) = target_racks {
@@ -63,8 +58,6 @@ pub fn measure(
         cache: ear_types::CacheConfig::from_env(),
         durability: ear_types::DurabilityConfig::default(),
         reliability: Default::default(),
-        encode_path: ear_types::EncodePath::from_env(),
-        repair_path,
     };
     let cfs = MiniCfs::new(cfg)?;
     let stripes = scale.pick(4, 30);
@@ -98,7 +91,6 @@ pub fn measure(
     Ok(RecoveryPoint {
         c,
         target_racks,
-        repair_path,
         rack_failures_tolerated: params.parity() / c,
         cross_rack_fraction: if total == 0 {
             0.0
@@ -110,13 +102,12 @@ pub fn measure(
     })
 }
 
-/// Sweeps `c`, the target-rack restriction, and the repair data path,
-/// rendering the trade-off table.
+/// Sweeps `c` and the target-rack restriction, rendering the trade-off
+/// table.
 pub fn run(scale: Scale) -> String {
     let mut t = Table::new(&[
         "c",
         "target racks",
-        "repair path",
         "rack failures tolerated",
         "cross-rack recovery fraction",
         "cross-rack repair KiB",
@@ -124,18 +115,15 @@ pub fn run(scale: Scale) -> String {
     let mut fault_seed = None;
     let params = ErasureParams::new(6, 3).expect("params"); // the Section III-D example code
     for (c, targets) in [(1usize, None), (2, None), (3, None), (3, Some(2))] {
-        for path in [RepairPath::Direct, RepairPath::RackAware] {
-            let p = measure(params, c, targets, scale, path).expect("recovery run");
-            fault_seed = fault_seed.or(p.fault_seed);
-            t.row_owned(vec![
-                p.c.to_string(),
-                p.target_racks.map_or("all".into(), |r| r.to_string()),
-                p.repair_path.name().to_string(),
-                p.rack_failures_tolerated.to_string(),
-                format!("{:.2}", p.cross_rack_fraction),
-                (p.cross_rack_bytes / 1024).to_string(),
-            ]);
-        }
+        let p = measure(params, c, targets, scale).expect("recovery run");
+        fault_seed = fault_seed.or(p.fault_seed);
+        t.row_owned(vec![
+            p.c.to_string(),
+            p.target_racks.map_or("all".into(), |r| r.to_string()),
+            p.rack_failures_tolerated.to_string(),
+            format!("{:.2}", p.cross_rack_fraction),
+            (p.cross_rack_bytes / 1024).to_string(),
+        ]);
     }
     let mut out = format!(
         "Section III-D: rack fault tolerance vs cross-rack recovery traffic\n\
@@ -148,11 +136,11 @@ pub fn run(scale: Scale) -> String {
         "\nLower c spreads the stripe over more racks (better rack fault tolerance,\n\
          more cross-rack recovery traffic); c = n - k with two target racks keeps\n\
          recovery almost entirely intra-rack at the cost of single-rack tolerance.\n\
-         The rack-aware path (DESIGN.md 15) folds any remote rack holding two or\n\
-         more chosen sources into one partial. With (6,3) and recovery sited in\n\
-         the densest surviving rack, remote racks contribute at most one chosen\n\
-         source each (k < c + 2 for every c here), so the two paths tie — the\n\
-         fold section below uses a code where they cannot.\n",
+         Repair folds any remote rack holding two or more chosen sources into one\n\
+         partial (DESIGN.md 15). With (6,3) and recovery sited in the densest\n\
+         surviving rack, remote racks contribute at most one chosen source each\n\
+         (k < c + 2 for every c here), so nothing folds — the section below uses\n\
+         a code where a rack does.\n",
     );
     out.push('\n');
     out.push_str(&fold_section(scale));
@@ -161,42 +149,28 @@ pub fn run(scale: Scale) -> String {
     out
 }
 
-/// The repair-path fold measurement: a (6,4) code at c = 2 leaves the
-/// victim's rack one survivor, so the chosen k = 4 sources span two dense
-/// remote blocks in one rack — exactly the configuration where the
-/// rack-aware plan ships one folded partial instead of two shards.
+/// The rack-fold measurement: a (6,4) code at c = 2 leaves the victim's
+/// rack one survivor, so the chosen k = 4 sources are two at the recovery
+/// site and two in one remote rack — which ships one folded partial instead
+/// of two shards.
 fn fold_section(scale: Scale) -> String {
     let params = ErasureParams::new(6, 4).expect("params");
-    let mut t = Table::new(&[
-        "repair path",
-        "cross-rack recovery fraction",
-        "cross-rack repair KiB",
+    let p = measure(params, 2, None, scale).expect("fold run");
+    let mut t = Table::new(&["cross-rack recovery fraction", "cross-rack repair KiB"]);
+    t.row_owned(vec![
+        format!("{:.2}", p.cross_rack_fraction),
+        (p.cross_rack_bytes / 1024).to_string(),
     ]);
-    let mut points = Vec::new();
-    for path in [RepairPath::Direct, RepairPath::RackAware] {
-        let p = measure(params, 2, None, scale, path).expect("fold run");
-        t.row_owned(vec![
-            p.repair_path.name().to_string(),
-            format!("{:.2}", p.cross_rack_fraction),
-            (p.cross_rack_bytes / 1024).to_string(),
-        ]);
-        points.push(p);
-    }
-    let mut out = format!(
-        "Two-phase rack-aware repair (DESIGN.md 15): (6,4) erasure coding, c = 2,\n\
-         6 racks x 6 nodes, single-node failure recovery\n\n{}",
+    format!(
+        "Rack-folded repair (DESIGN.md 15): (6,4) erasure coding, c = 2,\n\
+         6 racks x 6 nodes, single-node failure recovery\n\n{}\n\
+         Each rebuilt stripe block needs k = 4 sources: two intra-rack at the\n\
+         recovery site and two in one remote rack, folded there into a single\n\
+         partial — 1 of its 5 transfers crosses racks, where shipping both shards\n\
+         whole would make it 2 of 4. (The fraction also counts the victims'\n\
+         replicated blocks, re-copied from one source each.)\n",
         t.render()
-    );
-    if let [direct, aware] = points.as_slice() {
-        out.push_str(&format!(
-            "\nEach repair needs k = 4 sources: two intra-rack at the recovery site and\n\
-             two in one remote rack, which the rack-aware plan folds into a single\n\
-             partial ({} -> {} KiB cross-rack).\n",
-            direct.cross_rack_bytes / 1024,
-            aware.cross_rack_bytes / 1024,
-        ));
-    }
-    out
+    )
 }
 
 /// The self-healing companion measurement: seeded kill plans healed by the
@@ -261,8 +235,8 @@ mod tests {
     #[test]
     fn tradeoff_direction_holds() {
         let params = ErasureParams::new(6, 3).unwrap();
-        let tight = measure(params, 1, None, Scale::Quick, RepairPath::Direct).unwrap();
-        let loose = measure(params, 3, Some(2), Scale::Quick, RepairPath::Direct).unwrap();
+        let tight = measure(params, 1, None, Scale::Quick).unwrap();
+        let loose = measure(params, 3, Some(2), Scale::Quick).unwrap();
         assert_eq!(tight.rack_failures_tolerated, 3);
         assert_eq!(loose.rack_failures_tolerated, 1);
         assert!(
@@ -274,29 +248,24 @@ mod tests {
     }
 
     #[test]
-    fn rack_aware_repair_ships_strictly_fewer_cross_rack_bytes_when_folding() {
+    fn dense_remote_rack_is_folded_into_one_partial() {
         // (6,4) at c = 2 over 3 racks: the victim's rack keeps one
         // survivor, recovery sits in a dense rack (2 intra sources), and
-        // the remaining two chosen sources share the other remote rack —
-        // exactly the fold the rack-aware plan exploits.
+        // the remaining two chosen sources share the other remote rack.
+        // Folded, a rebuilt block costs 1 cross-rack transfer in 5; two
+        // whole shards would be 2 in 4.
         let params = ErasureParams::new(6, 4).unwrap();
-        let direct = measure(params, 2, None, Scale::Quick, RepairPath::Direct).unwrap();
-        let aware = measure(params, 2, None, Scale::Quick, RepairPath::RackAware).unwrap();
+        let p = measure(params, 2, None, Scale::Quick).unwrap();
         assert!(
-            aware.cross_rack_bytes < direct.cross_rack_bytes,
-            "rack-aware should fold dense remote racks: {} !< {}",
-            aware.cross_rack_bytes,
-            direct.cross_rack_bytes
+            p.cross_rack_fraction < 0.5,
+            "a folded rack must beat two whole shards: {}",
+            p.cross_rack_fraction
         );
-        // Nothing the repair path does may change recovery correctness
-        // proxies: same download mix, same tolerance.
-        assert_eq!(aware.rack_failures_tolerated, direct.rack_failures_tolerated);
     }
 
     #[test]
     fn report_includes_fold_section() {
         let out = run(Scale::Quick);
-        assert!(out.contains("Two-phase rack-aware repair"), "{out}");
-        assert!(out.contains("rack_aware"), "{out}");
+        assert!(out.contains("Rack-folded repair"), "{out}");
     }
 }

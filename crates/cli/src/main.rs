@@ -17,8 +17,8 @@ use ear_cluster::{crashsim, ClusterConfig, ClusterPolicy, HealerConfig, MiniCfs}
 use ear_core::{EncodingAwareReplication, PlacementPolicy, RandomReplicationPolicy};
 use ear_sim::{run as sim_run, PolicyKind, SimConfig};
 use ear_types::{
-    Bandwidth, ByteSize, CacheConfig, ClusterTopology, DurabilityConfig, EarConfig, EncodePath,
-    ErasureParams, RepairPath, ReplicationConfig, StoreBackend,
+    Bandwidth, ByteSize, CacheConfig, ClusterTopology, DurabilityConfig, EarConfig,
+    ErasureParams, ReplicationConfig, StoreBackend,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -38,21 +38,16 @@ USAGE:
   ear analyze theorem1 --racks R --c C --k K
   ear chaos    [--policy rr|ear|both] [--plans N] [--seed S]
                [--profile light|heavy|mixed] [--store memory|file|extent]
-               [--encode-path gather|pipelined] [--repair-path direct|rack_aware]
                [--stragglers] [--no-hedge]
   ear heal     [--plans N] [--seed S] [--kills K] [--stripes S]
                [--max-rounds R] [--byte-budget B] [--store memory|file|extent]
-               [--encode-path gather|pipelined] [--repair-path direct|rack_aware]
   ear crashsim [--surface wal|checkpoint|extent|all] [--seeds N] [--kills K]
                [--seed S]
   ear recover  --dir PATH [--n N] [--k K] [--c C]
   ear list
 
 The chaos/heal storage backend defaults to the EAR_STORE environment
-variable (memory when unset); --store overrides it. The encode and repair
-data paths (DESIGN.md 15) likewise default to EAR_ENCODE_PATH /
-EAR_REPAIR_PATH (gather / direct when unset); --encode-path and
---repair-path override them. `ear chaos
+variable (memory when unset); --store overrides it. `ear chaos
 --stragglers` runs the straggler-heavy (Pareto-delay) mix and prints the
 probe-read tail latencies; --no-hedge disables hedged reads for
 comparison. `crashsim` sweeps the durability layer's deterministic
@@ -145,24 +140,6 @@ fn store_backend(args: &Args) -> Result<StoreBackend, ArgError> {
     }
 }
 
-fn encode_path(args: &Args) -> Result<EncodePath, ArgError> {
-    match args.get("encode-path") {
-        None => Ok(EncodePath::from_env()),
-        Some("gather") => Ok(EncodePath::Gather),
-        Some("pipelined") => Ok(EncodePath::Pipelined),
-        Some(other) => Err(ArgError(format!("unknown encode path: {other}"))),
-    }
-}
-
-fn repair_path(args: &Args) -> Result<RepairPath, ArgError> {
-    match args.get("repair-path") {
-        None => Ok(RepairPath::from_env()),
-        Some("direct") => Ok(RepairPath::Direct),
-        Some("rack_aware") | Some("rack-aware") => Ok(RepairPath::RackAware),
-        Some(other) => Err(ArgError(format!("unknown repair path: {other}"))),
-    }
-}
-
 fn policy_kind(args: &Args) -> Result<PolicyKind, ArgError> {
     match args.get("policy").unwrap_or("ear") {
         "rr" => Ok(PolicyKind::Rr),
@@ -224,8 +201,6 @@ fn chaos(args: &Args) -> Result<String, Box<dyn std::error::Error>> {
         .get("profile")
         .unwrap_or(if stragglers { "stragglers" } else { "mixed" });
     let store = store_backend(args)?;
-    let enc_path = encode_path(args)?;
-    let rep_path = repair_path(args)?;
     let config_for = |policy: ClusterPolicy, seed: u64| -> Result<ChaosConfig, ArgError> {
         let base = if stragglers {
             ChaosConfig::straggler_heavy(policy)
@@ -246,8 +221,6 @@ fn chaos(args: &Args) -> Result<String, Box<dyn std::error::Error>> {
         Ok(ChaosConfig {
             store,
             hedging,
-            encode_path: enc_path,
-            repair_path: rep_path,
             ..base
         })
     };
@@ -319,8 +292,6 @@ fn heal(args: &Args) -> Result<String, Box<dyn std::error::Error>> {
         stripes: args.get_parsed("stripes", defaults.stripes)?,
         kills: args.get_parsed("kills", defaults.kills)?,
         store: store_backend(args)?,
-        encode_path: encode_path(args)?,
-        repair_path: repair_path(args)?,
         healer: HealerConfig {
             max_rounds: args.get_parsed("max-rounds", defaults.healer.max_rounds)?,
             round_byte_budget: args
@@ -486,8 +457,6 @@ fn recover(args: &Args) -> Result<String, Box<dyn std::error::Error>> {
         cache: CacheConfig::from_env(),
         durability: DurabilityConfig::at(&dir),
         reliability: Default::default(),
-        encode_path: ear_types::EncodePath::from_env(),
-        repair_path: ear_types::RepairPath::from_env(),
     };
     let cfs = MiniCfs::reopen(cfg)?;
     let snap = cfs.namenode().snapshot();
@@ -660,40 +629,6 @@ mod tests {
     }
 
     #[test]
-    fn chaos_and_heal_accept_data_path_flags() {
-        let out = run_words(&[
-            "chaos",
-            "--plans",
-            "1",
-            "--policy",
-            "ear",
-            "--profile",
-            "light",
-            "--encode-path",
-            "pipelined",
-            "--repair-path",
-            "rack_aware",
-        ])
-        .unwrap();
-        assert!(out.contains("PASS"), "{out}");
-        let healed = run_words(&[
-            "heal",
-            "--plans",
-            "1",
-            "--seed",
-            "11",
-            "--encode-path",
-            "pipelined",
-            "--repair-path",
-            "rack_aware",
-        ])
-        .unwrap();
-        assert!(healed.contains("PASS"), "{healed}");
-        assert!(run_words(&["chaos", "--plans", "1", "--encode-path", "bogus"]).is_err());
-        assert!(run_words(&["heal", "--plans", "1", "--repair-path", "bogus"]).is_err());
-    }
-
-    #[test]
     fn unknown_commands_error() {
         assert!(run_words(&["frobnicate"]).is_err());
         assert!(run_words(&["experiment", "fig99"]).is_err());
@@ -761,8 +696,6 @@ mod tests {
             cache: CacheConfig::default(),
             durability: DurabilityConfig::at(&dir),
             reliability: Default::default(),
-            encode_path: ear_types::EncodePath::from_env(),
-            repair_path: ear_types::RepairPath::from_env(),
         };
         {
             let cfs = MiniCfs::new(cfg).unwrap();

@@ -52,13 +52,6 @@ pub struct ChaosConfig {
     /// straggler-free plan the report must be bit-identical either way:
     /// hedges only launch after a straggler delay crosses the threshold.
     pub hedging: bool,
-    /// Which encode data path the run uses (DESIGN.md §15). The soak
-    /// reports must be bit-identical under either path: the pipeline
-    /// changes traffic shape, never parity bytes or metadata.
-    pub encode_path: ear_types::EncodePath,
-    /// Which repair data path the run uses (DESIGN.md §15). Same
-    /// bit-identity requirement as [`ChaosConfig::encode_path`].
-    pub repair_path: ear_types::RepairPath,
 }
 
 impl ChaosConfig {
@@ -73,8 +66,6 @@ impl ChaosConfig {
             store: StoreBackend::from_env(),
             cache: CacheConfig::from_env(),
             hedging: true,
-            encode_path: ear_types::EncodePath::from_env(),
-            repair_path: ear_types::RepairPath::from_env(),
         }
     }
 
@@ -203,8 +194,6 @@ fn chaos_cluster(cfg: &ChaosConfig, seed: u64) -> Result<ClusterConfig> {
             hedge_reads: cfg.hedging,
             ..ReliabilityConfig::default()
         },
-        encode_path: cfg.encode_path,
-        repair_path: cfg.repair_path,
     })
 }
 
@@ -430,7 +419,7 @@ fn verify_blocks(cfs: &MiniCfs, acked: &BTreeMap<BlockId, u64>, k: usize, report
 #[derive(Debug, Clone)]
 pub struct HealSoakConfig {
     /// Stripes to seal before encoding (some written blocks stay
-    /// replicated, so both repair paths are exercised).
+    /// replicated, so re-replication and reconstruction are both exercised).
     pub stripes: usize,
     /// Nodes killed by the plan; clamped to `n - k` so every acknowledged
     /// block stays within the code's tolerance.
@@ -447,12 +436,6 @@ pub struct HealSoakConfig {
     pub cache: CacheConfig,
     /// Encode-job parallelism.
     pub map_tasks: usize,
-    /// Which encode data path the run uses (bit-identity required — see
-    /// [`ChaosConfig::encode_path`]).
-    pub encode_path: ear_types::EncodePath,
-    /// Which repair data path the healer uses (bit-identity required — see
-    /// [`ChaosConfig::repair_path`]).
-    pub repair_path: ear_types::RepairPath,
 }
 
 impl Default for HealSoakConfig {
@@ -462,8 +445,6 @@ impl Default for HealSoakConfig {
             kills: 2,
             store: StoreBackend::from_env(),
             cache: CacheConfig::from_env(),
-            encode_path: ear_types::EncodePath::from_env(),
-            repair_path: ear_types::RepairPath::from_env(),
             faults: FaultConfig {
                 straggler_delay: ear_faults::DelayModel::Throttle,
                 node_crashes: 2,
@@ -546,8 +527,6 @@ fn heal_cluster(cfg: &HealSoakConfig, seed: u64) -> Result<ClusterConfig> {
         cache: cfg.cache,
         durability: ear_types::DurabilityConfig::default(),
         reliability: ReliabilityConfig::default(),
-        encode_path: cfg.encode_path,
-        repair_path: cfg.repair_path,
     })
 }
 

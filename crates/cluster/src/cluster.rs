@@ -12,7 +12,7 @@ use ear_faults::{FaultInjector, FaultPlan};
 use ear_netem::EmulatedNetwork;
 use ear_types::{
     Bandwidth, Block, BlockId, ByteSize, CacheConfig, ClusterTopology, DurabilityConfig,
-    EarConfig, EncodePath, Error, NodeHealth, NodeId, RepairPath, Result, StoreBackend,
+    EarConfig, Error, NodeHealth, NodeId, Result, StoreBackend,
 };
 use std::fs;
 use std::path::Path;
@@ -60,13 +60,6 @@ pub struct ClusterConfig {
     /// The reliability substrate (DESIGN.md §14): deadlines, retry budgets,
     /// circuit breakers, hedged reads, and admission control.
     pub reliability: ReliabilityConfig,
-    /// Which encode data path `RaidNode` uses (DESIGN.md §15). Both paths
-    /// emit bit-identical parity and metadata; they differ only in traffic
-    /// shape.
-    pub encode_path: EncodePath,
-    /// Which repair data path recovery/healing uses (DESIGN.md §15). Both
-    /// paths rebuild byte-identical shards.
-    pub repair_path: RepairPath,
 }
 
 impl ClusterConfig {
@@ -87,8 +80,6 @@ impl ClusterConfig {
             cache: CacheConfig::from_env(),
             durability: DurabilityConfig::default(),
             reliability: ReliabilityConfig::default(),
-            encode_path: EncodePath::from_env(),
-            repair_path: RepairPath::from_env(),
         }
     }
 }
@@ -648,8 +639,6 @@ mod tests {
             cache: CacheConfig::from_env(),
             durability: DurabilityConfig::default(),
             reliability: ReliabilityConfig::default(),
-            encode_path: EncodePath::from_env(),
-            repair_path: RepairPath::from_env(),
         }
     }
 

@@ -40,7 +40,7 @@ use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Nodes one multi-block job (a stripe encode, a pipelined chain) has found
+/// Nodes one multi-block job (a stripe's encode chain) has found
 /// fail-stop dead, shared across the job's reads so each discovery is paid
 /// at most once. This used to be a bespoke `Mutex<HashSet<_>>` + closure
 /// pair re-built by every caller of
@@ -617,11 +617,10 @@ impl ClusterIo {
     }
 
     /// Reads `block` into `dst` from the nearest workable replica: the
-    /// shared preference order every bulk reader (stripe gather, pipelined
-    /// chain hops) used to build by hand. `replicas` is sorted so that
-    /// known-dead nodes go last, then `dst` itself (a local copy pays no
-    /// wire cost), then `dst`'s rack, ties broken by node index for
-    /// determinism — and the sorted list is walked by
+    /// shared preference order of the encode chain's hops. `replicas` is
+    /// sorted so that known-dead nodes go last, then `dst` itself (a local
+    /// copy pays no wire cost), then `dst`'s rack, ties broken by node index
+    /// for determinism — and the sorted list is walked by
     /// [`read_with_fallback`](Self::read_with_fallback) with `dead` wired
     /// in as both the blacklist hook and the skip predicate.
     ///
@@ -653,11 +652,11 @@ impl ClusterIo {
     }
 
     /// Ships `bytes` of in-flight partial-parity state from `src` to `dst` —
-    /// one hop of a pipelined encode or a rack-aggregated repair. The bytes
+    /// one hop of the encode chain or a rack-folded repair. The bytes
     /// are not a stored block (no DataNode, no checksum boundary: the state
     /// lives in the sending task), but the wire cost is real and the hop is
     /// bounded by the substrate: a dead or breaker-open endpoint is a typed
-    /// error the caller turns into a legacy-path fallback, and the transfer
+    /// error the caller answers by re-planning, and the transfer
     /// charges `ctx` like any fetch of the same size.
     ///
     /// # Errors

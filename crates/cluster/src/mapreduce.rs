@@ -254,8 +254,6 @@ mod tests {
             cache: CacheConfig::from_env(),
             durability: Default::default(),
             reliability: Default::default(),
-            encode_path: ear_types::EncodePath::from_env(),
-            repair_path: ear_types::RepairPath::from_env(),
         };
         MiniCfs::new(cfg).unwrap()
     }

@@ -169,8 +169,6 @@ mod tests {
             cache: CacheConfig::from_env(),
             durability: Default::default(),
             reliability: Default::default(),
-            encode_path: ear_types::EncodePath::from_env(),
-            repair_path: ear_types::RepairPath::from_env(),
         };
         MiniCfs::new(cfg).unwrap()
     }
@@ -253,8 +251,6 @@ mod tests {
             cache: CacheConfig::from_env(),
             durability: Default::default(),
             reliability: Default::default(),
-            encode_path: ear_types::EncodePath::from_env(),
-            repair_path: ear_types::RepairPath::from_env(),
         };
         let cfs = MiniCfs::new(cfg).unwrap();
         let nodes = cfs.topology().num_nodes() as u64;
@@ -370,8 +366,6 @@ mod tests {
             cache: CacheConfig::from_env(),
             durability: Default::default(),
             reliability: Default::default(),
-            encode_path: ear_types::EncodePath::from_env(),
-            repair_path: ear_types::RepairPath::from_env(),
         };
         let cfs = MiniCfs::new(cfg).unwrap();
         let nodes = cfs.topology().num_nodes() as u64;

@@ -199,6 +199,12 @@ impl NameNode {
         self.wal.is_some()
     }
 
+    /// Makes every later log append fail (see [`MetaWal::fail_appends`]).
+    #[cfg(test)]
+    pub(crate) fn fail_wal_appends(&self) {
+        self.wal.as_ref().expect("durable NameNode").fail_appends();
+    }
+
     /// The complete metadata image, gathered under the stripe mutex and
     /// shard read locks. In-flight stripes are folded back into `pending`:
     /// durably, an encode that has not committed never happened.

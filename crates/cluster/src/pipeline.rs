@@ -1,34 +1,26 @@
-//! Pipelined stripe encoding: the RapidRAID-style streaming alternative to
-//! the RaidNode's gather-then-encode (DESIGN.md §15).
+//! The encode data path: a rack-major fold chain (DESIGN.md §15).
 //!
-//! The legacy gather path downloads all `k` source blocks to the encoding
-//! node and encodes in one shot, so the encoding node ingests `k · B` bytes
-//! and every source rack ships one block per co-located source. The
-//! pipelined plan exploits GF(2⁸) linearity instead: parity rows are
-//! running partial sums ([`StripeEncoder`]), so each *source rack* can fold
-//! its blocks locally at an aggregator and ship the `m = n − k` partial
-//! parity rows once, and the encoding node only ever holds one source block
-//! plus the `m` running rows.
+//! Parity rows are running GF(2⁸) partial sums ([`StripeEncoder`]), so a
+//! stripe never needs its `k` sources resident at one node. The chain
+//! visits source racks in ascending rack id and ends at the encoding node.
+//! A rack joins as a folding hop only when it holds *more* sources than
+//! there are parity rows (`s > m`): its lowest-indexed holder folds the
+//! rack's blocks locally and ships the `m` running rows once. Sparser racks
+//! (and the encoding node's own) have their blocks read straight to the
+//! encoding node — folding them would ship `m · B` bytes where the raw
+//! blocks cost `s · B ≤ m · B`. Cross-rack traffic is therefore
+//! `Σ min(sᵣ, m) · B` over remote source racks.
 //!
-//! The chain visits source racks in rack-major order (ascending rack id,
-//! encoding rack last) and each hop ships the running partial exactly once.
-//! A rack joins the chain as a folding hop only when it holds *more* source
-//! blocks than there are parity rows (`s > m`) — folding a sparser rack
-//! would ship `m · B` partial bytes where gather ships `s · B ≤ m · B` raw
-//! bytes, so those racks ship raw blocks straight to the encoding node
-//! exactly as gather does. Cross-rack bytes are therefore
-//! `Σ min(sᵣ, m) · B` over non-core source racks: never above the gather
-//! path, strictly below it whenever any rack co-locates more than `m`
-//! source blocks. Under EAR every source has a core-rack replica, so both
-//! paths are already at the information-theoretic floor (parity uploads
-//! only) and the pipeline's win is the streaming memory/ingest profile.
+//! Classical gather-then-encode is the chain in which no rack folds. That
+//! is what EAR stripes always are (every source has a core-rack replica),
+//! and it is the plan the RaidNode re-runs a stripe with after a mid-chain
+//! failure.
 //!
 //! Every read goes through [`ClusterIo::read_nearest`] and every partial
 //! hop through [`ClusterIo::stream_partial`], each under an encode-class
-//! [`OpContext`] — a dead or breaker-open hop surfaces as a typed error
-//! that the RaidNode turns into a legacy-gather fallback for the stripe.
-//! The fold itself is the same generator arithmetic as the one-shot encode,
-//! so the finished parity bytes are bit-identical to gather's.
+//! [`OpContext`]. The fold is the same generator arithmetic as
+//! [`ReedSolomon::encode`](ear_erasure::ReedSolomon::encode), so the parity
+//! bytes are bit-identical to the one-shot codec's.
 
 use crate::cluster::MiniCfs;
 use crate::io::DeadNodeSet;
@@ -38,14 +30,14 @@ use ear_erasure::StripeEncoder;
 use ear_types::{BlockId, Error, NodeId, RackId, Result};
 use std::collections::BTreeMap;
 
-/// What a successful pipelined encode hands back to the RaidNode: parity
-/// bytes bit-identical to the gather path's, plus the traffic accounting
-/// the stripe's [`EncodeStats`](crate::EncodeStats) entry needs.
-pub(crate) struct PipelineOutcome {
+/// What the chain hands back to the RaidNode: the parity bytes plus the
+/// traffic accounting the stripe's [`EncodeStats`](crate::EncodeStats)
+/// entry needs.
+pub(crate) struct ChainOutcome {
     /// The `n − k` parity shards, in generator row order.
     pub parity: Vec<Vec<u8>>,
-    /// Source-block reads that were served from outside the reading node's
-    /// rack (the same counter the gather path reports).
+    /// Block-sized transfers that crossed racks: source reads served from
+    /// outside the reading node's rack, plus `m` per folding hop.
     pub cross_rack_downloads: usize,
 }
 
@@ -56,37 +48,38 @@ struct ChainHop {
     sources: Vec<(usize, BlockId)>,
 }
 
-/// Encodes one stripe's parity by streaming partial folds along a
-/// rack-major chain instead of gathering all `k` blocks at `enc`.
+/// Computes one stripe's parity at `enc` by folding its sources along the
+/// rack-major chain. With `fold_racks` off no rack folds: every source is
+/// read at `enc` through the nearest-replica fallback — the degenerate plan
+/// the RaidNode re-runs a stripe with once the full chain has failed.
 ///
-/// Nothing here mutates cluster metadata or stores any block: like the
-/// gather download phase it is read-only, so the RaidNode's
-/// transactionality argument (no metadata change until parity is durable)
-/// is untouched, and any error return lets the caller retry via the legacy
-/// gather path with the stripe fully intact.
+/// Nothing here mutates cluster metadata or stores any block, so the
+/// RaidNode's transactionality argument (no metadata change until parity
+/// is durable) is untouched and any error return leaves the stripe intact.
 ///
 /// # Errors
 ///
 /// * [`Error::NodeDown`] when a chain hop or read finds a dead or
-///   breaker-open node (the caller's cue to fall back to gather).
+///   breaker-open node.
 /// * [`Error::BlockUnavailable`] / [`Error::Invariant`] on missing
 ///   replicas or metadata inconsistencies.
 /// * [`Error::DeadlineExceeded`] / [`Error::RetryBudgetExhausted`] /
 ///   [`Error::Overloaded`] from the reliability substrate — the caller
-///   propagates these instead of retrying on the gather path.
-pub(crate) fn encode_pipelined(
+///   propagates these instead of re-planning.
+pub(crate) fn encode_chain(
     cfs: &MiniCfs,
     stripe: &PendingStripe,
     enc: NodeId,
     dead: &DeadNodeSet,
-) -> Result<PipelineOutcome> {
+    fold_racks: bool,
+) -> Result<ChainOutcome> {
     let topo = cfs.topology();
     let enc_rack = topo.rack_of(enc);
     let m = cfs.codec().params().parity();
 
-    // Plan: pick each source's preferred holder (the replica the gather
-    // path would read: encoding rack first, then lowest rack, ties by node
-    // index) and group sources by that holder's rack.
+    // Plan: pick each source's preferred holder (encoding rack first, then
+    // lowest rack, ties by node index) and group sources by that holder's
+    // rack.
     let mut locations: Vec<Vec<NodeId>> = Vec::with_capacity(stripe.blocks.len());
     let mut by_rack: BTreeMap<RackId, Vec<(usize, BlockId, NodeId)>> = BTreeMap::new();
     for (idx, &block) in stripe.blocks.iter().enumerate() {
@@ -111,11 +104,11 @@ pub(crate) fn encode_pipelined(
     // Racks worth folding locally (`s > m`, outside the encoding rack)
     // become chain hops at their lowest-indexed holder; everything else —
     // the encoding rack's sources and sparse racks' — is read straight to
-    // `enc`, exactly as gather would.
+    // `enc`.
     let mut chain: Vec<ChainHop> = Vec::new();
     let mut at_enc: Vec<(usize, BlockId)> = Vec::new();
     for (rack, group) in &by_rack {
-        let fold_here = *rack != enc_rack && group.len() > m;
+        let fold_here = fold_racks && *rack != enc_rack && group.len() > m;
         if fold_here {
             let aggregator = group
                 .iter()
@@ -139,7 +132,7 @@ pub(crate) fn encode_pipelined(
     let mut prev_hop: Option<NodeId> = None;
     for hop in &chain {
         if let Some(prev) = prev_hop {
-            ship_partials(cfs, prev, hop.aggregator, &encoder)?;
+            cross_rack_downloads += ship_partials(cfs, prev, hop.aggregator, &encoder)?;
         }
         for &(idx, block) in &hop.sources {
             cross_rack_downloads +=
@@ -148,16 +141,16 @@ pub(crate) fn encode_pipelined(
         prev_hop = Some(hop.aggregator);
     }
     if let Some(prev) = prev_hop {
-        ship_partials(cfs, prev, enc, &encoder)?;
+        cross_rack_downloads += ship_partials(cfs, prev, enc, &encoder)?;
     }
     for &(idx, block) in &at_enc {
         cross_rack_downloads += absorb_at(cfs, &mut encoder, enc, idx, block, &locations, dead)?;
     }
 
     let parity = encoder
-        .ok_or_else(|| Error::Invariant("pipelined encode of an empty stripe".into()))?
+        .ok_or_else(|| Error::Invariant("encode of an empty stripe".into()))?
         .finish()?;
-    Ok(PipelineOutcome {
+    Ok(ChainOutcome {
         parity,
         cross_rack_downloads,
     })
@@ -189,20 +182,21 @@ fn absorb_at(
 
 /// Ships the encoder's `m` running partial rows from `src` to `dst` — one
 /// chain hop, paying `m · shard_len` wire bytes under an encode-class
-/// context.
+/// context. Returns the number of rows shipped (each one block-sized
+/// cross-rack transfer: hops always sit in distinct racks).
 fn ship_partials(
     cfs: &MiniCfs,
     src: NodeId,
     dst: NodeId,
     encoder: &Option<StripeEncoder>,
-) -> Result<()> {
-    let bytes: u64 = encoder
-        .as_ref()
-        .map(|e| e.partial_rows().map(|r| r.len() as u64).sum())
-        .unwrap_or(0);
-    if bytes == 0 {
-        return Ok(());
-    }
+) -> Result<usize> {
+    let Some(encoder) = encoder else {
+        return Ok(0);
+    };
+    let (rows, bytes) = encoder
+        .partial_rows()
+        .fold((0usize, 0u64), |(rows, bytes), r| (rows + 1, bytes + r.len() as u64));
     let ctx = cfs.reliability().ctx(OpClass::Encode)?;
-    cfs.io().stream_partial(&ctx, src, dst, bytes)
+    cfs.io().stream_partial(&ctx, src, dst, bytes)?;
+    Ok(rows)
 }

@@ -6,7 +6,7 @@ use crate::io::DeadNodeSet;
 use crate::namenode::PendingStripe;
 use crate::pipeline;
 use crate::reliability::{self, OpClass};
-use ear_types::{Block, BlockId, EncodePath, Error, NodeId, Result, StripeId};
+use ear_types::{Block, BlockId, Error, NodeId, Result, StripeId};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -25,21 +25,20 @@ pub struct EncodeStats {
     pub wall_seconds: f64,
     /// Bytes of data blocks encoded (`stripes × k × block_size`).
     pub encoded_bytes: u64,
-    /// Cross-rack block downloads performed by map tasks.
+    /// Block-sized transfers that crossed racks on their way to the
+    /// encoding node: source blocks read from a remote rack plus the
+    /// partial parity rows a folding rack ships (DESIGN.md §15).
     pub cross_rack_downloads: usize,
     /// Stripes left violating rack-level fault tolerance (they need the
     /// BlockMover; always 0 under EAR).
     pub stripes_with_relocation: usize,
-    /// Stripes whose parity came off the streaming pipeline chain
-    /// (DESIGN.md §15); 0 when the job ran with `EncodePath::Gather`.
-    pub pipelined_stripes: usize,
-    /// Pipelined stripes that hit a mid-chain failure and fell back to the
-    /// legacy gather path (their parity still landed, via gather).
+    /// Stripes that hit a mid-chain failure and were re-planned once with
+    /// no folding rack (DESIGN.md §15); their parity still landed.
     pub pipeline_fallbacks: usize,
     /// Per-stripe completion offsets from job start, seconds (Fig. 12).
     pub completion_times: Vec<f64>,
     /// Name of the GF(2⁸) kernel tier the codec dispatched to (`scalar`,
-    /// `swar`, `ssse3`, `avx2`); empty until a job has run.
+    /// `ssse3`, `avx2`); empty until a job has run.
     pub gf_kernel: &'static str,
     /// The fault-plan seed active during the job, `None` when the cluster
     /// runs fault-free — recorded so every report names the chaos it
@@ -124,9 +123,6 @@ impl RaidNode {
                                 if outcome.violated {
                                     st.stripes_with_relocation += 1;
                                 }
-                                if outcome.pipelined {
-                                    st.pipelined_stripes += 1;
-                                }
                                 if outcome.fell_back {
                                     st.pipeline_fallbacks += 1;
                                 }
@@ -194,9 +190,12 @@ impl RaidNode {
                 Error::Invariant(format!("{from} lost {block} before relocation"))
             })?;
             cfs.io().transfer(from, to, data.len() as u64);
+            // Publish before retire: the old copy goes only once durable
+            // metadata points at the new one, so a failed (or interrupted)
+            // location update leaves `from` listed and still holding bytes.
             cfs.datanode(to).put(block, data)?;
-            cfs.datanode(from).delete(block);
             cfs.namenode().set_locations(block, vec![to])?;
+            cfs.datanode(from).delete(block);
         }
         Ok(relocations.len())
     }
@@ -204,20 +203,17 @@ impl RaidNode {
 
 /// What one stripe's encode reports back to the job's statistics.
 struct StripeOutcome {
-    /// Source-block reads served from outside the reading node's rack.
+    /// Block-sized transfers that crossed racks towards the encoding node.
     cross_rack_downloads: usize,
     /// Whether the stripe still violates rack-level fault tolerance.
     violated: bool,
-    /// Whether the parity came off the streaming pipeline chain.
-    pipelined: bool,
-    /// Whether a pipelined attempt failed mid-chain and the parity was
-    /// recomputed via the legacy gather path.
+    /// Whether the chain failed mid-way and the stripe was re-planned with
+    /// no folding rack.
     fell_back: bool,
 }
 
-/// Encodes one stripe: compute parity (by gather or by the streaming
-/// pipeline, per [`ClusterConfig::encode_path`](crate::ClusterConfig)),
-/// upload it, and delete redundant replicas.
+/// Encodes one stripe: fold its parity along the rack-major chain
+/// ([`pipeline::encode_chain`]), upload it, and delete redundant replicas.
 ///
 /// # Transactionality
 ///
@@ -225,9 +221,8 @@ struct StripeOutcome {
 /// function mutates no cluster metadata and deletes no replica until
 /// *every* parity block is durably stored: an error return (at any point)
 /// leaves the stripe exactly as replicated as it was, so the caller can
-/// retry or requeue it with no risk of a half-encoded stripe. Both parity
-/// paths are read-only, which is also what makes the pipelined→gather
-/// fallback safe mid-stripe.
+/// retry or requeue it with no risk of a half-encoded stripe. The chain is
+/// read-only, which is also what makes re-planning it mid-stripe safe.
 fn encode_stripe(
     cfs: &MiniCfs,
     stripe: &PendingStripe,
@@ -245,39 +240,32 @@ fn encode_stripe(
     // stripe's blocks so each pays the discovery cost at most once.
     let blacklist = DeadNodeSet::new();
 
-    // Compute the parity bytes. The pipelined path streams partial folds
-    // along a rack-major chain; a mid-chain failure (dead hop, unreadable
-    // source) falls back to the legacy gather, which retries with per-block
-    // replica fallback. Substrate stops (deadline, retry budget, load shed)
-    // propagate — gather would be stopped by the same gate.
-    let mut pipelined = false;
+    // Fold the parity along the chain. A mid-chain failure (dead
+    // aggregator, unreadable source) re-plans the stripe once with no
+    // folding rack: every source is then read at the encoding node with
+    // per-block replica fallback. Substrate stops (deadline, retry budget,
+    // load shed) propagate — the same gate would stop the re-plan.
     let mut fell_back = false;
-    let (parity, cross) = match cfs.config().encode_path {
-        EncodePath::Pipelined => match pipeline::encode_pipelined(cfs, stripe, enc, &blacklist) {
-            Ok(out) => {
-                pipelined = true;
-                (out.parity, out.cross_rack_downloads)
-            }
-            Err(
-                e @ (Error::DeadlineExceeded { .. }
-                | Error::RetryBudgetExhausted { .. }
-                | Error::Overloaded { .. }),
-            ) => return Err(e),
-            Err(_) => {
-                fell_back = true;
-                gather_parity(cfs, stripe, enc, &blacklist)?
-            }
-        },
-        EncodePath::Gather => gather_parity(cfs, stripe, enc, &blacklist)?,
+    let chain = match pipeline::encode_chain(cfs, stripe, enc, &blacklist, true) {
+        Ok(out) => out,
+        Err(
+            e @ (Error::DeadlineExceeded { .. }
+            | Error::RetryBudgetExhausted { .. }
+            | Error::Overloaded { .. }),
+        ) => return Err(e),
+        Err(_) => {
+            fell_back = true;
+            pipeline::encode_chain(cfs, stripe, enc, &blacklist, false)?
+        }
     };
 
     // Store every parity block before touching any metadata. Ids are
     // allocated with an empty location set so a failure below leaves only
     // unreferenced ids behind, never a registered block without bytes.
     // Each store pays its own transfer through the fault boundary.
-    let mut stored: Vec<(BlockId, NodeId)> = Vec::with_capacity(parity.len());
+    let mut stored: Vec<(BlockId, NodeId)> = Vec::with_capacity(chain.parity.len());
     let mut store_err = None;
-    for (p, &planned) in parity.into_iter().zip(&plan.parity_nodes) {
+    for (p, &planned) in chain.parity.into_iter().zip(&plan.parity_nodes) {
         let id = cfs.namenode().register_block(Vec::new())?;
         match store_parity(cfs, id, Block::from(p), enc, planned, &plan.kept_data, &stored) {
             Ok(dst) => stored.push((id, dst)),
@@ -318,12 +306,13 @@ fn encode_stripe(
             .namenode()
             .locations(block)
             .ok_or_else(|| Error::Invariant(format!("unknown {block}")))?;
+        // Publish before retire, as in `relocate`.
+        cfs.namenode().set_locations(block, vec![kept])?;
         for n in locs {
             if n != kept {
                 cfs.datanode(n).delete(block);
             }
         }
-        cfs.namenode().set_locations(block, vec![kept])?;
     }
     // Queue relocations for the BlockMover.
     let violated = plan.violated_rack_fault_tolerance();
@@ -338,74 +327,10 @@ fn encode_stripe(
         }
     }
     Ok(StripeOutcome {
-        cross_rack_downloads: cross,
+        cross_rack_downloads: chain.cross_rack_downloads,
         violated,
-        pipelined,
         fell_back,
     })
-}
-
-/// The legacy gather path: download all `k` blocks to the encoding node in
-/// parallel (HDFS-RAID issues parallel reads) and Reed–Solomon-encode in
-/// one shot. Returns the parity shards and the cross-rack download count.
-fn gather_parity(
-    cfs: &MiniCfs,
-    stripe: &PendingStripe,
-    enc: NodeId,
-    blacklist: &DeadNodeSet,
-) -> Result<(Vec<Vec<u8>>, usize)> {
-    let topo = cfs.topology();
-    let enc_rack = topo.rack_of(enc);
-    let downloads: Vec<Result<(Block, NodeId)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = stripe
-            .blocks
-            .iter()
-            .map(|&b| scope.spawn(move || download_block(cfs, b, enc, blacklist)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|_| Err(Error::Invariant("download task panicked".into())))
-            })
-            .collect()
-    });
-    let mut data: Vec<Block> = Vec::with_capacity(downloads.len());
-    let mut cross = 0usize;
-    for d in downloads {
-        let (bytes, src) = d?;
-        if topo.rack_of(src) != enc_rack {
-            cross += 1;
-        }
-        data.push(bytes);
-    }
-    let data_refs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
-    let parity = cfs.codec().encode(&data_refs)?;
-    Ok((parity, cross))
-}
-
-/// Downloads one block to the encoding node via the shared
-/// [`ClusterIo::read_nearest`](crate::ClusterIo::read_nearest) policy
-/// (known-dead replicas last, then local, then intra-rack). Returns the
-/// bytes and the replica that served them.
-fn download_block(
-    cfs: &MiniCfs,
-    block: BlockId,
-    enc: NodeId,
-    blacklist: &DeadNodeSet,
-) -> Result<(Block, NodeId)> {
-    let locs = cfs
-        .namenode()
-        .locations(block)
-        .ok_or_else(|| Error::Invariant(format!("unknown {block}")))?;
-    if locs.is_empty() {
-        return Err(Error::BlockUnavailable { block });
-    }
-    // Encode-class admission: background encoding is the first traffic shed
-    // when the gate tightens, and its downloads run under the substrate's
-    // deadline/retry-budget bounds.
-    let ctx = cfs.reliability().ctx(OpClass::Encode)?;
-    cfs.io().read_nearest(&ctx, enc, block, &locs, blacklist)
 }
 
 /// Stores one parity block, preferring the planned node and falling back to
@@ -456,24 +381,20 @@ fn store_parity(
 mod tests {
     use super::*;
     use crate::cluster::{ClusterConfig, ClusterPolicy};
+    use ear_faults::{FaultConfig, FaultPlan};
     use ear_types::{
         Bandwidth, ByteSize, CacheConfig, EarConfig, ErasureParams, ReplicationConfig,
         StoreBackend,
     };
 
-    fn boot_cfg(
-        policy: ClusterPolicy,
-        racks: usize,
-        nodes_per_rack: usize,
-        encode_path: EncodePath,
-    ) -> MiniCfs {
+    fn cfg(policy: ClusterPolicy, racks: usize, nodes_per_rack: usize) -> ClusterConfig {
         let ear = EarConfig::new(
             ErasureParams::new(6, 4).unwrap(),
             ReplicationConfig::two_way(),
             1,
         )
         .unwrap();
-        let cfg = ClusterConfig {
+        ClusterConfig {
             racks,
             nodes_per_rack,
             block_size: ByteSize::kib(256),
@@ -486,14 +407,25 @@ mod tests {
             cache: CacheConfig::from_env(),
             durability: Default::default(),
             reliability: Default::default(),
-            encode_path,
-            repair_path: ear_types::RepairPath::from_env(),
-        };
-        MiniCfs::new(cfg).unwrap()
+        }
     }
 
     fn boot(policy: ClusterPolicy, racks: usize) -> MiniCfs {
-        boot_cfg(policy, racks, 1, ear_types::EncodePath::from_env())
+        MiniCfs::new(cfg(policy, racks, 1)).unwrap()
+    }
+
+    /// Asserts every encoded stripe's stored parity is exactly what the
+    /// one-shot codec computes from the written data blocks.
+    fn assert_parity_matches_codec(cfs: &MiniCfs) {
+        for es in cfs.namenode().encoded_stripes() {
+            let data: Vec<Vec<u8>> = es.data.iter().map(|b| cfs.make_block(b.0)).collect();
+            let expected = cfs.codec().encode(&data).unwrap();
+            for (&p, want) in es.parity.iter().zip(&expected) {
+                let loc = cfs.namenode().locations(p).unwrap()[0];
+                let got = cfs.datanode(loc).get(p).unwrap();
+                assert_eq!(got.as_slice(), want.as_slice(), "parity {p} of {}", es.id);
+            }
+        }
     }
 
     fn write_stripes(cfs: &MiniCfs, blocks: usize) {
@@ -600,76 +532,124 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_encode_is_bit_identical_to_gather() {
-        // The streaming chain must change only how bytes travel, never what
-        // lands: same stripes, same parity ids and placements, same parity
-        // bytes. One map task keeps block-id allocation order deterministic
-        // so the comparison can be exact.
+    fn chain_parity_matches_the_codec_reference() {
+        // The fold chain changes how bytes travel, never what lands: the
+        // sealed parity is what `ReedSolomon::encode` computes from the
+        // written blocks, with no re-plan on a fault-free cluster.
         for policy in [ClusterPolicy::Rr, ClusterPolicy::Ear] {
-            let gather = boot_cfg(policy, 6, 2, EncodePath::Gather);
-            let piped = boot_cfg(policy, 6, 2, EncodePath::Pipelined);
-            write_stripes(&gather, 40);
-            write_stripes(&piped, 40);
-            let (gs, _) = RaidNode::encode_all(&gather, 1).unwrap();
-            let (ps, _) = RaidNode::encode_all(&piped, 1).unwrap();
-            assert_eq!(gs.stripes, ps.stripes, "{policy:?}");
-            assert!(ps.stripes > 0);
-            assert_eq!(
-                ps.pipelined_stripes, ps.stripes,
-                "fault-free pipelined job must never fall back ({policy:?})"
-            );
-            assert_eq!(ps.pipeline_fallbacks, 0);
-            assert_eq!(gs.pipelined_stripes, 0);
-
-            let ges = gather.namenode().encoded_stripes();
-            let pes = piped.namenode().encoded_stripes();
-            assert_eq!(ges.len(), pes.len());
-            for (g, p) in ges.iter().zip(pes.iter()) {
-                assert_eq!(g.id, p.id);
-                assert_eq!(g.data, p.data);
-                assert_eq!(g.parity, p.parity);
-                for (&gb, &pb) in g.parity.iter().zip(p.parity.iter()) {
-                    let gl = gather.namenode().locations(gb).unwrap();
-                    let pl = piped.namenode().locations(pb).unwrap();
-                    assert_eq!(gl, pl, "parity placement must match ({policy:?})");
-                    let gbytes = gather.datanode(gl[0]).get(gb).unwrap();
-                    let pbytes = piped.datanode(pl[0]).get(pb).unwrap();
-                    assert_eq!(
-                        gbytes.as_slice(),
-                        pbytes.as_slice(),
-                        "parity bytes must be bit-identical ({policy:?})"
-                    );
-                }
-            }
-            // The chain never ships more across racks than gather: folded
-            // racks replace s > m raw blocks with m partial rows.
-            let g_cross = gather.network().cross_rack_bytes();
-            let p_cross = piped.network().cross_rack_bytes();
-            assert!(
-                p_cross <= g_cross,
-                "{policy:?}: pipelined {p_cross} cross bytes vs gather {g_cross}"
-            );
+            let cfs = MiniCfs::new(cfg(policy, 6, 2)).unwrap();
+            write_stripes(&cfs, 40);
+            let (stats, _) = RaidNode::encode_all(&cfs, 1).unwrap();
+            assert!(stats.stripes > 0, "{policy:?}");
+            assert_eq!(stats.pipeline_fallbacks, 0, "{policy:?}");
+            assert_parity_matches_codec(&cfs);
         }
     }
 
+    /// The first seeded crash-only plan that kills exactly `node`, no
+    /// earlier than operation `after_ops`.
+    fn crash_plan(topo: &ear_types::ClusterTopology, node: NodeId, after_ops: u64) -> FaultPlan {
+        let faults = FaultConfig {
+            straggler_delay: ear_faults::DelayModel::Throttle,
+            node_crashes: 1,
+            rack_outages: 0,
+            stragglers: 0,
+            straggler_factor: 1.0,
+            transient_error_rate: 0.0,
+            corruption_rate: 0.0,
+            heartbeat_loss_rate: 0.0,
+            crash_window: 4 * after_ops,
+        };
+        (0u64..)
+            .map(|seed| FaultPlan::generate(seed, topo, &faults))
+            .find(|p| {
+                p.crashes()
+                    .first()
+                    .is_some_and(|c| c.node == node && c.at_op >= after_ops)
+            })
+            .unwrap()
+    }
+
     #[test]
-    fn pipelined_ear_keeps_the_cross_rack_floor() {
-        // Under EAR every source has a core-rack replica, so the pipelined
-        // chain degenerates to intra-rack streaming: zero cross-rack
-        // downloads, cross traffic = parity uploads only — the same floor
-        // the gather path sits on.
-        let cfs = boot_cfg(ClusterPolicy::Ear, 8, 1, EncodePath::Pipelined);
-        write_stripes(&cfs, 64);
-        let before = cfs.network().cross_rack_bytes();
-        let (stats, relocations) = RaidNode::encode_all(&cfs, 4).unwrap();
-        assert!(stats.stripes >= 2);
-        assert_eq!(stats.pipelined_stripes, stats.stripes);
-        assert_eq!(stats.cross_rack_downloads, 0, "EAR folds intra-rack");
-        assert!(relocations.is_empty());
-        let cross = cfs.network().cross_rack_bytes() - before;
-        let block = ByteSize::kib(256).as_u64();
-        assert!(cross <= stats.stripes as u64 * 2 * block);
-        assert!(cross >= stats.stripes as u64 * block);
+    fn dead_aggregator_mid_chain_replans_to_identical_parity() {
+        // Three of a stripe's four sources sit in the victim's rack with
+        // the victim as lowest-indexed holder, so the chain folds there.
+        // The victim dies after the writes: the hop fails, the stripe is
+        // re-planned once with no folding rack and reads the second
+        // replicas at the encoding node — same parity, one fallback.
+        let victim = NodeId(2);
+        let base = cfg(ClusterPolicy::Rr, 6, 2);
+        let topo = ear_types::ClusterTopology::uniform(base.racks, base.nodes_per_rack);
+        let plan = crash_plan(&topo, victim, 64);
+        let cfs = (0u64..)
+            .map(|seed| MiniCfs::with_faults(ClusterConfig { seed, ..base.clone() }, plan.clone()))
+            .map(Result::unwrap)
+            .find(|cfs| {
+                write_stripes(cfs, 4);
+                let stripe = &cfs.namenode().pending_stripes()[0];
+                let enc = cfs.namenode().plan_encoding(stripe).unwrap().encoding_node;
+                topo.rack_of(enc) != topo.rack_of(victim)
+            })
+            .unwrap();
+        let stripe = cfs.namenode().pending_stripes().remove(0);
+        let enc = cfs.namenode().plan_encoding(&stripe).unwrap().encoding_node;
+        // The far replicas live in the highest rack that is neither the
+        // victim's nor the encoding node's, so the victim's rack (lower id)
+        // is every re-homed source's preferred holder.
+        let far = topo
+            .nodes()
+            .filter(|&n| topo.rack_of(n) != topo.rack_of(enc) && topo.rack_of(n) != topo.rack_of(victim))
+            .last()
+            .unwrap();
+        for &b in &stripe.blocks[..3] {
+            for n in [victim, far] {
+                cfs.datanode(n).put(b, Block::from(cfs.make_block(b.0))).unwrap();
+            }
+            cfs.namenode().set_locations(b, vec![victim, far]).unwrap();
+        }
+        // Reads advance the plan's operation clock until the crash lands.
+        while !cfs.injector().node_down(victim) {
+            cfs.read_block(enc, stripe.blocks[3]).unwrap();
+        }
+        let (stats, _) = RaidNode::encode_all(&cfs, 1).unwrap();
+        assert_eq!(stats.stripes, 1, "{:?}", stats.failed_stripes);
+        assert_eq!(stats.pipeline_fallbacks, 1);
+        assert_parity_matches_codec(&cfs);
+    }
+
+    #[test]
+    fn relocate_publishes_the_new_location_before_retiring_the_old_copy() {
+        // A location update that fails (here: the WAL refuses the append)
+        // must leave the block readable where durable metadata says it is.
+        let dir = std::env::temp_dir().join(format!("ear-relocate-{}", std::process::id()));
+        let durable = ClusterConfig {
+            store: StoreBackend::Extent,
+            durability: ear_types::DurabilityConfig::at(&dir),
+            ..cfg(ClusterPolicy::Rr, 8, 1)
+        };
+        let block = {
+            let cfs = MiniCfs::new(durable.clone()).unwrap();
+            let block = cfs.write_block(NodeId(0), cfs.make_block(7)).unwrap();
+            let from = cfs.namenode().locations(block).unwrap()[0];
+            let to = cfs
+                .topology()
+                .nodes()
+                .find(|n| !cfs.namenode().locations(block).unwrap().contains(n))
+                .unwrap();
+            cfs.namenode().fail_wal_appends();
+            assert!(RaidNode::relocate(&cfs, &[(block, from, to)]).is_err());
+            assert!(cfs.datanode(from).contains(block), "old copy retired too early");
+            block
+        };
+        // What a restart recovers is the pre-relocation location set, and
+        // every listed replica still serves the written bytes.
+        let cfs = MiniCfs::reopen(durable).unwrap();
+        for holder in cfs.namenode().locations(block).unwrap() {
+            let got = cfs.datanode(holder).get(block).unwrap();
+            assert_eq!(got.as_slice(), cfs.make_block(7).as_slice());
+        }
+        drop(cfs);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

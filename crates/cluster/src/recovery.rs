@@ -11,10 +11,11 @@
 use crate::cluster::MiniCfs;
 use crate::reliability::{OpClass, OpContext};
 use ear_erasure::ParityAccum;
-use ear_types::{Block, BlockId, Error, NodeId, RackId, RepairPath, Result};
+use ear_types::{Block, BlockId, Error, NodeId, Result};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 
 /// Outcome of rebuilding one stripe block by degraded read — enough for the
@@ -24,9 +25,8 @@ use std::collections::{BTreeMap, HashMap};
 pub(crate) struct ShardRepair {
     /// Where the rebuilt block now lives.
     pub placement: NodeId,
-    /// Block-sized transfers the rebuild paid: whole shards downloaded
-    /// plus, under the rack-aware plan, the folded partials shipped
-    /// (exactly `k` under the direct plan).
+    /// Block-sized transfers the rebuild paid: whole shards downloaded plus
+    /// the folded partials shipped (exactly `k` when no rack folds).
     pub downloads: usize,
     /// Transfers that crossed racks (shards or folded partials).
     pub cross_rack_downloads: usize,
@@ -38,10 +38,11 @@ pub(crate) struct ShardRepair {
 }
 
 /// Rebuilds the single stripe block `block` (a member of `members`, the
-/// stripe's blocks in generator order) by downloading any `k` surviving
-/// members, decoding, and placing the rebuilt copy where the stripe's
-/// rack-level constraint (≤ `c` blocks per rack, distinct nodes) still holds.
-/// Updates the NameNode's location map and the destination DataNode's store.
+/// stripe's blocks in generator order) from any `k` surviving members
+/// ([`rebuild_shard`], folding remote racks) and places the rebuilt copy
+/// where the stripe's rack-level constraint (≤ `c` blocks per rack,
+/// distinct nodes) still holds. Updates the NameNode's location map and the
+/// destination DataNode's store.
 ///
 /// `live` says which nodes the caller trusts for I/O (the failure detector's
 /// view for the healer, the injector's for direct node recovery); `bad_dst`
@@ -50,16 +51,8 @@ pub(crate) struct ShardRepair {
 ///
 /// This is the shared core of [`recover_node`] and the background healer.
 /// The caller's `ctx` bounds the whole reconstruction on the virtual clock:
-/// every shard download charges it, and a blown deadline or dry retry
-/// budget stops the repair typed instead of letting it stall its round.
-///
-/// Which download plan runs is the cluster's
-/// [`RepairPath`](ear_types::RepairPath): `Direct` pulls `k` whole shards
-/// to the recovery node; `RackAware` first GF-folds each source rack's
-/// shards at a local aggregator so only one partial crosses each rack
-/// boundary (DESIGN.md §15), falling back to `Direct` if the two-phase
-/// plan trips on a fault. Both rebuild byte-identical block contents (any
-/// `k` shards decode to the same bytes under an MDS code).
+/// every transfer charges it, and a blown deadline or dry retry budget
+/// stops the repair typed instead of letting it stall its round.
 pub(crate) fn reconstruct_stripe_block(
     cfs: &MiniCfs,
     ctx: &OpContext<'_>,
@@ -69,28 +62,22 @@ pub(crate) fn reconstruct_stripe_block(
     bad_dst: &dyn Fn(NodeId) -> bool,
     rng: &mut ChaCha8Rng,
 ) -> Result<ShardRepair> {
-    match cfs.config().repair_path {
-        RepairPath::Direct => reconstruct_direct(cfs, ctx, members, block, live, bad_dst, rng),
-        RepairPath::RackAware => {
-            // Attempt the two-phase plan with a cloned RNG: if it trips on
-            // a fault, the direct fallback replays from the original state
-            // and makes exactly the choices a direct-only run would have.
-            let mut attempt_rng = rng.clone();
-            match reconstruct_rack_aware(cfs, ctx, members, block, live, bad_dst, &mut attempt_rng)
-            {
-                Ok(repair) => {
-                    *rng = attempt_rng;
-                    Ok(repair)
-                }
-                Err(
-                    e @ (Error::DeadlineExceeded { .. }
-                    | Error::RetryBudgetExhausted { .. }
-                    | Error::Overloaded { .. }),
-                ) => Err(e),
-                Err(_) => reconstruct_direct(cfs, ctx, members, block, live, bad_dst, rng),
-            }
-        }
-    }
+    debug_assert_eq!(members.len(), cfs.codec().params().n());
+    let site = plan_repair_site(cfs, members, block, live, rng)?;
+    let lost_idx = members
+        .iter()
+        .position(|&m| m == block)
+        .ok_or_else(|| Error::Invariant(format!("{block} not a member of its stripe")))?;
+    let rebuilt = rebuild_shard(cfs, ctx, site.recovery_node, lost_idx, &site.sources, true)?;
+    let mut repair = ShardRepair {
+        placement: site.recovery_node,
+        downloads: rebuilt.downloads,
+        cross_rack_downloads: rebuilt.cross_rack_downloads,
+        uploaded: false,
+        upload_cross_rack: false,
+    };
+    place_rebuilt(cfs, block, rebuilt.bytes, &site, bad_dst, rng, &mut repair)?;
+    Ok(repair)
 }
 
 /// The repair's cast: where to decode, which nodes already hold stripe
@@ -101,14 +88,13 @@ struct RepairSite {
     /// stay "used" for placement purposes).
     used: Vec<NodeId>,
     all_live: Vec<NodeId>,
-    /// `(member index, block, live holder)`, intra-rack sources first.
-    sources: Vec<(usize, BlockId, NodeId)>,
+    /// Reachable surviving members, intra-rack sources first.
+    sources: Vec<ShardSource>,
 }
 
 /// Chooses the recovery node (a live non-holder in the rack with the most
 /// reachable surviving shards — the best case Section III-D argues about)
-/// and lists the reachable sources, intra-rack first. Shared by both repair
-/// paths so they agree on the plan and differ only in how shards travel.
+/// and lists the reachable sources, intra-rack first.
 fn plan_repair_site(
     cfs: &MiniCfs,
     members: &[BlockId],
@@ -164,10 +150,9 @@ fn plan_repair_site(
         .filter_map(|(idx, &m)| holder_live(m).map(|h| (idx, m, h)))
         .collect();
     // Intra-rack sources first; remote sources grouped densest-rack-first.
-    // The direct plan's cross-rack count only depends on how many remote
-    // shards it needs, but keeping each remote rack's shards adjacent means
-    // a prefix of this list hands the rack-aware plan whole racks to fold —
-    // the denser the rack, the more shards one partial replaces.
+    // Keeping each remote rack's shards adjacent means a prefix of this
+    // list hands `rebuild_shard` whole racks to fold — the denser the rack,
+    // the more shards one partial replaces.
     let mut rack_sources: BTreeMap<u32, usize> = BTreeMap::new();
     for &(_, _, h) in &sources {
         *rack_sources.entry(topo.rack_of(h).0).or_insert(0) += 1;
@@ -182,6 +167,14 @@ fn plan_repair_site(
             idx,
         )
     });
+    let sources = sources
+        .into_iter()
+        .map(|(index, block, h)| ShardSource {
+            index,
+            block,
+            holders: vec![h],
+        })
+        .collect();
     Ok(RepairSite {
         recovery_node,
         used,
@@ -193,8 +186,7 @@ fn plan_repair_site(
 /// Places the rebuilt bytes where the stripe's rack constraint still holds
 /// (a rack with fewer than `c` surviving stripe blocks, on a node not
 /// already holding one and not known to corrupt this block), pays the
-/// shipment if the block moves, and publishes store + location. Shared tail
-/// of both repair paths.
+/// shipment if the block moves, and publishes store + location.
 fn place_rebuilt(
     cfs: &MiniCfs,
     block: BlockId,
@@ -246,224 +238,176 @@ fn place_rebuilt(
     Ok(())
 }
 
-/// The direct plan: download any `k` reachable surviving blocks to the
-/// recovery node (intra-rack sources first, skipping past sources that
-/// keep failing) and decode.
-fn reconstruct_direct(
+/// One surviving stripe member a rebuild may read.
+#[derive(Debug, Clone)]
+struct ShardSource {
+    /// The member's row in the stripe's generator order.
+    index: usize,
+    block: BlockId,
+    /// Nodes to read it from, in preference order; the first one names the
+    /// source's rack when racks are folded.
+    holders: Vec<NodeId>,
+}
+
+/// What [`rebuild_shard`] hands back: the lost shard's bytes and the
+/// block-sized transfers spent obtaining them (abandoned attempts included).
+#[derive(Default)]
+struct Rebuilt {
+    bytes: Vec<u8>,
+    downloads: usize,
+    cross_rack_downloads: usize,
+}
+
+/// Rebuilds stripe member `lost_idx` at node `at` — the one way a lost
+/// shard is recomputed, shared by repair and degraded reads (DESIGN.md §15).
+///
+/// The first `k` of `sources` are chosen, the lost shard is expressed as
+/// their GF(2⁸) linear combination
+/// ([`recovery_coefficients`](ear_erasure::ReedSolomon::recovery_coefficients))
+/// and [`fold_chosen`] sums the weighted shards. A source that cannot be
+/// read is dropped, `k` are re-chosen from the rest and the coefficients
+/// recomputed; shards already at `at` are kept, so a source read whole is
+/// read at most once. Any `k` shards decode to the same bytes under an MDS
+/// code, so the result does not depend on which sources survive.
+///
+/// # Errors
+///
+/// * [`Error::NotEnoughShards`] once fewer than `k` sources remain.
+/// * [`Error::DeadlineExceeded`] / [`Error::RetryBudgetExhausted`] /
+///   [`Error::Overloaded`] as soon as the substrate stops the op — these
+///   never fall through to another source.
+fn rebuild_shard(
     cfs: &MiniCfs,
     ctx: &OpContext<'_>,
-    members: &[BlockId],
-    block: BlockId,
-    live: &dyn Fn(NodeId) -> bool,
-    bad_dst: &dyn Fn(NodeId) -> bool,
-    rng: &mut ChaCha8Rng,
-) -> Result<ShardRepair> {
-    let topo = cfs.topology();
+    at: NodeId,
+    lost_idx: usize,
+    sources: &[ShardSource],
+    fold_racks: bool,
+) -> Result<Rebuilt> {
     let k = cfs.codec().params().k();
-    let n = cfs.codec().params().n();
-    debug_assert_eq!(members.len(), n);
-    let site = plan_repair_site(cfs, members, block, live, rng)?;
-    let recovery_node = site.recovery_node;
-    if site.sources.len() < k {
-        return Err(Error::NotEnoughShards {
-            available: site.sources.len(),
+    let mut candidates: Vec<&ShardSource> = sources.iter().collect();
+    let mut held: BTreeMap<usize, Block> = BTreeMap::new();
+    let mut out = Rebuilt::default();
+    loop {
+        let chosen = candidates.get(..k).ok_or(Error::NotEnoughShards {
+            available: candidates.len(),
             required: k,
-        });
-    }
-    let mut repair = ShardRepair {
-        placement: recovery_node,
-        downloads: 0,
-        cross_rack_downloads: 0,
-        uploaded: false,
-        upload_cross_rack: false,
-    };
-    let mut shards: Vec<Option<Vec<u8>>> = vec![None; n];
-    let mut got = 0usize;
-    for &(idx, m, h) in &site.sources {
-        if got == k {
-            break;
-        }
-        // One holder per member: a single-source fallback read retries
-        // transient faults and gives up on anything else, moving on to the
-        // next surviving member.
-        let Some(slot) = shards.get_mut(idx) else {
-            continue; // member index outside the stripe: skip, never panic
-        };
-        match cfs
-            .io()
-            .read_with_fallback(ctx, recovery_node, m, &[h], None, None)
-        {
-            Ok((data, _)) => {
-                if topo.rack_of(h) != topo.rack_of(recovery_node) {
-                    repair.cross_rack_downloads += 1;
-                }
-                repair.downloads += 1;
-                *slot = Some(data.to_vec());
-                got += 1;
+        })?;
+        let rows: Vec<usize> = chosen.iter().map(|s| s.index).collect();
+        let coeffs = cfs.codec().recovery_coefficients(&rows, lost_idx)?;
+        let weighted: Vec<(&ShardSource, u8)> = chosen.iter().copied().zip(coeffs).collect();
+        match fold_chosen(cfs, ctx, at, &weighted, fold_racks, &mut held, &mut out) {
+            Ok(sum) => {
+                out.bytes = sum.finish(k)?;
+                return Ok(out);
             }
-            // A substrate stop ends the repair typed, within its deadline —
-            // it must not keep grinding through the remaining sources.
-            Err(
+            Err((
+                _,
                 e @ (Error::DeadlineExceeded { .. }
                 | Error::RetryBudgetExhausted { .. }
                 | Error::Overloaded { .. }),
-            ) => return Err(e),
-            Err(_) => {}
+            )) => return Err(e),
+            Err((failed, _)) => {
+                candidates.remove(failed);
+            }
         }
     }
-    if got < k {
-        return Err(Error::NotEnoughShards {
-            available: got,
-            required: k,
-        });
-    }
-    cfs.codec().reconstruct(&mut shards)?;
-    let lost_idx = members
-        .iter()
-        .position(|&m| m == block)
-        .ok_or_else(|| Error::Invariant(format!("{block} not a member of its stripe")))?;
-    let rebuilt = shards
-        .get_mut(lost_idx)
-        .and_then(Option::take)
-        .ok_or_else(|| Error::Invariant(format!("{block} not reconstructed")))?;
-    place_rebuilt(cfs, block, rebuilt, &site, bad_dst, rng, &mut repair)?;
-    Ok(repair)
 }
 
-/// The two-phase rack-aware plan (DESIGN.md §15): commit to the first `k`
-/// sources in preference order, express the lost shard as their GF(2⁸)
-/// linear combination
-/// ([`recovery_coefficients`](ear_erasure::ReedSolomon::recovery_coefficients)),
-/// and fold each source rack's contribution locally before it crosses a
-/// rack boundary:
+/// One pass of [`rebuild_shard`] over the chosen `(source, weight)` pairs:
 ///
-/// * **Phase 1 (intra-rack):** every remote rack holding ≥ 2 of the chosen
-///   sources reads them at a local aggregator (its lowest-indexed holder)
-///   and folds them into one weighted partial.
-/// * **Phase 2 (cross-rack):** each such rack ships exactly one
-///   block-sized partial to the recovery node; sparse racks (one source)
-///   and the recovery node's own rack ship/read their shards directly, as
-///   the direct plan would.
+/// * with `fold_racks`, every run of ≥ 2 chosen sources in one remote rack
+///   is read and folded at that rack's lowest-indexed holder, and exactly
+///   one block-sized partial crosses the rack boundary — `Σ min(sᵣ, 1)`
+///   cross-rack blocks instead of `Σ sᵣ`;
+/// * every other source (a lone remote shard, `at`'s own rack, or all of
+///   them without `fold_racks`) is read whole at `at`, in list order, and
+///   kept in `held` across passes.
 ///
-/// The partials XOR-merge at the recovery node into the rebuilt bytes —
-/// identical to the direct decode, with cross-rack traffic of
-/// `Σ min(sᵣ, 1)` instead of `Σ sᵣ` blocks over remote racks. Any failure
-/// surfaces as a typed error; the dispatcher retries on the direct plan.
-fn reconstruct_rack_aware(
+/// Transfers are counted into `out`. On failure returns the position in
+/// `chosen` of the source to drop (a failed partial hop is charged to the
+/// aggregator's own source) with the error that stopped it.
+fn fold_chosen(
     cfs: &MiniCfs,
     ctx: &OpContext<'_>,
-    members: &[BlockId],
-    block: BlockId,
-    live: &dyn Fn(NodeId) -> bool,
-    bad_dst: &dyn Fn(NodeId) -> bool,
-    rng: &mut ChaCha8Rng,
-) -> Result<ShardRepair> {
+    at: NodeId,
+    chosen: &[(&ShardSource, u8)],
+    fold_racks: bool,
+    held: &mut BTreeMap<usize, Block>,
+    out: &mut Rebuilt,
+) -> std::result::Result<ParityAccum, (usize, Error)> {
     let topo = cfs.topology();
-    let k = cfs.codec().params().k();
-    let n = cfs.codec().params().n();
-    debug_assert_eq!(members.len(), n);
-    let site = plan_repair_site(cfs, members, block, live, rng)?;
-    let recovery_node = site.recovery_node;
-    let recovery_rack = topo.rack_of(recovery_node);
-    if site.sources.len() < k {
-        return Err(Error::NotEnoughShards {
-            available: site.sources.len(),
-            required: k,
-        });
-    }
-    let selected = site.sources.get(..k).ok_or(Error::NotEnoughShards {
-        available: site.sources.len(),
-        required: k,
-    })?;
-    let lost_idx = members
-        .iter()
-        .position(|&m| m == block)
-        .ok_or_else(|| Error::Invariant(format!("{block} not a member of its stripe")))?;
-    let rows: Vec<usize> = selected.iter().map(|&(idx, _, _)| idx).collect();
-    let coeffs = cfs.codec().recovery_coefficients(&rows, lost_idx)?;
-
-    let mut repair = ShardRepair {
-        placement: recovery_node,
-        downloads: 0,
-        cross_rack_downloads: 0,
-        uploaded: false,
-        upload_cross_rack: false,
-    };
-
-    // Group the chosen sources by holder rack, keeping each one's
-    // recovery coefficient alongside.
-    let mut by_rack: BTreeMap<RackId, Vec<(BlockId, NodeId, u8)>> = BTreeMap::new();
-    for (&(_, m, h), &w) in selected.iter().zip(coeffs.iter()) {
-        by_rack.entry(topo.rack_of(h)).or_default().push((m, h, w));
-    }
-
-    // The running weighted sum at the recovery node, sized lazily to the
-    // first shard observed.
-    let mut total: Option<ParityAccum> = None;
     let kernel = cfs.codec().kernel();
-    for (rack, group) in &by_rack {
-        if *rack != recovery_rack && group.len() >= 2 {
-            // Phase 1: fold this rack's shards at a local aggregator...
-            let aggregator = group
-                .iter()
-                .map(|&(_, h, _)| h)
-                .min_by_key(|h: &NodeId| h.index())
-                .ok_or_else(|| Error::Invariant("empty repair rack group".into()))?;
-            let mut partial: Option<ParityAccum> = None;
-            for &(m, h, w) in group {
-                let (data, _) = cfs
-                    .io()
-                    .read_with_fallback(ctx, aggregator, m, &[h], None, None)?;
-                repair.downloads += 1;
-                partial
-                    .get_or_insert_with(|| ParityAccum::new(kernel, data.len()))
-                    .absorb(w, &data)?;
-            }
-            let partial = partial
-                .ok_or_else(|| Error::Invariant("empty repair rack group".into()))?;
-            // ...phase 2: exactly one block-sized partial crosses the rack
-            // boundary.
-            cfs.io().stream_partial(
-                ctx,
-                aggregator,
-                recovery_node,
-                partial.as_slice().len() as u64,
-            )?;
-            repair.downloads += 1;
-            repair.cross_rack_downloads += 1;
-            match total.as_mut() {
-                Some(t) => t.merge(&partial)?,
-                None => total = Some(partial),
-            }
-        } else {
-            // A sparse rack or the recovery node's own: shards travel
-            // whole, exactly as the direct plan moves them.
-            for &(m, h, w) in group {
-                let (data, _) = cfs
-                    .io()
-                    .read_with_fallback(ctx, recovery_node, m, &[h], None, None)?;
-                repair.downloads += 1;
-                if topo.rack_of(h) != recovery_rack {
-                    repair.cross_rack_downloads += 1;
+    let at_rack = topo.rack_of(at);
+    let rack_of = |s: &ShardSource| s.holders.first().map(|&h| topo.rack_of(h));
+    // The running weighted sum at `at`, sized lazily to the first shard.
+    let mut total: Option<ParityAccum> = None;
+    let mut pos = 0usize;
+    for run in chosen.chunk_by(|a, b| rack_of(a.0) == rack_of(b.0)) {
+        let first = pos;
+        pos += run.len();
+        let aggregator = run.iter().filter_map(|(s, _)| s.holders.first().copied()).min();
+        match aggregator {
+            Some(agg) if fold_racks && run.len() >= 2 && topo.rack_of(agg) != at_rack => {
+                let mut partial: Option<ParityAccum> = None;
+                let mut own = first;
+                for (i, (src, w)) in run.iter().enumerate() {
+                    if src.holders.first() == Some(&agg) {
+                        own = first + i;
+                    }
+                    let (data, _) = cfs
+                        .io()
+                        .read_with_fallback(ctx, agg, src.block, &src.holders, None, None)
+                        .map_err(|e| (first + i, e))?;
+                    out.downloads += 1;
+                    partial
+                        .get_or_insert_with(|| ParityAccum::new(kernel, data.len()))
+                        .absorb(*w, &data)
+                        .map_err(|e| (first + i, e))?;
                 }
-                total
-                    .get_or_insert_with(|| ParityAccum::new(kernel, data.len()))
-                    .absorb(w, &data)?;
+                let Some(partial) = partial else { continue };
+                cfs.io()
+                    .stream_partial(ctx, agg, at, partial.as_slice().len() as u64)
+                    .map_err(|e| (own, e))?;
+                out.downloads += 1;
+                out.cross_rack_downloads += 1;
+                match total.as_mut() {
+                    Some(t) => t.merge(&partial).map_err(|e| (own, e))?,
+                    None => total = Some(partial),
+                }
+            }
+            _ => {
+                for (i, (src, w)) in run.iter().enumerate() {
+                    let data = match held.entry(src.index) {
+                        Entry::Occupied(e) => e.into_mut(),
+                        Entry::Vacant(v) => {
+                            let (data, served_by) = cfs
+                                .io()
+                                .read_with_fallback(ctx, at, src.block, &src.holders, None, None)
+                                .map_err(|e| (first + i, e))?;
+                            out.downloads += 1;
+                            out.cross_rack_downloads +=
+                                usize::from(topo.rack_of(served_by) != at_rack);
+                            v.insert(data)
+                        }
+                    };
+                    total
+                        .get_or_insert_with(|| ParityAccum::new(kernel, data.len()))
+                        .absorb(*w, data)
+                        .map_err(|e| (first + i, e))?;
+                }
             }
         }
     }
-    let rebuilt = total
-        .ok_or_else(|| Error::Invariant("rack-aware repair folded no sources".into()))?
-        .finish(k)?;
-    place_rebuilt(cfs, block, rebuilt, &site, bad_dst, rng, &mut repair)?;
-    Ok(repair)
+    total.ok_or_else(|| (0, Error::Invariant("rebuild folded no sources".into())))
 }
 
 /// Reconstructs `block`'s bytes at `reader` from any `k` surviving members
 /// of its stripe *without* re-placing the block or touching metadata — the
-/// proactive leg of a hedged read whose last replica is straggling. Shard
-/// downloads charge `ctx`; the caller adds the fixed decode cost when it
-/// scores the race.
+/// proactive leg of a hedged read whose last replica is straggling. Sources
+/// are read whole at `reader` in member order (no rack folds), each download
+/// charging `ctx`; the caller adds the fixed decode cost when it scores the
+/// race.
 ///
 /// # Errors
 ///
@@ -477,21 +421,16 @@ pub(crate) fn degraded_read(
     reader: NodeId,
     block: BlockId,
 ) -> Result<Block> {
-    let k = cfs.codec().params().k();
-    let n = cfs.codec().params().n();
     let encoded = cfs.namenode().encoded_stripes();
     let es = encoded
         .iter()
         .find(|es| es.data.contains(&block) || es.parity.contains(&block))
         .ok_or(Error::BlockUnavailable { block })?;
-    let members: Vec<BlockId> = es.data.iter().chain(es.parity.iter()).copied().collect();
-    let mut shards: Vec<Option<Vec<u8>>> = vec![None; n];
-    let mut got = 0usize;
-    for (idx, &m) in members.iter().enumerate() {
-        if got == k {
-            break;
-        }
+    let mut lost_idx = None;
+    let mut sources: Vec<ShardSource> = Vec::new();
+    for (index, &m) in es.data.iter().chain(es.parity.iter()).enumerate() {
         if m == block {
+            lost_idx = Some(index);
             continue;
         }
         let holders: Vec<NodeId> = cfs
@@ -501,41 +440,18 @@ pub(crate) fn degraded_read(
             .into_iter()
             .filter(|&h| !cfs.injector().node_down(h))
             .collect();
-        if holders.is_empty() {
-            continue;
-        }
-        let Some(slot) = shards.get_mut(idx) else {
-            continue;
-        };
-        match cfs.io().read_with_fallback(ctx, reader, m, &holders, None, None) {
-            Ok((data, _)) => {
-                *slot = Some(data.to_vec());
-                got += 1;
-            }
-            Err(
-                e @ (Error::DeadlineExceeded { .. }
-                | Error::RetryBudgetExhausted { .. }
-                | Error::Overloaded { .. }),
-            ) => return Err(e),
-            Err(_) => {}
+        if !holders.is_empty() {
+            sources.push(ShardSource {
+                index,
+                block: m,
+                holders,
+            });
         }
     }
-    if got < k {
-        return Err(Error::NotEnoughShards {
-            available: got,
-            required: k,
-        });
-    }
-    cfs.codec().reconstruct(&mut shards)?;
-    let lost_idx = members
-        .iter()
-        .position(|&m| m == block)
-        .ok_or_else(|| Error::Invariant(format!("{block} not a member of its stripe")))?;
-    let data = shards
-        .get_mut(lost_idx)
-        .and_then(Option::take)
-        .ok_or_else(|| Error::Invariant(format!("{block} not reconstructed")))?;
-    Ok(Block::from(data))
+    let lost_idx =
+        lost_idx.ok_or_else(|| Error::Invariant(format!("{block} not a member of its stripe")))?;
+    let rebuilt = rebuild_shard(cfs, ctx, reader, lost_idx, &sources, false)?;
+    Ok(Block::from(rebuilt.bytes))
 }
 
 /// Statistics of one node-recovery operation.
@@ -553,7 +469,7 @@ pub struct RecoveryStats {
     /// Wall-clock duration, seconds.
     pub wall_seconds: f64,
     /// Name of the GF(2⁸) kernel tier the codec dispatched to for degraded
-    /// reads (`scalar`, `swar`, `ssse3`, `avx2`).
+    /// reads (`scalar`, `ssse3`, `avx2`).
     pub gf_kernel: &'static str,
     /// The fault-plan seed active during recovery, `None` when the cluster
     /// runs fault-free.
@@ -685,13 +601,12 @@ mod tests {
         StoreBackend,
     };
 
-    fn boot(policy: ClusterPolicy, c: usize, racks: usize, nodes_per_rack: usize) -> MiniCfs {
-        let ear = EarConfig::new(
-            ErasureParams::new(6, 4).unwrap(),
-            ReplicationConfig::two_way(),
-            c,
-        )
-        .unwrap();
+    fn boot_with(
+        policy: ClusterPolicy,
+        ear: EarConfig,
+        racks: usize,
+        nodes_per_rack: usize,
+    ) -> MiniCfs {
         let cfg = ClusterConfig {
             racks,
             nodes_per_rack,
@@ -705,10 +620,21 @@ mod tests {
             cache: CacheConfig::from_env(),
             durability: Default::default(),
             reliability: Default::default(),
-            encode_path: ear_types::EncodePath::from_env(),
-            repair_path: ear_types::RepairPath::from_env(),
         };
         MiniCfs::new(cfg).unwrap()
+    }
+
+    fn ear_6_4(c: usize) -> EarConfig {
+        EarConfig::new(
+            ErasureParams::new(6, 4).unwrap(),
+            ReplicationConfig::two_way(),
+            c,
+        )
+        .unwrap()
+    }
+
+    fn boot(policy: ClusterPolicy, c: usize, racks: usize, nodes_per_rack: usize) -> MiniCfs {
+        boot_with(policy, ear_6_4(c), racks, nodes_per_rack)
     }
 
     fn write_and_encode(cfs: &MiniCfs, stripes: usize) {
@@ -801,31 +727,8 @@ mod tests {
             }
         }
         {
-            let ear = EarConfig::new(
-                ErasureParams::new(6, 4).unwrap(),
-                ReplicationConfig::two_way(),
-                3,
-            )
-            .unwrap()
-            .with_target_racks(2)
-            .unwrap();
-            let cfg = ClusterConfig {
-                racks: 8,
-                nodes_per_rack: 4,
-                block_size: ByteSize::kib(64),
-                node_bandwidth: Bandwidth::bytes_per_sec(512e6),
-                rack_bandwidth: Bandwidth::bytes_per_sec(512e6),
-                ear,
-                policy: ClusterPolicy::Ear,
-                seed: 11,
-                store: StoreBackend::from_env(),
-                cache: CacheConfig::from_env(),
-                durability: Default::default(),
-                reliability: Default::default(),
-                encode_path: ear_types::EncodePath::from_env(),
-                repair_path: ear_types::RepairPath::from_env(),
-            };
-            let cfs = MiniCfs::new(cfg).unwrap();
+            let ear = ear_6_4(3).with_target_racks(2).unwrap();
+            let cfs = boot_with(ClusterPolicy::Ear, ear, 8, 4);
             write_and_encode(&cfs, 3);
             for es in cfs.namenode().encoded_stripes() {
                 let victim = cfs.namenode().locations(es.data[0]).unwrap()[0];
@@ -842,81 +745,97 @@ mod tests {
         );
     }
 
-    /// An EAR cluster with `c = 2` over 3 target racks (each stripe spans 3
-    /// racks, 2 blocks per rack) and an explicit repair path — the shape
-    /// where two-phase repair has remote racks worth folding.
-    fn boot_repair(path: RepairPath) -> MiniCfs {
-        let ear = EarConfig::new(
-            ErasureParams::new(6, 4).unwrap(),
-            ReplicationConfig::two_way(),
-            2,
-        )
-        .unwrap()
-        .with_target_racks(3)
-        .unwrap();
-        let cfg = ClusterConfig {
-            racks: 8,
-            nodes_per_rack: 4,
-            block_size: ByteSize::kib(64),
-            node_bandwidth: Bandwidth::bytes_per_sec(512e6),
-            rack_bandwidth: Bandwidth::bytes_per_sec(512e6),
-            ear,
-            policy: ClusterPolicy::Ear,
-            seed: 11,
-            store: StoreBackend::from_env(),
-            cache: CacheConfig::from_env(),
-            durability: Default::default(),
-            reliability: Default::default(),
-            encode_path: ear_types::EncodePath::from_env(),
-            repair_path: path,
-        };
-        MiniCfs::new(cfg).unwrap()
+    /// An EAR cluster with `c = 2` over 3 target racks: each stripe spans 3
+    /// racks, 2 blocks per rack — the shape where a repair has a remote
+    /// rack worth folding. Returns it with 3 stripes encoded.
+    fn boot_foldable() -> MiniCfs {
+        let cfs = boot_with(
+            ClusterPolicy::Ear,
+            ear_6_4(2).with_target_racks(3).unwrap(),
+            8,
+            4,
+        );
+        write_and_encode(&cfs, 3);
+        cfs
+    }
+
+    /// Repairs the first data block of the first stripe as if its holder
+    /// had died, through the shared core with a fixed RNG.
+    fn repair_first_block(cfs: &MiniCfs) -> Result<(BlockId, ShardRepair)> {
+        let es = cfs.namenode().encoded_stripes().remove(0);
+        let members: Vec<BlockId> = es.data.iter().chain(es.parity.iter()).copied().collect();
+        let block = es.data[0];
+        let victim = cfs.namenode().locations(block).unwrap()[0];
+        let ctx = cfs.reliability().ctx(OpClass::Heal)?;
+        let mut rng = ChaCha8Rng::seed_from_u64(1);
+        let live = |nd: NodeId| nd != victim;
+        let repair =
+            reconstruct_stripe_block(cfs, &ctx, &members, block, &live, &|_| false, &mut rng)?;
+        assert_ne!(repair.placement, victim);
+        let got = cfs.datanode(repair.placement).get(block).unwrap();
+        assert_eq!(got.as_slice(), cfs.make_block(block.0).as_slice());
+        Ok((block, repair))
+    }
+
+    /// The surviving members of `block`'s stripe that share a rack with
+    /// another survivor, remote dense rack (higher rack id) first.
+    fn dense_rack_survivors(cfs: &MiniCfs, block: BlockId) -> Vec<(BlockId, NodeId)> {
+        let topo = cfs.topology();
+        let es = cfs.namenode().encoded_stripes().remove(0);
+        let holders: Vec<(BlockId, NodeId)> = es
+            .data
+            .iter()
+            .chain(es.parity.iter())
+            .filter(|&&m| m != block)
+            .map(|&m| (m, cfs.namenode().locations(m).unwrap()[0]))
+            .collect();
+        let mut dense: Vec<(BlockId, NodeId)> = holders
+            .iter()
+            .copied()
+            .filter(|&(m, h)| {
+                holders
+                    .iter()
+                    .any(|&(o, oh)| o != m && topo.rack_of(oh) == topo.rack_of(h))
+            })
+            .collect();
+        dense.sort_by_key(|&(_, h)| std::cmp::Reverse(topo.rack_of(h)));
+        dense
     }
 
     #[test]
-    fn rack_aware_repair_is_byte_identical_and_cuts_cross_rack_traffic() {
-        // Two identical clusters, one per repair path; recover the same
-        // victims and compare. Rack-aware must rebuild the exact same bytes
-        // (MDS decoding is unique) while strictly fewer block-sized
-        // transfers cross racks: a remote rack with two chosen sources
-        // ships one folded partial instead of two whole shards.
-        let mut cross = [0usize; 2];
-        let mut downs = [0usize; 2];
-        for (i, path) in [RepairPath::Direct, RepairPath::RackAware]
-            .into_iter()
-            .enumerate()
-        {
-            let cfs = boot_repair(path);
-            write_and_encode(&cfs, 3);
-            let stripes = cfs.namenode().encoded_stripes();
-            assert!(!stripes.is_empty());
-            for es in &stripes {
-                let victim = cfs.namenode().locations(es.data[0]).unwrap()[0];
-                let stats = recover_node(&cfs, victim).unwrap();
-                cross[i] += stats.cross_rack_downloads;
-                downs[i] += stats.blocks_downloaded;
-            }
-            // Every data block of every stripe must decode back to its
-            // original bytes, whatever path rebuilt it.
-            for es in &stripes {
-                for &b in &es.data {
-                    let loc = cfs.namenode().locations(b).unwrap()[0];
-                    let got = cfs.datanode(loc).get(b).unwrap();
-                    assert_eq!(
-                        got.as_slice(),
-                        cfs.make_block(b.0).as_slice(),
-                        "{path:?}: block {b} corrupted"
-                    );
-                }
-            }
+    fn repair_folds_a_dense_remote_rack_into_one_partial() {
+        // One block lost from a 3-rack × 2-block stripe: the recovery node
+        // sits with two survivors, the other dense rack folds its two
+        // shards at an aggregator and ships one partial. Reading them whole
+        // (no fold) would cost 4 downloads, 2 of them cross-rack.
+        let cfs = boot_foldable();
+        let (_, repair) = repair_first_block(&cfs).unwrap();
+        assert_eq!(repair.downloads, 5, "2 local + 2 at the aggregator + 1 partial");
+        assert_eq!(repair.cross_rack_downloads, 1, "one partial per remote rack");
+    }
+
+    #[test]
+    fn repair_drops_an_unreadable_source_and_reselects() {
+        let cfs = boot_foldable();
+        let block = cfs.namenode().encoded_stripes()[0].data[0];
+        // A first-choice source (dense racks are always chosen) whose bytes
+        // are gone: the fold drops it, re-chooses k of the remaining five
+        // and still rebuilds — now from two lone remote shards.
+        let dense = dense_rack_survivors(&cfs, block);
+        let (gone, holder) = dense[0];
+        cfs.datanode(holder).delete(gone);
+        let (_, repair) = repair_first_block(&cfs).unwrap();
+        assert_eq!(repair.cross_rack_downloads, 2, "nothing left to fold");
+        // A second unreadable source leaves 3 < k survivors: typed, final.
+        let (gone, holder) = *dense.last().unwrap();
+        cfs.datanode(holder).delete(gone);
+        match repair_first_block(&cfs) {
+            Err(Error::NotEnoughShards {
+                available: 3,
+                required: 4,
+            }) => {}
+            other => panic!("expected NotEnoughShards, got {other:?}"),
         }
-        assert!(
-            cross[1] < cross[0],
-            "rack-aware cross-rack transfers {} must beat direct's {}",
-            cross[1],
-            cross[0]
-        );
-        assert!(downs[0] > 0 && downs[1] > 0);
     }
 
     #[test]

@@ -968,6 +968,13 @@ impl MetaWal {
         wal.since_checkpoint = 0;
         Ok(())
     }
+
+    /// Swaps the log handle for a read-only one so every later append
+    /// fails with [`Error::Io`] — how tests provoke a WAL-append failure.
+    #[cfg(test)]
+    pub(crate) fn fail_appends(&self) {
+        self.wal.lock().file = File::open(self.dir.join(WAL_FILE)).expect("reopen wal read-only");
+    }
 }
 
 #[cfg(test)]

@@ -135,10 +135,11 @@ fn chaos_reports_are_bit_identical_across_cache_configs() {
 }
 
 /// Same seed + plan ⇒ the same report regardless of encode parallelism
-/// or backend. The plan is crash-only with `crash_window: 1`, so fault
-/// decisions do not depend on the global operation counter or on the
-/// parity block ids that parallel encode allocates in completion order —
-/// the two interleaving-sensitive inputs.
+/// or backend, under both policies (RR's encode folds dense racks and its
+/// BlockMover relocates). The plan is crash-only with `crash_window: 1`,
+/// so fault decisions do not depend on the global operation counter or on
+/// the parity block ids that parallel encode allocates in completion order
+/// — the two interleaving-sensitive inputs.
 #[test]
 fn chaos_reports_are_identical_across_thread_counts_and_backends() {
     let crash_only = FaultConfig {
@@ -153,82 +154,30 @@ fn chaos_reports_are_identical_across_thread_counts_and_backends() {
         // Both crashes active before the first operation.
         crash_window: 1,
     };
-    for seed in [1u64, 9, 42] {
+    for (policy, seed) in [
+        (ClusterPolicy::Ear, 1u64),
+        (ClusterPolicy::Ear, 9),
+        (ClusterPolicy::Ear, 42),
+        (ClusterPolicy::Rr, 1),
+        (ClusterPolicy::Rr, 9),
+    ] {
         let mk = |store, map_tasks| ChaosConfig {
             faults: crash_only.clone(),
             map_tasks,
             store,
-            ..ChaosConfig::light(ClusterPolicy::Ear)
+            ..ChaosConfig::light(policy)
         };
         let baseline = run_plan(seed, &mk(StoreBackend::Memory, 1)).expect("baseline run");
-        assert!(
-            baseline.passed(ClusterPolicy::Ear),
-            "seed {seed}: {baseline:?}"
-        );
+        assert!(baseline.passed(policy), "seed {seed} {policy:?}: {baseline:?}");
         for store in [StoreBackend::Memory, StoreBackend::File, StoreBackend::Extent] {
             for map_tasks in [1usize, 4, 8] {
                 let report = run_plan(seed, &mk(store, map_tasks)).expect("run");
                 assert_eq!(
                     format!("{baseline:?}"),
                     format!("{report:?}"),
-                    "seed {seed}: {} x{map_tasks} diverged from memory x1",
+                    "seed {seed} {policy:?}: {} x{map_tasks} diverged from memory x1",
                     store.name()
                 );
-            }
-        }
-    }
-}
-
-/// DESIGN.md §15 data-path matrix: the pipelined encode chain and the
-/// rack-aware repair plan change traffic shape only. Under a crash-only
-/// plan (both crashes active before the first operation, every
-/// per-operation fault rate zeroed, so no decision depends on the paths'
-/// differing op streams) the soak report must be bit-identical across all
-/// four encode × repair combinations and across storage backends.
-#[test]
-fn chaos_reports_are_bit_identical_across_data_paths() {
-    use ear_types::{EncodePath, RepairPath};
-    let crash_only = FaultConfig {
-        straggler_delay: ear_faults::DelayModel::Throttle,
-        node_crashes: 2,
-        rack_outages: 0,
-        stragglers: 0,
-        straggler_factor: 1.0,
-        transient_error_rate: 0.0,
-        corruption_rate: 0.0,
-        heartbeat_loss_rate: 0.0,
-        crash_window: 1,
-    };
-    for policy in [ClusterPolicy::Ear, ClusterPolicy::Rr] {
-        for seed in [1u64, 9] {
-            let mk = |encode_path, repair_path, store| ChaosConfig {
-                faults: crash_only.clone(),
-                map_tasks: 1,
-                store,
-                encode_path,
-                repair_path,
-                ..ChaosConfig::light(policy)
-            };
-            let baseline = run_plan(
-                seed,
-                &mk(EncodePath::Gather, RepairPath::Direct, StoreBackend::Memory),
-            )
-            .expect("baseline run");
-            assert!(baseline.passed(policy), "seed {seed}: {baseline:?}");
-            for encode_path in [EncodePath::Gather, EncodePath::Pipelined] {
-                for repair_path in [RepairPath::Direct, RepairPath::RackAware] {
-                    for store in [StoreBackend::Memory, StoreBackend::Extent] {
-                        let report = run_plan(seed, &mk(encode_path, repair_path, store))
-                            .expect("matrix run");
-                        assert_eq!(
-                            format!("{baseline:?}"),
-                            format!("{report:?}"),
-                            "seed {seed} {policy:?}: {encode_path:?}/{repair_path:?} on {} \
-                             diverged from gather/direct on memory",
-                            store.name()
-                        );
-                    }
-                }
             }
         }
     }

@@ -162,89 +162,6 @@ fn heal_reports_are_identical_across_thread_counts_and_backends() {
     }
 }
 
-/// DESIGN.md §15: with the pipelined encode chain and rack-aware repair
-/// selected together, the heal soak stays fully deterministic — identical
-/// fingerprints across storage backends, including the repair-byte
-/// counters the rack-aware plan is allowed to shrink.
-#[test]
-fn heal_reports_stay_deterministic_under_pipelined_paths() {
-    use ear_types::{EncodePath, RepairPath};
-    for seed in [0u64, 5] {
-        let mk = |store| HealSoakConfig {
-            store,
-            map_tasks: 1,
-            encode_path: EncodePath::Pipelined,
-            repair_path: RepairPath::RackAware,
-            ..HealSoakConfig::default()
-        };
-        let mem = run_heal_plan(seed, &mk(StoreBackend::Memory)).expect("memory run");
-        assert!(mem.passed(), "seed {seed}: {mem:?}");
-        for store in [StoreBackend::File, StoreBackend::Extent] {
-            let other = run_heal_plan(seed, &mk(store)).expect("durable-backend run");
-            assert_eq!(
-                heal_fingerprint(&mem),
-                heal_fingerprint(&other),
-                "seed {seed}: {} diverged from memory under pipelined paths",
-                store.name()
-            );
-        }
-    }
-}
-
-/// The repair path changes how rebuild bytes travel, never what the
-/// healer achieves: under a kill plan with every per-operation fault rate
-/// zeroed, direct and rack-aware heals must agree on every outcome field,
-/// and rack-aware must not pay more cross-rack repair bytes.
-#[test]
-fn rack_aware_heal_matches_direct_outcomes_with_no_extra_cross_rack_bytes() {
-    use ear_types::RepairPath;
-    let faults = FaultConfig {
-        straggler_delay: ear_faults::DelayModel::Throttle,
-        node_crashes: 2,
-        rack_outages: 0,
-        stragglers: 0,
-        straggler_factor: 1.0,
-        transient_error_rate: 0.0,
-        corruption_rate: 0.0,
-        heartbeat_loss_rate: 0.0,
-        crash_window: 40,
-    };
-    for seed in [2u64, 13] {
-        let mk = |repair_path| HealSoakConfig {
-            map_tasks: 1,
-            repair_path,
-            faults: faults.clone(),
-            ..HealSoakConfig::default()
-        };
-        let direct = run_heal_plan(seed, &mk(RepairPath::Direct)).expect("direct run");
-        let aware = run_heal_plan(seed, &mk(RepairPath::RackAware)).expect("rack-aware run");
-        for r in [&direct, &aware] {
-            assert!(r.passed(), "seed {seed}: {r:?}");
-        }
-        assert_eq!(direct.acked_blocks, aware.acked_blocks, "seed {seed}");
-        assert_eq!(direct.encoded_stripes, aware.encoded_stripes, "seed {seed}");
-        assert_eq!(direct.violations_after_heal, aware.violations_after_heal);
-        assert_eq!(direct.under_redundant, aware.under_redundant, "seed {seed}");
-        assert_eq!(direct.lost_blocks, aware.lost_blocks, "seed {seed}");
-        assert_eq!(direct.heal.rounds, aware.heal.rounds, "seed {seed}");
-        assert_eq!(
-            direct.heal.blocks_re_replicated, aware.heal.blocks_re_replicated,
-            "seed {seed}"
-        );
-        assert_eq!(
-            direct.heal.shards_reconstructed, aware.heal.shards_reconstructed,
-            "seed {seed}"
-        );
-        assert_eq!(direct.heal.converged, aware.heal.converged, "seed {seed}");
-        assert!(
-            aware.heal.cross_rack_repair_bytes <= direct.heal.cross_rack_repair_bytes,
-            "seed {seed}: rack-aware shipped {} cross-rack repair bytes vs direct's {}",
-            aware.heal.cross_rack_repair_bytes,
-            direct.heal.cross_rack_repair_bytes
-        );
-    }
-}
-
 #[test]
 fn healer_survives_a_dozen_seeded_kill_plans() {
     let cfg = HealSoakConfig::default();

@@ -9,10 +9,11 @@ use ear_cluster::{
 };
 use ear_faults::{FaultConfig, FaultPlan};
 use ear_types::{
-    Bandwidth, ByteSize, ClusterTopology, EarConfig, EncodePath, ErasureParams, NodeId,
-    RepairPath, ReplicationConfig,
+    Bandwidth, BlockId, ByteSize, ClusterTopology, EarConfig, ErasureParams, NodeId, RackId,
+    ReplicationConfig,
 };
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A cluster + workload EAR can host with c = 1.
 #[derive(Debug, Clone)]
@@ -46,7 +47,7 @@ fn scenario_strategy() -> impl Strategy<Value = Scenario> {
         })
 }
 
-fn config(s: &Scenario, c: usize, encode_path: EncodePath, repair_path: RepairPath) -> ClusterConfig {
+fn config(s: &Scenario, c: usize) -> ClusterConfig {
     let ear = EarConfig::new(
         ErasureParams::new(s.n, s.k).expect("valid by construction"),
         ReplicationConfig::two_way(),
@@ -66,14 +67,11 @@ fn config(s: &Scenario, c: usize, encode_path: EncodePath, repair_path: RepairPa
         cache: ear_types::CacheConfig::from_env(),
         durability: Default::default(),
         reliability: Default::default(),
-        encode_path,
-        repair_path,
     }
 }
 
 fn build(s: &Scenario) -> MiniCfs {
-    MiniCfs::new(config(s, 1, EncodePath::from_env(), RepairPath::from_env()))
-        .expect("hostable by construction")
+    MiniCfs::new(config(s, 1)).expect("hostable by construction")
 }
 
 proptest! {
@@ -136,79 +134,137 @@ proptest! {
     }
 }
 
+/// What repairing one lost stripe member should cost across racks, derived
+/// from the placement alone by the planner's published rule (DESIGN.md
+/// §15): recover in the rack with the most reachable survivors (ties to the
+/// lowest rack id), take sources from that rack first and then from remote
+/// racks densest-first, and stop at `k`. Returns `(remote racks, remote
+/// sources)` among the chosen `k` — one partial or lone shard per remote
+/// rack is what the fold ships, one block per remote source is what
+/// reading every shard whole would — or `None` with fewer than `k`
+/// reachable survivors.
+fn planned_repair_traffic(
+    cfs: &MiniCfs,
+    members: &[BlockId],
+    lost: BlockId,
+    live: &dyn Fn(NodeId) -> bool,
+) -> Option<(usize, usize)> {
+    let topo = cfs.topology();
+    let k = cfs.codec().params().k();
+    let mut sources: Vec<(usize, RackId)> = members
+        .iter()
+        .enumerate()
+        .filter(|&(_, &m)| m != lost)
+        .filter_map(|(idx, &m)| {
+            let holder = cfs.namenode().locations(m)?.into_iter().find(|&h| live(h))?;
+            Some((idx, topo.rack_of(holder)))
+        })
+        .collect();
+    if sources.len() < k {
+        return None;
+    }
+    let mut per_rack: BTreeMap<RackId, usize> = BTreeMap::new();
+    for &(_, r) in &sources {
+        *per_rack.entry(r).or_insert(0) += 1;
+    }
+    let (&home, _) = per_rack
+        .iter()
+        .max_by_key(|&(&r, &count)| (count, std::cmp::Reverse(r)))?;
+    sources.sort_by_key(|&(idx, r)| (r != home, std::cmp::Reverse(per_rack[&r]), r, idx));
+    let remote: Vec<RackId> = sources[..k]
+        .iter()
+        .map(|&(_, r)| r)
+        .filter(|&r| r != home)
+        .collect();
+    let racks: BTreeSet<RackId> = remote.iter().copied().collect();
+    Some((racks.len(), remote.len()))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// DESIGN.md §15: the pipelined encode chain is a pure traffic-shape
-    /// change. For any policy, code shape, rack-fault tolerance `c`,
-    /// topology, and write order, `EncodePath::Pipelined` seals the same
-    /// stripes with the same parity block ids, the same placements, and
-    /// bit-identical parity bytes as `EncodePath::Gather` — while never
-    /// shipping more bytes across rack boundaries.
+    /// DESIGN.md §15: for any policy, code shape, rack-fault tolerance `c`,
+    /// topology, and write order, the fold chain seals parity bit-identical
+    /// to the one-shot `ReedSolomon::encode` over the written blocks, never
+    /// re-plans on a fault-free cluster, and moves exactly `Σ min(sᵣ, m)`
+    /// block-sized transfers across racks towards the encoding node — `sᵣ`
+    /// being the sources whose preferred replica (encoding rack first, then
+    /// lowest rack) sits in remote rack `r` before encoding. Reading every
+    /// source whole would move `Σ sᵣ`.
     #[test]
-    fn pipelined_encode_matches_gather_bit_for_bit(
+    fn chain_encode_matches_codec_reference_at_the_folded_traffic_count(
         s in scenario_strategy(),
         c in 1usize..=2,
     ) {
-        let gather = MiniCfs::new(config(&s, c, EncodePath::Gather, RepairPath::Direct))
-            .map_err(|e| TestCaseError::fail(format!("gather boot: {e}")))?;
-        let piped = MiniCfs::new(config(&s, c, EncodePath::Pipelined, RepairPath::Direct))
-            .map_err(|e| TestCaseError::fail(format!("pipelined boot: {e}")))?;
-        let nodes = gather.topology().num_nodes() as u64;
+        let cfs = MiniCfs::new(config(&s, c))
+            .map_err(|e| TestCaseError::fail(format!("boot: {e}")))?;
+        let nodes = cfs.topology().num_nodes() as u64;
         let mut i = 0u64;
-        while gather.namenode().pending_stripe_count() < s.stripes {
-            let w = NodeId((i % nodes) as u32);
-            gather
-                .write_block(w, gather.make_block(i))
-                .map_err(|e| TestCaseError::fail(format!("gather write failed: {e}")))?;
-            piped
-                .write_block(w, piped.make_block(i))
-                .map_err(|e| TestCaseError::fail(format!("pipelined write failed: {e}")))?;
+        while cfs.namenode().pending_stripe_count() < s.stripes {
+            cfs.write_block(NodeId((i % nodes) as u32), cfs.make_block(i))
+                .map_err(|e| TestCaseError::fail(format!("write failed: {e}")))?;
             i += 1;
             prop_assert!(i < (s.stripes * s.k * 40) as u64, "failed to seal stripes");
         }
-        // One map task each: block-id allocation order is deterministic, so
-        // the comparison below can demand exact metadata equality.
-        let (gs, _) = RaidNode::encode_all(&gather, 1)
-            .map_err(|e| TestCaseError::fail(format!("gather encode failed: {e}")))?;
-        let (ps, _) = RaidNode::encode_all(&piped, 1)
-            .map_err(|e| TestCaseError::fail(format!("pipelined encode failed: {e}")))?;
-        prop_assert_eq!(gs.stripes, ps.stripes);
-        prop_assert_eq!(ps.pipeline_fallbacks, 0, "fault-free run must not fall back");
-        prop_assert_eq!(ps.pipelined_stripes, ps.stripes);
 
-        let ges = gather.namenode().encoded_stripes();
-        let pes = piped.namenode().encoded_stripes();
-        prop_assert_eq!(ges.len(), pes.len());
-        for (g, p) in ges.iter().zip(pes.iter()) {
-            prop_assert_eq!(g.id, p.id);
-            prop_assert_eq!(&g.data, &p.data);
-            prop_assert_eq!(&g.parity, &p.parity);
-            for &pb in &g.parity {
-                let gl = gather.namenode().locations(pb).expect("gather parity located");
-                let pl = piped.namenode().locations(pb).expect("pipelined parity located");
-                prop_assert_eq!(&gl, &pl, "parity placement diverged");
-                let gb = gather.datanode(gl[0]).get(pb).expect("gather parity stored");
-                let pbts = piped.datanode(pl[0]).get(pb).expect("pipelined parity stored");
-                prop_assert_eq!(gb.as_slice(), pbts.as_slice(), "parity bytes diverged");
+        let topo = cfs.topology();
+        let m = s.n - s.k;
+        let mut folded = 0usize;
+        for stripe in cfs.namenode().pending_stripes() {
+            let enc = cfs
+                .namenode()
+                .plan_encoding(&stripe)
+                .map_err(|e| TestCaseError::fail(format!("plan: {e}")))?
+                .encoding_node;
+            let enc_rack = topo.rack_of(enc);
+            let mut per_rack: BTreeMap<RackId, usize> = BTreeMap::new();
+            for &b in &stripe.blocks {
+                let rack = cfs
+                    .namenode()
+                    .locations(b)
+                    .expect("written block located")
+                    .into_iter()
+                    .map(|h| topo.rack_of(h))
+                    .min_by_key(|&r| (r != enc_rack, r))
+                    .expect("written block has a replica");
+                if rack != enc_rack {
+                    *per_rack.entry(rack).or_insert(0) += 1;
+                }
+            }
+            folded += per_rack.values().map(|&sources| sources.min(m)).sum::<usize>();
+        }
+
+        // One map task: stripes encode in a fixed order, so the counter is
+        // comparable to the sum above.
+        let (stats, _) = RaidNode::encode_all(&cfs, 1)
+            .map_err(|e| TestCaseError::fail(format!("encode failed: {e}")))?;
+        prop_assert!(stats.failed_stripes.is_empty());
+        prop_assert_eq!(stats.pipeline_fallbacks, 0, "fault-free run must not re-plan");
+        prop_assert_eq!(stats.cross_rack_downloads, folded);
+
+        for es in cfs.namenode().encoded_stripes() {
+            let data: Vec<Vec<u8>> = es.data.iter().map(|b| cfs.make_block(b.0)).collect();
+            let expected = cfs
+                .codec()
+                .encode(&data)
+                .map_err(|e| TestCaseError::fail(format!("reference encode: {e}")))?;
+            for (&p, want) in es.parity.iter().zip(&expected) {
+                let loc = cfs.namenode().locations(p).expect("parity located");
+                let got = cfs.datanode(loc[0]).get(p).expect("parity stored");
+                prop_assert_eq!(got.as_slice(), want.as_slice(), "parity bytes diverged");
             }
         }
-        let g_cross = gather.network().cross_rack_bytes();
-        let p_cross = piped.network().cross_rack_bytes();
-        prop_assert!(
-            p_cross <= g_cross,
-            "pipelined shipped {} cross-rack bytes vs gather's {}", p_cross, g_cross
-        );
     }
 
-    /// DESIGN.md §15 two-phase repair: with a node crash plus a whole-rack
-    /// outage injected from the first operation, `RepairPath::RackAware`
-    /// must agree with `RepairPath::Direct` outcome-for-outcome — the same
-    /// recovery result, identical post-repair placements, every reachable
-    /// rebuilt block byte-for-byte equal to its original contents — while
-    /// never paying more cross-rack transfers.
+    /// DESIGN.md §15 repair: with a node crash plus a whole-rack outage
+    /// injected from the first operation, recovering the crashed node
+    /// rebuilds every reachable block byte-for-byte equal to what was
+    /// written, and pays exactly one cross-rack transfer per remote rack
+    /// among each rebuild's chosen sources (see
+    /// [`planned_repair_traffic`]) — never more than the one per remote
+    /// source that reading every shard whole would cost.
     #[test]
-    fn rack_aware_repair_matches_direct_under_node_and_rack_faults(seed in any::<u64>()) {
+    fn repair_rebuilds_written_bytes_at_one_transfer_per_remote_rack(seed in any::<u64>()) {
         let faults = FaultConfig {
             straggler_delay: ear_faults::DelayModel::Throttle,
             node_crashes: 1,
@@ -218,92 +274,121 @@ proptest! {
             transient_error_rate: 0.0,
             corruption_rate: 0.0,
             heartbeat_loss_rate: 0.0,
-            // Crash and outage both active before the first operation, so
-            // fault decisions cannot depend on the two paths' op streams.
+            // Crash and outage both active before the first operation.
             crash_window: 1,
         };
-        let mk = |path| {
-            let ear = EarConfig::new(
-                ErasureParams::new(6, 4).expect("valid"),
-                ReplicationConfig::two_way(),
-                2,
-            )
-            .expect("valid")
-            .with_target_racks(3)
-            .expect("3 racks host (6,4) at c = 2");
-            let cfg = ClusterConfig {
-                racks: 8,
-                nodes_per_rack: 4,
-                block_size: ByteSize::kib(16),
-                node_bandwidth: Bandwidth::bytes_per_sec(1e9),
-                rack_bandwidth: Bandwidth::bytes_per_sec(1e9),
-                ear,
-                policy: ClusterPolicy::Ear,
-                seed: 11,
-                store: ear_types::StoreBackend::from_env(),
-                cache: ear_types::CacheConfig::from_env(),
-                durability: Default::default(),
-                reliability: Default::default(),
-                encode_path: EncodePath::Gather,
-                repair_path: path,
-            };
-            let topo = ClusterTopology::uniform(cfg.racks, cfg.nodes_per_rack);
-            let plan = FaultPlan::generate(seed, &topo, &faults);
-            MiniCfs::with_faults(cfg, plan).expect("hostable by construction")
+        let ear = EarConfig::new(
+            ErasureParams::new(6, 4).expect("valid"),
+            ReplicationConfig::two_way(),
+            2,
+        )
+        .expect("valid")
+        .with_target_racks(3)
+        .expect("3 racks host (6,4) at c = 2");
+        let cfg = ClusterConfig {
+            racks: 8,
+            nodes_per_rack: 4,
+            block_size: ByteSize::kib(16),
+            node_bandwidth: Bandwidth::bytes_per_sec(1e9),
+            rack_bandwidth: Bandwidth::bytes_per_sec(1e9),
+            ear,
+            policy: ClusterPolicy::Ear,
+            seed: 11,
+            store: ear_types::StoreBackend::from_env(),
+            cache: ear_types::CacheConfig::from_env(),
+            durability: Default::default(),
+            reliability: Default::default(),
         };
-        let direct = mk(RepairPath::Direct);
-        let aware = mk(RepairPath::RackAware);
-        let nodes = direct.topology().num_nodes() as u64;
+        let topo = ClusterTopology::uniform(cfg.racks, cfg.nodes_per_rack);
+        let plan = FaultPlan::generate(seed, &topo, &faults);
+        let cfs = MiniCfs::with_faults(cfg, plan).expect("hostable by construction");
+        let nodes = topo.num_nodes() as u64;
         let mut i = 0u64;
-        while direct.namenode().pending_stripe_count() < 2 && i < 600 {
-            let w = NodeId((i % nodes) as u32);
-            let rd = direct.write_block(w, direct.make_block(i));
-            let ra = aware.write_block(w, aware.make_block(i));
-            prop_assert_eq!(rd.is_ok(), ra.is_ok(), "write outcomes diverged at block {}", i);
+        while cfs.namenode().pending_stripe_count() < 2 && i < 600 {
+            // Writes that touch the dead node or rack fail typed; the ids
+            // they consumed keep `make_block(id)` the written contents.
+            let _ = cfs.write_block(NodeId((i % nodes) as u32), cfs.make_block(i));
             i += 1;
         }
-        let _ = RaidNode::encode_all(&direct, 1)
-            .map_err(|e| TestCaseError::fail(format!("direct encode failed: {e}")))?;
-        let _ = RaidNode::encode_all(&aware, 1)
-            .map_err(|e| TestCaseError::fail(format!("rack-aware encode failed: {e}")))?;
+        let _ = RaidNode::encode_all(&cfs, 1)
+            .map_err(|e| TestCaseError::fail(format!("encode failed: {e}")))?;
 
-        let victim = direct.injector().plan().crashes()[0].node;
-        let rd = recover_node(&direct, victim);
-        let ra = recover_node(&aware, victim);
-        match (rd, ra) {
-            (Ok(sd), Ok(sa)) => {
-                prop_assert_eq!(sd.blocks_recovered, sa.blocks_recovered);
-                prop_assert!(
-                    sa.cross_rack_downloads <= sd.cross_rack_downloads,
-                    "rack-aware paid {} cross-rack transfers vs direct's {}",
-                    sa.cross_rack_downloads, sd.cross_rack_downloads
-                );
-                for es in direct.namenode().encoded_stripes() {
-                    for &blk in &es.data {
-                        let ld = direct.namenode().locations(blk).expect("located");
-                        let la = aware.namenode().locations(blk).expect("located");
-                        prop_assert_eq!(&ld, &la, "post-repair placement diverged");
-                        let Some(&holder) = ld.first() else { continue };
-                        if direct.injector().node_down(holder) {
-                            continue;
-                        }
-                        let want = direct.make_block(blk.0);
-                        let got_d = direct.datanode(holder).get(blk).expect("direct copy");
-                        let got_a = aware.datanode(holder).get(blk).expect("rack-aware copy");
-                        prop_assert_eq!(got_d.as_slice(), want.as_slice());
-                        prop_assert_eq!(got_a.as_slice(), want.as_slice());
+        let up = |nd: NodeId| !cfs.injector().node_down(nd);
+        let encoded = cfs.namenode().encoded_stripes();
+        // Recover the crashed node (it holds only what failed writes left
+        // listed there), then a healthy holder of an encoded block — whose
+        // stripe may already be short of the dark rack's members.
+        let healthy_holder = encoded
+            .first()
+            .and_then(|es| cfs.namenode().locations(es.data[0]))
+            .and_then(|locs| locs.into_iter().find(|&h| up(h)));
+        let crashed = cfs.injector().plan().crashes()[0].node;
+        for victim in std::iter::once(crashed).chain(healthy_holder) {
+            let live = |nd: NodeId| nd != victim && up(nd);
+
+            // What the victim holds, from metadata: replicated blocks (other
+            // copies listed) are re-copied, stripe members are rebuilt.
+            let mut replicated: Vec<(BlockId, Vec<NodeId>)> = Vec::new();
+            let mut fold_cross = 0usize;
+            let mut whole_cross = 0usize;
+            let mut beyond_tolerance = false;
+            for b in (0..cfs.namenode().block_count()).map(BlockId) {
+                let locs = cfs.namenode().locations(b).expect("allocated block");
+                if !locs.contains(&victim) {
+                    continue;
+                }
+                let survivors: Vec<NodeId> = locs.into_iter().filter(|&h| h != victim).collect();
+                if !survivors.is_empty() {
+                    beyond_tolerance |= !survivors.iter().any(|&h| up(h));
+                    replicated.push((b, survivors));
+                    continue;
+                }
+                let es = encoded
+                    .iter()
+                    .find(|es| es.data.contains(&b) || es.parity.contains(&b))
+                    .expect("single-copy block belongs to a stripe");
+                let members: Vec<BlockId> = es.data.iter().chain(es.parity.iter()).copied().collect();
+                match planned_repair_traffic(&cfs, &members, b, &live) {
+                    Some((racks, sources)) => {
+                        fold_cross += racks;
+                        whole_cross += sources;
                     }
+                    None => beyond_tolerance = true,
                 }
             }
-            (Err(ed), Err(ea)) => {
-                // Beyond-tolerance loss must surface as the same typed error
-                // on both paths (rack-aware falls back to direct's plan).
-                prop_assert_eq!(format!("{ed}"), format!("{ea}"));
-            }
-            (rd, ra) => {
-                return Err(TestCaseError::fail(format!(
-                    "repair paths diverged: direct {rd:?} vs rack-aware {ra:?}"
-                )));
+            prop_assert!(fold_cross <= whole_cross);
+
+            match recover_node(&cfs, victim) {
+                Ok(stats) => {
+                    prop_assert!(!beyond_tolerance, "recovered past the code's tolerance");
+                    // A re-copied block crosses racks iff its new home is in a
+                    // different rack than the first reachable survivor.
+                    let copy_cross = replicated
+                        .iter()
+                        .filter(|(b, survivors)| {
+                            let src = survivors.iter().copied().find(|&h| up(h));
+                            let dst = cfs
+                                .namenode()
+                                .locations(*b)
+                                .and_then(|l| l.into_iter().find(|h| !survivors.contains(h)));
+                            src.map(|h| topo.rack_of(h)) != dst.map(|h| topo.rack_of(h))
+                        })
+                        .count();
+                    prop_assert_eq!(stats.cross_rack_downloads, fold_cross + copy_cross);
+                    for es in &encoded {
+                        for &blk in &es.data {
+                            let locs = cfs.namenode().locations(blk).expect("located");
+                            let Some(&holder) = locs.first().filter(|&&h| up(h)) else {
+                                continue;
+                            };
+                            let got = cfs.datanode(holder).get(blk).expect("stored copy");
+                            let want = cfs.make_block(blk.0);
+                            prop_assert_eq!(got.as_slice(), want.as_slice());
+                        }
+                    }
+                }
+                // Beyond-tolerance loss must surface typed, never as a panic.
+                Err(e) => prop_assert!(beyond_tolerance, "within tolerance yet failed: {e}"),
             }
         }
     }

@@ -45,8 +45,6 @@ fn durable_cfg(store: StoreBackend, dir: &std::path::Path) -> ClusterConfig {
         cache: CacheConfig::from_env(),
         durability: DurabilityConfig::at(dir),
         reliability: Default::default(),
-        encode_path: ear_types::EncodePath::from_env(),
-        repair_path: ear_types::RepairPath::from_env(),
     }
 }
 

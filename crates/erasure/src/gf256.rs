@@ -145,6 +145,16 @@ pub fn mul_acc(dst: &mut [u8], src: &[u8], coef: u8) {
     }
 }
 
+/// `dst[i] ^= coef · src[i]` by per-byte field multiply, with no
+/// per-coefficient table: for the short remainders the vector tiers leave
+/// behind, where building [`mul_acc`]'s 256-entry row would dominate.
+#[cfg(target_arch = "x86_64")]
+pub(crate) fn tail_acc(dst: &mut [u8], src: &[u8], coef: u8) {
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d ^= mul(coef, *s);
+    }
+}
+
 /// Multiplies every byte of `src` by `coef`, writing into `dst`.
 ///
 /// # Panics

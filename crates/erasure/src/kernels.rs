@@ -3,14 +3,11 @@
 //!
 //! Every experiment that encodes, repairs, or degraded-reads a stripe bottoms
 //! out in `dst[i] ^= coef · src[i]` over block-sized buffers. This module
-//! provides that primitive at four performance tiers:
+//! provides that primitive at three performance tiers:
 //!
 //! * [`KernelTier::Scalar`] — the portable byte-at-a-time product-table loop
 //!   from [`crate::gf256`]; the reference all other tiers must match bit for
 //!   bit.
-//! * [`KernelTier::Swar`] — SIMD-within-a-register: packed bytes in `u64`
-//!   words with carry-less doubling, no platform intrinsics required.
-//!   Explicitly selectable but never auto-detected — see [`Kernel::detect`].
 //! * [`KernelTier::Ssse3`] — 16 bytes per step via `_mm_shuffle_epi8`
 //!   low/high-nibble split product tables (the ISA-L technique).
 //! * [`KernelTier::Avx2`] — the same nibble-table technique at 32 bytes per
@@ -18,7 +15,7 @@
 //!
 //! The active tier is chosen once per process by [`Kernel::active`]: the best
 //! tier the CPU supports, unless the `EAR_GF_KERNEL` environment variable
-//! (`scalar`, `swar`, `ssse3`, `avx2`, or `auto`) overrides it. An override
+//! (`scalar`, `ssse3`, `avx2`, or `auto`) overrides it. An override
 //! naming a tier the CPU cannot run falls back to auto-detection rather than
 //! crashing, so a pinned benchmark configuration degrades gracefully on
 //! older machines.
@@ -44,8 +41,6 @@ const BLOCK: usize = 16 * 1024;
 pub enum KernelTier {
     /// Byte-at-a-time product-table loop (portable reference).
     Scalar,
-    /// 64-bit SIMD-within-a-register packed doubling (portable).
-    Swar,
     /// SSSE3 `_mm_shuffle_epi8` nibble tables, 16 B/step (x86-64 only).
     Ssse3,
     /// AVX2 `_mm256_shuffle_epi8` nibble tables, 32 B/step (x86-64 only).
@@ -54,18 +49,12 @@ pub enum KernelTier {
 
 impl KernelTier {
     /// All tiers, in enumeration order.
-    pub const ALL: [KernelTier; 4] = [
-        KernelTier::Scalar,
-        KernelTier::Swar,
-        KernelTier::Ssse3,
-        KernelTier::Avx2,
-    ];
+    pub const ALL: [KernelTier; 3] = [KernelTier::Scalar, KernelTier::Ssse3, KernelTier::Avx2];
 
-    /// The canonical lower-case name (`scalar`, `swar`, `ssse3`, `avx2`).
+    /// The canonical lower-case name (`scalar`, `ssse3`, `avx2`).
     pub fn name(self) -> &'static str {
         match self {
             KernelTier::Scalar => "scalar",
-            KernelTier::Swar => "swar",
             KernelTier::Ssse3 => "ssse3",
             KernelTier::Avx2 => "avx2",
         }
@@ -78,7 +67,6 @@ impl KernelTier {
     pub fn parse(s: &str) -> Option<KernelTier> {
         match s.trim().to_ascii_lowercase().as_str() {
             "scalar" => Some(KernelTier::Scalar),
-            "swar" => Some(KernelTier::Swar),
             "ssse3" => Some(KernelTier::Ssse3),
             "avx2" => Some(KernelTier::Avx2),
             _ => None,
@@ -88,7 +76,7 @@ impl KernelTier {
     /// Whether the running CPU can execute this tier.
     pub fn supported(self) -> bool {
         match self {
-            KernelTier::Scalar | KernelTier::Swar => true,
+            KernelTier::Scalar => true,
             #[cfg(target_arch = "x86_64")]
             KernelTier::Ssse3 => std::arch::is_x86_feature_detected!("ssse3"),
             #[cfg(target_arch = "x86_64")]
@@ -141,23 +129,14 @@ impl Kernel {
     }
 
     /// The fastest tier the running CPU supports, ignoring the environment.
-    ///
-    /// SWAR is never auto-selected: measured against the scalar
-    /// product-table loop it reaches only ~0.5–0.65× (the table lookup is
-    /// one L1 load per byte, while width-agnostic SWAR must stream up to
-    /// seven packed-doubling passes — `pshufb`-style nibble shuffles are
-    /// exactly what SWAR cannot emulate cheaply). It remains available via
-    /// [`Kernel::select`] and the `EAR_GF_KERNEL=swar` override as the
-    /// portable vector-width-agnostic reference.
     pub fn detect() -> Kernel {
-        for tier in KernelTier::ALL.iter().rev() {
-            if *tier != KernelTier::Swar && tier.supported() {
-                return Kernel { tier: *tier };
-            }
-        }
-        Kernel {
-            tier: KernelTier::Scalar,
-        }
+        let tier = KernelTier::ALL
+            .iter()
+            .rev()
+            .copied()
+            .find(|t| t.supported())
+            .unwrap_or(KernelTier::Scalar);
+        Kernel { tier }
     }
 
     /// Builds a kernel of the given tier, or `None` if this CPU cannot run
@@ -167,7 +146,7 @@ impl Kernel {
     }
 
     /// Every kernel this CPU supports, in [`KernelTier::ALL`] enumeration
-    /// order (always includes scalar and SWAR).
+    /// order (always includes scalar).
     pub fn available() -> Vec<Kernel> {
         KernelTier::ALL
             .iter()
@@ -208,7 +187,6 @@ impl Kernel {
         }
         match self.tier {
             KernelTier::Scalar => gf256::mul_acc(dst, src, coef),
-            KernelTier::Swar => swar::mul_acc(dst, src, coef),
             #[cfg(target_arch = "x86_64")]
             KernelTier::Ssse3 => unsafe { x86::mul_acc_ssse3(dst, src, &x86::Tables::new(coef)) },
             #[cfg(target_arch = "x86_64")]
@@ -237,7 +215,6 @@ impl Kernel {
         }
         match self.tier {
             KernelTier::Scalar => gf256::mul_slice(dst, src, coef),
-            KernelTier::Swar => swar::mul_slice(dst, src, coef),
             #[cfg(target_arch = "x86_64")]
             KernelTier::Ssse3 => unsafe { x86::mul_slice_ssse3(dst, src, &x86::Tables::new(coef)) },
             #[cfg(target_arch = "x86_64")]
@@ -296,7 +273,6 @@ impl Kernel {
                 }
                 match self.tier {
                     KernelTier::Scalar => gf256::mul_acc(d, s, coef),
-                    KernelTier::Swar => swar::mul_acc(d, s, coef),
                     #[cfg(target_arch = "x86_64")]
                     KernelTier::Ssse3 => unsafe { x86::mul_acc_ssse3(d, s, &tables[j]) },
                     #[cfg(target_arch = "x86_64")]
@@ -325,79 +301,6 @@ fn xor_slice(dst: &mut [u8], src: &[u8]) {
     }
     for (dc, sc) in d.into_remainder().iter_mut().zip(s.remainder()) {
         *dc ^= *sc;
-    }
-}
-
-/// SIMD-within-a-register kernels: packed-byte field arithmetic in plain
-/// `u64` words, written so every inner loop is a branch-free elementwise
-/// pass the compiler can autovectorize at the target's baseline vector
-/// width — no platform intrinsics, no runtime feature detection.
-///
-/// Strategy (per cache-sized chunk): copy the source once into a scratch
-/// buffer, then walk the coefficient's bits LSB-first. At each bit level
-/// the scratch holds `src · 2^level`; levels whose bit is set are XORed
-/// into the destination, and the scratch is doubled in place to reach the
-/// next level. Both passes (XOR, packed doubling) are independent
-/// elementwise loops with no carried dependency chain, unlike the naive
-/// per-word double-and-add whose 7 sequential doublings serialize on their
-/// own latency.
-mod swar {
-    /// Scratch chunk; with the destination tile it comfortably fits L1.
-    const CHUNK: usize = 1024;
-    /// The high bit of every packed byte.
-    const HI_BITS: u64 = 0x8080_8080_8080_8080;
-
-    /// Doubles all eight packed field elements of every word in place:
-    /// shift each byte left (dropping cross-byte carries) and fold the
-    /// reducing polynomial back into bytes whose top bit was set. The fold
-    /// uses the shift-xor expansion of `0x1D = x⁴+x³+x²+1` instead of a
-    /// wide multiply: `h` has `0x01` in every overflowing byte, and
-    /// `0x01 · 0x1D = 0x01 ^ 0x04 ^ 0x08 ^ 0x10` never carries across byte
-    /// boundaries.
-    #[inline]
-    fn double_in_place(buf: &mut [u8]) {
-        let mut words = buf.chunks_exact_mut(8);
-        for w in &mut words {
-            let a = u64::from_le_bytes(w[..8].try_into().expect("8-byte chunk"));
-            let hi = a & HI_BITS;
-            let h = hi >> 7;
-            let d = ((a ^ hi) << 1) ^ h ^ (h << 2) ^ (h << 3) ^ (h << 4);
-            w.copy_from_slice(&d.to_le_bytes());
-        }
-        for b in words.into_remainder() {
-            *b = crate::gf256::mul(2, *b);
-        }
-    }
-
-    pub fn mul_acc(dst: &mut [u8], src: &[u8], coef: u8) {
-        let mut tmp = [0u8; CHUNK];
-        for (dc, sc) in dst.chunks_mut(CHUNK).zip(src.chunks(CHUNK)) {
-            let t = &mut tmp[..sc.len()];
-            t.copy_from_slice(sc);
-            let mut c = coef;
-            loop {
-                if c & 1 != 0 {
-                    super::xor_slice(dc, t);
-                }
-                c >>= 1;
-                if c == 0 {
-                    break;
-                }
-                double_in_place(t);
-            }
-        }
-    }
-
-    pub fn mul_slice(dst: &mut [u8], src: &[u8], coef: u8) {
-        dst.fill(0);
-        mul_acc(dst, src, coef);
-    }
-
-    /// Scalar tail helper shared with the vector tiers' remainders.
-    pub fn tail_acc(dst: &mut [u8], src: &[u8], coef: u8) {
-        for (dc, sc) in dst.iter_mut().zip(src) {
-            *dc ^= crate::gf256::mul(coef, *sc);
-        }
     }
 }
 
@@ -459,7 +362,7 @@ mod x86 {
                 let cur = _mm_loadu_si128(dc.as_ptr().cast());
                 _mm_storeu_si128(dc.as_mut_ptr().cast(), _mm_xor_si128(cur, prod));
             }
-            super::swar::tail_acc(d.into_remainder(), s.remainder(), t.coef);
+            gf256::tail_acc(d.into_remainder(), s.remainder(), t.coef);
         }
     }
 
@@ -512,7 +415,7 @@ mod x86 {
                 let cur = _mm256_loadu_si256(dc.as_ptr().cast());
                 _mm256_storeu_si256(dc.as_mut_ptr().cast(), _mm256_xor_si256(cur, prod));
             }
-            super::swar::tail_acc(d.into_remainder(), s.remainder(), t.coef);
+            gf256::tail_acc(d.into_remainder(), s.remainder(), t.coef);
         }
     }
 
@@ -581,16 +484,9 @@ mod tests {
         assert!(k.tier().supported());
         let avail = Kernel::available();
         assert!(avail.iter().any(|a| a.tier() == KernelTier::Scalar));
-        assert!(avail.iter().any(|a| a.tier() == KernelTier::Swar));
-        // Detection never auto-selects SWAR (slower than the scalar table
-        // loop); it picks the fastest non-SWAR supported tier.
-        assert_ne!(k.tier(), KernelTier::Swar);
-        let best_non_swar = avail
-            .iter()
-            .filter(|a| a.tier() != KernelTier::Swar)
-            .next_back()
-            .expect("scalar is always available");
-        assert_eq!(k.tier(), best_non_swar.tier());
+        // Detection picks the fastest supported tier.
+        let best = avail.last().expect("scalar is always available");
+        assert_eq!(k.tier(), best.tier());
     }
 
     #[test]
@@ -713,21 +609,5 @@ mod tests {
         let short = [1u8, 2, 3];
         let mut dst = [0u8; 4];
         Kernel::detect().mul_acc_many(&mut dst, &[(&short, 5)]);
-    }
-
-    #[test]
-    fn swar_packed_doubling_matches_field_doubling() {
-        // Multiplying by 2 exercises exactly one packed-doubling step for
-        // every possible byte value.
-        let mut bytes = [0u8; 8];
-        for base in (0..256).step_by(8) {
-            for (i, b) in bytes.iter_mut().enumerate() {
-                *b = (base + i) as u8;
-            }
-            let doubled: Vec<u8> = bytes.iter().map(|&x| gf256::mul(2, x)).collect();
-            let mut out = [0u8; 8];
-            swar::mul_slice(&mut out, &bytes, 2);
-            assert_eq!(&out[..], &doubled[..]);
-        }
     }
 }

@@ -21,10 +21,9 @@ use ear_types::{Error, Result};
 ///
 /// Init with [`ParityAccum::new`], fold sources in with
 /// [`ParityAccum::absorb`], and close with [`ParityAccum::finish`] once the
-/// expected number of sources has been absorbed. The partial state is plain
-/// bytes ([`ParityAccum::as_slice`] / [`ParityAccum::into_partial`]), so an
-/// accumulator can travel node-to-node mid-fold and resume with
-/// [`ParityAccum::from_partial`].
+/// expected number of sources has been absorbed. Partials folded
+/// independently — one per source rack — combine with
+/// [`ParityAccum::merge`].
 #[derive(Debug, Clone)]
 pub struct ParityAccum {
     acc: Vec<u8>,
@@ -38,17 +37,6 @@ impl ParityAccum {
         ParityAccum {
             acc: vec![0u8; len],
             absorbed: 0,
-            kernel,
-        }
-    }
-
-    /// Resumes an accumulator from partial bytes produced by an earlier
-    /// [`ParityAccum::into_partial`] on another node, with `absorbed`
-    /// recording how many sources that partial already folded in.
-    pub fn from_partial(kernel: Kernel, partial: Vec<u8>, absorbed: usize) -> Self {
-        ParityAccum {
-            acc: partial,
-            absorbed,
             kernel,
         }
     }
@@ -80,22 +68,6 @@ impl ParityAccum {
         Ok(())
     }
 
-    /// Folds several sources in one fused kernel pass (the destination tile
-    /// stays in L1 across all sources, as in the one-shot encode).
-    ///
-    /// # Errors
-    ///
-    /// [`Error::ShardLengthMismatch`] if any source length differs from the
-    /// accumulator's.
-    pub fn absorb_many(&mut self, srcs: &[(&[u8], u8)]) -> Result<()> {
-        if srcs.iter().any(|(s, _)| s.len() != self.acc.len()) {
-            return Err(Error::ShardLengthMismatch);
-        }
-        self.kernel.mul_acc_many(&mut self.acc, srcs);
-        self.absorbed += srcs.len();
-        Ok(())
-    }
-
     /// Merges another partial into this one (`acc ⊕= other.acc`): the GF
     /// sum of two disjoint partial folds is the fold of the union.
     ///
@@ -111,11 +83,6 @@ impl ParityAccum {
         }
         self.absorbed += other.absorbed;
         Ok(())
-    }
-
-    /// Surrenders the partial bytes (for shipping to the next hop).
-    pub fn into_partial(self) -> Vec<u8> {
-        self.acc
     }
 
     /// Closes the fold, checking that exactly `expected` sources were
@@ -165,16 +132,6 @@ impl StripeEncoder {
                 .collect(),
             absorbed: vec![false; rs.params().k()],
         }
-    }
-
-    /// Whether source shard `index` has been folded in yet.
-    pub fn has_absorbed(&self, index: usize) -> bool {
-        self.absorbed.get(index).copied().unwrap_or(false)
-    }
-
-    /// Number of source shards folded in so far.
-    pub fn absorbed_count(&self) -> usize {
-        self.absorbed.iter().filter(|&&a| a).count()
     }
 
     /// Whether every source shard has been folded in.
@@ -365,29 +322,7 @@ mod tests {
     }
 
     #[test]
-    fn partial_travel_resumes_bit_identical() {
-        let rs = ReedSolomon::new(ErasureParams::new(6, 4).unwrap());
-        let data = shards(4, 256, 42);
-        let expected = rs.encode(&data).unwrap();
-        let coeffs = rs.parity_matrix();
-
-        // Row 0 of parity, folded across a simulated two-hop pipeline: the
-        // partial bytes travel, the accumulator resumes on the "next node".
-        let mut hop1 = ParityAccum::new(rs.kernel(), 256);
-        hop1.absorb_many(&[
-            (&data[0], coeffs.get(0, 0)),
-            (&data[1], coeffs.get(0, 1)),
-        ])
-        .unwrap();
-        let travelled = hop1.into_partial();
-        let mut hop2 = ParityAccum::from_partial(rs.kernel(), travelled, 2);
-        hop2.absorb(coeffs.get(0, 2), &data[2]).unwrap();
-        hop2.absorb(coeffs.get(0, 3), &data[3]).unwrap();
-        assert_eq!(hop2.finish(4).unwrap(), expected[0]);
-    }
-
-    #[test]
-    fn rack_folded_repair_matches_direct_reconstruction() {
+    fn rack_folded_repair_rebuilds_every_shard() {
         let rs = ReedSolomon::new(ErasureParams::new(9, 6).unwrap());
         let data = shards(6, 512, 3);
         let parity = rs.encode(&data).unwrap();

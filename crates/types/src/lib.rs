@@ -41,8 +41,8 @@ pub use error::{Error, Result};
 pub use health::{HealStats, NodeHealth};
 pub use ids::{BlockId, NodeId, RackId, StripeId};
 pub use params::{
-    CacheConfig, DurabilityConfig, EarConfig, EncodePath, ErasureParams, RackSpread,
-    RepairPath, ReplicationConfig, StoreBackend,
+    CacheConfig, DurabilityConfig, EarConfig, ErasureParams, RackSpread, ReplicationConfig,
+    StoreBackend,
 };
 pub use topology::ClusterTopology;
 pub use units::{Bandwidth, ByteSize};

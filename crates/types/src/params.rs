@@ -373,103 +373,6 @@ impl StoreBackend {
     }
 }
 
-/// Which data path `RaidNode::encode_all` uses to build parity.
-///
-/// Selected per cluster through `ClusterConfig`; the conventional default is
-/// [`EncodePath::from_env`], which reads the `EAR_ENCODE_PATH` environment
-/// variable so the whole test suite can be flipped between paths without
-/// code changes (mirroring `EAR_STORE` / `EAR_CACHE`). Both paths produce
-/// bit-identical parity and metadata — they differ only in how the source
-/// bytes travel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum EncodePath {
-    /// Legacy gather-then-encode: every source block is downloaded to the
-    /// encoding node, which runs the full Reed–Solomon encode in one pass.
-    #[default]
-    Gather,
-    /// Streaming shard pipeline (RapidRAID-style): sources are folded into
-    /// running partial parities rack-major, node to node, so each source
-    /// rack ships at most `min(sources_in_rack, m)` blocks across the rack
-    /// boundary and no single node has to ingest all `k` sources.
-    Pipelined,
-}
-
-impl EncodePath {
-    /// Reads the path from the `EAR_ENCODE_PATH` environment variable
-    /// (`gather` or `pipelined`, case-insensitive). Unset defaults to
-    /// [`EncodePath::Gather`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unrecognised value: a typo silently falling back to the
-    /// default would invalidate a "tested under both paths" claim.
-    pub fn from_env() -> Self {
-        match std::env::var("EAR_ENCODE_PATH") {
-            Ok(v) if v.eq_ignore_ascii_case("gather") => EncodePath::Gather,
-            Ok(v) if v.eq_ignore_ascii_case("pipelined") => EncodePath::Pipelined,
-            Ok(v) => panic!("EAR_ENCODE_PATH must be `gather` or `pipelined`, got `{v}`"),
-            Err(_) => EncodePath::Gather,
-        }
-    }
-
-    /// Stable lowercase label (`"gather"` / `"pipelined"`) for stats and
-    /// bench output.
-    pub fn name(self) -> &'static str {
-        match self {
-            EncodePath::Gather => "gather",
-            EncodePath::Pipelined => "pipelined",
-        }
-    }
-}
-
-/// Which data path stripe repair uses to rebuild a lost shard.
-///
-/// Selected per cluster through `ClusterConfig`; the conventional default is
-/// [`RepairPath::from_env`], which reads the `EAR_REPAIR_PATH` environment
-/// variable. Both paths reconstruct byte-identical shards — they differ
-/// only in how the surviving shards travel to the recovery node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum RepairPath {
-    /// Legacy direct repair: the recovery node pulls each of the `k` chosen
-    /// surviving shards point-to-point, paying one cross-rack block per
-    /// remote shard.
-    #[default]
-    Direct,
-    /// Two-phase rack-aware repair: each source rack with ≥ 2 chosen
-    /// survivors GF-folds them locally at an aggregator node, so only one
-    /// partial crosses the rack boundary per source rack — a strict
-    /// cross-rack reduction whenever `c > 1` co-locates survivors.
-    RackAware,
-}
-
-impl RepairPath {
-    /// Reads the path from the `EAR_REPAIR_PATH` environment variable
-    /// (`direct` or `rack_aware`, case-insensitive). Unset defaults to
-    /// [`RepairPath::Direct`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unrecognised value: a typo silently falling back to the
-    /// default would invalidate a "tested under both paths" claim.
-    pub fn from_env() -> Self {
-        match std::env::var("EAR_REPAIR_PATH") {
-            Ok(v) if v.eq_ignore_ascii_case("direct") => RepairPath::Direct,
-            Ok(v) if v.eq_ignore_ascii_case("rack_aware") => RepairPath::RackAware,
-            Ok(v) => panic!("EAR_REPAIR_PATH must be `direct` or `rack_aware`, got `{v}`"),
-            Err(_) => RepairPath::Direct,
-        }
-    }
-
-    /// Stable lowercase label (`"direct"` / `"rack_aware"`) for stats and
-    /// bench output.
-    pub fn name(self) -> &'static str {
-        match self {
-            RepairPath::Direct => "direct",
-            RepairPath::RackAware => "rack_aware",
-        }
-    }
-}
-
 /// Durability knobs of a cluster (DESIGN.md §13).
 ///
 /// With `data_dir` unset (the default) the cluster is volatile, exactly as

@@ -30,8 +30,6 @@ fn run_config(c: usize, target_racks: Option<usize>) -> Result<(), Box<dyn std::
         cache: CacheConfig::from_env(),
         durability: Default::default(),
         reliability: Default::default(),
-        encode_path: ear::types::EncodePath::from_env(),
-        repair_path: ear::types::RepairPath::from_env(),
     };
     let cfs = MiniCfs::new(cfg)?;
 

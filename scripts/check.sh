@@ -45,12 +45,9 @@ cargo clippy --workspace --offline -- -D warnings
 cargo run -q --release --offline -p ear-cli -- chaos --plans 5 --seed 0 --profile mixed
 cargo run -q --release --offline -p ear-cli -- chaos --plans 2 --seed 0 --profile mixed --store file
 cargo run -q --release --offline -p ear-cli -- chaos --plans 2 --seed 0 --profile mixed --store extent
-# Data-path smoke (DESIGN.md §15): the pipelined encode chain and the
-# two-phase rack-aware repair plan under the same fixed-seed sweep, both
-# via the env knobs and via the CLI flags.
-EAR_ENCODE_PATH=pipelined cargo run -q --release --offline -p ear-cli -- chaos --plans 2 --seed 0 --profile mixed
-EAR_REPAIR_PATH=rack_aware cargo run -q --release --offline -p ear-cli -- chaos --plans 2 --seed 0 --profile mixed
-cargo run -q --release --offline -p ear-cli -- heal --plans 2 --seed 0 --encode-path pipelined --repair-path rack_aware
+# Heal smoke: seeded mid-run kills repaired by the background healer
+# (DESIGN.md §10); any block left under-redundant fails the run.
+cargo run -q --release --offline -p ear-cli -- heal --plans 2 --seed 0
 # Straggler-heavy hedged-read smoke (DESIGN.md §14): Pareto per-attempt
 # delays with hedging on — prints the probe-read tail percentiles and the
 # hedges launched/won; any lost block or untyped failure fails the run.
@@ -59,3 +56,7 @@ cargo run -q --release --offline -p ear-cli -- chaos --plans 3 --seed 0 --stragg
 # layer's three surfaces (DESIGN.md §13). Failures name (seed, kill) to
 # replay with `ear crashsim --surface <s> --seed <n> --kills 1`.
 cargo run -q --release --offline -p ear-cli -- crashsim --seeds 4 --kills 8
+# The benchmark harness's own unit tests (benchmark/README.md): they build
+# the harness against this tree, so a change that breaks its API contract
+# fails here instead of in the benchmark run.
+benchmark/run.sh --test

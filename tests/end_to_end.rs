@@ -96,8 +96,6 @@ fn full_pipeline_survives_node_failures() {
         cache: CacheConfig::from_env(),
         durability: Default::default(),
         reliability: Default::default(),
-        encode_path: ear::types::EncodePath::from_env(),
-        repair_path: ear::types::RepairPath::from_env(),
     };
     let cfs = MiniCfs::new(cfg).unwrap();
     let mut originals = Vec::new();
@@ -160,8 +158,6 @@ fn storage_overhead_drops_from_replication_to_erasure_coding() {
         cache: CacheConfig::from_env(),
         durability: Default::default(),
         reliability: Default::default(),
-        encode_path: ear::types::EncodePath::from_env(),
-        repair_path: ear::types::RepairPath::from_env(),
     };
     let cfs = MiniCfs::new(cfg).unwrap();
     for i in 0..8u64 {

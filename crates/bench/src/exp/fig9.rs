@@ -9,10 +9,10 @@
 use crate::{Scale, Table};
 use ear_cluster::{ClusterConfig, ClusterPolicy, MiniCfs, RaidNode};
 use ear_types::{ByteSize, EarConfig, ErasureParams, NodeId, ReplicationConfig, Result};
-use parking_lot::Mutex;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 /// The measurements for one policy.
@@ -60,22 +60,19 @@ pub fn measure(policy: ClusterPolicy, scale: Scale, seed: u64) -> Result<WriteDu
     // warm-up.
     let warmup = scale.pick(0.5, 3.0);
     let write_rate = scale.pick(8.0, 4.0); // requests/second
-    let responses: Mutex<Vec<(f64, f64)>> = Mutex::new(Vec::new());
     let start = Instant::now();
-    let encode_done = Mutex::new(None::<f64>);
+    let stop = AtomicBool::new(false);
 
     let name = match policy {
         ClusterPolicy::Rr => "rr",
         ClusterPolicy::Ear => "ear",
     };
-    let encode_seconds = std::thread::scope(|scope| -> Result<f64> {
-        let writer = scope.spawn(|| -> Result<()> {
+    let (encode_seconds, end, samples) = std::thread::scope(|scope| {
+        let writer = scope.spawn(|| -> Result<Vec<(f64, f64)>> {
             let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xBEEF);
             let mut tag = 1_000_000u64;
-            loop {
-                if encode_done.lock().is_some() {
-                    return Ok(());
-                }
+            let mut responses = Vec::new();
+            while !stop.load(Ordering::SeqCst) {
                 let gap = -(1.0 - rng.gen::<f64>()).ln() / write_rate;
                 std::thread::sleep(std::time::Duration::from_secs_f64(gap));
                 let arrival = start.elapsed().as_secs_f64();
@@ -84,24 +81,27 @@ pub fn measure(policy: ClusterPolicy, scale: Scale, seed: u64) -> Result<WriteDu
                 tag += 1;
                 cfs.write_block(client, data)?;
                 let resp = start.elapsed().as_secs_f64() - arrival;
-                responses.lock().push((arrival, resp));
+                responses.push((arrival, resp));
             }
+            Ok(responses)
         });
 
         std::thread::sleep(std::time::Duration::from_secs_f64(warmup));
         let enc_start = Instant::now();
-        let (_stats, _reloc) = RaidNode::encode_all(&cfs, 12)?;
+        let encoded = RaidNode::encode_all(&cfs, 12);
         let secs = enc_start.elapsed().as_secs_f64();
-        *encode_done.lock() = Some(start.elapsed().as_secs_f64());
-        writer
+        let end = start.elapsed().as_secs_f64();
+        // Stop the writer before looking at the encode result: an early
+        // return here would leave the scope joining a writer that never ends.
+        stop.store(true, Ordering::SeqCst);
+        let samples = writer
             .join()
             .map_err(|_| ear_types::Error::Invariant("writer panicked".into()))??;
-        Ok(secs)
+        encoded?;
+        Ok::<_, ear_types::Error>((secs, end, samples))
     })?;
 
-    let samples = responses.into_inner();
     let split = warmup;
-    let end = encode_done.into_inner().unwrap_or(f64::MAX);
     let mean = |xs: Vec<f64>| -> f64 {
         if xs.is_empty() {
             0.0

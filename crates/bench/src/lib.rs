@@ -4,9 +4,10 @@
 //! Each `exp::figNN` module exposes a `run(Scale) -> String` function that
 //! executes the experiment and renders the same rows/series the paper
 //! reports. The binaries in `src/bin/` print the full-scale versions;
-//! the bench targets in `benches/` run the [`Scale::Quick`] versions so
-//! `cargo bench` touches every experiment; `EXPERIMENTS.md` records
-//! paper-reported vs measured values.
+//! the `harness = false` bench targets in `benches/` run the
+//! [`Scale::Quick`] versions so `cargo bench` touches every experiment;
+//! `EXPERIMENTS.md` records paper-reported vs measured values. Performance
+//! is measured by the repo-level `benchmark/` crate, not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -37,10 +37,10 @@ USAGE:
   ear analyze crossrack --racks R --k K
   ear analyze theorem1 --racks R --c C --k K
   ear chaos    [--policy rr|ear|both] [--plans N] [--seed S]
-               [--profile light|heavy|mixed] [--store memory|file|extent]
+               [--profile light|heavy|mixed] [--store memory|extent]
                [--stragglers] [--no-hedge]
   ear heal     [--plans N] [--seed S] [--kills K] [--stripes S]
-               [--max-rounds R] [--byte-budget B] [--store memory|file|extent]
+               [--max-rounds R] [--byte-budget B] [--store memory|extent]
   ear crashsim [--surface wal|checkpoint|extent|all] [--seeds N] [--kills K]
                [--seed S]
   ear recover  --dir PATH [--n N] [--k K] [--c C]
@@ -134,7 +134,6 @@ fn store_backend(args: &Args) -> Result<StoreBackend, ArgError> {
     match args.get("store") {
         None => Ok(StoreBackend::from_env()),
         Some("memory") => Ok(StoreBackend::Memory),
-        Some("file") => Ok(StoreBackend::File),
         Some("extent") => Ok(StoreBackend::Extent),
         Some(other) => Err(ArgError(format!("unknown store backend: {other}"))),
     }
@@ -430,7 +429,6 @@ fn recover(args: &Args) -> Result<String, Box<dyn std::error::Error>> {
     };
     let store = match field("store")?.as_str() {
         "memory" => StoreBackend::Memory,
-        "file" => StoreBackend::File,
         "extent" => StoreBackend::Extent,
         other => return Err(Box::new(ArgError(format!("MANIFEST store: {other}")))),
     };
@@ -619,16 +617,6 @@ mod tests {
     }
 
     #[test]
-    fn chaos_accepts_store_flag() {
-        let out = run_words(&[
-            "chaos", "--plans", "1", "--policy", "ear", "--profile", "light", "--store", "file",
-        ])
-        .unwrap();
-        assert!(out.contains("PASS"), "{out}");
-        assert!(run_words(&["heal", "--plans", "1", "--store", "bogus"]).is_err());
-    }
-
-    #[test]
     fn unknown_commands_error() {
         assert!(run_words(&["frobnicate"]).is_err());
         assert!(run_words(&["experiment", "fig99"]).is_err());
@@ -661,6 +649,21 @@ mod tests {
         ])
         .unwrap();
         assert!(out.contains("PASS"), "{out}");
+        assert!(run_words(&["heal", "--plans", "1", "--store", "bogus"]).is_err());
+    }
+
+    #[test]
+    fn retired_file_store_is_rejected_by_name() {
+        // `file` is outside input like any other unknown value: the flag
+        // and a MANIFEST written by an older version both name it.
+        let err = run_words(&["chaos", "--plans", "1", "--store", "file"]).unwrap_err();
+        assert_eq!(err.to_string(), "unknown store backend: file");
+        let dir = std::env::temp_dir().join(format!("ear-cli-oldstore-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("MANIFEST"), "store=file\npolicy=ear\n").unwrap();
+        let err = run_words(&["recover", "--dir", dir.to_str().unwrap()]).unwrap_err();
+        assert_eq!(err.to_string(), "MANIFEST store: file");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -692,7 +695,7 @@ mod tests {
             ear,
             policy: ClusterPolicy::Ear,
             seed: 5,
-            store: StoreBackend::File,
+            store: StoreBackend::Extent,
             cache: CacheConfig::default(),
             durability: DurabilityConfig::at(&dir),
             reliability: Default::default(),
@@ -707,7 +710,7 @@ mod tests {
         }
         let out = run_words(&["recover", "--dir", dir.to_str().unwrap()]).unwrap();
         assert!(out.contains("blocks: 6"), "{out}");
-        assert!(out.contains("file backend"), "{out}");
+        assert!(out.contains("extent backend"), "{out}");
         assert!(run_words(&["recover"]).is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -3,31 +3,24 @@
 //! [`BlockStore`] is the seam between a DataNode's protocol surface and how
 //! the replica bytes actually live on the machine. Payloads cross the seam
 //! as [`Block`]s — shared immutable buffers — so a read never copies bytes
-//! it can reference. Two backends ship:
+//! it can reference. Two engines implement it:
 //!
-//! * [`ShardedMemStore`] — lock-striped in-memory `HashMap`s. Reads clone
-//!   the stored `Block` (three words), so replicas of the same block share
-//!   memory across nodes and a reader never copies payload bytes.
-//! * [`FileStore`] — one file per block under a per-store temp root
-//!   (`<root>/<block>.blk`, a 4-byte little-endian CRC32C header followed by
-//!   the payload), so the testbed exercises real I/O syscalls. A read pulls
-//!   the whole image into one buffer and returns the payload as a
-//!   zero-copy sub-slice of it; a write streams header and payload through
-//!   one `File` handle instead of assembling a joined copy. The root is
-//!   removed when the store is dropped.
+//! * [`ShardedMemStore`] (here) — the volatile engine: lock-striped
+//!   in-memory `HashMap`s. Reads clone the stored `Block` (three words), so
+//!   replicas of the same block share memory across nodes and a reader
+//!   never copies payload bytes.
+//! * [`ExtentStore`](crate::ExtentStore) ([`crate::extent`]) — the durable
+//!   engine: blocks packed into segment files, so the testbed exercises
+//!   real I/O syscalls and a cluster survives a restart.
 //!
 //! Both keep the write-time CRC32C next to the bytes — the cluster's
 //! end-to-end corruption check ([`crate::MiniCfs`]'s read path) re-hashes
 //! what it received and compares against this stored value.
 
+use crate::sync::Mutex;
 use ear_types::{Block, BlockId, Error, Result, StoreBackend};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
-use std::fs;
-use std::io::Write;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of lock stripes per store. A power of two so the shard index is a
 /// shift of the mixed key; 16 stripes keep contention negligible for the
@@ -52,8 +45,8 @@ pub trait BlockStore: Send + Sync + fmt::Debug {
     ///
     /// # Errors
     ///
-    /// [`Error::Io`] if the backing medium rejects the write (file backend
-    /// only; the memory backend is infallible).
+    /// [`Error::Io`] if the backing medium rejects the write (extent
+    /// backend only; the memory backend is infallible).
     fn put(&self, block: BlockId, data: Block, crc: u32) -> Result<()>;
 
     /// Fetches a block replica together with its write-time CRC32C.
@@ -157,273 +150,15 @@ impl BlockStore for ShardedMemStore {
     }
 }
 
-/// Process-wide counter making every [`FileStore`] root unique, so parallel
-/// tests and clusters never collide under the shared temp directory.
-static STORE_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// Metadata the file backend keeps in memory per block: the write-time CRC
-/// and payload length, so `stored_crc`/`bytes_stored`/`contains` answer
-/// without touching the disk.
-#[derive(Debug, Clone, Copy)]
-struct FileMeta {
-    crc: u32,
-    len: u64,
-}
-
-/// The file-backed backend: one file per block under a unique temp root.
-///
-/// Each block is written to `<root>/<id>.blk.tmp` and atomically renamed to
-/// `<root>/<id>.blk`, so a concurrent reader sees either the old or the new
-/// complete replica, never a torn one. The file layout is a 4-byte
-/// little-endian CRC32C header followed by the payload — the checksum
-/// travels with the bytes, as HDFS keeps block checksums on disk. The whole
-/// root is removed on drop.
-#[derive(Debug)]
-pub struct FileStore {
-    root: PathBuf,
-    index: Vec<Mutex<HashMap<BlockId, FileMeta>>>,
-    /// Persistent stores keep their root on drop and recover it on open.
-    persistent: bool,
-    /// Synchronous stores fsync file and directory before acknowledging.
-    sync: bool,
-}
-
-impl FileStore {
-    /// Creates an empty store rooted at a fresh unique directory under the
-    /// system temp dir.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Io`] if the root directory cannot be created.
-    pub fn new(label: &str) -> Result<Self> {
-        let seq = STORE_SEQ.fetch_add(1, Ordering::Relaxed);
-        let root = std::env::temp_dir().join(format!(
-            "ear-store-{}-{}-{}",
-            std::process::id(),
-            seq,
-            label
-        ));
-        fs::create_dir_all(&root).map_err(|e| Error::Io {
-            context: format!("create {}: {e}", root.display()),
-        })?;
-        Ok(FileStore {
-            root,
-            index: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            persistent: false,
-            sync: false,
-        })
-    }
-
-    /// Opens (or creates) a persistent store rooted at `root`, rebuilding
-    /// the in-memory index from the `<id>.blk` files found there. Stale
-    /// `.tmp` files (a write cut before its rename) and short files are
-    /// removed — the rename protocol means they were never acknowledged.
-    /// The root is kept on drop.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Io`] if the directory cannot be created or scanned.
-    pub fn open_at(root: &std::path::Path, sync: bool) -> Result<Self> {
-        fs::create_dir_all(root).map_err(|e| Error::Io {
-            context: format!("create {}: {e}", root.display()),
-        })?;
-        let store = FileStore {
-            root: root.to_path_buf(),
-            index: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            persistent: true,
-            sync,
-        };
-        let entries = fs::read_dir(root).map_err(|e| Error::Io {
-            context: format!("scan {}: {e}", root.display()),
-        })?;
-        for entry in entries {
-            let entry = entry.map_err(|e| Error::Io {
-                context: format!("scan {}: {e}", root.display()),
-            })?;
-            let path = entry.path();
-            let name = entry.file_name().to_string_lossy().into_owned();
-            if name.ends_with(".tmp") {
-                remove_stale(&path)?;
-                continue;
-            }
-            let Some(id) = name
-                .strip_suffix(".blk")
-                .and_then(|s| s.parse::<u64>().ok())
-            else {
-                continue;
-            };
-            let bytes = fs::read(&path).map_err(|e| Error::Io {
-                context: format!("read {}: {e}", path.display()),
-            })?;
-            let Some(hdr) = bytes.get(0..4) else {
-                // Shorter than its own header: never a committed block.
-                remove_stale(&path)?;
-                continue;
-            };
-            let mut crc = [0u8; 4];
-            crc.copy_from_slice(hdr);
-            let block = BlockId(id);
-            store.stripe_for(block).lock().insert(
-                block,
-                FileMeta {
-                    crc: u32::from_le_bytes(crc),
-                    len: bytes.len() as u64 - 4,
-                },
-            );
-        }
-        Ok(store)
-    }
-
-    /// The temp root this store writes under (removed on drop).
-    pub fn root(&self) -> &std::path::Path {
-        &self.root
-    }
-
-    fn path_of(&self, block: BlockId) -> PathBuf {
-        self.root.join(format!("{}.blk", block.0))
-    }
-
-    /// The index stripe owning `block`; same provably-in-range subscript as
-    /// [`ShardedMemStore::stripe_for`].
-    fn stripe_for(&self, block: BlockId) -> &Mutex<HashMap<BlockId, FileMeta>> {
-        &self.index[shard_of(block)]
-    }
-}
-
-/// Removes a stale artifact (interrupted-write `.tmp`, headerless block)
-/// found while scanning a store directory. Already-gone is success; any
-/// other failure is propagated — a scan that cannot clean what it found
-/// would replay the same junk on every reopen.
-fn remove_stale(path: &std::path::Path) -> Result<()> {
-    match fs::remove_file(path) {
-        Ok(()) => Ok(()),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-        Err(e) => Err(Error::Io {
-            context: format!("remove stale {}: {e}", path.display()),
-        }),
-    }
-}
-
-impl Drop for FileStore {
-    fn drop(&mut self) {
-        // Best-effort: the root lives under the OS temp dir, so anything a
-        // dying process leaks is reclaimed by the host eventually anyway.
-        // Persistent stores are the whole point of the durability layer —
-        // their root stays.
-        if !self.persistent {
-            let _ = fs::remove_dir_all(&self.root);
-        }
-    }
-}
-
-impl BlockStore for FileStore {
-    fn put(&self, block: BlockId, data: Block, crc: u32) -> Result<()> {
-        let path = self.path_of(block);
-        let tmp = self.root.join(format!("{}.blk.tmp", block.0));
-        // Header and payload go through one handle: no `Vec` holding a
-        // joined copy of the whole block ever exists.
-        let write = fs::File::create(&tmp).and_then(|mut f| {
-            f.write_all(&crc.to_le_bytes())?;
-            f.write_all(&data)?;
-            if self.sync {
-                f.sync_all()?;
-            }
-            Ok(())
-        });
-        write.map_err(|e| Error::Io {
-            context: format!("write {}: {e}", tmp.display()),
-        })?;
-        fs::rename(&tmp, &path).map_err(|e| Error::Io {
-            context: format!("rename {}: {e}", path.display()),
-        })?;
-        if self.sync {
-            fs::File::open(&self.root)
-                .and_then(|d| d.sync_all())
-                .map_err(|e| Error::Io {
-                    context: format!("fsync {}: {e}", self.root.display()),
-                })?;
-        }
-        self.stripe_for(block).lock().insert(
-            block,
-            FileMeta {
-                crc,
-                len: data.len() as u64,
-            },
-        );
-        Ok(())
-    }
-
-    fn get_with_crc(&self, block: BlockId) -> Option<(Block, u32)> {
-        // The index is consulted first so a deleted block never hits the
-        // disk; the read itself runs outside any lock.
-        self.stripe_for(block).lock().get(&block)?;
-        let bytes = fs::read(self.path_of(block)).ok()?;
-        if bytes.len() < 4 {
-            return None;
-        }
-        let crc = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
-        // The payload is a sub-slice of the single on-disk image read —
-        // shared allocation, no second copy.
-        let image = Block::from(bytes);
-        Some((image.suffix(4)?, crc))
-    }
-
-    fn stored_crc(&self, block: BlockId) -> Option<u32> {
-        self.stripe_for(block).lock().get(&block).map(|m| m.crc)
-    }
-
-    fn delete(&self, block: BlockId) -> bool {
-        let mut shard = self.stripe_for(block).lock();
-        if !shard.contains_key(&block) {
-            return false;
-        }
-        match fs::remove_file(self.path_of(block)) {
-            Ok(()) => {
-                shard.remove(&block);
-                true
-            }
-            // An already-missing file still deletes cleanly: the index entry
-            // was the last thing making the block visible.
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                shard.remove(&block);
-                true
-            }
-            // The bytes are still on disk and the unlink failed: keep the
-            // index entry so the store stays honest about what it holds,
-            // and report the delete as not done.
-            Err(_) => false,
-        }
-    }
-
-    fn contains(&self, block: BlockId) -> bool {
-        self.stripe_for(block).lock().contains_key(&block)
-    }
-
-    fn block_count(&self) -> usize {
-        self.index.iter().map(|s| s.lock().len()).sum()
-    }
-
-    fn bytes_stored(&self) -> u64 {
-        self.index
-            .iter()
-            .map(|s| s.lock().values().map(|m| m.len).sum::<u64>())
-            .sum()
-    }
-
-    fn backend(&self) -> StoreBackend {
-        StoreBackend::File
-    }
-}
-
-/// Builds a store of the requested backend (`label` names the file root).
+/// Builds a store of the requested backend (`label` names the extent
+/// backend's temp root).
 ///
 /// # Errors
 ///
-/// [`Error::Io`] if the file or extent backend cannot create its root.
+/// [`Error::Io`] if the extent backend cannot create its root.
 pub fn open_store(backend: StoreBackend, label: &str) -> Result<Box<dyn BlockStore>> {
     Ok(match backend {
         StoreBackend::Memory => Box::new(ShardedMemStore::new()),
-        StoreBackend::File => Box::new(FileStore::new(label)?),
         StoreBackend::Extent => Box::new(crate::extent::ExtentStore::new(label)?),
     })
 }
@@ -444,13 +179,10 @@ pub fn open_store_at(
     root: &std::path::Path,
     sync: bool,
 ) -> Result<Box<dyn BlockStore>> {
-    Ok(match backend {
-        StoreBackend::Memory => {
-            return Err(Error::NotDurable { backend: "memory" });
-        }
-        StoreBackend::File => Box::new(FileStore::open_at(root, sync)?),
-        StoreBackend::Extent => Box::new(crate::extent::ExtentStore::open_at(root, sync)?),
-    })
+    match backend {
+        StoreBackend::Memory => Err(Error::NotDurable { backend: "memory" }),
+        StoreBackend::Extent => Ok(Box::new(crate::extent::ExtentStore::open_at(root, sync)?)),
+    }
 }
 
 #[cfg(test)]
@@ -458,7 +190,10 @@ mod tests {
     use super::*;
     use ear_faults::crc32c;
 
-    fn roundtrip(store: &dyn BlockStore) {
+    #[test]
+    fn memory_roundtrip() {
+        let store = ShardedMemStore::new();
+        assert_eq!(store.backend(), StoreBackend::Memory);
         let data = Block::from(vec![7u8; 500]);
         let crc = crc32c(&data);
         store.put(BlockId(42), data.clone(), crc).unwrap();
@@ -477,20 +212,6 @@ mod tests {
     }
 
     #[test]
-    fn memory_roundtrip() {
-        let s = ShardedMemStore::new();
-        roundtrip(&s);
-        assert_eq!(s.backend(), StoreBackend::Memory);
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let s = FileStore::new("t0").unwrap();
-        roundtrip(&s);
-        assert_eq!(s.backend(), StoreBackend::File);
-    }
-
-    #[test]
     fn memory_reads_share_the_stored_allocation() {
         // The zero-copy contract of the memory backend: what `get` returns
         // views the very buffer `put` stored.
@@ -502,89 +223,9 @@ mod tests {
     }
 
     #[test]
-    fn file_reads_slice_the_single_disk_image() {
-        // The zero-copy contract of the file backend: one `fs::read`, and
-        // the returned payload is a sub-view of that image (offset past the
-        // 4-byte header), not a second copy.
-        let s = FileStore::new("t2").unwrap();
-        let data = Block::from(vec![0x5Au8; 300]);
-        s.put(BlockId(9), data.clone(), crc32c(&data)).unwrap();
-        let (a, crc) = s.get_with_crc(BlockId(9)).unwrap();
-        let (b, _) = s.get_with_crc(BlockId(9)).unwrap();
-        assert_eq!(a.as_slice(), data.as_slice());
-        assert_eq!(crc, crc32c(&data));
-        assert_eq!(a.len(), 300);
-        assert!(!a.shares_buffer(&b), "each read is its own disk image");
-        // A clone of one read shares; this pins that the sub-slice kept
-        // the allocation instead of copying out of it.
-        let c = a.clone();
-        assert!(c.shares_buffer(&a));
-        assert_eq!(a.ref_count(), 2);
-    }
-
-    #[test]
-    fn file_store_persists_bytes_on_disk_and_cleans_up() {
-        let s = FileStore::new("t1").unwrap();
-        let root = s.root().to_path_buf();
-        let data = Block::from(vec![0xA5u8; 128]);
-        s.put(BlockId(7), data.clone(), crc32c(&data)).unwrap();
-        let on_disk = fs::read(root.join("7.blk")).unwrap();
-        assert_eq!(on_disk.len(), 4 + 128, "crc header plus payload");
-        assert_eq!(&on_disk[4..], data.as_slice());
-        drop(s);
-        assert!(!root.exists(), "temp root must be removed on drop");
-    }
-
-    #[test]
-    fn file_roots_are_unique_per_store() {
-        let a = FileStore::new("dup").unwrap();
-        let b = FileStore::new("dup").unwrap();
-        assert_ne!(a.root(), b.root());
-    }
-
-    #[test]
     fn sequential_ids_spread_over_shards() {
         let hit: std::collections::HashSet<usize> =
             (0..64u64).map(|i| shard_of(BlockId(i))).collect();
         assert!(hit.len() > SHARDS / 2, "dense ids must stripe: {hit:?}");
-    }
-
-    #[test]
-    fn file_delete_of_externally_removed_block_still_deletes() {
-        // Pin: an already-unlinked file (NotFound) is a clean delete —
-        // the index entry was the last thing making the block visible.
-        let s = FileStore::new("t3").unwrap();
-        let data = Block::from(vec![1u8; 64]);
-        s.put(BlockId(5), data.clone(), crc32c(&data)).unwrap();
-        fs::remove_file(s.path_of(BlockId(5))).unwrap();
-        assert!(s.delete(BlockId(5)), "NotFound unlink still deletes");
-        assert!(!s.contains(BlockId(5)));
-        assert!(!s.delete(BlockId(5)), "second delete finds nothing");
-    }
-
-    #[test]
-    fn open_scan_cleans_stale_artifacts_and_keeps_committed_blocks() {
-        // Pin: reopen removes interrupted-write `.tmp` files and headerless
-        // blocks (and errors no longer vanish via `let _` — remove_stale
-        // propagates anything but NotFound), while committed blocks index.
-        let root = std::env::temp_dir().join(format!(
-            "ear-store-scan-{}-{}",
-            std::process::id(),
-            STORE_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        {
-            let s = FileStore::open_at(&root, true).unwrap();
-            let data = Block::from(vec![2u8; 32]);
-            s.put(BlockId(1), data.clone(), crc32c(&data)).unwrap();
-        }
-        fs::write(root.join("9.blk.tmp"), b"torn write").unwrap();
-        fs::write(root.join("8.blk"), [0u8; 2]).unwrap();
-        let s = FileStore::open_at(&root, true).unwrap();
-        assert!(s.contains(BlockId(1)), "committed block survives reopen");
-        assert!(!s.contains(BlockId(8)));
-        assert!(!root.join("9.blk.tmp").exists(), "stale tmp removed");
-        assert!(!root.join("8.blk").exists(), "headerless block removed");
-        drop(s);
-        fs::remove_dir_all(&root).unwrap();
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! Sits in front of a node's [`crate::blockstore::BlockStore`] and keeps
 //! recently served replicas in memory as shared [`Block`]s, so a cache-hot
-//! read skips the backend entirely (for the file backend: the `fs::read`
-//! syscall and the disk image copy). Together with the verified-once CRC
+//! read skips the backend entirely (for the extent backend: the `pread`
+//! syscall and the copy out of the segment). Together with the verified-once CRC
 //! seam in [`crate::ClusterIo`], a hit also skips re-running CRC32C over
 //! the payload — the dominant cost of the read path at testbed block sizes.
 //!
@@ -33,8 +33,8 @@
 //! exactly the bytes the store holds — which is why chaos/heal soak
 //! reports are bit-identical with the cache off or on.
 
+use crate::sync::Mutex;
 use ear_types::{Block, BlockId, CacheConfig};
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, VecDeque};
 
 /// Maximum entries the metadata level retains after data eviction. Bounded

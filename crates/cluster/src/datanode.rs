@@ -1,5 +1,5 @@
 //! The DataNode: one emulated machine's block service over a pluggable
-//! [`BlockStore`] backend (memory or file-backed; DESIGN.md §9), fronted
+//! [`BlockStore`] backend (memory or extent; DESIGN.md §9), fronted
 //! by an optional [`BlockCache`] (DESIGN.md §12).
 
 use crate::blockstore::{open_store, open_store_at, BlockStore, ShardedMemStore};
@@ -26,7 +26,7 @@ pub struct CachedRead {
 /// One DataNode's block storage. The protocol surface (put/get/delete plus
 /// write-time CRC32C bookkeeping) is fixed; where the bytes live is the
 /// backend's business — reference-counted buffers for
-/// [`StoreBackend::Memory`], a file per block for [`StoreBackend::File`].
+/// [`StoreBackend::Memory`], segment files for [`StoreBackend::Extent`].
 /// Every replica carries the CRC32C of its bytes at `put` time; readers
 /// compare it against what they actually received to catch silent
 /// corruption.
@@ -66,8 +66,8 @@ impl DataNode {
     ///
     /// # Errors
     ///
-    /// [`ear_types::Error::Io`] if the file backend cannot create its temp
-    /// root.
+    /// [`ear_types::Error::Io`] if the extent backend cannot create its
+    /// temp root.
     pub fn with_backend(
         id: NodeId,
         backend: StoreBackend,
@@ -122,7 +122,7 @@ impl DataNode {
     /// # Errors
     ///
     /// [`ear_types::Error::Io`] if the backend cannot persist the bytes
-    /// (file backend only).
+    /// (extent backend only).
     pub fn put(&self, block: BlockId, data: Block) -> Result<()> {
         let crc = crc32c(&data);
         if let Some(c) = &self.cache {
@@ -241,7 +241,7 @@ mod tests {
 
     #[test]
     fn put_get_delete_roundtrip_both_backends() {
-        for backend in [StoreBackend::Memory, StoreBackend::File] {
+        for backend in [StoreBackend::Memory, StoreBackend::Extent] {
             let (dn, _) = nodes(backend);
             assert_eq!(dn.id(), NodeId(3));
             assert_eq!(dn.backend(), backend);
@@ -276,7 +276,7 @@ mod tests {
 
     #[test]
     fn stored_crc_matches_bytes_both_backends() {
-        for backend in [StoreBackend::Memory, StoreBackend::File] {
+        for backend in [StoreBackend::Memory, StoreBackend::Extent] {
             let (dn, _) = nodes(backend);
             let data = Block::from(vec![0x42u8; 1024]);
             dn.put(BlockId(5), data.clone()).unwrap();
@@ -293,7 +293,7 @@ mod tests {
 
     #[test]
     fn cached_read_misses_then_hits_after_admit() {
-        for backend in [StoreBackend::Memory, StoreBackend::File] {
+        for backend in [StoreBackend::Memory, StoreBackend::Extent] {
             let dn = DataNode::with_backend(
                 NodeId(1),
                 backend,

@@ -1,6 +1,6 @@
-//! [`ExtentStore`] — the extent/allocator block engine (DESIGN.md §13).
+//! [`ExtentStore`] — the durable block engine (DESIGN.md §9, §13).
 //!
-//! Instead of one file per block ([`crate::FileStore`]), blocks are packed
+//! Instead of one file per block (what HDFS does), blocks are packed
 //! into a handful of large, 4 KiB-aligned segment files through a free-list
 //! allocator — the layout real SSD-era stores use, and the layout whose
 //! crash behaviour the kill-point simulator exercises.
@@ -37,9 +37,9 @@
 //! probability 2⁻³², which the crash-matrix in EXPERIMENTS.md accepts.)
 
 use crate::blockstore::BlockStore;
+use crate::sync::{Mutex, RwLock};
 use ear_faults::crc32c;
 use ear_types::{Block, BlockId, Error, Result, StoreBackend};
-use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap};
 use std::fs::{self, File, OpenOptions};
 use std::os::unix::fs::FileExt;

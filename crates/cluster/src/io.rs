@@ -32,10 +32,10 @@
 use crate::cache::CacheStats;
 use crate::datanode::DataNode;
 use crate::reliability::{self, OpContext, Reliability};
+use crate::sync::Mutex;
 use ear_faults::{crc32c, FaultInjector, IoFault};
 use ear_netem::EmulatedNetwork;
 use ear_types::{Block, BlockId, ClusterTopology, Error, NodeId, Result};
-use parking_lot::Mutex;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -7,9 +7,9 @@
 //!   stripe state), the placement policy, and the *pre-encoding store* that
 //!   groups blocks into stripes (Section IV-B);
 //! * [`DataNode`] — a block store per emulated machine over a pluggable
-//!   [`BlockStore`] backend: lock-striped memory, file-per-block, or the
-//!   extent engine (`EAR_STORE=memory|file|extent`), fronted by an
-//!   optional [`BlockCache`] (`EAR_CACHE=off|<hot>,<cold>`);
+//!   [`BlockStore`] backend: lock-striped memory or the durable extent
+//!   engine (`EAR_STORE=memory|extent`), fronted by an optional
+//!   [`BlockCache`] (`EAR_CACHE=off|<hot>,<cold>`);
 //! * [`cache`] — the deterministic multi-level block cache (hot LRU + cold
 //!   clock + metadata side table) behind every DataNode's read path;
 //! * [`ClusterIo`] — the unified data-plane I/O service: every block fetch
@@ -84,7 +84,7 @@ pub mod reliability;
 pub mod sync;
 pub mod wal;
 
-pub use blockstore::{BlockStore, FileStore, ShardedMemStore};
+pub use blockstore::{BlockStore, ShardedMemStore};
 pub use extent::{ExtentStore, WriteEvent};
 pub use cache::{BlockCache, CacheStats};
 pub use chaos::{

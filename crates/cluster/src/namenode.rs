@@ -10,10 +10,10 @@
 //! downstream consumers see the same order regardless of which shard or
 //! thread produced an entry.
 
+use crate::sync::{Mutex, RwLock};
 use crate::wal::{BlockRec, EncodedEntry, MetaRecord, MetaSnapshot, MetaWal, PlanRecord, StripeEntry};
 use ear_core::{PlacementPolicy, StripePlan};
 use ear_types::{BlockId, BlockId as Bid, ClusterTopology, NodeId, Result, StripeId};
-use parking_lot::{Mutex, RwLock};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::HashMap;

@@ -6,8 +6,8 @@ use crate::io::DeadNodeSet;
 use crate::namenode::PendingStripe;
 use crate::pipeline;
 use crate::reliability::{self, OpClass};
+use crate::sync::Mutex;
 use ear_types::{Block, BlockId, Error, NodeId, Result, StripeId};
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::Instant;

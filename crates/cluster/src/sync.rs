@@ -1,15 +1,61 @@
-//! Poison-aware locking helpers.
+//! Locking for the cluster: two flavours over `std::sync`, chosen by what a
+//! panicked holder can leave behind.
 //!
-//! `parking_lot` locks (used on the data-plane hot path) cannot poison, but
-//! the control-plane state guarded by `std::sync` primitives can: a thread
-//! that panics while holding the guard leaves the protected value possibly
-//! half-updated. Instead of `.unwrap()`ing the `PoisonError` — which turns
-//! one panicked thread into a cascade — these helpers surface poisoning as
-//! the typed [`Error::LockPoisoned`], so callers propagate it like any other
-//! cluster fault (DESIGN.md §11).
+//! * Data-plane state (stores, cache, NameNode shards, WAL) uses the
+//!   non-poisoning [`Mutex`] / [`RwLock`] below: every critical section
+//!   there leaves its value valid at each step, so a poisoned std lock is
+//!   entered anyway and one panicked thread does not cascade. `lock()` /
+//!   `read()` / `write()` return the guard directly, which keeps
+//!   `BlockStore`'s `Option`/`bool` signatures free of lock errors.
+//! * Control-plane state (failure detector, MapReduce slots) keeps plain
+//!   `std::sync` locks behind [`locked`] / [`wait_until`], which surface
+//!   poisoning as the typed [`Error::LockPoisoned`] so callers propagate it
+//!   like any other cluster fault (DESIGN.md §11).
 
 use ear_types::{Error, Result};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{self, Condvar, MutexGuard, PoisonError, RwLockReadGuard, RwLockWriteGuard};
+
+/// A mutual-exclusion lock whose `lock()` ignores poisoning.
+#[derive(Debug, Default)]
+pub struct Mutex<T>(sync::Mutex<T>);
+
+impl<T> Mutex<T> {
+    /// Creates a new mutex.
+    pub const fn new(value: T) -> Self {
+        Mutex(sync::Mutex::new(value))
+    }
+
+    /// Acquires the lock, blocking until available.
+    pub fn lock(&self) -> MutexGuard<'_, T> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Consumes the mutex, returning the inner value.
+    pub fn into_inner(self) -> T {
+        self.0.into_inner().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// A reader-writer lock whose `read()`/`write()` ignore poisoning.
+#[derive(Debug, Default)]
+pub struct RwLock<T>(sync::RwLock<T>);
+
+impl<T> RwLock<T> {
+    /// Creates a new rwlock.
+    pub const fn new(value: T) -> Self {
+        RwLock(sync::RwLock::new(value))
+    }
+
+    /// Acquires a shared read guard.
+    pub fn read(&self) -> RwLockReadGuard<'_, T> {
+        self.0.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Acquires an exclusive write guard.
+    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
+        self.0.write().unwrap_or_else(PoisonError::into_inner)
+    }
+}
 
 /// Locks `m`, mapping a poisoned lock to [`Error::LockPoisoned`].
 ///
@@ -18,7 +64,7 @@ use std::sync::{Condvar, Mutex, MutexGuard};
 /// # Errors
 ///
 /// [`Error::LockPoisoned`] if a thread panicked while holding the lock.
-pub fn locked<'a, T>(m: &'a Mutex<T>, what: &'static str) -> Result<MutexGuard<'a, T>> {
+pub fn locked<'a, T>(m: &'a sync::Mutex<T>, what: &'static str) -> Result<MutexGuard<'a, T>> {
     m.lock().map_err(|_| Error::LockPoisoned { what })
 }
 
@@ -44,8 +90,26 @@ pub fn wait_until<'a, T>(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use std::sync::Arc;
+    use super::{locked, wait_until, Error};
+    use std::sync::{Arc, Condvar, Mutex};
+
+    #[test]
+    fn data_plane_locks_enter_after_a_holder_panicked() {
+        let m = Arc::new(super::Mutex::new(1));
+        let l = Arc::new(super::RwLock::new(2));
+        let (m2, l2) = (Arc::clone(&m), Arc::clone(&l));
+        let _ = std::thread::spawn(move || {
+            let _g = m2.lock();
+            let _w = l2.write();
+            panic!("holder dies");
+        })
+        .join();
+        *m.lock() += 1;
+        *l.write() += 1;
+        assert_eq!(*l.read(), 3);
+        let m = Arc::try_unwrap(m).unwrap();
+        assert_eq!(m.into_inner(), 2);
+    }
 
     #[test]
     fn locked_returns_guard_on_clean_lock() {

@@ -34,9 +34,9 @@
 //!   compaction rewrite the log (same tmp+rename dance), so every state on
 //!   disk replays to the same image.
 
+use crate::sync::Mutex;
 use ear_faults::crc32c;
 use ear_types::{BlockId, Error, NodeId, RackId, Result, StripeId};
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;

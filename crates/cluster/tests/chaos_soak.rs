@@ -52,7 +52,7 @@ fn rr_survives_fifty_seeded_plans() {
     soak(ClusterPolicy::Rr, 0..50);
 }
 
-/// Same seed + plan ⇒ a bit-identical report on the memory and file
+/// Same seed + plan ⇒ a bit-identical report on the memory and extent
 /// backends. Encode runs single-threaded so the full lossy fault mix
 /// (transient errors, corruption — hashed per block id) sees one
 /// deterministic operation stream; thread-count invariance is covered
@@ -74,15 +74,12 @@ fn chaos_reports_are_bit_identical_across_backends() {
         };
         let mem = run_plan(seed, &cfg(StoreBackend::Memory)).expect("memory run");
         assert!(mem.passed(ClusterPolicy::Ear), "seed {seed}: {mem:?}");
-        for store in [StoreBackend::File, StoreBackend::Extent] {
-            let other = run_plan(seed, &cfg(store)).expect("durable-backend run");
-            assert_eq!(
-                format!("{mem:?}"),
-                format!("{other:?}"),
-                "seed {seed}: {} diverged from memory",
-                store.name()
-            );
-        }
+        let ext = run_plan(seed, &cfg(StoreBackend::Extent)).expect("extent run");
+        assert_eq!(
+            format!("{mem:?}"),
+            format!("{ext:?}"),
+            "seed {seed}: extent diverged from memory"
+        );
     }
 }
 
@@ -117,8 +114,6 @@ fn chaos_reports_are_bit_identical_across_cache_configs() {
         let baseline = format!("{off:?}");
         for (store, cache) in [
             (StoreBackend::Memory, small),
-            (StoreBackend::File, small),
-            (StoreBackend::File, CacheConfig::default()),
             (StoreBackend::Extent, small),
             (StoreBackend::Extent, CacheConfig::default()),
         ] {
@@ -169,7 +164,7 @@ fn chaos_reports_are_identical_across_thread_counts_and_backends() {
         };
         let baseline = run_plan(seed, &mk(StoreBackend::Memory, 1)).expect("baseline run");
         assert!(baseline.passed(policy), "seed {seed} {policy:?}: {baseline:?}");
-        for store in [StoreBackend::Memory, StoreBackend::File, StoreBackend::Extent] {
+        for store in [StoreBackend::Memory, StoreBackend::Extent] {
             for map_tasks in [1usize, 4, 8] {
                 let report = run_plan(seed, &mk(store, map_tasks)).expect("run");
                 assert_eq!(

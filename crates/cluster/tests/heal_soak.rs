@@ -65,15 +65,12 @@ fn heal_reports_are_bit_identical_across_backends() {
         };
         let mem = run_heal_plan(seed, &mk(StoreBackend::Memory)).expect("memory run");
         assert!(mem.passed(), "seed {seed}: {mem:?}");
-        for store in [StoreBackend::File, StoreBackend::Extent] {
-            let other = run_heal_plan(seed, &mk(store)).expect("durable-backend run");
-            assert_eq!(
-                heal_fingerprint(&mem),
-                heal_fingerprint(&other),
-                "seed {seed}: {} diverged from memory",
-                store.name()
-            );
-        }
+        let ext = run_heal_plan(seed, &mk(StoreBackend::Extent)).expect("extent run");
+        assert_eq!(
+            heal_fingerprint(&mem),
+            heal_fingerprint(&ext),
+            "seed {seed}: extent diverged from memory"
+        );
     }
 }
 
@@ -103,8 +100,6 @@ fn heal_reports_are_bit_identical_across_cache_configs() {
         let baseline = heal_fingerprint(&off);
         for (store, cache) in [
             (StoreBackend::Memory, small),
-            (StoreBackend::File, small),
-            (StoreBackend::File, CacheConfig::default()),
             (StoreBackend::Extent, small),
             (StoreBackend::Extent, CacheConfig::default()),
         ] {
@@ -148,7 +143,7 @@ fn heal_reports_are_identical_across_thread_counts_and_backends() {
         };
         let baseline = run_heal_plan(seed, &mk(StoreBackend::Memory, 1)).expect("baseline run");
         assert!(baseline.passed(), "seed {seed}: {baseline:?}");
-        for store in [StoreBackend::Memory, StoreBackend::File, StoreBackend::Extent] {
+        for store in [StoreBackend::Memory, StoreBackend::Extent] {
             for map_tasks in [1usize, 4, 8] {
                 let report = run_heal_plan(seed, &mk(store, map_tasks)).expect("run");
                 assert_eq!(

@@ -68,10 +68,11 @@ fn lossy_plan(cfg: &ClusterConfig) -> FaultPlan {
 }
 
 #[test]
-fn durable_backends_round_trip_through_restart() {
-    for store in [StoreBackend::File, StoreBackend::Extent] {
-        let dir = fresh_dir(store.name());
-        let cfg = durable_cfg(store, &dir);
+fn extent_round_trips_through_restart_from_checkpoint_and_from_wal_alone() {
+    // Both recoveries: checkpoint + WAL suffix, and pure WAL replay.
+    for checkpoint in [true, false] {
+        let dir = fresh_dir(if checkpoint { "ckpt" } else { "wal" });
+        let cfg = durable_cfg(StoreBackend::Extent, &dir);
 
         // Phase 1: write + encode under fault injection, then shut down.
         let mut contents: BTreeMap<ear_types::BlockId, Vec<u8>> = BTreeMap::new();
@@ -86,9 +87,7 @@ fn durable_backends_round_trip_through_restart() {
                 contents.insert(id, data);
             }
             RaidNode::encode_all(&cfs, 4).expect("encode");
-            // Exercise the checkpoint path for one backend and pure WAL
-            // replay for the other.
-            if store == StoreBackend::File {
+            if checkpoint {
                 cfs.checkpoint().expect("checkpoint");
             }
             cfs.namenode().snapshot()
@@ -97,18 +96,25 @@ fn durable_backends_round_trip_through_restart() {
         // Phase 2: reopen from disk; metadata must be bit-identical.
         let cfs = MiniCfs::reopen(cfg.clone()).expect("reopen");
         let after = cfs.namenode().snapshot();
-        assert_eq!(before, after, "{store:?}: snapshot must survive restart");
+        assert_eq!(
+            before, after,
+            "checkpoint={checkpoint}: snapshot must survive restart"
+        );
         assert_eq!(
             before.encode(),
             after.encode(),
-            "{store:?}: snapshot must be bit-identical"
+            "checkpoint={checkpoint}: snapshot must be bit-identical"
         );
 
         // Every acknowledged block reads back its exact bytes (replicated
         // or post-encoding single copies alike).
         for (&id, data) in &contents {
             let back = cfs.read_block(NodeId(0), id).expect("readable after restart");
-            assert_eq!(back.as_slice(), data.as_slice(), "{store:?}: {id} bytes");
+            assert_eq!(
+                back.as_slice(),
+                data.as_slice(),
+                "checkpoint={checkpoint}: {id} bytes"
+            );
         }
 
         // A second reopen sees the same image (recovery is idempotent).
@@ -134,10 +140,10 @@ fn memory_backend_refuses_a_data_dir_with_typed_error() {
 #[test]
 fn reopen_without_data_dir_is_typed_not_durable() {
     let dir = fresh_dir("volatile");
-    let mut cfg = durable_cfg(StoreBackend::File, &dir);
+    let mut cfg = durable_cfg(StoreBackend::Extent, &dir);
     cfg.durability = DurabilityConfig::default();
     match MiniCfs::reopen(cfg) {
-        Err(Error::NotDurable { backend }) => assert_eq!(backend, "file"),
+        Err(Error::NotDurable { backend }) => assert_eq!(backend, "extent"),
         other => panic!("expected NotDurable, got {:?}", other.map(|_| ())),
     }
 }
@@ -145,7 +151,7 @@ fn reopen_without_data_dir_is_typed_not_durable() {
 #[test]
 fn manifest_mismatch_is_a_hard_error() {
     let dir = fresh_dir("manifest");
-    let cfg = durable_cfg(StoreBackend::File, &dir);
+    let cfg = durable_cfg(StoreBackend::Extent, &dir);
     drop(MiniCfs::new(cfg.clone()).expect("first boot"));
     let mut reshaped = cfg;
     reshaped.seed = 12;

@@ -5,8 +5,8 @@
 //! data blocks into an `(n, k)` stripe with `n - k` parity blocks so that any
 //! `k` of the `n` blocks reconstruct the originals. Facebook's HDFS prototype
 //! used the Reed–Solomon codes of HDFS-RAID; this crate provides a
-//! from-scratch equivalent with two provably MDS generator constructions
-//! (systematic Vandermonde, the default, and Cauchy).
+//! from-scratch equivalent with one provably MDS generator construction
+//! (systematic Vandermonde).
 //!
 //! # Example
 //!
@@ -36,5 +36,5 @@ mod stream;
 
 pub use kernels::{Kernel, KernelTier};
 pub use matrix::Matrix;
-pub use rs::{Construction, ReedSolomon};
+pub use rs::ReedSolomon;
 pub use stream::{ParityAccum, StripeEncoder};

@@ -76,29 +76,6 @@ impl Matrix {
         m
     }
 
-    /// The `rows × cols` Cauchy matrix `C[i][j] = 1 / (x_i + y_j)` with
-    /// `x_i = i` and `y_j = rows + j`.
-    ///
-    /// Every square submatrix of a Cauchy matrix is nonsingular, which makes
-    /// `[I; C]` a maximum-distance-separable generator (Cauchy Reed–Solomon).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows + cols > 256` (the x and y points must be pairwise
-    /// distinct field elements).
-    pub fn cauchy(rows: usize, cols: usize) -> Self {
-        assert!(rows + cols <= 256, "need rows + cols distinct field points");
-        let mut m = Matrix::zero(rows, cols);
-        for i in 0..rows {
-            for j in 0..cols {
-                let x = i as u8;
-                let y = (rows + j) as u8;
-                m.set(i, j, gf256::inv(gf256::add(x, y)));
-            }
-        }
-        m
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -320,25 +297,6 @@ mod tests {
     fn non_square_inversion_rejected() {
         let m = Matrix::zero(2, 3);
         assert!(m.inverted().is_err());
-    }
-
-    #[test]
-    fn cauchy_submatrices_invertible() {
-        let c = Matrix::cauchy(4, 6);
-        // Every 2x2 submatrix of a Cauchy matrix is nonsingular; spot-check.
-        for r0 in 0..3 {
-            for r1 in (r0 + 1)..4 {
-                for c0 in 0..5 {
-                    for c1 in (c0 + 1)..6 {
-                        let det = gf256::add(
-                            gf256::mul(c.get(r0, c0), c.get(r1, c1)),
-                            gf256::mul(c.get(r0, c1), c.get(r1, c0)),
-                        );
-                        assert_ne!(det, 0, "rows ({r0},{r1}) cols ({c0},{c1})");
-                    }
-                }
-            }
-        }
     }
 
     #[test]

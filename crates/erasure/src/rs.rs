@@ -9,20 +9,6 @@ use crate::kernels::Kernel;
 use crate::matrix::Matrix;
 use ear_types::{ErasureParams, Error, Result};
 
-/// How the generator matrix is derived.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[non_exhaustive]
-pub enum Construction {
-    /// `G = V · V_top⁻¹` where `V` is the `n × k` Vandermonde matrix; the
-    /// top `k × k` block becomes the identity (classic systematic RS, the
-    /// HDFS-RAID default).
-    #[default]
-    Vandermonde,
-    /// `G = [I; C]` where `C` is an `(n-k) × k` Cauchy matrix
-    /// (Cauchy Reed–Solomon, per Blömer et al.).
-    Cauchy,
-}
-
 /// A systematic `(n, k)` Reed–Solomon codec.
 ///
 /// ```
@@ -52,48 +38,28 @@ pub struct ReedSolomon {
 }
 
 impl ReedSolomon {
-    /// Creates a codec with the default [`Construction::Vandermonde`] and
-    /// the process-wide [`Kernel::active`] GF(2⁸) kernel (best supported
-    /// tier, honoring the `EAR_GF_KERNEL` override).
+    /// Creates a codec with the process-wide [`Kernel::active`] GF(2⁸)
+    /// kernel (best supported tier, honoring the `EAR_GF_KERNEL` override).
     pub fn new(params: ErasureParams) -> Self {
-        Self::with_construction(params, Construction::default())
-    }
-
-    /// Creates a codec with an explicit generator construction and the
-    /// process-wide kernel.
-    pub fn with_construction(params: ErasureParams, construction: Construction) -> Self {
-        Self::with_kernel(params, construction, Kernel::active())
+        Self::with_kernel(params, Kernel::active())
     }
 
     /// Creates a codec pinned to a specific GF(2⁸) kernel — used by tests
     /// and benchmarks that compare tiers; production code should prefer the
     /// auto-selected [`ReedSolomon::new`].
-    pub fn with_kernel(params: ErasureParams, construction: Construction, kernel: Kernel) -> Self {
+    ///
+    /// The generator is `G = V · V_top⁻¹` where `V` is the `n × k`
+    /// Vandermonde matrix; the top `k × k` block becomes the identity
+    /// (classic systematic RS, the HDFS-RAID default).
+    pub fn with_kernel(params: ErasureParams, kernel: Kernel) -> Self {
         let n = params.n();
         let k = params.k();
-        let generator = match construction {
-            Construction::Vandermonde => {
-                let v = Matrix::vandermonde(n, k);
-                let top = v.select_rows(&(0..k).collect::<Vec<_>>());
-                let top_inv = top
-                    .inverted()
-                    .expect("top rows of a Vandermonde matrix are invertible");
-                v.multiply(&top_inv)
-            }
-            Construction::Cauchy => {
-                let mut g = Matrix::zero(n, k);
-                for i in 0..k {
-                    g.set(i, i, 1);
-                }
-                let c = Matrix::cauchy(n - k, k);
-                for i in 0..(n - k) {
-                    for j in 0..k {
-                        g.set(k + i, j, c.get(i, j));
-                    }
-                }
-                g
-            }
-        };
+        let v = Matrix::vandermonde(n, k);
+        let top = v.select_rows(&(0..k).collect::<Vec<_>>());
+        let top_inv = top
+            .inverted()
+            .expect("top rows of a Vandermonde matrix are invertible");
+        let generator = v.multiply(&top_inv);
         debug_assert_eq!(
             generator.select_rows(&(0..k).collect::<Vec<_>>()),
             Matrix::identity(k),
@@ -423,11 +389,11 @@ mod tests {
         // vector tier exercises its scalar tail.
         let data = sample_data(8, 40 * 1024 + 7);
         let scalar = Kernel::select(KernelTier::Scalar).expect("scalar always available");
-        let reference = ReedSolomon::with_kernel(params, Construction::default(), scalar)
+        let reference = ReedSolomon::with_kernel(params, scalar)
             .encode(&data)
             .unwrap();
         for kernel in Kernel::available() {
-            let rs = ReedSolomon::with_kernel(params, Construction::default(), kernel);
+            let rs = ReedSolomon::with_kernel(params, kernel);
             let parity = rs.encode(&data).unwrap();
             assert_eq!(parity, reference, "{} parity differs", kernel.name());
             let mut shards: Vec<Option<Vec<u8>>> =
@@ -462,25 +428,18 @@ mod tests {
     #[test]
     fn reconstruct_any_k_of_n() {
         // Exhaustively erase every (n-k)-subset for a small code.
-        let params = ErasureParams::new(6, 4).unwrap();
-        for construction in [Construction::Vandermonde, Construction::Cauchy] {
-            let rs = ReedSolomon::with_construction(params, construction);
-            let data = sample_data(4, 16);
-            let parity = rs.encode(&data).unwrap();
-            let full: Vec<Vec<u8>> = data.iter().cloned().chain(parity.iter().cloned()).collect();
-            for a in 0..6 {
-                for b in (a + 1)..6 {
-                    let mut shards: Vec<Option<Vec<u8>>> = full.iter().cloned().map(Some).collect();
-                    shards[a] = None;
-                    shards[b] = None;
-                    rs.reconstruct(&mut shards).unwrap();
-                    for (i, s) in shards.iter().enumerate() {
-                        assert_eq!(
-                            s.as_ref().unwrap(),
-                            &full[i],
-                            "{construction:?} erased ({a},{b}) slot {i}"
-                        );
-                    }
+        let rs = ReedSolomon::new(ErasureParams::new(6, 4).unwrap());
+        let data = sample_data(4, 16);
+        let parity = rs.encode(&data).unwrap();
+        let full: Vec<Vec<u8>> = data.iter().cloned().chain(parity.iter().cloned()).collect();
+        for a in 0..6 {
+            for b in (a + 1)..6 {
+                let mut shards: Vec<Option<Vec<u8>>> = full.iter().cloned().map(Some).collect();
+                shards[a] = None;
+                shards[b] = None;
+                rs.reconstruct(&mut shards).unwrap();
+                for (i, s) in shards.iter().enumerate() {
+                    assert_eq!(s.as_ref().unwrap(), &full[i], "erased ({a},{b}) slot {i}");
                 }
             }
         }
@@ -560,25 +519,19 @@ mod tests {
 
     #[test]
     fn update_parity_matches_full_reencode() {
-        for construction in [Construction::Vandermonde, Construction::Cauchy] {
-            let rs =
-                ReedSolomon::with_construction(ErasureParams::new(9, 6).unwrap(), construction);
-            let mut data = sample_data(6, 32);
-            let mut parity = rs.encode(&data).unwrap();
-            for idx in 0..6 {
-                let old = data[idx].clone();
-                for b in data[idx].iter_mut() {
-                    *b = b.wrapping_add(idx as u8 + 1);
-                }
-                rs.update_parity(idx, &old, &data[idx], &mut parity)
-                    .unwrap();
+        let rs = ReedSolomon::new(ErasureParams::new(9, 6).unwrap());
+        let mut data = sample_data(6, 32);
+        let mut parity = rs.encode(&data).unwrap();
+        for idx in 0..6 {
+            let old = data[idx].clone();
+            for b in data[idx].iter_mut() {
+                *b = b.wrapping_add(idx as u8 + 1);
             }
-            let full = rs.encode(&data).unwrap();
-            assert_eq!(
-                parity, full,
-                "{construction:?}: deltas must equal re-encode"
-            );
+            rs.update_parity(idx, &old, &data[idx], &mut parity)
+                .unwrap();
         }
+        let full = rs.encode(&data).unwrap();
+        assert_eq!(parity, full, "deltas must equal re-encode");
     }
 
     #[test]
@@ -610,27 +563,5 @@ mod tests {
         rs.update_parity(2, &data[2], &data[2], &mut parity)
             .unwrap();
         assert_eq!(parity, before);
-    }
-
-    #[test]
-    fn cauchy_and_vandermonde_agree_on_systematic_part() {
-        let params = ErasureParams::new(8, 6).unwrap();
-        let data = sample_data(6, 24);
-        for c in [Construction::Vandermonde, Construction::Cauchy] {
-            let rs = ReedSolomon::with_construction(params, c);
-            let parity = rs.encode(&data).unwrap();
-            // Systematic: data shards are stored verbatim; only parity
-            // differs between constructions. Reconstruction must round-trip.
-            let mut shards: Vec<Option<Vec<u8>>> = vec![None; 8];
-            for (i, p) in parity.iter().enumerate() {
-                shards[6 + i] = Some(p.clone());
-            }
-            for i in 0..4 {
-                shards[i] = Some(data[i].clone());
-            }
-            rs.reconstruct(&mut shards).unwrap();
-            assert_eq!(shards[4].as_ref().unwrap(), &data[4]);
-            assert_eq!(shards[5].as_ref().unwrap(), &data[5]);
-        }
     }
 }

@@ -227,7 +227,6 @@ impl StripeEncoder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Construction;
     use ear_types::ErasureParams;
 
     fn shards(k: usize, len: usize, seed: u8) -> Vec<Vec<u8>> {
@@ -363,7 +362,7 @@ mod tests {
         let data = shards(4, 1024, 77);
         let reference = ReedSolomon::new(params).encode(&data).unwrap();
         for kernel in Kernel::available() {
-            let rs = ReedSolomon::with_kernel(params, Construction::default(), kernel);
+            let rs = ReedSolomon::with_kernel(params, kernel);
             let mut enc = StripeEncoder::new(&rs, 1024);
             for (j, d) in data.iter().enumerate() {
                 enc.absorb_source(j, d).unwrap();

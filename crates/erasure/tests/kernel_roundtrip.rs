@@ -7,7 +7,7 @@
 //! Uses only `std`, so it runs even where the dev-dependency registry is
 //! unreachable (see `scripts/check.sh`).
 
-use ear_erasure::{Construction, Kernel, KernelTier, ReedSolomon};
+use ear_erasure::{Kernel, KernelTier, ReedSolomon};
 use ear_types::ErasureParams;
 
 fn sample_data(k: usize, len: usize) -> Vec<Vec<u8>> {
@@ -69,10 +69,7 @@ fn rs_round_trip_is_bit_identical_across_all_tiers_via_env_override() {
     let data = sample_data(8, 20 * 1024 + 5);
 
     let scalar = Kernel::select(KernelTier::Scalar).expect("scalar always available");
-    let reference = round_trip(
-        &ReedSolomon::with_kernel(params, Construction::default(), scalar),
-        &data,
-    );
+    let reference = round_trip(&ReedSolomon::with_kernel(params, scalar), &data);
 
     // All env-var manipulation lives in this single #[test] so parallel
     // test threads never race on the process environment.
@@ -93,17 +90,12 @@ fn rs_round_trip_is_bit_identical_across_all_tiers_via_env_override() {
                 "unsupported override must fall back to detection"
             );
         }
-        for construction in [Construction::Vandermonde, Construction::Cauchy] {
-            let codec = ReedSolomon::with_kernel(params, construction, kernel);
-            let got = round_trip(&codec, &data);
-            if construction == Construction::default() {
-                assert_eq!(
-                    got, reference,
-                    "tier {} produced different stripe artifacts",
-                    tier.name()
-                );
-            }
-        }
+        let got = round_trip(&ReedSolomon::with_kernel(params, kernel), &data);
+        assert_eq!(
+            got, reference,
+            "tier {} produced different stripe artifacts",
+            tier.name()
+        );
     }
 
     // Unknown and auto overrides fall back to best-available.
@@ -119,7 +111,7 @@ fn rs_round_trip_is_bit_identical_across_all_tiers_via_env_override() {
 fn codec_reports_its_kernel() {
     let params = ErasureParams::new(6, 4).unwrap();
     for kernel in Kernel::available() {
-        let codec = ReedSolomon::with_kernel(params, Construction::default(), kernel);
+        let codec = ReedSolomon::with_kernel(params, kernel);
         assert_eq!(codec.kernel().tier(), kernel.tier());
         assert!(!codec.kernel().name().is_empty());
     }

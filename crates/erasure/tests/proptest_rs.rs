@@ -2,7 +2,7 @@
 //! (any k of n shards reconstruct the stripe) must hold for random
 //! parameters, random payloads, and random erasure patterns.
 
-use ear_erasure::{Construction, ReedSolomon};
+use ear_erasure::ReedSolomon;
 use ear_types::ErasureParams;
 use proptest::prelude::*;
 
@@ -21,11 +21,10 @@ proptest! {
     fn mds_property_random_erasures(
         params in params_strategy(),
         seed in any::<u64>(),
-        construction in prop_oneof![Just(Construction::Vandermonde), Just(Construction::Cauchy)],
     ) {
         let k = params.k();
         let n = params.n();
-        let rs = ReedSolomon::with_construction(params, construction);
+        let rs = ReedSolomon::new(params);
         // Deterministic payload from the seed keeps the strategy small.
         let data: Vec<Vec<u8>> = (0..k)
             .map(|i| (0..64u64).map(|j| ((seed ^ (i as u64 * 0x9E3779B9) ^ j.wrapping_mul(0x85EBCA6B)) % 256) as u8).collect())

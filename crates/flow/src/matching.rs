@@ -4,7 +4,7 @@
 //! (the paper's formulation, see [`crate::FlowNetwork`]) or — when `c = 1`
 //! and racks are collapsed into nodes — as a plain bipartite matching. This
 //! module provides Hopcroft–Karp as the alternative formulation; the
-//! `micro_substrates` bench compares the two.
+//! `tests/proptest_flow.rs` checks that the two agree.
 
 use std::collections::VecDeque;
 

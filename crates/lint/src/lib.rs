@@ -68,7 +68,7 @@ pub const DATA_PLANE_FILES: &[&str] = &[
 /// Files with durable-write protocols (L4 scope), relative to
 /// `crates/cluster/src/`. crashsim.rs is deliberately absent: it writes
 /// torn states on purpose.
-pub const DURABILITY_FILES: &[&str] = &["wal.rs", "extent.rs", "blockstore.rs", "cluster.rs"];
+pub const DURABILITY_FILES: &[&str] = &["wal.rs", "extent.rs", "cluster.rs"];
 
 /// Hot read-path files (L6 scope), relative to `crates/cluster/src/`.
 /// The repair/encode paths (recovery.rs, raidnode.rs) legitimately

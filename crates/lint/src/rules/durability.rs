@@ -1,8 +1,8 @@
 //! L4 — durability ordering in the persistence layer.
 //!
-//! The durable stores (wal.rs, extent.rs, blockstore.rs FileStore, and
-//! the MANIFEST writer in cluster.rs) rely on three protocols that rustc
-//! cannot check (DESIGN.md §13):
+//! The durable stores (wal.rs, extent.rs, and the MANIFEST writer in
+//! cluster.rs) rely on three protocols that rustc cannot check
+//! (DESIGN.md §13):
 //!
 //! - **fsync-before-ack**: a function that is an acknowledgement point
 //!   (public, or a trait-impl method — callers treat its `Ok` as "the
@@ -268,7 +268,7 @@ mod tests {
     #[test]
     fn trait_impl_methods_are_ack_points() {
         let d = run(
-            "impl BlockStore for FileStore { fn put(&self, b: &[u8]) { f.write_all(b); } }",
+            "impl BlockStore for ExtentStore { fn put(&self, b: &[u8]) { f.write_all(b); } }",
         );
         assert_eq!(d.len(), 1, "{d:?}");
         assert_eq!(d[0].check, "ack-without-sync");

@@ -22,7 +22,7 @@
 //!    prints as DOT.
 //!
 //! Same-class nesting (`shard` under `shard`) is still flagged per site
-//! as `recursive-lock`: parking_lot locks are not reentrant.
+//! as `recursive-lock`: std locks are not reentrant.
 //!
 //! Because edges come from *observed* nesting, a brand-new lock class in
 //! `namenode.rs`/`healer.rs`/`cache.rs` joins the graph automatically the
@@ -100,7 +100,7 @@ fn collect_declarations(toks: &[Tok], out: &mut BTreeSet<String>) {
             }
             continue;
         }
-        // A type position: walk back over path segments (`parking_lot::`),
+        // A type position: walk back over path segments (`std::sync::`),
         // wrapper generics (`Arc<`, `Vec<`), and `&`/`mut` to the binder.
         let mut j = i;
         while let Some(p) = j.checked_sub(1).map(|k| &toks[k]) {
@@ -529,7 +529,7 @@ impl LockGraph {
                 col: site.col,
                 message: format!(
                     "`{class}` acquired while a `{class}` lock is already held; \
-                     parking_lot locks are not reentrant"
+                     std locks are not reentrant"
                 ),
             });
         }
@@ -596,10 +596,10 @@ mod tests {
     #[test]
     fn declaration_scan_finds_fields_accessors_wrappers_and_lets() {
         let toks = lex_non_test(
-            "struct A { wal: Mutex<W>, shards: Vec<RwLock<M>>, cache: Arc<parking_lot::Mutex<C>> }\n\
+            "struct A { wal: Mutex<W>, shards: Vec<RwLock<M>>, cache: Arc<std::sync::Mutex<C>> }\n\
              fn stripe_for(&self, b: BlockId) -> &Mutex<Shard> { x }\n\
              fn main() { let queue = Arc::new(Mutex::new(Vec::new())); }\n\
-             use parking_lot::Mutex;\n",
+             use crate::sync::Mutex;\n",
         );
         let f = facts("crates/cluster/src/x.rs", &toks);
         let got: Vec<&str> = f.declared.iter().map(String::as_str).collect();

@@ -1,6 +1,6 @@
 // L1 fixture: the same two classes nested in both directions — a lock
 // cycle (the two-thread deadlock condition) — plus a same-class
-// reacquisition, which parking_lot cannot survive.
+// reacquisition, which a std lock cannot survive.
 
 struct NameNode {
     policy: Mutex<Policy>,

@@ -1,7 +1,7 @@
 //! A blocking token bucket: the building block of the emulated network.
 
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// A token bucket refilled continuously at a fixed byte rate.
@@ -50,6 +50,12 @@ impl TokenBucket {
         }
     }
 
+    /// Locks the refill state. Every update leaves `State` valid, so a lock
+    /// poisoned by a panicked holder is entered anyway.
+    fn state(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The refill rate in bytes per second.
     pub fn rate(&self) -> f64 {
         f64::from_bits(self.rate_bits.load(Ordering::Relaxed))
@@ -67,7 +73,7 @@ impl TokenBucket {
             rate_bytes_per_sec.is_finite() && rate_bytes_per_sec > 0.0,
             "token bucket rate must be finite and positive"
         );
-        let mut s = self.state.lock();
+        let mut s = self.state();
         let now = Instant::now();
         let elapsed = now.duration_since(s.last_refill).as_secs_f64();
         s.available = (s.available + elapsed * self.rate()).min(self.burst);
@@ -82,7 +88,7 @@ impl TokenBucket {
         while remaining > 0.0 {
             let rate = self.rate();
             let wait = {
-                let mut s = self.state.lock();
+                let mut s = self.state();
                 let now = Instant::now();
                 let elapsed = now.duration_since(s.last_refill).as_secs_f64();
                 s.available = (s.available + elapsed * rate).min(self.burst);
@@ -107,7 +113,7 @@ impl TokenBucket {
 
     /// Tries to draw `bytes` without blocking; returns whether it succeeded.
     pub fn try_acquire(&self, bytes: u64) -> bool {
-        let mut s = self.state.lock();
+        let mut s = self.state();
         let now = Instant::now();
         let elapsed = now.duration_since(s.last_refill).as_secs_f64();
         s.available = (s.available + elapsed * self.rate()).min(self.burst);

@@ -93,8 +93,8 @@ pub enum Error {
         /// Repair tasks still queued when the healer stopped.
         outstanding: usize,
     },
-    /// A host-level storage operation failed (file-backed block store:
-    /// create/read/write/rename under the temp root).
+    /// A host-level storage operation failed (extent store, WAL,
+    /// checkpoint or MANIFEST: create/read/write/rename/fsync).
     Io {
         /// What the storage layer was doing when the host call failed.
         context: String,

@@ -326,9 +326,6 @@ pub enum StoreBackend {
     /// Sharded in-memory store: lock-striped `HashMap`s, zero-copy reads.
     #[default]
     Memory,
-    /// File-backed store: one file per block under a per-node temp root,
-    /// removed when the node is dropped. Exercises real I/O syscalls.
-    File,
     /// Extent-based store: blocks packed into aligned segment files through
     /// a free-list allocator, with header+payload CRC framing, explicit
     /// fsync barriers, and torn-write detection on reopen (DESIGN.md §13).
@@ -337,7 +334,7 @@ pub enum StoreBackend {
 
 impl StoreBackend {
     /// Reads the backend from the `EAR_STORE` environment variable
-    /// (`memory`, `file`, or `extent`, case-insensitive). Unset defaults to
+    /// (`memory` or `extent`, case-insensitive). Unset defaults to
     /// [`StoreBackend::Memory`].
     ///
     /// # Panics
@@ -347,19 +344,17 @@ impl StoreBackend {
     pub fn from_env() -> Self {
         match std::env::var("EAR_STORE") {
             Ok(v) if v.eq_ignore_ascii_case("memory") => StoreBackend::Memory,
-            Ok(v) if v.eq_ignore_ascii_case("file") => StoreBackend::File,
             Ok(v) if v.eq_ignore_ascii_case("extent") => StoreBackend::Extent,
-            Ok(v) => panic!("EAR_STORE must be `memory`, `file`, or `extent`, got `{v}`"),
+            Ok(v) => panic!("EAR_STORE must be `memory` or `extent`, got `{v}`"),
             Err(_) => StoreBackend::Memory,
         }
     }
 
-    /// Stable lowercase label (`"memory"` / `"file"` / `"extent"`) for
-    /// stats and bench output.
+    /// Stable lowercase label (`"memory"` / `"extent"`) for stats and
+    /// bench output.
     pub fn name(self) -> &'static str {
         match self {
             StoreBackend::Memory => "memory",
-            StoreBackend::File => "file",
             StoreBackend::Extent => "extent",
         }
     }
@@ -600,10 +595,8 @@ mod tests {
         // suite-wide backend switch.
         assert_eq!(StoreBackend::default(), StoreBackend::Memory);
         assert_eq!(StoreBackend::Memory.name(), "memory");
-        assert_eq!(StoreBackend::File.name(), "file");
         assert_eq!(StoreBackend::Extent.name(), "extent");
         assert!(!StoreBackend::Memory.is_durable());
-        assert!(StoreBackend::File.is_durable());
         assert!(StoreBackend::Extent.is_durable());
     }
 

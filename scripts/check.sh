@@ -5,8 +5,9 @@
 # mirror, so any cargo invocation that tries to refresh the registry index
 # hangs and then fails. If the registry cache is already populated the
 # --offline flag is harmless; if it is empty AND unreachable, cargo cannot
-# build the workspace at all (external deps: rand, rand_chacha, proptest,
-# criterion, parking_lot) — in that environment, verify the dependency-free
+# build the workspace at all (external deps: rand, rand_chacha, proptest) —
+# in that environment, use scripts/offline-verify.sh (which patches those
+# three to the stubs in scripts/verify-stubs/), or verify the dependency-free
 # crates directly with rustc instead:
 #
 #   rustc --edition 2021 -O --test crates/erasure/src/lib.rs \
@@ -28,13 +29,13 @@ cargo run -q --offline -p ear-lint -- check
 # prints the workspace lock-acquisition graph as Graphviz DOT.
 cargo run -q --offline -p ear-lint -- check --json > /dev/null
 cargo run -q --offline -p ear-lint -- graph | grep -q '^digraph'
-# Tests run under all three storage backends (DESIGN.md §9, §13) and both
-# sides of the block cache (DESIGN.md §12): caching fully off (every read
-# CRC32C re-verified) and a deliberately small cache that forces eviction
-# and clock rotation under the suite's working sets.
+# Tests run under both storage engines (DESIGN.md §9, §13) and both sides
+# of the block cache (DESIGN.md §12): caching fully off (every read CRC32C
+# re-verified) and a deliberately small cache that forces eviction and
+# clock rotation under the suite's working sets. Each row is the whole
+# workspace (the root manifest's `default-members`).
 EAR_STORE=memory EAR_CACHE=off cargo test -q --offline
 EAR_STORE=memory EAR_CACHE=4m,16m cargo test -q --offline
-EAR_STORE=file EAR_CACHE=4m,16m cargo test -q --offline
 EAR_STORE=extent EAR_CACHE=off cargo test -q --offline
 EAR_STORE=extent EAR_CACHE=4m,16m cargo test -q --offline
 cargo clippy --workspace --offline -- -D warnings
@@ -43,7 +44,6 @@ cargo clippy --workspace --offline -- -D warnings
 # (DESIGN.md §7). Deterministic — any failure names the seed to replay
 # with `ear chaos --seed <s>`. scripts/chaos.sh runs the long soaks.
 cargo run -q --release --offline -p ear-cli -- chaos --plans 5 --seed 0 --profile mixed
-cargo run -q --release --offline -p ear-cli -- chaos --plans 2 --seed 0 --profile mixed --store file
 cargo run -q --release --offline -p ear-cli -- chaos --plans 2 --seed 0 --profile mixed --store extent
 # Heal smoke: seeded mid-run kills repaired by the background healer
 # (DESIGN.md §10); any block left under-redundant fails the run.

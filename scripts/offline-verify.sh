@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Offline verification fallback (see scripts/check.sh): when the crates.io
 # registry/mirror is unreachable AND the local cargo cache is empty, the
-# workspace's external deps (rand, rand_chacha, parking_lot, proptest,
-# criterion) cannot be fetched. This wrapper patches them to the functional
-# stubs in scripts/verify-stubs/ — same APIs, deterministic-but-different
+# workspace's external deps (rand, rand_chacha, proptest) cannot be
+# fetched. This wrapper patches them to the functional stubs in
+# scripts/verify-stubs/ — same APIs, deterministic-but-different
 # RNG streams — so `cargo build/test/clippy` still exercise every line of
 # workspace code. No manifest is modified; the patch lives only in the
 # `--config` flags below.
@@ -23,7 +23,5 @@ shift
 exec cargo "$SUB" \
   --config "patch.crates-io.rand.path='$STUBS/rand'" \
   --config "patch.crates-io.rand_chacha.path='$STUBS/rand_chacha'" \
-  --config "patch.crates-io.parking_lot.path='$STUBS/parking_lot'" \
   --config "patch.crates-io.proptest.path='$STUBS/proptest'" \
-  --config "patch.crates-io.criterion.path='$STUBS/criterion'" \
   --offline "$@"

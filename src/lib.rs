@@ -17,9 +17,10 @@
 //! * [`netem`] — the token-bucket network emulator.
 //! * [`cluster`] — the in-process mini-CFS testbed (HDFS stand-in): a
 //!   sharded NameNode, DataNodes over pluggable [`cluster::BlockStore`]
-//!   backends (in-memory or file-backed, selected by `EAR_STORE=memory|file`
-//!   via [`types::StoreBackend`]), and the unified [`cluster::ClusterIo`]
-//!   data plane that owns fault injection, pacing, and CRC32C verification.
+//!   backends (in-memory or the durable extent engine, selected by
+//!   `EAR_STORE=memory|extent` via [`types::StoreBackend`]), and the unified
+//!   [`cluster::ClusterIo`] data plane that owns fault injection, pacing,
+//!   and CRC32C verification.
 //! * [`analysis`] — Eq. (1), Theorem 1, and load-balancing analysis.
 //! * [`workloads`] — synthetic MapReduce / traffic generators.
 //!

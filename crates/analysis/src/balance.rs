@@ -3,8 +3,8 @@
 //! as random replication?
 
 use ear_core::{PlacementPolicy, StripePlan};
+use ear_types::rng::ChaCha8;
 use ear_types::{ClusterTopology, Result};
-use rand::Rng;
 
 /// Per-rack replica proportions from placing `blocks` blocks with a policy,
 /// averaged over `runs` Monte Carlo rounds: `result[j]` is the average
@@ -14,12 +14,12 @@ use rand::Rng;
 /// # Errors
 ///
 /// Propagates placement failures.
-pub fn storage_distribution<R: Rng>(
+pub fn storage_distribution(
     make_policy: impl Fn() -> Box<dyn PlacementPolicy>,
     topo: &ClusterTopology,
     blocks: usize,
     runs: usize,
-    rng: &mut R,
+    rng: &mut ChaCha8,
 ) -> Result<Vec<f64>> {
     let racks = topo.num_racks();
     let mut avg = vec![0.0f64; racks];
@@ -58,12 +58,12 @@ pub fn storage_distribution<R: Rng>(
 /// # Errors
 ///
 /// Propagates placement failures.
-pub fn read_hotness<R: Rng>(
+pub fn read_hotness(
     make_policy: impl Fn() -> Box<dyn PlacementPolicy>,
     topo: &ClusterTopology,
     file_blocks: usize,
     runs: usize,
-    rng: &mut R,
+    rng: &mut ChaCha8,
 ) -> Result<f64> {
     let racks = topo.num_racks();
     let mut total_h = 0.0f64;
@@ -105,10 +105,10 @@ pub fn max_rank_difference(a: &[f64], b: &[f64]) -> f64 {
 /// # Errors
 ///
 /// Propagates placement failures.
-pub fn place_and_collect<R: Rng>(
+pub fn place_and_collect(
     policy: &mut dyn PlacementPolicy,
     blocks: usize,
-    rng: &mut R,
+    rng: &mut ChaCha8,
 ) -> Result<Vec<StripePlan>> {
     let mut sealed = Vec::new();
     for _ in 0..blocks {
@@ -124,8 +124,6 @@ mod tests {
     use super::*;
     use ear_core::{EncodingAwareReplication, RandomReplicationPolicy};
     use ear_types::{EarConfig, ErasureParams, ReplicationConfig};
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
 
     fn cfg() -> EarConfig {
         EarConfig::new(
@@ -143,7 +141,7 @@ mod tests {
     #[test]
     fn distributions_sum_to_one_hundred_and_sort_descending() {
         let t = topo();
-        let mut rng = ChaCha8Rng::seed_from_u64(31);
+        let mut rng = ChaCha8::from_seed(31);
         let t2 = t.clone();
         let dist = storage_distribution(
             move || Box::new(RandomReplicationPolicy::new(cfg(), t2.clone()).unwrap()),
@@ -165,7 +163,7 @@ mod tests {
         // Experiment C.1's claim: both policies land between roughly 4.5%
         // and 5.5% per rack on 20 racks.
         let t = topo();
-        let mut rng = ChaCha8Rng::seed_from_u64(32);
+        let mut rng = ChaCha8::from_seed(32);
         let t_rr = t.clone();
         let rr = storage_distribution(
             move || Box::new(RandomReplicationPolicy::new(cfg(), t_rr.clone()).unwrap()),
@@ -197,7 +195,7 @@ mod tests {
     #[test]
     fn hotness_decreases_with_file_size() {
         let t = topo();
-        let mut rng = ChaCha8Rng::seed_from_u64(33);
+        let mut rng = ChaCha8::from_seed(33);
         let mk = {
             let t = t.clone();
             move || -> Box<dyn PlacementPolicy> {
@@ -217,7 +215,7 @@ mod tests {
     #[test]
     fn hotness_similar_between_policies() {
         let t = topo();
-        let mut rng = ChaCha8Rng::seed_from_u64(34);
+        let mut rng = ChaCha8::from_seed(34);
         let t_rr = t.clone();
         let rr = read_hotness(
             move || {
@@ -251,7 +249,7 @@ mod tests {
     #[test]
     fn place_and_collect_returns_sealed_stripes() {
         let t = topo();
-        let mut rng = ChaCha8Rng::seed_from_u64(35);
+        let mut rng = ChaCha8::from_seed(35);
         let mut policy = RandomReplicationPolicy::new(cfg(), t).unwrap();
         let sealed = place_and_collect(&mut policy, 35, &mut rng).unwrap();
         assert_eq!(sealed.len(), 3); // k = 10

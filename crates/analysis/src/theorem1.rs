@@ -3,8 +3,8 @@
 //! validates the bound against the real algorithm.
 
 use ear_core::EarStripeBuilder;
+use ear_types::rng::ChaCha8;
 use ear_types::{ClusterTopology, EarConfig, RackId, Result};
-use rand::Rng;
 
 /// Theorem 1's upper bound on `E_i`, the expected number of iterations that
 /// finds a qualified replica layout for the `i`-th data block (1-indexed)
@@ -42,11 +42,11 @@ pub fn theorem1_bound(r: usize, c: usize, i: usize) -> f64 {
 /// # Errors
 ///
 /// Propagates placement failures from the builder.
-pub fn measure_iterations<R: Rng + ?Sized>(
+pub fn measure_iterations(
     cfg: &EarConfig,
     topo: &ClusterTopology,
     trials: usize,
-    rng: &mut R,
+    rng: &mut ChaCha8,
 ) -> Result<Vec<f64>> {
     let k = cfg.erasure().k();
     let mut sums = vec![0.0f64; k];
@@ -67,8 +67,6 @@ pub fn measure_iterations<R: Rng + ?Sized>(
 mod tests {
     use super::*;
     use ear_types::{ErasureParams, ReplicationConfig};
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
 
     #[test]
     fn bound_matches_paper_remarks() {
@@ -94,7 +92,7 @@ mod tests {
             1,
         )
         .unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(23);
+        let mut rng = ChaCha8::from_seed(23);
         let measured = measure_iterations(&cfg, &topo, 300, &mut rng).unwrap();
         assert_eq!(measured.len(), 10);
         for (i, &e) in measured.iter().enumerate() {

@@ -2,7 +2,7 @@
 //! *preliminary* EAR (core rack + unconstrained random second rack per
 //! block) violates rack-level fault tolerance and would need relocation.
 
-use rand::Rng;
+use ear_types::rng::ChaCha8;
 
 /// Falling factorial `n · (n-1) · … · (n-k+1)` as `f64`.
 fn falling_factorial(n: usize, k: usize) -> f64 {
@@ -57,11 +57,11 @@ pub fn violation_probability(r: usize, k: usize) -> f64 {
 /// preliminary EAR's random rack choices: each of `k` blocks picks one of
 /// `R-1` non-core racks; the stripe is safe iff at most one pair collides
 /// (at least `k-1` distinct racks are hit).
-pub fn violation_probability_monte_carlo<R: Rng + ?Sized>(
+pub fn violation_probability_monte_carlo(
     r: usize,
     k: usize,
     trials: usize,
-    rng: &mut R,
+    rng: &mut ChaCha8,
 ) -> f64 {
     assert!(r >= 2 && k >= 1 && trials > 0);
     let m = r - 1;
@@ -70,7 +70,7 @@ pub fn violation_probability_monte_carlo<R: Rng + ?Sized>(
     for _ in 0..trials {
         counts.fill(0);
         for _ in 0..k {
-            counts[rng.gen_range(0..m)] += 1;
+            counts[rng.below(m as u64) as usize] += 1;
         }
         let distinct = counts.iter().filter(|&&c| c > 0).count();
         if distinct < k - 1 || (distinct == k - 1 && counts.iter().any(|&c| c > 2)) {
@@ -91,8 +91,6 @@ pub fn expected_cross_rack_downloads_rr(r: usize, k: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
 
     #[test]
     fn matches_paper_reference_point() {
@@ -138,7 +136,7 @@ mod tests {
 
     #[test]
     fn monte_carlo_agrees_with_formula() {
-        let mut rng = ChaCha8Rng::seed_from_u64(17);
+        let mut rng = ChaCha8::from_seed(17);
         for (r, k) in [(16, 12), (20, 10), (30, 6), (40, 8)] {
             let exact = violation_probability(r, k);
             let mc = violation_probability_monte_carlo(r, k, 40_000, &mut rng);

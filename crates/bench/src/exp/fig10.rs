@@ -4,10 +4,9 @@
 
 use crate::{Scale, Table};
 use ear_cluster::{mapreduce, ClusterConfig, ClusterPolicy, MiniCfs};
+use ear_types::rng::ChaCha8;
 use ear_types::{Bandwidth, ByteSize, EarConfig, ErasureParams, ReplicationConfig, Result};
 use ear_workloads::SwimGenerator;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 
 /// Replays the workload for one policy; returns per-job completion offsets
 /// (seconds), sorted.
@@ -35,7 +34,7 @@ pub fn measure(policy: ClusterPolicy, scale: Scale, seed: u64) -> Result<Vec<f64
 
     let mut gen = SwimGenerator::miniature();
     gen.max_bytes = scale.pick(1, 8) * 1024 * 1024;
-    let jobs = gen.generate(scale.pick(10, 50), &mut ChaCha8Rng::seed_from_u64(seed));
+    let jobs = gen.generate(scale.pick(10, 50), &mut ChaCha8::from_seed(seed));
     let inputs = mapreduce::prepare_inputs(&cfs, &jobs)?;
     let results = mapreduce::run_jobs(&cfs, &jobs, &inputs, 4, scale.pick(0.02, 0.2))?;
     Ok(results.into_iter().map(|r| r.finish).collect())

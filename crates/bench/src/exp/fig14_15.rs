@@ -4,9 +4,8 @@
 use crate::{Scale, Table};
 use ear_analysis::{max_rank_difference, read_hotness, storage_distribution};
 use ear_core::{EncodingAwareReplication, PlacementPolicy, RandomReplicationPolicy};
+use ear_types::rng::ChaCha8;
 use ear_types::{ClusterTopology, EarConfig, ErasureParams, ReplicationConfig};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 
 fn cfg() -> EarConfig {
     EarConfig::new(
@@ -27,7 +26,7 @@ pub fn run_storage(scale: Scale) -> String {
     let blocks = scale.pick(1_000, 10_000);
     let runs = scale.pick(20, 1_000);
     let t = topo();
-    let mut rng = ChaCha8Rng::seed_from_u64(14);
+    let mut rng = ChaCha8::from_seed(14);
     let t_rr = t.clone();
     let rr = storage_distribution(
         move || {
@@ -82,7 +81,7 @@ pub fn run_hotness(scale: Scale) -> String {
         vec![1, 10, 100, 1_000, 10_000],
     );
     let t = topo();
-    let mut rng = ChaCha8Rng::seed_from_u64(15);
+    let mut rng = ChaCha8::from_seed(15);
     let mut out = format!(
         "Figure 15 (Experiment C.2): read load balancing — hotness index H, {runs} runs\n\n"
     );

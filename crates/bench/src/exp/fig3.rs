@@ -7,15 +7,14 @@ use crate::{Scale, Table};
 use ear_analysis::{
     expected_cross_rack_downloads_rr, violation_probability, violation_probability_monte_carlo,
 };
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+use ear_types::rng::ChaCha8;
 
 /// Runs the experiment and renders Fig. 3's series.
 pub fn run(scale: Scale) -> String {
     let trials = scale.pick(5_000, 100_000);
     let ks = [6usize, 8, 10, 12];
     let racks: Vec<usize> = (14..=40).step_by(2).collect();
-    let mut rng = ChaCha8Rng::seed_from_u64(3);
+    let mut rng = ChaCha8::from_seed(3);
 
     let mut out = String::from(
         "Figure 3: probability a stripe violates rack-level fault tolerance\n\

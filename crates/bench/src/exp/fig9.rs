@@ -8,10 +8,8 @@
 
 use crate::{Scale, Table};
 use ear_cluster::{ClusterConfig, ClusterPolicy, MiniCfs, RaidNode};
+use ear_types::rng::ChaCha8;
 use ear_types::{ByteSize, EarConfig, ErasureParams, NodeId, ReplicationConfig, Result};
-use rand::Rng;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
@@ -69,11 +67,11 @@ pub fn measure(policy: ClusterPolicy, scale: Scale, seed: u64) -> Result<WriteDu
     };
     let (encode_seconds, end, samples) = std::thread::scope(|scope| {
         let writer = scope.spawn(|| -> Result<Vec<(f64, f64)>> {
-            let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xBEEF);
+            let mut rng = ChaCha8::from_seed(seed ^ 0xBEEF);
             let mut tag = 1_000_000u64;
             let mut responses = Vec::new();
             while !stop.load(Ordering::SeqCst) {
-                let gap = -(1.0 - rng.gen::<f64>()).ln() / write_rate;
+                let gap = -(1.0 - rng.unit_f64()).ln() / write_rate;
                 std::thread::sleep(std::time::Duration::from_secs_f64(gap));
                 let arrival = start.elapsed().as_secs_f64();
                 let client = NodeId((tag % nodes) as u32);

@@ -149,13 +149,15 @@ pub fn run(scale: Scale) -> String {
     out
 }
 
-/// The rack-fold measurement: a (6,4) code at c = 2 leaves the victim's
-/// rack one survivor, so the chosen k = 4 sources are two at the recovery
-/// site and two in one remote rack — which ships one folded partial instead
-/// of two shards.
+/// The rack-fold measurement: a (6,4) code at c = 2 held to three target
+/// racks lays every stripe out 2+2+2, so a failure leaves the victim's rack
+/// one survivor and the chosen k = 4 sources are two at the recovery site and
+/// two in one remote rack — which ships one folded partial instead of two
+/// shards. (Unrestricted, a stripe may spread 2+1+1+1+1 and nothing folds;
+/// which layout a seed draws would then decide the number.)
 fn fold_section(scale: Scale) -> String {
     let params = ErasureParams::new(6, 4).expect("params");
-    let p = measure(params, 2, None, scale).expect("fold run");
+    let p = measure(params, 2, Some(3), scale).expect("fold run");
     let mut t = Table::new(&["cross-rack recovery fraction", "cross-rack repair KiB"]);
     t.row_owned(vec![
         format!("{:.2}", p.cross_rack_fraction),
@@ -163,12 +165,13 @@ fn fold_section(scale: Scale) -> String {
     ]);
     format!(
         "Rack-folded repair (DESIGN.md 15): (6,4) erasure coding, c = 2,\n\
-         6 racks x 6 nodes, single-node failure recovery\n\n{}\n\
+         3 target racks, 6 racks x 6 nodes, single-node failure recovery\n\n{}\n\
          Each rebuilt stripe block needs k = 4 sources: two intra-rack at the\n\
          recovery site and two in one remote rack, folded there into a single\n\
          partial — 1 of its 5 transfers crosses racks, where shipping both shards\n\
          whole would make it 2 of 4. (The fraction also counts the victims'\n\
-         replicated blocks, re-copied from one source each.)\n",
+         replicated blocks, re-copied from one source each, and stripes an\n\
+         earlier repair already moved off their three racks.)\n",
         t.render()
     )
 }
@@ -249,13 +252,13 @@ mod tests {
 
     #[test]
     fn dense_remote_rack_is_folded_into_one_partial() {
-        // (6,4) at c = 2 over 3 racks: the victim's rack keeps one
+        // (6,4) at c = 2 over 3 target racks: the victim's rack keeps one
         // survivor, recovery sits in a dense rack (2 intra sources), and
         // the remaining two chosen sources share the other remote rack.
         // Folded, a rebuilt block costs 1 cross-rack transfer in 5; two
         // whole shards would be 2 in 4.
         let params = ErasureParams::new(6, 4).unwrap();
-        let p = measure(params, 2, None, Scale::Quick).unwrap();
+        let p = measure(params, 2, Some(3), Scale::Quick).unwrap();
         assert!(
             p.cross_rack_fraction < 0.5,
             "a folded rack must beat two whole shards: {}",

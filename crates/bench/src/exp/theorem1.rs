@@ -4,9 +4,8 @@
 
 use crate::{Scale, Table};
 use ear_analysis::{measure_iterations, theorem1_bound};
+use ear_types::rng::ChaCha8;
 use ear_types::{ClusterTopology, EarConfig, ErasureParams, ReplicationConfig};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 
 /// Runs the measurement for `(R, c, k)` and renders measured vs bound rows.
 pub fn run(scale: Scale) -> String {
@@ -23,7 +22,7 @@ pub fn run(scale: Scale) -> String {
             c,
         )
         .expect("valid");
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
+        let mut rng = ChaCha8::from_seed(1);
         let measured = measure_iterations(&cfg, &topo, trials, &mut rng).expect("measurement");
         out.push_str(&format!("k = {k}, c = {c}\n"));
         let mut t = Table::new(&["i", "measured E_i", "bound"]);

@@ -16,12 +16,11 @@ use ear_cluster::chaos::{run_heal_plan, run_plan, ChaosConfig, HealSoakConfig};
 use ear_cluster::{crashsim, ClusterConfig, ClusterPolicy, HealerConfig, MiniCfs};
 use ear_core::{EncodingAwareReplication, PlacementPolicy, RandomReplicationPolicy};
 use ear_sim::{run as sim_run, PolicyKind, SimConfig};
+use ear_types::rng::ChaCha8;
 use ear_types::{
     Bandwidth, ByteSize, CacheConfig, ClusterTopology, DurabilityConfig, EarConfig,
     ErasureParams, ReplicationConfig, StoreBackend,
 };
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 
 const USAGE: &str = "\
 ear — encoding-aware replication (Li, Hu & Lee, DSN 2015) reproduction
@@ -490,7 +489,7 @@ fn place(args: &Args) -> Result<String, Box<dyn std::error::Error>> {
         PolicyKind::Rr => Box::new(RandomReplicationPolicy::new(cfg, topo.clone())?),
         PolicyKind::Ear => Box::new(EncodingAwareReplication::new(cfg, topo.clone())),
     };
-    let mut rng = ChaCha8Rng::seed_from_u64(args.get_parsed("seed", 1)?);
+    let mut rng = ChaCha8::from_seed(args.get_parsed("seed", 1)?);
     let mut out = String::new();
     let mut sealed = 0usize;
     let mut guard = 0usize;

@@ -21,10 +21,8 @@ use crate::health::{DegradedTracker, HealthTransition, RepairKind, RepairTask};
 use crate::recovery::reconstruct_stripe_block;
 use crate::reliability::{OpClass, OpContext};
 use ear_faults::crc32c;
+use ear_types::rng::ChaCha8;
 use ear_types::{BlockId, Error, HealStats, NodeHealth, NodeId, RackId, Result, StripeId};
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
@@ -447,7 +445,7 @@ fn execute_repair(
     ctx: &RoundCtx<'_>,
     seed: u64,
 ) -> Result<RepairOutcome> {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ task.block.0.wrapping_mul(0x9E37) ^ 0x4EA1);
+    let mut rng = ChaCha8::from_seed(seed ^ task.block.0.wrapping_mul(0x9E37) ^ 0x4EA1);
     // Every repair runs as a Heal-class op under the round deadline: the
     // admission gate may shed it under load, and a straggling repair fails
     // typed instead of hanging the round.
@@ -496,7 +494,7 @@ fn re_replicate(
     block: BlockId,
     want: usize,
     ctx: &RoundCtx<'_>,
-    rng: &mut ChaCha8Rng,
+    rng: &mut ChaCha8,
 ) -> Result<RepairOutcome> {
     let nn = cfs.namenode();
     let topo = cfs.topology();
@@ -562,8 +560,8 @@ fn re_replicate(
         } else {
             &preferred
         };
-        let dst = pool
-            .choose(rng)
+        let dst = rng
+            .choose(pool)
             .copied()
             .ok_or(Error::NoRepairDestination { block })?;
         let (data, src) = cfs

@@ -5,12 +5,10 @@
 use crate::cluster::MiniCfs;
 use crate::reliability::OpClass;
 use crate::sync::{locked, wait_until};
+use ear_types::rng::ChaCha8;
 use ear_types::{BlockId, NodeId, Result};
 use ear_workloads::MapReduceJob;
 use std::sync::{Condvar, Mutex};
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 use std::time::Instant;
 
 /// Outcome of one replayed job.
@@ -150,12 +148,15 @@ fn run_one_job(
     input: &[BlockId],
     slots: &[Slots],
 ) -> Result<()> {
-    let mut rng = ChaCha8Rng::seed_from_u64(job.id as u64 ^ 0xA53);
+    // Seeded per (cluster seed, job) so two clusters differing only in seed
+    // schedule different (but individually reproducible) reducers and maps.
+    let mut rng =
+        ChaCha8::from_seed(cfs.config().seed ^ (job.id as u64).wrapping_mul(0x9E37) ^ 0xA53);
     let all_nodes: Vec<NodeId> = cfs.topology().nodes().collect();
     // Reducers: one per input block, capped at 4, chosen at random.
     let reducers: Vec<NodeId> = {
         let n = input.len().clamp(1, 4);
-        all_nodes.choose_multiple(&mut rng, n).copied().collect()
+        rng.sample(&all_nodes, n)
     };
     let shuffle_per_pair = if job.shuffle_bytes == 0 || input.is_empty() {
         0
@@ -172,8 +173,8 @@ fn run_one_job(
                 .namenode()
                 .locations(block)
                 .ok_or_else(|| ear_types::Error::Invariant(format!("unknown {block}")))?;
-            let map_node = *locations
-                .choose(&mut rng)
+            let map_node = *rng
+                .choose(&locations)
                 .ok_or(ear_types::Error::BlockUnavailable { block })?;
             let reducers = reducers.clone();
             handles.push(scope.spawn(move || -> Result<()> {
@@ -262,7 +263,7 @@ mod tests {
         let mut gen = SwimGenerator::miniature();
         gen.max_bytes = 256 * 1024;
         gen.arrival_rate = 100.0;
-        let mut rng = ChaCha8Rng::seed_from_u64(11);
+        let mut rng = ChaCha8::from_seed(11);
         gen.generate(count, &mut rng)
     }
 

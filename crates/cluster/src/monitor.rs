@@ -6,10 +6,8 @@
 use crate::cluster::MiniCfs;
 use crate::namenode::EncodedStripe;
 use crate::raidnode::Relocation;
+use ear_types::rng::ChaCha8;
 use ear_types::{NodeId, RackId, StripeId};
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// One detected violation.
@@ -67,7 +65,7 @@ pub fn plan_repairs(cfs: &MiniCfs, violations: &[Violation]) -> Vec<Relocation> 
     let c = cfs.config().ear.c();
     // Derived from the cluster seed so two clusters differing only in seed
     // plan different (but individually reproducible) repairs.
-    let mut rng = ChaCha8Rng::seed_from_u64(cfs.config().seed ^ 0x510C);
+    let mut rng = ChaCha8::from_seed(cfs.config().seed ^ 0x510C);
     let encoded: HashMap<StripeId, EncodedStripe> = cfs
         .namenode()
         .encoded_stripes()
@@ -105,14 +103,21 @@ pub fn plan_repairs(cfs: &MiniCfs, violations: &[Violation]) -> Vec<Relocation> 
         by_rack.sort_by_key(|&(r, _)| r);
         for (rack, members) in by_rack {
             let surplus = members.len().saturating_sub(c);
-            for &idx in members.iter().take(surplus) {
+            // A node's second stripe block moves before any node's only one:
+            // otherwise the rack can drop to `c` with a node clash left in
+            // it, which `scan` reports and no later plan repairs.
+            let mut seen = HashSet::new();
+            let (lone, doubled): (Vec<usize>, Vec<usize>) = members
+                .iter()
+                .partition(|&&idx| seen.insert(placement[idx].1));
+            for &idx in doubled.iter().chain(&lone).take(surplus) {
                 let (block, from) = placement[idx];
                 // Find a destination rack with spare capacity.
                 let mut candidates: Vec<RackId> = topo
                     .racks()
                     .filter(|r| *r != rack && load.get(r).copied().unwrap_or(0) < c)
                     .collect();
-                candidates.shuffle(&mut rng);
+                rng.shuffle(&mut candidates);
                 let Some(dst_rack) = candidates.first().copied() else {
                     continue;
                 };
@@ -122,7 +127,7 @@ pub fn plan_repairs(cfs: &MiniCfs, violations: &[Violation]) -> Vec<Relocation> 
                     .copied()
                     .filter(|n| !used.contains(n))
                     .collect();
-                if let Some(&to) = free.choose(&mut rng) {
+                if let Some(&to) = rng.choose(&free) {
                     out.push((block, from, to));
                     // The destination now holds a stripe block: without
                     // marking it used, two surplus blocks of one stripe can

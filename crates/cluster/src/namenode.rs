@@ -13,9 +13,8 @@
 use crate::sync::{Mutex, RwLock};
 use crate::wal::{BlockRec, EncodedEntry, MetaRecord, MetaSnapshot, MetaWal, PlanRecord, StripeEntry};
 use ear_core::{PlacementPolicy, StripePlan};
+use ear_types::rng::ChaCha8;
 use ear_types::{BlockId, BlockId as Bid, ClusterTopology, NodeId, Result, StripeId};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -91,7 +90,7 @@ struct StripeState {
 pub struct NameNode {
     topo: ClusterTopology,
     policy: Mutex<Box<dyn PlacementPolicy>>,
-    rng: Mutex<ChaCha8Rng>,
+    rng: Mutex<ChaCha8>,
     seed: u64,
     shards: Vec<RwLock<HashMap<BlockId, BlockMeta>>>,
     stripes: Mutex<StripeState>,
@@ -111,7 +110,7 @@ impl NameNode {
         NameNode {
             topo,
             policy: Mutex::new(policy),
-            rng: Mutex::new(ChaCha8Rng::seed_from_u64(seed)),
+            rng: Mutex::new(ChaCha8::from_seed(seed)),
             seed,
             shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
             stripes: Mutex::new(StripeState::default()),
@@ -145,7 +144,7 @@ impl NameNode {
         let nn = NameNode {
             topo,
             policy: Mutex::new(policy),
-            rng: Mutex::new(ChaCha8Rng::seed_from_u64(seed)),
+            rng: Mutex::new(ChaCha8::from_seed(seed)),
             seed,
             shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
             stripes: Mutex::new(StripeState::default()),
@@ -311,7 +310,7 @@ impl NameNode {
             // recency.
             let mut policy = self.policy.lock();
             let mut rng = self.rng.lock();
-            let placed = policy.place_block(&mut *rng)?;
+            let placed = policy.place_block(&mut rng)?;
             let mut stripes = self.stripes.lock();
             let id = Bid(self.next_block.fetch_add(1, Ordering::SeqCst));
             self.shard(id).write().insert(
@@ -515,7 +514,7 @@ impl NameNode {
     pub fn plan_encoding(&self, stripe: &PendingStripe) -> Result<ear_core::EncodePlan> {
         let policy = self.policy.lock();
         let mut rng =
-            ChaCha8Rng::seed_from_u64(self.seed ^ stripe.id.0.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            ChaCha8::from_seed(self.seed ^ stripe.id.0.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         policy.plan_encoding(&stripe.plan, &mut rng)
     }
 

@@ -11,10 +11,8 @@
 use crate::cluster::MiniCfs;
 use crate::reliability::{OpClass, OpContext};
 use ear_erasure::ParityAccum;
+use ear_types::rng::ChaCha8;
 use ear_types::{Block, BlockId, Error, NodeId, Result};
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 
@@ -60,7 +58,7 @@ pub(crate) fn reconstruct_stripe_block(
     block: BlockId,
     live: &dyn Fn(NodeId) -> bool,
     bad_dst: &dyn Fn(NodeId) -> bool,
-    rng: &mut ChaCha8Rng,
+    rng: &mut ChaCha8,
 ) -> Result<ShardRepair> {
     debug_assert_eq!(members.len(), cfs.codec().params().n());
     let site = plan_repair_site(cfs, members, block, live, rng)?;
@@ -100,7 +98,7 @@ fn plan_repair_site(
     members: &[BlockId],
     block: BlockId,
     live: &dyn Fn(NodeId) -> bool,
-    rng: &mut ChaCha8Rng,
+    rng: &mut ChaCha8,
 ) -> Result<RepairSite> {
     let topo = cfs.topology();
     let holder_any = |b: BlockId| -> Option<NodeId> {
@@ -129,18 +127,16 @@ fn plan_repair_site(
         .ok_or_else(|| Error::Invariant("stripe has no surviving blocks".into()))?;
     let used: Vec<NodeId> = members.iter().filter_map(|&m| holder_any(m)).collect();
     let all_live: Vec<NodeId> = topo.nodes().filter(|&nd| live(nd)).collect();
-    let recovery_node = match topo
+    let free_in_best: Vec<NodeId> = topo
         .nodes_in_rack(best_rack)
         .iter()
         .copied()
         .filter(|nd| !used.contains(nd) && live(*nd))
-        .collect::<Vec<_>>()
-        .choose(rng)
-        .copied()
-    {
-        Some(nd) => nd,
-        None => *all_live
-            .choose(rng)
+        .collect();
+    let recovery_node = match rng.choose(&free_in_best) {
+        Some(&nd) => nd,
+        None => *rng
+            .choose(&all_live)
             .ok_or_else(|| Error::Invariant("no live node to run recovery".into()))?,
     };
     let mut sources: Vec<(usize, BlockId, NodeId)> = members
@@ -193,7 +189,7 @@ fn place_rebuilt(
     rebuilt: Vec<u8>,
     site: &RepairSite,
     bad_dst: &dyn Fn(NodeId) -> bool,
-    rng: &mut ChaCha8Rng,
+    rng: &mut ChaCha8,
     repair: &mut ShardRepair,
 ) -> Result<()> {
     let topo = cfs.topology();
@@ -213,7 +209,8 @@ fn place_rebuilt(
     {
         recovery_node
     } else {
-        site.all_live
+        let eligible: Vec<NodeId> = site
+            .all_live
             .iter()
             .copied()
             .filter(|&nd| {
@@ -221,10 +218,8 @@ fn place_rebuilt(
                     && !bad_dst(nd)
                     && per_rack.get(&topo.rack_of(nd).0).copied().unwrap_or(0) < c
             })
-            .collect::<Vec<_>>()
-            .choose(rng)
-            .copied()
-            .unwrap_or(recovery_node)
+            .collect();
+        rng.choose(&eligible).copied().unwrap_or(recovery_node)
     };
     if placement != recovery_node {
         cfs.io()
@@ -493,7 +488,10 @@ pub fn recover_node(cfs: &MiniCfs, failed: NodeId) -> Result<RecoveryStats> {
         fault_seed: cfs.fault_seed(),
         ..RecoveryStats::default()
     };
-    let mut rng = ChaCha8Rng::seed_from_u64(failed.0 as u64 ^ 0x5EC0);
+    // Seeded per (cluster seed, failed node) so two clusters differing only
+    // in seed pick different (but individually reproducible) destinations.
+    let mut rng =
+        ChaCha8::from_seed(cfs.config().seed ^ (failed.0 as u64).wrapping_mul(0x9E37) ^ 0x5EC0);
     let topo = cfs.topology();
 
     // Index encoded stripes by member block for quick lookup.
@@ -540,11 +538,13 @@ pub fn recover_node(cfs: &MiniCfs, failed: NodeId) -> Result<RecoveryStats> {
         if !survivors.is_empty() {
             // Replicated block: copy from a surviving replica, falling back
             // across replicas and retrying transient failures.
-            let dst = *healthy
+            let spare: Vec<NodeId> = healthy
                 .iter()
-                .filter(|&&nd| !survivors.contains(&nd))
-                .collect::<Vec<_>>()
-                .choose(&mut rng)
+                .copied()
+                .filter(|nd| !survivors.contains(nd))
+                .collect();
+            let dst = *rng
+                .choose(&spare)
                 .ok_or_else(|| Error::Invariant("no healthy node for re-replication".into()))?;
             let reachable: Vec<NodeId> = survivors
                 .iter()
@@ -554,12 +554,12 @@ pub fn recover_node(cfs: &MiniCfs, failed: NodeId) -> Result<RecoveryStats> {
             let ctx = cfs.reliability().ctx(OpClass::Heal)?;
             let (data, src) =
                 cfs.io()
-                    .read_with_fallback(&ctx, *dst, block, &reachable, None, None)?;
-            cfs.datanode(*dst).put(block, data)?;
+                    .read_with_fallback(&ctx, dst, block, &reachable, None, None)?;
+            cfs.datanode(dst).put(block, data)?;
             let mut locs = survivors;
-            locs.push(*dst);
+            locs.push(dst);
             cfs.namenode().set_locations(block, locs)?;
-            if topo.rack_of(src) != topo.rack_of(*dst) {
+            if topo.rack_of(src) != topo.rack_of(dst) {
                 stats.cross_rack_downloads += 1;
             }
             stats.blocks_downloaded += 1;
@@ -607,6 +607,16 @@ mod tests {
         racks: usize,
         nodes_per_rack: usize,
     ) -> MiniCfs {
+        boot_seeded(policy, ear, racks, nodes_per_rack, 11)
+    }
+
+    fn boot_seeded(
+        policy: ClusterPolicy,
+        ear: EarConfig,
+        racks: usize,
+        nodes_per_rack: usize,
+        seed: u64,
+    ) -> MiniCfs {
         let cfg = ClusterConfig {
             racks,
             nodes_per_rack,
@@ -615,7 +625,7 @@ mod tests {
             rack_bandwidth: Bandwidth::bytes_per_sec(512e6),
             ear,
             policy,
-            seed: 11,
+            seed,
             store: StoreBackend::from_env(),
             cache: CacheConfig::from_env(),
             durability: Default::default(),
@@ -684,6 +694,63 @@ mod tests {
                 "block {b} corrupted"
             );
         }
+    }
+
+    #[test]
+    fn recovery_destinations_follow_the_cluster_seed() {
+        // Regression: recover_node once seeded its draws from the failed
+        // node's id alone, so clusters differing only in seed re-replicated
+        // onto the same nodes. Placement itself follows the seed, so the
+        // layout is pinned by hand — every block on the victim plus one fixed
+        // partner — leaving the recovery draw as the only thing a seed moves.
+        let recover = |seed: u64| {
+            let cfs = boot_seeded(ClusterPolicy::Rr, ear_6_4(1), 8, 2, seed);
+            let nodes = cfs.topology().num_nodes() as u64;
+            let victim = NodeId(0);
+            let blocks: Vec<BlockId> = (0..12u64)
+                .map(|i| {
+                    let b = cfs
+                        .write_block(NodeId((i % nodes) as u32), cfs.make_block(i))
+                        .unwrap();
+                    let pinned = vec![victim, NodeId(1 + (i % (nodes - 1)) as u32)];
+                    let old = cfs.namenode().locations(b).unwrap();
+                    let data = cfs.datanode(old[0]).get(b).unwrap();
+                    for &nd in &old {
+                        cfs.datanode(nd).delete(b);
+                    }
+                    for &nd in &pinned {
+                        cfs.datanode(nd).put(b, data.clone()).unwrap();
+                    }
+                    cfs.namenode().set_locations(b, pinned).unwrap();
+                    b
+                })
+                .collect();
+            let stats = recover_node(&cfs, victim).unwrap();
+            let placed: Vec<Vec<NodeId>> = blocks
+                .iter()
+                .map(|&b| cfs.namenode().locations(b).unwrap())
+                .collect();
+            let counts = (
+                stats.blocks_recovered,
+                stats.blocks_downloaded,
+                stats.cross_rack_downloads,
+                stats.cross_rack_uploads,
+            );
+            (counts, placed)
+        };
+        let (counts, placed) = recover(5);
+        assert_eq!(counts.0, 12);
+        assert!(placed.iter().all(|locs| !locs.contains(&NodeId(0))));
+        assert_eq!(
+            recover(5),
+            (counts, placed.clone()),
+            "same seed, same recovery"
+        );
+        assert_ne!(
+            recover(6).1,
+            placed,
+            "another seed must move at least one destination"
+        );
     }
 
     #[test]
@@ -767,7 +834,7 @@ mod tests {
         let block = es.data[0];
         let victim = cfs.namenode().locations(block).unwrap()[0];
         let ctx = cfs.reliability().ctx(OpClass::Heal)?;
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
+        let mut rng = ChaCha8::from_seed(1);
         let live = |nd: NodeId| nd != victim;
         let repair =
             reconstruct_stripe_block(cfs, &ctx, &members, block, &live, &|_| false, &mut rng)?;

@@ -18,8 +18,8 @@
 use crate::layout::{BlockLayout, StripePlan};
 use crate::sample;
 use ear_flow::max_kept_matching;
+use ear_types::rng::ChaCha8;
 use ear_types::{ClusterTopology, EarConfig, Error, NodeId, RackId, RackSpread, Result};
-use rand::Rng;
 use std::collections::HashMap;
 
 /// How the core rack for a new stripe is chosen.
@@ -44,7 +44,6 @@ pub enum CoreRackSelection {
 /// ```
 /// use ear_core::EarStripeBuilder;
 /// use ear_types::{ClusterTopology, EarConfig, ErasureParams, RackId, ReplicationConfig};
-/// use rand::SeedableRng;
 ///
 /// let topo = ClusterTopology::uniform(6, 4);
 /// let cfg = EarConfig::new(
@@ -52,7 +51,7 @@ pub enum CoreRackSelection {
 ///     ReplicationConfig::hdfs_default(),
 ///     1,
 /// ).unwrap();
-/// let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
+/// let mut rng = ear_types::rng::ChaCha8::from_seed(1);
 /// let mut b = EarStripeBuilder::new(&cfg, &topo, RackId(2), &mut rng)?;
 /// while !b.is_full() {
 ///     b.add_block(&topo, &cfg, &mut rng)?;
@@ -83,11 +82,11 @@ impl EarStripeBuilder {
     /// Returns [`Error::TopologyTooSmall`] if the topology cannot host a
     /// stripe under `cfg` (too few racks for `ceil(n/c)`, or for the target
     /// racks).
-    pub fn new<R: Rng + ?Sized>(
+    pub fn new(
         cfg: &EarConfig,
         topo: &ClusterTopology,
         core_rack: RackId,
-        rng: &mut R,
+        rng: &mut ChaCha8,
     ) -> Result<Self> {
         validate_topology(cfg, topo)?;
         let target_racks = match cfg.target_racks() {
@@ -146,11 +145,11 @@ impl EarStripeBuilder {
     /// * [`Error::Invariant`] if the stripe is already full.
     /// * [`Error::PlacementExhausted`] if no feasible layout was found
     ///   within the configured retry budget.
-    pub fn add_block<R: Rng + ?Sized>(
+    pub fn add_block(
         &mut self,
         topo: &ClusterTopology,
         cfg: &EarConfig,
-        rng: &mut R,
+        rng: &mut ChaCha8,
     ) -> Result<BlockLayout> {
         if self.is_full() {
             return Err(Error::Invariant("stripe already holds k blocks".into()));
@@ -201,11 +200,11 @@ impl EarStripeBuilder {
     /// Generates one candidate layout for the next block: first replica on a
     /// random core-rack node, remaining replicas per the rack-spread policy
     /// (within target racks when active).
-    fn generate_layout<R: Rng + ?Sized>(
+    fn generate_layout(
         &self,
         topo: &ClusterTopology,
         cfg: &EarConfig,
-        rng: &mut R,
+        rng: &mut ChaCha8,
     ) -> Result<BlockLayout> {
         let r = cfg.replication().replicas();
         let first =
@@ -304,7 +303,6 @@ fn validate_topology(cfg: &EarConfig, topo: &ClusterTopology) -> Result<()> {
 /// ```
 /// use ear_core::{EncodingAwareReplication, PlacementPolicy};
 /// use ear_types::{ClusterTopology, EarConfig, ErasureParams, ReplicationConfig};
-/// use rand::SeedableRng;
 ///
 /// let topo = ClusterTopology::uniform(8, 4);
 /// let cfg = EarConfig::new(
@@ -313,7 +311,7 @@ fn validate_topology(cfg: &EarConfig, topo: &ClusterTopology) -> Result<()> {
 ///     1,
 /// ).unwrap();
 /// let mut ear = EncodingAwareReplication::new(cfg, topo);
-/// let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5);
+/// let mut rng = ear_types::rng::ChaCha8::from_seed(5);
 /// let mut sealed = 0;
 /// for _ in 0..64 {
 ///     let placed = ear.place_block(&mut rng)?;
@@ -372,7 +370,7 @@ impl EncodingAwareReplication {
     ///
     /// Propagates topology-validation and retry-exhaustion errors from
     /// [`EarStripeBuilder`].
-    pub fn place_block<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Result<crate::PlacedBlock> {
+    pub fn place_block(&mut self, rng: &mut ChaCha8) -> Result<crate::PlacedBlock> {
         let core = self.pick_core_rack(rng);
         let builder = match self.open.entry(core) {
             std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
@@ -393,7 +391,7 @@ impl EncodingAwareReplication {
         })
     }
 
-    fn pick_core_rack<R: Rng + ?Sized>(&self, rng: &mut R) -> RackId {
+    fn pick_core_rack(&self, rng: &mut ChaCha8) -> RackId {
         match self.selection {
             CoreRackSelection::FirstWriter => {
                 sample::random_rack(rng, &self.topo, &[], None).expect("topology has racks")
@@ -411,8 +409,6 @@ impl EncodingAwareReplication {
 mod tests {
     use super::*;
     use ear_types::{ErasureParams, ReplicationConfig};
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
 
     fn cfg(n: usize, k: usize, c: usize) -> EarConfig {
         EarConfig::new(
@@ -427,7 +423,7 @@ mod tests {
     fn builder_places_first_replica_in_core_rack() {
         let topo = ClusterTopology::uniform(6, 4);
         let cfg = cfg(5, 4, 1);
-        let mut rng = ChaCha8Rng::seed_from_u64(21);
+        let mut rng = ChaCha8::from_seed(21);
         let mut b = EarStripeBuilder::new(&cfg, &topo, RackId(3), &mut rng).unwrap();
         while !b.is_full() {
             let layout = b.add_block(&topo, &cfg, &mut rng).unwrap();
@@ -445,7 +441,7 @@ mod tests {
     fn sealed_stripe_always_admits_complete_matching() {
         let topo = ClusterTopology::uniform(8, 4);
         let cfg = cfg(6, 4, 1);
-        let mut rng = ChaCha8Rng::seed_from_u64(22);
+        let mut rng = ChaCha8::from_seed(22);
         for trial in 0..50 {
             let mut b = EarStripeBuilder::new(&cfg, &topo, RackId(trial % 8), &mut rng).unwrap();
             while !b.is_full() {
@@ -466,7 +462,7 @@ mod tests {
     fn builder_rejects_overfull_stripe() {
         let topo = ClusterTopology::uniform(6, 4);
         let cfg = cfg(4, 3, 1);
-        let mut rng = ChaCha8Rng::seed_from_u64(23);
+        let mut rng = ChaCha8::from_seed(23);
         let mut b = EarStripeBuilder::new(&cfg, &topo, RackId(0), &mut rng).unwrap();
         for _ in 0..3 {
             b.add_block(&topo, &cfg, &mut rng).unwrap();
@@ -482,14 +478,14 @@ mod tests {
     fn finishing_partial_stripe_panics() {
         let topo = ClusterTopology::uniform(6, 4);
         let cfg = cfg(4, 3, 1);
-        let mut rng = ChaCha8Rng::seed_from_u64(24);
+        let mut rng = ChaCha8::from_seed(24);
         let b = EarStripeBuilder::new(&cfg, &topo, RackId(0), &mut rng).unwrap();
         let _ = b.finish();
     }
 
     #[test]
     fn topology_validation() {
-        let mut rng = ChaCha8Rng::seed_from_u64(25);
+        let mut rng = ChaCha8::from_seed(25);
         // (14,10) with c=1 needs 14 racks.
         let small = ClusterTopology::uniform(10, 4);
         let c = cfg(14, 10, 1);
@@ -511,7 +507,7 @@ mod tests {
         .unwrap()
         .with_target_racks(2)
         .unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(26);
+        let mut rng = ChaCha8::from_seed(26);
         let mut b = EarStripeBuilder::new(&cfg, &topo, RackId(1), &mut rng).unwrap();
         while !b.is_full() {
             b.add_block(&topo, &cfg, &mut rng).unwrap();
@@ -535,7 +531,7 @@ mod tests {
         let topo = ClusterTopology::uniform(8, 4);
         let cfg = cfg(6, 4, 1);
         let mut ear = EncodingAwareReplication::new(cfg, topo.clone());
-        let mut rng = ChaCha8Rng::seed_from_u64(27);
+        let mut rng = ChaCha8::from_seed(27);
         let mut sealed = Vec::new();
         for _ in 0..200 {
             let placed = ear.place_block(&mut rng).unwrap();
@@ -561,7 +557,7 @@ mod tests {
         let cfg = cfg(5, 4, 1);
         let mut ear = EncodingAwareReplication::new(cfg, topo)
             .with_core_rack_selection(CoreRackSelection::LeastLoaded);
-        let mut rng = ChaCha8Rng::seed_from_u64(28);
+        let mut rng = ChaCha8::from_seed(28);
         // After 4 blocks, each rack should host exactly one open block.
         for _ in 0..4 {
             ear.place_block(&mut rng).unwrap();
@@ -575,7 +571,7 @@ mod tests {
         // non-core replicas must land in 4 distinct non-core racks.
         let topo = ClusterTopology::uniform(5, 4);
         let cfg = cfg(5, 4, 1);
-        let mut rng = ChaCha8Rng::seed_from_u64(29);
+        let mut rng = ChaCha8::from_seed(29);
         let mut total_retries = 0usize;
         for trial in 0..30 {
             let mut b = EarStripeBuilder::new(&cfg, &topo, RackId(trial % 5), &mut rng).unwrap();

@@ -5,9 +5,8 @@
 use crate::layout::{EncodePlan, StripePlan};
 use crate::sample;
 use ear_flow::max_kept_matching;
+use ear_types::rng::ChaCha8;
 use ear_types::{ClusterTopology, EarConfig, Error, NodeId, RackId, Result};
-use rand::seq::SliceRandom;
-use rand::Rng;
 use std::collections::{HashMap, HashSet};
 
 /// How the encoding node for a stripe is chosen under random replication.
@@ -34,11 +33,11 @@ pub enum EncodingNodeSelection {
 /// graph unexpectedly has no complete matching (both impossible for plans
 /// produced by [`EncodingAwareReplication`](crate::EncodingAwareReplication)),
 /// or [`Error::TopologyTooSmall`] if parity cannot be placed.
-pub fn plan_encoding_ear<R: Rng + ?Sized>(
+pub fn plan_encoding_ear(
     topo: &ClusterTopology,
     cfg: &EarConfig,
     stripe: &StripePlan,
-    rng: &mut R,
+    rng: &mut ChaCha8,
 ) -> Result<EncodePlan> {
     let core = stripe
         .core_rack()
@@ -106,12 +105,12 @@ pub fn plan_encoding_ear<R: Rng + ?Sized>(
 ///
 /// Returns [`Error::TopologyTooSmall`] if parity or relocated blocks cannot
 /// be placed anywhere.
-pub fn plan_encoding_rr<R: Rng + ?Sized>(
+pub fn plan_encoding_rr(
     topo: &ClusterTopology,
     cfg: &EarConfig,
     stripe: &StripePlan,
     selection: EncodingNodeSelection,
-    rng: &mut R,
+    rng: &mut ChaCha8,
 ) -> Result<EncodePlan> {
     let node_lists: Vec<Vec<NodeId>> = stripe
         .data_layouts()
@@ -122,7 +121,7 @@ pub fn plan_encoding_rr<R: Rng + ?Sized>(
     let encoding_node = match selection {
         EncodingNodeSelection::Random => {
             let all: Vec<NodeId> = topo.nodes().collect();
-            *all.choose(rng).expect("topology has nodes")
+            *rng.choose(&all).expect("topology has nodes")
         }
         EncodingNodeSelection::BestLocality => {
             let mut per_rack: HashMap<RackId, usize> = HashMap::new();
@@ -208,13 +207,13 @@ pub fn plan_encoding_rr<R: Rng + ?Sized>(
 
 /// Places `m` parity blocks on nodes such that, together with the kept data
 /// blocks, no node holds two stripe blocks and no rack exceeds `c`.
-fn place_parity<R: Rng + ?Sized>(
+fn place_parity(
     topo: &ClusterTopology,
     kept_data: &[NodeId],
     m: usize,
     c: usize,
     eligible: Option<&[RackId]>,
-    rng: &mut R,
+    rng: &mut ChaCha8,
 ) -> Result<Vec<NodeId>> {
     let mut used: HashSet<NodeId> = kept_data.iter().copied().collect();
     let mut rack_load: HashMap<RackId, usize> = HashMap::new();
@@ -237,20 +236,20 @@ fn place_parity<R: Rng + ?Sized>(
 
 /// Picks a random node in a random rack that still has stripe capacity
 /// (`rack_load < c`) and whose node is unused by the stripe.
-fn pick_node_with_capacity<R: Rng + ?Sized>(
+fn pick_node_with_capacity(
     topo: &ClusterTopology,
     used: &HashSet<NodeId>,
     rack_load: &HashMap<RackId, usize>,
     c: usize,
     eligible: Option<&[RackId]>,
-    rng: &mut R,
+    rng: &mut ChaCha8,
 ) -> Option<NodeId> {
     let mut candidates: Vec<RackId> = match eligible {
         Some(list) => list.to_vec(),
         None => topo.racks().collect(),
     };
     candidates.retain(|r| rack_load.get(r).copied().unwrap_or(0) < c);
-    candidates.shuffle(rng);
+    rng.shuffle(&mut candidates);
     for rack in candidates {
         let free: Vec<NodeId> = topo
             .nodes_in_rack(rack)
@@ -258,7 +257,7 @@ fn pick_node_with_capacity<R: Rng + ?Sized>(
             .copied()
             .filter(|n| !used.contains(n))
             .collect();
-        if let Some(&node) = free.choose(rng) {
+        if let Some(&node) = rng.choose(&free) {
             return Some(node);
         }
     }
@@ -272,8 +271,6 @@ mod tests {
     use crate::layout::BlockLayout;
     use crate::rr::RandomReplication;
     use ear_types::{ErasureParams, ReplicationConfig};
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
 
     fn cfg(n: usize, k: usize, c: usize) -> EarConfig {
         EarConfig::new(
@@ -288,7 +285,7 @@ mod tests {
         topo: &ClusterTopology,
         cfg: &EarConfig,
         core: RackId,
-        rng: &mut ChaCha8Rng,
+        rng: &mut ChaCha8,
     ) -> StripePlan {
         let mut b = EarStripeBuilder::new(cfg, topo, core, rng).unwrap();
         while !b.is_full() {
@@ -297,7 +294,7 @@ mod tests {
         b.finish()
     }
 
-    fn rr_stripe(topo: &ClusterTopology, cfg: &EarConfig, rng: &mut ChaCha8Rng) -> StripePlan {
+    fn rr_stripe(topo: &ClusterTopology, cfg: &EarConfig, rng: &mut ChaCha8) -> StripePlan {
         let rr = RandomReplication::new(topo.clone(), cfg.replication()).unwrap();
         let layouts: Vec<BlockLayout> = (0..cfg.erasure().k())
             .map(|_| rr.place_block(rng))
@@ -310,7 +307,7 @@ mod tests {
     fn ear_plan_has_zero_cross_rack_downloads_and_no_relocation() {
         let topo = ClusterTopology::uniform(8, 4);
         let cfg = cfg(6, 4, 1);
-        let mut rng = ChaCha8Rng::seed_from_u64(31);
+        let mut rng = ChaCha8::from_seed(31);
         for trial in 0..30 {
             let stripe = ear_stripe(&topo, &cfg, RackId(trial % 8), &mut rng);
             let plan = plan_encoding_ear(&topo, &cfg, &stripe, &mut rng).unwrap();
@@ -330,7 +327,7 @@ mod tests {
     fn rr_plan_usually_needs_cross_rack_downloads() {
         let topo = ClusterTopology::uniform(10, 4);
         let cfg = cfg(6, 4, 1);
-        let mut rng = ChaCha8Rng::seed_from_u64(32);
+        let mut rng = ChaCha8::from_seed(32);
         let mut total_cross = 0usize;
         for _ in 0..50 {
             let stripe = rr_stripe(&topo, &cfg, &mut rng);
@@ -355,7 +352,7 @@ mod tests {
     fn rr_best_locality_reduces_downloads() {
         let topo = ClusterTopology::uniform(10, 4);
         let cfg = cfg(6, 4, 1);
-        let mut rng = ChaCha8Rng::seed_from_u64(33);
+        let mut rng = ChaCha8::from_seed(33);
         let (mut rand_total, mut best_total) = (0usize, 0usize);
         for _ in 0..50 {
             let stripe = rr_stripe(&topo, &cfg, &mut rng);
@@ -387,7 +384,7 @@ mod tests {
         // rack-level fault tolerance is high, so relocations must appear.
         let topo = ClusterTopology::uniform(6, 6);
         let cfg = cfg(6, 4, 1);
-        let mut rng = ChaCha8Rng::seed_from_u64(34);
+        let mut rng = ChaCha8::from_seed(34);
         let mut relocated = 0usize;
         for _ in 0..100 {
             let stripe = rr_stripe(&topo, &cfg, &mut rng);
@@ -421,7 +418,7 @@ mod tests {
         .unwrap()
         .with_target_racks(2)
         .unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(35);
+        let mut rng = ChaCha8::from_seed(35);
         let stripe = ear_stripe(&topo, &cfg, RackId(4), &mut rng);
         let plan = plan_encoding_ear(&topo, &cfg, &stripe, &mut rng).unwrap();
         let targets = stripe.target_racks().unwrap();
@@ -439,7 +436,7 @@ mod tests {
         // 3 racks, c = 1, (5,3): stripe needs 5 racks.
         let topo = ClusterTopology::uniform(3, 4);
         let kept = vec![NodeId(0), NodeId(4), NodeId(8)];
-        let mut rng = ChaCha8Rng::seed_from_u64(36);
+        let mut rng = ChaCha8::from_seed(36);
         let err = place_parity(&topo, &kept, 2, 1, None, &mut rng).unwrap_err();
         assert!(matches!(err, Error::TopologyTooSmall { .. }));
     }
@@ -448,7 +445,7 @@ mod tests {
     fn kept_replicas_are_actual_replicas() {
         let topo = ClusterTopology::uniform(8, 4);
         let cfg = cfg(6, 4, 1);
-        let mut rng = ChaCha8Rng::seed_from_u64(37);
+        let mut rng = ChaCha8::from_seed(37);
         let stripe = ear_stripe(&topo, &cfg, RackId(2), &mut rng);
         let plan = plan_encoding_ear(&topo, &cfg, &stripe, &mut rng).unwrap();
         for (i, &kept) in plan.kept_data.iter().enumerate() {

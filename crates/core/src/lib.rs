@@ -16,7 +16,6 @@
 //! ```
 //! use ear_core::{EncodingAwareReplication, PlacementPolicy};
 //! use ear_types::{ClusterTopology, EarConfig, ErasureParams, ReplicationConfig};
-//! use rand::SeedableRng;
 //!
 //! let topo = ClusterTopology::uniform(8, 4);
 //! let cfg = EarConfig::new(
@@ -25,7 +24,7 @@
 //!     1,
 //! ).unwrap();
 //! let mut ear = EncodingAwareReplication::new(cfg, topo.clone());
-//! let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
+//! let mut rng = ear_types::rng::ChaCha8::from_seed(7);
 //!
 //! // Write blocks until a stripe seals, then plan its encoding.
 //! let stripe = loop {

@@ -5,8 +5,8 @@ use crate::encode::{plan_encoding_ear, plan_encoding_rr, EncodingNodeSelection};
 use crate::layout::{BlockLayout, EncodePlan, StripePlan};
 use crate::rr::RandomReplication;
 use crate::EncodingAwareReplication;
+use ear_types::rng::ChaCha8;
 use ear_types::{ClusterTopology, EarConfig, Result};
-use rand::RngCore;
 
 /// The result of placing one block through a policy.
 #[derive(Debug, Clone)]
@@ -34,14 +34,14 @@ pub trait PlacementPolicy: Send {
     ///
     /// Returns placement errors when the topology cannot host the layout or
     /// the retry budget is exhausted (EAR).
-    fn place_block(&mut self, rng: &mut dyn RngCore) -> Result<PlacedBlock>;
+    fn place_block(&mut self, rng: &mut ChaCha8) -> Result<PlacedBlock>;
 
     /// Plans the encoding operation for a sealed stripe.
     ///
     /// # Errors
     ///
     /// Returns an error when parity or relocated blocks cannot be placed.
-    fn plan_encoding(&self, stripe: &StripePlan, rng: &mut dyn RngCore) -> Result<EncodePlan>;
+    fn plan_encoding(&self, stripe: &StripePlan, rng: &mut ChaCha8) -> Result<EncodePlan>;
 
     /// The configuration in force (shared by both policies so comparisons
     /// are apples-to-apples).
@@ -93,7 +93,7 @@ impl PlacementPolicy for RandomReplicationPolicy {
         "rr"
     }
 
-    fn place_block(&mut self, rng: &mut dyn RngCore) -> Result<PlacedBlock> {
+    fn place_block(&mut self, rng: &mut ChaCha8) -> Result<PlacedBlock> {
         let layout = self.rr.place_block(rng);
         self.pending.push(layout.clone());
         let sealed = if self.pending.len() == self.cfg.erasure().k() {
@@ -109,7 +109,7 @@ impl PlacementPolicy for RandomReplicationPolicy {
         })
     }
 
-    fn plan_encoding(&self, stripe: &StripePlan, rng: &mut dyn RngCore) -> Result<EncodePlan> {
+    fn plan_encoding(&self, stripe: &StripePlan, rng: &mut ChaCha8) -> Result<EncodePlan> {
         plan_encoding_rr(self.rr.topology(), &self.cfg, stripe, self.selection, rng)
     }
 
@@ -123,11 +123,11 @@ impl PlacementPolicy for EncodingAwareReplication {
         "ear"
     }
 
-    fn place_block(&mut self, rng: &mut dyn RngCore) -> Result<PlacedBlock> {
+    fn place_block(&mut self, rng: &mut ChaCha8) -> Result<PlacedBlock> {
         EncodingAwareReplication::place_block(self, rng)
     }
 
-    fn plan_encoding(&self, stripe: &StripePlan, rng: &mut dyn RngCore) -> Result<EncodePlan> {
+    fn plan_encoding(&self, stripe: &StripePlan, rng: &mut ChaCha8) -> Result<EncodePlan> {
         plan_encoding_ear(self.topology(), self.config(), stripe, rng)
     }
 
@@ -140,8 +140,6 @@ impl PlacementPolicy for EncodingAwareReplication {
 mod tests {
     use super::*;
     use ear_types::{ErasureParams, ReplicationConfig};
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
 
     fn cfg() -> EarConfig {
         EarConfig::new(
@@ -156,7 +154,7 @@ mod tests {
     fn rr_policy_seals_every_k_blocks() {
         let topo = ClusterTopology::uniform(8, 4);
         let mut p = RandomReplicationPolicy::new(cfg(), topo).unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(41);
+        let mut rng = ChaCha8::from_seed(41);
         let mut sealed = 0;
         for i in 1..=20 {
             let placed = p.place_block(&mut rng).unwrap();
@@ -178,7 +176,7 @@ mod tests {
             Box::new(RandomReplicationPolicy::new(cfg(), topo.clone()).unwrap()),
             Box::new(EncodingAwareReplication::new(cfg(), topo.clone())),
         ];
-        let mut rng = ChaCha8Rng::seed_from_u64(42);
+        let mut rng = ChaCha8::from_seed(42);
         for p in &mut policies {
             let mut stripes = Vec::new();
             for _ in 0..100 {

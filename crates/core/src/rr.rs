@@ -3,8 +3,8 @@
 
 use crate::layout::BlockLayout;
 use crate::sample;
+use ear_types::rng::ChaCha8;
 use ear_types::{ClusterTopology, Error, RackSpread, ReplicationConfig, Result};
-use rand::Rng;
 
 /// The random replication placement used by HDFS, Azure, and RAMCloud
 /// (Section II-A): the first replica goes to a node in a randomly chosen
@@ -15,11 +15,10 @@ use rand::Rng;
 /// ```
 /// use ear_core::RandomReplication;
 /// use ear_types::{ClusterTopology, ReplicationConfig};
-/// use rand::SeedableRng;
 ///
 /// let topo = ClusterTopology::uniform(5, 6);
 /// let rr = RandomReplication::new(topo.clone(), ReplicationConfig::hdfs_default())?;
-/// let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
+/// let mut rng = ear_types::rng::ChaCha8::from_seed(7);
 /// let layout = rr.place_block(&mut rng);
 /// assert_eq!(layout.replicas.len(), 3);
 /// assert_eq!(layout.racks(&topo).len(), 2); // spans exactly two racks
@@ -84,7 +83,7 @@ impl RandomReplication {
     }
 
     /// Places the replicas of one block.
-    pub fn place_block<R: Rng + ?Sized>(&self, rng: &mut R) -> BlockLayout {
+    pub fn place_block(&self, rng: &mut ChaCha8) -> BlockLayout {
         let r = self.replication.replicas();
         let first_rack =
             sample::random_rack(rng, &self.topo, &[], None).expect("validated: topology has racks");
@@ -120,15 +119,13 @@ impl RandomReplication {
 mod tests {
     use super::*;
     use ear_types::{NodeId, RackId};
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
     use std::collections::HashSet;
 
     #[test]
     fn hdfs_default_spans_exactly_two_racks() {
         let topo = ClusterTopology::uniform(5, 6);
         let rr = RandomReplication::new(topo.clone(), ReplicationConfig::hdfs_default()).unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(11);
+        let mut rng = ChaCha8::from_seed(11);
         for _ in 0..200 {
             let l = rr.place_block(&mut rng);
             assert_eq!(l.replicas.len(), 3);
@@ -147,7 +144,7 @@ mod tests {
         let topo = ClusterTopology::uniform(8, 2);
         let cfg = ReplicationConfig::new(4, RackSpread::DistinctRacks).unwrap();
         let rr = RandomReplication::new(topo.clone(), cfg).unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(12);
+        let mut rng = ChaCha8::from_seed(12);
         for _ in 0..100 {
             let l = rr.place_block(&mut rng);
             assert_eq!(l.replicas.len(), 4);
@@ -160,7 +157,7 @@ mod tests {
         let topo = ClusterTopology::uniform(3, 2);
         let cfg = ReplicationConfig::new(1, RackSpread::DistinctRacks).unwrap();
         let rr = RandomReplication::new(topo, cfg).unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(13);
+        let mut rng = ChaCha8::from_seed(13);
         assert_eq!(rr.place_block(&mut rng).replicas.len(), 1);
     }
 
@@ -182,7 +179,7 @@ mod tests {
         // The paper's testbed: 12 racks of one node each, 2-way replication.
         let topo = ClusterTopology::uniform(12, 1);
         let rr = RandomReplication::new(topo.clone(), ReplicationConfig::two_way()).unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(14);
+        let mut rng = ChaCha8::from_seed(14);
         for _ in 0..100 {
             let l = rr.place_block(&mut rng);
             assert_eq!(l.replicas.len(), 2);
@@ -194,7 +191,7 @@ mod tests {
     fn first_rack_choice_is_roughly_uniform() {
         let topo = ClusterTopology::uniform(4, 3);
         let rr = RandomReplication::new(topo.clone(), ReplicationConfig::hdfs_default()).unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(15);
+        let mut rng = ChaCha8::from_seed(15);
         let mut counts = [0usize; 4];
         for _ in 0..4000 {
             let l = rr.place_block(&mut rng);
@@ -212,7 +209,7 @@ mod tests {
     fn all_nodes_eventually_used() {
         let topo = ClusterTopology::uniform(4, 4);
         let rr = RandomReplication::new(topo, ReplicationConfig::hdfs_default()).unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(16);
+        let mut rng = ChaCha8::from_seed(16);
         let mut seen: HashSet<NodeId> = HashSet::new();
         for _ in 0..500 {
             seen.extend(rr.place_block(&mut rng).replicas);
@@ -224,7 +221,7 @@ mod tests {
     fn second_rack_never_equals_first() {
         let topo = ClusterTopology::uniform(2, 5);
         let rr = RandomReplication::new(topo.clone(), ReplicationConfig::hdfs_default()).unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(17);
+        let mut rng = ChaCha8::from_seed(17);
         for _ in 0..100 {
             let l = rr.place_block(&mut rng);
             let racks: Vec<RackId> = l.replicas.iter().map(|&n| topo.rack_of(n)).collect();

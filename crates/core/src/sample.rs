@@ -1,15 +1,14 @@
 //! Random sampling helpers over cluster topologies.
 
+use ear_types::rng::ChaCha8;
 use ear_types::{ClusterTopology, NodeId, RackId};
-use rand::seq::SliceRandom;
-use rand::Rng;
 
 /// Picks a uniformly random rack, optionally excluding some racks and
 /// optionally restricting to an allow-list.
 ///
 /// Returns `None` if no rack qualifies.
-pub fn random_rack<R: Rng + ?Sized>(
-    rng: &mut R,
+pub fn random_rack(
+    rng: &mut ChaCha8,
     topo: &ClusterTopology,
     exclude: &[RackId],
     allow: Option<&[RackId]>,
@@ -22,14 +21,14 @@ pub fn random_rack<R: Rng + ?Sized>(
             .collect(),
         None => topo.racks().filter(|r| !exclude.contains(r)).collect(),
     };
-    candidates.choose(rng).copied()
+    rng.choose(&candidates).copied()
 }
 
 /// Picks a uniformly random node within `rack`, excluding the given nodes.
 ///
 /// Returns `None` if every node in the rack is excluded.
-pub fn random_node_in_rack<R: Rng + ?Sized>(
-    rng: &mut R,
+pub fn random_node_in_rack(
+    rng: &mut ChaCha8,
     topo: &ClusterTopology,
     rack: RackId,
     exclude: &[NodeId],
@@ -40,13 +39,13 @@ pub fn random_node_in_rack<R: Rng + ?Sized>(
         .copied()
         .filter(|n| !exclude.contains(n))
         .collect();
-    candidates.choose(rng).copied()
+    rng.choose(&candidates).copied()
 }
 
 /// Picks `count` distinct random nodes within `rack`, excluding the given
 /// nodes. Returns `None` if the rack has fewer than `count` eligible nodes.
-pub fn random_nodes_in_rack<R: Rng + ?Sized>(
-    rng: &mut R,
+pub fn random_nodes_in_rack(
+    rng: &mut ChaCha8,
     topo: &ClusterTopology,
     rack: RackId,
     count: usize,
@@ -61,13 +60,13 @@ pub fn random_nodes_in_rack<R: Rng + ?Sized>(
     if candidates.len() < count {
         return None;
     }
-    Some(candidates.choose_multiple(rng, count).copied().collect())
+    Some(rng.sample(&candidates, count))
 }
 
 /// Picks `count` distinct random racks (excluding `exclude`, restricted to
 /// `allow` if given). Returns `None` if not enough racks qualify.
-pub fn random_racks<R: Rng + ?Sized>(
-    rng: &mut R,
+pub fn random_racks(
+    rng: &mut ChaCha8,
     topo: &ClusterTopology,
     count: usize,
     exclude: &[RackId],
@@ -84,19 +83,17 @@ pub fn random_racks<R: Rng + ?Sized>(
     if candidates.len() < count {
         return None;
     }
-    Some(candidates.choose_multiple(rng, count).copied().collect())
+    Some(rng.sample(&candidates, count))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
 
     #[test]
     fn random_rack_respects_exclusions() {
         let topo = ClusterTopology::uniform(4, 2);
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
+        let mut rng = ChaCha8::from_seed(1);
         for _ in 0..100 {
             let r = random_rack(&mut rng, &topo, &[RackId(0), RackId(1)], None).unwrap();
             assert!(r == RackId(2) || r == RackId(3));
@@ -109,7 +106,7 @@ mod tests {
     #[test]
     fn random_rack_respects_allow_list() {
         let topo = ClusterTopology::uniform(5, 2);
-        let mut rng = ChaCha8Rng::seed_from_u64(2);
+        let mut rng = ChaCha8::from_seed(2);
         let allow = [RackId(1), RackId(3)];
         for _ in 0..100 {
             let r = random_rack(&mut rng, &topo, &[RackId(3)], Some(&allow)).unwrap();
@@ -120,7 +117,7 @@ mod tests {
     #[test]
     fn random_nodes_in_rack_distinct() {
         let topo = ClusterTopology::uniform(2, 5);
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        let mut rng = ChaCha8::from_seed(3);
         for _ in 0..50 {
             let nodes = random_nodes_in_rack(&mut rng, &topo, RackId(1), 3, &[]).unwrap();
             let set: std::collections::HashSet<_> = nodes.iter().collect();
@@ -136,7 +133,7 @@ mod tests {
     #[test]
     fn random_node_in_rack_exclusion() {
         let topo = ClusterTopology::uniform(1, 2);
-        let mut rng = ChaCha8Rng::seed_from_u64(4);
+        let mut rng = ChaCha8::from_seed(4);
         let n = random_node_in_rack(&mut rng, &topo, RackId(0), &[NodeId(0)]).unwrap();
         assert_eq!(n, NodeId(1));
         assert!(random_node_in_rack(&mut rng, &topo, RackId(0), &[NodeId(0), NodeId(1)]).is_none());
@@ -145,7 +142,7 @@ mod tests {
     #[test]
     fn random_racks_count() {
         let topo = ClusterTopology::uniform(6, 1);
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        let mut rng = ChaCha8::from_seed(5);
         let racks = random_racks(&mut rng, &topo, 4, &[RackId(0)], None).unwrap();
         assert_eq!(racks.len(), 4);
         assert!(!racks.contains(&RackId(0)));
@@ -155,7 +152,7 @@ mod tests {
     #[test]
     fn sampling_is_roughly_uniform() {
         let topo = ClusterTopology::uniform(4, 1);
-        let mut rng = ChaCha8Rng::seed_from_u64(6);
+        let mut rng = ChaCha8::from_seed(6);
         let mut counts = [0usize; 4];
         for _ in 0..4000 {
             let r = random_rack(&mut rng, &topo, &[], None).unwrap();

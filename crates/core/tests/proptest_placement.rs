@@ -6,10 +6,9 @@
 //! (possibly non-empty) relocations.
 
 use ear_core::{EncodingAwareReplication, PlacementPolicy, RandomReplicationPolicy};
+use ear_types::rng::ChaCha8;
 use ear_types::{ClusterTopology, EarConfig, ErasureParams, RackSpread, ReplicationConfig};
 use proptest::prelude::*;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 
 /// A topology + configuration pair that EAR can host.
 #[derive(Debug, Clone)]
@@ -72,7 +71,7 @@ proptest! {
     fn ear_guarantees_hold_for_any_hostable_scenario(s in scenario_strategy()) {
         let (topo, cfg) = build(&s);
         let mut ear = EncodingAwareReplication::new(cfg, topo.clone());
-        let mut rng = ChaCha8Rng::seed_from_u64(s.seed);
+        let mut rng = ChaCha8::from_seed(s.seed);
         let mut sealed = Vec::new();
         for _ in 0..(s.k * 6) {
             match ear.place_block(&mut rng) {
@@ -108,7 +107,7 @@ proptest! {
             Ok(p) => p,
             Err(_) => return Ok(()), // RR has its own topology minimums
         };
-        let mut rng = ChaCha8Rng::seed_from_u64(s.seed ^ 0xDEAD);
+        let mut rng = ChaCha8::from_seed(s.seed ^ 0xDEAD);
         let mut sealed = Vec::new();
         for _ in 0..(s.k * 6) {
             if let Some(plan) = rr.place_block(&mut rng).unwrap().sealed_stripe {
@@ -141,7 +140,7 @@ proptest! {
             1,
         ).unwrap();
         let mut ear = EncodingAwareReplication::new(cfg, topo);
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut rng = ChaCha8::from_seed(seed);
         for _ in 0..40 {
             let placed = ear.place_block(&mut rng).unwrap();
             if let Some(plan) = placed.sealed_stripe {

@@ -3,22 +3,22 @@
 //! The paper's workloads use Poisson arrival processes (write and background
 //! requests) and exponentially distributed transfer sizes (background
 //! traffic, Experiment B.2); these are derived from uniform variates via
-//! inverse-transform sampling so only the `rand` core is needed.
+//! inverse-transform sampling, so one uniform draw is all they need.
 
-use rand::Rng;
+use ear_types::rng::ChaCha8;
 
 /// Samples an exponentially distributed value with the given `mean`.
 ///
 /// # Panics
 ///
 /// Panics if `mean` is not finite and positive.
-pub fn exponential<R: Rng + ?Sized>(rng: &mut R, mean: f64) -> f64 {
+pub fn exponential(rng: &mut ChaCha8, mean: f64) -> f64 {
     assert!(
         mean.is_finite() && mean > 0.0,
         "exponential mean must be finite and positive"
     );
     // 1 - U is in (0, 1], so ln() is finite.
-    let u: f64 = rng.gen::<f64>();
+    let u: f64 = rng.unit_f64();
     -mean * (1.0 - u).ln()
 }
 
@@ -28,8 +28,7 @@ pub fn exponential<R: Rng + ?Sized>(rng: &mut R, mean: f64) -> f64 {
 ///
 /// ```
 /// use ear_des::PoissonProcess;
-/// use rand::SeedableRng;
-/// let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
+/// let mut rng = ear_types::rng::ChaCha8::from_seed(1);
 /// let p = PoissonProcess::new(2.0); // 2 events/sec
 /// let gap = p.next_gap(&mut rng);
 /// assert!(gap >= 0.0);
@@ -59,7 +58,7 @@ impl PoissonProcess {
     }
 
     /// Samples the time until the next arrival.
-    pub fn next_gap<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+    pub fn next_gap(&self, rng: &mut ChaCha8) -> f64 {
         exponential(rng, 1.0 / self.rate)
     }
 }
@@ -67,12 +66,10 @@ impl PoissonProcess {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
 
     #[test]
     fn exponential_mean_converges() {
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
+        let mut rng = ChaCha8::from_seed(1);
         let n = 200_000;
         let mean = 3.0;
         let sum: f64 = (0..n).map(|_| exponential(&mut rng, mean)).sum();
@@ -85,7 +82,7 @@ mod tests {
 
     #[test]
     fn exponential_is_nonnegative() {
-        let mut rng = ChaCha8Rng::seed_from_u64(2);
+        let mut rng = ChaCha8::from_seed(2);
         for _ in 0..10_000 {
             assert!(exponential(&mut rng, 0.5) >= 0.0);
         }
@@ -93,7 +90,7 @@ mod tests {
 
     #[test]
     fn poisson_rate_matches_event_count() {
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        let mut rng = ChaCha8::from_seed(3);
         let p = PoissonProcess::new(10.0);
         // Count arrivals in 1000 simulated seconds.
         let mut t = 0.0;
@@ -110,7 +107,7 @@ mod tests {
 
     #[test]
     fn exponential_variance_close_to_square_of_mean() {
-        let mut rng = ChaCha8Rng::seed_from_u64(4);
+        let mut rng = ChaCha8::from_seed(4);
         let mean = 2.0;
         let n = 200_000;
         let samples: Vec<f64> = (0..n).map(|_| exponential(&mut rng, mean)).collect();

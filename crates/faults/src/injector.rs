@@ -15,7 +15,7 @@
 //!   first depends on scheduling; the set of crashed nodes never does.
 
 use crate::plan::FaultPlan;
-use crate::rng::mix64;
+use ear_types::rng::mix64;
 use ear_types::{BlockId, ClusterTopology, Error, NodeId};
 use std::sync::atomic::{AtomicU64, Ordering};
 

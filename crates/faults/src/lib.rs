@@ -37,9 +37,8 @@
 pub mod crc;
 mod injector;
 mod plan;
-mod rng;
 
 pub use crc::crc32c;
+pub use ear_types::rng::{mix64, ChaCha8};
 pub use injector::{FaultInjector, IoFault};
 pub use plan::{DelayModel, FaultConfig, FaultPlan, NodeCrash, RackOutage};
-pub use rng::{mix64, ChaCha8};

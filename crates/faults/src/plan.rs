@@ -13,7 +13,7 @@
 //! plan's activation index, so which concrete I/O sees the crash first
 //! depends on thread interleaving. The *set* of faults never does.
 
-use crate::rng::ChaCha8;
+use ear_types::rng::ChaCha8;
 use ear_types::{ClusterTopology, NodeId, RackId};
 use std::fmt;
 

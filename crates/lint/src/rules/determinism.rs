@@ -1,14 +1,14 @@
 //! L2 — determinism hygiene.
 //!
 //! The chaos and heal soaks assert *bit-identical* reports across runs and
-//! thread counts, and every placement / repair decision is driven by seeded
-//! `ChaCha8Rng`s. That only holds if deterministic modules never consult
-//! ambient state. This rule forbids, in the deterministic crates:
+//! thread counts, and every placement / repair decision is driven by a seeded
+//! `ear_types::rng::ChaCha8`. That only holds if deterministic modules never
+//! consult ambient state. This rule forbids, in the deterministic crates:
 //!
 //! - **wall-clock**: `SystemTime` and `Instant::now` (stat fields that are
 //!   documented as wall-clock-only are allowlisted per file);
 //! - **ambient-rng**: `thread_rng` and `rand::random`, which seed from the
-//!   OS;
+//!   OS (the workspace no longer depends on `rand`; this keeps it out);
 //! - **map-iteration**: iterating a `HashMap`/`HashSet` (`.iter()`,
 //!   `.keys()`, `.values()`, `.drain()`, `for .. in map`), whose order
 //!   varies run-to-run. Iteration is exempt when the same statement
@@ -65,13 +65,13 @@ pub fn check(path: &str, toks: &[Tok]) -> Vec<Diagnostic> {
         }
         // Ambient RNGs.
         if t.is_ident("thread_rng") {
-            out.push(diag(path, t, "ambient-rng", "thread_rng() is OS-seeded; use a ChaCha8Rng derived from the run seed"));
+            out.push(diag(path, t, "ambient-rng", "thread_rng() is OS-seeded; use an ear_types::rng::ChaCha8 derived from the run seed"));
         }
         if t.is_ident("rand")
             && toks.get(i + 1).is_some_and(|t| t.is_punct("::"))
             && toks.get(i + 2).is_some_and(|t| t.is_ident("random"))
         {
-            out.push(diag(path, t, "ambient-rng", "rand::random() is OS-seeded; use a ChaCha8Rng derived from the run seed"));
+            out.push(diag(path, t, "ambient-rng", "rand::random() is OS-seeded; use an ear_types::rng::ChaCha8 derived from the run seed"));
         }
         // `.iter()`-style calls on map-typed receivers.
         if t.kind == TokKind::Ident

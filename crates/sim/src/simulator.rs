@@ -13,10 +13,8 @@ use ear_des::{
     exponential, EventQueue, FairShareEngine, FifoEngine, NetworkEngine, PoissonProcess, SimTime,
     TransferId,
 };
+use ear_types::rng::ChaCha8;
 use ear_types::{ByteSize, ClusterTopology, Error, NodeId, Result};
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
 use std::collections::{HashMap, VecDeque};
 
 /// Scheduled (non-transfer) events.
@@ -81,7 +79,7 @@ struct Simulator<'a> {
     net: NetTopology,
     engine: Box<dyn NetworkEngine>,
     queue: EventQueue<Event>,
-    rng: ChaCha8Rng,
+    rng: ChaCha8,
     policy: Box<dyn PlacementPolicy>,
 
     stripes: Vec<StripePlan>,
@@ -105,7 +103,7 @@ impl<'a> Simulator<'a> {
     fn new(config: &'a SimConfig) -> Result<Self> {
         let topo = ClusterTopology::uniform(config.racks, config.nodes_per_rack);
         let ear_cfg = config.ear_config()?;
-        let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
+        let mut rng = ChaCha8::from_seed(config.seed);
 
         let mut policy: Box<dyn PlacementPolicy> = match config.policy {
             PolicyKind::Rr => Box::new(RandomReplicationPolicy::new(ear_cfg, topo.clone())?),
@@ -282,7 +280,7 @@ impl<'a> Simulator<'a> {
         // Replication pipeline: a random client node streams the block to
         // the first replica, which forwards to the second, and so on.
         let all: Vec<NodeId> = self.topo.nodes().collect();
-        let client = *all.choose(&mut self.rng).expect("nodes exist");
+        let client = *self.rng.choose(&all).expect("nodes exist");
         let mut hops = VecDeque::new();
         let mut src = client;
         for &dst in &placed.layout.replicas {
@@ -315,15 +313,15 @@ impl<'a> Simulator<'a> {
             return;
         }
         let all: Vec<NodeId> = self.topo.nodes().collect();
-        let src = *all.choose(&mut self.rng).expect("nodes exist");
-        let cross = self.rng.gen::<f64>() < self.config.background_cross_fraction;
+        let src = *self.rng.choose(&all).expect("nodes exist");
+        let cross = self.rng.unit_f64() < self.config.background_cross_fraction;
         let src_rack = self.topo.rack_of(src);
         let candidates: Vec<NodeId> = self
             .topo
             .nodes()
             .filter(|&n| n != src && (self.topo.rack_of(n) == src_rack) != cross)
             .collect();
-        let dst = candidates.choose(&mut self.rng).copied().unwrap_or(src);
+        let dst = self.rng.choose(&candidates).copied().unwrap_or(src);
         let size = ByteSize::bytes(
             exponential(&mut self.rng, self.config.background_mean_size.as_f64()).round() as u64,
         );
@@ -349,7 +347,7 @@ impl<'a> Simulator<'a> {
         // that differ only in `simulate_relocation` therefore produce
         // identical plans, and the relocation transfers are the sole
         // difference between them.
-        let mut stripe_rng = ChaCha8Rng::seed_from_u64(
+        let mut stripe_rng = ChaCha8::from_seed(
             self.config
                 .seed
                 .rotate_left(17)
@@ -373,9 +371,8 @@ impl<'a> Simulator<'a> {
                 .copied()
                 .find(|&n| self.topo.rack_of(n) == enc_rack)
                 .unwrap_or_else(|| {
-                    *layout
-                        .replicas
-                        .choose(&mut stripe_rng)
+                    *stripe_rng
+                        .choose(&layout.replicas)
                         .expect("non-empty layout")
                 });
             let path = self.net.path(&self.topo, source, enc);

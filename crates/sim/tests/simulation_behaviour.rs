@@ -170,14 +170,23 @@ fn fair_share_model_also_runs() {
 #[test]
 fn testbed_config_reproduces_throughput_ordering_across_k() {
     // Fig. 8(a): encoding throughput grows with k (fewer parity blocks per
-    // data block) for both policies.
+    // data block) for both policies. A single run's span is set by whichever
+    // link the draw loads most, so the claim is about the mean over seeds,
+    // as in the paper ("averaged over 30 runs").
+    const SEEDS: [u64; 5] = [1, 2, 3, 4, 5];
     let mut prev_ear = 0.0;
     for (n, k) in [(6usize, 4usize), (8, 6), (10, 8)] {
         let mut cfg = SimConfig::testbed(PolicyKind::Ear, ErasureParams::new(n, k).unwrap());
         cfg.stripes_per_process = 2;
-        cfg.seed = 9;
-        let r = run(&cfg).unwrap();
-        let t = r.encoding_throughput();
+        let total: f64 = SEEDS
+            .iter()
+            .map(|&seed| {
+                run(&cfg.clone().with_seed(seed))
+                    .unwrap()
+                    .encoding_throughput()
+            })
+            .sum();
+        let t = total / SEEDS.len() as f64;
         assert!(
             t > prev_ear,
             "throughput should increase with k: {t} !> {prev_ear}"

@@ -7,7 +7,8 @@
 //! replication policy knobs [`ReplicationConfig`], and the EAR-specific
 //! configuration [`EarConfig`] — so that the placement algorithms, the
 //! discrete-event simulator, and the testbed emulator all speak the same
-//! language.
+//! language. It also owns the one seeded generator they all draw from,
+//! [`rng::ChaCha8`].
 //!
 //! # Example
 //!
@@ -33,6 +34,7 @@ mod error;
 mod health;
 mod ids;
 mod params;
+pub mod rng;
 mod topology;
 mod units;
 

@@ -8,9 +8,8 @@ use ear::analysis::{
     max_rank_difference, measure_iterations, read_hotness, storage_distribution, theorem1_bound,
 };
 use ear::core::{EncodingAwareReplication, PlacementPolicy, RandomReplicationPolicy};
+use ear::types::rng::ChaCha8;
 use ear::types::{ClusterTopology, EarConfig, ErasureParams, ReplicationConfig};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let topo = ClusterTopology::uniform(20, 20);
@@ -19,7 +18,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ReplicationConfig::hdfs_default(),
         1,
     )?;
-    let mut rng = ChaCha8Rng::seed_from_u64(7);
+    let mut rng = ChaCha8::from_seed(7);
 
     // Storage balance (Fig. 14): replica share of the most/least loaded rack.
     let t = topo.clone();

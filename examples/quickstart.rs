@@ -7,9 +7,8 @@
 
 use ear::core::{EncodingAwareReplication, PlacementPolicy};
 use ear::erasure::ReedSolomon;
+use ear::types::rng::ChaCha8;
 use ear::types::{ClusterTopology, EarConfig, ErasureParams, ReplicationConfig};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A 40-node CFS: 10 racks x 4 nodes (Fig. 1's architecture).
@@ -21,7 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = EarConfig::new(params, ReplicationConfig::hdfs_default(), 1)?;
 
     let mut ear = EncodingAwareReplication::new(cfg, topo.clone());
-    let mut rng = ChaCha8Rng::seed_from_u64(2015);
+    let mut rng = ChaCha8::from_seed(2015);
 
     // Write blocks until the pre-encoding store seals a stripe.
     let stripe = loop {

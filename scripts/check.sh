@@ -4,20 +4,29 @@
 # Run with --offline by default: this container has no route to the crates.io
 # mirror, so any cargo invocation that tries to refresh the registry index
 # hangs and then fails. If the registry cache is already populated the
-# --offline flag is harmless; if it is empty AND unreachable, cargo cannot
-# build the workspace at all (external deps: rand, rand_chacha, proptest) —
-# in that environment, use scripts/offline-verify.sh (which patches those
-# three to the stubs in scripts/verify-stubs/), or verify the dependency-free
-# crates directly with rustc instead:
-#
-#   rustc --edition 2021 -O --test crates/erasure/src/lib.rs \
-#       --crate-name ear_erasure_tests --extern ear_types=<libear_types.rlib>
-#
-# (ear-types and ear-erasure have no external dependencies by design, so the
-# GF kernel layer and Reed–Solomon stay verifiable offline.)
+# --offline flag is harmless. The non-dev build has no external crate at
+# all; the one registry dependency is `proptest` (dev-only). Cargo resolves
+# dev-dependencies even for `cargo build`, so with an empty, unreachable
+# registry use scripts/offline-verify.sh, which patches `proptest` to the
+# stub in scripts/verify-stubs/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# No registry crate outside tests: every dependency in every manifest is a
+# workspace path crate, except `proptest` under [dev-dependencies] (versioned
+# once in [workspace.dependencies]). ear-lint L2 `ambient-rng` guards the
+# source side of the same rule.
+awk '
+  /^\[/ { sect = $0; next }
+  sect ~ /dependencies\]$/ && /^[A-Za-z0-9_-]+[ .=]/ {
+    split($0, kv, /[ .=]/); name = kv[1]
+    if (name == "proptest") {
+      if (sect == "[dev-dependencies]" || sect == "[workspace.dependencies]") next
+    } else if (/path *=/ || /\.workspace *= *true/) next
+    printf "%s: registry crate `%s` under %s\n", FILENAME, name, sect; bad = 1
+  }
+  END { exit bad }
+' Cargo.toml crates/*/Cargo.toml
 cargo build --release --offline
 # Invariant lint first: lock-graph cycles, determinism hygiene, data-plane
 # panic-freedom, durability ordering, context/retry hygiene, zero-copy

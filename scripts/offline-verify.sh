@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Offline verification fallback (see scripts/check.sh): when the crates.io
 # registry/mirror is unreachable AND the local cargo cache is empty, the
-# workspace's external deps (rand, rand_chacha, proptest) cannot be
-# fetched. This wrapper patches them to the functional stubs in
-# scripts/verify-stubs/ — same APIs, deterministic-but-different
-# RNG streams — so `cargo build/test/clippy` still exercise every line of
-# workspace code. No manifest is modified; the patch lives only in the
-# `--config` flags below.
+# workspace's one external dependency (`proptest`, dev-only) cannot be
+# fetched. This wrapper patches it to the functional stub in
+# scripts/verify-stubs/ — same API, its own deterministic case generator —
+# so `cargo build/test/clippy` still exercise every line of workspace code.
+# Everything seeded in the workspace draws from the in-tree
+# `ear_types::rng::ChaCha8`, so results are identical to a registry build.
+# No manifest is modified; the patch lives only in the `--config` flag below.
 #
 # Usage: scripts/offline-verify.sh <cargo-subcommand> [args...]
 #   e.g. scripts/offline-verify.sh test -q
@@ -21,7 +22,5 @@ STUBS="$PWD/scripts/verify-stubs"
 SUB="$1"
 shift
 exec cargo "$SUB" \
-  --config "patch.crates-io.rand.path='$STUBS/rand'" \
-  --config "patch.crates-io.rand_chacha.path='$STUBS/rand_chacha'" \
   --config "patch.crates-io.proptest.path='$STUBS/proptest'" \
   --offline "$@"

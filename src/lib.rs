@@ -29,7 +29,6 @@
 //! ```
 //! use ear::core::{EncodingAwareReplication, PlacementPolicy};
 //! use ear::types::{ClusterTopology, EarConfig, ErasureParams, ReplicationConfig};
-//! use rand::SeedableRng;
 //!
 //! let topo = ClusterTopology::uniform(8, 4);
 //! let cfg = EarConfig::new(
@@ -37,7 +36,7 @@
 //!     ReplicationConfig::hdfs_default(),
 //!     1,
 //! ).unwrap();
-//! let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(42);
+//! let mut rng = ear::types::rng::ChaCha8::from_seed(42);
 //! let mut ear = EncodingAwareReplication::new(cfg, topo.clone());
 //! // Write blocks until the pre-encoding store seals a stripe.
 //! let stripe = loop {

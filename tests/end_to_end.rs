@@ -6,12 +6,11 @@ use ear::analysis::violation_probability;
 use ear::cluster::{ClusterConfig, ClusterPolicy, MiniCfs, RaidNode};
 use ear::core::{EncodingAwareReplication, PlacementPolicy, RandomReplicationPolicy};
 use ear::sim::{run as sim_run, PolicyKind, SimConfig};
+use ear::types::rng::ChaCha8;
 use ear::types::{
     Bandwidth, ByteSize, CacheConfig, ClusterTopology, EarConfig, ErasureParams, NodeId,
     ReplicationConfig, StoreBackend,
 };
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 
 fn ear_cfg(n: usize, k: usize, c: usize) -> EarConfig {
     EarConfig::new(
@@ -30,7 +29,7 @@ fn cross_rack_download_story_is_consistent_across_layers() {
     // Layer 1: placement plans.
     let topo = ClusterTopology::uniform(10, 4);
     let cfg = ear_cfg(6, 4, 1);
-    let mut rng = ChaCha8Rng::seed_from_u64(1);
+    let mut rng = ChaCha8::from_seed(1);
     let mut ear = EncodingAwareReplication::new(cfg, topo.clone());
     let mut rr = RandomReplicationPolicy::new(cfg, topo.clone()).unwrap();
     let (mut ear_cross, mut rr_cross, mut stripes) = (0usize, 0usize, 0usize);
@@ -184,7 +183,7 @@ fn analysis_predictions_match_placement_behaviour() {
 
     let topo = ClusterTopology::uniform(16, 4);
     let cfg = ear_cfg(16, 12, 1);
-    let mut rng = ChaCha8Rng::seed_from_u64(4);
+    let mut rng = ChaCha8::from_seed(4);
     let mut ear = EncodingAwareReplication::new(cfg, topo.clone());
     let mut sealed = 0;
     for _ in 0..(12 * 20) {

@@ -1,6 +1,7 @@
 //! A small `--key value` argument parser (no external dependencies).
 
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::collections::{HashMap, HashSet};
 
 /// Parsed command line: a subcommand path and `--key value` options.
 #[derive(Debug, Clone, Default)]
@@ -8,6 +9,8 @@ pub struct Args {
     positional: Vec<String>,
     options: HashMap<String, String>,
     flags: Vec<String>,
+    /// Every key a subcommand asked for, passed or not.
+    read: RefCell<HashSet<String>>,
 }
 
 /// Errors produced while parsing or interpreting arguments.
@@ -55,12 +58,25 @@ impl Args {
 
     /// A string option.
     pub fn get(&self, key: &str) -> Option<&str> {
+        self.read.borrow_mut().insert(key.to_string());
         self.options.get(key).map(String::as_str)
     }
 
     /// Whether a boolean flag was passed.
     pub fn flag(&self, key: &str) -> bool {
+        self.read.borrow_mut().insert(key.to_string());
         self.flags.iter().any(|f| f == key)
+    }
+
+    /// Fails on a passed option or flag that nothing has asked for — a
+    /// typo, or an option of another subcommand.
+    pub fn reject_unread(&self) -> Result<(), ArgError> {
+        let read = self.read.borrow();
+        let unread = self.options.keys().chain(&self.flags);
+        match unread.filter(|key| !read.contains(*key)).min() {
+            Some(key) => Err(ArgError(format!("unknown option --{key}"))),
+            None => Ok(()),
+        }
     }
 
     /// A parsed numeric option with a default.
@@ -99,6 +115,24 @@ mod tests {
         assert_eq!(a.get_parsed("n", 14usize).unwrap(), 14);
         let bad = parse(&["--k", "ten"]);
         assert!(bad.get_parsed("k", 4usize).is_err());
+    }
+
+    #[test]
+    fn unread_options_and_flags_are_rejected() {
+        let a = parse(&["--plans", "3", "--verbose"]);
+        assert_eq!(
+            a.reject_unread(),
+            Err(ArgError("unknown option --plans".into()))
+        );
+        assert_eq!(a.get_parsed("plans", 1u64).unwrap(), 3);
+        assert_eq!(
+            a.reject_unread(),
+            Err(ArgError("unknown option --verbose".into()))
+        );
+        assert!(a.flag("verbose"));
+        // Asking for a key that was not passed is not an error.
+        assert!(!a.flag("quiet"));
+        assert_eq!(a.reject_unread(), Ok(()));
     }
 
     #[test]

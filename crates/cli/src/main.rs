@@ -68,22 +68,28 @@ fn main() {
 fn run(raw: Vec<String>) -> Result<String, Box<dyn std::error::Error>> {
     let args = Args::parse(raw)?;
     let cmd: Vec<&str> = args.positional().iter().map(String::as_str).collect();
-    match cmd.as_slice() {
-        [] | ["help"] => Ok(USAGE.to_string()),
-        ["list"] => Ok(list_experiments()),
-        ["experiment", id] => experiment(id, &args),
-        ["simulate"] => simulate(&args),
-        ["place"] => place(&args),
-        ["analyze", what] => analyze(what, &args),
-        ["chaos"] => chaos(&args),
-        ["heal"] => heal(&args),
-        ["crashsim"] => crashsim(&args),
-        ["recover"] => recover(&args),
-        other => Err(Box::new(ArgError(format!(
-            "unknown command: {}",
-            other.join(" ")
-        )))),
-    }
+    let output = match cmd.as_slice() {
+        [] | ["help"] => USAGE.to_string(),
+        ["list"] => list_experiments(),
+        ["experiment", id] => experiment(id, &args)?,
+        ["simulate"] => simulate(&args)?,
+        ["place"] => place(&args)?,
+        ["analyze", what] => analyze(what, &args)?,
+        ["chaos"] => chaos(&args)?,
+        ["heal"] => heal(&args)?,
+        ["crashsim"] => crashsim(&args)?,
+        ["recover"] => recover(&args)?,
+        other => {
+            return Err(Box::new(ArgError(format!(
+                "unknown command: {}",
+                other.join(" ")
+            ))))
+        }
+    };
+    // Every subcommand has read its options by now: whatever is left over
+    // is a typo, and must not pass for a run with the defaults.
+    args.reject_unread()?;
+    Ok(output)
 }
 
 fn list_experiments() -> String {
@@ -621,6 +627,25 @@ mod tests {
         assert!(run_words(&["experiment", "fig99"]).is_err());
         assert!(run_words(&["analyze", "nothing"]).is_err());
         assert!(run_words(&["simulate", "--policy", "quorum"]).is_err());
+    }
+
+    #[test]
+    fn unknown_options_error() {
+        let unknown = |words: &[&str]| run_words(words).unwrap_err().to_string();
+        // A typo'd option, a typo'd flag, and an option that no longer exists.
+        assert_eq!(
+            unknown(&["analyze", "violation", "--rack", "16", "--k", "12"]),
+            "unknown option --rack"
+        );
+        assert_eq!(
+            unknown(&["place", "--stripes", "1", "--relocat"]),
+            "unknown option --relocat"
+        );
+        assert_eq!(
+            unknown(&["chaos", "--plans", "1", "--encode-path", "gather"]),
+            "unknown option --encode-path"
+        );
+        assert_eq!(unknown(&["list", "--verbose"]), "unknown option --verbose");
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!    point yields the identical image.
 //!
 //! Everything is a pure function of `(seed, kill)` — a failing pair
-//! printed by proptest or the CLI replays bit-identically anywhere
+//! printed by `tests/crash_sim.rs` or the CLI replays bit-identically anywhere
 //! (the RNG is `ear-faults`' own ChaCha8 stream, not an external crate's).
 
 use crate::extent::{ExtentStore, WriteEvent};

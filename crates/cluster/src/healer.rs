@@ -730,7 +730,7 @@ mod tests {
         let stats = healer.run_to_convergence().unwrap();
         assert!(stats.converged);
         assert!(stats.scrub_hits > 0, "12% corruption must hit something");
-        assert_eq!(stats.scrub_hits as usize, healer.known_bad.len());
+        assert_eq!(stats.scrub_hits, healer.known_bad.len());
         // After healing, every remaining location serves clean bytes.
         for &(b, tag) in &acked {
             let reader = NodeId((tag % cfs.topology().num_nodes() as u64) as u32);

@@ -15,8 +15,8 @@
 use ear_cluster::chaos::{run_plan, ChaosConfig};
 use ear_cluster::ClusterPolicy;
 use ear_faults::FaultConfig;
+use ear_types::prop::check;
 use ear_types::{CacheConfig, StoreBackend};
-use proptest::prelude::*;
 
 fn soak(policy: ClusterPolicy, seeds: std::ops::Range<u64>) {
     let mut verified = 0usize;
@@ -215,15 +215,14 @@ fn straggler_heavy_soak_hedging_cuts_tail_latency() {
     );
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Hedging is latency-only machinery: under any straggler-free plan
-    /// (crashes and lossy I/O allowed, per-attempt delay always zero) the
-    /// soak report must be bit-identical with hedging on and off — no
-    /// hedge may launch, no outcome may shift.
-    #[test]
-    fn hedging_toggle_is_invisible_without_stragglers(seed in any::<u64>()) {
+/// Hedging is latency-only machinery: under any straggler-free plan
+/// (crashes and lossy I/O allowed, per-attempt delay always zero) the
+/// soak report must be bit-identical with hedging on and off — no
+/// hedge may launch, no outcome may shift.
+#[test]
+fn hedging_toggle_is_invisible_without_stragglers() {
+    check("hedging_toggle_is_invisible", 16, |rng| {
+        let seed = rng.next_u64();
         let mk = |hedging| {
             let base = ChaosConfig::light(ClusterPolicy::Ear);
             ChaosConfig {
@@ -236,13 +235,11 @@ proptest! {
                 ..base
             }
         };
-        let on = run_plan(seed, &mk(true))
-            .map_err(|e| TestCaseError::fail(format!("harness error: {e}")))?;
-        let off = run_plan(seed, &mk(false))
-            .map_err(|e| TestCaseError::fail(format!("harness error: {e}")))?;
-        prop_assert_eq!(on.hedges_launched, 0);
-        prop_assert_eq!(format!("{on:?}"), format!("{off:?}"));
-    }
+        let on = run_plan(seed, &mk(true)).expect("harness");
+        let off = run_plan(seed, &mk(false)).expect("harness");
+        assert_eq!(on.hedges_launched, 0, "plan seed {seed}");
+        assert_eq!(format!("{on:?}"), format!("{off:?}"), "plan seed {seed}");
+    });
 }
 
 #[test]

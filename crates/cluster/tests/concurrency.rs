@@ -3,6 +3,10 @@
 //! [`ClusterIo`] service from many threads so tsan can observe every
 //! lock-order and atomics interleaving the data plane uses.
 
+// clippy.toml excuses unwrap/expect inside `#[test]` functions only; the
+// helpers here are test code too.
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use ear_cluster::{BlockStore, ClusterConfig, ClusterPolicy, MiniCfs, ShardedMemStore};
 use ear_faults::crc32c;
 use ear_types::{

@@ -14,8 +14,8 @@
 
 use ear_cluster::chaos::{run_heal_plan, HealSoakConfig, HealSoakReport};
 use ear_faults::FaultConfig;
+use ear_types::prop::{check, range};
 use ear_types::{CacheConfig, StoreBackend};
-use proptest::prelude::*;
 
 /// Every deterministic field of a heal report, rendered for comparison.
 /// Excludes exactly the wall-clock-derived fields (`heal.wall_seconds`,
@@ -185,30 +185,26 @@ fn healer_survives_a_dozen_seeded_kill_plans() {
     assert!(episodes > 0, "no plan ever recorded a degraded episode");
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// For arbitrary fault seeds killing at most `n - k` nodes, repeated
-    /// healer rounds restore full redundancy and the final placement scan
-    /// reports zero violations.
-    #[test]
-    fn healer_restores_redundancy_for_arbitrary_seeds(
-        seed in any::<u64>(),
-        kills in 0usize..=2,
-    ) {
+/// For arbitrary fault seeds killing at most `n - k` nodes, repeated
+/// healer rounds restore full redundancy and the final placement scan
+/// reports zero violations.
+#[test]
+fn healer_restores_redundancy_for_arbitrary_seeds() {
+    check("healer_restores_redundancy", 16, |rng| {
+        let seed = rng.next_u64();
+        let kills = range(rng, 0..=2) as usize;
         let cfg = HealSoakConfig {
             kills,
             ..HealSoakConfig::default()
         };
-        let report = run_heal_plan(seed, &cfg)
-            .map_err(|e| TestCaseError::fail(format!("harness error: {e}")))?;
-        prop_assert!(report.passed(), "seed {seed} kills {kills}: {report:?}");
-        prop_assert_eq!(
+        let report = run_heal_plan(seed, &cfg).expect("harness");
+        assert!(report.passed(), "seed {seed} kills {kills}: {report:?}");
+        assert_eq!(
             report.violations_after_heal, 0,
-            "seed {} left violations after healing", seed
+            "seed {seed} left violations after healing"
         );
         if kills == 0 && report.failed_writes == 0 {
-            prop_assert_eq!(report.heal.nodes_declared_dead, 0);
+            assert_eq!(report.heal.nodes_declared_dead, 0);
         }
-    }
+    });
 }

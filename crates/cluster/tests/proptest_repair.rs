@@ -3,16 +3,21 @@
 //! `scan → plan_repairs → relocate` converges to zero rack-fault-tolerance
 //! violations — and EAR needs zero iterations (Section II-B vs Section III).
 
+// clippy.toml excuses unwrap/expect inside `#[test]` functions only; the
+// helpers here are test code too.
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use ear_cluster::{
-    plan_repairs, recover_node, run_plan, scan, ChaosConfig, ClusterConfig, ClusterPolicy,
-    MiniCfs, RaidNode,
+    plan_repairs, recover_node, run_plan, scan, ChaosConfig, ClusterConfig, ClusterPolicy, MiniCfs,
+    RaidNode,
 };
 use ear_faults::{FaultConfig, FaultPlan};
+use ear_types::prop::{check, range};
+use ear_types::rng::ChaCha8;
 use ear_types::{
     Bandwidth, BlockId, ByteSize, ClusterTopology, EarConfig, ErasureParams, NodeId, RackId,
     ReplicationConfig,
 };
-use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A cluster + workload EAR can host with c = 1.
@@ -27,24 +32,19 @@ struct Scenario {
     seed: u64,
 }
 
-fn scenario_strategy() -> impl Strategy<Value = Scenario> {
-    (
-        prop_oneof![Just(ClusterPolicy::Ear), Just(ClusterPolicy::Rr)],
-        prop_oneof![Just((6usize, 4usize)), Just((5, 4)), Just((6, 5))],
-        1usize..=3,   // racks beyond the c = 1 minimum of n
-        2usize..=3,   // nodes per rack
-        2usize..=4,   // stripes to seal
-        any::<u64>(), // cluster seed
-    )
-        .prop_map(|(policy, (n, k), extra, nodes_per_rack, stripes, seed)| Scenario {
-            policy,
-            n,
-            k,
-            racks: n + extra,
-            nodes_per_rack,
-            stripes,
-            seed,
-        })
+fn scenario(rng: &mut ChaCha8) -> Scenario {
+    let policy = [ClusterPolicy::Ear, ClusterPolicy::Rr][rng.below(2) as usize];
+    let (n, k) = [(6, 4), (5, 4), (6, 5)][rng.below(3) as usize];
+    Scenario {
+        policy,
+        n,
+        k,
+        // One to three racks beyond the c = 1 minimum of n.
+        racks: n + range(rng, 1..=3) as usize,
+        nodes_per_rack: range(rng, 2..=3) as usize,
+        stripes: range(rng, 2..=4) as usize,
+        seed: rng.next_u64(),
+    }
 }
 
 fn config(s: &Scenario, c: usize) -> ClusterConfig {
@@ -74,30 +74,30 @@ fn build(s: &Scenario) -> MiniCfs {
     MiniCfs::new(config(s, 1)).expect("hostable by construction")
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    #[test]
-    fn repair_loop_converges_to_zero_violations(s in scenario_strategy()) {
+#[test]
+fn repair_loop_converges_to_zero_violations() {
+    check("repair_loop_converges_to_zero_violations", 32, |rng| {
+        let s = scenario(rng);
         let cfs = build(&s);
         let nodes = cfs.topology().num_nodes() as u64;
         let mut i = 0u64;
         while cfs.namenode().pending_stripe_count() < s.stripes {
             let data = cfs.make_block(i);
             cfs.write_block(NodeId((i % nodes) as u32), data)
-                .map_err(|e| TestCaseError::fail(format!("write failed: {e}")))?;
+                .expect("write");
             i += 1;
-            prop_assert!(i < (s.stripes * s.k * 20) as u64, "failed to seal stripes");
+            assert!(i < (s.stripes * s.k * 20) as u64, "failed to seal stripes");
         }
-        let (stats, relocations) = RaidNode::encode_all(&cfs, 4)
-            .map_err(|e| TestCaseError::fail(format!("encode failed: {e}")))?;
-        prop_assert!(stats.failed_stripes.is_empty(), "fault-free encode lost stripes");
-        RaidNode::relocate(&cfs, &relocations)
-            .map_err(|e| TestCaseError::fail(format!("relocate failed: {e}")))?;
+        let (stats, relocations) = RaidNode::encode_all(&cfs, 4).expect("encode");
+        assert!(
+            stats.failed_stripes.is_empty(),
+            "fault-free encode lost stripes"
+        );
+        RaidNode::relocate(&cfs, &relocations).expect("relocate");
 
         // EAR's layout is valid by construction: zero sweeps needed.
         if s.policy == ClusterPolicy::Ear {
-            prop_assert_eq!(scan(&cfs).len(), 0, "EAR produced violations");
+            assert_eq!(scan(&cfs).len(), 0, "EAR produced violations");
         }
 
         // The repair loop must converge, and each sweep must make progress.
@@ -105,33 +105,36 @@ proptest! {
         for _sweep in 0..8 {
             let violations = scan(&cfs);
             if violations.is_empty() {
-                return Ok(());
+                return;
             }
-            prop_assert!(
+            assert!(
                 violations.len() < last,
                 "repair sweep made no progress: {} violations remain",
                 violations.len()
             );
             last = violations.len();
             let repairs = plan_repairs(&cfs, &violations);
-            prop_assert!(!repairs.is_empty(), "violations but no repairs planned");
-            RaidNode::relocate(&cfs, &repairs)
-                .map_err(|e| TestCaseError::fail(format!("repair relocation failed: {e}")))?;
+            assert!(!repairs.is_empty(), "violations but no repairs planned");
+            RaidNode::relocate(&cfs, &repairs).expect("repair relocation");
         }
-        prop_assert_eq!(scan(&cfs).len(), 0, "repair loop did not converge in 8 sweeps");
-    }
+        assert_eq!(
+            scan(&cfs).len(),
+            0,
+            "repair loop did not converge in 8 sweeps"
+        );
+    });
+}
 
-    #[test]
-    fn chaos_invariants_hold_for_arbitrary_seeds(
-        seed in any::<u64>(),
-        policy in prop_oneof![Just(ClusterPolicy::Ear), Just(ClusterPolicy::Rr)],
-    ) {
+#[test]
+fn chaos_invariants_hold_for_arbitrary_seeds() {
+    check("chaos_invariants_hold_for_arbitrary_seeds", 32, |rng| {
         // The soak test walks fixed seed ranges; this samples the whole
         // seed space with the light fault mix.
-        let report = run_plan(seed, &ChaosConfig::light(policy))
-            .map_err(|e| TestCaseError::fail(format!("harness error: {e}")))?;
-        prop_assert!(report.passed(policy), "seed {seed}: {report:?}");
-    }
+        let seed = rng.next_u64();
+        let policy = [ClusterPolicy::Ear, ClusterPolicy::Rr][rng.below(2) as usize];
+        let report = run_plan(seed, &ChaosConfig::light(policy)).expect("harness");
+        assert!(report.passed(policy), "seed {seed}: {report:?}");
+    });
 }
 
 /// What repairing one lost stripe member should cost across racks, derived
@@ -156,7 +159,11 @@ fn planned_repair_traffic(
         .enumerate()
         .filter(|&(_, &m)| m != lost)
         .filter_map(|(idx, &m)| {
-            let holder = cfs.namenode().locations(m)?.into_iter().find(|&h| live(h))?;
+            let holder = cfs
+                .namenode()
+                .locations(m)?
+                .into_iter()
+                .find(|&h| live(h))?;
             Some((idx, topo.rack_of(holder)))
         })
         .collect();
@@ -180,31 +187,27 @@ fn planned_repair_traffic(
     Some((racks.len(), remote.len()))
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// DESIGN.md §15: for any policy, code shape, rack-fault tolerance `c`,
-    /// topology, and write order, the fold chain seals parity bit-identical
-    /// to the one-shot `ReedSolomon::encode` over the written blocks, never
-    /// re-plans on a fault-free cluster, and moves exactly `Σ min(sᵣ, m)`
-    /// block-sized transfers across racks towards the encoding node — `sᵣ`
-    /// being the sources whose preferred replica (encoding rack first, then
-    /// lowest rack) sits in remote rack `r` before encoding. Reading every
-    /// source whole would move `Σ sᵣ`.
-    #[test]
-    fn chain_encode_matches_codec_reference_at_the_folded_traffic_count(
-        s in scenario_strategy(),
-        c in 1usize..=2,
-    ) {
-        let cfs = MiniCfs::new(config(&s, c))
-            .map_err(|e| TestCaseError::fail(format!("boot: {e}")))?;
+/// DESIGN.md §15: for any policy, code shape, rack-fault tolerance `c`,
+/// topology, and write order, the fold chain seals parity bit-identical
+/// to the one-shot `ReedSolomon::encode` over the written blocks, never
+/// re-plans on a fault-free cluster, and moves exactly `Σ min(sᵣ, m)`
+/// block-sized transfers across racks towards the encoding node — `sᵣ`
+/// being the sources whose preferred replica (encoding rack first, then
+/// lowest rack) sits in remote rack `r` before encoding. Reading every
+/// source whole would move `Σ sᵣ`.
+#[test]
+fn chain_encode_matches_codec_reference_at_the_folded_traffic_count() {
+    check("chain_encode_matches_codec_reference", 24, |rng| {
+        let s = scenario(rng);
+        let c = range(rng, 1..=2) as usize;
+        let cfs = MiniCfs::new(config(&s, c)).expect("boot");
         let nodes = cfs.topology().num_nodes() as u64;
         let mut i = 0u64;
         while cfs.namenode().pending_stripe_count() < s.stripes {
             cfs.write_block(NodeId((i % nodes) as u32), cfs.make_block(i))
-                .map_err(|e| TestCaseError::fail(format!("write failed: {e}")))?;
+                .expect("write failed");
             i += 1;
-            prop_assert!(i < (s.stripes * s.k * 40) as u64, "failed to seal stripes");
+            assert!(i < (s.stripes * s.k * 40) as u64, "failed to seal stripes");
         }
 
         let topo = cfs.topology();
@@ -214,7 +217,7 @@ proptest! {
             let enc = cfs
                 .namenode()
                 .plan_encoding(&stripe)
-                .map_err(|e| TestCaseError::fail(format!("plan: {e}")))?
+                .expect("plan")
                 .encoding_node;
             let enc_rack = topo.rack_of(enc);
             let mut per_rack: BTreeMap<RackId, usize> = BTreeMap::new();
@@ -231,40 +234,45 @@ proptest! {
                     *per_rack.entry(rack).or_insert(0) += 1;
                 }
             }
-            folded += per_rack.values().map(|&sources| sources.min(m)).sum::<usize>();
+            folded += per_rack
+                .values()
+                .map(|&sources| sources.min(m))
+                .sum::<usize>();
         }
 
         // One map task: stripes encode in a fixed order, so the counter is
         // comparable to the sum above.
-        let (stats, _) = RaidNode::encode_all(&cfs, 1)
-            .map_err(|e| TestCaseError::fail(format!("encode failed: {e}")))?;
-        prop_assert!(stats.failed_stripes.is_empty());
-        prop_assert_eq!(stats.pipeline_fallbacks, 0, "fault-free run must not re-plan");
-        prop_assert_eq!(stats.cross_rack_downloads, folded);
+        let (stats, _) = RaidNode::encode_all(&cfs, 1).expect("encode failed");
+        assert!(stats.failed_stripes.is_empty());
+        assert_eq!(
+            stats.pipeline_fallbacks, 0,
+            "fault-free run must not re-plan"
+        );
+        assert_eq!(stats.cross_rack_downloads, folded);
 
         for es in cfs.namenode().encoded_stripes() {
             let data: Vec<Vec<u8>> = es.data.iter().map(|b| cfs.make_block(b.0)).collect();
-            let expected = cfs
-                .codec()
-                .encode(&data)
-                .map_err(|e| TestCaseError::fail(format!("reference encode: {e}")))?;
+            let expected = cfs.codec().encode(&data).expect("reference encode");
             for (&p, want) in es.parity.iter().zip(&expected) {
                 let loc = cfs.namenode().locations(p).expect("parity located");
                 let got = cfs.datanode(loc[0]).get(p).expect("parity stored");
-                prop_assert_eq!(got.as_slice(), want.as_slice(), "parity bytes diverged");
+                assert_eq!(got.as_slice(), want.as_slice(), "parity bytes diverged");
             }
         }
-    }
+    });
+}
 
-    /// DESIGN.md §15 repair: with a node crash plus a whole-rack outage
-    /// injected from the first operation, recovering the crashed node
-    /// rebuilds every reachable block byte-for-byte equal to what was
-    /// written, and pays exactly one cross-rack transfer per remote rack
-    /// among each rebuild's chosen sources (see
-    /// [`planned_repair_traffic`]) — never more than the one per remote
-    /// source that reading every shard whole would cost.
-    #[test]
-    fn repair_rebuilds_written_bytes_at_one_transfer_per_remote_rack(seed in any::<u64>()) {
+/// DESIGN.md §15 repair: with a node crash plus a whole-rack outage
+/// injected from the first operation, recovering the crashed node
+/// rebuilds every reachable block byte-for-byte equal to what was
+/// written, and pays exactly one cross-rack transfer per remote rack
+/// among each rebuild's chosen sources (see
+/// [`planned_repair_traffic`]) — never more than the one per remote
+/// source that reading every shard whole would cost.
+#[test]
+fn repair_rebuilds_written_bytes_at_one_transfer_per_remote_rack() {
+    check("repair_rebuilds_written_bytes", 24, |rng| {
+        let seed = rng.next_u64();
         let faults = FaultConfig {
             straggler_delay: ear_faults::DelayModel::Throttle,
             node_crashes: 1,
@@ -310,8 +318,7 @@ proptest! {
             let _ = cfs.write_block(NodeId((i % nodes) as u32), cfs.make_block(i));
             i += 1;
         }
-        let _ = RaidNode::encode_all(&cfs, 1)
-            .map_err(|e| TestCaseError::fail(format!("encode failed: {e}")))?;
+        let _ = RaidNode::encode_all(&cfs, 1).expect("encode failed");
 
         let up = |nd: NodeId| !cfs.injector().node_down(nd);
         let encoded = cfs.namenode().encoded_stripes();
@@ -347,7 +354,8 @@ proptest! {
                     .iter()
                     .find(|es| es.data.contains(&b) || es.parity.contains(&b))
                     .expect("single-copy block belongs to a stripe");
-                let members: Vec<BlockId> = es.data.iter().chain(es.parity.iter()).copied().collect();
+                let members: Vec<BlockId> =
+                    es.data.iter().chain(es.parity.iter()).copied().collect();
                 match planned_repair_traffic(&cfs, &members, b, &live) {
                     Some((racks, sources)) => {
                         fold_cross += racks;
@@ -356,11 +364,11 @@ proptest! {
                     None => beyond_tolerance = true,
                 }
             }
-            prop_assert!(fold_cross <= whole_cross);
+            assert!(fold_cross <= whole_cross);
 
             match recover_node(&cfs, victim) {
                 Ok(stats) => {
-                    prop_assert!(!beyond_tolerance, "recovered past the code's tolerance");
+                    assert!(!beyond_tolerance, "recovered past the code's tolerance");
                     // A re-copied block crosses racks iff its new home is in a
                     // different rack than the first reachable survivor.
                     let copy_cross = replicated
@@ -374,7 +382,7 @@ proptest! {
                             src.map(|h| topo.rack_of(h)) != dst.map(|h| topo.rack_of(h))
                         })
                         .count();
-                    prop_assert_eq!(stats.cross_rack_downloads, fold_cross + copy_cross);
+                    assert_eq!(stats.cross_rack_downloads, fold_cross + copy_cross);
                     for es in &encoded {
                         for &blk in &es.data {
                             let locs = cfs.namenode().locations(blk).expect("located");
@@ -383,13 +391,13 @@ proptest! {
                             };
                             let got = cfs.datanode(holder).get(blk).expect("stored copy");
                             let want = cfs.make_block(blk.0);
-                            prop_assert_eq!(got.as_slice(), want.as_slice());
+                            assert_eq!(got.as_slice(), want.as_slice());
                         }
                     }
                 }
                 // Beyond-tolerance loss must surface typed, never as a panic.
-                Err(e) => prop_assert!(beyond_tolerance, "within tolerance yet failed: {e}"),
+                Err(e) => assert!(beyond_tolerance, "within tolerance yet failed: {e}"),
             }
         }
-    }
+    });
 }

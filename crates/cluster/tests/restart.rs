@@ -5,6 +5,10 @@
 //! must read back the same bytes. The volatile memory backend must refuse
 //! a data directory with a typed error, never a panic.
 
+// clippy.toml excuses unwrap/expect inside `#[test]` functions only; the
+// helpers here are test code too.
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use ear_cluster::{ClusterConfig, ClusterPolicy, MiniCfs, RaidNode};
 use ear_faults::{FaultConfig, FaultPlan};
 use ear_types::{

@@ -522,13 +522,12 @@ mod tests {
         let rs = ReedSolomon::new(ErasureParams::new(9, 6).unwrap());
         let mut data = sample_data(6, 32);
         let mut parity = rs.encode(&data).unwrap();
-        for idx in 0..6 {
-            let old = data[idx].clone();
-            for b in data[idx].iter_mut() {
+        for (idx, block) in data.iter_mut().enumerate() {
+            let old = block.clone();
+            for b in block.iter_mut() {
                 *b = b.wrapping_add(idx as u8 + 1);
             }
-            rs.update_parity(idx, &old, &data[idx], &mut parity)
-                .unwrap();
+            rs.update_parity(idx, &old, block, &mut parity).unwrap();
         }
         let full = rs.encode(&data).unwrap();
         assert_eq!(parity, full, "deltas must equal re-encode");

@@ -20,10 +20,12 @@ fn sample_data(k: usize, len: usize) -> Vec<Vec<u8>> {
         .collect()
 }
 
+type Shards = Vec<Vec<u8>>;
+
 /// Full stripe lifecycle under `codec`: encode, decode after maximal
 /// erasure, parity repair, and an incremental parity update. Returns the
 /// artifacts so tiers can be compared bit for bit.
-fn round_trip(codec: &ReedSolomon, data: &[Vec<u8>]) -> (Vec<Vec<u8>>, Vec<Vec<u8>>, Vec<Vec<u8>>) {
+fn round_trip(codec: &ReedSolomon, data: &[Vec<u8>]) -> (Shards, Shards, Shards) {
     let n = codec.params().n();
     let k = codec.params().k();
     let parity = codec.encode(data).unwrap();

@@ -4,38 +4,35 @@
 //! edge cases and unaligned heads/tails.
 
 use ear_erasure::{gf256, Kernel};
-use proptest::prelude::*;
+use ear_types::prop::{check, range};
+use ear_types::rng::ChaCha8;
 
 /// Random buffer lengths biased toward vector-width boundaries.
-fn len_strategy() -> impl Strategy<Value = usize> {
-    prop_oneof![
-        Just(0usize),
-        Just(1usize),
-        1usize..=64,
-        prop_oneof![Just(7usize), Just(8), Just(15), Just(16), Just(31), Just(32), Just(33)],
-        65usize..=4096,
+fn len(rng: &mut ChaCha8) -> usize {
+    let len = match rng.below(6) {
+        0 => 0,
+        1 => 1,
+        2 => range(rng, 1..=64),
+        3 => *rng.choose(&[7, 8, 15, 16, 31, 32, 33]).expect("non-empty"),
+        4 => range(rng, 65..=4096),
         // Past the mul_acc_many L1 blocking tile.
-        (16usize * 1024 - 2)..=(16 * 1024 + 34),
-    ]
+        _ => range(rng, 16 * 1024 - 2..=16 * 1024 + 34),
+    };
+    len as usize
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+fn bytes(rng: &mut ChaCha8, len: usize) -> Vec<u8> {
+    (0..len).map(|_| rng.next_u32() as u8).collect()
+}
 
-    /// `mul_acc` agrees with the scalar reference on every available tier.
-    #[test]
-    fn mul_acc_equivalent_across_tiers(
-        len in len_strategy(),
-        coef in any::<u8>(),
-        seed in any::<u64>(),
-        head in 0usize..=33,
-    ) {
-        let mut bytes = vec![0u8; len + head];
-        let mut s = seed;
-        for b in bytes.iter_mut() {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            *b = (s >> 33) as u8;
-        }
+/// `mul_acc` agrees with the scalar reference on every available tier.
+#[test]
+fn mul_acc_equivalent_across_tiers() {
+    check("mul_acc_equivalent_across_tiers", 128, |rng| {
+        let len = len(rng);
+        let coef = rng.next_u32() as u8;
+        let head = range(rng, 0..=33) as usize;
+        let bytes = bytes(rng, len + head);
         // Unaligned head: slice `head` bytes into the allocation.
         let src = &bytes[head..];
         let mut reference = vec![0x5Au8; src.len()];
@@ -43,49 +40,38 @@ proptest! {
         for kernel in Kernel::available() {
             let mut out = vec![0x5Au8; src.len()];
             kernel.mul_acc(&mut out, src, coef);
-            prop_assert_eq!(&out, &reference, "tier {}", kernel.name());
+            assert_eq!(&out, &reference, "tier {}", kernel.name());
         }
-    }
+    });
+}
 
-    /// `mul_slice` agrees with the scalar reference on every available tier.
-    #[test]
-    fn mul_slice_equivalent_across_tiers(
-        len in len_strategy(),
-        coef in any::<u8>(),
-        seed in any::<u64>(),
-    ) {
-        let mut src = vec![0u8; len];
-        let mut s = seed;
-        for b in src.iter_mut() {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            *b = (s >> 33) as u8;
-        }
+/// `mul_slice` agrees with the scalar reference on every available tier.
+#[test]
+fn mul_slice_equivalent_across_tiers() {
+    check("mul_slice_equivalent_across_tiers", 128, |rng| {
+        let len = len(rng);
+        let coef = rng.next_u32() as u8;
+        let src = bytes(rng, len);
         let mut reference = vec![0u8; len];
         gf256::mul_slice(&mut reference, &src, coef);
         for kernel in Kernel::available() {
             let mut out = vec![0xA5u8; len];
             kernel.mul_slice(&mut out, &src, coef);
-            prop_assert_eq!(&out, &reference, "tier {}", kernel.name());
+            assert_eq!(&out, &reference, "tier {}", kernel.name());
         }
-    }
+    });
+}
 
-    /// The fused `mul_acc_many` equals k sequential scalar `mul_acc` passes
-    /// on every available tier, for random source counts and coefficients.
-    #[test]
-    fn mul_acc_many_equivalent_across_tiers(
-        len in len_strategy(),
-        coefs in proptest::collection::vec(any::<u8>(), 1..=14),
-        seed in any::<u64>(),
-    ) {
-        let mut s = seed;
-        let mut next = move || {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (s >> 33) as u8
-        };
-        let srcs: Vec<Vec<u8>> = (0..coefs.len())
-            .map(|_| (0..len).map(|_| next()).collect())
-            .collect();
-        let init: Vec<u8> = (0..len).map(|_| next()).collect();
+/// The fused `mul_acc_many` equals k sequential scalar `mul_acc` passes
+/// on every available tier, for random source counts and coefficients.
+#[test]
+fn mul_acc_many_equivalent_across_tiers() {
+    check("mul_acc_many_equivalent_across_tiers", 128, |rng| {
+        let len = len(rng);
+        let sources = range(rng, 1..=14) as usize;
+        let coefs = bytes(rng, sources);
+        let srcs: Vec<Vec<u8>> = (0..sources).map(|_| bytes(rng, len)).collect();
+        let init = bytes(rng, len);
         let mut reference = init.clone();
         for (src, &coef) in srcs.iter().zip(&coefs) {
             gf256::mul_acc(&mut reference, src, coef);
@@ -98,18 +84,21 @@ proptest! {
         for kernel in Kernel::available() {
             let mut out = init.clone();
             kernel.mul_acc_many(&mut out, &pairs);
-            prop_assert_eq!(&out, &reference, "tier {}", kernel.name());
+            assert_eq!(&out, &reference, "tier {}", kernel.name());
         }
-    }
+    });
+}
 
-    /// Single-element algebra: kernels implement the same field multiply as
-    /// `gf256::mul` for every (coefficient, byte) pair proptest throws.
-    #[test]
-    fn kernels_agree_with_field_mul_pointwise(a in any::<u8>(), b in any::<u8>()) {
+/// Single-element algebra: kernels implement the same field multiply as
+/// `gf256::mul` for every (coefficient, byte) pair the runner draws.
+#[test]
+fn kernels_agree_with_field_mul_pointwise() {
+    check("kernels_agree_with_field_mul_pointwise", 128, |rng| {
+        let (a, b) = (rng.next_u32() as u8, rng.next_u32() as u8);
         for kernel in Kernel::available() {
             let mut out = [0u8];
             kernel.mul_slice(&mut out, &[b], a);
-            prop_assert_eq!(out[0], gf256::mul(a, b), "tier {}", kernel.name());
+            assert_eq!(out[0], gf256::mul(a, b), "tier {}", kernel.name());
         }
-    }
+    });
 }

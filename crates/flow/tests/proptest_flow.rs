@@ -3,31 +3,44 @@
 //! stripe matching under arbitrary replica layouts.
 
 use ear_flow::{hopcroft_karp, max_kept_matching, FlowNetwork};
+use ear_types::prop::{check, range};
+use ear_types::rng::ChaCha8;
 use ear_types::{ClusterTopology, NodeId};
-use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 
-/// Random bipartite adjacency: left size, right size, edge density seed.
-fn bipartite_strategy() -> impl Strategy<Value = (usize, usize, Vec<Vec<usize>>)> {
-    (1usize..=10, 1usize..=10).prop_flat_map(|(l, r)| {
-        proptest::collection::vec(proptest::collection::vec(0..r, 0..=r), l).prop_map(
-            move |mut adj| {
-                for nbrs in &mut adj {
-                    nbrs.sort_unstable();
-                    nbrs.dedup();
-                }
-                (l, r, adj)
-            },
-        )
-    })
+/// `len` (drawn from `lens`) values, each drawn from `values`.
+fn vec_of(
+    rng: &mut ChaCha8,
+    lens: std::ops::RangeInclusive<u64>,
+    values: std::ops::RangeInclusive<u64>,
+) -> Vec<u64> {
+    (0..range(rng, lens))
+        .map(|_| range(rng, values.clone()))
+        .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+/// Random bipartite adjacency: left size, right size, sorted neighbour lists.
+fn bipartite(rng: &mut ChaCha8) -> (usize, usize, Vec<Vec<usize>>) {
+    let (l, r) = (range(rng, 1..=10), range(rng, 1..=10));
+    let adj = (0..l)
+        .map(|_| {
+            let mut nbrs: Vec<usize> = vec_of(rng, 0..=r, 0..=r - 1)
+                .into_iter()
+                .map(|ri| ri as usize)
+                .collect();
+            nbrs.sort_unstable();
+            nbrs.dedup();
+            nbrs
+        })
+        .collect();
+    (l as usize, r as usize, adj)
+}
 
-    /// Hopcroft–Karp and the flow formulation agree on matching size.
-    #[test]
-    fn matching_formulations_agree((l, r, adj) in bipartite_strategy()) {
+/// Hopcroft–Karp and the flow formulation agree on matching size.
+#[test]
+fn matching_formulations_agree() {
+    check("matching_formulations_agree", 128, |rng| {
+        let (l, r, adj) = bipartite(rng);
         let m = hopcroft_karp(l, r, &adj);
         let hk_size = m.iter().flatten().count() as u64;
 
@@ -44,26 +57,27 @@ proptest! {
                 net.add_edge(li, l + ri, 1);
             }
         }
-        prop_assert_eq!(hk_size, net.max_flow(s, t));
+        assert_eq!(hk_size, net.max_flow(s, t));
 
         // The matching itself is valid: edges exist, right vertices unique.
         let mut used = HashSet::new();
         for (li, r_opt) in m.iter().enumerate() {
             if let Some(ri) = r_opt {
-                prop_assert!(adj[li].contains(ri));
-                prop_assert!(used.insert(*ri));
+                assert!(adj[li].contains(ri));
+                assert!(used.insert(*ri));
             }
         }
-    }
+    });
+}
 
-    /// Max flow is bounded by both the source and sink cut capacities, and
-    /// is monotone under capacity increase.
-    #[test]
-    fn max_flow_respects_cuts(
-        caps_out in proptest::collection::vec(0u64..20, 1..8),
-        caps_in in proptest::collection::vec(0u64..20, 1..8),
-        bump in 1u64..10,
-    ) {
+/// Max flow is bounded by both the source and sink cut capacities, and
+/// is monotone under capacity increase.
+#[test]
+fn max_flow_respects_cuts() {
+    check("max_flow_respects_cuts", 128, |rng| {
+        let caps_out = vec_of(rng, 1..=7, 0..=19);
+        let caps_in = vec_of(rng, 1..=7, 0..=19);
+        let bump = range(rng, 1..=9);
         // Star network: s -> mid_i -> t.
         let n = caps_out.len().min(caps_in.len());
         let mut net = FlowNetwork::new(n + 2);
@@ -74,7 +88,7 @@ proptest! {
         }
         let flow = net.max_flow(s, t);
         let expected: u64 = (0..n).map(|i| caps_out[i].min(caps_in[i])).sum();
-        prop_assert_eq!(flow, expected);
+        assert_eq!(flow, expected);
 
         // Monotonicity: adding a parallel edge can only increase max flow.
         let mut net2 = FlowNetwork::new(n + 2);
@@ -82,26 +96,27 @@ proptest! {
             net2.add_edge(s, i, caps_out[i] + bump);
             net2.add_edge(i, t, caps_in[i]);
         }
-        prop_assert!(net2.max_flow(s, t) >= flow);
-    }
+        assert!(net2.max_flow(s, t) >= flow);
+    });
+}
 
-    /// For arbitrary replica layouts, the kept matching never violates the
-    /// node/rack constraints, and its size is maximal with respect to the
-    /// trivial upper bounds.
-    #[test]
-    fn kept_matching_is_always_valid(
-        racks in 2usize..8,
-        nodes_per_rack in 1usize..4,
-        c in 1usize..3,
-        layout_seed in proptest::collection::vec(
-            proptest::collection::vec(0u32..32, 1..4), 1..8),
-    ) {
+/// For arbitrary replica layouts, the kept matching never violates the
+/// node/rack constraints, and its size is maximal with respect to the
+/// trivial upper bounds.
+#[test]
+fn kept_matching_is_always_valid() {
+    check("kept_matching_is_always_valid", 128, |rng| {
+        let racks = range(rng, 2..=7) as usize;
+        let nodes_per_rack = range(rng, 1..=3) as usize;
+        let c = range(rng, 1..=2) as usize;
         let topo = ClusterTopology::uniform(racks, nodes_per_rack);
-        let total = topo.num_nodes() as u32;
-        let layouts: Vec<Vec<NodeId>> = layout_seed
-            .iter()
-            .map(|nodes| {
-                let mut v: Vec<NodeId> = nodes.iter().map(|&x| NodeId(x % total)).collect();
+        let total = topo.num_nodes() as u64;
+        let layouts: Vec<Vec<NodeId>> = (0..range(rng, 1..=7))
+            .map(|_| {
+                let mut v: Vec<NodeId> = vec_of(rng, 1..=3, 0..=31)
+                    .into_iter()
+                    .map(|x| NodeId((x % total) as u32))
+                    .collect();
                 v.sort_unstable();
                 v.dedup();
                 v
@@ -114,21 +129,20 @@ proptest! {
         let mut rack_load: HashMap<u32, usize> = HashMap::new();
         for (i, kept) in outcome.kept.iter().enumerate() {
             if let Some(node) = kept {
-                prop_assert!(layouts[i].contains(node));
-                prop_assert!(node_used.insert(*node));
+                assert!(layouts[i].contains(node));
+                assert!(node_used.insert(*node));
                 *rack_load.entry(topo.rack_of(*node).0).or_insert(0) += 1;
             }
         }
         for (_, load) in rack_load {
-            prop_assert!(load <= c);
+            assert!(load <= c);
         }
 
         // Upper bounds: cannot exceed block count, distinct replica nodes,
         // or total rack capacity.
-        let distinct_nodes: HashSet<NodeId> =
-            layouts.iter().flatten().copied().collect();
-        prop_assert!(outcome.size <= layouts.len());
-        prop_assert!(outcome.size <= distinct_nodes.len());
-        prop_assert!(outcome.size <= racks * c);
-    }
+        let distinct_nodes: HashSet<NodeId> = layouts.iter().flatten().copied().collect();
+        assert!(outcome.size <= layouts.len());
+        assert!(outcome.size <= distinct_nodes.len());
+        assert!(outcome.size <= racks * c);
+    });
 }

@@ -8,7 +8,7 @@
 //! configuration [`EarConfig`] — so that the placement algorithms, the
 //! discrete-event simulator, and the testbed emulator all speak the same
 //! language. It also owns the one seeded generator they all draw from,
-//! [`rng::ChaCha8`].
+//! [`rng::ChaCha8`], and the property-test runner built on it, [`prop`].
 //!
 //! # Example
 //!
@@ -34,6 +34,7 @@ mod error;
 mod health;
 mod ids;
 mod params;
+pub mod prop;
 pub mod rng;
 mod topology;
 mod units;

@@ -3,11 +3,9 @@
 //!
 //! Each `exp::figNN` module exposes a `run(Scale) -> String` function that
 //! executes the experiment and renders the same rows/series the paper
-//! reports. The binaries in `src/bin/` print the full-scale versions;
-//! the `harness = false` bench targets in `benches/` run the
-//! [`Scale::Quick`] versions so `cargo bench` touches every experiment;
-//! `EXPERIMENTS.md` records paper-reported vs measured values. Performance
-//! is measured by the repo-level `benchmark/` crate, not here.
+//! reports. `ear experiment <id> [--scale quick|full]` is the one way to
+//! run them; `EXPERIMENTS.md` records paper-reported vs measured values.
+//! Performance is measured by the repo-level `benchmark/` crate, not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,15 +34,6 @@ pub fn fault_seed_label(seed: Option<u64>) -> String {
 }
 
 impl Scale {
-    /// Reads the scale from the `EAR_SCALE` environment variable
-    /// (`full` → [`Scale::Full`], anything else → [`Scale::Quick`]).
-    pub fn from_env() -> Self {
-        match std::env::var("EAR_SCALE").as_deref() {
-            Ok("full") => Scale::Full,
-            _ => Scale::Quick,
-        }
-    }
-
     /// Picks between quick and full values.
     pub fn pick<T>(self, quick: T, full: T) -> T {
         match self {

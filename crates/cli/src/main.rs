@@ -300,7 +300,6 @@ fn heal(args: &Args) -> Result<String, Box<dyn std::error::Error>> {
             max_rounds: args.get_parsed("max-rounds", defaults.healer.max_rounds)?,
             round_byte_budget: args
                 .get_parsed("byte-budget", defaults.healer.round_byte_budget)?,
-            ..defaults.healer.clone()
         },
         ..defaults
     };

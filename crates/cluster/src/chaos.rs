@@ -29,7 +29,7 @@ use ear_types::{
     Bandwidth, BlockId, ByteSize, CacheConfig, ClusterTopology, EarConfig, ErasureParams,
     HealStats, NodeId, ReplicationConfig, Result, StoreBackend, StripeId,
 };
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 
 /// Shape of one chaos run.
 #[derive(Debug, Clone)]
@@ -349,18 +349,10 @@ fn verify_blocks(cfs: &MiniCfs, acked: &BTreeMap<BlockId, u64>, k: usize, report
             .map(|d| d.to_vec())
     };
 
-    let encoded = cfs.namenode().encoded_stripes();
-    let mut in_stripe: HashMap<BlockId, usize> = HashMap::new();
-    for (si, es) in encoded.iter().enumerate() {
-        for &b in es.data.iter().chain(es.parity.iter()) {
-            in_stripe.insert(b, si);
-        }
-    }
-
     // Replicated (not-yet-encoded) acked blocks: a live clean replica must
     // hold exactly the written bytes.
     for (&b, &tag) in acked {
-        if in_stripe.contains_key(&b) {
+        if cfs.namenode().stripe_of(b).is_some() {
             continue;
         }
         match clean_copy(b) {
@@ -378,9 +370,8 @@ fn verify_blocks(cfs: &MiniCfs, acked: &BTreeMap<BlockId, u64>, k: usize, report
 
     // Encoded stripes: with at most n - k unavailable shards the stripe
     // must reconstruct every acked data block bit-identically.
-    for es in &encoded {
-        let members: Vec<BlockId> = es.data.iter().chain(es.parity.iter()).copied().collect();
-        let shards: Vec<Option<Vec<u8>>> = members.iter().map(|&m| clean_copy(m)).collect();
+    for es in cfs.namenode().encoded_stripes() {
+        let shards: Vec<Option<Vec<u8>>> = es.members().map(clean_copy).collect();
         let available = shards.iter().filter(|s| s.is_some()).count();
         if available < k {
             report.stripes_beyond_tolerance += 1;
@@ -621,17 +612,11 @@ fn count_redundancy(cfs: &MiniCfs, acked: &BTreeMap<BlockId, u64>, report: &mut 
                     .count()
             })
     };
-    let mut in_stripe: HashSet<BlockId> = HashSet::new();
     for es in cfs.namenode().encoded_stripes() {
-        for &b in es.data.iter().chain(es.parity.iter()) {
-            in_stripe.insert(b);
-            if live_copies(b) == 0 {
-                report.under_redundant += 1;
-            }
-        }
+        report.under_redundant += es.members().filter(|&b| live_copies(b) == 0).count();
     }
     for &b in acked.keys() {
-        if !in_stripe.contains(&b) && live_copies(b) < want {
+        if cfs.namenode().stripe_of(b).is_none() && live_copies(b) < want {
             report.under_redundant += 1;
         }
     }

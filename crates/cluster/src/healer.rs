@@ -5,11 +5,13 @@
 //! of replicas against their write-time CRC32C, rebuilds the
 //! [`DegradedTracker`]'s priority queues from cluster metadata, and drains
 //! the most urgent repairs under two budgets: a bounded number of in-flight
-//! repairs and a per-round repair-traffic byte budget. Re-replication keeps
-//! EAR's invariants (a pending stripe keeps a copy in its core rack; a new
-//! copy prefers a rack without one); shard reconstruction reuses the
-//! degraded-read path of [`recovery`](crate::recovery), which respects the
-//! ≤ `c` blocks-per-rack and distinct-node constraints.
+//! repairs and a per-round repair-traffic byte budget. The repairs themselves
+//! run on the cluster's one repair executor,
+//! [`recovery::run_repairs`](crate::recovery), all at once under the round
+//! deadline: re-replication keeps EAR's invariants (a pending stripe keeps a
+//! copy in its core rack; a new copy prefers a rack without one), shard
+//! reconstruction respects the ≤ `c` blocks-per-rack and distinct-node
+//! constraints.
 //!
 //! Everything control-plane is driven by the failure detector's view, not
 //! the injector's omniscient one: a crashed node is repaired around only
@@ -18,48 +20,40 @@
 
 use crate::cluster::MiniCfs;
 use crate::health::{DegradedTracker, HealthTransition, RepairKind, RepairTask};
-use crate::recovery::reconstruct_stripe_block;
-use crate::reliability::{OpClass, OpContext};
+use crate::recovery::{health_of, run_repairs, RepairView, REPAIR_WIDTH};
 use ear_faults::crc32c;
-use ear_types::rng::ChaCha8;
-use ear_types::{BlockId, Error, HealStats, NodeHealth, NodeId, RackId, Result, StripeId};
-use std::collections::{HashMap, HashSet};
-use std::time::Instant;
+use ear_types::{BlockId, Error, HealStats, NodeHealth, NodeId, Result};
+use std::collections::HashSet;
 
-/// Budgets and pacing of the background healer.
+/// Heartbeat clock ticks per healer round (heartbeats are much more
+/// frequent than repair sweeps, as in HDFS).
+const HEARTBEATS_PER_ROUND: usize = 4;
+/// Replicas CRC-scrubbed per round (the cursor sweeps all blocks
+/// round-robin).
+const SCRUB_PER_ROUND: usize = 64;
+/// Virtual-clock deadline (ticks) for each repair admitted in a round. A
+/// repair that blows it fails typed ([`Error::DeadlineExceeded`]) and is
+/// re-queued by the next round's scan; a cluster that can never make the
+/// deadline surfaces as [`Error::HealerStalled`] once the round budget runs
+/// out, instead of one repair hanging a round forever.
+const ROUND_DEADLINE_TICKS: u64 = 5_000_000;
+
+/// Budgets of the background healer.
 #[derive(Debug, Clone)]
 pub struct HealerConfig {
-    /// Heartbeat clock ticks per healer round (heartbeats are much more
-    /// frequent than repair sweeps, as in HDFS).
-    pub heartbeats_per_round: usize,
-    /// Maximum repairs in flight at once (bounded concurrency).
-    pub max_repairs_per_round: usize,
     /// Per-round repair-traffic budget in bytes. At least one repair is
     /// always admitted so the healer keeps making progress.
     pub round_byte_budget: u64,
-    /// Replicas CRC-scrubbed per round (cursor sweeps all blocks
-    /// round-robin).
-    pub scrub_per_round: usize,
     /// Rounds after which [`Healer::run_to_convergence`] gives up with
     /// [`Error::HealerStalled`].
     pub max_rounds: usize,
-    /// Virtual-clock deadline (ticks) for each repair admitted in a round.
-    /// A repair that blows it fails typed ([`Error::DeadlineExceeded`]) and
-    /// is re-queued by the next round's scan; a cluster that can never make
-    /// the deadline surfaces as [`Error::HealerStalled`] once `max_rounds`
-    /// runs out, instead of one repair hanging a round forever.
-    pub round_deadline_ticks: u64,
 }
 
 impl Default for HealerConfig {
     fn default() -> Self {
         HealerConfig {
-            heartbeats_per_round: 4,
-            max_repairs_per_round: 8,
             round_byte_budget: 16 << 20,
-            scrub_per_round: 64,
             max_rounds: 64,
-            round_deadline_ticks: 5_000_000,
         }
     }
 }
@@ -98,23 +92,9 @@ pub struct Healer<'a> {
     stats: HealStats,
     rounds: usize,
     clean_rounds: usize,
-    episode: Option<(usize, Instant)>,
+    /// Round in which the current degraded episode was first observed.
+    episode: Option<usize>,
     beyond_tolerance: Vec<BlockId>,
-    started: Instant,
-}
-
-struct RoundCtx<'a> {
-    snapshot: &'a [NodeHealth],
-    known_bad: &'a HashSet<(NodeId, BlockId)>,
-    core_racks: &'a HashMap<BlockId, RackId>,
-    members_of: &'a HashMap<StripeId, Vec<BlockId>>,
-    round_deadline_ticks: u64,
-}
-
-struct RepairOutcome {
-    re_replicated: bool,
-    bytes: u64,
-    cross_rack_bytes: u64,
 }
 
 impl<'a> Healer<'a> {
@@ -138,7 +118,6 @@ impl<'a> Healer<'a> {
             clean_rounds: 0,
             episode: None,
             beyond_tolerance: Vec::new(),
-            started: Instant::now(),
         }
     }
 
@@ -170,7 +149,7 @@ impl<'a> Healer<'a> {
 
         // 1. Heartbeats: the detector's clock runs several times faster
         // than the repair sweep.
-        for _ in 0..self.cfg.heartbeats_per_round.max(1) {
+        for _ in 0..HEARTBEATS_PER_ROUND {
             report.transitions.extend(self.cfs.heartbeat_tick()?);
         }
         self.stats.nodes_declared_dead += report
@@ -191,28 +170,21 @@ impl<'a> Healer<'a> {
         report.queued = tracker.len();
         report.beyond_tolerance = tracker.beyond_tolerance.len();
         self.beyond_tolerance = std::mem::take(&mut tracker.beyond_tolerance);
-        if report.queued > 0 && self.episode.is_none() {
-            self.episode = Some((self.rounds, Instant::now()));
-        }
-        if report.queued == 0 {
-            if let Some((round0, t0)) = self.episode.take() {
-                let rounds = self.rounds - round0;
-                self.stats.mttr_rounds =
-                    Some(self.stats.mttr_rounds.map_or(rounds, |m| m.max(rounds)));
-                let secs = t0.elapsed().as_secs_f64();
-                self.stats.mttr_seconds =
-                    Some(self.stats.mttr_seconds.map_or(secs, |m| m.max(secs)));
-            }
+        if report.queued > 0 {
+            self.episode.get_or_insert(self.rounds);
+        } else if let Some(round0) = self.episode.take() {
+            let rounds = self.rounds - round0;
+            self.stats.mttr_rounds = Some(self.stats.mttr_rounds.map_or(rounds, |m| m.max(rounds)));
         }
 
-        // 4. Admit the most urgent tasks under both budgets, then execute
-        // them with bounded concurrency. A task popped past the byte budget
-        // is simply dropped: the next round's scan re-finds it.
+        // 4. Admit the most urgent tasks under both budgets, then run them
+        // side by side on the repair executor. A task popped past the byte
+        // budget is simply dropped: the next round's scan re-finds it.
         let bs = self.cfs.config().block_size.as_u64();
         let k = self.cfs.codec().params().k() as u64;
         let mut planned: Vec<RepairTask> = Vec::new();
         let mut est = 0u64;
-        while planned.len() < self.cfg.max_repairs_per_round.max(1) {
+        while planned.len() < REPAIR_WIDTH {
             let Some(task) = tracker.pop() else { break };
             let cost = match task.kind {
                 RepairKind::ReReplicate { have, want } => {
@@ -229,86 +201,25 @@ impl<'a> Healer<'a> {
         }
         report.outstanding += tracker.len();
 
-        let core_racks = pending_core_racks(self.cfs);
-        let members_of: HashMap<StripeId, Vec<BlockId>> = self
-            .cfs
-            .namenode()
-            .encoded_stripes()
-            .into_iter()
-            .map(|es| {
-                let members = es.data.iter().chain(es.parity.iter()).copied().collect();
-                (es.id, members)
-            })
-            .collect();
-        let ctx = RoundCtx {
-            snapshot: &snapshot,
+        // Sources may include Suspect nodes (the data path can still reach
+        // them); destinations must be trusted and not known to corrupt the
+        // block.
+        let view = RepairView {
+            health: &snapshot,
             known_bad: &self.known_bad,
-            core_racks: &core_racks,
-            members_of: &members_of,
-            round_deadline_ticks: self.cfg.round_deadline_ticks,
         };
-        let cfs = self.cfs;
-        let seed = cfs.config().seed;
-        // Reconstructions of the same stripe must not race: each reads the
-        // stripe's current rack spread before placing, so two concurrent
-        // repairs could both land in a rack with one slot left. Group
-        // same-stripe tasks onto one worker (in queue order); everything
-        // else still runs concurrently.
-        let mut groups: Vec<Vec<RepairTask>> = Vec::new();
-        let mut stripe_group: HashMap<StripeId, usize> = HashMap::new();
-        for task in planned {
-            match task.kind {
-                RepairKind::Reconstruct { stripe } => match stripe_group.get(&stripe) {
-                    Some(&g) => match groups.get_mut(g) {
-                        Some(group) => group.push(task),
-                        // Defensive: a corrupt group index must not panic the
-                        // healer — run the task on its own worker instead.
-                        None => groups.push(vec![task]),
-                    },
-                    None => {
-                        stripe_group.insert(stripe, groups.len());
-                        groups.push(vec![task]);
-                    }
-                },
-                RepairKind::ReReplicate { .. } => groups.push(vec![task]),
-            }
-        }
-        let outcomes: Vec<Result<RepairOutcome>> = std::thread::scope(|s| {
-            let handles: Vec<_> = groups
-                .iter()
-                .map(|group| {
-                    let ctx = &ctx;
-                    s.spawn(move || {
-                        group
-                            .iter()
-                            .map(|&task| execute_repair(cfs, task, ctx, seed))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .zip(&groups)
-                .flat_map(|(h, group)| {
-                    h.join().unwrap_or_else(|_| {
-                        group
-                            .iter()
-                            .map(|_| Err(Error::Invariant("repair worker panicked".into())))
-                            .collect()
-                    })
-                })
-                .collect()
-        });
-        for outcome in outcomes {
+        for outcome in run_repairs(self.cfs, &planned, &view, Some(ROUND_DEADLINE_TICKS)) {
             match outcome {
-                Ok(o) => {
-                    if o.re_replicated {
-                        self.stats.blocks_re_replicated += 1;
-                    } else {
+                Ok(repair) => {
+                    if repair.reconstructed {
                         self.stats.shards_reconstructed += 1;
+                    } else {
+                        self.stats.blocks_re_replicated += 1;
                     }
-                    self.stats.repair_bytes += o.bytes;
-                    self.stats.cross_rack_repair_bytes += o.cross_rack_bytes;
+                    let moved = repair.downloads + repair.uploads;
+                    let crossed = repair.cross_rack_downloads + repair.cross_rack_uploads;
+                    self.stats.repair_bytes += moved as u64 * bs;
+                    self.stats.cross_rack_repair_bytes += crossed as u64 * bs;
                     report.repaired += 1;
                 }
                 Err(_) => {
@@ -350,7 +261,7 @@ impl<'a> Healer<'a> {
                 self.clean_rounds += 1;
             }
             let blocks = self.cfs.namenode().block_count().max(1);
-            let sweep = blocks.div_ceil(self.cfg.scrub_per_round.max(1) as u64) as usize;
+            let sweep = blocks.div_ceil(SCRUB_PER_ROUND as u64) as usize;
             let settled = self
                 .cfs
                 .health_snapshot()?
@@ -366,7 +277,6 @@ impl<'a> Healer<'a> {
     fn finalize(&mut self, converged: bool) {
         self.stats.rounds = self.rounds;
         self.stats.converged = converged;
-        self.stats.wall_seconds = self.started.elapsed().as_secs_f64();
         self.stats.breaker_trips = self.cfs.reliability().stats().breaker_trips;
     }
 
@@ -378,7 +288,7 @@ impl<'a> Healer<'a> {
         if total == 0 {
             return Ok(0);
         }
-        let window = self.cfg.scrub_per_round.min(total as usize) as u64;
+        let window = (SCRUB_PER_ROUND as u64).min(total);
         let mut hits = 0usize;
         for i in 0..window {
             let b = BlockId((self.scrub_cursor + i) % total);
@@ -413,177 +323,13 @@ impl<'a> Healer<'a> {
     }
 }
 
-/// Health of `nd` in a round snapshot. Nodes outside the snapshot cannot
-/// occur for ids minted by the topology, but a data-plane lookup must not
-/// panic on one — an unknown node reads as `Dead` (unusable as source or
-/// destination), which is also what fallback does with it.
-fn health_of(snapshot: &[NodeHealth], nd: NodeId) -> NodeHealth {
-    snapshot.get(nd.index()).copied().unwrap_or(NodeHealth::Dead)
-}
-
-/// Core racks of every block still in a pending (pre-encoding) stripe:
-/// re-replication must keep one copy there or the stripe's encoding plan
-/// loses its rack-local sources.
-fn pending_core_racks(cfs: &MiniCfs) -> HashMap<BlockId, RackId> {
-    let mut map = HashMap::new();
-    for stripe in cfs.namenode().pending_stripes() {
-        if let Some(core) = stripe.plan.core_rack() {
-            for &b in &stripe.blocks {
-                map.insert(b, core);
-            }
-        }
-    }
-    map
-}
-
-/// Executes one repair task. Runs on a worker thread; all shared state is
-/// behind the NameNode/DataNode locks, and the RNG is seeded per block so
-/// outcomes do not depend on worker interleaving.
-fn execute_repair(
-    cfs: &MiniCfs,
-    task: RepairTask,
-    ctx: &RoundCtx<'_>,
-    seed: u64,
-) -> Result<RepairOutcome> {
-    let mut rng = ChaCha8::from_seed(seed ^ task.block.0.wrapping_mul(0x9E37) ^ 0x4EA1);
-    // Every repair runs as a Heal-class op under the round deadline: the
-    // admission gate may shed it under load, and a straggling repair fails
-    // typed instead of hanging the round.
-    let op = cfs
-        .reliability()
-        .ctx_with_deadline(OpClass::Heal, ctx.round_deadline_ticks)?;
-    match task.kind {
-        RepairKind::ReReplicate { want, .. } => {
-            re_replicate(cfs, &op, task.block, want, ctx, &mut rng)
-        }
-        RepairKind::Reconstruct { stripe } => {
-            let members = ctx
-                .members_of
-                .get(&stripe)
-                .ok_or_else(|| Error::Invariant(format!("{stripe} not in encoded map")))?;
-            let bs = cfs.config().block_size.as_u64();
-            let block = task.block;
-            // Sources may include Suspect nodes (the data path can still
-            // reach them); destinations must be trusted and not known to
-            // corrupt this block.
-            let live = |nd: NodeId| health_of(ctx.snapshot, nd) != NodeHealth::Dead;
-            let bad_dst = |nd: NodeId| {
-                ctx.known_bad.contains(&(nd, block))
-                    || health_of(ctx.snapshot, nd) == NodeHealth::Suspect
-            };
-            let repair =
-                reconstruct_stripe_block(cfs, &op, members, block, &live, &bad_dst, &mut rng)?;
-            let uploads = usize::from(repair.uploaded);
-            Ok(RepairOutcome {
-                re_replicated: false,
-                bytes: (repair.downloads + uploads) as u64 * bs,
-                cross_rack_bytes: (repair.cross_rack_downloads
-                    + usize::from(repair.upload_cross_rack)) as u64
-                    * bs,
-            })
-        }
-    }
-}
-
-/// Brings a replicated block back to `want` live copies, copying from the
-/// healthiest available source and placing onto nodes that preserve the
-/// block's rack spread (and its pending stripe's core-rack copy).
-fn re_replicate(
-    cfs: &MiniCfs,
-    op: &OpContext<'_>,
-    block: BlockId,
-    want: usize,
-    ctx: &RoundCtx<'_>,
-    rng: &mut ChaCha8,
-) -> Result<RepairOutcome> {
-    let nn = cfs.namenode();
-    let topo = cfs.topology();
-    let bs = cfs.config().block_size.as_u64();
-    let locs = nn
-        .locations(block)
-        .ok_or(Error::BlockUnavailable { block })?;
-    let mut holders: Vec<NodeId> = Vec::new();
-    for h in locs {
-        if health_of(ctx.snapshot, h) == NodeHealth::Dead {
-            // The detector declared the holder lost; retire the location
-            // (its bytes, if any, are unreachable).
-            nn.drop_location(block, h)?;
-        } else if !ctx.known_bad.contains(&(h, block)) {
-            holders.push(h);
-        }
-    }
-    if holders.is_empty() {
-        return Err(Error::BlockUnavailable { block });
-    }
-    // Prefer fully-trusted sources; Suspect holders are last resort.
-    holders.sort_by_key(|h| (health_of(ctx.snapshot, *h) == NodeHealth::Suspect, h.0));
-    let core = ctx.core_racks.get(&block).copied();
-    let mut outcome = RepairOutcome {
-        re_replicated: true,
-        bytes: 0,
-        cross_rack_bytes: 0,
-    };
-    while holders.len() < want {
-        let have_racks: HashSet<RackId> = holders.iter().map(|&h| topo.rack_of(h)).collect();
-        let trusted = |nd: NodeId| {
-            matches!(
-                health_of(ctx.snapshot, nd),
-                NodeHealth::Live | NodeHealth::Rejoined
-            )
-        };
-        let candidates: Vec<NodeId> = topo
-            .nodes()
-            .filter(|&nd| {
-                trusted(nd) && !holders.contains(&nd) && !ctx.known_bad.contains(&(nd, block))
-            })
-            .collect();
-        if candidates.is_empty() {
-            return Err(Error::NoRepairDestination { block });
-        }
-        let preferred: Vec<NodeId> = match core {
-            // EAR invariant first: a block of a pending stripe must keep a
-            // copy in its core rack.
-            Some(core_rack) if !have_racks.contains(&core_rack) => candidates
-                .iter()
-                .copied()
-                .filter(|&nd| topo.rack_of(nd) == core_rack)
-                .collect(),
-            // Otherwise spread across racks without a copy.
-            _ => candidates
-                .iter()
-                .copied()
-                .filter(|&nd| !have_racks.contains(&topo.rack_of(nd)))
-                .collect(),
-        };
-        let pool = if preferred.is_empty() {
-            &candidates
-        } else {
-            &preferred
-        };
-        let dst = rng
-            .choose(pool)
-            .copied()
-            .ok_or(Error::NoRepairDestination { block })?;
-        let (data, src) = cfs
-            .io()
-            .read_with_fallback(op, dst, block, &holders, None, None)?;
-        cfs.datanode(dst).put(block, data)?;
-        nn.add_location(block, dst)?;
-        outcome.bytes += bs;
-        if topo.rack_of(src) != topo.rack_of(dst) {
-            outcome.cross_rack_bytes += bs;
-        }
-        holders.push(dst);
-    }
-    Ok(outcome)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cluster::{ClusterConfig, ClusterPolicy};
     use crate::monitor;
     use crate::raidnode::RaidNode;
+    use crate::recovery::recover_node;
     use ear_faults::{FaultConfig, FaultPlan};
     use ear_types::{
         Bandwidth, ByteSize, CacheConfig, EarConfig, ErasureParams, ReplicationConfig,
@@ -764,7 +510,6 @@ mod tests {
         let tight = HealerConfig {
             round_byte_budget: ByteSize::kib(64).as_u64(),
             max_rounds: 128,
-            ..HealerConfig::default()
         };
         let mut healer = Healer::with_config(&cfs, tight);
         let stats = healer.run_to_convergence().unwrap();
@@ -798,38 +543,72 @@ mod tests {
 
     #[test]
     fn healer_preserves_core_rack_copy_for_pending_stripes() {
-        // Write fewer blocks than a stripe so they stay pending, then
-        // knock out the core-rack copy of one block and heal. The healed
-        // placement must restore a copy in the stripe's core rack.
-        let cfs = MiniCfs::new(config(25)).unwrap();
-        let nodes = cfs.topology().num_nodes() as u64;
-        let mut i = 0u64;
-        while cfs.namenode().pending_stripe_count() < 1 {
-            let data = cfs.make_block(i);
-            cfs.write_block(NodeId((i % nodes) as u32), data).unwrap();
-            i += 1;
-        }
-        let stripe = &cfs.namenode().pending_stripes()[0];
-        let core = stripe.plan.core_rack().expect("EAR stripes have a core");
-        let block = stripe.blocks[0];
-        let core_copy = cfs
-            .namenode()
-            .locations(block)
-            .unwrap()
-            .into_iter()
-            .find(|&n| cfs.topology().rack_of(n) == core)
-            .expect("EAR keeps a core-rack copy");
-        cfs.datanode(core_copy).delete(block);
-        cfs.namenode().drop_location(block, core_copy).unwrap();
+        // A node holding core-rack copies of pending stripes loses them,
+        // and the loss is repaired through each entry point of the repair
+        // scheduler. Either way EAR's pre-encoding invariant must survive:
+        // every block of every pending stripe keeps a copy in its stripe's
+        // core rack, so encoding still moves nothing across racks.
+        for seed in 25..33 {
+            for through_healer in [true, false] {
+                let cfs = MiniCfs::new(config(seed)).unwrap();
+                let topo = cfs.topology();
+                let nodes = topo.num_nodes() as u64;
+                let mut i = 0u64;
+                while cfs.namenode().pending_stripe_count() < 2 {
+                    let data = cfs.make_block(i);
+                    cfs.write_block(NodeId((i % nodes) as u32), data).unwrap();
+                    i += 1;
+                }
+                let pending = cfs.namenode().pending_stripes();
+                let core = pending[0]
+                    .plan
+                    .core_rack()
+                    .expect("EAR stripes have a core");
+                let victim = cfs
+                    .namenode()
+                    .locations(pending[0].blocks[0])
+                    .unwrap()
+                    .into_iter()
+                    .find(|&n| topo.rack_of(n) == core)
+                    .expect("EAR keeps a core-rack copy");
 
-        let stats = Healer::new(&cfs).run_to_convergence().unwrap();
-        assert!(stats.converged);
-        assert!(stats.blocks_re_replicated >= 1);
-        let healed = cfs.namenode().locations(block).unwrap();
-        assert_eq!(healed.len(), 2);
-        assert!(
-            healed.iter().any(|&n| cfs.topology().rack_of(n) == core),
-            "healed layout must keep a copy in core rack {core}"
-        );
+                if through_healer {
+                    // The copies vanish silently; the scan finds the blocks
+                    // one replica short.
+                    for b in (0..cfs.namenode().block_count()).map(BlockId) {
+                        if cfs.namenode().drop_location(b, victim).unwrap() {
+                            cfs.datanode(victim).delete(b);
+                        }
+                    }
+                    let stats = Healer::new(&cfs).run_to_convergence().unwrap();
+                    assert!(stats.converged);
+                    assert!(stats.blocks_re_replicated >= 1);
+                } else {
+                    let stats = recover_node(&cfs, victim).unwrap();
+                    assert!(stats.blocks_recovered >= 1);
+                }
+
+                let entry = if through_healer {
+                    "healer"
+                } else {
+                    "recover_node"
+                };
+                for stripe in &pending {
+                    let core = stripe.plan.core_rack().expect("EAR stripes have a core");
+                    for &b in &stripe.blocks {
+                        let healed = cfs.namenode().locations(b).unwrap();
+                        assert_eq!(healed.len(), 2, "seed {seed} {entry}: {b}");
+                        assert!(
+                            healed.iter().any(|&n| topo.rack_of(n) == core),
+                            "seed {seed} {entry}: {b} lost its copy in core rack {core}"
+                        );
+                    }
+                }
+                let (stats, relocations) = RaidNode::encode_all(&cfs, 4).unwrap();
+                assert_eq!(stats.stripes, pending.len());
+                assert_eq!(stats.cross_rack_downloads, 0, "seed {seed} {entry}");
+                assert!(relocations.is_empty(), "seed {seed} {entry}");
+            }
+        }
     }
 }

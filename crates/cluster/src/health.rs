@@ -19,7 +19,7 @@
 
 use crate::cluster::MiniCfs;
 use ear_types::{BlockId, NodeHealth, NodeId, StripeId};
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashSet, VecDeque};
 
 /// Thresholds and windows of the phi-style failure detector.
 #[derive(Debug, Clone)]
@@ -288,14 +288,8 @@ impl DegradedTracker {
         };
 
         let mut tracker = DegradedTracker::default();
-        let encoded = nn.encoded_stripes();
-        let mut in_stripe: HashMap<BlockId, ()> = HashMap::new();
-        for es in &encoded {
-            let members: Vec<BlockId> =
-                es.data.iter().chain(es.parity.iter()).copied().collect();
-            for &b in &members {
-                in_stripe.insert(b, ());
-            }
+        for es in nn.encoded_stripes() {
+            let members: Vec<BlockId> = es.members().collect();
             let live_members = members
                 .iter()
                 .filter(|&&b| {
@@ -335,11 +329,8 @@ impl DegradedTracker {
         // member. Blocks with an empty location set are unreferenced parity
         // ids from rolled-back encodes — nothing to repair.
         for b in (0..nn.block_count()).map(BlockId) {
-            if in_stripe.contains_key(&b) {
-                continue;
-            }
             let Some(locs) = nn.locations(b) else { continue };
-            if locs.is_empty() {
+            if locs.is_empty() || nn.stripe_of(b).is_some() {
                 continue;
             }
             let have = locs.iter().filter(|&&h| alive(h, b)).count();

@@ -51,6 +51,13 @@ pub struct EncodedStripe {
     pub parity: Vec<BlockId>,
 }
 
+impl EncodedStripe {
+    /// The stripe's `n` blocks in generator order: data, then parity.
+    pub fn members(&self) -> impl Iterator<Item = BlockId> + '_ {
+        self.data.iter().chain(&self.parity).copied()
+    }
+}
+
 /// Per-block metadata held in the location shards.
 #[derive(Debug, Default, Clone)]
 struct BlockMeta {
@@ -75,10 +82,22 @@ struct StripeState {
     in_flight: Vec<PendingStripe>,
     /// Stripes that have been encoded.
     encoded: Vec<EncodedStripe>,
+    /// Member block → position in `encoded`, the one block → stripe lookup
+    /// ([`NameNode::stripe_of`]). `encoded` only grows, so positions hold.
+    stripe_index: HashMap<BlockId, usize>,
     /// Blocks of the stripe currently being accumulated, in seal order —
     /// maps each sealed stripe to its member blocks.
     unsealed: Vec<BlockId>,
     next_stripe: u64,
+}
+
+impl StripeState {
+    /// Appends an encoded stripe and indexes its members.
+    fn push_encoded(&mut self, stripe: EncodedStripe) {
+        let pos = self.encoded.len();
+        self.stripe_index.extend(stripe.members().map(|b| (b, pos)));
+        self.encoded.push(stripe);
+    }
 }
 
 /// The NameNode: owns block locations, drives the placement policy, and
@@ -172,7 +191,7 @@ impl NameNode {
                 });
             }
             for s in &recovered.encoded {
-                stripes.encoded.push(EncodedStripe {
+                stripes.push_encoded(EncodedStripe {
                     id: s.id,
                     data: s.data.clone(),
                     parity: s.parity.clone(),
@@ -489,7 +508,7 @@ impl NameNode {
                 parity: stripe.parity.clone(),
             })?;
             stripes.in_flight.retain(|s| s.id != stripe.id);
-            stripes.encoded.push(stripe);
+            stripes.push_encoded(stripe);
         }
         self.maybe_checkpoint()
     }
@@ -500,6 +519,14 @@ impl NameNode {
         let mut out = self.stripes.lock().encoded.clone();
         out.sort_by_key(|s| s.id);
         out
+    }
+
+    /// The encoded stripe `block` is a member of (data or parity), `None`
+    /// while the block is still replicated.
+    pub fn stripe_of(&self, block: BlockId) -> Option<EncodedStripe> {
+        let stripes = self.stripes.lock();
+        let pos = *stripes.stripe_index.get(&block)?;
+        stripes.encoded.get(pos).cloned()
     }
 
     /// Plans the encoding of a stripe through the placement policy.
@@ -730,5 +757,9 @@ mod tests {
         }
         let ids: Vec<_> = nn.encoded_stripes().iter().map(|s| s.id).collect();
         assert_eq!(ids, vec![StripeId(0), StripeId(1), StripeId(2)]);
+        // The member index follows the stripe, not the commit order.
+        assert_eq!(nn.stripe_of(BlockId(5)).map(|s| s.id), Some(StripeId(1)));
+        assert_eq!(nn.stripe_of(BlockId(11)).map(|s| s.id), Some(StripeId(2)));
+        assert!(nn.stripe_of(BlockId(12)).is_none());
     }
 }

@@ -1,4 +1,4 @@
-//! Failure recovery: the RaidNode's degraded-read path.
+//! Failure recovery: the one repair scheduler (DESIGN.md §8, §15).
 //!
 //! After encoding, each block of a stripe has exactly one copy. When a node
 //! fails, every block it held must be rebuilt by downloading `k` surviving
@@ -7,74 +7,309 @@
 //! variant trades fault tolerance against: with `c` blocks of a stripe per
 //! rack, a recovery node co-located with surviving stripe blocks can fetch
 //! `c - 1` of its `k` inputs intra-rack.
+//!
+//! Every repair in the cluster is a [`RepairTask`] drained by
+//! [`run_repairs`] under a [`RepairView`]: [`recover_node`] lists the blocks
+//! of one failed node and runs them to completion, the background
+//! [`Healer`](crate::healer::Healer) lists what the failure detector reports
+//! and runs what each round admits under the round deadline.
 
 use crate::cluster::MiniCfs;
+use crate::health::{RepairKind, RepairTask};
 use crate::reliability::{OpClass, OpContext};
 use ear_erasure::ParityAccum;
 use ear_types::rng::ChaCha8;
-use ear_types::{Block, BlockId, Error, NodeId, Result};
+use ear_types::{Block, BlockId, Error, NodeHealth, NodeId, RackId, Result, StripeId};
 use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Outcome of rebuilding one stripe block by degraded read — enough for the
-/// caller to account traffic (every count is in whole blocks; multiply by the
-/// block size for bytes).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ShardRepair {
-    /// Where the rebuilt block now lives.
-    pub placement: NodeId,
-    /// Block-sized transfers the rebuild paid: whole shards downloaded plus
-    /// the folded partials shipped (exactly `k` when no rack folds).
-    pub downloads: usize,
-    /// Transfers that crossed racks (shards or folded partials).
-    pub cross_rack_downloads: usize,
-    /// Whether the rebuilt block was shipped from the recovery node to a
-    /// different node (`false` when it stayed where it was decoded).
-    pub uploaded: bool,
-    /// Whether that shipment crossed racks.
-    pub upload_cross_rack: bool,
+/// Repairs in flight at once: the workers [`run_repairs`] drains its list
+/// with, and therefore the most a healer round admits.
+pub(crate) const REPAIR_WIDTH: usize = 8;
+
+/// What a repair pass believes about the cluster: the failure detector's
+/// snapshot and the scrubber's findings for the healer, *the failed node and
+/// everything the injector has taken down are dead* for [`recover_node`].
+pub(crate) struct RepairView<'a> {
+    /// Health per node id.
+    pub health: &'a [NodeHealth],
+    /// `(node, block)` copies known to be corrupt: never a source, never a
+    /// destination for that block again.
+    pub known_bad: &'a HashSet<(NodeId, BlockId)>,
 }
 
-/// Rebuilds the single stripe block `block` (a member of `members`, the
-/// stripe's blocks in generator order) from any `k` surviving members
-/// ([`rebuild_shard`], folding remote racks) and places the rebuilt copy
-/// where the stripe's rack-level constraint (≤ `c` blocks per rack,
-/// distinct nodes) still holds. Updates the NameNode's location map and the
-/// destination DataNode's store.
+/// Health of `nd` in a snapshot indexed by node id. Nodes outside the
+/// snapshot cannot occur for ids minted by the topology, but a data-plane
+/// lookup must not panic on one — an unknown node reads as `Dead` (unusable
+/// as source or destination), which is also what fallback does with it.
+pub(crate) fn health_of(snapshot: &[NodeHealth], nd: NodeId) -> NodeHealth {
+    snapshot
+        .get(nd.index())
+        .copied()
+        .unwrap_or(NodeHealth::Dead)
+}
+
+impl RepairView<'_> {
+    /// Whether `nd` may serve reads or run a decode: anything not `Dead`
+    /// (the data path can still reach a `Suspect` node).
+    fn reachable(&self, nd: NodeId) -> bool {
+        health_of(self.health, nd) != NodeHealth::Dead
+    }
+
+    /// Whether `nd` may receive a copy of `block`: trusted by the detector
+    /// and not known to corrupt this block.
+    fn accepts(&self, nd: NodeId, block: BlockId) -> bool {
+        matches!(
+            health_of(self.health, nd),
+            NodeHealth::Live | NodeHealth::Rejoined
+        ) && !self.known_bad.contains(&(nd, block))
+    }
+}
+
+/// Outcome of one repair task — enough for the caller to account traffic
+/// (every count is in whole blocks; multiply by the block size for bytes).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct RepairOutcome {
+    /// A stripe shard was rebuilt by degraded read (`false`: replicas were
+    /// copied).
+    pub reconstructed: bool,
+    /// Block-sized transfers the repair paid: copies made, or whole shards
+    /// downloaded plus the folded partials shipped (exactly `k` when no
+    /// rack folds).
+    pub downloads: usize,
+    /// Transfers that crossed racks (copies, shards or folded partials).
+    pub cross_rack_downloads: usize,
+    /// Shipments of the rebuilt block from the recovery node to a different
+    /// node (0 when it stayed where it was decoded).
+    pub uploads: usize,
+    /// Shipments that crossed racks.
+    pub cross_rack_uploads: usize,
+}
+
+/// Drains `tasks` and returns their outcomes in task order. At most
+/// [`REPAIR_WIDTH`] scoped workers pull tasks off the list, each task a
+/// Heal-class op under `deadline_ticks` (the substrate's default when
+/// `None`): the admission gate may shed it under load, and a straggling
+/// repair fails typed instead of hanging the drain. A failed task does not
+/// stop the rest.
 ///
-/// `live` says which nodes the caller trusts for I/O (the failure detector's
-/// view for the healer, the injector's for direct node recovery); `bad_dst`
-/// vetoes placement destinations the caller knows serve corrupt copies of
-/// this block. Both sources and the recovery node are drawn from `live`.
+/// Reconstructions of the same stripe must not race: each reads the
+/// stripe's current rack spread before placing, so two concurrent repairs
+/// could both land in a rack with one slot left. Same-stripe tasks are
+/// pulled as one group and run on one worker (in task order); everything
+/// else runs concurrently. All shared state is behind the NameNode/DataNode
+/// locks and every task draws from its own block-seeded RNG, so outcomes do
+/// not depend on worker interleaving.
+pub(crate) fn run_repairs(
+    cfs: &MiniCfs,
+    tasks: &[RepairTask],
+    view: &RepairView<'_>,
+    deadline_ticks: Option<u64>,
+) -> Vec<Result<RepairOutcome>> {
+    let mut groups: Vec<Vec<(usize, RepairTask)>> = Vec::new();
+    let mut stripe_group: HashMap<StripeId, usize> = HashMap::new();
+    for (slot, &task) in tasks.iter().enumerate() {
+        let shared = match task.kind {
+            RepairKind::Reconstruct { stripe } => {
+                Some(*stripe_group.entry(stripe).or_insert(groups.len()))
+            }
+            RepairKind::ReReplicate { .. } => None,
+        };
+        match shared.and_then(|g| groups.get_mut(g)) {
+            Some(group) => group.push((slot, task)),
+            None => groups.push(vec![(slot, task)]),
+        }
+    }
+    let core_racks = pending_core_racks(cfs);
+    // Hands out group indices only; `groups` itself is shared by the spawn.
+    let next_group = AtomicUsize::new(0);
+    let mut outcomes: Vec<Result<RepairOutcome>> = tasks
+        .iter()
+        .map(|_| Err(Error::Invariant("repair worker panicked".into())))
+        .collect();
+    std::thread::scope(|s| {
+        let worker = || {
+            let mut done = Vec::new();
+            while let Some(group) = groups.get(next_group.fetch_add(1, Ordering::Relaxed)) {
+                for &(slot, task) in group {
+                    let outcome = execute_repair(cfs, task, view, &core_racks, deadline_ticks);
+                    done.push((slot, outcome));
+                }
+            }
+            done
+        };
+        let workers: Vec<_> = (0..groups.len().min(REPAIR_WIDTH))
+            .map(|_| s.spawn(worker))
+            .collect();
+        for (slot, outcome) in workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_default())
+        {
+            if let Some(entry) = outcomes.get_mut(slot) {
+                *entry = outcome;
+            }
+        }
+    });
+    outcomes
+}
+
+/// Core racks of every block still in a pending (pre-encoding) stripe:
+/// re-replication must keep one copy there or the stripe's encoding plan
+/// loses its rack-local sources.
+fn pending_core_racks(cfs: &MiniCfs) -> HashMap<BlockId, RackId> {
+    let mut map = HashMap::new();
+    for stripe in cfs.namenode().pending_stripes() {
+        if let Some(core) = stripe.plan.core_rack() {
+            for &b in &stripe.blocks {
+                map.insert(b, core);
+            }
+        }
+    }
+    map
+}
+
+/// Executes one repair task on a worker thread. The RNG is seeded per
+/// (cluster seed, block), so two clusters differing only in seed pick
+/// different (but individually reproducible) destinations.
+fn execute_repair(
+    cfs: &MiniCfs,
+    task: RepairTask,
+    view: &RepairView<'_>,
+    core_racks: &HashMap<BlockId, RackId>,
+    deadline_ticks: Option<u64>,
+) -> Result<RepairOutcome> {
+    let mut rng =
+        ChaCha8::from_seed(cfs.config().seed ^ task.block.0.wrapping_mul(0x9E37) ^ 0x4EA1);
+    let rel = cfs.reliability();
+    let op = match deadline_ticks {
+        Some(ticks) => rel.ctx_with_deadline(OpClass::Heal, ticks)?,
+        None => rel.ctx(OpClass::Heal)?,
+    };
+    match task.kind {
+        RepairKind::ReReplicate { want, .. } => {
+            let core = core_racks.get(&task.block).copied();
+            re_replicate(cfs, &op, task.block, want, core, view, &mut rng)
+        }
+        RepairKind::Reconstruct { .. } => {
+            reconstruct_stripe_block(cfs, &op, task.block, view, &mut rng)
+        }
+    }
+}
+
+/// Brings a replicated block back to `want` live copies, copying from the
+/// healthiest available source and placing onto nodes that preserve the
+/// block's rack spread — and, first of all, the copy in `core`, the core
+/// rack of the block's pending stripe: EAR's pre-encoding invariant.
+fn re_replicate(
+    cfs: &MiniCfs,
+    op: &OpContext<'_>,
+    block: BlockId,
+    want: usize,
+    core: Option<RackId>,
+    view: &RepairView<'_>,
+    rng: &mut ChaCha8,
+) -> Result<RepairOutcome> {
+    let nn = cfs.namenode();
+    let topo = cfs.topology();
+    let locs = nn
+        .locations(block)
+        .ok_or(Error::BlockUnavailable { block })?;
+    let mut holders: Vec<NodeId> = Vec::new();
+    for h in locs {
+        if !view.reachable(h) {
+            // The view declares the holder lost; retire the location (its
+            // bytes, if any, are unreachable).
+            nn.drop_location(block, h)?;
+        } else if !view.known_bad.contains(&(h, block)) {
+            holders.push(h);
+        }
+    }
+    if holders.is_empty() {
+        return Err(Error::BlockUnavailable { block });
+    }
+    // Prefer fully-trusted sources; Suspect holders are last resort.
+    holders.sort_by_key(|&h| (health_of(view.health, h) == NodeHealth::Suspect, h.0));
+    let mut outcome = RepairOutcome::default();
+    while holders.len() < want {
+        let have_racks: HashSet<RackId> = holders.iter().map(|&h| topo.rack_of(h)).collect();
+        let candidates: Vec<NodeId> = topo
+            .nodes()
+            .filter(|&nd| view.accepts(nd, block) && !holders.contains(&nd))
+            .collect();
+        let preferred: Vec<NodeId> = match core {
+            // EAR invariant first: a block of a pending stripe must keep a
+            // copy in its core rack.
+            Some(core_rack) if !have_racks.contains(&core_rack) => candidates
+                .iter()
+                .copied()
+                .filter(|&nd| topo.rack_of(nd) == core_rack)
+                .collect(),
+            // Otherwise spread across racks without a copy.
+            _ => candidates
+                .iter()
+                .copied()
+                .filter(|&nd| !have_racks.contains(&topo.rack_of(nd)))
+                .collect(),
+        };
+        let pool = if preferred.is_empty() {
+            &candidates
+        } else {
+            &preferred
+        };
+        let dst = rng
+            .choose(pool)
+            .copied()
+            .ok_or(Error::NoRepairDestination { block })?;
+        let (data, src) = cfs
+            .io()
+            .read_with_fallback(op, dst, block, &holders, None, None)?;
+        cfs.datanode(dst).put(block, data)?;
+        nn.add_location(block, dst)?;
+        outcome.downloads += 1;
+        outcome.cross_rack_downloads += usize::from(topo.rack_of(src) != topo.rack_of(dst));
+        holders.push(dst);
+    }
+    Ok(outcome)
+}
+
+/// Rebuilds the single stripe block `block` from any `k` surviving members
+/// of its stripe ([`rebuild_shard`], folding remote racks) and places the
+/// rebuilt copy where the stripe's rack-level constraint (≤ `c` blocks per
+/// rack, distinct nodes) still holds. Updates the NameNode's location map
+/// and the destination DataNode's store.
 ///
-/// This is the shared core of [`recover_node`] and the background healer.
-/// The caller's `ctx` bounds the whole reconstruction on the virtual clock:
+/// Sources and the recovery node are drawn from the nodes `view` can reach;
+/// the destination must also be one it [accepts](RepairView::accepts). The
+/// caller's `ctx` bounds the whole reconstruction on the virtual clock:
 /// every transfer charges it, and a blown deadline or dry retry budget
-/// stops the repair typed instead of letting it stall its round.
-pub(crate) fn reconstruct_stripe_block(
+/// stops the repair typed instead of letting it stall the drain.
+fn reconstruct_stripe_block(
     cfs: &MiniCfs,
     ctx: &OpContext<'_>,
-    members: &[BlockId],
     block: BlockId,
-    live: &dyn Fn(NodeId) -> bool,
-    bad_dst: &dyn Fn(NodeId) -> bool,
+    view: &RepairView<'_>,
     rng: &mut ChaCha8,
-) -> Result<ShardRepair> {
+) -> Result<RepairOutcome> {
+    let es = cfs
+        .namenode()
+        .stripe_of(block)
+        .ok_or_else(|| Error::Invariant(format!("{block} has no replicas and no stripe")))?;
+    let members: Vec<BlockId> = es.members().collect();
     debug_assert_eq!(members.len(), cfs.codec().params().n());
-    let site = plan_repair_site(cfs, members, block, live, rng)?;
+    let site = plan_repair_site(cfs, &members, block, view, rng)?;
     let lost_idx = members
         .iter()
         .position(|&m| m == block)
         .ok_or_else(|| Error::Invariant(format!("{block} not a member of its stripe")))?;
     let rebuilt = rebuild_shard(cfs, ctx, site.recovery_node, lost_idx, &site.sources, true)?;
-    let mut repair = ShardRepair {
-        placement: site.recovery_node,
+    let mut repair = RepairOutcome {
+        reconstructed: true,
         downloads: rebuilt.downloads,
         cross_rack_downloads: rebuilt.cross_rack_downloads,
-        uploaded: false,
-        upload_cross_rack: false,
+        ..RepairOutcome::default()
     };
-    place_rebuilt(cfs, block, rebuilt.bytes, &site, bad_dst, rng, &mut repair)?;
+    place_rebuilt(cfs, block, rebuilt.bytes, &site, view, rng, &mut repair)?;
     Ok(repair)
 }
 
@@ -97,7 +332,7 @@ fn plan_repair_site(
     cfs: &MiniCfs,
     members: &[BlockId],
     block: BlockId,
-    live: &dyn Fn(NodeId) -> bool,
+    view: &RepairView<'_>,
     rng: &mut ChaCha8,
 ) -> Result<RepairSite> {
     let topo = cfs.topology();
@@ -107,7 +342,7 @@ fn plan_repair_site(
     let holder_live = |b: BlockId| -> Option<NodeId> {
         cfs.namenode()
             .locations(b)
-            .and_then(|l| l.into_iter().find(|&h| live(h)))
+            .and_then(|l| l.into_iter().find(|&h| view.reachable(h)))
     };
     // BTreeMap: the argmax below must not depend on hash order (ties are
     // broken by rack id, and the soak reports are compared bit-for-bit).
@@ -126,12 +361,12 @@ fn plan_repair_site(
         .map(|(&r, _)| ear_types::RackId(r))
         .ok_or_else(|| Error::Invariant("stripe has no surviving blocks".into()))?;
     let used: Vec<NodeId> = members.iter().filter_map(|&m| holder_any(m)).collect();
-    let all_live: Vec<NodeId> = topo.nodes().filter(|&nd| live(nd)).collect();
+    let all_live: Vec<NodeId> = topo.nodes().filter(|&nd| view.reachable(nd)).collect();
     let free_in_best: Vec<NodeId> = topo
         .nodes_in_rack(best_rack)
         .iter()
         .copied()
-        .filter(|nd| !used.contains(nd) && live(*nd))
+        .filter(|&nd| !used.contains(&nd) && view.reachable(nd))
         .collect();
     let recovery_node = match rng.choose(&free_in_best) {
         Some(&nd) => nd,
@@ -181,16 +416,16 @@ fn plan_repair_site(
 
 /// Places the rebuilt bytes where the stripe's rack constraint still holds
 /// (a rack with fewer than `c` surviving stripe blocks, on a node not
-/// already holding one and not known to corrupt this block), pays the
+/// already holding one that the view accepts for this block), pays the
 /// shipment if the block moves, and publishes store + location.
 fn place_rebuilt(
     cfs: &MiniCfs,
     block: BlockId,
     rebuilt: Vec<u8>,
     site: &RepairSite,
-    bad_dst: &dyn Fn(NodeId) -> bool,
+    view: &RepairView<'_>,
     rng: &mut ChaCha8,
-    repair: &mut ShardRepair,
+    repair: &mut RepairOutcome,
 ) -> Result<()> {
     let topo = cfs.topology();
     let recovery_node = site.recovery_node;
@@ -205,7 +440,7 @@ fn place_rebuilt(
         .unwrap_or(0)
         < c
         && !site.used.contains(&recovery_node)
-        && !bad_dst(recovery_node)
+        && view.accepts(recovery_node, block)
     {
         recovery_node
     } else {
@@ -215,7 +450,7 @@ fn place_rebuilt(
             .copied()
             .filter(|&nd| {
                 !site.used.contains(&nd)
-                    && !bad_dst(nd)
+                    && view.accepts(nd, block)
                     && per_rack.get(&topo.rack_of(nd).0).copied().unwrap_or(0) < c
             })
             .collect();
@@ -224,10 +459,10 @@ fn place_rebuilt(
     if placement != recovery_node {
         cfs.io()
             .transfer(recovery_node, placement, rebuilt.len() as u64);
-        repair.uploaded = true;
-        repair.upload_cross_rack = topo.rack_of(placement) != topo.rack_of(recovery_node);
+        repair.uploads += 1;
+        repair.cross_rack_uploads +=
+            usize::from(topo.rack_of(placement) != topo.rack_of(recovery_node));
     }
-    repair.placement = placement;
     cfs.datanode(placement).put(block, Block::from(rebuilt))?;
     cfs.namenode().set_locations(block, vec![placement])?;
     Ok(())
@@ -416,14 +651,13 @@ pub(crate) fn degraded_read(
     reader: NodeId,
     block: BlockId,
 ) -> Result<Block> {
-    let encoded = cfs.namenode().encoded_stripes();
-    let es = encoded
-        .iter()
-        .find(|es| es.data.contains(&block) || es.parity.contains(&block))
+    let es = cfs
+        .namenode()
+        .stripe_of(block)
         .ok_or(Error::BlockUnavailable { block })?;
     let mut lost_idx = None;
     let mut sources: Vec<ShardSource> = Vec::new();
-    for (index, &m) in es.data.iter().chain(es.parity.iter()).enumerate() {
+    for (index, m) in es.members().enumerate() {
         if m == block {
             lost_idx = Some(index);
             continue;
@@ -461,8 +695,6 @@ pub struct RecoveryStats {
     /// Rebuilt blocks that had to be uploaded across racks to a rack with
     /// spare stripe capacity.
     pub cross_rack_uploads: usize,
-    /// Wall-clock duration, seconds.
-    pub wall_seconds: f64,
     /// Name of the GF(2⁸) kernel tier the codec dispatched to for degraded
     /// reads (`scalar`, `ssse3`, `avx2`).
     pub gf_kernel: &'static str,
@@ -471,124 +703,77 @@ pub struct RecoveryStats {
     pub fault_seed: Option<u64>,
 }
 
-/// Rebuilds every encoded-stripe block lost with `failed` and re-registers
-/// the rebuilt copies on healthy nodes. Pre-encoding (replicated) blocks are
-/// healed by re-replicating a surviving copy.
+/// Repairs every block `failed` was listed as holding: its locations and
+/// copies are retired, each block becomes a [`RepairTask`] — a stripe member
+/// left without a copy is rebuilt by degraded read, a replicated block gets
+/// its lost copy back from a survivor — and the tasks drain through
+/// [`run_repairs`] with `failed` and every node the injector has taken down
+/// treated as dead.
 ///
-/// Returns the recovery statistics.
+/// Every task is attempted; the error returned is the first in block order.
 ///
 /// # Errors
 ///
 /// Returns [`Error::NotEnoughShards`] (via the codec) if a stripe lost more
-/// than `n - k` blocks, or [`Error::Invariant`] on metadata inconsistencies.
+/// than `n - k` blocks, [`Error::BlockUnavailable`] if a replicated block
+/// has no reachable copy left, or [`Error::Invariant`] on metadata
+/// inconsistencies.
 pub fn recover_node(cfs: &MiniCfs, failed: NodeId) -> Result<RecoveryStats> {
-    let start = std::time::Instant::now();
+    let nn = cfs.namenode();
+    let mut tasks: Vec<RepairTask> = Vec::new();
+    for block in (0..nn.block_count()).map(BlockId) {
+        if !nn.drop_location(block, failed)? {
+            continue;
+        }
+        cfs.datanode(failed).delete(block);
+        let have = nn.locations(block).map_or(0, |locs| locs.len());
+        let kind = match nn.stripe_of(block) {
+            Some(es) if have == 0 => RepairKind::Reconstruct { stripe: es.id },
+            _ => RepairKind::ReReplicate {
+                have,
+                want: have + 1,
+            },
+        };
+        tasks.push(RepairTask {
+            block,
+            kind,
+            remaining_redundancy: have.saturating_sub(1),
+        });
+    }
+
+    let health: Vec<NodeHealth> = cfs
+        .topology()
+        .nodes()
+        .map(|nd| {
+            if nd == failed || cfs.injector().node_down(nd) {
+                NodeHealth::Dead
+            } else {
+                NodeHealth::Live
+            }
+        })
+        .collect();
+    let view = RepairView {
+        health: &health,
+        known_bad: &HashSet::new(),
+    };
     let mut stats = RecoveryStats {
         gf_kernel: cfs.codec().kernel().name(),
         fault_seed: cfs.fault_seed(),
         ..RecoveryStats::default()
     };
-    // Seeded per (cluster seed, failed node) so two clusters differing only
-    // in seed pick different (but individually reproducible) destinations.
-    let mut rng =
-        ChaCha8::from_seed(cfs.config().seed ^ (failed.0 as u64).wrapping_mul(0x9E37) ^ 0x5EC0);
-    let topo = cfs.topology();
-
-    // Index encoded stripes by member block for quick lookup.
-    let encoded = cfs.namenode().encoded_stripes();
-    let mut stripe_of: HashMap<BlockId, usize> = HashMap::new();
-    for (si, es) in encoded.iter().enumerate() {
-        for &b in es.data.iter().chain(es.parity.iter()) {
-            stripe_of.insert(b, si);
-        }
-    }
-
-    // Collect the blocks the failed node held, then mark it dead.
-    let lost: Vec<BlockId> = (0..cfs.namenode().block_count())
-        .map(BlockId)
-        .filter(|&b| {
-            cfs.namenode()
-                .locations(b)
-                .is_some_and(|locs| locs.contains(&failed))
-        })
-        .collect();
-    for &b in &lost {
-        let locs: Vec<NodeId> = cfs
-            .namenode()
-            .locations(b)
-            .ok_or_else(|| Error::Invariant(format!("unknown {b}")))?
-            .into_iter()
-            .filter(|&nd| nd != failed)
-            .collect();
-        cfs.namenode().set_locations(b, locs)?;
-        cfs.datanode(failed).delete(b);
-    }
-
-    // "Healthy" excludes both the node being recovered and anything the
-    // fault plan has taken down in the meantime.
-    let healthy: Vec<NodeId> = topo
-        .nodes()
-        .filter(|&nd| nd != failed && !cfs.injector().node_down(nd))
-        .collect();
-    for &block in &lost {
-        let survivors = cfs
-            .namenode()
-            .locations(block)
-            .ok_or_else(|| Error::Invariant(format!("unknown {block}")))?;
-        if !survivors.is_empty() {
-            // Replicated block: copy from a surviving replica, falling back
-            // across replicas and retrying transient failures.
-            let spare: Vec<NodeId> = healthy
-                .iter()
-                .copied()
-                .filter(|nd| !survivors.contains(nd))
-                .collect();
-            let dst = *rng
-                .choose(&spare)
-                .ok_or_else(|| Error::Invariant("no healthy node for re-replication".into()))?;
-            let reachable: Vec<NodeId> = survivors
-                .iter()
-                .copied()
-                .filter(|&s| !cfs.injector().node_down(s))
-                .collect();
-            let ctx = cfs.reliability().ctx(OpClass::Heal)?;
-            let (data, src) =
-                cfs.io()
-                    .read_with_fallback(&ctx, dst, block, &reachable, None, None)?;
-            cfs.datanode(dst).put(block, data)?;
-            let mut locs = survivors;
-            locs.push(dst);
-            cfs.namenode().set_locations(block, locs)?;
-            if topo.rack_of(src) != topo.rack_of(dst) {
-                stats.cross_rack_downloads += 1;
+    let mut first_error = None;
+    for outcome in run_repairs(cfs, &tasks, &view, None) {
+        match outcome {
+            Ok(repair) => {
+                stats.blocks_recovered += 1;
+                stats.blocks_downloaded += repair.downloads;
+                stats.cross_rack_downloads += repair.cross_rack_downloads;
+                stats.cross_rack_uploads += repair.cross_rack_uploads;
             }
-            stats.blocks_downloaded += 1;
-            stats.blocks_recovered += 1;
-            continue;
+            Err(e) => first_error = first_error.or(Some(e)),
         }
-
-        // Erasure-coded block: degraded read over its stripe.
-        let si = *stripe_of
-            .get(&block)
-            .ok_or_else(|| Error::Invariant(format!("{block} has no replicas and no stripe")))?;
-        let es = encoded
-            .get(si)
-            .ok_or_else(|| Error::Invariant(format!("stripe index {si} out of range")))?;
-        let members: Vec<BlockId> = es.data.iter().chain(es.parity.iter()).copied().collect();
-        let live = |nd: NodeId| nd != failed && !cfs.injector().node_down(nd);
-        let ctx = cfs.reliability().ctx(OpClass::Heal)?;
-        let repair =
-            reconstruct_stripe_block(cfs, &ctx, &members, block, &live, &|_| false, &mut rng)?;
-        stats.blocks_downloaded += repair.downloads;
-        stats.cross_rack_downloads += repair.cross_rack_downloads;
-        if repair.upload_cross_rack {
-            stats.cross_rack_uploads += 1;
-        }
-        stats.blocks_recovered += 1;
     }
-
-    stats.wall_seconds = start.elapsed().as_secs_f64();
-    Ok(stats)
+    first_error.map_or(Ok(stats), Err)
 }
 
 #[cfg(test)]
@@ -648,6 +833,10 @@ mod tests {
     }
 
     fn write_and_encode(cfs: &MiniCfs, stripes: usize) {
+        write_and_encode_with(cfs, stripes, 4);
+    }
+
+    fn write_and_encode_with(cfs: &MiniCfs, stripes: usize, map_tasks: usize) {
         let nodes = cfs.topology().num_nodes() as u64;
         let mut i = 0u64;
         while cfs.namenode().pending_stripe_count() < stripes {
@@ -655,7 +844,36 @@ mod tests {
             cfs.write_block(NodeId((i % nodes) as u32), data).unwrap();
             i += 1;
         }
-        RaidNode::encode_all(cfs, 4).unwrap();
+        RaidNode::encode_all(cfs, map_tasks).unwrap();
+    }
+
+    /// Moves `block`'s replicas onto exactly `nodes`.
+    fn pin(cfs: &MiniCfs, block: BlockId, nodes: &[NodeId]) {
+        let old = cfs.namenode().locations(block).unwrap();
+        let data = cfs.datanode(old[0]).get(block).unwrap();
+        for &nd in &old {
+            cfs.datanode(nd).delete(block);
+        }
+        for &nd in nodes {
+            cfs.datanode(nd).put(block, data.clone()).unwrap();
+        }
+        cfs.namenode().set_locations(block, nodes.to_vec()).unwrap();
+    }
+
+    /// Every block's locations, in block-id order.
+    fn all_locations(cfs: &MiniCfs) -> Vec<Vec<NodeId>> {
+        (0..cfs.namenode().block_count())
+            .map(|b| cfs.namenode().locations(BlockId(b)).unwrap())
+            .collect()
+    }
+
+    fn counters(stats: &RecoveryStats) -> [usize; 4] {
+        [
+            stats.blocks_recovered,
+            stats.blocks_downloaded,
+            stats.cross_rack_downloads,
+            stats.cross_rack_uploads,
+        ]
     }
 
     #[test]
@@ -712,16 +930,7 @@ mod tests {
                     let b = cfs
                         .write_block(NodeId((i % nodes) as u32), cfs.make_block(i))
                         .unwrap();
-                    let pinned = vec![victim, NodeId(1 + (i % (nodes - 1)) as u32)];
-                    let old = cfs.namenode().locations(b).unwrap();
-                    let data = cfs.datanode(old[0]).get(b).unwrap();
-                    for &nd in &old {
-                        cfs.datanode(nd).delete(b);
-                    }
-                    for &nd in &pinned {
-                        cfs.datanode(nd).put(b, data.clone()).unwrap();
-                    }
-                    cfs.namenode().set_locations(b, pinned).unwrap();
+                    pin(&cfs, b, &[victim, NodeId(1 + (i % (nodes - 1)) as u32)]);
                     b
                 })
                 .collect();
@@ -730,16 +939,10 @@ mod tests {
                 .iter()
                 .map(|&b| cfs.namenode().locations(b).unwrap())
                 .collect();
-            let counts = (
-                stats.blocks_recovered,
-                stats.blocks_downloaded,
-                stats.cross_rack_downloads,
-                stats.cross_rack_uploads,
-            );
-            (counts, placed)
+            (counters(&stats), placed)
         };
         let (counts, placed) = recover(5);
-        assert_eq!(counts.0, 12);
+        assert_eq!(counts[0], 12);
         assert!(placed.iter().all(|locs| !locs.contains(&NodeId(0))));
         assert_eq!(
             recover(5),
@@ -751,6 +954,75 @@ mod tests {
             placed,
             "another seed must move at least one destination"
         );
+    }
+
+    #[test]
+    fn recovery_is_reproducible_from_the_cluster_seed() {
+        // Stripe rebuilds and re-replications of one victim drain through
+        // concurrent workers; two clusters built from one seed must still
+        // end with the same counters and the same location of every block.
+        // (One map task: parallel encode allocates parity ids in completion
+        // order.)
+        let recover = || {
+            let cfs = boot_seeded(ClusterPolicy::Ear, ear_6_4(1), 8, 2, 17);
+            write_and_encode_with(&cfs, 3, 1);
+            let held = all_locations(&cfs);
+            let victim = cfs
+                .topology()
+                .nodes()
+                .max_by_key(|nd| held.iter().filter(|locs| locs.contains(nd)).count())
+                .unwrap();
+            let stats = recover_node(&cfs, victim).unwrap();
+            (counters(&stats), all_locations(&cfs))
+        };
+        let (counts, placed) = recover();
+        assert!(counts[0] >= 3, "the busiest node holds several blocks");
+        assert_eq!(recover(), (counts, placed));
+    }
+
+    #[test]
+    fn a_failed_repair_does_not_stop_the_rest_and_the_first_error_wins() {
+        let cfs = boot(ClusterPolicy::Ear, 1, 8, 2);
+        write_and_encode(&cfs, 2);
+        let doomed = cfs.namenode().encoded_stripes().remove(0);
+        let victim = cfs.namenode().locations(doomed.data[0]).unwrap()[0];
+        // Three replicated blocks allocated after every stripe block, so
+        // they follow the victim's stripe blocks in task order: two with a
+        // surviving copy around one whose only copy is the victim's.
+        let nodes = cfs.topology().num_nodes() as u32;
+        let partner = NodeId((victim.0 + 1) % nodes);
+        let extra: Vec<BlockId> = (100..103u64)
+            .map(|tag| cfs.write_block(partner, cfs.make_block(tag)).unwrap())
+            .collect();
+        pin(&cfs, extra[0], &[victim, partner]);
+        pin(&cfs, extra[1], &[victim]);
+        pin(&cfs, extra[2], &[victim, partner]);
+        // Two more members of the first stripe destroyed outright: with the
+        // victim's that is three lost of a (6,4) stripe.
+        for &b in &doomed.data[1..3] {
+            let loc = cfs.namenode().locations(b).unwrap()[0];
+            cfs.datanode(loc).delete(b);
+            cfs.namenode().set_locations(b, vec![]).unwrap();
+        }
+
+        match recover_node(&cfs, victim) {
+            Err(Error::NotEnoughShards { .. }) => {}
+            other => panic!("expected the stripe's NotEnoughShards first, got {other:?}"),
+        }
+        for (&b, tag) in [extra[0], extra[2]].iter().zip([100u64, 102]) {
+            let locs = cfs.namenode().locations(b).unwrap();
+            assert_eq!(
+                locs.len(),
+                2,
+                "{b} was behind a failed task and still repaired"
+            );
+            assert!(!locs.contains(&victim));
+            for nd in locs {
+                let got = cfs.datanode(nd).get(b).unwrap();
+                assert_eq!(got.as_slice(), cfs.make_block(tag).as_slice());
+            }
+        }
+        assert!(cfs.namenode().locations(extra[1]).unwrap().is_empty());
     }
 
     #[test]
@@ -827,19 +1099,26 @@ mod tests {
     }
 
     /// Repairs the first data block of the first stripe as if its holder
-    /// had died, through the shared core with a fixed RNG.
-    fn repair_first_block(cfs: &MiniCfs) -> Result<(BlockId, ShardRepair)> {
+    /// had died: one task through the executor.
+    fn repair_first_block(cfs: &MiniCfs) -> Result<(BlockId, RepairOutcome)> {
         let es = cfs.namenode().encoded_stripes().remove(0);
-        let members: Vec<BlockId> = es.data.iter().chain(es.parity.iter()).copied().collect();
         let block = es.data[0];
         let victim = cfs.namenode().locations(block).unwrap()[0];
-        let ctx = cfs.reliability().ctx(OpClass::Heal)?;
-        let mut rng = ChaCha8::from_seed(1);
-        let live = |nd: NodeId| nd != victim;
-        let repair =
-            reconstruct_stripe_block(cfs, &ctx, &members, block, &live, &|_| false, &mut rng)?;
-        assert_ne!(repair.placement, victim);
-        let got = cfs.datanode(repair.placement).get(block).unwrap();
+        let mut health = vec![NodeHealth::Live; cfs.topology().num_nodes()];
+        health[victim.index()] = NodeHealth::Dead;
+        let view = RepairView {
+            health: &health,
+            known_bad: &HashSet::new(),
+        };
+        let task = RepairTask {
+            block,
+            kind: RepairKind::Reconstruct { stripe: es.id },
+            remaining_redundancy: 0,
+        };
+        let repair = run_repairs(cfs, &[task], &view, None).remove(0)?;
+        let placement = cfs.namenode().locations(block).unwrap()[0];
+        assert_ne!(placement, victim);
+        let got = cfs.datanode(placement).get(block).unwrap();
         assert_eq!(got.as_slice(), cfs.make_block(block.0).as_slice());
         Ok((block, repair))
     }

@@ -7,13 +7,16 @@
 // helpers here are test code too.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use ear_cluster::{BlockStore, ClusterConfig, ClusterPolicy, MiniCfs, ShardedMemStore};
+use ear_cluster::{
+    recover_node, BlockStore, ClusterConfig, ClusterPolicy, MiniCfs, RaidNode, ShardedMemStore,
+};
 use ear_faults::crc32c;
 use ear_types::{
     Bandwidth, Block, BlockId, ByteSize, CacheConfig, EarConfig, ErasureParams, NodeId,
     ReplicationConfig, StoreBackend,
 };
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier};
 
 const THREADS: usize = 8;
 const OPS_PER_THREAD: u64 = 200;
@@ -156,4 +159,78 @@ fn heartbeats_race_cleanly_with_data_plane_traffic() {
             });
         }
     });
+}
+
+#[test]
+fn node_recovery_races_cleanly_with_client_reads() {
+    let cfs = boot(ClusterPolicy::Ear);
+    let topo = cfs.topology();
+    let nodes = topo.num_nodes() as u64;
+    let mut written: Vec<(BlockId, u64)> = Vec::new();
+    while cfs.namenode().pending_stripe_count() < 3 {
+        let tag = written.len() as u64;
+        let client = NodeId((tag % nodes) as u32);
+        written.push((cfs.write_block(client, cfs.make_block(tag)).unwrap(), tag));
+    }
+    RaidNode::encode_all(&cfs, 2).unwrap();
+    let encoded = cfs.namenode().encoded_stripes();
+    let victim = cfs.namenode().locations(encoded[0].data[0]).unwrap()[0];
+    let sole_copies: Vec<BlockId> = written
+        .iter()
+        .map(|&(id, _)| id)
+        .filter(|&id| cfs.namenode().locations(id).unwrap() == [victim])
+        .collect();
+
+    // Readers and the recovery leave the barrier together; the readers keep
+    // sweeping every written block until the recovery has returned.
+    let start = Barrier::new(THREADS + 1);
+    let recovered = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        for t in 0..THREADS as u64 {
+            let (cfs, written, sole_copies) = (&cfs, &written, &sole_copies);
+            let (start, recovered) = (&start, &recovered);
+            scope.spawn(move || {
+                start.wait();
+                loop {
+                    let last_sweep = recovered.load(Ordering::SeqCst);
+                    for &(id, tag) in written {
+                        let reader = NodeId(((tag + t) % nodes) as u32);
+                        match cfs.read_block(reader, id) {
+                            Ok(back) => {
+                                assert_eq!(back.as_slice(), cfs.make_block(tag).as_slice());
+                            }
+                            // The victim's single-copy stripe blocks are
+                            // gone until their rebuild lands.
+                            Err(e) => assert!(
+                                !last_sweep && sole_copies.contains(&id),
+                                "read of {id} failed: {e}"
+                            ),
+                        }
+                    }
+                    if last_sweep {
+                        break;
+                    }
+                }
+            });
+        }
+        start.wait();
+        let stats = recover_node(&cfs, victim).unwrap();
+        assert!(stats.blocks_recovered >= sole_copies.len().max(1));
+        recovered.store(true, Ordering::SeqCst);
+    });
+
+    for es in &encoded {
+        let mut per_rack = vec![0usize; topo.num_racks()];
+        for b in es.members() {
+            let locs = cfs.namenode().locations(b).unwrap();
+            assert_eq!(locs.len(), 1, "{b} of {}", es.id);
+            assert_ne!(locs[0], victim);
+            per_rack[topo.rack_of(locs[0]).index()] += 1;
+        }
+        assert!(
+            per_rack.iter().all(|&held| held <= 1),
+            "{}: {per_rack:?}",
+            es.id
+        );
+    }
 }

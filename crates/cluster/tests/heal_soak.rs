@@ -12,45 +12,10 @@
 //!
 //! A failure names the plan seed; `ear heal --seed <s>` replays it.
 
-use ear_cluster::chaos::{run_heal_plan, HealSoakConfig, HealSoakReport};
+use ear_cluster::chaos::{run_heal_plan, HealSoakConfig};
 use ear_faults::FaultConfig;
 use ear_types::prop::{check, range};
 use ear_types::{CacheConfig, StoreBackend};
-
-/// Every deterministic field of a heal report, rendered for comparison.
-/// Excludes exactly the wall-clock-derived fields (`heal.wall_seconds`,
-/// `heal.mttr_seconds`) — those measure elapsed time, not behaviour.
-fn heal_fingerprint(r: &HealSoakReport) -> String {
-    format!(
-        "seed={} plan={:?} acked={} failed_writes={} encoded={} \
-         violations={} under_redundant={} lost={:?} beyond=({},{}) \
-         rounds={} dead={} re_replicated={} reconstructed={} scrubbed={} \
-         scrub_hits={} repair_bytes={} cross_rack_bytes={} mttr_rounds={:?} \
-         converged={} fault_seed={:?} breaker_trips={}",
-        r.seed,
-        r.plan,
-        r.acked_blocks,
-        r.failed_writes,
-        r.encoded_stripes,
-        r.violations_after_heal,
-        r.under_redundant,
-        r.lost_blocks,
-        r.blocks_beyond_tolerance,
-        r.stripes_beyond_tolerance,
-        r.heal.rounds,
-        r.heal.nodes_declared_dead,
-        r.heal.blocks_re_replicated,
-        r.heal.shards_reconstructed,
-        r.heal.blocks_scrubbed,
-        r.heal.scrub_hits,
-        r.heal.repair_bytes,
-        r.heal.cross_rack_repair_bytes,
-        r.heal.mttr_rounds,
-        r.heal.converged,
-        r.heal.fault_seed,
-        r.heal.breaker_trips,
-    )
-}
 
 /// Same seed + kill plan ⇒ identical heal outcome on both storage
 /// backends, down to repair-byte counters. Encode runs single-threaded so
@@ -67,14 +32,14 @@ fn heal_reports_are_bit_identical_across_backends() {
         assert!(mem.passed(), "seed {seed}: {mem:?}");
         let ext = run_heal_plan(seed, &mk(StoreBackend::Extent)).expect("extent run");
         assert_eq!(
-            heal_fingerprint(&mem),
-            heal_fingerprint(&ext),
+            format!("{mem:?}"),
+            format!("{ext:?}"),
             "seed {seed}: extent diverged from memory"
         );
     }
 }
 
-/// Same seed + kill plan ⇒ an identical heal fingerprint whether the
+/// Same seed + kill plan ⇒ an identical heal report whether the
 /// block cache is off or on, and — with the cache on — across both
 /// storage backends. The healer's scrub reads go through the
 /// authoritative `get_with_crc` seam (never the cache), and the cache
@@ -97,7 +62,7 @@ fn heal_reports_are_bit_identical_across_cache_configs() {
         let off =
             run_heal_plan(seed, &mk(StoreBackend::Memory, CacheConfig::Off)).expect("cache-off");
         assert!(off.passed(), "seed {seed}: {off:?}");
-        let baseline = heal_fingerprint(&off);
+        let baseline = format!("{off:?}");
         for (store, cache) in [
             (StoreBackend::Memory, small),
             (StoreBackend::Extent, small),
@@ -106,7 +71,7 @@ fn heal_reports_are_bit_identical_across_cache_configs() {
             let on = run_heal_plan(seed, &mk(store, cache)).expect("cache-on");
             assert_eq!(
                 baseline,
-                heal_fingerprint(&on),
+                format!("{on:?}"),
                 "seed {seed}: {} cache {} diverged from memory cache-off",
                 store.name(),
                 cache.label()
@@ -147,8 +112,8 @@ fn heal_reports_are_identical_across_thread_counts_and_backends() {
             for map_tasks in [1usize, 4, 8] {
                 let report = run_heal_plan(seed, &mk(store, map_tasks)).expect("run");
                 assert_eq!(
-                    heal_fingerprint(&baseline),
-                    heal_fingerprint(&report),
+                    format!("{baseline:?}"),
+                    format!("{report:?}"),
                     "seed {seed}: {} x{map_tasks} diverged from memory x1",
                     store.name()
                 );

@@ -9,7 +9,7 @@
 // helpers here are test code too.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use ear_cluster::{ClusterConfig, ClusterPolicy, MiniCfs, RaidNode};
+use ear_cluster::{recover_node, ClusterConfig, ClusterPolicy, MiniCfs, RaidNode};
 use ear_faults::{FaultConfig, FaultPlan};
 use ear_types::{
     Bandwidth, ByteSize, CacheConfig, ClusterTopology, DurabilityConfig, EarConfig, Error,
@@ -121,7 +121,25 @@ fn extent_round_trips_through_restart_from_checkpoint_and_from_wal_alone() {
             );
         }
 
-        // A second reopen sees the same image (recovery is idempotent).
+        // The block → stripe index is rebuilt with the image: a node that
+        // holds the only copy of a stripe member can be recovered by
+        // degraded read straight after the restart.
+        let lost = cfs.namenode().encoded_stripes()[0].data[0];
+        assert_eq!(
+            cfs.namenode().stripe_of(lost).map(|es| es.id),
+            Some(cfs.namenode().encoded_stripes()[0].id)
+        );
+        let victim = cfs.namenode().locations(lost).expect("located")[0];
+        let stats = recover_node(&cfs, victim).expect("repair after restart");
+        assert!(stats.blocks_recovered >= 1 && stats.blocks_downloaded >= 4);
+        let holder = cfs.namenode().locations(lost).expect("located")[0];
+        assert_ne!(holder, victim);
+        let back = cfs.read_block(holder, lost).expect("rebuilt copy");
+        assert_eq!(back.as_slice(), contents[&lost].as_slice());
+        let after = cfs.namenode().snapshot();
+
+        // A second reopen sees the same image (recovery is idempotent, and
+        // the repair's metadata is in the log).
         drop(cfs);
         let cfs = MiniCfs::reopen(cfg).expect("second reopen");
         assert_eq!(cfs.namenode().snapshot(), after);

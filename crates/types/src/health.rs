@@ -72,11 +72,6 @@ pub struct HealStats {
     /// Rounds from the first observed redundancy loss until the cluster was
     /// back at full redundancy (`None` if nothing ever degraded).
     pub mttr_rounds: Option<usize>,
-    /// Wall-clock seconds from the first observed redundancy loss until
-    /// full redundancy (`None` if nothing ever degraded).
-    pub mttr_seconds: Option<f64>,
-    /// Wall-clock duration of the whole healing run, seconds.
-    pub wall_seconds: f64,
     /// Whether the run ended with every tracked block at full redundancy.
     pub converged: bool,
     /// The fault-plan seed active during the run (`None` = fault-free).

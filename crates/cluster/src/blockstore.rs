@@ -188,7 +188,7 @@ pub fn open_store_at(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ear_faults::crc32c;
+    use ear_types::crc::crc32c;
 
     #[test]
     fn memory_roundtrip() {

@@ -408,7 +408,8 @@ impl MiniCfs {
         }
         let ctx = self.reliability.ctx(OpClass::ClientWrite)?;
         let (id, layout) = self.namenode.allocate_block()?;
-        let data = Block::from(data);
+        // Hashed once here; every replica's `DataNode::put` trusts the stamp.
+        let data = Block::from(data).stamped();
         let (stored, err) = self.io.write_replicated(&ctx, client, id, &data, &layout);
         if let Some(e) = err {
             // The write is not acknowledged; record honestly which replicas
@@ -651,6 +652,35 @@ mod tests {
         assert_eq!(locs.len(), 2);
         for n in locs {
             assert_eq!(cfs.datanode(n).get(id).unwrap().as_slice(), data.as_slice());
+        }
+    }
+
+    #[test]
+    fn a_client_write_is_hashed_once_for_all_its_replicas() {
+        // `Block::stamped` hashes once (ear-types pins that); here, every
+        // one of the r = 3 replicas was stored from the producer's stamped
+        // handle, so `DataNode::put` took the stamp and hashed nothing.
+        let mut cfg = small_cfg(ClusterPolicy::Ear);
+        cfg.ear = EarConfig::new(
+            ErasureParams::new(6, 4).unwrap(),
+            ReplicationConfig::hdfs_default(),
+            1,
+        )
+        .unwrap();
+        cfg.nodes_per_rack = 2;
+        cfg.store = StoreBackend::Memory;
+        let cfs = MiniCfs::new(cfg).unwrap();
+        let data = cfs.make_block(42);
+        let crc = ear_types::crc::crc32c(&data);
+        let id = cfs.write_block(NodeId(0), data).unwrap();
+        let locs = cfs.namenode().locations(id).unwrap();
+        assert_eq!(locs.len(), 3);
+        let first = cfs.datanode(locs[0]).get(id).unwrap();
+        for n in locs {
+            let held = cfs.datanode(n).get(id).unwrap();
+            assert_eq!(held.stamp(), Some(crc), "{n} stored the producer's handle");
+            assert!(held.shares_buffer(&first));
+            assert_eq!(cfs.datanode(n).stored_crc(id), Some(crc));
         }
     }
 

@@ -23,7 +23,7 @@ use crate::wal::{
     CHECKPOINT_FILE, WAL_FILE,
 };
 use crate::BlockStore;
-use ear_faults::crc32c;
+use ear_types::crc::crc32c;
 use ear_types::rng::ChaCha8;
 use ear_types::{Block, BlockId, Error, NodeId, RackId, Result, StripeId};
 use std::collections::BTreeMap;

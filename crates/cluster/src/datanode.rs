@@ -4,7 +4,7 @@
 
 use crate::blockstore::{open_store, open_store_at, BlockStore, ShardedMemStore};
 use crate::cache::{BlockCache, CacheStats};
-use ear_faults::crc32c;
+use ear_types::crc::crc32c;
 use ear_types::{Block, BlockId, CacheConfig, NodeId, Result, StoreBackend};
 
 /// A block served through the cached read path: the payload, its
@@ -116,15 +116,16 @@ impl DataNode {
         self.store.backend()
     }
 
-    /// Stores (or overwrites) a block replica, checksumming it on the way
-    /// in and invalidating any cached copy.
+    /// Stores (or overwrites) a block replica under its CRC32C — the stamp
+    /// the handle carries ([`Block::stamp`]), else hashed here — and
+    /// invalidates any cached copy.
     ///
     /// # Errors
     ///
     /// [`ear_types::Error::Io`] if the backend cannot persist the bytes
     /// (extent backend only).
     pub fn put(&self, block: BlockId, data: Block) -> Result<()> {
-        let crc = crc32c(&data);
+        let crc = data.stamp().unwrap_or_else(|| crc32c(&data));
         if let Some(c) = &self.cache {
             c.invalidate(block);
         }
@@ -194,6 +195,14 @@ impl DataNode {
             c.invalidate(block);
         }
         self.store.delete(block)
+    }
+
+    /// Test hook: swaps a stored replica's bytes under its unchanged CRC,
+    /// going around `put` and its write-invalidate — a decaying sector.
+    #[cfg(test)]
+    pub(crate) fn rot(&self, block: BlockId, bytes: Vec<u8>) {
+        let crc = self.store.stored_crc(block).unwrap();
+        self.store.put(block, Block::from(bytes), crc).unwrap();
     }
 
     /// Whether this node holds the block.
@@ -281,12 +290,12 @@ mod tests {
             let data = Block::from(vec![0x42u8; 1024]);
             dn.put(BlockId(5), data.clone()).unwrap();
             let (bytes, crc) = dn.get_with_crc(BlockId(5)).unwrap();
-            assert_eq!(crc, ear_faults::crc32c(&bytes));
+            assert_eq!(crc, crc32c(&bytes));
             assert_eq!(dn.stored_crc(BlockId(5)), Some(crc));
             // A copy with a flipped byte no longer matches the stored crc.
             let mut bad = bytes.to_vec();
             bad[17] ^= 0x80;
-            assert_ne!(ear_faults::crc32c(&bad), crc);
+            assert_ne!(crc32c(&bad), crc);
             assert_eq!(dn.stored_crc(BlockId(99)), None);
         }
     }
@@ -328,9 +337,7 @@ mod tests {
         // Bit-rot on the stored copy while the cache holds the good bytes:
         // cached reads keep serving what was admitted, but the scrubber's
         // get_with_crc seam reads the authoritative store and must see the
-        // mismatch. Writing through `store` directly (not `put`) models
-        // rot — it bypasses the write-invalidate hook just as a decaying
-        // disk sector would.
+        // mismatch.
         let dn = DataNode::with_backend(
             NodeId(2),
             StoreBackend::Memory,
@@ -350,7 +357,7 @@ mod tests {
         // Rot the stored replica: corrupt bytes under the original CRC.
         let mut rotten = good.to_vec();
         rotten[33] ^= 0xFF;
-        dn.store.put(BlockId(9), Block::from(rotten), read.crc).unwrap();
+        dn.rot(BlockId(9), rotten);
 
         // The cache still serves the admitted (good) bytes...
         let hit = dn.cached_read(BlockId(9)).unwrap();
@@ -360,7 +367,7 @@ mod tests {
         // ...but the scrub path reads the store and catches the mismatch.
         let (scrubbed, crc) = dn.get_with_crc(BlockId(9)).unwrap();
         assert_ne!(
-            ear_faults::crc32c(&scrubbed),
+            crc32c(&scrubbed),
             crc,
             "scrub must see the rotten bytes, not the cached copy"
         );

@@ -38,7 +38,7 @@
 
 use crate::blockstore::BlockStore;
 use crate::sync::{Mutex, RwLock};
-use ear_faults::crc32c;
+use ear_types::crc::crc32c;
 use ear_types::{Block, BlockId, Error, Result, StoreBackend};
 use std::collections::{BTreeMap, HashMap};
 use std::fs::{self, File, OpenOptions};

@@ -21,7 +21,7 @@
 use crate::cluster::MiniCfs;
 use crate::health::{DegradedTracker, HealthTransition, RepairKind, RepairTask};
 use crate::recovery::{health_of, run_repairs, RepairView, REPAIR_WIDTH};
-use ear_faults::crc32c;
+use ear_types::crc::crc32c;
 use ear_types::{BlockId, Error, HealStats, NodeHealth, NodeId, Result};
 use std::collections::HashSet;
 
@@ -448,6 +448,58 @@ mod tests {
         }
         // Healed placements keep the monitor happy.
         assert!(monitor::scan(&cfs).is_empty());
+    }
+
+    #[test]
+    fn a_stamp_never_hides_rot_from_the_scrubber_or_an_uncached_read() {
+        // Producers trust the stamp, verifiers hash: every replica below
+        // was stored from a stamped handle, and two of them then rot under
+        // their unchanged stored CRC.
+        let mut cfg = config(29);
+        cfg.ear = EarConfig::new(
+            ErasureParams::new(6, 4).unwrap(),
+            ReplicationConfig::hdfs_default(),
+            1,
+        )
+        .unwrap();
+        cfg.store = StoreBackend::Memory;
+        cfg.cache = CacheConfig::Sized {
+            hot_bytes: 1 << 20,
+            cold_bytes: 1 << 20,
+        };
+        let cfs = MiniCfs::new(cfg).unwrap();
+        let good = cfs.make_block(5);
+        let id = cfs.write_block(NodeId(0), good.clone()).unwrap();
+        let locs = cfs.namenode().locations(id).unwrap();
+        let (cached, uncached) = (locs[0], locs[1]);
+        assert!(cfs.datanode(uncached).get(id).unwrap().stamp().is_some());
+
+        // A verified read admits `cached`'s copy into its block cache.
+        let reader = locs[2];
+        assert_eq!(cfs.fetch_block_from(cached, reader, id, 0).unwrap().as_slice(), &good[..]);
+        let mut rotten = good.clone();
+        rotten[33] ^= 0xFF;
+        cfs.datanode(cached).rot(id, rotten.clone());
+        cfs.datanode(uncached).rot(id, rotten);
+
+        // An uncached read hashes what the store returned and rejects it.
+        let err = cfs.fetch_block_from(uncached, reader, id, 0).unwrap_err();
+        assert!(matches!(err, Error::CorruptBlock { block, node }
+            if block == id && node == uncached));
+        // The cache keeps serving the bytes it verified before the rot...
+        assert_eq!(cfs.fetch_block_from(cached, reader, id, 0).unwrap().as_slice(), &good[..]);
+        // ...and the scrubber, which reads the store, drops both rotten
+        // replicas; the healer re-replicates from the one good copy.
+        let stats = Healer::new(&cfs).run_to_convergence().unwrap();
+        assert!(stats.converged);
+        assert_eq!(stats.scrub_hits, 2);
+        let healed = cfs.namenode().locations(id).unwrap();
+        assert_eq!(healed.len(), 3);
+        for n in healed {
+            let (data, crc) = cfs.datanode(n).get_with_crc(id).unwrap();
+            assert_eq!(data.as_slice(), &good[..], "{n}");
+            assert_eq!(crc32c(&data), crc);
+        }
     }
 
     #[test]

@@ -33,7 +33,7 @@ use crate::cache::CacheStats;
 use crate::datanode::DataNode;
 use crate::reliability::{self, OpContext, Reliability};
 use crate::sync::Mutex;
-use ear_faults::{crc32c, FaultInjector, IoFault};
+use ear_faults::{FaultInjector, IoFault};
 use ear_netem::EmulatedNetwork;
 use ear_types::{Block, BlockId, ClusterTopology, Error, NodeId, Result};
 use std::collections::HashSet;
@@ -380,13 +380,16 @@ impl ClusterIo {
             self.counters
                 .crc_bytes_skipped
                 .fetch_add(data.len() as u64, Ordering::Relaxed);
-        } else {
-            if crc32c(&data) != crc {
-                return Err(Error::CorruptBlock { block, node: src });
-            }
-            if fault.is_none() {
-                datanode.admit(block, &data, crc);
-            }
+            return Ok(data);
+        }
+        // Hash what arrived against the write-time CRC. A pass stamps the
+        // handle, so a reader that stores these bytes again (re-replication)
+        // does not hash them a second time.
+        let data = data
+            .verified(crc)
+            .ok_or(Error::CorruptBlock { block, node: src })?;
+        if fault.is_none() {
+            datanode.admit(block, &data, crc);
         }
         Ok(data)
     }
@@ -823,6 +826,7 @@ mod tests {
     use super::*;
     use crate::reliability::OpClass;
     use ear_faults::FaultPlan;
+    use ear_types::crc::crc32c;
 
     fn service() -> ClusterIo {
         let topo = ClusterTopology::uniform(2, 2);

@@ -267,7 +267,8 @@ fn encode_stripe(
     let mut store_err = None;
     for (p, &planned) in chain.parity.into_iter().zip(&plan.parity_nodes) {
         let id = cfs.namenode().register_block(Vec::new())?;
-        match store_parity(cfs, id, Block::from(p), enc, planned, &plan.kept_data, &stored) {
+        let p = Block::from(p).stamped();
+        match store_parity(cfs, id, p, enc, planned, &plan.kept_data, &stored) {
             Ok(dst) => stored.push((id, dst)),
             Err(e) => {
                 store_err = Some(e);

@@ -463,7 +463,7 @@ fn place_rebuilt(
         repair.cross_rack_uploads +=
             usize::from(topo.rack_of(placement) != topo.rack_of(recovery_node));
     }
-    cfs.datanode(placement).put(block, Block::from(rebuilt))?;
+    cfs.datanode(placement).put(block, Block::from(rebuilt).stamped())?;
     cfs.namenode().set_locations(block, vec![placement])?;
     Ok(())
 }

@@ -10,7 +10,7 @@
 use ear_cluster::{
     recover_node, BlockStore, ClusterConfig, ClusterPolicy, MiniCfs, RaidNode, ShardedMemStore,
 };
-use ear_faults::crc32c;
+use ear_types::crc::crc32c;
 use ear_types::{
     Bandwidth, Block, BlockId, ByteSize, CacheConfig, EarConfig, ErasureParams, NodeId,
     ReplicationConfig, StoreBackend,

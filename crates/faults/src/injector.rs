@@ -389,7 +389,7 @@ mod tests {
         let bad2 = inj.corrupted_copy(NodeId(1), BlockId(9), &data);
         assert_eq!(bad1, bad2, "same copy must corrupt identically");
         assert_ne!(bad1, data);
-        assert_ne!(crate::crc::crc32c(&bad1), crate::crc::crc32c(&data));
+        assert_ne!(crate::crc32c(&bad1), crate::crc32c(&data));
         // A different node's copy flips differently (independent hash).
         let other = inj.corrupted_copy(NodeId(2), BlockId(9), &data);
         assert_ne!(bad1, other);

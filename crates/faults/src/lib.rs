@@ -34,11 +34,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod crc;
 mod injector;
 mod plan;
 
-pub use crc::crc32c;
+pub use ear_types::crc::crc32c;
 pub use ear_types::rng::{mix64, ChaCha8};
 pub use injector::{FaultInjector, IoFault};
 pub use plan::{DelayModel, FaultConfig, FaultPlan, NodeCrash, RackOutage};

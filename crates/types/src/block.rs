@@ -12,7 +12,17 @@
 //! of pointer indirection (the `Vec`'s own heap header) and makes the
 //! buffer immutable by construction: nothing downstream can grow, shrink,
 //! or mutate bytes another reader is concurrently verifying.
+//!
+//! Because the bytes cannot change, a handle may also carry their CRC32C —
+//! a *stamp*. Only two things set it, and both hash the bytes:
+//! [`Block::stamped`] at a producer and [`Block::verified`] after a
+//! checksum pass, so a stamp is always the true CRC of its view. Clones
+//! keep it, a narrower [`Block::slice`] drops it, and bytes that arrive
+//! from anywhere else ([`Block::from`]: a disk image, a corrupted wire
+//! copy) have none. A writer may trust a stamp instead of hashing again; a
+//! verifier never reads one.
 
+use crate::crc::crc32c;
 use std::ops::Deref;
 use std::sync::Arc;
 
@@ -31,13 +41,56 @@ pub struct Block {
     buf: Arc<[u8]>,
     off: usize,
     len: usize,
+    /// CRC32C of exactly `buf[off..off + len]`, when a producer or a
+    /// verifier already hashed this view.
+    crc: Option<u32>,
 }
 
 impl Block {
     /// Wraps an already shared buffer, viewing all of it.
     pub fn from_arc(buf: Arc<[u8]>) -> Self {
         let len = buf.len();
-        Block { buf, off: 0, len }
+        Block {
+            buf,
+            off: 0,
+            len,
+            crc: None,
+        }
+    }
+
+    /// This handle carrying the CRC32C of its view, hashed here unless it
+    /// already carries one. Producers call it once, before a payload fans
+    /// out to its replicas.
+    ///
+    /// ```
+    /// use ear_types::{crc::crc32c, Block};
+    ///
+    /// let b = Block::from(vec![7u8; 64]).stamped();
+    /// assert_eq!(b.clone().stamp(), Some(crc32c(&b)));
+    /// assert_eq!(b.slice(0, 8).unwrap().stamp(), None); // a narrower view
+    /// ```
+    pub fn stamped(mut self) -> Block {
+        if self.crc.is_none() {
+            self.crc = Some(crc32c(self.as_slice()));
+        }
+        self
+    }
+
+    /// Hashes the bytes — whatever stamp the handle carries is ignored —
+    /// and returns the handle, stamped, iff they match `expected`.
+    pub fn verified(mut self, expected: u32) -> Option<Block> {
+        if crc32c(self.as_slice()) != expected {
+            return None;
+        }
+        self.crc = Some(expected);
+        Some(self)
+    }
+
+    /// The CRC32C this handle carries, if any. For writers only: a check
+    /// that must catch corruption hashes the bytes instead.
+    #[inline]
+    pub fn stamp(&self) -> Option<u32> {
+        self.crc
     }
 
     /// The bytes of this view.
@@ -61,7 +114,8 @@ impl Block {
     }
 
     /// A sub-view of `len` bytes starting at `offset`, sharing the same
-    /// allocation (no bytes are copied). Returns `None` if the requested
+    /// allocation (no bytes are copied); a stamp survives only if the
+    /// sub-view is the whole view. Returns `None` if the requested
     /// range does not fit in this view — callers on the panic-free data
     /// plane propagate that as a typed error instead of slicing blind.
     pub fn slice(&self, offset: usize, len: usize) -> Option<Block> {
@@ -73,6 +127,9 @@ impl Block {
             buf: Arc::clone(&self.buf),
             off: self.off + offset,
             len,
+            // The stamp covers the whole view: only a slice of all of it
+            // may keep it.
+            crc: self.crc.filter(|_| len == self.len),
         })
     }
 
@@ -211,5 +268,65 @@ mod tests {
         assert!(!a.shares_buffer(&b));
         assert_ne!(a, Block::from(vec![5u8, 6]));
         assert_eq!(Block::default().len(), 0);
+    }
+
+    /// [`crc32c`] calls this thread makes while running `f`.
+    fn hashes_in(f: impl FnOnce()) -> usize {
+        use crate::crc::tests::HASHES;
+        let before = HASHES.with(|n| n.get());
+        f();
+        HASHES.with(|n| n.get()) - before
+    }
+
+    #[test]
+    fn stamp_follows_the_view_it_was_computed_for() {
+        let bytes: Vec<u8> = (0u8..64).collect();
+        let plain = Block::from(bytes.clone());
+        assert_eq!(plain.stamp(), None, "Block::from carries no stamp");
+        assert_eq!(Block::from(&bytes[..]).stamp(), None);
+        assert_eq!(Block::default().stamp(), None);
+
+        let b = plain.stamped();
+        let crc = crc32c(&bytes);
+        assert_eq!(b.stamp(), Some(crc));
+        assert_eq!(b.clone().stamp(), Some(crc), "clone keeps the stamp");
+        assert_eq!(b.slice(0, 64).unwrap().stamp(), Some(crc), "whole-view slice keeps it");
+        assert_eq!(b.suffix(0).unwrap().stamp(), Some(crc));
+        assert_eq!(b.slice(0, 63).unwrap().stamp(), None, "narrower slice drops it");
+        assert_eq!(b.slice(1, 63).unwrap().stamp(), None);
+        assert_eq!(b.suffix(8).unwrap().stamp(), None, "narrower suffix drops it");
+
+        // A stamp computed on a sub-view is that sub-view's CRC.
+        let tail = b.suffix(8).unwrap().stamped();
+        assert_eq!(tail.stamp(), Some(crc32c(&bytes[8..])));
+        assert_eq!(tail.slice(0, 56).unwrap().stamp(), tail.stamp());
+    }
+
+    #[test]
+    fn a_stamped_payload_is_hashed_once_however_many_replicas_take_it() {
+        let mut stamps = Vec::new();
+        let hashes = hashes_in(|| {
+            let b = Block::from(vec![0xA5u8; 4096]).stamped();
+            for replica in [b.clone(), b.clone(), b] {
+                // What `DataNode::put` does with each replica's handle.
+                stamps.push(replica.stamp().unwrap_or_else(|| crc32c(&replica)));
+            }
+        });
+        assert_eq!(hashes, 1);
+        assert_eq!(stamps, vec![crc32c(&[0xA5u8; 4096]); 3]);
+        assert_eq!(hashes_in(|| drop(Block::from(vec![1u8; 8]).stamped().stamped())), 1);
+    }
+
+    #[test]
+    fn verified_hashes_the_bytes_and_never_trusts_a_stamp() {
+        let good = Block::from(vec![3u8; 256]);
+        let crc = crc32c(&good);
+        assert_eq!(good.clone().verified(crc ^ 1), None);
+        let ok = good.clone().verified(crc).unwrap();
+        assert_eq!(ok.stamp(), Some(crc), "a pass stamps the handle");
+        // An already stamped handle is hashed again, and a stamp that
+        // disagrees with `expected` cannot turn a mismatch into a pass.
+        assert_eq!(hashes_in(|| assert!(ok.clone().verified(crc).is_some())), 1);
+        assert_eq!(hashes_in(|| assert!(ok.clone().verified(crc ^ 1).is_none())), 1);
     }
 }

@@ -14,6 +14,15 @@ if grep -n '^source = ' Cargo.lock; then
   echo "check.sh: Cargo.lock names a crate from outside the workspace (above)" >&2
   exit 1
 fi
+# `unsafe` lives in two files: the GF SIMD kernels and the SSE4.2 CRC32C
+# dispatch. Their crates `deny(unsafe_code)` with scoped allows where every
+# other crate forbids it, so a third file here means an allow has spread.
+unsafe_use='unsafe[[:space:]]*\{|unsafe[[:space:]]+(fn|impl|trait|extern)|^[[:space:]]*#!?\[allow\(unsafe_code\)\]'
+unsafe_files=$(grep -rlE "$unsafe_use" --include='*.rs' src crates tests examples | sort | xargs)
+if [ "$unsafe_files" != "crates/erasure/src/kernels.rs crates/types/src/crc.rs" ]; then
+  echo "check.sh: unsafe code must stay in kernels.rs and crc.rs, found in: $unsafe_files" >&2
+  exit 1
+fi
 cargo build --release --locked
 # Invariant lint first: lock-graph cycles, determinism hygiene, data-plane
 # panic-freedom, durability ordering, context/retry hygiene, zero-copy

@@ -7,7 +7,8 @@
 //! This facade crate re-exports the whole workspace so downstream users can
 //! depend on a single crate:
 //!
-//! * [`types`] — identifiers, topology, and configuration.
+//! * [`types`] — identifiers, topology, configuration, the shared
+//!   [`types::Block`] buffer and the CRC32C ([`types::crc`]) it can carry.
 //! * [`erasure`] — GF(2⁸) Reed–Solomon coding.
 //! * [`flow`] — max-flow / bipartite matching used by the EAR algorithm.
 //! * [`core`] — the placement policies: random replication (RR) and

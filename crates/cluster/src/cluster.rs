@@ -219,7 +219,7 @@ impl MiniCfs {
                     config.durability.checkpoint_every,
                 )?;
                 let namenode =
-                    NameNode::with_wal(topo.clone(), policy, config.seed, wal, &recovered)?;
+                    NameNode::new(topo.clone(), policy, config.seed, Some(wal), recovered);
                 let datanodes: Vec<DataNode> = topo
                     .nodes()
                     .map(|n| {
@@ -236,7 +236,8 @@ impl MiniCfs {
                 (namenode, datanodes)
             }
             None => {
-                let namenode = NameNode::new(topo.clone(), policy, config.seed);
+                let namenode =
+                    NameNode::new(topo.clone(), policy, config.seed, None, Default::default());
                 let datanodes: Vec<DataNode> = topo
                     .nodes()
                     .map(|n| DataNode::with_backend(n, config.store, config.cache, config.seed))

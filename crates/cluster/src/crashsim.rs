@@ -19,10 +19,10 @@
 
 use crate::extent::{ExtentStore, WriteEvent};
 use crate::wal::{
-    encode_checkpoint, encode_frame, MetaRecord, MetaSnapshot, MetaWal, PlanRecord,
-    CHECKPOINT_FILE, WAL_FILE,
+    encode_checkpoint, encode_frame, MetaRecord, MetaSnapshot, MetaWal, CHECKPOINT_FILE, WAL_FILE,
 };
-use crate::BlockStore;
+use crate::{BlockStore, EncodedStripe, PendingStripe};
+use ear_core::{BlockLayout, StripePlan};
 use ear_types::crc::crc32c;
 use ear_types::rng::ChaCha8;
 use ear_types::{Block, BlockId, Error, NodeId, RackId, Result, StripeId};
@@ -87,17 +87,14 @@ fn pick(rng: &mut ChaCha8, v: &[BlockId]) -> Option<BlockId> {
     v.get(rng.below(v.len() as u64) as usize).copied()
 }
 
-fn random_plan(rng: &mut ChaCha8, k: usize) -> PlanRecord {
-    let layouts: Vec<Vec<NodeId>> = (0..k).map(|_| random_nodes(rng, 32, 3)).collect();
+fn random_plan(rng: &mut ChaCha8, k: usize) -> StripePlan {
+    let layout = |_| BlockLayout::new(random_nodes(rng, 32, 3));
+    let layouts = (0..k).map(layout).collect();
     let core_rack = (rng.below(2) == 0).then(|| RackId(rng.below(8) as u32));
     let target_racks = (rng.below(2) == 0)
         .then(|| (0..rng.below(4) as usize).map(|_| RackId(rng.below(8) as u32)).collect());
-    PlanRecord {
-        retries: (0..k).map(|_| rng.below(4)).collect(),
-        layouts,
-        core_rack,
-        target_racks,
-    }
+    let retries = (0..k).map(|_| rng.below(4) as usize).collect();
+    StripePlan::new(layouts, core_rack, target_racks, retries)
 }
 
 /// Expands `seed` into a deterministic script of ~40 metadata mutations:
@@ -153,29 +150,21 @@ pub fn wal_script(seed: u64) -> Vec<MetaRecord> {
             7 | 8 if unsealed.len() >= 2 => {
                 let k = 2 + rng.below((unsealed.len() - 1) as u64) as usize;
                 let blocks: Vec<BlockId> = unsealed.drain(..k).collect();
-                let stripe = StripeId(next_stripe);
+                let id = StripeId(next_stripe);
                 next_stripe += 1;
                 let plan = random_plan(&mut rng, blocks.len());
-                records.push(MetaRecord::SealStripe {
-                    stripe,
-                    blocks,
-                    plan,
-                });
-                pending.push(stripe);
+                records.push(MetaRecord::SealStripe(PendingStripe { id, blocks, plan }));
+                pending.push(id);
             }
             9 if !pending.is_empty() => {
-                let stripe = pending.remove(rng.below(pending.len() as u64) as usize);
+                let id = pending.remove(rng.below(pending.len() as u64) as usize);
                 let data = random_nodes(&mut rng, 32, 2)
                     .iter()
                     .map(|n| BlockId(n.0 as u64))
                     .collect();
                 let parity = vec![BlockId(next_block), BlockId(next_block + 1)];
                 next_block += 2;
-                records.push(MetaRecord::EncodeCommit {
-                    stripe,
-                    data,
-                    parity,
-                });
+                records.push(MetaRecord::EncodeCommit(EncodedStripe { id, data, parity }));
             }
             _ => {
                 // The drawn op had no eligible target; fall back to an

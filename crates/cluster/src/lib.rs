@@ -4,8 +4,10 @@
 //! The crate emulates the 13-machine testbed in one process:
 //!
 //! * [`NameNode`] — metadata (lock-striped block→location shards plus the
-//!   stripe state), the placement policy, and the *pre-encoding store* that
-//!   groups blocks into stripes (Section IV-B);
+//!   stripe tables), the placement policy, and the *pre-encoding store* that
+//!   groups blocks into stripes (Section IV-B). Its state changes in one
+//!   place: every mutation is a [`MetaRecord`] that is logged, then put
+//!   through the same `apply` that replay runs over a [`MetaSnapshot`];
 //! * [`DataNode`] — a block store per emulated machine over a pluggable
 //!   [`BlockStore`] backend: lock-striped memory or the durable extent
 //!   engine (`EAR_STORE=memory|extent`), fronted by an optional
@@ -99,7 +101,7 @@ pub use health::{
 };
 pub use monitor::{plan_repairs, scan, Violation};
 pub use namenode::{EncodedStripe, NameNode, PendingStripe};
-pub use wal::{MetaRecord, MetaSnapshot, MetaWal, PlanRecord};
+pub use wal::{MetaRecord, MetaSnapshot, MetaWal};
 pub use raidnode::{EncodeStats, RaidNode, Relocation};
 pub use recovery::{recover_node, RecoveryStats};
 pub use reliability::{

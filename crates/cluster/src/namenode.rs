@@ -1,22 +1,24 @@
 //! The NameNode: cluster metadata, the placement policy, and the
 //! pre-encoding store (Section IV-B of the paper).
 //!
-//! Metadata is lock-striped (DESIGN.md §9): block→location records live in
-//! [`SHARDS`] reader–writer shards keyed by a block-id hash, so location
-//! lookups and single-block updates from concurrent readers, healers, and
-//! encode jobs never contend on one global lock. Stripe bookkeeping (the
-//! pre-encoding store) is a separate mutex, and block ids come from an
-//! atomic counter. Every snapshot the NameNode exports is sorted by id, so
-//! downstream consumers see the same order regardless of which shard or
-//! thread produced an entry.
+//! Metadata is one state machine (DESIGN.md §9): the image changes only in
+//! `apply`, and every mutator is "check the precondition under the lock,
+//! build the [`MetaRecord`], [`NameNode::commit`] it" — append to the log,
+//! then the same `apply` that replay runs. The image is lock-striped:
+//! block slots live in [`SHARDS`] reader–writer shards keyed by a block-id
+//! hash, so location lookups and single-block updates from concurrent
+//! readers, healers, and encode jobs never contend on one global lock; the
+//! stripe tables and both id counters sit under one mutex. Every snapshot
+//! the NameNode exports is sorted by id, so downstream consumers see the
+//! same order regardless of which shard or thread produced an entry.
 
 use crate::sync::{Mutex, RwLock};
-use crate::wal::{BlockRec, EncodedEntry, MetaRecord, MetaSnapshot, MetaWal, PlanRecord, StripeEntry};
+use crate::wal::{MetaRecord, MetaSnapshot, MetaWal};
 use ear_core::{PlacementPolicy, StripePlan};
 use ear_types::rng::ChaCha8;
-use ear_types::{BlockId, BlockId as Bid, ClusterTopology, NodeId, Result, StripeId};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use ear_types::{BlockId, ClusterTopology, Error, NodeId, Result, StripeId};
+use image::{Shard, StripeTable};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Number of metadata shards. A power of two comfortably above the thread
 /// counts we drive, so stripes of the id space map evenly.
@@ -29,7 +31,7 @@ fn shard_of(block: BlockId) -> usize {
 
 /// A stripe registered in the pre-encoding store: the data block ids that
 /// will be encoded together and their placement plan.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PendingStripe {
     /// The stripe's id.
     pub id: StripeId,
@@ -41,7 +43,7 @@ pub struct PendingStripe {
 
 /// A stripe that has been encoded: its data block ids (in generator-matrix
 /// order) and the parity block ids appended by the RaidNode.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EncodedStripe {
     /// The stripe's id.
     pub id: StripeId,
@@ -58,45 +60,87 @@ impl EncodedStripe {
     }
 }
 
-/// Per-block metadata held in the location shards.
-#[derive(Debug, Default, Clone)]
-struct BlockMeta {
-    /// Current replica locations of the block.
-    locations: Vec<NodeId>,
-    /// The layout the block was *assigned* at allocation time. Stripe
-    /// sealing matches against this, never against `locations`: repair can
-    /// move replicas (a healed block's location set diverges from its
-    /// placement) without breaking the policy's layout-identity
-    /// bookkeeping. `None` for registered (parity) blocks.
-    assigned: Option<Vec<NodeId>>,
-}
+/// The live image's two tables. Their contents are private to this module,
+/// so outside the loaders `apply` is the only code that can change them.
+mod image {
+    use super::{BlockId, EncodedStripe, MetaRecord, MetaSnapshot, NodeId, StripeId};
+    use crate::wal::BlockRec;
+    use std::collections::{BTreeSet, HashMap};
 
-/// The pre-encoding store: stripe state serialized under one mutex.
-#[derive(Debug, Default)]
-struct StripeState {
-    /// Stripes sealed by the policy but not yet encoded.
-    pending: Vec<PendingStripe>,
-    /// Stripes handed to encode jobs but not yet committed. Not logged:
-    /// durably these are still pending — a crash before the encode commit
-    /// puts them back in the queue, which is exactly right.
-    in_flight: Vec<PendingStripe>,
-    /// Stripes that have been encoded.
-    encoded: Vec<EncodedStripe>,
-    /// Member block → position in `encoded`, the one block → stripe lookup
-    /// ([`NameNode::stripe_of`]). `encoded` only grows, so positions hold.
-    stripe_index: HashMap<BlockId, usize>,
-    /// Blocks of the stripe currently being accumulated, in seal order —
-    /// maps each sealed stripe to its member blocks.
-    unsealed: Vec<BlockId>,
-    next_stripe: u64,
-}
+    /// One location shard: the slots of the blocks that hash to it.
+    #[derive(Default)]
+    pub(super) struct Shard(HashMap<BlockId, BlockRec>);
 
-impl StripeState {
-    /// Appends an encoded stripe and indexes its members.
-    fn push_encoded(&mut self, stripe: EncodedStripe) {
-        let pos = self.encoded.len();
-        self.stripe_index.extend(stripe.members().map(|b| (b, pos)));
-        self.encoded.push(stripe);
+    impl Shard {
+        pub(super) fn load(&mut self, block: BlockId, rec: BlockRec) {
+            self.0.insert(block, rec);
+        }
+
+        pub(super) fn get(&self, block: BlockId) -> Option<&BlockRec> {
+            self.0.get(&block)
+        }
+
+        /// Whether `block` is known and lists `node` among its locations.
+        pub(super) fn lists(&self, block: BlockId, node: NodeId) -> bool {
+            self.get(block).is_some_and(|m| m.locations.contains(&node))
+        }
+
+        pub(super) fn slots(&self) -> impl Iterator<Item = (BlockId, BlockRec)> + '_ {
+            self.0.iter().map(|(id, rec)| (*id, rec.clone()))
+        }
+
+        /// [`MetaSnapshot::apply`]'s block half, on this shard's slots.
+        pub(super) fn apply(&mut self, rec: &MetaRecord) {
+            BlockRec::apply(rec, |block, create| match create {
+                true => Some(self.0.entry(block).or_default()),
+                false => self.0.get_mut(&block),
+            });
+        }
+    }
+
+    /// Everything but the block slots — the pre-encoding store, the encoded
+    /// stripes and both id counters — held as the [`MetaSnapshot`] that
+    /// replay builds, its `blocks` left empty.
+    pub(super) struct StripeTable {
+        image: MetaSnapshot,
+        /// Member block → its encoded stripe, the one block → stripe lookup.
+        stripe_index: HashMap<BlockId, StripeId>,
+        /// Pending stripes handed to encode jobs and not yet committed or
+        /// returned. Not state: durably they are pending and nothing else,
+        /// so a crash before the encode commit re-queues them.
+        pub(super) in_flight: BTreeSet<StripeId>,
+    }
+
+    impl StripeTable {
+        pub(super) fn load(image: MetaSnapshot) -> Self {
+            let mut stripe_index = HashMap::new();
+            for s in &image.encoded {
+                stripe_index.extend(s.members().map(|b| (b, s.id)));
+            }
+            StripeTable {
+                image,
+                stripe_index,
+                in_flight: BTreeSet::new(),
+            }
+        }
+
+        pub(super) fn image(&self) -> &MetaSnapshot {
+            &self.image
+        }
+
+        pub(super) fn stripe_of(&self, block: BlockId) -> Option<&EncodedStripe> {
+            let id = self.stripe_index.get(&block)?;
+            let at = self.image.encoded.binary_search_by_key(id, |s| s.id).ok()?;
+            self.image.encoded.get(at)
+        }
+
+        pub(super) fn apply(&mut self, rec: &MetaRecord) {
+            self.image.apply_stripes(rec);
+            if let MetaRecord::EncodeCommit(s) = rec {
+                self.stripe_index.extend(s.members().map(|b| (b, s.id)));
+                self.in_flight.remove(&s.id);
+            }
+        }
     }
 }
 
@@ -111,12 +155,10 @@ pub struct NameNode {
     policy: Mutex<Box<dyn PlacementPolicy>>,
     rng: Mutex<ChaCha8>,
     seed: u64,
-    shards: Vec<RwLock<HashMap<BlockId, BlockMeta>>>,
-    stripes: Mutex<StripeState>,
-    next_block: AtomicU64,
+    shards: Vec<RwLock<Shard>>,
+    stripes: Mutex<StripeTable>,
     /// The write-ahead log. `None` for the volatile (classic testbed)
-    /// NameNode: mutations then skip the append and behave exactly as
-    /// before the durability layer existed.
+    /// NameNode, whose commits skip the append.
     wal: Option<MetaWal>,
     /// Guards against concurrent checkpoints: the first thread to trip the
     /// threshold writes the snapshot, the rest carry on.
@@ -124,92 +166,60 @@ pub struct NameNode {
 }
 
 impl NameNode {
-    /// Creates a volatile NameNode around a placement policy.
-    pub fn new(topo: ClusterTopology, policy: Box<dyn PlacementPolicy>, seed: u64) -> Self {
+    /// Creates a NameNode around a placement policy, loading `image` — the
+    /// empty default, or what [`MetaWal::open`] recovered beside `wal`. With
+    /// a log, every mutation is appended to it before it is acknowledged.
+    ///
+    /// The placement policy starts fresh: blocks that were unsealed at a
+    /// crash stay readable through replication and are matched into a
+    /// stripe only if the policy re-produces their layout — the same lazy
+    /// rebuild HDFS-RAID applies to its pre-encoding store.
+    pub fn new(
+        topo: ClusterTopology,
+        policy: Box<dyn PlacementPolicy>,
+        seed: u64,
+        wal: Option<MetaWal>,
+        mut image: MetaSnapshot,
+    ) -> Self {
+        let mut shards: Vec<Shard> = (0..SHARDS).map(|_| Shard::default()).collect();
+        for (id, rec) in std::mem::take(&mut image.blocks) {
+            shards[shard_of(id)].load(id, rec);
+        }
         NameNode {
             topo,
             policy: Mutex::new(policy),
             rng: Mutex::new(ChaCha8::from_seed(seed)),
             seed,
-            shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
-            stripes: Mutex::new(StripeState::default()),
-            next_block: AtomicU64::new(0),
-            wal: None,
+            shards: shards.into_iter().map(RwLock::new).collect(),
+            stripes: Mutex::new(StripeTable::load(image)),
+            wal,
             checkpointing: AtomicBool::new(false),
         }
     }
 
-    /// Creates a durable NameNode over an open write-ahead log, seeding the
-    /// in-memory image from the recovered snapshot (what [`MetaWal::open`]
-    /// returned). Every subsequent mutation is appended to the log before
-    /// it is acknowledged.
-    ///
-    /// The placement policy restarts fresh: blocks that were unsealed at
-    /// the crash stay readable through replication and are matched into a
-    /// stripe only if the policy re-produces their layout — the same lazy
-    /// rebuild HDFS-RAID applies to its pre-encoding store.
-    ///
-    /// # Errors
-    ///
-    /// [`ear_types::Error::WalCorrupt`] if a recovered stripe plan fails
-    /// validation on rebuild.
-    pub fn with_wal(
-        topo: ClusterTopology,
-        policy: Box<dyn PlacementPolicy>,
-        seed: u64,
-        wal: MetaWal,
-        recovered: &MetaSnapshot,
-    ) -> Result<Self> {
-        let nn = NameNode {
-            topo,
-            policy: Mutex::new(policy),
-            rng: Mutex::new(ChaCha8::from_seed(seed)),
-            seed,
-            shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
-            stripes: Mutex::new(StripeState::default()),
-            next_block: AtomicU64::new(recovered.next_block),
-            wal: Some(wal),
-            checkpointing: AtomicBool::new(false),
-        };
-        for (id, rec) in &recovered.blocks {
-            nn.shard(*id).write().insert(
-                *id,
-                BlockMeta {
-                    locations: rec.locations.clone(),
-                    assigned: rec.assigned.clone(),
-                },
-            );
+    /// The one way metadata changes: `rec` goes to the log (when there is
+    /// one), then through `apply` — the same transition replay runs. The
+    /// caller holds the lock of each table the record touches (`stripes`
+    /// for an allocation, seal or encode commit; the block's shard for
+    /// every per-block record), so log order equals apply order, and has
+    /// checked the record's precondition under it. A refused append
+    /// returns before anything moved.
+    fn commit(
+        &self,
+        rec: &MetaRecord,
+        stripes: Option<&mut StripeTable>,
+        shard: Option<&mut Shard>,
+    ) -> Result<()> {
+        if let Some(wal) = &self.wal {
+            wal.append(rec)?;
         }
-        {
-            let mut stripes = nn.stripes.lock();
-            stripes.unsealed = recovered.unsealed.clone();
-            for s in &recovered.pending {
-                stripes.pending.push(PendingStripe {
-                    id: s.id,
-                    blocks: s.blocks.clone(),
-                    plan: s.plan.to_plan()?,
-                });
-            }
-            for s in &recovered.encoded {
-                stripes.push_encoded(EncodedStripe {
-                    id: s.id,
-                    data: s.data.clone(),
-                    parity: s.parity.clone(),
-                });
-            }
-            stripes.next_stripe = recovered.next_stripe;
+        if let Some(stripes) = stripes {
+            stripes.apply(rec);
         }
-        Ok(nn)
-    }
-
-    /// Appends one mutation to the log (no-op for a volatile NameNode).
-    /// Called while the lock guarding the mutated state is held, so log
-    /// order equals apply order.
-    fn log(&self, rec: &MetaRecord) -> Result<()> {
-        match &self.wal {
-            Some(w) => w.append(rec).map(|_| ()),
-            None => Ok(()),
+        if let Some(shard) = shard {
+            shard.apply(rec);
         }
+        Ok(())
     }
 
     /// Whether this NameNode writes a durable log.
@@ -223,44 +233,15 @@ impl NameNode {
         self.wal.as_ref().expect("durable NameNode").fail_appends();
     }
 
-    /// The complete metadata image, gathered under the stripe mutex and
-    /// shard read locks. In-flight stripes are folded back into `pending`:
-    /// durably, an encode that has not committed never happened.
+    /// The complete metadata image: the stripe tables copied under their
+    /// mutex, then every shard's slots. Stripes out with an encode job are
+    /// in `pending`: durably, an encode that has not committed never
+    /// happened.
     pub fn snapshot(&self) -> MetaSnapshot {
-        let mut snap = MetaSnapshot::default();
-        {
-            let stripes = self.stripes.lock();
-            snap.unsealed = stripes.unsealed.clone();
-            for s in stripes.pending.iter().chain(stripes.in_flight.iter()) {
-                snap.pending.push(StripeEntry {
-                    id: s.id,
-                    blocks: s.blocks.clone(),
-                    plan: PlanRecord::from_plan(&s.plan),
-                });
-            }
-            snap.pending.sort_by_key(|s| s.id);
-            for s in &stripes.encoded {
-                snap.encoded.push(EncodedEntry {
-                    id: s.id,
-                    data: s.data.clone(),
-                    parity: s.parity.clone(),
-                });
-            }
-            snap.encoded.sort_by_key(|s| s.id);
-            snap.next_stripe = stripes.next_stripe;
-        }
+        let mut snap = self.stripes.lock().image().clone();
         for shard in &self.shards {
-            for (id, meta) in shard.read().iter() {
-                snap.blocks.insert(
-                    *id,
-                    BlockRec {
-                        locations: meta.locations.clone(),
-                        assigned: meta.assigned.clone(),
-                    },
-                );
-            }
+            snap.blocks.extend(shard.read().slots());
         }
-        snap.next_block = self.next_block.load(Ordering::SeqCst);
         snap
     }
 
@@ -308,7 +289,7 @@ impl NameNode {
         &self.topo
     }
 
-    fn shard(&self, block: BlockId) -> &RwLock<HashMap<BlockId, BlockMeta>> {
+    fn shard(&self, block: BlockId) -> &RwLock<Shard> {
         &self.shards[shard_of(block)]
     }
 
@@ -331,43 +312,23 @@ impl NameNode {
             let mut rng = self.rng.lock();
             let placed = policy.place_block(&mut rng)?;
             let mut stripes = self.stripes.lock();
-            let id = Bid(self.next_block.fetch_add(1, Ordering::SeqCst));
-            self.shard(id).write().insert(
-                id,
-                BlockMeta {
-                    locations: placed.layout.replicas.clone(),
-                    assigned: Some(placed.layout.replicas.clone()),
-                },
-            );
-            stripes.unsealed.push(id);
-            self.log(&MetaRecord::Allocate {
-                block: id,
+            let block = BlockId(stripes.image().next_block);
+            let rec = MetaRecord::Allocate {
+                block,
                 locations: placed.layout.replicas.clone(),
                 assigned: true,
-            })?;
+            };
+            let shard = self.shard(block);
+            self.commit(&rec, Some(&mut stripes), Some(&mut shard.write()))?;
             if let Some(plan) = placed.sealed_stripe {
-                let k = plan.num_blocks();
-                debug_assert!(stripes.unsealed.len() >= k);
-                // Under RR the last k allocated blocks form the stripe;
-                // under EAR the sealed stripe's blocks are the ones whose
-                // layouts match the plan — which are exactly the most
-                // recent k blocks placed into that core rack. We track
-                // them by layout identity.
-                let blocks = self.take_stripe_blocks(&mut stripes, &plan)?;
-                let sid = StripeId(stripes.next_stripe);
-                stripes.next_stripe += 1;
-                self.log(&MetaRecord::SealStripe {
-                    stripe: sid,
-                    blocks: blocks.clone(),
-                    plan: PlanRecord::from_plan(&plan),
-                })?;
-                stripes.pending.push(PendingStripe {
-                    id: sid,
-                    blocks,
+                let seal = MetaRecord::SealStripe(PendingStripe {
+                    id: StripeId(stripes.image().next_stripe),
+                    blocks: self.stripe_blocks(&stripes.image().unsealed, &plan)?,
                     plan,
                 });
+                self.commit(&seal, Some(&mut stripes), None)?;
             }
-            (id, placed.layout.replicas)
+            (block, placed.layout.replicas)
         };
         self.maybe_checkpoint()?;
         Ok(result)
@@ -377,7 +338,7 @@ impl NameNode {
     pub fn locations(&self, block: BlockId) -> Option<Vec<NodeId>> {
         self.shard(block)
             .read()
-            .get(&block)
+            .get(block)
             .map(|m| m.locations.clone())
     }
 
@@ -389,48 +350,40 @@ impl NameNode {
     /// Propagates log-append failures from the WAL.
     pub fn set_locations(&self, block: BlockId, nodes: Vec<NodeId>) -> Result<()> {
         let mut shard = self.shard(block).write();
-        shard.entry(block).or_default().locations = nodes.clone();
-        self.log(&MetaRecord::SetLocations { block, nodes })
+        let rec = MetaRecord::SetLocations { block, nodes };
+        self.commit(&rec, None, Some(&mut shard))
     }
 
     /// Removes one node from a block's location set (a replica declared
     /// lost by the failure detector, or dropped by the scrubber). Returns
-    /// whether the node was listed.
+    /// whether the node was listed; when it was not, nothing is logged.
     ///
     /// # Errors
     ///
     /// Propagates log-append failures from the WAL.
     pub fn drop_location(&self, block: BlockId, node: NodeId) -> Result<bool> {
         let mut shard = self.shard(block).write();
-        match shard.get_mut(&block) {
-            Some(meta) => {
-                let before = meta.locations.len();
-                meta.locations.retain(|&n| n != node);
-                if meta.locations.len() < before {
-                    self.log(&MetaRecord::DropLocation { block, node })?;
-                    Ok(true)
-                } else {
-                    Ok(false)
-                }
-            }
-            None => Ok(false),
+        let listed = shard.lists(block, node);
+        if listed {
+            let rec = MetaRecord::DropLocation { block, node };
+            self.commit(&rec, None, Some(&mut shard))?;
         }
+        Ok(listed)
     }
 
     /// Adds one node to a block's location set (a repaired copy landed).
-    /// No-op if the node is already listed.
+    /// No-op, and nothing logged, if the node is already listed.
     ///
     /// # Errors
     ///
     /// Propagates log-append failures from the WAL.
     pub fn add_location(&self, block: BlockId, node: NodeId) -> Result<()> {
         let mut shard = self.shard(block).write();
-        let meta = shard.entry(block).or_default();
-        if !meta.locations.contains(&node) {
-            meta.locations.push(node);
-            self.log(&MetaRecord::AddLocation { block, node })?;
+        if shard.lists(block, node) {
+            return Ok(());
         }
-        Ok(())
+        let rec = MetaRecord::AddLocation { block, node };
+        self.commit(&rec, None, Some(&mut shard))
     }
 
     /// Registers a brand-new block (parity) at fixed locations, returning
@@ -440,32 +393,29 @@ impl NameNode {
     ///
     /// Propagates log-append failures from the WAL.
     pub fn register_block(&self, nodes: Vec<NodeId>) -> Result<BlockId> {
-        let id = Bid(self.next_block.fetch_add(1, Ordering::SeqCst));
-        let mut shard = self.shard(id).write();
-        shard.insert(
-            id,
-            BlockMeta {
-                locations: nodes.clone(),
-                assigned: None,
-            },
-        );
-        self.log(&MetaRecord::Allocate {
-            block: id,
+        // Ids are issued under the stripe mutex, so they reach the log in
+        // id order — what makes "id below the counter" mean "already
+        // applied" at replay.
+        let mut stripes = self.stripes.lock();
+        let block = BlockId(stripes.image().next_block);
+        let rec = MetaRecord::Allocate {
+            block,
             locations: nodes,
             assigned: false,
-        })?;
-        Ok(id)
+        };
+        let shard = self.shard(block);
+        self.commit(&rec, Some(&mut stripes), Some(&mut shard.write()))?;
+        Ok(block)
     }
 
     /// Takes every stripe currently sealed for encoding (the RaidNode's
-    /// periodic scan), in stripe-id order. Taken stripes move to the
-    /// in-flight set: durably they remain pending until the encode
+    /// periodic scan), in stripe-id order, and marks it in flight. Nothing
+    /// is logged: durably the stripes remain pending until the encode
     /// commits, so a crash mid-encode re-queues them on recovery.
     pub fn take_pending_stripes(&self) -> Vec<PendingStripe> {
         let mut stripes = self.stripes.lock();
-        let mut taken = std::mem::take(&mut stripes.pending);
-        taken.sort_by_key(|s| s.id);
-        stripes.in_flight.extend(taken.iter().cloned());
+        let taken = Self::queued(&stripes);
+        stripes.in_flight.extend(taken.iter().map(|s| s.id));
         taken
     }
 
@@ -474,22 +424,27 @@ impl NameNode {
     /// blocks keep their replicas, so nothing is lost; a later encoding
     /// round will pick the stripe up again.
     pub fn requeue_stripe(&self, stripe: PendingStripe) {
-        let mut stripes = self.stripes.lock();
-        stripes.in_flight.retain(|s| s.id != stripe.id);
-        stripes.pending.push(stripe);
+        self.stripes.lock().in_flight.remove(&stripe.id);
     }
 
     /// Number of stripes sealed and awaiting encoding.
     pub fn pending_stripe_count(&self) -> usize {
-        self.stripes.lock().pending.len()
+        let stripes = self.stripes.lock();
+        stripes.image().pending.len() - stripes.in_flight.len()
     }
 
     /// A snapshot of the stripes awaiting encoding (without consuming
     /// them), in stripe-id order.
     pub fn pending_stripes(&self) -> Vec<PendingStripe> {
-        let mut out = self.stripes.lock().pending.clone();
-        out.sort_by_key(|s| s.id);
-        out
+        Self::queued(&self.stripes.lock())
+    }
+
+    /// The pending stripes no encode job holds. Seals apply in id order and
+    /// nothing else adds to `pending`, so they are in stripe-id order.
+    fn queued(stripes: &StripeTable) -> Vec<PendingStripe> {
+        let pending = &stripes.image().pending;
+        let queued = |s: &&PendingStripe| !stripes.in_flight.contains(&s.id);
+        pending.iter().filter(queued).cloned().collect()
     }
 
     /// Records a stripe as encoded (called by the RaidNode after parity is
@@ -500,33 +455,21 @@ impl NameNode {
     ///
     /// Propagates log-append failures from the WAL.
     pub fn record_encoded(&self, stripe: EncodedStripe) -> Result<()> {
-        {
-            let mut stripes = self.stripes.lock();
-            self.log(&MetaRecord::EncodeCommit {
-                stripe: stripe.id,
-                data: stripe.data.clone(),
-                parity: stripe.parity.clone(),
-            })?;
-            stripes.in_flight.retain(|s| s.id != stripe.id);
-            stripes.push_encoded(stripe);
-        }
+        let rec = MetaRecord::EncodeCommit(stripe);
+        self.commit(&rec, Some(&mut self.stripes.lock()), None)?;
         self.maybe_checkpoint()
     }
 
     /// All stripes encoded so far, in stripe-id order (encode jobs may
     /// finish out of order).
     pub fn encoded_stripes(&self) -> Vec<EncodedStripe> {
-        let mut out = self.stripes.lock().encoded.clone();
-        out.sort_by_key(|s| s.id);
-        out
+        self.stripes.lock().image().encoded.clone()
     }
 
     /// The encoded stripe `block` is a member of (data or parity), `None`
     /// while the block is still replicated.
     pub fn stripe_of(&self, block: BlockId) -> Option<EncodedStripe> {
-        let stripes = self.stripes.lock();
-        let pos = *stripes.stripe_index.get(&block)?;
-        stripes.encoded.get(pos).cloned()
+        self.stripes.lock().stripe_of(block).cloned()
     }
 
     /// Plans the encoding of a stripe through the placement policy.
@@ -552,37 +495,27 @@ impl NameNode {
 
     /// Total number of blocks ever allocated.
     pub fn block_count(&self) -> u64 {
-        self.next_block.load(Ordering::SeqCst)
+        self.stripes.lock().image().next_block
     }
 
-    /// Pops the blocks belonging to `plan` off the unsealed list by
-    /// matching layouts: the stripe's blocks are those whose assigned
-    /// layouts equal the plan's, searched from the most recent. Caller
-    /// holds the stripe lock; this only takes shard read locks (lock
-    /// order stripes→shard).
-    fn take_stripe_blocks(
-        &self,
-        stripes: &mut StripeState,
-        plan: &StripePlan,
-    ) -> Result<Vec<BlockId>> {
+    /// The unsealed blocks `plan` seals, in stripe order: for each of the
+    /// plan's layouts, the most recent unsealed block that was assigned it
+    /// and is not already picked. Caller holds the stripe lock; this only
+    /// takes shard read locks (lock order stripes→shard).
+    fn stripe_blocks(&self, unsealed: &[BlockId], plan: &StripePlan) -> Result<Vec<BlockId>> {
         let mut blocks = Vec::with_capacity(plan.num_blocks());
         for layout in plan.data_layouts() {
-            let pos = stripes
-                .unsealed
+            let assigned_it = |b: BlockId| {
+                let shard = self.shard(b).read();
+                shard.get(b).and_then(|m| m.assigned.as_deref()) == Some(&layout.replicas)
+            };
+            let block = unsealed
                 .iter()
-                .rposition(|&b| {
-                    self.shard(b)
-                        .read()
-                        .get(&b)
-                        .and_then(|m| m.assigned.as_deref())
-                        == Some(&layout.replicas)
-                })
+                .rfind(|&&b| !blocks.contains(&b) && assigned_it(b))
                 .ok_or_else(|| {
-                    ear_types::Error::Invariant(
-                        "sealed stripe's block must be among unsealed blocks".into(),
-                    )
+                    Error::Invariant("sealed stripe's block must be among unsealed blocks".into())
                 })?;
-            blocks.push(stripes.unsealed.remove(pos));
+            blocks.push(*block);
         }
         Ok(blocks)
     }
@@ -592,7 +525,10 @@ impl NameNode {
 mod tests {
     use super::*;
     use ear_core::{EncodingAwareReplication, RandomReplicationPolicy};
+    use ear_types::prop;
     use ear_types::{EarConfig, ErasureParams, ReplicationConfig};
+    use std::path::{Path, PathBuf};
+    use std::sync::atomic::AtomicU64;
 
     fn cfg() -> EarConfig {
         EarConfig::new(
@@ -603,10 +539,34 @@ mod tests {
         .unwrap()
     }
 
-    fn rr_namenode() -> NameNode {
+    /// A NameNode over the 8 × 4 cluster: volatile, or logging under `dir`
+    /// (with what the log there already holds loaded).
+    fn namenode(ear: bool, seed: u64, dir: Option<&Path>) -> NameNode {
         let topo = ClusterTopology::uniform(8, 4);
-        let policy = RandomReplicationPolicy::new(cfg(), topo.clone()).unwrap();
-        NameNode::new(topo, Box::new(policy), 1)
+        let policy: Box<dyn PlacementPolicy> = match ear {
+            true => Box::new(EncodingAwareReplication::new(cfg(), topo.clone())),
+            false => Box::new(RandomReplicationPolicy::new(cfg(), topo.clone()).unwrap()),
+        };
+        let (wal, image) = match dir {
+            Some(dir) => {
+                let (wal, image) = MetaWal::open(dir, false, u64::MAX).unwrap();
+                (Some(wal), image)
+            }
+            None => (None, MetaSnapshot::default()),
+        };
+        NameNode::new(topo, policy, seed, wal, image)
+    }
+
+    fn rr_namenode() -> NameNode {
+        namenode(false, 1, None)
+    }
+
+    fn tmp_dir() -> PathBuf {
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        let seq = SEQ.fetch_add(1, Ordering::SeqCst);
+        let dir = std::env::temp_dir().join(format!("ear-nn-test-{}-{seq}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
     }
 
     #[test]
@@ -640,9 +600,8 @@ mod tests {
 
     #[test]
     fn ear_stripe_blocks_match_plan_layouts() {
-        let topo = ClusterTopology::uniform(8, 4);
-        let policy = EncodingAwareReplication::new(cfg(), topo.clone());
-        let nn = NameNode::new(topo.clone(), Box::new(policy), 2);
+        let nn = namenode(true, 2, None);
+        let topo = nn.topology().clone();
         let mut sealed = Vec::new();
         for _ in 0..64 {
             nn.allocate_block().unwrap();
@@ -679,9 +638,7 @@ mod tests {
         // Repair moves a replica of a not-yet-sealed block; stripes must
         // still seal afterwards because matching uses assigned layouts,
         // not live locations.
-        let topo = ClusterTopology::uniform(8, 4);
-        let policy = EncodingAwareReplication::new(cfg(), topo.clone());
-        let nn = NameNode::new(topo, Box::new(policy), 5);
+        let nn = namenode(true, 5, None);
         let (first, layout) = nn.allocate_block().unwrap();
         nn.drop_location(first, layout[0]).unwrap();
         nn.add_location(first, NodeId(31)).unwrap();
@@ -761,5 +718,112 @@ mod tests {
         assert_eq!(nn.stripe_of(BlockId(5)).map(|s| s.id), Some(StripeId(1)));
         assert_eq!(nn.stripe_of(BlockId(11)).map(|s| s.id), Some(StripeId(2)));
         assert!(nn.stripe_of(BlockId(12)).is_none());
+    }
+
+    #[test]
+    fn a_refused_append_leaves_the_image_as_it_was() {
+        // Log before state, for every mutator: the refused record is in
+        // neither the live image nor anything a later checkpoint persists.
+        type Mutator = fn(&NameNode, BlockId, &PendingStripe) -> bool;
+        let mutators: [(&str, Mutator); 6] = [
+            ("allocate_block", |nn, _, _| nn.allocate_block().is_err()),
+            ("register_block", |nn, _, _| {
+                nn.register_block(vec![NodeId(5)]).is_err()
+            }),
+            ("set_locations", |nn, b, _| {
+                nn.set_locations(b, vec![NodeId(9)]).is_err()
+            }),
+            ("add_location", |nn, b, _| {
+                nn.add_location(b, NodeId(31)).is_err()
+            }),
+            ("drop_location", |nn, b, _| {
+                let listed = nn.locations(b).unwrap()[0];
+                nn.drop_location(b, listed).is_err()
+            }),
+            ("record_encoded", |nn, b, s| {
+                let (id, data) = (s.id, s.blocks.clone());
+                nn.record_encoded(EncodedStripe {
+                    id,
+                    data,
+                    parity: vec![b],
+                })
+                .is_err()
+            }),
+        ];
+        for (name, mutate) in mutators {
+            let dir = tmp_dir();
+            let nn = namenode(false, 1, Some(&dir));
+            // One stripe out with an encode job, three unsealed blocks (the
+            // next allocation seals), one parity block.
+            for _ in 0..7 {
+                nn.allocate_block().unwrap();
+            }
+            let parity = nn.register_block(vec![NodeId(4)]).unwrap();
+            let stripe = nn.take_pending_stripes().remove(0);
+            let before = nn.snapshot();
+            assert_eq!((before.pending.len(), before.unsealed.len()), (1, 3));
+
+            nn.fail_wal_appends();
+            assert!(
+                mutate(&nn, parity, &stripe),
+                "{name} must report the refused append"
+            );
+            assert_eq!(
+                nn.snapshot(),
+                before,
+                "{name} changed state the log never saw"
+            );
+            nn.checkpoint_now().unwrap();
+            drop(nn);
+            let (_, recovered) = MetaWal::open(&dir, false, u64::MAX).unwrap();
+            assert_eq!(recovered, before, "{name} leaked into the checkpoint");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn replay_rebuilds_the_live_image() {
+        // Seeded random sequences of every public mutator (no-op drops and
+        // adds included) with checkpoints at random points: opening the
+        // directory afterwards rebuilds the image the live NameNode held.
+        prop::check("replay_rebuilds_the_live_image", 48, |rng| {
+            let dir = tmp_dir();
+            let nn = namenode(rng.below(2) == 0, rng.next_u64(), Some(&dir));
+            let node = |rng: &mut ChaCha8| NodeId(rng.below(32) as u32);
+            let mut taken: Vec<PendingStripe> = Vec::new();
+            for _ in 0..prop::range(rng, 20..=160) {
+                // Sometimes an id past every allocation: an unknown block.
+                let block = BlockId(rng.below(nn.block_count() + 2));
+                match rng.below(12) {
+                    0..=4 => drop(nn.allocate_block().unwrap()),
+                    5 => drop(nn.register_block(vec![node(rng)]).unwrap()),
+                    6 => nn
+                        .set_locations(block, vec![node(rng), NodeId(32)])
+                        .unwrap(),
+                    7 => nn.add_location(block, node(rng)).unwrap(),
+                    8 => drop(nn.drop_location(block, node(rng)).unwrap()),
+                    9 => taken.extend(nn.take_pending_stripes()),
+                    10 => match taken.pop() {
+                        Some(s) if rng.below(3) == 0 => nn.requeue_stripe(s),
+                        Some(s) => {
+                            let parity = vec![nn.register_block(vec![node(rng)]).unwrap()];
+                            let (id, data) = (s.id, s.blocks);
+                            nn.record_encoded(EncodedStripe { id, data, parity })
+                                .unwrap();
+                        }
+                        None => {}
+                    },
+                    _ => nn.checkpoint_now().unwrap(),
+                }
+            }
+            let live = nn.snapshot();
+            drop(nn);
+            let (_, recovered) = MetaWal::open(&dir, false, u64::MAX).unwrap();
+            assert_eq!(recovered, live);
+            assert_eq!(recovered.encode(), live.encode());
+            // The loader and the dump are inverses.
+            assert_eq!(namenode(false, 0, Some(&dir)).snapshot(), live);
+            std::fs::remove_dir_all(&dir).unwrap();
+        });
     }
 }

@@ -183,12 +183,20 @@ impl RaidNode {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Invariant`] if a block's bytes vanished.
+    /// Returns [`Error::Invariant`] if a block's bytes vanished, and
+    /// [`Error::CorruptBlock`] — before anything moved — if they no longer
+    /// match their stored checksum.
     pub fn relocate(cfs: &MiniCfs, relocations: &[Relocation]) -> Result<usize> {
         for &(block, from, to) in relocations {
-            let data = cfs.datanode(from).get(block).ok_or_else(|| {
+            let (data, crc) = cfs.datanode(from).get_with_crc(block).ok_or_else(|| {
                 Error::Invariant(format!("{from} lost {block} before relocation"))
             })?;
+            // The single copy is verified before it moves: `put` would hash
+            // rotten bytes into a fresh, valid CRC at the new home, where
+            // no scrub could ever see the rot again.
+            let data = data
+                .verified(crc)
+                .ok_or(Error::CorruptBlock { block, node: from })?;
             cfs.io().transfer(from, to, data.len() as u64);
             // Publish before retire: the old copy goes only once durable
             // metadata points at the new one, so a failed (or interrupted)
@@ -651,6 +659,36 @@ mod tests {
         }
         drop(cfs);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn relocate_refuses_to_launder_a_rotten_copy() {
+        // Post-encoding there is one copy; if it rotted, moving it through
+        // `put` would re-hash the bad bytes into a valid CRC for good.
+        for store in [StoreBackend::Memory, StoreBackend::Extent] {
+            let cfs = MiniCfs::new(ClusterConfig {
+                store,
+                ..cfg(ClusterPolicy::Rr, 8, 1)
+            })
+            .unwrap();
+            let block = cfs.write_block(NodeId(0), cfs.make_block(7)).unwrap();
+            let from = cfs.namenode().locations(block).unwrap()[0];
+            cfs.namenode().set_locations(block, vec![from]).unwrap();
+            let mut nodes = cfs.topology().nodes();
+            let to = nodes.find(|&n| !cfs.datanode(n).contains(block)).unwrap();
+            let rotten = vec![0xA5; cfs.make_block(7).len()];
+            cfs.datanode(from).rot(block, rotten.clone());
+
+            match RaidNode::relocate(&cfs, &[(block, from, to)]) {
+                Err(Error::CorruptBlock { block: b, node }) => assert_eq!((b, node), (block, from)),
+                other => panic!("{store:?}: expected CorruptBlock, got {other:?}"),
+            }
+            assert_eq!(cfs.namenode().locations(block), Some(vec![from]));
+            let kept = cfs.datanode(from).get(block).unwrap();
+            assert_eq!(kept.as_slice(), &rotten[..], "{store:?}: old copy touched");
+            let reached = cfs.datanode(to).contains(block);
+            assert!(!reached, "{store:?}: rot reached {to}");
+        }
     }
 
     #[test]

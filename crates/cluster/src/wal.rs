@@ -1,10 +1,13 @@
-//! NameNode write-ahead log and checkpoint (DESIGN.md §13).
+//! NameNode metadata as a state machine, and its write-ahead log and
+//! checkpoint (DESIGN.md §9, §13).
 //!
-//! Every metadata mutation appends a CRC32C-framed record here *before* it
-//! is acknowledged to the caller. On open, the log is replayed over the
-//! most recent checkpoint to rebuild the metadata image; a torn tail (the
-//! crash window of an in-flight append) is detected by the framing and
-//! truncated, never surfaced.
+//! The image ([`MetaSnapshot`]) changes only in `apply`, one
+//! [`MetaRecord`] at a time. The live NameNode appends a CRC32C-framed
+//! record here and then applies it, *before* the mutation is acknowledged
+//! to the caller; on open, the log is replayed — the same `apply` — over
+//! the most recent checkpoint to rebuild the image. A torn tail (the crash
+//! window of an in-flight append) is detected by the framing and truncated,
+//! never surfaced.
 //!
 //! Layout under the meta directory:
 //!
@@ -26,15 +29,18 @@
 //! - **LSNs** increase by exactly 1 per append. The checkpoint stores the
 //!   `last_lsn` observed *before* its snapshot was gathered; replay skips
 //!   records at or below it. Records are deliberately re-apply-safe
-//!   (absolute sets, add-if-absent, id-keyed seals/commits), so a record
-//!   that raced into both the snapshot and the replayed suffix converges.
+//!   (absolute sets, add-if-absent, id-keyed allocations, seals and
+//!   commits), so a record that raced into both the snapshot and the
+//!   replayed suffix converges.
 //! - **Checkpoints** are written to `CHECKPOINT.tmp`, fsynced, renamed over
 //!   `CHECKPOINT`, and the directory fsynced — a crash leaves either the
 //!   old or the new checkpoint, never a blend. Only after the rename does
 //!   compaction rewrite the log (same tmp+rename dance), so every state on
 //!   disk replays to the same image.
 
+use crate::namenode::{EncodedStripe, PendingStripe};
 use crate::sync::Mutex;
+use ear_core::{BlockLayout, StripePlan};
 use ear_types::crc::crc32c;
 use ear_types::{BlockId, Error, NodeId, RackId, Result, StripeId};
 use std::collections::BTreeMap;
@@ -71,69 +77,6 @@ fn corrupt(context: impl Into<String>) -> Error {
 // ---------------------------------------------------------------------------
 // Record vocabulary
 // ---------------------------------------------------------------------------
-
-/// A [`ear_core::StripePlan`] in durable form. The live type validates on
-/// construction (and panics on violations); this mirror re-validates on
-/// [`PlanRecord::to_plan`] so corrupt bytes surface as typed errors.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PlanRecord {
-    /// Replica nodes of each data block, in stripe order.
-    pub layouts: Vec<Vec<NodeId>>,
-    /// The stripe's core rack (EAR); `None` under random replication.
-    pub core_rack: Option<RackId>,
-    /// Target racks restricting post-encoding placement, if any.
-    pub target_racks: Option<Vec<RackId>>,
-    /// Layout-regeneration count per block (Theorem 1 telemetry).
-    pub retries: Vec<u64>,
-}
-
-impl PlanRecord {
-    /// Captures a live plan.
-    pub fn from_plan(plan: &ear_core::StripePlan) -> Self {
-        PlanRecord {
-            layouts: plan
-                .data_layouts()
-                .iter()
-                .map(|l| l.replicas.clone())
-                .collect(),
-            core_rack: plan.core_rack(),
-            target_racks: plan.target_racks().map(<[RackId]>::to_vec),
-            retries: plan.retries().iter().map(|&r| r as u64).collect(),
-        }
-    }
-
-    /// Rebuilds the live plan, re-checking the invariants
-    /// `StripePlan::new` / `BlockLayout::new` assert.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::WalCorrupt`] if a layout is empty, has duplicate nodes, or
-    /// the retry vector length disagrees with the layout count.
-    pub fn to_plan(&self) -> Result<ear_core::StripePlan> {
-        if self.retries.len() != self.layouts.len() {
-            return Err(corrupt("plan record: retries/layouts length mismatch"));
-        }
-        let mut layouts = Vec::with_capacity(self.layouts.len());
-        for replicas in &self.layouts {
-            if replicas.is_empty() {
-                return Err(corrupt("plan record: empty replica layout"));
-            }
-            let mut sorted = replicas.clone();
-            sorted.sort_unstable();
-            sorted.dedup();
-            if sorted.len() != replicas.len() {
-                return Err(corrupt("plan record: duplicate replica node"));
-            }
-            layouts.push(ear_core::BlockLayout::new(replicas.clone()));
-        }
-        Ok(ear_core::StripePlan::new(
-            layouts,
-            self.core_rack,
-            self.target_racks.clone(),
-            self.retries.iter().map(|&r| r as usize).collect(),
-        ))
-    }
-}
 
 /// One durable metadata mutation. Every variant is re-apply-safe: applying
 /// a record twice (or over a snapshot that already contains its effect)
@@ -172,26 +115,12 @@ pub enum MetaRecord {
         /// The node a repaired copy landed on.
         node: NodeId,
     },
-    /// The policy sealed a stripe: `blocks` leave the unsealed list and
-    /// enter the pre-encoding store under `stripe`.
-    SealStripe {
-        /// The new stripe's id.
-        stripe: StripeId,
-        /// Its `k` data blocks in stripe order.
-        blocks: Vec<BlockId>,
-        /// The placement plan, in durable form.
-        plan: PlanRecord,
-    },
+    /// The policy sealed a stripe: its blocks leave the unsealed list and
+    /// it enters the pre-encoding store, carrying the plan encoding follows.
+    SealStripe(PendingStripe),
     /// A stripe finished encoding: it leaves the pre-encoding store and its
     /// data + parity ids are recorded.
-    EncodeCommit {
-        /// The encoded stripe.
-        stripe: StripeId,
-        /// Data block ids in generator order.
-        data: Vec<BlockId>,
-        /// Parity block ids in generator-row order.
-        parity: Vec<BlockId>,
-    },
+    EncodeCommit(EncodedStripe),
 }
 
 // ---------------------------------------------------------------------------
@@ -248,49 +177,48 @@ fn get_u64(buf: &[u8], pos: &mut usize) -> Option<u64> {
     Some(u64::from_le_bytes(b))
 }
 
-/// Reads a `u32` count and rejects counts the remaining bytes cannot hold
-/// (`elem` = bytes per element) — a cheap guard against huge allocations
-/// from corrupt length fields.
-fn get_count(buf: &[u8], pos: &mut usize, elem: usize) -> Option<usize> {
+/// Reads a `u32` count, then that many elements through `get`. A count the
+/// remaining bytes cannot hold (`elem` = least bytes per element) is
+/// rejected first — a cheap guard against huge allocations from corrupt
+/// length fields.
+fn get_vec<T>(
+    buf: &[u8],
+    pos: &mut usize,
+    elem: usize,
+    get: impl Fn(&[u8], &mut usize) -> Option<T>,
+) -> Option<Vec<T>> {
     let n = get_u32(buf, pos)? as usize;
-    let need = n.checked_mul(elem)?;
-    if buf.len().saturating_sub(*pos) < need {
+    if buf.len().saturating_sub(*pos) < n.checked_mul(elem)? {
         return None;
     }
-    Some(n)
+    let mut out = Vec::with_capacity(n);
+    for _ in 0..n {
+        out.push(get(buf, pos)?);
+    }
+    Some(out)
 }
 
 fn get_nodes(buf: &[u8], pos: &mut usize) -> Option<Vec<NodeId>> {
-    let n = get_count(buf, pos, 4)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(NodeId(get_u32(buf, pos)?));
-    }
-    Some(out)
+    get_vec(buf, pos, 4, |buf, pos| get_u32(buf, pos).map(NodeId))
 }
 
 fn get_blocks(buf: &[u8], pos: &mut usize) -> Option<Vec<BlockId>> {
-    let n = get_count(buf, pos, 8)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(BlockId(get_u64(buf, pos)?));
-    }
-    Some(out)
+    get_vec(buf, pos, 8, |buf, pos| get_u64(buf, pos).map(BlockId))
 }
 
-fn put_plan(out: &mut Vec<u8>, plan: &PlanRecord) {
-    put_u32(out, plan.layouts.len() as u32);
-    for layout in &plan.layouts {
-        put_nodes(out, layout);
+fn put_plan(out: &mut Vec<u8>, plan: &StripePlan) {
+    put_u32(out, plan.num_blocks() as u32);
+    for layout in plan.data_layouts() {
+        put_nodes(out, &layout.replicas);
     }
-    match plan.core_rack {
+    match plan.core_rack() {
         Some(r) => {
             out.push(1);
             put_u32(out, r.0);
         }
         None => out.push(0),
     }
-    match &plan.target_racks {
+    match plan.target_racks() {
         Some(racks) => {
             out.push(1);
             put_u32(out, racks.len() as u32);
@@ -300,45 +228,66 @@ fn put_plan(out: &mut Vec<u8>, plan: &PlanRecord) {
         }
         None => out.push(0),
     }
-    put_u32(out, plan.retries.len() as u32);
-    for &r in &plan.retries {
-        put_u64(out, r);
+    put_u32(out, plan.retries().len() as u32);
+    for &r in plan.retries() {
+        put_u64(out, r as u64);
     }
 }
 
-fn get_plan(buf: &[u8], pos: &mut usize) -> Option<PlanRecord> {
-    let n = get_count(buf, pos, 4)?;
-    let mut layouts = Vec::with_capacity(n);
-    for _ in 0..n {
-        layouts.push(get_nodes(buf, pos)?);
-    }
+/// Decodes a stripe plan. `StripePlan::new` and `BlockLayout::new` assert
+/// their invariants; the decoder checks them first — one retry count per
+/// layout, no empty layout, no node twice in a layout — so bytes that break
+/// one are undecodable ([`Error::WalCorrupt`] at the call boundary), never
+/// a panic.
+fn get_plan(buf: &[u8], pos: &mut usize) -> Option<StripePlan> {
+    let layouts = get_vec(buf, pos, 4, |buf, pos| {
+        let replicas = get_nodes(buf, pos)?;
+        let twice = |(i, node)| replicas.get(..i).is_some_and(|seen| seen.contains(node));
+        let valid = !replicas.is_empty() && !replicas.iter().enumerate().any(twice);
+        valid.then(|| BlockLayout::new(replicas))
+    })?;
+    let get_rack = |buf: &[u8], pos: &mut usize| get_u32(buf, pos).map(RackId);
     let core_rack = match get_u8(buf, pos)? {
         0 => None,
-        1 => Some(RackId(get_u32(buf, pos)?)),
+        1 => Some(get_rack(buf, pos)?),
         _ => return None,
     };
     let target_racks = match get_u8(buf, pos)? {
         0 => None,
-        1 => {
-            let n = get_count(buf, pos, 4)?;
-            let mut racks = Vec::with_capacity(n);
-            for _ in 0..n {
-                racks.push(RackId(get_u32(buf, pos)?));
-            }
-            Some(racks)
-        }
+        1 => Some(get_vec(buf, pos, 4, get_rack)?),
         _ => return None,
     };
-    let n = get_count(buf, pos, 8)?;
-    let mut retries = Vec::with_capacity(n);
-    for _ in 0..n {
-        retries.push(get_u64(buf, pos)?);
-    }
-    Some(PlanRecord {
-        layouts,
-        core_rack,
-        target_racks,
-        retries,
+    let get_retries = |buf: &[u8], pos: &mut usize| get_u64(buf, pos).map(|r| r as usize);
+    let retries = get_vec(buf, pos, 8, get_retries)?;
+    (retries.len() == layouts.len())
+        .then(|| StripePlan::new(layouts, core_rack, target_racks, retries))
+}
+
+fn put_pending(out: &mut Vec<u8>, s: &PendingStripe) {
+    put_u64(out, s.id.0);
+    put_blocks(out, &s.blocks);
+    put_plan(out, &s.plan);
+}
+
+fn get_pending(buf: &[u8], pos: &mut usize) -> Option<PendingStripe> {
+    Some(PendingStripe {
+        id: StripeId(get_u64(buf, pos)?),
+        blocks: get_blocks(buf, pos)?,
+        plan: get_plan(buf, pos)?,
+    })
+}
+
+fn put_encoded(out: &mut Vec<u8>, s: &EncodedStripe) {
+    put_u64(out, s.id.0);
+    put_blocks(out, &s.data);
+    put_blocks(out, &s.parity);
+}
+
+fn get_encoded(buf: &[u8], pos: &mut usize) -> Option<EncodedStripe> {
+    Some(EncodedStripe {
+        id: StripeId(get_u64(buf, pos)?),
+        data: get_blocks(buf, pos)?,
+        parity: get_blocks(buf, pos)?,
     })
 }
 
@@ -378,25 +327,13 @@ impl MetaRecord {
                 put_u64(out, block.0);
                 put_u32(out, node.0);
             }
-            MetaRecord::SealStripe {
-                stripe,
-                blocks,
-                plan,
-            } => {
+            MetaRecord::SealStripe(stripe) => {
                 out.push(TAG_SEAL_STRIPE);
-                put_u64(out, stripe.0);
-                put_blocks(out, blocks);
-                put_plan(out, plan);
+                put_pending(out, stripe);
             }
-            MetaRecord::EncodeCommit {
-                stripe,
-                data,
-                parity,
-            } => {
+            MetaRecord::EncodeCommit(stripe) => {
                 out.push(TAG_ENCODE_COMMIT);
-                put_u64(out, stripe.0);
-                put_blocks(out, data);
-                put_blocks(out, parity);
+                put_encoded(out, stripe);
             }
         }
     }
@@ -431,16 +368,8 @@ impl MetaRecord {
                 block: BlockId(get_u64(buf, &mut pos)?),
                 node: NodeId(get_u32(buf, &mut pos)?),
             },
-            TAG_SEAL_STRIPE => MetaRecord::SealStripe {
-                stripe: StripeId(get_u64(buf, &mut pos)?),
-                blocks: get_blocks(buf, &mut pos)?,
-                plan: get_plan(buf, &mut pos)?,
-            },
-            TAG_ENCODE_COMMIT => MetaRecord::EncodeCommit {
-                stripe: StripeId(get_u64(buf, &mut pos)?),
-                data: get_blocks(buf, &mut pos)?,
-                parity: get_blocks(buf, &mut pos)?,
-            },
+            TAG_SEAL_STRIPE => MetaRecord::SealStripe(get_pending(buf, &mut pos)?),
+            TAG_ENCODE_COMMIT => MetaRecord::EncodeCommit(get_encoded(buf, &mut pos)?),
             _ => return None,
         };
         (pos == buf.len()).then_some(rec)
@@ -448,43 +377,64 @@ impl MetaRecord {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot
+// The image and its transition
 // ---------------------------------------------------------------------------
 
-/// Durable per-block metadata.
+/// One block's slot in the metadata image, live and durable alike.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BlockRec {
     /// Current replica locations.
     pub locations: Vec<NodeId>,
-    /// The allocation-time layout (data blocks only; `None` for parity).
+    /// The layout the block was *assigned* at allocation time (data blocks
+    /// only; `None` for parity). Stripe sealing matches against this, never
+    /// against `locations`: repair moves replicas without breaking the
+    /// policy's layout-identity bookkeeping.
     pub assigned: Option<Vec<NodeId>>,
 }
 
-/// A stripe awaiting encoding, in durable form.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StripeEntry {
-    /// The stripe's id.
-    pub id: StripeId,
-    /// Its data blocks in stripe order.
-    pub blocks: Vec<BlockId>,
-    /// Its placement plan.
-    pub plan: PlanRecord,
+impl BlockRec {
+    /// The per-block transition: what `rec` does to the slot of the block
+    /// it names, in whichever table holds it. `slot(block, create)` finds
+    /// that slot, first inserting an empty one when `create` — every record
+    /// but a drop, which leaves an unknown block unknown. The two stripe
+    /// records name no block.
+    pub(crate) fn apply<'a>(
+        rec: &MetaRecord,
+        slot: impl FnOnce(BlockId, bool) -> Option<&'a mut BlockRec>,
+    ) {
+        let (block, create) = match rec {
+            MetaRecord::Allocate { block, .. }
+            | MetaRecord::SetLocations { block, .. }
+            | MetaRecord::AddLocation { block, .. } => (*block, true),
+            MetaRecord::DropLocation { block, .. } => (*block, false),
+            MetaRecord::SealStripe(_) | MetaRecord::EncodeCommit(_) => return,
+        };
+        let Some(slot) = slot(block, create) else {
+            return;
+        };
+        match rec {
+            MetaRecord::Allocate {
+                locations,
+                assigned,
+                ..
+            } => {
+                slot.locations = locations.clone();
+                slot.assigned = assigned.then(|| locations.clone());
+            }
+            MetaRecord::SetLocations { nodes, .. } => slot.locations = nodes.clone(),
+            MetaRecord::DropLocation { node, .. } => slot.locations.retain(|n| n != node),
+            MetaRecord::AddLocation { node, .. } if !slot.locations.contains(node) => {
+                slot.locations.push(*node);
+            }
+            _ => {}
+        }
+    }
 }
 
-/// An encoded stripe, in durable form.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EncodedEntry {
-    /// The stripe's id.
-    pub id: StripeId,
-    /// Data block ids in generator order.
-    pub data: Vec<BlockId>,
-    /// Parity block ids in generator-row order.
-    pub parity: Vec<BlockId>,
-}
-
-/// The complete durable metadata image: what a checkpoint stores and what
-/// replay rebuilds. Ordered containers only (L2 determinism): two
-/// snapshots of equal state compare and encode bit-identically.
+/// The complete metadata image: what a checkpoint stores, what replay
+/// rebuilds, and what the live NameNode holds (its block slots spread over
+/// lock shards). Ordered containers only (L2 determinism): two snapshots of
+/// equal state compare and encode bit-identically.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetaSnapshot {
     /// Every known block, keyed (and therefore iterated) by id.
@@ -492,9 +442,9 @@ pub struct MetaSnapshot {
     /// Blocks allocated but not yet sealed into a stripe, in seal order.
     pub unsealed: Vec<BlockId>,
     /// Stripes awaiting encoding, in stripe-id order.
-    pub pending: Vec<StripeEntry>,
+    pub pending: Vec<PendingStripe>,
     /// Encoded stripes, in stripe-id order.
-    pub encoded: Vec<EncodedEntry>,
+    pub encoded: Vec<EncodedStripe>,
     /// Next block id to allocate.
     pub next_block: u64,
     /// Next stripe id to seal.
@@ -502,76 +452,50 @@ pub struct MetaSnapshot {
 }
 
 impl MetaSnapshot {
-    /// Applies one record. Re-apply-safe: `apply(r); apply(r)` equals
+    /// Applies one record: the only way an image changes, at replay and in
+    /// the live NameNode alike. Re-apply-safe: `apply(r); apply(r)` equals
     /// `apply(r)` for every record, which is what lets replay run over a
     /// checkpoint whose snapshot already absorbed a suffix of the log.
     pub fn apply(&mut self, rec: &MetaRecord) {
+        self.apply_stripes(rec);
+        BlockRec::apply(rec, |block, create| match create {
+            true => Some(self.blocks.entry(block).or_default()),
+            false => self.blocks.get_mut(&block),
+        });
+    }
+
+    /// The per-stripe transition: what a record does to everything but the
+    /// block slots. The re-apply guards are id-keyed. Block and stripe ids
+    /// are issued in log order, so a record is new exactly when its id is
+    /// not below the image's counter; commits land in any order, so
+    /// `encoded` is kept sorted and searched by id.
+    pub(crate) fn apply_stripes(&mut self, rec: &MetaRecord) {
         match rec {
             MetaRecord::Allocate {
-                block,
-                locations,
-                assigned,
+                block, assigned, ..
             } => {
-                self.blocks.insert(
-                    *block,
-                    BlockRec {
-                        locations: locations.clone(),
-                        assigned: assigned.then(|| locations.clone()),
-                    },
-                );
-                if *assigned && !self.unsealed.contains(block) {
+                if *assigned && block.0 >= self.next_block {
                     self.unsealed.push(*block);
                 }
-                self.next_block = self.next_block.max(block.0 + 1);
+                self.next_block = self.next_block.max(block.0.saturating_add(1));
             }
-            MetaRecord::SetLocations { block, nodes } => {
-                self.blocks.entry(*block).or_default().locations = nodes.clone();
-            }
-            MetaRecord::DropLocation { block, node } => {
-                if let Some(meta) = self.blocks.get_mut(block) {
-                    meta.locations.retain(|n| n != node);
+            MetaRecord::SealStripe(stripe) => {
+                if stripe.id.0 >= self.next_stripe {
+                    self.unsealed.retain(|b| !stripe.blocks.contains(b));
+                    self.pending.push(stripe.clone());
+                    self.next_stripe = stripe.id.0.saturating_add(1);
                 }
             }
-            MetaRecord::AddLocation { block, node } => {
-                let meta = self.blocks.entry(*block).or_default();
-                if !meta.locations.contains(node) {
-                    meta.locations.push(*node);
+            MetaRecord::EncodeCommit(stripe) => {
+                self.pending.retain(|s| s.id != stripe.id);
+                if let Err(at) = self.encoded.binary_search_by_key(&stripe.id, |s| s.id) {
+                    self.encoded.insert(at, stripe.clone());
                 }
+                self.next_stripe = self.next_stripe.max(stripe.id.0.saturating_add(1));
             }
-            MetaRecord::SealStripe {
-                stripe,
-                blocks,
-                plan,
-            } => {
-                self.unsealed.retain(|b| !blocks.contains(b));
-                if !self.pending.iter().any(|s| s.id == *stripe)
-                    && !self.encoded.iter().any(|s| s.id == *stripe)
-                {
-                    self.pending.push(StripeEntry {
-                        id: *stripe,
-                        blocks: blocks.clone(),
-                        plan: plan.clone(),
-                    });
-                    self.pending.sort_by_key(|s| s.id);
-                }
-                self.next_stripe = self.next_stripe.max(stripe.0 + 1);
-            }
-            MetaRecord::EncodeCommit {
-                stripe,
-                data,
-                parity,
-            } => {
-                self.pending.retain(|s| s.id != *stripe);
-                if !self.encoded.iter().any(|s| s.id == *stripe) {
-                    self.encoded.push(EncodedEntry {
-                        id: *stripe,
-                        data: data.clone(),
-                        parity: parity.clone(),
-                    });
-                    self.encoded.sort_by_key(|s| s.id);
-                }
-                self.next_stripe = self.next_stripe.max(stripe.0 + 1);
-            }
+            MetaRecord::SetLocations { .. }
+            | MetaRecord::DropLocation { .. }
+            | MetaRecord::AddLocation { .. } => {}
         }
     }
 
@@ -593,15 +517,11 @@ impl MetaSnapshot {
         put_blocks(&mut out, &self.unsealed);
         put_u32(&mut out, self.pending.len() as u32);
         for s in &self.pending {
-            put_u64(&mut out, s.id.0);
-            put_blocks(&mut out, &s.blocks);
-            put_plan(&mut out, &s.plan);
+            put_pending(&mut out, s);
         }
         put_u32(&mut out, self.encoded.len() as u32);
         for s in &self.encoded {
-            put_u64(&mut out, s.id.0);
-            put_blocks(&mut out, &s.data);
-            put_blocks(&mut out, &s.parity);
+            put_encoded(&mut out, s);
         }
         put_u64(&mut out, self.next_block);
         put_u64(&mut out, self.next_stripe);
@@ -634,24 +554,8 @@ impl MetaSnapshot {
             );
         }
         let unsealed = get_blocks(buf, &mut pos)?;
-        let n = get_count(buf, &mut pos, 8)?;
-        let mut pending = Vec::with_capacity(n);
-        for _ in 0..n {
-            pending.push(StripeEntry {
-                id: StripeId(get_u64(buf, &mut pos)?),
-                blocks: get_blocks(buf, &mut pos)?,
-                plan: get_plan(buf, &mut pos)?,
-            });
-        }
-        let n = get_count(buf, &mut pos, 8)?;
-        let mut encoded = Vec::with_capacity(n);
-        for _ in 0..n {
-            encoded.push(EncodedEntry {
-                id: StripeId(get_u64(buf, &mut pos)?),
-                data: get_blocks(buf, &mut pos)?,
-                parity: get_blocks(buf, &mut pos)?,
-            });
-        }
+        let pending = get_vec(buf, &mut pos, 8, get_pending)?;
+        let encoded = get_vec(buf, &mut pos, 8, get_encoded)?;
         let next_block = get_u64(buf, &mut pos)?;
         let next_stripe = get_u64(buf, &mut pos)?;
         (pos == buf.len()).then_some(MetaSnapshot {
@@ -1017,25 +921,25 @@ mod tests {
                 block: BlockId(0),
                 node: NodeId(1),
             },
-            MetaRecord::SealStripe {
-                stripe: StripeId(0),
+            MetaRecord::SealStripe(PendingStripe {
+                id: StripeId(0),
                 blocks: vec![BlockId(0)],
-                plan: PlanRecord {
-                    layouts: vec![vec![NodeId(1), NodeId(2), NodeId(3)]],
-                    core_rack: Some(RackId(1)),
-                    target_racks: Some(vec![RackId(0), RackId(2)]),
-                    retries: vec![2],
-                },
-            },
+                plan: StripePlan::new(
+                    vec![BlockLayout::new(vec![NodeId(1), NodeId(2), NodeId(3)])],
+                    Some(RackId(1)),
+                    Some(vec![RackId(0), RackId(2)]),
+                    vec![2],
+                ),
+            }),
             MetaRecord::SetLocations {
                 block: BlockId(0),
                 nodes: vec![NodeId(2)],
             },
-            MetaRecord::EncodeCommit {
-                stripe: StripeId(0),
+            MetaRecord::EncodeCommit(EncodedStripe {
+                id: StripeId(0),
                 data: vec![BlockId(0)],
                 parity: vec![BlockId(1)],
-            },
+            }),
         ]
     }
 
@@ -1182,12 +1086,18 @@ mod tests {
 
     #[test]
     fn crc_valid_but_undecodable_record_is_corruption() {
+        // A frame with a bogus tag but a correct CRC.
+        assert_open_finds_corruption(&[0xEE]);
+    }
+
+    /// Writes a log of one frame at lsn 1 whose CRC is valid over `record`
+    /// — bytes no decoder accepts — and expects `open` to call it corrupt.
+    fn assert_open_finds_corruption(record: &[u8]) {
         let dir = tmp_dir();
         fs::create_dir_all(&dir).unwrap();
-        // A frame with a bogus tag but a correct CRC.
         let mut body = Vec::new();
         put_u64(&mut body, 1);
-        body.push(0xEE);
+        body.extend_from_slice(record);
         let mut frame = Vec::new();
         put_u32(&mut frame, body.len() as u32);
         put_u32(&mut frame, crc32c(&body));
@@ -1200,31 +1110,77 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn plan_record_validates_on_rebuild() {
-        let good = PlanRecord {
-            layouts: vec![vec![NodeId(0), NodeId(1)]],
-            core_rack: None,
-            target_racks: None,
-            retries: vec![0],
-        };
-        let plan = good.to_plan().unwrap();
-        assert_eq!(PlanRecord::from_plan(&plan), good);
+    /// A `SealStripe` record spelled byte by byte — the only way to write
+    /// a plan that `StripePlan::new` would refuse.
+    fn seal_bytes(layouts: &[&[u32]], retries: &[u64]) -> Vec<u8> {
+        let mut out = vec![TAG_SEAL_STRIPE];
+        put_u64(&mut out, 3);
+        put_blocks(&mut out, &[BlockId(7)]);
+        put_u32(&mut out, layouts.len() as u32);
+        for layout in layouts {
+            let nodes: Vec<NodeId> = layout.iter().map(|&n| NodeId(n)).collect();
+            put_nodes(&mut out, &nodes);
+        }
+        out.extend_from_slice(&[0, 0]); // no core rack, no target racks
+        put_u32(&mut out, retries.len() as u32);
+        for &r in retries {
+            put_u64(&mut out, r);
+        }
+        out
+    }
 
-        let dup = PlanRecord {
-            layouts: vec![vec![NodeId(0), NodeId(0)]],
-            ..good.clone()
-        };
-        assert!(matches!(dup.to_plan(), Err(Error::WalCorrupt { .. })));
-        let empty = PlanRecord {
-            layouts: vec![vec![]],
-            ..good.clone()
-        };
-        assert!(matches!(empty.to_plan(), Err(Error::WalCorrupt { .. })));
-        let skew = PlanRecord {
-            retries: vec![0, 1],
-            ..good
-        };
-        assert!(matches!(skew.to_plan(), Err(Error::WalCorrupt { .. })));
+    /// Plans that break one of the invariants the live type asserts: a
+    /// node twice in a layout, an empty layout, retries ≠ layouts.
+    fn invalid_plans() -> [Vec<u8>; 3] {
+        [
+            seal_bytes(&[&[0, 0]], &[0]),
+            seal_bytes(&[&[]], &[0]),
+            seal_bytes(&[&[0, 1]], &[0, 1]),
+        ]
+    }
+
+    #[test]
+    fn stripe_plan_validates_on_decode() {
+        let good = seal_bytes(&[&[0, 1]], &[0]);
+        let rec = MetaRecord::SealStripe(PendingStripe {
+            id: StripeId(3),
+            blocks: vec![BlockId(7)],
+            plan: StripePlan::new(
+                vec![BlockLayout::new(vec![NodeId(0), NodeId(1)])],
+                None,
+                None,
+                vec![0],
+            ),
+        });
+        assert_eq!(MetaRecord::decode(&good), Some(rec.clone()));
+        let mut again = Vec::new();
+        rec.encode(&mut again);
+        assert_eq!(again, good);
+        for bad in invalid_plans() {
+            assert_eq!(MetaRecord::decode(&bad), None);
+        }
+    }
+
+    #[test]
+    fn invalid_plan_behind_a_valid_crc_is_corruption_not_a_panic() {
+        for bad in invalid_plans() {
+            assert_open_finds_corruption(&bad);
+        }
+    }
+
+    #[test]
+    fn on_disk_format_is_pinned() {
+        // CRC32Cs of the bytes the tree wrote before the image types were
+        // merged: no frame and no checkpoint byte may move.
+        let mut frames = Vec::new();
+        let mut snap = MetaSnapshot::default();
+        for (i, rec) in sample_records().iter().enumerate() {
+            frames.extend_from_slice(&encode_frame(i as u64 + 1, rec));
+            snap.apply(rec);
+        }
+        assert_eq!((frames.len(), crc32c(&frames)), (303, 0x11bf_296f));
+        let ckpt = encode_checkpoint(&snap, sample_records().len() as u64);
+        assert_eq!((ckpt.len(), crc32c(&ckpt)), (142, 0x9706_fd6e));
+        assert_eq!(CHECKPOINT_VERSION, 1);
     }
 }

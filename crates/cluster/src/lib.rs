@@ -22,11 +22,14 @@
 //!   nearest-replica reads, with every byte paced through the token-bucket
 //!   network of `ear-netem`;
 //! * [`RaidNode`] — encoding jobs ("map tasks") that download a stripe's
-//!   blocks, Reed–Solomon-encode them for real, upload parity, and delete
-//!   redundant replicas — plus the BlockMover that repairs RR's
-//!   fault-tolerance violations;
+//!   blocks, Reed–Solomon-encode them for real, upload parity under ids
+//!   reserved in stripe order, and delete redundant replicas — plus the
+//!   BlockMover that repairs RR's fault-tolerance violations;
 //! * [`mapreduce`] — a miniature MapReduce engine for the SWIM workload
 //!   replay of Experiment A.3;
+//! * `exec` — the crate's one worker set: encode jobs, repair passes and
+//!   the MapReduce phases each drain an ordered task list on it and get
+//!   their results back in task order (DESIGN.md §8);
 //! * [`health`] / [`healer`] — the self-healing control plane: seeded-clock
 //!   heartbeats into a phi-style failure detector, degraded-state priority
 //!   queues, and the budgeted background repair scheduler (DESIGN.md §8);
@@ -72,6 +75,7 @@ pub mod chaos;
 mod cluster;
 pub mod crashsim;
 mod datanode;
+mod exec;
 mod extent;
 pub mod healer;
 pub mod health;

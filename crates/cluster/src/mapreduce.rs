@@ -3,10 +3,11 @@
 //! pre-encoding MapReduce performance.
 
 use crate::cluster::MiniCfs;
+use crate::exec;
 use crate::reliability::OpClass;
 use crate::sync::{locked, wait_until};
 use ear_types::rng::ChaCha8;
-use ear_types::{BlockId, NodeId, Result};
+use ear_types::{BlockId, Error, NodeId, Result};
 use ear_workloads::MapReduceJob;
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
@@ -38,21 +39,48 @@ impl Slots {
         }
     }
 
-    /// Blocks until a slot frees up, then takes it. A poisoned slot counter
-    /// (a task panicked while holding it) surfaces as a typed error instead
-    /// of cascading the panic through every waiting task.
-    fn acquire(&self) -> Result<()> {
+    /// Blocks until a slot frees up, then takes it until the guard drops.
+    /// A poisoned slot counter (a task panicked while holding it) surfaces
+    /// as a typed error instead of cascading the panic through every
+    /// waiting task.
+    fn acquire(&self) -> Result<SlotGuard<'_>> {
         let guard = locked(&self.available, "task slots")?;
         let mut a = wait_until(&self.cv, guard, "task slots", |&n| n > 0)?;
         *a -= 1;
-        Ok(())
+        Ok(SlotGuard(self))
     }
+}
 
-    fn release(&self) -> Result<()> {
-        *locked(&self.available, "task slots")? += 1;
-        self.cv.notify_one();
-        Ok(())
+/// A held task slot, given back on drop — on every way out of a task body,
+/// the `?` of a failed read or write included, so a failing task never
+/// parks the tasks queued behind it on the same node.
+struct SlotGuard<'a>(&'a Slots);
+
+impl Drop for SlotGuard<'_> {
+    fn drop(&mut self) {
+        // A poisoned counter has no waiter left to serve: `acquire` fails
+        // typed on it.
+        if let Ok(mut a) = self.0.available.lock() {
+            *a += 1;
+        }
+        self.0.cv.notify_one();
     }
+}
+
+/// Runs `run` over `tasks` on [`exec::drain`], one worker per task: tasks
+/// wait on arrival times and per-node [`Slots`], so a narrower drain would
+/// queue them behind each other and change what Fig. A.3 times. Returns the
+/// first error in task order; a task that panicked is an invariant
+/// violation named after `what`.
+fn run_all<T: Sync, R: Send>(
+    cfs: &MiniCfs,
+    tasks: &[T],
+    what: &str,
+    run: impl Fn(&T) -> Result<R> + Sync,
+) -> Result<Vec<R>> {
+    let died = || Err(Error::Invariant(format!("{what} panicked")));
+    let done = exec::drain(cfs.injector(), tasks, tasks.len(), run);
+    done.into_iter().map(|slot| slot.unwrap_or_else(died)).collect()
 }
 
 /// Writes every job's input blocks into the CFS (the pre-replay setup of
@@ -101,41 +129,22 @@ pub fn run_jobs(
         .map(|_| Slots::new(slots_per_node.max(1)))
         .collect();
     let start = Instant::now();
-    let results = Mutex::new(Vec::new());
-
-    std::thread::scope(|scope| -> Result<()> {
-        let mut handles = Vec::new();
-        for (job, input) in jobs.iter().zip(inputs) {
-            let slots = &slots;
-            let results = &results;
-            handles.push(scope.spawn(move || -> Result<()> {
-                // Honour the (scaled) arrival time.
-                let arrival = job.arrival * time_scale;
-                let since = start.elapsed().as_secs_f64();
-                if arrival > since {
-                    std::thread::sleep(std::time::Duration::from_secs_f64(arrival - since));
-                }
-                let job_start = start.elapsed().as_secs_f64();
-                run_one_job(cfs, job, input, slots)?;
-                let finish = start.elapsed().as_secs_f64();
-                locked(results, "job results")?.push(JobResult {
-                    id: job.id,
-                    start: job_start,
-                    finish,
-                });
-                Ok(())
-            }));
+    let tasks: Vec<_> = jobs.iter().zip(inputs).collect();
+    let mut results = run_all(cfs, &tasks, "job thread", |&(job, input)| {
+        // Honour the (scaled) arrival time.
+        let arrival = job.arrival * time_scale;
+        let since = start.elapsed().as_secs_f64();
+        if arrival > since {
+            std::thread::sleep(std::time::Duration::from_secs_f64(arrival - since));
         }
-        for h in handles {
-            h.join()
-                .map_err(|_| ear_types::Error::Invariant("job thread panicked".into()))??;
-        }
-        Ok(())
+        let job_start = start.elapsed().as_secs_f64();
+        run_one_job(cfs, job, input, &slots)?;
+        Ok(JobResult {
+            id: job.id,
+            start: job_start,
+            finish: start.elapsed().as_secs_f64(),
+        })
     })?;
-
-    let mut results = results
-        .into_inner()
-        .map_err(|_| ear_types::Error::LockPoisoned { what: "job results" })?;
     results.sort_by(|a, b| a.finish.total_cmp(&b.finish));
     Ok(results)
 }
@@ -166,63 +175,44 @@ fn run_one_job(
 
     // Map phase: schedule each map task on a replica holder (data-local, as
     // the JobTracker prefers), bounded by that node's slots.
-    std::thread::scope(|scope| -> Result<()> {
-        let mut handles = Vec::new();
-        for &block in input {
-            let locations = cfs
-                .namenode()
-                .locations(block)
-                .ok_or_else(|| ear_types::Error::Invariant(format!("unknown {block}")))?;
-            let map_node = *rng
-                .choose(&locations)
-                .ok_or(ear_types::Error::BlockUnavailable { block })?;
-            let reducers = reducers.clone();
-            handles.push(scope.spawn(move || -> Result<()> {
-                slots[map_node.index()].acquire()?;
-                // Data-local read: the map node holds a replica. Runs as a
-                // client-read op, so map tasks are admitted at the highest
-                // priority and hedge against stragglers like any client.
-                let ctx = cfs.reliability().ctx(OpClass::ClientRead)?;
-                let _data = cfs.read_block_in(&ctx, map_node, block)?;
-                // Shuffle: stream this map's partitions to every reducer
-                // through the accounted I/O path.
-                for &r in &reducers {
-                    if shuffle_per_pair > 0 {
-                        cfs.io().transfer(map_node, r, shuffle_per_pair);
-                    }
-                }
-                slots[map_node.index()].release()?;
-                Ok(())
-            }));
-        }
-        for h in handles {
-            h.join()
-                .map_err(|_| ear_types::Error::Invariant("map task panicked".into()))??;
+    let place = |&block: &BlockId| -> Result<(BlockId, NodeId)> {
+        let locations = cfs
+            .namenode()
+            .locations(block)
+            .ok_or_else(|| Error::Invariant(format!("unknown {block}")))?;
+        let map_node = *rng
+            .choose(&locations)
+            .ok_or(Error::BlockUnavailable { block })?;
+        Ok((block, map_node))
+    };
+    let maps: Vec<(BlockId, NodeId)> = input.iter().map(place).collect::<Result<_>>()?;
+    run_all(cfs, &maps, "map task", |&(block, map_node)| {
+        let _slot = slots[map_node.index()].acquire()?;
+        // Data-local read: the map node holds a replica. Runs as a
+        // client-read op, so map tasks are admitted at the highest
+        // priority and hedge against stragglers like any client.
+        let ctx = cfs.reliability().ctx(OpClass::ClientRead)?;
+        let _data = cfs.read_block_in(&ctx, map_node, block)?;
+        // Shuffle: stream this map's partitions to every reducer
+        // through the accounted I/O path.
+        for &r in &reducers {
+            if shuffle_per_pair > 0 {
+                cfs.io().transfer(map_node, r, shuffle_per_pair);
+            }
         }
         Ok(())
     })?;
 
     // Reduce/output phase: write output blocks through the normal write
     // path (this is where placement policy matters again).
-    let out_blocks = job.output_blocks(cfs.config().block_size);
-    std::thread::scope(|scope| -> Result<()> {
-        let mut handles = Vec::new();
-        for i in 0..out_blocks {
-            let node = reducers[i % reducers.len()];
-            handles.push(scope.spawn(move || -> Result<()> {
-                slots[node.index()].acquire()?;
-                let data = cfs.make_block((job.id as u64) << 32 | i as u64);
-                cfs.write_block(node, data)?;
-                slots[node.index()].release()?;
-                Ok(())
-            }));
-        }
-        for h in handles {
-            h.join()
-                .map_err(|_| ear_types::Error::Invariant("reduce task panicked".into()))??;
-        }
-        Ok(())
+    let outputs: Vec<usize> = (0..job.output_blocks(cfs.config().block_size)).collect();
+    run_all(cfs, &outputs, "reduce task", |&i| {
+        let node = reducers[i % reducers.len()];
+        let _slot = slots[node.index()].acquire()?;
+        let data = cfs.make_block((job.id as u64) << 32 | i as u64);
+        cfs.write_block(node, data)
     })
+    .map(drop)
 }
 
 #[cfg(test)]
@@ -291,6 +281,38 @@ mod tests {
             let inputs = prepare_inputs(&cfs, &jobs).unwrap();
             let results = run_jobs(&cfs, &jobs, &inputs, 4, 0.01).unwrap();
             assert_eq!(results.len(), 5, "{policy:?}");
+        }
+    }
+
+    #[test]
+    fn a_failed_map_task_gives_its_slot_back() {
+        // One slot on the map node, the first input block unreadable
+        // wherever it is listed, the others fine: the failed read must not
+        // keep the slot, or every map queued behind it waits forever.
+        let cfs = boot(ClusterPolicy::Rr);
+        let job = MapReduceJob {
+            id: 0,
+            arrival: 0.0,
+            input_bytes: 4 * 64 * 1024,
+            shuffle_bytes: 0,
+            output_bytes: 0,
+        };
+        let inputs = prepare_inputs(&cfs, std::slice::from_ref(&job)).unwrap();
+        let map_node = NodeId(3);
+        for (i, &block) in inputs[0].iter().enumerate() {
+            for holder in cfs.namenode().locations(block).unwrap() {
+                cfs.datanode(holder).delete(block);
+            }
+            if i > 0 {
+                let data = ear_types::Block::from(cfs.make_block(i as u64));
+                cfs.datanode(map_node).put(block, data).unwrap();
+            }
+            cfs.namenode().set_locations(block, vec![map_node]).unwrap();
+        }
+        let err = run_jobs(&cfs, &[job], &inputs, 1, 1.0).unwrap_err();
+        match err {
+            Error::BlockUnavailable { block } => assert_eq!(block, inputs[0][0]),
+            other => panic!("expected BlockUnavailable, got {other:?}"),
         }
     }
 

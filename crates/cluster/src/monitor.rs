@@ -311,8 +311,6 @@ mod tests {
         // plan_repairs derives its RNG from the cluster seed (not a
         // hard-coded constant), and is a pure function of cluster state:
         // booting the identical cluster twice plans identical repairs.
-        // Encoding runs single-threaded here so the two cluster states are
-        // bit-identical (parallel encode interleaves parity-id allocation).
         let build = || {
             let cfs = boot(ClusterPolicy::Ear);
             let nodes = cfs.topology().num_nodes() as u64;
@@ -322,7 +320,7 @@ mod tests {
                 cfs.write_block(NodeId((i % nodes) as u32), data).unwrap();
                 i += 1;
             }
-            RaidNode::encode_all(&cfs, 1).unwrap();
+            RaidNode::encode_all(&cfs, 4).unwrap();
             let es = &cfs.namenode().encoded_stripes()[0];
             let b0 = es.data[0];
             let b1 = es.data[1];

@@ -2,14 +2,13 @@
 //! paper) and the BlockMover that repairs fault-tolerance violations.
 
 use crate::cluster::MiniCfs;
+use crate::exec;
 use crate::io::DeadNodeSet;
 use crate::namenode::PendingStripe;
 use crate::pipeline;
 use crate::reliability::{self, OpClass};
-use crate::sync::Mutex;
 use ear_types::{Block, BlockId, Error, NodeId, Result, StripeId};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Encode attempts per stripe before it is handed back to the NameNode's
@@ -67,114 +66,83 @@ pub type Relocation = (BlockId, NodeId, NodeId);
 pub struct RaidNode;
 
 impl RaidNode {
-    /// Encodes every pending stripe using `map_tasks` parallel workers
-    /// ("map tasks"). Under EAR, stripes are grouped so that a worker's
-    /// stripes share core racks and each map task runs *in* the core rack
-    /// (the paper's Section IV-B scheduling change); under RR workers run
-    /// wherever the encoding-node selection puts them.
+    /// Encodes every pending stripe, one task each, on at most `map_tasks`
+    /// workers ("map tasks") of [`exec::drain`]. Tasks are ordered by core
+    /// rack, so under EAR neighbouring map tasks run *in* the same core
+    /// rack (the paper's Section IV-B scheduling change); under RR they run
+    /// wherever the encoding-node selection puts them. Each stripe's `m`
+    /// parity ids are reserved before any worker starts, in stripe-id
+    /// order, so ids — and every fault decision hashed on one — are the
+    /// same at every `map_tasks` and on every run.
     ///
     /// Relocations (RR stripes that violate rack-level fault tolerance
     /// after replica deletion) are *not* performed here — as in Facebook's
     /// HDFS they are left to the periodic PlacementMonitor/BlockMover; call
-    /// [`RaidNode::relocate`] with the returned list.
+    /// [`RaidNode::relocate`] with the returned list (in stripe-id order).
     ///
     /// # Errors
     ///
-    /// Propagates planning/encoding failures that indicate broken metadata
-    /// (invariant violations). Fault-induced failures never error the job:
-    /// a stripe whose attempts are exhausted is returned to the NameNode's
-    /// pending queue with its replicas intact and listed in
-    /// [`EncodeStats::failed_stripes`], so `encode_all` always terminates
-    /// with an honest account of what it could and could not encode.
+    /// Only a refused log append during the reservation errors the job, and
+    /// every stripe it took is pending again by then. A stripe that fails
+    /// on a worker — injected fault or broken metadata alike — is retried up
+    /// to [`STRIPE_ATTEMPTS`] times, then returned to the pending queue with
+    /// its replicas intact and listed in [`EncodeStats::failed_stripes`]
+    /// (as [`Error::Invariant`] if its task panicked).
     pub fn encode_all(cfs: &MiniCfs, map_tasks: usize) -> Result<(EncodeStats, Vec<Relocation>)> {
-        let mut stripes = cfs.namenode().take_pending_stripes();
-        if stripes.is_empty() {
-            return Ok((EncodeStats::default(), Vec::new()));
-        }
-        // Group stripes with a common core rack onto the same map task.
-        stripes.sort_by_key(|s| s.plan.core_rack().map(|r| r.index()).unwrap_or(usize::MAX));
-        let queue: Arc<Mutex<Vec<(PendingStripe, u32)>>> =
-            Arc::new(Mutex::new(stripes.into_iter().map(|s| (s, 0)).collect()));
-        let relocations: Arc<Mutex<Vec<Relocation>>> = Arc::new(Mutex::new(Vec::new()));
-        let stats = Arc::new(Mutex::new(EncodeStats::default()));
+        let taken = cfs.namenode().take_pending_stripes();
+        let m = cfs.codec().params().parity();
+        // No locations yet: a stripe that fails leaves only unreferenced
+        // ids behind, never a registered block without bytes.
+        let reserve = |_| (0..m).map(|_| cfs.namenode().register_block(Vec::new())).collect();
+        let reserved: Vec<Vec<BlockId>> = match taken.iter().map(reserve).collect() {
+            Ok(ids) => ids,
+            Err(e) => {
+                taken.into_iter().for_each(|s| cfs.namenode().requeue_stripe(s));
+                return Err(e);
+            }
+        };
+        let mut tasks: Vec<_> = taken.into_iter().zip(reserved).collect();
+        // Group stripes with a common core rack onto neighbouring map tasks.
+        tasks.sort_by_key(|(s, _)| s.plan.core_rack().map(|r| r.index()).unwrap_or(usize::MAX));
         let start = Instant::now();
-        let workers = map_tasks.max(1);
-
-        let result: Result<()> = std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for _ in 0..workers {
-                let queue = Arc::clone(&queue);
-                let relocations = Arc::clone(&relocations);
-                let stats = Arc::clone(&stats);
-                handles.push(scope.spawn(move || -> Result<()> {
-                    loop {
-                        let (stripe, tries) = {
-                            let mut q = queue.lock();
-                            match q.pop() {
-                                Some(s) => s,
-                                None => return Ok(()),
-                            }
-                        };
-                        match encode_stripe(cfs, &stripe, &relocations) {
-                            Ok(outcome) => {
-                                let mut st = stats.lock();
-                                st.stripes += 1;
-                                st.cross_rack_downloads += outcome.cross_rack_downloads;
-                                if outcome.violated {
-                                    st.stripes_with_relocation += 1;
-                                }
-                                if outcome.fell_back {
-                                    st.pipeline_fallbacks += 1;
-                                }
-                                st.encoded_bytes += stripe.blocks.len() as u64
-                                    * cfs.config().block_size.as_u64();
-                                st.completion_times.push(start.elapsed().as_secs_f64());
-                            }
-                            // A failed attempt left the stripe fully
-                            // replicated (encode_stripe mutates no metadata
-                            // until parity is durable), so restarting it is
-                            // always safe.
-                            Err(_) if tries + 1 < STRIPE_ATTEMPTS => {
-                                // Seeded jittered backoff keyed by stripe, so
-                                // concurrent retries of different stripes
-                                // desynchronise deterministically.
-                                let ticks = cfs
-                                    .reliability()
-                                    .backoff_ticks(stripe.id.index() as u64, tries);
-                                reliability::pace(ticks);
-                                queue.lock().push((stripe, tries + 1));
-                            }
-                            Err(e) => {
-                                stats.lock().failed_stripes.push((stripe.id, e));
-                                cfs.namenode().requeue_stripe(stripe);
-                            }
-                        }
-                    }
-                }));
-            }
-            for h in handles {
-                h.join()
-                    .map_err(|_| Error::Invariant("encode worker panicked".into()))??;
-            }
-            Ok(())
+        let width = map_tasks.max(1);
+        let results = exec::drain(cfs.injector(), &tasks, width, |(stripe, parity_ids)| {
+            let outcome = encode_with_retries(cfs, stripe, parity_ids)?;
+            Ok((outcome, start.elapsed().as_secs_f64()))
         });
-        result?;
 
-        let mut stats = Arc::try_unwrap(stats)
-            .map_err(|_| Error::Invariant("stats still shared".into()))?
-            .into_inner();
-        stats.wall_seconds = start.elapsed().as_secs_f64();
-        stats.gf_kernel = cfs.codec().kernel().name();
-        stats.fault_seed = cfs.fault_seed();
+        let mut stats = EncodeStats {
+            wall_seconds: start.elapsed().as_secs_f64(),
+            gf_kernel: cfs.codec().kernel().name(),
+            fault_seed: cfs.fault_seed(),
+            ..EncodeStats::default()
+        };
+        let mut relocations = Vec::new();
+        // Folded in stripe-id order: the report never follows scheduling.
+        let mut done: Vec<_> = tasks.into_iter().zip(results).collect();
+        done.sort_by_key(|((stripe, _), _)| stripe.id);
+        for ((stripe, _), result) in done {
+            let died = || Err(Error::Invariant(format!("encode task for {} panicked", stripe.id)));
+            match result.unwrap_or_else(died) {
+                Ok((outcome, completed_at)) => {
+                    stats.stripes += 1;
+                    stats.cross_rack_downloads += outcome.cross_rack_downloads;
+                    stats.stripes_with_relocation += usize::from(!outcome.relocations.is_empty());
+                    stats.pipeline_fallbacks += usize::from(outcome.fell_back);
+                    stats.encoded_bytes +=
+                        stripe.blocks.len() as u64 * cfs.config().block_size.as_u64();
+                    stats.completion_times.push(completed_at);
+                    relocations.extend(outcome.relocations);
+                }
+                Err(e) => {
+                    stats.failed_stripes.push((stripe.id, e));
+                    cfs.namenode().requeue_stripe(stripe);
+                }
+            }
+        }
         // total_cmp: a NaN duration (however unlikely) must never panic an
         // encode job; it sorts deterministically instead.
         stats.completion_times.sort_by(f64::total_cmp);
-        // Workers record failures in pop order; sort so the report is
-        // independent of scheduling.
-        stats.failed_stripes.sort_by_key(|&(id, _)| id);
-        let relocations = Arc::try_unwrap(relocations)
-            .map_err(|_| Error::Invariant("relocations still shared".into()))?
-            .into_inner();
         Ok((stats, relocations))
     }
 
@@ -213,15 +181,39 @@ impl RaidNode {
 struct StripeOutcome {
     /// Block-sized transfers that crossed racks towards the encoding node.
     cross_rack_downloads: usize,
-    /// Whether the stripe still violates rack-level fault tolerance.
-    violated: bool,
     /// Whether the chain failed mid-way and the stripe was re-planned with
     /// no folding rack.
     fell_back: bool,
+    /// What the BlockMover must move; non-empty iff the stripe still
+    /// violates rack-level fault tolerance.
+    relocations: Vec<Relocation>,
+}
+
+/// Runs one stripe to its end on the worker that holds it: up to
+/// [`STRIPE_ATTEMPTS`] tries under the same reserved `parity_ids`. A failed
+/// try left the stripe fully replicated ([`encode_stripe`] mutates no
+/// metadata until parity is durable), so restarting it is always safe.
+fn encode_with_retries(
+    cfs: &MiniCfs,
+    stripe: &PendingStripe,
+    parity_ids: &[BlockId],
+) -> Result<StripeOutcome> {
+    let mut last = encode_stripe(cfs, stripe, parity_ids);
+    for tries in 0..STRIPE_ATTEMPTS - 1 {
+        if last.is_ok() {
+            break;
+        }
+        // Seeded jittered backoff keyed by stripe, so concurrent retries of
+        // different stripes desynchronise deterministically.
+        reliability::pace(cfs.reliability().backoff_ticks(stripe.id.index() as u64, tries));
+        last = encode_stripe(cfs, stripe, parity_ids);
+    }
+    last
 }
 
 /// Encodes one stripe: fold its parity along the rack-major chain
-/// ([`pipeline::encode_chain`]), upload it, and delete redundant replicas.
+/// ([`pipeline::encode_chain`]), upload it under `parity_ids`, and delete
+/// redundant replicas.
 ///
 /// # Transactionality
 ///
@@ -234,7 +226,7 @@ struct StripeOutcome {
 fn encode_stripe(
     cfs: &MiniCfs,
     stripe: &PendingStripe,
-    relocations: &Mutex<Vec<Relocation>>,
+    parity_ids: &[BlockId],
 ) -> Result<StripeOutcome> {
     let plan = cfs.namenode().plan_encoding(stripe)?;
     let enc = plan.encoding_node;
@@ -267,30 +259,23 @@ fn encode_stripe(
         }
     };
 
-    // Store every parity block before touching any metadata. Ids are
-    // allocated with an empty location set so a failure below leaves only
-    // unreferenced ids behind, never a registered block without bytes.
-    // Each store pays its own transfer through the fault boundary.
-    let mut stored: Vec<(BlockId, NodeId)> = Vec::with_capacity(chain.parity.len());
-    let mut store_err = None;
-    for (p, &planned) in chain.parity.into_iter().zip(&plan.parity_nodes) {
-        let id = cfs.namenode().register_block(Vec::new())?;
+    // Store every parity block before touching any metadata. Each store
+    // pays its own transfer through the fault boundary.
+    let mut stored: Vec<(BlockId, NodeId)> = Vec::with_capacity(parity_ids.len());
+    for ((p, &id), &planned) in chain.parity.into_iter().zip(parity_ids).zip(&plan.parity_nodes) {
         let p = Block::from(p).stamped();
         match store_parity(cfs, id, p, enc, planned, &plan.kept_data, &stored) {
             Ok(dst) => stored.push((id, dst)),
             Err(e) => {
-                store_err = Some(e);
-                break;
+                // Roll back: drop the parity bytes already stored. The data
+                // blocks still have every replica, so the stripe is simply
+                // "not encoded".
+                for &(id, dst) in &stored {
+                    cfs.datanode(dst).delete(id);
+                }
+                return Err(e);
             }
         }
-    }
-    if let Some(e) = store_err {
-        // Roll back: drop the parity bytes already stored. The data blocks
-        // still have every replica, so the stripe is simply "not encoded".
-        for &(id, dst) in &stored {
-            cfs.datanode(dst).delete(id);
-        }
-        return Err(e);
     }
 
     // Parity is durable — only now does the stripe transition to "encoded":
@@ -323,22 +308,18 @@ fn encode_stripe(
             }
         }
     }
-    // Queue relocations for the BlockMover.
-    let violated = plan.violated_rack_fault_tolerance();
-    if violated {
-        let mut r = relocations.lock();
-        for &(idx, _, to) in &plan.relocations {
-            // Indices come from the matching over this same stripe; a bad
-            // one is dropped rather than panicking the encode worker.
-            if let (Some(&b), Some(&k)) = (stripe.blocks.get(idx), plan.kept_data.get(idx)) {
-                r.push((b, k, to));
-            }
-        }
-    }
+    // Queue relocations for the BlockMover. Indices come from the matching
+    // over this same stripe; a bad one is dropped rather than panicking the
+    // encode worker.
+    let relocations = plan
+        .relocations
+        .iter()
+        .filter_map(|&(idx, _, to)| Some((*stripe.blocks.get(idx)?, *plan.kept_data.get(idx)?, to)))
+        .collect();
     Ok(StripeOutcome {
         cross_rack_downloads: chain.cross_rack_downloads,
-        violated,
         fell_back,
+        relocations,
     })
 }
 
@@ -538,6 +519,71 @@ mod tests {
         assert_eq!(stats.stripes, 0);
         assert!(relocations.is_empty());
         assert_eq!(stats.throughput_mibps(), 0.0);
+    }
+
+    #[test]
+    fn parity_ids_follow_stripe_order() {
+        // 6 racks, c = 1: RR violates often, so the relocation list is
+        // part of what must not move with the worker count.
+        let runs: Vec<_> = [1, 4, 8]
+            .into_iter()
+            .map(|map_tasks| {
+                let cfs = boot(ClusterPolicy::Rr, 6);
+                write_stripes(&cfs, 40); // data ids 0..40, 10 stripes
+                let (stats, relocations) = RaidNode::encode_all(&cfs, map_tasks).unwrap();
+                assert_eq!(stats.stripes, 10);
+                assert!(!relocations.is_empty());
+                (cfs.namenode().encoded_stripes(), relocations)
+            })
+            .collect();
+        for (i, es) in runs[0].0.iter().enumerate() {
+            let first = 40 + 2 * i as u64;
+            assert_eq!(es.parity, [BlockId(first), BlockId(first + 1)], "{}", es.id);
+        }
+        assert_eq!(runs[0], runs[1]);
+        assert_eq!(runs[0], runs[2]);
+    }
+
+    #[test]
+    fn a_refused_reservation_requeues_every_taken_stripe() {
+        let dir = std::env::temp_dir().join(format!("ear-reserve-{}", std::process::id()));
+        let cfs = MiniCfs::new(ClusterConfig {
+            store: StoreBackend::Extent,
+            durability: ear_types::DurabilityConfig::at(&dir),
+            ..cfg(ClusterPolicy::Rr, 8, 1)
+        })
+        .unwrap();
+        write_stripes(&cfs, 12);
+        let before = cfs.namenode().pending_stripe_count();
+        assert_eq!(before, 3);
+        cfs.namenode().fail_wal_appends();
+        assert!(RaidNode::encode_all(&cfs, 2).is_err());
+        assert_eq!(cfs.namenode().pending_stripe_count(), before);
+        assert!(cfs.namenode().encoded_stripes().is_empty());
+        drop(cfs);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_panicked_encode_task_strands_no_stripe() {
+        // A location naming a node the topology never minted panics the
+        // chain that looks up its rack. The job must still finish, encode
+        // the other stripes and hand the third back.
+        let cfs = boot(ClusterPolicy::Rr, 8);
+        write_stripes(&cfs, 12);
+        let victim = cfs.namenode().pending_stripes().remove(1);
+        let mut locations = cfs.namenode().locations(victim.blocks[0]).unwrap();
+        locations.push(NodeId(999));
+        cfs.namenode().set_locations(victim.blocks[0], locations).unwrap();
+
+        let (stats, _) = RaidNode::encode_all(&cfs, 1).unwrap();
+        assert_eq!(stats.stripes, 2);
+        match stats.failed_stripes.as_slice() {
+            [(id, Error::Invariant(_))] => assert_eq!(*id, victim.id),
+            other => panic!("expected one invariant failure, got {other:?}"),
+        }
+        assert_eq!(cfs.namenode().pending_stripe_count(), 1);
+        assert_eq!(cfs.namenode().encoded_stripes().len(), 2);
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //! and runs what each round admits under the round deadline.
 
 use crate::cluster::MiniCfs;
+use crate::exec;
 use crate::health::{RepairKind, RepairTask};
 use crate::reliability::{OpClass, OpContext};
 use ear_erasure::ParityAccum;
@@ -22,7 +23,6 @@ use ear_types::rng::ChaCha8;
 use ear_types::{Block, BlockId, Error, NodeHealth, NodeId, RackId, Result, StripeId};
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Repairs in flight at once: the workers [`run_repairs`] drains its list
 /// with, and therefore the most a healer round admits.
@@ -87,12 +87,11 @@ pub(crate) struct RepairOutcome {
     pub cross_rack_uploads: usize,
 }
 
-/// Drains `tasks` and returns their outcomes in task order. At most
-/// [`REPAIR_WIDTH`] scoped workers pull tasks off the list, each task a
-/// Heal-class op under `deadline_ticks` (the substrate's default when
-/// `None`): the admission gate may shed it under load, and a straggling
-/// repair fails typed instead of hanging the drain. A failed task does not
-/// stop the rest.
+/// Drains `tasks` through [`exec::drain`] at [`REPAIR_WIDTH`] and returns
+/// their outcomes in task order. Each task is a Heal-class op under
+/// `deadline_ticks` (the substrate's default when `None`): the admission
+/// gate may shed it under load, and a straggling repair fails typed instead
+/// of hanging the drain. A failed task does not stop the rest.
 ///
 /// Reconstructions of the same stripe must not race: each reads the
 /// stripe's current rack spread before placing, so two concurrent repairs
@@ -122,35 +121,20 @@ pub(crate) fn run_repairs(
         }
     }
     let core_racks = pending_core_racks(cfs);
-    // Hands out group indices only; `groups` itself is shared by the spawn.
-    let next_group = AtomicUsize::new(0);
+    let run_group = |group: &Vec<(usize, RepairTask)>| {
+        let run = |task| execute_repair(cfs, task, view, &core_racks, deadline_ticks);
+        group.iter().map(|&(slot, task)| (slot, run(task))).collect::<Vec<_>>()
+    };
     let mut outcomes: Vec<Result<RepairOutcome>> = tasks
         .iter()
         .map(|_| Err(Error::Invariant("repair worker panicked".into())))
         .collect();
-    std::thread::scope(|s| {
-        let worker = || {
-            let mut done = Vec::new();
-            while let Some(group) = groups.get(next_group.fetch_add(1, Ordering::Relaxed)) {
-                for &(slot, task) in group {
-                    let outcome = execute_repair(cfs, task, view, &core_racks, deadline_ticks);
-                    done.push((slot, outcome));
-                }
-            }
-            done
-        };
-        let workers: Vec<_> = (0..groups.len().min(REPAIR_WIDTH))
-            .map(|_| s.spawn(worker))
-            .collect();
-        for (slot, outcome) in workers
-            .into_iter()
-            .flat_map(|w| w.join().unwrap_or_default())
-        {
-            if let Some(entry) = outcomes.get_mut(slot) {
-                *entry = outcome;
-            }
+    let done = exec::drain(cfs.injector(), &groups, REPAIR_WIDTH, run_group);
+    for (slot, outcome) in done.into_iter().flatten().flatten() {
+        if let Some(entry) = outcomes.get_mut(slot) {
+            *entry = outcome;
         }
-    });
+    }
     outcomes
 }
 

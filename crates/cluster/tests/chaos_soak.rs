@@ -53,10 +53,8 @@ fn rr_survives_fifty_seeded_plans() {
 }
 
 /// Same seed + plan ⇒ a bit-identical report on the memory and extent
-/// backends. Encode runs single-threaded so the full lossy fault mix
-/// (transient errors, corruption — hashed per block id) sees one
-/// deterministic operation stream; thread-count invariance is covered
-/// separately with an interleaving-independent plan below.
+/// backends, under the full lossy fault mix at the profiles' own encode
+/// parallelism; thread-count invariance is covered below.
 #[test]
 fn chaos_reports_are_bit_identical_across_backends() {
     for (seed, heavy) in [(3u64, false), (11, false), (104, true)] {
@@ -67,7 +65,6 @@ fn chaos_reports_are_bit_identical_across_backends() {
                 ChaosConfig::light(ClusterPolicy::Ear)
             };
             ChaosConfig {
-                map_tasks: 1,
                 store,
                 ..base
             }
@@ -103,7 +100,6 @@ fn chaos_reports_are_bit_identical_across_cache_configs() {
                 ChaosConfig::light(ClusterPolicy::Ear)
             };
             ChaosConfig {
-                map_tasks: 1,
                 store,
                 cache,
                 ..base
@@ -131,10 +127,13 @@ fn chaos_reports_are_bit_identical_across_cache_configs() {
 
 /// Same seed + plan ⇒ the same report regardless of encode parallelism
 /// or backend, under both policies (RR's encode folds dense racks and its
-/// BlockMover relocates). The plan is crash-only with `crash_window: 1`,
-/// so fault decisions do not depend on the global operation counter or on
-/// the parity block ids that parallel encode allocates in completion order
-/// — the two interleaving-sensitive inputs.
+/// BlockMover relocates) and three kinds of plan: crashes active before the
+/// first operation, lossy I/O with no crash at all (corruption and
+/// transient errors hash block ids, parity ids included), and the light
+/// profile's own mix, whose crashes land mid-run on the operation clock.
+/// Parity ids are reserved in stripe order and every encode and repair
+/// task counts operations on its own clock, so none of it follows the
+/// scheduler.
 #[test]
 fn chaos_reports_are_identical_across_thread_counts_and_backends() {
     let crash_only = FaultConfig {
@@ -149,6 +148,12 @@ fn chaos_reports_are_identical_across_thread_counts_and_backends() {
         // Both crashes active before the first operation.
         crash_window: 1,
     };
+    let lossy_only = FaultConfig {
+        node_crashes: 0,
+        transient_error_rate: 0.02,
+        corruption_rate: 0.02,
+        ..crash_only.clone()
+    };
     for (policy, seed) in [
         (ClusterPolicy::Ear, 1u64),
         (ClusterPolicy::Ear, 9),
@@ -156,23 +161,32 @@ fn chaos_reports_are_identical_across_thread_counts_and_backends() {
         (ClusterPolicy::Rr, 1),
         (ClusterPolicy::Rr, 9),
     ] {
-        let mk = |store, map_tasks| ChaosConfig {
-            faults: crash_only.clone(),
-            map_tasks,
-            store,
-            ..ChaosConfig::light(policy)
-        };
-        let baseline = run_plan(seed, &mk(StoreBackend::Memory, 1)).expect("baseline run");
-        assert!(baseline.passed(policy), "seed {seed} {policy:?}: {baseline:?}");
-        for store in [StoreBackend::Memory, StoreBackend::Extent] {
-            for map_tasks in [1usize, 4, 8] {
-                let report = run_plan(seed, &mk(store, map_tasks)).expect("run");
-                assert_eq!(
-                    format!("{baseline:?}"),
-                    format!("{report:?}"),
-                    "seed {seed} {policy:?}: {} x{map_tasks} diverged from memory x1",
-                    store.name()
-                );
+        // Every seed under the crash-only plan, one per policy under the
+        // other two.
+        let kinds = [
+            ("crash-only", &crash_only),
+            ("lossy-only", &lossy_only),
+            ("light", &FaultConfig::light()),
+        ];
+        for (kind, faults) in kinds.into_iter().take(if seed == 9 { 3 } else { 1 }) {
+            let mk = |store, map_tasks| ChaosConfig {
+                faults: faults.clone(),
+                map_tasks,
+                store,
+                ..ChaosConfig::light(policy)
+            };
+            let baseline = run_plan(seed, &mk(StoreBackend::Memory, 1)).expect("baseline run");
+            assert!(baseline.passed(policy), "seed {seed} {policy:?} {kind}: {baseline:?}");
+            for store in [StoreBackend::Memory, StoreBackend::Extent] {
+                for map_tasks in [1usize, 4, 8] {
+                    let report = run_plan(seed, &mk(store, map_tasks)).expect("run");
+                    assert_eq!(
+                        format!("{baseline:?}"),
+                        format!("{report:?}"),
+                        "seed {seed} {policy:?} {kind}: {} x{map_tasks} diverged from memory x1",
+                        store.name()
+                    );
+                }
             }
         }
     }

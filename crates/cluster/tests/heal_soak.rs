@@ -18,14 +18,13 @@ use ear_types::prop::{check, range};
 use ear_types::{CacheConfig, StoreBackend};
 
 /// Same seed + kill plan ⇒ identical heal outcome on both storage
-/// backends, down to repair-byte counters. Encode runs single-threaded so
-/// the default lossy fault mix sees one deterministic operation stream.
+/// backends, down to repair-byte counters, under the default lossy fault
+/// mix and encode parallelism.
 #[test]
 fn heal_reports_are_bit_identical_across_backends() {
     for seed in [0u64, 5, 9] {
         let mk = |store| HealSoakConfig {
             store,
-            map_tasks: 1,
             ..HealSoakConfig::default()
         };
         let mem = run_heal_plan(seed, &mk(StoreBackend::Memory)).expect("memory run");
@@ -56,7 +55,6 @@ fn heal_reports_are_bit_identical_across_cache_configs() {
         let mk = |store, cache| HealSoakConfig {
             store,
             cache,
-            map_tasks: 1,
             ..HealSoakConfig::default()
         };
         let off =
@@ -81,14 +79,17 @@ fn heal_reports_are_bit_identical_across_cache_configs() {
 }
 
 /// Same seed + kill plan ⇒ the same heal outcome regardless of encode
-/// parallelism or backend. Kills activate within the single-threaded
-/// write phase (`crash_window: 40` < the writes' operation count) and the
-/// probabilistic per-block fault rates are zeroed, so no decision depends
-/// on the parity block ids that parallel encode allocates in completion
-/// order.
+/// parallelism or backend, under three kinds of plan: kills inside the
+/// single-threaded write phase (`crash_window: 40` < the writes' operation
+/// count) with no lossy I/O, lossy I/O with no kill at all (corruption and
+/// transient errors hash block ids, parity ids included), and the soak's
+/// own default, whose kills land anywhere up to the encode job and the
+/// repairs after it. Parity ids are reserved in stripe order and every
+/// encode and repair task counts operations on its own clock, so none of
+/// it follows the scheduler.
 #[test]
 fn heal_reports_are_identical_across_thread_counts_and_backends() {
-    let faults = FaultConfig {
+    let kills_only = FaultConfig {
         straggler_delay: ear_faults::DelayModel::Throttle,
         node_crashes: 2,
         rack_outages: 0,
@@ -99,24 +100,40 @@ fn heal_reports_are_identical_across_thread_counts_and_backends() {
         heartbeat_loss_rate: 0.0,
         crash_window: 40,
     };
+    let lossy_only = FaultConfig {
+        transient_error_rate: 0.02,
+        corruption_rate: 0.02,
+        heartbeat_loss_rate: 0.02,
+        ..kills_only.clone()
+    };
+    let default = HealSoakConfig::default();
     for seed in [2u64, 13] {
-        let mk = |store, map_tasks| HealSoakConfig {
-            store,
-            map_tasks,
-            faults: faults.clone(),
-            ..HealSoakConfig::default()
-        };
-        let baseline = run_heal_plan(seed, &mk(StoreBackend::Memory, 1)).expect("baseline run");
-        assert!(baseline.passed(), "seed {seed}: {baseline:?}");
-        for store in [StoreBackend::Memory, StoreBackend::Extent] {
-            for map_tasks in [1usize, 4, 8] {
-                let report = run_heal_plan(seed, &mk(store, map_tasks)).expect("run");
-                assert_eq!(
-                    format!("{baseline:?}"),
-                    format!("{report:?}"),
-                    "seed {seed}: {} x{map_tasks} diverged from memory x1",
-                    store.name()
-                );
+        // Both seeds under the kills-only plan, one under the other two.
+        let kinds = [
+            ("kills-only", default.kills, &kills_only),
+            ("lossy-only", 0, &lossy_only),
+            ("default", default.kills, &default.faults),
+        ];
+        for (kind, kills, faults) in kinds.into_iter().take(if seed == 13 { 3 } else { 1 }) {
+            let mk = |store, map_tasks| HealSoakConfig {
+                store,
+                map_tasks,
+                kills,
+                faults: faults.clone(),
+                ..HealSoakConfig::default()
+            };
+            let baseline = run_heal_plan(seed, &mk(StoreBackend::Memory, 1)).expect("baseline run");
+            assert!(baseline.passed(), "seed {seed} {kind}: {baseline:?}");
+            for store in [StoreBackend::Memory, StoreBackend::Extent] {
+                for map_tasks in [1usize, 4, 8] {
+                    let report = run_heal_plan(seed, &mk(store, map_tasks)).expect("run");
+                    assert_eq!(
+                        format!("{baseline:?}"),
+                        format!("{report:?}"),
+                        "seed {seed} {kind}: {} x{map_tasks} diverged from memory x1",
+                        store.name()
+                    );
+                }
             }
         }
     }

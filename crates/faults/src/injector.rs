@@ -9,15 +9,25 @@
 //!   always gets the same answer, no matter how threads interleave — so a
 //!   retry (`attempt + 1`) can deterministically succeed where attempt 0
 //!   failed, and a corrupt copy stays corrupt on every read.
-//! - **Counter decisions** (crashes, rack outages) activate when the global
+//! - **Counter decisions** (crashes, rack outages) activate when the
 //!   operation counter passes the plan's activation index, spreading
-//!   fail-stop events across a run. Which concrete I/O observes a crash
-//!   first depends on scheduling; the set of crashed nodes never does.
+//!   fail-stop events across a run. Serial code ticks one global counter.
+//!   Tasks that run side by side each count on a clock of their own
+//!   ([`FaultInjector::on_task_clock`]) from the count their job started
+//!   at, so which of a task's I/Os observes a crash first is a property of
+//!   the task, not of how the scheduler interleaved it with its neighbours.
 
 use crate::plan::FaultPlan;
 use ear_types::rng::mix64;
 use ear_types::{BlockId, ClusterTopology, Error, NodeId};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+thread_local! {
+    /// The clock of the task this thread is running, inside
+    /// [`FaultInjector::on_task_clock`].
+    static TASK_OPS: Cell<Option<u64>> = const { Cell::new(None) };
+}
 
 /// What the injector decided to do to one I/O attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,11 +107,42 @@ impl FaultInjector {
         }
     }
 
+    /// The operation index the calling thread's clock shows: its task's
+    /// inside [`on_task_clock`](Self::on_task_clock), the global counter
+    /// otherwise.
+    pub fn now(&self) -> u64 {
+        TASK_OPS.get().unwrap_or_else(|| self.ops.load(Ordering::Relaxed))
+    }
+
+    /// Counts `ops` operations on the calling thread's clock and returns
+    /// the index of the first.
+    pub fn advance(&self, ops: u64) -> u64 {
+        match TASK_OPS.get() {
+            Some(now) => {
+                TASK_OPS.set(Some(now + ops));
+                now
+            }
+            None => self.ops.fetch_add(ops, Ordering::Relaxed),
+        }
+    }
+
+    /// Runs `task` with the calling thread on a clock of its own that
+    /// starts at `start`, and returns what it returned with the operations
+    /// it counted. A job that gives every one of its tasks the same `start`
+    /// and [`advance`](Self::advance)s its own clock by their sum afterwards
+    /// runs side by side in operation time, however many workers really ran
+    /// it and in whatever order.
+    pub fn on_task_clock<R>(&self, start: u64, task: impl FnOnce() -> R) -> (R, u64) {
+        let outer = TASK_OPS.replace(Some(start));
+        let result = task();
+        let end = TASK_OPS.replace(outer).unwrap_or(start);
+        (result, end - start)
+    }
+
     /// Whether `node` is fail-stop-unavailable at the current point of the
     /// run (crashed, or its rack is dark). Does not advance the counter.
     pub fn node_down(&self, node: NodeId) -> bool {
-        self.down_fault(node, self.ops.load(Ordering::Relaxed))
-            .is_some()
+        self.down_fault(node, self.now()).is_some()
     }
 
     /// Consults the plan for one read attempt of `block` on `node`.
@@ -110,7 +151,7 @@ impl FaultInjector {
         if self.plan.is_empty() {
             return None;
         }
-        let op = self.ops.fetch_add(1, Ordering::Relaxed);
+        let op = self.advance(1);
         if let Some(f) = self.down_fault(node, op) {
             return Some(f);
         }
@@ -134,7 +175,7 @@ impl FaultInjector {
         if self.plan.is_empty() {
             return None;
         }
-        let op = self.ops.fetch_add(1, Ordering::Relaxed);
+        let op = self.advance(1);
         if let Some(f) = self.down_fault(node, op) {
             return Some(f);
         }
@@ -312,6 +353,44 @@ mod tests {
         let other = NodeId((victim.0 + 1) % 24);
         assert!(!inj.node_down(other));
         assert_eq!(inj.on_read(other, BlockId(0), 0), None);
+    }
+
+    #[test]
+    fn a_task_clock_times_a_crash_per_task_and_leaves_the_outer_clock_alone() {
+        let cfg = FaultConfig {
+            node_crashes: 1,
+            stragglers: 0,
+            transient_error_rate: 0.0,
+            corruption_rate: 0.0,
+            crash_window: 100,
+            ..FaultConfig::default()
+        };
+        let inj = injector(5, &cfg);
+        let crash = inj.plan().crashes()[0];
+        // Two tasks of one job, whatever thread or order they run in, both
+        // see the victim die at their own `at_op`-th operation.
+        let first_fault = |ops: u64| {
+            (0..ops)
+                .position(|i| inj.on_read(crash.node, BlockId(i), 0).is_some())
+                .map(|p| p as u64)
+        };
+        // `position` stops at the first fault: at_op + 1 operations.
+        let seen = (Some(crash.at_op), crash.at_op + 1);
+        assert_eq!(inj.on_task_clock(0, || first_fault(crash.at_op + 5)), seen);
+        let elsewhere =
+            std::thread::scope(|s| s.spawn(|| inj.on_task_clock(0, || first_fault(150))).join());
+        assert_eq!(elsewhere.unwrap(), seen);
+        // A task that ends first never sees it, and a job inside a task
+        // advances the task's clock, not the global counter.
+        let nested = inj.on_task_clock(0, || {
+            let (inner, ops) = inj.on_task_clock(inj.now(), || first_fault(crash.at_op));
+            inj.advance(ops);
+            (inner, inj.now())
+        });
+        assert_eq!(nested, ((None, crash.at_op), crash.at_op));
+        assert_eq!(inj.now(), 0, "what a job's tasks counted is the job's to advance");
+        inj.advance(crash.at_op);
+        assert!(inj.node_down(crash.node));
     }
 
     #[test]

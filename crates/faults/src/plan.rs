@@ -7,11 +7,12 @@
 //! three inputs always produce the same crashed nodes, dead racks,
 //! stragglers, and rates, on every build. Per-operation decisions (transient
 //! errors, corruption) are likewise pure functions of the operation's
-//! identity — see [`FaultInjector`](crate::FaultInjector). The only
-//! timing-dependent aspect is *when* a scheduled crash is first observed:
-//! crashes activate once the injector's global operation counter passes the
-//! plan's activation index, so which concrete I/O sees the crash first
-//! depends on thread interleaving. The *set* of faults never does.
+//! identity — see [`FaultInjector`](crate::FaultInjector). Crashes
+//! activate once the injector's operation counter passes the plan's
+//! activation index; tasks that run side by side count on a clock each
+//! ([`FaultInjector::on_task_clock`](crate::FaultInjector::on_task_clock)),
+//! so which of a task's I/Os sees the crash first does not depend on thread
+//! interleaving either.
 
 use ear_types::rng::ChaCha8;
 use ear_types::{ClusterTopology, NodeId, RackId};

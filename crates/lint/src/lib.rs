@@ -63,6 +63,7 @@ pub const DATA_PLANE_FILES: &[&str] = &[
     "wal.rs",
     "extent.rs",
     "crashsim.rs",
+    "exec.rs",
 ];
 
 /// Files with durable-write protocols (L4 scope), relative to

@@ -23,6 +23,14 @@ if [ "$unsafe_files" != "crates/erasure/src/kernels.rs crates/types/src/crc.rs" 
   echo "check.sh: unsafe code must stay in kernels.rs and crc.rs, found in: $unsafe_files" >&2
   exit 1
 fi
+# One worker set: every scoped thread of the cluster crate is spawned by
+# exec::drain (DESIGN.md §8), so a second site means a hand-rolled queue,
+# join loop and panic mapping have come back.
+scope_files=$(grep -rl 'thread::scope' crates/cluster/src | sort | xargs)
+if [ "$scope_files" != "crates/cluster/src/exec.rs" ]; then
+  echo "check.sh: thread::scope must stay in exec.rs, found in: $scope_files" >&2
+  exit 1
+fi
 cargo build --release --locked
 # Invariant lint first: lock-graph cycles, determinism hygiene, data-plane
 # panic-freedom, durability ordering, context/retry hygiene, zero-copy
@@ -43,7 +51,7 @@ cargo test -q --locked
 # clock rotation under the suite's working sets. Only clusters booted from
 # the environment see these knobs: the cluster crate, the facade's
 # end-to-end tests and the CLI's. (ear-bench's testbed experiments boot
-# such clusters too, but they are paced by the wall clock — 75 s a row —
+# such clusters too, but they are paced by the wall clock — ~20 s a row —
 # and assert figure shapes, not store behaviour; they ran once, above.)
 for store in memory extent; do
   for cache in off 4m,16m; do
@@ -60,6 +68,24 @@ cargo run -q --release --locked -p ear-cli -- chaos --plans 2 --seed 0 --profile
 # Heal smoke: seeded mid-run kills repaired by the background healer
 # (DESIGN.md §10); any block left under-redundant fails the run.
 cargo run -q --release --locked -p ear-cli -- heal --plans 2 --seed 0
+# Rerun identity (DESIGN.md §9): same seeds, same bytes, however the
+# scheduler interleaves the encode and repair workers — 200 kill plans, ten
+# times, one output. Seed 60 has failed since before this step existed (a
+# replicated block with two copies on the killed nodes and the third corrupt:
+# counted under-redundant, ROADMAP item 4), so `ear heal` exits 2 here with
+# its report on stderr; any other failing seed fails the gate.
+heal200() { cargo run -q --release --locked -p ear-cli -- heal --plans 200 2>&1 || [ $? -eq 2 ]; }
+first=$(heal200)
+if [ "$(grep -c 'seed=' <<<"$first")" -ne 200 ] || ! grep -q ': 1 FAILED: \[60\]' <<<"$first"; then
+  echo "check.sh: \`ear heal --plans 200\` must print 200 plans, all but seed 60 passing" >&2
+  exit 1
+fi
+for run in 2 3 4 5 6 7 8 9 10; do
+  if [ "$(heal200)" != "$first" ]; then
+    echo "check.sh: run $run of \`ear heal --plans 200\` printed different bytes than run 1" >&2
+    exit 1
+  fi
+done
 # Straggler-heavy hedged-read smoke (DESIGN.md §14): Pareto per-attempt
 # delays with hedging on — prints the probe-read tail percentiles and the
 # hedges launched/won; any lost block or untyped failure fails the run.

@@ -493,7 +493,6 @@ impl MiniCfs {
         id: BlockId,
         src: NodeId,
     ) -> Result<Block> {
-        self.io.note_hedge_launched();
         let (primary, primary_cost) = self.io.fetch_costed(src, reader, id, 0);
         let hedge_ctx = self.reliability.ctx(ctx.class())?;
         let hedge = crate::recovery::degraded_read(self, &hedge_ctx, reader, id);
@@ -502,74 +501,9 @@ impl MiniCfs {
             .hedge_threshold_ticks()
             .saturating_add(hedge_ctx.elapsed_ticks())
             .saturating_add(reliability::DECODE_TICKS);
-        match (primary, hedge) {
-            (Ok(data), Ok(hdata)) => {
-                if hedge_total < primary_cost {
-                    self.io.note_hedge_won();
-                    ctx.charge(hedge_total)?;
-                    Ok(hdata)
-                } else {
-                    ctx.charge(primary_cost)?;
-                    Ok(data)
-                }
-            }
-            (Err(_), Ok(hdata)) => {
-                self.io.note_hedge_won();
-                ctx.charge(hedge_total)?;
-                Ok(hdata)
-            }
-            (Ok(data), Err(_)) => {
-                ctx.charge(primary_cost)?;
-                Ok(data)
-            }
-            (Err(e), Err(_)) => {
-                ctx.charge(primary_cost.max(hedge_total))?;
-                Err(e)
-            }
-        }
-    }
-
-    /// Reads `block` from the specific replica on `src`, shipping the bytes
-    /// to `dst` and verifying their checksum against the write-time CRC32C.
-    /// This is the single injection boundary every read goes through:
-    /// corruption enters here (the fault layer hands back a copy with
-    /// flipped bits) and is caught here (the checksum mismatch becomes
-    /// [`Error::CorruptBlock`]).
-    ///
-    /// # Errors
-    ///
-    /// * [`Error::NodeDown`] / [`Error::TransientIo`] from the fault layer.
-    /// * [`Error::BlockUnavailable`] if `src` does not hold the block.
-    /// * [`Error::CorruptBlock`] if the received bytes fail verification.
-    /// * [`Error::Overloaded`] if the admission gate sheds the read.
-    pub fn fetch_block_from(
-        &self,
-        src: NodeId,
-        dst: NodeId,
-        block: BlockId,
-        attempt: u32,
-    ) -> Result<Block> {
-        let ctx = self.reliability.ctx(OpClass::ClientRead)?;
-        self.io.fetch_from(&ctx, src, dst, block, attempt)
-    }
-
-    /// Writes `block`'s bytes from `src` onto `dst`'s store, through the
-    /// fault layer. The single injection boundary for writes.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::NodeDown`] / [`Error::TransientIo`] from the fault layer,
-    /// or [`Error::Overloaded`] if the admission gate sheds the write.
-    pub fn store_block_at(
-        &self,
-        src: NodeId,
-        dst: NodeId,
-        block: BlockId,
-        data: Block,
-        attempt: u32,
-    ) -> Result<()> {
-        let ctx = self.reliability.ctx(OpClass::ClientWrite)?;
-        self.io.store_at(&ctx, src, dst, block, data, attempt)
+        self.io
+            .settle_hedge(ctx, primary, primary_cost, hedge, hedge_total)
+            .map(|(data, _)| data)
     }
 
     /// Orders `locations` by proximity to `reader`: the reader itself,

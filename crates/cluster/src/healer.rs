@@ -330,6 +330,7 @@ mod tests {
     use crate::monitor;
     use crate::raidnode::RaidNode;
     use crate::recovery::recover_node;
+    use crate::reliability::OpClass;
     use ear_faults::{FaultConfig, FaultPlan};
     use ear_types::{
         Bandwidth, ByteSize, CacheConfig, EarConfig, ErasureParams, ReplicationConfig,
@@ -476,18 +477,20 @@ mod tests {
 
         // A verified read admits `cached`'s copy into its block cache.
         let reader = locs[2];
-        assert_eq!(cfs.fetch_block_from(cached, reader, id, 0).unwrap().as_slice(), &good[..]);
+        let ctx = cfs.reliability().ctx(OpClass::ClientRead).unwrap();
+        let fetch = |src| cfs.io().fetch_from(&ctx, src, reader, id, 0);
+        assert_eq!(fetch(cached).unwrap().as_slice(), &good[..]);
         let mut rotten = good.clone();
         rotten[33] ^= 0xFF;
         cfs.datanode(cached).rot(id, rotten.clone());
         cfs.datanode(uncached).rot(id, rotten);
 
         // An uncached read hashes what the store returned and rejects it.
-        let err = cfs.fetch_block_from(uncached, reader, id, 0).unwrap_err();
+        let err = fetch(uncached).unwrap_err();
         assert!(matches!(err, Error::CorruptBlock { block, node }
             if block == id && node == uncached));
         // The cache keeps serving the bytes it verified before the rot...
-        assert_eq!(cfs.fetch_block_from(cached, reader, id, 0).unwrap().as_slice(), &good[..]);
+        assert_eq!(fetch(cached).unwrap().as_slice(), &good[..]);
         // ...and the scrubber, which reads the store, drops both rotten
         // replicas; the healer re-replicates from the one good copy.
         let stats = Healer::new(&cfs).run_to_convergence().unwrap();

@@ -40,12 +40,10 @@ use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Nodes one multi-block job (a stripe's encode chain) has found
-/// fail-stop dead, shared across the job's reads so each discovery is paid
-/// at most once. This used to be a bespoke `Mutex<HashSet<_>>` + closure
-/// pair re-built by every caller of
-/// [`read_with_fallback`](ClusterIo::read_with_fallback); it now lives here
-/// so the ordering/blacklist policy has exactly one implementation.
+/// Nodes one multi-block job (a stripe's encode, a shard's rebuild) has
+/// found fail-stop dead, shared across the job's reads so each discovery is
+/// paid at most once: the blacklist hook and skip predicate of
+/// [`read_nearest`](ClusterIo::read_nearest).
 #[derive(Debug, Default)]
 pub struct DeadNodeSet {
     inner: Mutex<HashSet<NodeId>>,
@@ -583,44 +581,52 @@ impl ClusterIo {
         block: BlockId,
         attempt: u32,
     ) -> Result<(Block, NodeId)> {
-        let rel = ctx.reliability();
-        self.counters.hedges_launched.fetch_add(1, Ordering::Relaxed);
         let (primary, primary_cost) = self.fetch_costed(src, dst, block, attempt);
         let (hedge, hedge_cost) = self.fetch_costed(alt, dst, block, attempt);
         // The hedge leg starts once the primary has straggled past the
         // threshold, so its completion sits that far into the op.
-        let hedge_total = rel.hedge_threshold_ticks().saturating_add(hedge_cost);
-        match (primary, hedge) {
-            (Ok(data), Ok(hdata)) => {
-                if hedge_total < primary_cost {
-                    self.counters.hedges_won.fetch_add(1, Ordering::Relaxed);
-                    ctx.charge(hedge_total)?;
-                    Ok((hdata, alt))
-                } else {
-                    ctx.charge(primary_cost)?;
-                    Ok((data, src))
-                }
-            }
-            (Err(_), Ok(hdata)) => {
-                self.counters.hedges_won.fetch_add(1, Ordering::Relaxed);
-                ctx.charge(hedge_total)?;
-                Ok((hdata, alt))
-            }
-            (Ok(data), Err(_)) => {
-                ctx.charge(primary_cost)?;
-                Ok((data, src))
-            }
-            (Err(e), Err(_)) => {
-                // Both legs failed: the op observed both, completing at the
-                // later one; the primary's error drives the retry policy.
+        let hedge_total = ctx.reliability().hedge_threshold_ticks().saturating_add(hedge_cost);
+        let (data, hedge_won) = self.settle_hedge(ctx, primary, primary_cost, hedge, hedge_total)?;
+        Ok((data, if hedge_won { alt } else { src }))
+    }
+
+    /// Settles one launched hedge on the virtual clock: `primary` finished
+    /// `primary_cost` ticks into the op, `hedge` at `hedge_total`. The op
+    /// completes at the earlier successful leg (the loser's cost is
+    /// discarded) and is charged that much; the flag says the hedge's bytes
+    /// were taken. With both legs failed the op has observed both, so it
+    /// completes at the later one and the primary's error drives the
+    /// caller's retry policy.
+    pub(crate) fn settle_hedge(
+        &self,
+        ctx: &OpContext<'_>,
+        primary: Result<Block>,
+        primary_cost: u64,
+        hedge: Result<Block>,
+        hedge_total: u64,
+    ) -> Result<(Block, bool)> {
+        self.counters.hedges_launched.fetch_add(1, Ordering::Relaxed);
+        let hedge_won = match (&primary, &hedge) {
+            (Ok(_), Ok(_)) => hedge_total < primary_cost,
+            (Err(_), Ok(_)) => true,
+            (Ok(_), Err(_)) => false,
+            (Err(_), Err(_)) => {
                 ctx.charge(primary_cost.max(hedge_total))?;
-                Err(e)
+                return primary.map(|data| (data, false));
             }
+        };
+        if hedge_won {
+            self.counters.hedges_won.fetch_add(1, Ordering::Relaxed);
+            ctx.charge(hedge_total)?;
+            hedge.map(|data| (data, true))
+        } else {
+            ctx.charge(primary_cost)?;
+            primary.map(|data| (data, false))
         }
     }
 
     /// Reads `block` into `dst` from the nearest workable replica: the
-    /// shared preference order of the encode chain's hops. `replicas` is
+    /// preference order of every read of a rack fold. `replicas` is
     /// sorted so that known-dead nodes go last, then `dst` itself (a local
     /// copy pays no wire cost), then `dst`'s rack, ties broken by node index
     /// for determinism — and the sorted list is walked by
@@ -654,8 +660,8 @@ impl ClusterIo {
         self.read_with_fallback(ctx, dst, block, &ordered, Some(&on_dead), Some(&skip))
     }
 
-    /// Ships `bytes` of in-flight partial-parity state from `src` to `dst` —
-    /// one hop of the encode chain or a rack-folded repair. The bytes
+    /// Ships `bytes` of in-flight partial-row state from `src` to `dst` —
+    /// one hop of a rack fold (DESIGN.md §15). The bytes
     /// are not a stored block (no DataNode, no checksum boundary: the state
     /// lives in the sending task), but the wire cost is real and the hop is
     /// bounded by the substrate: a dead or breaker-open endpoint is a typed
@@ -799,17 +805,6 @@ impl ClusterIo {
             }
         }
         Err(last)
-    }
-
-    /// Counts a hedge launched outside the replica-fallback path (the
-    /// cluster-level degraded-EC hedge shares these counters).
-    pub(crate) fn note_hedge_launched(&self) {
-        self.counters.hedges_launched.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts a hedge leg that won the virtual-clock race.
-    pub(crate) fn note_hedge_won(&self) {
-        self.counters.hedges_won.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Moves raw bytes through the emulated network with accounting — the

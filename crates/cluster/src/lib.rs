@@ -77,13 +77,13 @@ pub mod crashsim;
 mod datanode;
 mod exec;
 mod extent;
+mod fold;
 pub mod healer;
 pub mod health;
 mod io;
 pub mod mapreduce;
 mod monitor;
 mod namenode;
-mod pipeline;
 mod raidnode;
 mod recovery;
 pub mod reliability;

@@ -3,10 +3,11 @@
 
 use crate::cluster::MiniCfs;
 use crate::exec;
+use crate::fold::{self, Received, Source};
 use crate::io::DeadNodeSet;
 use crate::namenode::PendingStripe;
-use crate::pipeline;
 use crate::reliability::{self, OpClass};
+use ear_erasure::StripeEncoder;
 use ear_types::{Block, BlockId, Error, NodeId, Result, StripeId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
@@ -31,8 +32,8 @@ pub struct EncodeStats {
     /// Stripes left violating rack-level fault tolerance (they need the
     /// BlockMover; always 0 under EAR).
     pub stripes_with_relocation: usize,
-    /// Stripes that hit a mid-chain failure and were re-planned once with
-    /// no folding rack (DESIGN.md §15); their parity still landed.
+    /// Stripes whose fold failed mid-way and was re-run once with no
+    /// folding rack (DESIGN.md §15); their parity still landed.
     pub pipeline_fallbacks: usize,
     /// Per-stripe completion offsets from job start, seconds (Fig. 12).
     pub completion_times: Vec<f64>,
@@ -181,8 +182,8 @@ impl RaidNode {
 struct StripeOutcome {
     /// Block-sized transfers that crossed racks towards the encoding node.
     cross_rack_downloads: usize,
-    /// Whether the chain failed mid-way and the stripe was re-planned with
-    /// no folding rack.
+    /// Whether the fold failed mid-way and the stripe was re-run with no
+    /// folding rack.
     fell_back: bool,
     /// What the BlockMover must move; non-empty iff the stripe still
     /// violates rack-level fault tolerance.
@@ -211,18 +212,18 @@ fn encode_with_retries(
     last
 }
 
-/// Encodes one stripe: fold its parity along the rack-major chain
-/// ([`pipeline::encode_chain`]), upload it under `parity_ids`, and delete
-/// redundant replicas.
+/// Encodes one stripe: fold its `m` parity rows at the encoding node
+/// ([`fold::fold`]), upload them under `parity_ids`, and delete redundant
+/// replicas.
 ///
 /// # Transactionality
 ///
-/// Under fault injection any download, chain hop, or upload can fail. This
+/// Under fault injection any download, fold hop, or upload can fail. This
 /// function mutates no cluster metadata and deletes no replica until
 /// *every* parity block is durably stored: an error return (at any point)
 /// leaves the stripe exactly as replicated as it was, so the caller can
-/// retry or requeue it with no risk of a half-encoded stripe. The chain is
-/// read-only, which is also what makes re-planning it mid-stripe safe.
+/// retry or requeue it with no risk of a half-encoded stripe. The fold is
+/// read-only, which is also what makes re-running it mid-stripe safe.
 fn encode_stripe(
     cfs: &MiniCfs,
     stripe: &PendingStripe,
@@ -236,33 +237,48 @@ fn encode_stripe(
         return Err(Error::NodeDown { node: enc });
     }
 
+    let unknown = |b| Error::Invariant(format!("unknown {b}"));
+    let locate = |&b| cfs.namenode().locations(b).ok_or_else(|| unknown(b));
+    let locations: Vec<Vec<NodeId>> = stripe.blocks.iter().map(locate).collect::<Result<_>>()?;
+    let sources: Vec<Source<'_>> = stripe
+        .blocks
+        .iter()
+        .zip(&locations)
+        .enumerate()
+        .map(|(index, (&block, holders))| Source { index, block, holders })
+        .collect();
     // Nodes this stripe's reads found fail-stop dead: shared across the
     // stripe's blocks so each pays the discovery cost at most once.
     let blacklist = DeadNodeSet::new();
-
-    // Fold the parity along the chain. A mid-chain failure (dead
-    // aggregator, unreadable source) re-plans the stripe once with no
-    // folding rack: every source is then read at the encoding node with
-    // per-block replica fallback. Substrate stops (deadline, retry budget,
-    // load shed) propagate — the same gate would stop the re-plan.
-    let mut fell_back = false;
-    let chain = match pipeline::encode_chain(cfs, stripe, enc, &blacklist, true) {
-        Ok(out) => out,
+    // One attempt at the parity rows: one Encode-class op (released before
+    // the parity stores admit theirs), nothing held at `enc` beforehand.
+    let fold_parity = |fold_racks: bool| {
+        let ctx = cfs.reliability().ctx(OpClass::Encode)?;
+        let acc = StripeEncoder::new(cfs.codec(), cfs.config().block_size.as_u64() as usize);
+        let mut received = Received::default();
+        fold::fold(cfs.io(), &ctx, enc, acc, &sources, &blacklist, fold_racks, &mut received)
+            .map(|parity| (parity, received.cross_rack_downloads))
+            .map_err(|(_, e)| e)
+    };
+    // A failure on the way (dead aggregator, unreadable source) re-runs the
+    // stripe once with no folding rack: every source is then read at the
+    // encoding node with per-block replica fallback. Substrate stops
+    // (deadline, retry budget, load shed) propagate — the same gate would
+    // stop the re-run.
+    let ((parity, cross_rack_downloads), fell_back) = match fold_parity(true) {
+        Ok(folded) => (folded, false),
         Err(
             e @ (Error::DeadlineExceeded { .. }
             | Error::RetryBudgetExhausted { .. }
             | Error::Overloaded { .. }),
         ) => return Err(e),
-        Err(_) => {
-            fell_back = true;
-            pipeline::encode_chain(cfs, stripe, enc, &blacklist, false)?
-        }
+        Err(_) => (fold_parity(false)?, true),
     };
 
     // Store every parity block before touching any metadata. Each store
     // pays its own transfer through the fault boundary.
     let mut stored: Vec<(BlockId, NodeId)> = Vec::with_capacity(parity_ids.len());
-    for ((p, &id), &planned) in chain.parity.into_iter().zip(parity_ids).zip(&plan.parity_nodes) {
+    for ((p, &id), &planned) in parity.into_iter().zip(parity_ids).zip(&plan.parity_nodes) {
         let p = Block::from(p).stamped();
         match store_parity(cfs, id, p, enc, planned, &plan.kept_data, &stored) {
             Ok(dst) => stored.push((id, dst)),
@@ -317,7 +333,7 @@ fn encode_stripe(
         .filter_map(|&(idx, _, to)| Some((*stripe.blocks.get(idx)?, *plan.kept_data.get(idx)?, to)))
         .collect();
     Ok(StripeOutcome {
-        cross_rack_downloads: chain.cross_rack_downloads,
+        cross_rack_downloads,
         fell_back,
         relocations,
     })

@@ -16,12 +16,13 @@
 
 use crate::cluster::MiniCfs;
 use crate::exec;
+use crate::fold::{self, Received, Source};
 use crate::health::{RepairKind, RepairTask};
+use crate::io::DeadNodeSet;
 use crate::reliability::{OpClass, OpContext};
-use ear_erasure::ParityAccum;
+use ear_erasure::{Matrix, StripeEncoder};
 use ear_types::rng::ChaCha8;
 use ear_types::{Block, BlockId, Error, NodeHealth, NodeId, RackId, Result, StripeId};
-use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Repairs in flight at once: the workers [`run_repairs`] drains its list
@@ -286,14 +287,15 @@ fn reconstruct_stripe_block(
         .iter()
         .position(|&m| m == block)
         .ok_or_else(|| Error::Invariant(format!("{block} not a member of its stripe")))?;
-    let rebuilt = rebuild_shard(cfs, ctx, site.recovery_node, lost_idx, &site.sources, true)?;
+    let (rebuilt, paid) =
+        rebuild_shard(cfs, ctx, site.recovery_node, lost_idx, &site.sources, true)?;
     let mut repair = RepairOutcome {
         reconstructed: true,
-        downloads: rebuilt.downloads,
-        cross_rack_downloads: rebuilt.cross_rack_downloads,
+        downloads: paid.downloads,
+        cross_rack_downloads: paid.cross_rack_downloads,
         ..RepairOutcome::default()
     };
-    place_rebuilt(cfs, block, rebuilt.bytes, &site, view, rng, &mut repair)?;
+    place_rebuilt(cfs, block, rebuilt, &site, view, rng, &mut repair)?;
     Ok(repair)
 }
 
@@ -458,31 +460,24 @@ struct ShardSource {
     /// The member's row in the stripe's generator order.
     index: usize,
     block: BlockId,
-    /// Nodes to read it from, in preference order; the first one names the
-    /// source's rack when racks are folded.
+    /// Nodes to read it from, in preference order.
     holders: Vec<NodeId>,
-}
-
-/// What [`rebuild_shard`] hands back: the lost shard's bytes and the
-/// block-sized transfers spent obtaining them (abandoned attempts included).
-#[derive(Default)]
-struct Rebuilt {
-    bytes: Vec<u8>,
-    downloads: usize,
-    cross_rack_downloads: usize,
 }
 
 /// Rebuilds stripe member `lost_idx` at node `at` — the one way a lost
 /// shard is recomputed, shared by repair and degraded reads (DESIGN.md §15).
+/// Returns its bytes and what `at` received on the way (the block-sized
+/// transfers paid, abandoned passes included).
 ///
 /// The first `k` of `sources` are chosen, the lost shard is expressed as
 /// their GF(2⁸) linear combination
 /// ([`recovery_coefficients`](ear_erasure::ReedSolomon::recovery_coefficients))
-/// and [`fold_chosen`] sums the weighted shards. A source that cannot be
-/// read is dropped, `k` are re-chosen from the rest and the coefficients
-/// recomputed; shards already at `at` are kept, so a source read whole is
-/// read at most once. Any `k` shards decode to the same bytes under an MDS
-/// code, so the result does not depend on which sources survive.
+/// and [`fold::fold`] sums the weighted shards as a one-row fold. A source
+/// that cannot be read is dropped, `k` are re-chosen from the rest and the
+/// coefficients recomputed; shards already at `at` are kept, so a source
+/// read whole is read at most once. Any `k` shards decode to the same bytes
+/// under an MDS code, so the result does not depend on which sources
+/// survive.
 ///
 /// # Errors
 ///
@@ -497,11 +492,12 @@ fn rebuild_shard(
     lost_idx: usize,
     sources: &[ShardSource],
     fold_racks: bool,
-) -> Result<Rebuilt> {
+) -> Result<(Vec<u8>, Received)> {
     let k = cfs.codec().params().k();
+    let shard_len = cfs.config().block_size.as_u64() as usize;
     let mut candidates: Vec<&ShardSource> = sources.iter().collect();
-    let mut held: BTreeMap<usize, Block> = BTreeMap::new();
-    let mut out = Rebuilt::default();
+    let dead = DeadNodeSet::new();
+    let mut received = Received::default();
     loop {
         let chosen = candidates.get(..k).ok_or(Error::NotEnoughShards {
             available: candidates.len(),
@@ -509,11 +505,18 @@ fn rebuild_shard(
         })?;
         let rows: Vec<usize> = chosen.iter().map(|s| s.index).collect();
         let coeffs = cfs.codec().recovery_coefficients(&rows, lost_idx)?;
-        let weighted: Vec<(&ShardSource, u8)> = chosen.iter().copied().zip(coeffs).collect();
-        match fold_chosen(cfs, ctx, at, &weighted, fold_racks, &mut held, &mut out) {
-            Ok(sum) => {
-                out.bytes = sum.finish(k)?;
-                return Ok(out);
+        let row = Matrix::from_rows(1, k, coeffs);
+        let acc = StripeEncoder::with_rows(cfs.codec().kernel(), row, shard_len);
+        let columns: Vec<Source<'_>> = chosen
+            .iter()
+            .enumerate()
+            .map(|(index, s)| Source { index, block: s.block, holders: &s.holders })
+            .collect();
+        match fold::fold(cfs.io(), ctx, at, acc, &columns, &dead, fold_racks, &mut received) {
+            Ok(rows) => {
+                let rebuilt = rows.into_iter().next();
+                let rebuilt = rebuilt.ok_or_else(|| Error::Invariant("a fold of no rows".into()))?;
+                return Ok((rebuilt, received));
             }
             Err((
                 _,
@@ -526,94 +529,6 @@ fn rebuild_shard(
             }
         }
     }
-}
-
-/// One pass of [`rebuild_shard`] over the chosen `(source, weight)` pairs:
-///
-/// * with `fold_racks`, every run of ≥ 2 chosen sources in one remote rack
-///   is read and folded at that rack's lowest-indexed holder, and exactly
-///   one block-sized partial crosses the rack boundary — `Σ min(sᵣ, 1)`
-///   cross-rack blocks instead of `Σ sᵣ`;
-/// * every other source (a lone remote shard, `at`'s own rack, or all of
-///   them without `fold_racks`) is read whole at `at`, in list order, and
-///   kept in `held` across passes.
-///
-/// Transfers are counted into `out`. On failure returns the position in
-/// `chosen` of the source to drop (a failed partial hop is charged to the
-/// aggregator's own source) with the error that stopped it.
-fn fold_chosen(
-    cfs: &MiniCfs,
-    ctx: &OpContext<'_>,
-    at: NodeId,
-    chosen: &[(&ShardSource, u8)],
-    fold_racks: bool,
-    held: &mut BTreeMap<usize, Block>,
-    out: &mut Rebuilt,
-) -> std::result::Result<ParityAccum, (usize, Error)> {
-    let topo = cfs.topology();
-    let kernel = cfs.codec().kernel();
-    let at_rack = topo.rack_of(at);
-    let rack_of = |s: &ShardSource| s.holders.first().map(|&h| topo.rack_of(h));
-    // The running weighted sum at `at`, sized lazily to the first shard.
-    let mut total: Option<ParityAccum> = None;
-    let mut pos = 0usize;
-    for run in chosen.chunk_by(|a, b| rack_of(a.0) == rack_of(b.0)) {
-        let first = pos;
-        pos += run.len();
-        let aggregator = run.iter().filter_map(|(s, _)| s.holders.first().copied()).min();
-        match aggregator {
-            Some(agg) if fold_racks && run.len() >= 2 && topo.rack_of(agg) != at_rack => {
-                let mut partial: Option<ParityAccum> = None;
-                let mut own = first;
-                for (i, (src, w)) in run.iter().enumerate() {
-                    if src.holders.first() == Some(&agg) {
-                        own = first + i;
-                    }
-                    let (data, _) = cfs
-                        .io()
-                        .read_with_fallback(ctx, agg, src.block, &src.holders, None, None)
-                        .map_err(|e| (first + i, e))?;
-                    out.downloads += 1;
-                    partial
-                        .get_or_insert_with(|| ParityAccum::new(kernel, data.len()))
-                        .absorb(*w, &data)
-                        .map_err(|e| (first + i, e))?;
-                }
-                let Some(partial) = partial else { continue };
-                cfs.io()
-                    .stream_partial(ctx, agg, at, partial.as_slice().len() as u64)
-                    .map_err(|e| (own, e))?;
-                out.downloads += 1;
-                out.cross_rack_downloads += 1;
-                match total.as_mut() {
-                    Some(t) => t.merge(&partial).map_err(|e| (own, e))?,
-                    None => total = Some(partial),
-                }
-            }
-            _ => {
-                for (i, (src, w)) in run.iter().enumerate() {
-                    let data = match held.entry(src.index) {
-                        Entry::Occupied(e) => e.into_mut(),
-                        Entry::Vacant(v) => {
-                            let (data, served_by) = cfs
-                                .io()
-                                .read_with_fallback(ctx, at, src.block, &src.holders, None, None)
-                                .map_err(|e| (first + i, e))?;
-                            out.downloads += 1;
-                            out.cross_rack_downloads +=
-                                usize::from(topo.rack_of(served_by) != at_rack);
-                            v.insert(data)
-                        }
-                    };
-                    total
-                        .get_or_insert_with(|| ParityAccum::new(kernel, data.len()))
-                        .absorb(*w, data)
-                        .map_err(|e| (first + i, e))?;
-                }
-            }
-        }
-    }
-    total.ok_or_else(|| (0, Error::Invariant("rebuild folded no sources".into())))
 }
 
 /// Reconstructs `block`'s bytes at `reader` from any `k` surviving members
@@ -663,8 +578,8 @@ pub(crate) fn degraded_read(
     }
     let lost_idx =
         lost_idx.ok_or_else(|| Error::Invariant(format!("{block} not a member of its stripe")))?;
-    let rebuilt = rebuild_shard(cfs, ctx, reader, lost_idx, &sources, false)?;
-    Ok(Block::from(rebuilt.bytes))
+    let (rebuilt, _) = rebuild_shard(cfs, ctx, reader, lost_idx, &sources, false)?;
+    Ok(Block::from(rebuilt))
 }
 
 /// Statistics of one node-recovery operation.

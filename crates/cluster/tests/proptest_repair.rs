@@ -18,7 +18,7 @@ use ear_types::{
     Bandwidth, BlockId, ByteSize, ClusterTopology, EarConfig, ErasureParams, NodeId, RackId,
     ReplicationConfig,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// A cluster + workload EAR can host with c = 1.
 #[derive(Debug, Clone)]
@@ -137,13 +137,39 @@ fn chaos_invariants_hold_for_arbitrary_seeds() {
     });
 }
 
+/// The one traffic law of a rack fold (DESIGN.md §15): computing `rows`
+/// linear combinations of `sources` at a node in `at_rack` moves
+/// `Σ min(sᵣ, rows)` blocks across racks, `sᵣ` being the sources whose home
+/// — the best of their holders: `at_rack` first, then the lowest rack — is
+/// remote rack `r`. `rows = m` is an encode, `rows = 1` a rebuild, and
+/// `rows = usize::MAX` what reading every source whole would move.
+fn folded_traffic(
+    topo: &ClusterTopology,
+    at_rack: RackId,
+    sources: &[Vec<NodeId>],
+    rows: usize,
+) -> usize {
+    let mut per_rack: BTreeMap<RackId, usize> = BTreeMap::new();
+    for holders in sources {
+        let home = holders
+            .iter()
+            .map(|&h| topo.rack_of(h))
+            .min_by_key(|&r| (r != at_rack, r))
+            .expect("source has a holder");
+        if home != at_rack {
+            *per_rack.entry(home).or_insert(0) += 1;
+        }
+    }
+    per_rack.values().map(|&s| s.min(rows)).sum()
+}
+
 /// What repairing one lost stripe member should cost across racks, derived
 /// from the placement alone by the planner's published rule (DESIGN.md
 /// §15): recover in the rack with the most reachable survivors (ties to the
 /// lowest rack id), take sources from that rack first and then from remote
-/// racks densest-first, and stop at `k`. Returns `(remote racks, remote
-/// sources)` among the chosen `k` — one partial or lone shard per remote
-/// rack is what the fold ships, one block per remote source is what
+/// racks densest-first, and stop at `k`. Returns the [`folded_traffic`] of
+/// the chosen `k` as `(one row, read whole)` — one partial or lone shard per
+/// remote rack is what the fold ships, one block per remote source is what
 /// reading every shard whole would — or `None` with fewer than `k`
 /// reachable survivors.
 fn planned_repair_traffic(
@@ -154,7 +180,7 @@ fn planned_repair_traffic(
 ) -> Option<(usize, usize)> {
     let topo = cfs.topology();
     let k = cfs.codec().params().k();
-    let mut sources: Vec<(usize, RackId)> = members
+    let mut sources: Vec<(usize, NodeId)> = members
         .iter()
         .enumerate()
         .filter(|&(_, &m)| m != lost)
@@ -164,27 +190,28 @@ fn planned_repair_traffic(
                 .locations(m)?
                 .into_iter()
                 .find(|&h| live(h))?;
-            Some((idx, topo.rack_of(holder)))
+            Some((idx, holder))
         })
         .collect();
     if sources.len() < k {
         return None;
     }
     let mut per_rack: BTreeMap<RackId, usize> = BTreeMap::new();
-    for &(_, r) in &sources {
-        *per_rack.entry(r).or_insert(0) += 1;
+    for &(_, h) in &sources {
+        *per_rack.entry(topo.rack_of(h)).or_insert(0) += 1;
     }
     let (&home, _) = per_rack
         .iter()
         .max_by_key(|&(&r, &count)| (count, std::cmp::Reverse(r)))?;
-    sources.sort_by_key(|&(idx, r)| (r != home, std::cmp::Reverse(per_rack[&r]), r, idx));
-    let remote: Vec<RackId> = sources[..k]
-        .iter()
-        .map(|&(_, r)| r)
-        .filter(|&r| r != home)
-        .collect();
-    let racks: BTreeSet<RackId> = remote.iter().copied().collect();
-    Some((racks.len(), remote.len()))
+    sources.sort_by_key(|&(idx, h)| {
+        let r = topo.rack_of(h);
+        (r != home, std::cmp::Reverse(per_rack[&r]), r, idx)
+    });
+    let chosen: Vec<Vec<NodeId>> = sources[..k].iter().map(|&(_, h)| vec![h]).collect();
+    Some((
+        folded_traffic(topo, home, &chosen, 1),
+        folded_traffic(topo, home, &chosen, usize::MAX),
+    ))
 }
 
 /// DESIGN.md §15: for any policy, code shape, rack-fault tolerance `c`,
@@ -193,8 +220,10 @@ fn planned_repair_traffic(
 /// re-plans on a fault-free cluster, and moves exactly `Σ min(sᵣ, m)`
 /// block-sized transfers across racks towards the encoding node — `sᵣ`
 /// being the sources whose preferred replica (encoding rack first, then
-/// lowest rack) sits in remote rack `r` before encoding. Reading every
-/// source whole would move `Σ sᵣ`.
+/// lowest rack) sits in remote rack `r` before encoding ([`folded_traffic`]
+/// at `rows = m`). Reading every source whole would move `Σ sᵣ`. And a
+/// stripe's parity is not only its fold's output but its input: rebuilding
+/// each parity member as a one-row fold returns the bytes the encode stored.
 #[test]
 fn chain_encode_matches_codec_reference_at_the_folded_traffic_count() {
     check("chain_encode_matches_codec_reference", 24, |rng| {
@@ -219,25 +248,12 @@ fn chain_encode_matches_codec_reference_at_the_folded_traffic_count() {
                 .plan_encoding(&stripe)
                 .expect("plan")
                 .encoding_node;
-            let enc_rack = topo.rack_of(enc);
-            let mut per_rack: BTreeMap<RackId, usize> = BTreeMap::new();
-            for &b in &stripe.blocks {
-                let rack = cfs
-                    .namenode()
-                    .locations(b)
-                    .expect("written block located")
-                    .into_iter()
-                    .map(|h| topo.rack_of(h))
-                    .min_by_key(|&r| (r != enc_rack, r))
-                    .expect("written block has a replica");
-                if rack != enc_rack {
-                    *per_rack.entry(rack).or_insert(0) += 1;
-                }
-            }
-            folded += per_rack
-                .values()
-                .map(|&sources| sources.min(m))
-                .sum::<usize>();
+            let sources: Vec<Vec<NodeId>> = stripe
+                .blocks
+                .iter()
+                .map(|&b| cfs.namenode().locations(b).expect("written block located"))
+                .collect();
+            folded += folded_traffic(topo, topo.rack_of(enc), &sources, m);
         }
 
         // One map task: stripes encode in a fixed order, so the counter is
@@ -257,6 +273,13 @@ fn chain_encode_matches_codec_reference_at_the_folded_traffic_count() {
                 let loc = cfs.namenode().locations(p).expect("parity located");
                 let got = cfs.datanode(loc[0]).get(p).expect("parity stored");
                 assert_eq!(got.as_slice(), want.as_slice(), "parity bytes diverged");
+                // Lose the parity block's holder: the repair (folding on)
+                // rebuilds it elsewhere from `k` other members.
+                recover_node(&cfs, loc[0]).expect("fault-free recovery");
+                let moved = cfs.namenode().locations(p).expect("parity located");
+                assert_ne!(moved, loc, "parity was not rebuilt");
+                let rebuilt = cfs.datanode(moved[0]).get(p).expect("rebuilt parity stored");
+                assert_eq!(rebuilt.as_slice(), want.as_slice(), "rebuilt parity diverged");
             }
         }
     });

@@ -85,7 +85,7 @@ impl ReedSolomon {
     }
 
     /// The parity rows of the generator (an `(n-k) × k` matrix).
-    pub fn parity_matrix(&self) -> Matrix {
+    pub(crate) fn parity_matrix(&self) -> Matrix {
         self.generator
             .select_rows(&(self.params.k()..self.params.n()).collect::<Vec<_>>())
     }
@@ -123,12 +123,14 @@ impl ReedSolomon {
         Ok(parity)
     }
 
-    /// Checks that `parity` is consistent with `data`.
+    /// Checks that `parity` is consistent with `data` (a test oracle: no
+    /// caller outside this crate's tests).
     ///
     /// # Errors
     ///
     /// Propagates the same validation errors as [`ReedSolomon::encode`], and
     /// additionally checks the parity shard count.
+    #[cfg(test)]
     pub fn verify<T: AsRef<[u8]>, U: AsRef<[u8]>>(&self, data: &[T], parity: &[U]) -> Result<bool> {
         if parity.len() != self.params.parity() {
             return Err(Error::Invariant(format!(
@@ -238,9 +240,10 @@ impl ReedSolomon {
     /// ```
     ///
     /// Because the fold is a plain linear combination, it can be computed
-    /// incrementally — e.g. each source rack folds its local survivors into
-    /// one partial with a [`ParityAccum`](crate::ParityAccum) and only that
-    /// partial crosses the rack boundary (two-phase rack-aware repair).
+    /// incrementally — e.g. a source rack folds its local survivors into
+    /// the travelling one-row
+    /// [`StripeEncoder::with_rows`](crate::StripeEncoder::with_rows) and
+    /// only that partial crosses the rack boundary (rack-aware repair).
     ///
     /// # Errors
     ///
@@ -296,11 +299,12 @@ impl ReedSolomon {
     }
 
     /// Convenience wrapper: reconstructs and returns only the `k` data
-    /// shards.
+    /// shards (test-only, like [`ReedSolomon::verify`]).
     ///
     /// # Errors
     ///
     /// Same as [`ReedSolomon::reconstruct`].
+    #[cfg(test)]
     pub fn reconstruct_data(&self, shards: &mut [Option<Vec<u8>>]) -> Result<Vec<Vec<u8>>> {
         self.reconstruct(shards)?;
         Ok(shards
@@ -315,26 +319,14 @@ impl ReedSolomon {
     ///
     /// Reed–Solomon encoding is linear, so each parity shard changes by
     /// `g[row][index] · (old ⊕ new)`; this is the parity-delta technique
-    /// used by update-efficient erasure-coded stores.
-    ///
-    /// ```
-    /// use ear_erasure::ReedSolomon;
-    /// use ear_types::ErasureParams;
-    ///
-    /// let rs = ReedSolomon::new(ErasureParams::new(5, 3).unwrap());
-    /// let mut data = vec![vec![1u8; 8], vec![2; 8], vec![3; 8]];
-    /// let mut parity = rs.encode(&data)?;
-    /// let old = data[1].clone();
-    /// data[1] = vec![9; 8];
-    /// rs.update_parity(1, &old, &data[1], &mut parity)?;
-    /// assert!(rs.verify(&data, &parity)?);
-    /// # Ok::<(), ear_types::Error>(())
-    /// ```
+    /// used by update-efficient erasure-coded stores. Nothing in the
+    /// workspace updates a sealed stripe, so it is test-only.
     ///
     /// # Errors
     ///
     /// * [`Error::Invariant`] if `index >= k` or the parity count is wrong.
     /// * [`Error::ShardLengthMismatch`] if lengths disagree.
+    #[cfg(test)]
     pub fn update_parity(
         &self,
         index: usize,

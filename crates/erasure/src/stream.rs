@@ -4,13 +4,13 @@
 //! they can be folded in one source at a time instead of requiring all `k`
 //! shards resident at one node. [`ParityAccum`] is the single-output fold
 //! (`Σ coeffᵢ · chunkᵢ`, the primitive of RapidRAID-style pipelined
-//! encoding and two-phase rack-aware repair); [`StripeEncoder`] stacks
-//! `n − k` of them with the generator's parity coefficients so a full
-//! stripe encode can stream source-by-source, hop-by-hop.
+//! encoding and rack-aware repair); [`StripeEncoder`] stacks `r` of them
+//! under `r` coefficient rows — the generator's `n − k` parity rows for an
+//! encode, the one row of recovery coefficients for a rebuild — so either
+//! can stream source-by-source, hop-by-hop.
 //!
-//! Because GF(2⁸) addition is XOR (commutative and associative), partials
-//! absorbed in any order — or folded independently and then merged with
-//! [`StripeEncoder::merge`] — finish to bytes identical to the one-shot
+//! Because GF(2⁸) addition is XOR (commutative and associative), sources
+//! absorbed in any order finish to bytes identical to the one-shot
 //! [`ReedSolomon::encode`](crate::ReedSolomon::encode) pass. The tests at
 //! the bottom of this module pin that bit-identity across kernel tiers.
 
@@ -21,9 +21,7 @@ use ear_types::{Error, Result};
 ///
 /// Init with [`ParityAccum::new`], fold sources in with
 /// [`ParityAccum::absorb`], and close with [`ParityAccum::finish`] once the
-/// expected number of sources has been absorbed. Partials folded
-/// independently — one per source rack — combine with
-/// [`ParityAccum::merge`].
+/// expected number of sources has been absorbed.
 #[derive(Debug, Clone)]
 pub struct ParityAccum {
     acc: Vec<u8>,
@@ -68,23 +66,6 @@ impl ParityAccum {
         Ok(())
     }
 
-    /// Merges another partial into this one (`acc ⊕= other.acc`): the GF
-    /// sum of two disjoint partial folds is the fold of the union.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::ShardLengthMismatch`] on length disagreement.
-    pub fn merge(&mut self, other: &ParityAccum) -> Result<()> {
-        if other.acc.len() != self.acc.len() {
-            return Err(Error::ShardLengthMismatch);
-        }
-        for (a, b) in self.acc.iter_mut().zip(other.acc.iter()) {
-            *a ^= *b;
-        }
-        self.absorbed += other.absorbed;
-        Ok(())
-    }
-
     /// Closes the fold, checking that exactly `expected` sources were
     /// absorbed.
     ///
@@ -104,15 +85,16 @@ impl ParityAccum {
     }
 }
 
-/// A streaming stripe encode: `n − k` running parity rows plus a record of
-/// which source indices have been folded in.
+/// A streaming fold of `r` output rows: the running rows plus a record of
+/// which source columns have been folded in.
 ///
-/// Built from a codec with [`StripeEncoder::new`]; each source shard is
-/// folded with [`StripeEncoder::absorb_source`] (any order, exactly once
-/// each); independent encoders over disjoint source subsets — e.g. one per
-/// source rack — combine with [`StripeEncoder::merge`]; and
-/// [`StripeEncoder::finish`] yields parity bytes identical to
-/// [`ReedSolomon::encode`](crate::ReedSolomon::encode).
+/// Built from a codec with [`StripeEncoder::new`] (its `n − k` parity rows)
+/// or from explicit coefficients with [`StripeEncoder::with_rows`] (one row
+/// of [`recovery_coefficients`](crate::ReedSolomon::recovery_coefficients)
+/// rebuilds a lost shard); each source shard is folded with
+/// [`StripeEncoder::absorb_source`] (any order, exactly once each); and
+/// [`StripeEncoder::finish`] yields, for the codec's rows, parity bytes
+/// identical to [`ReedSolomon::encode`](crate::ReedSolomon::encode).
 #[derive(Debug, Clone)]
 pub struct StripeEncoder {
     coeffs: Matrix,
@@ -124,13 +106,18 @@ impl StripeEncoder {
     /// A fresh encoder for one stripe of `shard_len`-byte shards under
     /// `rs`'s generator.
     pub fn new(rs: &ReedSolomon, shard_len: usize) -> Self {
-        let m = rs.params().parity();
+        Self::with_rows(rs.kernel(), rs.parity_matrix(), shard_len)
+    }
+
+    /// A fresh fold of `coeffs.rows()` outputs over `coeffs.cols()` sources:
+    /// output `i` finishes as `Σⱼ coeffs[i][j] · sourceⱼ`.
+    pub fn with_rows(kernel: Kernel, coeffs: Matrix, shard_len: usize) -> Self {
         StripeEncoder {
-            coeffs: rs.parity_matrix(),
-            rows: (0..m)
-                .map(|_| ParityAccum::new(rs.kernel(), shard_len))
+            rows: (0..coeffs.rows())
+                .map(|_| ParityAccum::new(kernel, shard_len))
                 .collect(),
-            absorbed: vec![false; rs.params().k()],
+            absorbed: vec![false; coeffs.cols()],
+            coeffs,
         }
     }
 
@@ -145,7 +132,7 @@ impl StripeEncoder {
         self.rows.iter().map(ParityAccum::as_slice)
     }
 
-    /// Folds source shard `index` into every parity row.
+    /// Folds source shard `index` into every output row.
     ///
     /// # Errors
     ///
@@ -168,40 +155,7 @@ impl StripeEncoder {
         Ok(())
     }
 
-    /// Merges another encoder's partial rows into this one. The two must
-    /// have folded *disjoint* source sets — the GF sum of overlapping
-    /// partials would silently cancel a source, so overlap is an error.
-    ///
-    /// # Errors
-    ///
-    /// * [`Error::Invariant`] on shape mismatch or overlapping sources.
-    /// * [`Error::ShardLengthMismatch`] on length disagreement.
-    pub fn merge(&mut self, other: &StripeEncoder) -> Result<()> {
-        if other.absorbed.len() != self.absorbed.len() || other.rows.len() != self.rows.len() {
-            return Err(Error::Invariant(
-                "merging stripe encoders of different shapes".into(),
-            ));
-        }
-        if self
-            .absorbed
-            .iter()
-            .zip(other.absorbed.iter())
-            .any(|(&a, &b)| a && b)
-        {
-            return Err(Error::Invariant(
-                "merging stripe encoders with overlapping sources".into(),
-            ));
-        }
-        for (acc, theirs) in self.rows.iter_mut().zip(other.rows.iter()) {
-            acc.merge(theirs)?;
-        }
-        for (slot, &theirs) in self.absorbed.iter_mut().zip(other.absorbed.iter()) {
-            *slot |= theirs;
-        }
-        Ok(())
-    }
-
-    /// Closes the encode, returning the `n − k` parity shards.
+    /// Closes the fold, returning the output rows.
     ///
     /// # Errors
     ///
@@ -276,34 +230,12 @@ mod tests {
     }
 
     #[test]
-    fn merged_rack_partials_match_one_shot() {
-        let rs = ReedSolomon::new(ErasureParams::new(9, 6).unwrap());
-        let data = shards(6, 768, 9);
-        let expected = rs.encode(&data).unwrap();
-
-        // Three "racks" fold disjoint subsets independently, then merge.
-        let groups: [&[usize]; 3] = [&[0, 3], &[1, 4, 5], &[2]];
-        let mut merged = StripeEncoder::new(&rs, 768);
-        for group in groups {
-            let mut partial = StripeEncoder::new(&rs, 768);
-            for &j in group {
-                partial.absorb_source(j, &data[j]).unwrap();
-            }
-            merged.merge(&partial).unwrap();
-        }
-        assert_eq!(merged.finish().unwrap(), expected);
-    }
-
-    #[test]
     fn overlap_and_double_fold_are_rejected() {
         let rs = ReedSolomon::new(ErasureParams::new(6, 4).unwrap());
         let data = shards(4, 64, 6);
         let mut enc = StripeEncoder::new(&rs, 64);
         enc.absorb_source(1, &data[1]).unwrap();
         assert!(enc.absorb_source(1, &data[1]).is_err());
-        let mut other = StripeEncoder::new(&rs, 64);
-        other.absorb_source(1, &data[1]).unwrap();
-        assert!(enc.merge(&other).is_err());
         assert!(enc.finish().is_err());
     }
 
@@ -331,28 +263,17 @@ mod tests {
             .map(Vec::as_slice)
             .collect();
 
-        // Rebuild every shard index from an arbitrary choice of 6 sources,
-        // folding rack-partial style: two disjoint groups each produce one
-        // partial, merged at the end.
+        // Rebuild every shard index from an arbitrary choice of 6 sources as
+        // a one-row fold that travels rack to rack: the second rack's
+        // sources go in first, as a chain visiting it first would.
         for lost in 0..9usize {
             let rows: Vec<usize> = (0..9).filter(|&i| i != lost).take(6).collect();
             let w = rs.recovery_coefficients(&rows, lost).unwrap();
-            let (left, right) = rows.split_at(2);
-            let (wl, wr) = w.split_at(2);
-            let mut rack_a = ParityAccum::new(rs.kernel(), 512);
-            for (&j, &c) in left.iter().zip(wl.iter()) {
-                rack_a.absorb(c, all[j]).unwrap();
+            let mut fold = StripeEncoder::with_rows(rs.kernel(), Matrix::from_rows(1, 6, w), 512);
+            for column in (2..6).chain(0..2) {
+                fold.absorb_source(column, all[rows[column]]).unwrap();
             }
-            let mut rack_b = ParityAccum::new(rs.kernel(), 512);
-            for (&j, &c) in right.iter().zip(wr.iter()) {
-                rack_b.absorb(c, all[j]).unwrap();
-            }
-            rack_a.merge(&rack_b).unwrap();
-            assert_eq!(
-                rack_a.finish(6).unwrap().as_slice(),
-                all[lost],
-                "lost index {lost}"
-            );
+            assert_eq!(fold.finish().unwrap(), [all[lost].to_vec()], "lost index {lost}");
         }
     }
 

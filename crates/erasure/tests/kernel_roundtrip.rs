@@ -23,13 +23,12 @@ fn sample_data(k: usize, len: usize) -> Vec<Vec<u8>> {
 type Shards = Vec<Vec<u8>>;
 
 /// Full stripe lifecycle under `codec`: encode, decode after maximal
-/// erasure, parity repair, and an incremental parity update. Returns the
-/// artifacts so tiers can be compared bit for bit.
+/// erasure, and parity repair. Returns the artifacts so tiers can be
+/// compared bit for bit.
 fn round_trip(codec: &ReedSolomon, data: &[Vec<u8>]) -> (Shards, Shards, Shards) {
     let n = codec.params().n();
     let k = codec.params().k();
     let parity = codec.encode(data).unwrap();
-    assert!(codec.verify(data, &parity).unwrap());
 
     // Decode: erase n - k shards (mix of data and parity), reconstruct all.
     let full: Vec<Vec<u8>> = data.iter().cloned().chain(parity.iter().cloned()).collect();
@@ -50,16 +49,6 @@ fn round_trip(codec: &ReedSolomon, data: &[Vec<u8>]) -> (Shards, Shards, Shards)
     }
     codec.reconstruct(&mut shards).unwrap();
     let repaired: Vec<Vec<u8>> = shards.into_iter().skip(k).map(|s| s.unwrap()).collect();
-
-    // Incremental update keeps parity consistent.
-    let mut data2: Vec<Vec<u8>> = data.to_vec();
-    let mut parity2 = parity.clone();
-    let old = data2[1].clone();
-    for b in data2[1].iter_mut() {
-        *b ^= 0x3C;
-    }
-    codec.update_parity(1, &old, &data2[1], &mut parity2).unwrap();
-    assert!(codec.verify(&data2, &parity2).unwrap());
 
     (parity, decoded, repaired)
 }

@@ -57,7 +57,7 @@ pub const DATA_PLANE_FILES: &[&str] = &[
     "cache.rs",
     "recovery.rs",
     "raidnode.rs",
-    "pipeline.rs",
+    "fold.rs",
     "healer.rs",
     "reliability.rs",
     "wal.rs",
@@ -75,7 +75,7 @@ pub const DURABILITY_FILES: &[&str] = &["wal.rs", "extent.rs", "cluster.rs"];
 /// The repair/encode paths (recovery.rs, raidnode.rs) legitimately
 /// assemble fresh buffers and are out of scope.
 pub const HOT_READ_PATH_FILES: &[&str] =
-    &["io.rs", "datanode.rs", "blockstore.rs", "cache.rs", "pipeline.rs"];
+    &["io.rs", "datanode.rs", "blockstore.rs", "cache.rs", "fold.rs"];
 
 fn in_cluster_set(path: &str, set: &[&str]) -> bool {
     set.iter().any(|f| path == format!("crates/cluster/src/{f}"))

@@ -285,7 +285,7 @@ pub fn run_plan(seed: u64, cfg: &ChaosConfig) -> Result<ChaosReport> {
     }
     report.violations_after_repair = countable(&scan(&cfs));
 
-    verify_blocks(&cfs, &acked, k, &mut report);
+    verify_blocks(&cfs, &acked, k, |_| true, &mut report);
 
     // Tail-latency probe: read every acked block back through the real
     // client path — admission, breakers, hedging and all — on the virtual
@@ -334,28 +334,36 @@ fn percentile(sorted: &[u64], permille: usize) -> u64 {
     sorted.get(idx).copied().unwrap_or(0)
 }
 
+/// The bytes of `b` if it is *available*: some recorded holder is alive and
+/// its copy reads back clean.
+fn clean_copy(cfs: &MiniCfs, b: BlockId) -> Option<Vec<u8>> {
+    let inj = cfs.injector();
+    let locs = cfs.namenode().locations(b)?;
+    locs.iter()
+        .find(|&&h| !inj.node_down(h) && !inj.corrupts(h, b))
+        .and_then(|&h| cfs.datanode(h).get(b))
+        .map(|d| d.to_vec())
+}
+
 /// Checks every acked block is still recoverable, filling the report's
 /// verification fields. Uses direct state inspection (not the faulty read
-/// path) so the check itself is deterministic.
-fn verify_blocks(cfs: &MiniCfs, acked: &BTreeMap<BlockId, u64>, k: usize, report: &mut ChaosReport) {
-    let inj = cfs.injector();
-    // A shard is *available* if some recorded holder is alive and its copy
-    // reads back clean.
-    let clean_copy = |b: BlockId| -> Option<Vec<u8>> {
-        let locs = cfs.namenode().locations(b)?;
-        locs.iter()
-            .find(|&&h| !inj.node_down(h) && !inj.corrupts(h, b))
-            .and_then(|&h| cfs.datanode(h).get(b))
-            .map(|d| d.to_vec())
-    };
-
+/// path) so the check itself is deterministic. A replicated block with no
+/// clean copy left is beyond tolerance if `excused` says the faults that hit
+/// it were more than replication survives, and lost otherwise.
+fn verify_blocks(
+    cfs: &MiniCfs,
+    acked: &BTreeMap<BlockId, u64>,
+    k: usize,
+    excused: impl Fn(BlockId) -> bool,
+    report: &mut ChaosReport,
+) {
     // Replicated (not-yet-encoded) acked blocks: a live clean replica must
     // hold exactly the written bytes.
     for (&b, &tag) in acked {
         if cfs.namenode().stripe_of(b).is_some() {
             continue;
         }
-        match clean_copy(b) {
+        match clean_copy(cfs, b) {
             Some(bytes) => {
                 if bytes != cfs.make_block(tag) {
                     report.lost_blocks.push(b);
@@ -364,14 +372,15 @@ fn verify_blocks(cfs: &MiniCfs, acked: &BTreeMap<BlockId, u64>, k: usize, report
             // Every replica dead or corrupt. r-way replication tolerates
             // r - 1 failures; losing all r copies is beyond tolerance, the
             // replicated analogue of > n - k lost shards.
-            None => report.blocks_beyond_tolerance += 1,
+            None if excused(b) => report.blocks_beyond_tolerance += 1,
+            None => report.lost_blocks.push(b),
         }
     }
 
     // Encoded stripes: with at most n - k unavailable shards the stripe
     // must reconstruct every acked data block bit-identically.
     for es in cfs.namenode().encoded_stripes() {
-        let shards: Vec<Option<Vec<u8>>> = es.members().map(clean_copy).collect();
+        let shards: Vec<Option<Vec<u8>>> = es.members().map(|b| clean_copy(cfs, b)).collect();
         let available = shards.iter().filter(|s| s.is_some()).count();
         if available < k {
             report.stripes_beyond_tolerance += 1;
@@ -552,27 +561,25 @@ pub fn run_heal_plan(seed: u64, cfg: &HealSoakConfig) -> Result<HealSoakReport> 
     // Write until enough stripes seal, plus a handful of extra blocks that
     // stay replicated so the soak exercises re-replication too. BTreeMap:
     // `count_redundancy`/`verify_heal_blocks` walk this map into the report,
-    // so its order must be the key order, not hash order.
+    // so its order must be the key order, not hash order. `written` keeps
+    // the nodes each acked block's replicas landed on: the faults that hit
+    // those copies decide whether losing the block is excused.
     let mut acked: BTreeMap<BlockId, u64> = BTreeMap::new();
+    let mut written: BTreeMap<BlockId, Vec<NodeId>> = BTreeMap::new();
+    let mut write = |t: u64| match cfs.write_block(NodeId((t % nodes) as u32), cfs.make_block(t)) {
+        Ok(id) => {
+            acked.insert(id, t);
+            written.insert(id, cfs.namenode().locations(id).unwrap_or_default());
+        }
+        Err(_) => report.failed_writes += 1,
+    };
     let max_writes = (cfg.stripes * k * 4) as u64;
     let mut tag = 0u64;
     while cfs.namenode().pending_stripe_count() < cfg.stripes && tag < max_writes {
-        match cfs.write_block(NodeId((tag % nodes) as u32), cfs.make_block(tag)) {
-            Ok(id) => {
-                acked.insert(id, tag);
-            }
-            Err(_) => report.failed_writes += 1,
-        }
+        write(tag);
         tag += 1;
     }
-    for extra in 0..3 {
-        let t = tag + extra;
-        if let Ok(id) = cfs.write_block(NodeId((t % nodes) as u32), cfs.make_block(t)) {
-            acked.insert(id, t);
-        } else {
-            report.failed_writes += 1;
-        }
-    }
+    (tag..tag + 3).for_each(&mut write);
     report.acked_blocks = acked.len();
 
     let (stats, relocations) = RaidNode::encode_all(&cfs, cfg.map_tasks)?;
@@ -592,14 +599,16 @@ pub fn run_heal_plan(seed: u64, cfg: &HealSoakConfig) -> Result<HealSoakReport> 
 
     report.violations_after_heal = scan(&cfs).len();
     count_redundancy(&cfs, &acked, &mut report);
-    verify_heal_blocks(&cfs, &acked, k, &mut report);
+    verify_heal_blocks(&cfs, &acked, &written, k, &mut report);
     Ok(report)
 }
 
 /// Counts acked blocks still short of target redundancy, judged by the
 /// injector's ground truth (not the detector's view): replicated blocks
 /// must have their full replica count on live nodes, stripe members at
-/// least one live copy.
+/// least one live copy. A replicated block with no clean copy left has
+/// nothing to re-replicate from — whether that is a loss is
+/// [`verify_heal_blocks`]'s call, not a redundancy shortfall.
 fn count_redundancy(cfs: &MiniCfs, acked: &BTreeMap<BlockId, u64>, report: &mut HealSoakReport) {
     let inj = cfs.injector();
     let want = cfs.config().ear.replication().replicas();
@@ -616,22 +625,33 @@ fn count_redundancy(cfs: &MiniCfs, acked: &BTreeMap<BlockId, u64>, report: &mut 
         report.under_redundant += es.members().filter(|&b| live_copies(b) == 0).count();
     }
     for &b in acked.keys() {
-        if cfs.namenode().stripe_of(b).is_none() && live_copies(b) < want {
+        let replicated = cfs.namenode().stripe_of(b).is_none();
+        if replicated && live_copies(b) < want && clean_copy(cfs, b).is_some() {
             report.under_redundant += 1;
         }
     }
 }
 
 /// The loss invariant for heal soaks: same direct-inspection check as
-/// [`verify_blocks`], against the healed cluster state.
+/// [`verify_blocks`], against the healed cluster state. A replicated block
+/// with no clean copy left is beyond tolerance only if every node in
+/// `written` for it — where its replicas landed — was killed or corrupts its
+/// copy: as many faults as replicas. With fewer, a clean copy outlived the
+/// plan and losing it is the healer's doing.
 fn verify_heal_blocks(
     cfs: &MiniCfs,
     acked: &BTreeMap<BlockId, u64>,
+    written: &BTreeMap<BlockId, Vec<NodeId>>,
     k: usize,
     report: &mut HealSoakReport,
 ) {
+    let inj = cfs.injector();
+    let excused = |b: BlockId| {
+        let faulted = |&h: &NodeId| inj.node_down(h) || inj.corrupts(h, b);
+        written.get(&b).is_some_and(|copies| copies.iter().all(faulted))
+    };
     let mut scratch = ChaosReport::default();
-    verify_blocks(cfs, acked, k, &mut scratch);
+    verify_blocks(cfs, acked, k, excused, &mut scratch);
     report.lost_blocks = scratch.lost_blocks;
     report.blocks_beyond_tolerance = scratch.blocks_beyond_tolerance;
     report.stripes_beyond_tolerance = scratch.stripes_beyond_tolerance;
@@ -692,18 +712,18 @@ mod tests {
 
         let k = cfs.codec().params().k() as usize;
         let mut report_a = ChaosReport::default();
-        verify_blocks(&cfs, &sorted, k, &mut report_a);
+        verify_blocks(&cfs, &sorted, k, |_| true, &mut report_a);
         let mut report_b = ChaosReport::default();
-        verify_blocks(&cfs, &shuffled, k, &mut report_b);
+        verify_blocks(&cfs, &shuffled, k, |_| true, &mut report_b);
         assert!(!report_a.lost_blocks.is_empty(), "wrong tags must surface");
         assert_eq!(format!("{report_a:?}"), format!("{report_b:?}"));
 
         let mut heal_a = HealSoakReport::default();
         count_redundancy(&cfs, &sorted, &mut heal_a);
-        verify_heal_blocks(&cfs, &sorted, k, &mut heal_a);
+        verify_heal_blocks(&cfs, &sorted, &BTreeMap::new(), k, &mut heal_a);
         let mut heal_b = HealSoakReport::default();
         count_redundancy(&cfs, &shuffled, &mut heal_b);
-        verify_heal_blocks(&cfs, &shuffled, k, &mut heal_b);
+        verify_heal_blocks(&cfs, &shuffled, &BTreeMap::new(), k, &mut heal_b);
         assert_eq!(format!("{heal_a:?}"), format!("{heal_b:?}"));
     }
 
@@ -725,6 +745,60 @@ mod tests {
         assert!(r.acked_blocks > 0);
         assert!(r.heal.converged);
         assert!(r.heal.rounds <= cfg.healer.max_rounds);
+    }
+
+    #[test]
+    fn a_block_with_every_written_copy_faulted_is_beyond_tolerance_not_under_redundant() {
+        // Heal seed 60's shape: a block acked on three nodes, two of them
+        // killed and the third copy corrupt — as many faults as replicas,
+        // so there was never a clean copy to heal from.
+        let cfg = HealSoakConfig::default();
+        let faults = FaultConfig {
+            corruption_rate: 0.3,
+            transient_error_rate: 0.0,
+            heartbeat_loss_rate: 0.0,
+            crash_window: 1,
+            ..cfg.faults.clone()
+        };
+        let cluster = heal_cluster(&cfg, 60).unwrap();
+        let topo = ClusterTopology::uniform(cluster.racks, cluster.nodes_per_rack);
+        let cfs = MiniCfs::with_faults(cluster, FaultPlan::generate(60, &topo, &faults)).unwrap();
+        let inj = cfs.injector();
+        let killed: Vec<NodeId> = inj.plan().crashes().iter().map(|c| c.node).collect();
+        assert!(killed.len() == 2 && killed.iter().all(|&n| inj.node_down(n)), "{killed:?}");
+        let k = cfs.codec().params().k();
+        let judge = |block: BlockId, third: NodeId| {
+            let acked = BTreeMap::from([(block, 0)]);
+            let written = BTreeMap::from([(block, vec![killed[0], killed[1], third])]);
+            let mut report = HealSoakReport::default();
+            report.heal.converged = true;
+            count_redundancy(&cfs, &acked, &mut report);
+            verify_heal_blocks(&cfs, &acked, &written, k, &mut report);
+            report
+        };
+
+        let block = cfs.namenode().register_block(killed.clone()).unwrap();
+        let rotten = topo
+            .nodes()
+            .find(|&n| !inj.node_down(n) && inj.corrupts(n, block))
+            .unwrap();
+        cfs.datanode(rotten).put(block, cfs.make_block(0).into()).unwrap();
+        cfs.namenode().add_location(block, rotten).unwrap();
+        let r = judge(block, rotten);
+        assert_eq!((r.under_redundant, r.blocks_beyond_tolerance), (0, 1), "{r:?}");
+        assert!(r.passed(), "{r:?}");
+
+        // Had the third copy been clean it would have outlived the plan:
+        // a block left without it is the healer's loss, not the plan's.
+        let block = cfs.namenode().register_block(killed.clone()).unwrap();
+        let clean = topo
+            .nodes()
+            .find(|&n| !inj.node_down(n) && !inj.corrupts(n, block))
+            .unwrap();
+        let r = judge(block, clean);
+        assert_eq!((r.under_redundant, r.blocks_beyond_tolerance), (0, 0), "{r:?}");
+        assert_eq!(r.lost_blocks, [block]);
+        assert!(!r.passed(), "{r:?}");
     }
 
     #[test]

@@ -6,7 +6,9 @@ use crate::io::{ClusterIo, IoStats};
 use crate::namenode::NameNode;
 use crate::reliability::{self, OpClass, OpContext, Reliability, ReliabilityConfig};
 use crate::wal::MetaWal;
-use ear_core::{EncodingAwareReplication, PlacementPolicy, RandomReplicationPolicy};
+use ear_core::{
+    EncodingAwareReplication, PlacementPolicy, RandomReplicationPolicy, StripeSpread,
+};
 use ear_erasure::ReedSolomon;
 use ear_faults::{FaultInjector, FaultPlan};
 use ear_netem::EmulatedNetwork;
@@ -347,6 +349,13 @@ impl MiniCfs {
     /// The topology.
     pub fn topology(&self) -> &ClusterTopology {
         &self.topo
+    }
+
+    /// The rack spread of a stripe with one block on each of `holders`,
+    /// under this cluster's `c` (DESIGN.md §8): what every placement after
+    /// the write asks before it takes a node.
+    pub(crate) fn spread_of(&self, holders: impl IntoIterator<Item = NodeId>) -> StripeSpread<'_> {
+        StripeSpread::of(&self.topo, self.config.ear.c(), holders)
     }
 
     /// The NameNode.

@@ -23,46 +23,27 @@ pub struct Violation {
 /// placement violates the `c` blocks-per-rack constraint (or places two
 /// stripe blocks on one node).
 pub fn scan(cfs: &MiniCfs) -> Vec<Violation> {
-    let topo = cfs.topology();
-    let c = cfs.config().ear.c();
+    let nn = cfs.namenode();
     let mut violations = Vec::new();
-    for es in cfs.namenode().encoded_stripes() {
-        // BTreeMap: `overloaded` is reported per stripe and feeds the soak
-        // reports, so its construction must be hash-order-free.
-        let mut per_rack: BTreeMap<RackId, usize> = BTreeMap::new();
-        let mut nodes = HashSet::new();
-        let mut node_clash = false;
-        for &b in es.data.iter().chain(es.parity.iter()) {
-            if let Some(locs) = cfs.namenode().locations(b) {
-                for n in locs {
-                    if !nodes.insert(n) {
-                        node_clash = true;
-                    }
-                    *per_rack.entry(topo.rack_of(n)).or_insert(0) += 1;
-                }
-            }
-        }
-        let mut overloaded: Vec<(RackId, usize)> = per_rack
-            .into_iter()
-            .filter(|&(_, count)| count > c)
-            .collect();
-        overloaded.sort_by_key(|&(r, _)| r);
-        if !overloaded.is_empty() || node_clash {
+    for es in nn.encoded_stripes() {
+        let holders = es.members().filter_map(|b| nn.locations(b)).flatten();
+        let found = cfs.spread_of(holders).violations();
+        if !found.is_empty() {
             violations.push(Violation {
                 stripe: es.id,
-                overloaded_racks: overloaded,
+                overloaded_racks: found.overloaded_racks,
             });
         }
     }
     violations
 }
 
-/// Plans relocations repairing the reported violations: for each overloaded
-/// rack, surplus blocks move to nodes in racks with spare stripe capacity.
-/// Feed the result to [`RaidNode::relocate`](crate::RaidNode::relocate).
+/// Plans relocations repairing the reported violations: a rack's surplus
+/// blocks, and any node's second block whatever its rack holds, move to
+/// nodes the stripe's spread admits. Feed the result to
+/// [`RaidNode::relocate`](crate::RaidNode::relocate).
 pub fn plan_repairs(cfs: &MiniCfs, violations: &[Violation]) -> Vec<Relocation> {
     let topo = cfs.topology();
-    let c = cfs.config().ear.c();
     // Derived from the cluster seed so two clusters differing only in seed
     // plan different (but individually reproducible) repairs.
     let mut rng = ChaCha8::from_seed(cfs.config().seed ^ 0x510C);
@@ -78,66 +59,42 @@ pub fn plan_repairs(cfs: &MiniCfs, violations: &[Violation]) -> Vec<Relocation> 
             continue;
         };
         // Current placement of the stripe.
-        let mut placement: Vec<(ear_types::BlockId, NodeId)> = es
-            .data
-            .iter()
-            .chain(es.parity.iter())
-            .filter_map(|&b| {
+        let placement: Vec<(ear_types::BlockId, NodeId)> = es
+            .members()
+            .filter_map(|b| {
                 cfs.namenode()
                     .locations(b)
                     .and_then(|l| l.first().copied())
                     .map(|n| (b, n))
             })
             .collect();
+        let mut spread = cfs.spread_of(placement.iter().map(|&(_, n)| n));
+        // Rack by rack in rack order, so the plan is a pure function of
+        // cluster state and seed.
         let mut per_rack: BTreeMap<RackId, Vec<usize>> = BTreeMap::new();
         for (i, &(_, n)) in placement.iter().enumerate() {
             per_rack.entry(topo.rack_of(n)).or_default().push(i);
         }
-        let mut used: HashSet<NodeId> = placement.iter().map(|&(_, n)| n).collect();
-        let mut load: HashMap<RackId, usize> =
-            per_rack.iter().map(|(&r, v)| (r, v.len())).collect();
-        // Move surplus blocks out of overloaded racks, in rack order so the
-        // plan is a pure function of cluster state and seed (HashMap
-        // iteration order is not).
-        let mut by_rack: Vec<(RackId, Vec<usize>)> = per_rack.into_iter().collect();
-        by_rack.sort_by_key(|&(r, _)| r);
-        for (rack, members) in by_rack {
-            let surplus = members.len().saturating_sub(c);
-            // A node's second stripe block moves before any node's only one:
-            // otherwise the rack can drop to `c` with a node clash left in
-            // it, which `scan` reports and no later plan repairs.
+        for members in per_rack.into_values() {
+            let surplus = members.len().saturating_sub(spread.c());
+            // A node's second stripe block moves before any node's only one
+            // — otherwise the rack can drop to `c` with a node clash left in
+            // it — and moves even when the rack is within `c`.
             let mut seen = HashSet::new();
             let (lone, doubled): (Vec<usize>, Vec<usize>) = members
                 .iter()
                 .partition(|&&idx| seen.insert(placement[idx].1));
-            for &idx in doubled.iter().chain(&lone).take(surplus) {
+            let moving = surplus.max(doubled.len());
+            for &idx in doubled.iter().chain(&lone).take(moving) {
                 let (block, from) = placement[idx];
-                // Find a destination rack with spare capacity.
-                let mut candidates: Vec<RackId> = topo
-                    .racks()
-                    .filter(|r| *r != rack && load.get(r).copied().unwrap_or(0) < c)
-                    .collect();
-                rng.shuffle(&mut candidates);
-                let Some(dst_rack) = candidates.first().copied() else {
+                let Some(to) = spread.pick(None, &mut rng) else {
                     continue;
                 };
-                let free: Vec<NodeId> = topo
-                    .nodes_in_rack(dst_rack)
-                    .iter()
-                    .copied()
-                    .filter(|n| !used.contains(n))
-                    .collect();
-                if let Some(&to) = rng.choose(&free) {
-                    out.push((block, from, to));
-                    // The destination now holds a stripe block: without
-                    // marking it used, two surplus blocks of one stripe can
-                    // land on the same node (a node-clash violation the
-                    // next scan would re-report).
-                    used.insert(to);
-                    *load.entry(dst_rack).or_insert(0) += 1;
-                    *load.entry(rack).or_insert(surplus) -= 1;
-                    placement[idx].1 = to;
-                }
+                out.push((block, from, to));
+                // The destination now holds a stripe block: the next pick
+                // must not land a second one on it.
+                spread.vacate(from);
+                spread.place(to);
             }
         }
     }
@@ -154,14 +111,14 @@ mod tests {
         StoreBackend,
     };
 
-    fn boot(policy: ClusterPolicy) -> MiniCfs {
+    fn config(policy: ClusterPolicy) -> ClusterConfig {
         let ear = EarConfig::new(
             ErasureParams::new(6, 4).unwrap(),
             ReplicationConfig::two_way(),
             1,
         )
         .unwrap();
-        let cfg = ClusterConfig {
+        ClusterConfig {
             racks: 8,
             nodes_per_rack: 2,
             block_size: ByteSize::kib(64),
@@ -174,8 +131,11 @@ mod tests {
             cache: CacheConfig::from_env(),
             durability: Default::default(),
             reliability: Default::default(),
-        };
-        MiniCfs::new(cfg).unwrap()
+        }
+    }
+
+    fn boot(policy: ClusterPolicy) -> MiniCfs {
+        MiniCfs::new(config(policy)).unwrap()
     }
 
     fn write_and_encode(cfs: &MiniCfs, stripes: usize) -> Vec<Relocation> {
@@ -304,6 +264,49 @@ mod tests {
             RaidNode::relocate(&cfs, &plan).unwrap();
         }
         assert!(scan(&cfs).is_empty(), "iterated repair must converge");
+    }
+
+    #[test]
+    fn a_node_clash_inside_a_racks_allowance_is_moved() {
+        // c = 2: two stripe blocks on one node overload no rack, so the
+        // violation carries no rack to drain — the clash alone must plan a
+        // move.
+        let ear = EarConfig::new(
+            ErasureParams::new(6, 4).unwrap(),
+            ReplicationConfig::two_way(),
+            2,
+        )
+        .unwrap();
+        let cfs = MiniCfs::new(ClusterConfig {
+            racks: 4,
+            ear,
+            seed: 79,
+            ..config(ClusterPolicy::Ear)
+        })
+        .unwrap();
+        write_and_encode(&cfs, 1);
+        let es = &cfs.namenode().encoded_stripes()[0];
+        let topo = cfs.topology();
+        let holder = |b| cfs.namenode().locations(b).unwrap()[0];
+        // Two members sharing a rack: the second joins the first's node.
+        let (stay, mover) = es
+            .members()
+            .flat_map(|a| es.members().map(move |b| (a, b)))
+            .find(|&(a, b)| a < b && topo.rack_of(holder(a)) == topo.rack_of(holder(b)))
+            .expect("six blocks over four racks share one");
+        let (old, dst) = (holder(mover), holder(stay));
+        let data = cfs.datanode(old).get(mover).unwrap();
+        cfs.datanode(dst).put(mover, data).unwrap();
+        cfs.datanode(old).delete(mover);
+        cfs.namenode().set_locations(mover, vec![dst]).unwrap();
+
+        let violations = scan(&cfs);
+        assert_eq!(violations, [Violation { stripe: es.id, overloaded_racks: vec![] }]);
+        let repairs = plan_repairs(&cfs, &violations);
+        assert_eq!(repairs.len(), 1, "{repairs:?}");
+        assert_eq!(repairs[0].1, dst);
+        RaidNode::relocate(&cfs, &repairs).unwrap();
+        assert_eq!(scan(&cfs), []);
     }
 
     #[test]

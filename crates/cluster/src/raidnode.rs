@@ -7,9 +7,9 @@ use crate::fold::{self, Received, Source};
 use crate::io::DeadNodeSet;
 use crate::namenode::PendingStripe;
 use crate::reliability::{self, OpClass};
+use ear_core::StripeSpread;
 use ear_erasure::StripeEncoder;
 use ear_types::{Block, BlockId, Error, NodeId, Result, StripeId};
-use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
 /// Encode attempts per stripe before it is handed back to the NameNode's
@@ -276,11 +276,16 @@ fn encode_stripe(
     };
 
     // Store every parity block before touching any metadata. Each store
-    // pays its own transfer through the fault boundary.
+    // pays its own transfer through the fault boundary. The spread holds
+    // every seat the plan hands out — the data nodes once the BlockMover has
+    // run, and all `m` parity nodes — so a fallback never takes the seat of
+    // a parity block still to come or of a block about to be relocated.
+    let planned_seats = plan.final_data_nodes().into_iter().chain(plan.parity_nodes.iter().copied());
+    let mut spread = cfs.spread_of(planned_seats);
     let mut stored: Vec<(BlockId, NodeId)> = Vec::with_capacity(parity_ids.len());
     for ((p, &id), &planned) in parity.into_iter().zip(parity_ids).zip(&plan.parity_nodes) {
         let p = Block::from(p).stamped();
-        match store_parity(cfs, id, p, enc, planned, &plan.kept_data, &stored) {
+        match store_parity(cfs, id, p, enc, planned, &mut spread) {
             Ok(dst) => stored.push((id, dst)),
             Err(e) => {
                 // Roll back: drop the parity bytes already stored. The data
@@ -340,47 +345,31 @@ fn encode_stripe(
 }
 
 /// Stores one parity block, preferring the planned node and falling back to
-/// any live node that keeps the stripe within its rack fault tolerance
-/// (`<= c` stripe blocks per rack) and does not already hold a shard of
-/// this stripe. Returns the node that accepted the bytes.
+/// any node `spread` admits once the planned seat is given up (same rack
+/// first, then by index). Returns the node that accepted the bytes, recorded
+/// in `spread` in place of `planned`.
 fn store_parity(
     cfs: &MiniCfs,
     id: BlockId,
     data: Block,
     enc: NodeId,
     planned: NodeId,
-    kept_data: &[NodeId],
-    parity_so_far: &[(BlockId, NodeId)],
+    spread: &mut StripeSpread<'_>,
 ) -> Result<NodeId> {
     let topo = cfs.topology();
-    let c = cfs.config().ear.c();
-    // BTreeSet/BTreeMap: candidate construction iterates these, and the
-    // fallback order feeds placement — it must not depend on hash order.
-    let occupied: BTreeSet<NodeId> = kept_data
-        .iter()
-        .copied()
-        .chain(parity_so_far.iter().map(|&(_, n)| n))
-        .collect();
-    let mut rack_load: BTreeMap<ear_types::RackId, usize> = BTreeMap::new();
-    for &n in &occupied {
-        *rack_load.entry(topo.rack_of(n)).or_insert(0) += 1;
-    }
-
-    let mut candidates: Vec<NodeId> = vec![planned];
-    let mut fallbacks: Vec<NodeId> = topo
+    spread.vacate(planned);
+    let mut candidates: Vec<NodeId> = topo
         .nodes()
-        .filter(|&n| {
-            n != planned
-                && !occupied.contains(&n)
-                && rack_load.get(&topo.rack_of(n)).copied().unwrap_or(0) < c
-        })
+        .filter(|&n| n != planned && spread.admits(n))
         .collect();
     // Prefer fallbacks in the planned node's rack (same placement intent).
-    fallbacks.sort_by_key(|&n| (topo.rack_of(n) != topo.rack_of(planned), n.index()));
-    candidates.extend(fallbacks);
+    candidates.sort_by_key(|&n| (topo.rack_of(n) != topo.rack_of(planned), n.index()));
+    candidates.insert(0, planned);
 
     let ctx = cfs.reliability().ctx(OpClass::Encode)?;
-    cfs.io().write_with_fallback(&ctx, enc, id, &data, &candidates)
+    let dst = cfs.io().write_with_fallback(&ctx, enc, id, &data, &candidates)?;
+    spread.place(dst);
+    Ok(dst)
 }
 
 #[cfg(test)]
@@ -686,6 +675,58 @@ mod tests {
         assert_eq!(stats.stripes, 1, "{:?}", stats.failed_stripes);
         assert_eq!(stats.pipeline_fallbacks, 1);
         assert_parity_matches_codec(&cfs);
+    }
+
+    #[test]
+    fn a_dead_planned_parity_node_costs_no_other_block_its_seat() {
+        // The node planned for a stripe's first parity block dies between
+        // the writes and the encode job. The block falls back, and must not
+        // land on the node planned for the second: with one node per rack
+        // and c = 1 that node is among the few the fallback may take.
+        for (policy, blocks) in [(ClusterPolicy::Rr, 4), (ClusterPolicy::Ear, 64)] {
+            let mut exercised = 0;
+            for seed in 0..12 {
+                let base = ClusterConfig {
+                    seed,
+                    block_size: ByteSize::kib(64),
+                    ..cfg(policy, 8, 1)
+                };
+                // Plans follow (cluster seed, stripe id): a fault-free twin
+                // names the victim before the faulty cluster boots.
+                let twin = MiniCfs::new(base.clone()).unwrap();
+                write_stripes(&twin, blocks);
+                let Some(stripe) = twin.namenode().pending_stripes().into_iter().next() else {
+                    continue;
+                };
+                let plan = twin.namenode().plan_encoding(&stripe).unwrap();
+                let victim = plan.parity_nodes[0];
+                if plan.encoding_node == victim {
+                    continue; // nobody left to run the stripe's map task
+                }
+                let crash = crash_plan(twin.topology(), victim, 16 * blocks as u64);
+                let cfs = MiniCfs::with_faults(base, crash).unwrap();
+                write_stripes(&cfs, blocks);
+                assert!(!cfs.injector().node_down(victim), "{policy:?} seed {seed}: died early");
+                while !cfs.injector().node_down(victim) {
+                    cfs.read_block(plan.encoding_node, stripe.blocks[0]).unwrap();
+                }
+
+                let (_, relocations) = RaidNode::encode_all(&cfs, 1).unwrap();
+                RaidNode::relocate(&cfs, &relocations).unwrap();
+                let encoded = cfs.namenode().encoded_stripes();
+                assert!(encoded.iter().any(|es| es.id == stripe.id), "{policy:?} seed {seed}");
+                for es in &encoded {
+                    let holders: std::collections::BTreeSet<NodeId> = es
+                        .members()
+                        .flat_map(|b| cfs.namenode().locations(b).unwrap())
+                        .collect();
+                    assert_eq!(holders.len(), 6, "{policy:?} seed {seed}: {} on {holders:?}", es.id);
+                }
+                assert_eq!(crate::monitor::scan(&cfs), [], "{policy:?} seed {seed}");
+                exercised += 1;
+            }
+            assert!(exercised >= 6, "{policy:?}: only {exercised} seeds had a stripe to kill under");
+        }
     }
 
     #[test]

@@ -289,31 +289,42 @@ fn reconstruct_stripe_block(
         .ok_or_else(|| Error::Invariant(format!("{block} not a member of its stripe")))?;
     let (rebuilt, paid) =
         rebuild_shard(cfs, ctx, site.recovery_node, lost_idx, &site.sources, true)?;
-    let mut repair = RepairOutcome {
+    // The block ships only if its planned home is not where it was decoded.
+    let moved = site.destination != site.recovery_node;
+    if moved {
+        cfs.io().transfer(site.recovery_node, site.destination, rebuilt.len() as u64);
+    }
+    cfs.datanode(site.destination).put(block, Block::from(rebuilt).stamped())?;
+    cfs.namenode().set_locations(block, vec![site.destination])?;
+    let topo = cfs.topology();
+    let crossed = topo.rack_of(site.destination) != topo.rack_of(site.recovery_node);
+    Ok(RepairOutcome {
         reconstructed: true,
         downloads: paid.downloads,
         cross_rack_downloads: paid.cross_rack_downloads,
-        ..RepairOutcome::default()
-    };
-    place_rebuilt(cfs, block, rebuilt, &site, view, rng, &mut repair)?;
-    Ok(repair)
+        uploads: usize::from(moved),
+        cross_rack_uploads: usize::from(crossed),
+    })
 }
 
-/// The repair's cast: where to decode, which nodes already hold stripe
-/// shards, who is alive, and the surviving sources in preference order.
+/// One rebuild, planned before any byte moves: where to decode, the
+/// surviving sources in preference order, and where the rebuilt block goes.
 struct RepairSite {
     recovery_node: NodeId,
-    /// Nodes already holding a shard of this stripe (down or not — they
-    /// stay "used" for placement purposes).
-    used: Vec<NodeId>,
-    all_live: Vec<NodeId>,
     /// Reachable surviving members, intra-rack sources first.
     sources: Vec<ShardSource>,
+    /// The rebuilt block's home: the recovery node when the stripe's spread
+    /// admits it and the view accepts it, else a seeded draw among the
+    /// reachable nodes that pass both, else — nothing passes — the recovery
+    /// node all the same.
+    destination: NodeId,
 }
 
 /// Chooses the recovery node (a live non-holder in the rack with the most
-/// reachable surviving shards — the best case Section III-D argues about)
-/// and lists the reachable sources, intra-rack first.
+/// reachable surviving shards — the best case Section III-D argues about),
+/// lists the reachable sources, intra-rack first, and chooses the
+/// destination. Nodes already holding a shard of the stripe, down or not,
+/// stay taken for placement purposes.
 fn plan_repair_site(
     cfs: &MiniCfs,
     members: &[BlockId],
@@ -322,37 +333,34 @@ fn plan_repair_site(
     rng: &mut ChaCha8,
 ) -> Result<RepairSite> {
     let topo = cfs.topology();
-    let holder_any = |b: BlockId| -> Option<NodeId> {
-        cfs.namenode().locations(b).and_then(|l| l.first().copied())
-    };
-    let holder_live = |b: BlockId| -> Option<NodeId> {
-        cfs.namenode()
-            .locations(b)
-            .and_then(|l| l.into_iter().find(|&h| view.reachable(h)))
-    };
+    let locations = |b: BlockId| cfs.namenode().locations(b).unwrap_or_default();
+    let mut sources: Vec<(usize, BlockId, NodeId)> = members
+        .iter()
+        .enumerate()
+        .filter(|&(_, &m)| m != block)
+        .filter_map(|(idx, &m)| {
+            let live = locations(m).into_iter().find(|&h| view.reachable(h))?;
+            Some((idx, m, live))
+        })
+        .collect();
     // BTreeMap: the argmax below must not depend on hash order (ties are
     // broken by rack id, and the soak reports are compared bit-for-bit).
-    let mut rack_count: BTreeMap<u32, usize> = BTreeMap::new();
-    for &m in members {
-        if m == block {
-            continue;
-        }
-        if let Some(h) = holder_live(m) {
-            *rack_count.entry(topo.rack_of(h).0).or_insert(0) += 1;
-        }
+    let mut rack_sources: BTreeMap<RackId, usize> = BTreeMap::new();
+    for &(_, _, h) in &sources {
+        *rack_sources.entry(topo.rack_of(h)).or_insert(0) += 1;
     }
-    let best_rack = rack_count
+    let best_rack = rack_sources
         .iter()
         .max_by_key(|&(r, c)| (*c, std::cmp::Reverse(*r)))
-        .map(|(&r, _)| ear_types::RackId(r))
+        .map(|(&r, _)| r)
         .ok_or_else(|| Error::Invariant("stripe has no surviving blocks".into()))?;
-    let used: Vec<NodeId> = members.iter().filter_map(|&m| holder_any(m)).collect();
+    let spread = cfs.spread_of(members.iter().filter_map(|&m| locations(m).first().copied()));
     let all_live: Vec<NodeId> = topo.nodes().filter(|&nd| view.reachable(nd)).collect();
     let free_in_best: Vec<NodeId> = topo
         .nodes_in_rack(best_rack)
         .iter()
         .copied()
-        .filter(|&nd| !used.contains(&nd) && view.reachable(nd))
+        .filter(|&nd| !spread.holds(nd) && view.reachable(nd))
         .collect();
     let recovery_node = match rng.choose(&free_in_best) {
         Some(&nd) => nd,
@@ -360,27 +368,24 @@ fn plan_repair_site(
             .choose(&all_live)
             .ok_or_else(|| Error::Invariant("no live node to run recovery".into()))?,
     };
-    let mut sources: Vec<(usize, BlockId, NodeId)> = members
-        .iter()
-        .enumerate()
-        .filter(|&(_, &m)| m != block)
-        .filter_map(|(idx, &m)| holder_live(m).map(|h| (idx, m, h)))
-        .collect();
+    let fits = |nd: NodeId| spread.admits(nd) && view.accepts(nd, block);
+    let destination = if fits(recovery_node) {
+        recovery_node
+    } else {
+        let eligible: Vec<NodeId> = all_live.iter().copied().filter(|&nd| fits(nd)).collect();
+        rng.choose(&eligible).copied().unwrap_or(recovery_node)
+    };
     // Intra-rack sources first; remote sources grouped densest-rack-first.
     // Keeping each remote rack's shards adjacent means a prefix of this
     // list hands `rebuild_shard` whole racks to fold — the denser the rack,
     // the more shards one partial replaces.
-    let mut rack_sources: BTreeMap<u32, usize> = BTreeMap::new();
-    for &(_, _, h) in &sources {
-        *rack_sources.entry(topo.rack_of(h).0).or_insert(0) += 1;
-    }
     let recovery_rack = topo.rack_of(recovery_node);
     sources.sort_by_key(|&(idx, _, h)| {
         let r = topo.rack_of(h);
         (
             r != recovery_rack,
-            std::cmp::Reverse(rack_sources.get(&r.0).copied().unwrap_or(0)),
-            r.0,
+            std::cmp::Reverse(rack_sources.get(&r).copied().unwrap_or(0)),
+            r,
             idx,
         )
     });
@@ -394,64 +399,9 @@ fn plan_repair_site(
         .collect();
     Ok(RepairSite {
         recovery_node,
-        used,
-        all_live,
         sources,
+        destination,
     })
-}
-
-/// Places the rebuilt bytes where the stripe's rack constraint still holds
-/// (a rack with fewer than `c` surviving stripe blocks, on a node not
-/// already holding one that the view accepts for this block), pays the
-/// shipment if the block moves, and publishes store + location.
-fn place_rebuilt(
-    cfs: &MiniCfs,
-    block: BlockId,
-    rebuilt: Vec<u8>,
-    site: &RepairSite,
-    view: &RepairView<'_>,
-    rng: &mut ChaCha8,
-    repair: &mut RepairOutcome,
-) -> Result<()> {
-    let topo = cfs.topology();
-    let recovery_node = site.recovery_node;
-    let c = cfs.config().ear.c();
-    let mut per_rack: HashMap<u32, usize> = HashMap::new();
-    for &h in &site.used {
-        *per_rack.entry(topo.rack_of(h).0).or_insert(0) += 1;
-    }
-    let placement = if per_rack
-        .get(&topo.rack_of(recovery_node).0)
-        .copied()
-        .unwrap_or(0)
-        < c
-        && !site.used.contains(&recovery_node)
-        && view.accepts(recovery_node, block)
-    {
-        recovery_node
-    } else {
-        let eligible: Vec<NodeId> = site
-            .all_live
-            .iter()
-            .copied()
-            .filter(|&nd| {
-                !site.used.contains(&nd)
-                    && view.accepts(nd, block)
-                    && per_rack.get(&topo.rack_of(nd).0).copied().unwrap_or(0) < c
-            })
-            .collect();
-        rng.choose(&eligible).copied().unwrap_or(recovery_node)
-    };
-    if placement != recovery_node {
-        cfs.io()
-            .transfer(recovery_node, placement, rebuilt.len() as u64);
-        repair.uploads += 1;
-        repair.cross_rack_uploads +=
-            usize::from(topo.rack_of(placement) != topo.rack_of(recovery_node));
-    }
-    cfs.datanode(placement).put(block, Block::from(rebuilt).stamped())?;
-    cfs.namenode().set_locations(block, vec![placement])?;
-    Ok(())
 }
 
 /// One surviving stripe member a rebuild may read.

@@ -2,12 +2,12 @@
 //! downloads, which replicas survive, where parity lands, and what must be
 //! relocated (Section II-A and Section III of the paper).
 
-use crate::layout::{EncodePlan, StripePlan};
+use crate::layout::{EncodePlan, StripePlan, StripeSpread};
 use crate::sample;
 use ear_flow::max_kept_matching;
 use ear_types::rng::ChaCha8;
 use ear_types::{ClusterTopology, EarConfig, Error, NodeId, RackId, Result};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// How the encoding node for a stripe is chosen under random replication.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -76,14 +76,9 @@ pub fn plan_encoding_ear(
         "EAR stripes always have a core-rack replica per block"
     );
 
-    let parity_nodes = place_parity(
-        topo,
-        &kept_data,
-        cfg.erasure().parity(),
-        cfg.c(),
-        stripe.target_racks(),
-        rng,
-    )?;
+    let mut spread = StripeSpread::of(topo, cfg.c(), kept_data.iter().copied());
+    let parity_nodes =
+        place_parity(&mut spread, cfg.erasure().parity(), stripe.target_racks(), rng)?;
 
     Ok(EncodePlan {
         encoding_node,
@@ -163,38 +158,19 @@ pub fn plan_encoding_rr(
     }
 
     // Relocate unmatched blocks to racks with spare capacity
-    // (BlockMover, Section II-B).
+    // (BlockMover, Section II-B): the spread starts from the matched
+    // replicas, so a block on its way out takes up no room.
     let mut relocations = Vec::new();
-    let mut used_nodes: HashSet<NodeId> = outcome.kept.iter().flatten().copied().collect();
-    let mut rack_load: HashMap<RackId, usize> = HashMap::new();
-    for node in &used_nodes {
-        *rack_load.entry(topo.rack_of(*node)).or_insert(0) += 1;
-    }
+    let mut spread = StripeSpread::of(topo, cfg.c(), outcome.kept.iter().flatten().copied());
     for &i in &unmatched {
-        let to = pick_node_with_capacity(topo, &used_nodes, &rack_load, cfg.c(), None, rng)
-            .ok_or_else(|| Error::TopologyTooSmall {
-                reason: "no rack has spare capacity for a relocated block".into(),
-            })?;
+        let to = spread.pick(None, rng).ok_or_else(|| Error::TopologyTooSmall {
+            reason: "no rack has spare capacity for a relocated block".into(),
+        })?;
         relocations.push((i, kept_data[i], to));
-        used_nodes.insert(to);
-        *rack_load.entry(topo.rack_of(to)).or_insert(0) += 1;
+        spread.place(to);
     }
-
-    let final_data: Vec<NodeId> = {
-        let mut v = kept_data.clone();
-        for &(idx, _, to) in &relocations {
-            v[idx] = to;
-        }
-        v
-    };
-    let parity_nodes = place_parity(
-        topo,
-        &final_data,
-        cfg.erasure().parity(),
-        cfg.c(),
-        None,
-        rng,
-    )?;
+    // The spread now holds the final data nodes; parity joins them.
+    let parity_nodes = place_parity(&mut spread, cfg.erasure().parity(), None, rng)?;
 
     Ok(EncodePlan {
         encoding_node,
@@ -205,63 +181,24 @@ pub fn plan_encoding_rr(
     })
 }
 
-/// Places `m` parity blocks on nodes such that, together with the kept data
-/// blocks, no node holds two stripe blocks and no rack exceeds `c`.
+/// Places `m` parity blocks on nodes `spread` admits — beside the data
+/// blocks it already holds, no node takes two stripe blocks and no rack
+/// exceeds `c` — and records them in it.
 fn place_parity(
-    topo: &ClusterTopology,
-    kept_data: &[NodeId],
+    spread: &mut StripeSpread<'_>,
     m: usize,
-    c: usize,
     eligible: Option<&[RackId]>,
     rng: &mut ChaCha8,
 ) -> Result<Vec<NodeId>> {
-    let mut used: HashSet<NodeId> = kept_data.iter().copied().collect();
-    let mut rack_load: HashMap<RackId, usize> = HashMap::new();
-    for &n in kept_data {
-        *rack_load.entry(topo.rack_of(n)).or_insert(0) += 1;
-    }
     let mut parity = Vec::with_capacity(m);
     for _ in 0..m {
-        let node = pick_node_with_capacity(topo, &used, &rack_load, c, eligible, rng).ok_or_else(
-            || Error::TopologyTooSmall {
-                reason: format!("cannot place {m} parity blocks with c = {c}"),
-            },
-        )?;
-        used.insert(node);
-        *rack_load.entry(topo.rack_of(node)).or_insert(0) += 1;
+        let node = spread.pick(eligible, rng).ok_or_else(|| Error::TopologyTooSmall {
+            reason: format!("cannot place {m} parity blocks with c = {}", spread.c()),
+        })?;
+        spread.place(node);
         parity.push(node);
     }
     Ok(parity)
-}
-
-/// Picks a random node in a random rack that still has stripe capacity
-/// (`rack_load < c`) and whose node is unused by the stripe.
-fn pick_node_with_capacity(
-    topo: &ClusterTopology,
-    used: &HashSet<NodeId>,
-    rack_load: &HashMap<RackId, usize>,
-    c: usize,
-    eligible: Option<&[RackId]>,
-    rng: &mut ChaCha8,
-) -> Option<NodeId> {
-    let mut candidates: Vec<RackId> = match eligible {
-        Some(list) => list.to_vec(),
-        None => topo.racks().collect(),
-    };
-    candidates.retain(|r| rack_load.get(r).copied().unwrap_or(0) < c);
-    rng.shuffle(&mut candidates);
-    for rack in candidates {
-        let free: Vec<NodeId> = topo
-            .nodes_in_rack(rack)
-            .iter()
-            .copied()
-            .filter(|n| !used.contains(n))
-            .collect();
-        if let Some(&node) = rng.choose(&free) {
-            return Some(node);
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -435,9 +372,9 @@ mod tests {
     fn parity_placement_fails_when_capacity_exhausted() {
         // 3 racks, c = 1, (5,3): stripe needs 5 racks.
         let topo = ClusterTopology::uniform(3, 4);
-        let kept = vec![NodeId(0), NodeId(4), NodeId(8)];
+        let mut spread = StripeSpread::of(&topo, 1, [NodeId(0), NodeId(4), NodeId(8)]);
         let mut rng = ChaCha8::from_seed(36);
-        let err = place_parity(&topo, &kept, 2, 1, None, &mut rng).unwrap_err();
+        let err = place_parity(&mut spread, 2, None, &mut rng).unwrap_err();
         assert!(matches!(err, Error::TopologyTooSmall { .. }));
     }
 

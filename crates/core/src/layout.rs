@@ -1,7 +1,8 @@
 //! Replica layouts and stripe placement records.
 
+use ear_types::rng::ChaCha8;
 use ear_types::{ClusterTopology, NodeId, RackId};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 
 /// Where the replicas of one data block live, in placement order:
 /// `replicas[0]` is the *first* replica (in EAR, the copy in the core rack).
@@ -113,6 +114,144 @@ impl StripePlan {
     }
 }
 
+/// Where one stripe's blocks sit, judged by the paper's post-encoding rule
+/// (Sections II-B and III): no node holds two blocks of the stripe and no
+/// rack holds more than `c`. Every placement made after the write — parity,
+/// a relocated block, a rebuilt shard — asks this type, and the
+/// PlacementMonitor's scan is its [`violations`](StripeSpread::violations).
+#[derive(Debug, Clone)]
+pub struct StripeSpread<'a> {
+    topo: &'a ClusterTopology,
+    c: usize,
+    /// Blocks of the stripe on each node holding any.
+    nodes: BTreeMap<NodeId, usize>,
+    /// Blocks of the stripe in each rack holding any.
+    racks: BTreeMap<RackId, usize>,
+}
+
+/// What a [`StripeSpread`] holds against the rule, in rack and node order.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SpreadViolations {
+    /// Racks holding more than `c` blocks of the stripe, with their counts.
+    pub overloaded_racks: Vec<(RackId, usize)>,
+    /// Nodes holding more than one block of the stripe.
+    pub clashing_nodes: Vec<NodeId>,
+}
+
+impl SpreadViolations {
+    /// Whether the stripe satisfies the rule.
+    pub fn is_empty(&self) -> bool {
+        self.overloaded_racks.is_empty() && self.clashing_nodes.is_empty()
+    }
+}
+
+impl<'a> StripeSpread<'a> {
+    /// The spread of a stripe with one block on each of `holders` (a node
+    /// listed twice holds two).
+    pub fn of(
+        topo: &'a ClusterTopology,
+        c: usize,
+        holders: impl IntoIterator<Item = NodeId>,
+    ) -> Self {
+        let mut spread = StripeSpread {
+            topo,
+            c,
+            nodes: BTreeMap::new(),
+            racks: BTreeMap::new(),
+        };
+        holders.into_iter().for_each(|node| spread.place(node));
+        spread
+    }
+
+    /// The most blocks of the stripe one rack may hold.
+    pub fn c(&self) -> usize {
+        self.c
+    }
+
+    /// Whether `node` holds a block of the stripe.
+    pub fn holds(&self, node: NodeId) -> bool {
+        self.nodes.contains_key(&node)
+    }
+
+    fn rack_load(&self, rack: RackId) -> usize {
+        self.racks.get(&rack).copied().unwrap_or(0)
+    }
+
+    /// Whether one more block may go to `node`: it holds none and its rack
+    /// holds fewer than `c`.
+    pub fn admits(&self, node: NodeId) -> bool {
+        !self.holds(node) && self.rack_load(self.topo.rack_of(node)) < self.c
+    }
+
+    /// Records one more block of the stripe on `node`.
+    pub fn place(&mut self, node: NodeId) {
+        *self.nodes.entry(node).or_insert(0) += 1;
+        *self.racks.entry(self.topo.rack_of(node)).or_insert(0) += 1;
+    }
+
+    /// Records that one block of the stripe left `node` (a node holding
+    /// none is left as it is).
+    pub fn vacate(&mut self, node: NodeId) {
+        let rack = self.topo.rack_of(node);
+        let (Some(held), Some(load)) = (self.nodes.get_mut(&node), self.racks.get_mut(&rack))
+        else {
+            return;
+        };
+        *held -= 1;
+        *load -= 1;
+        if *held == 0 {
+            self.nodes.remove(&node);
+        }
+        if *load == 0 {
+            self.racks.remove(&rack);
+        }
+    }
+
+    /// Everything the stripe holds against the rule.
+    pub fn violations(&self) -> SpreadViolations {
+        SpreadViolations {
+            overloaded_racks: self
+                .racks
+                .iter()
+                .filter(|&(_, &held)| held > self.c)
+                .map(|(&rack, &held)| (rack, held))
+                .collect(),
+            clashing_nodes: self
+                .nodes
+                .iter()
+                .filter(|&(_, &held)| held > 1)
+                .map(|(&node, _)| node)
+                .collect(),
+        }
+    }
+
+    /// Picks a random node the spread [admits](StripeSpread::admits): the
+    /// racks of `eligible` (all racks when `None`) with room are shuffled
+    /// and the first with a node holding no block of the stripe yields one
+    /// of those nodes at random.
+    pub fn pick(&self, eligible: Option<&[RackId]>, rng: &mut ChaCha8) -> Option<NodeId> {
+        let mut candidates: Vec<RackId> = match eligible {
+            Some(list) => list.to_vec(),
+            None => self.topo.racks().collect(),
+        };
+        candidates.retain(|&r| self.rack_load(r) < self.c);
+        rng.shuffle(&mut candidates);
+        for rack in candidates {
+            let free: Vec<NodeId> = self
+                .topo
+                .nodes_in_rack(rack)
+                .iter()
+                .copied()
+                .filter(|&n| !self.holds(n))
+                .collect();
+            if let Some(&node) = rng.choose(&free) {
+                return Some(node);
+            }
+        }
+        None
+    }
+}
+
 /// The outcome of planning the encoding operation for one stripe: which node
 /// encodes, what it must download, which replicas survive, where parity
 /// goes, and what (if anything) must be relocated afterwards.
@@ -160,24 +299,13 @@ impl EncodePlan {
     /// Returns a human-readable violation description, or `None` if the
     /// plan is valid.
     pub fn check_fault_tolerance(&self, topo: &ClusterTopology, c: usize) -> Option<String> {
-        let mut all = self.final_data_nodes();
-        all.extend_from_slice(&self.parity_nodes);
-        let mut seen = HashSet::new();
-        for &n in &all {
-            if !seen.insert(n) {
-                return Some(format!("{n} holds two blocks of the stripe"));
-            }
+        let holders = self.final_data_nodes().into_iter().chain(self.parity_nodes.iter().copied());
+        let found = StripeSpread::of(topo, c, holders).violations();
+        if let Some(n) = found.clashing_nodes.first() {
+            return Some(format!("{n} holds two blocks of the stripe"));
         }
-        let mut per_rack: HashMap<RackId, usize> = HashMap::new();
-        for &n in &all {
-            *per_rack.entry(topo.rack_of(n)).or_insert(0) += 1;
-        }
-        for (rack, count) in per_rack {
-            if count > c {
-                return Some(format!("{rack} holds {count} blocks (max {c})"));
-            }
-        }
-        None
+        let (rack, count) = found.overloaded_racks.first()?;
+        Some(format!("{rack} holds {count} blocks (max {c})"))
     }
 }
 

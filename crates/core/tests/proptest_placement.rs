@@ -3,12 +3,17 @@
 //! complete matching, encoding needs no cross-rack download, and the
 //! post-encoding layout satisfies node- and rack-level fault tolerance with
 //! no relocation. Random replication must always end valid too — after its
-//! (possibly non-empty) relocations.
+//! (possibly non-empty) relocations. The rule itself — at most `c` blocks of
+//! a stripe per rack, one per node — is `StripeSpread`'s, checked last.
 
-use ear_core::{EncodingAwareReplication, PlacementPolicy, RandomReplicationPolicy};
+use ear_core::{
+    EncodingAwareReplication, PlacementPolicy, RandomReplicationPolicy, StripeSpread,
+};
 use ear_types::prop::{check, range};
 use ear_types::rng::ChaCha8;
-use ear_types::{ClusterTopology, EarConfig, ErasureParams, RackSpread, ReplicationConfig};
+use ear_types::{
+    ClusterTopology, EarConfig, ErasureParams, NodeId, RackId, RackSpread, ReplicationConfig,
+};
 
 /// A topology + configuration pair that EAR can host.
 #[derive(Debug, Clone)]
@@ -137,6 +142,40 @@ fn ear_retry_counts_stay_small_in_large_clusters() {
                 for &r in plan.retries() {
                     assert!(r < 50, "retry count {r} unexpectedly high");
                 }
+            }
+        }
+    });
+}
+
+#[test]
+fn spread_admits_exactly_what_keeps_the_rule() {
+    check("spread_admits_exactly_what_keeps_the_rule", 48, |rng| {
+        let topo = ClusterTopology::uniform(range(rng, 1..=8) as usize, range(rng, 1..=4) as usize);
+        let c = range(rng, 1..=3) as usize;
+        let nodes: Vec<NodeId> = topo.nodes().collect();
+        // A holder set the rule accepts, grown by the report alone: a random
+        // node stays only if the report is still empty with it.
+        let mut spread = StripeSpread::of(&topo, c, []);
+        for _ in 0..range(rng, 0..=12) {
+            let node = *rng.choose(&nodes).unwrap();
+            spread.place(node);
+            if !spread.violations().is_empty() {
+                spread.vacate(node);
+            }
+            assert!(spread.violations().is_empty(), "vacate must undo place");
+        }
+        for &node in &nodes {
+            let mut with = spread.clone();
+            with.place(node);
+            let found = with.violations();
+            assert_eq!(spread.admits(node), found.is_empty(), "{node}: {found:?} in {spread:?}");
+        }
+        let some_racks: Vec<RackId> = topo.racks().filter(|_| rng.below(2) == 0).collect();
+        for eligible in [None, Some(&some_racks[..])] {
+            let in_reach = |n: NodeId| eligible.is_none_or(|list| list.contains(&topo.rack_of(n)));
+            match spread.pick(eligible, rng) {
+                Some(node) => assert!(spread.admits(node) && in_reach(node), "{node} in {spread:?}"),
+                None => assert!(!nodes.iter().any(|&n| spread.admits(n) && in_reach(n))),
             }
         }
     });

@@ -37,4 +37,4 @@ mod stream;
 pub use kernels::{Kernel, KernelTier};
 pub use matrix::Matrix;
 pub use rs::ReedSolomon;
-pub use stream::{ParityAccum, StripeEncoder};
+pub use stream::StripeEncoder;

@@ -2,7 +2,7 @@
 //!
 //! Reed–Solomon parity rows are linear combinations of the data shards, so
 //! they can be folded in one source at a time instead of requiring all `k`
-//! shards resident at one node. [`ParityAccum`] is the single-output fold
+//! shards resident at one node. `ParityAccum` is the single-output fold
 //! (`Σ coeffᵢ · chunkᵢ`, the primitive of RapidRAID-style pipelined
 //! encoding and rack-aware repair); [`StripeEncoder`] stacks `r` of them
 //! under `r` coefficient rows — the generator's `n − k` parity rows for an
@@ -23,7 +23,7 @@ use ear_types::{Error, Result};
 /// [`ParityAccum::absorb`], and close with [`ParityAccum::finish`] once the
 /// expected number of sources has been absorbed.
 #[derive(Debug, Clone)]
-pub struct ParityAccum {
+pub(crate) struct ParityAccum {
     acc: Vec<u8>,
     absorbed: usize,
     kernel: Kernel,
@@ -37,12 +37,6 @@ impl ParityAccum {
             absorbed: 0,
             kernel,
         }
-    }
-
-    /// Number of source chunks folded in so far.
-    #[inline]
-    pub fn absorbed(&self) -> usize {
-        self.absorbed
     }
 
     /// The partial bytes accumulated so far.
@@ -245,7 +239,7 @@ mod tests {
         assert!(acc.absorb(3, &[0u8; 16]).is_err());
         acc.absorb(3, &[7u8; 32]).unwrap();
         assert!(acc.clone().finish(2).is_err());
-        assert_eq!(acc.absorbed(), 1);
+        assert_eq!(acc.absorbed, 1);
         let bytes = acc.finish(1).unwrap();
         // 3 · 7 in GF(2⁸) — mul_acc against a zeroed accumulator is a plain
         // scalar multiply.

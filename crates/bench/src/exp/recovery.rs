@@ -136,11 +136,12 @@ pub fn run(scale: Scale) -> String {
         "\nLower c spreads the stripe over more racks (better rack fault tolerance,\n\
          more cross-rack recovery traffic); c = n - k with two target racks keeps\n\
          recovery almost entirely intra-rack at the cost of single-rack tolerance.\n\
-         Repair folds any remote rack holding two or more chosen sources into one\n\
-         partial (DESIGN.md 15). With (6,3) and recovery sited in the densest\n\
-         surviving rack, remote racks contribute at most one chosen source each\n\
-         (k < c + 2 for every c here), so nothing folds — the section below uses\n\
-         a code where a rack does.\n",
+         Repair folds every remote rack's chosen sources into one partial and\n\
+         streams it down one chain of those racks (DESIGN.md 15). With (6,3) and\n\
+         recovery sited in the densest surviving rack, remote racks contribute\n\
+         at most one chosen source each (k < c + 2 for every c here), so the\n\
+         chain moves the blocks a gather would — the section below uses a code\n\
+         where a rack saves one.\n",
     );
     out.push('\n');
     out.push_str(&fold_section(scale));
@@ -153,7 +154,8 @@ pub fn run(scale: Scale) -> String {
 /// racks lays every stripe out 2+2+2, so a failure leaves the victim's rack
 /// one survivor and the chosen k = 4 sources are two at the recovery site and
 /// two in one remote rack — which ships one folded partial instead of two
-/// shards. (Unrestricted, a stripe may spread 2+1+1+1+1 and nothing folds;
+/// shards, the aggregator reading its own off its disk. (Unrestricted, a
+/// stripe may spread 2+1+1+1+1 and no rack saves a block;
 /// which layout a seed draws would then decide the number.)
 fn fold_section(scale: Scale) -> String {
     let params = ErasureParams::new(6, 4).expect("params");
@@ -168,10 +170,11 @@ fn fold_section(scale: Scale) -> String {
          3 target racks, 6 racks x 6 nodes, single-node failure recovery\n\n{}\n\
          Each rebuilt stripe block needs k = 4 sources: two intra-rack at the\n\
          recovery site and two in one remote rack, folded there into a single\n\
-         partial — 1 of its 5 transfers crosses racks, where shipping both shards\n\
-         whole would make it 2 of 4. (The fraction also counts the victims'\n\
-         replicated blocks, re-copied from one source each, and stripes an\n\
-         earlier repair already moved off their three racks.)\n",
+         partial at the node that holds one of them — 1 of its 4 transfers\n\
+         crosses racks, where shipping both shards whole would make it 2 of 4.\n\
+         (The fraction also counts the victims' replicated blocks, re-copied\n\
+         from one source each, and stripes an earlier repair already moved off\n\
+         their three racks.)\n",
         t.render()
     )
 }

@@ -1,16 +1,18 @@
 //! The rack fold (DESIGN.md §15): `r` GF(2⁸) linear combinations of stored
-//! blocks computed at one node.
+//! blocks computed at one node and delivered to another.
 //!
 //! Encoding a stripe is the fold of its `k` data blocks under the
 //! generator's `m` parity rows; rebuilding a lost shard is the fold of `k`
 //! survivors under one row of recovery coefficients. Both are running
 //! partial sums ([`StripeEncoder`]), so the sources never need to be
-//! resident at one node: a remote rack holding more than `r` of them folds
-//! its blocks locally and ships the `r` running rows once, where reading
-//! them whole would ship one block each. A rack with `s ≤ r` sources is
-//! read whole (`s · B ≤ r · B` bytes), so cross-rack traffic is
-//! `Σ min(sᵣ, r)` blocks over remote racks — and with no rack folding the
-//! walk is the classical gather.
+//! resident at one node: a remote rack holding at least `r` of them folds
+//! its blocks locally and forwards the `r` running rows, where reading
+//! them whole would ship one block each — and the folding racks form one
+//! chain that streams the rows chunk by chunk, so the fold occupies every
+//! link of the chain for one transfer's time instead of one link at a time.
+//! A rack with `s < r` sources is read whole (`s · B < r · B` bytes), so
+//! cross-rack traffic is `Σ min(sᵣ, r)` blocks over remote racks — and
+//! with no rack folding the walk is the classical gather.
 //!
 //! The walker decides nothing beyond that rule. What to do when a source
 //! fails is its two callers' business: the RaidNode re-runs a stripe once
@@ -32,16 +34,17 @@ pub(crate) struct Source<'a> {
     pub holders: &'a [NodeId],
 }
 
-/// What the destination has received, kept by the caller across passes: the
-/// shards read whole (never read twice) and the block-sized transfers paid
-/// so far, abandoned passes included.
+/// What the fold has paid for, kept by the caller across passes: the shards
+/// read whole at the folding node (never read twice) and the block-sized
+/// transfers that crossed a wire so far, abandoned passes included. The
+/// delivery leg to the sink is the caller's to count.
 #[derive(Debug, Default)]
 pub(crate) struct Received {
     pub held: BTreeMap<BlockId, Block>,
-    /// Source reads, plus `r` per folding hop.
+    /// Source reads served by another node than the reader, plus `r` per
+    /// chain leg between folding nodes.
     pub downloads: usize,
-    /// Reads served from outside the reading node's rack, plus `r` per
-    /// folding hop.
+    /// Those that crossed racks.
     pub cross_rack_downloads: usize,
 }
 
@@ -56,36 +59,39 @@ struct Hop<'a> {
     members: Vec<(usize, Source<'a>, NodeId)>,
 }
 
-/// Folds `sources` into `acc` at node `at` and returns the finished rows.
+/// Folds `sources` into `acc` at node `at`, delivers the finished rows to
+/// `sink` and returns them.
 ///
 /// A source `received` already holds is at `at`. Every other source's home
 /// is its best holder not known `dead`: `at`'s rack first, then the lowest
 /// rack, then the lowest node (a source with no holder fails the fold
 /// before anything is read). With `fold_racks`, every remote rack that is
-/// home to more sources than `acc` has rows becomes a hop at its
-/// lowest-indexed home holder. Hops are walked in ascending rack id with
-/// `acc` as the travelling state — absorb the rack's sources,
-/// [`stream_partial`](ClusterIo::stream_partial) the rows once to the next
-/// hop or to `at` — and every other source is then read whole at `at`, in
-/// list order. Every read goes through [`ClusterIo::read_nearest`] and
-/// charges `ctx`.
+/// home to at least as many sources as `acc` has rows becomes a hop at its
+/// lowest-indexed home holder. Hops absorb their rack's sources in
+/// ascending rack id with `acc` as the travelling state, every other source
+/// is then read whole at `at`, in list order, and the rows are
+/// [streamed](ClusterIo::stream_chain) once down `hop₁ … hopₙ, at, sink`.
+/// Every read goes through [`ClusterIo::read_nearest`] and charges `ctx`.
 ///
 /// Nothing here mutates cluster metadata or stores any block, so a failed
 /// fold leaves the cluster as it was.
 ///
 /// # Errors
 ///
-/// The position in `sources` of the source to blame (a hop that cannot be
-/// reached is charged to its aggregator's own source) with the error that
-/// stopped the walk — the substrate's [`Error::DeadlineExceeded`] /
-/// [`Error::RetryBudgetExhausted`] / [`Error::Overloaded`] included, which
-/// callers propagate instead of re-planning. A source listed twice, or a
-/// column of `acc` left without one, is [`Error::Invariant`].
+/// The position in `sources` of the source to blame with the error that
+/// stopped the walk: the source that could not be read, or — when the chain
+/// stopped — the own source of the hop it stopped at (for `at` and `sink`,
+/// which no choice of sources avoids, the error names the node). The
+/// substrate's [`Error::DeadlineExceeded`] /
+/// [`Error::RetryBudgetExhausted`] / [`Error::Overloaded`] are among those
+/// errors; callers propagate them instead of re-planning. A source listed
+/// twice, or a column of `acc` left without one, is [`Error::Invariant`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn fold(
     io: &ClusterIo,
     ctx: &OpContext<'_>,
     at: NodeId,
+    sink: NodeId,
     mut acc: StripeEncoder,
     sources: &[Source<'_>],
     dead: &DeadNodeSet,
@@ -117,7 +123,7 @@ pub(crate) fn fold(
     }
     let hops: Vec<Hop<'_>> = remote
         .into_values()
-        .filter(|members| fold_racks && members.len() > rows)
+        .filter(|members| fold_racks && members.len() >= rows)
         .filter_map(|members| {
             let &(own, _, aggregator) = members.iter().min_by_key(|&&(_, _, home)| home)?;
             Some(Hop { aggregator, own, members })
@@ -126,38 +132,21 @@ pub(crate) fn fold(
     let folded: BTreeSet<usize> =
         hops.iter().flat_map(|hop| hop.members.iter().map(|&(pos, _, _)| pos)).collect();
 
+    // A holder reading its own block pays no wire: only a read served by
+    // another node is a transfer.
     let read = |reader: NodeId, src: &Source<'_>, received: &mut Received| {
         let (data, served_by) = io.read_nearest(ctx, reader, src.block, src.holders, dead)?;
-        received.downloads += 1;
+        received.downloads += usize::from(served_by != reader);
         received.cross_rack_downloads +=
             usize::from(topo.rack_of(served_by) != topo.rack_of(reader));
         Ok::<Block, Error>(data)
     };
-    // Hops sit in distinct racks, none of them `at`'s: every shipped row is
-    // one block-sized cross-rack transfer.
-    let ship = |from: NodeId, to: NodeId, received: &mut Received| {
-        io.stream_partial(ctx, from, to, partial_bytes)?;
-        received.downloads += rows;
-        received.cross_rack_downloads += rows;
-        Ok::<(), Error>(())
-    };
 
-    let mut prev: Option<&Hop<'_>> = None;
     for hop in &hops {
-        if let Some(prev) = prev {
-            ship(prev.aggregator, hop.aggregator, received).map_err(|e| {
-                let next_down = matches!(e, Error::NodeDown { node } if node == hop.aggregator);
-                (if next_down { hop.own } else { prev.own }, e)
-            })?;
-        }
         for (pos, src, _) in &hop.members {
             let data = read(hop.aggregator, src, received).map_err(|e| (*pos, e))?;
             acc.absorb_source(src.index, &data).map_err(|e| (*pos, e))?;
         }
-        prev = Some(hop);
-    }
-    if let Some(last) = prev {
-        ship(last.aggregator, at, received).map_err(|e| (last.own, e))?;
     }
     for (pos, src) in sources.iter().enumerate().filter(|(pos, _)| !folded.contains(pos)) {
         let data = match received.held.get(&src.block) {
@@ -170,6 +159,17 @@ pub(crate) fn fold(
         };
         acc.absorb_source(src.index, &data).map_err(|e| (pos, e))?;
     }
+
+    let mut path: Vec<NodeId> = hops.iter().map(|hop| hop.aggregator).chain([at, sink]).collect();
+    path.dedup();
+    let streamed = io.stream_chain(ctx, &path, partial_bytes);
+    // Hops sit in distinct racks, none of them `at`'s: each leg the chain
+    // paid up to `at` is `rows` block-sized cross-rack transfers.
+    let paid = streamed.as_ref().map_or_else(|&(pos, _)| pos, |()| path.len());
+    let shipped = rows * paid.saturating_sub(1).min(hops.len());
+    received.downloads += shipped;
+    received.cross_rack_downloads += shipped;
+    streamed.map_err(|(pos, e)| (hops.get(pos).or(hops.last()).map_or(0, |hop| hop.own), e))?;
     acc.finish().map_err(|e| (0, e))
 }
 
@@ -249,9 +249,11 @@ mod tests {
             StripeEncoder::with_rows(self.rs.kernel(), Matrix::from_rows(1, w.len(), w), LEN)
         }
 
-        /// Folds at node 0 under a Heal-class context with `deadline_ticks`.
+        /// Folds at node 0 for `sink` under a Heal-class context with
+        /// `deadline_ticks`.
         fn fold_at_0(
             &self,
+            sink: u32,
             acc: StripeEncoder,
             sources: &[Source<'_>],
             deadline_ticks: u64,
@@ -259,7 +261,16 @@ mod tests {
         ) -> Result<Vec<Vec<u8>>, (usize, Error)> {
             let rel = self.io.reliability().clone();
             let ctx = rel.ctx_with_deadline(OpClass::Heal, deadline_ticks).unwrap();
-            fold(&self.io, &ctx, NodeId(0), acc, sources, &DeadNodeSet::new(), true, received)
+            let (at, sink, dead) = (NodeId(0), NodeId(sink), DeadNodeSet::new());
+            fold(&self.io, &ctx, at, sink, acc, sources, &dead, true, received)
+        }
+
+        /// Block-sized transfers the emulated network has carried so far:
+        /// (all, cross-rack).
+        fn wire_blocks(&self) -> (usize, usize) {
+            let moved = self.io.network().snapshot();
+            let cross = moved.cross_rack_bytes as usize / LEN;
+            (cross + moved.intra_rack_bytes as usize / LEN, cross)
         }
     }
 
@@ -270,7 +281,9 @@ mod tests {
     #[test]
     fn hops_are_visited_in_ascending_rack_id_whatever_the_list_order() {
         // Members 1, 2 in rack 3 are listed before members 3, 4 in rack 1;
-        // both racks fold a one-row rebuild of member 0 at node 0.
+        // both racks fold a one-row rebuild of member 0 for node 0. Each
+        // aggregator reads its own shard off its disk and its rack-mate's
+        // off the wire, and the chain 2 → 6 → 0 carries the row twice.
         let bed = fault_free();
         for (member, node) in [(1, 6), (2, 7), (3, 3), (4, 2)] {
             bed.place(member, node);
@@ -283,24 +296,24 @@ mod tests {
         ];
         let rebuild = || bed.rebuild_of(0, &[1, 2, 3, 4]);
         let mut received = Received::default();
-        let rows = bed.fold_at_0(rebuild(), &sources, u64::MAX, &mut received);
+        let rows = bed.fold_at_0(0, rebuild(), &sources, u64::MAX, &mut received);
         assert_eq!(rows.unwrap(), [bed.shards[0].clone()]);
-        assert_eq!((received.downloads, received.cross_rack_downloads), (6, 2));
+        assert_eq!((received.downloads, received.cross_rack_downloads), (4, 2));
+        assert_eq!(bed.wire_blocks(), (4, 2), "what is counted is what the links carried");
         assert!(received.held.is_empty(), "nothing was read whole at node 0");
 
-        // A deadline that covers two reads runs out on the first partial:
-        // the walk is then leaving rack 1 (aggregator node 2, listed last),
-        // not rack 3.
+        // A deadline that covers two reads runs out on the third: the walk
+        // has then left rack 1 (listed last) for rack 3's first source.
         let two_reads = 2 * reliability::xfer_cost_ticks(LEN);
-        let stopped = bed.fold_at_0(rebuild(), &sources, two_reads, &mut Received::default());
-        assert!(matches!(stopped, Err((3, Error::DeadlineExceeded { .. }))), "{stopped:?}");
+        let stopped = bed.fold_at_0(0, rebuild(), &sources, two_reads, &mut Received::default());
+        assert!(matches!(stopped, Err((0, Error::DeadlineExceeded { .. }))), "{stopped:?}");
     }
 
     #[test]
     fn a_dead_aggregator_blames_its_own_source() {
         // Rack 1 folds at node 2, whose own source (listed second) has a
-        // spare copy in rack 2: both reads at node 2 succeed, the partial
-        // cannot leave it.
+        // spare copy in rack 2: every read succeeds — that one from the
+        // spare — and the chain cannot leave node 2.
         let bed = with_dead(NodeId(2));
         for (member, node) in [(1, 3), (2, 2), (2, 4), (3, 1), (4, 1)] {
             bed.place(member, node);
@@ -314,16 +327,20 @@ mod tests {
         ];
         let mut received = Received::default();
         let acc = bed.rebuild_of(0, &[1, 2, 3, 4]);
-        let stopped = bed.fold_at_0(acc, &sources, u64::MAX, &mut received);
+        let stopped = bed.fold_at_0(0, acc, &sources, u64::MAX, &mut received);
         assert!(
             matches!(stopped, Err((1, Error::NodeDown { node })) if node == NodeId(2)),
             "{stopped:?}"
         );
-        assert_eq!(received.downloads, 2, "the abandoned pass's reads stay counted");
+        assert_eq!(
+            (received.downloads, received.cross_rack_downloads),
+            (4, 1),
+            "the abandoned pass's reads stay counted"
+        );
+        assert_eq!(received.held.len(), 2, "and what node 0 read whole stays held");
 
-        // Mid-chain: rack 1 folds at node 3, then the partial cannot reach
-        // rack 3's aggregator — that hop's own source (listed first) is the
-        // one to drop, not the sender's.
+        // A dead aggregator with no spare fails its own read: the same
+        // blame, before anything is streamed.
         let bed = with_dead(NodeId(6));
         for (member, node) in [(1, 6), (2, 7), (3, 3), (4, 3)] {
             bed.place(member, node);
@@ -335,11 +352,127 @@ mod tests {
             source(3, 4, &[NodeId(3)]),
         ];
         let acc = bed.rebuild_of(0, &[1, 2, 3, 4]);
-        let stopped = bed.fold_at_0(acc, &sources, u64::MAX, &mut Received::default());
+        let stopped = bed.fold_at_0(0, acc, &sources, u64::MAX, &mut Received::default());
         assert!(
             matches!(stopped, Err((0, Error::NodeDown { node })) if node == NodeId(6)),
             "{stopped:?}"
         );
+        assert_eq!(bed.wire_blocks(), (0, 0));
+    }
+
+    #[test]
+    fn a_dead_hop_mid_chain_blames_its_own_source_and_pays_only_the_prefix() {
+        // One source per remote rack, so the chain is 2 → 4 → 6 → 0 → 1.
+        // Node 6 is dead but its shard has a copy at its rack-mate: every
+        // read succeeds, and the stream stops at node 6 having crossed
+        // 2 → 4 only.
+        let bed = with_dead(NodeId(6));
+        for (member, node) in [(1, 2), (2, 4), (3, 6), (3, 7), (4, 1)] {
+            bed.place(member, node);
+        }
+        let spare = [NodeId(6), NodeId(7)];
+        let sources = [
+            source(0, 1, &[NodeId(2)]),
+            source(1, 2, &[NodeId(4)]),
+            source(2, 3, &spare),
+            source(3, 4, &[NodeId(1)]),
+        ];
+        let mut received = Received::default();
+        let acc = bed.rebuild_of(0, &[1, 2, 3, 4]);
+        let stopped = bed.fold_at_0(1, acc, &sources, u64::MAX, &mut received);
+        assert!(
+            matches!(stopped, Err((2, Error::NodeDown { node })) if node == NodeId(6)),
+            "{stopped:?}"
+        );
+        // Two reads off the wire (7 → 6, 1 → 0) and one chain leg.
+        assert_eq!((received.downloads, received.cross_rack_downloads), (3, 1));
+        assert_eq!(bed.wire_blocks(), (3, 1));
+    }
+
+    #[test]
+    fn a_rack_with_exactly_r_sources_is_a_hop_at_equal_bytes() {
+        // r = 1: rack 1's lone shard is folded where it lies and the row
+        // crosses once — the bytes a whole read would ship, from a chain.
+        let bed = fault_free();
+        for (member, node) in [(1, 2), (2, 1), (3, 1), (4, 1)] {
+            bed.place(member, node);
+        }
+        let (remote, local) = ([NodeId(2)], [NodeId(1)]);
+        let sources = [
+            source(0, 1, &remote),
+            source(1, 2, &local),
+            source(2, 3, &local),
+            source(3, 4, &local),
+        ];
+        let mut received = Received::default();
+        let acc = bed.rebuild_of(0, &[1, 2, 3, 4]);
+        let rows = bed.fold_at_0(0, acc, &sources, u64::MAX, &mut received);
+        assert_eq!(rows.unwrap(), [bed.shards[0].clone()]);
+        assert_eq!((received.downloads, received.cross_rack_downloads), (4, 1));
+        assert_eq!(bed.wire_blocks(), (4, 1));
+        assert!(!received.held.contains_key(&BlockId(1)), "node 0 never saw the shard itself");
+
+        // r = m = 2: rack 1's two data blocks leave as two parity rows.
+        let bed = fault_free();
+        for (member, node) in [(0, 2), (1, 3), (2, 1), (3, 1)] {
+            bed.place(member, node);
+        }
+        let (first, second) = ([NodeId(2)], [NodeId(3)]);
+        let sources = [
+            source(0, 0, &first),
+            source(1, 1, &second),
+            source(2, 2, &local),
+            source(3, 3, &local),
+        ];
+        let mut received = Received::default();
+        let acc = StripeEncoder::new(&bed.rs, LEN);
+        let parity = bed.fold_at_0(0, acc, &sources, u64::MAX, &mut received);
+        assert_eq!(parity.unwrap(), bed.shards[4..]);
+        assert_eq!((received.downloads, received.cross_rack_downloads), (5, 2));
+        assert_eq!(bed.wire_blocks(), (5, 2));
+        assert_eq!(received.held.len(), 2, "only node 1's blocks were read whole");
+    }
+
+    #[test]
+    fn the_sink_leg_is_part_of_the_chain_and_free_when_sink_is_at() {
+        let placed = |bed: Bed| {
+            for (member, node) in [(1, 2), (2, 1), (3, 1), (4, 1)] {
+                bed.place(member, node);
+            }
+            bed
+        };
+        let (remote, local) = ([NodeId(2)], [NodeId(1)]);
+        let sources = [
+            source(0, 1, &remote),
+            source(1, 2, &local),
+            source(2, 3, &local),
+            source(3, 4, &local),
+        ];
+        // What the fold reports never includes the delivery leg; the wire
+        // carries it exactly when the sink is another node.
+        for (sink, wire) in [(0, (4, 1)), (1, (5, 1)), (5, (5, 2))] {
+            let bed = placed(fault_free());
+            let mut received = Received::default();
+            let acc = bed.rebuild_of(0, &[1, 2, 3, 4]);
+            let rows = bed.fold_at_0(sink, acc, &sources, u64::MAX, &mut received);
+            assert_eq!(rows.unwrap(), [bed.shards[0].clone()]);
+            assert_eq!((received.downloads, received.cross_rack_downloads), (4, 1));
+            assert_eq!(bed.wire_blocks(), wire, "sink {sink}");
+        }
+        // A sink that is down stops the chain at its last leg, typed.
+        let bed = placed(with_dead(NodeId(5)));
+        let mut received = Received::default();
+        let acc = bed.rebuild_of(0, &[1, 2, 3, 4]);
+        let stopped = bed.fold_at_0(5, acc, &sources, u64::MAX, &mut received);
+        assert!(matches!(stopped, Err((_, Error::NodeDown { node })) if node == NodeId(5)));
+        assert_eq!((received.downloads, bed.wire_blocks()), (4, (4, 1)));
+        // So does a folding node that is down, a leg earlier: the error
+        // names the node, whichever source it comes pinned on.
+        let bed = placed(with_dead(NodeId(0)));
+        let acc = bed.rebuild_of(0, &[1, 2, 3, 4]);
+        let stopped = bed.fold_at_0(5, acc, &sources, u64::MAX, &mut Received::default());
+        assert!(matches!(stopped, Err((_, Error::NodeDown { node })) if node == NodeId(0)));
+        assert_eq!(bed.wire_blocks(), (3, 0));
     }
 
     #[test]
@@ -353,36 +486,37 @@ mod tests {
         let short = [0, 1, 3].map(|member| source(member, member, &at_1));
         let accs = || [StripeEncoder::new(&bed.rs, LEN), bed.rebuild_of(4, &[0, 1, 2, 3])];
         for acc in accs() {
-            let stopped = bed.fold_at_0(acc, &twice, u64::MAX, &mut Received::default());
+            let stopped = bed.fold_at_0(0, acc, &twice, u64::MAX, &mut Received::default());
             assert!(matches!(stopped, Err((2, Error::Invariant(_)))), "{stopped:?}");
         }
         for acc in accs() {
-            let stopped = bed.fold_at_0(acc, &short, u64::MAX, &mut Received::default());
+            let stopped = bed.fold_at_0(0, acc, &short, u64::MAX, &mut Received::default());
             assert!(matches!(stopped, Err((_, Error::Invariant(_)))), "{stopped:?}");
         }
     }
 
     #[test]
     fn a_held_shard_is_not_read_again() {
-        // Member 2 is held at node 0 and stored nowhere: the m-row fold
-        // reads the other three, and rack 3 — home to two unheld sources,
-        // not three — is read whole rather than folded.
+        // Member 2 is held at node 0 and stored nowhere. Its listed holder
+        // shares rack 3 with member 1's, but a held shard has no home: the
+        // rack is home to one source, fewer than the m = 2 rows, and is
+        // read whole rather than folded — a hop would look for member 2.
         let bed = fault_free();
-        for (member, node) in [(0, 1), (1, 6), (3, 7)] {
+        for (member, node) in [(0, 1), (1, 6), (3, 1)] {
             bed.place(member, node);
         }
         let sources = [
             source(0, 0, &[NodeId(1)]),
             source(1, 1, &[NodeId(6)]),
-            source(2, 2, &[NodeId(6)]),
-            source(3, 3, &[NodeId(7)]),
+            source(2, 2, &[NodeId(7)]),
+            source(3, 3, &[NodeId(1)]),
         ];
         let mut received = Received::default();
         received.held.insert(BlockId(2), Block::from(bed.shards[2].clone()));
         let acc = StripeEncoder::new(&bed.rs, LEN);
-        let parity = bed.fold_at_0(acc, &sources, u64::MAX, &mut received);
+        let parity = bed.fold_at_0(0, acc, &sources, u64::MAX, &mut received);
         assert_eq!(parity.unwrap(), bed.shards[4..]);
-        assert_eq!((received.downloads, received.cross_rack_downloads), (3, 2));
+        assert_eq!((received.downloads, received.cross_rack_downloads), (3, 1));
         assert_eq!(received.held.len(), 4);
     }
 }

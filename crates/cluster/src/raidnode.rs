@@ -256,7 +256,7 @@ fn encode_stripe(
         let ctx = cfs.reliability().ctx(OpClass::Encode)?;
         let acc = StripeEncoder::new(cfs.codec(), cfs.config().block_size.as_u64() as usize);
         let mut received = Received::default();
-        fold::fold(cfs.io(), &ctx, enc, acc, &sources, &blacklist, fold_racks, &mut received)
+        fold::fold(cfs.io(), &ctx, enc, enc, acc, &sources, &blacklist, fold_racks, &mut received)
             .map(|parity| (parity, received.cross_rack_downloads))
             .map_err(|(_, e)| e)
     };

@@ -75,9 +75,9 @@ pub(crate) struct RepairOutcome {
     /// A stripe shard was rebuilt by degraded read (`false`: replicas were
     /// copied).
     pub reconstructed: bool,
-    /// Block-sized transfers the repair paid: copies made, or whole shards
-    /// downloaded plus the folded partials shipped (exactly `k` when no
-    /// rack folds).
+    /// Block-sized transfers the repair paid on a wire: copies made, or
+    /// shards read from another node plus the partials the chain carried
+    /// between folding nodes.
     pub downloads: usize,
     /// Transfers that crossed racks (copies, shards or folded partials).
     pub cross_rack_downloads: usize,
@@ -287,23 +287,19 @@ fn reconstruct_stripe_block(
         .iter()
         .position(|&m| m == block)
         .ok_or_else(|| Error::Invariant(format!("{block} not a member of its stripe")))?;
-    let (rebuilt, paid) =
-        rebuild_shard(cfs, ctx, site.recovery_node, lost_idx, &site.sources, true)?;
-    // The block ships only if its planned home is not where it was decoded.
-    let moved = site.destination != site.recovery_node;
-    if moved {
-        cfs.io().transfer(site.recovery_node, site.destination, rebuilt.len() as u64);
-    }
-    cfs.datanode(site.destination).put(block, Block::from(rebuilt).stamped())?;
-    cfs.namenode().set_locations(block, vec![site.destination])?;
+    // The block ships — as the fold's last leg — only if its planned home is
+    // not where it was decoded.
+    let (at, home) = (site.recovery_node, site.destination);
+    let (rebuilt, paid) = rebuild_shard(cfs, ctx, at, home, lost_idx, &site.sources, true)?;
+    cfs.datanode(home).put(block, Block::from(rebuilt).stamped())?;
+    cfs.namenode().set_locations(block, vec![home])?;
     let topo = cfs.topology();
-    let crossed = topo.rack_of(site.destination) != topo.rack_of(site.recovery_node);
     Ok(RepairOutcome {
         reconstructed: true,
         downloads: paid.downloads,
         cross_rack_downloads: paid.cross_rack_downloads,
-        uploads: usize::from(moved),
-        cross_rack_uploads: usize::from(crossed),
+        uploads: usize::from(home != at),
+        cross_rack_uploads: usize::from(topo.rack_of(home) != topo.rack_of(at)),
     })
 }
 
@@ -414,10 +410,10 @@ struct ShardSource {
     holders: Vec<NodeId>,
 }
 
-/// Rebuilds stripe member `lost_idx` at node `at` — the one way a lost
-/// shard is recomputed, shared by repair and degraded reads (DESIGN.md §15).
-/// Returns its bytes and what `at` received on the way (the block-sized
-/// transfers paid, abandoned passes included).
+/// Rebuilds stripe member `lost_idx` at node `at` for node `sink` — the one
+/// way a lost shard is recomputed, shared by repair and degraded reads
+/// (DESIGN.md §15). Returns its bytes and what the fold paid on the way to
+/// `at` (block-sized transfers, abandoned passes included).
 ///
 /// The first `k` of `sources` are chosen, the lost shard is expressed as
 /// their GF(2⁸) linear combination
@@ -435,10 +431,13 @@ struct ShardSource {
 /// * [`Error::DeadlineExceeded`] / [`Error::RetryBudgetExhausted`] /
 ///   [`Error::Overloaded`] as soon as the substrate stops the op — these
 ///   never fall through to another source.
+/// * [`Error::NodeDown`] if `at` or `sink` is the node that cannot be
+///   reached — no other choice of sources would get further.
 fn rebuild_shard(
     cfs: &MiniCfs,
     ctx: &OpContext<'_>,
     at: NodeId,
+    sink: NodeId,
     lost_idx: usize,
     sources: &[ShardSource],
     fold_racks: bool,
@@ -462,7 +461,8 @@ fn rebuild_shard(
             .enumerate()
             .map(|(index, s)| Source { index, block: s.block, holders: &s.holders })
             .collect();
-        match fold::fold(cfs.io(), ctx, at, acc, &columns, &dead, fold_racks, &mut received) {
+        let io = cfs.io();
+        match fold::fold(io, ctx, at, sink, acc, &columns, &dead, fold_racks, &mut received) {
             Ok(rows) => {
                 let rebuilt = rows.into_iter().next();
                 let rebuilt = rebuilt.ok_or_else(|| Error::Invariant("a fold of no rows".into()))?;
@@ -474,6 +474,7 @@ fn rebuild_shard(
                 | Error::RetryBudgetExhausted { .. }
                 | Error::Overloaded { .. }),
             )) => return Err(e),
+            Err((_, e @ Error::NodeDown { node })) if node == at || node == sink => return Err(e),
             Err((failed, _)) => {
                 candidates.remove(failed);
             }
@@ -528,7 +529,7 @@ pub(crate) fn degraded_read(
     }
     let lost_idx =
         lost_idx.ok_or_else(|| Error::Invariant(format!("{block} not a member of its stripe")))?;
-    let (rebuilt, _) = rebuild_shard(cfs, ctx, reader, lost_idx, &sources, false)?;
+    let (rebuilt, _) = rebuild_shard(cfs, ctx, reader, reader, lost_idx, &sources, false)?;
     Ok(Block::from(rebuilt))
 }
 
@@ -629,6 +630,7 @@ pub fn recover_node(cfs: &MiniCfs, failed: NodeId) -> Result<RecoveryStats> {
 mod tests {
     use super::*;
     use crate::cluster::{ClusterConfig, ClusterPolicy};
+    use crate::health::HealthTransition;
     use crate::raidnode::RaidNode;
     use ear_types::{
         Bandwidth, ByteSize, CacheConfig, EarConfig, ErasureParams, ReplicationConfig,
@@ -1005,8 +1007,75 @@ mod tests {
         // (no fold) would cost 4 downloads, 2 of them cross-rack.
         let cfs = boot_foldable();
         let (_, repair) = repair_first_block(&cfs).unwrap();
-        assert_eq!(repair.downloads, 5, "2 local + 2 at the aggregator + 1 partial");
+        // (5 while the aggregator's read of its own shard counted as one.)
+        assert_eq!(repair.downloads, 4, "2 local + 1 to the aggregator + 1 partial");
         assert_eq!(repair.cross_rack_downloads, 1, "one partial per remote rack");
+    }
+
+    /// The paper's testbed shape — (10,8) at c = 1 over 12 racks of one node
+    /// — with one stripe encoded.
+    fn boot_testbed_shape(seed: u64) -> MiniCfs {
+        let params = ErasureParams::new(10, 8).unwrap();
+        let ear = EarConfig::new(params, ReplicationConfig::two_way(), 1).unwrap();
+        let cfs = boot_seeded(ClusterPolicy::Ear, ear, 12, 1, seed);
+        write_and_encode_with(&cfs, 1, 1);
+        cfs
+    }
+
+    #[test]
+    fn a_testbed_rebuild_is_one_chain_of_k_block_transfers() {
+        // Every source is alone in its rack, so every remote one is a hop
+        // that reads its shard off its own disk, and the row crosses racks
+        // once per leg. A recovery node that holds a survivor reads it for
+        // free but cannot keep the block, so the chain's last leg delivers
+        // it: k transfers either way, all cross-rack, and the links carried
+        // exactly what is reported.
+        let mut uploads = 0;
+        for seed in 1..=6 {
+            let cfs = boot_testbed_shape(seed);
+            let before = cfs.network().snapshot();
+            let (_, repair) = repair_first_block(&cfs).unwrap();
+            let moved = cfs.network().snapshot().delta(&before);
+            assert_eq!(repair.downloads + repair.uploads, 8, "seed {seed}: {repair:?}");
+            assert_eq!(repair.cross_rack_downloads, repair.downloads);
+            assert_eq!(repair.cross_rack_uploads, repair.uploads);
+            let block = cfs.config().block_size.as_u64();
+            assert_eq!((moved.cross_rack_bytes, moved.intra_rack_bytes), (8 * block, 0));
+            uploads += repair.uploads;
+        }
+        assert!((1..6).contains(&uploads), "both kinds of recovery node were drawn: {uploads}");
+    }
+
+    #[test]
+    fn a_sink_the_chain_cannot_reach_fails_the_repair_typed_after_one_pass() {
+        // Two clusters from one seed plan the same repair. The first shows
+        // where the block goes — seed 1's recovery node holds a survivor, so
+        // the home is another node. In the second that node's breaker is
+        // open while the repair's view still trusts it: the chain stops at
+        // its last leg, no other choice of sources would get further, and
+        // the repair reports the node instead of dropping sources one by
+        // one until too few remain.
+        let planned = boot_testbed_shape(1);
+        let (block, repair) = repair_first_block(&planned).unwrap();
+        assert_eq!(repair.uploads, 1);
+        let home = planned.namenode().locations(block).unwrap()[0];
+
+        let cfs = boot_testbed_shape(1);
+        let tripped = HealthTransition {
+            tick: 0,
+            node: home,
+            from: NodeHealth::Live,
+            to: NodeHealth::Suspect,
+        };
+        cfs.reliability().on_transitions(&[tripped]);
+        let before = cfs.network().snapshot();
+        match repair_first_block(&cfs) {
+            Err(Error::NodeDown { node }) if node == home => {}
+            other => panic!("expected NodeDown for {home}, got {other:?}"),
+        }
+        let moved = cfs.network().snapshot().delta(&before);
+        let block_size = cfs.config().block_size.as_u64();
+        assert_eq!(moved.cross_rack_bytes, 7 * block_size, "one pass, less its last leg");
     }
 
     #[test]

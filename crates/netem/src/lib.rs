@@ -31,4 +31,4 @@ mod bucket;
 mod network;
 
 pub use bucket::TokenBucket;
-pub use network::{EmulatedNetwork, TrafficSnapshot};
+pub use network::{EmulatedNetwork, TrafficSnapshot, CHUNK};

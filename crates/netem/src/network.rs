@@ -6,8 +6,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Chunk size for pacing transfers: small enough that concurrent transfers
-/// interleave fairly, large enough that bookkeeping stays cheap.
-const CHUNK: u64 = 64 * 1024;
+/// interleave fairly, large enough that bookkeeping stays cheap. Also what a
+/// further leg of a [chain](EmulatedNetwork::transfer_chain) adds to its
+/// latency.
+pub const CHUNK: u64 = 64 * 1024;
 
 /// The emulated network of a CFS: node uplinks/downlinks and rack
 /// uplinks/downlinks, mirroring the topology of Fig. 1. Threads emulate data
@@ -67,30 +69,44 @@ impl EmulatedNetwork {
     }
 
     /// Moves `bytes` from `src` to `dst`, blocking the calling thread for as
-    /// long as the transfer would occupy the network. Local transfers
+    /// long as the transfer would occupy the network: the two-node
+    /// [`transfer_chain`](Self::transfer_chain). Local transfers
     /// (`src == dst`) return immediately.
     pub fn transfer(&self, src: NodeId, dst: NodeId, bytes: u64) {
-        if src == dst || bytes == 0 {
-            return;
-        }
+        self.transfer_chain(&[src, dst], bytes);
+    }
+
+    /// Streams `bytes` down `path`, every node forwarding each chunk as it
+    /// arrives: a chunk draws its tokens on every link of every leg before
+    /// the next chunk starts, so the chain runs at its slowest link rather
+    /// than for the sum of its legs. Bytes are counted per leg, exactly as
+    /// one [`transfer`](Self::transfer) per leg would count them;
+    /// consecutive equal nodes are a free leg.
+    pub fn transfer_chain(&self, path: &[NodeId], bytes: u64) {
         let i = &self.inner;
-        let sr = i.topo.rack_of(src);
-        let dr = i.topo.rack_of(dst);
-        let cross = sr != dr;
-        if cross {
-            i.cross_rack_bytes.fetch_add(bytes, Ordering::Relaxed);
-        } else {
-            i.intra_rack_bytes.fetch_add(bytes, Ordering::Relaxed);
+        let legs = || {
+            path.windows(2).filter_map(|leg| match *leg {
+                [src, dst] if src != dst => {
+                    Some((src, dst, i.topo.rack_of(src), i.topo.rack_of(dst)))
+                }
+                _ => None,
+            })
+        };
+        for (_, _, sr, dr) in legs() {
+            let counter = if sr != dr { &i.cross_rack_bytes } else { &i.intra_rack_bytes };
+            counter.fetch_add(bytes, Ordering::Relaxed);
         }
         let mut left = bytes;
         while left > 0 {
             let chunk = left.min(CHUNK);
-            i.node_up[src.index()].acquire(chunk);
-            if cross {
-                i.rack_up[sr.index()].acquire(chunk);
-                i.rack_down[dr.index()].acquire(chunk);
+            for (src, dst, sr, dr) in legs() {
+                i.node_up[src.index()].acquire(chunk);
+                if sr != dr {
+                    i.rack_up[sr.index()].acquire(chunk);
+                    i.rack_down[dr.index()].acquire(chunk);
+                }
+                i.node_down[dst.index()].acquire(chunk);
             }
-            i.node_down[dst.index()].acquire(chunk);
             left -= chunk;
         }
     }
@@ -272,6 +288,78 @@ mod tests {
         let start = Instant::now();
         net.transfer(NodeId(0), NodeId(1), 400_000);
         assert!(start.elapsed().as_secs_f64() < 0.1, "restore must unpace");
+    }
+
+    /// Seconds `run` takes on a fresh 4-rack × 1-node network with 20 MB/s
+    /// links, and the bytes it moved.
+    fn timed_on_four_racks(run: impl FnOnce(&EmulatedNetwork)) -> (f64, TrafficSnapshot) {
+        let topo = ClusterTopology::uniform(4, 1);
+        let net = EmulatedNetwork::new(&topo, bw(20.0), bw(20.0));
+        let start = Instant::now();
+        run(&net);
+        (start.elapsed().as_secs_f64(), net.snapshot())
+    }
+
+    #[test]
+    fn a_chain_runs_at_its_slowest_link_not_the_sum() {
+        // 2 MB over three 20 MB/s legs: ~0.1 s streamed, ~0.3 s store-and-
+        // forward, the same bytes on the same links either way.
+        let path = [NodeId(0), NodeId(1), NodeId(2), NodeId(3)];
+        let (chained, chain_bytes) =
+            timed_on_four_racks(|net| net.transfer_chain(&path, 2_000_000));
+        let (hopped, hop_bytes) = timed_on_four_racks(|net| {
+            for leg in path.windows(2) {
+                net.transfer(leg[0], leg[1], 2_000_000);
+            }
+        });
+        assert!((0.07..0.2).contains(&chained), "expected ~0.1 s, got {chained}");
+        assert!((0.25..0.9).contains(&hopped), "expected ~0.3 s, got {hopped}");
+        assert_eq!(chain_bytes, hop_bytes);
+        assert_eq!((chain_bytes.cross_rack_bytes, chain_bytes.intra_rack_bytes), (6_000_000, 0));
+    }
+
+    #[test]
+    fn a_chain_through_a_throttled_node_runs_at_the_throttled_rate() {
+        let (elapsed, _) = timed_on_four_racks(|net| {
+            net.throttle_node(NodeId(1), 0.1); // 2 MB/s in the middle
+            net.transfer_chain(&[NodeId(0), NodeId(1), NodeId(2)], 400_000);
+        });
+        assert!((0.15..0.8).contains(&elapsed), "expected ~0.2 s, got {elapsed}");
+    }
+
+    /// What `run` moves on a fresh 2-rack × 2-node network.
+    fn moved(run: impl FnOnce(&EmulatedNetwork)) -> TrafficSnapshot {
+        let topo = ClusterTopology::uniform(2, 2);
+        let net = EmulatedNetwork::new(&topo, bw(1.0), bw(1.0));
+        run(&net);
+        net.snapshot()
+    }
+
+    #[test]
+    fn a_two_node_chain_and_a_transfer_are_the_same_call() {
+        let transfers = moved(|net| {
+            net.transfer(NodeId(0), NodeId(1), 1_000);
+            net.transfer(NodeId(1), NodeId(2), 1_000);
+        });
+        let chains = moved(|net| {
+            net.transfer_chain(&[NodeId(0), NodeId(1)], 1_000);
+            net.transfer_chain(&[NodeId(1), NodeId(2)], 1_000);
+        });
+        assert_eq!(transfers, chains);
+        assert_eq!((chains.cross_rack_bytes, chains.intra_rack_bytes), (1_000, 1_000));
+    }
+
+    #[test]
+    fn consecutive_equal_nodes_in_a_path_are_a_free_leg() {
+        // A node listed twice in a row hands the stream to itself.
+        let stuttered = [NodeId(0), NodeId(0), NodeId(1), NodeId(1), NodeId(2)];
+        let plain = [NodeId(0), NodeId(1), NodeId(2)];
+        let bytes = |path: &[NodeId]| moved(|net| net.transfer_chain(path, 1_000));
+        assert_eq!(bytes(&stuttered), bytes(&plain));
+        let start = Instant::now();
+        let local = moved(|net| net.transfer_chain(&[NodeId(3); 2], ByteSize::mib(100).as_u64()));
+        assert!(start.elapsed().as_secs_f64() < 0.05);
+        assert_eq!(local, TrafficSnapshot::default());
     }
 
     #[test]

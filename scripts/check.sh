@@ -32,11 +32,11 @@ if [ "$scope_files" != "crates/cluster/src/exec.rs" ]; then
   exit 1
 fi
 # One rack fold: encode and repair both walk fold::fold (DESIGN.md §15), so
-# partial rows are shipped from one file (io.rs defines the hop) and the
+# partial rows are streamed from one file (io.rs defines the chain) and the
 # encode-only walker's file stays gone.
-partial_files=$(grep -rl 'stream_partial(' crates/cluster/src | grep -v '/io\.rs$' | sort | xargs)
-if [ "$partial_files" != "crates/cluster/src/fold.rs" ] || [ -e crates/cluster/src/pipeline.rs ]; then
-  echo "check.sh: stream_partial( must be called from fold.rs alone (found: $partial_files) and pipeline.rs must not exist" >&2
+chain_files=$(grep -rl 'stream_chain(' crates/cluster/src | grep -v '/io\.rs$' | sort | xargs)
+if [ "$chain_files" != "crates/cluster/src/fold.rs" ] || [ -e crates/cluster/src/pipeline.rs ]; then
+  echo "check.sh: stream_chain( must be called from fold.rs alone (found: $chain_files) and pipeline.rs must not exist" >&2
   exit 1
 fi
 cargo build --release --locked

@@ -400,8 +400,9 @@ impl MiniCfs {
     }
 
     /// Writes one block from `client` through the replication pipeline:
-    /// client → replica 1 → replica 2 → …, paying the network cost of each
-    /// hop.
+    /// client → replica 1 → replica 2 → …, streamed as one chain
+    /// ([`ClusterIo::write_replicated`]), so every hop's link carries the
+    /// block once and the write holds them for about one block time.
     ///
     /// # Errors
     ///
@@ -626,6 +627,73 @@ mod tests {
             assert!(held.shares_buffer(&first));
             assert_eq!(cfs.datanode(n).stored_crc(id), Some(crc));
         }
+    }
+
+    /// The paper's testbed as the benchmark runs it: 12 racks × 1 node, EAR
+    /// (10,8), 2-way replication, 32 MB/s links.
+    fn testbed_shape(block_size: ByteSize, seed: u64) -> MiniCfs {
+        let params = ErasureParams::new(10, 8).unwrap();
+        let ear = EarConfig::new(params, ReplicationConfig::two_way(), 1).unwrap();
+        let mut cfg = ClusterConfig::testbed(ClusterPolicy::Ear, ear);
+        cfg.block_size = block_size;
+        cfg.node_bandwidth = Bandwidth::bytes_per_sec(32e6);
+        cfg.rack_bandwidth = Bandwidth::bytes_per_sec(32e6);
+        cfg.seed = seed;
+        MiniCfs::new(cfg).unwrap()
+    }
+
+    #[test]
+    fn testbed_writes_move_a_block_per_pipeline_leg_as_hop_by_hop_transfers_would() {
+        // Streaming changes when the bytes move, not which links carry them:
+        // single-threaded writes move B per leg of [client, r₁, r₂], exactly
+        // what one transfer per hop moves (replayed on an unpaced twin). A
+        // client holding r₁ pays no first leg; a client equal to r₂ still pays
+        // two (client → r₁ → client) — the pipeline is not reordered.
+        let cfs = testbed_shape(ByteSize::kib(256), 7);
+        let b = cfs.config().block_size.as_u64();
+        let unpaced = Bandwidth::bytes_per_sec(1e12);
+        let hop_by_hop = EmulatedNetwork::new(cfs.topology(), unpaced, unpaced);
+        let (mut legs, mut client_is_r1, mut client_is_r2) = (0, 0, 0);
+        for i in 0..48u64 {
+            let client = NodeId((i % 12) as u32);
+            let id = cfs.write_block(client, cfs.make_block(i)).unwrap();
+            let layout = cfs.namenode().locations(id).unwrap();
+            let path: Vec<NodeId> = std::iter::once(client).chain(layout.clone()).collect();
+            for hop in path.windows(2) {
+                hop_by_hop.transfer(hop[0], hop[1], b);
+                legs += u64::from(hop[0] != hop[1]);
+            }
+            client_is_r1 += usize::from(layout[0] == client);
+            client_is_r2 += usize::from(layout[1] == client);
+        }
+        let moved = cfs.network().snapshot();
+        assert_eq!(moved, hop_by_hop.snapshot());
+        assert_eq!((moved.cross_rack_bytes, moved.intra_rack_bytes), (legs * b, 0));
+        assert!(client_is_r1 > 0 && client_is_r2 > 0, "{client_is_r1} free legs, {client_is_r2}");
+    }
+
+    #[test]
+    fn a_two_way_testbed_write_on_idle_links_takes_one_block_time_not_two() {
+        // A twin from the same seed shows where block 0 goes; the timed
+        // cluster writes it from a node that holds no replica, so both legs
+        // cross racks. Streamed, the write takes about one transfer time
+        // (B / 32 MB/s ≈ 66 ms); hop by hop it took two.
+        let block_size = ByteSize::mib(2);
+        let twin = testbed_shape(block_size, 3);
+        let id = twin.write_block(NodeId(0), twin.make_block(0)).unwrap();
+        let layout = twin.namenode().locations(id).unwrap();
+        let client = twin.topology().nodes().find(|n| !layout.contains(n)).unwrap();
+        let cfs = testbed_shape(block_size, 3);
+        let data = cfs.make_block(0);
+        let start = std::time::Instant::now();
+        let id = cfs.write_block(client, data).unwrap();
+        let elapsed = start.elapsed().as_secs_f64();
+        assert_eq!(cfs.namenode().locations(id).unwrap(), layout);
+        let one_transfer = block_size.as_u64() as f64 / 32e6;
+        assert!(
+            (0.5 * one_transfer..1.5 * one_transfer).contains(&elapsed),
+            "expected ~{one_transfer:.3} s, got {elapsed:.3} s"
+        );
     }
 
     #[test]

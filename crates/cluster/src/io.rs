@@ -393,7 +393,8 @@ impl ClusterIo {
     }
 
     /// Writes `block`'s bytes from `src` onto `dst`'s store, through the
-    /// fault layer. The single injection boundary for writes.
+    /// fault layer: one attempt of a one-replica pipeline — the attempt is
+    /// admitted, the bytes cross the one leg, and they land.
     ///
     /// # Errors
     ///
@@ -410,53 +411,94 @@ impl ClusterIo {
         data: Block,
         attempt: u32,
     ) -> Result<()> {
-        let len = data.len() as u64;
+        let len = data.len();
+        let (admitted, cost) =
+            self.admit_attempt(dst, block, attempt, reliability::xfer_cost_ticks(len));
+        let out = admitted.and_then(|()| {
+            self.net.transfer(src, dst, len as u64);
+            self.land(dst, block, data, cost)
+        });
+        ctx.charge(cost)?;
+        out
+    }
+
+    /// The admit half of one write attempt: the fault plan's verdict on
+    /// `dst` and the attempt's virtual cost — its straggler delay plus `leg`
+    /// ticks when admitted, a timeout on a dead node, a fault penalty
+    /// otherwise. Nothing moves and nothing is charged yet.
+    fn admit_attempt(
+        &self,
+        dst: NodeId,
+        block: BlockId,
+        attempt: u32,
+        leg: u64,
+    ) -> (Result<()>, u64) {
         let delay = self.injector.straggler_delay_ticks(
             dst,
             block,
             attempt,
             reliability::NOMINAL_SERVICE_TICKS,
         );
-        let out = self.store_inner(src, dst, block, data, attempt);
+        let out = match self.injector.on_write(dst, block, attempt) {
+            Some(f) => Err(f.to_error(dst, block)),
+            // An out-of-range NodeId (stale or corrupt location entry) reads
+            // as a dead node before any wire cost: the network layer indexes
+            // racks by node id.
+            None if dst.index() >= self.datanodes.len() => Err(Error::NodeDown { node: dst }),
+            None => Ok(()),
+        };
         let cost = delay.saturating_add(match &out {
-            Ok(()) => reliability::xfer_cost_ticks(len as usize),
+            Ok(()) => leg,
             Err(Error::NodeDown { .. }) => reliability::TIMEOUT_PENALTY_TICKS,
             Err(_) => reliability::FAULT_PENALTY_TICKS,
         });
-        match &out {
-            Ok(()) => {
-                self.counters.writes.fetch_add(1, Ordering::Relaxed);
-                self.counters.bytes_written.fetch_add(len, Ordering::Relaxed);
-                self.counters.write_ticks.fetch_add(cost, Ordering::Relaxed);
-            }
-            Err(_) => {
-                self.counters.failed_writes.fetch_add(1, Ordering::Relaxed);
-            }
+        if out.is_err() {
+            self.counters.failed_writes.fetch_add(1, Ordering::Relaxed);
         }
-        ctx.charge(cost)?;
-        out
+        (out, cost)
     }
 
-    fn store_inner(
-        &self,
-        src: NodeId,
-        dst: NodeId,
-        block: BlockId,
-        data: Block,
-        attempt: u32,
-    ) -> Result<()> {
-        if let Some(f) = self.injector.on_write(dst, block, attempt) {
-            return Err(f.to_error(dst, block));
+    /// Admits `dst` as the next replica of `block`, retrying transient
+    /// faults with budgeted seeded-jitter backoff and charging every
+    /// attempt — the one write-side retry loop. Any other fault is returned
+    /// at once: a crashed node or dark rack stays that way. Returns the
+    /// admitted attempt's cost, for [`land`](Self::land) to account.
+    fn admit(&self, ctx: &OpContext<'_>, dst: NodeId, block: BlockId, leg: u64) -> Result<u64> {
+        for attempt in 0..IO_ATTEMPTS {
+            let (out, cost) = self.admit_attempt(dst, block, attempt, leg);
+            ctx.charge(cost)?;
+            match out {
+                Err(Error::TransientIo { .. }) => {
+                    self.counters.write_retries.fetch_add(1, Ordering::Relaxed);
+                    ctx.try_retry()?;
+                    let ticks = ctx.reliability().backoff_ticks(backoff_key(dst, block), attempt);
+                    self.counters.backoff_rounds.fetch_add(1, Ordering::Relaxed);
+                    ctx.charge(ticks)?;
+                    reliability::pace(ticks);
+                }
+                out => return out.map(|()| cost),
+            }
         }
-        // Validate the destination before paying the wire cost: an
-        // out-of-range NodeId (stale or corrupt location entry) must read as
-        // a dead node, and the network layer indexes racks by node id.
-        let datanode = self
+        Err(Error::TransientIo { node: dst })
+    }
+
+    /// The land half: stores the arrived bytes on `dst` and accounts a
+    /// successful write at the `cost` its admission was charged.
+    fn land(&self, dst: NodeId, block: BlockId, data: Block, cost: u64) -> Result<()> {
+        let len = data.len() as u64;
+        let out = self
             .datanodes
             .get(dst.index())
-            .ok_or(Error::NodeDown { node: dst })?;
-        self.net.transfer(src, dst, data.len() as u64);
-        datanode.put(block, data)
+            .ok_or(Error::NodeDown { node: dst })
+            .and_then(|dn| dn.put(block, data));
+        if out.is_ok() {
+            self.counters.writes.fetch_add(1, Ordering::Relaxed);
+            self.counters.bytes_written.fetch_add(len, Ordering::Relaxed);
+            self.counters.write_ticks.fetch_add(cost, Ordering::Relaxed);
+        } else {
+            self.counters.failed_writes.fetch_add(1, Ordering::Relaxed);
+        }
+        out
     }
 
     /// Reads `block` into `dst` from the first source in `sources` that can
@@ -705,45 +747,14 @@ impl ClusterIo {
         stopped.map_or(Ok(()), |(pos, node)| Err((pos, Error::NodeDown { node })))
     }
 
-    /// Stores `block` on `dst`, retrying transient faults with budgeted
-    /// seeded-jitter backoff. Any other fault is returned immediately — a
-    /// crashed node or dark rack stays that way.
-    ///
-    /// # Errors
-    ///
-    /// The last attempt's error, or a substrate stop
-    /// ([`Error::DeadlineExceeded`] / [`Error::RetryBudgetExhausted`]).
-    pub fn write_with_retry(
-        &self,
-        ctx: &OpContext<'_>,
-        src: NodeId,
-        dst: NodeId,
-        block: BlockId,
-        data: &Block,
-    ) -> Result<()> {
-        let mut outcome = Ok(());
-        for attempt in 0..IO_ATTEMPTS {
-            outcome = self.store_at(ctx, src, dst, block, data.clone(), attempt);
-            match &outcome {
-                Ok(()) => break,
-                Err(Error::TransientIo { .. }) => {
-                    self.counters.write_retries.fetch_add(1, Ordering::Relaxed);
-                    ctx.try_retry()?;
-                    let ticks = ctx
-                        .reliability()
-                        .backoff_ticks(backoff_key(dst, block), attempt);
-                    self.counters.backoff_rounds.fetch_add(1, Ordering::Relaxed);
-                    ctx.charge(ticks)?;
-                    reliability::pace(ticks);
-                }
-                Err(_) => break,
-            }
-        }
-        outcome
-    }
-
-    /// Writes one block through the replication pipeline: `client` →
-    /// `layout[0]` → `layout[1]` → …, paying the network cost of each hop.
+    /// Writes one block through the replication pipeline `client` →
+    /// `layout[0]` → `layout[1]` → … as one streamed chain: each replica is
+    /// admitted in layout order (the plan consulted and transient faults
+    /// retried per hop) before anything moves, then the bytes cross
+    /// `[client, admitted…]` once and land on each admitted replica in
+    /// order, so a pipeline broken at replica `i` pays only the legs before
+    /// it. The first replica is charged one block transfer, each further one
+    /// a chunk (DESIGN.md §14).
     ///
     /// Returns the replicas that actually landed and, if the pipeline broke,
     /// the error that stopped it — the caller records the partial location
@@ -756,24 +767,38 @@ impl ClusterIo {
         data: &Block,
         layout: &[NodeId],
     ) -> (Vec<NodeId>, Option<Error>) {
-        let mut src = client;
-        let mut stored: Vec<NodeId> = Vec::with_capacity(layout.len());
+        let len = data.len();
+        let mut costs = Vec::with_capacity(layout.len());
+        let mut stop = None;
         for &dst in layout {
-            if let Err(e) = self.write_with_retry(ctx, src, dst, block, data) {
+            let leg = if costs.is_empty() { len } else { len.min(ear_netem::CHUNK as usize) };
+            match self.admit(ctx, dst, block, reliability::xfer_cost_ticks(leg)) {
+                Ok(cost) => costs.push(cost),
+                Err(e) => {
+                    stop = Some(e);
+                    break;
+                }
+            }
+        }
+        let admitted = layout.get(..costs.len()).unwrap_or_default();
+        self.net.transfer_chain(&[std::slice::from_ref(&client), admitted].concat(), len as u64);
+        let mut stored = Vec::with_capacity(costs.len());
+        for (&dst, cost) in admitted.iter().zip(costs) {
+            if let Err(e) = self.land(dst, block, data.clone(), cost) {
                 return (stored, Some(e));
             }
             stored.push(dst);
-            src = dst;
         }
-        (stored, None)
+        (stored, stop)
     }
 
     /// Stores `block` on the first workable destination in `candidates` —
     /// the shared fallback policy of placement writes (parity upload,
     /// re-replication). A destination the fault plan already marks down is
     /// skipped without paying a transfer, as is one whose circuit breaker
-    /// is open (one virtual tick, unless it is the last candidate); on the
-    /// rest, transient faults are retried with budgeted backoff.
+    /// is open (one virtual tick, unless it is the last candidate); each of
+    /// the rest is tried as a one-replica
+    /// [`write_replicated`](Self::write_replicated) pipeline.
     ///
     /// Returns the node that took the bytes.
     ///
@@ -804,14 +829,14 @@ impl ClusterIo {
                 last = Error::NodeDown { node: dst };
                 continue;
             }
-            match self.write_with_retry(ctx, src, dst, block, data) {
-                Ok(()) => return Ok(dst),
-                Err(
+            match self.write_replicated(ctx, src, block, data, &[dst]).1 {
+                None => return Ok(dst),
+                Some(
                     e @ (Error::DeadlineExceeded { .. }
                     | Error::RetryBudgetExhausted { .. }
                     | Error::Overloaded { .. }),
                 ) => return Err(e),
-                Err(e) => last = e,
+                Some(e) => last = e,
             }
         }
         Err(last)
@@ -834,20 +859,38 @@ mod tests {
     use ear_types::crc::crc32c;
 
     fn service() -> ClusterIo {
-        let topo = ClusterTopology::uniform(2, 2);
+        service_on(ClusterTopology::uniform(2, 2), None)
+    }
+
+    /// A service on `topo` with 1 GB/s links, executing `plan` if given.
+    fn service_on(topo: ClusterTopology, plan: Option<FaultPlan>) -> ClusterIo {
         let datanodes: Vec<DataNode> = topo.nodes().map(DataNode::new).collect();
         let net = EmulatedNetwork::new(
             &topo,
             ear_types::Bandwidth::bytes_per_sec(1e9),
             ear_types::Bandwidth::bytes_per_sec(1e9),
         );
-        ClusterIo::new(
-            topo,
-            datanodes,
-            net,
-            FaultInjector::disabled(),
-            Arc::new(Reliability::unlimited(4)),
-        )
+        let injector =
+            plan.map_or_else(FaultInjector::disabled, |p| FaultInjector::new(p, topo.clone()));
+        let rel = Arc::new(Reliability::unlimited(topo.num_nodes()));
+        ClusterIo::new(topo, datanodes, net, injector, rel)
+    }
+
+    /// A plan on `topo` with `crashes` nodes down from op 0 and I/O
+    /// attempts failing transiently at rate `transient`; nothing else.
+    fn plan(seed: u64, topo: &ClusterTopology, crashes: usize, transient: f64) -> FaultPlan {
+        let cfg = ear_faults::FaultConfig {
+            straggler_delay: ear_faults::DelayModel::Throttle,
+            node_crashes: crashes,
+            rack_outages: 0,
+            stragglers: 0,
+            straggler_factor: 1.0,
+            transient_error_rate: transient,
+            corruption_rate: 0.0,
+            heartbeat_loss_rate: 0.0,
+            crash_window: 1,
+        };
+        FaultPlan::generate(seed, topo, &cfg)
     }
 
     #[test]
@@ -961,36 +1004,117 @@ mod tests {
     }
 
     #[test]
+    fn a_replicated_write_is_one_chain_charged_one_leg_plus_a_chunk_per_further_replica() {
+        // Three replicas on four single-node racks: the block crosses racks
+        // once per leg, as a relay would move it, but streamed — so the
+        // clock charges one block transfer plus a chunk per further replica.
+        let io = service_on(ClusterTopology::uniform(4, 1), None);
+        let rel = io.reliability().clone();
+        let ctx = rel.ctx(OpClass::ClientWrite).unwrap();
+        let b = 256 << 10;
+        let layout = [NodeId(1), NodeId(2), NodeId(3)];
+        let data = Block::from(vec![1u8; b]);
+        let (stored, err) = io.write_replicated(&ctx, NodeId(0), BlockId(5), &data, &layout);
+        assert_eq!((stored.as_slice(), err), (&layout[..], None));
+        let ticks = reliability::xfer_cost_ticks(b) + 2 * reliability::xfer_cost_ticks(64 << 10);
+        assert_eq!(ctx.elapsed_ticks(), ticks, "not the 3 block transfers of a relay");
+        let s = io.stats();
+        assert_eq!((s.writes, s.bytes_written, s.write_ticks), (3, 3 * b as u64, ticks));
+        assert_eq!(io.network().cross_rack_bytes(), 3 * b as u64);
+    }
+
+    #[test]
+    fn a_replica_down_mid_pipeline_keeps_the_prefix_and_pays_only_its_legs() {
+        let topo = ClusterTopology::uniform(4, 1);
+        let io = service_on(topo.clone(), Some(plan(7, &topo, 1, 0.0)));
+        let down: Vec<NodeId> = topo.nodes().filter(|&n| io.injector().node_down(n)).collect();
+        let [dead] = down[..] else { panic!("one node crashed from op 0: {down:?}") };
+        let up: Vec<NodeId> = topo.nodes().filter(|&n| n != dead).collect();
+        let (client, layout) = (up[0], [up[1], dead, up[2]]);
+        let rel = io.reliability().clone();
+        let ctx = rel.ctx(OpClass::ClientWrite).unwrap();
+        let data = Block::from(vec![2u8; 4096]);
+        let (stored, err) = io.write_replicated(&ctx, client, BlockId(6), &data, &layout);
+        assert_eq!(stored, [layout[0]]);
+        assert_eq!(err, Some(Error::NodeDown { node: dead }));
+        assert_eq!(io.network().cross_rack_bytes(), 4096, "one leg: client → layout[0]");
+        assert!(io.datanode(layout[0]).contains(BlockId(6)));
+        assert!(!io.datanode(layout[2]).contains(BlockId(6)));
+        assert_eq!(io.injector().now(), 2, "the plan is not asked past the break");
+        assert_eq!(
+            ctx.elapsed_ticks(),
+            reliability::xfer_cost_ticks(4096) + reliability::TIMEOUT_PENALTY_TICKS
+        );
+    }
+
+    #[test]
+    fn a_transient_fault_on_a_later_replica_is_retried_on_its_hop_before_anything_moves() {
+        // A twin injector asks the plan what a hop-by-hop pipeline asks, in
+        // its order, to find a block whose one fault is layout[1]'s first
+        // attempt; the streamed pipeline must ask exactly that.
+        let topo = ClusterTopology::uniform(4, 1);
+        let faults = plan(3, &topo, 0, 0.5);
+        let layout = [NodeId(1), NodeId(2), NodeId(3)];
+        let asks = [(layout[0], 0), (layout[1], 0), (layout[1], 1), (layout[2], 0)];
+        let verdicts = [None, Some(IoFault::Transient), None, None];
+        let twin = FaultInjector::new(faults.clone(), topo.clone());
+        let block = (0..)
+            .map(BlockId)
+            .find(|&b| asks.iter().map(|&(n, a)| twin.on_write(n, b, a)).eq(verdicts))
+            .unwrap();
+        let io = service_on(topo, Some(faults));
+        let rel = io.reliability().clone();
+        let ctx = rel.ctx(OpClass::ClientWrite).unwrap();
+        let b = 256 << 10;
+        let data = Block::from(vec![3u8; b]);
+        let (stored, err) = io.write_replicated(&ctx, NodeId(0), block, &data, &layout);
+        assert_eq!((stored.as_slice(), err), (&layout[..], None));
+        assert_eq!(io.injector().now(), asks.len() as u64, "one consultation per attempt");
+        let s = io.stats();
+        assert_eq!((s.writes, s.failed_writes, s.write_retries, s.backoff_rounds), (3, 1, 1, 1));
+        let backoff = rel.backoff_ticks(backoff_key(layout[1], block), 0);
+        assert_eq!(
+            ctx.elapsed_ticks(),
+            reliability::xfer_cost_ticks(b)
+                + reliability::FAULT_PENALTY_TICKS
+                + backoff
+                + 2 * reliability::xfer_cost_ticks(64 << 10)
+        );
+        assert_eq!(io.network().cross_rack_bytes(), 3 * b as u64, "the retry resent nothing");
+    }
+
+    #[test]
+    fn store_at_is_a_one_leg_pipeline() {
+        // One store_at attempt and a one-replica pipeline admit, move and
+        // land alike: the same counters, ticks and wire bytes.
+        let b = 256 << 10;
+        let data = Block::from(vec![4u8; b]);
+        let [single, pipeline] = [true, false].map(|single| {
+            let io = service();
+            let rel = io.reliability().clone();
+            let ctx = rel.ctx(OpClass::ClientWrite).unwrap();
+            if single {
+                io.store_at(&ctx, NodeId(0), NodeId(2), BlockId(1), data.clone(), 0).unwrap();
+            } else {
+                let out = io.write_replicated(&ctx, NodeId(0), BlockId(1), &data, &[NodeId(2)]);
+                assert_eq!(out, (vec![NodeId(2)], None));
+            }
+            (io.stats(), ctx.elapsed_ticks(), io.network().snapshot())
+        });
+        assert_eq!(single, pipeline);
+        let (s, ticks, moved) = single;
+        let leg = reliability::xfer_cost_ticks(b);
+        assert_eq!((s.writes, s.failed_writes), (1, 0));
+        assert_eq!((s.bytes_written, s.write_ticks), (b as u64, leg));
+        assert_eq!(ticks, leg);
+        assert_eq!((moved.cross_rack_bytes, moved.intra_rack_bytes), (b as u64, 0));
+    }
+
+    #[test]
     fn write_with_fallback_skips_dead_candidates() {
-        use ear_faults::FaultConfig;
         let topo = ClusterTopology::uniform(2, 2);
-        let datanodes: Vec<DataNode> = topo.nodes().map(DataNode::new).collect();
-        let net = EmulatedNetwork::new(
-            &topo,
-            ear_types::Bandwidth::bytes_per_sec(1e9),
-            ear_types::Bandwidth::bytes_per_sec(1e9),
-        );
-        // A plan whose only fault is one node crashed from op 0
-        // (crash_window 1 activates it immediately).
-        let cfg = FaultConfig {
-            straggler_delay: ear_faults::DelayModel::Throttle,
-            node_crashes: 1,
-            rack_outages: 0,
-            stragglers: 0,
-            straggler_factor: 1.0,
-            transient_error_rate: 0.0,
-            corruption_rate: 0.0,
-            heartbeat_loss_rate: 0.0,
-            crash_window: 1,
-        };
-        let plan = FaultPlan::generate(7, &topo, &cfg);
-        let io = ClusterIo::new(
-            topo.clone(),
-            datanodes,
-            net,
-            FaultInjector::new(plan, topo.clone()),
-            Arc::new(Reliability::unlimited(4)),
-        );
+        // A plan whose only fault is one node crashed from op 0.
+        let io = service_on(topo.clone(), Some(plan(7, &topo, 1, 0.0)));
         let rel = io.reliability().clone();
         let ctx = rel.ctx(OpClass::ClientWrite).unwrap();
         let dead: Vec<NodeId> = topo.nodes().filter(|&n| io.injector().node_down(n)).collect();

@@ -39,6 +39,13 @@ if [ "$chain_files" != "crates/cluster/src/fold.rs" ] || [ -e crates/cluster/src
   echo "check.sh: stream_chain( must be called from fold.rs alone (found: $chain_files) and pipeline.rs must not exist" >&2
   exit 1
 fi
+# One write path: a client write is one streamed chain and a placement write
+# a one-replica pipeline (DESIGN.md §9), so the per-hop store-and-forward
+# retry loop stays deleted.
+if grep -rn 'write_with_retry' crates; then
+  echo "check.sh: write_with_retry is gone; write through write_replicated (above)" >&2
+  exit 1
+fi
 cargo build --release --locked
 # Invariant lint first: lock-graph cycles, determinism hygiene, data-plane
 # panic-freedom, durability ordering, context/retry hygiene, zero-copy

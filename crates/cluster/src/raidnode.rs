@@ -7,7 +7,7 @@ use crate::fold::{self, Received, Source};
 use crate::io::DeadNodeSet;
 use crate::namenode::PendingStripe;
 use crate::reliability::{self, OpClass};
-use ear_core::StripeSpread;
+use ear_core::{EncodePlan, StripeSpread};
 use ear_erasure::StripeEncoder;
 use ear_types::{Block, BlockId, Error, NodeId, Result, StripeId};
 use std::time::Instant;
@@ -68,13 +68,11 @@ pub struct RaidNode;
 
 impl RaidNode {
     /// Encodes every pending stripe, one task each, on at most `map_tasks`
-    /// workers ("map tasks") of [`exec::drain`]. Tasks are ordered by core
-    /// rack, so under EAR neighbouring map tasks run *in* the same core
-    /// rack (the paper's Section IV-B scheduling change); under RR they run
-    /// wherever the encoding-node selection puts them. Each stripe's `m`
-    /// parity ids are reserved before any worker starts, in stripe-id
-    /// order, so ids — and every fault decision hashed on one — are the
-    /// same at every `map_tasks` and on every run.
+    /// workers ("map tasks") of [`exec::drain`], in [`schedule`] order: each
+    /// rack's stripes run in turn while concurrent map tasks encode in
+    /// different racks (Section IV-B). Parity ids are reserved up front in
+    /// stripe-id order, so ids — and every fault decision hashed on one — are
+    /// the same at every `map_tasks` and on every run.
     ///
     /// Relocations (RR stripes that violate rack-level fault tolerance
     /// after replica deletion) are *not* performed here — as in Facebook's
@@ -88,7 +86,7 @@ impl RaidNode {
     /// on a worker — injected fault or broken metadata alike — is retried up
     /// to [`STRIPE_ATTEMPTS`] times, then returned to the pending queue with
     /// its replicas intact and listed in [`EncodeStats::failed_stripes`]
-    /// (as [`Error::Invariant`] if its task panicked).
+    /// (as [`Error::Invariant`] if its task panicked); one with no plan gets no try.
     pub fn encode_all(cfs: &MiniCfs, map_tasks: usize) -> Result<(EncodeStats, Vec<Relocation>)> {
         let taken = cfs.namenode().take_pending_stripes();
         let m = cfs.codec().params().parity();
@@ -102,14 +100,11 @@ impl RaidNode {
                 return Err(e);
             }
         };
-        let mut tasks: Vec<_> = taken.into_iter().zip(reserved).collect();
-        // Group stripes with a common core rack onto neighbouring map tasks.
-        tasks.sort_by_key(|(s, _)| s.plan.core_rack().map(|r| r.index()).unwrap_or(usize::MAX));
+        let tasks = schedule(cfs, taken.into_iter().zip(reserved).collect());
         let start = Instant::now();
         let width = map_tasks.max(1);
-        let results = exec::drain(cfs.injector(), &tasks, width, |(stripe, parity_ids)| {
-            let outcome = encode_with_retries(cfs, stripe, parity_ids)?;
-            Ok((outcome, start.elapsed().as_secs_f64()))
+        let results = exec::drain(cfs.injector(), &tasks, width, |task| {
+            Ok((encode_with_retries(cfs, task)?, start.elapsed().as_secs_f64()))
         });
 
         let mut stats = EncodeStats {
@@ -121,8 +116,8 @@ impl RaidNode {
         let mut relocations = Vec::new();
         // Folded in stripe-id order: the report never follows scheduling.
         let mut done: Vec<_> = tasks.into_iter().zip(results).collect();
-        done.sort_by_key(|((stripe, _), _)| stripe.id);
-        for ((stripe, _), result) in done {
+        done.sort_by_key(|((stripe, ..), _)| stripe.id);
+        for ((stripe, ..), result) in done {
             let died = || Err(Error::Invariant(format!("encode task for {} panicked", stripe.id)));
             match result.unwrap_or_else(died) {
                 Ok((outcome, completed_at)) => {
@@ -178,6 +173,30 @@ impl RaidNode {
     }
 }
 
+/// One map task: a taken stripe, its reserved parity ids and its encode plan.
+type EncodeTask = (PendingStripe, Vec<BlockId>, Result<EncodePlan>);
+
+/// Plans each taken stripe once and deals the tasks round-robin over their
+/// planned encoding racks — the core rack under EAR, a seeded one under RR;
+/// a stripe that cannot be planned is dealt as a rack of its own.
+fn schedule(cfs: &MiniCfs, taken: Vec<(PendingStripe, Vec<BlockId>)>) -> Vec<EncodeTask> {
+    spread_over_racks(taken.into_iter().map(|(stripe, parity_ids)| {
+        let plan = cfs.namenode().plan_encoding(&stripe);
+        let rack = plan.as_ref().ok().map(|p| cfs.topology().rack_of(p.encoding_node));
+        (rack, (stripe, parity_ids, plan))
+    }))
+}
+
+/// Orders `tasks` (in stripe-id order, each with its rack) by (rank within
+/// its rack, rack), so neighbours share a rack only once one rack is left.
+fn spread_over_racks<R: Ord + Copy, T>(tasks: impl IntoIterator<Item = (R, T)>) -> Vec<T> {
+    let mut ranks = std::collections::BTreeMap::new();
+    let mut rank = |rack| *ranks.entry(rack).and_modify(|r| *r += 1).or_insert(0usize);
+    let mut keyed: Vec<_> = tasks.into_iter().map(|(r, t)| ((rank(r), r), t)).collect();
+    keyed.sort_by_key(|(key, _)| *key);
+    keyed.into_iter().map(|(_, task)| task).collect()
+}
+
 /// What one stripe's encode reports back to the job's statistics.
 struct StripeOutcome {
     /// Block-sized transfers that crossed racks towards the encoding node.
@@ -190,16 +209,14 @@ struct StripeOutcome {
     relocations: Vec<Relocation>,
 }
 
-/// Runs one stripe to its end on the worker that holds it: up to
-/// [`STRIPE_ATTEMPTS`] tries under the same reserved `parity_ids`. A failed
-/// try left the stripe fully replicated ([`encode_stripe`] mutates no
+/// Runs one task to its end on the worker that holds it: up to
+/// [`STRIPE_ATTEMPTS`] tries of its plan under its reserved parity ids. A
+/// failed try left the stripe fully replicated ([`encode_stripe`] mutates no
 /// metadata until parity is durable), so restarting it is always safe.
-fn encode_with_retries(
-    cfs: &MiniCfs,
-    stripe: &PendingStripe,
-    parity_ids: &[BlockId],
-) -> Result<StripeOutcome> {
-    let mut last = encode_stripe(cfs, stripe, parity_ids);
+fn encode_with_retries(cfs: &MiniCfs, task: &EncodeTask) -> Result<StripeOutcome> {
+    let (stripe, parity_ids, plan) = task;
+    let plan = plan.as_ref().map_err(Error::clone)?;
+    let mut last = encode_stripe(cfs, stripe, plan, parity_ids);
     for tries in 0..STRIPE_ATTEMPTS - 1 {
         if last.is_ok() {
             break;
@@ -207,14 +224,14 @@ fn encode_with_retries(
         // Seeded jittered backoff keyed by stripe, so concurrent retries of
         // different stripes desynchronise deterministically.
         reliability::pace(cfs.reliability().backoff_ticks(stripe.id.index() as u64, tries));
-        last = encode_stripe(cfs, stripe, parity_ids);
+        last = encode_stripe(cfs, stripe, plan, parity_ids);
     }
     last
 }
 
-/// Encodes one stripe: fold its `m` parity rows at the encoding node
-/// ([`fold::fold`]), upload them under `parity_ids`, and delete redundant
-/// replicas.
+/// Encodes one stripe by its `plan`: fold its `m` parity rows at the
+/// encoding node ([`fold::fold`]), upload them under `parity_ids`, and
+/// delete redundant replicas.
 ///
 /// # Transactionality
 ///
@@ -227,12 +244,12 @@ fn encode_with_retries(
 fn encode_stripe(
     cfs: &MiniCfs,
     stripe: &PendingStripe,
+    plan: &EncodePlan,
     parity_ids: &[BlockId],
 ) -> Result<StripeOutcome> {
-    let plan = cfs.namenode().plan_encoding(stripe)?;
     let enc = plan.encoding_node;
-    // A dead encoding node can serve no map task; fail fast so the retry
-    // (or a later job) can be replanned.
+    // A dead encoding node can serve no map task; fail fast and leave the
+    // stripe to the retry or a later job.
     if cfs.injector().node_down(enc) {
         return Err(Error::NodeDown { node: enc });
     }
@@ -316,16 +333,13 @@ fn encode_stripe(
     // stays within the stripe's `n - k` rebuild budget (a down node holds
     // at most `c` blocks of any stripe), and keeping the planned placement
     // preserves EAR's zero-violation property under faults.
-    for (&block, &kept) in stripe.blocks.iter().zip(&plan.kept_data) {
-        let locs = cfs
-            .namenode()
-            .locations(block)
-            .ok_or_else(|| Error::Invariant(format!("unknown {block}")))?;
+    for (block, &kept) in stripe.blocks.iter().zip(&plan.kept_data) {
+        let locs = locate(block)?;
         // Publish before retire, as in `relocate`.
-        cfs.namenode().set_locations(block, vec![kept])?;
+        cfs.namenode().set_locations(*block, vec![kept])?;
         for n in locs {
             if n != kept {
-                cfs.datanode(n).delete(block);
+                cfs.datanode(n).delete(*block);
             }
         }
     }
@@ -424,7 +438,13 @@ mod tests {
     }
 
     fn write_stripes(cfs: &MiniCfs, blocks: usize) {
-        for i in 0..blocks {
+        write_stripes_from(cfs, 0, blocks);
+    }
+
+    /// Writes `make_block(i)` for `i` in `first..first + blocks`, each from
+    /// node `i mod nodes`.
+    fn write_stripes_from(cfs: &MiniCfs, first: usize, blocks: usize) {
+        for i in first..first + blocks {
             let data = cfs.make_block(i as u64);
             cfs.write_block(NodeId((i % cfs.topology().num_nodes()) as u32), data)
                 .unwrap();
@@ -547,6 +567,100 @@ mod tests {
         }
         assert_eq!(runs[0], runs[1]);
         assert_eq!(runs[0], runs[2]);
+    }
+
+    #[test]
+    fn tasks_are_dealt_round_robin_over_their_racks() {
+        ear_types::prop::check("tasks_are_dealt_round_robin_over_their_racks", 256, |rng| {
+            // A `None` rack stands for a stripe that could not be planned.
+            let racks = ear_types::prop::range(rng, 1..=6);
+            let stripes = ear_types::prop::range(rng, 0..=48) as usize;
+            let rack_of: Vec<Option<u64>> = (0..stripes)
+                .map(|_| Some(rng.below(racks)).filter(|_| rng.below(8) != 0))
+                .collect();
+            let deal = || spread_over_racks(rack_of.iter().copied().zip(0..stripes));
+            let order = deal();
+            assert_eq!(order, deal(), "same racks, same order");
+            let mut sorted = order.clone();
+            sorted.sort_unstable();
+            assert_eq!(sorted, (0..stripes).collect::<Vec<_>>(), "a permutation");
+            for rack in rack_of.iter().collect::<std::collections::BTreeSet<_>>() {
+                let own: Vec<_> = order.iter().filter(|&&s| rack_of[s] == *rack).collect();
+                assert!(own.windows(2).all(|w| w[0] < w[1]), "{rack:?} out of stripe order");
+            }
+            for (i, pair) in order.windows(2).enumerate() {
+                let rack = rack_of[pair[0]];
+                if rack == rack_of[pair[1]] {
+                    let tail = &order[i..];
+                    assert!(tail.iter().all(|&s| rack_of[s] == rack), "{rack:?} twice at {i}");
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn rr_tasks_follow_their_planned_racks() {
+        // RR stripes have no core rack, so a core-rack key would leave them
+        // in stripe-id order; keyed on the planned encoding rack they are
+        // dealt over racks like EAR's, each with the plan it will run.
+        let cfs = boot(ClusterPolicy::Rr, 8);
+        write_stripes(&cfs, 40); // 10 stripes
+        let pending = cfs.namenode().pending_stripes();
+        assert!(pending.iter().all(|s| s.plan.core_rack().is_none()));
+        let plan = |s: &PendingStripe| cfs.namenode().plan_encoding(s).unwrap();
+        let rack = |s: &PendingStripe| cfs.topology().rack_of(plan(s).encoding_node);
+        let want = spread_over_racks(pending.iter().map(|s| (rack(s), s.id)));
+        let tasks = schedule(&cfs, pending.iter().map(|s| (s.clone(), Vec::new())).collect());
+        let got: Vec<StripeId> = tasks.iter().map(|(s, ..)| s.id).collect();
+        assert_eq!(got, want);
+        assert_ne!(got, pending.iter().map(|s| s.id).collect::<Vec<_>>(), "still in id order");
+        for (stripe, _, planned) in &tasks {
+            assert_eq!(planned.as_ref().unwrap(), &plan(stripe), "{}", stripe.id);
+        }
+        let racks: Vec<_> = tasks.iter().map(|(s, ..)| rack(s)).collect();
+        assert_ne!(racks[0], racks[1], "{racks:?}");
+    }
+
+    #[test]
+    fn a_testbed_encode_job_ships_parity_through_two_uplinks_at_once() {
+        // The paper's testbed shape: 12 single-node racks, EAR (10,8), 2-way,
+        // 32 MB/s links. Every stripe ships its m = 2 parity blocks out of
+        // its core node and nothing else crosses a rack. With about four
+        // stripes per core rack, two map tasks kept in one rack queue on one
+        // uplink and take close to `stripes · m · B / bw` (0.85 of it);
+        // dealt over racks they use two uplinks at once (about 0.5 of it).
+        let (block, rate) = (ByteSize::kib(256).as_u64(), 32e6);
+        let ear = EarConfig::new(
+            ErasureParams::new(10, 8).unwrap(),
+            ReplicationConfig::two_way(),
+            1,
+        )
+        .unwrap();
+        let cfs = MiniCfs::new(ClusterConfig {
+            block_size: ByteSize::kib(256),
+            node_bandwidth: Bandwidth::bytes_per_sec(rate),
+            rack_bandwidth: Bandwidth::bytes_per_sec(rate),
+            ..ClusterConfig::testbed(ClusterPolicy::Ear, ear)
+        })
+        .unwrap();
+        let mut written = 0;
+        while cfs.namenode().pending_stripe_count() < 48 {
+            write_stripes_from(&cfs, written, 12);
+            written += 12;
+        }
+        let before = cfs.network().cross_rack_bytes();
+        let (stats, _) = RaidNode::encode_all(&cfs, 2).unwrap();
+        assert!(stats.stripes >= 48 && stats.failed_stripes.is_empty(), "{stats:?}");
+        let parity_bytes = stats.stripes as u64 * 2 * block;
+        assert_eq!(cfs.network().cross_rack_bytes() - before, parity_bytes);
+        let one_uplink = parity_bytes as f64 / rate;
+        assert!(
+            stats.wall_seconds < 0.7 * one_uplink,
+            "{} stripes took {:.3} s, one uplink's worth is {one_uplink:.3} s",
+            stats.stripes,
+            stats.wall_seconds
+        );
+        assert_parity_matches_codec(&cfs);
     }
 
     #[test]

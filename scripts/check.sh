@@ -98,6 +98,15 @@ for run in 2 3 4 5 6 7 8 9 10; do
     exit 1
   fi
 done
+# Soak fingerprints: the three long seeded soaks must print the bytes hashed
+# in results/soak_fingerprints.txt. A change that moves a soak's output on
+# purpose regenerates the file with scripts/soak_fingerprints.sh and says
+# in CHANGES.md why each line moved.
+fingerprints=$(scripts/soak_fingerprints.sh)
+if ! diff results/soak_fingerprints.txt <(printf '%s\n' "$fingerprints"); then
+  echo "check.sh: a soak printed different bytes than results/soak_fingerprints.txt records (above)" >&2
+  exit 1
+fi
 # Straggler-heavy hedged-read smoke (DESIGN.md §14): Pareto per-attempt
 # delays with hedging on — prints the probe-read tail percentiles and the
 # hedges launched/won; any lost block or untyped failure fails the run.

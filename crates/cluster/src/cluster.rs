@@ -496,6 +496,7 @@ impl MiniCfs {
     /// own admitted context, and the read completes at whichever leg
     /// finishes first. Replicas are exhausted here, so losing the race to
     /// the decoder is the difference between tail latency and a timeout.
+    /// The hedge is optional: one the gate sheds leaves the primary alone.
     fn hedged_degraded_read(
         &self,
         ctx: &OpContext<'_>,
@@ -504,7 +505,10 @@ impl MiniCfs {
         src: NodeId,
     ) -> Result<Block> {
         let (primary, primary_cost) = self.io.fetch_costed(src, reader, id, 0);
-        let hedge_ctx = self.reliability.ctx(ctx.class())?;
+        let Ok(hedge_ctx) = self.reliability.ctx(ctx.class()) else {
+            ctx.charge(primary_cost)?;
+            return primary;
+        };
         let hedge = crate::recovery::degraded_read(self, &hedge_ctx, reader, id);
         let hedge_total = self
             .reliability
@@ -703,6 +707,39 @@ mod tests {
         let id = cfs.write_block(NodeId(2), data.clone()).unwrap();
         let back = cfs.read_block(NodeId(5), id).unwrap();
         assert_eq!(back.as_slice(), data.as_slice());
+    }
+
+    #[test]
+    fn a_shed_hedge_leaves_the_read_to_its_primary() {
+        // Client reads admit one op at a time, so the read's own context
+        // fills the gate and the degraded-EC hedge for its lone, straggling
+        // replica is shed. The hedge was optional: the primary's bytes are
+        // the read's answer, not an `Overloaded`.
+        let mut cfg = small_cfg(ClusterPolicy::Rr);
+        cfg.reliability.classes[OpClass::ClientRead.index()].max_in_flight = 1;
+        let faults = ear_faults::FaultConfig {
+            node_crashes: 0,
+            rack_outages: 0,
+            stragglers: 1,
+            straggler_factor: 1.0,
+            straggler_delay: ear_faults::DelayModel::Fixed { ticks: 5_000 },
+            transient_error_rate: 0.0,
+            corruption_rate: 0.0,
+            heartbeat_loss_rate: 0.0,
+            crash_window: 1,
+        };
+        let topo = ClusterTopology::uniform(cfg.racks, cfg.nodes_per_rack);
+        let cfs = MiniCfs::with_faults(cfg, FaultPlan::generate(1, &topo, &faults)).unwrap();
+        let straggler = cfs.injector().stragglers()[0].0;
+        assert!(cfs.reliability().hedge_threshold_ticks() < 5_000);
+        let data = cfs.make_block(9);
+        let id = cfs.write_block(NodeId(0), data.clone()).unwrap();
+        cfs.datanode(straggler).put(id, Block::from(data.clone())).unwrap();
+        cfs.namenode().set_locations(id, vec![straggler]).unwrap();
+
+        let back = cfs.read_block(NodeId(0), id).unwrap();
+        assert_eq!(back.as_slice(), data.as_slice());
+        assert_eq!(cfs.reliability().stats().shed_ops, 1, "the hedge was asked for and shed");
     }
 
     #[test]

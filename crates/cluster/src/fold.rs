@@ -6,23 +6,20 @@
 //! survivors under one row of recovery coefficients. Both are running
 //! partial sums ([`StripeEncoder`]), so the sources never need to be
 //! resident at one node: a remote rack holding at least `r` of them folds
-//! its blocks locally and forwards the `r` running rows, where reading
-//! them whole would ship one block each — and the folding racks form one
-//! chain that streams the rows chunk by chunk, so the fold occupies every
-//! link of the chain for one transfer's time instead of one link at a time.
-//! A rack with `s < r` sources is read whole (`s · B < r · B` bytes), so
-//! cross-rack traffic is `Σ min(sᵣ, r)` blocks over remote racks — and
-//! with no rack folding the walk is the classical gather.
+//! its blocks locally and forwards the `r` running rows, and the folding
+//! racks form one chain that streams the rows chunk by chunk.
 //!
-//! The walker decides nothing beyond that rule. What to do when a source
-//! fails is its two callers' business: the RaidNode re-runs a stripe once
-//! with no folding rack, a rebuild drops the blamed source and re-chooses.
+//! Where each source is read, which racks fold and the chain's path are an
+//! [`ear_core::ChainPlan`], decided before any byte moves; this walker
+//! executes one. A failed pass names what to blame, and both callers answer
+//! it with one rule: note the blamed node or source and plan again.
 
 use crate::io::{ClusterIo, DeadNodeSet};
 use crate::reliability::OpContext;
+use ear_core::ChainPlan;
 use ear_erasure::StripeEncoder;
-use ear_types::{Block, BlockId, Error, NodeId, RackId};
-use std::collections::{BTreeMap, BTreeSet};
+use ear_types::{Block, BlockId, Error, NodeId};
+use std::collections::BTreeMap;
 
 /// One input of a fold.
 #[derive(Debug, Clone, Copy)]
@@ -48,33 +45,16 @@ pub(crate) struct Received {
     pub cross_rack_downloads: usize,
 }
 
-/// A remote rack that folds its sources at `aggregator`, its lowest-indexed
-/// home holder, before anything crosses the rack boundary.
-struct Hop<'a> {
-    aggregator: NodeId,
-    /// Position in `sources` of the aggregator's own source: the one to
-    /// blame when the aggregator cannot be reached.
-    own: usize,
-    /// The rack's sources: position in `sources`, source, home holder.
-    members: Vec<(usize, Source<'a>, NodeId)>,
-}
-
-/// Folds `sources` into `acc` at node `at`, delivers the finished rows to
-/// `sink` and returns them.
+/// Folds `sources` into `acc` as `plan` (made from the same list) says,
+/// delivers the finished rows to the end of its path and returns them.
 ///
-/// A source `received` already holds is at `at`. Every other source's home
-/// is its best holder not known `dead`: `at`'s rack first, then the lowest
-/// rack, then the lowest node (a source with no holder fails the fold
-/// before anything is read). With `fold_racks`, every remote rack that is
-/// home to at least as many sources as `acc` has rows becomes a hop at its
-/// lowest-indexed home holder. Hops absorb their rack's sources in
-/// ascending rack id with `acc` as the travelling state, every other source
-/// is then read whole at `at`, in list order, and the rows are
-/// [streamed](ClusterIo::stream_chain) once down `hop₁ … hopₙ, at, sink`.
-/// Every read goes through [`ClusterIo::read_nearest`] and charges `ctx`.
-///
-/// Nothing here mutates cluster metadata or stores any block, so a failed
-/// fold leaves the cluster as it was.
+/// Hops absorb their members with `acc` as the travelling state, the
+/// plan's whole sources are then read at `plan.at` (a shard `received`
+/// holds is not read again), and the rows are
+/// [streamed](ClusterIo::stream_chain) once down its path. Every read
+/// goes through [`ClusterIo::read_nearest`] and charges `ctx`. Nothing here
+/// mutates cluster metadata or stores any block, so a failed fold leaves
+/// the cluster as it was.
 ///
 /// # Errors
 ///
@@ -82,56 +62,26 @@ struct Hop<'a> {
 /// stopped the walk: the source that could not be read, or — when the chain
 /// stopped — the own source of the hop it stopped at (for `at` and `sink`,
 /// which no choice of sources avoids, the error names the node). The
-/// substrate's [`Error::DeadlineExceeded`] /
-/// [`Error::RetryBudgetExhausted`] / [`Error::Overloaded`] are among those
-/// errors; callers propagate them instead of re-planning. A source listed
-/// twice, or a column of `acc` left without one, is [`Error::Invariant`].
-#[allow(clippy::too_many_arguments)]
+/// substrate's stops ([`Error::stops_the_op`]) are among those errors. A
+/// source listed twice, or a column of `acc` left without one, is
+/// [`Error::Invariant`].
 pub(crate) fn fold(
     io: &ClusterIo,
     ctx: &OpContext<'_>,
-    at: NodeId,
-    sink: NodeId,
+    plan: &ChainPlan,
     mut acc: StripeEncoder,
     sources: &[Source<'_>],
     dead: &DeadNodeSet,
-    fold_racks: bool,
     received: &mut Received,
 ) -> Result<Vec<Vec<u8>>, (usize, Error)> {
     let topo = io.topology();
-    let at_rack = topo.rack_of(at);
     let (rows, partial_bytes) = acc
         .partial_rows()
         .fold((0usize, 0u64), |(rows, bytes), row| (rows + 1, bytes + row.len() as u64));
-
-    let mut remote: BTreeMap<RackId, Vec<(usize, Source<'_>, NodeId)>> = BTreeMap::new();
-    for (pos, src) in sources.iter().enumerate() {
-        if received.held.contains_key(&src.block) {
-            continue;
-        }
-        let home = src
-            .holders
-            .iter()
-            .copied()
-            .filter(|&h| !dead.contains(h))
-            .min_by_key(|&h| (topo.rack_of(h) != at_rack, topo.rack_of(h), h))
-            .or(src.holders.first().copied())
-            .ok_or((pos, Error::BlockUnavailable { block: src.block }))?;
-        if topo.rack_of(home) != at_rack {
-            remote.entry(topo.rack_of(home)).or_default().push((pos, *src, home));
-        }
-    }
-    let hops: Vec<Hop<'_>> = remote
-        .into_values()
-        .filter(|members| fold_racks && members.len() >= rows)
-        .filter_map(|members| {
-            let &(own, _, aggregator) = members.iter().min_by_key(|&&(_, _, home)| home)?;
-            Some(Hop { aggregator, own, members })
-        })
-        .collect();
-    let folded: BTreeSet<usize> =
-        hops.iter().flat_map(|hop| hop.members.iter().map(|&(pos, _, _)| pos)).collect();
-
+    let source = |pos: usize| {
+        let unplanned = || (pos, Error::Invariant(format!("the plan names no source {pos}")));
+        sources.get(pos).ok_or_else(unplanned)
+    };
     // A holder reading its own block pays no wire: only a read served by
     // another node is a transfer.
     let read = |reader: NodeId, src: &Source<'_>, received: &mut Received| {
@@ -142,17 +92,19 @@ pub(crate) fn fold(
         Ok::<Block, Error>(data)
     };
 
-    for hop in &hops {
-        for (pos, src, _) in &hop.members {
-            let data = read(hop.aggregator, src, received).map_err(|e| (*pos, e))?;
-            acc.absorb_source(src.index, &data).map_err(|e| (*pos, e))?;
+    for hop in &plan.hops {
+        for &pos in &hop.members {
+            let src = source(pos)?;
+            let data = read(hop.aggregator, src, received).map_err(|e| (pos, e))?;
+            acc.absorb_source(src.index, &data).map_err(|e| (pos, e))?;
         }
     }
-    for (pos, src) in sources.iter().enumerate().filter(|(pos, _)| !folded.contains(pos)) {
+    for &pos in &plan.whole {
+        let src = source(pos)?;
         let data = match received.held.get(&src.block) {
             Some(data) => data.clone(),
             None => {
-                let data = read(at, src, received).map_err(|e| (pos, e))?;
+                let data = read(plan.at, src, received).map_err(|e| (pos, e))?;
                 received.held.insert(src.block, data.clone());
                 data
             }
@@ -160,16 +112,16 @@ pub(crate) fn fold(
         acc.absorb_source(src.index, &data).map_err(|e| (pos, e))?;
     }
 
-    let mut path: Vec<NodeId> = hops.iter().map(|hop| hop.aggregator).chain([at, sink]).collect();
-    path.dedup();
+    let path = plan.path();
     let streamed = io.stream_chain(ctx, &path, partial_bytes);
     // Hops sit in distinct racks, none of them `at`'s: each leg the chain
     // paid up to `at` is `rows` block-sized cross-rack transfers.
     let paid = streamed.as_ref().map_or_else(|&(pos, _)| pos, |()| path.len());
-    let shipped = rows * paid.saturating_sub(1).min(hops.len());
+    let shipped = rows * paid.saturating_sub(1).min(plan.hops.len());
     received.downloads += shipped;
     received.cross_rack_downloads += shipped;
-    streamed.map_err(|(pos, e)| (hops.get(pos).or(hops.last()).map_or(0, |hop| hop.own), e))?;
+    let blame = |pos: usize| plan.hops.get(pos).or(plan.hops.last()).map_or(0, |hop| hop.own);
+    streamed.map_err(|(pos, e)| (blame(pos), e))?;
     acc.finish().map_err(|e| (0, e))
 }
 
@@ -249,8 +201,8 @@ mod tests {
             StripeEncoder::with_rows(self.rs.kernel(), Matrix::from_rows(1, w.len(), w), LEN)
         }
 
-        /// Folds at node 0 for `sink` under a Heal-class context with
-        /// `deadline_ticks`.
+        /// Plans and folds at node 0 for `sink` under a Heal-class context
+        /// with `deadline_ticks`.
         fn fold_at_0(
             &self,
             sink: u32,
@@ -262,7 +214,12 @@ mod tests {
             let rel = self.io.reliability().clone();
             let ctx = rel.ctx_with_deadline(OpClass::Heal, deadline_ticks).unwrap();
             let (at, sink, dead) = (NodeId(0), NodeId(sink), DeadNodeSet::new());
-            fold(&self.io, &ctx, at, sink, acc, sources, &dead, true, received)
+            let rows = acc.partial_rows().count();
+            let listed = sources.iter().map(|src| (src.block, src.holders));
+            let held = |b: BlockId| received.held.contains_key(&b);
+            let is_dead = |n| dead.contains(n);
+            let plan = ChainPlan::of(self.io.topology(), at, sink, rows, listed, is_dead, held)?;
+            fold(&self.io, &ctx, &plan, acc, sources, &dead, received)
         }
 
         /// Block-sized transfers the emulated network has carried so far:

@@ -65,6 +65,11 @@ impl DeadNodeSet {
         self.inner.lock().contains(&node)
     }
 
+    /// How many nodes have been discovered dead.
+    pub(crate) fn len(&self) -> usize {
+        self.inner.lock().len()
+    }
+
     /// A point-in-time copy, for sort keys that must not hold the lock.
     fn snapshot(&self) -> HashSet<NodeId> {
         self.inner.lock().clone()
@@ -587,11 +592,7 @@ impl ClusterIo {
                         ctx.charge(ticks)?;
                         reliability::pace(ticks);
                     }
-                    Err(
-                        e @ (Error::DeadlineExceeded { .. }
-                        | Error::RetryBudgetExhausted { .. }
-                        | Error::Overloaded { .. }),
-                    ) => return Err(e),
+                    Err(e) if e.stops_the_op() => return Err(e),
                     Err(e @ Error::NodeDown { .. }) => {
                         if let Some(f) = on_dead {
                             f(src);
@@ -831,11 +832,7 @@ impl ClusterIo {
             }
             match self.write_replicated(ctx, src, block, data, &[dst]).1 {
                 None => return Ok(dst),
-                Some(
-                    e @ (Error::DeadlineExceeded { .. }
-                    | Error::RetryBudgetExhausted { .. }
-                    | Error::Overloaded { .. }),
-                ) => return Err(e),
+                Some(e) if e.stops_the_op() => return Err(e),
                 Some(e) => last = e,
             }
         }

@@ -7,7 +7,7 @@ use crate::fold::{self, Received, Source};
 use crate::io::DeadNodeSet;
 use crate::namenode::PendingStripe;
 use crate::reliability::{self, OpClass};
-use ear_core::{EncodePlan, StripeSpread};
+use ear_core::{ChainPlan, EncodePlan, StripeSpread};
 use ear_erasure::StripeEncoder;
 use ear_types::{Block, BlockId, Error, NodeId, Result, StripeId};
 use std::time::Instant;
@@ -27,14 +27,12 @@ pub struct EncodeStats {
     pub encoded_bytes: u64,
     /// Block-sized transfers that crossed racks on their way to the
     /// encoding node: source blocks read from a remote rack plus the
-    /// partial parity rows a folding rack ships (DESIGN.md §15).
+    /// partial parity rows a folding rack ships (DESIGN.md §15), abandoned
+    /// passes included.
     pub cross_rack_downloads: usize,
     /// Stripes left violating rack-level fault tolerance (they need the
     /// BlockMover; always 0 under EAR).
     pub stripes_with_relocation: usize,
-    /// Stripes whose fold failed mid-way and was re-run once with no
-    /// folding rack (DESIGN.md §15); their parity still landed.
-    pub pipeline_fallbacks: usize,
     /// Per-stripe completion offsets from job start, seconds (Fig. 12).
     pub completion_times: Vec<f64>,
     /// Name of the GF(2⁸) kernel tier the codec dispatched to (`scalar`,
@@ -124,7 +122,6 @@ impl RaidNode {
                     stats.stripes += 1;
                     stats.cross_rack_downloads += outcome.cross_rack_downloads;
                     stats.stripes_with_relocation += usize::from(!outcome.relocations.is_empty());
-                    stats.pipeline_fallbacks += usize::from(outcome.fell_back);
                     stats.encoded_bytes +=
                         stripe.blocks.len() as u64 * cfs.config().block_size.as_u64();
                     stats.completion_times.push(completed_at);
@@ -201,9 +198,6 @@ fn spread_over_racks<R: Ord + Copy, T>(tasks: impl IntoIterator<Item = (R, T)>) 
 struct StripeOutcome {
     /// Block-sized transfers that crossed racks towards the encoding node.
     cross_rack_downloads: usize,
-    /// Whether the fold failed mid-way and the stripe was re-run with no
-    /// folding rack.
-    fell_back: bool,
     /// What the BlockMover must move; non-empty iff the stripe still
     /// violates rack-level fault tolerance.
     relocations: Vec<Relocation>,
@@ -264,32 +258,40 @@ fn encode_stripe(
         .enumerate()
         .map(|(index, (&block, holders))| Source { index, block, holders })
         .collect();
-    // Nodes this stripe's reads found fail-stop dead: shared across the
-    // stripe's blocks so each pays the discovery cost at most once.
-    let blacklist = DeadNodeSet::new();
-    // One attempt at the parity rows: one Encode-class op (released before
-    // the parity stores admit theirs), nothing held at `enc` beforehand.
-    let fold_parity = |fold_racks: bool| {
+    // One Encode-class op folds the parity rows (released before the parity
+    // stores admit theirs) under the rebuild's re-plan rule: a failed pass's
+    // blamed node — a dead holder `read_nearest` met, the node a chain
+    // stopped at — joins the dead set, and the fold is planned again while
+    // that set grows. `received` keeps what `enc` read whole and what
+    // abandoned passes paid. A stop at `enc` or by the substrate is final.
+    let dead = DeadNodeSet::new();
+    let (parity, cross_rack_downloads) = {
         let ctx = cfs.reliability().ctx(OpClass::Encode)?;
-        let acc = StripeEncoder::new(cfs.codec(), cfs.config().block_size.as_u64() as usize);
+        let (topo, rows) = (cfs.topology(), cfs.codec().params().parity());
         let mut received = Received::default();
-        fold::fold(cfs.io(), &ctx, enc, enc, acc, &sources, &blacklist, fold_racks, &mut received)
-            .map(|parity| (parity, received.cross_rack_downloads))
-            .map_err(|(_, e)| e)
-    };
-    // A failure on the way (dead aggregator, unreadable source) re-runs the
-    // stripe once with no folding rack: every source is then read at the
-    // encoding node with per-block replica fallback. Substrate stops
-    // (deadline, retry budget, load shed) propagate — the same gate would
-    // stop the re-run.
-    let ((parity, cross_rack_downloads), fell_back) = match fold_parity(true) {
-        Ok(folded) => (folded, false),
-        Err(
-            e @ (Error::DeadlineExceeded { .. }
-            | Error::RetryBudgetExhausted { .. }
-            | Error::Overloaded { .. }),
-        ) => return Err(e),
-        Err(_) => (fold_parity(false)?, true),
+        loop {
+            let known = dead.len();
+            let listed = sources.iter().map(|src| (src.block, src.holders));
+            let held = |b: BlockId| received.held.contains_key(&b);
+            let plan = ChainPlan::of(topo, enc, enc, rows, listed, |n| dead.contains(n), held);
+            let acc = StripeEncoder::new(cfs.codec(), cfs.config().block_size.as_u64() as usize);
+            let folded = plan.and_then(|plan| {
+                fold::fold(cfs.io(), &ctx, &plan, acc, &sources, &dead, &mut received)
+            });
+            let e = match folded {
+                Ok(parity) => break (parity, received.cross_rack_downloads),
+                Err((_, e)) => e,
+            };
+            match e {
+                Error::NodeDown { node } if node == enc => return Err(e),
+                Error::NodeDown { node } => dead.insert(node),
+                _ if e.stops_the_op() => return Err(e),
+                _ => {}
+            }
+            if dead.len() == known {
+                return Err(e);
+            }
+        }
     };
 
     // Store every parity block before touching any metadata. Each store
@@ -353,7 +355,6 @@ fn encode_stripe(
         .collect();
     Ok(StripeOutcome {
         cross_rack_downloads,
-        fell_back,
         relocations,
     })
 }
@@ -709,13 +710,12 @@ mod tests {
     fn chain_parity_matches_the_codec_reference() {
         // The fold chain changes how bytes travel, never what lands: the
         // sealed parity is what `ReedSolomon::encode` computes from the
-        // written blocks, with no re-plan on a fault-free cluster.
+        // written blocks.
         for policy in [ClusterPolicy::Rr, ClusterPolicy::Ear] {
             let cfs = MiniCfs::new(cfg(policy, 6, 2)).unwrap();
             write_stripes(&cfs, 40);
             let (stats, _) = RaidNode::encode_all(&cfs, 1).unwrap();
             assert!(stats.stripes > 0, "{policy:?}");
-            assert_eq!(stats.pipeline_fallbacks, 0, "{policy:?}");
             assert_parity_matches_codec(&cfs);
         }
     }
@@ -746,11 +746,15 @@ mod tests {
 
     #[test]
     fn dead_aggregator_mid_chain_replans_to_identical_parity() {
-        // Three of a stripe's four sources sit in the victim's rack with
-        // the victim as lowest-indexed holder, so the chain folds there.
-        // The victim dies after the writes: the hop fails, the stripe is
-        // re-planned once with no folding rack and reads the second
-        // replicas at the encoding node — same parity, one fallback.
+        // Three of a stripe's four sources have copies on the victim and on
+        // `far`, the victim being the lower-rack holder, so the first plan
+        // folds them at the victim; the fourth sits on the encoding node.
+        // The victim dies after the writes. Pass 1's hop reads the three
+        // from `far` across racks (the victim's copies died with it), and
+        // the chain stops at the victim. The victim joins the dead set and
+        // the re-plan still folds: the three re-home to `far`, which reads
+        // them off its own disk and ships m = 2 rows — where a gather pass
+        // would have moved all three whole a second time.
         let victim = NodeId(2);
         let base = cfg(ClusterPolicy::Rr, 6, 2);
         let topo = ear_types::ClusterTopology::uniform(base.racks, base.nodes_per_rack);
@@ -769,25 +773,40 @@ mod tests {
         let enc = cfs.namenode().plan_encoding(&stripe).unwrap().encoding_node;
         // The far replicas live in the highest rack that is neither the
         // victim's nor the encoding node's, so the victim's rack (lower id)
-        // is every re-homed source's preferred holder.
+        // is every source's preferred home while the victim is not known
+        // dead.
         let far = topo
             .nodes()
             .filter(|&n| topo.rack_of(n) != topo.rack_of(enc) && topo.rack_of(n) != topo.rack_of(victim))
             .last()
             .unwrap();
-        for &b in &stripe.blocks[..3] {
-            for n in [victim, far] {
+        let pin = |b: BlockId, nodes: Vec<NodeId>| {
+            for &n in &nodes {
                 cfs.datanode(n).put(b, Block::from(cfs.make_block(b.0))).unwrap();
             }
-            cfs.namenode().set_locations(b, vec![victim, far]).unwrap();
+            cfs.namenode().set_locations(b, nodes).unwrap();
+        };
+        for &b in &stripe.blocks[..3] {
+            pin(b, vec![victim, far]);
         }
+        pin(stripe.blocks[3], vec![enc]);
         // Reads advance the plan's operation clock until the crash lands.
         while !cfs.injector().node_down(victim) {
             cfs.read_block(enc, stripe.blocks[3]).unwrap();
         }
+        let before = cfs.network().snapshot();
         let (stats, _) = RaidNode::encode_all(&cfs, 1).unwrap();
+        let moved = cfs.network().snapshot().delta(&before);
         assert_eq!(stats.stripes, 1, "{:?}", stats.failed_stripes);
-        assert_eq!(stats.pipeline_fallbacks, 1);
+        // 3 shards into the abandoned hop, then 2 rows from `far`: the
+        // abandoned pass stays counted.
+        assert_eq!(stats.cross_rack_downloads, 3 + 2);
+        let es = &cfs.namenode().encoded_stripes()[0];
+        let stored_at = |p: BlockId| cfs.namenode().locations(p).unwrap()[0];
+        let parity_out =
+            es.parity.iter().filter(|&&p| !topo.same_rack(stored_at(p), enc)).count() as u64;
+        let block = cfs.config().block_size.as_u64();
+        assert_eq!(moved.cross_rack_bytes, (3 + 2 + parity_out) * block);
         assert_parity_matches_codec(&cfs);
     }
 

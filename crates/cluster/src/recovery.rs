@@ -20,6 +20,7 @@ use crate::fold::{self, Received, Source};
 use crate::health::{RepairKind, RepairTask};
 use crate::io::DeadNodeSet;
 use crate::reliability::{OpClass, OpContext};
+use ear_core::ChainPlan;
 use ear_erasure::{Matrix, StripeEncoder};
 use ear_types::rng::ChaCha8;
 use ear_types::{Block, BlockId, Error, NodeHealth, NodeId, RackId, Result, StripeId};
@@ -290,7 +291,7 @@ fn reconstruct_stripe_block(
     // The block ships — as the fold's last leg — only if its planned home is
     // not where it was decoded.
     let (at, home) = (site.recovery_node, site.destination);
-    let (rebuilt, paid) = rebuild_shard(cfs, ctx, at, home, lost_idx, &site.sources, true)?;
+    let (rebuilt, paid) = rebuild_shard(cfs, ctx, at, home, lost_idx, &site.sources, 1)?;
     cfs.datanode(home).put(block, Block::from(rebuilt).stamped())?;
     cfs.namenode().set_locations(block, vec![home])?;
     let topo = cfs.topology();
@@ -418,19 +419,20 @@ struct ShardSource {
 /// The first `k` of `sources` are chosen, the lost shard is expressed as
 /// their GF(2⁸) linear combination
 /// ([`recovery_coefficients`](ear_erasure::ReedSolomon::recovery_coefficients))
-/// and [`fold::fold`] sums the weighted shards as a one-row fold. A source
-/// that cannot be read is dropped, `k` are re-chosen from the rest and the
-/// coefficients recomputed; shards already at `at` are kept, so a source
-/// read whole is read at most once. Any `k` shards decode to the same bytes
-/// under an MDS code, so the result does not depend on which sources
-/// survive.
+/// and [`fold::fold`] sums the weighted shards as a one-row fold, planned by
+/// [`ChainPlan::of`] with racks home to at least `fold_from` of them folding
+/// (1 for a repair, [`GATHER`] for a degraded read). A source that cannot be
+/// read is dropped, `k` are re-chosen from the rest, the coefficients
+/// recomputed and the fold planned again; shards already at `at` are kept,
+/// so a source read whole is read at most once. Any `k` shards decode to
+/// the same bytes under an MDS code, so the result does not depend on which
+/// sources survive.
 ///
 /// # Errors
 ///
 /// * [`Error::NotEnoughShards`] once fewer than `k` sources remain.
-/// * [`Error::DeadlineExceeded`] / [`Error::RetryBudgetExhausted`] /
-///   [`Error::Overloaded`] as soon as the substrate stops the op — these
-///   never fall through to another source.
+/// * The substrate's stops ([`Error::stops_the_op`]) at once — these never
+///   fall through to another source.
 /// * [`Error::NodeDown`] if `at` or `sink` is the node that cannot be
 ///   reached — no other choice of sources would get further.
 fn rebuild_shard(
@@ -440,7 +442,7 @@ fn rebuild_shard(
     sink: NodeId,
     lost_idx: usize,
     sources: &[ShardSource],
-    fold_racks: bool,
+    fold_from: usize,
 ) -> Result<(Vec<u8>, Received)> {
     let k = cfs.codec().params().k();
     let shard_len = cfs.config().block_size.as_u64() as usize;
@@ -461,19 +463,19 @@ fn rebuild_shard(
             .enumerate()
             .map(|(index, s)| Source { index, block: s.block, holders: &s.holders })
             .collect();
-        let io = cfs.io();
-        match fold::fold(io, ctx, at, sink, acc, &columns, &dead, fold_racks, &mut received) {
+        let (topo, listed) = (cfs.topology(), columns.iter().map(|s| (s.block, s.holders)));
+        let held = |b: BlockId| received.held.contains_key(&b);
+        let plan = ChainPlan::of(topo, at, sink, fold_from, listed, |n| dead.contains(n), held);
+        let folded = plan.and_then(|plan| {
+            fold::fold(cfs.io(), ctx, &plan, acc, &columns, &dead, &mut received)
+        });
+        match folded {
             Ok(rows) => {
                 let rebuilt = rows.into_iter().next();
                 let rebuilt = rebuilt.ok_or_else(|| Error::Invariant("a fold of no rows".into()))?;
                 return Ok((rebuilt, received));
             }
-            Err((
-                _,
-                e @ (Error::DeadlineExceeded { .. }
-                | Error::RetryBudgetExhausted { .. }
-                | Error::Overloaded { .. }),
-            )) => return Err(e),
+            Err((_, e)) if e.stops_the_op() => return Err(e),
             Err((_, e @ Error::NodeDown { node })) if node == at || node == sink => return Err(e),
             Err((failed, _)) => {
                 candidates.remove(failed);
@@ -482,10 +484,18 @@ fn rebuild_shard(
     }
 }
 
+/// The fold threshold of a degraded read: no rack is home to this many
+/// sources, so all are read whole at the reader. Folding would cost more
+/// ticks: `ClusterIo::fetch_costed` prices a holder reading its own block as
+/// a transfer, so a `k`-hop chain pays `k` reads plus the chain where the
+/// gather pays `k` reads — until a local read is priced as a disk read,
+/// which would move every soak's ticks.
+const GATHER: usize = usize::MAX;
+
 /// Reconstructs `block`'s bytes at `reader` from any `k` surviving members
 /// of its stripe *without* re-placing the block or touching metadata — the
 /// proactive leg of a hedged read whose last replica is straggling. Sources
-/// are read whole at `reader` in member order (no rack folds), each download
+/// are read whole at `reader` in member order ([`GATHER`]), each download
 /// charging `ctx`; the caller adds the fixed decode cost when it scores the
 /// race.
 ///
@@ -493,8 +503,7 @@ fn rebuild_shard(
 ///
 /// * [`Error::BlockUnavailable`] if the block belongs to no encoded stripe.
 /// * [`Error::NotEnoughShards`] if fewer than `k` members are readable.
-/// * [`Error::DeadlineExceeded`] / [`Error::RetryBudgetExhausted`] from the
-///   substrate.
+/// * The substrate's stops ([`Error::stops_the_op`]).
 pub(crate) fn degraded_read(
     cfs: &MiniCfs,
     ctx: &OpContext<'_>,
@@ -529,7 +538,7 @@ pub(crate) fn degraded_read(
     }
     let lost_idx =
         lost_idx.ok_or_else(|| Error::Invariant(format!("{block} not a member of its stripe")))?;
-    let (rebuilt, _) = rebuild_shard(cfs, ctx, reader, reader, lost_idx, &sources, false)?;
+    let (rebuilt, _) = rebuild_shard(cfs, ctx, reader, reader, lost_idx, &sources, GATHER)?;
     Ok(Block::from(rebuilt))
 }
 

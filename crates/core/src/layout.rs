@@ -1,7 +1,7 @@
 //! Replica layouts and stripe placement records.
 
 use ear_types::rng::ChaCha8;
-use ear_types::{ClusterTopology, NodeId, RackId};
+use ear_types::{BlockId, ClusterTopology, Error, NodeId, RackId};
 use std::collections::{BTreeMap, HashSet};
 
 /// Where the replicas of one data block live, in placement order:
@@ -252,6 +252,105 @@ impl<'a> StripeSpread<'a> {
     }
 }
 
+/// The shape of one rack fold, decided before any byte moves: `rows`
+/// GF(2⁸) linear combinations of listed sources, computed at `at` and
+/// delivered to `sink` as one chain (RapidRAID, arXiv:1207.6744).
+///
+/// A source `at` already holds has no home; any other's home is its best
+/// holder not known dead — `at`'s rack first, then the lowest rack, then the
+/// lowest node — or its first holder if all are dead. **A remote rack home
+/// to `s ≥ rows` sources folds** at its lowest-indexed home; every other
+/// source is read whole at `at`. Cross-rack traffic towards `at` is thus
+/// `Σ min(sᵣ, rows)` blocks over remote racks, and at a `rows` no rack
+/// reaches (`usize::MAX`) the plan is the classical gather.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ChainPlan {
+    /// The folding node.
+    pub at: NodeId,
+    /// Where the rows are delivered.
+    pub sink: NodeId,
+    /// Each source's home, by list position (`None`: held at `at`).
+    pub homes: Vec<Option<NodeId>>,
+    /// The folding racks, in ascending rack id. The rows are a sum, so a
+    /// caller may permute them: that changes the route, not the bytes.
+    pub hops: Vec<ChainHop>,
+    /// List positions of the sources read whole at `at`, in list order.
+    pub whole: Vec<usize>,
+}
+
+/// A remote rack that folds its sources at one node before anything
+/// crosses its boundary.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ChainHop {
+    /// The rack's lowest-indexed home.
+    pub aggregator: NodeId,
+    /// List position of the first source homed at the aggregator: the one
+    /// to blame when the aggregator cannot be reached.
+    pub own: usize,
+    /// List positions of the rack's sources, in list order.
+    pub members: Vec<usize>,
+}
+
+impl ChainPlan {
+    /// Plans the fold of `sources`, each a block and its holders.
+    ///
+    /// # Errors
+    ///
+    /// The position of the first source not held that has no holder, with
+    /// [`Error::BlockUnavailable`], before anything is read.
+    pub fn of<'h>(
+        topo: &ClusterTopology,
+        at: NodeId,
+        sink: NodeId,
+        rows: usize,
+        sources: impl IntoIterator<Item = (BlockId, &'h [NodeId])>,
+        is_dead: impl Fn(NodeId) -> bool,
+        is_held: impl Fn(BlockId) -> bool,
+    ) -> Result<ChainPlan, (usize, Error)> {
+        let at_rack = topo.rack_of(at);
+        let mut homes = Vec::new();
+        let mut remote: BTreeMap<RackId, Vec<(usize, NodeId)>> = BTreeMap::new();
+        for (pos, (block, holders)) in sources.into_iter().enumerate() {
+            if is_held(block) {
+                homes.push(None);
+                continue;
+            }
+            let home = holders
+                .iter()
+                .copied()
+                .filter(|&h| !is_dead(h))
+                .min_by_key(|&h| (topo.rack_of(h) != at_rack, topo.rack_of(h), h))
+                .or(holders.first().copied())
+                .ok_or((pos, Error::BlockUnavailable { block }))?;
+            if topo.rack_of(home) != at_rack {
+                remote.entry(topo.rack_of(home)).or_default().push((pos, home));
+            }
+            homes.push(Some(home));
+        }
+        let hops: Vec<ChainHop> = remote
+            .into_values()
+            .filter(|members| members.len() >= rows)
+            .filter_map(|members| {
+                let &(own, aggregator) = members.iter().min_by_key(|&&(_, home)| home)?;
+                let members = members.into_iter().map(|(pos, _)| pos).collect();
+                Some(ChainHop { aggregator, own, members })
+            })
+            .collect();
+        let folded: HashSet<usize> = hops.iter().flat_map(|hop| &hop.members).copied().collect();
+        let whole = (0..homes.len()).filter(|pos| !folded.contains(pos)).collect();
+        Ok(ChainPlan { at, sink, homes, hops, whole })
+    }
+
+    /// The chain the rows travel once: each hop's aggregator in order, `at`,
+    /// then `sink` unless it is `at`.
+    pub fn path(&self) -> Vec<NodeId> {
+        let mut path: Vec<NodeId> = self.hops.iter().map(|h| h.aggregator).collect();
+        path.extend([self.at, self.sink]);
+        path.dedup();
+        path
+    }
+}
+
 /// The outcome of planning the encoding operation for one stripe: which node
 /// encodes, what it must download, which replicas survive, where parity
 /// goes, and what (if anything) must be relocated afterwards.
@@ -342,6 +441,110 @@ mod tests {
         assert_eq!(plan.total_replicas(), 4);
         assert_eq!(plan.core_rack(), Some(RackId(0)));
         assert_eq!(plan.retries(), &[0, 3]);
+    }
+
+    #[test]
+    fn chain_plans_follow_the_rack_fold_rule() {
+        use ear_types::prop::{check, range};
+        check("chain_plans_follow_the_rack_fold_rule", 256, |rng| {
+            let sizes: Vec<usize> =
+                (0..range(rng, 1..=6)).map(|_| range(rng, 1..=4) as usize).collect();
+            let topo = ClusterTopology::with_rack_sizes(&sizes);
+            let nodes = topo.num_nodes() as u64;
+            let node = |rng: &mut ChaCha8| NodeId(rng.below(nodes) as u32);
+            let at = node(rng);
+            let sink = if rng.below(2) == 0 { at } else { node(rng) };
+            let rows = range(rng, 1..=4) as usize;
+            let dead: HashSet<NodeId> = topo.nodes().filter(|_| rng.below(4) == 0).collect();
+            let lists: Vec<(BlockId, Vec<NodeId>)> = (0..range(rng, 0..=12))
+                .map(|b| {
+                    let count = if rng.below(16) == 0 { 0 } else { range(rng, 1..=3) };
+                    (BlockId(b), (0..count).map(|_| node(rng)).collect())
+                })
+                .collect();
+            let held: HashSet<BlockId> =
+                lists.iter().map(|&(b, _)| b).filter(|_| rng.below(5) == 0).collect();
+            let sources = || lists.iter().map(|(b, holders)| (*b, holders.as_slice()));
+            let is_dead = |n: NodeId| dead.contains(&n);
+            let is_held = |b: BlockId| held.contains(&b);
+            let plan_at = |rows| ChainPlan::of(&topo, at, sink, rows, sources(), is_dead, is_held);
+
+            // The reference: a home per source not held, and the sources
+            // each remote rack is home to.
+            let at_rack = topo.rack_of(at);
+            let homes: Vec<Option<NodeId>> = lists
+                .iter()
+                .map(|(b, holders)| {
+                    let live = holders.iter().copied().filter(|h| !dead.contains(h));
+                    let rank = |&h: &NodeId| (topo.rack_of(h) != at_rack, topo.rack_of(h), h);
+                    let best = live.min_by_key(rank).or(holders.first().copied());
+                    best.filter(|_| !held.contains(b))
+                })
+                .collect();
+            let homeless = lists.iter().position(|(b, hs)| hs.is_empty() && !held.contains(b));
+            if let Some(pos) = homeless {
+                let block = lists[pos].0;
+                assert_eq!(plan_at(rows), Err((pos, Error::BlockUnavailable { block })));
+                return;
+            }
+            let mut remote: BTreeMap<RackId, Vec<usize>> = BTreeMap::new();
+            for (pos, home) in homes.iter().enumerate() {
+                let rack = home.map(|h| topo.rack_of(h)).filter(|&r| r != at_rack);
+                if let Some(rack) = rack {
+                    remote.entry(rack).or_default().push(pos);
+                }
+            }
+            let plan = plan_at(rows).unwrap();
+            assert_eq!(plan.homes, homes);
+
+            // Bytes: a plan ships `rows` per chain leg into `at` and one
+            // block per remote source it reads whole — Σ min(sᵣ, rows).
+            let crossing = |plan: &ChainPlan, rows: usize| {
+                let remote = |&&p: &&usize| homes[p].is_some_and(|h| topo.rack_of(h) != at_rack);
+                rows * plan.hops.len() + plan.whole.iter().filter(remote).count()
+            };
+            let folded: usize = remote.values().map(|s| s.len().min(rows)).sum();
+            assert_eq!(crossing(&plan, rows), folded);
+
+            // The hop rule: exactly the racks home to ≥ rows sources, in
+            // ascending rack id, each at its lowest home, no held source.
+            let hop_racks: Vec<RackId> =
+                plan.hops.iter().map(|h| topo.rack_of(h.aggregator)).collect();
+            let want: Vec<RackId> =
+                remote.iter().filter(|(_, s)| s.len() >= rows).map(|(&r, _)| r).collect();
+            assert_eq!(hop_racks, want);
+            assert!(hop_racks.windows(2).all(|w| w[0] < w[1]));
+            for hop in &plan.hops {
+                assert_eq!(hop.members, remote[&topo.rack_of(hop.aggregator)]);
+                let lowest = hop.members.iter().filter_map(|&pos| homes[pos]).min();
+                assert_eq!(lowest, Some(hop.aggregator));
+                let own = hop.members.iter().find(|&&pos| homes[pos] == lowest);
+                assert_eq!(own, Some(&hop.own));
+                assert!(hop.members.iter().all(|&pos| !held.contains(&lists[pos].0)));
+            }
+            let in_hops: HashSet<&usize> = plan.hops.iter().flat_map(|h| &h.members).collect();
+            let whole: Vec<usize> = (0..lists.len()).filter(|p| !in_hops.contains(p)).collect();
+            assert_eq!(plan.whole, whole);
+
+            // The path: the aggregators, `at`, then `sink` once. The folding
+            // nodes sit in distinct racks; the sink, placed by its caller,
+            // may share one with a hop.
+            let path = plan.path();
+            let (folding, delivery) = path.split_at(plan.hops.len() + 1);
+            assert_eq!(folding.last(), Some(&at));
+            assert_eq!(delivery, &[sink][..usize::from(sink != at)]);
+            let racks: HashSet<RackId> = folding.iter().map(|&n| topo.rack_of(n)).collect();
+            assert_eq!(racks.len(), folding.len(), "{path:?}");
+
+            // The gather, at a row count no rack reaches: nothing folds and
+            // every remote source crosses whole.
+            let gather = plan_at(usize::MAX).unwrap();
+            assert!(gather.hops.is_empty());
+            assert_eq!(gather.whole, (0..lists.len()).collect::<Vec<_>>());
+            assert_eq!(gather.path(), [&[at][..], delivery].concat());
+            let whole_bytes: usize = remote.values().map(Vec::len).sum();
+            assert_eq!(crossing(&gather, rows), whole_bytes);
+        });
     }
 
     #[test]

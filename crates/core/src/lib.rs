@@ -50,6 +50,8 @@ pub mod sample;
 
 pub use ear::{CoreRackSelection, EarStripeBuilder, EncodingAwareReplication};
 pub use encode::{plan_encoding_ear, plan_encoding_rr, EncodingNodeSelection};
-pub use layout::{BlockLayout, EncodePlan, SpreadViolations, StripePlan, StripeSpread};
+pub use layout::{
+    BlockLayout, ChainHop, ChainPlan, EncodePlan, SpreadViolations, StripePlan, StripeSpread,
+};
 pub use policy::{PlacedBlock, PlacementPolicy, RandomReplicationPolicy};
 pub use rr::RandomReplication;

@@ -142,6 +142,16 @@ pub enum Error {
     },
 }
 
+impl Error {
+    /// Whether the reliability substrate stopped the whole operation (deadline
+    /// passed, retry budget dry, or shed): no other replica, source or plan
+    /// can carry it further.
+    pub fn stops_the_op(&self) -> bool {
+        use Error::{DeadlineExceeded, Overloaded, RetryBudgetExhausted};
+        matches!(self, DeadlineExceeded { .. } | RetryBudgetExhausted { .. } | Overloaded { .. })
+    }
+}
+
 impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -231,6 +241,24 @@ mod tests {
     fn error_is_send_sync() {
         fn assert_send_sync<T: Send + Sync + 'static>() {}
         assert_send_sync::<Error>();
+    }
+
+    #[test]
+    fn only_the_substrates_three_verdicts_stop_an_op() {
+        let stops = [
+            Error::DeadlineExceeded { what: "read", deadline_ticks: 1 },
+            Error::RetryBudgetExhausted { class: "encode" },
+            Error::Overloaded { class: "heal" },
+        ];
+        assert!(stops.iter().all(Error::stops_the_op));
+        let node = NodeId(1);
+        let others = [
+            Error::NodeDown { node },
+            Error::TransientIo { node },
+            Error::CorruptBlock { block: BlockId(2), node },
+            Error::BlockUnavailable { block: BlockId(2) },
+        ];
+        assert!(!others.iter().any(Error::stops_the_op));
     }
 
     #[test]

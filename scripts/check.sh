@@ -46,6 +46,18 @@ if grep -rn 'write_with_retry' crates; then
   echo "check.sh: write_with_retry is gone; write through write_replicated (above)" >&2
   exit 1
 fi
+# One fold mode, one failure rule (DESIGN.md §15): an encode re-plans like a
+# rebuild, so the gather-only second pass, its flag and its counter stay
+# deleted, and the substrate's stop verdicts are matched by one predicate,
+# ear_types::Error::stops_the_op.
+if grep -rnE 'fold_racks|fell_back|pipeline_fallbacks' crates; then
+  echo "check.sh: the encoder's second fold pass is gone; re-plan through the dead set (above)" >&2
+  exit 1
+fi
+if grep -rn 'RetryBudgetExhausted { \.\. }' crates/cluster/src; then
+  echo "check.sh: match the substrate's stops with Error::stops_the_op (above)" >&2
+  exit 1
+fi
 cargo build --release --locked
 # Invariant lint first: lock-graph cycles, determinism hygiene, data-plane
 # panic-freedom, durability ordering, context/retry hygiene, zero-copy

@@ -9,6 +9,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the testbed experiments time real paced runs and space their arrivals in wall time"
+)]
 
 pub mod exp;
 mod table;

@@ -99,9 +99,11 @@ impl ShardedMemStore {
         }
     }
 
-    /// The lock stripe owning `block`. The subscript is `shard_of()`, a
-    /// `% SHARDS` reduction over a `SHARDS`-long vec, so it is provably in
-    /// range (the one allowlisted L3/index site for this file).
+    /// The lock stripe owning `block`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "shard_of() is a % SHARDS reduction and new() allocates exactly SHARDS stripes"
+    )]
     fn stripe_for(&self, block: BlockId) -> &Mutex<HashMap<BlockId, StoredBlock>> {
         &self.shards[shard_of(block)]
     }

@@ -267,6 +267,8 @@ pub fn run_plan(seed: u64, cfg: &ChaosConfig) -> Result<ChaosReport> {
         |vs: &[crate::monitor::Violation]| vs.iter().filter(|v| !phantom.contains(&v.stripe)).count();
     let mut relocations = relocations;
     relocations.retain(|&(b, from, _)| cfs.datanode(from).contains(b));
+    // Safe to drop: a block that failed to move leaves its stripe violating,
+    // and the scan right below counts it.
     let _ = RaidNode::relocate(&cfs, &relocations);
     report.pre_repair_violations = countable(&scan(&cfs));
     for _ in 0..4 {
@@ -586,6 +588,8 @@ pub fn run_heal_plan(seed: u64, cfg: &HealSoakConfig) -> Result<HealSoakReport> 
     report.encoded_stripes = stats.stripes;
     let mut relocations = relocations;
     relocations.retain(|&(b, from, _)| cfs.datanode(from).contains(b));
+    // Safe to drop: a block that failed to move leaves its stripe violating,
+    // and the scan after the healer counts it in `violations_after_heal`.
     let _ = RaidNode::relocate(&cfs, &relocations);
 
     // The healer is now on its own: detect the kills via heartbeats, drain

@@ -677,6 +677,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "times a paced write against real links")]
     fn a_two_way_testbed_write_on_idle_links_takes_one_block_time_not_two() {
         // A twin from the same seed shows where block 0 goes; the timed
         // cluster writes it from a node that holds no replica, so both legs

@@ -225,6 +225,11 @@ impl ClusterIo {
     /// # Panics
     ///
     /// Panics if the node id is out of range.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a test/bench accessor with a documented panic; the data path reads through \
+                  fetch_inner/store_inner, which .get() and return NodeDown"
+    )]
     pub fn datanode(&self, node: NodeId) -> &DataNode {
         &self.datanodes[node.index()]
     }

@@ -68,27 +68,48 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(clippy::iter_over_hash_type)]
 
-pub mod blockstore;
-pub mod cache;
+/// Declares the data-plane modules (DESIGN.md §11): every failure there is
+/// a typed error, never a panic, and no `Result` is silently dropped. Test
+/// modules are excused by clippy.toml's `allow-*-in-tests`.
+macro_rules! data_plane {
+    ($($vis:vis mod $name:ident;)*) => {$(
+        #[warn(
+            clippy::panic,
+            clippy::unreachable,
+            clippy::todo,
+            clippy::unimplemented,
+            clippy::indexing_slicing,
+            clippy::let_underscore_must_use,
+            clippy::unused_result_ok
+        )]
+        $vis mod $name;
+    )*};
+}
+
+data_plane! {
+    pub mod blockstore;
+    pub mod cache;
+    pub mod crashsim;
+    mod datanode;
+    mod exec;
+    mod extent;
+    mod fold;
+    pub mod healer;
+    mod io;
+    mod raidnode;
+    mod recovery;
+    pub mod reliability;
+    pub mod wal;
+}
 pub mod chaos;
 mod cluster;
-pub mod crashsim;
-mod datanode;
-mod exec;
-mod extent;
-mod fold;
-pub mod healer;
 pub mod health;
-mod io;
 pub mod mapreduce;
 mod monitor;
 mod namenode;
-mod raidnode;
-mod recovery;
-pub mod reliability;
 pub mod sync;
-pub mod wal;
 
 pub use blockstore::{BlockStore, ShardedMemStore};
 pub use extent::{ExtentStore, WriteEvent};

@@ -117,6 +117,11 @@ pub fn prepare_inputs(cfs: &MiniCfs, jobs: &[MapReduceJob]) -> Result<Vec<Vec<Bl
 /// # Errors
 ///
 /// Propagates read/write failures from task bodies.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "arrivals are replayed and jobs timed in wall time for the job report only; \
+              scheduling order is the deterministic slot queue's"
+)]
 pub fn run_jobs(
     cfs: &MiniCfs,
     jobs: &[MapReduceJob],

@@ -99,6 +99,11 @@ impl RaidNode {
             }
         };
         let tasks = schedule(cfs, taken.into_iter().zip(reserved).collect());
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "stamps EncodeStats::{wall_seconds, completion_times} for throughput and \
+                      Fig. 12; ids, placement and parity are fixed before the timer is read"
+        )]
         let start = Instant::now();
         let width = map_tasks.max(1);
         let results = exec::drain(cfs.injector(), &tasks, width, |task| {
@@ -142,32 +147,46 @@ impl RaidNode {
     /// The BlockMover: performs the queued relocations, moving each block's
     /// bytes to its target node. Returns the number of blocks moved.
     ///
+    /// The relocations are independent: one that fails leaves its block
+    /// where it was and every other one is still attempted.
+    ///
     /// # Errors
     ///
-    /// Returns [`Error::Invariant`] if a block's bytes vanished, and
-    /// [`Error::CorruptBlock`] — before anything moved — if they no longer
+    /// Returns the first failure once every relocation has been attempted:
+    /// [`Error::Invariant`] if a block's bytes vanished, and
+    /// [`Error::CorruptBlock`] — before that block moved — if they no longer
     /// match their stored checksum.
     pub fn relocate(cfs: &MiniCfs, relocations: &[Relocation]) -> Result<usize> {
+        let mut first_err = None;
         for &(block, from, to) in relocations {
-            let (data, crc) = cfs.datanode(from).get_with_crc(block).ok_or_else(|| {
-                Error::Invariant(format!("{from} lost {block} before relocation"))
-            })?;
-            // The single copy is verified before it moves: `put` would hash
-            // rotten bytes into a fresh, valid CRC at the new home, where
-            // no scrub could ever see the rot again.
-            let data = data
-                .verified(crc)
-                .ok_or(Error::CorruptBlock { block, node: from })?;
-            cfs.io().transfer(from, to, data.len() as u64);
-            // Publish before retire: the old copy goes only once durable
-            // metadata points at the new one, so a failed (or interrupted)
-            // location update leaves `from` listed and still holding bytes.
-            cfs.datanode(to).put(block, data)?;
-            cfs.namenode().set_locations(block, vec![to])?;
-            cfs.datanode(from).delete(block);
+            if let Err(e) = move_block(cfs, block, from, to) {
+                first_err.get_or_insert(e);
+            }
         }
-        Ok(relocations.len())
+        first_err.map_or(Ok(relocations.len()), Err)
     }
+}
+
+/// Moves one block's single copy from `from` to `to`.
+fn move_block(cfs: &MiniCfs, block: BlockId, from: NodeId, to: NodeId) -> Result<()> {
+    let (data, crc) = cfs
+        .datanode(from)
+        .get_with_crc(block)
+        .ok_or_else(|| Error::Invariant(format!("{from} lost {block} before relocation")))?;
+    // The single copy is verified before it moves: `put` would hash
+    // rotten bytes into a fresh, valid CRC at the new home, where
+    // no scrub could ever see the rot again.
+    let data = data
+        .verified(crc)
+        .ok_or(Error::CorruptBlock { block, node: from })?;
+    cfs.io().transfer(from, to, data.len() as u64);
+    // Publish before retire: the old copy goes only once durable
+    // metadata points at the new one, so a failed (or interrupted)
+    // location update leaves `from` listed and still holding bytes.
+    cfs.datanode(to).put(block, data)?;
+    cfs.namenode().set_locations(block, vec![to])?;
+    cfs.datanode(from).delete(block);
+    Ok(())
 }
 
 /// One map task: a taken stripe, its reserved parity ids and its encode plan.
@@ -925,6 +944,33 @@ mod tests {
             let reached = cfs.datanode(to).contains(block);
             assert!(!reached, "{store:?}: rot reached {to}");
         }
+    }
+
+    #[test]
+    fn one_rotten_copy_does_not_stop_the_rest_of_the_batch() {
+        let cfs = MiniCfs::new(cfg(ClusterPolicy::Rr, 8, 1)).unwrap();
+        let batch: Vec<Relocation> = (7..9)
+            .map(|tag| {
+                let block = cfs.write_block(NodeId(0), cfs.make_block(tag)).unwrap();
+                let from = cfs.namenode().locations(block).unwrap()[0];
+                cfs.namenode().set_locations(block, vec![from]).unwrap();
+                let mut nodes = cfs.topology().nodes();
+                let to = nodes.find(|&n| !cfs.datanode(n).contains(block)).unwrap();
+                (block, from, to)
+            })
+            .collect();
+        let (rotten, from, _) = batch[0];
+        cfs.datanode(from).rot(rotten, vec![0xA5; cfs.make_block(7).len()]);
+
+        match RaidNode::relocate(&cfs, &batch) {
+            Err(Error::CorruptBlock { block, node }) => assert_eq!((block, node), (rotten, from)),
+            other => panic!("expected CorruptBlock, got {other:?}"),
+        }
+        assert_eq!(cfs.namenode().locations(rotten), Some(vec![from]));
+        let (moved, from, to) = batch[1];
+        assert_eq!(cfs.namenode().locations(moved), Some(vec![to]), "second block left behind");
+        assert_eq!(cfs.datanode(to).get(moved).unwrap().as_slice(), cfs.make_block(8).as_slice());
+        assert!(!cfs.datanode(from).contains(moved));
     }
 
     #[test]

@@ -39,7 +39,8 @@ use std::time::Duration;
 /// count always comes from the substrate's cost model (backoff, hedging
 /// delay) *after* it has been charged to the op's deadline — this is only
 /// the physical "don't busy-loop" side of a number the virtual clock has
-/// already accounted. The one sanctioned sleep in the workspace (L5).
+/// already accounted.
+#[expect(clippy::disallowed_methods, reason = "the one sleep of the data plane")]
 pub(crate) fn pace(ticks: u64) {
     std::thread::sleep(Duration::from_micros(ticks));
 }
@@ -47,8 +48,8 @@ pub(crate) fn pace(ticks: u64) {
 /// Applies `f` to an atomic with a CAS loop. `fetch_update` forces the
 /// closure to return `Option` and the call to return `Result`; for the
 /// total functions used here (saturating bumps), that `Result` is
-/// unconditionally `Ok` and discarding it would trip L5's
-/// discarded-result check — these helpers keep the infallibility in the
+/// unconditionally `Ok` and discarding it would trip clippy's
+/// `let_underscore_must_use` — these helpers keep the infallibility in the
 /// types instead of at the call sites.
 macro_rules! atomic_apply_impl {
     ($name:ident, $atomic:ty, $int:ty) => {

@@ -433,7 +433,7 @@ impl BlockRec {
 
 /// The complete metadata image: what a checkpoint stores, what replay
 /// rebuilds, and what the live NameNode holds (its block slots spread over
-/// lock shards). Ordered containers only (L2 determinism): two snapshots of
+/// lock shards). Ordered containers only (DESIGN.md §11): two snapshots of
 /// equal state compare and encode bit-identically.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetaSnapshot {
@@ -577,15 +577,15 @@ impl MetaSnapshot {
 /// `body = lsn | record`.
 pub fn encode_frame(lsn: u64, rec: &MetaRecord) -> Vec<u8> {
     // Header placeholders first, the body encoded in place behind them,
-    // then the two header words patched: one buffer (a typical frame is
-    // ~50 bytes), no copy.
+    // then the two header words patched as one little-endian u64 (`len`
+    // low, `crc` high): one buffer (a typical frame is ~50 bytes), no copy.
     let mut out = Vec::with_capacity(64);
     out.extend_from_slice(&[0u8; 8]);
     put_u64(&mut out, lsn);
     rec.encode(&mut out);
     let (header, body) = out.split_at_mut(8);
-    header[..4].copy_from_slice(&(body.len() as u32).to_le_bytes());
-    header[4..].copy_from_slice(&crc32c(body).to_le_bytes());
+    let len_crc = u64::from(body.len() as u32) | (u64::from(crc32c(body)) << 32);
+    header.copy_from_slice(&len_crc.to_le_bytes());
     out
 }
 
@@ -897,6 +897,7 @@ mod tests {
             std::process::id(),
             DIR_SEQ.fetch_add(1, Ordering::SeqCst)
         ));
+        #[expect(clippy::let_underscore_must_use, reason = "clears a stale run's dir, if any")]
         let _ = fs::remove_dir_all(&d);
         d
     }

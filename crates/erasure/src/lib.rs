@@ -27,6 +27,7 @@
 // else in the crate remains unsafe-free.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(clippy::iter_over_hash_type)]
 
 pub mod gf256;
 pub mod kernels;

@@ -2,56 +2,20 @@
 
 use std::fmt;
 
-/// The rule family a diagnostic belongs to.
+/// The rule family a diagnostic belongs to. The numbering is historical:
+/// L2, L3, L5 and L6 became clippy lints (DESIGN.md §11).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
     /// Lock-order discipline in `ear-cluster`.
     L1,
-    /// Determinism hygiene in the deterministic crates.
-    L2,
-    /// Data-plane panic-freedom in the hot-path files.
-    L3,
     /// Durability ordering in the persistence layer (fsync-before-ack,
     /// rename-then-dir-fsync, header-last commits).
     L4,
-    /// Context/retry hygiene in the data plane (OpContext threading, no
-    /// naked sleeps or ad-hoc retry loops, no discarded `Result`s).
-    L5,
-    /// Zero-copy hygiene on the read path (no `Block` payload
-    /// materialization in hot-path files).
-    L6,
-}
-
-impl Rule {
-    /// Parses `L1`..`L6`.
-    pub fn parse(s: &str) -> Option<Rule> {
-        match s {
-            "L1" => Some(Rule::L1),
-            "L2" => Some(Rule::L2),
-            "L3" => Some(Rule::L3),
-            "L4" => Some(Rule::L4),
-            "L5" => Some(Rule::L5),
-            "L6" => Some(Rule::L6),
-            _ => None,
-        }
-    }
-
-    /// The rule's canonical name (`L1`..`L6`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Rule::L1 => "L1",
-            Rule::L2 => "L2",
-            Rule::L3 => "L3",
-            Rule::L4 => "L4",
-            Rule::L5 => "L5",
-            Rule::L6 => "L6",
-        }
-    }
 }
 
 impl fmt::Display for Rule {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.name())
+        write!(f, "{self:?}")
     }
 }
 
@@ -61,7 +25,7 @@ pub struct Diagnostic {
     /// Rule family.
     pub rule: Rule,
     /// Short machine-matchable check name within the family
-    /// (e.g. `wall-clock`, `map-iteration`, `unwrap`).
+    /// (e.g. `lock-cycle`, `ack-without-sync`).
     pub check: &'static str,
     /// Workspace-relative path with `/` separators.
     pub path: String,
@@ -71,39 +35,6 @@ pub struct Diagnostic {
     pub col: u32,
     /// Human explanation.
     pub message: String,
-}
-
-impl Diagnostic {
-    /// Renders the diagnostic as a JSON object (the crate is
-    /// dependency-free, so serialization is by hand).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"rule\":\"{}\",\"check\":\"{}\",\"path\":\"{}\",\"line\":{},\"col\":{},\"message\":\"{}\"}}",
-            self.rule,
-            json_escape(self.check),
-            json_escape(&self.path),
-            self.line,
-            self.col,
-            json_escape(&self.message)
-        )
-    }
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 impl fmt::Display for Diagnostic {

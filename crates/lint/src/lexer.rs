@@ -1,8 +1,8 @@
 //! A small self-contained Rust lexer.
 //!
 //! `ear-lint` runs in registry-less containers, so it cannot depend on
-//! `syn`/`proc-macro2`. The rules it enforces (lock order, determinism
-//! hygiene, panic-freedom) only need a faithful token stream with source
+//! `syn`/`proc-macro2`. The rules it enforces (lock order, durability
+//! order) only need a faithful token stream with source
 //! positions — not a full AST — so this module lexes Rust source into a
 //! flat `Vec<Tok>`: identifiers, literals, lifetimes, and punctuation,
 //! with comments and whitespace dropped and strings kept opaque.
@@ -355,7 +355,7 @@ fn lex_raw_or_prefixed_string(cur: &mut Cursor<'_>) {
 /// of the item's `{ ... }` block (or trailing `;` for block-less items).
 ///
 /// The linter drops tokens inside these ranges before running rules — tests
-/// are allowed to `unwrap()`, iterate `HashMap`s, and take locks freely.
+/// are allowed to take locks and write files freely.
 pub fn test_code_spans(toks: &[Tok]) -> Vec<(usize, usize)> {
     let mut spans: Vec<(usize, usize)> = Vec::new();
     let mut i = 0usize;

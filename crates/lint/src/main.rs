@@ -1,30 +1,24 @@
 //! CLI for `ear-lint`.
 //!
 //! ```text
-//! cargo run -p ear-lint -- check [--root DIR] [--allowlist FILE] [--rule LN] [--json]
+//! cargo run -p ear-lint -- check [--root DIR]
 //! cargo run -p ear-lint -- graph [--root DIR]
 //! ```
 //!
-//! `check` exit codes: 0 = clean, 1 = violations or stale allowlist
-//! entries, 2 = usage / I/O / allowlist-parse error. `--rule LN` runs a
-//! single rule family (allowlist entries for other families are ignored
-//! rather than reported stale). `--json` emits a machine-readable report
-//! on stdout instead of human-format diagnostics.
+//! `check` prints one `path:line:col: RULE/check: message` line per
+//! violation. Exit codes: 0 = clean, 1 = violations, 2 = usage / I/O error.
 //!
-//! `graph` dumps the workspace lock-acquisition graph as GraphViz DOT on
-//! stdout (cyclic edges red); CI uploads it as an artifact.
+//! `graph` dumps the `ear-cluster` lock-acquisition graph as GraphViz DOT
+//! on stdout (cyclic edges red); CI uploads it as an artifact.
 
-use ear_lint::{check_workspace, diag::json_escape, find_workspace_root, Allowlist, Rule};
+use ear_lint::{check_workspace, find_workspace_root};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut root: Option<PathBuf> = None;
-    let mut allowlist_path: Option<PathBuf> = None;
     let mut subcmd: Option<String> = None;
-    let mut rule_filter: Option<Rule> = None;
-    let mut json = false;
 
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -33,16 +27,6 @@ fn main() -> ExitCode {
                 Some(v) => root = Some(PathBuf::from(v)),
                 None => return usage("--root needs a value"),
             },
-            "--allowlist" => match it.next() {
-                Some(v) => allowlist_path = Some(PathBuf::from(v)),
-                None => return usage("--allowlist needs a value"),
-            },
-            "--rule" => match it.next().map(|v| Rule::parse(v)) {
-                Some(Some(r)) => rule_filter = Some(r),
-                Some(None) => return usage("--rule expects L1..L6"),
-                None => return usage("--rule needs a value"),
-            },
-            "--json" => json = true,
             "check" | "graph" if subcmd.is_none() => subcmd = Some(a.clone()),
             other => return usage(&format!("unknown argument {other:?}")),
         }
@@ -76,80 +60,15 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let allowlist_path = allowlist_path.unwrap_or_else(|| root.join("lint-allowlist.txt"));
-    let mut allowlist = match std::fs::read_to_string(&allowlist_path) {
-        Ok(text) => match Allowlist::parse(&text) {
-            Ok(a) => a,
-            Err(e) => {
-                eprintln!(
-                    "ear-lint: {}:{}: malformed allowlist entry: {}",
-                    allowlist_path.display(),
-                    e.line,
-                    e.message
-                );
-                return ExitCode::from(2);
-            }
-        },
-        // A missing allowlist is an empty allowlist.
-        Err(_) => Allowlist::default(),
-    };
-
-    let mut diags = report.diagnostics;
-    if let Some(rule) = rule_filter {
-        diags.retain(|d| d.rule == rule);
-        allowlist.retain_rule(rule);
-    }
-
-    let (kept, suppressed, stale) = allowlist.apply(diags);
-    if json {
-        let mut out = String::from("{\n  \"diagnostics\": [\n");
-        for (i, d) in kept.iter().enumerate() {
-            out.push_str("    ");
-            out.push_str(&d.to_json());
-            out.push_str(if i + 1 < kept.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("  ],\n  \"stale_allowlist_entries\": [\n");
-        for (i, e) in stale.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"line\":{},\"rule\":\"{}\",\"path_suffix\":\"{}\",\"check\":\"{}\"}}{}",
-                e.line,
-                e.rule,
-                json_escape(&e.path_suffix),
-                json_escape(&e.check),
-                if i + 1 < stale.len() { ",\n" } else { "\n" }
-            ));
-        }
-        out.push_str(&format!(
-            "  ],\n  \"files_scanned\": {},\n  \"violations\": {},\n  \"suppressed\": {},\n  \"stale\": {}\n}}\n",
-            report.files_scanned,
-            kept.len(),
-            suppressed.len(),
-            stale.len()
-        ));
-        print!("{out}");
-    } else {
-        for d in &kept {
-            println!("{d}");
-        }
-        for e in &stale {
-            println!(
-                "{}:{}: stale allowlist entry `{} {} {}` matches nothing — remove it",
-                allowlist_path.display(),
-                e.line,
-                e.rule,
-                e.path_suffix,
-                e.check
-            );
-        }
+    for d in &report.diagnostics {
+        println!("{d}");
     }
     eprintln!(
-        "ear-lint: {} files scanned, {} violation(s), {} suppressed by allowlist, {} stale allowlist entrie(s)",
+        "ear-lint: {} files scanned, {} violation(s)",
         report.files_scanned,
-        kept.len(),
-        suppressed.len(),
-        stale.len()
+        report.diagnostics.len()
     );
-    if kept.is_empty() && stale.is_empty() {
+    if report.diagnostics.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(1)
@@ -158,7 +77,7 @@ fn main() -> ExitCode {
 
 fn usage(msg: &str) -> ExitCode {
     eprintln!("ear-lint: {msg}");
-    eprintln!("usage: ear-lint check [--root DIR] [--allowlist FILE] [--rule LN] [--json]");
+    eprintln!("usage: ear-lint check [--root DIR]");
     eprintln!("       ear-lint graph [--root DIR]");
     ExitCode::from(2)
 }

@@ -1,11 +1,7 @@
 //! The rule families and their shared token-walking helpers.
 
-pub mod context;
-pub mod determinism;
 pub mod durability;
 pub mod lock_order;
-pub mod panic_free;
-pub mod zero_copy;
 
 use crate::lexer::{Tok, TokKind};
 
@@ -17,15 +13,8 @@ use crate::lexer::{Tok, TokKind};
 /// `self.shards[i].lock()` → `shards` · `guard.lock().keys()` → `lock`.
 ///
 /// This is deliberately shallow: it identifies the *last named thing* the
-/// call hangs off, which is what both the lock-class table and the
-/// map-typed-name table key on.
-pub fn receiver_ident(toks: &[Tok], i: usize) -> Option<String> {
-    receiver_ident_at(toks, i).map(|j| toks[j].text.clone())
-}
-
-/// Like [`receiver_ident`], but returns the anchor's token index so a
-/// caller can keep walking a method chain (`x.slice(..)?.to_vec()`).
-pub fn receiver_ident_at(toks: &[Tok], mut i: usize) -> Option<usize> {
+/// call hangs off, which is what the lock-class graph keys on.
+pub fn receiver_ident(toks: &[Tok], mut i: usize) -> Option<String> {
     loop {
         let t = toks.get(i)?;
         if t.is_punct("?") {
@@ -52,14 +41,14 @@ pub fn receiver_ident_at(toks: &[Tok], mut i: usize) -> Option<usize> {
             continue;
         }
         if t.kind == TokKind::Ident {
-            return Some(i);
+            return Some(t.text.clone());
         }
         return None;
     }
 }
 
-/// One `fn` item with a body: its name, visibility, enclosing-impl info,
-/// and the token ranges of its signature and body.
+/// One `fn` item with a body: its name, visibility, whether a trait impl
+/// encloses it, and the token range of its body.
 #[derive(Debug, Clone)]
 pub struct FnSpan {
     /// The function's name.
@@ -68,17 +57,9 @@ pub struct FnSpan {
     pub name_idx: usize,
     /// `pub` / `pub(crate)` / `pub(super)`.
     pub is_pub: bool,
-    /// Visibility is restricted (`pub(crate)` / `pub(super)`): part of
-    /// the crate plumbing, not the public API surface.
-    pub pub_restricted: bool,
     /// Inside an `impl Trait for Type` block (methods there are public
     /// through the trait regardless of `pub`).
     pub in_trait_impl: bool,
-    /// The `Type` of the enclosing `impl` block, if any.
-    pub impl_type: Option<String>,
-    /// Token range from `fn` to the body-opening `{` (exclusive) — the
-    /// signature, including generics, params, and return type.
-    pub sig: (usize, usize),
     /// Token range of the body: opening `{` to matching `}` (inclusive).
     pub body: (usize, usize),
 }
@@ -124,15 +105,11 @@ pub fn functions(toks: &[Tok]) -> Vec<FnSpan> {
         };
         let close = matching_brace(toks, open);
         let enclosing = impls.iter().rfind(|s| s.body.0 < i && i < s.body.1);
-        let (is_pub, pub_restricted) = fn_visibility(toks, i);
         out.push(FnSpan {
             name: name_tok.text.clone(),
             name_idx: i + 1,
-            is_pub,
-            pub_restricted,
+            is_pub: is_pub(toks, i),
             in_trait_impl: enclosing.is_some_and(|s| s.is_trait),
-            impl_type: enclosing.map(|s| s.ty.clone()),
-            sig: (i, open),
             body: (open, close),
         });
         i += 2;
@@ -140,8 +117,8 @@ pub fn functions(toks: &[Tok]) -> Vec<FnSpan> {
     out
 }
 
-/// Returns `(is_pub, pub_restricted)` for the `fn` at `fn_idx`.
-fn fn_visibility(toks: &[Tok], fn_idx: usize) -> (bool, bool) {
+/// Is the `fn` at `fn_idx` `pub`, `pub(crate)` or `pub(super)`?
+fn is_pub(toks: &[Tok], fn_idx: usize) -> bool {
     let mut k = fn_idx;
     while k > 0
         && (toks[k - 1].is_ident("unsafe")
@@ -151,7 +128,7 @@ fn fn_visibility(toks: &[Tok], fn_idx: usize) -> (bool, bool) {
         k -= 1;
     }
     if k == 0 {
-        return (false, false);
+        return false;
     }
     if toks[k - 1].is_punct(")") {
         // Possibly `pub(crate)` / `pub(super)`.
@@ -165,10 +142,9 @@ fn fn_visibility(toks: &[Tok], fn_idx: usize) -> (bool, bool) {
                 depth -= 1;
             }
         }
-        let is_pub = m > 0 && toks[m - 1].is_ident("pub");
-        return (is_pub, is_pub);
+        return m > 0 && toks[m - 1].is_ident("pub");
     }
-    (toks[k - 1].is_ident("pub"), false)
+    toks[k - 1].is_ident("pub")
 }
 
 /// Index of the `}` matching the `{` at `open` (or the last token).
@@ -191,7 +167,6 @@ pub fn matching_brace(toks: &[Tok], open: usize) -> usize {
 
 struct ImplSpan {
     is_trait: bool,
-    ty: String,
     body: (usize, usize),
 }
 
@@ -217,13 +192,8 @@ fn impl_spans(toks: &[Tok]) -> Vec<ImplSpan> {
         }
         let mut j = i + 1;
         let mut is_trait = false;
-        let mut last_ident = None;
         while j < toks.len() && !toks[j].is_punct("{") && !toks[j].is_punct(";") {
-            if toks[j].is_ident("for") {
-                is_trait = true;
-            } else if toks[j].kind == TokKind::Ident {
-                last_ident = Some(toks[j].text.clone());
-            }
+            is_trait |= toks[j].is_ident("for");
             j += 1;
         }
         if j >= toks.len() || !toks[j].is_punct("{") {
@@ -232,7 +202,6 @@ fn impl_spans(toks: &[Tok]) -> Vec<ImplSpan> {
         let close = matching_brace(toks, j);
         out.push(ImplSpan {
             is_trait,
-            ty: last_ident.unwrap_or_default(),
             body: (j, close),
         });
     }
@@ -307,11 +276,10 @@ mod tests {
         let fns = functions(&toks);
         let names: Vec<&str> = fns.iter().map(|f| f.name.as_str()).collect();
         assert_eq!(names, vec!["decl", "get", "private", "helper"]);
-        assert!(fns[0].in_trait_impl && fns[0].impl_type.as_deref() == Some("S"));
+        assert!(fns[0].in_trait_impl);
         assert!(fns[1].is_pub && !fns[1].in_trait_impl);
-        assert_eq!(fns[1].impl_type.as_deref(), Some("S"));
         assert!(!fns[2].is_pub);
-        assert!(fns[3].is_pub && fns[3].impl_type.is_none());
+        assert!(fns[3].is_pub && !fns[3].in_trait_impl);
         // The helper's body excludes its Fn-bound parens.
         let (open, close) = fns[3].body;
         assert!(toks[open].is_punct("{") && toks[close].is_punct("}"));

@@ -1,25 +1,19 @@
-//! Fixture-based self-tests for `ear-lint`: every rule family has a passing
+//! Fixture-based self-tests for `ear-lint`: each rule family has a passing
 //! and a failing fixture, the failing one pinned against a golden
-//! diagnostics file, plus allowlist suppression / staleness / parse checks
-//! and a workspace self-scan that keeps the repo lint-clean.
+//! diagnostics file, plus a workspace self-scan that keeps the repo
+//! lint-clean.
 
-use ear_lint::{check_source, check_workspace, find_workspace_root, Allowlist, Diagnostic};
+use ear_lint::{check_source, check_workspace, find_workspace_root, Diagnostic};
 use std::fs;
 use std::path::{Path, PathBuf};
 
 /// (fixture directory, virtual path the fixture is checked under). The
 /// virtual path opts the fixture into the rule scope under test — l4 uses
-/// cluster.rs (durability scope without the data-plane rules), l5 uses
-/// recovery.rs (data-plane without durability), l6 uses cache.rs (hot
-/// read path). Each fixture must be clean under *every* rule its virtual
-/// path opts into, not just the family it demonstrates.
+/// cluster.rs (durability scope). Each fixture must be clean under *every*
+/// rule its virtual path opts into, not just the family it demonstrates.
 const CASES: &[(&str, &str)] = &[
     ("l1_lock_order", "crates/cluster/src/fixture_l1.rs"),
-    ("l2_determinism", "crates/sim/src/fixture_l2.rs"),
-    ("l3_panic_free", "crates/cluster/src/io.rs"),
     ("l4_durability", "crates/cluster/src/cluster.rs"),
-    ("l5_context", "crates/cluster/src/recovery.rs"),
-    ("l6_zero_copy", "crates/cluster/src/cache.rs"),
 ];
 
 fn fixture_dir(case: &str) -> PathBuf {
@@ -78,79 +72,13 @@ fn fail_fixtures_match_golden_diagnostics() {
 }
 
 #[test]
-fn allowlist_suppresses_exactly_the_listed_diagnostics() {
-    let dir = fixture_dir("l3_panic_free");
-    let src = read(&dir.join("fail.rs"));
-    let diags = check_source("crates/cluster/src/io.rs", &src);
-    let total = diags.len();
-    let allow = Allowlist::parse(
-        "L3 cluster/src/io.rs unwrap -- fixture: suppress only the unwrap\n",
-    )
-    .unwrap();
-    let (kept, suppressed, stale) = allow.apply(diags);
-    assert_eq!(suppressed.len(), 1, "exactly the one unwrap is suppressed");
-    assert_eq!(kept.len(), total - 1, "everything else is kept");
-    assert!(stale.is_empty());
-    assert!(kept.iter().all(|d| d.check != "unwrap"));
-}
-
-#[test]
-fn wildcard_allowlist_entry_suppresses_all_checks_of_a_rule() {
-    let dir = fixture_dir("l2_determinism");
-    let src = read(&dir.join("fail.rs"));
-    let diags = check_source("crates/sim/src/fixture_l2.rs", &src);
-    let total = diags.len();
-    let allow =
-        Allowlist::parse("L2 src/fixture_l2.rs * -- fixture: suppress the whole file\n").unwrap();
-    let (kept, suppressed, stale) = allow.apply(diags);
-    assert!(kept.is_empty(), "wildcard must cover every L2 check: {kept:?}");
-    assert_eq!(suppressed.len(), total);
-    assert!(stale.is_empty());
-}
-
-#[test]
-fn stale_allowlist_entries_are_reported() {
-    let dir = fixture_dir("l3_panic_free");
-    // The *pass* fixture has nothing to suppress, so the entry is stale.
-    let src = read(&dir.join("pass.rs"));
-    let diags = check_source("crates/cluster/src/io.rs", &src);
-    let allow = Allowlist::parse(
-        "L3 cluster/src/io.rs unwrap -- fixture: excuses nothing any more\n",
-    )
-    .unwrap();
-    let (kept, suppressed, stale) = allow.apply(diags);
-    assert!(kept.is_empty());
-    assert!(suppressed.is_empty());
-    assert_eq!(stale.len(), 1, "an entry matching nothing must go stale");
-    assert_eq!(stale[0].check, "unwrap");
-}
-
-#[test]
-fn malformed_allowlist_lines_are_hard_errors() {
-    for bad in [
-        "L3 cluster/src/io.rs unwrap",               // missing reason
-        "L3 cluster/src/io.rs unwrap -- ",           // empty reason
-        "L9 cluster/src/io.rs unwrap -- bad rule",   // unknown rule
-        "L3 unwrap -- too few fields",               // missing field
-    ] {
-        assert!(
-            Allowlist::parse(bad).is_err(),
-            "expected parse error for {bad:?}"
-        );
-    }
-}
-
-#[test]
-fn workspace_is_clean_under_the_committed_allowlist() {
+fn workspace_is_clean() {
     let root = find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")))
         .expect("workspace root above the lint crate");
-    let allow = Allowlist::parse(&read(&root.join("lint-allowlist.txt"))).unwrap();
     let report = check_workspace(&root).unwrap();
-    let (kept, _suppressed, stale) = allow.apply(report.diagnostics);
     assert!(
-        kept.is_empty(),
+        report.diagnostics.is_empty(),
         "the workspace must stay lint-clean:\n{}",
-        rendered(&kept)
+        rendered(&report.diagnostics)
     );
-    assert!(stale.is_empty(), "stale allowlist entries: {stale:?}");
 }

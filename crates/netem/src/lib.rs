@@ -26,6 +26,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "token buckets refill from, and sleep on, the wall clock: pacing real bytes is this crate's job"
+)]
 
 mod bucket;
 mod network;

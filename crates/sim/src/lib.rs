@@ -32,6 +32,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(clippy::iter_over_hash_type)]
 
 mod config;
 mod net;

@@ -8,8 +8,9 @@ cd "$(dirname "$0")/.."
 
 # No external crate, tests included: the committed lock file lists workspace
 # path crates only (a registry or git crate would carry a `source =` line),
-# and --locked below fails any manifest change that would alter it. ear-lint
-# L2 `ambient-rng` guards the source side of the same rule.
+# and --locked below fails any manifest change that would alter it. With no
+# `rand` crate there is no ambient RNG to reach for: every seeded draw comes
+# from ear_types::rng::ChaCha8.
 if grep -n '^source = ' Cargo.lock; then
   echo "check.sh: Cargo.lock names a crate from outside the workspace (above)" >&2
   exit 1
@@ -58,16 +59,29 @@ if grep -rn 'RetryBudgetExhausted { \.\. }' crates/cluster/src; then
   echo "check.sh: match the substrate's stops with Error::stops_the_op (above)" >&2
   exit 1
 fi
+# One linter per invariant (DESIGN.md §11): determinism, panic-freedom and
+# discard hygiene are clippy lints, and a suppression is an
+# `#[expect(lint, reason = "…")]` at its site, so ear-lint's copies of those
+# rules and its allowlist file stay deleted.
+for gone in crates/lint/src/rules/{determinism,panic_free,context,zero_copy}.rs \
+            crates/lint/tests/fixtures/{l2_determinism,l3_panic_free,l5_context,l6_zero_copy} \
+            crates/lint/src/allowlist.rs lint-allowlist.txt; do
+  if [ -e "$gone" ]; then
+    echo "check.sh: $gone is gone; the check lives in clippy (DESIGN.md §11)" >&2
+    exit 1
+  fi
+done
+moved='disallowed_methods|iter_over_hash_type|panic|unreachable|todo|unimplemented|indexing_slicing|let_underscore_must_use|unused_result_ok'
+if grep -rnE "#!?\[allow\([^]]*clippy::($moved)\b" --include='*.rs' src crates tests examples; then
+  echo "check.sh: suppress these lints with #[expect(lint, reason = \"…\")], not #[allow] (above)" >&2
+  exit 1
+fi
 cargo build --release --locked
-# Invariant lint first: lock-graph cycles, determinism hygiene, data-plane
-# panic-freedom, durability ordering, context/retry hygiene, zero-copy
-# (DESIGN.md §11, §16). Fails fast with file:line diagnostics; suppressions
-# live in lint-allowlist.txt.
+# ear-lint first: the two invariants clippy cannot see, lock-graph cycles
+# and durability ordering (DESIGN.md §11). Fails fast with file:line
+# diagnostics; neither family takes suppressions. `graph` must keep
+# printing the lock-acquisition graph as Graphviz DOT (CI uploads it).
 cargo run -q --locked -p ear-lint -- check
-# The machine-readable output and the derived lock graph must stay
-# well-formed: --json emits one parseable object per diagnostic, and graph
-# prints the workspace lock-acquisition graph as Graphviz DOT.
-cargo run -q --locked -p ear-lint -- check --json > /dev/null
 cargo run -q --locked -p ear-lint -- graph | grep -q '^digraph'
 # The whole workspace (the root manifest's `default-members`) once, as the
 # tier-1 line runs it: memory engine, default cache.
@@ -85,6 +99,10 @@ for store in memory extent; do
     EAR_STORE=$store EAR_CACHE=$cache cargo test -q --locked -p ear-cluster -p ear -p ear-cli
   done
 done
+# Clippy carries determinism (disallowed wall-clock reads and sleeps in
+# clippy.toml, no hash-ordered iteration in the seeded crates), data-plane
+# panic-freedom and discard hygiene (the data_plane! modules of
+# crates/cluster/src/lib.rs). An `#[expect]` that no longer fires fails here.
 cargo clippy --workspace --all-targets --locked -- -D warnings
 
 # Chaos smoke: a fixed-seed fault-injection sweep over both policies

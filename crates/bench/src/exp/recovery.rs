@@ -30,6 +30,40 @@ pub struct RecoveryPoint {
     pub fault_seed: Option<u64>,
 }
 
+/// An EAR cluster of `racks` × `nodes_per_rack` nodes with `stripes`
+/// stripes written and encoded.
+fn encoded_cluster(
+    ear: EarConfig,
+    racks: usize,
+    nodes_per_rack: usize,
+    stripes: usize,
+) -> Result<MiniCfs> {
+    let cfg = ClusterConfig {
+        racks,
+        nodes_per_rack,
+        block_size: ByteSize::kib(64),
+        node_bandwidth: Bandwidth::bytes_per_sec(512e6),
+        rack_bandwidth: Bandwidth::bytes_per_sec(512e6),
+        ear,
+        policy: ClusterPolicy::Ear,
+        seed: 30,
+        store: ear_types::StoreBackend::from_env(),
+        cache: ear_types::CacheConfig::from_env(),
+        durability: ear_types::DurabilityConfig::default(),
+        reliability: Default::default(),
+    };
+    let cfs = MiniCfs::new(cfg)?;
+    let nodes = cfs.topology().num_nodes() as u64;
+    let mut i = 0u64;
+    while cfs.namenode().pending_stripe_count() < stripes {
+        let data = cfs.make_block(i);
+        cfs.write_block(NodeId((i % nodes) as u32), data)?;
+        i += 1;
+    }
+    RaidNode::encode_all(&cfs, 6)?;
+    Ok(cfs)
+}
+
 /// Measures recovery traffic for one `(params, c, target_racks)` point.
 ///
 /// # Errors
@@ -45,30 +79,7 @@ pub fn measure(
     if let Some(r) = target_racks {
         ear = ear.with_target_racks(r)?;
     }
-    let cfg = ClusterConfig {
-        racks: 6,
-        nodes_per_rack: 6,
-        block_size: ByteSize::kib(64),
-        node_bandwidth: Bandwidth::bytes_per_sec(512e6),
-        rack_bandwidth: Bandwidth::bytes_per_sec(512e6),
-        ear,
-        policy: ClusterPolicy::Ear,
-        seed: 30,
-        store: ear_types::StoreBackend::from_env(),
-        cache: ear_types::CacheConfig::from_env(),
-        durability: ear_types::DurabilityConfig::default(),
-        reliability: Default::default(),
-    };
-    let cfs = MiniCfs::new(cfg)?;
-    let stripes = scale.pick(4, 30);
-    let nodes = cfs.topology().num_nodes() as u64;
-    let mut i = 0u64;
-    while cfs.namenode().pending_stripe_count() < stripes {
-        let data = cfs.make_block(i);
-        cfs.write_block(NodeId((i % nodes) as u32), data)?;
-        i += 1;
-    }
-    RaidNode::encode_all(&cfs, 6)?;
+    let cfs = encoded_cluster(ear, 6, 6, scale.pick(4, 30))?;
 
     let (mut cross, mut total) = (0usize, 0usize);
     let mut fault_seed = cfs.fault_seed();
@@ -137,14 +148,18 @@ pub fn run(scale: Scale) -> String {
          more cross-rack recovery traffic); c = n - k with two target racks keeps\n\
          recovery almost entirely intra-rack at the cost of single-rack tolerance.\n\
          Repair folds every remote rack's chosen sources into one partial and\n\
-         streams it down one chain of those racks (DESIGN.md 15). With (6,3) and\n\
-         recovery sited in the densest surviving rack, remote racks contribute\n\
-         at most one chosen source each (k < c + 2 for every c here), so the\n\
-         chain moves the blocks a gather would — the section below uses a code\n\
-         where a rack saves one.\n",
+         streams it down one chain of those racks (DESIGN.md 15). With (6,3),\n\
+         decoding in the densest surviving rack leaves every remote rack at\n\
+         most one chosen source (k < c + 2 for every c here), so the chain moves\n\
+         the blocks a gather would; where that rack is full, decoding beside a\n\
+         lone chosen source in a rack with room folds the dense rack instead and\n\
+         saves the upload (c = 2). The section below uses a code where a rack\n\
+         saves one.\n",
     );
     out.push('\n');
     out.push_str(&fold_section(scale));
+    out.push('\n');
+    out.push_str(&balance_section(scale));
     out.push('\n');
     out.push_str(&heal_section(scale));
     out
@@ -175,6 +190,37 @@ fn fold_section(scale: Scale) -> String {
          (The fraction also counts the victims' replicated blocks, re-copied\n\
          from one source each, and stripes an earlier repair already moved off\n\
          their three racks.)\n",
+        t.render()
+    )
+}
+
+/// The rack-balanced repair measurement (DESIGN.md §8): the paper's testbed
+/// shape — (10,8) at c = 1 over 12 racks of one node — loses one node, and
+/// the repair planner spreads the rebuilds' chains over the surviving links
+/// before any byte moves.
+fn balance_section(scale: Scale) -> String {
+    let params = ErasureParams::new(10, 8).expect("params");
+    let ear = EarConfig::new(params, ReplicationConfig::two_way(), 1).expect("(10,8) at c = 1");
+    let cfs = encoded_cluster(ear, 12, 1, scale.pick(64, 125)).expect("testbed cluster");
+    let stats = recover_node(&cfs, NodeId(0)).expect("recovery");
+    let mut t = Table::new(&["blocks repaired", "link", "max legs", "mean legs", "max/mean"]);
+    for (link, legs) in [("up", stats.up_links), ("down", stats.down_links)] {
+        t.row_owned(vec![
+            stats.blocks_recovered.to_string(),
+            link.into(),
+            legs.max.to_string(),
+            format!("{:.1}", legs.mean),
+            format!("{:.2}", legs.ratio()),
+        ]);
+    }
+    format!(
+        "Rack-balanced repair (DESIGN.md 8): (10,8) erasure coding, c = 1,\n\
+         12 racks x 1 node, 2-way replication, node 0 fails\n\n{}\n\
+         Every rebuild is planned before any byte moves: a recovery node whose\n\
+         fold crosses racks as few times as any, the k survivors with the\n\
+         least-loaded up-links, the most-received aggregator at the head of the\n\
+         chain. Legs are the block-sized transfers the plan puts on each node's\n\
+         up-link and down-link; the mean is over the nodes given any.\n",
         t.render()
     )
 }
@@ -267,6 +313,18 @@ mod tests {
             "a folded rack must beat two whole shards: {}",
             p.cross_rack_fraction
         );
+    }
+
+    #[test]
+    fn a_lost_testbed_node_spreads_its_rebuilds_over_the_links() {
+        let out = balance_section(Scale::Quick);
+        let ratios: Vec<f64> = out
+            .lines()
+            .filter(|line| line.contains(" up ") || line.contains(" down "))
+            .filter_map(|line| line.split_whitespace().last()?.parse().ok())
+            .collect();
+        assert_eq!(ratios.len(), 2, "{out}");
+        assert!(ratios.iter().all(|&r| (1.0..=1.10).contains(&r)), "{out}");
     }
 
     #[test]

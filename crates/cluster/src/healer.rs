@@ -202,13 +202,14 @@ impl<'a> Healer<'a> {
         report.outstanding += tracker.len();
 
         // Sources may include Suspect nodes (the data path can still reach
-        // them); destinations must be trusted and not known to corrupt the
-        // block.
+        // them); destinations and recovery nodes must be trusted and not
+        // known to corrupt the block.
         let view = RepairView {
             health: &snapshot,
             known_bad: &self.known_bad,
         };
-        for outcome in run_repairs(self.cfs, &planned, &view, Some(ROUND_DEADLINE_TICKS)) {
+        let (outcomes, _) = run_repairs(self.cfs, &planned, &view, Some(ROUND_DEADLINE_TICKS));
+        for outcome in outcomes {
             match outcome {
                 Ok(repair) => {
                     if repair.reconstructed {

@@ -11,7 +11,7 @@ use ear_cluster::{
     plan_repairs, recover_node, run_plan, scan, ChaosConfig, ClusterConfig, ClusterPolicy, MiniCfs,
     RaidNode,
 };
-use ear_core::ChainPlan;
+use ear_core::{ChainPlan, Rebuild, RepairPlanner, StripeSpread, Survivor};
 use ear_faults::{FaultConfig, FaultPlan};
 use ear_types::prop::{check, range};
 use ear_types::rng::ChaCha8;
@@ -164,54 +164,70 @@ fn folded_traffic(
     per_rack.values().map(|&s| s.min(rows)).sum()
 }
 
-/// What repairing one lost stripe member should cost across racks, derived
-/// from the placement alone by the planner's published rule (DESIGN.md
-/// §15): recover in the rack with the most reachable survivors (ties to the
-/// lowest rack id), take sources from that rack first and then from remote
-/// racks densest-first, and stop at `k`. Returns the [`folded_traffic`] of
-/// the chosen `k` as `(one row, read whole)` — one partial or lone shard per
-/// remote rack is what the fold ships, one block per remote source is what
-/// reading every shard whole would — or `None` with fewer than `k`
-/// reachable survivors.
+/// What repairing one lost stripe member costs across racks. The recovery
+/// rack and the chosen `k` come from the planner `recover_node` consults,
+/// fed the same rebuilds in the same order (block order) under the same
+/// view: survivors at their first live holder, the spread of every member's
+/// first location once the victim's are retired, and any live node trusted.
+/// Returns `(folded, shipped, whole, densest)`: the [`folded_traffic`] of the
+/// chosen `k` at one row — one partial or lone shard per remote rack — and
+/// whether the rebuilt block then crosses racks to its sink; what reading
+/// every chosen shard whole would cost; and what the densest-rack rule
+/// (recover in the rack with the most survivors, ties to the lowest rack id,
+/// sources from there and then densest remote racks first, ship the block
+/// out unless a node there may keep it) would cost in all. `None` with fewer
+/// than `k` reachable survivors.
 fn planned_repair_traffic(
     cfs: &MiniCfs,
-    members: &[BlockId],
-    lost: BlockId,
+    planner: &mut RepairPlanner<'_>,
+    (members, lost): (&[BlockId], BlockId),
+    victim: NodeId,
     live: &dyn Fn(NodeId) -> bool,
-) -> Option<(usize, usize)> {
+) -> Option<(usize, usize, usize, usize)> {
     let topo = cfs.topology();
     let k = cfs.codec().params().k();
-    let mut sources: Vec<(usize, NodeId)> = members
-        .iter()
-        .enumerate()
-        .filter(|&(_, &m)| m != lost)
-        .filter_map(|(idx, &m)| {
-            let holder = cfs
-                .namenode()
-                .locations(m)?
-                .into_iter()
-                .find(|&h| live(h))?;
-            Some((idx, holder))
-        })
-        .collect();
-    if sources.len() < k {
+    let mut survivors: Vec<Survivor> = Vec::new();
+    let mut placed: Vec<NodeId> = Vec::new();
+    let mut stripe = None;
+    for (index, &block) in members.iter().enumerate() {
+        let locations = cfs.namenode().locations(block).expect("member located");
+        let kept: Vec<NodeId> = locations.into_iter().filter(|&h| h != victim).collect();
+        placed.extend(kept.first());
+        if block == lost {
+            stripe = cfs.namenode().stripe_of(block).map(|es| es.id);
+        } else if let Some(&holder) = kept.iter().find(|&&h| live(h)) {
+            survivors.push(Survivor { index, block, holder });
+        }
+    }
+    let rebuild = Rebuild { stripe: stripe.expect("a stripe member"), survivors, placed };
+    let site = planner.site(&rebuild, live, |_| false).expect("a node may keep the block");
+    if rebuild.survivors.len() < k {
         return None;
     }
+    let chosen: Vec<Vec<NodeId>> = site.sources[..k].iter().map(|s| vec![s.holder]).collect();
+    let at_rack = topo.rack_of(site.at);
+    let shipped = usize::from(topo.rack_of(site.sink) != at_rack);
+
     let mut per_rack: BTreeMap<RackId, usize> = BTreeMap::new();
-    for &(_, h) in &sources {
-        *per_rack.entry(topo.rack_of(h)).or_insert(0) += 1;
+    for s in &rebuild.survivors {
+        *per_rack.entry(topo.rack_of(s.holder)).or_insert(0) += 1;
     }
     let (&home, _) = per_rack
         .iter()
         .max_by_key(|&(&r, &count)| (count, std::cmp::Reverse(r)))?;
-    sources.sort_by_key(|&(idx, h)| {
-        let r = topo.rack_of(h);
-        (r != home, std::cmp::Reverse(per_rack[&r]), r, idx)
+    let mut densest = rebuild.survivors.clone();
+    densest.sort_by_key(|s| {
+        let r = topo.rack_of(s.holder);
+        (r != home, std::cmp::Reverse(per_rack[&r]), r, s.index)
     });
-    let chosen: Vec<Vec<NodeId>> = sources[..k].iter().map(|&(_, h)| vec![h]).collect();
+    let densest: Vec<Vec<NodeId>> = densest[..k].iter().map(|s| vec![s.holder]).collect();
+    let spread = StripeSpread::of(topo, cfs.config().ear.c(), rebuild.placed.iter().copied());
+    let keeps = topo.nodes_in_rack(home).iter().any(|&nd| spread.admits(nd) && live(nd));
     Some((
-        folded_traffic(topo, home, &chosen, 1),
-        folded_traffic(topo, home, &chosen, usize::MAX),
+        folded_traffic(topo, at_rack, &chosen, 1),
+        shipped,
+        folded_traffic(topo, at_rack, &chosen, usize::MAX),
+        folded_traffic(topo, home, &densest, 1) + usize::from(!keeps),
     ))
 }
 
@@ -289,7 +305,8 @@ fn chain_encode_matches_codec_reference_at_the_folded_traffic_count() {
 /// written, and pays exactly one cross-rack transfer per remote rack
 /// among each rebuild's chosen sources (see
 /// [`planned_repair_traffic`]) — never more than the one per remote
-/// source that reading every shard whole would cost.
+/// source that reading every shard whole would cost — and, uploads
+/// included, never more than the densest-rack rule would.
 #[test]
 fn repair_rebuilds_written_bytes_at_one_transfer_per_remote_rack() {
     check("repair_rebuilds_written_bytes", 24, |rng| {
@@ -357,9 +374,11 @@ fn repair_rebuilds_written_bytes_at_one_transfer_per_remote_rack() {
             // What the victim holds, from metadata: replicated blocks (other
             // copies listed) are re-copied, stripe members are rebuilt.
             let mut replicated: Vec<(BlockId, Vec<NodeId>)> = Vec::new();
-            let mut fold_cross = 0usize;
-            let mut whole_cross = 0usize;
+            let (mut fold_cross, mut upload_cross) = (0usize, 0usize);
+            let (mut whole_cross, mut densest_cross) = (0usize, 0usize);
             let mut beyond_tolerance = false;
+            let k = cfs.codec().params().k();
+            let mut planner = RepairPlanner::new(cfs.topology(), cfs.config().ear.c(), k);
             for b in (0..cfs.namenode().block_count()).map(BlockId) {
                 let locs = cfs.namenode().locations(b).expect("allocated block");
                 if !locs.contains(&victim) {
@@ -377,15 +396,18 @@ fn repair_rebuilds_written_bytes_at_one_transfer_per_remote_rack() {
                     .expect("single-copy block belongs to a stripe");
                 let members: Vec<BlockId> =
                     es.data.iter().chain(es.parity.iter()).copied().collect();
-                match planned_repair_traffic(&cfs, &members, b, &live) {
-                    Some((racks, sources)) => {
+                match planned_repair_traffic(&cfs, &mut planner, (&members, b), victim, &live) {
+                    Some((racks, shipped, sources, densest)) => {
                         fold_cross += racks;
+                        upload_cross += shipped;
                         whole_cross += sources;
+                        densest_cross += densest;
                     }
                     None => beyond_tolerance = true,
                 }
             }
             assert!(fold_cross <= whole_cross);
+            assert!(fold_cross + upload_cross <= densest_cross);
 
             match recover_node(&cfs, victim) {
                 Ok(stats) => {
@@ -404,6 +426,7 @@ fn repair_rebuilds_written_bytes_at_one_transfer_per_remote_rack() {
                         })
                         .count();
                     assert_eq!(stats.cross_rack_downloads, fold_cross + copy_cross);
+                    assert_eq!(stats.cross_rack_uploads, upload_cross);
                     for es in &encoded {
                         for &blk in &es.data {
                             let locs = cfs.namenode().locations(blk).expect("located");

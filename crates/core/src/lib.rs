@@ -45,6 +45,7 @@ mod ear;
 mod encode;
 mod layout;
 mod policy;
+mod repair;
 mod rr;
 pub mod sample;
 
@@ -54,4 +55,5 @@ pub use layout::{
     BlockLayout, ChainHop, ChainPlan, EncodePlan, SpreadViolations, StripePlan, StripeSpread,
 };
 pub use policy::{PlacedBlock, PlacementPolicy, RandomReplicationPolicy};
+pub use repair::{LinkBalance, Rebuild, RepairPlanner, RepairSite, Survivor};
 pub use rr::RandomReplication;

@@ -59,6 +59,13 @@ if grep -rn 'RetryBudgetExhausted { \.\. }' crates/cluster/src; then
   echo "check.sh: match the substrate's stops with Error::stops_the_op (above)" >&2
   exit 1
 fi
+# One repair planner (DESIGN.md §8): every rebuild's site comes from
+# ear_core::RepairPlanner, fed the whole task list before the drain, so the
+# per-task site draw and its densest-rack helpers stay deleted.
+if grep -rnE 'plan_repair_site|free_in_best|best_rack' crates/cluster/src; then
+  echo "check.sh: rebuild sites come from ear_core::RepairPlanner (above)" >&2
+  exit 1
+fi
 # One linter per invariant (DESIGN.md §11): determinism, panic-freedom and
 # discard hygiene are clippy lints, and a suppression is an
 # `#[expect(lint, reason = "…")]` at its site, so ear-lint's copies of those

@@ -1,12 +1,22 @@
 //! CRC32C (Castagnoli) checksums, the integrity check HDFS uses for its
 //! on-disk blocks and the one every store, WAL frame and extent header in
-//! this workspace carries. Two tiers compute the same function:
+//! this workspace carries. Three tiers compute the same function:
 //!
+//! * **`vpclmulqdq`** (x86-64 with AVX-512F and VPCLMULQDQ): carry-less
+//!   multiply folding, 256 bytes a step in four 512-bit accumulators, with
+//!   the next 4 KiB prefetched, reduced to 128 bits and finished by two
+//!   `crc32` instructions. Inputs under 512 bytes and the tail after the
+//!   last full step go to the `sse4.2` loop;
 //! * **`sse4.2`** (x86-64 with SSE4.2): the `crc32` instruction, three
 //!   1 KiB lanes in flight at once to cover its 3-cycle latency, recombined
-//!   through a precomputed "append one lane of zero bytes" table;
+//!   through a precomputed "append one lane of zero bytes" table, each lane
+//!   prefetched 4 KiB ahead;
 //! * **`slicing8`** (everywhere else): slicing-by-8 over eight compile-time
 //!   tables, 8 bytes per iteration.
+//!
+//! A block that misses every cache is bound by how many loads are in
+//! flight, not by the hash: the fold and the prefetch keep memory busy
+//! where one `crc32` chain per lane cannot.
 //!
 //! [`crc32c`] picks the tier per call from the CPU it runs on (std caches
 //! the probe); [`tier`] reports which. Nothing selects a tier by hand.
@@ -54,14 +64,19 @@ pub fn crc32c(data: &[u8]) -> u32 {
     #[cfg(test)]
     tests::HASHES.with(|n| n.set(n.get() + 1));
     #[cfg(target_arch = "x86_64")]
-    if let Some(crc) = sse42(data) {
+    if let Some(crc) = fold512(data).or_else(|| sse42(data)) {
         return crc;
     }
     slicing8(data)
 }
 
-/// The tier [`crc32c`] runs on this CPU: `"sse4.2"` or `"slicing8"`.
+/// The tier [`crc32c`] runs on this CPU: `"vpclmulqdq"`, `"sse4.2"` or
+/// `"slicing8"`.
 pub fn tier() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if has_fold512() {
+        return "vpclmulqdq";
+    }
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("sse4.2") {
         return "sse4.2";
@@ -103,15 +118,53 @@ fn sse42(data: &[u8]) -> Option<u32> {
     Some(unsafe { x86::crc32c(data) })
 }
 
+/// Whether this CPU runs the folding tier. SSE4.2 and PCLMULQDQ come with
+/// every AVX-512 CPU; the probe asks anyway, since the tier uses both.
+#[cfg(target_arch = "x86_64")]
+fn has_fold512() -> bool {
+    std::arch::is_x86_feature_detected!("avx512f")
+        && std::arch::is_x86_feature_detected!("vpclmulqdq")
+        && std::arch::is_x86_feature_detected!("pclmulqdq")
+        && std::arch::is_x86_feature_detected!("sse4.2")
+}
+
+/// The VPCLMULQDQ tier, or `None` on a CPU without it.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+fn fold512(data: &[u8]) -> Option<u32> {
+    if !has_fold512() {
+        return None;
+    }
+    // SAFETY: `x86::crc32c_fold` is a safe function whose only requirement
+    // on its caller is the four target features `has_fold512` just found
+    // on this CPU.
+    Some(unsafe { x86::crc32c_fold(data) })
+}
+
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::TABLES;
-    use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
+    use std::arch::x86_64::{
+        __m512i, _mm512_broadcast_i32x4, _mm512_clmulepi64_epi128, _mm512_extracti32x4_epi32,
+        _mm512_loadu_si512, _mm512_maskz_set1_epi32, _mm512_set_epi64, _mm512_ternarylogic_epi64,
+        _mm512_xor_si512, _mm_crc32_u64, _mm_crc32_u8, _mm_cvtsi128_si64, _mm_extract_epi64,
+        _mm_prefetch, _mm_set_epi64x, _mm_xor_si128, _MM_HINT_T0,
+    };
 
     /// Bytes per interleaved lane. Three lanes make one 3 KiB round, so a
     /// 64 KiB block leaves 1 KiB to the single-lane tail, and the two
     /// table shifts per round cost a few percent of its 384 `crc32`s.
     pub(super) const LANE: usize = 1024;
+
+    /// How far ahead of the bytes being hashed both loops prefetch: about
+    /// a DRAM latency's worth of bytes at memory bandwidth.
+    pub(super) const PREFETCH: usize = 4096;
+
+    /// Bytes one fold step consumes: four 512-bit accumulators.
+    pub(super) const STEP: usize = 256;
+
+    /// The smallest input the fold takes: one step loaded, one folded in.
+    pub(super) const FOLD_MIN: usize = 2 * STEP;
 
     /// `SHIFT[j][b]` is byte `j` of a raw CRC register holding `b`, after
     /// `LANE` zero bytes have been fed in: XOR-ing the four lookups of a
@@ -152,6 +205,47 @@ mod x86 {
         shift
     }
 
+    /// `x^n` mod the polynomial, bit-reflected like the CRC register (the
+    /// register `1 << 31` is the polynomial 1): `n / 8` zero bytes through
+    /// `TABLES[0]`, then the last `n % 8` zero bits one at a time.
+    const fn x_pow(n: usize) -> u32 {
+        let mut crc = 1u32 << 31;
+        let mut i = 0;
+        while i < n / 8 {
+            crc = (crc >> 8) ^ TABLES[0][(crc & 0xff) as usize];
+            i += 1;
+        }
+        let mut bit = 0;
+        while bit < n % 8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ super::POLY
+            } else {
+                crc >> 1
+            };
+            bit += 1;
+        }
+        crc
+    }
+
+    /// The multiplier pair that moves a 128-bit accumulator `bytes` further
+    /// down the message. Its low qword holds the first 8 bytes, the
+    /// polynomial's `x^64..x^127` terms, so it is carried by
+    /// `x^(8·bytes + 64)`; its high qword by `x^(8·bytes)`. A reflected
+    /// carry-less multiply by a 32-bit constant adds `x^33` (one for the
+    /// reflection, 32 for the constant sitting in the qword's low half), so
+    /// the pair is `[x^(8·bytes + 31), x^(8·bytes − 33)]` mod P.
+    pub(super) const fn fold_by(bytes: usize) -> [u64; 2] {
+        [x_pow(8 * bytes + 31) as u64, x_pow(8 * bytes - 33) as u64]
+    }
+
+    /// The five fold distances: a whole step, a 512-bit accumulator into
+    /// the next, and the last three 128-bit lanes of one into its fourth.
+    pub(super) const K256: [u64; 2] = fold_by(STEP);
+    pub(super) const K64: [u64; 2] = fold_by(64);
+    pub(super) const K48: [u64; 2] = fold_by(48);
+    pub(super) const K32: [u64; 2] = fold_by(32);
+    pub(super) const K16: [u64; 2] = fold_by(16);
+
     /// The raw register `crc` after `LANE` more zero bytes.
     #[inline]
     fn shift_lane(crc: u64) -> u64 {
@@ -171,25 +265,60 @@ mod x86 {
         u64::from_le_bytes(w)
     }
 
+    /// Asks for the cache line holding `data[at]`, when `at` is inside
+    /// `data`: neither loop prefetches past the end of its slice.
+    #[inline]
+    #[target_feature(enable = "sse")]
+    #[allow(
+        unsafe_code,
+        unused_unsafe,
+        reason = "`_mm_prefetch` takes a pointer, and not every toolchain from \
+                  the declared rust-version on marks it safe to call"
+    )]
+    fn prefetch(data: &[u8], at: usize) {
+        if let Some(byte) = data.get(at) {
+            // SAFETY: a prefetch is a hint that reads nothing and never
+            // faults; the pointer is to a live byte of `data` regardless.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(std::ptr::from_ref(byte).cast()) };
+        }
+    }
+
     /// CRC32C of `data` on the `crc32` instruction.
     #[target_feature(enable = "sse4.2")]
     pub(super) fn crc32c(data: &[u8]) -> u32 {
-        let mut crc = u64::from(!0u32);
+        !update(!0, data)
+    }
+
+    /// The raw register `crc` after `data`, on the `crc32` instruction.
+    #[target_feature(enable = "sse4.2")]
+    fn update(crc: u32, data: &[u8]) -> u32 {
+        let mut crc = u64::from(crc);
         let mut rounds = data.chunks_exact(3 * LANE);
-        for round in &mut rounds {
+        for (r, round) in (&mut rounds).enumerate() {
             // Lanes b and c start from a zero register, so by linearity
             // crc(a|b|c) = shift(shift(crc_a) ^ crc_b) ^ crc_c.
             let (a, rest) = round.split_at(LANE);
             let (b, c) = rest.split_at(LANE);
             let (mut crc_b, mut crc_c) = (0u64, 0u64);
-            for ((wa, wb), wc) in a
-                .chunks_exact(8)
-                .zip(b.chunks_exact(8))
-                .zip(c.chunks_exact(8))
+            let ahead = r * 3 * LANE + PREFETCH;
+            for (line, ((la, lb), lc)) in a
+                .chunks_exact(64)
+                .zip(b.chunks_exact(64))
+                .zip(c.chunks_exact(64))
+                .enumerate()
             {
-                crc = _mm_crc32_u64(crc, word(wa));
-                crc_b = _mm_crc32_u64(crc_b, word(wb));
-                crc_c = _mm_crc32_u64(crc_c, word(wc));
+                for lane in 0..3 {
+                    prefetch(data, ahead + lane * LANE + 64 * line);
+                }
+                for ((wa, wb), wc) in la
+                    .chunks_exact(8)
+                    .zip(lb.chunks_exact(8))
+                    .zip(lc.chunks_exact(8))
+                {
+                    crc = _mm_crc32_u64(crc, word(wa));
+                    crc_b = _mm_crc32_u64(crc_b, word(wb));
+                    crc_c = _mm_crc32_u64(crc_c, word(wc));
+                }
             }
             crc = shift_lane(shift_lane(crc) ^ crc_b) ^ crc_c;
         }
@@ -201,7 +330,100 @@ mod x86 {
         for &b in words.remainder() {
             crc = _mm_crc32_u8(crc, b);
         }
-        !crc
+        crc
+    }
+
+    /// One step's four 512-bit accumulators' worth of bytes.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    #[allow(unsafe_code)]
+    fn load(step: &[u8; STEP]) -> [__m512i; 4] {
+        let at = |i: usize| step[64 * i..].as_ptr().cast::<__m512i>();
+        // SAFETY: each load reads 64 bytes starting 64·i bytes into a
+        // `STEP` = 256-byte array, i < 4, so every read is in bounds;
+        // `loadu` has no alignment requirement.
+        unsafe {
+            [
+                _mm512_loadu_si512(at(0)),
+                _mm512_loadu_si512(at(1)),
+                _mm512_loadu_si512(at(2)),
+                _mm512_loadu_si512(at(3)),
+            ]
+        }
+    }
+
+    /// The 128-bit lanes of `x` moved forward by the distance `k` was built
+    /// for, XORed into `next`.
+    #[inline]
+    #[target_feature(enable = "avx512f,vpclmulqdq")]
+    fn fold(x: __m512i, k: __m512i, next: __m512i) -> __m512i {
+        _mm512_ternarylogic_epi64::<0x96>(
+            _mm512_clmulepi64_epi128::<0x00>(x, k),
+            _mm512_clmulepi64_epi128::<0x11>(x, k),
+            next,
+        )
+    }
+
+    /// A multiplier pair in every 128-bit lane.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn splat(k: [u64; 2]) -> __m512i {
+        _mm512_broadcast_i32x4(_mm_set_epi64x(k[1] as i64, k[0] as i64))
+    }
+
+    /// CRC32C of `data`, folding 256 bytes a step.
+    #[target_feature(enable = "avx512f,vpclmulqdq,pclmulqdq,sse4.2")]
+    pub(super) fn crc32c_fold(data: &[u8]) -> u32 {
+        if data.len() < FOLD_MIN {
+            return !update(!0, data);
+        }
+        let (steps, tail) = data.as_chunks::<STEP>();
+        let mut acc = load(&steps[0]);
+        // The register's initial !0 is the same as XOR-ing it into the
+        // first four bytes and starting from zero, which the fold does.
+        acc[0] = _mm512_xor_si512(acc[0], _mm512_maskz_set1_epi32(1, !0));
+        let k256 = splat(K256);
+        for (s, step) in steps.iter().enumerate().skip(1) {
+            for line in 0..STEP / 64 {
+                prefetch(data, s * STEP + PREFETCH + 64 * line);
+            }
+            let next = load(step);
+            for (a, n) in acc.iter_mut().zip(next) {
+                *a = fold(*a, k256, n);
+            }
+        }
+        // Four accumulators into one, then its lanes 0, 1 and 2 on to lane
+        // 3, which joins the XOR as it is (its multiplier lane is zero).
+        let k64 = splat(K64);
+        let x = fold(fold(fold(acc[0], k64, acc[1]), k64, acc[2]), k64, acc[3]);
+        let k = _mm512_set_epi64(
+            0,
+            0,
+            K16[1] as i64,
+            K16[0] as i64,
+            K32[1] as i64,
+            K32[0] as i64,
+            K48[1] as i64,
+            K48[0] as i64,
+        );
+        let y = _mm512_xor_si512(
+            _mm512_clmulepi64_epi128::<0x00>(x, k),
+            _mm512_clmulepi64_epi128::<0x11>(x, k),
+        );
+        let r = _mm_xor_si128(
+            _mm_xor_si128(
+                _mm512_extracti32x4_epi32::<0>(y),
+                _mm512_extracti32x4_epi32::<1>(y),
+            ),
+            _mm_xor_si128(
+                _mm512_extracti32x4_epi32::<2>(y),
+                _mm512_extracti32x4_epi32::<3>(x),
+            ),
+        );
+        // The 16 folded bytes from a zero register, then the tail.
+        let crc = _mm_crc32_u64(0, _mm_cvtsi128_si64(r) as u64);
+        let crc = _mm_crc32_u64(crc, _mm_extract_epi64::<1>(r) as u64);
+        !update(crc as u32, tail)
     }
 }
 
@@ -218,15 +440,22 @@ pub(crate) mod tests {
 
     type Tier = (&'static str, fn(&[u8]) -> u32);
 
-    /// Every tier this CPU can run, called directly (not through
-    /// [`crc32c`]'s dispatch).
+    /// Every tier this CPU can run, slowest first, called directly (not
+    /// through [`crc32c`]'s dispatch). A CPU without AVX-512 has no
+    /// `vpclmulqdq` entry, so the tests below skip that tier there.
     fn tiers() -> Vec<Tier> {
+        #[cfg_attr(not(target_arch = "x86_64"), expect(unused_mut))]
+        let mut tiers: Vec<Tier> = vec![("slicing8", slicing8)];
         #[cfg(target_arch = "x86_64")]
-        if sse42(b"").is_some() {
-            let fast = |data: &[u8]| sse42(data).expect("probed above");
-            return vec![("slicing8", slicing8), ("sse4.2", fast)];
+        {
+            if sse42(b"").is_some() {
+                tiers.push(("sse4.2", |data| sse42(data).expect("probed above")));
+            }
+            if fold512(b"").is_some() {
+                tiers.push(("vpclmulqdq", |data| fold512(data).expect("probed above")));
+            }
         }
-        vec![("slicing8", slicing8)]
+        tiers
     }
 
     fn bytewise(data: &[u8]) -> u32 {
@@ -237,7 +466,18 @@ pub(crate) mod tests {
         !crc
     }
 
-    /// RFC 3720 (iSCSI) B.4 test vectors.
+    /// 4 KiB + 13 bytes: sixteen fold steps and a tail, on every tier that
+    /// folds. [`LONG_CRC`] pins its checksum by value.
+    fn long_vector() -> Vec<u8> {
+        (0..4096 + 13u32)
+            .map(|i| (i.wrapping_mul(31) >> 3) as u8)
+            .collect()
+    }
+
+    /// `bytewise(&long_vector())`, which `known_vectors` re-derives.
+    const LONG_CRC: u32 = 0x58c0_9364;
+
+    /// RFC 3720 (iSCSI) B.4 test vectors, and one long known answer.
     fn assert_rfc3720(name: &str, crc: fn(&[u8]) -> u32) {
         let ascending: Vec<u8> = (0u8..32).collect();
         let descending: Vec<u8> = (0u8..32).rev().collect();
@@ -254,6 +494,7 @@ pub(crate) mod tests {
         assert_eq!(crc(&descending), 0x113f_db5c, "{name}");
         assert_eq!(crc(&iscsi_read), 0xd996_3a56, "{name}");
         assert_eq!(crc(b""), 0, "{name}");
+        assert_eq!(crc(&long_vector()), LONG_CRC, "{name}");
     }
 
     // The next three call the portable tier directly: they are what CI's
@@ -261,6 +502,7 @@ pub(crate) mod tests {
     #[test]
     fn known_vectors() {
         assert_rfc3720("slicing8", slicing8);
+        assert_eq!(bytewise(&long_vector()), LONG_CRC);
     }
 
     #[test]
@@ -303,46 +545,101 @@ pub(crate) mod tests {
         );
     }
 
-    #[cfg(target_arch = "x86_64")]
+    /// Every tier after the portable one against `slicing8`, on `buf`'s
+    /// `len` bytes from each of `starts`.
+    fn assert_tiers_agree(buf: &[u8], lens: impl IntoIterator<Item = usize>, starts: &[usize]) {
+        let tiers = tiers();
+        for len in lens {
+            for &start in starts {
+                let data = &buf[start..start + len];
+                let want = slicing8(data);
+                for &(name, crc) in &tiers[1..] {
+                    assert_eq!(crc(data), want, "{name} start {start} len {len}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn tiers_agree_on_random_lengths_offsets_and_content() {
-        let Some(&(_, fast)) = tiers().get(1) else {
-            return; // no SSE4.2 on this CPU: one tier, nothing to compare
-        };
         use crate::prop;
-        let max = 3 * x86::LANE as u64 + 17;
         prop::check(
             "tiers_agree_on_random_lengths_offsets_and_content",
             512,
             |rng| {
-                let start = prop::range(rng, 0..=7) as usize;
-                let len = prop::range(rng, 0..=max) as usize;
+                let start = prop::range(rng, 0..=63) as usize;
+                let len = prop::range(rng, 0..=20 * 1024) as usize;
                 let buf: Vec<u8> = (0..start + len).map(|_| rng.next_u32() as u8).collect();
-                let data = &buf[start..];
-                assert_eq!(fast(data), slicing8(data), "start {start} len {len}");
+                assert_tiers_agree(&buf, [len], &[start]);
             },
         );
+    }
+
+    /// Bytes with no short period, so a misplaced lane or step shows.
+    fn patterned(len: usize) -> Vec<u8> {
+        (0..len as u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect()
     }
 
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn tiers_agree_across_every_lane_boundary() {
-        let Some(&(_, fast)) = tiers().get(1) else {
-            return;
-        };
         let lane = x86::LANE;
-        let buf: Vec<u8> = (0..7 * lane as u32 + 64)
-            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
-            .collect();
+        let buf = patterned(7 * lane + 64);
         // One to six lanes (zero, one and two full rounds, with one- and
         // two-lane tails), each boundary straddled byte by byte.
         for lanes in 1..=6 {
-            for len in lanes * lane - 9..=lanes * lane + 9 {
-                for start in [0, 3] {
-                    let data = &buf[start..start + len];
-                    assert_eq!(fast(data), slicing8(data), "start {start} len {len}");
-                }
-            }
+            assert_tiers_agree(&buf, lanes * lane - 9..=lanes * lane + 9, &[0, 3]);
         }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn tiers_agree_across_every_fold_and_prefetch_boundary() {
+        use x86::{FOLD_MIN, PREFETCH, STEP};
+        let buf = patterned(512 * 1024 + 13 + 5);
+        // The fold's entry size straddled byte by byte, then every whole
+        // number of steps to 8 KiB and a byte either side.
+        assert_tiers_agree(&buf, FOLD_MIN - 9..=FOLD_MIN + 9, &[0, 5]);
+        let steps = (1..=8 * 1024 / STEP).flat_map(|s| [s * STEP - 1, s * STEP, s * STEP + 1]);
+        assert_tiers_agree(&buf, steps, &[0, 5]);
+        // The prefetch distance, then blocks the size the stores hold.
+        assert_tiers_agree(&buf, PREFETCH - 9..=PREFETCH + 9, &[0, 5]);
+        assert_tiers_agree(&buf, [64 * 1024, 256 * 1024, 512 * 1024 + 13], &[0, 5]);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn fold_multipliers_are_powers_of_x_mod_p() {
+        // The register 1 << 31 is the polynomial 1; one right shift, with
+        // the reduction when a bit falls off, multiplies it by x.
+        let shifted = |bits: usize| {
+            let mut crc = 1u32 << 31;
+            for _ in 0..bits {
+                crc = if crc & 1 != 0 {
+                    (crc >> 1) ^ POLY
+                } else {
+                    crc >> 1
+                };
+            }
+            u64::from(crc)
+        };
+        let folds = [
+            (16, x86::K16),
+            (32, x86::K32),
+            (48, x86::K48),
+            (64, x86::K64),
+            (256, x86::K256),
+        ];
+        for (bytes, k) in folds {
+            assert_eq!(
+                k,
+                [shifted(8 * bytes + 31), shifted(8 * bytes - 33)],
+                "{bytes} bytes"
+            );
+        }
+        // Folding by 16 bytes is the classic 128-bit fold's pair.
+        assert_eq!(x86::K16, [0xf20c_0dfe, 0x493c_7d27]);
     }
 }

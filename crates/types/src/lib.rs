@@ -28,9 +28,9 @@
 //! assert_eq!(params.parity(), 1);
 //! ```
 
-// `deny` (not `forbid`) so that exactly one function, the SSE4.2 dispatch in
-// [`crc`], can carry a scoped `#[allow(unsafe_code)]`; everything else in the
-// crate remains unsafe-free (scripts/check.sh holds the file list).
+// `deny` (not `forbid`) so that the CRC32C tiers in [`crc`], and only they,
+// can carry scoped `#[allow(unsafe_code)]`s; everything else in the crate
+// remains unsafe-free (scripts/check.sh holds the file list).
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -15,9 +15,9 @@ if grep -n '^source = ' Cargo.lock; then
   echo "check.sh: Cargo.lock names a crate from outside the workspace (above)" >&2
   exit 1
 fi
-# `unsafe` lives in two files: the GF SIMD kernels and the SSE4.2 CRC32C
-# dispatch. Their crates `deny(unsafe_code)` with scoped allows where every
-# other crate forbids it, so a third file here means an allow has spread.
+# `unsafe` lives in two files: the GF SIMD kernels and the CRC32C tiers.
+# Their crates `deny(unsafe_code)` with scoped allows where every other
+# crate forbids it, so a third file here means an allow has spread.
 unsafe_use='unsafe[[:space:]]*\{|unsafe[[:space:]]+(fn|impl|trait|extern)|^[[:space:]]*#!?\[allow\(unsafe_code\)\]'
 unsafe_files=$(grep -rlE "$unsafe_use" --include='*.rs' src crates tests examples | sort | xargs)
 if [ "$unsafe_files" != "crates/erasure/src/kernels.rs crates/types/src/crc.rs" ]; then

@@ -11,7 +11,7 @@
 mod args;
 
 use args::{ArgError, Args};
-use ear_bench::{exp, Scale};
+use ear_cli::{exp, Scale};
 use ear_cluster::chaos::{run_heal_plan, run_plan, ChaosConfig, HealSoakConfig};
 use ear_cluster::{crashsim, ClusterConfig, ClusterPolicy, HealerConfig, MiniCfs};
 use ear_core::{EncodingAwareReplication, PlacementPolicy, RandomReplicationPolicy};

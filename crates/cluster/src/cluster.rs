@@ -1,6 +1,7 @@
 //! The mini-CFS facade: DataNodes + NameNode + emulated network.
 
 use crate::datanode::DataNode;
+use crate::durable::Dir;
 use crate::health::{FailureDetector, HealthConfig, HealthTransition};
 use crate::io::{ClusterIo, IoStats};
 use crate::namenode::NameNode;
@@ -116,21 +117,11 @@ fn check_manifest(dir: &Path, config: &ClusterConfig) -> Result<()> {
             Ok(())
         }
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            fs::create_dir_all(dir).map_err(|e| Error::Io {
-                context: format!("create {}: {e}", dir.display()),
-            })?;
-            // Durable first-boot publish (L4): payload synced before the
-            // rename makes it visible, directory synced after so the name
-            // itself survives a crash — a half-written MANIFEST would brick
-            // every future reopen with a spurious mismatch.
-            let tmp = dir.join("MANIFEST.tmp");
-            fs::write(&tmp, &expected)
-                .and_then(|()| fs::File::open(&tmp).and_then(|f| f.sync_all()))
-                .and_then(|()| fs::rename(&tmp, &path))
-                .and_then(|()| fs::File::open(dir).and_then(|d| d.sync_all()))
-                .map_err(|e| Error::Io {
-                    context: format!("write {}: {e}", path.display()),
-                })
+            // Always synced: a half-written MANIFEST would brick every
+            // future reopen with a spurious mismatch.
+            let dir = Dir::create_all(dir, true)?;
+            dir.replace_atomically("MANIFEST", expected.as_bytes())?;
+            Ok(())
         }
         Err(e) => Err(Error::Io {
             context: format!("read {}: {e}", path.display()),
@@ -779,8 +770,8 @@ mod tests {
 
     #[test]
     fn manifest_first_boot_publishes_durably_and_reopens() {
-        // Pin for the L4 fix: the first-boot MANIFEST goes through
-        // write-tmp → fsync → rename → fsync-dir, so no `.tmp` lingers,
+        // The first-boot MANIFEST goes through write-tmp → fsync → rename
+        // → fsync-dir (`Dir::replace_atomically`), so no `.tmp` lingers,
         // the published file validates on reopen, and a shape change is
         // still a hard mismatch.
         let dir = std::env::temp_dir().join(format!(

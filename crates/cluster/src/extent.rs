@@ -37,14 +37,16 @@
 //! probability 2⁻³², which the crash-matrix in EXPERIMENTS.md accepts.)
 
 use crate::blockstore::BlockStore;
+use crate::durable::{Dir, File, Synced, Unsynced};
 use crate::sync::{Mutex, RwLock};
 use ear_types::crc::crc32c;
 use ear_types::{Block, BlockId, Error, Result, StoreBackend};
 use std::collections::{BTreeMap, HashMap};
-use std::fs::{self, File, OpenOptions};
+use std::fs::{self, OpenOptions};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Extent alignment: every extent starts and ends on a 4 KiB boundary.
 pub const ALIGN: u64 = 4096;
@@ -243,7 +245,8 @@ impl Allocator {
 
 #[derive(Debug)]
 struct Segment {
-    file: File,
+    /// Shared so a commit writes and syncs without holding `segments`.
+    file: Arc<File>,
     size: u64,
 }
 
@@ -257,11 +260,11 @@ struct IndexEntry {
 static STORE_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// The extent-based block engine. See the module docs for the on-disk
-/// format and the crash-consistency argument.
+/// format and the crash-consistency argument. Its locks are leaves: none is
+/// held while another is taken.
 #[derive(Debug)]
 pub struct ExtentStore {
-    root: PathBuf,
-    sync: bool,
+    dir: Dir,
     persistent: bool,
     segments: RwLock<Vec<Segment>>,
     alloc: Mutex<Allocator>,
@@ -321,10 +324,8 @@ impl ExtentStore {
     }
 
     fn build(root: PathBuf, sync: bool, persistent: bool, journaled: bool) -> Result<Self> {
-        fs::create_dir_all(&root).map_err(io_err(format!("create {}", root.display())))?;
         Ok(ExtentStore {
-            root,
-            sync,
+            dir: Dir::create_all(&root, sync)?,
             persistent,
             segments: RwLock::new(Vec::new()),
             alloc: Mutex::new(Allocator::default()),
@@ -336,7 +337,7 @@ impl ExtentStore {
 
     /// The directory this store writes under.
     pub fn root(&self) -> &Path {
-        &self.root
+        self.dir.path()
     }
 
     /// Drains the captured write stream (journaled stores only).
@@ -347,8 +348,8 @@ impl ExtentStore {
         }
     }
 
-    fn seg_path(root: &Path, seg: usize) -> PathBuf {
-        root.join(format!("ext-{seg}.seg"))
+    fn seg_name(seg: usize) -> String {
+        format!("ext-{seg}.seg")
     }
 
     fn record(&self, ev: WriteEvent) {
@@ -357,42 +358,32 @@ impl ExtentStore {
         }
     }
 
+    /// Journals a write of `data` at `off` of segment `seg`.
+    fn record_write(&self, seg: usize, off: u64, data: &[u8]) {
+        let data = data.to_vec();
+        self.record(WriteEvent::Write { seg, off, data });
+    }
+
     /// Appends a fresh segment of `size` bytes and returns its index.
     fn create_segment(&self, size: u64) -> Result<usize> {
         let mut segments = self.segments.write();
         let seg = segments.len();
-        let path = Self::seg_path(&self.root, seg);
-        let file = OpenOptions::new()
-            .create(true)
-            .truncate(false)
-            .read(true)
-            .write(true)
-            .open(&path)
-            .map_err(io_err(format!("create {}", path.display())))?;
-        file.set_len(size)
-            .map_err(io_err(format!("size {}", path.display())))?;
+        let options = &mut OpenOptions::new();
+        let file = Arc::new(self.dir.create(&Self::seg_name(seg), options.read(true).write(true))?);
+        file.resize(size)?.sync()?;
         segments.push(Segment { file, size });
         drop(segments);
         self.record(WriteEvent::Create { seg, size });
         Ok(seg)
     }
 
-    fn write_seg(&self, seg: usize, off: u64, data: &[u8]) -> Result<()> {
-        {
-            let segments = self.segments.read();
-            let s = segments
-                .get(seg)
-                .ok_or_else(|| Error::Invariant(format!("extent segment {seg} out of range")))?;
-            s.file
-                .write_all_at(data, off)
-                .map_err(io_err(format!("write segment {seg} at {off}")))?;
-        }
-        self.record(WriteEvent::Write {
-            seg,
-            off,
-            data: data.to_vec(),
-        });
-        Ok(())
+    /// The file of segment `seg`.
+    fn segment(&self, seg: usize) -> Result<Arc<File>> {
+        let segments = self.segments.read();
+        let s = segments
+            .get(seg)
+            .ok_or_else(|| Error::Invariant(format!("extent segment {seg} out of range")))?;
+        Ok(Arc::clone(&s.file))
     }
 
     fn read_seg(&self, seg: usize, off: u64, len: usize) -> Result<Vec<u8>> {
@@ -410,18 +401,10 @@ impl ExtentStore {
     /// An fsync point: flushes the segment (when the store is synchronous)
     /// and marks the barrier in the journal. The first barrier of an
     /// operation is its acknowledgment.
-    fn barrier(&self, seg: usize) -> Result<()> {
-        if self.sync {
-            let segments = self.segments.read();
-            let s = segments
-                .get(seg)
-                .ok_or_else(|| Error::Invariant(format!("extent segment {seg} out of range")))?;
-            s.file
-                .sync_data()
-                .map_err(io_err(format!("fsync segment {seg}")))?;
-        }
+    fn barrier(&self, written: Unsynced<'_>) -> Result<Synced> {
+        let synced = written.sync()?;
         self.record(WriteEvent::Barrier);
-        Ok(())
+        Ok(synced)
     }
 
     /// Carves an extent of at least `need` bytes, growing the segment space
@@ -442,25 +425,30 @@ impl ExtentStore {
     /// Writes and commits one record (payload first, header last, fsync),
     /// returning its extent. This is the durability point of every
     /// mutation.
-    fn commit_record(&self, header: &Header, payload: &[u8]) -> Result<ExtentRef> {
+    fn commit_record(&self, header: &Header, payload: &[u8]) -> Result<(ExtentRef, Synced)> {
         let ext = self.allocate(extent_len(header.payload_len))?;
+        let file = self.segment(ext.seg)?;
+        let written = file.write_payload(ext.off + HEADER_LEN, payload)?;
         if !payload.is_empty() {
-            self.write_seg(ext.seg, ext.off + HEADER_LEN, payload)?;
+            self.record_write(ext.seg, ext.off + HEADER_LEN, payload);
         }
-        self.write_seg(ext.seg, ext.off, &encode_header(header))?;
-        self.barrier(ext.seg)?;
-        Ok(ext)
+        let header = encode_header(header);
+        let committed = file.write_header(ext.off, &header, written)?;
+        self.record_write(ext.seg, ext.off, &header);
+        Ok((ext, self.barrier(committed)?))
     }
 
     /// Zeroes a record's header so recovery no longer sees it, then returns
     /// the extent to the allocator. Post-acknowledgment maintenance: a
     /// crash before the zero reaches disk just leaves a stale record that
     /// loses by sequence number.
-    fn retire(&self, ext: ExtentRef) -> Result<()> {
-        self.write_seg(ext.seg, ext.off, &[0u8; 64])?;
-        self.barrier(ext.seg)?;
+    fn retire(&self, ext: ExtentRef) -> Result<Synced> {
+        let file = self.segment(ext.seg)?;
+        let zeroed = file.write_at(ext.off, &[0u8; 64])?;
+        self.record_write(ext.seg, ext.off, &[0u8; 64]);
+        let synced = self.barrier(zeroed)?;
         self.alloc.lock().release(ext);
-        Ok(())
+        Ok(synced)
     }
 
     /// The index stripe owning `block`.
@@ -479,7 +467,7 @@ impl ExtentStore {
     fn recover(&self) -> Result<()> {
         let mut names = Vec::new();
         for entry in
-            fs::read_dir(&self.root).map_err(io_err(format!("scan {}", self.root.display())))?
+            fs::read_dir(self.root()).map_err(io_err(format!("scan {}", self.root().display())))?
         {
             let entry = entry.map_err(io_err("scan extent dir"))?;
             let name = entry.file_name().to_string_lossy().into_owned();
@@ -511,17 +499,10 @@ impl ExtentStore {
         {
             let mut segments = self.segments.write();
             for &seg in &names {
-                let path = Self::seg_path(&self.root, seg);
-                let file = OpenOptions::new()
-                    .read(true)
-                    .write(true)
-                    .open(&path)
-                    .map_err(io_err(format!("open {}", path.display())))?;
-                let size = file
-                    .metadata()
-                    .map_err(io_err(format!("stat {}", path.display())))?
-                    .len();
-                segments.push(Segment { file, size });
+                let name = Self::seg_name(seg);
+                let file = self.dir.open(&name, OpenOptions::new().read(true).write(true))?;
+                let size = file.metadata().map_err(io_err(format!("stat {name}")))?.len();
+                segments.push(Segment { file: Arc::new(file), size });
             }
         }
 
@@ -587,47 +568,41 @@ impl ExtentStore {
         }
 
         for ext in &discard {
-            self.write_seg(ext.seg, ext.off, &[0u8; 64])?;
-        }
-        if self.sync && !discard.is_empty() {
-            let segments = self.segments.read();
-            for s in segments.iter() {
-                s.file.sync_data().map_err(io_err("fsync recovered segment"))?;
-            }
+            self.segment(ext.seg)?.write_at(ext.off, &[0u8; 64])?.sync()?;
         }
 
-        // Free list = complement of the live extents, per segment.
+        // Free list = complement of the live extents, per segment. The
+        // segment sizes are read first: the store's locks are leaves.
         let mut used: Vec<ExtentRef> = live.iter().map(|(_, c)| c.ext).collect();
         used.sort_unstable_by_key(|e| (e.seg, e.off));
-        {
-            let segments = self.segments.read();
-            let mut alloc = self.alloc.lock();
-            let mut it = used.iter().peekable();
-            for (seg, s) in segments.iter().enumerate() {
-                let mut off = 0u64;
-                while let Some(e) = it.peek() {
-                    if e.seg != seg {
-                        break;
-                    }
-                    if e.off > off {
-                        alloc.release(ExtentRef {
-                            seg,
-                            off,
-                            len: e.off - off,
-                        });
-                    }
-                    off = e.off + e.len;
-                    it.next();
+        let sizes: Vec<u64> = self.segments.read().iter().map(|s| s.size).collect();
+        let mut alloc = self.alloc.lock();
+        let mut it = used.iter().peekable();
+        for (seg, &size) in sizes.iter().enumerate() {
+            let mut off = 0u64;
+            while let Some(e) = it.peek() {
+                if e.seg != seg {
+                    break;
                 }
-                if off < s.size {
+                if e.off > off {
                     alloc.release(ExtentRef {
                         seg,
                         off,
-                        len: s.size - off,
+                        len: e.off - off,
                     });
                 }
+                off = e.off + e.len;
+                it.next();
+            }
+            if off < size {
+                alloc.release(ExtentRef {
+                    seg,
+                    off,
+                    len: size - off,
+                });
             }
         }
+        drop(alloc);
 
         for (block, cand) in live {
             self.stripe_for(block).lock().insert(
@@ -651,7 +626,7 @@ impl Drop for ExtentStore {
     )]
     fn drop(&mut self) {
         if !self.persistent {
-            let _ = fs::remove_dir_all(&self.root);
+            let _ = fs::remove_dir_all(self.dir.path());
         }
     }
 }
@@ -666,7 +641,7 @@ impl BlockStore for ExtentStore {
             payload_len: data.len() as u32,
             payload_crc: crc,
         };
-        let ext = self.commit_record(&header, &data)?;
+        let (ext, _acked) = self.commit_record(&header, &data)?;
         let prev = self.stripe_for(block).lock().insert(
             block,
             IndexEntry {
@@ -715,7 +690,7 @@ impl BlockStore for ExtentStore {
         };
         let committed = self.commit_record(&header, &[]);
         match committed {
-            Ok(tomb) => {
+            Ok((tomb, _acked)) => {
                 let _ = self.retire(entry.ext);
                 let _ = self.retire(tomb);
                 true

@@ -25,8 +25,8 @@
 //!   blocks, Reed–Solomon-encode them for real, upload parity under ids
 //!   reserved in stripe order, and delete redundant replicas — plus the
 //!   BlockMover that repairs RR's fault-tolerance violations;
-//! * [`mapreduce`] — a miniature MapReduce engine for the SWIM workload
-//!   replay of Experiment A.3;
+//! * [`mapreduce`] / [`workloads`] — a miniature MapReduce engine and the
+//!   SWIM-like job generator it replays for Experiment A.3;
 //! * `exec` — the crate's one worker set: encode jobs, repair passes and
 //!   the MapReduce phases each drain an ordered task list on it and get
 //!   their results back in task order (DESIGN.md §8);
@@ -42,6 +42,7 @@
 //!   checkpoint compaction, the extent/allocator block engine with
 //!   header-last commits and explicit fsync barriers, and the
 //!   deterministic crash/power-loss simulator that kill-point-tests both.
+//!   Both stores write through [`durable`], whose types hold the order.
 //!   A cluster given `DurabilityConfig::at(dir)` survives
 //!   [`MiniCfs::reopen`] with a bit-identical metadata snapshot.
 //!
@@ -68,6 +69,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(unused_must_use)]
 #![warn(clippy::iter_over_hash_type)]
 
 /// Declares the data-plane modules (DESIGN.md §11): every failure there is
@@ -93,6 +95,7 @@ data_plane! {
     pub mod cache;
     pub mod crashsim;
     mod datanode;
+    pub mod durable;
     mod exec;
     mod extent;
     mod fold;
@@ -110,6 +113,7 @@ pub mod mapreduce;
 mod monitor;
 mod namenode;
 pub mod sync;
+pub mod workloads;
 
 pub use blockstore::{BlockStore, ShardedMemStore};
 pub use extent::{ExtentStore, WriteEvent};

@@ -6,9 +6,9 @@ use crate::cluster::MiniCfs;
 use crate::exec;
 use crate::reliability::OpClass;
 use crate::sync::{locked, wait_until};
+use crate::workloads::MapReduceJob;
 use ear_types::rng::ChaCha8;
 use ear_types::{BlockId, Error, NodeId, Result};
-use ear_workloads::MapReduceJob;
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
@@ -224,11 +224,11 @@ fn run_one_job(
 mod tests {
     use super::*;
     use crate::cluster::{ClusterConfig, ClusterPolicy};
+    use crate::workloads::SwimGenerator;
     use ear_types::{
         Bandwidth, ByteSize, CacheConfig, EarConfig, ErasureParams, ReplicationConfig,
         StoreBackend,
     };
-    use ear_workloads::SwimGenerator;
 
     fn boot(policy: ClusterPolicy) -> MiniCfs {
         let ear = EarConfig::new(
@@ -254,7 +254,7 @@ mod tests {
         MiniCfs::new(cfg).unwrap()
     }
 
-    fn tiny_jobs(count: usize) -> Vec<ear_workloads::MapReduceJob> {
+    fn tiny_jobs(count: usize) -> Vec<MapReduceJob> {
         let mut gen = SwimGenerator::miniature();
         gen.max_bytes = 256 * 1024;
         gen.arrival_rate = 100.0;

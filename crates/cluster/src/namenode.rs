@@ -12,7 +12,7 @@
 //! the NameNode exports is sorted by id, so downstream consumers see the
 //! same order regardless of which shard or thread produced an entry.
 
-use crate::sync::{Mutex, RwLock};
+use crate::sync::{level, Held, Mutex, Precedes, RwLock};
 use crate::wal::{MetaRecord, MetaSnapshot, MetaWal};
 use ear_core::{PlacementPolicy, StripePlan};
 use ear_types::rng::ChaCha8;
@@ -147,16 +147,15 @@ mod image {
 /// The NameNode: owns block locations, drives the placement policy, and
 /// groups blocks into stripes for the RaidNode.
 ///
-/// Lock order (coarse→fine, never the reverse): `policy` → `rng` →
-/// `stripes` → a location shard → `wal`. Pure metadata ops touch only
-/// their one shard (plus the log).
+/// Its locks nest in the order `crate::sync` declares; pure metadata ops
+/// touch only their one shard (plus the log).
 pub struct NameNode {
     topo: ClusterTopology,
-    policy: Mutex<Box<dyn PlacementPolicy>>,
-    rng: Mutex<ChaCha8>,
+    /// The placement policy and the one RNG stream it places from.
+    placement: Mutex<(Box<dyn PlacementPolicy>, ChaCha8), level::Placement>,
     seed: u64,
-    shards: Vec<RwLock<Shard>>,
-    stripes: Mutex<StripeTable>,
+    shards: Vec<RwLock<Shard, level::Shard>>,
+    stripes: Mutex<StripeTable, level::Stripes>,
     /// The write-ahead log. `None` for the volatile (classic testbed)
     /// NameNode, whose commits skip the append.
     wal: Option<MetaWal>,
@@ -187,8 +186,7 @@ impl NameNode {
         }
         NameNode {
             topo,
-            policy: Mutex::new(policy),
-            rng: Mutex::new(ChaCha8::from_seed(seed)),
+            placement: Mutex::new((policy, ChaCha8::from_seed(seed))),
             seed,
             shards: shards.into_iter().map(RwLock::new).collect(),
             stripes: Mutex::new(StripeTable::load(image)),
@@ -202,16 +200,17 @@ impl NameNode {
     /// caller holds the lock of each table the record touches (`stripes`
     /// for an allocation, seal or encode commit; the block's shard for
     /// every per-block record), so log order equals apply order, and has
-    /// checked the record's precondition under it. A refused append
-    /// returns before anything moved.
-    fn commit(
+    /// checked the record's precondition under it; `held` is the finest of
+    /// those locks. A refused append returns before anything moved.
+    fn commit<H: Precedes<level::Wal>>(
         &self,
+        held: &mut Held<'_, H>,
         rec: &MetaRecord,
         stripes: Option<&mut StripeTable>,
         shard: Option<&mut Shard>,
     ) -> Result<()> {
         if let Some(wal) = &self.wal {
-            wal.append(rec)?;
+            wal.append_holding(held, rec)?;
         }
         if let Some(stripes) = stripes {
             stripes.apply(rec);
@@ -238,9 +237,10 @@ impl NameNode {
     /// in `pending`: durably, an encode that has not committed never
     /// happened.
     pub fn snapshot(&self) -> MetaSnapshot {
-        let mut snap = self.stripes.lock().image().clone();
+        let nothing = Held::entry();
+        let mut snap = self.stripes.lock(nothing).0.image().clone();
         for shard in &self.shards {
-            snap.blocks.extend(shard.read().slots());
+            snap.blocks.extend(shard.read(nothing).0.slots());
         }
         snap
     }
@@ -289,7 +289,7 @@ impl NameNode {
         &self.topo
     }
 
-    fn shard(&self, block: BlockId) -> &RwLock<Shard> {
+    fn shard(&self, block: BlockId) -> &RwLock<Shard, level::Shard> {
         &self.shards[shard_of(block)]
     }
 
@@ -305,28 +305,30 @@ impl NameNode {
     pub fn allocate_block(&self) -> Result<(BlockId, Vec<NodeId>)> {
         let result = {
             // Placement is inherently sequential (one RNG stream); keep the
-            // policy lock across registration so id order, unsealed order,
-            // and placement order agree — sealing matches layouts by
+            // placement lock across registration so id order, unsealed
+            // order, and placement order agree — sealing matches layouts by
             // recency.
-            let mut policy = self.policy.lock();
-            let mut rng = self.rng.lock();
-            let placed = policy.place_block(&mut rng)?;
-            let mut stripes = self.stripes.lock();
+            let (mut placement, mut held) = self.placement.lock(Held::entry());
+            let (policy, rng) = &mut *placement;
+            let placed = policy.place_block(rng)?;
+            let (mut stripes, mut held) = self.stripes.lock(&mut held);
             let block = BlockId(stripes.image().next_block);
             let rec = MetaRecord::Allocate {
                 block,
                 locations: placed.layout.replicas.clone(),
                 assigned: true,
             };
-            let shard = self.shard(block);
-            self.commit(&rec, Some(&mut stripes), Some(&mut shard.write()))?;
+            {
+                let (mut shard, mut held) = self.shard(block).write(&mut held);
+                self.commit(&mut held, &rec, Some(&mut stripes), Some(&mut shard))?;
+            }
             if let Some(plan) = placed.sealed_stripe {
                 let seal = MetaRecord::SealStripe(PendingStripe {
                     id: StripeId(stripes.image().next_stripe),
-                    blocks: self.stripe_blocks(&stripes.image().unsealed, &plan)?,
+                    blocks: self.stripe_blocks(&mut held, &stripes.image().unsealed, &plan)?,
                     plan,
                 });
-                self.commit(&seal, Some(&mut stripes), None)?;
+                self.commit(&mut held, &seal, Some(&mut stripes), None)?;
             }
             (block, placed.layout.replicas)
         };
@@ -336,10 +338,8 @@ impl NameNode {
 
     /// Current replica locations of a block.
     pub fn locations(&self, block: BlockId) -> Option<Vec<NodeId>> {
-        self.shard(block)
-            .read()
-            .get(block)
-            .map(|m| m.locations.clone())
+        let (shard, _) = self.shard(block).read(Held::entry());
+        shard.get(block).map(|m| m.locations.clone())
     }
 
     /// Replaces a block's location set (after encoding deletes replicas or
@@ -349,9 +349,9 @@ impl NameNode {
     ///
     /// Propagates log-append failures from the WAL.
     pub fn set_locations(&self, block: BlockId, nodes: Vec<NodeId>) -> Result<()> {
-        let mut shard = self.shard(block).write();
+        let (mut shard, mut held) = self.shard(block).write(Held::entry());
         let rec = MetaRecord::SetLocations { block, nodes };
-        self.commit(&rec, None, Some(&mut shard))
+        self.commit(&mut held, &rec, None, Some(&mut shard))
     }
 
     /// Removes one node from a block's location set (a replica declared
@@ -362,11 +362,11 @@ impl NameNode {
     ///
     /// Propagates log-append failures from the WAL.
     pub fn drop_location(&self, block: BlockId, node: NodeId) -> Result<bool> {
-        let mut shard = self.shard(block).write();
+        let (mut shard, mut held) = self.shard(block).write(Held::entry());
         let listed = shard.lists(block, node);
         if listed {
             let rec = MetaRecord::DropLocation { block, node };
-            self.commit(&rec, None, Some(&mut shard))?;
+            self.commit(&mut held, &rec, None, Some(&mut shard))?;
         }
         Ok(listed)
     }
@@ -378,12 +378,12 @@ impl NameNode {
     ///
     /// Propagates log-append failures from the WAL.
     pub fn add_location(&self, block: BlockId, node: NodeId) -> Result<()> {
-        let mut shard = self.shard(block).write();
+        let (mut shard, mut held) = self.shard(block).write(Held::entry());
         if shard.lists(block, node) {
             return Ok(());
         }
         let rec = MetaRecord::AddLocation { block, node };
-        self.commit(&rec, None, Some(&mut shard))
+        self.commit(&mut held, &rec, None, Some(&mut shard))
     }
 
     /// Registers a brand-new block (parity) at fixed locations, returning
@@ -396,15 +396,15 @@ impl NameNode {
         // Ids are issued under the stripe mutex, so they reach the log in
         // id order — what makes "id below the counter" mean "already
         // applied" at replay.
-        let mut stripes = self.stripes.lock();
+        let (mut stripes, mut held) = self.stripes.lock(Held::entry());
         let block = BlockId(stripes.image().next_block);
         let rec = MetaRecord::Allocate {
             block,
             locations: nodes,
             assigned: false,
         };
-        let shard = self.shard(block);
-        self.commit(&rec, Some(&mut stripes), Some(&mut shard.write()))?;
+        let (mut shard, mut held) = self.shard(block).write(&mut held);
+        self.commit(&mut held, &rec, Some(&mut stripes), Some(&mut shard))?;
         Ok(block)
     }
 
@@ -413,7 +413,7 @@ impl NameNode {
     /// is logged: durably the stripes remain pending until the encode
     /// commits, so a crash mid-encode re-queues them on recovery.
     pub fn take_pending_stripes(&self) -> Vec<PendingStripe> {
-        let mut stripes = self.stripes.lock();
+        let (mut stripes, _) = self.stripes.lock(Held::entry());
         let taken = Self::queued(&stripes);
         stripes.in_flight.extend(taken.iter().map(|s| s.id));
         taken
@@ -424,19 +424,19 @@ impl NameNode {
     /// blocks keep their replicas, so nothing is lost; a later encoding
     /// round will pick the stripe up again.
     pub fn requeue_stripe(&self, stripe: PendingStripe) {
-        self.stripes.lock().in_flight.remove(&stripe.id);
+        self.stripes.lock(Held::entry()).0.in_flight.remove(&stripe.id);
     }
 
     /// Number of stripes sealed and awaiting encoding.
     pub fn pending_stripe_count(&self) -> usize {
-        let stripes = self.stripes.lock();
+        let (stripes, _) = self.stripes.lock(Held::entry());
         stripes.image().pending.len() - stripes.in_flight.len()
     }
 
     /// A snapshot of the stripes awaiting encoding (without consuming
     /// them), in stripe-id order.
     pub fn pending_stripes(&self) -> Vec<PendingStripe> {
-        Self::queued(&self.stripes.lock())
+        Self::queued(&self.stripes.lock(Held::entry()).0)
     }
 
     /// The pending stripes no encode job holds. Seals apply in id order and
@@ -456,20 +456,23 @@ impl NameNode {
     /// Propagates log-append failures from the WAL.
     pub fn record_encoded(&self, stripe: EncodedStripe) -> Result<()> {
         let rec = MetaRecord::EncodeCommit(stripe);
-        self.commit(&rec, Some(&mut self.stripes.lock()), None)?;
+        {
+            let (mut stripes, mut held) = self.stripes.lock(Held::entry());
+            self.commit(&mut held, &rec, Some(&mut stripes), None)?;
+        }
         self.maybe_checkpoint()
     }
 
     /// All stripes encoded so far, in stripe-id order (encode jobs may
     /// finish out of order).
     pub fn encoded_stripes(&self) -> Vec<EncodedStripe> {
-        self.stripes.lock().image().encoded.clone()
+        self.stripes.lock(Held::entry()).0.image().encoded.clone()
     }
 
     /// The encoded stripe `block` is a member of (data or parity), `None`
     /// while the block is still replicated.
     pub fn stripe_of(&self, block: BlockId) -> Option<EncodedStripe> {
-        self.stripes.lock().stripe_of(block).cloned()
+        self.stripes.lock(Held::entry()).0.stripe_of(block).cloned()
     }
 
     /// Plans the encoding of a stripe through the placement policy.
@@ -482,31 +485,37 @@ impl NameNode {
     ///
     /// Propagates planning failures (e.g. no room for parity blocks).
     pub fn plan_encoding(&self, stripe: &PendingStripe) -> Result<ear_core::EncodePlan> {
-        let policy = self.policy.lock();
+        let (placement, _) = self.placement.lock(Held::entry());
         let mut rng =
             ChaCha8::from_seed(self.seed ^ stripe.id.0.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        policy.plan_encoding(&stripe.plan, &mut rng)
+        placement.0.plan_encoding(&stripe.plan, &mut rng)
     }
 
     /// The policy's name ("rr" or "ear").
     pub fn policy_name(&self) -> &'static str {
-        self.policy.lock().name()
+        let (placement, _) = self.placement.lock(Held::entry());
+        placement.0.name()
     }
 
     /// Total number of blocks ever allocated.
     pub fn block_count(&self) -> u64 {
-        self.stripes.lock().image().next_block
+        self.stripes.lock(Held::entry()).0.image().next_block
     }
 
     /// The unsealed blocks `plan` seals, in stripe order: for each of the
     /// plan's layouts, the most recent unsealed block that was assigned it
     /// and is not already picked. Caller holds the stripe lock; this only
-    /// takes shard read locks (lock order stripes→shard).
-    fn stripe_blocks(&self, unsealed: &[BlockId], plan: &StripePlan) -> Result<Vec<BlockId>> {
+    /// takes shard read locks.
+    fn stripe_blocks(
+        &self,
+        held: &mut Held<'_, level::Stripes>,
+        unsealed: &[BlockId],
+        plan: &StripePlan,
+    ) -> Result<Vec<BlockId>> {
         let mut blocks = Vec::with_capacity(plan.num_blocks());
         for layout in plan.data_layouts() {
-            let assigned_it = |b: BlockId| {
-                let shard = self.shard(b).read();
+            let mut assigned_it = |b: BlockId| {
+                let (shard, _) = self.shard(b).read(held);
                 shard.get(b).and_then(|m| m.assigned.as_deref()) == Some(&layout.replicas)
             };
             let block = unsealed

@@ -233,8 +233,7 @@ pub struct ReliabilityStats {
 
 /// The shared reliability substrate of one cluster: breakers, budgets, the
 /// admission gate, and the seeded backoff/hedging policy. Lock-free by
-/// construction (atomics only) so it sits below every lock class in the
-/// L1 order.
+/// construction (atomics only), so it takes no lock under any other.
 #[derive(Debug)]
 pub struct Reliability {
     cfg: ReliabilityConfig,

@@ -1,5 +1,5 @@
 //! Locking for the cluster: two flavours over `std::sync`, chosen by what a
-//! panicked holder can leave behind.
+//! panicked holder can leave behind, and the one lock order.
 //!
 //! * Data-plane state (stores, cache, NameNode shards, WAL) uses the
 //!   non-poisoning [`Mutex`] / [`RwLock`] below: every critical section
@@ -11,23 +11,146 @@
 //!   `std::sync` locks behind [`locked`] / [`wait_until`], which surface
 //!   poisoning as the typed [`Error::LockPoisoned`] so callers propagate it
 //!   like any other cluster fault (DESIGN.md §11).
+//!
+//! # Lock order
+//!
+//! A lock is a *leaf* (the default level, [`level::Leaf`]) or sits at a
+//! level of the order declared below. A levelled `lock` / `read` / `write`
+//! takes the zero-sized token of what the caller holds ([`Held`]) and
+//! compiles only in order. A leaf takes no lock while held; one that must,
+//! joins the order here first.
 
 use ear_types::{Error, Result};
+use std::marker::PhantomData;
 use std::sync::{self, Condvar, MutexGuard, PoisonError, RwLockReadGuard, RwLockWriteGuard};
 
-/// A mutual-exclusion lock whose `lock()` ignores poisoning.
-#[derive(Debug, Default)]
-pub struct Mutex<T>(sync::Mutex<T>);
+/// The lock levels. Uninhabited: they only name a place in the order.
+pub mod level {
+    /// A lock outside the order: it is taken without a token and takes no
+    /// lock while held.
+    #[derive(Debug)]
+    pub enum Leaf {}
+    /// Nothing held: the token an entry point starts from.
+    #[derive(Debug)]
+    pub enum Unlocked {}
+    /// The NameNode's placement policy and its RNG stream.
+    #[derive(Debug)]
+    pub enum Placement {}
+    /// The NameNode's stripe tables and id counters.
+    #[derive(Debug)]
+    pub enum Stripes {}
+    /// A NameNode location shard.
+    #[derive(Debug)]
+    pub enum Shard {}
+    /// The metadata write-ahead log.
+    #[derive(Debug)]
+    pub enum Wal {}
+}
 
-impl<T> Mutex<T> {
+/// `Self` may be held while a lock at level `L` is taken.
+pub trait Precedes<L> {}
+
+/// Every level precedes every level after it.
+macro_rules! order {
+    () => {};
+    ($first:ident $(, $rest:ident)*) => {
+        $(impl Precedes<level::$rest> for level::$first {})*
+        order!($($rest),*);
+    };
+}
+
+// The lock order, coarse to fine: the only place it is written down.
+order!(Unlocked, Placement, Stripes, Shard, Wal);
+
+/// Proof that the caller holds a lock at level `L` (or, for
+/// [`level::Unlocked`], none). Taking a lock at level `L` while holding
+/// `H` needs `&mut Held<H>` with `H` before `L` in the order, and returns
+/// the guard with a `Held<L>` that borrows the coarser token for as long
+/// as either lives. A public entry point, which holds nothing, starts from
+/// [`Held::entry`].
+///
+/// Locks nest coarse to fine:
+///
+/// ```
+/// # use ear_cluster::sync::{level, Held, Mutex};
+/// # let stripes: Mutex<u8, level::Stripes> = Mutex::new(0);
+/// # let shard: Mutex<u8, level::Shard> = Mutex::new(0);
+/// let nothing = Held::entry();
+/// let (stripe, mut held) = stripes.lock(nothing);
+/// let (slot, _) = shard.lock(&mut held);
+/// # drop((stripe, slot));
+/// ```
+///
+/// never fine then coarse:
+///
+/// ```compile_fail
+/// # use ear_cluster::sync::{level, Held, Mutex};
+/// # let stripes: Mutex<u8, level::Stripes> = Mutex::new(0);
+/// # let shard: Mutex<u8, level::Shard> = Mutex::new(0);
+/// let nothing = Held::entry();
+/// let (slot, mut held) = shard.lock(nothing);
+/// let (stripe, _) = stripes.lock(&mut held);
+/// # drop((stripe, slot));
+/// ```
+///
+/// nor one level twice:
+///
+/// ```compile_fail
+/// # use ear_cluster::sync::{level, Held, Mutex};
+/// # let stripes: Mutex<u8, level::Stripes> = Mutex::new(0);
+/// # let shard: Mutex<u8, level::Stripes> = Mutex::new(0);
+/// let nothing = Held::entry();
+/// let (stripe, mut held) = stripes.lock(nothing);
+/// let (slot, _) = shard.lock(&mut held);
+/// # drop((stripe, slot));
+/// ```
+///
+/// A coarser token is free again once the finer guard is gone:
+///
+/// ```
+/// # use ear_cluster::sync::{level, Held, Mutex};
+/// # let stripes: Mutex<u8, level::Stripes> = Mutex::new(0);
+/// # let shard: Mutex<u8, level::Shard> = Mutex::new(0);
+/// let nothing = Held::entry();
+/// let (stripe, mut held) = stripes.lock(nothing);
+/// let (first, _) = shard.lock(&mut held);
+/// drop(first);
+/// let (second, _) = shard.lock(&mut held);
+/// # drop((stripe, second));
+/// ```
+///
+/// but not while it lives:
+///
+/// ```compile_fail
+/// # use ear_cluster::sync::{level, Held, Mutex};
+/// # let stripes: Mutex<u8, level::Stripes> = Mutex::new(0);
+/// # let shard: Mutex<u8, level::Shard> = Mutex::new(0);
+/// let nothing = Held::entry();
+/// let (stripe, mut held) = stripes.lock(nothing);
+/// let (first, _) = shard.lock(&mut held);
+/// let (second, _) = shard.lock(&mut held);
+/// drop(first);
+/// # drop((stripe, second));
+/// ```
+#[derive(Debug)]
+pub struct Held<'a, L>(PhantomData<(&'a mut (), L)>);
+
+impl Held<'static, level::Unlocked> {
+    /// The token of a caller that holds no lock. Leaking a zero-sized box
+    /// allocates nothing.
+    pub fn entry() -> &'static mut Self {
+        Box::leak(Box::new(Held(PhantomData)))
+    }
+}
+
+/// A mutual-exclusion lock whose `lock()` ignores poisoning, at level `L`.
+#[derive(Debug)]
+pub struct Mutex<T, L = level::Leaf>(sync::Mutex<T>, PhantomData<L>);
+
+impl<T, L> Mutex<T, L> {
     /// Creates a new mutex.
     pub const fn new(value: T) -> Self {
-        Mutex(sync::Mutex::new(value))
-    }
-
-    /// Acquires the lock, blocking until available.
-    pub fn lock(&self) -> MutexGuard<'_, T> {
-        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+        Mutex(sync::Mutex::new(value), PhantomData)
     }
 
     /// Consumes the mutex, returning the inner value.
@@ -36,16 +159,42 @@ impl<T> Mutex<T> {
     }
 }
 
-/// A reader-writer lock whose `read()`/`write()` ignore poisoning.
-#[derive(Debug, Default)]
-pub struct RwLock<T>(sync::RwLock<T>);
+impl<T: Default, L> Default for Mutex<T, L> {
+    fn default() -> Self {
+        Mutex::new(T::default())
+    }
+}
 
-impl<T> RwLock<T> {
+impl<T> Mutex<T> {
+    /// Acquires the lock, blocking until available.
+    pub fn lock(&self) -> MutexGuard<'_, T> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl<T, L> Mutex<T, L> where level::Unlocked: Precedes<L> {
+    /// Acquires the lock while holding `H`, blocking until available.
+    pub fn lock<'a, H: Precedes<L>>(
+        &'a self,
+        _held: &'a mut Held<'_, H>,
+    ) -> (MutexGuard<'a, T>, Held<'a, L>) {
+        (self.0.lock().unwrap_or_else(PoisonError::into_inner), Held(PhantomData))
+    }
+}
+
+/// A reader-writer lock whose `read()`/`write()` ignore poisoning, at
+/// level `L`.
+#[derive(Debug)]
+pub struct RwLock<T, L = level::Leaf>(sync::RwLock<T>, PhantomData<L>);
+
+impl<T, L> RwLock<T, L> {
     /// Creates a new rwlock.
     pub const fn new(value: T) -> Self {
-        RwLock(sync::RwLock::new(value))
+        RwLock(sync::RwLock::new(value), PhantomData)
     }
+}
 
+impl<T> RwLock<T> {
     /// Acquires a shared read guard.
     pub fn read(&self) -> RwLockReadGuard<'_, T> {
         self.0.read().unwrap_or_else(PoisonError::into_inner)
@@ -54,6 +203,24 @@ impl<T> RwLock<T> {
     /// Acquires an exclusive write guard.
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
         self.0.write().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl<T, L> RwLock<T, L> where level::Unlocked: Precedes<L> {
+    /// Acquires a shared read guard while holding `H`.
+    pub fn read<'a, H: Precedes<L>>(
+        &'a self,
+        _held: &'a mut Held<'_, H>,
+    ) -> (RwLockReadGuard<'a, T>, Held<'a, L>) {
+        (self.0.read().unwrap_or_else(PoisonError::into_inner), Held(PhantomData))
+    }
+
+    /// Acquires an exclusive write guard while holding `H`.
+    pub fn write<'a, H: Precedes<L>>(
+        &'a self,
+        _held: &'a mut Held<'_, H>,
+    ) -> (RwLockWriteGuard<'a, T>, Held<'a, L>) {
+        (self.0.write().unwrap_or_else(PoisonError::into_inner), Held(PhantomData))
     }
 }
 
@@ -95,8 +262,8 @@ mod tests {
 
     #[test]
     fn data_plane_locks_enter_after_a_holder_panicked() {
-        let m = Arc::new(super::Mutex::new(1));
-        let l = Arc::new(super::RwLock::new(2));
+        let m = Arc::new(super::Mutex::<i32>::new(1));
+        let l = Arc::new(super::RwLock::<i32>::new(2));
         let (m2, l2) = (Arc::clone(&m), Arc::clone(&l));
         let _ = std::thread::spawn(move || {
             let _g = m2.lock();

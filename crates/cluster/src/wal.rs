@@ -38,15 +38,15 @@
 //!   compaction rewrite the log (same tmp+rename dance), so every state on
 //!   disk replays to the same image.
 
+use crate::durable::{self, Dir, Synced};
 use crate::namenode::{EncodedStripe, PendingStripe};
-use crate::sync::Mutex;
+use crate::sync::{level, Held, Mutex, Precedes};
 use ear_core::{BlockLayout, StripePlan};
 use ear_types::crc::crc32c;
 use ear_types::{BlockId, Error, NodeId, RackId, Result, StripeId};
 use std::collections::BTreeMap;
-use std::fs::{self, File, OpenOptions};
-use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::fs::{self, OpenOptions};
+use std::path::Path;
 
 /// File name of the framed record log inside the meta directory.
 pub const WAL_FILE: &str = "wal";
@@ -684,28 +684,19 @@ pub fn scan_log(buf: &[u8]) -> Result<(Vec<(u64, MetaRecord)>, usize)> {
 
 #[derive(Debug)]
 struct WalInner {
-    file: File,
+    file: durable::File,
     last_lsn: u64,
     since_checkpoint: u64,
 }
 
-/// The open write-ahead log of one NameNode.
-///
-/// Lock order: `wal` is the finest class (DESIGN.md §11) — it is taken
-/// while a location shard or the stripe mutex is held (so log order equals
-/// apply order) and never takes another lock itself.
+/// The open write-ahead log of one NameNode. Its lock is the finest level:
+/// the NameNode appends under the table locks, so log order equals apply
+/// order.
 #[derive(Debug)]
 pub struct MetaWal {
-    dir: PathBuf,
-    sync: bool,
+    dir: Dir,
     checkpoint_every: u64,
-    wal: Mutex<WalInner>,
-}
-
-fn fsync_dir(dir: &Path) -> Result<()> {
-    File::open(dir)
-        .and_then(|d| d.sync_all())
-        .map_err(io_err(format!("fsync dir {}", dir.display())))
+    wal: Mutex<WalInner, level::Wal>,
 }
 
 impl MetaWal {
@@ -719,7 +710,7 @@ impl MetaWal {
     /// [`Error::Io`] for host failures, [`Error::WalCorrupt`] for a
     /// corrupt committed checkpoint or a CRC-valid-but-undecodable record.
     pub fn open(dir: &Path, sync: bool, checkpoint_every: u64) -> Result<(MetaWal, MetaSnapshot)> {
-        fs::create_dir_all(dir).map_err(io_err(format!("create {}", dir.display())))?;
+        let dir = Dir::create_all(dir, sync)?;
         fn remove_stale(stale: &Path) -> Result<()> {
             match fs::remove_file(stale) {
                 Ok(()) => Ok(()),
@@ -727,17 +718,17 @@ impl MetaWal {
                 Err(e) => Err(io_err(format!("remove {}", stale.display()))(e)),
             }
         }
-        remove_stale(&dir.join(format!("{CHECKPOINT_FILE}.tmp")))?;
-        remove_stale(&dir.join(format!("{WAL_FILE}.tmp")))?;
+        remove_stale(&dir.path().join(format!("{CHECKPOINT_FILE}.tmp")))?;
+        remove_stale(&dir.path().join(format!("{WAL_FILE}.tmp")))?;
 
-        let ckpt_path = dir.join(CHECKPOINT_FILE);
+        let ckpt_path = dir.path().join(CHECKPOINT_FILE);
         let (mut snap, ckpt_lsn) = match fs::read(&ckpt_path) {
             Ok(bytes) => decode_checkpoint(&bytes)?,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => (MetaSnapshot::default(), 0),
             Err(e) => return Err(io_err(format!("read {}", ckpt_path.display()))(e)),
         };
 
-        let wal_path = dir.join(WAL_FILE);
+        let wal_path = dir.path().join(WAL_FILE);
         let image = match fs::read(&wal_path) {
             Ok(bytes) => bytes,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
@@ -754,25 +745,15 @@ impl MetaWal {
             last_lsn = last_lsn.max(*lsn);
         }
 
-        let file = OpenOptions::new()
-            .create(true)
-            .read(true)
-            .append(true)
-            .open(&wal_path)
-            .map_err(io_err(format!("open {}", wal_path.display())))?;
+        let file = dir.create(WAL_FILE, OpenOptions::new().read(true).append(true))?;
         if valid_len < image.len() {
             // Torn tail from an interrupted append: cut it so the next
             // append starts at a frame boundary.
-            file.set_len(valid_len as u64)
-                .map_err(io_err("truncate torn wal tail"))?;
-            if sync {
-                file.sync_all().map_err(io_err("fsync truncated wal"))?;
-            }
+            file.resize(valid_len as u64)?.sync()?;
         }
 
         let wal = MetaWal {
-            dir: dir.to_path_buf(),
-            sync,
+            dir,
             checkpoint_every: checkpoint_every.max(1),
             wal: Mutex::new(WalInner {
                 file,
@@ -791,29 +772,32 @@ impl MetaWal {
     ///
     /// [`Error::Io`] if the write or fsync fails.
     pub fn append(&self, rec: &MetaRecord) -> Result<u64> {
-        let mut wal = self.wal.lock();
+        self.append_holding(Held::entry(), rec).map(|(lsn, _)| lsn)
+    }
+
+    /// [`MetaWal::append`] for a caller holding locks up to level `H`.
+    pub(crate) fn append_holding<H: Precedes<level::Wal>>(
+        &self,
+        held: &mut Held<'_, H>,
+        rec: &MetaRecord,
+    ) -> Result<(u64, Synced)> {
+        let (mut wal, _) = self.wal.lock(held);
         let lsn = wal.last_lsn + 1;
-        let frame = encode_frame(lsn, rec);
-        wal.file
-            .write_all(&frame)
-            .map_err(io_err("append wal record"))?;
-        if self.sync {
-            wal.file.sync_data().map_err(io_err("fsync wal append"))?;
-        }
+        let synced = wal.file.append(&encode_frame(lsn, rec))?.sync()?;
         wal.last_lsn = lsn;
         wal.since_checkpoint += 1;
-        Ok(lsn)
+        Ok((lsn, synced))
     }
 
     /// LSN of the most recent append (0 if none ever happened).
     pub fn last_lsn(&self) -> u64 {
-        self.wal.lock().last_lsn
+        self.wal.lock(Held::entry()).0.last_lsn
     }
 
     /// Whether enough records accumulated since the last checkpoint to
     /// warrant another one.
     pub fn should_checkpoint(&self) -> bool {
-        self.wal.lock().since_checkpoint >= self.checkpoint_every
+        self.wal.lock(Held::entry()).0.since_checkpoint >= self.checkpoint_every
     }
 
     /// Commits `snap` as the new checkpoint and compacts the log.
@@ -827,26 +811,13 @@ impl MetaWal {
     ///
     /// [`Error::Io`] if any write, fsync, or rename fails.
     pub fn checkpoint(&self, snap: &MetaSnapshot, last_lsn: u64) -> Result<()> {
-        let bytes = encode_checkpoint(snap, last_lsn);
-        let tmp = self.dir.join(format!("{CHECKPOINT_FILE}.tmp"));
-        let dst = self.dir.join(CHECKPOINT_FILE);
-        {
-            let mut f = File::create(&tmp).map_err(io_err(format!("create {}", tmp.display())))?;
-            f.write_all(&bytes).map_err(io_err("write checkpoint"))?;
-            if self.sync {
-                f.sync_all().map_err(io_err("fsync checkpoint"))?;
-            }
-        }
-        fs::rename(&tmp, &dst).map_err(io_err("commit checkpoint rename"))?;
-        if self.sync {
-            fsync_dir(&self.dir)?;
-        }
+        self.dir.replace_atomically(CHECKPOINT_FILE, &encode_checkpoint(snap, last_lsn))?;
 
         // The checkpoint is committed; now drop the log prefix it covers.
         // A crash anywhere in here leaves either the old (uncompacted) log
         // — replay just skips lsn ≤ last_lsn — or the new one.
-        let mut wal = self.wal.lock();
-        let wal_path = self.dir.join(WAL_FILE);
+        let (mut wal, _) = self.wal.lock(Held::entry());
+        let wal_path = self.dir.path().join(WAL_FILE);
         let image = fs::read(&wal_path).map_err(io_err("read wal for compaction"))?;
         let (records, _) = scan_log(&image)?;
         let mut kept = Vec::new();
@@ -855,23 +826,8 @@ impl MetaWal {
                 kept.extend_from_slice(&encode_frame(*lsn, rec));
             }
         }
-        let tmp = self.dir.join(format!("{WAL_FILE}.tmp"));
-        {
-            let mut f = File::create(&tmp).map_err(io_err(format!("create {}", tmp.display())))?;
-            f.write_all(&kept).map_err(io_err("write compacted wal"))?;
-            if self.sync {
-                f.sync_all().map_err(io_err("fsync compacted wal"))?;
-            }
-        }
-        fs::rename(&tmp, &wal_path).map_err(io_err("commit compacted wal rename"))?;
-        if self.sync {
-            fsync_dir(&self.dir)?;
-        }
-        wal.file = OpenOptions::new()
-            .read(true)
-            .append(true)
-            .open(&wal_path)
-            .map_err(io_err("reopen compacted wal"))?;
+        self.dir.replace_atomically(WAL_FILE, &kept)?;
+        wal.file = self.dir.open(WAL_FILE, OpenOptions::new().read(true).append(true))?;
         wal.since_checkpoint = 0;
         Ok(())
     }
@@ -880,13 +836,15 @@ impl MetaWal {
     /// fails with [`Error::Io`] — how tests provoke a WAL-append failure.
     #[cfg(test)]
     pub(crate) fn fail_appends(&self) {
-        self.wal.lock().file = File::open(self.dir.join(WAL_FILE)).expect("reopen wal read-only");
+        let read_only = self.dir.open(WAL_FILE, OpenOptions::new().read(true));
+        self.wal.lock(Held::entry()).0.file = read_only.expect("reopen wal read-only");
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     static DIR_SEQ: AtomicU64 = AtomicU64::new(0);

@@ -66,15 +66,27 @@ if grep -rnE 'plan_repair_site|free_in_best|best_rack' crates/cluster/src; then
   echo "check.sh: rebuild sites come from ear_core::RepairPlanner (above)" >&2
   exit 1
 fi
-# One linter per invariant (DESIGN.md §11): determinism, panic-freedom and
-# discard hygiene are clippy lints, and a suppression is an
-# `#[expect(lint, reason = "…")]` at its site, so ear-lint's copies of those
-# rules and its allowlist file stay deleted.
-for gone in crates/lint/src/rules/{determinism,panic_free,context,zero_copy}.rs \
-            crates/lint/tests/fixtures/{l2_determinism,l3_panic_free,l5_context,l6_zero_copy} \
-            crates/lint/src/allowlist.rs lint-allowlist.txt; do
+# One checker per invariant (DESIGN.md §11): lock order and durability
+# order are types that rustc checks (crates/cluster/src/{sync,durable}.rs);
+# determinism, panic-freedom and discard hygiene are clippy lints, and a
+# suppression is an `#[expect(lint, reason = "…")]` at its site. So the
+# hand-written linter, its allowlist and the two crates that held no seam of
+# their own stay deleted.
+for gone in crates/{lint,workloads,bench} lint-allowlist.txt; do
   if [ -e "$gone" ]; then
-    echo "check.sh: $gone is gone; the check lives in clippy (DESIGN.md §11)" >&2
+    echo "check.sh: $gone is gone (DESIGN.md §11)" >&2
+    exit 1
+  fi
+done
+# Durability order lives in durable.rs's types only if every raw write,
+# resize, fsync and rename of the cluster crate goes through it: outside
+# durable.rs and the crash simulator (which forges torn files on purpose),
+# non-test code calls none of them.
+raw_io='\.(write_all|write_all_at|set_len|sync_all|sync_data)\(|fs::(write|rename)\(|[^_a-z]rename\('
+for f in crates/cluster/src/*.rs; do
+  case "$f" in */durable.rs|*/crashsim.rs) continue ;; esac
+  if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE "$raw_io" | sed "s|^|$f:|" | grep .; then
+    echo "check.sh: raw file writes, fsyncs and renames go through durable.rs (above)" >&2
     exit 1
   fi
 done
@@ -84,12 +96,6 @@ if grep -rnE "#!?\[allow\([^]]*clippy::($moved)\b" --include='*.rs' src crates t
   exit 1
 fi
 cargo build --release --locked
-# ear-lint first: the two invariants clippy cannot see, lock-graph cycles
-# and durability ordering (DESIGN.md §11). Fails fast with file:line
-# diagnostics; neither family takes suppressions. `graph` must keep
-# printing the lock-acquisition graph as Graphviz DOT (CI uploads it).
-cargo run -q --locked -p ear-lint -- check
-cargo run -q --locked -p ear-lint -- graph | grep -q '^digraph'
 # The whole workspace (the root manifest's `default-members`) once, as the
 # tier-1 line runs it: memory engine, default cache.
 cargo test -q --locked
@@ -98,12 +104,14 @@ cargo test -q --locked
 # re-verified) and a deliberately small cache that forces eviction and
 # clock rotation under the suite's working sets. Only clusters booted from
 # the environment see these knobs: the cluster crate, the facade's
-# end-to-end tests and the CLI's. (ear-bench's testbed experiments boot
-# such clusters too, but they are paced by the wall clock — ~20 s a row —
-# and assert figure shapes, not store behaviour; they ran once, above.)
+# end-to-end tests and the CLI's. (The CLI library's testbed experiments
+# boot such clusters too, but they are paced by the wall clock — ~20 s a
+# row — and assert figure shapes, not store behaviour; they ran once,
+# above.)
 for store in memory extent; do
   for cache in off 4m,16m; do
-    EAR_STORE=$store EAR_CACHE=$cache cargo test -q --locked -p ear-cluster -p ear -p ear-cli
+    EAR_STORE=$store EAR_CACHE=$cache cargo test -q --locked -p ear-cluster -p ear
+    EAR_STORE=$store EAR_CACHE=$cache cargo test -q --locked -p ear-cli --bin ear
   done
 done
 # Clippy carries determinism (disallowed wall-clock reads and sleeps in

@@ -21,9 +21,9 @@
 //!   backends (in-memory or the durable extent engine, selected by
 //!   `EAR_STORE=memory|extent` via [`types::StoreBackend`]), and the unified
 //!   [`cluster::ClusterIo`] data plane that owns fault injection, pacing,
-//!   and CRC32C verification.
+//!   and CRC32C verification, plus the synthetic MapReduce workloads
+//!   ([`cluster::workloads`]).
 //! * [`analysis`] — Eq. (1), Theorem 1, and load-balancing analysis.
-//! * [`workloads`] — synthetic MapReduce / traffic generators.
 //!
 //! # Quickstart
 //!
@@ -57,4 +57,3 @@ pub use ear_flow as flow;
 pub use ear_netem as netem;
 pub use ear_sim as sim;
 pub use ear_types as types;
-pub use ear_workloads as workloads;

@@ -13,12 +13,16 @@
 //! [`ear_core::ChainPlan`], decided before any byte moves; this walker
 //! executes one. A failed pass names what to blame, and both callers answer
 //! it with one rule: note the blamed node or source and plan again.
+//!
+//! The walk reads every source first and does the arithmetic after, in one
+//! tiled pass that hashes each source while it absorbs it: each byte of a
+//! source or a row is fetched from memory once.
 
-use crate::io::{ClusterIo, DeadNodeSet};
+use crate::io::{ClusterIo, DeadNodeSet, Unverified};
 use crate::reliability::OpContext;
 use ear_core::ChainPlan;
 use ear_erasure::StripeEncoder;
-use ear_types::{Block, BlockId, Error, NodeId};
+use ear_types::{crc, Block, BlockId, Error, NodeId};
 use std::collections::BTreeMap;
 
 /// One input of a fold.
@@ -37,6 +41,8 @@ pub(crate) struct Source<'a> {
 /// delivery leg to the sink is the caller's to count.
 #[derive(Debug, Default)]
 pub(crate) struct Received {
+    /// Shards read whole at the folding node. Only bytes that passed their
+    /// CRC32C check get here.
     pub held: BTreeMap<BlockId, Block>,
     /// Source reads served by another node than the reader, plus `r` per
     /// chain leg between folding nodes.
@@ -45,16 +51,49 @@ pub(crate) struct Received {
     pub cross_rack_downloads: usize,
 }
 
+/// One source as the walk has it: where it was read, and its bytes.
+struct Input<'a> {
+    pos: usize,
+    src: Source<'a>,
+    reader: NodeId,
+    /// Read whole at `plan.at`, so kept in [`Received::held`] once checked.
+    whole: bool,
+    bytes: Bytes,
+}
+
+enum Bytes {
+    /// Checked already: held from an earlier pass.
+    Held(Block),
+    /// Read by this pass, checked by it.
+    Read(Unverified),
+}
+
+impl Bytes {
+    fn unchecked(&self) -> &[u8] {
+        match self {
+            Bytes::Held(data) => data,
+            Bytes::Read(read) => read.unchecked(),
+        }
+    }
+}
+
 /// Folds `sources` into `acc` as `plan` (made from the same list) says,
 /// delivers the finished rows to the end of its path and returns them.
 ///
-/// Hops absorb their members with `acc` as the travelling state, the
-/// plan's whole sources are then read at `plan.at` (a shard `received`
-/// holds is not read again), and the rows are
-/// [streamed](ClusterIo::stream_chain) once down its path. Every read
-/// goes through [`ClusterIo::read_nearest`] and charges `ctx`. Nothing here
-/// mutates cluster metadata or stores any block, so a failed fold leaves
-/// the cluster as it was.
+/// Every source is read first, in plan order: each hop's members at its
+/// aggregator, then the plan's whole sources at `plan.at` (a shard
+/// `received` holds is not read again). Every read goes through
+/// [`ClusterIo::read_nearest_unverified`] and charges `ctx`. Then one tiled
+/// pass absorbs them all, hashing each source's bytes as it goes; a source
+/// whose hash misses its write-time CRC32C (rot in the store: a corruption
+/// the fault plan injects fails its read at once) is taken back out and
+/// read again, verified, from another holder. The rows are then
+/// [streamed](ClusterIo::stream_chain) once down the plan's path. Nothing
+/// here mutates cluster metadata or stores any block, so a failed fold
+/// leaves the cluster as it was.
+///
+/// The rows come back as [`Block`]s over the buffers they were accumulated
+/// in, unstamped.
 ///
 /// # Errors
 ///
@@ -64,7 +103,7 @@ pub(crate) struct Received {
 /// which no choice of sources avoids, the error names the node). The
 /// substrate's stops ([`Error::stops_the_op`]) are among those errors. A
 /// source listed twice, or a column of `acc` left without one, is
-/// [`Error::Invariant`].
+/// [`Error::Invariant`] before any byte moves.
 pub(crate) fn fold(
     io: &ClusterIo,
     ctx: &OpContext<'_>,
@@ -73,43 +112,99 @@ pub(crate) fn fold(
     sources: &[Source<'_>],
     dead: &DeadNodeSet,
     received: &mut Received,
-) -> Result<Vec<Vec<u8>>, (usize, Error)> {
+) -> Result<Vec<Block>, (usize, Error)> {
     let topo = io.topology();
     let (rows, partial_bytes) = acc
         .partial_rows()
         .fold((0usize, 0u64), |(rows, bytes), row| (rows + 1, bytes + row.len() as u64));
-    let source = |pos: usize| {
+    let shard_len = partial_bytes.checked_div(rows as u64).unwrap_or(0) as usize;
+    check_columns(&acc, sources)?;
+    // Each source with its reader: hop members at their aggregator, then
+    // the whole sources at `at`.
+    let listed = |pos: usize| {
         let unplanned = || (pos, Error::Invariant(format!("the plan names no source {pos}")));
-        sources.get(pos).ok_or_else(unplanned)
+        sources.get(pos).copied().ok_or_else(unplanned)
     };
+    let order: Vec<(usize, Source<'_>, NodeId, bool)> = plan
+        .hops
+        .iter()
+        .flat_map(|hop| hop.members.iter().map(|&pos| (pos, hop.aggregator, false)))
+        .chain(plan.whole.iter().map(|&pos| (pos, plan.at, true)))
+        .map(|(pos, reader, whole)| Ok((pos, listed(pos)?, reader, whole)))
+        .collect::<Result<_, _>>()?;
+
     // A holder reading its own block pays no wire: only a read served by
     // another node is a transfer.
-    let read = |reader: NodeId, src: &Source<'_>, received: &mut Received| {
-        let (data, served_by) = io.read_nearest(ctx, reader, src.block, src.holders, dead)?;
+    let count = |reader: NodeId, served_by: NodeId, received: &mut Received| {
         received.downloads += usize::from(served_by != reader);
         received.cross_rack_downloads +=
             usize::from(topo.rack_of(served_by) != topo.rack_of(reader));
-        Ok::<Block, Error>(data)
     };
+    let mut inputs: Vec<Input<'_>> = Vec::with_capacity(sources.len());
+    for (pos, src, reader, whole) in order {
+        let held = received.held.get(&src.block).filter(|_| whole);
+        let bytes = match held {
+            Some(data) => Bytes::Held(data.clone()),
+            None => match io.read_nearest_unverified(ctx, reader, src.block, src.holders, dead) {
+                Ok(read) => {
+                    count(reader, read.served_by(), received);
+                    Bytes::Read(read)
+                }
+                Err(e) => {
+                    keep_checked(io, inputs, received);
+                    return Err((pos, e));
+                }
+            },
+        };
+        if bytes.unchecked().len() != shard_len {
+            keep_checked(io, inputs, received);
+            return Err((pos, Error::ShardLengthMismatch));
+        }
+        inputs.push(Input { pos, src, reader, whole, bytes });
+    }
 
-    for hop in &plan.hops {
-        for &pos in &hop.members {
-            let src = source(pos)?;
-            let data = read(hop.aggregator, src, received).map_err(|e| (pos, e))?;
-            acc.absorb_source(src.index, &data).map_err(|e| (pos, e))?;
+    // The pass: every source absorbed into every row, tile by tile, each
+    // read hashed on the way.
+    let owed = |i: &Input<'_>| matches!(&i.bytes, Bytes::Read(read) if read.owes_hash());
+    let mut hashes: Vec<Option<u32>> = inputs.iter().map(|i| owed(i).then_some(0)).collect();
+    let columns: Vec<(usize, &[u8])> =
+        inputs.iter().map(|i| (i.src.index, i.bytes.unchecked())).collect();
+    let absorbed = acc.absorb_all(&columns, |j, piece| {
+        if let Some(Some(crc)) = hashes.get_mut(j) {
+            *crc = crc::extend(*crc, piece);
+        }
+    });
+    absorbed.map_err(|e| (0, e))?;
+
+    // Settle every read, keeping what passed, before re-reading what
+    // failed: a re-read that fails leaves the rest held.
+    let mut rotten = Vec::new();
+    for (input, hash) in inputs.into_iter().zip(hashes) {
+        let Input { pos, src, reader, whole, bytes } = input;
+        let checked = match bytes {
+            Bytes::Held(data) => Ok(data),
+            Bytes::Read(read) => io.settle(read, hash.unwrap_or_default()),
+        };
+        match checked {
+            Ok(data) if whole => _ = received.held.insert(src.block, data),
+            Ok(_) => {}
+            Err((read, e)) => rotten.push((pos, src, reader, whole, read, e)),
         }
     }
-    for &pos in &plan.whole {
-        let src = source(pos)?;
-        let data = match received.held.get(&src.block) {
-            Some(data) => data.clone(),
-            None => {
-                let data = read(plan.at, src, received).map_err(|e| (pos, e))?;
-                received.held.insert(src.block, data.clone());
-                data
-            }
-        };
+    for (pos, src, reader, whole, read, e) in rotten {
+        acc.retract_source(src.index, read.unchecked()).map_err(|e| (pos, e))?;
+        let rest: Vec<NodeId> =
+            src.holders.iter().copied().filter(|&n| n != read.served_by()).collect();
+        if rest.is_empty() {
+            return Err((pos, e));
+        }
+        let (data, served_by) =
+            io.read_nearest(ctx, reader, src.block, &rest, dead).map_err(|e| (pos, e))?;
+        count(reader, served_by, received);
         acc.absorb_source(src.index, &data).map_err(|e| (pos, e))?;
+        if whole {
+            received.held.insert(src.block, data);
+        }
     }
 
     let path = plan.path();
@@ -122,7 +217,44 @@ pub(crate) fn fold(
     received.cross_rack_downloads += shipped;
     let blame = |pos: usize| plan.hops.get(pos).or(plan.hops.last()).map_or(0, |hop| hop.own);
     streamed.map_err(|(pos, e)| (blame(pos), e))?;
-    acc.finish().map_err(|e| (0, e))
+    acc.finish_blocks().map_err(|e| (0, e))
+}
+
+/// Checks, before any byte moves, that `sources` fill each column of `acc`
+/// once.
+///
+/// # Errors
+///
+/// [`Error::Invariant`] at the first position that repeats a column or
+/// names none of `acc`'s; at position 0 for a column no source fills.
+fn check_columns(acc: &StripeEncoder, sources: &[Source<'_>]) -> Result<(), (usize, Error)> {
+    let invariant = |pos: usize, what: String| Err((pos, Error::Invariant(what)));
+    let mut filled = vec![false; acc.sources()];
+    for (pos, src) in sources.iter().enumerate() {
+        match filled.get_mut(src.index) {
+            Some(true) => return invariant(pos, format!("source {pos} repeats column {}", src.index)),
+            Some(slot) => *slot = true,
+            None => return invariant(pos, format!("source {pos} names no column {}", src.index)),
+        }
+    }
+    match filled.iter().position(|&f| !f) {
+        Some(column) => invariant(0, format!("column {column} has no source")),
+        None => Ok(()),
+    }
+}
+
+/// Hashes what a failed pass read but did not get to absorb, and keeps it
+/// as the pass would have: each read that passes its check is admitted to
+/// its source's cache, and a whole one joins [`Received::held`].
+fn keep_checked(io: &ClusterIo, inputs: Vec<Input<'_>>, received: &mut Received) {
+    for Input { src, whole, bytes, .. } in inputs {
+        if let Bytes::Read(read) = bytes {
+            let hash = crc::crc32c(read.unchecked());
+            if let (Ok(data), true) = (io.settle(read, hash), whole) {
+                received.held.insert(src.block, data);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -147,6 +279,13 @@ mod tests {
     }
 
     fn bed(injector: impl FnOnce(&ClusterTopology) -> FaultInjector) -> Bed {
+        bed_with(injector, |topo| topo.nodes().map(DataNode::new).collect())
+    }
+
+    fn bed_with(
+        injector: impl FnOnce(&ClusterTopology) -> FaultInjector,
+        nodes: impl FnOnce(&ClusterTopology) -> Vec<DataNode>,
+    ) -> Bed {
         let topo = ClusterTopology::uniform(4, 2);
         let rs = ReedSolomon::new(ErasureParams::new(6, 4).unwrap());
         let shard = |j: u8| (0..LEN).map(|i| (i as u8).wrapping_mul(7) ^ (j + 1)).collect();
@@ -155,7 +294,7 @@ mod tests {
         let bw = Bandwidth::bytes_per_sec(1e9);
         let io = ClusterIo::new(
             topo.clone(),
-            topo.nodes().map(DataNode::new).collect(),
+            nodes(&topo),
             EmulatedNetwork::new(&topo, bw, bw),
             injector(&topo),
             Arc::new(Reliability::unlimited(topo.num_nodes())),
@@ -165,6 +304,14 @@ mod tests {
 
     fn fault_free() -> Bed {
         bed(|_| FaultInjector::disabled())
+    }
+
+    /// A fault-free bed whose nodes cache every block they verify, whatever
+    /// the environment asks for.
+    fn cached() -> Bed {
+        let cache = ear_types::CacheConfig::Sized { hot_bytes: 1 << 20, cold_bytes: 1 << 20 };
+        let node = |n| DataNode::with_backend(n, ear_types::StoreBackend::Memory, cache, 5).unwrap();
+        bed_with(|_| FaultInjector::disabled(), |topo| topo.nodes().map(node).collect())
     }
 
     /// A bed whose fault plan has crashed exactly `node` before any read.
@@ -219,7 +366,8 @@ mod tests {
             let held = |b: BlockId| received.held.contains_key(&b);
             let is_dead = |n| dead.contains(n);
             let plan = ChainPlan::of(self.io.topology(), at, sink, rows, listed, is_dead, held)?;
-            fold(&self.io, &ctx, &plan, acc, sources, &dead, received)
+            let rows = fold(&self.io, &ctx, &plan, acc, sources, &dead, received)?;
+            Ok(rows.iter().map(Block::to_vec).collect())
         }
 
         /// Block-sized transfers the emulated network has carried so far:
@@ -450,6 +598,86 @@ mod tests {
             let stopped = bed.fold_at_0(0, acc, &short, u64::MAX, &mut Received::default());
             assert!(matches!(stopped, Err((_, Error::Invariant(_)))), "{stopped:?}");
         }
+    }
+
+    #[test]
+    fn a_bad_source_list_is_refused_before_any_byte_moves() {
+        let bed = fault_free();
+        for member in 0..4 {
+            bed.place(member, 1);
+        }
+        let at_1 = [NodeId(1)];
+        let twice = [0, 1, 1, 3].map(|member| source(member, member, &at_1));
+        let short = [0, 1, 3].map(|member| source(member, member, &at_1));
+        for sources in [&twice[..], &short[..]] {
+            let acc = StripeEncoder::new(&bed.rs, LEN);
+            let stopped = bed.fold_at_0(0, acc, sources, u64::MAX, &mut Received::default());
+            assert!(matches!(stopped, Err((_, Error::Invariant(_)))), "{stopped:?}");
+        }
+        assert_eq!(bed.wire_blocks(), (0, 0), "the wire carried nothing");
+        assert_eq!(bed.io.stats().reads, 0, "and nothing was read");
+    }
+
+    #[test]
+    fn a_rotten_copy_is_taken_back_out_and_read_again_from_the_next_holder() {
+        // Member 2 has copies at nodes 1 and 3; node 1's has rotted under
+        // its write-time CRC. Every source is read whole at node 0, node 1's
+        // copy first (same rack): the pass finds the rot, takes those bytes
+        // back out of both rows and reads member 2 again from node 3.
+        let bed = cached();
+        for (member, node) in [(0, 1), (1, 1), (2, 1), (2, 3), (3, 1)] {
+            bed.place(member, node);
+        }
+        bed.io.datanode(NodeId(1)).rot(BlockId(2), vec![0xA5; LEN]);
+        let both = [NodeId(1), NodeId(3)];
+        let at_1 = [NodeId(1)];
+        let sources =
+            [source(0, 0, &at_1), source(1, 1, &at_1), source(2, 2, &both), source(3, 3, &at_1)];
+        let mut received = Received::default();
+        let acc = StripeEncoder::new(&bed.rs, LEN);
+        let parity = bed.fold_at_0(0, acc, &sources, u64::MAX, &mut received);
+        assert_eq!(parity.unwrap(), bed.shards[4..]);
+        assert_eq!(bed.io.stats().failed_reads, 1, "the rotten read counts as failed");
+        // Five reads off the wire: four from node 1, then node 3's copy.
+        assert_eq!((received.downloads, received.cross_rack_downloads), (5, 1));
+        assert_eq!(received.held.get(&BlockId(2)).map(Block::to_vec), Some(bed.shards[2].clone()));
+        let cached = |node, member| bed.io.datanode(NodeId(node)).cached_read(BlockId(member));
+        assert!(cached(1, 2).is_some_and(|read| !read.verified), "rot is not cached");
+        assert!(cached(3, 2).is_some_and(|read| read.verified), "the clean copy is");
+        assert!(cached(1, 0).is_some_and(|read| read.verified), "as is every passing read");
+    }
+
+    #[test]
+    fn a_replanned_rebuild_never_reuses_a_rotten_shard() {
+        // Rebuild member 0 from members 1..=4, all read whole at node 0.
+        // Member 2's only copy has rotted: the pass fails on it, keeping
+        // the three shards that passed. The re-plan swaps member 5 in for
+        // member 2, as `rebuild_shard` does, and reads only member 5.
+        let bed = cached();
+        for (member, node) in [(1, 1), (2, 1), (3, 1), (4, 1), (5, 1)] {
+            bed.place(member, node);
+        }
+        bed.io.datanode(NodeId(1)).rot(BlockId(2), vec![0x5A; LEN]);
+        let at_1 = [NodeId(1)];
+        let first = [1, 2, 3, 4].map(|member| source(member - 1, member, &at_1));
+        let mut received = Received::default();
+        let acc = bed.rebuild_of(0, &[1, 2, 3, 4]);
+        let stopped = bed.fold_at_0(0, acc, &first, u64::MAX, &mut received);
+        assert!(
+            matches!(stopped, Err((1, Error::CorruptBlock { block, node }))
+                if block == BlockId(2) && node == NodeId(1)),
+            "{stopped:?}"
+        );
+        let held: Vec<BlockId> = received.held.keys().copied().collect();
+        assert_eq!(held, [1, 3, 4].map(BlockId), "only checked shards are held");
+
+        let second = [1, 3, 4, 5].map(|member| source([0, 0, 1, 1, 2, 3][member], member, &at_1));
+        let reads = bed.io.stats().reads;
+        let acc = bed.rebuild_of(0, &[1, 3, 4, 5]);
+        let rebuilt = bed.fold_at_0(0, acc, &second, u64::MAX, &mut received);
+        assert_eq!(rebuilt.unwrap(), [bed.shards[0].clone()]);
+        assert_eq!(bed.io.stats().reads - reads, 1, "the held shards are not read again");
+        assert!(!received.held.contains_key(&BlockId(2)));
     }
 
     #[test]

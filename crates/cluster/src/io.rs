@@ -84,6 +84,78 @@ fn backoff_key(node: NodeId, block: BlockId) -> u64 {
     ((node.index() as u64) << 40) ^ block.index() as u64
 }
 
+/// Bytes a read moved without hashing them, for the rack fold's pass to
+/// hash while it absorbs them (DESIGN.md §15) and then
+/// [`settle`](ClusterIo::settle). The type has no `Deref` and no way to a
+/// [`Block`] but `settle`, so nothing can store, cache or hold the bytes
+/// before they pass.
+#[derive(Debug)]
+pub(crate) struct Unverified {
+    data: Block,
+    /// The write-time CRC32C the bytes must hash to, or `None` when the
+    /// source's cache served them already verified.
+    owed: Option<u32>,
+    block: BlockId,
+    node: NodeId,
+}
+
+impl Unverified {
+    /// Whether the pass must hash these bytes: `false` for a verified cache
+    /// hit.
+    pub(crate) fn owes_hash(&self) -> bool {
+        self.owed.is_some()
+    }
+
+    /// The node that served the bytes.
+    pub(crate) fn served_by(&self) -> NodeId {
+        self.node
+    }
+
+    /// The bytes, for the pass that hashes them — and, should they fail, for
+    /// taking exactly them back out of what it absorbed.
+    pub(crate) fn unchecked(&self) -> &[u8] {
+        &self.data
+    }
+}
+
+/// What a read attempt hands its caller: bytes it hashed at the boundary
+/// ([`Block`]), or bytes left for the fold's pass ([`Unverified`]).
+pub(crate) trait Landing: Sized {
+    /// Takes one attempt's bytes.
+    fn land(io: &ClusterIo, read: Unverified) -> Result<Self>;
+    /// Their length.
+    fn len(&self) -> usize;
+}
+
+impl Landing for Block {
+    fn land(io: &ClusterIo, read: Unverified) -> Result<Block> {
+        let Some(crc) = read.owed else {
+            return Ok(read.data);
+        };
+        // Hash what arrived against the write-time CRC. A pass stamps the
+        // handle, so a reader that stores these bytes again (re-replication)
+        // does not hash them a second time.
+        let corrupt = Error::CorruptBlock { block: read.block, node: read.node };
+        let data = read.data.verified(crc).ok_or(corrupt)?;
+        io.admit_verified(read.node, read.block, &data, crc);
+        Ok(data)
+    }
+
+    fn len(&self) -> usize {
+        Block::len(self)
+    }
+}
+
+impl Landing for Unverified {
+    fn land(_: &ClusterIo, read: Unverified) -> Result<Unverified> {
+        Ok(read)
+    }
+
+    fn len(&self) -> usize {
+        self.data.len()
+    }
+}
+
 /// Monotonic I/O counters, updated relaxed — totals are exact once the
 /// contributing threads have joined, which is how every consumer reads them
 /// (after `encode_all`, after a healer round, after a job set).
@@ -310,21 +382,22 @@ impl ClusterIo {
     /// the hedging race share. The cost is a pure function of the attempt's
     /// identity and outcome: the seeded straggler delay, plus a per-size
     /// transfer cost on success, a timeout penalty on a dead node, or a
-    /// flat fault penalty otherwise.
-    pub(crate) fn fetch_costed(
+    /// flat fault penalty otherwise. `T` says whether the bytes are hashed
+    /// here ([`Block`]) or by the fold ([`Unverified`]).
+    pub(crate) fn fetch_costed<T: Landing>(
         &self,
         src: NodeId,
         dst: NodeId,
         block: BlockId,
         attempt: u32,
-    ) -> (Result<Block>, u64) {
+    ) -> (Result<T>, u64) {
         let delay = self.injector.straggler_delay_ticks(
             src,
             block,
             attempt,
             reliability::NOMINAL_SERVICE_TICKS,
         );
-        let out = self.fetch_inner(src, dst, block, attempt);
+        let out = self.fetch_inner(src, dst, block, attempt).and_then(|read| T::land(self, read));
         let cost = delay.saturating_add(match &out {
             Ok(data) => reliability::xfer_cost_ticks(data.len()),
             Err(Error::NodeDown { .. }) => reliability::TIMEOUT_PENALTY_TICKS,
@@ -345,13 +418,16 @@ impl ClusterIo {
         (out, cost)
     }
 
+    /// One attempt's bytes, moved to `dst`. They are hashed here only when
+    /// the fault plan corrupted them; otherwise they owe their check to the
+    /// caller, unless the source's cache served them verified.
     fn fetch_inner(
         &self,
         src: NodeId,
         dst: NodeId,
         block: BlockId,
         attempt: u32,
-    ) -> Result<Block> {
+    ) -> Result<Unverified> {
         let fault = self.injector.on_read(src, block, attempt);
         match fault {
             Some(IoFault::Corrupt) | None => {}
@@ -367,39 +443,62 @@ impl ClusterIo {
         let read = datanode
             .cached_read(block)
             .ok_or(Error::BlockUnavailable { block })?;
-        let crc = read.crc;
-        let (data, verified) = if fault == Some(IoFault::Corrupt) {
+        if fault == Some(IoFault::Corrupt) {
             // An injected corruption invalidates whatever verification the
-            // cached copy carried: the corrupted bytes are what crosses
-            // the wire, and they must be re-hashed.
+            // cached copy carried: the corrupted bytes are what crosses the
+            // wire, and they are hashed at this boundary, deferred or not,
+            // so a fault the plan injects fails this attempt.
             let bad = Block::from(self.injector.corrupted_copy(src, block, &read.data));
-            (bad, false)
-        } else {
-            (read.data, read.verified)
-        };
+            self.net.transfer(src, dst, bad.len() as u64);
+            let data = bad.verified(read.crc).ok_or(Error::CorruptBlock { block, node: src })?;
+            return Ok(Unverified { data, owed: None, block, node: src });
+        }
         // The bytes cross the wire before the reader can checksum them —
         // cached or not, the transfer is always paid.
-        self.net.transfer(src, dst, data.len() as u64);
-        if verified {
+        self.net.transfer(src, dst, read.data.len() as u64);
+        if read.verified {
             // Verified-once: these exact bytes passed CRC32C when admitted,
             // and the cache is write-invalidated, so re-hashing them can
             // only re-derive the same answer.
             self.counters.crc_skipped.fetch_add(1, Ordering::Relaxed);
             self.counters
                 .crc_bytes_skipped
-                .fetch_add(data.len() as u64, Ordering::Relaxed);
-            return Ok(data);
+                .fetch_add(read.data.len() as u64, Ordering::Relaxed);
+            return Ok(Unverified { data: read.data, owed: None, block, node: src });
         }
-        // Hash what arrived against the write-time CRC. A pass stamps the
-        // handle, so a reader that stores these bytes again (re-replication)
-        // does not hash them a second time.
-        let data = data
-            .verified(crc)
-            .ok_or(Error::CorruptBlock { block, node: src })?;
-        if fault.is_none() {
-            datanode.admit(block, &data, crc);
+        Ok(Unverified { data: read.data, owed: Some(read.crc), block, node: src })
+    }
+
+    /// Settles bytes a fold read unverified and hashed to `hashed` in its
+    /// pass: on a match (or for bytes the cache served verified) they are
+    /// admitted to their source's cache and returned as a [`Block`]; on a
+    /// mismatch the read is counted failed and the bytes come back with
+    /// [`Error::CorruptBlock`] naming the node that served them, for the
+    /// fold to take back out of its rows.
+    pub(crate) fn settle(
+        &self,
+        read: Unverified,
+        hashed: u32,
+    ) -> std::result::Result<Block, (Unverified, Error)> {
+        match read.owed {
+            None => Ok(read.data),
+            Some(crc) if crc == hashed => {
+                self.admit_verified(read.node, read.block, &read.data, crc);
+                Ok(read.data)
+            }
+            Some(_) => {
+                self.counters.failed_reads.fetch_add(1, Ordering::Relaxed);
+                let e = Error::CorruptBlock { block: read.block, node: read.node };
+                Err((read, e))
+            }
         }
-        Ok(data)
+    }
+
+    /// Admits bytes that just passed their check into `node`'s cache.
+    fn admit_verified(&self, node: NodeId, block: BlockId, data: &Block, crc: u32) {
+        if let Some(datanode) = self.datanodes.get(node.index()) {
+            datanode.admit(block, data, crc);
+        }
     }
 
     /// Writes `block`'s bytes from `src` onto `dst`'s store, through the
@@ -546,6 +645,20 @@ impl ClusterIo {
         on_dead: Option<&dyn Fn(NodeId)>,
         skip: Option<&dyn Fn(NodeId) -> bool>,
     ) -> Result<(Block, NodeId)> {
+        self.read_fallback(ctx, dst, block, sources, on_dead, skip)
+    }
+
+    /// [`read_with_fallback`](Self::read_with_fallback), landing the bytes
+    /// as `T`.
+    fn read_fallback<T: Landing>(
+        &self,
+        ctx: &OpContext<'_>,
+        dst: NodeId,
+        block: BlockId,
+        sources: &[NodeId],
+        on_dead: Option<&dyn Fn(NodeId)>,
+        skip: Option<&dyn Fn(NodeId) -> bool>,
+    ) -> Result<(T, NodeId)> {
         let rel = ctx.reliability();
         let mut last = Error::BlockUnavailable { block };
         for (i, &src) in sources.iter().enumerate() {
@@ -584,7 +697,8 @@ impl ClusterIo {
                 let outcome = if let Some(alt) = hedge_to {
                     self.hedged_fetch(ctx, src, alt, dst, block, attempt)
                 } else {
-                    self.fetch_from(ctx, src, dst, block, attempt).map(|d| (d, src))
+                    let (out, cost) = self.fetch_costed(src, dst, block, attempt);
+                    ctx.charge(cost).and(out).map(|d| (d, src))
                 };
                 match outcome {
                     Ok(won) => return Ok(won),
@@ -620,7 +734,7 @@ impl ClusterIo {
     /// at whichever leg finishes first. Physically both legs run to
     /// completion in sequence (determinism over wall-parallelism); the
     /// loser's virtual cost is discarded.
-    fn hedged_fetch(
+    fn hedged_fetch<T: Landing>(
         &self,
         ctx: &OpContext<'_>,
         src: NodeId,
@@ -628,7 +742,7 @@ impl ClusterIo {
         dst: NodeId,
         block: BlockId,
         attempt: u32,
-    ) -> Result<(Block, NodeId)> {
+    ) -> Result<(T, NodeId)> {
         let (primary, primary_cost) = self.fetch_costed(src, dst, block, attempt);
         let (hedge, hedge_cost) = self.fetch_costed(alt, dst, block, attempt);
         // The hedge leg starts once the primary has straggled past the
@@ -645,14 +759,14 @@ impl ClusterIo {
     /// were taken. With both legs failed the op has observed both, so it
     /// completes at the later one and the primary's error drives the
     /// caller's retry policy.
-    pub(crate) fn settle_hedge(
+    pub(crate) fn settle_hedge<T>(
         &self,
         ctx: &OpContext<'_>,
-        primary: Result<Block>,
+        primary: Result<T>,
         primary_cost: u64,
-        hedge: Result<Block>,
+        hedge: Result<T>,
         hedge_total: u64,
-    ) -> Result<(Block, bool)> {
+    ) -> Result<(T, bool)> {
         self.counters.hedges_launched.fetch_add(1, Ordering::Relaxed);
         let hedge_won = match (&primary, &hedge) {
             (Ok(_), Ok(_)) => hedge_total < primary_cost,
@@ -692,6 +806,31 @@ impl ClusterIo {
         replicas: &[NodeId],
         dead: &DeadNodeSet,
     ) -> Result<(Block, NodeId)> {
+        self.nearest(ctx, dst, block, replicas, dead)
+    }
+
+    /// [`read_nearest`](Self::read_nearest) for the rack fold: the bytes
+    /// arrive [`Unverified`], unless the fault plan corrupted them on the
+    /// way, which fails the attempt here as it does for every read.
+    pub(crate) fn read_nearest_unverified(
+        &self,
+        ctx: &OpContext<'_>,
+        dst: NodeId,
+        block: BlockId,
+        replicas: &[NodeId],
+        dead: &DeadNodeSet,
+    ) -> Result<Unverified> {
+        self.nearest(ctx, dst, block, replicas, dead).map(|(read, _)| read)
+    }
+
+    fn nearest<T: Landing>(
+        &self,
+        ctx: &OpContext<'_>,
+        dst: NodeId,
+        block: BlockId,
+        replicas: &[NodeId],
+        dead: &DeadNodeSet,
+    ) -> Result<(T, NodeId)> {
         let dst_rack = self.topo.rack_of(dst);
         let known_dead = dead.snapshot();
         let mut ordered = replicas.to_vec();
@@ -705,7 +844,7 @@ impl ClusterIo {
         });
         let on_dead = |n: NodeId| dead.insert(n);
         let skip = |n: NodeId| dead.contains(n);
-        self.read_with_fallback(ctx, dst, block, &ordered, Some(&on_dead), Some(&skip))
+        self.read_fallback(ctx, dst, block, &ordered, Some(&on_dead), Some(&skip))
     }
 
     /// Streams `bytes` of in-flight partial-row state down `path`, every

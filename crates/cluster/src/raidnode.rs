@@ -36,7 +36,7 @@ pub struct EncodeStats {
     /// Per-stripe completion offsets from job start, seconds (Fig. 12).
     pub completion_times: Vec<f64>,
     /// Name of the GF(2⁸) kernel tier the codec dispatched to (`scalar`,
-    /// `ssse3`, `avx2`); empty until a job has run.
+    /// `ssse3`, `avx2`, `gfni`); empty until a job has run.
     pub gf_kernel: &'static str,
     /// The fault-plan seed active during the job, `None` when the cluster
     /// runs fault-free — recorded so every report names the chaos it
@@ -322,7 +322,7 @@ fn encode_stripe(
     let mut spread = cfs.spread_of(planned_seats);
     let mut stored: Vec<(BlockId, NodeId)> = Vec::with_capacity(parity_ids.len());
     for ((p, &id), &planned) in parity.into_iter().zip(parity_ids).zip(&plan.parity_nodes) {
-        let p = Block::from(p).stamped();
+        let p = p.stamped();
         match store_parity(cfs, id, p, enc, planned, &mut spread) {
             Ok(dst) => stored.push((id, dst)),
             Err(e) => {
@@ -971,6 +971,70 @@ mod tests {
         assert_eq!(cfs.namenode().locations(moved), Some(vec![to]), "second block left behind");
         assert_eq!(cfs.datanode(to).get(moved).unwrap().as_slice(), cfs.make_block(8).as_slice());
         assert!(!cfs.datanode(from).contains(moved));
+    }
+
+    /// A cluster with one pending RR stripe of 4 blocks and a cache on
+    /// every node, the stripe, its encoding node and a member that node
+    /// holds: the fold reads that member from its own disk first.
+    fn one_stripe_with_a_local_member() -> (MiniCfs, PendingStripe, NodeId, BlockId) {
+        let cache = CacheConfig::Sized { hot_bytes: 4 << 20, cold_bytes: 4 << 20 };
+        (0..)
+            .find_map(|seed| {
+                let cfs = MiniCfs::new(ClusterConfig { seed, cache, ..cfg(ClusterPolicy::Rr, 8, 1) });
+                let cfs = cfs.unwrap();
+                write_stripes(&cfs, 4);
+                let stripe = cfs.namenode().pending_stripes().remove(0);
+                let enc = cfs.namenode().plan_encoding(&stripe).unwrap().encoding_node;
+                let held = |b: &&BlockId| cfs.namenode().locations(**b).unwrap().contains(&enc);
+                let local = *stripe.blocks.iter().find(held)?;
+                Some((cfs, stripe, enc, local))
+            })
+            .unwrap()
+    }
+
+    #[test]
+    fn a_rotten_source_copy_encodes_from_the_next_holder() {
+        let (cfs, _, enc, rotten) = one_stripe_with_a_local_member();
+        let len = cfs.make_block(rotten.0).len();
+        cfs.datanode(enc).rot(rotten, vec![0xA5; len]);
+        let failed = cfs.io().stats().failed_reads;
+        let (stats, _) = RaidNode::encode_all(&cfs, 1).unwrap();
+        assert_eq!(stats.stripes, 1, "{:?}", stats.failed_stripes);
+        assert_eq!(cfs.io().stats().failed_reads - failed, 1, "the rot was read and caught");
+        assert_parity_matches_codec(&cfs);
+        for es in cfs.namenode().encoded_stripes() {
+            for p in es.parity {
+                let dn = cfs.datanode(cfs.namenode().locations(p).unwrap()[0]);
+                let stamp = dn.stored_crc(p).unwrap();
+                assert_eq!(stamp, ear_types::crc::crc32c(&dn.get(p).unwrap()), "parity {p}");
+            }
+        }
+        let cached = cfs.datanode(enc).cached_read(rotten);
+        assert!(cached.is_none_or(|read| !read.verified), "the rotten copy was cached");
+    }
+
+    #[test]
+    fn a_stripe_with_no_clean_copy_of_a_source_is_requeued_whole() {
+        let (cfs, stripe, _, rotten) = one_stripe_with_a_local_member();
+        let holders = cfs.namenode().locations(rotten).unwrap();
+        let len = cfs.make_block(rotten.0).len();
+        for &n in &holders {
+            cfs.datanode(n).rot(rotten, vec![0x5A; len]);
+        }
+        let replicas = |b: BlockId| cfs.namenode().locations(b).unwrap();
+        let before: Vec<Vec<NodeId>> = stripe.blocks.iter().map(|&b| replicas(b)).collect();
+        let (stats, _) = RaidNode::encode_all(&cfs, 1).unwrap();
+        assert_eq!(stats.stripes, 0);
+        match stats.failed_stripes.as_slice() {
+            [(id, Error::CorruptBlock { block, .. })] => assert_eq!((*id, *block), (stripe.id, rotten)),
+            other => panic!("expected one CorruptBlock failure, got {other:?}"),
+        }
+        assert_eq!(cfs.namenode().pending_stripe_count(), 1, "requeued");
+        assert!(cfs.namenode().encoded_stripes().is_empty());
+        for (&b, was) in stripe.blocks.iter().zip(&before) {
+            assert_eq!(&replicas(b), was, "{b} lost a location");
+            assert!(was.iter().all(|&n| cfs.datanode(n).contains(b)), "{b} lost a replica");
+        }
     }
 
     #[test]

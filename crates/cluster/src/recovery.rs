@@ -321,7 +321,7 @@ fn reconstruct_stripe_block(
         .collect();
     let (at, sink) = (site.at, site.sink);
     let (rebuilt, paid) = rebuild_shard(cfs, ctx, (at, sink), lost, &sources, 1, site.head)?;
-    cfs.datanode(sink).put(block, Block::from(rebuilt).stamped())?;
+    cfs.datanode(sink).put(block, rebuilt.stamped())?;
     cfs.namenode().set_locations(block, vec![sink])?;
     let topo = cfs.topology();
     Ok(RepairOutcome {
@@ -375,7 +375,7 @@ fn rebuild_shard(
     sources: &[ShardSource],
     fold_from: usize,
     head: Option<NodeId>,
-) -> Result<(Vec<u8>, Received)> {
+) -> Result<(Block, Received)> {
     let k = cfs.codec().params().k();
     let shard_len = cfs.config().block_size.as_u64() as usize;
     let mut candidates: Vec<&ShardSource> = sources.iter().collect();
@@ -475,7 +475,7 @@ pub(crate) fn degraded_read(
     let lost_idx =
         lost_idx.ok_or_else(|| Error::Invariant(format!("{block} not a member of its stripe")))?;
     let (rebuilt, _) = rebuild_shard(cfs, ctx, (reader, reader), lost_idx, &sources, GATHER, None)?;
-    Ok(Block::from(rebuilt))
+    Ok(rebuilt)
 }
 
 /// Statistics of one node-recovery operation.
@@ -496,7 +496,7 @@ pub struct RecoveryStats {
     /// Block-sized legs the plan put on the node down-links.
     pub down_links: LinkBalance,
     /// Name of the GF(2⁸) kernel tier the codec dispatched to for degraded
-    /// reads (`scalar`, `ssse3`, `avx2`).
+    /// reads (`scalar`, `ssse3`, `avx2`, `gfni`).
     pub gf_kernel: &'static str,
     /// The fault-plan seed active during recovery, `None` when the cluster
     /// runs fault-free.

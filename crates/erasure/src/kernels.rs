@@ -3,7 +3,7 @@
 //!
 //! Every experiment that encodes, repairs, or degraded-reads a stripe bottoms
 //! out in `dst[i] ^= coef · src[i]` over block-sized buffers. This module
-//! provides that primitive at three performance tiers:
+//! provides that primitive at four performance tiers:
 //!
 //! * [`KernelTier::Scalar`] — the portable byte-at-a-time product-table loop
 //!   from [`crate::gf256`]; the reference all other tiers must match bit for
@@ -12,29 +12,35 @@
 //!   low/high-nibble split product tables (the ISA-L technique).
 //! * [`KernelTier::Avx2`] — the same nibble-table technique at 32 bytes per
 //!   step via `_mm256_shuffle_epi8`.
+//! * [`KernelTier::Gfni`] — one `vgf2p8affineqb` per 64 bytes: multiplying
+//!   by a fixed coefficient is a linear map on GF(2)⁸, so it is an 8×8 bit
+//!   matrix (built per coefficient under the field's polynomial 0x11D), and
+//!   the instruction applies one to every byte of a 512-bit vector.
 //!
 //! The active tier is chosen once per process by [`Kernel::active`]: the best
 //! tier the CPU supports, unless the `EAR_GF_KERNEL` environment variable
-//! (`scalar`, `ssse3`, `avx2`, or `auto`) overrides it. An override
+//! (`scalar`, `ssse3`, `avx2`, `gfni`, or `auto`) overrides it. An override
 //! naming a tier the CPU cannot run falls back to auto-detection rather than
 //! crashing, so a pinned benchmark configuration degrades gracefully on
 //! older machines.
 //!
 //! Besides the single-source [`Kernel::mul_acc`], the codec-facing entry
-//! point is [`Kernel::mul_acc_many`]: one fused pass that accumulates all
-//! `k` sources of a parity/decode row into the destination in cache-sized
-//! blocks, so the destination tile is loaded into L1 once per block instead
-//! of once per source.
+//! point is [`Kernel::mul_acc_many`]: one tiled pass that accumulates every
+//! source into every output row, [`TILE`] bytes at a time, so each source
+//! byte is loaded once per call however many rows it feeds, and each row's
+//! tile stays in cache for all of its read-modify-writes.
 
 use crate::gf256;
 use std::sync::OnceLock;
 
-/// Destination tile size for [`Kernel::mul_acc_many`] blocking.
+/// Bytes of every row and source [`Kernel::mul_acc_many`] finishes before
+/// moving on.
 ///
-/// 16 KiB keeps the destination tile plus one streaming source chunk inside
-/// a typical 32–48 KiB L1d, so a `k`-source accumulation touches DRAM once
-/// per source byte and L1 for every read-modify-write of the destination.
-const BLOCK: usize = 16 * 1024;
+/// 16 KiB of a few rows and one source at a time fits a 48 KiB L1d; the
+/// call's whole tile (`k` sources and `r` rows, 224 KiB for a (14,10)
+/// stripe) fits the L2, so a block-sized call reads each source from memory
+/// once and each row once.
+pub const TILE: usize = 16 * 1024;
 
 /// The performance tier of a [`Kernel`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -45,18 +51,26 @@ pub enum KernelTier {
     Ssse3,
     /// AVX2 `_mm256_shuffle_epi8` nibble tables, 32 B/step (x86-64 only).
     Avx2,
+    /// AVX-512 GFNI `vgf2p8affineqb` bit matrices, 64 B/step (x86-64 only).
+    Gfni,
 }
 
 impl KernelTier {
     /// All tiers, in enumeration order.
-    pub const ALL: [KernelTier; 3] = [KernelTier::Scalar, KernelTier::Ssse3, KernelTier::Avx2];
+    pub const ALL: [KernelTier; 4] = [
+        KernelTier::Scalar,
+        KernelTier::Ssse3,
+        KernelTier::Avx2,
+        KernelTier::Gfni,
+    ];
 
-    /// The canonical lower-case name (`scalar`, `ssse3`, `avx2`).
+    /// The canonical lower-case name (`scalar`, `ssse3`, `avx2`, `gfni`).
     pub fn name(self) -> &'static str {
         match self {
             KernelTier::Scalar => "scalar",
             KernelTier::Ssse3 => "ssse3",
             KernelTier::Avx2 => "avx2",
+            KernelTier::Gfni => "gfni",
         }
     }
 
@@ -69,6 +83,7 @@ impl KernelTier {
             "scalar" => Some(KernelTier::Scalar),
             "ssse3" => Some(KernelTier::Ssse3),
             "avx2" => Some(KernelTier::Avx2),
+            "gfni" => Some(KernelTier::Gfni),
             _ => None,
         }
     }
@@ -81,6 +96,12 @@ impl KernelTier {
             KernelTier::Ssse3 => std::arch::is_x86_feature_detected!("ssse3"),
             #[cfg(target_arch = "x86_64")]
             KernelTier::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            KernelTier::Gfni => {
+                std::arch::is_x86_feature_detected!("gfni")
+                    && std::arch::is_x86_feature_detected!("avx512f")
+                    && std::arch::is_x86_feature_detected!("avx512bw")
+            }
             #[cfg(not(target_arch = "x86_64"))]
             _ => false,
         }
@@ -191,6 +212,10 @@ impl Kernel {
             KernelTier::Ssse3 => unsafe { x86::mul_acc_ssse3(dst, src, &x86::Tables::new(coef)) },
             #[cfg(target_arch = "x86_64")]
             KernelTier::Avx2 => unsafe { x86::mul_acc_avx2(dst, src, &x86::Tables::new(coef)) },
+            #[cfg(target_arch = "x86_64")]
+            KernelTier::Gfni => unsafe {
+                x86::rows_gfni::<1>(&mut [dst], &[src], &[x86::matrix(coef)], 0..src.len());
+            },
             #[cfg(not(target_arch = "x86_64"))]
             _ => gf256::mul_acc(dst, src, coef),
         }
@@ -219,66 +244,106 @@ impl Kernel {
             KernelTier::Ssse3 => unsafe { x86::mul_slice_ssse3(dst, src, &x86::Tables::new(coef)) },
             #[cfg(target_arch = "x86_64")]
             KernelTier::Avx2 => unsafe { x86::mul_slice_avx2(dst, src, &x86::Tables::new(coef)) },
+            // No caller on the coding path sets rather than accumulates.
+            KernelTier::Gfni => {
+                dst.fill(0);
+                self.mul_acc(dst, src, coef);
+            }
             #[cfg(not(target_arch = "x86_64"))]
             _ => gf256::mul_slice(dst, src, coef),
         }
     }
 
-    /// Fused multi-source accumulation: `dst[i] ^= Σ_j coef_j · src_j[i]`.
+    /// Fused multi-row, multi-source accumulation: for every row `r`,
+    /// `rows[r][i] ^= Σⱼ coefs[r · srcs.len() + j] · srcs[j][i]`.
     ///
-    /// This is the shape of one Reed–Solomon output row (parity during
-    /// encode, a recovered shard during decode): all `k` sources contribute
-    /// to one destination. Instead of `k` independent full-length passes —
-    /// which stream the destination through the cache hierarchy `k` times —
-    /// the slice is processed in [`BLOCK`]-sized tiles with all sources
-    /// applied to a tile before moving on, so the destination tile stays in
-    /// L1 for its entire read-modify-write lifetime.
+    /// This is the shape of a Reed–Solomon fold: `m` parity rows of `k`
+    /// data shards during encode, the recovered shards of a decode. The
+    /// slices are walked once, in [`TILE`]-sized tiles: each source's piece
+    /// of a tile is first shown to `piece(j, bytes)` — the fold hashes it
+    /// there, while it is in L1 — and then absorbed into every row's tile,
+    /// so no byte of a source or a row is fetched from memory twice. The
+    /// coefficient tables are built once per call.
     ///
-    /// Zero coefficients are skipped; length-0 slices are a no-op.
+    /// Zero coefficients add nothing; length-0 slices are a no-op (the hook
+    /// sees no piece). The hook is a trait object so that this function and
+    /// its kernels are compiled once, in this crate, at its optimisation
+    /// level, whoever calls them.
     ///
     /// # Panics
     ///
-    /// Panics if any source length differs from `dst.len()`.
+    /// Panics if any row or source length differs from the others, or if
+    /// `coefs` does not hold `rows.len() · srcs.len()` coefficients.
     // SAFETY: as in `mul_acc` — tier support proven at construction.
     #[allow(unsafe_code)]
-    pub fn mul_acc_many(self, dst: &mut [u8], srcs: &[(&[u8], u8)]) {
-        for (src, _) in srcs {
-            assert_eq!(dst.len(), src.len(), "mul_acc_many length mismatch");
+    pub fn mul_acc_many(
+        self,
+        rows: &mut [&mut [u8]],
+        srcs: &[&[u8]],
+        coefs: &[u8],
+        piece: &mut dyn FnMut(usize, &[u8]),
+    ) {
+        let mut lens = rows.iter().map(|r| r.len()).chain(srcs.iter().map(|s| s.len()));
+        let len = lens.next().unwrap_or(0);
+        for l in lens {
+            assert_eq!(l, len, "mul_acc_many length mismatch");
         }
-        // Per-source coefficient tables are built once per call, not once
-        // per block: 32 field multiplies per source versus len/BLOCK
-        // rebuilds.
+        assert_eq!(coefs.len(), rows.len() * srcs.len(), "mul_acc_many coefficient count mismatch");
+        if srcs.is_empty() {
+            return;
+        }
         #[cfg(target_arch = "x86_64")]
         let tables: Vec<x86::Tables> = match self.tier {
-            KernelTier::Ssse3 | KernelTier::Avx2 => srcs
-                .iter()
-                .map(|&(_, coef)| x86::Tables::new(coef))
-                .collect(),
+            KernelTier::Ssse3 | KernelTier::Avx2 => coefs.iter().map(|&c| x86::Tables::new(c)).collect(),
+            _ => Vec::new(),
+        };
+        #[cfg(target_arch = "x86_64")]
+        let matrices: Vec<u64> = match self.tier {
+            KernelTier::Gfni => coefs.iter().map(|&c| x86::matrix(c)).collect(),
             _ => Vec::new(),
         };
         let mut start = 0;
-        while start < dst.len() {
-            let end = (start + BLOCK).min(dst.len());
-            for (j, &(src, coef)) in srcs.iter().enumerate() {
-                #[cfg(not(target_arch = "x86_64"))]
-                let _ = j;
-                let d = &mut dst[start..end];
-                let s = &src[start..end];
-                if coef == 0 {
-                    continue;
+        while start < len {
+            let end = (start + TILE).min(len);
+            for (j, src) in srcs.iter().enumerate() {
+                piece(j, &src[start..end]);
+            }
+            #[cfg(target_arch = "x86_64")]
+            if self.tier == KernelTier::Gfni {
+                // Up to four rows share one load of each source vector.
+                for (group, mats) in rows.chunks_mut(4).zip(matrices.chunks(4 * srcs.len())) {
+                    let range = start..end;
+                    unsafe {
+                        match group.len() {
+                            1 => x86::rows_gfni::<1>(group, srcs, mats, range),
+                            2 => x86::rows_gfni::<2>(group, srcs, mats, range),
+                            3 => x86::rows_gfni::<3>(group, srcs, mats, range),
+                            _ => x86::rows_gfni::<4>(group, srcs, mats, range),
+                        }
+                    }
                 }
-                if coef == 1 {
-                    xor_slice(d, s);
-                    continue;
-                }
-                match self.tier {
-                    KernelTier::Scalar => gf256::mul_acc(d, s, coef),
-                    #[cfg(target_arch = "x86_64")]
-                    KernelTier::Ssse3 => unsafe { x86::mul_acc_ssse3(d, s, &tables[j]) },
-                    #[cfg(target_arch = "x86_64")]
-                    KernelTier::Avx2 => unsafe { x86::mul_acc_avx2(d, s, &tables[j]) },
-                    #[cfg(not(target_arch = "x86_64"))]
-                    _ => gf256::mul_acc(d, s, coef),
+                start = end;
+                continue;
+            }
+            for (r, row) in rows.iter_mut().enumerate() {
+                let d = &mut row[start..end];
+                for (j, src) in srcs.iter().enumerate() {
+                    let at = r * srcs.len() + j;
+                    let (s, coef) = (&src[start..end], coefs[at]);
+                    if coef == 0 {
+                        continue;
+                    }
+                    if coef == 1 {
+                        xor_slice(d, s);
+                        continue;
+                    }
+                    match self.tier {
+                        #[cfg(target_arch = "x86_64")]
+                        KernelTier::Ssse3 => unsafe { x86::mul_acc_ssse3(d, s, &tables[at]) },
+                        #[cfg(target_arch = "x86_64")]
+                        KernelTier::Avx2 => unsafe { x86::mul_acc_avx2(d, s, &tables[at]) },
+                        _ => gf256::mul_acc(d, s, coef),
+                    }
                 }
             }
             start = end;
@@ -304,7 +369,7 @@ fn xor_slice(dst: &mut [u8], src: &[u8]) {
     }
 }
 
-/// x86-64 nibble-table kernels (SSSE3 / AVX2).
+/// x86-64 nibble-table kernels (SSSE3 / AVX2) and bit-matrix kernels (GFNI).
 ///
 /// For a fixed coefficient `c`, `c · x = c · (x & 0xF) ⊕ c · (x & 0xF0)` by
 /// linearity of GF(2⁸) multiplication, so two 16-entry tables — products of
@@ -312,6 +377,12 @@ fn xor_slice(dst: &mut [u8], src: &[u8]) {
 /// into two byte shuffles and a XOR. `_mm_shuffle_epi8` performs sixteen
 /// such 16-entry lookups per instruction (`_mm256_shuffle_epi8`:
 /// thirty-two).
+///
+/// GFNI needs no tables: `c · x` is linear in the bits of `x`, so it is an
+/// 8×8 bit matrix over GF(2), and `vgf2p8affineqb` multiplies 64 bytes by
+/// one per instruction. The instruction's own field multiply (`vgf2p8mulb`)
+/// is fixed to the AES polynomial 0x11B; the affine form takes any
+/// polynomial, here the code's 0x11D, through the matrix.
 ///
 /// This is the only module in the crate allowed to use `unsafe`: every
 /// unsafe fn below is `#[target_feature]`-gated and only reachable through a
@@ -338,6 +409,76 @@ mod x86 {
                 hi[x as usize] = gf256::mul(coef, x << 4);
             }
             Tables { lo, hi, coef }
+        }
+    }
+
+    /// The bit matrix of multiplication by `coef`, in the layout
+    /// `vgf2p8affineqb` reads: byte `7 − i` is the mask of input bits that
+    /// feed output bit `i`, and input bit `j` feeds it iff bit `i` of
+    /// `coef · 2ʲ` is set.
+    pub fn matrix(coef: u8) -> u64 {
+        let mut m = 0u64;
+        for i in 0..8 {
+            let row = (0..8).fold(0u8, |row, j| row | (((gf256::mul(coef, 1 << j) >> i) & 1) << j));
+            m |= u64::from(row) << (8 * (7 - i));
+        }
+        m
+    }
+
+    /// `rows[r][range] ^= Σⱼ M(r, j) · srcs[j][range]` for `N` rows, where
+    /// `mats[r · srcs.len() + j]` is the [`matrix`] of `M(r, j)`: each
+    /// 64-byte source vector is loaded once and applied to all `N` rows,
+    /// whose sums stay in registers until every source is in.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F, AVX-512BW and GFNI.
+    ///
+    /// # Panics
+    ///
+    /// If `rows.len() != N`, `mats` holds fewer than `N · srcs.len()`
+    /// matrices, or `range` does not lie inside every row and source.
+    #[target_feature(enable = "avx512f,avx512bw,gfni")]
+    pub unsafe fn rows_gfni<const N: usize>(
+        rows: &mut [&mut [u8]],
+        srcs: &[&[u8]],
+        mats: &[u64],
+        range: std::ops::Range<usize>,
+    ) {
+        assert_eq!(rows.len(), N);
+        assert!(mats.len() >= N * srcs.len());
+        let lens = rows.iter().map(|r| r.len()).chain(srcs.iter().map(|s| s.len()));
+        for len in lens {
+            assert!(range.start <= range.end && range.end <= len);
+        }
+        let k = srcs.len();
+        // SAFETY: every access is at `off .. off + 64` with
+        // `off + 64 <= range.end`, or masked to the bytes below
+        // `range.end`, and `range.end` is within every row and source
+        // (asserted above); `loadu`/`storeu` take any alignment.
+        unsafe {
+            let mut off = range.start;
+            while off < range.end {
+                // All 64 lanes, or the ones left in the range.
+                let mask = match range.end - off {
+                    64.. => !0u64,
+                    left => (1u64 << left) - 1,
+                };
+                let mut sum = [_mm512_setzero_si512(); N];
+                for (j, src) in srcs.iter().enumerate() {
+                    let x = _mm512_maskz_loadu_epi8(mask, src.as_ptr().add(off).cast());
+                    for (r, s) in sum.iter_mut().enumerate() {
+                        let m = _mm512_set1_epi64(mats[r * k + j] as i64);
+                        *s = _mm512_xor_si512(*s, _mm512_gf2p8affine_epi64_epi8::<0>(x, m));
+                    }
+                }
+                for (row, s) in rows.iter_mut().zip(sum) {
+                    let at = row.as_mut_ptr().add(off);
+                    let cur = _mm512_maskz_loadu_epi8(mask, at.cast());
+                    _mm512_mask_storeu_epi8(at.cast(), mask, _mm512_xor_si512(cur, s));
+                }
+                off += 64;
+            }
         }
     }
 
@@ -573,12 +714,12 @@ mod tests {
 
     #[test]
     fn mul_acc_many_matches_sequential_single_source_passes() {
-        // Cover lengths below, at, and above the blocking tile, with k
-        // sources including zero and one coefficients.
+        // Cover lengths below, at, and above the tile, with k sources
+        // including zero and one coefficients, into one row and into five
+        // (a full group of four and one more on the GFNI tier).
         for kernel in Kernel::available() {
-            for &len in &[0usize, 1, 63, 1024, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17] {
+            for &len in &[0usize, 1, 63, 1024, TILE - 1, TILE, TILE + 1, 3 * TILE + 17] {
                 let k = 6;
-                let coefs = [0u8, 1, 2, 0x53, 0xFF, 29];
                 let srcs: Vec<Vec<u8>> = (0..k)
                     .map(|i| {
                         let mut v = vec![0u8; len];
@@ -586,19 +727,36 @@ mod tests {
                         v
                     })
                     .collect();
-                let mut reference = vec![0u8; len];
-                fill(&mut reference, 4242 + len as u64);
-                let mut out = reference.clone();
-                for (s, &c) in srcs.iter().zip(&coefs) {
-                    gf256::mul_acc(&mut reference, s, c);
+                let srcs: Vec<&[u8]> = srcs.iter().map(Vec::as_slice).collect();
+                for rows in [1usize, 5] {
+                    let coefs: Vec<u8> = [0u8, 1, 2, 0x53, 0xFF, 29]
+                        .iter()
+                        .cycle()
+                        .skip(rows)
+                        .take(rows * k)
+                        .copied()
+                        .collect();
+                    let mut reference: Vec<Vec<u8>> = (0..rows)
+                        .map(|r| {
+                            let mut v = vec![0u8; len];
+                            fill(&mut v, 4242 + len as u64 + r as u64);
+                            v
+                        })
+                        .collect();
+                    let mut out = reference.clone();
+                    for (r, row) in reference.iter_mut().enumerate() {
+                        for (j, s) in srcs.iter().enumerate() {
+                            gf256::mul_acc(row, s, coefs[r * k + j]);
+                        }
+                    }
+                    let mut outs: Vec<&mut [u8]> = out.iter_mut().map(Vec::as_mut_slice).collect();
+                    let mut seen = vec![Vec::new(); k];
+                    kernel.mul_acc_many(&mut outs, &srcs, &coefs, &mut |j, piece| {
+                        seen[j].extend_from_slice(piece)
+                    });
+                    assert_eq!(out, reference, "{} len={len} rows={rows}", kernel.name());
+                    assert_eq!(seen, srcs, "{} len={len}: the hook sees every byte", kernel.name());
                 }
-                let pairs: Vec<(&[u8], u8)> = srcs
-                    .iter()
-                    .map(|s| s.as_slice())
-                    .zip(coefs.iter().copied())
-                    .collect();
-                kernel.mul_acc_many(&mut out, &pairs);
-                assert_eq!(out, reference, "{} len={len}", kernel.name());
             }
         }
     }
@@ -608,6 +766,24 @@ mod tests {
     fn mul_acc_many_rejects_ragged_sources() {
         let short = [1u8, 2, 3];
         let mut dst = [0u8; 4];
-        Kernel::detect().mul_acc_many(&mut dst, &[(&short, 5)]);
+        Kernel::detect().mul_acc_many(&mut [&mut dst], &[&short], &[5], &mut |_, _| ());
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn gfni_matrices_multiply_like_the_field() {
+        // The matrix applied by hand, bit by bit, as the instruction does.
+        let apply = |m: u64, x: u8| {
+            (0..8).fold(0u8, |out, i| {
+                let row = (m >> (8 * (7 - i))) as u8;
+                out | (((row & x).count_ones() as u8 & 1) << i)
+            })
+        };
+        for coef in 0..=255u8 {
+            let m = x86::matrix(coef);
+            for x in 0..=255u8 {
+                assert_eq!(apply(m, x), gf256::mul(coef, x), "coef {coef} x {x}");
+            }
+        }
     }
 }

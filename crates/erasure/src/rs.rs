@@ -110,16 +110,11 @@ impl ReedSolomon {
         }
         let m = self.params.parity();
         let mut parity = vec![vec![0u8; len]; m];
-        for (row, out) in parity.iter_mut().enumerate() {
-            // One fused pass per output row: all k sources are accumulated
-            // block by block so the destination tile stays in L1.
-            let srcs: Vec<(&[u8], u8)> = data
-                .iter()
-                .enumerate()
-                .map(|(j, shard)| (shard.as_ref(), self.generator.get(k + row, j)))
-                .collect();
-            self.kernel.mul_acc_many(out, &srcs);
-        }
+        // One tiled pass folds every source into all m rows.
+        let srcs: Vec<&[u8]> = data.iter().map(AsRef::as_ref).collect();
+        let coefs: Vec<u8> = (k..k + m).flat_map(|r| self.generator.row(r).to_vec()).collect();
+        let mut rows: Vec<&mut [u8]> = parity.iter_mut().map(Vec::as_mut_slice).collect();
+        self.kernel.mul_acc_many(&mut rows, &srcs, &coefs, &mut |_, _| ());
         Ok(parity)
     }
 
@@ -192,41 +187,31 @@ impl ReedSolomon {
             Error::Invariant("selected generator rows are singular (non-MDS generator?)".into())
         })?;
 
-        let mut data: Vec<Vec<u8>> = Vec::with_capacity(k);
-        for i in 0..k {
-            let mut out = vec![0u8; len];
-            let srcs: Vec<(&[u8], u8)> = rows
-                .iter()
-                .enumerate()
-                .map(|(j, &src_row)| {
-                    let src: &[u8] = shards[src_row].as_ref().expect("present");
-                    (src, dec.get(i, j))
-                })
-                .collect();
-            self.kernel.mul_acc_many(&mut out, &srcs);
-            data.push(out);
+        // The missing data shards, in one pass over the k sources.
+        let need_data: Vec<usize> = (0..k).filter(|&i| shards[i].is_none()).collect();
+        let mut data = vec![vec![0u8; len]; need_data.len()];
+        {
+            let srcs: Vec<&[u8]> = rows.iter().filter_map(|&r| shards[r].as_deref()).collect();
+            let mut outs: Vec<&mut [u8]> = data.iter_mut().map(Vec::as_mut_slice).collect();
+            let coefs: Vec<u8> = need_data.iter().flat_map(|&i| dec.row(i).to_vec()).collect();
+            self.kernel.mul_acc_many(&mut outs, &srcs, &coefs, &mut |_, _| ());
         }
-
-        // Fill in missing data shards.
-        for (i, shard) in shards.iter_mut().take(k).enumerate() {
-            if shard.is_none() {
-                *shard = Some(data[i].clone());
-            }
+        for (i, shard) in need_data.into_iter().zip(data) {
+            shards[i] = Some(shard);
         }
-        // Recompute missing parity shards from the (now complete) data.
+        // Then the missing parity shards, in one pass over the now complete
+        // data.
         let need_parity: Vec<usize> = (k..n).filter(|&i| shards[i].is_none()).collect();
-        if !need_parity.is_empty() {
-            for &p in &need_parity {
-                let row = p; // generator row index
-                let mut out = vec![0u8; len];
-                let srcs: Vec<(&[u8], u8)> = data
-                    .iter()
-                    .enumerate()
-                    .map(|(j, d)| (d.as_slice(), self.generator.get(row, j)))
-                    .collect();
-                self.kernel.mul_acc_many(&mut out, &srcs);
-                shards[p] = Some(out);
-            }
+        let mut parity = vec![vec![0u8; len]; need_parity.len()];
+        {
+            let srcs: Vec<&[u8]> = shards[..k].iter().filter_map(Option::as_deref).collect();
+            let mut outs: Vec<&mut [u8]> = parity.iter_mut().map(Vec::as_mut_slice).collect();
+            let coefs: Vec<u8> =
+                need_parity.iter().flat_map(|&p| self.generator.row(p).to_vec()).collect();
+            self.kernel.mul_acc_many(&mut outs, &srcs, &coefs, &mut |_, _| ());
+        }
+        for (p, shard) in need_parity.into_iter().zip(parity) {
+            shards[p] = Some(shard);
         }
         Ok(())
     }

@@ -2,12 +2,12 @@
 //!
 //! Reed–Solomon parity rows are linear combinations of the data shards, so
 //! they can be folded in one source at a time instead of requiring all `k`
-//! shards resident at one node. `ParityAccum` is the single-output fold
-//! (`Σ coeffᵢ · chunkᵢ`, the primitive of RapidRAID-style pipelined
-//! encoding and rack-aware repair); [`StripeEncoder`] stacks `r` of them
-//! under `r` coefficient rows — the generator's `n − k` parity rows for an
-//! encode, the one row of recovery coefficients for a rebuild — so either
-//! can stream source-by-source, hop-by-hop.
+//! shards resident at one node — the primitive of RapidRAID-style pipelined
+//! encoding and rack-aware repair. [`StripeEncoder`] folds sources into `r`
+//! running rows under `r` coefficient rows — the generator's `n − k` parity
+//! rows for an encode, the one row of recovery coefficients for a rebuild —
+//! so either can stream source-by-source, hop-by-hop, or take all of its
+//! sources in one tiled pass ([`StripeEncoder::absorb_all`]).
 //!
 //! Because GF(2⁸) addition is XOR (commutative and associative), sources
 //! absorbed in any order finish to bytes identical to the one-shot
@@ -15,69 +15,8 @@
 //! the bottom of this module pin that bit-identity across kernel tiers.
 
 use crate::{Kernel, Matrix, ReedSolomon};
-use ear_types::{Error, Result};
-
-/// A running single-output GF(2⁸) linear combination `Σ coeffᵢ · chunkᵢ`.
-///
-/// Init with [`ParityAccum::new`], fold sources in with
-/// [`ParityAccum::absorb`], and close with [`ParityAccum::finish`] once the
-/// expected number of sources has been absorbed.
-#[derive(Debug, Clone)]
-pub(crate) struct ParityAccum {
-    acc: Vec<u8>,
-    absorbed: usize,
-    kernel: Kernel,
-}
-
-impl ParityAccum {
-    /// A fresh accumulator of `len` zero bytes (the GF additive identity).
-    pub fn new(kernel: Kernel, len: usize) -> Self {
-        ParityAccum {
-            acc: vec![0u8; len],
-            absorbed: 0,
-            kernel,
-        }
-    }
-
-    /// The partial bytes accumulated so far.
-    #[inline]
-    pub fn as_slice(&self) -> &[u8] {
-        &self.acc
-    }
-
-    /// Folds one source in: `acc ⊕= coeff · chunk`.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::ShardLengthMismatch`] if `chunk` is not the accumulator's
-    /// length.
-    pub fn absorb(&mut self, coeff: u8, chunk: &[u8]) -> Result<()> {
-        if chunk.len() != self.acc.len() {
-            return Err(Error::ShardLengthMismatch);
-        }
-        self.kernel.mul_acc(&mut self.acc, chunk, coeff);
-        self.absorbed += 1;
-        Ok(())
-    }
-
-    /// Closes the fold, checking that exactly `expected` sources were
-    /// absorbed.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Invariant`] if the absorbed count is wrong — a pipeline
-    /// that lost or double-counted a hop must fail loudly, not emit wrong
-    /// parity.
-    pub fn finish(self, expected: usize) -> Result<Vec<u8>> {
-        if self.absorbed != expected {
-            return Err(Error::Invariant(format!(
-                "partial fold absorbed {} of {expected} sources",
-                self.absorbed
-            )));
-        }
-        Ok(self.acc)
-    }
-}
+use ear_types::{Block, Error, Result};
+use std::sync::Arc;
 
 /// A streaming fold of `r` output rows: the running rows plus a record of
 /// which source columns have been folded in.
@@ -86,13 +25,19 @@ impl ParityAccum {
 /// or from explicit coefficients with [`StripeEncoder::with_rows`] (one row
 /// of [`recovery_coefficients`](crate::ReedSolomon::recovery_coefficients)
 /// rebuilds a lost shard); each source shard is folded with
-/// [`StripeEncoder::absorb_source`] (any order, exactly once each); and
+/// [`StripeEncoder::absorb_source`] or, all at once,
+/// [`StripeEncoder::absorb_all`] (any order, exactly once each); and
 /// [`StripeEncoder::finish`] yields, for the codec's rows, parity bytes
 /// identical to [`ReedSolomon::encode`](crate::ReedSolomon::encode).
+///
+/// The rows are accumulated in the shared buffers that
+/// [`StripeEncoder::finish_blocks`] hands out as [`Block`]s, so a fold's
+/// output is never copied on its way to a store.
 #[derive(Debug, Clone)]
 pub struct StripeEncoder {
+    kernel: Kernel,
     coeffs: Matrix,
-    rows: Vec<ParityAccum>,
+    rows: Vec<Arc<[u8]>>,
     absorbed: Vec<bool>,
 }
 
@@ -107,12 +52,17 @@ impl StripeEncoder {
     /// output `i` finishes as `Σⱼ coeffs[i][j] · sourceⱼ`.
     pub fn with_rows(kernel: Kernel, coeffs: Matrix, shard_len: usize) -> Self {
         StripeEncoder {
-            rows: (0..coeffs.rows())
-                .map(|_| ParityAccum::new(kernel, shard_len))
-                .collect(),
+            kernel,
+            // Zero bytes are the GF additive identity.
+            rows: (0..coeffs.rows()).map(|_| std::iter::repeat_n(0, shard_len).collect()).collect(),
             absorbed: vec![false; coeffs.cols()],
             coeffs,
         }
+    }
+
+    /// The number of source columns, each to be folded in exactly once.
+    pub fn sources(&self) -> usize {
+        self.absorbed.len()
     }
 
     /// Whether every source shard has been folded in.
@@ -123,7 +73,7 @@ impl StripeEncoder {
     /// The running partial parity rows (for shipping to the next hop; the
     /// byte volume of the wire transfer is `rows().len() · shard_len`).
     pub fn partial_rows(&self) -> impl Iterator<Item = &[u8]> {
-        self.rows.iter().map(ParityAccum::as_slice)
+        self.rows.iter().map(|row| &row[..])
     }
 
     /// Folds source shard `index` into every output row.
@@ -133,20 +83,93 @@ impl StripeEncoder {
     /// * [`Error::Invariant`] if `index` is out of range or already folded.
     /// * [`Error::ShardLengthMismatch`] on length disagreement.
     pub fn absorb_source(&mut self, index: usize, chunk: &[u8]) -> Result<()> {
-        let slot = self
-            .absorbed
-            .get_mut(index)
-            .ok_or_else(|| Error::Invariant(format!("source index {index} out of range")))?;
-        if *slot {
-            return Err(Error::Invariant(format!(
-                "source index {index} folded twice"
-            )));
+        self.absorb_all(&[(index, chunk)], |_, _| ())
+    }
+
+    /// Folds every `(index, shard)` of `sources` into every output row in
+    /// one tiled pass ([`Kernel::mul_acc_many`]): each shard is read once,
+    /// and before each piece of it is absorbed, `piece(position in
+    /// sources, bytes)` sees it — pieces of one shard arrive in order and
+    /// cover it exactly. Nothing is folded unless every source is valid.
+    ///
+    /// # Errors
+    ///
+    /// * [`Error::Invariant`] if an index is out of range, already folded,
+    ///   or listed twice.
+    /// * [`Error::ShardLengthMismatch`] on length disagreement.
+    pub fn absorb_all(
+        &mut self,
+        sources: &[(usize, &[u8])],
+        piece: impl FnMut(usize, &[u8]),
+    ) -> Result<()> {
+        let mut taken = self.absorbed.clone();
+        for &(index, chunk) in sources {
+            let slot = taken
+                .get_mut(index)
+                .ok_or_else(|| Error::Invariant(format!("source index {index} out of range")))?;
+            if std::mem::replace(slot, true) {
+                return Err(Error::Invariant(format!("source index {index} folded twice")));
+            }
+            if self.rows.first().is_some_and(|row| row.len() != chunk.len()) {
+                return Err(Error::ShardLengthMismatch);
+            }
         }
-        for (row, acc) in self.rows.iter_mut().enumerate() {
-            acc.absorb(self.coeffs.get(row, index), chunk)?;
-        }
-        *slot = true;
+        self.apply(sources, piece)?;
+        self.absorbed = taken;
         Ok(())
+    }
+
+    /// Takes source `index` back out: folds `chunk` in a second time, which
+    /// cancels it (GF(2⁸) addition is XOR), and marks the column open again.
+    /// `chunk` must be the bytes that were absorbed — a fold that finds a
+    /// source's bytes bad after absorbing them retracts exactly those.
+    ///
+    /// # Errors
+    ///
+    /// * [`Error::Invariant`] if `index` is out of range or not folded.
+    /// * [`Error::ShardLengthMismatch`] on length disagreement.
+    pub fn retract_source(&mut self, index: usize, chunk: &[u8]) -> Result<()> {
+        if !self.absorbed.get(index).copied().unwrap_or(false) {
+            return Err(Error::Invariant(format!("source index {index} is not folded")));
+        }
+        if self.rows.first().is_some_and(|row| row.len() != chunk.len()) {
+            return Err(Error::ShardLengthMismatch);
+        }
+        self.apply(&[(index, chunk)], |_, _| ())?;
+        if let Some(slot) = self.absorbed.get_mut(index) {
+            *slot = false;
+        }
+        Ok(())
+    }
+
+    /// `rows[r] ⊕= Σ coeffs[r][index] · shard` over `sources`, validated.
+    fn apply(&mut self, sources: &[(usize, &[u8])], mut piece: impl FnMut(usize, &[u8])) -> Result<()> {
+        let coeffs = &self.coeffs;
+        let coefs: Vec<u8> = (0..coeffs.rows())
+            .flat_map(|r| sources.iter().map(move |&(index, _)| coeffs.get(r, index)))
+            .collect();
+        let srcs: Vec<&[u8]> = sources.iter().map(|&(_, chunk)| chunk).collect();
+        // Unique until `finish_blocks` hands them out, which consumes self.
+        let shared = || Error::Invariant("a running row is shared".into());
+        let mut rows: Vec<&mut [u8]> =
+            self.rows.iter_mut().map(|row| Arc::get_mut(row).ok_or_else(shared)).collect::<Result<_>>()?;
+        self.kernel.mul_acc_many(&mut rows, &srcs, &coefs, &mut piece);
+        Ok(())
+    }
+
+    /// The columns still to fold, as the error that names them.
+    fn incomplete(&self) -> Result<()> {
+        if self.is_complete() {
+            return Ok(());
+        }
+        let missing: Vec<usize> = self
+            .absorbed
+            .iter()
+            .enumerate()
+            .filter(|(_, &a)| !a)
+            .map(|(i, _)| i)
+            .collect();
+        Err(Error::Invariant(format!("stripe encode missing sources {missing:?}")))
     }
 
     /// Closes the fold, returning the output rows.
@@ -155,20 +178,20 @@ impl StripeEncoder {
     ///
     /// [`Error::Invariant`] unless every source shard was folded in.
     pub fn finish(self) -> Result<Vec<Vec<u8>>> {
-        if !self.is_complete() {
-            let missing: Vec<usize> = self
-                .absorbed
-                .iter()
-                .enumerate()
-                .filter(|(_, &a)| !a)
-                .map(|(i, _)| i)
-                .collect();
-            return Err(Error::Invariant(format!(
-                "stripe encode missing sources {missing:?}"
-            )));
-        }
-        let k = self.absorbed.len();
-        self.rows.into_iter().map(|acc| acc.finish(k)).collect()
+        self.incomplete()?;
+        Ok(self.rows.iter().map(|row| row.to_vec()).collect())
+    }
+
+    /// Closes the fold, returning the output rows as [`Block`]s over the
+    /// buffers they were accumulated in (no byte is copied; the blocks carry
+    /// no stamp).
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Invariant`] unless every source shard was folded in.
+    pub fn finish_blocks(self) -> Result<Vec<Block>> {
+        self.incomplete()?;
+        Ok(self.rows.into_iter().map(Block::from_arc).collect())
     }
 }
 
@@ -235,15 +258,54 @@ mod tests {
 
     #[test]
     fn accum_finish_checks_source_count_and_lengths() {
-        let mut acc = ParityAccum::new(Kernel::detect(), 32);
-        assert!(acc.absorb(3, &[0u8; 16]).is_err());
-        acc.absorb(3, &[7u8; 32]).unwrap();
-        assert!(acc.clone().finish(2).is_err());
-        assert_eq!(acc.absorbed, 1);
-        let bytes = acc.finish(1).unwrap();
+        let one_row = |cols| Matrix::from_rows(1, cols, vec![3; cols]);
+        let mut acc = StripeEncoder::with_rows(Kernel::detect(), one_row(2), 32);
+        assert!(matches!(acc.absorb_source(0, &[0u8; 16]), Err(Error::ShardLengthMismatch)));
+        acc.absorb_source(0, &[7u8; 32]).unwrap();
+        assert!(acc.clone().finish().is_err(), "one of two sources is in");
+        let mut acc = StripeEncoder::with_rows(Kernel::detect(), one_row(1), 32);
+        acc.absorb_source(0, &[7u8; 32]).unwrap();
+        let bytes = acc.clone().finish().unwrap().remove(0);
         // 3 · 7 in GF(2⁸) — mul_acc against a zeroed accumulator is a plain
         // scalar multiply.
         assert!(bytes.iter().all(|&b| b == crate::gf256::mul(3, 7)));
+        assert_eq!(acc.finish_blocks().unwrap(), [Block::from(bytes)]);
+    }
+
+    #[test]
+    fn absorb_all_checks_every_source_before_folding_any() {
+        let rs = ReedSolomon::new(ErasureParams::new(6, 4).unwrap());
+        let data = shards(4, 64, 9);
+        let mut enc = StripeEncoder::new(&rs, 64);
+        let twice = [(0, &data[0][..]), (2, &data[2][..]), (0, &data[0][..])];
+        assert!(matches!(enc.absorb_all(&twice, |_, _| ()), Err(Error::Invariant(_))));
+        let short = [(1, &data[1][..]), (3, &data[3][..32])];
+        assert!(matches!(enc.absorb_all(&short, |_, _| ()), Err(Error::ShardLengthMismatch)));
+        enc.absorb_all(&[], |_, _| ()).unwrap();
+        assert!(enc.partial_rows().all(|row| row.iter().all(|&b| b == 0)), "nothing folded");
+        let all: Vec<(usize, &[u8])> = [2, 0, 3, 1].map(|j| (j, &data[j][..])).to_vec();
+        let mut seen = vec![Vec::new(); 4];
+        enc.absorb_all(&all, |pos, piece| seen[pos].extend_from_slice(piece)).unwrap();
+        assert_eq!(seen, all.iter().map(|&(_, d)| d.to_vec()).collect::<Vec<_>>());
+        assert_eq!(enc.finish().unwrap(), rs.encode(&data).unwrap());
+    }
+
+    #[test]
+    fn a_retracted_source_leaves_no_trace() {
+        let rs = ReedSolomon::new(ErasureParams::new(9, 6).unwrap());
+        let data = shards(6, 256, 4);
+        let rotten = vec![0xA5u8; 256];
+        let mut enc = StripeEncoder::new(&rs, 256);
+        let mut all: Vec<(usize, &[u8])> = data.iter().map(Vec::as_slice).enumerate().collect();
+        all[4].1 = &rotten;
+        enc.absorb_all(&all, |_, _| ()).unwrap();
+        enc.retract_source(4, &rotten).unwrap();
+        assert!(enc.retract_source(4, &rotten).is_err(), "a column is retracted once");
+        assert!(enc.clone().finish().is_err(), "and is open until absorbed again");
+        enc.absorb_source(4, &data[4]).unwrap();
+        let blocks = enc.finish_blocks().unwrap();
+        let want = rs.encode(&data).unwrap();
+        assert_eq!(blocks.iter().map(Block::to_vec).collect::<Vec<_>>(), want);
     }
 
     #[test]

@@ -15,7 +15,7 @@ fn len(rng: &mut ChaCha8) -> usize {
         2 => range(rng, 1..=64),
         3 => *rng.choose(&[7, 8, 15, 16, 31, 32, 33]).expect("non-empty"),
         4 => range(rng, 65..=4096),
-        // Past the mul_acc_many L1 blocking tile.
+        // Past the mul_acc_many tile.
         _ => range(rng, 16 * 1024 - 2..=16 * 1024 + 34),
     };
     len as usize
@@ -62,29 +62,51 @@ fn mul_slice_equivalent_across_tiers() {
     });
 }
 
-/// The fused `mul_acc_many` equals k sequential scalar `mul_acc` passes
-/// on every available tier, for random source counts and coefficients.
+/// Tile-crossing lengths and lengths that leave a partial 64-byte vector.
+fn tiled_len(rng: &mut ChaCha8) -> usize {
+    let tile = ear_erasure::kernels::TILE as u64;
+    match rng.below(3) {
+        0 => len(rng),
+        1 => range(rng, 1..=3) as usize * tile as usize + range(rng, 0..=63) as usize,
+        _ => range(rng, 64..=3 * tile) as usize,
+    }
+}
+
+/// The fused `mul_acc_many` equals `rows × k` sequential scalar `mul_acc`
+/// passes on every available tier, for random row and source counts and
+/// coefficients (0 and 1 drawn often), and shows the hook every source byte
+/// in order.
 #[test]
 fn mul_acc_many_equivalent_across_tiers() {
     check("mul_acc_many_equivalent_across_tiers", 128, |rng| {
-        let len = len(rng);
+        let len = tiled_len(rng);
+        let rows = range(rng, 1..=6) as usize;
         let sources = range(rng, 1..=14) as usize;
-        let coefs = bytes(rng, sources);
-        let srcs: Vec<Vec<u8>> = (0..sources).map(|_| bytes(rng, len)).collect();
-        let init = bytes(rng, len);
-        let mut reference = init.clone();
-        for (src, &coef) in srcs.iter().zip(&coefs) {
-            gf256::mul_acc(&mut reference, src, coef);
-        }
-        let pairs: Vec<(&[u8], u8)> = srcs
-            .iter()
-            .map(|v| v.as_slice())
-            .zip(coefs.iter().copied())
+        let coefs: Vec<u8> = (0..rows * sources)
+            .map(|_| match rng.below(4) {
+                0 => 0,
+                1 => 1,
+                _ => rng.next_u32() as u8,
+            })
             .collect();
+        let srcs: Vec<Vec<u8>> = (0..sources).map(|_| bytes(rng, len)).collect();
+        let srcs: Vec<&[u8]> = srcs.iter().map(Vec::as_slice).collect();
+        let init: Vec<Vec<u8>> = (0..rows).map(|_| bytes(rng, len)).collect();
+        let mut reference = init.clone();
+        for (r, row) in reference.iter_mut().enumerate() {
+            for (j, src) in srcs.iter().enumerate() {
+                gf256::mul_acc(row, src, coefs[r * sources + j]);
+            }
+        }
         for kernel in Kernel::available() {
             let mut out = init.clone();
-            kernel.mul_acc_many(&mut out, &pairs);
-            assert_eq!(&out, &reference, "tier {}", kernel.name());
+            let mut outs: Vec<&mut [u8]> = out.iter_mut().map(Vec::as_mut_slice).collect();
+            let mut seen = vec![Vec::new(); sources];
+            kernel.mul_acc_many(&mut outs, &srcs, &coefs, &mut |j, piece| {
+                seen[j].extend_from_slice(piece)
+            });
+            assert_eq!(out, reference, "tier {} len {len} rows {rows}", kernel.name());
+            assert_eq!(seen, srcs, "tier {} len {len}", kernel.name());
         }
     });
 }

@@ -20,6 +20,9 @@
 //!
 //! [`crc32c`] picks the tier per call from the CPU it runs on (std caches
 //! the probe); [`tier`] reports which. Nothing selects a tier by hand.
+//! [`extend`] carries a checksum over the next piece of a message on the
+//! same tiers, so a walk that visits a block tile by tile can hash it on
+//! the way instead of in a pass of its own.
 
 /// Reflected Castagnoli polynomial.
 const POLY: u32 = 0x82f6_3b78;
@@ -63,11 +66,20 @@ const fn build_tables() -> [[u32; 256]; 8] {
 pub fn crc32c(data: &[u8]) -> u32 {
     #[cfg(test)]
     tests::HASHES.with(|n| n.set(n.get() + 1));
+    extend(0, data)
+}
+
+/// The CRC32C of a message whose first part hashed to `crc`, after `data`
+/// follows it: `extend(crc32c(a), b) == crc32c(a ++ b)`, and the empty
+/// message's checksum is 0, so `extend(0, data) == crc32c(data)`. Pieces of
+/// any length chain, on whichever tier [`crc32c`] runs.
+pub fn extend(crc: u32, data: &[u8]) -> u32 {
+    // The tiers work on the raw register, which is the checksum inverted.
     #[cfg(target_arch = "x86_64")]
-    if let Some(crc) = fold512(data).or_else(|| sse42(data)) {
-        return crc;
+    if let Some(reg) = fold512(!crc, data).or_else(|| sse42(!crc, data)) {
+        return !reg;
     }
-    slicing8(data)
+    !update(!crc, data)
 }
 
 /// The tier [`crc32c`] runs on this CPU: `"vpclmulqdq"`, `"sse4.2"` or
@@ -84,9 +96,15 @@ pub fn tier() -> &'static str {
     "slicing8"
 }
 
-/// The portable tier.
+/// The portable tier's CRC32C of `data`: what every other tier is tested
+/// against.
+#[cfg(test)]
 fn slicing8(data: &[u8]) -> u32 {
-    let mut crc = !0u32;
+    !update(!0, data)
+}
+
+/// The raw register `crc` after `data`, on the portable tier.
+fn update(mut crc: u32, data: &[u8]) -> u32 {
     let mut chunks = data.chunks_exact(8);
     for chunk in &mut chunks {
         let lo = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]) ^ crc;
@@ -102,20 +120,21 @@ fn slicing8(data: &[u8]) -> u32 {
     for &b in chunks.remainder() {
         crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xff) as usize];
     }
-    !crc
+    crc
 }
 
-/// The SSE4.2 tier, or `None` on a CPU without it.
+/// The raw register `reg` after `data` on the SSE4.2 tier, or `None` on a
+/// CPU without it.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
-fn sse42(data: &[u8]) -> Option<u32> {
+fn sse42(reg: u32, data: &[u8]) -> Option<u32> {
     if !std::arch::is_x86_feature_detected!("sse4.2") {
         return None;
     }
-    // SAFETY: `x86::crc32c` is a safe function whose only requirement on
+    // SAFETY: `x86::update` is a safe function whose only requirement on
     // its caller is the `sse4.2` target feature, which the probe above
     // just found on this CPU.
-    Some(unsafe { x86::crc32c(data) })
+    Some(unsafe { x86::update(reg, data) })
 }
 
 /// Whether this CPU runs the folding tier. SSE4.2 and PCLMULQDQ come with
@@ -128,17 +147,18 @@ fn has_fold512() -> bool {
         && std::arch::is_x86_feature_detected!("sse4.2")
 }
 
-/// The VPCLMULQDQ tier, or `None` on a CPU without it.
+/// The raw register `reg` after `data` on the VPCLMULQDQ tier, or `None`
+/// on a CPU without it.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
-fn fold512(data: &[u8]) -> Option<u32> {
+fn fold512(reg: u32, data: &[u8]) -> Option<u32> {
     if !has_fold512() {
         return None;
     }
-    // SAFETY: `x86::crc32c_fold` is a safe function whose only requirement
+    // SAFETY: `x86::update_fold` is a safe function whose only requirement
     // on its caller is the four target features `has_fold512` just found
     // on this CPU.
-    Some(unsafe { x86::crc32c_fold(data) })
+    Some(unsafe { x86::update_fold(reg, data) })
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -283,15 +303,9 @@ mod x86 {
         }
     }
 
-    /// CRC32C of `data` on the `crc32` instruction.
-    #[target_feature(enable = "sse4.2")]
-    pub(super) fn crc32c(data: &[u8]) -> u32 {
-        !update(!0, data)
-    }
-
     /// The raw register `crc` after `data`, on the `crc32` instruction.
     #[target_feature(enable = "sse4.2")]
-    fn update(crc: u32, data: &[u8]) -> u32 {
+    pub(super) fn update(crc: u32, data: &[u8]) -> u32 {
         let mut crc = u64::from(crc);
         let mut rounds = data.chunks_exact(3 * LANE);
         for (r, round) in (&mut rounds).enumerate() {
@@ -371,17 +385,17 @@ mod x86 {
         _mm512_broadcast_i32x4(_mm_set_epi64x(k[1] as i64, k[0] as i64))
     }
 
-    /// CRC32C of `data`, folding 256 bytes a step.
+    /// The raw register `reg` after `data`, folding 256 bytes a step.
     #[target_feature(enable = "avx512f,vpclmulqdq,pclmulqdq,sse4.2")]
-    pub(super) fn crc32c_fold(data: &[u8]) -> u32 {
+    pub(super) fn update_fold(reg: u32, data: &[u8]) -> u32 {
         if data.len() < FOLD_MIN {
-            return !update(!0, data);
+            return update(reg, data);
         }
         let (steps, tail) = data.as_chunks::<STEP>();
         let mut acc = load(&steps[0]);
-        // The register's initial !0 is the same as XOR-ing it into the
+        // Starting from register `reg` is the same as XOR-ing it into the
         // first four bytes and starting from zero, which the fold does.
-        acc[0] = _mm512_xor_si512(acc[0], _mm512_maskz_set1_epi32(1, !0));
+        acc[0] = _mm512_xor_si512(acc[0], _mm512_maskz_set1_epi32(1, reg as i32));
         let k256 = splat(K256);
         for (s, step) in steps.iter().enumerate().skip(1) {
             for line in 0..STEP / 64 {
@@ -423,7 +437,7 @@ mod x86 {
         // The 16 folded bytes from a zero register, then the tail.
         let crc = _mm_crc32_u64(0, _mm_cvtsi128_si64(r) as u64);
         let crc = _mm_crc32_u64(crc, _mm_extract_epi64::<1>(r) as u64);
-        !update(crc as u32, tail)
+        update(crc as u32, tail)
     }
 }
 
@@ -448,14 +462,46 @@ pub(crate) mod tests {
         let mut tiers: Vec<Tier> = vec![("slicing8", slicing8)];
         #[cfg(target_arch = "x86_64")]
         {
-            if sse42(b"").is_some() {
-                tiers.push(("sse4.2", |data| sse42(data).expect("probed above")));
+            if sse42(!0, b"").is_some() {
+                tiers.push(("sse4.2", |data| !sse42(!0, data).expect("probed above")));
             }
-            if fold512(b"").is_some() {
-                tiers.push(("vpclmulqdq", |data| fold512(data).expect("probed above")));
+            if fold512(!0, b"").is_some() {
+                tiers.push(("vpclmulqdq", |data| !fold512(!0, data).expect("probed above")));
             }
         }
         tiers
+    }
+
+    type Extend = (&'static str, fn(u32, &[u8]) -> u32);
+
+    /// [`extend`] on every tier this CPU can run, called directly, plus the
+    /// dispatcher.
+    fn extenders() -> Vec<Extend> {
+        #[cfg_attr(not(target_arch = "x86_64"), expect(unused_mut))]
+        let mut tiers: Vec<Extend> = vec![("slicing8", |crc, data| !update(!crc, data))];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if sse42(!0, b"").is_some() {
+                tiers.push(("sse4.2", |crc, data| !sse42(!crc, data).expect("probed above")));
+            }
+            if fold512(!0, b"").is_some() {
+                tiers.push(("vpclmulqdq", |crc, data| !fold512(!crc, data).expect("probed above")));
+            }
+        }
+        tiers.push(("dispatch", extend));
+        tiers
+    }
+
+    /// `data` cut at `cuts` (ascending, each at most `data.len()`), the
+    /// pieces chained through `extend`.
+    fn chained(extend: fn(u32, &[u8]) -> u32, data: &[u8], cuts: &[usize]) -> u32 {
+        let mut crc = 0;
+        let mut from = 0;
+        for &to in cuts.iter().chain([&data.len()]) {
+            crc = extend(crc, &data[from..to]);
+            from = to;
+        }
+        crc
     }
 
     fn bytewise(data: &[u8]) -> u32 {
@@ -503,6 +549,19 @@ pub(crate) mod tests {
     fn known_vectors() {
         assert_rfc3720("slicing8", slicing8);
         assert_eq!(bytewise(&long_vector()), LONG_CRC);
+    }
+
+    #[test]
+    fn portable_pieces_chain_to_the_whole() {
+        let data = long_vector();
+        let data = &data[..100];
+        let whole = slicing8(data);
+        let portable: fn(u32, &[u8]) -> u32 = |crc, piece| !update(!crc, piece);
+        for cut in 0..=data.len() {
+            assert_eq!(chained(portable, data, &[cut]), whole, "cut at {cut}");
+        }
+        assert_eq!(chained(portable, data, &[0, 7, 7, 8, 63, 99]), whole);
+        assert_eq!(portable(0, b""), 0, "the empty message hashes to 0");
     }
 
     #[test]
@@ -573,6 +632,29 @@ pub(crate) mod tests {
                 assert_tiers_agree(&buf, [len], &[start]);
             },
         );
+    }
+
+    #[test]
+    fn pieces_chain_to_the_whole_on_every_tier() {
+        use crate::prop;
+        prop::check("pieces_chain_to_the_whole_on_every_tier", 256, |rng| {
+            // Short, odd and fold-sized messages alike: under 512 bytes no
+            // piece reaches the fold, past it some do and some do not.
+            let len = match rng.below(3) {
+                0 => prop::range(rng, 0..=511),
+                1 => 2 * prop::range(rng, 0..=4096) + 1,
+                _ => prop::range(rng, 512..=20 * 1024),
+            } as usize;
+            let data: Vec<u8> = (0..len).map(|_| rng.next_u32() as u8).collect();
+            let mut cuts: Vec<usize> = (0..prop::range(rng, 1..=5))
+                .map(|_| prop::range(rng, 0..=len as u64) as usize)
+                .collect();
+            cuts.sort_unstable();
+            let whole = slicing8(&data);
+            for (name, extend) in extenders() {
+                assert_eq!(chained(extend, &data, &cuts), whole, "{name} len {len} cuts {cuts:?}");
+            }
+        });
     }
 
     /// Bytes with no short period, so a misplaced lane or step shows.

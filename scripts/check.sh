@@ -40,6 +40,15 @@ if [ "$chain_files" != "crates/cluster/src/fold.rs" ] || [ -e crates/cluster/src
   echo "check.sh: stream_chain( must be called from fold.rs alone (found: $chain_files) and pipeline.rs must not exist" >&2
   exit 1
 fi
+# One pass per stripe (DESIGN.md §12, §15): the fold accumulates its rows
+# in the buffers it returns as Blocks, so encode and rebuild store them
+# without a copy, and the per-row Vec -> Block conversion stays deleted.
+for f in crates/cluster/src/raidnode.rs crates/cluster/src/recovery.rs; do
+  if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -n 'Block::from(' | sed "s|^|$f:|" | grep .; then
+    echo "check.sh: fold outputs are Blocks already; store them without Block::from (above)" >&2
+    exit 1
+  fi
+done
 # One write path: a client write is one streamed chain and a placement write
 # a one-replica pipeline (DESIGN.md §9), so the per-hop store-and-forward
 # retry loop stays deleted.

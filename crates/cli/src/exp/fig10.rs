@@ -28,7 +28,7 @@ pub fn measure(policy: ClusterPolicy, scale: Scale, seed: u64) -> Result<Vec<f64
         store: ear_types::StoreBackend::from_env(),
         cache: ear_types::CacheConfig::from_env(),
         durability: ear_types::DurabilityConfig::default(),
-        reliability: Default::default(),
+        hedge_reads: true,
     };
     let cfs = MiniCfs::new(cfg)?;
 

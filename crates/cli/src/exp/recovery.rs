@@ -50,7 +50,7 @@ fn encoded_cluster(
         store: ear_types::StoreBackend::from_env(),
         cache: ear_types::CacheConfig::from_env(),
         durability: ear_types::DurabilityConfig::default(),
-        reliability: Default::default(),
+        hedge_reads: true,
     };
     let cfs = MiniCfs::new(cfg)?;
     let nodes = cfs.topology().num_nodes() as u64;

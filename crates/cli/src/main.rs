@@ -458,7 +458,7 @@ fn recover(args: &Args) -> Result<String, Box<dyn std::error::Error>> {
         store,
         cache: CacheConfig::from_env(),
         durability: DurabilityConfig::at(&dir),
-        reliability: Default::default(),
+        hedge_reads: true,
     };
     let cfs = MiniCfs::reopen(cfg)?;
     let snap = cfs.namenode().snapshot();
@@ -721,7 +721,7 @@ mod tests {
             store: StoreBackend::Extent,
             cache: CacheConfig::default(),
             durability: DurabilityConfig::at(&dir),
-            reliability: Default::default(),
+            hedge_reads: true,
         };
         {
             let cfs = MiniCfs::new(cfg).unwrap();

@@ -23,7 +23,7 @@ use crate::healer::{Healer, HealerConfig};
 use crate::monitor::{plan_repairs, scan};
 use crate::raidnode::RaidNode;
 use crate::recovery::recover_node;
-use crate::reliability::{OpClass, ReliabilityConfig};
+use crate::reliability::OpClass;
 use ear_faults::{FaultConfig, FaultPlan};
 use ear_types::{
     Bandwidth, BlockId, ByteSize, CacheConfig, ClusterTopology, EarConfig, ErasureParams,
@@ -190,10 +190,7 @@ fn chaos_cluster(cfg: &ChaosConfig, seed: u64) -> Result<ClusterConfig> {
         store: cfg.store,
         cache: cfg.cache,
         durability: ear_types::DurabilityConfig::default(),
-        reliability: ReliabilityConfig {
-            hedge_reads: cfg.hedging,
-            ..ReliabilityConfig::default()
-        },
+        hedge_reads: cfg.hedging,
     })
 }
 
@@ -290,7 +287,7 @@ pub fn run_plan(seed: u64, cfg: &ChaosConfig) -> Result<ChaosReport> {
     verify_blocks(&cfs, &acked, k, |_| true, &mut report);
 
     // Tail-latency probe: read every acked block back through the real
-    // client path — admission, breakers, hedging and all — on the virtual
+    // client path — breakers, hedging and all — on the virtual
     // clock, and report the percentile profile. Sequential, so the
     // latencies are a pure function of the plan seed.
     if let Some(reader) = cfs.topology().nodes().find(|&n| !cfs.injector().node_down(n)) {
@@ -528,7 +525,7 @@ fn heal_cluster(cfg: &HealSoakConfig, seed: u64) -> Result<ClusterConfig> {
         store: cfg.store,
         cache: cfg.cache,
         durability: ear_types::DurabilityConfig::default(),
-        reliability: ReliabilityConfig::default(),
+        hedge_reads: true,
     })
 }
 

@@ -2,10 +2,10 @@
 
 use crate::datanode::DataNode;
 use crate::durable::Dir;
-use crate::health::{FailureDetector, HealthConfig, HealthTransition};
+use crate::health::{FailureDetector, HealthTransition};
 use crate::io::{ClusterIo, IoStats};
 use crate::namenode::NameNode;
-use crate::reliability::{self, OpClass, OpContext, Reliability, ReliabilityConfig};
+use crate::reliability::{self, OpClass, OpContext, Reliability};
 use crate::wal::MetaWal;
 use ear_core::{
     EncodingAwareReplication, PlacementPolicy, RandomReplicationPolicy, StripeSpread,
@@ -60,9 +60,10 @@ pub struct ClusterConfig {
     /// directory, no WAL, state dies with the process, exactly the
     /// pre-durability testbed.
     pub durability: DurabilityConfig,
-    /// The reliability substrate (DESIGN.md §14): deadlines, retry budgets,
-    /// circuit breakers, hedged reads, and admission control.
-    pub reliability: ReliabilityConfig,
+    /// Whether reads hedge against stragglers (DESIGN.md §14): the one
+    /// switch of the reliability substrate, whose deadlines, breakers and
+    /// backoff are constants.
+    pub hedge_reads: bool,
 }
 
 impl ClusterConfig {
@@ -82,7 +83,7 @@ impl ClusterConfig {
             store: StoreBackend::from_env(),
             cache: CacheConfig::from_env(),
             durability: DurabilityConfig::default(),
-            reliability: ReliabilityConfig::default(),
+            hedge_reads: true,
         }
     }
 }
@@ -209,7 +210,7 @@ impl MiniCfs {
                 let (wal, recovered) = MetaWal::open(
                     &dir.join("meta"),
                     config.durability.sync_writes,
-                    config.durability.checkpoint_every,
+                    crate::wal::CHECKPOINT_EVERY,
                 )?;
                 let namenode =
                     NameNode::new(topo.clone(), policy, config.seed, Some(wal), recovered);
@@ -247,15 +248,9 @@ impl MiniCfs {
         for &(node, factor) in injector.stragglers() {
             net.throttle_node(node, factor);
         }
-        let health = Mutex::new(FailureDetector::new(
-            topo.num_nodes(),
-            HealthConfig::default(),
-        ));
-        let reliability = Arc::new(Reliability::new(
-            config.reliability,
-            config.seed,
-            topo.num_nodes(),
-        ));
+        let health = Mutex::new(FailureDetector::new(topo.num_nodes()));
+        let reliability =
+            Arc::new(Reliability::new(config.hedge_reads, config.seed, topo.num_nodes()));
         let io = ClusterIo::new(topo.clone(), datanodes, net, injector, reliability.clone());
         Ok(MiniCfs {
             config,
@@ -291,9 +286,8 @@ impl MiniCfs {
         let transitions = det.observe(&beats);
         // The breakers' only input: detector verdicts, never data-plane
         // failures — breaker state stays a pure function of the heartbeat
-        // schedule. Half-open probes drain on the same control-plane tick.
+        // schedule.
         self.reliability.on_transitions(&transitions);
-        self.reliability.drain_probes();
         Ok(transitions)
     }
 
@@ -365,8 +359,8 @@ impl MiniCfs {
         &self.io
     }
 
-    /// The reliability substrate (DESIGN.md §14): admits operations, owns
-    /// the retry budgets and circuit breakers, and sets hedging policy.
+    /// The reliability substrate (DESIGN.md §14): makes op contexts, owns
+    /// the circuit breakers, and sets hedging policy.
     pub fn reliability(&self) -> &Arc<Reliability> {
         &self.reliability
     }
@@ -398,7 +392,6 @@ impl MiniCfs {
     /// # Errors
     ///
     /// * [`Error::Invariant`] if `data` does not match the block size.
-    /// * [`Error::Overloaded`] if the admission gate sheds the write.
     /// * Placement errors from the NameNode.
     pub fn write_block(&self, client: NodeId, data: Vec<u8>) -> Result<BlockId> {
         if data.len() as u64 != self.config.block_size.as_u64() {
@@ -431,7 +424,6 @@ impl MiniCfs {
     ///
     /// * [`Error::Invariant`] if the block id was never allocated.
     /// * [`Error::BlockUnavailable`] if the block has no replicas at all.
-    /// * [`Error::Overloaded`] if the admission gate sheds the read.
     /// * The last per-replica error ([`Error::NodeDown`],
     ///   [`Error::CorruptBlock`], …) if every replica failed every attempt.
     pub fn read_block(&self, reader: NodeId, id: BlockId) -> Result<Block> {
@@ -452,8 +444,7 @@ impl MiniCfs {
     ///
     /// # Errors
     ///
-    /// As [`read_block`](Self::read_block), minus admission (the caller
-    /// already holds a context).
+    /// As [`read_block`](Self::read_block).
     pub fn read_block_in(&self, ctx: &OpContext<'_>, reader: NodeId, id: BlockId) -> Result<Block> {
         let locations = self
             .namenode
@@ -471,7 +462,7 @@ impl MiniCfs {
                     0,
                     reliability::NOMINAL_SERVICE_TICKS,
                 );
-                if delay > self.reliability.hedge_threshold_ticks() {
+                if delay > reliability::HEDGE_THRESHOLD_TICKS {
                     return self.hedged_degraded_read(ctx, reader, id, *only);
                 }
             }
@@ -484,10 +475,9 @@ impl MiniCfs {
     /// Races the last straggling replica against a degraded-EC
     /// reconstruction: the reconstruct leg launches at the hedging
     /// threshold on the virtual clock (plus a fixed decode cost) under its
-    /// own admitted context, and the read completes at whichever leg
-    /// finishes first. Replicas are exhausted here, so losing the race to
-    /// the decoder is the difference between tail latency and a timeout.
-    /// The hedge is optional: one the gate sheds leaves the primary alone.
+    /// own context, and the read completes at whichever leg finishes first.
+    /// Replicas are exhausted here, so losing the race to the decoder is the
+    /// difference between tail latency and a timeout.
     fn hedged_degraded_read(
         &self,
         ctx: &OpContext<'_>,
@@ -496,14 +486,9 @@ impl MiniCfs {
         src: NodeId,
     ) -> Result<Block> {
         let (primary, primary_cost) = self.io.fetch_costed(src, reader, id, 0);
-        let Ok(hedge_ctx) = self.reliability.ctx(ctx.class()) else {
-            ctx.charge(primary_cost)?;
-            return primary;
-        };
+        let hedge_ctx = self.reliability.ctx(ctx.class())?;
         let hedge = crate::recovery::degraded_read(self, &hedge_ctx, reader, id);
-        let hedge_total = self
-            .reliability
-            .hedge_threshold_ticks()
+        let hedge_total = reliability::HEDGE_THRESHOLD_TICKS
             .saturating_add(hedge_ctx.elapsed_ticks())
             .saturating_add(reliability::DECODE_TICKS);
         self.io
@@ -579,7 +564,7 @@ mod tests {
             store: StoreBackend::from_env(),
             cache: CacheConfig::from_env(),
             durability: DurabilityConfig::default(),
-            reliability: ReliabilityConfig::default(),
+            hedge_reads: true,
         }
     }
 
@@ -699,39 +684,6 @@ mod tests {
         let id = cfs.write_block(NodeId(2), data.clone()).unwrap();
         let back = cfs.read_block(NodeId(5), id).unwrap();
         assert_eq!(back.as_slice(), data.as_slice());
-    }
-
-    #[test]
-    fn a_shed_hedge_leaves_the_read_to_its_primary() {
-        // Client reads admit one op at a time, so the read's own context
-        // fills the gate and the degraded-EC hedge for its lone, straggling
-        // replica is shed. The hedge was optional: the primary's bytes are
-        // the read's answer, not an `Overloaded`.
-        let mut cfg = small_cfg(ClusterPolicy::Rr);
-        cfg.reliability.classes[OpClass::ClientRead.index()].max_in_flight = 1;
-        let faults = ear_faults::FaultConfig {
-            node_crashes: 0,
-            rack_outages: 0,
-            stragglers: 1,
-            straggler_factor: 1.0,
-            straggler_delay: ear_faults::DelayModel::Fixed { ticks: 5_000 },
-            transient_error_rate: 0.0,
-            corruption_rate: 0.0,
-            heartbeat_loss_rate: 0.0,
-            crash_window: 1,
-        };
-        let topo = ClusterTopology::uniform(cfg.racks, cfg.nodes_per_rack);
-        let cfs = MiniCfs::with_faults(cfg, FaultPlan::generate(1, &topo, &faults)).unwrap();
-        let straggler = cfs.injector().stragglers()[0].0;
-        assert!(cfs.reliability().hedge_threshold_ticks() < 5_000);
-        let data = cfs.make_block(9);
-        let id = cfs.write_block(NodeId(0), data.clone()).unwrap();
-        cfs.datanode(straggler).put(id, Block::from(data.clone())).unwrap();
-        cfs.namenode().set_locations(id, vec![straggler]).unwrap();
-
-        let back = cfs.read_block(NodeId(0), id).unwrap();
-        assert_eq!(back.as_slice(), data.as_slice());
-        assert_eq!(cfs.reliability().stats().shed_ops, 1, "the hedge was asked for and shed");
     }
 
     #[test]

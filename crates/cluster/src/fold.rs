@@ -297,7 +297,7 @@ mod tests {
             nodes(&topo),
             EmulatedNetwork::new(&topo, bw, bw),
             injector(&topo),
-            Arc::new(Reliability::unlimited(topo.num_nodes())),
+            Arc::new(Reliability::new(false, 0, topo.num_nodes())),
         );
         Bed { io, rs, shards: data.into_iter().chain(parity).collect() }
     }
@@ -359,7 +359,7 @@ mod tests {
             received: &mut Received,
         ) -> Result<Vec<Vec<u8>>, (usize, Error)> {
             let rel = self.io.reliability().clone();
-            let ctx = rel.ctx_with_deadline(OpClass::Heal, deadline_ticks).unwrap();
+            let ctx = rel.ctx_with_deadline(OpClass::Heal, deadline_ticks);
             let (at, sink, dead) = (NodeId(0), NodeId(sink), DeadNodeSet::new());
             let rows = acc.partial_rows().count();
             let listed = sources.iter().map(|src| (src.block, src.holders));

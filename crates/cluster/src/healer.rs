@@ -357,7 +357,7 @@ mod tests {
             store: StoreBackend::from_env(),
             cache: CacheConfig::from_env(),
             durability: Default::default(),
-            reliability: Default::default(),
+            hedge_reads: true,
         }
     }
 

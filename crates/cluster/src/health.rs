@@ -21,33 +21,18 @@ use crate::cluster::MiniCfs;
 use ear_types::{BlockId, NodeHealth, NodeId, StripeId};
 use std::collections::{BTreeMap, HashSet, VecDeque};
 
-/// Thresholds and windows of the phi-style failure detector.
-#[derive(Debug, Clone)]
-pub struct HealthConfig {
-    /// Suspicion level (missed-interval multiples) at which a `Live` node
-    /// becomes `Suspect`.
-    pub phi_suspect: f64,
-    /// Suspicion level at which a `Suspect` node is declared `Dead`.
-    pub phi_dead: f64,
-    /// Heartbeat inter-arrival history window used to estimate the mean
-    /// interval (the adaptive part: lossy links inflate the estimate and
-    /// thereby the patience).
-    pub window: usize,
-    /// Consecutive heartbeats a `Rejoined` node must deliver before it is
-    /// trusted as `Live` again.
-    pub rejoin_heartbeats: u32,
-}
-
-impl Default for HealthConfig {
-    fn default() -> Self {
-        HealthConfig {
-            phi_suspect: 3.0,
-            phi_dead: 8.0,
-            window: 16,
-            rejoin_heartbeats: 3,
-        }
-    }
-}
+/// Suspicion level (missed-interval multiples) at which a `Live` node
+/// becomes `Suspect`.
+const PHI_SUSPECT: f64 = 3.0;
+/// Suspicion level at which a `Suspect` node is declared `Dead`.
+const PHI_DEAD: f64 = 8.0;
+/// Heartbeat inter-arrival history window used to estimate the mean
+/// interval (the adaptive part: lossy links inflate the estimate and
+/// thereby the patience).
+const WINDOW: usize = 16;
+/// Consecutive heartbeats a `Rejoined` node must deliver before it is
+/// trusted as `Live` again.
+const REJOIN_HEARTBEATS: u32 = 3;
 
 /// One observed state transition, for logs and tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,7 +81,6 @@ impl NodeTracker {
 /// The NameNode's phi-style failure detector over every DataNode.
 #[derive(Debug)]
 pub struct FailureDetector {
-    cfg: HealthConfig,
     nodes: Vec<NodeTracker>,
     /// The emulated clock: number of `observe` calls so far.
     now: u64,
@@ -104,9 +88,8 @@ pub struct FailureDetector {
 
 impl FailureDetector {
     /// A detector for `num_nodes` DataNodes, all initially `Live`.
-    pub fn new(num_nodes: usize, cfg: HealthConfig) -> Self {
+    pub fn new(num_nodes: usize) -> Self {
         FailureDetector {
-            cfg,
             nodes: vec![NodeTracker::new(); num_nodes],
             now: 0,
         }
@@ -126,6 +109,11 @@ impl FailureDetector {
     /// from that node arrived this tick) and returns the state transitions
     /// it caused.
     ///
+    /// The beat that brings a `Dead` node back starts a fresh interval
+    /// history: the outage is not a heartbeat interval, and counting it
+    /// would make the rejoined node's next silence look normal for as long
+    /// as the outage lasted.
+    ///
     /// # Panics
     ///
     /// Panics if `beats.len()` differs from the node count.
@@ -133,15 +121,17 @@ impl FailureDetector {
         assert_eq!(beats.len(), self.nodes.len(), "one beat slot per node");
         self.now += 1;
         let now = self.now;
-        let window = self.cfg.window;
         let mut transitions = Vec::new();
         for (i, tracker) in self.nodes.iter_mut().enumerate() {
             let from = tracker.state;
             if beats[i] {
-                let interval = now - tracker.last_beat;
-                tracker.intervals.push_back(interval);
-                while tracker.intervals.len() > window {
-                    tracker.intervals.pop_front();
+                if from == NodeHealth::Dead {
+                    tracker.intervals.clear();
+                } else {
+                    tracker.intervals.push_back(now - tracker.last_beat);
+                    while tracker.intervals.len() > WINDOW {
+                        tracker.intervals.pop_front();
+                    }
                 }
                 tracker.last_beat = now;
                 tracker.state = match from {
@@ -153,7 +143,7 @@ impl FailureDetector {
                     }
                     NodeHealth::Rejoined => {
                         tracker.rejoin_streak += 1;
-                        if tracker.rejoin_streak >= self.cfg.rejoin_heartbeats {
+                        if tracker.rejoin_streak >= REJOIN_HEARTBEATS {
                             NodeHealth::Live
                         } else {
                             NodeHealth::Rejoined
@@ -170,9 +160,9 @@ impl FailureDetector {
                         NodeHealth::Suspect
                     }
                     NodeHealth::Live | NodeHealth::Suspect => {
-                        if phi >= self.cfg.phi_dead {
+                        if phi >= PHI_DEAD {
                             NodeHealth::Dead
-                        } else if phi >= self.cfg.phi_suspect {
+                        } else if phi >= PHI_SUSPECT {
                             NodeHealth::Suspect
                         } else {
                             from
@@ -392,7 +382,7 @@ mod tests {
     use super::*;
 
     fn detector() -> FailureDetector {
-        FailureDetector::new(4, HealthConfig::default())
+        FailureDetector::new(4)
     }
 
     fn tick_all(det: &mut FailureDetector, up: &[bool], times: usize) -> Vec<HealthTransition> {
@@ -454,6 +444,39 @@ mod tests {
         assert_eq!(det.health(NodeId(0)), NodeHealth::Rejoined);
         det.observe(&[false, true, true, true]);
         assert_eq!(det.health(NodeId(0)), NodeHealth::Suspect);
+    }
+
+    /// Ticks of silence until a node reaches `to`.
+    fn silent_ticks_until(det: &mut FailureDetector, to: NodeHealth) -> usize {
+        let beats = [false, true, true, true];
+        (1..=1_000)
+            .find(|_| {
+                det.observe(&beats);
+                det.health(NodeId(0)) == to
+            })
+            .unwrap()
+    }
+
+    #[test]
+    fn a_rejoined_node_is_judged_by_its_beats_not_its_outage() {
+        // A fresh node falls silent: Suspect after 3 ticks (phi 3), Dead 5
+        // ticks later (phi 8).
+        let mut fresh = detector();
+        tick_all(&mut fresh, &[true; 4], 10);
+        assert_eq!(silent_ticks_until(&mut fresh, NodeHealth::Suspect), 3);
+        assert_eq!(silent_ticks_until(&mut fresh, NodeHealth::Dead), 5);
+
+        // A node back from a 200-tick outage and trusted again after three
+        // beats falls silent: it is suspected and declared dead as fast, so
+        // its breaker opens and the healer sees it.
+        let mut det = detector();
+        tick_all(&mut det, &[true; 4], 10);
+        tick_all(&mut det, &[false, true, true, true], 200);
+        assert_eq!(det.health(NodeId(0)), NodeHealth::Dead);
+        tick_all(&mut det, &[true; 4], 3);
+        assert_eq!(det.health(NodeId(0)), NodeHealth::Live);
+        assert_eq!(silent_ticks_until(&mut det, NodeHealth::Suspect), 3);
+        assert_eq!(silent_ticks_until(&mut det, NodeHealth::Dead), 5);
     }
 
     #[test]

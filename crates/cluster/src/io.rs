@@ -224,13 +224,15 @@ pub struct IoStats {
     pub hedges_won: u64,
     /// Fallback sources skipped for one tick because their breaker was open.
     pub breaker_skips: u64,
-    /// Circuit-breaker trips (detector-driven `Open` transitions).
+    /// Circuit-breaker trips (detector-driven closed → open transitions).
     pub breaker_trips: u64,
-    /// Operations shed by the admission gate.
+    /// Always 0: no operation is shed. Kept for the benchmark harness's
+    /// counters until the next rebaseline drops it.
     pub shed_ops: u64,
     /// Operations that blew their virtual-clock deadline.
     pub deadline_misses: u64,
-    /// Retries denied by an exhausted class token bucket.
+    /// Always 0: no retry is denied; [`IO_ATTEMPTS`] per source is the one
+    /// retry bound. Kept beside `shed_ops` until the next rebaseline.
     pub retry_denials: u64,
     /// Aggregated DataNode cache counters (hits/misses/bypasses/evictions
     /// and bytes served from cache instead of the store backend).
@@ -272,7 +274,7 @@ impl ClusterIo {
         }
     }
 
-    /// The reliability substrate in force (admission, budgets, breakers).
+    /// The reliability substrate in force (deadlines, breakers, hedging).
     pub fn reliability(&self) -> &Arc<Reliability> {
         &self.rel
     }
@@ -329,9 +331,9 @@ impl ClusterIo {
             hedges_won: c.hedges_won.load(Ordering::Relaxed),
             breaker_skips: c.breaker_skips.load(Ordering::Relaxed),
             breaker_trips: rel.breaker_trips,
-            shed_ops: rel.shed_ops,
+            shed_ops: 0,
             deadline_misses: rel.deadline_misses,
-            retry_denials: rel.retry_denials,
+            retry_denials: 0,
             cache: {
                 let mut agg = CacheStats::default();
                 for dn in &self.datanodes {
@@ -568,27 +570,35 @@ impl ClusterIo {
     }
 
     /// Admits `dst` as the next replica of `block`, retrying transient
-    /// faults with budgeted seeded-jitter backoff and charging every
-    /// attempt — the one write-side retry loop. Any other fault is returned
-    /// at once: a crashed node or dark rack stays that way. Returns the
-    /// admitted attempt's cost, for [`land`](Self::land) to account.
+    /// faults with seeded-jitter backoff up to [`IO_ATTEMPTS`] attempts and
+    /// charging every attempt — the one write-side retry loop. Any other
+    /// fault is returned at once: a crashed node or dark rack stays that
+    /// way. Returns the admitted attempt's cost, for [`land`](Self::land) to
+    /// account.
     fn admit(&self, ctx: &OpContext<'_>, dst: NodeId, block: BlockId, leg: u64) -> Result<u64> {
-        for attempt in 0..IO_ATTEMPTS {
+        let mut attempt = 0;
+        loop {
             let (out, cost) = self.admit_attempt(dst, block, attempt, leg);
             ctx.charge(cost)?;
             match out {
-                Err(Error::TransientIo { .. }) => {
+                Err(Error::TransientIo { .. }) if attempt + 1 < IO_ATTEMPTS => {
                     self.counters.write_retries.fetch_add(1, Ordering::Relaxed);
-                    ctx.try_retry()?;
-                    let ticks = ctx.reliability().backoff_ticks(backoff_key(dst, block), attempt);
-                    self.counters.backoff_rounds.fetch_add(1, Ordering::Relaxed);
-                    ctx.charge(ticks)?;
-                    reliability::pace(ticks);
+                    self.back_off(ctx, backoff_key(dst, block), attempt)?;
+                    attempt += 1;
                 }
                 out => return out.map(|()| cost),
             }
         }
-        Err(Error::TransientIo { node: dst })
+    }
+
+    /// Sleeps the seeded backoff before retry `attempt + 1`, charged to the
+    /// op first.
+    fn back_off(&self, ctx: &OpContext<'_>, key: u64, attempt: u32) -> Result<()> {
+        let ticks = ctx.reliability().backoff_ticks(key, attempt);
+        self.counters.backoff_rounds.fetch_add(1, Ordering::Relaxed);
+        ctx.charge(ticks)?;
+        reliability::pace(ticks);
+        Ok(())
     }
 
     /// The land half: stores the arrived bytes on `dst` and accounts a
@@ -613,28 +623,28 @@ impl ClusterIo {
     /// Reads `block` into `dst` from the first source in `sources` that can
     /// serve it — the shared fallback policy of every resilient reader.
     ///
-    /// Sources are tried in the given order. On each one, transient faults
-    /// are retried up to [`IO_ATTEMPTS`] times, each retry drawing a token
-    /// from the op class's budget and charging seeded-jitter backoff; a
-    /// dead node is reported to `on_dead` (a blacklist hook) and skipped;
-    /// any other failure (missing replica, checksum mismatch) falls through
-    /// to the next source. A source for which `skip` returns `true`, or
+    /// Sources are tried in the given order. On each one, a transient fault
+    /// is retried after seeded-jitter backoff, up to [`IO_ATTEMPTS`]
+    /// attempts (the last one backs off no more); a dead node is reported
+    /// to `on_dead` (a blacklist hook) and skipped; any other failure
+    /// (missing replica, checksum mismatch) falls through to the next
+    /// source. A source for which `skip` returns `true`, or
     /// whose circuit breaker is open, is bypassed without an attempt unless
     /// it is the last hope — a breaker skip costs one virtual tick instead
     /// of a timeout.
     ///
     /// When hedging is enabled and an attempt's seeded straggler delay
     /// crosses the threshold, a second fetch races on the next viable
-    /// source and the op completes at the virtual-clock winner's time.
+    /// source — one neither skipped nor breaker-open — and the op completes
+    /// at the virtual-clock winner's time.
     ///
     /// Returns the bytes and the node that served them.
     ///
     /// # Errors
     ///
     /// * [`Error::BlockUnavailable`] if `sources` is empty.
-    /// * [`Error::DeadlineExceeded`] / [`Error::RetryBudgetExhausted`] as
-    ///   soon as the substrate stops the op — these do not fall through to
-    ///   the next source.
+    /// * [`Error::DeadlineExceeded`] as soon as the op's deadline passes —
+    ///   it does not fall through to the next source.
     /// * Otherwise the last per-source error once every source failed.
     pub fn read_with_fallback(
         &self,
@@ -685,15 +695,14 @@ impl ClusterIo {
                     attempt,
                     reliability::NOMINAL_SERVICE_TICKS,
                 );
-                let hedge_to = if rel.hedging_enabled() && delay > rel.hedge_threshold_ticks() {
-                    sources
-                        .iter()
-                        .skip(i + 1)
-                        .copied()
-                        .find(|&s| s != src && !rel.breaker_open(s))
-                } else {
-                    None
-                };
+                let hedge_to =
+                    if rel.hedging_enabled() && delay > reliability::HEDGE_THRESHOLD_TICKS {
+                        sources.iter().skip(i + 1).copied().find(|&s| {
+                            s != src && !rel.breaker_open(s) && !skip.is_some_and(|f| f(s))
+                        })
+                    } else {
+                        None
+                    };
                 let outcome = if let Some(alt) = hedge_to {
                     self.hedged_fetch(ctx, src, alt, dst, block, attempt)
                 } else {
@@ -702,14 +711,10 @@ impl ClusterIo {
                 };
                 match outcome {
                     Ok(won) => return Ok(won),
-                    Err(e @ Error::TransientIo { .. }) => {
+                    Err(e @ Error::TransientIo { .. }) if attempt + 1 < IO_ATTEMPTS => {
                         last = e;
                         self.counters.read_retries.fetch_add(1, Ordering::Relaxed);
-                        ctx.try_retry()?;
-                        let ticks = rel.backoff_ticks(backoff_key(src, block), attempt);
-                        self.counters.backoff_rounds.fetch_add(1, Ordering::Relaxed);
-                        ctx.charge(ticks)?;
-                        reliability::pace(ticks);
+                        self.back_off(ctx, backoff_key(src, block), attempt)?;
                     }
                     Err(e) if e.stops_the_op() => return Err(e),
                     Err(e @ Error::NodeDown { .. }) => {
@@ -747,7 +752,7 @@ impl ClusterIo {
         let (hedge, hedge_cost) = self.fetch_costed(alt, dst, block, attempt);
         // The hedge leg starts once the primary has straggled past the
         // threshold, so its completion sits that far into the op.
-        let hedge_total = ctx.reliability().hedge_threshold_ticks().saturating_add(hedge_cost);
+        let hedge_total = reliability::HEDGE_THRESHOLD_TICKS.saturating_add(hedge_cost);
         let (data, hedge_won) = self.settle_hedge(ctx, primary, primary_cost, hedge, hedge_total)?;
         Ok((data, if hedge_won { alt } else { src }))
     }
@@ -950,8 +955,7 @@ impl ClusterIo {
     /// # Errors
     ///
     /// * [`Error::NoRepairDestination`] if `candidates` is empty.
-    /// * [`Error::DeadlineExceeded`] / [`Error::RetryBudgetExhausted`] as
-    ///   soon as the substrate stops the op.
+    /// * [`Error::DeadlineExceeded`] as soon as the op's deadline passes.
     /// * Otherwise the last per-candidate error once every candidate failed.
     pub fn write_with_fallback(
         &self,
@@ -1013,7 +1017,7 @@ mod tests {
         );
         let injector =
             plan.map_or_else(FaultInjector::disabled, |p| FaultInjector::new(p, topo.clone()));
-        let rel = Arc::new(Reliability::unlimited(topo.num_nodes()));
+        let rel = Arc::new(Reliability::new(false, 0, topo.num_nodes()));
         ClusterIo::new(topo, datanodes, net, injector, rel)
     }
 
@@ -1125,6 +1129,89 @@ mod tests {
             )
             .unwrap();
         assert_eq!(src, NodeId(3), "last candidate must be tried despite skip");
+    }
+
+    /// `io` with hedged reads switched on.
+    fn hedging(mut io: ClusterIo) -> ClusterIo {
+        io.rel = Arc::new(Reliability::new(true, 0, io.topo.num_nodes()));
+        io
+    }
+
+    #[test]
+    fn a_hedge_never_targets_a_node_the_caller_knows_is_dead() {
+        // One node crashed from op 0, in the caller's dead set, and one
+        // straggling 5 000 ticks on every attempt. The straggler's read
+        // crosses the hedging threshold, and the only other source is the
+        // crashed node: the read waits for its primary instead of hedging
+        // to a node it already knows cannot answer.
+        let topo = ClusterTopology::uniform(2, 2);
+        let faults = ear_faults::FaultConfig {
+            node_crashes: 1,
+            rack_outages: 0,
+            stragglers: 1,
+            straggler_factor: 1.0,
+            straggler_delay: ear_faults::DelayModel::Fixed { ticks: 5_000 },
+            transient_error_rate: 0.0,
+            corruption_rate: 0.0,
+            heartbeat_loss_rate: 0.0,
+            crash_window: 1,
+        };
+        let plan = FaultPlan::generate(1, &topo, &faults);
+        let (crashed, straggler) = (plan.crashes()[0].node, plan.stragglers()[0].0);
+        let io = hedging(service_on(topo.clone(), Some(plan)));
+        let reader = topo.nodes().find(|&n| n != crashed && n != straggler).unwrap();
+        let data = Block::from(vec![6u8; 4096]);
+        io.datanode(straggler).put(BlockId(2), data.clone()).unwrap();
+        let dead = DeadNodeSet::new();
+        dead.insert(crashed);
+        let rel = io.reliability().clone();
+        let ctx = rel.ctx(OpClass::ClientRead).unwrap();
+        let (got, src) =
+            io.read_nearest(&ctx, reader, BlockId(2), &[crashed, straggler], &dead).unwrap();
+        assert_eq!((src, got.as_slice()), (straggler, data.as_slice()));
+        let s = io.stats();
+        assert_eq!((s.hedges_launched, s.failed_reads), (0, 0), "no hedge to the dead node");
+        assert_eq!(ctx.elapsed_ticks(), 5_000 + reliability::xfer_cost_ticks(4096));
+    }
+
+    #[test]
+    fn a_read_tries_a_source_io_attempts_times_and_backs_off_only_between_tries() {
+        let topo = ClusterTopology::uniform(2, 2);
+        let io = service_on(topo.clone(), Some(plan(5, &topo, 0, 1.0)));
+        let rel = io.reliability().clone();
+        let ctx = rel.ctx(OpClass::ClientRead).unwrap();
+        let (src, block) = (NodeId(1), BlockId(7));
+        io.datanode(src).put(block, Block::from(vec![1u8; 64])).unwrap();
+        let err = io.read_with_fallback(&ctx, NodeId(0), block, &[src], None, None).unwrap_err();
+        assert_eq!(err, Error::TransientIo { node: src });
+        assert_eq!(io.injector().now(), u64::from(IO_ATTEMPTS), "one consultation per attempt");
+        let s = io.stats();
+        assert_eq!((s.failed_reads, s.read_retries, s.backoff_rounds), (3, 2, 2));
+        let backoff = |attempt| rel.backoff_ticks(backoff_key(src, block), attempt);
+        assert_eq!(
+            ctx.elapsed_ticks(),
+            3 * reliability::FAULT_PENALTY_TICKS + backoff(0) + backoff(1)
+        );
+    }
+
+    #[test]
+    fn a_write_tries_a_replica_io_attempts_times_and_backs_off_only_between_tries() {
+        let topo = ClusterTopology::uniform(2, 2);
+        let io = service_on(topo.clone(), Some(plan(5, &topo, 0, 1.0)));
+        let rel = io.reliability().clone();
+        let ctx = rel.ctx(OpClass::ClientWrite).unwrap();
+        let (dst, block) = (NodeId(1), BlockId(7));
+        let data = Block::from(vec![1u8; 64]);
+        let (stored, err) = io.write_replicated(&ctx, NodeId(0), block, &data, &[dst]);
+        assert_eq!((stored, err), (vec![], Some(Error::TransientIo { node: dst })));
+        assert_eq!(io.injector().now(), u64::from(IO_ATTEMPTS), "one consultation per attempt");
+        let s = io.stats();
+        assert_eq!((s.failed_writes, s.write_retries, s.backoff_rounds), (3, 2, 2));
+        let backoff = |attempt| rel.backoff_ticks(backoff_key(dst, block), attempt);
+        assert_eq!(
+            ctx.elapsed_ticks(),
+            3 * reliability::FAULT_PENALTY_TICKS + backoff(0) + backoff(1)
+        );
     }
 
     #[test]
@@ -1309,7 +1396,7 @@ mod tests {
             ear_types::Bandwidth::bytes_per_sec(1e9),
             ear_types::Bandwidth::bytes_per_sec(1e9),
         );
-        ClusterIo::new(topo, datanodes, net, injector, Arc::new(Reliability::unlimited(4)))
+        ClusterIo::new(topo, datanodes, net, injector, Arc::new(Reliability::new(false, 0, 4)))
     }
 
     #[test]

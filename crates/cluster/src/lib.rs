@@ -34,9 +34,9 @@
 //!   heartbeats into a phi-style failure detector, degraded-state priority
 //!   queues, and the budgeted background repair scheduler (DESIGN.md §8);
 //! * [`reliability`] — the deterministic reliability substrate under every
-//!   `ClusterIo` consumer (DESIGN.md §14): virtual-clock deadlines, per-class
-//!   retry budgets and admission/load-shed priorities, phi-fed per-node
-//!   circuit breakers, and seeded hedged reads with degraded-EC fallback;
+//!   `ClusterIo` consumer (DESIGN.md §14): virtual-clock deadlines, phi-fed
+//!   per-node circuit breakers, seeded retry backoff, and seeded hedged reads
+//!   with degraded-EC fallback;
 //! * [`wal`] / [`ExtentStore`] / [`crashsim`] — the durability layer
 //!   (DESIGN.md §13): a CRC-framed metadata write-ahead log with periodic
 //!   checkpoint compaction, the extent/allocator block engine with
@@ -126,15 +126,12 @@ pub use datanode::{CachedRead, DataNode};
 pub use io::{ClusterIo, DeadNodeSet, IoStats};
 pub use healer::{Healer, HealerConfig, RoundReport};
 pub use health::{
-    DegradedTracker, FailureDetector, HealthConfig, HealthTransition, RepairKind, RepairTask,
+    DegradedTracker, FailureDetector, HealthTransition, RepairKind, RepairTask,
 };
 pub use monitor::{plan_repairs, scan, Violation};
 pub use namenode::{EncodedStripe, NameNode, PendingStripe};
 pub use wal::{MetaRecord, MetaSnapshot, MetaWal};
 pub use raidnode::{EncodeStats, RaidNode, Relocation};
 pub use recovery::{recover_node, RecoveryStats};
-pub use reliability::{
-    BreakerState, ClassPolicy, OpClass, OpContext, Reliability, ReliabilityConfig,
-    ReliabilityStats,
-};
+pub use reliability::{OpClass, OpContext, Reliability, ReliabilityStats};
 pub use sync::locked;

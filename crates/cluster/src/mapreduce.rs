@@ -194,8 +194,8 @@ fn run_one_job(
     run_all(cfs, &maps, "map task", |&(block, map_node)| {
         let _slot = slots[map_node.index()].acquire()?;
         // Data-local read: the map node holds a replica. Runs as a
-        // client-read op, so map tasks are admitted at the highest
-        // priority and hedge against stragglers like any client.
+        // client-read op, so map tasks hedge against stragglers like any
+        // client.
         let ctx = cfs.reliability().ctx(OpClass::ClientRead)?;
         let _data = cfs.read_block_in(&ctx, map_node, block)?;
         // Shuffle: stream this map's partitions to every reducer
@@ -249,7 +249,7 @@ mod tests {
             store: StoreBackend::from_env(),
             cache: CacheConfig::from_env(),
             durability: Default::default(),
-            reliability: Default::default(),
+            hedge_reads: true,
         };
         MiniCfs::new(cfg).unwrap()
     }

@@ -130,7 +130,7 @@ mod tests {
             store: StoreBackend::from_env(),
             cache: CacheConfig::from_env(),
             durability: Default::default(),
-            reliability: Default::default(),
+            hedge_reads: true,
         }
     }
 
@@ -215,7 +215,7 @@ mod tests {
             store: StoreBackend::from_env(),
             cache: CacheConfig::from_env(),
             durability: Default::default(),
-            reliability: Default::default(),
+            hedge_reads: true,
         };
         let cfs = MiniCfs::new(cfg).unwrap();
         let nodes = cfs.topology().num_nodes() as u64;
@@ -371,7 +371,7 @@ mod tests {
             store: StoreBackend::from_env(),
             cache: CacheConfig::from_env(),
             durability: Default::default(),
-            reliability: Default::default(),
+            hedge_reads: true,
         };
         let cfs = MiniCfs::new(cfg).unwrap();
         let nodes = cfs.topology().num_nodes() as u64;

@@ -21,7 +21,7 @@ use crate::exec;
 use crate::fold::{self, Received, Source};
 use crate::health::{RepairKind, RepairTask};
 use crate::io::DeadNodeSet;
-use crate::reliability::{OpClass, OpContext};
+use crate::reliability::{self, OpClass, OpContext};
 use ear_core::{ChainPlan, LinkBalance, Rebuild, RepairPlanner, RepairSite, Survivor};
 use ear_erasure::{Matrix, StripeEncoder};
 use ear_types::rng::ChaCha8;
@@ -112,8 +112,8 @@ enum Job {
 /// Plans `tasks`, drains them through [`exec::drain`] at [`REPAIR_WIDTH`]
 /// and returns their outcomes in task order, with the legs the plan put on
 /// the node links. Each task is a Heal-class op under `deadline_ticks` (the
-/// substrate's default when `None`): the admission gate may shed it under
-/// load, and a straggling repair fails typed instead of hanging the drain.
+/// substrate's default when `None`), so a straggling repair fails typed
+/// instead of hanging the drain.
 /// A failed task does not stop the rest.
 ///
 /// Every rebuild's site comes from one [`RepairPlanner`] fed the rebuilds in
@@ -206,11 +206,8 @@ fn execute_repair(
     view: &RepairView<'_>,
     deadline_ticks: Option<u64>,
 ) -> Result<RepairOutcome> {
-    let rel = cfs.reliability();
-    let op = match deadline_ticks {
-        Some(ticks) => rel.ctx_with_deadline(OpClass::Heal, ticks)?,
-        None => rel.ctx(OpClass::Heal)?,
-    };
+    let ticks = deadline_ticks.unwrap_or(reliability::DEFAULT_DEADLINE_TICKS);
+    let op = cfs.reliability().ctx_with_deadline(OpClass::Heal, ticks);
     match job {
         &Job::Copy { block, want, core } => re_replicate(cfs, &op, block, want, core, view),
         Job::Rebuild { block, lost, site } => {
@@ -305,8 +302,8 @@ fn re_replicate(
 /// unless the recovery node keeps it. Updates the NameNode's location map
 /// and the sink's store. The caller's `ctx` bounds the whole
 /// reconstruction on the virtual clock: every transfer charges it, and a
-/// blown deadline or dry retry budget stops the repair typed instead of
-/// letting it stall the drain.
+/// blown deadline stops the repair typed instead of letting it stall the
+/// drain.
 fn reconstruct_stripe_block(
     cfs: &MiniCfs,
     ctx: &OpContext<'_>,
@@ -619,7 +616,7 @@ mod tests {
             store: StoreBackend::from_env(),
             cache: CacheConfig::from_env(),
             durability: Default::default(),
-            reliability: Default::default(),
+            hedge_reads: true,
         };
         MiniCfs::new(cfg).unwrap()
     }

@@ -689,6 +689,9 @@ struct WalInner {
     since_checkpoint: u64,
 }
 
+/// WAL records between a cluster's automatic checkpoints.
+pub(crate) const CHECKPOINT_EVERY: u64 = 256;
+
 /// The open write-ahead log of one NameNode. Its lock is the finest level:
 /// the NameNode appends under the table locks, so log order equals apply
 /// order.

@@ -80,7 +80,7 @@ fn boot(policy: ClusterPolicy) -> MiniCfs {
         store: StoreBackend::from_env(),
         cache: CacheConfig::from_env(),
         durability: Default::default(),
-        reliability: Default::default(),
+        hedge_reads: true,
     })
     .unwrap()
 }

@@ -67,7 +67,7 @@ fn config(s: &Scenario, c: usize) -> ClusterConfig {
         store: ear_types::StoreBackend::from_env(),
         cache: ear_types::CacheConfig::from_env(),
         durability: Default::default(),
-        reliability: Default::default(),
+        hedge_reads: true,
     }
 }
 
@@ -343,7 +343,7 @@ fn repair_rebuilds_written_bytes_at_one_transfer_per_remote_rack() {
             store: ear_types::StoreBackend::from_env(),
             cache: ear_types::CacheConfig::from_env(),
             durability: Default::default(),
-            reliability: Default::default(),
+            hedge_reads: true,
         };
         let topo = ClusterTopology::uniform(cfg.racks, cfg.nodes_per_rack);
         let plan = FaultPlan::generate(seed, &topo, &faults);

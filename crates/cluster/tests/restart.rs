@@ -48,7 +48,7 @@ fn durable_cfg(store: StoreBackend, dir: &std::path::Path) -> ClusterConfig {
         store,
         cache: CacheConfig::from_env(),
         durability: DurabilityConfig::at(dir),
-        reliability: Default::default(),
+        hedge_reads: true,
     }
 }
 

@@ -22,6 +22,11 @@ use ear_types::rng::ChaCha8;
 use ear_types::{ClusterTopology, EarConfig, Error, NodeId, RackId, RackSpread, Result};
 use std::collections::HashMap;
 
+/// Layouts drawn for one block before placement gives up (Fig. 5, steps
+/// 2–5): far above Theorem 1's expected retry count, so running out means
+/// the topology cannot host the stripe.
+const MAX_LAYOUT_ATTEMPTS: usize = 10_000;
+
 /// How the core rack for a new stripe is chosen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[non_exhaustive]
@@ -144,7 +149,7 @@ impl EarStripeBuilder {
     ///
     /// * [`Error::Invariant`] if the stripe is already full.
     /// * [`Error::PlacementExhausted`] if no feasible layout was found
-    ///   within the configured retry budget.
+    ///   within `MAX_LAYOUT_ATTEMPTS` layouts.
     pub fn add_block(
         &mut self,
         topo: &ClusterTopology,
@@ -155,8 +160,7 @@ impl EarStripeBuilder {
             return Err(Error::Invariant("stripe already holds k blocks".into()));
         }
         let i = self.layouts.len();
-        let max_attempts = cfg.max_retries_per_block();
-        for attempt in 0..max_attempts {
+        for attempt in 0..MAX_LAYOUT_ATTEMPTS {
             let layout = self.generate_layout(topo, cfg, rng)?;
             self.node_lists.push(layout.replicas.clone());
             let outcome = max_kept_matching(
@@ -174,7 +178,7 @@ impl EarStripeBuilder {
         }
         Err(Error::PlacementExhausted {
             block_index: i,
-            attempts: max_attempts,
+            attempts: MAX_LAYOUT_ATTEMPTS,
         })
     }
 

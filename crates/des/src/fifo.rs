@@ -1,4 +1,6 @@
-//! The FIFO facility network engine (CSIM-style).
+//! The FIFO facility network engine (CSIM-style): the paper's simulator
+//! "holds the corresponding resources for some duration of the request
+//! subject to the specified link bandwidth" (Section V-B).
 //!
 //! Each link is a single-holder facility. A transfer atomically acquires
 //! every link on its path, holds them for `size / min(bandwidth)` seconds,
@@ -7,10 +9,17 @@
 //! order and every transfer whose links are all free starts (later transfers
 //! may overtake blocked ones on disjoint links).
 
-use crate::network::{LinkId, NetworkEngine, TransferId};
 use crate::SimTime;
 use ear_types::{Bandwidth, ByteSize};
 use std::collections::{BTreeMap, VecDeque};
+
+/// Identifier of a link inside a [`FifoEngine`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct LinkId(pub usize);
+
+/// Identifier of a transfer inside a [`FifoEngine`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct TransferId(pub u64);
 
 #[derive(Debug)]
 struct Pending {
@@ -25,10 +34,15 @@ struct Active {
     finish: SimTime,
 }
 
-/// FIFO facility engine; see the module docs.
+/// FIFO facility engine; see the module docs. The engine owns the link
+/// state; the simulation loop owns the clock and asks the engine when the
+/// next transfer completes. `pop_completion(t)` may only be called with the
+/// `t` returned by [`next_completion`](Self::next_completion), and times
+/// passed to [`submit`](Self::submit)/`pop_completion` must be
+/// non-decreasing.
 ///
 /// ```
-/// use ear_des::{drain_engine, FifoEngine, NetworkEngine, SimTime};
+/// use ear_des::{drain_engine, FifoEngine, SimTime};
 /// use ear_types::{Bandwidth, ByteSize};
 ///
 /// let mut net = FifoEngine::new();
@@ -92,16 +106,18 @@ impl FifoEngine {
             }
         }
     }
-}
 
-impl NetworkEngine for FifoEngine {
-    fn add_link(&mut self, bandwidth: Bandwidth) -> LinkId {
+    /// Registers a link with the given bandwidth and returns its id.
+    pub fn add_link(&mut self, bandwidth: Bandwidth) -> LinkId {
         self.bandwidths.push(bandwidth);
         self.busy.push(false);
         LinkId(self.bandwidths.len() - 1)
     }
 
-    fn submit(&mut self, now: SimTime, path: &[LinkId], size: ByteSize) -> TransferId {
+    /// Submits a transfer of `size` bytes crossing `path` (all links held
+    /// for the duration). An empty path completes instantaneously (a
+    /// node-local copy).
+    pub fn submit(&mut self, now: SimTime, path: &[LinkId], size: ByteSize) -> TransferId {
         for l in path {
             assert!(l.0 < self.bandwidths.len(), "unknown link {l:?}");
         }
@@ -119,14 +135,22 @@ impl NetworkEngine for FifoEngine {
         id
     }
 
-    fn next_completion(&self) -> Option<(SimTime, TransferId)> {
+    /// The time and id of the next transfer to complete, if any transfer is
+    /// active or queued.
+    pub fn next_completion(&self) -> Option<(SimTime, TransferId)> {
         self.active
             .iter()
             .min_by(|a, b| a.1.finish.cmp(&b.1.finish).then(a.0.cmp(b.0)))
             .map(|(id, a)| (a.finish, *id))
     }
 
-    fn pop_completion(&mut self, now: SimTime) -> TransferId {
+    /// Completes the transfer previously reported by `next_completion`,
+    /// advancing internal state to `now`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no completion is due at `now`.
+    pub fn pop_completion(&mut self, now: SimTime) -> TransferId {
         let (finish, id) = self
             .next_completion()
             .expect("pop_completion called with no active transfer");
@@ -142,19 +166,31 @@ impl NetworkEngine for FifoEngine {
         id
     }
 
-    fn active_count(&self) -> usize {
+    /// Transfers currently holding links.
+    pub fn active_count(&self) -> usize {
         self.active.len()
     }
 
-    fn queued_count(&self) -> usize {
+    /// Transfers waiting for links.
+    pub fn queued_count(&self) -> usize {
         self.pending.len()
     }
+}
+
+/// Drains an engine to completion, returning `(time, id)` pairs — a test and
+/// bench helper for running the engine without a surrounding simulation.
+pub fn drain_engine(engine: &mut FifoEngine) -> Vec<(SimTime, TransferId)> {
+    let mut out = Vec::new();
+    while let Some((t, _)) = engine.next_completion() {
+        let id = engine.pop_completion(t);
+        out.push((t, id));
+    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::network::drain_engine;
 
     fn bw(bytes_per_sec: f64) -> Bandwidth {
         Bandwidth::bytes_per_sec(bytes_per_sec)

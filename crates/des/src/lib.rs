@@ -5,9 +5,9 @@
 //!
 //! * [`SimTime`] and [`EventQueue`] — the virtual clock and future-event
 //!   list with deterministic FIFO tie-breaking;
-//! * [`NetworkEngine`] with two link-contention models: the CSIM-style FIFO
-//!   facility model ([`FifoEngine`]) and a max-min fair-sharing fluid model
-//!   ([`FairShareEngine`], ablation);
+//! * [`FifoEngine`] — link contention as CSIM-style FIFO facilities, the
+//!   paper's model: a transfer holds every link on its path for its
+//!   duration;
 //! * [`OnlineStats`], [`Samples`], [`BoxStats`] — streaming statistics and
 //!   the five-number summaries the paper's boxplots report;
 //! * [`PoissonProcess`] and [`exponential`] — the traffic distributions of
@@ -16,7 +16,7 @@
 //! # Example: one contended link
 //!
 //! ```
-//! use ear_des::{drain_engine, FifoEngine, NetworkEngine, SimTime};
+//! use ear_des::{drain_engine, FifoEngine, SimTime};
 //! use ear_types::{Bandwidth, ByteSize};
 //!
 //! let mut net = FifoEngine::new();
@@ -32,17 +32,13 @@
 #![warn(clippy::iter_over_hash_type)]
 
 mod dist;
-mod fairshare;
 mod fifo;
-mod network;
 mod queue;
 mod stats;
 mod time;
 
 pub use dist::{exponential, PoissonProcess};
-pub use fairshare::FairShareEngine;
-pub use fifo::FifoEngine;
-pub use network::{drain_engine, LinkId, NetworkEngine, TransferId};
+pub use fifo::{drain_engine, FifoEngine, LinkId, TransferId};
 pub use queue::EventQueue;
 pub use stats::{BoxStats, OnlineStats, Samples};
 pub use time::SimTime;

@@ -21,16 +21,6 @@ impl PolicyKind {
     }
 }
 
-/// Which link-contention model the simulator uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum LinkModel {
-    /// CSIM-style FIFO facilities (the paper's model; default).
-    #[default]
-    Fifo,
-    /// Max-min fair sharing (ablation).
-    FairShare,
-}
-
 /// Full configuration of one simulation run.
 ///
 /// Defaults mirror Experiment B.2: a 400-node CFS of 20 racks × 20 nodes,
@@ -59,8 +49,6 @@ pub struct SimConfig {
     pub target_racks: Option<usize>,
     /// Placement policy.
     pub policy: PolicyKind,
-    /// Link-contention model.
-    pub link_model: LinkModel,
     /// Write request arrival rate (requests/second); 0 disables writes.
     pub write_rate: f64,
     /// Background request arrival rate (requests/second); 0 disables it.
@@ -101,7 +89,6 @@ impl Default for SimConfig {
             c: 1,
             target_racks: None,
             policy: PolicyKind::Ear,
-            link_model: LinkModel::Fifo,
             write_rate: 1.0,
             background_rate: 1.0,
             background_mean_size: ByteSize::mib(64),

@@ -1,6 +1,6 @@
 //! Discrete-event CFS simulator reproducing the paper's CSIM experiments
 //! (Section V-B): a PlacementManager (RR or EAR from `ear-core`), a Topology
-//! (FIFO or fair-share link model from `ear-des`), and a TrafficManager
+//! (the FIFO link model of `ear-des`), and a TrafficManager
 //! feeding simultaneous write, encoding, and background traffic streams.
 //!
 //! The simulator measures everything the paper's Figures 12–13 and Table I
@@ -39,7 +39,7 @@ mod net;
 mod report;
 mod simulator;
 
-pub use config::{LinkModel, PolicyKind, SimConfig};
+pub use config::{PolicyKind, SimConfig};
 pub use net::NetTopology;
 pub use report::SimReport;
 pub use simulator::run;

@@ -1,7 +1,7 @@
 //! The Topology module of the simulator (Fig. 11): maps the CFS rack/node
 //! structure onto network-engine links and computes transfer paths.
 
-use ear_des::{LinkId, NetworkEngine};
+use ear_des::{FifoEngine, LinkId};
 use ear_types::{Bandwidth, ClusterTopology, NodeId};
 
 /// Link layout for a CFS: every node has an uplink and a downlink to its
@@ -19,7 +19,7 @@ pub struct NetTopology {
 impl NetTopology {
     /// Registers all links for `topo` on `engine`.
     pub fn build(
-        engine: &mut dyn NetworkEngine,
+        engine: &mut FifoEngine,
         topo: &ClusterTopology,
         node_bandwidth: Bandwidth,
         rack_bandwidth: Bandwidth,
@@ -74,7 +74,6 @@ impl NetTopology {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ear_des::FifoEngine;
 
     #[test]
     fn paths_have_expected_shapes() {

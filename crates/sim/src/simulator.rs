@@ -3,16 +3,13 @@
 //! link model of `ear-des`), and a TrafficManager generating write,
 //! encoding, and background traffic streams.
 
-use crate::config::{LinkModel, PolicyKind, SimConfig};
+use crate::config::{PolicyKind, SimConfig};
 use crate::net::NetTopology;
 use crate::report::SimReport;
 use ear_core::{
     EncodePlan, EncodingAwareReplication, PlacementPolicy, RandomReplicationPolicy, StripePlan,
 };
-use ear_des::{
-    exponential, EventQueue, FairShareEngine, FifoEngine, NetworkEngine, PoissonProcess, SimTime,
-    TransferId,
-};
+use ear_des::{exponential, EventQueue, FifoEngine, PoissonProcess, SimTime, TransferId};
 use ear_types::rng::ChaCha8;
 use ear_types::{ByteSize, ClusterTopology, Error, NodeId, Result};
 use std::collections::{HashMap, VecDeque};
@@ -77,7 +74,7 @@ struct Simulator<'a> {
     config: &'a SimConfig,
     topo: ClusterTopology,
     net: NetTopology,
-    engine: Box<dyn NetworkEngine>,
+    engine: FifoEngine,
     queue: EventQueue<Event>,
     rng: ChaCha8,
     policy: Box<dyn PlacementPolicy>,
@@ -128,12 +125,9 @@ impl<'a> Simulator<'a> {
             }
         }
 
-        let mut engine: Box<dyn NetworkEngine> = match config.link_model {
-            LinkModel::Fifo => Box::new(FifoEngine::new()),
-            LinkModel::FairShare => Box::new(FairShareEngine::new()),
-        };
+        let mut engine = FifoEngine::new();
         let net = NetTopology::build(
-            engine.as_mut(),
+            &mut engine,
             &topo,
             config.node_bandwidth,
             config.rack_bandwidth,

@@ -3,7 +3,7 @@
 //! EAR never does cross-rack downloads, RR relocates in small clusters,
 //! writes slow down while encoding runs, determinism under a fixed seed).
 
-use ear_sim::{run, LinkModel, PolicyKind, SimConfig};
+use ear_sim::{run, PolicyKind, SimConfig};
 use ear_types::{Bandwidth, ByteSize, ErasureParams};
 
 fn small_b2_config() -> SimConfig {
@@ -149,22 +149,6 @@ fn lower_bandwidth_lowers_encoding_throughput() {
     let rf = run(&fast).unwrap();
     let rs = run(&slow).unwrap();
     assert!(rf.encoding_throughput() > rs.encoding_throughput() * 2.0);
-}
-
-#[test]
-fn fair_share_model_also_runs() {
-    let mut cfg = small_b2_config().with_seed(5);
-    cfg.racks = 8;
-    cfg.nodes_per_rack = 2;
-    cfg.erasure = ErasureParams::new(6, 4).unwrap();
-    cfg.encode_processes = 2;
-    cfg.stripes_per_process = 3;
-    cfg.write_rate = 0.2;
-    cfg.background_rate = 0.2;
-    cfg.link_model = LinkModel::FairShare;
-    let r = run(&cfg).unwrap();
-    assert_eq!(r.encode_completions.len(), 6);
-    assert!(r.encoding_throughput() > 0.0);
 }
 
 #[test]

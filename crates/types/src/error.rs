@@ -119,13 +119,6 @@ pub enum Error {
         /// Where the corruption was detected.
         context: String,
     },
-    /// The admission gate shed this operation: the cluster is over its
-    /// concurrency limit for the op's class and everything below it in
-    /// priority (client read > client write > heal > encode).
-    Overloaded {
-        /// The op class that was shed (e.g. `"heal"`).
-        class: &'static str,
-    },
     /// The operation's virtual-clock deadline expired before it completed.
     DeadlineExceeded {
         /// What was being attempted (e.g. `"read"`).
@@ -133,22 +126,14 @@ pub enum Error {
         /// The deadline, in virtual-clock ticks.
         deadline_ticks: u64,
     },
-    /// The op class's retry token bucket ran dry: retries across the whole
-    /// class — not just this call — have exceeded their budget, so backing
-    /// off is pointless until the bucket refills.
-    RetryBudgetExhausted {
-        /// The op class whose bucket ran dry (e.g. `"encode"`).
-        class: &'static str,
-    },
 }
 
 impl Error {
-    /// Whether the reliability substrate stopped the whole operation (deadline
-    /// passed, retry budget dry, or shed): no other replica, source or plan
-    /// can carry it further.
+    /// Whether the reliability substrate stopped the whole operation (its
+    /// deadline passed): no other replica, source or plan can carry it
+    /// further.
     pub fn stops_the_op(&self) -> bool {
-        use Error::{DeadlineExceeded, Overloaded, RetryBudgetExhausted};
-        matches!(self, DeadlineExceeded { .. } | RetryBudgetExhausted { .. } | Overloaded { .. })
+        matches!(self, Error::DeadlineExceeded { .. })
     }
 }
 
@@ -215,17 +200,11 @@ impl fmt::Display for Error {
             Error::WalCorrupt { context } => {
                 write!(f, "durable metadata corrupt: {context}")
             }
-            Error::Overloaded { class } => {
-                write!(f, "overloaded: {class} operation shed by admission control")
-            }
             Error::DeadlineExceeded {
                 what,
                 deadline_ticks,
             } => {
                 write!(f, "{what} missed its {deadline_ticks}-tick deadline")
-            }
-            Error::RetryBudgetExhausted { class } => {
-                write!(f, "retry budget exhausted for {class} operations")
             }
         }
     }
@@ -244,13 +223,8 @@ mod tests {
     }
 
     #[test]
-    fn only_the_substrates_three_verdicts_stop_an_op() {
-        let stops = [
-            Error::DeadlineExceeded { what: "read", deadline_ticks: 1 },
-            Error::RetryBudgetExhausted { class: "encode" },
-            Error::Overloaded { class: "heal" },
-        ];
-        assert!(stops.iter().all(Error::stops_the_op));
+    fn only_a_missed_deadline_stops_an_op() {
+        assert!(Error::DeadlineExceeded { what: "read", deadline_ticks: 1 }.stops_the_op());
         let node = NodeId(1);
         let others = [
             Error::NodeDown { node },
@@ -308,12 +282,10 @@ mod tests {
             Error::WalCorrupt {
                 context: "checkpoint payload crc mismatch".into(),
             },
-            Error::Overloaded { class: "heal" },
             Error::DeadlineExceeded {
                 what: "read",
                 deadline_ticks: 50_000,
             },
-            Error::RetryBudgetExhausted { class: "encode" },
         ];
         for e in errs {
             let msg = e.to_string();

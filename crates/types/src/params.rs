@@ -179,9 +179,6 @@ impl Default for ReplicationConfig {
 /// * `target_racks` — optional `R' < R`: restrict all blocks of every stripe
 ///   to `R'` randomly chosen racks to cut cross-rack recovery traffic
 ///   (Section III-D). Requires `R' >= ceil(n / c)`.
-/// * `max_retries_per_block` — retry budget for regenerating a block's
-///   replica layout when the flow-graph check fails (Algorithm, Fig. 5);
-///   Theorem 1 shows the expected number of retries is small.
 ///
 /// ```
 /// use ear_types::{EarConfig, ErasureParams, ReplicationConfig};
@@ -198,14 +195,9 @@ pub struct EarConfig {
     replication: ReplicationConfig,
     c: usize,
     target_racks: Option<usize>,
-    max_retries_per_block: usize,
 }
 
 impl EarConfig {
-    /// Default retry budget; far above Theorem 1's expectation so that
-    /// failures indicate a genuinely infeasible topology.
-    pub const DEFAULT_MAX_RETRIES: usize = 10_000;
-
     /// Creates an EAR configuration with `c` blocks of a stripe allowed per
     /// rack.
     ///
@@ -229,7 +221,6 @@ impl EarConfig {
             replication,
             c,
             target_racks: None,
-            max_retries_per_block: Self::DEFAULT_MAX_RETRIES,
         })
     }
 
@@ -241,7 +232,6 @@ impl EarConfig {
             replication,
             c: 1,
             target_racks: None,
-            max_retries_per_block: Self::DEFAULT_MAX_RETRIES,
         }
     }
 
@@ -266,12 +256,6 @@ impl EarConfig {
         Ok(self)
     }
 
-    /// Overrides the per-block retry budget.
-    pub fn with_max_retries(mut self, retries: usize) -> Self {
-        self.max_retries_per_block = retries.max(1);
-        self
-    }
-
     /// The erasure-coding parameters.
     #[inline]
     pub fn erasure(&self) -> ErasureParams {
@@ -294,12 +278,6 @@ impl EarConfig {
     #[inline]
     pub fn target_racks(&self) -> Option<usize> {
         self.target_racks
-    }
-
-    /// Per-block layout retry budget.
-    #[inline]
-    pub fn max_retries_per_block(&self) -> usize {
-        self.max_retries_per_block
     }
 
     /// Number of rack failures the encoded stripe tolerates:
@@ -385,8 +363,6 @@ pub struct DurabilityConfig {
     /// Defaults to `true`; benchmarks may disable it to measure the
     /// fsync cost itself.
     pub sync_writes: bool,
-    /// Number of WAL records between automatic checkpoints.
-    pub checkpoint_every: u64,
 }
 
 impl Default for DurabilityConfig {
@@ -394,7 +370,6 @@ impl Default for DurabilityConfig {
         DurabilityConfig {
             data_dir: None,
             sync_writes: true,
-            checkpoint_every: 256,
         }
     }
 }
@@ -605,7 +580,6 @@ mod tests {
         let d = DurabilityConfig::default();
         assert!(!d.is_durable());
         assert!(d.sync_writes);
-        assert_eq!(d.checkpoint_every, 256);
         let d = DurabilityConfig::at("/tmp/ear-data");
         assert!(d.is_durable());
         assert_eq!(

@@ -29,7 +29,7 @@ fn run_config(c: usize, target_racks: Option<usize>) -> Result<(), Box<dyn std::
         store: StoreBackend::from_env(),
         cache: CacheConfig::from_env(),
         durability: Default::default(),
-        reliability: Default::default(),
+        hedge_reads: true,
     };
     let cfs = MiniCfs::new(cfg)?;
 

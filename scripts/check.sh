@@ -56,16 +56,27 @@ if grep -rn 'write_with_retry' crates; then
   echo "check.sh: write_with_retry is gone; write through write_replicated (above)" >&2
   exit 1
 fi
-# One fold mode, one failure rule (DESIGN.md §15): an encode re-plans like a
-# rebuild, so the gather-only second pass, its flag and its counter stay
-# deleted, and the substrate's stop verdicts are matched by one predicate,
-# ear_types::Error::stops_the_op.
+# One fold mode (DESIGN.md §15): an encode re-plans like a rebuild, so the
+# gather-only second pass, its flag and its counter stay deleted.
 if grep -rnE 'fold_racks|fell_back|pipeline_fallbacks' crates; then
   echo "check.sh: the encoder's second fold pass is gone; re-plan through the dead set (above)" >&2
   exit 1
 fi
-if grep -rn 'RetryBudgetExhausted { \.\. }' crates/cluster/src; then
-  echo "check.sh: match the substrate's stops with Error::stops_the_op (above)" >&2
+# One policy, no dormant knobs (DESIGN.md §14): an option that only ever held
+# one value is a constant, so the admission gate, the retry buckets, the
+# half-open breaker state, the fair-share link engine and the settings that
+# selected them stay deleted from non-test code (each file cut at its first
+# column-0 #[cfg(test)]; a MetaWal still takes its checkpoint interval).
+gone='ClassPolicy|max_in_flight|try_retry|drain_probes|HalfOpen|Overloaded|RetryBudgetExhausted|HealthConfig|FairShare|LinkModel|NetworkEngine|with_max_retries'
+gone_found=0
+for f in $(find src crates examples -name '*.rs' -not -path '*/tests/*' | sort); do
+  case "$f" in */cluster/src/wal.rs) names=$gone ;; *) names="$gone|checkpoint_every:" ;; esac
+  if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE "$names" | sed "s|^|$f:|" | grep .; then
+    gone_found=1
+  fi
+done
+if [ "$gone_found" -ne 0 ]; then
+  echo "check.sh: single-valued options are constants; the gate, buckets, probes and fair-share engine are gone (above)" >&2
   exit 1
 fi
 # One repair planner (DESIGN.md §8): every rebuild's site comes from

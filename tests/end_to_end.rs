@@ -94,7 +94,7 @@ fn full_pipeline_survives_node_failures() {
         store: StoreBackend::from_env(),
         cache: CacheConfig::from_env(),
         durability: Default::default(),
-        reliability: Default::default(),
+        hedge_reads: true,
     };
     let cfs = MiniCfs::new(cfg).unwrap();
     let mut originals = Vec::new();
@@ -156,7 +156,7 @@ fn storage_overhead_drops_from_replication_to_erasure_coding() {
         store: StoreBackend::from_env(),
         cache: CacheConfig::from_env(),
         durability: Default::default(),
-        reliability: Default::default(),
+        hedge_reads: true,
     };
     let cfs = MiniCfs::new(cfg).unwrap();
     for i in 0..8u64 {

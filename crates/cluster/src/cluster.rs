@@ -584,7 +584,8 @@ mod tests {
     fn a_client_write_is_hashed_once_for_all_its_replicas() {
         // `Block::stamped` hashes once (ear-types pins that); here, every
         // one of the r = 3 replicas was stored from the producer's stamped
-        // handle, so `DataNode::put` took the stamp and hashed nothing.
+        // handle, so `DataNode::put` took the stamp and hashed nothing, and
+        // that handle adopted the caller's own buffer (`Block::from`).
         let mut cfg = small_cfg(ClusterPolicy::Ear);
         cfg.ear = EarConfig::new(
             ErasureParams::new(6, 4).unwrap(),
@@ -597,14 +598,14 @@ mod tests {
         let cfs = MiniCfs::new(cfg).unwrap();
         let data = cfs.make_block(42);
         let crc = ear_types::crc::crc32c(&data);
+        let at = data.as_ptr();
         let id = cfs.write_block(NodeId(0), data).unwrap();
         let locs = cfs.namenode().locations(id).unwrap();
         assert_eq!(locs.len(), 3);
-        let first = cfs.datanode(locs[0]).get(id).unwrap();
         for n in locs {
             let held = cfs.datanode(n).get(id).unwrap();
             assert_eq!(held.stamp(), Some(crc), "{n} stored the producer's handle");
-            assert!(held.shares_buffer(&first));
+            assert_eq!(held.as_ptr(), at, "{n} holds the caller's allocation, not a copy");
             assert_eq!(cfs.datanode(n).stored_crc(id), Some(crc));
         }
     }

@@ -386,13 +386,11 @@ impl ExtentStore {
         Ok(Arc::clone(&s.file))
     }
 
+    /// Reads `len` bytes at `off` of segment `seg` into an exactly sized
+    /// buffer, without holding `segments` across the `pread`.
     fn read_seg(&self, seg: usize, off: u64, len: usize) -> Result<Vec<u8>> {
-        let segments = self.segments.read();
-        let s = segments
-            .get(seg)
-            .ok_or_else(|| Error::Invariant(format!("extent segment {seg} out of range")))?;
         let mut buf = vec![0u8; len];
-        s.file
+        self.segment(seg)?
             .read_exact_at(&mut buf, off)
             .map_err(io_err(format!("read segment {seg} at {off}")))?;
         Ok(buf)

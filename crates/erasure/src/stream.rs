@@ -16,7 +16,6 @@
 
 use crate::{Kernel, Matrix, ReedSolomon};
 use ear_types::{Block, Error, Result};
-use std::sync::Arc;
 
 /// A streaming fold of `r` output rows: the running rows plus a record of
 /// which source columns have been folded in.
@@ -30,14 +29,14 @@ use std::sync::Arc;
 /// [`StripeEncoder::finish`] yields, for the codec's rows, parity bytes
 /// identical to [`ReedSolomon::encode`](crate::ReedSolomon::encode).
 ///
-/// The rows are accumulated in the shared buffers that
-/// [`StripeEncoder::finish_blocks`] hands out as [`Block`]s, so a fold's
-/// output is never copied on its way to a store.
+/// The rows are accumulated in the vectors that [`StripeEncoder::finish`]
+/// returns and [`StripeEncoder::finish_blocks`] hands to [`Block`]s, so a
+/// fold's output is never copied on its way to a store.
 #[derive(Debug, Clone)]
 pub struct StripeEncoder {
     kernel: Kernel,
     coeffs: Matrix,
-    rows: Vec<Arc<[u8]>>,
+    rows: Vec<Vec<u8>>,
     absorbed: Vec<bool>,
 }
 
@@ -54,7 +53,7 @@ impl StripeEncoder {
         StripeEncoder {
             kernel,
             // Zero bytes are the GF additive identity.
-            rows: (0..coeffs.rows()).map(|_| std::iter::repeat_n(0, shard_len).collect()).collect(),
+            rows: (0..coeffs.rows()).map(|_| vec![0; shard_len]).collect(),
             absorbed: vec![false; coeffs.cols()],
             coeffs,
         }
@@ -114,7 +113,7 @@ impl StripeEncoder {
                 return Err(Error::ShardLengthMismatch);
             }
         }
-        self.apply(sources, piece)?;
+        self.apply(sources, piece);
         self.absorbed = taken;
         Ok(())
     }
@@ -135,7 +134,7 @@ impl StripeEncoder {
         if self.rows.first().is_some_and(|row| row.len() != chunk.len()) {
             return Err(Error::ShardLengthMismatch);
         }
-        self.apply(&[(index, chunk)], |_, _| ())?;
+        self.apply(&[(index, chunk)], |_, _| ());
         if let Some(slot) = self.absorbed.get_mut(index) {
             *slot = false;
         }
@@ -143,18 +142,14 @@ impl StripeEncoder {
     }
 
     /// `rows[r] ⊕= Σ coeffs[r][index] · shard` over `sources`, validated.
-    fn apply(&mut self, sources: &[(usize, &[u8])], mut piece: impl FnMut(usize, &[u8])) -> Result<()> {
+    fn apply(&mut self, sources: &[(usize, &[u8])], mut piece: impl FnMut(usize, &[u8])) {
         let coeffs = &self.coeffs;
         let coefs: Vec<u8> = (0..coeffs.rows())
             .flat_map(|r| sources.iter().map(move |&(index, _)| coeffs.get(r, index)))
             .collect();
         let srcs: Vec<&[u8]> = sources.iter().map(|&(_, chunk)| chunk).collect();
-        // Unique until `finish_blocks` hands them out, which consumes self.
-        let shared = || Error::Invariant("a running row is shared".into());
-        let mut rows: Vec<&mut [u8]> =
-            self.rows.iter_mut().map(|row| Arc::get_mut(row).ok_or_else(shared)).collect::<Result<_>>()?;
+        let mut rows: Vec<&mut [u8]> = self.rows.iter_mut().map(Vec::as_mut_slice).collect();
         self.kernel.mul_acc_many(&mut rows, &srcs, &coefs, &mut piece);
-        Ok(())
     }
 
     /// The columns still to fold, as the error that names them.
@@ -172,14 +167,15 @@ impl StripeEncoder {
         Err(Error::Invariant(format!("stripe encode missing sources {missing:?}")))
     }
 
-    /// Closes the fold, returning the output rows.
+    /// Closes the fold, returning the output rows in the vectors they were
+    /// accumulated in.
     ///
     /// # Errors
     ///
     /// [`Error::Invariant`] unless every source shard was folded in.
     pub fn finish(self) -> Result<Vec<Vec<u8>>> {
         self.incomplete()?;
-        Ok(self.rows.iter().map(|row| row.to_vec()).collect())
+        Ok(self.rows)
     }
 
     /// Closes the fold, returning the output rows as [`Block`]s over the
@@ -191,7 +187,7 @@ impl StripeEncoder {
     /// [`Error::Invariant`] unless every source shard was folded in.
     pub fn finish_blocks(self) -> Result<Vec<Block>> {
         self.incomplete()?;
-        Ok(self.rows.into_iter().map(Block::from_arc).collect())
+        Ok(self.rows.into_iter().map(Block::from).collect())
     }
 }
 
@@ -287,7 +283,10 @@ mod tests {
         let mut seen = vec![Vec::new(); 4];
         enc.absorb_all(&all, |pos, piece| seen[pos].extend_from_slice(piece)).unwrap();
         assert_eq!(seen, all.iter().map(|&(_, d)| d.to_vec()).collect::<Vec<_>>());
-        assert_eq!(enc.finish().unwrap(), rs.encode(&data).unwrap());
+        let at: Vec<*const u8> = enc.partial_rows().map(<[u8]>::as_ptr).collect();
+        let rows = enc.finish().unwrap();
+        assert_eq!(rows.iter().map(|r| r.as_ptr()).collect::<Vec<_>>(), at, "rows are not copied");
+        assert_eq!(rows, rs.encode(&data).unwrap());
     }
 
     #[test]
@@ -303,7 +302,9 @@ mod tests {
         assert!(enc.retract_source(4, &rotten).is_err(), "a column is retracted once");
         assert!(enc.clone().finish().is_err(), "and is open until absorbed again");
         enc.absorb_source(4, &data[4]).unwrap();
+        let at: Vec<*const u8> = enc.partial_rows().map(<[u8]>::as_ptr).collect();
         let blocks = enc.finish_blocks().unwrap();
+        assert_eq!(blocks.iter().map(|b| b.as_ptr()).collect::<Vec<_>>(), at, "rows are not copied");
         let want = rs.encode(&data).unwrap();
         assert_eq!(blocks.iter().map(Block::to_vec).collect::<Vec<_>>(), want);
     }

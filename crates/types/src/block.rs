@@ -3,15 +3,20 @@
 //! Every payload that moves through the cluster — client reads, stripe
 //! downloads, parity uploads, repair traffic, cached replicas — is a
 //! [`Block`]: a view into a reference-counted immutable byte buffer.
-//! Cloning a `Block` copies three words, never the payload, and
+//! Cloning a `Block` copies four words, never the payload, and
 //! [`Block::slice`] produces a sub-view over the *same* allocation, so a
 //! store can hand out the payload portion of an on-disk image (header +
 //! payload) without re-copying the bytes.
 //!
-//! Compared to the `Arc<Vec<u8>>` it replaces, `Arc<[u8]>` drops one level
-//! of pointer indirection (the `Vec`'s own heap header) and makes the
-//! buffer immutable by construction: nothing downstream can grow, shrink,
-//! or mutate bytes another reader is concurrently verifying.
+//! A `Block` adopts the `Vec<u8>` it is built from: [`Block::from`] moves
+//! the vector behind an `Arc` without touching its bytes, so a client
+//! write's buffer, an extent read's `pread` buffer and a fold's output rows
+//! become blocks without a copy. Only `Block::from(&[u8])` copies, because
+//! it must. An `Arc` of a bare slice would save the one pointer load per
+//! [`Block::as_slice`] that the vector's header costs, but building one
+//! from a `Vec` allocates a second buffer and copies the whole payload into
+//! it. The vector's spare capacity is released on adoption, so a block pins
+//! exactly the bytes it views.
 //!
 //! Because the bytes cannot change, a handle may also carry their CRC32C —
 //! a *stamp*. Only two things set it, and both hash the bytes:
@@ -38,7 +43,7 @@ use std::sync::Arc;
 /// ```
 #[derive(Clone)]
 pub struct Block {
-    buf: Arc<[u8]>,
+    buf: Arc<Vec<u8>>,
     off: usize,
     len: usize,
     /// CRC32C of exactly `buf[off..off + len]`, when a producer or a
@@ -47,17 +52,6 @@ pub struct Block {
 }
 
 impl Block {
-    /// Wraps an already shared buffer, viewing all of it.
-    pub fn from_arc(buf: Arc<[u8]>) -> Self {
-        let len = buf.len();
-        Block {
-            buf,
-            off: 0,
-            len,
-            crc: None,
-        }
-    }
-
     /// This handle carrying the CRC32C of its view, hashed here unless it
     /// already carries one. Producers call it once, before a payload fans
     /// out to its replicas.
@@ -158,15 +152,24 @@ impl Block {
     }
 }
 
+/// Adopts the vector, viewing all of it. An exactly sized vector is not
+/// copied; spare capacity is released first, which may move the bytes.
 impl From<Vec<u8>> for Block {
-    fn from(v: Vec<u8>) -> Self {
-        Block::from_arc(Arc::from(v))
+    fn from(mut v: Vec<u8>) -> Self {
+        v.shrink_to_fit();
+        let len = v.len();
+        Block {
+            buf: Arc::new(v),
+            off: 0,
+            len,
+            crc: None,
+        }
     }
 }
 
 impl From<&[u8]> for Block {
     fn from(s: &[u8]) -> Self {
-        Block::from_arc(Arc::from(s))
+        Block::from(s.to_vec())
     }
 }
 
@@ -187,7 +190,7 @@ impl AsRef<[u8]> for Block {
 
 impl Default for Block {
     fn default() -> Self {
-        Block::from_arc(Arc::from([] as [u8; 0]))
+        Block::from(Vec::new())
     }
 }
 
@@ -225,6 +228,21 @@ mod tests {
         assert_eq!(&b[..], &[1, 2, 3]);
         assert_eq!(b.as_ref(), &[1, 2, 3]);
         assert_eq!(b.to_vec(), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn from_vec_adopts_the_allocation_and_releases_spare_capacity() {
+        let v = vec![9u8; 4096];
+        let at = v.as_ptr();
+        let b = Block::from(v);
+        assert_eq!(b.as_ptr(), at, "an exactly sized vector is adopted, not copied");
+        assert_eq!(b.buf.capacity(), b.len());
+
+        let mut roomy = Vec::with_capacity(8192);
+        roomy.extend_from_slice(&[1u8; 100]);
+        let b = Block::from(roomy);
+        assert_eq!((b.len(), b.buf.capacity()), (100, 100), "no spare capacity is pinned");
+        assert_eq!(&b[..], &[1u8; 100][..]);
     }
 
     #[test]

@@ -49,6 +49,16 @@ for f in crates/cluster/src/raidnode.rs crates/cluster/src/recovery.rs; do
     exit 1
   fi
 done
+# A Block adopts the Vec it is built from (DESIGN.md §12): client writes,
+# extent reads and fold rows become blocks without a copy, so the copying
+# slice-backed buffer, its constructor and the fold's shared-row check stay
+# deleted from non-test block.rs and stream.rs.
+for f in crates/types/src/block.rs crates/erasure/src/stream.rs; do
+  if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE 'from_arc|Arc<\[u8\]>|a running row is shared' | sed "s|^|$f:|" | grep .; then
+    echo "check.sh: a Block adopts its Vec; the Arc<[u8]> buffer and from_arc are gone (above)" >&2
+    exit 1
+  fi
+done
 # One write path: a client write is one streamed chain and a placement write
 # a one-replica pipeline (DESIGN.md §9), so the per-hop store-and-forward
 # retry loop stays deleted.

@@ -1,6 +1,6 @@
-//! Theorem 1: EAR's expected layout-regeneration iterations per block —
-//! measured against the analytical bound, plus the regenerate-whole-stripe
-//! ablation called out in DESIGN.md.
+//! Theorem 1: EAR's expected layout-generation iterations per block,
+//! measured with the paper's retry rule (regenerate only the refused block's
+//! layout) against the analytical bound.
 
 use crate::{Scale, Table};
 use ear_analysis::{measure_iterations, theorem1_bound};

@@ -533,9 +533,9 @@ impl NameNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ear_core::{EncodingAwareReplication, RandomReplicationPolicy};
+    use ear_core::{BlockLayout, EncodingAwareReplication, RandomReplicationPolicy};
     use ear_types::prop;
-    use ear_types::{EarConfig, ErasureParams, ReplicationConfig};
+    use ear_types::{EarConfig, ErasureParams, RackId, ReplicationConfig};
     use std::path::{Path, PathBuf};
     use std::sync::atomic::AtomicU64;
 
@@ -786,6 +786,41 @@ mod tests {
             drop(nn);
             let (_, recovered) = MetaWal::open(&dir, false, u64::MAX).unwrap();
             assert_eq!(recovered, before, "{name} leaked into the checkpoint");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_replayed_plan_outside_the_topology_is_an_error_not_a_panic() {
+        // A `SealStripe` behind a valid CRC whose plan names node 32, core
+        // rack 8 or target rack 8 of the 8 × 4 cluster: the log vouches for
+        // the bytes, not the ids, so planning the stripe's encode refuses it.
+        // Block i on node i (rack 0) and node 4 + i (rack 1), block 3's
+        // second replica on `last`.
+        let plan = |last: u32, core: Option<u32>, targets: Option<Vec<RackId>>| {
+            let second = |i: u32| if i == 3 { last } else { 4 + i };
+            let layouts = (0..4).map(|i| BlockLayout::new(vec![NodeId(i), NodeId(second(i))]));
+            let retries = vec![0; 4];
+            StripePlan::new(layouts.collect(), core.map(RackId), targets, retries)
+        };
+        let plans = [
+            (false, plan(32, None, None)),
+            (true, plan(32, Some(0), None)),
+            (true, plan(7, Some(8), None)),
+            (true, plan(7, Some(0), Some(vec![RackId(0), RackId(8)]))),
+        ];
+        for (ear, plan) in plans {
+            let dir = tmp_dir();
+            let (wal, _) = MetaWal::open(&dir, false, u64::MAX).unwrap();
+            let blocks = (0..4).map(BlockId).collect();
+            let id = StripeId(0);
+            wal.append(&MetaRecord::SealStripe(PendingStripe { id, blocks, plan }))
+                .unwrap();
+            drop(wal);
+            let nn = namenode(ear, 1, Some(&dir));
+            let stripe = nn.pending_stripes().remove(0);
+            let planned = nn.plan_encoding(&stripe);
+            assert!(matches!(planned, Err(Error::Invariant(_))), "{planned:?}");
             std::fs::remove_dir_all(&dir).unwrap();
         }
     }

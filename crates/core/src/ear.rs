@@ -16,30 +16,16 @@
 //!    rack fault tolerance for cheaper recovery (Section III-D).
 
 use crate::layout::{BlockLayout, StripePlan};
+use crate::matching::StripeMatching;
 use crate::sample;
-use ear_flow::max_kept_matching;
 use ear_types::rng::ChaCha8;
-use ear_types::{ClusterTopology, EarConfig, Error, NodeId, RackId, RackSpread, Result};
+use ear_types::{ClusterTopology, EarConfig, Error, RackId, RackSpread, Result};
 use std::collections::HashMap;
 
 /// Layouts drawn for one block before placement gives up (Fig. 5, steps
 /// 2–5): far above Theorem 1's expected retry count, so running out means
 /// the topology cannot host the stripe.
 const MAX_LAYOUT_ATTEMPTS: usize = 10_000;
-
-/// How the core rack for a new stripe is chosen.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[non_exhaustive]
-pub enum CoreRackSelection {
-    /// The rack of the block's first replica becomes the core rack — i.e. a
-    /// uniformly random rack, matching RR's first-replica distribution
-    /// (the paper's design, Section III-A).
-    #[default]
-    FirstWriter,
-    /// Pick the rack currently hosting the fewest open-stripe blocks; an
-    /// extension that smooths core-rack load when write bursts are skewed.
-    LeastLoaded,
-}
 
 /// Incrementally builds one stripe's replica placement under EAR.
 ///
@@ -72,8 +58,8 @@ pub struct EarStripeBuilder {
     /// restriction is active.
     target_racks: Option<Vec<RackId>>,
     layouts: Vec<BlockLayout>,
-    /// Replica node lists, mirrored from `layouts` for the matching calls.
-    node_lists: Vec<Vec<NodeId>>,
+    /// The kept replica of each block placed so far.
+    matching: StripeMatching,
     retries: Vec<usize>,
     k: usize,
 }
@@ -112,9 +98,9 @@ impl EarStripeBuilder {
         };
         Ok(EarStripeBuilder {
             core_rack,
+            matching: StripeMatching::new(cfg.c(), target_racks.as_deref()),
             target_racks,
             layouts: Vec::new(),
-            node_lists: Vec::new(),
             retries: Vec::new(),
             k: cfg.erasure().k(),
         })
@@ -143,7 +129,8 @@ impl EarStripeBuilder {
 
     /// Places the next data block: first replica in the core rack, remaining
     /// replicas random, regenerating the layout until the stripe's flow
-    /// graph admits a maximum matching (Fig. 5, steps 2–5).
+    /// graph admits a maximum matching (Fig. 5, steps 2–5). Each layout
+    /// drawn costs one augmenting-path search on the stripe's matching.
     ///
     /// # Errors
     ///
@@ -162,19 +149,11 @@ impl EarStripeBuilder {
         let i = self.layouts.len();
         for attempt in 0..MAX_LAYOUT_ATTEMPTS {
             let layout = self.generate_layout(topo, cfg, rng)?;
-            self.node_lists.push(layout.replicas.clone());
-            let outcome = max_kept_matching(
-                topo,
-                &self.node_lists,
-                cfg.c(),
-                self.target_racks.as_deref(),
-            );
-            if outcome.size == i + 1 {
+            if self.matching.add(topo, &layout.replicas) {
                 self.layouts.push(layout.clone());
                 self.retries.push(attempt);
                 return Ok(layout);
             }
-            self.node_lists.pop();
         }
         Err(Error::PlacementExhausted {
             block_index: i,
@@ -330,7 +309,6 @@ fn validate_topology(cfg: &EarConfig, topo: &ClusterTopology) -> Result<()> {
 pub struct EncodingAwareReplication {
     cfg: EarConfig,
     topo: ClusterTopology,
-    selection: CoreRackSelection,
     open: HashMap<RackId, EarStripeBuilder>,
 }
 
@@ -340,15 +318,8 @@ impl EncodingAwareReplication {
         EncodingAwareReplication {
             cfg,
             topo,
-            selection: CoreRackSelection::default(),
             open: HashMap::new(),
         }
-    }
-
-    /// Overrides how the core rack of a new stripe is chosen.
-    pub fn with_core_rack_selection(mut self, selection: CoreRackSelection) -> Self {
-        self.selection = selection;
-        self
     }
 
     /// The configuration in force.
@@ -375,7 +346,9 @@ impl EncodingAwareReplication {
     /// Propagates topology-validation and retry-exhaustion errors from
     /// [`EarStripeBuilder`].
     pub fn place_block(&mut self, rng: &mut ChaCha8) -> Result<crate::PlacedBlock> {
-        let core = self.pick_core_rack(rng);
+        // The rack of the block's first replica is the core rack: a uniformly
+        // random rack, as RR draws a first replica (Section III-A).
+        let core = sample::random_rack(rng, &self.topo, &[], None).expect("topology has racks");
         let builder = match self.open.entry(core) {
             std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
             std::collections::hash_map::Entry::Vacant(v) => {
@@ -394,25 +367,12 @@ impl EncodingAwareReplication {
             sealed_stripe: sealed,
         })
     }
-
-    fn pick_core_rack(&self, rng: &mut ChaCha8) -> RackId {
-        match self.selection {
-            CoreRackSelection::FirstWriter => {
-                sample::random_rack(rng, &self.topo, &[], None).expect("topology has racks")
-            }
-            CoreRackSelection::LeastLoaded => self
-                .topo
-                .racks()
-                .min_by_key(|r| self.open.get(r).map(|b| b.len()).unwrap_or(0))
-                .expect("topology has racks"),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ear_types::{ErasureParams, ReplicationConfig};
+    use ear_types::{ErasureParams, NodeId, ReplicationConfig};
 
     fn cfg(n: usize, k: usize, c: usize) -> EarConfig {
         EarConfig::new(
@@ -457,8 +417,8 @@ mod tests {
                 .iter()
                 .map(|l| l.replicas.clone())
                 .collect();
-            let m = max_kept_matching(&topo, &lists, cfg.c(), None);
-            assert!(m.is_complete(), "trial {trial}: matching incomplete");
+            let kept = crate::matching::tests::exhaustive(&topo, &lists, cfg.c(), None);
+            assert_eq!(kept, lists.len(), "trial {trial}: matching incomplete");
         }
     }
 
@@ -553,20 +513,6 @@ mod tests {
         }
         // Open stripes never exceed the number of racks.
         assert!(ear.open_stripes() <= 8);
-    }
-
-    #[test]
-    fn least_loaded_core_rack_selection_round_robins() {
-        let topo = ClusterTopology::uniform(5, 4);
-        let cfg = cfg(5, 4, 1);
-        let mut ear = EncodingAwareReplication::new(cfg, topo)
-            .with_core_rack_selection(CoreRackSelection::LeastLoaded);
-        let mut rng = ChaCha8::from_seed(28);
-        // After 4 blocks, each rack should host exactly one open block.
-        for _ in 0..4 {
-            ear.place_block(&mut rng).unwrap();
-        }
-        assert_eq!(ear.open_stripes(), 4);
     }
 
     #[test]

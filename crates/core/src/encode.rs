@@ -3,64 +3,68 @@
 //! relocated (Section II-A and Section III of the paper).
 
 use crate::layout::{EncodePlan, StripePlan, StripeSpread};
+use crate::matching::StripeMatching;
 use crate::sample;
-use ear_flow::max_kept_matching;
 use ear_types::rng::ChaCha8;
 use ear_types::{ClusterTopology, EarConfig, Error, NodeId, RackId, Result};
-use std::collections::HashMap;
 
-/// How the encoding node for a stripe is chosen under random replication.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[non_exhaustive]
-pub enum EncodingNodeSelection {
-    /// A uniformly random node — the paper's model ("the CFS randomly
-    /// selects a node to perform the encoding operation", Section II-A).
-    #[default]
-    Random,
-    /// The node whose rack holds the most data blocks of the stripe, an
-    /// idealized MapReduce locality optimization (ablation).
-    BestLocality,
+/// Refuses a plan that names a node, core rack or target rack outside
+/// `topo` — possible only for a plan decoded from the metadata log, whose
+/// CRC vouches for its bytes but not for its ids.
+fn check_in_topology(topo: &ClusterTopology, stripe: &StripePlan) -> Result<()> {
+    let mut nodes = stripe.data_layouts().iter().flat_map(|l| &l.replicas);
+    if let Some(node) = nodes.find(|n| n.index() >= topo.num_nodes()) {
+        return Err(Error::Invariant(format!(
+            "stripe plan names {node}, outside the {}-node topology",
+            topo.num_nodes()
+        )));
+    }
+    let core = stripe.core_rack();
+    let mut racks = core.iter().chain(stripe.target_racks().unwrap_or_default());
+    if let Some(rack) = racks.find(|r| r.index() >= topo.num_racks()) {
+        return Err(Error::Invariant(format!(
+            "stripe plan names {rack}, outside the {}-rack topology",
+            topo.num_racks()
+        )));
+    }
+    Ok(())
 }
 
 /// Plans the encoding of an EAR-placed stripe (Section III): the encoding
 /// node is a random node of the core rack, no cross-rack downloads occur,
-/// the kept replicas come from the stripe's maximum matching, and parity
-/// blocks go to racks that still have spare stripe capacity.
+/// the kept replicas are the stripe's maximum matching (its blocks fed to
+/// the matcher in order, as the builder fed them, so the builder's kept
+/// set), and parity blocks go to racks that still have spare stripe
+/// capacity.
 ///
 /// # Errors
 ///
-/// Returns [`Error::Invariant`] if the plan lacks a core rack or its flow
-/// graph unexpectedly has no complete matching (both impossible for plans
-/// produced by [`EncodingAwareReplication`](crate::EncodingAwareReplication)),
-/// or [`Error::TopologyTooSmall`] if parity cannot be placed.
+/// Returns [`Error::Invariant`] if the plan names a node or rack outside
+/// `topo`, lacks a core rack, or its flow graph has no complete matching
+/// (all impossible for plans produced by
+/// [`EncodingAwareReplication`](crate::EncodingAwareReplication)), or
+/// [`Error::TopologyTooSmall`] if parity cannot be placed.
 pub fn plan_encoding_ear(
     topo: &ClusterTopology,
     cfg: &EarConfig,
     stripe: &StripePlan,
     rng: &mut ChaCha8,
 ) -> Result<EncodePlan> {
+    check_in_topology(topo, stripe)?;
     let core = stripe
         .core_rack()
         .ok_or_else(|| Error::Invariant("EAR encoding plan requires a core rack".into()))?;
     let encoding_node = sample::random_node_in_rack(rng, topo, core, &[])
         .ok_or_else(|| Error::Invariant(format!("core {core} has no nodes")))?;
 
-    let node_lists: Vec<Vec<NodeId>> = stripe
-        .data_layouts()
-        .iter()
-        .map(|l| l.replicas.clone())
-        .collect();
-    let outcome = max_kept_matching(topo, &node_lists, cfg.c(), stripe.target_racks());
-    if !outcome.is_complete() {
+    let mut matching = StripeMatching::new(cfg.c(), stripe.target_racks());
+    let layouts = stripe.data_layouts();
+    if !layouts.iter().all(|l| matching.add(topo, &l.replicas)) {
         return Err(Error::Invariant(
             "EAR stripe has no complete matching; placement invariant broken".into(),
         ));
     }
-    let kept_data: Vec<NodeId> = outcome
-        .kept
-        .into_iter()
-        .map(|n| n.expect("complete"))
-        .collect();
+    let kept_data = matching.kept();
 
     // By construction every block has a replica in the core rack, so the
     // encoding node downloads everything intra-rack.
@@ -89,50 +93,28 @@ pub fn plan_encoding_ear(
     })
 }
 
-/// Plans the encoding of an RR-placed stripe (Section II-B): a random node
-/// encodes (downloading every block whose replicas are all in other racks),
-/// surviving replicas are chosen as favourably as possible (via the same
-/// maximum matching EAR uses — a charitable baseline), and any block that
-/// still cannot satisfy the rack constraint is relocated, reproducing the
-/// PlacementMonitor/BlockMover behaviour of Facebook's HDFS.
+/// Plans the encoding of an RR-placed stripe (Section II-B): a uniformly
+/// random node encodes ("the CFS randomly selects a node to perform the
+/// encoding operation", Section II-A), downloading every block whose
+/// replicas are all in other racks; surviving replicas are chosen as
+/// favourably as possible (via the same maximum matching EAR uses — a
+/// charitable baseline), and any block the matching refuses is relocated,
+/// reproducing the PlacementMonitor/BlockMover behaviour of Facebook's HDFS.
 ///
 /// # Errors
 ///
-/// Returns [`Error::TopologyTooSmall`] if parity or relocated blocks cannot
-/// be placed anywhere.
+/// Returns [`Error::Invariant`] if the plan names a node outside `topo`, or
+/// [`Error::TopologyTooSmall`] if parity or relocated blocks cannot be
+/// placed anywhere.
 pub fn plan_encoding_rr(
     topo: &ClusterTopology,
     cfg: &EarConfig,
     stripe: &StripePlan,
-    selection: EncodingNodeSelection,
     rng: &mut ChaCha8,
 ) -> Result<EncodePlan> {
-    let node_lists: Vec<Vec<NodeId>> = stripe
-        .data_layouts()
-        .iter()
-        .map(|l| l.replicas.clone())
-        .collect();
-
-    let encoding_node = match selection {
-        EncodingNodeSelection::Random => {
-            let all: Vec<NodeId> = topo.nodes().collect();
-            *rng.choose(&all).expect("topology has nodes")
-        }
-        EncodingNodeSelection::BestLocality => {
-            let mut per_rack: HashMap<RackId, usize> = HashMap::new();
-            for l in stripe.data_layouts() {
-                for r in l.racks(topo) {
-                    *per_rack.entry(r).or_insert(0) += 1;
-                }
-            }
-            let best_rack = per_rack
-                .into_iter()
-                .max_by_key(|&(r, count)| (count, std::cmp::Reverse(r)))
-                .map(|(r, _)| r)
-                .expect("stripe has blocks");
-            sample::random_node_in_rack(rng, topo, best_rack, &[]).expect("non-empty rack")
-        }
-    };
+    check_in_topology(topo, stripe)?;
+    let all: Vec<NodeId> = topo.nodes().collect();
+    let encoding_node = *rng.choose(&all).expect("topology has nodes");
     let enc_rack = topo.rack_of(encoding_node);
     let cross_rack_sources: Vec<usize> = stripe
         .data_layouts()
@@ -142,27 +124,32 @@ pub fn plan_encoding_rr(
         .map(|(i, _)| i)
         .collect();
 
-    // Keep replicas as favourably as possible.
-    let outcome = max_kept_matching(topo, &node_lists, cfg.c(), None);
-    let mut kept_data = Vec::with_capacity(node_lists.len());
-    let mut unmatched = Vec::new();
-    for (i, kept) in outcome.kept.iter().enumerate() {
-        match kept {
-            Some(node) => kept_data.push(*node),
-            None => {
-                // Keep an arbitrary replica for now; it will be relocated.
-                kept_data.push(node_lists[i][0]);
-                unmatched.push(i);
-            }
-        }
-    }
+    // Keep replicas as favourably as possible: the blocks the matching
+    // refuses keep an arbitrary replica for now and are relocated.
+    let mut matching = StripeMatching::new(cfg.c(), None);
+    let matched: Vec<bool> = stripe
+        .data_layouts()
+        .iter()
+        .map(|l| matching.add(topo, &l.replicas))
+        .collect();
+    let mut kept = matching.kept().into_iter();
+    let kept_data: Vec<NodeId> = stripe
+        .data_layouts()
+        .iter()
+        .zip(&matched)
+        .map(|(l, &m)| match m {
+            true => kept.next().expect("a kept node per matched block"),
+            false => l.primary(),
+        })
+        .collect();
 
     // Relocate unmatched blocks to racks with spare capacity
     // (BlockMover, Section II-B): the spread starts from the matched
     // replicas, so a block on its way out takes up no room.
     let mut relocations = Vec::new();
-    let mut spread = StripeSpread::of(topo, cfg.c(), outcome.kept.iter().flatten().copied());
-    for &i in &unmatched {
+    let mut spread = StripeSpread::of(topo, cfg.c(), matching.kept());
+    let unmatched = (0..matched.len()).filter(|&i| !matched[i]);
+    for i in unmatched {
         let to = spread.pick(None, rng).ok_or_else(|| Error::TopologyTooSmall {
             reason: "no rack has spare capacity for a relocated block".into(),
         })?;
@@ -268,14 +255,7 @@ mod tests {
         let mut total_cross = 0usize;
         for _ in 0..50 {
             let stripe = rr_stripe(&topo, &cfg, &mut rng);
-            let plan = plan_encoding_rr(
-                &topo,
-                &cfg,
-                &stripe,
-                EncodingNodeSelection::Random,
-                &mut rng,
-            )
-            .unwrap();
+            let plan = plan_encoding_rr(&topo, &cfg, &stripe, &mut rng).unwrap();
             total_cross += plan.cross_rack_downloads();
             // Post-encode (with relocations applied) the stripe is valid.
             assert_eq!(plan.check_fault_tolerance(&topo, cfg.c()), None);
@@ -283,36 +263,6 @@ mod tests {
         // Section II-B: expectation is k - 2k/R = 4 - 0.8 = 3.2 per stripe.
         let avg = total_cross as f64 / 50.0;
         assert!(avg > 2.0, "average cross-rack downloads {avg} too low");
-    }
-
-    #[test]
-    fn rr_best_locality_reduces_downloads() {
-        let topo = ClusterTopology::uniform(10, 4);
-        let cfg = cfg(6, 4, 1);
-        let mut rng = ChaCha8::from_seed(33);
-        let (mut rand_total, mut best_total) = (0usize, 0usize);
-        for _ in 0..50 {
-            let stripe = rr_stripe(&topo, &cfg, &mut rng);
-            let p1 = plan_encoding_rr(
-                &topo,
-                &cfg,
-                &stripe,
-                EncodingNodeSelection::Random,
-                &mut rng,
-            )
-            .unwrap();
-            let p2 = plan_encoding_rr(
-                &topo,
-                &cfg,
-                &stripe,
-                EncodingNodeSelection::BestLocality,
-                &mut rng,
-            )
-            .unwrap();
-            rand_total += p1.cross_rack_downloads();
-            best_total += p2.cross_rack_downloads();
-        }
-        assert!(best_total < rand_total);
     }
 
     #[test]
@@ -325,14 +275,7 @@ mod tests {
         let mut relocated = 0usize;
         for _ in 0..100 {
             let stripe = rr_stripe(&topo, &cfg, &mut rng);
-            let plan = plan_encoding_rr(
-                &topo,
-                &cfg,
-                &stripe,
-                EncodingNodeSelection::Random,
-                &mut rng,
-            )
-            .unwrap();
+            let plan = plan_encoding_rr(&topo, &cfg, &stripe, &mut rng).unwrap();
             if plan.violated_rack_fault_tolerance() {
                 relocated += 1;
             }

@@ -9,7 +9,8 @@
 //! (replica deletion can violate rack-level fault tolerance, forcing block
 //! relocation). EAR fixes both by placing the `k` blocks of a future stripe
 //! jointly: one replica of each block in a common *core rack*, and the rest
-//! at random subject to a max-flow feasibility check.
+//! at random subject to a max-flow feasibility check, answered by one
+//! augmenting-path search per layout drawn.
 //!
 //! # Quickstart
 //!
@@ -44,13 +45,14 @@
 mod ear;
 mod encode;
 mod layout;
+mod matching;
 mod policy;
 mod repair;
 mod rr;
 pub mod sample;
 
-pub use ear::{CoreRackSelection, EarStripeBuilder, EncodingAwareReplication};
-pub use encode::{plan_encoding_ear, plan_encoding_rr, EncodingNodeSelection};
+pub use ear::{EarStripeBuilder, EncodingAwareReplication};
+pub use encode::{plan_encoding_ear, plan_encoding_rr};
 pub use layout::{
     BlockLayout, ChainHop, ChainPlan, EncodePlan, SpreadViolations, StripePlan, StripeSpread,
 };

@@ -1,7 +1,7 @@
 //! The [`PlacementPolicy`] trait: a uniform interface over random
 //! replication and encoding-aware replication, used by the simulators.
 
-use crate::encode::{plan_encoding_ear, plan_encoding_rr, EncodingNodeSelection};
+use crate::encode::{plan_encoding_ear, plan_encoding_rr};
 use crate::layout::{BlockLayout, EncodePlan, StripePlan};
 use crate::rr::RandomReplication;
 use crate::EncodingAwareReplication;
@@ -55,7 +55,6 @@ pub trait PlacementPolicy: Send {
 pub struct RandomReplicationPolicy {
     cfg: EarConfig,
     rr: RandomReplication,
-    selection: EncodingNodeSelection,
     pending: Vec<BlockLayout>,
 }
 
@@ -71,15 +70,8 @@ impl RandomReplicationPolicy {
         Ok(RandomReplicationPolicy {
             cfg,
             rr,
-            selection: EncodingNodeSelection::default(),
             pending: Vec::new(),
         })
-    }
-
-    /// Overrides how the encoding node is selected.
-    pub fn with_encoding_node_selection(mut self, selection: EncodingNodeSelection) -> Self {
-        self.selection = selection;
-        self
     }
 
     /// Blocks written but not yet grouped into a stripe.
@@ -110,7 +102,7 @@ impl PlacementPolicy for RandomReplicationPolicy {
     }
 
     fn plan_encoding(&self, stripe: &StripePlan, rng: &mut ChaCha8) -> Result<EncodePlan> {
-        plan_encoding_rr(self.rr.topology(), &self.cfg, stripe, self.selection, rng)
+        plan_encoding_rr(self.rr.topology(), &self.cfg, stripe, rng)
     }
 
     fn config(&self) -> &EarConfig {

@@ -40,74 +40,40 @@ if [ "$chain_files" != "crates/cluster/src/fold.rs" ] || [ -e crates/cluster/src
   echo "check.sh: stream_chain( must be called from fold.rs alone (found: $chain_files) and pipeline.rs must not exist" >&2
   exit 1
 fi
-# One pass per stripe (DESIGN.md §12, §15): the fold accumulates its rows
-# in the buffers it returns as Blocks, so encode and rebuild store them
-# without a copy, and the per-row Vec -> Block conversion stays deleted.
-for f in crates/cluster/src/raidnode.rs crates/cluster/src/recovery.rs; do
-  if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -n 'Block::from(' | sed "s|^|$f:|" | grep .; then
-    echo "check.sh: fold outputs are Blocks already; store them without Block::from (above)" >&2
-    exit 1
+# Stays deleted: every name and path in scripts/tombstones.txt, one row each
+# (`pattern · scope · reason · where`; the file's header says what a scope is).
+# grep finding nothing passes; a bad pattern or a scope path that does not
+# exist stops the gate.
+none_ok() { grep "$@" || [ $? -eq 1 ]; }
+tombs=0
+while IFS= read -r row; do
+  case "$row" in '' | '#'*) continue ;; esac
+  pattern=${row%% · *} && row=${row#* · }
+  scope=${row%% · *} && row=${row#* · }
+  reason=${row%% · *} && where=${row#* · }
+  paths=() skip=' '
+  for w in ${scope#*:}; do
+    case "$w" in '!'*) skip+="${w#!} " ;; *) paths+=("$w") ;; esac
+    [ "$scope" = path ] || [ -e "${w#!}" ] || { echo "check.sh: no such path in tombstones.txt: $w" >&2; exit 1; }
+  done
+  case "$scope" in
+    path) hits=$([ ! -e "$pattern" ] || echo "$pattern exists") ;;
+    all:*) hits=$(none_ok -rnE "$pattern" "${paths[@]}") ;;
+    code:*)
+      hits=''
+      for f in $(find "${paths[@]}" -name '*.rs' -not -path '*/tests/*' | sort); do
+        case "$skip" in *" $f "*) continue ;; esac
+        hits+=$(sed '/^#\[cfg(test)\]/,$d' "$f" | none_ok -nE "$pattern" | sed "s|^|$f:|")
+      done ;;
+    *) echo "check.sh: unknown scope in tombstones.txt: $scope" >&2 && exit 1 ;;
+  esac
+  if [ -n "$hits" ]; then
+    printf '%s\n' "$hits"
+    echo "check.sh: stays deleted ($where): $reason (above)" >&2
+    tombs=1
   fi
-done
-# A Block adopts the Vec it is built from (DESIGN.md §12): client writes,
-# extent reads and fold rows become blocks without a copy, so the copying
-# slice-backed buffer, its constructor and the fold's shared-row check stay
-# deleted from non-test block.rs and stream.rs.
-for f in crates/types/src/block.rs crates/erasure/src/stream.rs; do
-  if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE 'from_arc|Arc<\[u8\]>|a running row is shared' | sed "s|^|$f:|" | grep .; then
-    echo "check.sh: a Block adopts its Vec; the Arc<[u8]> buffer and from_arc are gone (above)" >&2
-    exit 1
-  fi
-done
-# One write path: a client write is one streamed chain and a placement write
-# a one-replica pipeline (DESIGN.md §9), so the per-hop store-and-forward
-# retry loop stays deleted.
-if grep -rn 'write_with_retry' crates; then
-  echo "check.sh: write_with_retry is gone; write through write_replicated (above)" >&2
-  exit 1
-fi
-# One fold mode (DESIGN.md §15): an encode re-plans like a rebuild, so the
-# gather-only second pass, its flag and its counter stay deleted.
-if grep -rnE 'fold_racks|fell_back|pipeline_fallbacks' crates; then
-  echo "check.sh: the encoder's second fold pass is gone; re-plan through the dead set (above)" >&2
-  exit 1
-fi
-# One policy, no dormant knobs (DESIGN.md §14): an option that only ever held
-# one value is a constant, so the admission gate, the retry buckets, the
-# half-open breaker state, the fair-share link engine and the settings that
-# selected them stay deleted from non-test code (each file cut at its first
-# column-0 #[cfg(test)]; a MetaWal still takes its checkpoint interval).
-gone='ClassPolicy|max_in_flight|try_retry|drain_probes|HalfOpen|Overloaded|RetryBudgetExhausted|HealthConfig|FairShare|LinkModel|NetworkEngine|with_max_retries'
-gone_found=0
-for f in $(find src crates examples -name '*.rs' -not -path '*/tests/*' | sort); do
-  case "$f" in */cluster/src/wal.rs) names=$gone ;; *) names="$gone|checkpoint_every:" ;; esac
-  if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE "$names" | sed "s|^|$f:|" | grep .; then
-    gone_found=1
-  fi
-done
-if [ "$gone_found" -ne 0 ]; then
-  echo "check.sh: single-valued options are constants; the gate, buckets, probes and fair-share engine are gone (above)" >&2
-  exit 1
-fi
-# One repair planner (DESIGN.md §8): every rebuild's site comes from
-# ear_core::RepairPlanner, fed the whole task list before the drain, so the
-# per-task site draw and its densest-rack helpers stay deleted.
-if grep -rnE 'plan_repair_site|free_in_best|best_rack' crates/cluster/src; then
-  echo "check.sh: rebuild sites come from ear_core::RepairPlanner (above)" >&2
-  exit 1
-fi
-# One checker per invariant (DESIGN.md §11): lock order and durability
-# order are types that rustc checks (crates/cluster/src/{sync,durable}.rs);
-# determinism, panic-freedom and discard hygiene are clippy lints, and a
-# suppression is an `#[expect(lint, reason = "…")]` at its site. So the
-# hand-written linter, its allowlist and the two crates that held no seam of
-# their own stay deleted.
-for gone in crates/{lint,workloads,bench} lint-allowlist.txt; do
-  if [ -e "$gone" ]; then
-    echo "check.sh: $gone is gone (DESIGN.md §11)" >&2
-    exit 1
-  fi
-done
+done <scripts/tombstones.txt
+[ "$tombs" -eq 0 ] || exit 1
 # Durability order lives in durable.rs's types only if every raw write,
 # resize, fsync and rename of the cluster crate goes through it: outside
 # durable.rs and the crash simulator (which forges torn files on purpose),

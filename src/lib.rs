@@ -10,7 +10,6 @@
 //! * [`types`] — identifiers, topology, configuration, the shared
 //!   [`types::Block`] buffer and the CRC32C ([`types::crc`]) it can carry.
 //! * [`erasure`] — GF(2⁸) Reed–Solomon coding.
-//! * [`flow`] — max-flow / bipartite matching used by the EAR algorithm.
 //! * [`core`] — the placement policies: random replication (RR) and
 //!   encoding-aware replication (EAR).
 //! * [`des`] — the discrete-event simulation core.
@@ -53,7 +52,6 @@ pub use ear_cluster as cluster;
 pub use ear_core as core;
 pub use ear_des as des;
 pub use ear_erasure as erasure;
-pub use ear_flow as flow;
 pub use ear_netem as netem;
 pub use ear_sim as sim;
 pub use ear_types as types;

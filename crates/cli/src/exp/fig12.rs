@@ -7,7 +7,7 @@
 use crate::exp::fig9;
 use crate::{Scale, Table};
 use ear_cluster::ClusterPolicy;
-use ear_sim::{run as sim_run, PolicyKind, SimConfig};
+use ear_sim::{run as sim_run, SimConfig};
 use ear_types::{Bandwidth, ByteSize, ErasureParams, ReplicationConfig};
 
 /// One validation row: testbed vs simulation encoding time and write
@@ -35,10 +35,6 @@ fn validate(policy: ClusterPolicy, scale: Scale) -> Validation {
     // Simulator side with matching parameters: 12 single-node racks, the
     // same scaled block size and bandwidth, the same stripe count and write
     // rate.
-    let kind = match policy {
-        ClusterPolicy::Rr => PolicyKind::Rr,
-        ClusterPolicy::Ear => PolicyKind::Ear,
-    };
     let stripes: usize = scale.pick(8, 96);
     let cfg = SimConfig {
         racks: 12,
@@ -49,7 +45,7 @@ fn validate(policy: ClusterPolicy, scale: Scale) -> Validation {
         erasure: ErasureParams::new(10, 8).expect("valid"),
         replication: ReplicationConfig::two_way(),
         c: 1,
-        policy: kind,
+        policy,
         write_rate: scale.pick(8.0, 4.0),
         background_rate: 0.0,
         encode_processes: 12,

@@ -7,8 +7,9 @@
 //! is a boxplot over repeated runs with different seeds.
 
 use crate::{Scale, Table};
+use ear_cluster::ClusterPolicy;
 use ear_des::Samples;
-use ear_sim::{run as sim_run, PolicyKind, SimConfig};
+use ear_sim::{run as sim_run, SimConfig};
 use ear_types::{Bandwidth, ErasureParams, RackSpread, ReplicationConfig};
 
 /// Normalized EAR/RR encode and write throughputs for one configuration.
@@ -28,9 +29,9 @@ fn normalized(cfg: &SimConfig, runs: usize) -> NormalizedPoint {
     let mut encode = Samples::new();
     let mut write = Samples::new();
     for seed in 0..runs as u64 {
-        let ear =
-            sim_run(&cfg.clone().with_policy(PolicyKind::Ear).with_seed(seed)).expect("ear sim");
-        let rr = sim_run(&cfg.clone().with_policy(PolicyKind::Rr).with_seed(seed)).expect("rr sim");
+        let run = |policy| sim_run(&cfg.clone().with_policy(policy).with_seed(seed));
+        let ear = run(ClusterPolicy::Ear).expect("ear sim");
+        let rr = run(ClusterPolicy::Rr).expect("rr sim");
         encode.push(ear.encoding_throughput() / rr.encoding_throughput());
         let (we, wr) = (
             ear.write_throughput_during_encoding(),

@@ -3,7 +3,7 @@
 
 use crate::{Scale, Table};
 use ear_analysis::{max_rank_difference, read_hotness, storage_distribution};
-use ear_core::{EncodingAwareReplication, PlacementPolicy, RandomReplicationPolicy};
+use ear_core::{ClusterPolicy, PlacementPolicy};
 use ear_types::rng::ChaCha8;
 use ear_types::{ClusterTopology, EarConfig, ErasureParams, ReplicationConfig};
 
@@ -20,6 +20,11 @@ fn topo() -> ClusterTopology {
     ClusterTopology::uniform(20, 20)
 }
 
+/// A fresh `policy` over `t`, for each Monte Carlo run.
+fn maker(policy: ClusterPolicy, t: &ClusterTopology) -> Box<dyn PlacementPolicy> {
+    policy.build(cfg(), t.clone()).expect("valid")
+}
+
 /// Figure 14: proportion of replicas per rack (racks ranked by load),
 /// averaged over Monte Carlo runs.
 pub fn run_storage(scale: Scale) -> String {
@@ -27,30 +32,10 @@ pub fn run_storage(scale: Scale) -> String {
     let runs = scale.pick(20, 1_000);
     let t = topo();
     let mut rng = ChaCha8::from_seed(14);
-    let t_rr = t.clone();
-    let rr = storage_distribution(
-        move || {
-            Box::new(RandomReplicationPolicy::new(cfg(), t_rr.clone()).expect("valid"))
-                as Box<dyn PlacementPolicy>
-        },
-        &t,
-        blocks,
-        runs,
-        &mut rng,
-    )
-    .expect("rr balance");
-    let t_ear = t.clone();
-    let ear = storage_distribution(
-        move || {
-            Box::new(EncodingAwareReplication::new(cfg(), t_ear.clone()))
-                as Box<dyn PlacementPolicy>
-        },
-        &t,
-        blocks,
-        runs,
-        &mut rng,
-    )
-    .expect("ear balance");
+    let mut balance = |policy| {
+        storage_distribution(|| maker(policy, &t), &t, blocks, runs, &mut rng).expect("balance")
+    };
+    let (rr, ear) = (balance(ClusterPolicy::Rr), balance(ClusterPolicy::Ear));
 
     let mut out = format!(
         "Figure 14 (Experiment C.1): storage load balancing — {blocks} blocks, \
@@ -87,30 +72,9 @@ pub fn run_hotness(scale: Scale) -> String {
     );
     let mut table = Table::new(&["file size (blocks)", "RR H %", "EAR H %"]);
     for &f in &sizes {
-        let t_rr = t.clone();
-        let rr = read_hotness(
-            move || {
-                Box::new(RandomReplicationPolicy::new(cfg(), t_rr.clone()).expect("valid"))
-                    as Box<dyn PlacementPolicy>
-            },
-            &t,
-            f,
-            runs,
-            &mut rng,
-        )
-        .expect("rr hotness");
-        let t_ear = t.clone();
-        let ear = read_hotness(
-            move || {
-                Box::new(EncodingAwareReplication::new(cfg(), t_ear.clone()))
-                    as Box<dyn PlacementPolicy>
-            },
-            &t,
-            f,
-            runs,
-            &mut rng,
-        )
-        .expect("ear hotness");
+        let mut hotness =
+            |policy| read_hotness(|| maker(policy, &t), &t, f, runs, &mut rng).expect("hotness");
+        let (rr, ear) = (hotness(ClusterPolicy::Rr), hotness(ClusterPolicy::Ear));
         table.row_owned(vec![f.to_string(), format!("{rr:.2}"), format!("{ear:.2}")]);
     }
     out.push_str(&table.render());

@@ -61,10 +61,6 @@ pub fn measure(policy: ClusterPolicy, scale: Scale, seed: u64) -> Result<WriteDu
     let start = Instant::now();
     let stop = AtomicBool::new(false);
 
-    let name = match policy {
-        ClusterPolicy::Rr => "rr",
-        ClusterPolicy::Ear => "ear",
-    };
     let (encode_seconds, end, samples) = std::thread::scope(|scope| {
         let writer = scope.spawn(|| -> Result<Vec<(f64, f64)>> {
             let mut rng = ChaCha8::from_seed(seed ^ 0xBEEF);
@@ -122,7 +118,7 @@ pub fn measure(policy: ClusterPolicy, scale: Scale, seed: u64) -> Result<WriteDu
             .collect(),
     );
     Ok(WriteDuringEncode {
-        policy: name,
+        policy: policy.name(),
         before,
         during,
         encode_seconds,

@@ -12,7 +12,8 @@
 
 #[expect(
     clippy::disallowed_methods,
-    reason = "the testbed experiments time real paced runs and space their arrivals in wall time"
+    reason = "the testbed experiments time real paced runs, space their arrivals in wall time \
+              and run clients beside the encoder on scoped threads"
 )]
 pub mod exp;
 mod table;

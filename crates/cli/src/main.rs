@@ -14,8 +14,7 @@ use args::{ArgError, Args};
 use ear_cli::{exp, Scale};
 use ear_cluster::chaos::{run_heal_plan, run_plan, ChaosConfig, HealSoakConfig};
 use ear_cluster::{crashsim, ClusterConfig, ClusterPolicy, HealerConfig, MiniCfs};
-use ear_core::{EncodingAwareReplication, PlacementPolicy, RandomReplicationPolicy};
-use ear_sim::{run as sim_run, PolicyKind, SimConfig};
+use ear_sim::{run as sim_run, SimConfig};
 use ear_types::rng::ChaCha8;
 use ear_types::{
     Bandwidth, ByteSize, CacheConfig, ClusterTopology, DurabilityConfig, EarConfig,
@@ -144,11 +143,16 @@ fn store_backend(args: &Args) -> Result<StoreBackend, ArgError> {
     }
 }
 
-fn policy_kind(args: &Args) -> Result<PolicyKind, ArgError> {
-    match args.get("policy").unwrap_or("ear") {
-        "rr" => Ok(PolicyKind::Rr),
-        "ear" => Ok(PolicyKind::Ear),
-        other => Err(ArgError(format!("unknown policy: {other}"))),
+fn policy(args: &Args) -> Result<ClusterPolicy, ArgError> {
+    let name = args.get("policy").unwrap_or("ear");
+    ClusterPolicy::parse(name).ok_or_else(|| ArgError(format!("unknown policy: {name}")))
+}
+
+/// `--key` (`default` when absent) as a count of at least `min`.
+fn count(args: &Args, key: &str, default: usize, min: usize) -> Result<usize, ArgError> {
+    match args.get_parsed(key, default)? {
+        v if v < min => Err(ArgError(format!("--{key} must be at least {min}, got {v}"))),
+        v => Ok(v),
     }
 }
 
@@ -167,7 +171,7 @@ fn simulate(args: &Args) -> Result<String, Box<dyn std::error::Error>> {
         background_rate: args.get_parsed("background-rate", 1.0)?,
         encode_processes: args.get_parsed("processes", 20)?,
         stripes_per_process: args.get_parsed("stripes-per-process", 10)?,
-        policy: policy_kind(args)?,
+        policy: policy(args)?,
         simulate_relocation: args.flag("relocate"),
         seed: args.get_parsed("seed", 1)?,
         ..SimConfig::default()
@@ -193,11 +197,9 @@ fn simulate(args: &Args) -> Result<String, Box<dyn std::error::Error>> {
 fn chaos(args: &Args) -> Result<String, Box<dyn std::error::Error>> {
     let plans: u64 = args.get_parsed("plans", 20)?;
     let seed0: u64 = args.get_parsed("seed", 0)?;
-    let policies: Vec<ClusterPolicy> = match args.get("policy").unwrap_or("both") {
-        "rr" => vec![ClusterPolicy::Rr],
-        "ear" => vec![ClusterPolicy::Ear],
-        "both" => vec![ClusterPolicy::Ear, ClusterPolicy::Rr],
-        other => return Err(Box::new(ArgError(format!("unknown policy: {other}")))),
+    let policies = match args.get("policy") {
+        None | Some("both") => vec![ClusterPolicy::Ear, ClusterPolicy::Rr],
+        Some(_) => vec![policy(args)?],
     };
     let stragglers = args.flag("stragglers");
     let hedging = !args.flag("no-hedge");
@@ -232,10 +234,7 @@ fn chaos(args: &Args) -> Result<String, Box<dyn std::error::Error>> {
     let mut out = String::new();
     let mut failures: Vec<(ClusterPolicy, u64)> = Vec::new();
     for &policy in &policies {
-        let name = match policy {
-            ClusterPolicy::Ear => "ear",
-            ClusterPolicy::Rr => "rr",
-        };
+        let name = policy.name();
         for seed in seed0..seed0 + plans {
             let cfg = config_for(policy, seed)?;
             let r = run_plan(seed, &cfg)?;
@@ -436,11 +435,9 @@ fn recover(args: &Args) -> Result<String, Box<dyn std::error::Error>> {
         "extent" => StoreBackend::Extent,
         other => return Err(Box::new(ArgError(format!("MANIFEST store: {other}")))),
     };
-    let policy = match field("policy")?.as_str() {
-        "rr" => ClusterPolicy::Rr,
-        "ear" => ClusterPolicy::Ear,
-        other => return Err(Box::new(ArgError(format!("MANIFEST policy: {other}")))),
-    };
+    let policy = field("policy")?;
+    let policy = ClusterPolicy::parse(&policy)
+        .ok_or_else(|| ArgError(format!("MANIFEST policy: {policy}")))?;
     let ear = EarConfig::new(
         ErasureParams::new(args.get_parsed("n", 6)?, args.get_parsed("k", 4)?)?,
         ReplicationConfig::two_way(),
@@ -481,19 +478,13 @@ fn place(args: &Args) -> Result<String, Box<dyn std::error::Error>> {
     let n: usize = args.get_parsed("n", 6)?;
     let k: usize = args.get_parsed("k", 4)?;
     let stripes: usize = args.get_parsed("stripes", 1)?;
-    let topo = ClusterTopology::uniform(
-        args.get_parsed("racks", 8)?,
-        args.get_parsed("nodes", 4)?,
-    );
+    let topo = ClusterTopology::uniform(count(args, "racks", 8, 1)?, count(args, "nodes", 4, 1)?);
     let cfg = EarConfig::new(
         ErasureParams::new(n, k)?,
         ReplicationConfig::hdfs_default(),
         args.get_parsed("c", 1)?,
     )?;
-    let mut policy: Box<dyn PlacementPolicy> = match policy_kind(args)? {
-        PolicyKind::Rr => Box::new(RandomReplicationPolicy::new(cfg, topo.clone())?),
-        PolicyKind::Ear => Box::new(EncodingAwareReplication::new(cfg, topo.clone())),
-    };
+    let mut policy = policy(args)?.build(cfg, topo)?;
     let mut rng = ChaCha8::from_seed(args.get_parsed("seed", 1)?);
     let mut out = String::new();
     let mut sealed = 0usize;
@@ -528,8 +519,9 @@ fn place(args: &Args) -> Result<String, Box<dyn std::error::Error>> {
 }
 
 fn analyze(what: &str, args: &Args) -> Result<String, Box<dyn std::error::Error>> {
-    let racks: usize = args.get_parsed("racks", 20)?;
-    let k: usize = args.get_parsed("k", 10)?;
+    // The closed forms need a second rack and a block to place.
+    let racks = count(args, "racks", 20, 2)?;
+    let k = count(args, "k", 10, 1)?;
     match what {
         "violation" => Ok(format!(
             "P(stripe violates rack fault tolerance | preliminary EAR, R={racks}, k={k}) = {:.4}",
@@ -540,7 +532,11 @@ fn analyze(what: &str, args: &Args) -> Result<String, Box<dyn std::error::Error>
             ear_analysis::expected_cross_rack_downloads_rr(racks, k)
         )),
         "theorem1" => {
-            let c: usize = args.get_parsed("c", 1)?;
+            let c = count(args, "c", 1, 1)?;
+            if (k - 1).div_ceil(c) >= racks - 1 {
+                let hosts = format!("R={racks} racks cannot host k={k} blocks at c={c}");
+                return Err(Box::new(ArgError(hosts)));
+            }
             let mut out = format!("Theorem 1 bounds (R={racks}, c={c}):\n");
             for i in 1..=k {
                 out.push_str(&format!(
@@ -681,12 +677,38 @@ mod tests {
         // and a MANIFEST written by an older version both name it.
         let err = run_words(&["chaos", "--plans", "1", "--store", "file"]).unwrap_err();
         assert_eq!(err.to_string(), "unknown store backend: file");
-        let dir = std::env::temp_dir().join(format!("ear-cli-oldstore-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("MANIFEST"), "store=file\npolicy=ear\n").unwrap();
-        let err = run_words(&["recover", "--dir", dir.to_str().unwrap()]).unwrap_err();
+        let err = recover_manifest("oldstore", "store=file\npolicy=ear\n").unwrap_err();
         assert_eq!(err.to_string(), "MANIFEST store: file");
+    }
+
+    /// `ear recover` over a directory whose MANIFEST reads `text`.
+    #[expect(clippy::disallowed_methods, reason = "forges a MANIFEST no cluster wrote")]
+    fn recover_manifest(tag: &str, text: &str) -> Result<String, Box<dyn std::error::Error>> {
+        let dir = std::env::temp_dir().join(format!("ear-cli-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("MANIFEST"), text).unwrap();
+        let out = run_words(&["recover", "--dir", dir.to_str().unwrap()]);
         let _ = std::fs::remove_dir_all(&dir);
+        out
+    }
+
+    #[test]
+    fn zero_sized_topologies_are_errors_not_panics() {
+        for words in [
+            &["place", "--racks", "0"][..],
+            &["place", "--nodes", "0"],
+            &["simulate", "--racks", "0"],
+            &["simulate", "--nodes", "0"],
+            &["analyze", "violation", "--racks", "1"],
+            &["analyze", "crossrack", "--k", "0"],
+            &["analyze", "theorem1", "--racks", "4", "--k", "10"],
+        ] {
+            assert!(run_words(words).is_err(), "{words:?}");
+        }
+        let manifest =
+            "store=extent\nracks=0\nnodes_per_rack=1\nblock_size=16384\npolicy=ear\nseed=5\n";
+        let err = recover_manifest("zero-racks", manifest).unwrap_err();
+        assert!(err.to_string().contains("0 rack(s)"), "{err}");
     }
 
     #[test]

@@ -17,9 +17,6 @@
 //!   the entry's reference bit; the second promotes it to hot. Bounded in
 //!   bytes; the clock hand clears reference bits and evicts unreferenced
 //!   entries in ring order.
-//! * **Metadata** — a bounded side table retaining `(crc, len)` after the
-//!   data bytes are evicted, so `stored_crc`-style lookups still answer
-//!   from memory.
 //!
 //! # Determinism
 //!
@@ -36,11 +33,6 @@
 use crate::sync::Mutex;
 use ear_types::{Block, BlockId, CacheConfig};
 use std::collections::{BTreeMap, VecDeque};
-
-/// Maximum entries the metadata level retains after data eviction. Bounded
-/// so a long-lived node cannot grow the side table without limit; evicted
-/// deterministically (smallest block id first).
-const MAX_META_ENTRIES: usize = 4096;
 
 /// On admission that would force evictions, one in `ADMIT_DAMPING` new
 /// blocks is bypassed instead of admitted — cheap scan resistance on top
@@ -134,8 +126,6 @@ struct CacheState {
     /// (promotion, invalidation) leave stale ids here; the hand skips them.
     ring: VecDeque<BlockId>,
     cold_bytes: u64,
-    /// Metadata level: `(crc, len)` retained after data eviction.
-    meta: BTreeMap<BlockId, (u32, u64)>,
     /// Monotonic operation stamp driving LRU order.
     stamp: u64,
     /// Seeded xorshift state for admission damping.
@@ -143,8 +133,8 @@ struct CacheState {
     stats: CacheStats,
 }
 
-/// A deterministic two-level (hot LRU + cold clock) block cache with a
-/// metadata side table. See the module docs for the design.
+/// A deterministic two-level (hot LRU + cold clock) block cache. See the
+/// module docs for the design.
 #[derive(Debug)]
 pub struct BlockCache {
     state: Mutex<CacheState>,
@@ -168,7 +158,6 @@ impl BlockCache {
                 cold: BTreeMap::new(),
                 ring: VecDeque::new(),
                 cold_bytes: 0,
-                meta: BTreeMap::new(),
                 stamp: 0,
                 // Mix the seed so per-node streams differ even for dense
                 // node ids; force non-zero (xorshift's absorbing state).
@@ -259,11 +248,10 @@ impl BlockCache {
         );
         s.ring.push_back(block);
         s.cold_bytes += len;
-        s.meta.remove(&block);
         s.evict_cold();
     }
 
-    /// Drops any cached copy and metadata of `block` — called on overwrite
+    /// Drops any cached copy of `block` — called on overwrite
     /// and delete so the cache can never serve bytes the store no longer
     /// holds.
     pub fn invalidate(&self, block: BlockId) {
@@ -279,25 +267,9 @@ impl BlockCache {
             s.cold_bytes = s.cold_bytes.saturating_sub(e.data.len() as u64);
             hit = true;
         }
-        if s.meta.remove(&block).is_some() {
-            hit = true;
-        }
         if hit {
             s.stats.invalidations += 1;
         }
-    }
-
-    /// The metadata level: write-time `(crc, len)` of a block whose data
-    /// may or may not still be cached.
-    pub fn meta_of(&self, block: BlockId) -> Option<(u32, u64)> {
-        let s = self.state.lock();
-        if let Some(e) = s.hot.get(&block) {
-            return Some((e.crc, e.data.len() as u64));
-        }
-        if let Some(e) = s.cold.get(&block) {
-            return Some((e.crc, e.data.len() as u64));
-        }
-        s.meta.get(&block).copied()
     }
 
     /// Snapshot of this cache's counters.
@@ -364,8 +336,7 @@ impl CacheState {
     }
 
     /// Clock sweep: evicts unreferenced cold entries in ring order until
-    /// the level fits, giving referenced entries a second chance. Evicted
-    /// entries retain `(crc, len)` in the bounded metadata level.
+    /// the level fits, giving referenced entries a second chance.
     fn evict_cold(&mut self) {
         while self.cold_bytes > self.cold_cap {
             let Some(candidate) = self.ring.pop_front() else {
@@ -382,19 +353,9 @@ impl CacheState {
                     if let Some(e) = self.cold.remove(&candidate) {
                         self.cold_bytes = self.cold_bytes.saturating_sub(e.data.len() as u64);
                         self.stats.evictions += 1;
-                        self.retain_meta(candidate, e.crc, e.data.len() as u64);
                     }
                 }
             }
-        }
-    }
-
-    /// Records `(crc, len)` in the metadata level, evicting the smallest
-    /// id when full (deterministic bound).
-    fn retain_meta(&mut self, block: BlockId, crc: u32, len: u64) {
-        self.meta.insert(block, (crc, len));
-        while self.meta.len() > MAX_META_ENTRIES {
-            self.meta.pop_first();
         }
     }
 }
@@ -457,7 +418,6 @@ mod tests {
         c.admit(BlockId(2), &blk(1, 64), 7);
         c.invalidate(BlockId(2));
         assert!(c.get(BlockId(2)).is_none());
-        assert!(c.meta_of(BlockId(2)).is_none());
         assert_eq!(c.stats().invalidations, 1);
         assert_eq!(c.data_bytes(), 0);
     }
@@ -481,9 +441,7 @@ mod tests {
         c.admit(BlockId(3), &blk(3, 64), 33);
         assert_eq!(c.resident_blocks(), vec![BlockId(2), BlockId(3)]);
         assert_eq!(c.stats().evictions, 1);
-        // The evicted block keeps its metadata.
-        assert_eq!(c.meta_of(BlockId(1)), Some((11, 64)));
-        assert!(c.get(BlockId(1)).is_none(), "meta level holds no data");
+        assert!(c.get(BlockId(1)).is_none());
     }
 
     #[test]
@@ -499,7 +457,6 @@ mod tests {
         c.admit(BlockId(3), &blk(3, 64), 0);
         assert_eq!(c.stats().evictions, 1);
         assert_eq!(c.resident_blocks(), vec![BlockId(1), BlockId(3)]);
-        assert_eq!(c.meta_of(BlockId(2)), Some((0, 64)));
     }
 
     #[test]
@@ -574,17 +531,5 @@ mod tests {
         }
         assert_eq!(a.resident_blocks(), b.resident_blocks());
         assert_eq!(a.stats(), b.stats());
-    }
-
-    #[test]
-    fn meta_level_is_bounded() {
-        let c = cache(64, 64);
-        // Every admission evicts the previous entry into meta; push well
-        // past the bound and confirm it holds.
-        for id in 0..(MAX_META_ENTRIES as u64 + 512) {
-            c.admit(BlockId(id), &blk(0, 64), id as u32);
-        }
-        let s = c.state.lock();
-        assert!(s.meta.len() <= MAX_META_ENTRIES);
     }
 }

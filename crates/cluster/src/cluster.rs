@@ -7,9 +7,8 @@ use crate::io::{ClusterIo, IoStats};
 use crate::namenode::NameNode;
 use crate::reliability::{self, OpClass, OpContext, Reliability};
 use crate::wal::MetaWal;
-use ear_core::{
-    EncodingAwareReplication, PlacementPolicy, RandomReplicationPolicy, StripeSpread,
-};
+pub use ear_core::ClusterPolicy;
+use ear_core::StripeSpread;
 use ear_erasure::ReedSolomon;
 use ear_faults::{FaultInjector, FaultPlan};
 use ear_netem::EmulatedNetwork;
@@ -22,15 +21,6 @@ use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 use crate::sync::locked;
-
-/// Which placement policy the cluster runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ClusterPolicy {
-    /// Random replication.
-    Rr,
-    /// Encoding-aware replication.
-    Ear,
-}
 
 /// Configuration of a [`MiniCfs`].
 #[derive(Debug, Clone)]
@@ -99,10 +89,7 @@ fn check_manifest(dir: &Path, config: &ClusterConfig) -> Result<()> {
         config.racks,
         config.nodes_per_rack,
         config.block_size.as_u64(),
-        match config.policy {
-            ClusterPolicy::Rr => "rr",
-            ClusterPolicy::Ear => "ear",
-        },
+        config.policy.name(),
         config.seed,
     );
     let path = dir.join("MANIFEST");
@@ -148,8 +135,8 @@ impl MiniCfs {
     ///
     /// # Errors
     ///
-    /// Returns validation errors when the topology cannot host the
-    /// configured policies.
+    /// [`Error::TopologyTooSmall`] for a zero rack or node count, or when
+    /// the topology cannot host the configured policy.
     pub fn new(config: ClusterConfig) -> Result<Self> {
         Self::boot(config, None)
     }
@@ -160,8 +147,8 @@ impl MiniCfs {
     ///
     /// # Errors
     ///
-    /// Returns validation errors when the topology cannot host the
-    /// configured policies.
+    /// [`Error::TopologyTooSmall`] for a zero rack or node count, or when
+    /// the topology cannot host the configured policy.
     pub fn with_faults(config: ClusterConfig, plan: FaultPlan) -> Result<Self> {
         Self::boot(config, Some(plan))
     }
@@ -176,6 +163,7 @@ impl MiniCfs {
     ///
     /// * [`Error::NotDurable`] if the config carries no data directory (or
     ///   the memory backend, which cannot persist).
+    /// * [`Error::TopologyTooSmall`] for a zero rack or node count.
     /// * [`Error::Invariant`] if the manifest on disk disagrees with the
     ///   config.
     /// * [`Error::WalCorrupt`] if recovery finds corrupt committed state.
@@ -199,11 +187,8 @@ impl MiniCfs {
     }
 
     fn boot(config: ClusterConfig, plan: Option<FaultPlan>) -> Result<Self> {
-        let topo = ClusterTopology::uniform(config.racks, config.nodes_per_rack);
-        let policy: Box<dyn PlacementPolicy> = match config.policy {
-            ClusterPolicy::Rr => Box::new(RandomReplicationPolicy::new(config.ear, topo.clone())?),
-            ClusterPolicy::Ear => Box::new(EncodingAwareReplication::new(config.ear, topo.clone())),
-        };
+        let topo = ClusterTopology::try_uniform(config.racks, config.nodes_per_rack)?;
+        let policy = config.policy.build(config.ear, topo.clone())?;
         let (namenode, datanodes) = match config.durability.data_dir.clone() {
             Some(dir) => {
                 check_manifest(&dir, &config)?;
@@ -719,6 +704,21 @@ mod tests {
         }
         let total: u64 = cfs.rack_storage().iter().sum();
         assert_eq!(total, 4 * 2 * ByteSize::kib(64).as_u64());
+    }
+
+    #[test]
+    fn a_zero_rack_or_node_count_is_a_typed_error_at_every_boot() {
+        let dir = std::env::temp_dir().join(format!("ear-zero-topo-{}", std::process::id()));
+        let too_small = |r: Result<MiniCfs>| matches!(r, Err(Error::TopologyTooSmall { .. }));
+        for (racks, nodes) in [(0, 1), (8, 0)] {
+            let mut cfg = small_cfg(ClusterPolicy::Ear);
+            (cfg.racks, cfg.nodes_per_rack) = (racks, nodes);
+            assert!(too_small(MiniCfs::new(cfg.clone())));
+            assert!(too_small(MiniCfs::with_faults(cfg.clone(), FaultPlan::none())));
+            (cfg.store, cfg.durability) = (StoreBackend::Extent, DurabilityConfig::at(&dir));
+            assert!(too_small(MiniCfs::reopen(cfg)));
+        }
+        assert!(!dir.exists(), "nothing is written before the shape is checked");
     }
 
     #[test]

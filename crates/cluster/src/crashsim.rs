@@ -54,6 +54,15 @@ fn sim_dir(tag: &str) -> PathBuf {
     ))
 }
 
+/// Writes `bytes` to `path` as they are: an image the protocol under test
+/// never wrote, forged past durable.rs on purpose.
+#[expect(clippy::disallowed_methods, reason = "forges torn images on purpose")]
+fn forge(path: &Path, bytes: &[u8], what: &str) -> Result<()> {
+    fs::write(path, bytes).map_err(|e| Error::Io {
+        context: format!("write {what}: {e}"),
+    })
+}
+
 fn invariant(msg: String) -> Error {
     Error::Invariant(msg)
 }
@@ -231,9 +240,7 @@ pub fn run_wal_kill(seed: u64, kill: u64) -> Result<KillSummary> {
             torn.push(rng.next_u32() as u8);
         }
     }
-    fs::write(dir.join(WAL_FILE), &torn).map_err(|e| Error::Io {
-        context: format!("write torn wal: {e}"),
-    })?;
+    forge(&dir.join(WAL_FILE), &torn, "torn wal")?;
 
     let verdict = (|| {
         let (_, recovered) = MetaWal::open(&dir, true, 1 << 20)?;
@@ -302,16 +309,9 @@ pub fn run_checkpoint_kill(seed: u64, kill: u64) -> Result<KillSummary> {
             context: format!("create {}: {e}", dir.display()),
         })?;
         let tmp_cut = (kill % (ckpt.len() as u64 + 1)) as usize;
-        fs::write(
-            dir.join(format!("{CHECKPOINT_FILE}.tmp")),
-            ckpt.get(..tmp_cut).unwrap_or_default(),
-        )
-        .map_err(|e| Error::Io {
-            context: format!("write partial checkpoint tmp: {e}"),
-        })?;
-        fs::write(dir.join(WAL_FILE), &image).map_err(|e| Error::Io {
-            context: format!("write wal: {e}"),
-        })?;
+        let tmp = dir.join(format!("{CHECKPOINT_FILE}.tmp"));
+        forge(&tmp, ckpt.get(..tmp_cut).unwrap_or_default(), "partial checkpoint tmp")?;
+        forge(&dir.join(WAL_FILE), &image, "wal")?;
         let (_, recovered) = MetaWal::open(&dir, true, 1 << 20)?;
         if recovered != full {
             return Err(invariant(format!(
@@ -326,12 +326,8 @@ pub fn run_checkpoint_kill(seed: u64, kill: u64) -> Result<KillSummary> {
         fs::create_dir_all(&dir).map_err(|e| Error::Io {
             context: format!("create {}: {e}", dir.display()),
         })?;
-        fs::write(dir.join(CHECKPOINT_FILE), &ckpt).map_err(|e| Error::Io {
-            context: format!("write checkpoint: {e}"),
-        })?;
-        fs::write(dir.join(WAL_FILE), &image).map_err(|e| Error::Io {
-            context: format!("write wal: {e}"),
-        })?;
+        forge(&dir.join(CHECKPOINT_FILE), &ckpt, "checkpoint")?;
+        forge(&dir.join(WAL_FILE), &image, "wal")?;
         let (_, recovered) = MetaWal::open(&dir, true, 1 << 20)?;
         if recovered != full {
             return Err(invariant(format!(
@@ -353,14 +349,9 @@ pub fn run_checkpoint_kill(seed: u64, kill: u64) -> Result<KillSummary> {
             context: format!("create {}: {e}", dir.display()),
         })?;
         let cut = (kill % ckpt.len() as u64) as usize; // strictly short
-        fs::write(dir.join(CHECKPOINT_FILE), ckpt.get(..cut).unwrap_or_default()).map_err(
-            |e| Error::Io {
-                context: format!("write torn checkpoint: {e}"),
-            },
-        )?;
-        fs::write(dir.join(WAL_FILE), &suffix).map_err(|e| Error::Io {
-            context: format!("write wal suffix: {e}"),
-        })?;
+        let torn = ckpt.get(..cut).unwrap_or_default();
+        forge(&dir.join(CHECKPOINT_FILE), torn, "torn checkpoint")?;
+        forge(&dir.join(WAL_FILE), &suffix, "wal suffix")?;
         match MetaWal::open(&dir, true, 1 << 20) {
             Err(Error::WalCorrupt { .. }) => Ok(()),
             Err(e) => Err(invariant(format!(
@@ -523,6 +514,7 @@ pub fn run_extent_kill(seed: u64, kill: u64) -> Result<KillSummary> {
                         .map_err(|e| Error::Io {
                             context: format!("materialize {}: {e}", path.display()),
                         })?;
+                    #[expect(clippy::disallowed_methods, reason = "materializes a crash image")]
                     f.set_len(*size).map_err(|e| Error::Io {
                         context: format!("size {}: {e}", path.display()),
                     })?;
@@ -545,6 +537,7 @@ pub fn run_extent_kill(seed: u64, kill: u64) -> Result<KillSummary> {
                         continue;
                     }
                     if let Some(f) = files.get(seg) {
+                        #[expect(clippy::disallowed_methods, reason = "materializes a crash image")]
                         f.write_all_at(data.get(..keep).unwrap_or_default(), *off)
                             .map_err(|e| Error::Io {
                                 context: format!("materialize write seg {seg}: {e}"),

@@ -176,15 +176,9 @@ impl DataNode {
         }
     }
 
-    /// The write-time CRC32C of a stored replica. Served from the cache's
-    /// metadata level when possible (it is kept coherent by
-    /// write-invalidation), falling back to the store index.
+    /// The write-time CRC32C of a stored replica, from the store's index
+    /// (both engines keep it in memory).
     pub fn stored_crc(&self, block: BlockId) -> Option<u32> {
-        if let Some(c) = &self.cache {
-            if let Some((crc, _)) = c.meta_of(block) {
-                return Some(crc);
-            }
-        }
         self.store.stored_crc(block)
     }
 

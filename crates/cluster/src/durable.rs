@@ -51,6 +51,7 @@ impl Unsynced<'_> {
     /// sync): from here on the bytes survive a power loss.
     pub fn sync(self) -> Result<Synced> {
         if self.0.sync {
+            #[expect(clippy::disallowed_methods, reason = "the one data fsync")]
             self.0.file.sync_data().map_err(io_err("fsync", &self.0.path))?;
         }
         Ok(Synced(()))
@@ -126,6 +127,7 @@ impl Dir {
         let file = self.open(&tmp, OpenOptions::new().write(true).create(true).truncate(true))?;
         file.write_at(0, bytes)?.sync()?;
         let (from, to) = (self.path.join(&tmp), self.path.join(name));
+        #[expect(clippy::disallowed_methods, reason = "the one rename, fsynced on both sides")]
         fs::rename(&from, &to).map_err(io_err("rename to", &to))?;
         self.sync_dir()
     }
@@ -133,6 +135,7 @@ impl Dir {
     fn sync_dir(&self) -> Result<Synced> {
         if self.sync {
             let dir = fs::File::open(&self.path).map_err(io_err("open", &self.path))?;
+            #[expect(clippy::disallowed_methods, reason = "the one directory fsync")]
             dir.sync_all().map_err(io_err("fsync", &self.path))?;
         }
         Ok(Synced(()))
@@ -158,12 +161,14 @@ impl Deref for File {
 impl File {
     /// Appends `bytes` (the file is open for append).
     pub fn append(&self, bytes: &[u8]) -> Result<Unsynced<'_>> {
+        #[expect(clippy::disallowed_methods, reason = "the one append")]
         (&self.file).write_all(bytes).map_err(io_err("append to", &self.path))?;
         Ok(Unsynced(self))
     }
 
     /// Writes `bytes` at `off`.
     pub fn write_at(&self, off: u64, bytes: &[u8]) -> Result<Unsynced<'_>> {
+        #[expect(clippy::disallowed_methods, reason = "the one positioned write")]
         self.file.write_all_at(bytes, off).map_err(io_err("write", &self.path))?;
         Ok(Unsynced(self))
     }
@@ -171,6 +176,7 @@ impl File {
     /// Writes an extent's payload at `off` (nothing, if it is empty).
     pub fn write_payload(&self, off: u64, payload: &[u8]) -> Result<PayloadWritten> {
         if !payload.is_empty() {
+            #[expect(clippy::disallowed_methods, reason = "the one payload write, whose token keys the header")]
             self.file.write_all_at(payload, off).map_err(io_err("write", &self.path))?;
         }
         Ok(PayloadWritten(()))
@@ -183,6 +189,7 @@ impl File {
 
     /// Cuts or extends the file to `len` bytes.
     pub fn resize(&self, len: u64) -> Result<Unsynced<'_>> {
+        #[expect(clippy::disallowed_methods, reason = "the one resize")]
         self.file.set_len(len).map_err(io_err("resize", &self.path))?;
         Ok(Unsynced(self))
     }

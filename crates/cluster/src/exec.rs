@@ -34,6 +34,7 @@ pub(crate) fn drain<T: Sync, R: Send>(
         done
     };
     let mut slots: Vec<Option<R>> = tasks.iter().map(|_| None).collect();
+    #[expect(clippy::disallowed_methods, reason = "the one worker set")]
     std::thread::scope(|s| {
         let workers: Vec<_> = (0..tasks.len().min(width))
             .map(|_| s.spawn(worker))

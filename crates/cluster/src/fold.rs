@@ -19,7 +19,7 @@
 //! source or a row is fetched from memory once.
 
 use crate::io::{ClusterIo, DeadNodeSet, Unverified};
-use crate::reliability::OpContext;
+use crate::reliability::{self, OpContext};
 use ear_core::ChainPlan;
 use ear_erasure::StripeEncoder;
 use ear_types::{crc, Block, BlockId, Error, NodeId};
@@ -88,7 +88,7 @@ impl Bytes {
 /// whose hash misses its write-time CRC32C (rot in the store: a corruption
 /// the fault plan injects fails its read at once) is taken back out and
 /// read again, verified, from another holder. The rows are then
-/// [streamed](ClusterIo::stream_chain) once down the plan's path. Nothing
+/// [streamed](stream_chain) once down the plan's path. Nothing
 /// here mutates cluster metadata or stores any block, so a failed fold
 /// leaves the cluster as it was.
 ///
@@ -208,7 +208,7 @@ pub(crate) fn fold(
     }
 
     let path = plan.path();
-    let streamed = io.stream_chain(ctx, &path, partial_bytes);
+    let streamed = stream_chain(io, ctx, &path, partial_bytes);
     // Hops sit in distinct racks, none of them `at`'s: each leg the chain
     // paid up to `at` is `rows` block-sized cross-rack transfers.
     let paid = streamed.as_ref().map_or_else(|&(pos, _)| pos, |()| path.len());
@@ -218,6 +218,48 @@ pub(crate) fn fold(
     let blame = |pos: usize| plan.hops.get(pos).or(plan.hops.last()).map_or(0, |hop| hop.own);
     streamed.map_err(|(pos, e)| (blame(pos), e))?;
     acc.finish_blocks().map_err(|e| (0, e))
+}
+
+/// Streams `bytes` of in-flight partial-row state down `path`, every node
+/// forwarding each chunk as it arrives — the fold's chain, and the only
+/// one: private here, so no other walk can stream rows. The bytes are not a
+/// stored block (no DataNode, no checksum boundary: the state lives in the
+/// sending task), but the wire cost is real and the chain is bounded by the
+/// substrate: a dead node, or a receiver whose breaker is open, stops it
+/// there — a typed error the caller answers by re-planning — with the legs
+/// before that node carried and charged. A chain's virtual cost is one
+/// leg's, plus one chunk for every further leg; a path of fewer than two
+/// nodes has no leg and checks nothing.
+///
+/// # Errors
+///
+/// The position in `path` where the chain stopped (`path[..pos]` was
+/// paid), with
+///
+/// * [`Error::NodeDown`] for a node that is down per the fault plan, or
+///   a receiver whose circuit breaker is open;
+/// * [`Error::DeadlineExceeded`] if charging the chain blows the deadline.
+fn stream_chain(
+    io: &ClusterIo,
+    ctx: &OpContext<'_>,
+    path: &[NodeId],
+    bytes: u64,
+) -> Result<(), (usize, Error)> {
+    let (rel, faults) = (ctx.reliability(), io.injector());
+    let stopped = path.iter().copied().enumerate().find(|&(pos, node)| {
+        path.len() > 1 && (faults.node_down(node) || (pos > 0 && rel.breaker_open(node)))
+    });
+    let paid = stopped.and_then(|(pos, _)| path.get(..pos)).unwrap_or(path);
+    let legs = paid.len().saturating_sub(1) as u64;
+    io.count_chain(legs * bytes, stopped.is_some_and(|(_, node)| !faults.node_down(node)));
+    if legs > 0 {
+        io.network().transfer_chain(paid, bytes);
+        let chunk = bytes.min(ear_netem::CHUNK) as usize;
+        let ticks = reliability::xfer_cost_ticks(bytes as usize)
+            + (legs - 1) * reliability::xfer_cost_ticks(chunk);
+        ctx.charge(ticks).map_err(|e| (paid.len(), e))?;
+    }
+    stopped.map_or(Ok(()), |(pos, node)| Err((pos, Error::NodeDown { node })))
 }
 
 /// Checks, before any byte moves, that `sources` fill each column of `acc`
@@ -381,6 +423,23 @@ mod tests {
 
     fn source(index: usize, member: usize, holders: &[NodeId]) -> Source<'_> {
         Source { index, block: BlockId(member as u64), holders }
+    }
+
+    #[test]
+    fn a_chain_is_charged_its_slowest_leg_plus_a_chunk_per_further_leg() {
+        let Bed { io, .. } = fault_free();
+        let rel = io.reliability().clone();
+        let ctx = rel.ctx(OpClass::Heal).unwrap();
+        let path = [NodeId(0), NodeId(2), NodeId(1), NodeId(3)];
+        stream_chain(&io, &ctx, &path, 256 << 10).unwrap();
+        let leg = reliability::xfer_cost_ticks(256 << 10);
+        let chunk = reliability::xfer_cost_ticks(64 << 10);
+        assert_eq!(ctx.elapsed_ticks(), leg + 2 * chunk, "not the 3 legs a relay would cost");
+        assert_eq!(io.network().cross_rack_bytes(), 3 * (256 << 10));
+        assert_eq!(io.stats().transfer_bytes, 3 * (256 << 10));
+        // One node is no chain: nothing moves, nothing is charged.
+        stream_chain(&io, &ctx, &path[..1], 256 << 10).unwrap();
+        assert_eq!(ctx.elapsed_ticks(), leg + 2 * chunk);
     }
 
     #[test]

@@ -852,49 +852,13 @@ impl ClusterIo {
         self.read_fallback(ctx, dst, block, &ordered, Some(&on_dead), Some(&skip))
     }
 
-    /// Streams `bytes` of in-flight partial-row state down `path`, every
-    /// node forwarding each chunk as it arrives — the chain of a rack fold
-    /// (DESIGN.md §15). The bytes are not a stored block (no DataNode, no
-    /// checksum boundary: the state lives in the sending task), but the wire
-    /// cost is real and the chain is bounded by the substrate: a dead node,
-    /// or a receiver whose breaker is open, stops it there — a typed error
-    /// the caller answers by re-planning — with the legs before that node
-    /// carried and charged. A chain's virtual cost is one leg's, plus one
-    /// chunk for every further leg; a path of fewer than two nodes has no
-    /// leg and checks nothing.
-    ///
-    /// # Errors
-    ///
-    /// The position in `path` where the chain stopped (`path[..pos]` was
-    /// paid), with
-    ///
-    /// * [`Error::NodeDown`] for a node that is down per the fault plan, or
-    ///   a receiver whose circuit breaker is open;
-    /// * [`Error::DeadlineExceeded`] if charging the chain blows the deadline.
-    pub fn stream_chain(
-        &self,
-        ctx: &OpContext<'_>,
-        path: &[NodeId],
-        bytes: u64,
-    ) -> std::result::Result<(), (usize, Error)> {
-        let rel = ctx.reliability();
-        let stopped = path.iter().copied().enumerate().find(|&(pos, node)| {
-            path.len() > 1 && (self.injector.node_down(node) || (pos > 0 && rel.breaker_open(node)))
-        });
-        if stopped.is_some_and(|(_, node)| !self.injector.node_down(node)) {
+    /// Counts a rack fold's chain in [`IoStats`]: the `bytes` its paid legs
+    /// moved, and whether a receiver's open breaker stopped it.
+    pub(crate) fn count_chain(&self, bytes: u64, breaker_skip: bool) {
+        self.counters.transfer_bytes.fetch_add(bytes, Ordering::Relaxed);
+        if breaker_skip {
             self.counters.breaker_skips.fetch_add(1, Ordering::Relaxed);
         }
-        let paid = stopped.and_then(|(pos, _)| path.get(..pos)).unwrap_or(path);
-        let legs = paid.len().saturating_sub(1) as u64;
-        if legs > 0 {
-            self.counters.transfer_bytes.fetch_add(legs * bytes, Ordering::Relaxed);
-            self.net.transfer_chain(paid, bytes);
-            let chunk = bytes.min(ear_netem::CHUNK) as usize;
-            let ticks = reliability::xfer_cost_ticks(bytes as usize)
-                + (legs - 1) * reliability::xfer_cost_ticks(chunk);
-            ctx.charge(ticks).map_err(|e| (paid.len(), e))?;
-        }
-        stopped.map_or(Ok(()), |(pos, node)| Err((pos, Error::NodeDown { node })))
     }
 
     /// Writes one block through the replication pipeline `client` →
@@ -1353,23 +1317,6 @@ mod tests {
             .write_with_fallback(&ctx, NodeId(0), BlockId(2), &data, &[dead[0], alive])
             .unwrap();
         assert_eq!(dst, alive);
-    }
-
-    #[test]
-    fn a_chain_is_charged_its_slowest_leg_plus_a_chunk_per_further_leg() {
-        let io = service();
-        let rel = io.reliability().clone();
-        let ctx = rel.ctx(OpClass::Heal).unwrap();
-        let path = [NodeId(0), NodeId(2), NodeId(1), NodeId(3)];
-        io.stream_chain(&ctx, &path, 256 << 10).unwrap();
-        let leg = reliability::xfer_cost_ticks(256 << 10);
-        let chunk = reliability::xfer_cost_ticks(64 << 10);
-        assert_eq!(ctx.elapsed_ticks(), leg + 2 * chunk, "not the 3 legs a relay would cost");
-        assert_eq!(io.network().cross_rack_bytes(), 3 * (256 << 10));
-        assert_eq!(io.stats().transfer_bytes, 3 * (256 << 10));
-        // One node is no chain: nothing moves, nothing is charged.
-        io.stream_chain(&ctx, &path[..1], 256 << 10).unwrap();
-        assert_eq!(ctx.elapsed_ticks(), leg + 2 * chunk);
     }
 
     #[test]

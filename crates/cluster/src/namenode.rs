@@ -237,7 +237,11 @@ impl NameNode {
     /// in `pending`: durably, an encode that has not committed never
     /// happened.
     pub fn snapshot(&self) -> MetaSnapshot {
-        let nothing = Held::entry();
+        self.snapshot_from(Held::entry())
+    }
+
+    /// [`snapshot`](Self::snapshot) for an entry point that holds no lock.
+    fn snapshot_from(&self, nothing: &mut Held<'_, level::Unlocked>) -> MetaSnapshot {
         let mut snap = self.stripes.lock(nothing).0.image().clone();
         for shard in &self.shards {
             snap.blocks.extend(shard.read(nothing).0.slots());
@@ -252,34 +256,38 @@ impl NameNode {
     ///
     /// [`ear_types::Error::Io`] if the checkpoint cannot be persisted.
     pub fn checkpoint_now(&self) -> Result<()> {
+        self.checkpoint_from(Held::entry())
+    }
+
+    /// [`checkpoint_now`](Self::checkpoint_now) for an entry point that
+    /// holds no lock: taking its token keeps a caller from checkpointing
+    /// while it holds a table lock ([`Held`]).
+    fn checkpoint_from(&self, nothing: &mut Held<'_, level::Unlocked>) -> Result<()> {
         let Some(wal) = &self.wal else {
             return Ok(());
         };
         // The low-water mark is read *before* gathering: records racing
         // with the gather land in the snapshot *and* stay in the log, and
         // re-apply-safe replay converges them.
-        let last_lsn = wal.last_lsn();
-        let snap = self.snapshot();
-        wal.checkpoint(&snap, last_lsn)
+        let last_lsn = wal.last_lsn_holding(nothing);
+        let snap = self.snapshot_from(nothing);
+        wal.checkpoint_holding(nothing, &snap, last_lsn)
     }
 
     /// Writes a checkpoint if enough records accumulated since the last
-    /// one. At most one thread checkpoints at a time; the others skip.
-    ///
-    /// # Errors
-    ///
-    /// [`ear_types::Error::Io`] if the checkpoint cannot be persisted.
-    pub fn maybe_checkpoint(&self) -> Result<()> {
+    /// one, for a mutator whose locks are all released. At most one thread
+    /// checkpoints at a time; the others skip.
+    fn maybe_checkpoint(&self, nothing: &mut Held<'_, level::Unlocked>) -> Result<()> {
         let Some(wal) = &self.wal else {
             return Ok(());
         };
-        if !wal.should_checkpoint() {
+        if !wal.should_checkpoint(nothing) {
             return Ok(());
         }
         if self.checkpointing.swap(true, Ordering::AcqRel) {
             return Ok(());
         }
-        let result = self.checkpoint_now();
+        let result = self.checkpoint_from(nothing);
         self.checkpointing.store(false, Ordering::Release);
         result
     }
@@ -303,12 +311,13 @@ impl NameNode {
     /// Propagates placement failures from the policy and log-append
     /// failures from the WAL.
     pub fn allocate_block(&self) -> Result<(BlockId, Vec<NodeId>)> {
+        let nothing = Held::entry();
         let result = {
             // Placement is inherently sequential (one RNG stream); keep the
             // placement lock across registration so id order, unsealed
             // order, and placement order agree — sealing matches layouts by
             // recency.
-            let (mut placement, mut held) = self.placement.lock(Held::entry());
+            let (mut placement, mut held) = self.placement.lock(nothing);
             let (policy, rng) = &mut *placement;
             let placed = policy.place_block(rng)?;
             let (mut stripes, mut held) = self.stripes.lock(&mut held);
@@ -332,7 +341,7 @@ impl NameNode {
             }
             (block, placed.layout.replicas)
         };
-        self.maybe_checkpoint()?;
+        self.maybe_checkpoint(nothing)?;
         Ok(result)
     }
 
@@ -455,12 +464,12 @@ impl NameNode {
     ///
     /// Propagates log-append failures from the WAL.
     pub fn record_encoded(&self, stripe: EncodedStripe) -> Result<()> {
-        let rec = MetaRecord::EncodeCommit(stripe);
+        let (rec, nothing) = (MetaRecord::EncodeCommit(stripe), Held::entry());
         {
-            let (mut stripes, mut held) = self.stripes.lock(Held::entry());
+            let (mut stripes, mut held) = self.stripes.lock(nothing);
             self.commit(&mut held, &rec, Some(&mut stripes), None)?;
         }
-        self.maybe_checkpoint()
+        self.maybe_checkpoint(nothing)
     }
 
     /// All stripes encoded so far, in stripe-id order (encode jobs may
@@ -489,12 +498,6 @@ impl NameNode {
         let mut rng =
             ChaCha8::from_seed(self.seed ^ stripe.id.0.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         placement.0.plan_encoding(&stripe.plan, &mut rng)
-    }
-
-    /// The policy's name ("rr" or "ear").
-    pub fn policy_name(&self) -> &'static str {
-        let (placement, _) = self.placement.lock(Held::entry());
-        placement.0.name()
     }
 
     /// Total number of blocks ever allocated.

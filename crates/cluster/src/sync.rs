@@ -67,7 +67,7 @@ order!(Unlocked, Placement, Stripes, Shard, Wal);
 /// `H` needs `&mut Held<H>` with `H` before `L` in the order, and returns
 /// the guard with a `Held<L>` that borrows the coarser token for as long
 /// as either lives. A public entry point, which holds nothing, starts from
-/// [`Held::entry`].
+/// [`Held::entry`]; nothing else calls it.
 ///
 /// Locks nest coarse to fine:
 ///
@@ -131,6 +131,36 @@ order!(Unlocked, Placement, Stripes, Shard, Wal);
 /// let (second, _) = shard.lock(&mut held);
 /// drop(first);
 /// # drop((stripe, second));
+/// ```
+///
+/// An entry point mints its token once and hands it to the bodies it
+/// calls, so a body that starts from nothing (the NameNode's checkpoint)
+/// runs once the entry's guards are gone:
+///
+/// ```
+/// # use ear_cluster::sync::{level, Held, Mutex};
+/// # let stripes: Mutex<u8, level::Stripes> = Mutex::new(0);
+/// fn checkpoint(stripes: &Mutex<u8, level::Stripes>, nothing: &mut Held<'_, level::Unlocked>) {
+///     drop(stripes.lock(nothing));
+/// }
+/// let nothing = Held::entry();
+/// let (stripe, _) = stripes.lock(nothing);
+/// drop(stripe);
+/// checkpoint(&stripes, nothing);
+/// ```
+///
+/// and never while one lives:
+///
+/// ```compile_fail
+/// # use ear_cluster::sync::{level, Held, Mutex};
+/// # let stripes: Mutex<u8, level::Stripes> = Mutex::new(0);
+/// fn checkpoint(stripes: &Mutex<u8, level::Stripes>, nothing: &mut Held<'_, level::Unlocked>) {
+///     drop(stripes.lock(nothing));
+/// }
+/// let nothing = Held::entry();
+/// let (stripe, _) = stripes.lock(nothing);
+/// checkpoint(&stripes, nothing);
+/// drop(stripe);
 /// ```
 #[derive(Debug)]
 pub struct Held<'a, L>(PhantomData<(&'a mut (), L)>);

@@ -794,13 +794,18 @@ impl MetaWal {
 
     /// LSN of the most recent append (0 if none ever happened).
     pub fn last_lsn(&self) -> u64 {
-        self.wal.lock(Held::entry()).0.last_lsn
+        self.last_lsn_holding(Held::entry())
+    }
+
+    /// [`MetaWal::last_lsn`] for a caller holding locks up to level `H`.
+    pub(crate) fn last_lsn_holding<H: Precedes<level::Wal>>(&self, held: &mut Held<'_, H>) -> u64 {
+        self.wal.lock(held).0.last_lsn
     }
 
     /// Whether enough records accumulated since the last checkpoint to
-    /// warrant another one.
-    pub fn should_checkpoint(&self) -> bool {
-        self.wal.lock(Held::entry()).0.since_checkpoint >= self.checkpoint_every
+    /// warrant another one, for a caller holding locks up to level `H`.
+    pub(crate) fn should_checkpoint<H: Precedes<level::Wal>>(&self, held: &mut Held<'_, H>) -> bool {
+        self.wal.lock(held).0.since_checkpoint >= self.checkpoint_every
     }
 
     /// Commits `snap` as the new checkpoint and compacts the log.
@@ -814,12 +819,22 @@ impl MetaWal {
     ///
     /// [`Error::Io`] if any write, fsync, or rename fails.
     pub fn checkpoint(&self, snap: &MetaSnapshot, last_lsn: u64) -> Result<()> {
+        self.checkpoint_holding(Held::entry(), snap, last_lsn)
+    }
+
+    /// [`MetaWal::checkpoint`] for a caller holding locks up to level `H`.
+    pub(crate) fn checkpoint_holding<H: Precedes<level::Wal>>(
+        &self,
+        held: &mut Held<'_, H>,
+        snap: &MetaSnapshot,
+        last_lsn: u64,
+    ) -> Result<()> {
         self.dir.replace_atomically(CHECKPOINT_FILE, &encode_checkpoint(snap, last_lsn))?;
 
         // The checkpoint is committed; now drop the log prefix it covers.
         // A crash anywhere in here leaves either the old (uncompacted) log
         // — replay just skips lsn ≤ last_lsn — or the new one.
-        let (mut wal, _) = self.wal.lock(Held::entry());
+        let (mut wal, _) = self.wal.lock(held);
         let wal_path = self.dir.path().join(WAL_FILE);
         let image = fs::read(&wal_path).map_err(io_err("read wal for compaction"))?;
         let (records, _) = scan_log(&image)?;
@@ -967,6 +982,7 @@ mod tests {
         let wal_path = dir.join(WAL_FILE);
         let image = fs::read(&wal_path).unwrap();
         // Cut mid-way through the last frame.
+        #[expect(clippy::disallowed_methods, reason = "forges a torn tail")]
         fs::write(&wal_path, &image[..image.len() - 3]).unwrap();
 
         let (wal, recovered) = MetaWal::open(&dir, true, 1000).unwrap();
@@ -998,10 +1014,10 @@ mod tests {
             wal.append(rec).unwrap();
             snap.apply(rec);
         }
-        assert!(wal.should_checkpoint());
+        assert!(wal.should_checkpoint(Held::entry()));
         let l0 = wal.last_lsn();
         wal.checkpoint(&snap, l0).unwrap();
-        assert!(!wal.should_checkpoint());
+        assert!(!wal.should_checkpoint(Held::entry()));
         for rec in &recs[4..] {
             wal.append(rec).unwrap();
         }
@@ -1038,6 +1054,7 @@ mod tests {
         let mut bytes = fs::read(&ckpt).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xFF;
+        #[expect(clippy::disallowed_methods, reason = "forges a flipped byte")]
         fs::write(&ckpt, &bytes).unwrap();
         match MetaWal::open(&dir, true, 1000) {
             Err(Error::WalCorrupt { .. }) => {}
@@ -1064,6 +1081,7 @@ mod tests {
         put_u32(&mut frame, body.len() as u32);
         put_u32(&mut frame, crc32c(&body));
         frame.extend_from_slice(&body);
+        #[expect(clippy::disallowed_methods, reason = "forges an undecodable frame")]
         fs::write(dir.join(WAL_FILE), &frame).unwrap();
         match MetaWal::open(&dir, true, 1000) {
             Err(Error::WalCorrupt { .. }) => {}

@@ -25,6 +25,7 @@ const THREADS: usize = 8;
 const OPS_PER_THREAD: u64 = 200;
 
 #[test]
+#[expect(clippy::disallowed_methods, reason = "races threads against the cluster on purpose")]
 fn sharded_store_survives_concurrent_mixed_ops() {
     let store = Arc::new(ShardedMemStore::new());
     std::thread::scope(|scope| {
@@ -86,6 +87,7 @@ fn boot(policy: ClusterPolicy) -> MiniCfs {
 }
 
 #[test]
+#[expect(clippy::disallowed_methods, reason = "races threads against the cluster on purpose")]
 fn cluster_io_survives_concurrent_writes_and_reads() {
     let cfs = boot(ClusterPolicy::Ear);
     let nodes = cfs.topology().num_nodes() as u64;
@@ -135,6 +137,7 @@ fn cluster_io_survives_concurrent_writes_and_reads() {
 }
 
 #[test]
+#[expect(clippy::disallowed_methods, reason = "races threads against the cluster on purpose")]
 fn heartbeats_race_cleanly_with_data_plane_traffic() {
     let cfs = boot(ClusterPolicy::Rr);
     let nodes = cfs.topology().num_nodes() as u64;
@@ -165,6 +168,7 @@ fn heartbeats_race_cleanly_with_data_plane_traffic() {
 }
 
 #[test]
+#[expect(clippy::disallowed_methods, reason = "races threads against the cluster on purpose")]
 fn node_recovery_races_cleanly_with_client_reads() {
     let cfs = boot(ClusterPolicy::Ear);
     let topo = cfs.topology();
@@ -239,6 +243,7 @@ fn node_recovery_races_cleanly_with_client_reads() {
 }
 
 #[test]
+#[expect(clippy::disallowed_methods, reason = "races threads against the cluster on purpose")]
 fn concurrent_namenode_mutators_log_in_apply_order() {
     // Four threads mix allocations, parity registrations and location churn
     // on overlapping blocks of one durable NameNode, with a checkpoint every

@@ -56,6 +56,6 @@ pub use encode::{plan_encoding_ear, plan_encoding_rr};
 pub use layout::{
     BlockLayout, ChainHop, ChainPlan, EncodePlan, SpreadViolations, StripePlan, StripeSpread,
 };
-pub use policy::{PlacedBlock, PlacementPolicy, RandomReplicationPolicy};
+pub use policy::{ClusterPolicy, PlacedBlock, PlacementPolicy, RandomReplicationPolicy};
 pub use repair::{LinkBalance, Rebuild, RepairPlanner, RepairSite, Survivor};
 pub use rr::RandomReplication;

@@ -1,5 +1,6 @@
 //! The [`PlacementPolicy`] trait: a uniform interface over random
-//! replication and encoding-aware replication, used by the simulators.
+//! replication and encoding-aware replication, used by the simulators, and
+//! [`ClusterPolicy`], the one switch between them.
 
 use crate::encode::{plan_encoding_ear, plan_encoding_rr};
 use crate::layout::{BlockLayout, EncodePlan, StripePlan};
@@ -7,6 +8,43 @@ use crate::rr::RandomReplication;
 use crate::EncodingAwareReplication;
 use ear_types::rng::ChaCha8;
 use ear_types::{ClusterTopology, EarConfig, Result};
+
+/// Which placement policy a cluster or a simulation runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum ClusterPolicy {
+    /// Random replication (the baseline).
+    Rr,
+    /// Encoding-aware replication (the paper's contribution).
+    Ear,
+}
+
+impl ClusterPolicy {
+    /// The policy's name in reports, flags and MANIFESTs: `rr` or `ear`.
+    pub fn name(self) -> &'static str {
+        match self {
+            ClusterPolicy::Rr => "rr",
+            ClusterPolicy::Ear => "ear",
+        }
+    }
+
+    /// The policy [`name`](Self::name)d `name`, if any.
+    pub fn parse(name: &str) -> Option<Self> {
+        [ClusterPolicy::Rr, ClusterPolicy::Ear].into_iter().find(|p| p.name() == name)
+    }
+
+    /// The policy over `topo`, placing under `cfg`.
+    ///
+    /// # Errors
+    ///
+    /// [`ear_types::Error::TopologyTooSmall`] if `topo` cannot host random
+    /// replication's layouts.
+    pub fn build(self, cfg: EarConfig, topo: ClusterTopology) -> Result<Box<dyn PlacementPolicy>> {
+        Ok(match self {
+            ClusterPolicy::Rr => Box::new(RandomReplicationPolicy::new(cfg, topo)?),
+            ClusterPolicy::Ear => Box::new(EncodingAwareReplication::new(cfg, topo)),
+        })
+    }
+}
 
 /// The result of placing one block through a policy.
 #[derive(Debug, Clone)]
@@ -24,9 +62,6 @@ pub struct PlacedBlock {
 /// Object-safe so simulators can swap policies at runtime
 /// (`Box<dyn PlacementPolicy>`).
 pub trait PlacementPolicy: Send {
-    /// Short policy name for reports ("rr" or "ear").
-    fn name(&self) -> &'static str;
-
     /// Places the replicas of the next written block, sealing a stripe when
     /// `k` blocks have accumulated.
     ///
@@ -81,10 +116,6 @@ impl RandomReplicationPolicy {
 }
 
 impl PlacementPolicy for RandomReplicationPolicy {
-    fn name(&self) -> &'static str {
-        "rr"
-    }
-
     fn place_block(&mut self, rng: &mut ChaCha8) -> Result<PlacedBlock> {
         let layout = self.rr.place_block(rng);
         self.pending.push(layout.clone());
@@ -111,10 +142,6 @@ impl PlacementPolicy for RandomReplicationPolicy {
 }
 
 impl PlacementPolicy for EncodingAwareReplication {
-    fn name(&self) -> &'static str {
-        "ear"
-    }
-
     fn place_block(&mut self, rng: &mut ChaCha8) -> Result<PlacedBlock> {
         EncodingAwareReplication::place_block(self, rng)
     }
@@ -164,23 +191,21 @@ mod tests {
     #[test]
     fn policies_are_object_safe_and_comparable() {
         let topo = ClusterTopology::uniform(8, 4);
-        let mut policies: Vec<Box<dyn PlacementPolicy>> = vec![
-            Box::new(RandomReplicationPolicy::new(cfg(), topo.clone()).unwrap()),
-            Box::new(EncodingAwareReplication::new(cfg(), topo.clone())),
-        ];
         let mut rng = ChaCha8::from_seed(42);
-        for p in &mut policies {
+        for kind in [ClusterPolicy::Rr, ClusterPolicy::Ear] {
+            assert_eq!(ClusterPolicy::parse(kind.name()), Some(kind));
+            let mut p = kind.build(cfg(), topo.clone()).unwrap();
             let mut stripes = Vec::new();
             for _ in 0..100 {
                 if let Some(s) = p.place_block(&mut rng).unwrap().sealed_stripe {
                     stripes.push(s);
                 }
             }
-            assert!(!stripes.is_empty(), "{} produced no stripes", p.name());
+            assert!(!stripes.is_empty(), "{kind:?} produced no stripes");
             for s in &stripes {
                 let plan = p.plan_encoding(s, &mut rng).unwrap();
                 assert_eq!(plan.check_fault_tolerance(&topo, p.config().c()), None);
-                if p.name() == "ear" {
+                if kind == ClusterPolicy::Ear {
                     assert_eq!(plan.cross_rack_downloads(), 0);
                     assert!(plan.relocations.is_empty());
                 }

@@ -8,8 +8,8 @@
 //! * [`FifoEngine`] — link contention as CSIM-style FIFO facilities, the
 //!   paper's model: a transfer holds every link on its path for its
 //!   duration;
-//! * [`OnlineStats`], [`Samples`], [`BoxStats`] — streaming statistics and
-//!   the five-number summaries the paper's boxplots report;
+//! * [`Samples`], [`BoxStats`] — the five-number summaries the paper's
+//!   boxplots report;
 //! * [`PoissonProcess`] and [`exponential`] — the traffic distributions of
 //!   Experiment B.2.
 //!
@@ -40,5 +40,5 @@ mod time;
 pub use dist::{exponential, PoissonProcess};
 pub use fifo::{drain_engine, FifoEngine, LinkId, TransferId};
 pub use queue::EventQueue;
-pub use stats::{BoxStats, OnlineStats, Samples};
+pub use stats::{BoxStats, Samples};
 pub use time::SimTime;

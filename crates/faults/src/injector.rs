@@ -377,6 +377,7 @@ mod tests {
         // `position` stops at the first fault: at_op + 1 operations.
         let seen = (Some(crash.at_op), crash.at_op + 1);
         assert_eq!(inj.on_task_clock(0, || first_fault(crash.at_op + 5)), seen);
+        #[expect(clippy::disallowed_methods, reason = "runs the task on another thread")]
         let elsewhere =
             std::thread::scope(|s| s.spawn(|| inj.on_task_clock(0, || first_fault(150))).join());
         assert_eq!(elsewhere.unwrap(), seen);

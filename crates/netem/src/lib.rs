@@ -28,7 +28,8 @@
 #![warn(missing_docs)]
 #![expect(
     clippy::disallowed_methods,
-    reason = "token buckets refill from, and sleep on, the wall clock: pacing real bytes is this crate's job"
+    reason = "token buckets refill from, and sleep on, the wall clock: pacing real bytes is this \
+              crate's job, and its tests race scoped senders over shared links"
 )]
 
 mod bucket;

@@ -1,25 +1,7 @@
 //! Simulation configuration (the knobs of Experiments B.1 and B.2).
 
+use ear_core::ClusterPolicy;
 use ear_types::{Bandwidth, ByteSize, EarConfig, ErasureParams, ReplicationConfig, Result};
-
-/// Which placement policy drives the simulated CFS.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PolicyKind {
-    /// Random replication (the baseline).
-    Rr,
-    /// Encoding-aware replication (the paper's contribution).
-    Ear,
-}
-
-impl PolicyKind {
-    /// Short name for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            PolicyKind::Rr => "rr",
-            PolicyKind::Ear => "ear",
-        }
-    }
-}
 
 /// Full configuration of one simulation run.
 ///
@@ -48,7 +30,7 @@ pub struct SimConfig {
     /// Optional target-racks restriction `R'` (Section III-D).
     pub target_racks: Option<usize>,
     /// Placement policy.
-    pub policy: PolicyKind,
+    pub policy: ClusterPolicy,
     /// Write request arrival rate (requests/second); 0 disables writes.
     pub write_rate: f64,
     /// Background request arrival rate (requests/second); 0 disables it.
@@ -88,7 +70,7 @@ impl Default for SimConfig {
             replication: ReplicationConfig::hdfs_default(),
             c: 1,
             target_racks: None,
-            policy: PolicyKind::Ear,
+            policy: ClusterPolicy::Ear,
             write_rate: 1.0,
             background_rate: 1.0,
             background_mean_size: ByteSize::mib(64),
@@ -107,7 +89,7 @@ impl SimConfig {
     /// The testbed topology of Experiments A.1–A.3 and B.1: 12 racks with a
     /// single DataNode each, 1 Gb/s links, 2-way replication, 96 stripes
     /// encoded by 12 map processes.
-    pub fn testbed(policy: PolicyKind, erasure: ErasureParams) -> Self {
+    pub fn testbed(policy: ClusterPolicy, erasure: ErasureParams) -> Self {
         SimConfig {
             racks: 12,
             nodes_per_rack: 1,
@@ -148,7 +130,7 @@ impl SimConfig {
     }
 
     /// Overrides the policy.
-    pub fn with_policy(mut self, policy: PolicyKind) -> Self {
+    pub fn with_policy(mut self, policy: ClusterPolicy) -> Self {
         self.policy = policy;
         self
     }
@@ -171,7 +153,7 @@ mod tests {
 
     #[test]
     fn testbed_matches_experiment_a() {
-        let c = SimConfig::testbed(PolicyKind::Rr, ErasureParams::new(10, 8).unwrap());
+        let c = SimConfig::testbed(ClusterPolicy::Rr, ErasureParams::new(10, 8).unwrap());
         assert_eq!(c.racks, 12);
         assert_eq!(c.nodes_per_rack, 1);
         assert_eq!(c.replication.replicas(), 2);
@@ -182,9 +164,9 @@ mod tests {
     fn builder_overrides() {
         let c = SimConfig::default()
             .with_seed(9)
-            .with_policy(PolicyKind::Rr);
+            .with_policy(ClusterPolicy::Rr);
         assert_eq!(c.seed, 9);
-        assert_eq!(c.policy, PolicyKind::Rr);
+        assert_eq!(c.policy, ClusterPolicy::Rr);
         assert_eq!(c.policy.name(), "rr");
     }
 }

@@ -11,7 +11,8 @@
 //! # Example: a small EAR vs RR comparison
 //!
 //! ```
-//! use ear_sim::{run, PolicyKind, SimConfig};
+//! use ear_core::ClusterPolicy;
+//! use ear_sim::{run, SimConfig};
 //! use ear_types::ErasureParams;
 //!
 //! let base = SimConfig {
@@ -24,8 +25,8 @@
 //!     background_rate: 0.0,
 //!     ..SimConfig::default()
 //! };
-//! let ear = run(&base.clone().with_policy(PolicyKind::Ear))?;
-//! let rr = run(&base.with_policy(PolicyKind::Rr))?;
+//! let ear = run(&base.clone().with_policy(ClusterPolicy::Ear))?;
+//! let rr = run(&base.with_policy(ClusterPolicy::Rr))?;
 //! assert!(ear.encoding_throughput() >= rr.encoding_throughput());
 //! # Ok::<(), ear_types::Error>(())
 //! ```
@@ -39,7 +40,7 @@ mod net;
 mod report;
 mod simulator;
 
-pub use config::{PolicyKind, SimConfig};
+pub use config::SimConfig;
 pub use net::NetTopology;
 pub use report::SimReport;
 pub use simulator::run;

@@ -3,12 +3,10 @@
 //! link model of `ear-des`), and a TrafficManager generating write,
 //! encoding, and background traffic streams.
 
-use crate::config::{PolicyKind, SimConfig};
+use crate::config::SimConfig;
 use crate::net::NetTopology;
 use crate::report::SimReport;
-use ear_core::{
-    EncodePlan, EncodingAwareReplication, PlacementPolicy, RandomReplicationPolicy, StripePlan,
-};
+use ear_core::{EncodePlan, PlacementPolicy, StripePlan};
 use ear_des::{exponential, EventQueue, FifoEngine, PoissonProcess, SimTime, TransferId};
 use ear_types::rng::ChaCha8;
 use ear_types::{ByteSize, ClusterTopology, Error, NodeId, Result};
@@ -55,10 +53,11 @@ enum ProcState {
 /// erasure parameters) before any simulation work happens.
 ///
 /// ```
-/// use ear_sim::{run, PolicyKind, SimConfig};
+/// use ear_core::ClusterPolicy;
+/// use ear_sim::{run, SimConfig};
 /// use ear_types::ErasureParams;
 ///
-/// let mut cfg = SimConfig::testbed(PolicyKind::Ear, ErasureParams::new(6, 4).unwrap());
+/// let mut cfg = SimConfig::testbed(ClusterPolicy::Ear, ErasureParams::new(6, 4).unwrap());
 /// cfg.stripes_per_process = 1; // tiny run for the doctest
 /// cfg.encode_processes = 2;
 /// let report = run(&cfg)?;
@@ -98,14 +97,9 @@ struct Simulator<'a> {
 
 impl<'a> Simulator<'a> {
     fn new(config: &'a SimConfig) -> Result<Self> {
-        let topo = ClusterTopology::uniform(config.racks, config.nodes_per_rack);
-        let ear_cfg = config.ear_config()?;
+        let topo = ClusterTopology::try_uniform(config.racks, config.nodes_per_rack)?;
         let mut rng = ChaCha8::from_seed(config.seed);
-
-        let mut policy: Box<dyn PlacementPolicy> = match config.policy {
-            PolicyKind::Rr => Box::new(RandomReplicationPolicy::new(ear_cfg, topo.clone())?),
-            PolicyKind::Ear => Box::new(EncodingAwareReplication::new(ear_cfg, topo.clone())),
-        };
+        let mut policy = config.policy.build(config.ear_config()?, topo.clone())?;
 
         // Pre-place the stripes that the encoding processes will transform;
         // their writes happened before the simulated window.

@@ -3,7 +3,8 @@
 //! EAR never does cross-rack downloads, RR relocates in small clusters,
 //! writes slow down while encoding runs, determinism under a fixed seed).
 
-use ear_sim::{run, PolicyKind, SimConfig};
+use ear_core::ClusterPolicy;
+use ear_sim::{run, SimConfig};
 use ear_types::{Bandwidth, ByteSize, ErasureParams};
 
 fn small_b2_config() -> SimConfig {
@@ -30,8 +31,8 @@ fn ear_encodes_faster_than_rr() {
         // for any uniform stream.
         let mut base = small_b2_config().with_seed(seed);
         base.stripes_per_process = 15;
-        let ear = run(&base.clone().with_policy(PolicyKind::Ear)).unwrap();
-        let rr = run(&base.with_policy(PolicyKind::Rr)).unwrap();
+        let ear = run(&base.clone().with_policy(ClusterPolicy::Ear)).unwrap();
+        let rr = run(&base.with_policy(ClusterPolicy::Rr)).unwrap();
         assert_eq!(ear.encode_completions.len(), 60);
         assert_eq!(rr.encode_completions.len(), 60);
         if ear.encoding_throughput() > rr.encoding_throughput() {
@@ -44,8 +45,8 @@ fn ear_encodes_faster_than_rr() {
 #[test]
 fn ear_has_zero_cross_rack_downloads_rr_does_not() {
     let base = small_b2_config().with_seed(7);
-    let ear = run(&base.clone().with_policy(PolicyKind::Ear)).unwrap();
-    let rr = run(&base.with_policy(PolicyKind::Rr)).unwrap();
+    let ear = run(&base.clone().with_policy(ClusterPolicy::Ear)).unwrap();
+    let rr = run(&base.with_policy(ClusterPolicy::Rr)).unwrap();
     assert_eq!(ear.cross_rack_downloads, 0);
     assert_eq!(ear.stripes_with_relocation, 0);
     // Section II-B: RR downloads almost k blocks across racks per stripe.
@@ -71,7 +72,7 @@ fn rr_relocations_appear_in_small_clusters() {
             stripes_per_process: 20,
             write_rate: 0.0,
             background_rate: 0.0,
-            policy: PolicyKind::Rr,
+            policy: ClusterPolicy::Rr,
             seed: 100 + seed,
             ..SimConfig::default()
         };
@@ -86,7 +87,7 @@ fn writes_complete_and_slow_down_during_encoding() {
     let mut cfg = small_b2_config().with_seed(11);
     cfg.encode_start = 60.0;
     cfg.write_rate = 0.4;
-    cfg.policy = PolicyKind::Rr;
+    cfg.policy = ClusterPolicy::Rr;
     let r = run(&cfg).unwrap();
     assert!(!r.write_responses.is_empty());
     let before = r.mean_write_response_before_encoding();
@@ -127,7 +128,7 @@ fn standalone_writes_without_encoding() {
         write_rate: 0.5,
         background_rate: 0.0,
         standalone_writes: 40,
-        policy: PolicyKind::Rr,
+        policy: ClusterPolicy::Rr,
         ..SimConfig::default()
     };
     let r = run(&cfg).unwrap();
@@ -160,7 +161,7 @@ fn testbed_config_reproduces_throughput_ordering_across_k() {
     const SEEDS: [u64; 5] = [1, 2, 3, 4, 5];
     let mut prev_ear = 0.0;
     for (n, k) in [(6usize, 4usize), (8, 6), (10, 8)] {
-        let mut cfg = SimConfig::testbed(PolicyKind::Ear, ErasureParams::new(n, k).unwrap());
+        let mut cfg = SimConfig::testbed(ClusterPolicy::Ear, ErasureParams::new(n, k).unwrap());
         cfg.stripes_per_process = 2;
         let total: f64 = SEEDS
             .iter()
@@ -203,8 +204,8 @@ fn simulating_relocation_slows_rr_but_not_ear() {
     let mut with_reloc = base.clone();
     with_reloc.simulate_relocation = true;
 
-    let rr_plain = run(&base.clone().with_policy(PolicyKind::Rr)).unwrap();
-    let rr_reloc = run(&with_reloc.clone().with_policy(PolicyKind::Rr)).unwrap();
+    let rr_plain = run(&base.clone().with_policy(ClusterPolicy::Rr)).unwrap();
+    let rr_reloc = run(&with_reloc.clone().with_policy(ClusterPolicy::Rr)).unwrap();
     assert!(
         rr_plain.stripes_with_relocation > 0,
         "tight cluster must violate"
@@ -216,11 +217,19 @@ fn simulating_relocation_slows_rr_but_not_ear() {
         rr_plain.encoding_throughput()
     );
 
-    let ear_plain = run(&base.clone().with_policy(PolicyKind::Ear)).unwrap();
-    let ear_reloc = run(&with_reloc.with_policy(PolicyKind::Ear)).unwrap();
+    let ear_plain = run(&base.clone().with_policy(ClusterPolicy::Ear)).unwrap();
+    let ear_reloc = run(&with_reloc.with_policy(ClusterPolicy::Ear)).unwrap();
     assert_eq!(ear_plain.stripes_with_relocation, 0);
     assert_eq!(
         ear_plain.encode_completions, ear_reloc.encode_completions,
         "EAR is unaffected by the relocation switch"
     );
+}
+
+#[test]
+fn a_zero_rack_or_node_count_is_a_typed_error() {
+    for (racks, nodes_per_rack) in [(0, 20), (20, 0)] {
+        let cfg = SimConfig { racks, nodes_per_rack, ..SimConfig::default() };
+        assert!(matches!(run(&cfg), Err(ear_types::Error::TopologyTooSmall { .. })));
+    }
 }

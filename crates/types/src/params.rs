@@ -224,17 +224,6 @@ impl EarConfig {
         })
     }
 
-    /// The paper's strictest setting: `c = 1`, tolerating `n - k` rack
-    /// failures as in Facebook's f4 (Section III-B).
-    pub fn max_rack_tolerance(erasure: ErasureParams, replication: ReplicationConfig) -> Self {
-        EarConfig {
-            erasure,
-            replication,
-            c: 1,
-            target_racks: None,
-        }
-    }
-
     /// Restricts all stripe blocks to `r_prime` target racks (Section III-D).
     ///
     /// # Errors

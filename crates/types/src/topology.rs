@@ -1,6 +1,6 @@
 //! Cluster topology: nodes grouped into racks (Fig. 1 of the paper).
 
-use crate::{NodeId, RackId};
+use crate::{Error, NodeId, RackId, Result};
 
 /// A clustered-file-system topology: `R` racks, each holding a set of nodes
 /// connected by a top-of-rack switch; racks are connected by a network core.
@@ -36,6 +36,21 @@ impl ClusterTopology {
         assert!(num_racks > 0, "topology needs at least one rack");
         assert!(nodes_per_rack > 0, "racks need at least one node");
         Self::with_rack_sizes(&vec![nodes_per_rack; num_racks])
+    }
+
+    /// [`uniform`](Self::uniform) for counts from outside input (a config,
+    /// a flag, a MANIFEST).
+    ///
+    /// # Errors
+    ///
+    /// [`Error::TopologyTooSmall`] if either count is zero.
+    pub fn try_uniform(num_racks: usize, nodes_per_rack: usize) -> Result<Self> {
+        if num_racks == 0 || nodes_per_rack == 0 {
+            return Err(Error::TopologyTooSmall {
+                reason: format!("{num_racks} rack(s) of {nodes_per_rack} node(s)"),
+            });
+        }
+        Ok(Self::uniform(num_racks, nodes_per_rack))
     }
 
     /// Builds a topology with per-rack node counts, allowing heterogeneous

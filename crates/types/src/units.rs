@@ -53,12 +53,6 @@ impl ByteSize {
     pub fn as_f64(self) -> f64 {
         self.0 as f64
     }
-
-    /// The byte count as mebibytes, for reporting throughput in MB/s as the
-    /// paper does.
-    pub fn as_mib(self) -> f64 {
-        self.0 as f64 / (1024.0 * 1024.0)
-    }
 }
 
 impl Add for ByteSize {
@@ -105,10 +99,9 @@ impl fmt::Display for ByteSize {
 /// directly.
 ///
 /// ```
-/// use ear_types::{Bandwidth, ByteSize};
+/// use ear_types::Bandwidth;
 /// let link = Bandwidth::gbit(1.0); // 1 Gb/s Ethernet
-/// let t = link.transfer_seconds(ByteSize::mib(64));
-/// assert!((t - 0.536870912).abs() < 1e-9); // 64 MiB over 125 MB/s
+/// assert_eq!(link.as_bytes_per_sec(), 125e6);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Bandwidth(f64);
@@ -142,11 +135,6 @@ impl Bandwidth {
     #[inline]
     pub fn as_bytes_per_sec(self) -> f64 {
         self.0
-    }
-
-    /// Seconds needed to move `size` at this rate, ignoring queueing.
-    pub fn transfer_seconds(self, size: ByteSize) -> f64 {
-        size.as_f64() / self.0
     }
 
     /// Scales the bandwidth by a factor (e.g. to model over-subscription).

@@ -4,7 +4,8 @@
 //!
 //! Run with `cargo run --release --example cluster_simulation`.
 
-use ear::sim::{run, PolicyKind, SimConfig};
+use ear::core::ClusterPolicy;
+use ear::sim::{run, SimConfig};
 use ear::types::ErasureParams;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -24,8 +25,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let (mut rr_e, mut ear_e, mut rr_w, mut ear_w) = (0.0, 0.0, 0.0, 0.0);
         let seeds = 3;
         for seed in 0..seeds {
-            let rr = run(&base.clone().with_policy(PolicyKind::Rr).with_seed(seed))?;
-            let ear = run(&base.clone().with_policy(PolicyKind::Ear).with_seed(seed))?;
+            let rr = run(&base.clone().with_policy(ClusterPolicy::Rr).with_seed(seed))?;
+            let ear = run(&base.clone().with_policy(ClusterPolicy::Ear).with_seed(seed))?;
             rr_e += rr.encoding_throughput() / seeds as f64;
             ear_e += ear.encoding_throughput() / seeds as f64;
             rr_w += rr.write_throughput_during_encoding() / seeds as f64;

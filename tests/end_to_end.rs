@@ -5,7 +5,7 @@
 use ear::analysis::violation_probability;
 use ear::cluster::{ClusterConfig, ClusterPolicy, MiniCfs, RaidNode};
 use ear::core::{EncodingAwareReplication, PlacementPolicy, RandomReplicationPolicy};
-use ear::sim::{run as sim_run, PolicyKind, SimConfig};
+use ear::sim::{run as sim_run, SimConfig};
 use ear::types::rng::ChaCha8;
 use ear::types::{
     Bandwidth, ByteSize, CacheConfig, ClusterTopology, EarConfig, ErasureParams, NodeId,
@@ -67,8 +67,8 @@ fn cross_rack_download_story_is_consistent_across_layers() {
         background_rate: 0.0,
         ..SimConfig::default()
     };
-    let sim_ear = sim_run(&sim_cfg.clone().with_policy(PolicyKind::Ear)).unwrap();
-    let sim_rr = sim_run(&sim_cfg.with_policy(PolicyKind::Rr)).unwrap();
+    let sim_ear = sim_run(&sim_cfg.clone().with_policy(ClusterPolicy::Ear)).unwrap();
+    let sim_rr = sim_run(&sim_cfg.with_policy(ClusterPolicy::Rr)).unwrap();
     assert_eq!(sim_ear.cross_rack_downloads, 0);
     assert!(sim_rr.cross_rack_downloads as f64 / 20.0 > 2.0);
 }

@@ -92,13 +92,154 @@ impl CacheStats {
     }
 }
 
-/// A hot-level entry: the payload, its write-time CRC32C, and the LRU
-/// stamp keying `hot_order`.
+/// No slot: the end of the hot level's recency list.
+const NIL: usize = usize::MAX;
+
+/// A hot-level entry: the payload, its write-time CRC32C, and its links in
+/// the recency list (slot numbers; `prev` is the more recent neighbour).
 #[derive(Debug)]
 struct HotEntry {
+    id: BlockId,
     data: Block,
     crc: u32,
-    stamp: u64,
+    prev: usize,
+    next: usize,
+}
+
+/// The hot level, an exact LRU. Entries sit densely in `slots`; `index`
+/// maps an id to its slot, and a doubly linked recency list threaded
+/// through the slots runs from `head` (most recent) to `tail` (least). A
+/// hit relinks its slot at the head, O(1) past the index lookup; overflow
+/// demotes the tail.
+#[derive(Debug)]
+struct HotLru {
+    index: BTreeMap<BlockId, usize>,
+    slots: Vec<HotEntry>,
+    head: usize,
+    tail: usize,
+    bytes: u64,
+}
+
+/// The hot level as the rest of the cache uses it. One implementation
+/// serves; the tests keep the stamp-ordered level it replaced and check
+/// the two against each other.
+trait HotLevel: Default {
+    /// The payload and CRC of `id`, made most recent.
+    fn touch(&mut self, id: BlockId) -> Option<(Block, u32)>;
+    /// Swaps `id`'s payload in place, recency and byte count unchanged;
+    /// false when `id` is not here.
+    fn refresh(&mut self, id: BlockId, data: &Block, crc: u32) -> bool;
+    /// Adds `id` (not already here) as most recent.
+    fn insert(&mut self, id: BlockId, data: Block, crc: u32);
+    /// Removes `id`, returning its payload and CRC.
+    fn remove(&mut self, id: BlockId) -> Option<(Block, u32)>;
+    /// Removes the least recent entry.
+    fn pop_lru(&mut self) -> Option<(BlockId, Block, u32)>;
+    /// Data bytes held.
+    fn bytes(&self) -> u64;
+    /// Resident ids in id order.
+    fn ids(&self) -> Vec<BlockId>;
+}
+
+impl Default for HotLru {
+    fn default() -> Self {
+        HotLru { index: BTreeMap::new(), slots: Vec::new(), head: NIL, tail: NIL, bytes: 0 }
+    }
+}
+
+impl HotLru {
+    /// Takes `slot` out of the recency list.
+    fn unlink(&mut self, slot: usize) {
+        let Some(&HotEntry { prev, next, .. }) = self.slots.get(slot) else {
+            return;
+        };
+        match self.slots.get_mut(prev) {
+            Some(p) => p.next = next,
+            None => self.head = next,
+        }
+        match self.slots.get_mut(next) {
+            Some(n) => n.prev = prev,
+            None => self.tail = prev,
+        }
+    }
+
+    /// Puts `slot`, not in the list, at its head.
+    fn link_front(&mut self, slot: usize) {
+        let old = self.head;
+        if let Some(e) = self.slots.get_mut(slot) {
+            e.prev = NIL;
+            e.next = old;
+        }
+        match self.slots.get_mut(old) {
+            Some(h) => h.prev = slot,
+            None => self.tail = slot,
+        }
+        self.head = slot;
+    }
+}
+
+impl HotLevel for HotLru {
+    fn touch(&mut self, id: BlockId) -> Option<(Block, u32)> {
+        let slot = *self.index.get(&id)?;
+        if self.head != slot {
+            self.unlink(slot);
+            self.link_front(slot);
+        }
+        self.slots.get(slot).map(|e| (e.data.clone(), e.crc))
+    }
+
+    fn refresh(&mut self, id: BlockId, data: &Block, crc: u32) -> bool {
+        let Some(e) = self.index.get(&id).and_then(|&slot| self.slots.get_mut(slot)) else {
+            return false;
+        };
+        e.data = data.clone();
+        e.crc = crc;
+        true
+    }
+
+    fn insert(&mut self, id: BlockId, data: Block, crc: u32) {
+        let slot = self.slots.len();
+        self.bytes += data.len() as u64;
+        self.slots.push(HotEntry { id, data, crc, prev: NIL, next: NIL });
+        self.index.insert(id, slot);
+        self.link_front(slot);
+    }
+
+    fn remove(&mut self, id: BlockId) -> Option<(Block, u32)> {
+        let slot = self.index.remove(&id)?;
+        self.unlink(slot);
+        // The last slot moves into the hole: its neighbours and its index
+        // entry follow it.
+        let last = self.slots.len().checked_sub(1)?;
+        if slot != last {
+            let &HotEntry { id: moved, prev, next, .. } = self.slots.get(last)?;
+            match self.slots.get_mut(prev) {
+                Some(p) => p.next = slot,
+                None => self.head = slot,
+            }
+            match self.slots.get_mut(next) {
+                Some(n) => n.prev = slot,
+                None => self.tail = slot,
+            }
+            self.index.insert(moved, slot);
+        }
+        let e = self.slots.swap_remove(slot);
+        self.bytes = self.bytes.saturating_sub(e.data.len() as u64);
+        Some((e.data, e.crc))
+    }
+
+    fn pop_lru(&mut self) -> Option<(BlockId, Block, u32)> {
+        let id = self.slots.get(self.tail)?.id;
+        self.remove(id).map(|(data, crc)| (id, data, crc))
+    }
+
+    fn bytes(&self) -> u64 {
+        self.bytes
+    }
+
+    fn ids(&self) -> Vec<BlockId> {
+        self.index.keys().copied().collect()
+    }
 }
 
 /// A cold-level entry: the payload, its CRC32C, and the clock reference
@@ -114,20 +255,15 @@ struct ColdEntry {
 /// the hold times are map operations on in-memory state, and the cache is
 /// per-DataNode so cluster-level concurrency already shards across nodes.
 #[derive(Debug)]
-struct CacheState {
+struct CacheState<H = HotLru> {
     hot_cap: u64,
     cold_cap: u64,
-    hot: BTreeMap<BlockId, HotEntry>,
-    /// LRU recency index: stamp → id, smallest stamp = least recent.
-    hot_order: BTreeMap<u64, BlockId>,
-    hot_bytes: u64,
+    hot: H,
     cold: BTreeMap<BlockId, ColdEntry>,
     /// Clock ring over cold ids. Entries removed from `cold` out of band
     /// (promotion, invalidation) leave stale ids here; the hand skips them.
     ring: VecDeque<BlockId>,
     cold_bytes: u64,
-    /// Monotonic operation stamp driving LRU order.
-    stamp: u64,
     /// Seeded xorshift state for admission damping.
     rng: u64,
     stats: CacheStats,
@@ -148,67 +284,13 @@ impl BlockCache {
         if cfg.is_off() {
             return None;
         }
-        Some(BlockCache {
-            state: Mutex::new(CacheState {
-                hot_cap: cfg.hot_bytes(),
-                cold_cap: cfg.cold_bytes(),
-                hot: BTreeMap::new(),
-                hot_order: BTreeMap::new(),
-                hot_bytes: 0,
-                cold: BTreeMap::new(),
-                ring: VecDeque::new(),
-                cold_bytes: 0,
-                stamp: 0,
-                // Mix the seed so per-node streams differ even for dense
-                // node ids; force non-zero (xorshift's absorbing state).
-                rng: seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1,
-                stats: CacheStats::default(),
-            }),
-        })
+        Some(BlockCache { state: Mutex::new(CacheState::new(cfg, seed)) })
     }
 
     /// Looks up a block's cached payload and write-time CRC32C. A hot hit
     /// refreshes recency; a cold hit promotes the block to the hot level.
     pub fn get(&self, block: BlockId) -> Option<(Block, u32)> {
-        let mut s = self.state.lock();
-        s.stamp += 1;
-        let stamp = s.stamp;
-        if let Some(e) = s.hot.get_mut(&block) {
-            let old = e.stamp;
-            e.stamp = stamp;
-            let out = (e.data.clone(), e.crc);
-            s.hot_order.remove(&old);
-            s.hot_order.insert(stamp, block);
-            s.stats.hot_hits += 1;
-            s.stats.bytes_saved += out.0.len() as u64;
-            return Some(out);
-        }
-        let promote = match s.cold.get_mut(&block) {
-            // First cold hit: set the clock reference bit, stay cold.
-            Some(e) if !e.referenced => {
-                e.referenced = true;
-                let out = (e.data.clone(), e.crc);
-                s.stats.cold_hits += 1;
-                s.stats.bytes_saved += out.0.len() as u64;
-                return Some(out);
-            }
-            // Second cold hit: proven reuse, promote to the hot LRU.
-            Some(_) => true,
-            None => false,
-        };
-        if promote {
-            if let Some(e) = s.cold.remove(&block) {
-                // The ring keeps a stale id the hand will skip.
-                s.cold_bytes = s.cold_bytes.saturating_sub(e.data.len() as u64);
-                let out = (e.data.clone(), e.crc);
-                s.stats.cold_hits += 1;
-                s.stats.bytes_saved += out.0.len() as u64;
-                s.insert_hot(block, e.data, e.crc, stamp);
-                return Some(out);
-            }
-        }
-        s.stats.misses += 1;
-        None
+        self.state.lock().get(block)
     }
 
     /// Admits a verified block read from the store. First-time admissions
@@ -216,60 +298,14 @@ impl BlockCache {
     /// are bypassed, and under eviction pressure one in
     /// [`ADMIT_DAMPING`] admissions is bypassed from the seeded stream.
     pub fn admit(&self, block: BlockId, data: &Block, crc: u32) {
-        let len = data.len() as u64;
-        let mut s = self.state.lock();
-        // Already cached (a concurrent reader admitted first, or a hot
-        // entry exists): refresh the payload in place, no level change.
-        if let Some(e) = s.hot.get_mut(&block) {
-            e.data = data.clone();
-            e.crc = crc;
-            return;
-        }
-        if let Some(e) = s.cold.get_mut(&block) {
-            e.data = data.clone();
-            e.crc = crc;
-            return;
-        }
-        if len > s.cold_cap {
-            s.stats.bypasses += 1;
-            return;
-        }
-        if s.cold_bytes + len > s.cold_cap && s.next_rand().is_multiple_of(ADMIT_DAMPING) {
-            s.stats.bypasses += 1;
-            return;
-        }
-        s.cold.insert(
-            block,
-            ColdEntry {
-                data: data.clone(),
-                crc,
-                referenced: false,
-            },
-        );
-        s.ring.push_back(block);
-        s.cold_bytes += len;
-        s.evict_cold();
+        self.state.lock().admit(block, data, crc);
     }
 
     /// Drops any cached copy of `block` — called on overwrite
     /// and delete so the cache can never serve bytes the store no longer
     /// holds.
     pub fn invalidate(&self, block: BlockId) {
-        let mut s = self.state.lock();
-        let mut hit = false;
-        if let Some(e) = s.hot.remove(&block) {
-            s.hot_bytes = s.hot_bytes.saturating_sub(e.data.len() as u64);
-            s.hot_order.remove(&e.stamp);
-            hit = true;
-        }
-        if let Some(e) = s.cold.remove(&block) {
-            // The ring id goes stale; the hand skips it.
-            s.cold_bytes = s.cold_bytes.saturating_sub(e.data.len() as u64);
-            hit = true;
-        }
-        if hit {
-            s.stats.invalidations += 1;
-        }
+        self.state.lock().invalidate(block);
     }
 
     /// Snapshot of this cache's counters.
@@ -280,20 +316,122 @@ impl BlockCache {
     /// Data bytes currently held across both levels (test/diagnostic hook).
     pub fn data_bytes(&self) -> u64 {
         let s = self.state.lock();
-        s.hot_bytes + s.cold_bytes
+        s.hot.bytes() + s.cold_bytes
     }
 
     /// Block ids currently holding cached *data*, hot level first, each
     /// level in id order — a deterministic snapshot for eviction tests.
     pub fn resident_blocks(&self) -> Vec<BlockId> {
-        let s = self.state.lock();
-        let mut out: Vec<BlockId> = s.hot.keys().copied().collect();
-        out.extend(s.cold.keys().copied());
-        out
+        self.state.lock().resident_blocks()
     }
 }
 
-impl CacheState {
+impl<H: HotLevel> CacheState<H> {
+    fn new(cfg: CacheConfig, seed: u64) -> Self {
+        CacheState {
+            hot_cap: cfg.hot_bytes(),
+            cold_cap: cfg.cold_bytes(),
+            hot: H::default(),
+            cold: BTreeMap::new(),
+            ring: VecDeque::new(),
+            cold_bytes: 0,
+            // Mix the seed so per-node streams differ even for dense
+            // node ids; force non-zero (xorshift's absorbing state).
+            rng: seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1,
+            stats: CacheStats::default(),
+        }
+    }
+
+    /// [`BlockCache::get`].
+    fn get(&mut self, block: BlockId) -> Option<(Block, u32)> {
+        if let Some(out) = self.hot.touch(block) {
+            self.stats.hot_hits += 1;
+            self.stats.bytes_saved += out.0.len() as u64;
+            return Some(out);
+        }
+        let promote = match self.cold.get_mut(&block) {
+            // First cold hit: set the clock reference bit, stay cold.
+            Some(e) if !e.referenced => {
+                e.referenced = true;
+                let out = (e.data.clone(), e.crc);
+                self.stats.cold_hits += 1;
+                self.stats.bytes_saved += out.0.len() as u64;
+                return Some(out);
+            }
+            // Second cold hit: proven reuse, promote to the hot LRU.
+            Some(_) => true,
+            None => false,
+        };
+        if promote {
+            if let Some(e) = self.cold.remove(&block) {
+                // The ring keeps a stale id the hand will skip.
+                self.cold_bytes = self.cold_bytes.saturating_sub(e.data.len() as u64);
+                let out = (e.data.clone(), e.crc);
+                self.stats.cold_hits += 1;
+                self.stats.bytes_saved += out.0.len() as u64;
+                self.insert_hot(block, e.data, e.crc);
+                return Some(out);
+            }
+        }
+        self.stats.misses += 1;
+        None
+    }
+
+    /// [`BlockCache::admit`].
+    fn admit(&mut self, block: BlockId, data: &Block, crc: u32) {
+        let len = data.len() as u64;
+        // Already cached (a concurrent reader admitted first, or a hot
+        // entry exists): refresh the payload in place, no level change.
+        if self.hot.refresh(block, data, crc) {
+            return;
+        }
+        if let Some(e) = self.cold.get_mut(&block) {
+            e.data = data.clone();
+            e.crc = crc;
+            return;
+        }
+        if len > self.cold_cap {
+            self.stats.bypasses += 1;
+            return;
+        }
+        if self.cold_bytes + len > self.cold_cap && self.next_rand().is_multiple_of(ADMIT_DAMPING)
+        {
+            self.stats.bypasses += 1;
+            return;
+        }
+        self.cold.insert(
+            block,
+            ColdEntry {
+                data: data.clone(),
+                crc,
+                referenced: false,
+            },
+        );
+        self.ring.push_back(block);
+        self.cold_bytes += len;
+        self.evict_cold();
+    }
+
+    /// [`BlockCache::invalidate`].
+    fn invalidate(&mut self, block: BlockId) {
+        let mut hit = self.hot.remove(block).is_some();
+        if let Some(e) = self.cold.remove(&block) {
+            // The ring id goes stale; the hand skips it.
+            self.cold_bytes = self.cold_bytes.saturating_sub(e.data.len() as u64);
+            hit = true;
+        }
+        if hit {
+            self.stats.invalidations += 1;
+        }
+    }
+
+    /// [`BlockCache::resident_blocks`].
+    fn resident_blocks(&self) -> Vec<BlockId> {
+        let mut out = self.hot.ids();
+        out.extend(self.cold.keys().copied());
+        out
+    }
+
     /// Advances the seeded xorshift stream.
     fn next_rand(&mut self) -> u64 {
         let mut x = self.rng;
@@ -306,31 +444,17 @@ impl CacheState {
 
     /// Inserts into the hot level, demoting LRU entries to cold while over
     /// capacity.
-    fn insert_hot(&mut self, block: BlockId, data: Block, crc: u32, stamp: u64) {
-        self.hot_bytes += data.len() as u64;
-        self.hot.insert(block, HotEntry { data, crc, stamp });
-        self.hot_order.insert(stamp, block);
-        while self.hot_bytes > self.hot_cap {
-            let Some((_, victim)) = self.hot_order.pop_first() else {
+    fn insert_hot(&mut self, block: BlockId, data: Block, crc: u32) {
+        self.hot.insert(block, data, crc);
+        while self.hot.bytes() > self.hot_cap {
+            let Some((victim, data, crc)) = self.hot.pop_lru() else {
                 break;
             };
-            let Some(e) = self.hot.remove(&victim) else {
-                continue;
-            };
-            let len = e.data.len() as u64;
-            self.hot_bytes = self.hot_bytes.saturating_sub(len);
             // Demote to cold rather than dropping: recently-hot blocks get
             // one clock revolution of grace.
-            self.cold.insert(
-                victim,
-                ColdEntry {
-                    data: e.data,
-                    crc: e.crc,
-                    referenced: false,
-                },
-            );
+            self.cold_bytes += data.len() as u64;
+            self.cold.insert(victim, ColdEntry { data, crc, referenced: false });
             self.ring.push_back(victim);
-            self.cold_bytes += len;
         }
         self.evict_cold();
     }
@@ -377,6 +501,104 @@ mod tests {
 
     fn blk(n: u8, len: usize) -> Block {
         Block::from(vec![n; len])
+    }
+
+    /// The hot level before its recency list: entries by id plus a
+    /// stamp-ordered index (smallest stamp least recent), both updated on
+    /// every hit. Kept as the reference the recency list must match.
+    #[derive(Debug, Default)]
+    struct StampLru {
+        hot: BTreeMap<BlockId, (Block, u32, u64)>,
+        order: BTreeMap<u64, BlockId>,
+        bytes: u64,
+        stamp: u64,
+    }
+
+    impl HotLevel for StampLru {
+        fn touch(&mut self, id: BlockId) -> Option<(Block, u32)> {
+            self.stamp += 1;
+            let e = self.hot.get_mut(&id)?;
+            self.order.remove(&e.2);
+            e.2 = self.stamp;
+            self.order.insert(self.stamp, id);
+            Some((e.0.clone(), e.1))
+        }
+
+        fn refresh(&mut self, id: BlockId, data: &Block, crc: u32) -> bool {
+            let Some(e) = self.hot.get_mut(&id) else {
+                return false;
+            };
+            (e.0, e.1) = (data.clone(), crc);
+            true
+        }
+
+        fn insert(&mut self, id: BlockId, data: Block, crc: u32) {
+            self.stamp += 1;
+            self.bytes += data.len() as u64;
+            self.hot.insert(id, (data, crc, self.stamp));
+            self.order.insert(self.stamp, id);
+        }
+
+        fn remove(&mut self, id: BlockId) -> Option<(Block, u32)> {
+            let (data, crc, stamp) = self.hot.remove(&id)?;
+            self.order.remove(&stamp);
+            self.bytes = self.bytes.saturating_sub(data.len() as u64);
+            Some((data, crc))
+        }
+
+        fn pop_lru(&mut self) -> Option<(BlockId, Block, u32)> {
+            let (_, id) = self.order.pop_first()?;
+            self.remove(id).map(|(data, crc)| (id, data, crc))
+        }
+
+        fn bytes(&self) -> u64 {
+            self.bytes
+        }
+
+        fn ids(&self) -> Vec<BlockId> {
+            self.hot.keys().copied().collect()
+        }
+    }
+
+    #[test]
+    fn the_recency_list_decides_as_the_stamp_index_did() {
+        // Random get/admit/invalidate sequences over a dozen ids, blocks of
+        // 16-64 bytes and caps of a few blocks, so hot overflow, demotion,
+        // clock eviction and damping all occur. After every step both
+        // caches have returned the same thing and hold the same state.
+        ear_types::prop::check("the_recency_list_decides_as_the_stamp_index_did", 256, |rng| {
+            let cfg = CacheConfig::Sized {
+                hot_bytes: ear_types::prop::range(rng, 16..=256),
+                cold_bytes: ear_types::prop::range(rng, 16..=256),
+            };
+            let seed = rng.next_u64();
+            let mut list = CacheState::<HotLru>::new(cfg, seed);
+            let mut stamps = CacheState::<StampLru>::new(cfg, seed);
+            for step in 0..200 {
+                let id = BlockId(rng.below(12));
+                match rng.below(20) {
+                    0..=9 => {
+                        let got = |c: Option<(Block, u32)>| c.map(|(b, crc)| (b.to_vec(), crc));
+                        let (a, b) = (got(list.get(id)), got(stamps.get(id)));
+                        assert_eq!(a, b, "get {id:?}, step {step}");
+                    }
+                    10..=16 => {
+                        let len = 16 * (1 + rng.below(4) as usize);
+                        let data = blk(id.0 as u8, len);
+                        let crc = rng.next_u32();
+                        list.admit(id, &data, crc);
+                        stamps.admit(id, &data, crc);
+                    }
+                    _ => {
+                        list.invalidate(id);
+                        stamps.invalidate(id);
+                    }
+                }
+                assert_eq!(list.stats, stamps.stats, "step {step}");
+                assert_eq!(list.resident_blocks(), stamps.resident_blocks(), "step {step}");
+                assert_eq!(list.hot.bytes(), stamps.hot.bytes(), "step {step}");
+            }
+        });
     }
 
     #[test]

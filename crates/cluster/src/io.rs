@@ -37,7 +37,7 @@ use ear_faults::{FaultInjector, IoFault};
 use ear_netem::EmulatedNetwork;
 use ear_types::{Block, BlockId, ClusterTopology, Error, NodeId, Result};
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Nodes one multi-block job (a stripe's encode, a shard's rebuild) has
@@ -159,7 +159,13 @@ impl Landing for Unverified {
 /// Monotonic I/O counters, updated relaxed — totals are exact once the
 /// contributing threads have joined, which is how every consumer reads them
 /// (after `encode_all`, after a healer round, after a job set).
+///
+/// One stripe of them per thread: a thread is dealt a stripe at its first
+/// count, round robin over [`STRIPES`], and keeps it, so concurrent clients
+/// do not write the same cache lines; [`ClusterIo::stats`] sums the
+/// stripes.
 #[derive(Debug, Default)]
+#[repr(align(64))]
 struct Counters {
     reads: AtomicU64,
     writes: AtomicU64,
@@ -178,6 +184,36 @@ struct Counters {
     hedges_launched: AtomicU64,
     hedges_won: AtomicU64,
     breaker_skips: AtomicU64,
+}
+
+/// Counter stripes per [`ClusterIo`]: more than the threads that count at
+/// once (the clients, the encode and repair workers), so consecutive
+/// threads never share one.
+const STRIPES: usize = 16;
+
+/// The stripe the next thread to count is dealt.
+static NEXT_STRIPE: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// This thread's stripe, dealt at its first count.
+    static STRIPE: usize = NEXT_STRIPE.fetch_add(1, Ordering::Relaxed) % STRIPES;
+}
+
+/// The per-thread stripes of [`Counters`].
+#[derive(Debug, Default)]
+struct Striped([Counters; STRIPES]);
+
+impl Striped {
+    /// The calling thread's stripe.
+    #[expect(clippy::indexing_slicing, reason = "STRIPE is taken modulo STRIPES")]
+    fn mine(&self) -> &Counters {
+        &self.0[STRIPE.with(|&i| i)]
+    }
+
+    /// One counter summed over the stripes.
+    fn total(&self, counter: impl Fn(&Counters) -> &AtomicU64) -> u64 {
+        self.0.iter().map(|c| counter(c).load(Ordering::Relaxed)).sum()
+    }
 }
 
 /// A snapshot of the cluster's data-plane I/O accounting.
@@ -249,7 +285,7 @@ pub struct ClusterIo {
     net: EmulatedNetwork,
     injector: FaultInjector,
     rel: Arc<Reliability>,
-    counters: Counters,
+    counters: Striped,
 }
 
 impl ClusterIo {
@@ -270,7 +306,7 @@ impl ClusterIo {
             net,
             injector,
             rel,
-            counters: Counters::default(),
+            counters: Striped::default(),
         }
     }
 
@@ -313,23 +349,23 @@ impl ClusterIo {
         let c = &self.counters;
         let rel = self.rel.stats();
         IoStats {
-            reads: c.reads.load(Ordering::Relaxed),
-            writes: c.writes.load(Ordering::Relaxed),
-            bytes_read: c.bytes_read.load(Ordering::Relaxed),
-            bytes_written: c.bytes_written.load(Ordering::Relaxed),
-            read_retries: c.read_retries.load(Ordering::Relaxed),
-            write_retries: c.write_retries.load(Ordering::Relaxed),
-            failed_reads: c.failed_reads.load(Ordering::Relaxed),
-            failed_writes: c.failed_writes.load(Ordering::Relaxed),
-            read_ticks: c.read_ticks.load(Ordering::Relaxed),
-            write_ticks: c.write_ticks.load(Ordering::Relaxed),
-            transfer_bytes: c.transfer_bytes.load(Ordering::Relaxed),
-            crc_skipped: c.crc_skipped.load(Ordering::Relaxed),
-            crc_bytes_skipped: c.crc_bytes_skipped.load(Ordering::Relaxed),
-            backoff_rounds: c.backoff_rounds.load(Ordering::Relaxed),
-            hedges_launched: c.hedges_launched.load(Ordering::Relaxed),
-            hedges_won: c.hedges_won.load(Ordering::Relaxed),
-            breaker_skips: c.breaker_skips.load(Ordering::Relaxed),
+            reads: c.total(|s| &s.reads),
+            writes: c.total(|s| &s.writes),
+            bytes_read: c.total(|s| &s.bytes_read),
+            bytes_written: c.total(|s| &s.bytes_written),
+            read_retries: c.total(|s| &s.read_retries),
+            write_retries: c.total(|s| &s.write_retries),
+            failed_reads: c.total(|s| &s.failed_reads),
+            failed_writes: c.total(|s| &s.failed_writes),
+            read_ticks: c.total(|s| &s.read_ticks),
+            write_ticks: c.total(|s| &s.write_ticks),
+            transfer_bytes: c.total(|s| &s.transfer_bytes),
+            crc_skipped: c.total(|s| &s.crc_skipped),
+            crc_bytes_skipped: c.total(|s| &s.crc_bytes_skipped),
+            backoff_rounds: c.total(|s| &s.backoff_rounds),
+            hedges_launched: c.total(|s| &s.hedges_launched),
+            hedges_won: c.total(|s| &s.hedges_won),
+            breaker_skips: c.total(|s| &s.breaker_skips),
             breaker_trips: rel.breaker_trips,
             shed_ops: 0,
             deadline_misses: rel.deadline_misses,
@@ -407,14 +443,13 @@ impl ClusterIo {
         });
         match &out {
             Ok(data) => {
-                self.counters.reads.fetch_add(1, Ordering::Relaxed);
-                self.counters
-                    .bytes_read
-                    .fetch_add(data.len() as u64, Ordering::Relaxed);
-                self.counters.read_ticks.fetch_add(cost, Ordering::Relaxed);
+                let c = self.counters.mine();
+                c.reads.fetch_add(1, Ordering::Relaxed);
+                c.bytes_read.fetch_add(data.len() as u64, Ordering::Relaxed);
+                c.read_ticks.fetch_add(cost, Ordering::Relaxed);
             }
             Err(_) => {
-                self.counters.failed_reads.fetch_add(1, Ordering::Relaxed);
+                self.counters.mine().failed_reads.fetch_add(1, Ordering::Relaxed);
             }
         }
         (out, cost)
@@ -462,10 +497,9 @@ impl ClusterIo {
             // Verified-once: these exact bytes passed CRC32C when admitted,
             // and the cache is write-invalidated, so re-hashing them can
             // only re-derive the same answer.
-            self.counters.crc_skipped.fetch_add(1, Ordering::Relaxed);
-            self.counters
-                .crc_bytes_skipped
-                .fetch_add(read.data.len() as u64, Ordering::Relaxed);
+            let c = self.counters.mine();
+            c.crc_skipped.fetch_add(1, Ordering::Relaxed);
+            c.crc_bytes_skipped.fetch_add(read.data.len() as u64, Ordering::Relaxed);
             return Ok(Unverified { data: read.data, owed: None, block, node: src });
         }
         Ok(Unverified { data: read.data, owed: Some(read.crc), block, node: src })
@@ -489,7 +523,7 @@ impl ClusterIo {
                 Ok(read.data)
             }
             Some(_) => {
-                self.counters.failed_reads.fetch_add(1, Ordering::Relaxed);
+                self.counters.mine().failed_reads.fetch_add(1, Ordering::Relaxed);
                 let e = Error::CorruptBlock { block: read.block, node: read.node };
                 Err((read, e))
             }
@@ -564,7 +598,7 @@ impl ClusterIo {
             Err(_) => reliability::FAULT_PENALTY_TICKS,
         });
         if out.is_err() {
-            self.counters.failed_writes.fetch_add(1, Ordering::Relaxed);
+            self.counters.mine().failed_writes.fetch_add(1, Ordering::Relaxed);
         }
         (out, cost)
     }
@@ -582,7 +616,7 @@ impl ClusterIo {
             ctx.charge(cost)?;
             match out {
                 Err(Error::TransientIo { .. }) if attempt + 1 < IO_ATTEMPTS => {
-                    self.counters.write_retries.fetch_add(1, Ordering::Relaxed);
+                    self.counters.mine().write_retries.fetch_add(1, Ordering::Relaxed);
                     self.back_off(ctx, backoff_key(dst, block), attempt)?;
                     attempt += 1;
                 }
@@ -595,7 +629,7 @@ impl ClusterIo {
     /// op first.
     fn back_off(&self, ctx: &OpContext<'_>, key: u64, attempt: u32) -> Result<()> {
         let ticks = ctx.reliability().backoff_ticks(key, attempt);
-        self.counters.backoff_rounds.fetch_add(1, Ordering::Relaxed);
+        self.counters.mine().backoff_rounds.fetch_add(1, Ordering::Relaxed);
         ctx.charge(ticks)?;
         reliability::pace(ticks);
         Ok(())
@@ -611,11 +645,12 @@ impl ClusterIo {
             .ok_or(Error::NodeDown { node: dst })
             .and_then(|dn| dn.put(block, data));
         if out.is_ok() {
-            self.counters.writes.fetch_add(1, Ordering::Relaxed);
-            self.counters.bytes_written.fetch_add(len, Ordering::Relaxed);
-            self.counters.write_ticks.fetch_add(cost, Ordering::Relaxed);
+            let c = self.counters.mine();
+            c.writes.fetch_add(1, Ordering::Relaxed);
+            c.bytes_written.fetch_add(len, Ordering::Relaxed);
+            c.write_ticks.fetch_add(cost, Ordering::Relaxed);
         } else {
-            self.counters.failed_writes.fetch_add(1, Ordering::Relaxed);
+            self.counters.mine().failed_writes.fetch_add(1, Ordering::Relaxed);
         }
         out
     }
@@ -683,7 +718,7 @@ impl ClusterIo {
             // substrate: the detector already condemned this node, so pay
             // one tick to move on instead of a timeout discovering it.
             if i + 1 < sources.len() && rel.breaker_open(src) {
-                self.counters.breaker_skips.fetch_add(1, Ordering::Relaxed);
+                self.counters.mine().breaker_skips.fetch_add(1, Ordering::Relaxed);
                 ctx.charge(reliability::BREAKER_SKIP_TICKS)?;
                 last = Error::NodeDown { node: src };
                 continue;
@@ -713,7 +748,7 @@ impl ClusterIo {
                     Ok(won) => return Ok(won),
                     Err(e @ Error::TransientIo { .. }) if attempt + 1 < IO_ATTEMPTS => {
                         last = e;
-                        self.counters.read_retries.fetch_add(1, Ordering::Relaxed);
+                        self.counters.mine().read_retries.fetch_add(1, Ordering::Relaxed);
                         self.back_off(ctx, backoff_key(src, block), attempt)?;
                     }
                     Err(e) if e.stops_the_op() => return Err(e),
@@ -772,7 +807,7 @@ impl ClusterIo {
         hedge: Result<T>,
         hedge_total: u64,
     ) -> Result<(T, bool)> {
-        self.counters.hedges_launched.fetch_add(1, Ordering::Relaxed);
+        self.counters.mine().hedges_launched.fetch_add(1, Ordering::Relaxed);
         let hedge_won = match (&primary, &hedge) {
             (Ok(_), Ok(_)) => hedge_total < primary_cost,
             (Err(_), Ok(_)) => true,
@@ -783,7 +818,7 @@ impl ClusterIo {
             }
         };
         if hedge_won {
-            self.counters.hedges_won.fetch_add(1, Ordering::Relaxed);
+            self.counters.mine().hedges_won.fetch_add(1, Ordering::Relaxed);
             ctx.charge(hedge_total)?;
             hedge.map(|data| (data, true))
         } else {
@@ -855,9 +890,9 @@ impl ClusterIo {
     /// Counts a rack fold's chain in [`IoStats`]: the `bytes` its paid legs
     /// moved, and whether a receiver's open breaker stopped it.
     pub(crate) fn count_chain(&self, bytes: u64, breaker_skip: bool) {
-        self.counters.transfer_bytes.fetch_add(bytes, Ordering::Relaxed);
+        self.counters.mine().transfer_bytes.fetch_add(bytes, Ordering::Relaxed);
         if breaker_skip {
-            self.counters.breaker_skips.fetch_add(1, Ordering::Relaxed);
+            self.counters.mine().breaker_skips.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -937,7 +972,7 @@ impl ClusterIo {
                 continue;
             }
             if i + 1 < candidates.len() && rel.breaker_open(dst) {
-                self.counters.breaker_skips.fetch_add(1, Ordering::Relaxed);
+                self.counters.mine().breaker_skips.fetch_add(1, Ordering::Relaxed);
                 ctx.charge(reliability::BREAKER_SKIP_TICKS)?;
                 last = Error::NodeDown { node: dst };
                 continue;
@@ -955,7 +990,7 @@ impl ClusterIo {
     /// path for traffic that is not a block fetch/store against a DataNode
     /// (MapReduce shuffle, trusted relocation transfers).
     pub fn transfer(&self, src: NodeId, dst: NodeId, bytes: u64) {
-        self.counters.transfer_bytes.fetch_add(bytes, Ordering::Relaxed);
+        self.counters.mine().transfer_bytes.fetch_add(bytes, Ordering::Relaxed);
         self.net.transfer(src, dst, bytes);
     }
 }

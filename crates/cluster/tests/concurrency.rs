@@ -63,6 +63,10 @@ fn sharded_store_survives_concurrent_mixed_ops() {
 }
 
 fn boot(policy: ClusterPolicy) -> MiniCfs {
+    boot_cached(policy, CacheConfig::from_env())
+}
+
+fn boot_cached(policy: ClusterPolicy, cache: CacheConfig) -> MiniCfs {
     let ear = EarConfig::new(
         ErasureParams::new(6, 4).unwrap(),
         ReplicationConfig::two_way(),
@@ -79,7 +83,7 @@ fn boot(policy: ClusterPolicy) -> MiniCfs {
         policy,
         seed: 5,
         store: StoreBackend::from_env(),
-        cache: CacheConfig::from_env(),
+        cache,
         durability: Default::default(),
         hedge_reads: true,
     })
@@ -134,6 +138,99 @@ fn cluster_io_survives_concurrent_writes_and_reads() {
     let stats = cfs.io_stats();
     assert_eq!(stats.reads, (written.len() * THREADS) as u64);
     assert_eq!(stats.failed_reads, 0);
+}
+
+#[test]
+#[expect(clippy::disallowed_methods, reason = "races threads against the cluster on purpose")]
+fn io_and_traffic_totals_are_exact_under_concurrent_clients() {
+    // Four clients run known numbers of writes, cache-hit reads and raw
+    // transfers through one cluster; the totals summed over the counters'
+    // per-thread stripes, and over netem's per-node counters, must come out
+    // exact.
+    const CLIENTS: u64 = 4;
+    const WRITES: u64 = 12;
+    const READS: u64 = 150;
+    const REPLICAS: u64 = 2;
+    const XFER: u64 = 1_000;
+    let cfs = boot_cached(ClusterPolicy::Ear, CacheConfig::parse("4m,16m").unwrap());
+    let topo = cfs.topology();
+    let nodes = topo.num_nodes() as u64;
+    let block = cfs.config().block_size.as_u64();
+
+    let before = cfs.io_stats();
+    let written: Vec<BlockId> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..CLIENTS)
+            .map(|t| {
+                let cfs = &cfs;
+                scope.spawn(move || {
+                    (0..WRITES)
+                        .map(|i| {
+                            let tag = t * 1000 + i;
+                            let client = NodeId((tag % nodes) as u32);
+                            cfs.write_block(client, cfs.make_block(tag)).unwrap()
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles.into_iter().flat_map(|h| h.join().unwrap()).collect()
+    });
+    let wrote = cfs.io_stats();
+    assert_eq!(wrote.writes - before.writes, CLIENTS * WRITES * REPLICAS);
+    assert_eq!(wrote.bytes_written - before.bytes_written, CLIENTS * WRITES * REPLICAS * block);
+
+    // Each client's reads, warmed once on this thread so that every
+    // concurrent read below is a cache hit that skips its CRC32C.
+    let reads = |t: u64| -> Vec<(NodeId, BlockId)> {
+        (0..READS)
+            .map(|i| {
+                let pick = (t * 7 + i * 13) as usize % written.len();
+                (NodeId(((t + i) % nodes) as u32), written[pick])
+            })
+            .collect()
+    };
+    for t in 0..CLIENTS {
+        for (reader, id) in reads(t) {
+            cfs.read_block(reader, id).unwrap();
+        }
+    }
+    let warm = cfs.io_stats();
+    std::thread::scope(|scope| {
+        for t in 0..CLIENTS {
+            let (cfs, reads) = (&cfs, &reads);
+            scope.spawn(move || {
+                for (reader, id) in reads(t) {
+                    cfs.read_block(reader, id).unwrap();
+                }
+            });
+        }
+    });
+    let read = cfs.io_stats();
+    assert_eq!(read.reads - warm.reads, CLIENTS * READS);
+    assert_eq!(read.bytes_read - warm.bytes_read, CLIENTS * READS * block);
+    assert_eq!(read.crc_skipped - warm.crc_skipped, CLIENTS * READS);
+    assert_eq!(read.failed_reads, 0);
+
+    // Raw transfers between every ordered pair of nodes, from every client.
+    let pairs: Vec<(NodeId, NodeId)> = (0..nodes as u32)
+        .flat_map(|a| (0..nodes as u32).map(move |b| (NodeId(a), NodeId(b))))
+        .filter(|(a, b)| a != b)
+        .collect();
+    let cross = pairs.iter().filter(|(a, b)| topo.rack_of(*a) != topo.rack_of(*b)).count() as u64;
+    let traffic = cfs.network().snapshot();
+    std::thread::scope(|scope| {
+        for _ in 0..CLIENTS {
+            let (cfs, pairs) = (&cfs, &pairs);
+            scope.spawn(move || {
+                for &(a, b) in pairs {
+                    cfs.network().transfer(a, b, XFER);
+                }
+            });
+        }
+    });
+    let moved = cfs.network().snapshot().delta(&traffic);
+    assert_eq!(moved.cross_rack_bytes, CLIENTS * cross * XFER);
+    assert_eq!(moved.intra_rack_bytes, CLIENTS * (pairs.len() as u64 - cross) * XFER);
 }
 
 #[test]

@@ -35,5 +35,4 @@
 mod bucket;
 mod network;
 
-pub use bucket::TokenBucket;
 pub use network::{EmulatedNetwork, TrafficSnapshot, CHUNK};

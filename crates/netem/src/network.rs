@@ -4,6 +4,7 @@ use crate::bucket::TokenBucket;
 use ear_types::{Bandwidth, ClusterTopology, NodeId};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Chunk size for pacing transfers: small enough that concurrent transfers
 /// interleave fairly, large enough that bookkeeping stays cheap. Also what a
@@ -32,6 +33,15 @@ struct Inner {
     node_down: Vec<TokenBucket>,
     rack_up: Vec<TokenBucket>,
     rack_down: Vec<TokenBucket>,
+    /// Bytes received, one entry per destination node.
+    traffic: Vec<Traffic>,
+}
+
+/// One destination node's traffic totals, alone on its cache line, so
+/// transfers into different nodes never write the same line.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+struct Traffic {
     cross_rack_bytes: AtomicU64,
     intra_rack_bytes: AtomicU64,
 }
@@ -55,8 +65,7 @@ impl EmulatedNetwork {
             rack_down: (0..topo.num_racks())
                 .map(|_| TokenBucket::new(rack_bw.as_bytes_per_sec()))
                 .collect(),
-            cross_rack_bytes: AtomicU64::new(0),
-            intra_rack_bytes: AtomicU64::new(0),
+            traffic: (0..topo.num_nodes()).map(|_| Traffic::default()).collect(),
         };
         EmulatedNetwork {
             inner: Arc::new(inner),
@@ -82,6 +91,13 @@ impl EmulatedNetwork {
     /// than for the sum of its legs. Bytes are counted per leg, exactly as
     /// one [`transfer`](Self::transfer) per leg would count them;
     /// consecutive equal nodes are a free leg.
+    ///
+    /// The clock is read once per chunk and that reading is passed through
+    /// the chunk's draws. It serves a draw its bucket covers in full; a
+    /// draw it does not cover reads the clock under the bucket's lock, as
+    /// every draw once did, and hands that reading on. A bucket refilled
+    /// since the reading credits nothing for it and leaves the missed time
+    /// to its next draw.
     pub fn transfer_chain(&self, path: &[NodeId], bytes: u64) {
         let i = &self.inner;
         let legs = || {
@@ -92,20 +108,22 @@ impl EmulatedNetwork {
                 _ => None,
             })
         };
-        for (_, _, sr, dr) in legs() {
-            let counter = if sr != dr { &i.cross_rack_bytes } else { &i.intra_rack_bytes };
+        for (_, dst, sr, dr) in legs() {
+            let t = &i.traffic[dst.index()];
+            let counter = if sr != dr { &t.cross_rack_bytes } else { &t.intra_rack_bytes };
             counter.fetch_add(bytes, Ordering::Relaxed);
         }
         let mut left = bytes;
         while left > 0 {
             let chunk = left.min(CHUNK);
+            let mut now = Instant::now();
             for (src, dst, sr, dr) in legs() {
-                i.node_up[src.index()].acquire(chunk);
+                now = i.node_up[src.index()].draw(chunk, now);
                 if sr != dr {
-                    i.rack_up[sr.index()].acquire(chunk);
-                    i.rack_down[dr.index()].acquire(chunk);
+                    now = i.rack_up[sr.index()].draw(chunk, now);
+                    now = i.rack_down[dr.index()].draw(chunk, now);
                 }
-                i.node_down[dst.index()].acquire(chunk);
+                now = i.node_down[dst.index()].draw(chunk, now);
             }
             left -= chunk;
         }
@@ -149,23 +167,27 @@ impl EmulatedNetwork {
 
     /// Total bytes moved across racks so far.
     pub fn cross_rack_bytes(&self) -> u64 {
-        self.inner.cross_rack_bytes.load(Ordering::Relaxed)
+        self.snapshot().cross_rack_bytes
     }
 
     /// Total bytes moved within racks so far.
     pub fn intra_rack_bytes(&self) -> u64 {
-        self.inner.intra_rack_bytes.load(Ordering::Relaxed)
+        self.snapshot().intra_rack_bytes
     }
 
-    /// A point-in-time reading of both traffic counters. Phases that want
-    /// per-phase traffic (encode vs repair, say) take a snapshot at the
-    /// phase boundary and subtract with [`TrafficSnapshot::delta`] — no
-    /// reset, so concurrent readers never race each other's zeroing.
+    /// A point-in-time reading of both traffic counters, summed over the
+    /// destination nodes. Phases that want per-phase traffic (encode vs
+    /// repair, say) take a snapshot at the phase boundary and subtract with
+    /// [`TrafficSnapshot::delta`] — no reset, so concurrent readers never
+    /// race each other's zeroing. Totals are exact once the transfers they
+    /// cover have returned.
     pub fn snapshot(&self) -> TrafficSnapshot {
-        TrafficSnapshot {
-            cross_rack_bytes: self.cross_rack_bytes(),
-            intra_rack_bytes: self.intra_rack_bytes(),
+        let mut sum = TrafficSnapshot::default();
+        for t in &self.inner.traffic {
+            sum.cross_rack_bytes += t.cross_rack_bytes.load(Ordering::Relaxed);
+            sum.intra_rack_bytes += t.intra_rack_bytes.load(Ordering::Relaxed);
         }
+        sum
     }
 }
 
@@ -360,6 +382,31 @@ mod tests {
         let local = moved(|net| net.transfer_chain(&[NodeId(3); 2], ByteSize::mib(100).as_u64()));
         assert!(start.elapsed().as_secs_f64() < 0.05);
         assert_eq!(local, TrafficSnapshot::default());
+    }
+
+    #[test]
+    fn a_chain_shared_by_four_threads_never_beats_its_slowest_link() {
+        // 10 MB/s node links, 40 MB/s rack links: the node links are the
+        // slowest, and every byte of the chain crosses node 0's uplink. From
+        // idle that link banks at most its burst, max(5 ms, 64 KiB) = 64 KiB,
+        // so no interleaving of the four senders' single clock reads per
+        // chunk may finish before (bytes − burst) / rate.
+        const RATE: f64 = 10e6;
+        const PER_THREAD: u64 = 300_000;
+        let topo = ClusterTopology::uniform(3, 1);
+        let net = EmulatedNetwork::new(&topo, Bandwidth::bytes_per_sec(RATE), bw(40.0));
+        let path = [NodeId(0), NodeId(1), NodeId(2)];
+        let start = Instant::now();
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| net.transfer_chain(&path, PER_THREAD));
+            }
+        });
+        let elapsed = start.elapsed().as_secs_f64();
+        let floor = (4.0 * PER_THREAD as f64 - 64.0 * 1024.0) / RATE;
+        assert!(elapsed >= floor, "finished in {elapsed} s, under the {floor} s floor");
+        let moved = net.snapshot();
+        assert_eq!((moved.cross_rack_bytes, moved.intra_rack_bytes), (8 * PER_THREAD, 0));
     }
 
     #[test]

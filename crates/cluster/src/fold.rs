@@ -227,9 +227,9 @@ pub(crate) fn fold(
 /// sending task), but the wire cost is real and the chain is bounded by the
 /// substrate: a dead node, or a receiver whose breaker is open, stops it
 /// there — a typed error the caller answers by re-planning — with the legs
-/// before that node carried and charged. A chain's virtual cost is one
-/// leg's, plus one chunk for every further leg; a path of fewer than two
-/// nodes has no leg and checks nothing.
+/// before that node carried and charged at
+/// [`chain_ticks`](reliability::chain_ticks) of the paid path; a path of
+/// fewer than two nodes has no leg and checks nothing.
 ///
 /// # Errors
 ///
@@ -252,13 +252,8 @@ fn stream_chain(
     let paid = stopped.and_then(|(pos, _)| path.get(..pos)).unwrap_or(path);
     let legs = paid.len().saturating_sub(1) as u64;
     io.count_chain(legs * bytes, stopped.is_some_and(|(_, node)| !faults.node_down(node)));
-    if legs > 0 {
-        io.network().transfer_chain(paid, bytes);
-        let chunk = bytes.min(ear_netem::CHUNK) as usize;
-        let ticks = reliability::xfer_cost_ticks(bytes as usize)
-            + (legs - 1) * reliability::xfer_cost_ticks(chunk);
-        ctx.charge(ticks).map_err(|e| (paid.len(), e))?;
-    }
+    io.network().transfer_chain(paid, bytes);
+    ctx.charge(reliability::chain_ticks(paid, bytes)).map_err(|e| (paid.len(), e))?;
     stopped.map_or(Ok(()), |(pos, node)| Err((pos, Error::NodeDown { node })))
 }
 
@@ -432,8 +427,8 @@ mod tests {
         let ctx = rel.ctx(OpClass::Heal).unwrap();
         let path = [NodeId(0), NodeId(2), NodeId(1), NodeId(3)];
         stream_chain(&io, &ctx, &path, 256 << 10).unwrap();
-        let leg = reliability::xfer_cost_ticks(256 << 10);
-        let chunk = reliability::xfer_cost_ticks(64 << 10);
+        let one_leg = |bytes| reliability::chain_ticks(&path[..2], bytes);
+        let (leg, chunk) = (one_leg(256 << 10), one_leg(64 << 10));
         assert_eq!(ctx.elapsed_ticks(), leg + 2 * chunk, "not the 3 legs a relay would cost");
         assert_eq!(io.network().cross_rack_bytes(), 3 * (256 << 10));
         assert_eq!(io.stats().transfer_bytes, 3 * (256 << 10));
@@ -466,11 +461,12 @@ mod tests {
         assert_eq!(bed.wire_blocks(), (4, 2), "what is counted is what the links carried");
         assert!(received.held.is_empty(), "nothing was read whole at node 0");
 
-        // A deadline that covers two reads runs out on the third: the walk
-        // has then left rack 1 (listed last) for rack 3's first source.
-        let two_reads = 2 * reliability::xfer_cost_ticks(LEN);
-        let stopped = bed.fold_at_0(0, rebuild(), &sources, two_reads, &mut Received::default());
-        assert!(matches!(stopped, Err((0, Error::DeadlineExceeded { .. }))), "{stopped:?}");
+        // An aggregator's read of its own shard is free, so a deadline that
+        // covers one wire read runs out on the second: rack 1 (listed last)
+        // was walked first, and the walk stops at rack 3's wire read.
+        let one_read = reliability::chain_ticks(&[NodeId(3), NodeId(2)], LEN as u64);
+        let stopped = bed.fold_at_0(0, rebuild(), &sources, one_read, &mut Received::default());
+        assert!(matches!(stopped, Err((1, Error::DeadlineExceeded { .. }))), "{stopped:?}");
     }
 
     #[test]

@@ -418,9 +418,9 @@ impl ClusterIo {
     /// One fetch attempt plus its virtual-clock cost, *without* charging a
     /// context — the building block [`fetch_from`](Self::fetch_from) and
     /// the hedging race share. The cost is a pure function of the attempt's
-    /// identity and outcome: the seeded straggler delay, plus a per-size
-    /// transfer cost on success, a timeout penalty on a dead node, or a
-    /// flat fault penalty otherwise. `T` says whether the bytes are hashed
+    /// identity and outcome: the seeded straggler delay, plus the path
+    /// `[src, dst]`'s ticks on success, a timeout penalty on a dead node, or
+    /// a flat fault penalty otherwise. `T` says whether the bytes are hashed
     /// here ([`Block`]) or by the fold ([`Unverified`]).
     pub(crate) fn fetch_costed<T: Landing>(
         &self,
@@ -437,7 +437,7 @@ impl ClusterIo {
         );
         let out = self.fetch_inner(src, dst, block, attempt).and_then(|read| T::land(self, read));
         let cost = delay.saturating_add(match &out {
-            Ok(data) => reliability::xfer_cost_ticks(data.len()),
+            Ok(data) => reliability::chain_ticks(&[src, dst], data.len() as u64),
             Err(Error::NodeDown { .. }) => reliability::TIMEOUT_PENALTY_TICKS,
             Err(_) => reliability::FAULT_PENALTY_TICKS,
         });
@@ -556,11 +556,11 @@ impl ClusterIo {
         data: Block,
         attempt: u32,
     ) -> Result<()> {
-        let len = data.len();
-        let (admitted, cost) =
-            self.admit_attempt(dst, block, attempt, reliability::xfer_cost_ticks(len));
+        let len = data.len() as u64;
+        let leg = reliability::chain_ticks(&[src, dst], len);
+        let (admitted, cost) = self.admit_attempt(dst, block, attempt, leg);
         let out = admitted.and_then(|()| {
-            self.net.transfer(src, dst, len as u64);
+            self.net.transfer(src, dst, len);
             self.land(dst, block, data, cost)
         });
         ctx.charge(cost)?;
@@ -902,8 +902,8 @@ impl ClusterIo {
     /// retried per hop) before anything moves, then the bytes cross
     /// `[client, admitted…]` once and land on each admitted replica in
     /// order, so a pipeline broken at replica `i` pays only the legs before
-    /// it. The first replica is charged one block transfer, each further one
-    /// a chunk (DESIGN.md §14).
+    /// it. Each replica is charged what its leg adds to the chain's ticks
+    /// (DESIGN.md §14).
     ///
     /// Returns the replicas that actually landed and, if the pipeline broke,
     /// the error that stopped it — the caller records the partial location
@@ -916,23 +916,25 @@ impl ClusterIo {
         data: &Block,
         layout: &[NodeId],
     ) -> (Vec<NodeId>, Option<Error>) {
-        let len = data.len();
+        let len = data.len() as u64;
+        let mut path = vec![client];
         let mut costs = Vec::with_capacity(layout.len());
         let mut stop = None;
         for &dst in layout {
-            let leg = if costs.is_empty() { len } else { len.min(ear_netem::CHUNK as usize) };
-            match self.admit(ctx, dst, block, reliability::xfer_cost_ticks(leg)) {
+            let paid = reliability::chain_ticks(&path, len);
+            path.push(dst);
+            match self.admit(ctx, dst, block, reliability::chain_ticks(&path, len) - paid) {
                 Ok(cost) => costs.push(cost),
                 Err(e) => {
+                    path.pop();
                     stop = Some(e);
                     break;
                 }
             }
         }
-        let admitted = layout.get(..costs.len()).unwrap_or_default();
-        self.net.transfer_chain(&[std::slice::from_ref(&client), admitted].concat(), len as u64);
+        self.net.transfer_chain(&path, len);
         let mut stored = Vec::with_capacity(costs.len());
-        for (&dst, cost) in admitted.iter().zip(costs) {
+        for (&dst, cost) in layout.iter().zip(costs) {
             if let Err(e) = self.land(dst, block, data.clone(), cost) {
                 return (stored, Some(e));
             }
@@ -1097,16 +1099,13 @@ mod tests {
         assert_eq!(s.reads, 1);
         assert_eq!(s.bytes_read, 256);
         assert_eq!(s.failed_reads, 1, "the miss on NodeId(1) is accounted");
+        let leg = reliability::chain_ticks(&[NodeId(2), NodeId(0)], 256);
         assert_eq!(
-            s.read_ticks,
-            reliability::xfer_cost_ticks(256),
+            s.read_ticks, leg,
             "successful-fetch ticks are the deterministic cost model, not wall time"
         );
         // Virtual cost: one fault penalty for the miss, one sized transfer.
-        assert_eq!(
-            ctx.elapsed_ticks(),
-            reliability::FAULT_PENALTY_TICKS + reliability::xfer_cost_ticks(256)
-        );
+        assert_eq!(ctx.elapsed_ticks(), reliability::FAULT_PENALTY_TICKS + leg);
     }
 
     #[test]
@@ -1170,7 +1169,59 @@ mod tests {
         assert_eq!((src, got.as_slice()), (straggler, data.as_slice()));
         let s = io.stats();
         assert_eq!((s.hedges_launched, s.failed_reads), (0, 0), "no hedge to the dead node");
-        assert_eq!(ctx.elapsed_ticks(), 5_000 + reliability::xfer_cost_ticks(4096));
+        assert_eq!(
+            ctx.elapsed_ticks(),
+            5_000 + reliability::chain_ticks(&[straggler, reader], 4096)
+        );
+    }
+
+    /// A plan on `topo` whose one fault is a straggler delaying every
+    /// attempt on it by `ticks`, and that straggler.
+    fn straggling(topo: &ClusterTopology, ticks: u64) -> (FaultPlan, NodeId) {
+        let faults = ear_faults::FaultConfig {
+            node_crashes: 0,
+            rack_outages: 0,
+            stragglers: 1,
+            straggler_factor: 1.0,
+            straggler_delay: ear_faults::DelayModel::Fixed { ticks },
+            transient_error_rate: 0.0,
+            corruption_rate: 0.0,
+            heartbeat_loss_rate: 0.0,
+            crash_window: 1,
+        };
+        let plan = FaultPlan::generate(1, topo, &faults);
+        let straggler = plan.stragglers()[0].0;
+        (plan, straggler)
+    }
+
+    #[test]
+    fn a_holder_reading_its_own_block_pays_only_its_straggler_delay() {
+        // The bytes never leave the node, so no wire ticks are charged: a
+        // straggling holder pays its delay, any other holder nothing. Read
+        // by another node, the same block pays one leg on top.
+        let topo = ClusterTopology::uniform(2, 2);
+        let (plan, straggler) = straggling(&topo, 5_000);
+        let io = service_on(topo.clone(), Some(plan));
+        let calm = topo.nodes().find(|&n| n != straggler).unwrap();
+        let data = Block::from(vec![8u8; 64 << 10]);
+        for holder in [straggler, calm] {
+            io.datanode(holder).put(BlockId(1), data.clone()).unwrap();
+        }
+        let rel = io.reliability().clone();
+        let read = |src, dst| {
+            let ctx = rel.ctx(OpClass::ClientRead).unwrap();
+            assert_eq!(io.fetch_from(&ctx, src, dst, BlockId(1), 0).unwrap(), data);
+            ctx.elapsed_ticks()
+        };
+        assert_eq!(read(straggler, straggler), 5_000);
+        assert_eq!(read(calm, calm), 0);
+        let leg = reliability::chain_ticks(&[calm, straggler], 64 << 10);
+        assert_eq!((leg, read(calm, straggler)), (64 + 64, leg));
+        let s = io.stats();
+        assert_eq!((s.reads, s.read_ticks), (3, 5_000 + leg));
+        let moved = io.network().snapshot();
+        let wire = moved.cross_rack_bytes + moved.intra_rack_bytes;
+        assert_eq!(wire, 64 << 10, "only the last read moved bytes");
     }
 
     #[test]
@@ -1243,11 +1294,34 @@ mod tests {
         let data = Block::from(vec![1u8; b]);
         let (stored, err) = io.write_replicated(&ctx, NodeId(0), BlockId(5), &data, &layout);
         assert_eq!((stored.as_slice(), err), (&layout[..], None));
-        let ticks = reliability::xfer_cost_ticks(b) + 2 * reliability::xfer_cost_ticks(64 << 10);
+        let ticks = reliability::chain_ticks(&[&[NodeId(0)][..], &layout].concat(), b as u64);
+        let one_leg = |bytes| reliability::chain_ticks(&[NodeId(0), NodeId(1)], bytes);
+        assert_eq!(ticks, one_leg(b as u64) + 2 * one_leg(64 << 10));
         assert_eq!(ctx.elapsed_ticks(), ticks, "not the 3 block transfers of a relay");
         let s = io.stats();
         assert_eq!((s.writes, s.bytes_written, s.write_ticks), (3, 3 * b as u64, ticks));
         assert_eq!(io.network().cross_rack_bytes(), 3 * b as u64);
+    }
+
+    #[test]
+    fn a_client_that_is_its_own_first_replica_pays_one_block_leg_for_the_second() {
+        // `[client, r₁ = client, r₂]`: the first leg stays on the node and
+        // is free, so the second is the chain's first paid leg, a whole
+        // block transfer rather than a chunk.
+        let io = service_on(ClusterTopology::uniform(4, 1), None);
+        let rel = io.reliability().clone();
+        let ctx = rel.ctx(OpClass::ClientWrite).unwrap();
+        let b = 256 << 10;
+        let layout = [NodeId(0), NodeId(1)];
+        let data = Block::from(vec![5u8; b]);
+        let (stored, err) = io.write_replicated(&ctx, NodeId(0), BlockId(8), &data, &layout);
+        assert_eq!((stored.as_slice(), err), (&layout[..], None));
+        let leg = reliability::chain_ticks(&layout, b as u64);
+        assert_eq!(leg, 64 + 256);
+        assert_eq!(ctx.elapsed_ticks(), leg);
+        let s = io.stats();
+        assert_eq!((s.writes, s.write_ticks), (2, leg));
+        assert_eq!(io.network().cross_rack_bytes(), b as u64);
     }
 
     #[test]
@@ -1270,7 +1344,8 @@ mod tests {
         assert_eq!(io.injector().now(), 2, "the plan is not asked past the break");
         assert_eq!(
             ctx.elapsed_ticks(),
-            reliability::xfer_cost_ticks(4096) + reliability::TIMEOUT_PENALTY_TICKS
+            reliability::chain_ticks(&[client, layout[0]], 4096)
+                + reliability::TIMEOUT_PENALTY_TICKS
         );
     }
 
@@ -1302,10 +1377,9 @@ mod tests {
         let backoff = rel.backoff_ticks(backoff_key(layout[1], block), 0);
         assert_eq!(
             ctx.elapsed_ticks(),
-            reliability::xfer_cost_ticks(b)
+            reliability::chain_ticks(&[&[NodeId(0)][..], &layout].concat(), b as u64)
                 + reliability::FAULT_PENALTY_TICKS
                 + backoff
-                + 2 * reliability::xfer_cost_ticks(64 << 10)
         );
         assert_eq!(io.network().cross_rack_bytes(), 3 * b as u64, "the retry resent nothing");
     }
@@ -1330,7 +1404,7 @@ mod tests {
         });
         assert_eq!(single, pipeline);
         let (s, ticks, moved) = single;
-        let leg = reliability::xfer_cost_ticks(b);
+        let leg = reliability::chain_ticks(&[NodeId(0), NodeId(2)], b as u64);
         assert_eq!((s.writes, s.failed_writes), (1, 0));
         assert_eq!((s.bytes_written, s.write_ticks), (b as u64, leg));
         assert_eq!(ticks, leg);

@@ -317,7 +317,7 @@ fn reconstruct_stripe_block(
         .map(|s| ShardSource { index: s.index, block: s.block, holders: vec![s.holder] })
         .collect();
     let (at, sink) = (site.at, site.sink);
-    let (rebuilt, paid) = rebuild_shard(cfs, ctx, (at, sink), lost, &sources, 1, site.head)?;
+    let (rebuilt, paid) = rebuild_shard(cfs, ctx, (at, sink), lost, &sources, site.head)?;
     cfs.datanode(sink).put(block, rebuilt.stamped())?;
     cfs.namenode().set_locations(block, vec![sink])?;
     let topo = cfs.topology();
@@ -349,13 +349,13 @@ struct ShardSource {
 /// their GF(2⁸) linear combination
 /// ([`recovery_coefficients`](ear_erasure::ReedSolomon::recovery_coefficients))
 /// and [`fold::fold`] sums the weighted shards as a one-row fold, planned by
-/// [`ChainPlan::of`] with racks home to at least `fold_from` of them folding
-/// (1 for a repair, [`GATHER`] for a degraded read) and the hop at `head`
-/// moved to the front of the chain. A source that cannot be read is
-/// dropped, `k` are re-chosen from the rest, the coefficients recomputed and
-/// the fold planned again; shards already at `at` are kept, so a source read
-/// whole is read at most once. Any `k` shards decode to the same bytes under
-/// an MDS code, so the result does not depend on which sources survive.
+/// [`ChainPlan::of`] — every remote rack home to a chosen shard folds — with
+/// the hop at `head` moved to the front of the chain. A source that cannot
+/// be read is dropped, `k` are re-chosen from the rest, the coefficients
+/// recomputed and the fold planned again; shards already at `at` are kept,
+/// so a source read whole is read at most once. Any `k` shards decode to the
+/// same bytes under an MDS code, so the result does not depend on which
+/// sources survive.
 ///
 /// # Errors
 ///
@@ -370,7 +370,6 @@ fn rebuild_shard(
     (at, sink): (NodeId, NodeId),
     lost_idx: usize,
     sources: &[ShardSource],
-    fold_from: usize,
     head: Option<NodeId>,
 ) -> Result<(Block, Received)> {
     let k = cfs.codec().params().k();
@@ -394,7 +393,7 @@ fn rebuild_shard(
             .collect();
         let (topo, listed) = (cfs.topology(), columns.iter().map(|s| (s.block, s.holders)));
         let held = |b: BlockId| received.held.contains_key(&b);
-        let plan = ChainPlan::of(topo, at, sink, fold_from, listed, |n| dead.contains(n), held);
+        let plan = ChainPlan::of(topo, at, sink, 1, listed, |n| dead.contains(n), held);
         let folded = plan.and_then(|mut plan| {
             let first = plan.hops.iter().position(|hop| Some(hop.aggregator) == head);
             if let Some(hops) = first.and_then(|i| plan.hops.get_mut(..=i)) {
@@ -417,20 +416,11 @@ fn rebuild_shard(
     }
 }
 
-/// The fold threshold of a degraded read: no rack is home to this many
-/// sources, so all are read whole at the reader. Folding would cost more
-/// ticks: `ClusterIo::fetch_costed` prices a holder reading its own block as
-/// a transfer, so a `k`-hop chain pays `k` reads plus the chain where the
-/// gather pays `k` reads — until a local read is priced as a disk read,
-/// which would move every soak's ticks.
-const GATHER: usize = usize::MAX;
-
 /// Reconstructs `block`'s bytes at `reader` from any `k` surviving members
 /// of its stripe *without* re-placing the block or touching metadata — the
-/// proactive leg of a hedged read whose last replica is straggling. Sources
-/// are read whole at `reader` in member order ([`GATHER`]), each download
-/// charging `ctx`; the caller adds the fixed decode cost when it scores the
-/// race.
+/// proactive leg of a hedged read whose last replica is straggling: a
+/// [`rebuild_shard`] into `reader`, sources in member order, charging
+/// `ctx`; the caller adds the fixed decode cost when it scores the race.
 ///
 /// # Errors
 ///
@@ -471,7 +461,7 @@ pub(crate) fn degraded_read(
     }
     let lost_idx =
         lost_idx.ok_or_else(|| Error::Invariant(format!("{block} not a member of its stripe")))?;
-    let (rebuilt, _) = rebuild_shard(cfs, ctx, (reader, reader), lost_idx, &sources, GATHER, None)?;
+    let (rebuilt, _) = rebuild_shard(cfs, ctx, (reader, reader), lost_idx, &sources, None)?;
     Ok(rebuilt)
 }
 
@@ -1167,5 +1157,74 @@ mod tests {
         let victim = cfs.namenode().locations(all[3]).unwrap()[0];
         let err = recover_node(&cfs, victim);
         assert!(err.is_err());
+    }
+
+    #[test]
+    fn a_straggling_last_replica_loses_to_a_folded_degraded_read() {
+        // The testbed shape, (10,8) over 12 single-node racks, with one node
+        // straggling 5 000 ticks on every attempt. Read from the holder of
+        // a surviving member, a member whose one copy sits on the straggler
+        // hedges with a degraded read: the reader's own shard is read off
+        // its disk and the other k − 1 each fold where they lie, one hop a
+        // rack, so one chain of k − 1 legs carries one block each.
+        let ear = EarConfig::new(
+            ErasureParams::new(10, 8).unwrap(),
+            ReplicationConfig::two_way(),
+            1,
+        )
+        .unwrap();
+        let faults = ear_faults::FaultConfig {
+            node_crashes: 0,
+            rack_outages: 0,
+            stragglers: 1,
+            straggler_factor: 1.0,
+            straggler_delay: ear_faults::DelayModel::Fixed { ticks: 5_000 },
+            transient_error_rate: 0.0,
+            corruption_rate: 0.0,
+            heartbeat_loss_rate: 0.0,
+            crash_window: 1,
+        };
+        let (cfs, straggler, lost, member) = (0u64..)
+            .find_map(|seed| {
+                let mut cfg = ClusterConfig::testbed(ClusterPolicy::Ear, ear);
+                cfg.block_size = ByteSize::kib(64);
+                let topo = ear_types::ClusterTopology::uniform(cfg.racks, cfg.nodes_per_rack);
+                let plan = ear_faults::FaultPlan::generate(seed, &topo, &faults);
+                let straggler = plan.stragglers()[0].0;
+                let cfs = MiniCfs::with_faults(cfg, plan).unwrap();
+                write_and_encode(&cfs, 1);
+                let es = cfs.namenode().encoded_stripes()[0].clone();
+                let members: Vec<BlockId> = es.members().collect();
+                let held_by = |b| cfs.namenode().locations(b).unwrap();
+                let lost = members.iter().position(|&b| held_by(b) == [straggler])?;
+                Some((cfs, straggler, lost, members))
+            })
+            .unwrap();
+        let (k, b) = (cfs.codec().params().k(), cfs.config().block_size.as_u64());
+        let holder = |m: BlockId| cfs.namenode().locations(m).unwrap()[0];
+        let survivors = member.iter().enumerate().filter(|&(i, _)| i != lost);
+        let chosen: Vec<NodeId> = survivors.map(|(_, &m)| holder(m)).take(k).collect();
+        let reader = chosen[0];
+        let block = member[lost];
+        let stored = cfs.datanode(straggler).get(block).unwrap();
+
+        let (before, moved_before) = (cfs.io_stats(), cfs.network().snapshot());
+        let ctx = cfs.reliability().ctx(OpClass::ClientRead).unwrap();
+        assert_eq!(cfs.read_block_in(&ctx, reader, block).unwrap(), stored);
+        let (after, moved) = (cfs.io_stats(), cfs.network().snapshot().delta(&moved_before));
+        let launched = after.hedges_launched - before.hedges_launched;
+        let won = after.hedges_won - before.hedges_won;
+        assert_eq!((launched, won), (1, 1), "the reconstruct leg won");
+        let legs = k as u64 - 1;
+        assert_eq!(after.transfer_bytes - before.transfer_bytes, legs * b, "one block a hop");
+        assert_eq!(after.reads - before.reads, k as u64 + 1, "k shards and the primary");
+        assert_eq!(moved.cross_rack_bytes, (legs + 1) * b, "the chain and the primary");
+        let reconstruct = ctx.elapsed_ticks()
+            - reliability::HEDGE_THRESHOLD_TICKS
+            - reliability::DECODE_TICKS;
+        let chain: Vec<NodeId> = chosen[1..].iter().copied().chain([reader]).collect();
+        assert_eq!(reconstruct, reliability::chain_ticks(&chain, b));
+        let gather: u64 = chosen.iter().map(|&h| reliability::chain_ticks(&[h, reader], b)).sum();
+        assert!(reconstruct <= gather, "{reconstruct} ticks, a gather {gather}");
     }
 }

@@ -8,8 +8,8 @@
 //!
 //! No wall clock appears anywhere in this module. Each operation carries an
 //! [`OpContext`] whose elapsed time is a sum of *virtual ticks* (1 tick =
-//! 1 virtual µs) charged by the data plane: a fixed per-attempt base, a
-//! per-KiB transfer cost, seeded straggler delays, seeded backoff, and
+//! 1 virtual µs) charged by the data plane: the [price](chain_ticks) of
+//! every path bytes move down, seeded straggler delays, seeded backoff, and
 //! fixed penalties for failures. Because every charge is a pure function of
 //! the operation's identity, an op's virtual latency — and therefore every
 //! deadline and hedging decision — replays bit-identically regardless of
@@ -74,8 +74,8 @@ const DOMAIN_BACKOFF: u64 = 0x4241_434b;
 
 /// Virtual-clock cost model (1 tick = 1 virtual µs).
 ///
-/// Fixed per-attempt base of a block transfer.
-pub(crate) const XFER_BASE_TICKS: u64 = 64;
+/// Fixed base of every leg a transfer pays for.
+const XFER_BASE_TICKS: u64 = 64;
 /// Nominal service time used for straggler-delay sampling (a 64 KiB block).
 pub(crate) const NOMINAL_SERVICE_TICKS: u64 = 128;
 /// Penalty for an attempt that fails transiently or corrupt.
@@ -99,9 +99,15 @@ const BACKOFF_BASE_TICKS: u64 = 200;
 const BACKOFF_CAP_TICKS: u64 = 3_200;
 const BACKOFF_MAX_SHIFT: u32 = 4;
 
-/// Virtual transfer cost of moving `len` payload bytes once.
-pub(crate) fn xfer_cost_ticks(len: usize) -> u64 {
-    XFER_BASE_TICKS + (len as u64 >> 10)
+/// The ticks of streaming `bytes` down `path` as netem's `transfer_chain`
+/// moves them: a leg between equal nodes is free, the first paid leg costs
+/// [`XFER_BASE_TICKS`] plus a tick per KiB, each further one the base plus a
+/// [chunk](ear_netem::CHUNK)'s KiB (RapidRAID, arXiv:1207.6744). A fetch is
+/// the path `[src, dst]`.
+pub(crate) fn chain_ticks(path: &[NodeId], bytes: u64) -> u64 {
+    let legs = path.windows(2).filter(|leg| leg.first() != leg.last()).count() as u64;
+    let further = XFER_BASE_TICKS + (bytes.min(ear_netem::CHUNK) >> 10);
+    legs.checked_sub(1).map_or(0, |n| XFER_BASE_TICKS + (bytes >> 10) + n * further)
 }
 
 /// Monotonic counters the substrate exports into [`IoStats`] and the
@@ -367,8 +373,45 @@ mod tests {
 
     #[test]
     fn virtual_cost_model_is_monotone_in_size() {
-        assert_eq!(xfer_cost_ticks(0), XFER_BASE_TICKS);
-        assert_eq!(xfer_cost_ticks(64 * 1024), XFER_BASE_TICKS + 64);
-        assert!(xfer_cost_ticks(1 << 20) > xfer_cost_ticks(64 * 1024));
+        let leg = |bytes| chain_ticks(&[NodeId(0), NodeId(1)], bytes);
+        assert_eq!(leg(0), XFER_BASE_TICKS);
+        assert_eq!(leg(64 * 1024), XFER_BASE_TICKS + 64);
+        assert!(leg(1 << 20) > leg(64 * 1024));
+        // A node reading its own block moves nothing, so it pays nothing.
+        assert_eq!(chain_ticks(&[NodeId(0), NodeId(0)], 1 << 20), 0);
+        assert_eq!(chain_ticks(&[NodeId(0)], 1 << 20), 0);
+    }
+
+    #[test]
+    fn chain_ticks_pays_the_legs_netem_moves_bytes_on() {
+        // Random paths over a 3 × 2 topology, consecutive repeats included:
+        // the legs `chain_ticks` prices are the legs netem counts bytes
+        // for, a chain never costs more than its paid legs one at a time,
+        // and more bytes never cost less.
+        let topo = ear_types::ClusterTopology::uniform(3, 2);
+        let fast = ear_types::Bandwidth::bytes_per_sec(1e12);
+        let net = ear_netem::EmulatedNetwork::new(&topo, fast, fast);
+        ear_types::prop::check("chain_ticks_vs_transfer_chain", 256, |rng| {
+            let len = ear_types::prop::range(rng, 0..=6) as usize;
+            let mut path: Vec<NodeId> = Vec::with_capacity(len);
+            for _ in 0..len {
+                let repeat = path.last().copied().filter(|_| rng.below(3) == 0);
+                path.push(repeat.unwrap_or(NodeId(rng.below(6) as u32)));
+            }
+            let bytes = ear_types::prop::range(rng, 1..=(300 << 10));
+            let before = net.snapshot();
+            net.transfer_chain(&path, bytes);
+            let moved = net.snapshot().delta(&before);
+            let legs = (moved.cross_rack_bytes + moved.intra_rack_bytes) / bytes;
+            let one_leg = |b| chain_ticks(&[NodeId(0), NodeId(1)], b);
+            let priced = legs.checked_sub(1).map_or(0, |n| {
+                one_leg(bytes) + n * one_leg(bytes.min(ear_netem::CHUNK))
+            });
+            assert_eq!(chain_ticks(&path, bytes), priced, "{path:?} {bytes} B: {legs} legs");
+            let one_at_a_time: u64 = path.windows(2).map(|leg| chain_ticks(leg, bytes)).sum();
+            assert!(chain_ticks(&path, bytes) <= one_at_a_time, "{path:?} {bytes} B");
+            let more = bytes + ear_types::prop::range(rng, 0..=(300 << 10));
+            assert!(chain_ticks(&path, bytes) <= chain_ticks(&path, more), "{path:?}");
+        });
     }
 }

@@ -45,12 +45,12 @@ USAGE:
   ear list
 
 The chaos/heal storage backend defaults to the EAR_STORE environment
-variable (memory when unset); --store overrides it. `ear chaos
---stragglers` runs the straggler-heavy (Pareto-delay) mix and prints the
-probe-read tail latencies; --no-hedge disables hedged reads for
-comparison. `crashsim` sweeps the durability layer's deterministic
-kill-point simulators; `recover` replays a durable data directory's WAL +
-checkpoint and prints the image.
+variable (memory when unset); --store overrides it. Every chaos plan
+prints its probe reads' failures, tail latencies and hedges; `ear chaos
+--stragglers` runs the straggler-heavy (Pareto-delay) mix, and --no-hedge
+disables hedged reads for comparison. `crashsim` sweeps the durability
+layer's deterministic kill-point simulators; `recover` replays a durable
+data directory's WAL + checkpoint and prints the image.
 ";
 
 fn main() {
@@ -255,19 +255,17 @@ fn chaos(args: &Args) -> Result<String, Box<dyn std::error::Error>> {
                 r.lost_blocks.len(),
                 if pass { "PASS" } else { "FAIL" },
             ));
-            if stragglers {
-                out.push_str(&format!(
-                    "     reads={} read-failures={} p50={} p99={} p999={} ticks \
-                     hedges-launched={} hedges-won={}\n",
-                    r.read_ops,
-                    r.read_failures,
-                    r.read_p50_ticks,
-                    r.read_p99_ticks,
-                    r.read_p999_ticks,
-                    r.hedges_launched,
-                    r.hedges_won,
-                ));
-            }
+            out.push_str(&format!(
+                "     reads={} read-failures={} p50={} p99={} p999={} ticks \
+                 hedges-launched={} hedges-won={}\n",
+                r.read_ops,
+                r.read_failures,
+                r.read_p50_ticks,
+                r.read_p99_ticks,
+                r.read_p999_ticks,
+                r.hedges_launched,
+                r.hedges_won,
+            ));
         }
     }
     out.push_str(&format!(
@@ -659,6 +657,19 @@ mod tests {
         ])
         .unwrap();
         assert!(off.contains("hedges-launched=0"), "{off}");
+    }
+
+    #[test]
+    fn chaos_mixed_prints_each_plans_reads() {
+        let out = run_words(&[
+            "chaos", "--plans", "2", "--policy", "ear", "--seed", "0", "--profile", "mixed",
+        ])
+        .unwrap();
+        let plans = out.lines().filter(|l| l.contains(" seed=")).count();
+        let reads = out.lines().filter(|l| l.trim_start().starts_with("reads=")).count();
+        assert_eq!((plans, reads), (2, 2), "{out}");
+        assert!(out.contains("read-failures=") && out.contains("hedges-won="), "{out}");
+        assert!(out.contains("profile mixed: all invariants held"), "{out}");
     }
 
     #[test]

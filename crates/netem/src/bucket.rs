@@ -8,9 +8,10 @@ use std::time::{Duration, Instant};
 ///
 /// Threads call [`acquire`](TokenBucket::acquire) (or
 /// [`draw`](TokenBucket::draw), with a clock reading they already hold) to
-/// draw tokens before moving bytes; when the bucket is empty the call
-/// sleeps just long enough for the deficit to refill, pacing all users of
-/// the link to its bandwidth in aggregate.
+/// draw tokens before moving bytes. A draw the bucket cannot cover takes
+/// its tokens anyway, leaving the bucket in debt, and sleeps until the
+/// debt has refilled, pacing all users of the link to its bandwidth in
+/// aggregate.
 ///
 /// The bucket capacity (burst) is 5 ms worth of tokens (at least one
 /// 64 KiB chunk), so idle links cannot bank credit that would let later
@@ -99,52 +100,47 @@ impl TokenBucket {
         self.draw(bytes, Instant::now());
     }
 
-    /// Blocks until `bytes` tokens have been drawn, given `now`, a clock
-    /// reading the caller already holds. That reading serves only a draw
-    /// the bucket covers in full as of it; every other round (a short
-    /// bucket, a round after a sleep or a partial take) refills as of the
-    /// clock read under the lock, so each decision to take part of a draw
-    /// or to sleep is made on a fresh reading. Returns the last reading the
-    /// draw used, so a caller drawing on several buckets in a row reads the
-    /// clock once unless one of them runs short.
+    /// Draws `bytes` given `now`, a clock reading the caller already holds:
+    /// one [`debit`](Self::debit), then at most one sleep for the debt it
+    /// leaves. Returns the debit's reading, so a caller drawing on several
+    /// buckets in a row reads the clock once unless one of them runs short.
     pub(crate) fn draw(&self, bytes: u64, now: Instant) -> Instant {
-        let mut remaining = bytes as f64;
-        let mut given = Some(now);
-        let mut last = now;
-        while remaining > 0.0 {
-            let rate = self.rate();
-            let wait = {
-                let mut s = self.state();
-                if let Some(t) = given.take() {
-                    s.refill(t, rate, self.burst);
-                }
-                if s.available < remaining {
-                    last = Instant::now();
-                    s.refill(last, rate, self.burst);
-                }
-                if s.available > 0.0 {
-                    let take = s.available.min(remaining);
-                    s.available -= take;
-                    remaining -= take;
-                    None
-                } else {
-                    // Sleep for the time one chunk of the deficit needs,
-                    // capped to keep wakeups responsive under contention.
-                    let deficit = remaining.min(self.burst / 8.0).max(1.0);
-                    Some(Duration::from_secs_f64(deficit / rate))
-                }
-            };
-            if let Some(d) = wait {
-                std::thread::sleep(d);
-            }
+        let (wait, last) = self.debit(bytes, now, Instant::now);
+        if let Some(debt) = wait {
+            std::thread::sleep(debt);
         }
         last
+    }
+
+    /// Takes all of `bytes` under the lock, refilled as of `now` or, if that
+    /// does not cover them, as of one fresh `clock()` reading. The tokens may
+    /// go negative: a debt that later debits queue behind, in order. Returns
+    /// the sleep that pays the debt off, if any, and the debit's reading.
+    fn debit(
+        &self,
+        bytes: u64,
+        now: Instant,
+        clock: impl FnOnce() -> Instant,
+    ) -> (Option<Duration>, Instant) {
+        let mut s = self.state();
+        let (rate, bytes) = (self.rate(), bytes as f64);
+        s.refill(now, rate, self.burst);
+        let mut last = now;
+        if s.available < bytes {
+            last = clock();
+            s.refill(last, rate, self.burst);
+        }
+        s.available -= bytes;
+        let wait = (s.available < 0.0).then(|| Duration::from_secs_f64(-s.available / rate));
+        (wait, last)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ear_types::prop;
+    use std::cell::Cell;
     use std::sync::Arc;
     use std::time::Instant;
 
@@ -246,6 +242,133 @@ mod tests {
         let short = TokenBucket::new(1e6);
         let t0 = short.state().last_refill;
         assert!(short.draw(100, t0) > t0);
+    }
+
+    #[test]
+    fn a_short_draw_from_an_empty_bucket_waits_once_for_its_deficit() {
+        // 1 MB/s, empty at t0. A 10 000-byte debit as of t0 finds nothing,
+        // reads the clock once (2 ms later: 2 000 tokens), takes all 10 000
+        // and waits exactly for the 8 000-byte deficit to refill.
+        let b = TokenBucket::new(1e6);
+        let t0 = b.state().last_refill;
+        let fresh = t0 + Duration::from_millis(2);
+        let reads = Cell::new(0);
+        let clock = || {
+            reads.set(reads.get() + 1);
+            fresh
+        };
+        assert_eq!(b.debit(10_000, t0, clock), (Some(Duration::from_millis(8)), fresh));
+        assert_eq!(reads.get(), 1);
+        assert!(near(b.state().available, -8_000.0));
+        // The next debit queues behind that debt: 1 000 more bytes on the
+        // same reading wait 1 ms longer than the first.
+        let (wait, last) = b.debit(1_000, fresh, || fresh);
+        assert_eq!((wait, last), (Some(Duration::from_millis(9)), fresh));
+    }
+
+    #[test]
+    fn debits_never_outrun_the_rate_and_wake_in_debit_order() {
+        // Random debits on one bucket, interleaved with rate changes. The
+        // wall clock is modelled: `wall` only moves forward, a draw's given
+        // reading may lag it by up to 1 ms (read before the lock), and a
+        // fresh reading is `wall` itself. Instants lie an hour past the
+        // bucket's construction, so the wall-clock settle inside `set_rate`
+        // is always stale and credits nothing: a new rate then prices the
+        // whole interval since the last debit, and the bound below prices
+        // each interval at the highest rate that was in effect across it
+        // or that a pending wait was computed at. Wake order is checked
+        // between debits with no rate rise between them: after a rise, a
+        // later debit may wake before an earlier one that priced its wait
+        // at the slower rate, which then sleeps longer than it had to.
+        prop::check("debits_never_outrun_the_rate_and_wake_in_debit_order", 256, |rng| {
+            let mut rate = 1e5 * prop::range(rng, 1..=200) as f64;
+            let b = TokenBucket::new(rate);
+            let start = b.state().last_refill + Duration::from_secs(3600);
+            let secs = |t: Instant| t.duration_since(start).as_secs_f64();
+            let mut wall = start;
+            // Per debit: refill instant, highest rate since the previous
+            // debit, rate the wait was computed at, wake instant, bytes.
+            let mut debits: Vec<(f64, f64, f64, f64, f64)> = Vec::new();
+            let mut seen = rate;
+            let mut rose = false;
+            for _ in 0..prop::range(rng, 1..=40) {
+                if prop::range(rng, 0..=4) == 0 {
+                    let new = 1e5 * prop::range(rng, 1..=200) as f64;
+                    rose |= new > rate;
+                    (rate, seen) = (new, seen.max(new));
+                    b.set_rate(rate);
+                    continue;
+                }
+                wall += Duration::from_micros(prop::range(rng, 0..=3_000));
+                let lag = Duration::from_micros(prop::range(rng, 0..=1_000));
+                let given = wall.checked_sub(lag).unwrap_or(start).max(start);
+                let bytes = prop::range(rng, 1..=256 * 1024);
+                let (avail, since) = {
+                    let s = b.state();
+                    (s.available, s.last_refill)
+                };
+                let credit = given.max(since).duration_since(since).as_secs_f64() * rate;
+                let covered = (avail + credit).min(b.burst) >= bytes as f64;
+                let reads = Cell::new(0);
+                let (wait, last) = b.debit(bytes, given, || {
+                    reads.set(reads.get() + 1);
+                    wall
+                });
+                if covered {
+                    assert_eq!((wait, last, reads.get()), (None, given, 0), "a covered draw");
+                } else {
+                    assert_eq!((last, reads.get()), (wall, 1), "a short draw reads once");
+                }
+                let refilled = b.state().last_refill;
+                let wake = refilled + wait.unwrap_or_default();
+                if let Some(&(_, _, _, prev, _)) = debits.last() {
+                    assert!(
+                        rose || secs(wake) + 1e-9 >= prev,
+                        "woke at {} before the previous debit's {prev}",
+                        secs(wake)
+                    );
+                }
+                debits.push((secs(refilled), seen, rate, secs(wake), bytes as f64));
+                (seen, rose) = (rate, false);
+            }
+            // r̂(t): the highest rate credited over the debit interval that
+            // holds t, or that a wait pending at t was computed at.
+            let rate_at = |t: f64| {
+                let mut r: f64 = 0.0;
+                for (i, &(at, _, paid, wake, _)) in debits.iter().enumerate() {
+                    let next = debits.get(i + 1).map_or((f64::INFINITY, seen), |d| (d.0, d.1));
+                    if at < t && t <= next.0 {
+                        r = r.max(paid).max(next.1);
+                    }
+                    if at < t && t <= wake {
+                        r = r.max(paid);
+                    }
+                }
+                r
+            };
+            let mut cuts: Vec<f64> = debits.iter().flat_map(|d| [d.0, d.3]).collect();
+            cuts.push(0.0);
+            cuts.sort_by(f64::total_cmp);
+            cuts.dedup();
+            let allowed = |t: f64| {
+                let mut sum = b.burst;
+                for w in cuts.windows(2) {
+                    let (lo, hi) = (w[0], w[1].min(t));
+                    if hi > lo {
+                        sum += rate_at((lo + hi) / 2.0) * (hi - lo);
+                    }
+                }
+                sum
+            };
+            for &(_, _, _, t, _) in &debits {
+                let granted: f64 = debits.iter().filter(|d| d.3 <= t).map(|d| d.4).sum();
+                assert!(
+                    granted <= allowed(t) + 1.0,
+                    "{granted} bytes granted by {t} s, {} allowed",
+                    allowed(t)
+                );
+            }
+        });
     }
 
     #[test]

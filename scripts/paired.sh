@@ -21,7 +21,10 @@
 # and attempted operations of every run, and per end-to-end metric of
 # BENCHMARK.json both sides' quartiles (inclusive), the ratio of medians,
 # the pairs the change won, the verdict against the metric's bound, and the
-# raw pairs. The raw harness output stays in DIR/raw.
+# raw pairs. If BENCH_null.json (a capture with both sides at one commit)
+# exists, each metric also carries its `null_ratio`: that capture's ratio
+# of medians for the same workload and metric, the noise floor a claimed
+# ratio must clear. The raw harness output stays in DIR/raw.
 set -euo pipefail
 repo=$(cd "$(dirname "$0")/.." && pwd)
 cd "$repo"
@@ -88,6 +91,7 @@ env = os.environ
 spec = json.load(open("BENCHMARK.json"))
 seeds = [int(s) for s in env["SEEDS"].split()]
 parent_first = {int(s) for s in env["PARENT_FIRST"].split()}
+null = json.load(open("BENCH_null.json"))["workloads"] if os.path.exists("BENCH_null.json") else None
 
 def load(side, w, s):
     lines = open(f"{env['SCRATCH']}/raw/{side}-{w}-{s}.json").read().split("\n")
@@ -118,6 +122,8 @@ for w in env["WORKLOADS"].split():
             "change_median_in_parent_interquartile": p["q1"] <= c["median"] <= p["q3"],
             "verdict": "worse than bound" if worse > bound else "within bound",
         }
+        if null is not None:
+            metrics[name]["null_ratio"] = null.get(w, {}).get("metrics", {}).get(name, {}).get("ratio_of_medians")
     out[w] = {
         "failed": {side: sum(b["failed"] for _, b in runs[side]) for side in runs},
         "attempted_equal_pairs": sum(

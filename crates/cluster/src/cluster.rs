@@ -438,7 +438,7 @@ impl MiniCfs {
         if locations.is_empty() {
             return Err(Error::BlockUnavailable { block: id });
         }
-        let ordered = self.by_proximity(reader, &locations);
+        let ordered = self.by_proximity(reader, locations);
         if let [only] = ordered.as_slice() {
             if self.reliability.hedging_enabled() {
                 let delay = self.io.injector().straggler_delay_ticks(
@@ -481,11 +481,11 @@ impl MiniCfs {
             .map(|(data, _)| data)
     }
 
-    /// Orders `locations` by proximity to `reader`: the reader itself,
-    /// then same-rack nodes, then the rest (stable within each class).
-    fn by_proximity(&self, reader: NodeId, locations: &[NodeId]) -> Vec<NodeId> {
+    /// Orders `locations` by proximity to `reader`, in place: the reader
+    /// itself, then same-rack nodes, then the rest (stable within each
+    /// class).
+    fn by_proximity(&self, reader: NodeId, mut ordered: Vec<NodeId>) -> Vec<NodeId> {
         let reader_rack = self.topo.rack_of(reader);
-        let mut ordered = locations.to_vec();
         ordered.sort_by_key(|&n| {
             if n == reader {
                 0u8

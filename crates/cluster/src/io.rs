@@ -35,7 +35,7 @@ use crate::reliability::{self, OpContext, Reliability};
 use crate::sync::Mutex;
 use ear_faults::{FaultInjector, IoFault};
 use ear_netem::EmulatedNetwork;
-use ear_types::{Block, BlockId, ClusterTopology, Error, NodeId, Result};
+use ear_types::{Block, BlockId, ClusterTopology, Error, NodeId, Padded, Result};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -165,7 +165,6 @@ impl Landing for Unverified {
 /// do not write the same cache lines; [`ClusterIo::stats`] sums the
 /// stripes.
 #[derive(Debug, Default)]
-#[repr(align(64))]
 struct Counters {
     reads: AtomicU64,
     writes: AtomicU64,
@@ -201,7 +200,7 @@ thread_local! {
 
 /// The per-thread stripes of [`Counters`].
 #[derive(Debug, Default)]
-struct Striped([Counters; STRIPES]);
+struct Striped([Padded<Counters>; STRIPES]);
 
 impl Striped {
     /// The calling thread's stripe.
@@ -281,7 +280,9 @@ pub struct IoStats {
 #[derive(Debug)]
 pub struct ClusterIo {
     topo: ClusterTopology,
-    datanodes: Vec<DataNode>,
+    /// One padded entry per node: clients served by different DataNodes
+    /// never write the same cache line.
+    datanodes: Vec<Padded<DataNode>>,
     net: EmulatedNetwork,
     injector: FaultInjector,
     rel: Arc<Reliability>,
@@ -302,7 +303,7 @@ impl ClusterIo {
     ) -> Self {
         ClusterIo {
             topo,
-            datanodes,
+            datanodes: datanodes.into_iter().map(Padded::from).collect(),
             net,
             injector,
             rel,

@@ -16,7 +16,7 @@ use crate::sync::{level, Held, Mutex, Precedes, RwLock};
 use crate::wal::{MetaRecord, MetaSnapshot, MetaWal};
 use ear_core::{PlacementPolicy, StripePlan};
 use ear_types::rng::ChaCha8;
-use ear_types::{BlockId, ClusterTopology, Error, NodeId, Result, StripeId};
+use ear_types::{BlockId, ClusterTopology, Error, NodeId, Padded, Result, StripeId};
 use image::{Shard, StripeTable};
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -154,7 +154,9 @@ pub struct NameNode {
     /// The placement policy and the one RNG stream it places from.
     placement: Mutex<(Box<dyn PlacementPolicy>, ChaCha8), level::Placement>,
     seed: u64,
-    shards: Vec<RwLock<Shard, level::Shard>>,
+    /// Block metadata, one padded lock per shard: readers of blocks in
+    /// different shards never write the same cache line.
+    shards: Vec<Padded<RwLock<Shard, level::Shard>>>,
     stripes: Mutex<StripeTable, level::Stripes>,
     /// The write-ahead log. `None` for the volatile (classic testbed)
     /// NameNode, whose commits skip the append.
@@ -188,7 +190,7 @@ impl NameNode {
             topo,
             placement: Mutex::new((policy, ChaCha8::from_seed(seed))),
             seed,
-            shards: shards.into_iter().map(RwLock::new).collect(),
+            shards: shards.into_iter().map(|s| RwLock::new(s).into()).collect(),
             stripes: Mutex::new(StripeTable::load(image)),
             wal,
             checkpointing: AtomicBool::new(false),

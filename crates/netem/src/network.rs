@@ -1,7 +1,7 @@
 //! The emulated CFS network: per-node and per-rack token-bucket links.
 
 use crate::bucket::TokenBucket;
-use ear_types::{Bandwidth, ClusterTopology, NodeId};
+use ear_types::{Bandwidth, ClusterTopology, NodeId, Padded};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -29,18 +29,18 @@ struct Inner {
     /// Unthrottled node-link bandwidth, kept so throttle factors compose
     /// idempotently (always relative to the base, not the current rate).
     node_base_rate: f64,
-    node_up: Vec<TokenBucket>,
-    node_down: Vec<TokenBucket>,
-    rack_up: Vec<TokenBucket>,
-    rack_down: Vec<TokenBucket>,
-    /// Bytes received, one entry per destination node.
-    traffic: Vec<Traffic>,
+    /// The links, each alone on its cache lines: transfers over different
+    /// links never write the same line.
+    node_up: Vec<Padded<TokenBucket>>,
+    node_down: Vec<Padded<TokenBucket>>,
+    rack_up: Vec<Padded<TokenBucket>>,
+    rack_down: Vec<Padded<TokenBucket>>,
+    /// Bytes received, one padded entry per destination node.
+    traffic: Vec<Padded<Traffic>>,
 }
 
-/// One destination node's traffic totals, alone on its cache line, so
-/// transfers into different nodes never write the same line.
+/// One destination node's traffic totals.
 #[derive(Debug, Default)]
-#[repr(align(64))]
 struct Traffic {
     cross_rack_bytes: AtomicU64,
     intra_rack_bytes: AtomicU64,
@@ -54,18 +54,18 @@ impl EmulatedNetwork {
             topo: topo.clone(),
             node_base_rate: node_bw.as_bytes_per_sec(),
             node_up: (0..topo.num_nodes())
-                .map(|_| TokenBucket::new(node_bw.as_bytes_per_sec()))
+                .map(|_| TokenBucket::new(node_bw.as_bytes_per_sec()).into())
                 .collect(),
             node_down: (0..topo.num_nodes())
-                .map(|_| TokenBucket::new(node_bw.as_bytes_per_sec()))
+                .map(|_| TokenBucket::new(node_bw.as_bytes_per_sec()).into())
                 .collect(),
             rack_up: (0..topo.num_racks())
-                .map(|_| TokenBucket::new(rack_bw.as_bytes_per_sec()))
+                .map(|_| TokenBucket::new(rack_bw.as_bytes_per_sec()).into())
                 .collect(),
             rack_down: (0..topo.num_racks())
-                .map(|_| TokenBucket::new(rack_bw.as_bytes_per_sec()))
+                .map(|_| TokenBucket::new(rack_bw.as_bytes_per_sec()).into())
                 .collect(),
-            traffic: (0..topo.num_nodes()).map(|_| Traffic::default()).collect(),
+            traffic: (0..topo.num_nodes()).map(|_| Padded::default()).collect(),
         };
         EmulatedNetwork {
             inner: Arc::new(inner),
@@ -94,10 +94,9 @@ impl EmulatedNetwork {
     ///
     /// The clock is read once per chunk and that reading is passed through
     /// the chunk's draws. It serves a draw its bucket covers in full; a
-    /// draw it does not cover reads the clock under the bucket's lock, as
-    /// every draw once did, and hands that reading on. A bucket refilled
-    /// since the reading credits nothing for it and leaves the missed time
-    /// to its next draw.
+    /// draw it does not cover reads the clock once more and hands that
+    /// reading on. A bucket drawn on since the reading was taken credits
+    /// nothing for the time before that draw.
     pub fn transfer_chain(&self, path: &[NodeId], bytes: u64) {
         let i = &self.inner;
         let legs = || {
@@ -160,9 +159,9 @@ impl EmulatedNetwork {
             "throttle factor must be finite and positive"
         );
         let i = &self.inner;
-        let rate = i.node_base_rate * factor;
-        i.node_up[node.index()].set_rate(rate);
-        i.node_down[node.index()].set_rate(rate);
+        let (rate, now) = (i.node_base_rate * factor, Instant::now());
+        i.node_up[node.index()].set_rate(rate, now);
+        i.node_down[node.index()].set_rate(rate, now);
     }
 
     /// Total bytes moved across racks so far.

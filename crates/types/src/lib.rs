@@ -10,7 +10,8 @@
 //! language. It also owns the one seeded generator they all draw from,
 //! [`rng::ChaCha8`], the property-test runner built on it, [`prop`], and the
 //! CRC32C every store and log checks its bytes with, [`crc`] — which a
-//! [`Block`] can carry alongside its bytes.
+//! [`Block`] can carry alongside its bytes — and [`Padded`], which keeps
+//! the elements of a concurrently written array on separate cache lines.
 //!
 //! # Example
 //!
@@ -39,6 +40,7 @@ pub mod crc;
 mod error;
 mod health;
 mod ids;
+mod padded;
 mod params;
 pub mod prop;
 pub mod rng;
@@ -49,6 +51,7 @@ pub use block::Block;
 pub use error::{Error, Result};
 pub use health::{HealStats, NodeHealth};
 pub use ids::{BlockId, NodeId, RackId, StripeId};
+pub use padded::Padded;
 pub use params::{
     CacheConfig, DurabilityConfig, EarConfig, ErasureParams, RackSpread, ReplicationConfig,
     StoreBackend,

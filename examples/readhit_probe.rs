@@ -8,7 +8,14 @@
 //! * `hot_hit` — one `BlockCache::get` that hits the hot level (each
 //!   thread has its own cache, as each DataNode does);
 //! * `5_adds_shared` / `5_adds_striped` — five relaxed `fetch_add`s on
-//!   counters every thread shares, and on a stripe of its own.
+//!   counters every thread shares, and on a stripe of its own;
+//! * `skewed_read` — a `read_block` in the benchmark's own read shape: a
+//!   second cluster of 1 002 blocks, encoded (one replica of each data block
+//!   left), read by random readers with the harness's skewed block mix on
+//!   both threads, so both threads hit the same few hot blocks;
+//! * `disjoint_read` — the same reads with nothing shared: each thread's
+//!   blocks (by their one holder), readers and so links lie in its own half
+//!   of the racks, and it draws its blocks with the skewed mix over them.
 //!
 //! Prints one line per piece: the median over five repetitions of the
 //! nanoseconds per operation, per thread. Uses only public API, so the same
@@ -16,8 +23,9 @@
 //!
 //! Run with `cargo run --release --example readhit_probe`.
 
-use ear::cluster::{BlockCache, ClusterConfig, ClusterPolicy, MiniCfs};
+use ear::cluster::{BlockCache, ClusterConfig, ClusterPolicy, MiniCfs, RaidNode};
 use ear::netem::EmulatedNetwork;
+use ear::types::rng::ChaCha8;
 use ear::types::{
     Bandwidth, Block, BlockId, ByteSize, CacheConfig, EarConfig, ErasureParams, NodeId,
     ReplicationConfig, StoreBackend,
@@ -29,6 +37,18 @@ const OPS: u64 = 200_000;
 const REPS: usize = 5;
 const BLOCKS: u64 = 64;
 const BLOCK: usize = 64 * 1024;
+/// Blocks of the encoded cluster: 167 (9,6) stripes, the benchmark's 1 000
+/// rounded up to whole stripes.
+const SHAPED_BLOCKS: u64 = 1002;
+/// Reads drawn ahead per thread for the shaped pieces, replayed in a cycle.
+const TABLE: usize = 4096;
+
+/// The harness's skewed block index: `⌊b^u⌋ − 1` for `u` uniform in
+/// `[0, 1)`, so index `i` is drawn with probability ∝ `ln((i+2)/(i+1))`.
+fn skewed_index(u: f64, blocks: usize) -> usize {
+    let i = (blocks as f64).powf(u).floor() as usize;
+    i.saturating_sub(1).min(blocks - 1)
+}
 
 /// Five counters on one cache line.
 #[derive(Default)]
@@ -82,7 +102,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     cfg.store = StoreBackend::Memory;
     let cache = CacheConfig::parse("8m,32m").ok_or("cache size")?;
     cfg.cache = cache;
-    let cfs = MiniCfs::new(cfg)?;
+    let cfs = MiniCfs::new(cfg.clone())?;
     let nodes = cfs.topology().num_nodes() as u64;
     let ids = (0..BLOCKS)
         .map(|i| cfs.write_block(NodeId((i % nodes) as u32), cfs.make_block(i)))
@@ -116,6 +136,41 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let shared = Five::default();
     let stripes = [Five::default(), Five::default()];
 
+    // The encoded cluster and each thread's two read tables, drawn ahead
+    // and replayed three times so every block they read is hot.
+    let shaped = MiniCfs::new(cfg)?;
+    let topo = shaped.topology();
+    let blocks = (0..SHAPED_BLOCKS)
+        .map(|i| shaped.write_block(NodeId((i % nodes) as u32), shaped.make_block(i)))
+        .collect::<Result<Vec<_>, _>>()?;
+    RaidNode::encode_all(&shaped, 2)?;
+    let half = |n: NodeId| usize::from(topo.rack_of(n).index() >= topo.num_racks() / 2);
+    let holder = |id: BlockId| shaped.namenode().locations(id).and_then(|l| l.first().copied());
+    let table = |t: usize, readers: &[NodeId], ids: &[BlockId]| {
+        let mut rng = ChaCha8::from_seed(t as u64);
+        (0..TABLE)
+            .map(|_| {
+                let reader = readers[rng.below(readers.len() as u64) as usize];
+                (reader, ids[skewed_index(rng.unit_f64(), ids.len())])
+            })
+            .collect::<Vec<_>>()
+    };
+    let everyone: Vec<NodeId> = topo.nodes().collect();
+    let skewed: Vec<_> = (0..2).map(|t| table(t, &everyone, &blocks)).collect();
+    let disjoint: Vec<_> = (0..2)
+        .map(|t| {
+            let readers: Vec<NodeId> = topo.nodes().filter(|&n| half(n) == t).collect();
+            let mine: Vec<BlockId> =
+                blocks.iter().copied().filter(|&id| holder(id).map(half) == Some(t)).collect();
+            table(t, &readers, &mine)
+        })
+        .collect();
+    for _ in 0..3 {
+        for &(reader, id) in skewed.iter().chain(&disjoint).flatten() {
+            shaped.read_block(reader, id)?;
+        }
+    }
+
     println!("piece            1 thread ns/op   2 threads ns/op");
     let row = |name: &str, op: &(dyn Fn(usize, u64) + Sync)| {
         println!("{name:<16} {:>14.1} {:>17.1}", time(1, op), time(2, op));
@@ -134,5 +189,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     });
     row("5_adds_shared", &|_, _| shared.add());
     row("5_adds_striped", &|t, _| stripes[t].add());
+    for (name, tables) in [("skewed_read", &skewed), ("disjoint_read", &disjoint)] {
+        row(name, &|t, i| {
+            let (reader, id) = tables[t][i as usize % TABLE];
+            shaped.read_block(reader, id).expect("a cached read");
+        });
+    }
     Ok(())
 }

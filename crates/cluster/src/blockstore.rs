@@ -18,7 +18,7 @@
 //! what it received and compares against this stored value.
 
 use crate::sync::Mutex;
-use ear_types::{Block, BlockId, Error, Padded, Result, StoreBackend};
+use ear_types::{Block, BlockId, Error, Result, StoreBackend};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -88,14 +88,14 @@ struct StoredBlock {
 /// single coarse `Mutex<HashMap>` this replaces serialized every pair.
 #[derive(Debug, Default)]
 pub struct ShardedMemStore {
-    shards: Vec<Padded<Mutex<HashMap<BlockId, StoredBlock>>>>,
+    shards: Vec<Mutex<HashMap<BlockId, StoredBlock>>>,
 }
 
 impl ShardedMemStore {
     /// Creates an empty store.
     pub fn new() -> Self {
         ShardedMemStore {
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new()).into()).collect(),
+            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
         }
     }
 

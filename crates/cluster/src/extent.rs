@@ -40,7 +40,7 @@ use crate::blockstore::BlockStore;
 use crate::durable::{Dir, File, Synced, Unsynced};
 use crate::sync::{Mutex, RwLock};
 use ear_types::crc::crc32c;
-use ear_types::{Block, BlockId, Error, Padded, Result, StoreBackend};
+use ear_types::{Block, BlockId, Error, Result, StoreBackend};
 use std::collections::{BTreeMap, HashMap};
 use std::fs::{self, OpenOptions};
 use std::os::unix::fs::FileExt;
@@ -268,7 +268,7 @@ pub struct ExtentStore {
     persistent: bool,
     segments: RwLock<Vec<Segment>>,
     alloc: Mutex<Allocator>,
-    index: Vec<Padded<Mutex<HashMap<BlockId, IndexEntry>>>>,
+    index: Vec<Mutex<HashMap<BlockId, IndexEntry>>>,
     seq: AtomicU64,
     journal: Option<Mutex<Vec<WriteEvent>>>,
 }
@@ -329,7 +329,7 @@ impl ExtentStore {
             persistent,
             segments: RwLock::new(Vec::new()),
             alloc: Mutex::new(Allocator::default()),
-            index: (0..SHARDS).map(|_| Mutex::new(HashMap::new()).into()).collect(),
+            index: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
             seq: AtomicU64::new(1),
             journal: journaled.then(|| Mutex::new(Vec::new())),
         })
@@ -361,8 +361,9 @@ impl ExtentStore {
     /// Journals a write of `data` at `off` of segment `seg`. Only a
     /// journaled store copies the bytes.
     fn record_write(&self, seg: usize, off: u64, data: &[u8]) {
-        if let Some(j) = &self.journal {
-            j.lock().push(WriteEvent::Write { seg, off, data: data.to_vec() });
+        if self.journal.is_some() {
+            let data = data.to_vec();
+            self.record(WriteEvent::Write { seg, off, data });
         }
     }
 

@@ -1,6 +1,7 @@
 //! A blocking token bucket: the building block of the emulated network.
 
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// A token bucket refilled continuously at a fixed byte rate.
@@ -15,22 +16,37 @@ use std::time::{Duration, Instant};
 /// The bucket capacity (burst) is 5 ms worth of tokens (at least one
 /// 64 KiB chunk), so idle links cannot bank credit that would let later
 /// transfers bypass pacing.
-///
-/// The state is GCRA's theoretical arrival time `tat`, the instant the
-/// bucket would be full again, in seconds since `epoch`: the tokens at `t`
-/// are `burst − rate·max(0, tat − t)`.
 #[derive(Debug)]
 pub(crate) struct TokenBucket {
-    /// The refill rate in bytes/s (retuned for stragglers) and `tat`, as
-    /// `f64` bits. Neither publishes other data: every access is `Relaxed`.
+    /// Refill rate in bytes/s, stored as `f64` bits so it can be retuned at
+    /// runtime (straggler emulation) without taking the state lock on reads.
     rate_bits: AtomicU64,
-    tat_bits: AtomicU64,
-    epoch: Instant,
     burst: f64,
+    state: Mutex<State>,
+}
+
+#[derive(Debug)]
+struct State {
+    available: f64,
+    last_refill: Instant,
+}
+
+impl State {
+    /// Credits the tokens accrued between `last_refill` and `now` at
+    /// `rate`, capped at `burst`. An instant older than `last_refill` (read
+    /// before another thread refilled) credits nothing and leaves
+    /// `last_refill` where it is, so the time it missed is credited by the
+    /// next draw instead: a stale instant defers a refill, never grants one.
+    fn refill(&mut self, now: Instant, rate: f64, burst: f64) {
+        let now = now.max(self.last_refill);
+        let elapsed = now.duration_since(self.last_refill).as_secs_f64();
+        self.available = (self.available + elapsed * rate).min(burst);
+        self.last_refill = now;
+    }
 }
 
 impl TokenBucket {
-    /// Creates a bucket refilled at `rate_bytes_per_sec`, empty now.
+    /// Creates a bucket refilled at `rate_bytes_per_sec`.
     ///
     /// # Panics
     ///
@@ -40,45 +56,43 @@ impl TokenBucket {
             rate_bytes_per_sec.is_finite() && rate_bytes_per_sec > 0.0,
             "token bucket rate must be finite and positive"
         );
-        let burst = (rate_bytes_per_sec * 0.005).max(64.0 * 1024.0);
         TokenBucket {
             rate_bits: AtomicU64::new(rate_bytes_per_sec.to_bits()),
-            tat_bits: AtomicU64::new((burst / rate_bytes_per_sec).to_bits()),
-            epoch: Instant::now(),
-            burst,
+            burst: (rate_bytes_per_sec * 0.005).max(64.0 * 1024.0),
+            state: Mutex::new(State {
+                available: 0.0,
+                last_refill: Instant::now(),
+            }),
         }
+    }
+
+    /// Locks the refill state. Every update leaves `State` valid, so a lock
+    /// poisoned by a panicked holder is entered anyway.
+    fn state(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The refill rate in bytes per second.
     pub(crate) fn rate(&self) -> f64 {
-        f64::from_bits(self.rate_bits.load(Relaxed))
+        f64::from_bits(self.rate_bits.load(Ordering::Relaxed))
     }
 
-    /// `t` in seconds since the epoch.
-    fn secs(&self, t: Instant) -> f64 {
-        t.saturating_duration_since(self.epoch).as_secs_f64()
-    }
-
-    /// Retunes the refill rate as of `now` (straggler emulation: a slow NIC
-    /// or an oversubscribed link). The debt pending at `now`, `max(0, tat −
-    /// now)`, is rescaled by `old / new`, so a rate change never re-prices
-    /// the past; a full bucket's `tat` moves up to `now`. A debit that races
-    /// the retune may price its bytes at the old rate.
+    /// Retunes the refill rate (straggler emulation: a slow NIC or an
+    /// oversubscribed link). Tokens accrued so far are settled at the old
+    /// rate first, so a rate change never retroactively re-prices the past.
     ///
     /// # Panics
     ///
     /// Panics if the rate is not finite and positive.
-    pub(crate) fn set_rate(&self, rate_bytes_per_sec: f64, now: Instant) {
+    pub(crate) fn set_rate(&self, rate_bytes_per_sec: f64) {
         assert!(
             rate_bytes_per_sec.is_finite() && rate_bytes_per_sec > 0.0,
             "token bucket rate must be finite and positive"
         );
-        let now = self.secs(now);
-        let _ = self.tat_bits.fetch_update(Relaxed, Relaxed, |bits| {
-            let pending = (f64::from_bits(bits) - now).max(0.0);
-            Some((now + pending * self.rate() / rate_bytes_per_sec).to_bits())
-        });
-        self.rate_bits.store(rate_bytes_per_sec.to_bits(), Relaxed);
+        let mut s = self.state();
+        s.refill(Instant::now(), self.rate(), self.burst);
+        self.rate_bits
+            .store(rate_bytes_per_sec.to_bits(), Ordering::Relaxed);
     }
 
     /// Blocks until `bytes` tokens have been drawn from the bucket.
@@ -98,39 +112,27 @@ impl TokenBucket {
         last
     }
 
-    /// Takes all of `bytes` as of `now` or, if the tokens then do not cover
-    /// them, as of one fresh `clock()` reading: one compare-and-swap of
-    /// `tat` to `max(tat, reading) + bytes/rate`. The tokens may go
-    /// negative, a debt that later debits queue behind. Returns the sleep
-    /// that pays the debt off, `tat − reading − burst/rate` when positive,
-    /// and the debit's reading.
+    /// Takes all of `bytes` under the lock, refilled as of `now` or, if that
+    /// does not cover them, as of one fresh `clock()` reading. The tokens may
+    /// go negative: a debt that later debits queue behind, in order. Returns
+    /// the sleep that pays the debt off, if any, and the debit's reading.
     fn debit(
         &self,
         bytes: u64,
         now: Instant,
         clock: impl FnOnce() -> Instant,
     ) -> (Option<Duration>, Instant) {
-        let (mut last, mut at, mut clock) = (now, self.secs(now), Some(clock));
-        let mut bits = self.tat_bits.load(Relaxed);
-        loop {
-            let rate = self.rate();
-            let after = |at: f64| f64::from_bits(bits).max(at) + bytes as f64 / rate;
-            let mut tat = after(at);
-            if tat - at > self.burst / rate {
-                if let Some(clock) = clock.take() {
-                    last = clock();
-                    at = self.secs(last);
-                    tat = after(at);
-                }
-            }
-            match self.tat_bits.compare_exchange_weak(bits, tat.to_bits(), Relaxed, Relaxed) {
-                Ok(_) => {
-                    let debt = tat - at - self.burst / rate;
-                    return ((debt > 0.0).then(|| Duration::from_secs_f64(debt)), last);
-                }
-                Err(seen) => bits = seen,
-            }
+        let mut s = self.state();
+        let (rate, bytes) = (self.rate(), bytes as f64);
+        s.refill(now, rate, self.burst);
+        let mut last = now;
+        if s.available < bytes {
+            last = clock();
+            s.refill(last, rate, self.burst);
         }
+        s.available -= bytes;
+        let wait = (s.available < 0.0).then(|| Duration::from_secs_f64(-s.available / rate));
+        (wait, last)
     }
 }
 
@@ -139,88 +141,8 @@ mod tests {
     use super::*;
     use ear_types::prop;
     use std::cell::Cell;
-    use std::sync::{Arc, Barrier, Mutex, MutexGuard};
+    use std::sync::Arc;
     use std::time::Instant;
-
-    impl TokenBucket {
-        /// The tokens at `t`: `burst − rate·max(0, tat − t)`, negative while
-        /// the bucket is in debt.
-        fn tokens_at(&self, t: Instant) -> f64 {
-            let tat = f64::from_bits(self.tat_bits.load(Relaxed));
-            self.burst - self.rate() * (tat - self.secs(t)).max(0.0)
-        }
-    }
-
-    /// The bucket this one replaced, kept as its oracle: refill state under
-    /// a lock, `available` tokens as of `last_refill`.
-    struct Reference {
-        rate: f64,
-        burst: f64,
-        state: Mutex<State>,
-    }
-
-    struct State {
-        available: f64,
-        last_refill: Instant,
-    }
-
-    impl State {
-        /// Credits the tokens accrued between `last_refill` and `now` at
-        /// `rate`, capped at `burst`. An instant older than `last_refill`
-        /// credits nothing and leaves `last_refill` where it is.
-        fn refill(&mut self, now: Instant, rate: f64, burst: f64) {
-            let now = now.max(self.last_refill);
-            let elapsed = now.duration_since(self.last_refill).as_secs_f64();
-            self.available = (self.available + elapsed * rate).min(burst);
-            self.last_refill = now;
-        }
-    }
-
-    impl Reference {
-        /// The reference twin of `b`, as `b` was built: empty at its epoch.
-        fn of(b: &TokenBucket) -> Self {
-            let state = State { available: 0.0, last_refill: b.epoch };
-            Reference { rate: b.rate(), burst: b.burst, state: Mutex::new(state) }
-        }
-
-        fn state(&self) -> MutexGuard<'_, State> {
-            self.state.lock().unwrap()
-        }
-
-        /// Settles the tokens accrued by `now` at the old rate, then retunes.
-        fn set_rate(&mut self, rate: f64, now: Instant) {
-            self.state().refill(now, self.rate, self.burst);
-            self.rate = rate;
-        }
-
-        /// Takes all of `bytes` under the lock, refilled as of `now` or, if
-        /// that does not cover them, as of one fresh `clock()` reading.
-        fn debit(
-            &self,
-            bytes: u64,
-            now: Instant,
-            clock: impl FnOnce() -> Instant,
-        ) -> (Option<Duration>, Instant) {
-            let mut s = self.state();
-            let (rate, bytes) = (self.rate, bytes as f64);
-            s.refill(now, rate, self.burst);
-            let mut last = now;
-            if s.available < bytes {
-                last = clock();
-                s.refill(last, rate, self.burst);
-            }
-            s.available -= bytes;
-            let wait = (s.available < 0.0).then(|| Duration::from_secs_f64(-s.available / rate));
-            (wait, last)
-        }
-
-        /// The tokens at `t`, which must not precede the last refill.
-        fn tokens_at(&self, t: Instant) -> f64 {
-            let s = self.state();
-            let elapsed = t.duration_since(s.last_refill).as_secs_f64();
-            (s.available + elapsed * self.rate).min(self.burst)
-        }
-    }
 
     #[test]
     fn acquire_paces_to_rate() {
@@ -275,10 +197,10 @@ mod tests {
     }
 
     /// Draws `bytes` from `b` as of `at`, which must cover them, and
-    /// returns the tokens left at `at`.
+    /// returns the tokens left.
     fn draw_at(b: &TokenBucket, bytes: u64, at: Instant) -> f64 {
         assert_eq!(b.draw(bytes, at), at, "a covered draw reads no clock");
-        b.tokens_at(at)
+        b.state().available
     }
 
     fn near(a: f64, b: f64) -> bool {
@@ -288,12 +210,12 @@ mod tests {
     #[test]
     fn a_stale_instant_never_grants_more_than_a_fresh_one() {
         // 1 MB/s: 1 000 tokens a millisecond, a 64 KiB burst. Instants are
-        // injected as offsets from each bucket's epoch, when it was empty.
-        // A draw handed an instant older than the bucket's last draw (one
-        // read before another thread drew) credits nothing for it: `tat`
-        // already lies past that instant, so the draw only adds its bytes.
+        // injected as offsets from each bucket's construction-time refill.
+        // A draw handed an instant older than the bucket's last refill (one
+        // read before another thread refilled) credits nothing; the time it
+        // missed is credited by the next draw: deferred, never lost.
         let ms = |b: &TokenBucket| {
-            let t0 = b.epoch;
+            let t0 = b.state().last_refill;
             move |n: u64| t0 + Duration::from_millis(n)
         };
         let (fresh, stale) = (TokenBucket::new(1e6), TokenBucket::new(1e6));
@@ -301,27 +223,24 @@ mod tests {
         assert!(near(draw_at(&fresh, 100, f(10)), 9_900.0));
         assert!(near(draw_at(&stale, 100, s(10)), 9_900.0));
         assert!(near(draw_at(&fresh, 100, f(12)), 11_800.0));
-        draw_at(&stale, 100, s(4));
-        assert!(near(stale.tokens_at(s(10)), 9_800.0), "a stale instant credits nothing");
+        assert!(near(draw_at(&stale, 100, s(4)), 9_800.0), "a stale instant credits nothing");
+        assert_eq!(stale.state().last_refill, s(10), "and does not move the refill back");
         let (a, b) = (draw_at(&fresh, 100, f(20)), draw_at(&stale, 100, s(20)));
         assert!(near(a, 19_700.0) && near(b, 19_700.0), "fresh {a}, stale {b}");
         // At every age, a stale instant grants at most what a fresh one
-        // does. At 10 ms the stale reading finds the bucket empty and reads
-        // the clock once (here: the fresh instant).
+        // does.
         for age in 0..=10 {
             let (fresh, stale) = (TokenBucket::new(1e6), TokenBucket::new(1e6));
             let (f, s) = (ms(&fresh), ms(&stale));
             draw_at(&fresh, 1, f(10));
             draw_at(&stale, 1, s(10));
-            let a = draw_at(&fresh, 1, f(10));
-            assert_eq!(stale.debit(1, s(10 - age), || s(10)).0, None, "age {age} ms");
-            let b = stale.tokens_at(s(10));
+            let (a, b) = (draw_at(&fresh, 1, f(10)), draw_at(&stale, 1, s(10 - age)));
             assert!(b <= a, "age {age} ms: stale {b} > fresh {a}");
         }
         // A draw its bucket cannot cover as of the given reading refills
         // from fresh readings and hands the last one back.
         let short = TokenBucket::new(1e6);
-        let t0 = short.epoch;
+        let t0 = short.state().last_refill;
         assert!(short.draw(100, t0) > t0);
     }
 
@@ -331,122 +250,43 @@ mod tests {
         // reads the clock once (2 ms later: 2 000 tokens), takes all 10 000
         // and waits exactly for the 8 000-byte deficit to refill.
         let b = TokenBucket::new(1e6);
-        let t0 = b.epoch;
+        let t0 = b.state().last_refill;
         let fresh = t0 + Duration::from_millis(2);
         let reads = Cell::new(0);
         let clock = || {
             reads.set(reads.get() + 1);
             fresh
         };
-        let (wait, last) = b.debit(10_000, t0, clock);
-        assert_eq!(last, fresh);
-        assert!(wait.unwrap().abs_diff(Duration::from_millis(8)) <= Duration::from_nanos(1));
+        assert_eq!(b.debit(10_000, t0, clock), (Some(Duration::from_millis(8)), fresh));
         assert_eq!(reads.get(), 1);
-        assert!(near(b.tokens_at(fresh), -8_000.0));
+        assert!(near(b.state().available, -8_000.0));
         // The next debit queues behind that debt: 1 000 more bytes on the
         // same reading wait 1 ms longer than the first.
         let (wait, last) = b.debit(1_000, fresh, || fresh);
-        assert_eq!(last, fresh);
-        assert!(wait.unwrap().abs_diff(Duration::from_millis(9)) <= Duration::from_nanos(1));
-    }
-
-    #[test]
-    fn two_threads_lose_no_debit() {
-        // 2^20 B/s: every debit adds exactly 2^-20 s to `tat`, and `tat`
-        // starts at burst/rate = 1/16 s, so every sum below is exact. Both
-        // threads hand in the epoch, which no debit covers, so each one
-        // reads its (injected) clock and swaps in `tat + 2^-20`. A barrier
-        // starts them together, so their swaps interleave.
-        let b = TokenBucket::new(1_048_576.0);
-        let tat = || f64::from_bits(b.tat_bits.load(Relaxed));
-        let start = tat();
-        assert_eq!(start, 0.0625);
-        let barrier = Barrier::new(2);
-        std::thread::scope(|s| {
-            for _ in 0..2 {
-                s.spawn(|| {
-                    barrier.wait();
-                    for _ in 0..10_000 {
-                        b.debit(1, b.epoch, || b.epoch);
-                    }
-                });
-            }
-        });
-        assert_eq!(tat(), start + 20_000.0 / 1_048_576.0);
-    }
-
-    #[test]
-    fn debits_match_the_replaced_bucket() {
-        // Both buckets see one sequence of debits and retunes. The modelled
-        // wall clock `wall` only moves forward, a debit's given reading lags
-        // it by up to 1 ms, a fresh reading is `wall`, and a retune takes
-        // effect at `wall`. Both must return the same wait (to 1 ns) and
-        // reading, and hold the same tokens after every step.
-        //
-        // Draws run from a few bytes to 256 KiB, so the bucket is at times
-        // full and at times in debt. The two differ in one case, by design.
-        // The replaced bucket refilled a reading older than its last refill
-        // as of that refill; this one has no last refill and prices the
-        // reading as of itself. Where the stale reading does not cover the
-        // draw but the last refill did, this one reads the clock, and the
-        // reference is handed that fresh reading too.
-        prop::check("debits_match_the_replaced_bucket", 256, |rng| {
-            let b = TokenBucket::new(1e5 * prop::range(rng, 1..=200) as f64);
-            let mut r = Reference::of(&b);
-            let mut wall = b.epoch;
-            for _ in 0..prop::range(rng, 1..=60) {
-                wall += Duration::from_micros(prop::range(rng, 0..=3_000));
-                if prop::range(rng, 0..=4) == 0 {
-                    let rate = 1e5 * prop::range(rng, 1..=200) as f64;
-                    b.set_rate(rate, wall);
-                    r.set_rate(rate, wall);
-                } else {
-                    let lag = Duration::from_micros(prop::range(rng, 0..=1_000));
-                    let given = wall.checked_sub(lag).unwrap_or(b.epoch).max(b.epoch);
-                    let bytes = prop::range(rng, 1..=256 * 1024) >> prop::range(rng, 0..=10);
-                    let covers = b.tokens_at(given) >= bytes as f64;
-                    let refill = r.state().last_refill;
-                    let diverges =
-                        given < refill && !covers && r.tokens_at(refill) >= bytes as f64;
-                    let reads = Cell::new(0);
-                    let got = b.debit(bytes, given, || {
-                        reads.set(reads.get() + 1);
-                        wall
-                    });
-                    let want = r.debit(bytes, if diverges { wall } else { given }, || wall);
-                    assert_eq!(reads.get(), usize::from(!covers), "one read, only when short");
-                    assert_eq!(got.1, want.1, "the reading");
-                    let (w, x) = (got.0.unwrap_or_default(), want.0.unwrap_or_default());
-                    assert!(w.abs_diff(x) <= Duration::from_nanos(1), "wait {w:?} vs {x:?}");
-                }
-                let (t, u) = (b.tokens_at(wall), r.tokens_at(wall));
-                assert!((t - u).abs() < 1e-3, "tokens {t} vs {u}");
-            }
-        });
+        assert_eq!((wait, last), (Some(Duration::from_millis(9)), fresh));
     }
 
     #[test]
     fn debits_never_outrun_the_rate_and_wake_in_debit_order() {
         // Random debits on one bucket, interleaved with rate changes. The
         // wall clock is modelled: `wall` only moves forward, a draw's given
-        // reading may lag it by up to 1 ms (read before the draw), a fresh
-        // reading is `wall` itself, and a retune takes effect at `wall`. A
-        // debit is priced at `at`, the latest reading the bucket has seen
-        // (a stale reading credits nothing past it), and wakes `wait` after
-        // it. The bound below prices each interval at the highest rate that
-        // was in effect across it or that a pending wait was computed at.
-        // Wake order is checked between debits with no rate rise between
-        // them: after a rise, a later debit may wake before an earlier one
-        // that priced its wait at the slower rate, which then sleeps longer
-        // than it had to.
+        // reading may lag it by up to 1 ms (read before the lock), and a
+        // fresh reading is `wall` itself. Instants lie an hour past the
+        // bucket's construction, so the wall-clock settle inside `set_rate`
+        // is always stale and credits nothing: a new rate then prices the
+        // whole interval since the last debit, and the bound below prices
+        // each interval at the highest rate that was in effect across it
+        // or that a pending wait was computed at. Wake order is checked
+        // between debits with no rate rise between them: after a rise, a
+        // later debit may wake before an earlier one that priced its wait
+        // at the slower rate, which then sleeps longer than it had to.
         prop::check("debits_never_outrun_the_rate_and_wake_in_debit_order", 256, |rng| {
             let mut rate = 1e5 * prop::range(rng, 1..=200) as f64;
             let b = TokenBucket::new(rate);
-            let start = b.epoch;
+            let start = b.state().last_refill + Duration::from_secs(3600);
             let secs = |t: Instant| t.duration_since(start).as_secs_f64();
             let mut wall = start;
-            let mut at = start;
-            // Per debit: pricing instant, highest rate since the previous
+            // Per debit: refill instant, highest rate since the previous
             // debit, rate the wait was computed at, wake instant, bytes.
             let mut debits: Vec<(f64, f64, f64, f64, f64)> = Vec::new();
             let mut seen = rate;
@@ -456,14 +296,19 @@ mod tests {
                     let new = 1e5 * prop::range(rng, 1..=200) as f64;
                     rose |= new > rate;
                     (rate, seen) = (new, seen.max(new));
-                    b.set_rate(rate, wall);
+                    b.set_rate(rate);
                     continue;
                 }
                 wall += Duration::from_micros(prop::range(rng, 0..=3_000));
                 let lag = Duration::from_micros(prop::range(rng, 0..=1_000));
                 let given = wall.checked_sub(lag).unwrap_or(start).max(start);
                 let bytes = prop::range(rng, 1..=256 * 1024);
-                let covered = b.tokens_at(given) >= bytes as f64;
+                let (avail, since) = {
+                    let s = b.state();
+                    (s.available, s.last_refill)
+                };
+                let credit = given.max(since).duration_since(since).as_secs_f64() * rate;
+                let covered = (avail + credit).min(b.burst) >= bytes as f64;
                 let reads = Cell::new(0);
                 let (wait, last) = b.debit(bytes, given, || {
                     reads.set(reads.get() + 1);
@@ -474,8 +319,8 @@ mod tests {
                 } else {
                     assert_eq!((last, reads.get()), (wall, 1), "a short draw reads once");
                 }
-                at = at.max(last);
-                let wake = at + wait.unwrap_or_default();
+                let refilled = b.state().last_refill;
+                let wake = refilled + wait.unwrap_or_default();
                 if let Some(&(_, _, _, prev, _)) = debits.last() {
                     assert!(
                         rose || secs(wake) + 1e-9 >= prev,
@@ -483,7 +328,7 @@ mod tests {
                         secs(wake)
                     );
                 }
-                debits.push((secs(at), seen, rate, secs(wake), bytes as f64));
+                debits.push((secs(refilled), seen, rate, secs(wake), bytes as f64));
                 (seen, rose) = (rate, false);
             }
             // r̂(t): the highest rate credited over the debit interval that
@@ -535,7 +380,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "finite and positive")]
     fn set_rate_rejects_nonpositive() {
-        TokenBucket::new(1e6).set_rate(-1.0, Instant::now());
+        TokenBucket::new(1e6).set_rate(-1.0);
     }
 
     #[test]
@@ -543,7 +388,7 @@ mod tests {
         // Throttle a 50 MB/s bucket to 2 MB/s: a 400 KB acquisition from an
         // empty bucket now takes ~0.2 s instead of ~8 ms.
         let b = TokenBucket::new(50e6);
-        b.set_rate(2e6, Instant::now());
+        b.set_rate(2e6);
         assert_eq!(b.rate(), 2e6);
         let start = Instant::now();
         b.acquire(400_000);

@@ -94,9 +94,10 @@ impl EmulatedNetwork {
     ///
     /// The clock is read once per chunk and that reading is passed through
     /// the chunk's draws. It serves a draw its bucket covers in full; a
-    /// draw it does not cover reads the clock once more and hands that
-    /// reading on. A bucket drawn on since the reading was taken credits
-    /// nothing for the time before that draw.
+    /// draw it does not cover reads the clock under the bucket's lock, as
+    /// every draw once did, and hands that reading on. A bucket refilled
+    /// since the reading credits nothing for it and leaves the missed time
+    /// to its next draw.
     pub fn transfer_chain(&self, path: &[NodeId], bytes: u64) {
         let i = &self.inner;
         let legs = || {
@@ -159,9 +160,9 @@ impl EmulatedNetwork {
             "throttle factor must be finite and positive"
         );
         let i = &self.inner;
-        let (rate, now) = (i.node_base_rate * factor, Instant::now());
-        i.node_up[node.index()].set_rate(rate, now);
-        i.node_down[node.index()].set_rate(rate, now);
+        let rate = i.node_base_rate * factor;
+        i.node_up[node.index()].set_rate(rate);
+        i.node_down[node.index()].set_rate(rate);
     }
 
     /// Total bytes moved across racks so far.

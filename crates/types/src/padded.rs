@@ -4,12 +4,12 @@ use std::ops::{Deref, DerefMut};
 
 /// A `T` aligned to 128 bytes (so its size is a multiple of 128), so that
 /// neighbouring elements of an array never share a cache line: threads that
-/// write different elements (one DataNode each, one link each, one lock
-/// stripe each) do not bounce a line between their cores.
+/// write different elements (one DataNode each, one link each, one
+/// metadata shard each) do not bounce a line between their cores.
 ///
 /// 128 bytes, not 64, because x86 cores prefetch the adjacent 64-byte line
-/// in pairs: two values on one 128-byte pair still interfere. Every array
-/// whose elements concurrent operations write wraps them in this one type.
+/// in pairs: two values on one 128-byte pair still interfere. All padding
+/// goes through this one type.
 #[derive(Debug, Default)]
 #[repr(align(128))]
 pub struct Padded<T>(pub T);

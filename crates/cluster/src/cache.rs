@@ -9,14 +9,25 @@
 //!
 //! # Levels
 //!
-//! * **Hot** — an exact LRU over blocks that have proven reuse (hit in
-//!   cold at least twice). Bounded in bytes; overflow demotes the
-//!   least-recently-used entry to the cold level.
+//! * **Hot** — blocks that have proven reuse (hit in cold at least twice),
+//!   bounded in bytes. A hit only sets the entry's reference bit, under the
+//!   read lock; overflow runs second chance from the tail of the slot list:
+//!   a referenced tail moves to the head with its bit cleared, an
+//!   unreferenced one is demoted to the cold level.
 //! * **Cold** — a clock (second-chance) ring holding first-time admissions,
 //!   so a one-pass scan cannot flush the hot set. The first cold hit sets
 //!   the entry's reference bit; the second promotes it to hot. Bounded in
 //!   bytes; the clock hand clears reference bits and evicts unreferenced
 //!   entries in ring order.
+//!
+//! # Locking
+//!
+//! One reader-writer lock per cache. A hot hit and a miss take it shared
+//! and write nothing the other readers read: the reference bit is stored
+//! only when clear, and the counters are per-thread stripes ([`Striped`]).
+//! Cold hits, promotions, admissions, invalidations and evictions take it
+//! exclusive. Invalidation is exclusive, so once it returns no hit on any
+//! thread can serve the dropped bytes.
 //!
 //! # Determinism
 //!
@@ -30,9 +41,10 @@
 //! exactly the bytes the store holds — which is why chaos/heal soak
 //! reports are bit-identical with the cache off or on.
 
-use crate::sync::Mutex;
+use crate::sync::{RwLock, Striped};
 use ear_types::{Block, BlockId, CacheConfig};
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// On admission that would force evictions, one in `ADMIT_DAMPING` new
 /// blocks is bypassed instead of admitted — cheap scan resistance on top
@@ -46,7 +58,7 @@ const ADMIT_DAMPING: u64 = 8;
 /// [`crate::IoStats`]'s wall-clock-adjacent fields.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Hits served from the hot (LRU) level.
+    /// Hits served from the hot level.
     pub hot_hits: u64,
     /// Hits served from the cold (clock) level (the block is promoted).
     pub cold_hits: u64,
@@ -92,27 +104,61 @@ impl CacheStats {
     }
 }
 
-/// No slot: the end of the hot level's recency list.
+/// One thread's stripe of a cache's [`CacheStats`].
+#[derive(Debug, Default)]
+struct Counters {
+    hot_hits: AtomicU64,
+    cold_hits: AtomicU64,
+    misses: AtomicU64,
+    bypasses: AtomicU64,
+    evictions: AtomicU64,
+    invalidations: AtomicU64,
+    bytes_saved: AtomicU64,
+}
+
+/// Adds `n` to `counter`, relaxed.
+fn count(counter: &AtomicU64, n: u64) {
+    counter.fetch_add(n, Ordering::Relaxed);
+}
+
+/// No slot: the end of the hot level's slot list.
 const NIL: usize = usize::MAX;
 
-/// A hot-level entry: the payload, its write-time CRC32C, and its links in
-/// the recency list (slot numbers; `prev` is the more recent neighbour).
+/// A hot-level entry: the payload, its write-time CRC32C, its reference
+/// bit (set by a hit under the read lock), and its links in the slot list
+/// (slot numbers; `prev` is the neighbour nearer the head).
 #[derive(Debug)]
 struct HotEntry {
     id: BlockId,
     data: Block,
     crc: u32,
+    referenced: AtomicBool,
     prev: usize,
     next: usize,
 }
 
-/// The hot level, an exact LRU. Entries sit densely in `slots`; `index`
-/// maps an id to its slot, and a doubly linked recency list threaded
-/// through the slots runs from `head` (most recent) to `tail` (least). A
-/// hit relinks its slot at the head, O(1) past the index lookup; overflow
-/// demotes the tail.
+impl HotEntry {
+    /// Serves a hit, counted on the caller's stripe `c`. The reference bit
+    /// is stored only when clear, so a hit on a referenced entry writes no
+    /// line the other readers read (but the payload's reference count).
+    /// Relaxed is enough: the bit publishes no data, and the victim search
+    /// that reads it runs under the write lock, whose acquire follows the
+    /// release of every read guard a hit ran under.
+    fn hit(&self, c: &Counters) -> (Block, u32) {
+        if !self.referenced.load(Ordering::Relaxed) {
+            self.referenced.store(true, Ordering::Relaxed);
+        }
+        count(&c.hot_hits, 1);
+        count(&c.bytes_saved, self.data.len() as u64);
+        (self.data.clone(), self.crc)
+    }
+}
+
+/// The hot level. Entries sit densely in `slots`; `index` maps an id to
+/// its slot, and a doubly linked list threaded through the slots runs from
+/// `head` (newest) to `tail`, where overflow looks for its victim.
 #[derive(Debug)]
-struct HotLru {
+struct HotList {
     index: BTreeMap<BlockId, usize>,
     slots: Vec<HotEntry>,
     head: usize,
@@ -120,35 +166,19 @@ struct HotLru {
     bytes: u64,
 }
 
-/// The hot level as the rest of the cache uses it. One implementation
-/// serves; the tests keep the stamp-ordered level it replaced and check
-/// the two against each other.
-trait HotLevel: Default {
-    /// The payload and CRC of `id`, made most recent.
-    fn touch(&mut self, id: BlockId) -> Option<(Block, u32)>;
-    /// Swaps `id`'s payload in place, recency and byte count unchanged;
-    /// false when `id` is not here.
-    fn refresh(&mut self, id: BlockId, data: &Block, crc: u32) -> bool;
-    /// Adds `id` (not already here) as most recent.
-    fn insert(&mut self, id: BlockId, data: Block, crc: u32);
-    /// Removes `id`, returning its payload and CRC.
-    fn remove(&mut self, id: BlockId) -> Option<(Block, u32)>;
-    /// Removes the least recent entry.
-    fn pop_lru(&mut self) -> Option<(BlockId, Block, u32)>;
-    /// Data bytes held.
-    fn bytes(&self) -> u64;
-    /// Resident ids in id order.
-    fn ids(&self) -> Vec<BlockId>;
-}
-
-impl Default for HotLru {
+impl Default for HotList {
     fn default() -> Self {
-        HotLru { index: BTreeMap::new(), slots: Vec::new(), head: NIL, tail: NIL, bytes: 0 }
+        HotList { index: BTreeMap::new(), slots: Vec::new(), head: NIL, tail: NIL, bytes: 0 }
     }
 }
 
-impl HotLru {
-    /// Takes `slot` out of the recency list.
+impl HotList {
+    /// `id`'s entry, if it is here.
+    fn get(&self, id: BlockId) -> Option<&HotEntry> {
+        self.index.get(&id).and_then(|&slot| self.slots.get(slot))
+    }
+
+    /// Takes `slot` out of the list.
     fn unlink(&mut self, slot: usize) {
         let Some(&HotEntry { prev, next, .. }) = self.slots.get(slot) else {
             return;
@@ -176,18 +206,9 @@ impl HotLru {
         }
         self.head = slot;
     }
-}
 
-impl HotLevel for HotLru {
-    fn touch(&mut self, id: BlockId) -> Option<(Block, u32)> {
-        let slot = *self.index.get(&id)?;
-        if self.head != slot {
-            self.unlink(slot);
-            self.link_front(slot);
-        }
-        self.slots.get(slot).map(|e| (e.data.clone(), e.crc))
-    }
-
+    /// Swaps `id`'s payload in place, place in the list and byte count
+    /// unchanged; false when `id` is not here.
     fn refresh(&mut self, id: BlockId, data: &Block, crc: u32) -> bool {
         let Some(e) = self.index.get(&id).and_then(|&slot| self.slots.get_mut(slot)) else {
             return false;
@@ -197,14 +218,17 @@ impl HotLevel for HotLru {
         true
     }
 
+    /// Adds `id` (not already here) at the head, unreferenced.
     fn insert(&mut self, id: BlockId, data: Block, crc: u32) {
         let slot = self.slots.len();
         self.bytes += data.len() as u64;
-        self.slots.push(HotEntry { id, data, crc, prev: NIL, next: NIL });
+        let referenced = AtomicBool::new(false);
+        self.slots.push(HotEntry { id, data, crc, referenced, prev: NIL, next: NIL });
         self.index.insert(id, slot);
         self.link_front(slot);
     }
 
+    /// Removes `id`, returning its payload and CRC.
     fn remove(&mut self, id: BlockId) -> Option<(Block, u32)> {
         let slot = self.index.remove(&id)?;
         self.unlink(slot);
@@ -228,17 +252,19 @@ impl HotLevel for HotLru {
         Some((e.data, e.crc))
     }
 
-    fn pop_lru(&mut self) -> Option<(BlockId, Block, u32)> {
-        let id = self.slots.get(self.tail)?.id;
-        self.remove(id).map(|(data, crc)| (id, data, crc))
-    }
-
-    fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    fn ids(&self) -> Vec<BlockId> {
-        self.index.keys().copied().collect()
+    /// Second chance from the tail: each referenced tail moves to the head
+    /// with its bit cleared, and the first unreferenced one is removed.
+    fn pop_victim(&mut self) -> Option<(BlockId, Block, u32)> {
+        loop {
+            let tail = self.tail;
+            let e = self.slots.get_mut(tail)?;
+            if !std::mem::take(e.referenced.get_mut()) {
+                let id = e.id;
+                return self.remove(id).map(|(data, crc)| (id, data, crc));
+            }
+            self.unlink(tail);
+            self.link_front(tail);
+        }
     }
 }
 
@@ -251,14 +277,14 @@ struct ColdEntry {
     referenced: bool,
 }
 
-/// Everything behind the cache's single mutex. One lock per node-cache:
-/// the hold times are map operations on in-memory state, and the cache is
-/// per-DataNode so cluster-level concurrency already shards across nodes.
+/// Everything behind the cache's lock: the hold times are map operations
+/// on in-memory state, and the cache is per-DataNode so cluster-level
+/// concurrency already shards across nodes.
 #[derive(Debug)]
-struct CacheState<H = HotLru> {
+struct CacheState {
     hot_cap: u64,
     cold_cap: u64,
-    hot: H,
+    hot: HotList,
     cold: BTreeMap<BlockId, ColdEntry>,
     /// Clock ring over cold ids. Entries removed from `cold` out of band
     /// (promotion, invalidation) leave stale ids here; the hand skips them.
@@ -266,14 +292,14 @@ struct CacheState<H = HotLru> {
     cold_bytes: u64,
     /// Seeded xorshift state for admission damping.
     rng: u64,
-    stats: CacheStats,
 }
 
-/// A deterministic two-level (hot LRU + cold clock) block cache. See the
-/// module docs for the design.
+/// A deterministic two-level (hot second chance + cold clock) block cache.
+/// See the module docs for the design.
 #[derive(Debug)]
 pub struct BlockCache {
-    state: Mutex<CacheState>,
+    state: RwLock<CacheState>,
+    counters: Striped<Counters>,
 }
 
 impl BlockCache {
@@ -284,13 +310,30 @@ impl BlockCache {
         if cfg.is_off() {
             return None;
         }
-        Some(BlockCache { state: Mutex::new(CacheState::new(cfg, seed)) })
+        Some(BlockCache {
+            state: RwLock::new(CacheState::new(cfg, seed)),
+            counters: Striped::default(),
+        })
     }
 
     /// Looks up a block's cached payload and write-time CRC32C. A hot hit
-    /// refreshes recency; a cold hit promotes the block to the hot level.
+    /// sets the block's reference bit under the read lock; a cold hit takes
+    /// the write lock, and the second one promotes the block to hot.
     pub fn get(&self, block: BlockId) -> Option<(Block, u32)> {
-        self.state.lock().get(block)
+        let c = self.counters.mine();
+        {
+            let s = self.state.read();
+            if let Some(e) = s.hot.get(block) {
+                return Some(e.hit(c));
+            }
+            if !s.cold.contains_key(&block) {
+                count(&c.misses, 1);
+                return None;
+            }
+        }
+        // Another thread may promote, demote or drop the block between the
+        // two locks: the write-locked lookup starts over.
+        self.state.write().get(block, c)
     }
 
     /// Admits a verified block read from the store. First-time admissions
@@ -298,67 +341,73 @@ impl BlockCache {
     /// are bypassed, and under eviction pressure one in
     /// [`ADMIT_DAMPING`] admissions is bypassed from the seeded stream.
     pub fn admit(&self, block: BlockId, data: &Block, crc: u32) {
-        self.state.lock().admit(block, data, crc);
+        self.state.write().admit(block, data, crc, self.counters.mine());
     }
 
     /// Drops any cached copy of `block` — called on overwrite
     /// and delete so the cache can never serve bytes the store no longer
     /// holds.
     pub fn invalidate(&self, block: BlockId) {
-        self.state.lock().invalidate(block);
+        self.state.write().invalidate(block, self.counters.mine());
     }
 
-    /// Snapshot of this cache's counters.
+    /// Snapshot of this cache's counters, summed over the stripes.
     pub fn stats(&self) -> CacheStats {
-        self.state.lock().stats
+        let c = &self.counters;
+        CacheStats {
+            hot_hits: c.total(|s| &s.hot_hits),
+            cold_hits: c.total(|s| &s.cold_hits),
+            misses: c.total(|s| &s.misses),
+            bypasses: c.total(|s| &s.bypasses),
+            evictions: c.total(|s| &s.evictions),
+            invalidations: c.total(|s| &s.invalidations),
+            bytes_saved: c.total(|s| &s.bytes_saved),
+        }
     }
 
     /// Data bytes currently held across both levels (test/diagnostic hook).
     pub fn data_bytes(&self) -> u64 {
-        let s = self.state.lock();
-        s.hot.bytes() + s.cold_bytes
+        let s = self.state.read();
+        s.hot.bytes + s.cold_bytes
     }
 
     /// Block ids currently holding cached *data*, hot level first, each
     /// level in id order — a deterministic snapshot for eviction tests.
     pub fn resident_blocks(&self) -> Vec<BlockId> {
-        self.state.lock().resident_blocks()
+        let s = self.state.read();
+        s.hot.index.keys().chain(s.cold.keys()).copied().collect()
     }
 }
 
-impl<H: HotLevel> CacheState<H> {
+impl CacheState {
     fn new(cfg: CacheConfig, seed: u64) -> Self {
         CacheState {
             hot_cap: cfg.hot_bytes(),
             cold_cap: cfg.cold_bytes(),
-            hot: H::default(),
+            hot: HotList::default(),
             cold: BTreeMap::new(),
             ring: VecDeque::new(),
             cold_bytes: 0,
             // Mix the seed so per-node streams differ even for dense
             // node ids; force non-zero (xorshift's absorbing state).
             rng: seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1,
-            stats: CacheStats::default(),
         }
     }
 
-    /// [`BlockCache::get`].
-    fn get(&mut self, block: BlockId) -> Option<(Block, u32)> {
-        if let Some(out) = self.hot.touch(block) {
-            self.stats.hot_hits += 1;
-            self.stats.bytes_saved += out.0.len() as u64;
-            return Some(out);
+    /// [`BlockCache::get`] under the write lock.
+    fn get(&mut self, block: BlockId, c: &Counters) -> Option<(Block, u32)> {
+        if let Some(e) = self.hot.get(block) {
+            return Some(e.hit(c));
         }
         let promote = match self.cold.get_mut(&block) {
             // First cold hit: set the clock reference bit, stay cold.
             Some(e) if !e.referenced => {
                 e.referenced = true;
-                let out = (e.data.clone(), e.crc);
-                self.stats.cold_hits += 1;
-                self.stats.bytes_saved += out.0.len() as u64;
-                return Some(out);
+                count(&c.cold_hits, 1);
+                count(&c.bytes_saved, e.data.len() as u64);
+                return Some((e.data.clone(), e.crc));
             }
-            // Second cold hit: proven reuse, promote to the hot LRU.
+            // Second cold hit: proven reuse, promote to the hot level.
             Some(_) => true,
             None => false,
         };
@@ -367,18 +416,18 @@ impl<H: HotLevel> CacheState<H> {
                 // The ring keeps a stale id the hand will skip.
                 self.cold_bytes = self.cold_bytes.saturating_sub(e.data.len() as u64);
                 let out = (e.data.clone(), e.crc);
-                self.stats.cold_hits += 1;
-                self.stats.bytes_saved += out.0.len() as u64;
-                self.insert_hot(block, e.data, e.crc);
+                count(&c.cold_hits, 1);
+                count(&c.bytes_saved, out.0.len() as u64);
+                self.insert_hot(block, e.data, e.crc, c);
                 return Some(out);
             }
         }
-        self.stats.misses += 1;
+        count(&c.misses, 1);
         None
     }
 
     /// [`BlockCache::admit`].
-    fn admit(&mut self, block: BlockId, data: &Block, crc: u32) {
+    fn admit(&mut self, block: BlockId, data: &Block, crc: u32, c: &Counters) {
         let len = data.len() as u64;
         // Already cached (a concurrent reader admitted first, or a hot
         // entry exists): refresh the payload in place, no level change.
@@ -391,12 +440,12 @@ impl<H: HotLevel> CacheState<H> {
             return;
         }
         if len > self.cold_cap {
-            self.stats.bypasses += 1;
+            count(&c.bypasses, 1);
             return;
         }
         if self.cold_bytes + len > self.cold_cap && self.next_rand().is_multiple_of(ADMIT_DAMPING)
         {
-            self.stats.bypasses += 1;
+            count(&c.bypasses, 1);
             return;
         }
         self.cold.insert(
@@ -409,11 +458,11 @@ impl<H: HotLevel> CacheState<H> {
         );
         self.ring.push_back(block);
         self.cold_bytes += len;
-        self.evict_cold();
+        self.evict_cold(c);
     }
 
     /// [`BlockCache::invalidate`].
-    fn invalidate(&mut self, block: BlockId) {
+    fn invalidate(&mut self, block: BlockId, c: &Counters) {
         let mut hit = self.hot.remove(block).is_some();
         if let Some(e) = self.cold.remove(&block) {
             // The ring id goes stale; the hand skips it.
@@ -421,15 +470,8 @@ impl<H: HotLevel> CacheState<H> {
             hit = true;
         }
         if hit {
-            self.stats.invalidations += 1;
+            count(&c.invalidations, 1);
         }
-    }
-
-    /// [`BlockCache::resident_blocks`].
-    fn resident_blocks(&self) -> Vec<BlockId> {
-        let mut out = self.hot.ids();
-        out.extend(self.cold.keys().copied());
-        out
     }
 
     /// Advances the seeded xorshift stream.
@@ -442,12 +484,12 @@ impl<H: HotLevel> CacheState<H> {
         x
     }
 
-    /// Inserts into the hot level, demoting LRU entries to cold while over
-    /// capacity.
-    fn insert_hot(&mut self, block: BlockId, data: Block, crc: u32) {
+    /// Inserts into the hot level, demoting second-chance victims to cold
+    /// while over capacity.
+    fn insert_hot(&mut self, block: BlockId, data: Block, crc: u32, c: &Counters) {
         self.hot.insert(block, data, crc);
-        while self.hot.bytes() > self.hot_cap {
-            let Some((victim, data, crc)) = self.hot.pop_lru() else {
+        while self.hot.bytes > self.hot_cap {
+            let Some((victim, data, crc)) = self.hot.pop_victim() else {
                 break;
             };
             // Demote to cold rather than dropping: recently-hot blocks get
@@ -456,12 +498,12 @@ impl<H: HotLevel> CacheState<H> {
             self.cold.insert(victim, ColdEntry { data, crc, referenced: false });
             self.ring.push_back(victim);
         }
-        self.evict_cold();
+        self.evict_cold(c);
     }
 
     /// Clock sweep: evicts unreferenced cold entries in ring order until
     /// the level fits, giving referenced entries a second chance.
-    fn evict_cold(&mut self) {
+    fn evict_cold(&mut self, c: &Counters) {
         while self.cold_bytes > self.cold_cap {
             let Some(candidate) = self.ring.pop_front() else {
                 break;
@@ -476,7 +518,7 @@ impl<H: HotLevel> CacheState<H> {
                 Some(_) => {
                     if let Some(e) = self.cold.remove(&candidate) {
                         self.cold_bytes = self.cold_bytes.saturating_sub(e.data.len() as u64);
-                        self.stats.evictions += 1;
+                        count(&c.evictions, 1);
                     }
                 }
             }
@@ -503,102 +545,201 @@ mod tests {
         Block::from(vec![n; len])
     }
 
-    /// The hot level before its recency list: entries by id plus a
-    /// stamp-ordered index (smallest stamp least recent), both updated on
-    /// every hit. Kept as the reference the recency list must match.
-    #[derive(Debug, Default)]
-    struct StampLru {
-        hot: BTreeMap<BlockId, (Block, u32, u64)>,
-        order: BTreeMap<u64, BlockId>,
-        bytes: u64,
-        stamp: u64,
+    /// The cache's policy written naively, as the reference the real cache
+    /// must match step for step: each level is a vector searched linearly,
+    /// the hot one in list order (head first). Byte counts are kept as the
+    /// cache keeps them (added on entry, taken off on exit), so a refresh
+    /// that changes a block's length drifts both alike.
+    struct Model {
+        hot_cap: u64,
+        cold_cap: u64,
+        /// `(id, data, crc, referenced)`, head first.
+        hot: Vec<(BlockId, Block, u32, bool)>,
+        hot_bytes: u64,
+        /// `(id, data, crc, referenced)`, in no order.
+        cold: Vec<(BlockId, Block, u32, bool)>,
+        /// The clock ring, stale ids included.
+        ring: VecDeque<BlockId>,
+        cold_bytes: u64,
+        rng: u64,
+        stats: CacheStats,
+        demotions: u64,
+        damped: u64,
     }
 
-    impl HotLevel for StampLru {
-        fn touch(&mut self, id: BlockId) -> Option<(Block, u32)> {
-            self.stamp += 1;
-            let e = self.hot.get_mut(&id)?;
-            self.order.remove(&e.2);
-            e.2 = self.stamp;
-            self.order.insert(self.stamp, id);
-            Some((e.0.clone(), e.1))
+    impl Model {
+        fn new(cfg: CacheConfig, seed: u64) -> Self {
+            Model {
+                hot_cap: cfg.hot_bytes(),
+                cold_cap: cfg.cold_bytes(),
+                hot: Vec::new(),
+                hot_bytes: 0,
+                cold: Vec::new(),
+                ring: VecDeque::new(),
+                cold_bytes: 0,
+                rng: seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1,
+                stats: CacheStats::default(),
+                demotions: 0,
+                damped: 0,
+            }
         }
 
-        fn refresh(&mut self, id: BlockId, data: &Block, crc: u32) -> bool {
-            let Some(e) = self.hot.get_mut(&id) else {
-                return false;
+        fn get(&mut self, id: BlockId) -> Option<(Block, u32)> {
+            if let Some(e) = self.hot.iter_mut().find(|e| e.0 == id) {
+                e.3 = true;
+                self.stats.hot_hits += 1;
+                self.stats.bytes_saved += e.1.len() as u64;
+                return Some((e.1.clone(), e.2));
+            }
+            let at = self.cold.iter().position(|e| e.0 == id);
+            let Some(at) = at else {
+                self.stats.misses += 1;
+                return None;
             };
-            (e.0, e.1) = (data.clone(), crc);
-            true
-        }
-
-        fn insert(&mut self, id: BlockId, data: Block, crc: u32) {
-            self.stamp += 1;
-            self.bytes += data.len() as u64;
-            self.hot.insert(id, (data, crc, self.stamp));
-            self.order.insert(self.stamp, id);
-        }
-
-        fn remove(&mut self, id: BlockId) -> Option<(Block, u32)> {
-            let (data, crc, stamp) = self.hot.remove(&id)?;
-            self.order.remove(&stamp);
-            self.bytes = self.bytes.saturating_sub(data.len() as u64);
+            self.stats.cold_hits += 1;
+            self.stats.bytes_saved += self.cold[at].1.len() as u64;
+            if !self.cold[at].3 {
+                self.cold[at].3 = true;
+                return Some((self.cold[at].1.clone(), self.cold[at].2));
+            }
+            let (_, data, crc, _) = self.cold.remove(at);
+            self.cold_bytes = self.cold_bytes.saturating_sub(data.len() as u64);
+            self.hot_bytes += data.len() as u64;
+            self.hot.insert(0, (id, data.clone(), crc, false));
+            while self.hot_bytes > self.hot_cap {
+                let Some(tail) = self.hot.pop() else { break };
+                if tail.3 {
+                    self.hot.insert(0, (tail.0, tail.1, tail.2, false));
+                    continue;
+                }
+                self.hot_bytes = self.hot_bytes.saturating_sub(tail.1.len() as u64);
+                self.cold_bytes += tail.1.len() as u64;
+                self.ring.push_back(tail.0);
+                self.cold.push((tail.0, tail.1, tail.2, false));
+                self.demotions += 1;
+            }
+            self.evict();
             Some((data, crc))
         }
 
-        fn pop_lru(&mut self) -> Option<(BlockId, Block, u32)> {
-            let (_, id) = self.order.pop_first()?;
-            self.remove(id).map(|(data, crc)| (id, data, crc))
+        fn admit(&mut self, id: BlockId, data: &Block, crc: u32) {
+            let hot = self.hot.iter_mut();
+            if let Some(e) = hot.chain(self.cold.iter_mut()).find(|e| e.0 == id) {
+                (e.1, e.2) = (data.clone(), crc);
+                return;
+            }
+            let len = data.len() as u64;
+            if len > self.cold_cap {
+                self.stats.bypasses += 1;
+                return;
+            }
+            let pressed = self.cold_bytes + len > self.cold_cap;
+            if pressed && self.next_rand().is_multiple_of(ADMIT_DAMPING) {
+                self.stats.bypasses += 1;
+                self.damped += 1;
+                return;
+            }
+            self.cold.push((id, data.clone(), crc, false));
+            self.ring.push_back(id);
+            self.cold_bytes += len;
+            self.evict();
         }
 
-        fn bytes(&self) -> u64 {
-            self.bytes
+        fn invalidate(&mut self, id: BlockId) {
+            let hot = self.hot.iter().position(|e| e.0 == id).map(|at| self.hot.remove(at));
+            let cold = self.cold.iter().position(|e| e.0 == id).map(|at| self.cold.remove(at));
+            if let Some(e) = &hot {
+                self.hot_bytes = self.hot_bytes.saturating_sub(e.1.len() as u64);
+            }
+            if let Some(e) = &cold {
+                self.cold_bytes = self.cold_bytes.saturating_sub(e.1.len() as u64);
+            }
+            if hot.is_some() || cold.is_some() {
+                self.stats.invalidations += 1;
+            }
         }
 
-        fn ids(&self) -> Vec<BlockId> {
-            self.hot.keys().copied().collect()
+        fn evict(&mut self) {
+            while self.cold_bytes > self.cold_cap {
+                let Some(id) = self.ring.pop_front() else { break };
+                let Some(at) = self.cold.iter().position(|e| e.0 == id) else { continue };
+                if std::mem::take(&mut self.cold[at].3) {
+                    self.ring.push_back(id);
+                } else {
+                    let e = self.cold.remove(at);
+                    self.cold_bytes = self.cold_bytes.saturating_sub(e.1.len() as u64);
+                    self.stats.evictions += 1;
+                }
+            }
+        }
+
+        fn next_rand(&mut self) -> u64 {
+            self.rng ^= self.rng << 13;
+            self.rng ^= self.rng >> 7;
+            self.rng ^= self.rng << 17;
+            self.rng
+        }
+
+        fn resident_blocks(&self) -> Vec<BlockId> {
+            let ids = |level: &[(BlockId, Block, u32, bool)]| {
+                let mut ids: Vec<BlockId> = level.iter().map(|e| e.0).collect();
+                ids.sort();
+                ids
+            };
+            [ids(&self.hot), ids(&self.cold)].concat()
         }
     }
 
     #[test]
-    fn the_recency_list_decides_as_the_stamp_index_did() {
+    fn second_chance_decides_as_the_reference_model_does() {
         // Random get/admit/invalidate sequences over a dozen ids, blocks of
-        // 16-64 bytes and caps of a few blocks, so hot overflow, demotion,
-        // clock eviction and damping all occur. After every step both
-        // caches have returned the same thing and hold the same state.
-        ear_types::prop::check("the_recency_list_decides_as_the_stamp_index_did", 256, |rng| {
+        // 16-64 bytes and caps of a few blocks. After every step the cache
+        // and the model have returned the same thing and hold the same
+        // state; over the cases, hot overflow with demotion, clock eviction
+        // and damping all occur.
+        let mut seen = CacheStats::default();
+        let (mut demotions, mut damped) = (0, 0);
+        ear_types::prop::check("second_chance_decides_as_the_reference_model_does", 256, |rng| {
             let cfg = CacheConfig::Sized {
                 hot_bytes: ear_types::prop::range(rng, 16..=256),
                 cold_bytes: ear_types::prop::range(rng, 16..=256),
             };
             let seed = rng.next_u64();
-            let mut list = CacheState::<HotLru>::new(cfg, seed);
-            let mut stamps = CacheState::<StampLru>::new(cfg, seed);
+            let cache = BlockCache::new(cfg, seed).unwrap();
+            let mut model = Model::new(cfg, seed);
             for step in 0..200 {
                 let id = BlockId(rng.below(12));
                 match rng.below(20) {
                     0..=9 => {
                         let got = |c: Option<(Block, u32)>| c.map(|(b, crc)| (b.to_vec(), crc));
-                        let (a, b) = (got(list.get(id)), got(stamps.get(id)));
+                        let (a, b) = (got(cache.get(id)), got(model.get(id)));
                         assert_eq!(a, b, "get {id:?}, step {step}");
                     }
                     10..=16 => {
                         let len = 16 * (1 + rng.below(4) as usize);
                         let data = blk(id.0 as u8, len);
                         let crc = rng.next_u32();
-                        list.admit(id, &data, crc);
-                        stamps.admit(id, &data, crc);
+                        cache.admit(id, &data, crc);
+                        model.admit(id, &data, crc);
                     }
                     _ => {
-                        list.invalidate(id);
-                        stamps.invalidate(id);
+                        cache.invalidate(id);
+                        model.invalidate(id);
                     }
                 }
-                assert_eq!(list.stats, stamps.stats, "step {step}");
-                assert_eq!(list.resident_blocks(), stamps.resident_blocks(), "step {step}");
-                assert_eq!(list.hot.bytes(), stamps.hot.bytes(), "step {step}");
+                assert_eq!(cache.stats(), model.stats, "step {step}");
+                assert_eq!(cache.resident_blocks(), model.resident_blocks(), "step {step}");
+                let bytes = model.hot_bytes + model.cold_bytes;
+                assert_eq!(cache.data_bytes(), bytes, "step {step}");
             }
+            seen.add(&model.stats);
+            demotions += model.demotions;
+            damped += model.damped;
         });
+        assert!(demotions > 0, "hot overflow demotes");
+        assert!(seen.evictions > 0, "the clock evicts");
+        assert!(damped > 0, "admission is damped");
+        assert!(seen.hot_hits > 0 && seen.invalidations > 0);
     }
 
     #[test]

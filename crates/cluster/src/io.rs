@@ -32,12 +32,12 @@
 use crate::cache::CacheStats;
 use crate::datanode::DataNode;
 use crate::reliability::{self, OpContext, Reliability};
-use crate::sync::Mutex;
+use crate::sync::{Mutex, Striped};
 use ear_faults::{FaultInjector, IoFault};
 use ear_netem::EmulatedNetwork;
 use ear_types::{Block, BlockId, ClusterTopology, Error, NodeId, Padded, Result};
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Nodes one multi-block job (a stripe's encode, a shard's rebuild) has
@@ -160,10 +160,8 @@ impl Landing for Unverified {
 /// contributing threads have joined, which is how every consumer reads them
 /// (after `encode_all`, after a healer round, after a job set).
 ///
-/// One stripe of them per thread: a thread is dealt a stripe at its first
-/// count, round robin over [`STRIPES`], and keeps it, so concurrent clients
-/// do not write the same cache lines; [`ClusterIo::stats`] sums the
-/// stripes.
+/// One stripe of them per thread ([`Striped`]); [`ClusterIo::stats`] sums
+/// the stripes.
 #[derive(Debug, Default)]
 struct Counters {
     reads: AtomicU64,
@@ -183,36 +181,6 @@ struct Counters {
     hedges_launched: AtomicU64,
     hedges_won: AtomicU64,
     breaker_skips: AtomicU64,
-}
-
-/// Counter stripes per [`ClusterIo`]: more than the threads that count at
-/// once (the clients, the encode and repair workers), so consecutive
-/// threads never share one.
-const STRIPES: usize = 16;
-
-/// The stripe the next thread to count is dealt.
-static NEXT_STRIPE: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    /// This thread's stripe, dealt at its first count.
-    static STRIPE: usize = NEXT_STRIPE.fetch_add(1, Ordering::Relaxed) % STRIPES;
-}
-
-/// The per-thread stripes of [`Counters`].
-#[derive(Debug, Default)]
-struct Striped([Padded<Counters>; STRIPES]);
-
-impl Striped {
-    /// The calling thread's stripe.
-    #[expect(clippy::indexing_slicing, reason = "STRIPE is taken modulo STRIPES")]
-    fn mine(&self) -> &Counters {
-        &self.0[STRIPE.with(|&i| i)]
-    }
-
-    /// One counter summed over the stripes.
-    fn total(&self, counter: impl Fn(&Counters) -> &AtomicU64) -> u64 {
-        self.0.iter().map(|c| counter(c).load(Ordering::Relaxed)).sum()
-    }
 }
 
 /// A snapshot of the cluster's data-plane I/O accounting.
@@ -286,7 +254,7 @@ pub struct ClusterIo {
     net: EmulatedNetwork,
     injector: FaultInjector,
     rel: Arc<Reliability>,
-    counters: Striped,
+    counters: Striped<Counters>,
 }
 
 impl ClusterIo {

@@ -12,8 +12,9 @@
 //!   [`BlockStore`] backend: lock-striped memory or the durable extent
 //!   engine (`EAR_STORE=memory|extent`), fronted by an optional
 //!   [`BlockCache`] (`EAR_CACHE=off|<hot>,<cold>`);
-//! * [`cache`] — the deterministic multi-level block cache (hot LRU + cold
-//!   clock + metadata side table) behind every DataNode's read path;
+//! * [`cache`] — the deterministic two-level block cache (hot and cold
+//!   second chance, hits under a read lock) behind every DataNode's read
+//!   path;
 //! * [`ClusterIo`] — the unified data-plane I/O service: every block fetch
 //!   and store goes through its fault-injection + netem + checksum seam,
 //!   with replica fallback, retry/backoff, verified-once CRC over cache

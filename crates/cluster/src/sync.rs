@@ -19,9 +19,16 @@
 //! takes the zero-sized token of what the caller holds ([`Held`]) and
 //! compiles only in order. A leaf takes no lock while held; one that must,
 //! joins the order here first.
+//!
+//! # Counters
+//!
+//! Counters that concurrent threads bump without a lock ([`crate::ClusterIo`]'s
+//! I/O accounting, a [`crate::BlockCache`]'s hits) are [`Striped`]: one
+//! padded copy per thread stripe, summed when read.
 
-use ear_types::{Error, Result};
+use ear_types::{Error, Padded, Result};
 use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{self, Condvar, MutexGuard, PoisonError, RwLockReadGuard, RwLockWriteGuard};
 
 /// The lock levels. Uninhabited: they only name a place in the order.
@@ -251,6 +258,40 @@ impl<T, L> RwLock<T, L> where level::Unlocked: Precedes<L> {
         _held: &'a mut Held<'_, H>,
     ) -> (RwLockWriteGuard<'a, T>, Held<'a, L>) {
         (self.0.write().unwrap_or_else(PoisonError::into_inner), Held(PhantomData))
+    }
+}
+
+/// Counter stripes per [`Striped`]: more than the threads that count at
+/// once (the clients, the encode and repair workers), so consecutive
+/// threads never share one.
+const STRIPES: usize = 16;
+
+/// The stripe the next thread to count is dealt.
+static NEXT_STRIPE: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// This thread's stripe, dealt at its first count.
+    static STRIPE: usize = NEXT_STRIPE.fetch_add(1, Ordering::Relaxed) % STRIPES;
+}
+
+/// Per-thread stripes of a counter set `T`, updated relaxed. A thread is
+/// dealt a stripe at its first count, round robin over [`STRIPES`], and
+/// keeps it in every `Striped`, so concurrent threads do not write the
+/// same cache lines. Totals are exact once the counting threads have
+/// joined, which is how every consumer reads them.
+#[derive(Debug, Default)]
+pub(crate) struct Striped<T>([Padded<T>; STRIPES]);
+
+impl<T> Striped<T> {
+    /// The calling thread's stripe.
+    #[expect(clippy::indexing_slicing, reason = "STRIPE is taken modulo STRIPES")]
+    pub(crate) fn mine(&self) -> &T {
+        &self.0[STRIPE.with(|&i| i)]
+    }
+
+    /// One counter summed over the stripes.
+    pub(crate) fn total(&self, counter: impl Fn(&T) -> &AtomicU64) -> u64 {
+        self.0.iter().map(|c| counter(c).load(Ordering::Relaxed)).sum()
     }
 }
 

@@ -8,8 +8,8 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use ear_cluster::{
-    recover_node, BlockStore, ClusterConfig, ClusterPolicy, MetaWal, MiniCfs, NameNode, RaidNode,
-    ShardedMemStore,
+    recover_node, BlockStore, ClusterConfig, ClusterPolicy, DataNode, MetaWal, MiniCfs, NameNode,
+    RaidNode, ShardedMemStore,
 };
 use ear_core::EncodingAwareReplication;
 use ear_types::crc::crc32c;
@@ -18,7 +18,7 @@ use ear_types::{
     Bandwidth, Block, BlockId, ByteSize, CacheConfig, ClusterTopology, EarConfig, ErasureParams,
     NodeId, ReplicationConfig, StoreBackend,
 };
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
 const THREADS: usize = 8;
@@ -60,6 +60,82 @@ fn sharded_store_survives_concurrent_mixed_ops() {
             assert_eq!(crc32c(&data), crc);
         }
     }
+}
+
+#[test]
+#[expect(clippy::disallowed_methods, reason = "races threads against the cluster on purpose")]
+fn no_hit_serves_bytes_older_than_a_returned_put_or_delete() {
+    // Two readers hammer hot hits on four blocks while a third thread
+    // overwrites and deletes them. Each payload carries its version. The
+    // writer raises a block's floor (the oldest version a hit may serve)
+    // only once its `put` or `delete` has returned, and then admits and
+    // promotes the new version so that hits stay hot. A lookup reads the
+    // floor first; a hit below it is a stale hit. The writer checks too,
+    // right after raising a floor.
+    const BLOCKS: u64 = 4;
+    const VERSIONS: u64 = 400;
+    let cache = CacheConfig::Sized { hot_bytes: 1024, cold_bytes: 1024 };
+    let node = DataNode::with_backend(NodeId(0), StoreBackend::Memory, cache, 1).unwrap();
+    let floors: Vec<AtomicU64> = (0..BLOCKS).map(|_| AtomicU64::new(0)).collect();
+    let (start, done) = (Barrier::new(3), AtomicBool::new(false));
+    let payload = |b: u64, v: u64| Block::from([v.to_le_bytes(), b.to_le_bytes()].concat());
+    // One cache lookup of block `b`; true on a hit.
+    let lookup = |b: u64| {
+        let floor = floors[b as usize].load(Ordering::Acquire);
+        let Some(read) = node.cached_read(BlockId(b)) else {
+            return false;
+        };
+        if read.verified {
+            let version = u64::from_le_bytes(read.data[..8].try_into().unwrap());
+            assert!(version >= floor, "block {b}: a hit served v{version} past floor v{floor}");
+        }
+        read.verified
+    };
+    let lookups: u64 = std::thread::scope(|scope| {
+        let readers: Vec<_> = (0..2u64)
+            .map(|t| {
+                let (lookup, start, done) = (&lookup, &start, &done);
+                scope.spawn(move || {
+                    start.wait();
+                    let mut n = 0u64;
+                    while !done.load(Ordering::Acquire) {
+                        lookup((n + t) % BLOCKS);
+                        n += 1;
+                    }
+                    n
+                })
+            })
+            .collect();
+        start.wait();
+        let mut n = 0;
+        for v in 1..=VERSIONS {
+            for b in 0..BLOCKS {
+                if v % 7 == 0 {
+                    node.delete(BlockId(b));
+                    floors[b as usize].store(v, Ordering::Release);
+                    n += 1;
+                    assert!(!lookup(b), "block {b} was deleted");
+                    continue;
+                }
+                let data = payload(b, v);
+                node.put(BlockId(b), data.clone()).unwrap();
+                floors[b as usize].store(v, Ordering::Release);
+                // One check; the verified read the I/O service would admit;
+                // the two cold hits that promote it; one hot hit.
+                n += 4;
+                lookup(b);
+                node.admit(BlockId(b), &data, crc32c(&data));
+                lookup(b);
+                lookup(b);
+                assert!(lookup(b), "block {b} v{v} is hot");
+            }
+        }
+        done.store(true, Ordering::Release);
+        n + readers.into_iter().map(|h| h.join().expect("reader thread")).sum::<u64>()
+    });
+    let stats = node.cache_stats();
+    assert_eq!(stats.hits() + stats.misses, lookups, "every lookup counted once");
+    assert!(stats.hot_hits > 0 && stats.invalidations > 0);
 }
 
 fn boot(policy: ClusterPolicy) -> MiniCfs {

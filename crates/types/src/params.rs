@@ -389,7 +389,7 @@ impl DurabilityConfig {
 ///
 /// * `off` — no cache; every read goes to the [`StoreBackend`] and is
 ///   CRC32C-verified.
-/// * `<hot>,<cold>` — byte capacities of the hot (LRU) and cold (clock)
+/// * `<hot>,<cold>` — byte capacities of the hot (second chance) and cold (clock)
 ///   levels, each a plain integer with an optional `k`/`m`/`g` binary
 ///   suffix, e.g. `EAR_CACHE=4m,16m`.
 ///
@@ -403,7 +403,7 @@ pub enum CacheConfig {
     Off,
     /// Two-level cache with per-level byte capacities.
     Sized {
-        /// Capacity of the hot (LRU) level in bytes.
+        /// Capacity of the hot (second-chance) level in bytes.
         hot_bytes: u64,
         /// Capacity of the cold (clock) level in bytes.
         cold_bytes: u64,

@@ -15,7 +15,14 @@
 //!   both threads, so both threads hit the same few hot blocks;
 //! * `disjoint_read` — the same reads with nothing shared: each thread's
 //!   blocks (by their one holder), readers and so links lie in its own half
-//!   of the racks, and it draws its blocks with the skewed mix over them.
+//!   of the racks, and it draws its blocks with the skewed mix over them;
+//! * `skewed_read`'s pieces, on the same reads: `sk_table` (the probe's own
+//!   draw from its read table, which every `sk_` row and both `_read` rows
+//!   include), `sk_locations` (the NameNode lookup the read path makes,
+//!   `NameNode::locations`), `sk_cached_read` (the holder's
+//!   `DataNode::cached_read`, a cache hit), `sk_transfer` (the
+//!   holder → reader `EmulatedNetwork::transfer`) and `sk_block_clone` (a
+//!   clone and drop of the block's `Block`).
 //!
 //! Prints one line per piece: the median over five repetitions of the
 //! nanoseconds per operation, per thread. Uses only public API, so the same
@@ -30,6 +37,7 @@ use ear::types::{
     Bandwidth, Block, BlockId, ByteSize, CacheConfig, EarConfig, ErasureParams, NodeId,
     ReplicationConfig, StoreBackend,
 };
+use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -195,5 +203,40 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             shaped.read_block(reader, id).expect("a cached read");
         });
     }
+
+    // The pieces of a skewed read: each read's holder and its `Block`,
+    // looked up ahead.
+    let pieces: Vec<Vec<_>> = skewed
+        .iter()
+        .map(|reads| {
+            reads
+                .iter()
+                .map(|&(reader, id)| {
+                    let from = holder(id).expect("an encoded block has a holder");
+                    let data = shaped.datanode(from).get(id).expect("the holder's replica");
+                    (reader, id, from, data)
+                })
+                .collect()
+        })
+        .collect();
+    let piece = |t: usize, i: u64| &pieces[t][i as usize % TABLE];
+    row("sk_table", &|t, i| {
+        black_box(piece(t, i));
+    });
+    row("sk_locations", &|t, i| {
+        black_box(shaped.namenode().locations(piece(t, i).1));
+    });
+    row("sk_cached_read", &|t, i| {
+        let &(_, id, from, _) = piece(t, i);
+        let read = shaped.datanode(from).cached_read(id).expect("a replica");
+        assert!(read.verified, "a cache hit");
+    });
+    row("sk_transfer", &|t, i| {
+        let &(reader, _, from, _) = piece(t, i);
+        shaped.network().transfer(from, reader, BLOCK as u64);
+    });
+    row("sk_block_clone", &|t, i| {
+        drop(black_box(piece(t, i).3.clone()));
+    });
     Ok(())
 }

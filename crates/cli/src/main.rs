@@ -20,6 +20,7 @@ use ear_types::{
     Bandwidth, ByteSize, CacheConfig, ClusterTopology, DurabilityConfig, EarConfig,
     ErasureParams, ReplicationConfig, StoreBackend,
 };
+use std::collections::BTreeMap;
 
 const USAGE: &str = "\
 ear — encoding-aware replication (Li, Hu & Lee, DSN 2015) reproduction
@@ -233,6 +234,7 @@ fn chaos(args: &Args) -> Result<String, Box<dyn std::error::Error>> {
 
     let mut out = String::new();
     let mut failures: Vec<(ClusterPolicy, u64)> = Vec::new();
+    let (mut reads, mut read_failures) = (0, BTreeMap::new());
     for &policy in &policies {
         let name = policy.name();
         for seed in seed0..seed0 + plans {
@@ -259,19 +261,24 @@ fn chaos(args: &Args) -> Result<String, Box<dyn std::error::Error>> {
                 "     reads={} read-failures={} p50={} p99={} p999={} ticks \
                  hedges-launched={} hedges-won={}\n",
                 r.read_ops,
-                r.read_failures,
+                by_kind(&r.read_failures),
                 r.read_p50_ticks,
                 r.read_p99_ticks,
                 r.read_p999_ticks,
                 r.hedges_launched,
                 r.hedges_won,
             ));
+            reads += r.read_ops;
+            for (&kind, &n) in &r.read_failures {
+                *read_failures.entry(kind).or_default() += n;
+            }
         }
     }
     out.push_str(&format!(
-        "\n{} plan(s) x {} policy(ies), profile {profile}: {}",
+        "\n{} plan(s) x {} policy(ies), reads={reads} read-failures={}, profile {profile}: {}",
         plans,
         policies.len(),
+        by_kind(&read_failures),
         if failures.is_empty() {
             "all invariants held".to_string()
         } else {
@@ -283,6 +290,17 @@ fn chaos(args: &Args) -> Result<String, Box<dyn std::error::Error>> {
     } else {
         Err(Box::new(ArgError(out)))
     }
+}
+
+/// A count of failures with its breakdown by error kind:
+/// `13 (corrupt=12 down=1)`, or `0`.
+fn by_kind(failures: &BTreeMap<&'static str, usize>) -> String {
+    let total: usize = failures.values().sum();
+    if total == 0 {
+        return "0".into();
+    }
+    let kinds: Vec<String> = failures.iter().map(|(kind, n)| format!("{kind}={n}")).collect();
+    format!("{total} ({})", kinds.join(" "))
 }
 
 fn heal(args: &Args) -> Result<String, Box<dyn std::error::Error>> {
@@ -670,6 +688,15 @@ mod tests {
         assert_eq!((plans, reads), (2, 2), "{out}");
         assert!(out.contains("read-failures=") && out.contains("hedges-won="), "{out}");
         assert!(out.contains("profile mixed: all invariants held"), "{out}");
+        // A plan whose probe read fails prints the failure by error kind,
+        // on its read line and in the run's totals.
+        let failing = run_words(&[
+            "chaos", "--plans", "1", "--policy", "ear", "--seed", "33", "--profile", "mixed",
+        ])
+        .unwrap();
+        assert!(failing.contains(" read-failures=1 (corrupt=1) p50="), "{failing}");
+        let totals = "read-failures=1 (corrupt=1), profile mixed: all invariants held";
+        assert!(failing.ends_with(totals), "{failing}");
     }
 
     #[test]

@@ -207,12 +207,14 @@ impl HotList {
         self.head = slot;
     }
 
-    /// Swaps `id`'s payload in place, place in the list and byte count
-    /// unchanged; false when `id` is not here.
+    /// Swaps `id`'s payload in place, its place in the list unchanged and
+    /// the byte count moved by the change in length; false when `id` is not
+    /// here.
     fn refresh(&mut self, id: BlockId, data: &Block, crc: u32) -> bool {
         let Some(e) = self.index.get(&id).and_then(|&slot| self.slots.get_mut(slot)) else {
             return false;
         };
+        self.bytes = (self.bytes + data.len() as u64).saturating_sub(e.data.len() as u64);
         e.data = data.clone();
         e.crc = crc;
         true
@@ -339,7 +341,9 @@ impl BlockCache {
     /// Admits a verified block read from the store. First-time admissions
     /// enter the cold level (clock); blocks larger than the cold capacity
     /// are bypassed, and under eviction pressure one in
-    /// [`ADMIT_DAMPING`] admissions is bypassed from the seeded stream.
+    /// [`ADMIT_DAMPING`] admissions is bypassed from the seeded stream. A
+    /// resident block's payload is swapped in place, and a longer one
+    /// demotes and evicts as an insert would.
     pub fn admit(&self, block: BlockId, data: &Block, crc: u32) {
         self.state.write().admit(block, data, crc, self.counters.mine());
     }
@@ -430,13 +434,17 @@ impl CacheState {
     fn admit(&mut self, block: BlockId, data: &Block, crc: u32, c: &Counters) {
         let len = data.len() as u64;
         // Already cached (a concurrent reader admitted first, or a hot
-        // entry exists): refresh the payload in place, no level change.
+        // entry exists): refresh the payload in place, no level change,
+        // then fit both levels as an insert does, for a longer payload.
         if self.hot.refresh(block, data, crc) {
+            self.fit(c);
             return;
         }
         if let Some(e) = self.cold.get_mut(&block) {
+            self.cold_bytes = (self.cold_bytes + len).saturating_sub(e.data.len() as u64);
             e.data = data.clone();
             e.crc = crc;
+            self.fit(c);
             return;
         }
         if len > self.cold_cap {
@@ -484,10 +492,15 @@ impl CacheState {
         x
     }
 
-    /// Inserts into the hot level, demoting second-chance victims to cold
-    /// while over capacity.
+    /// Inserts into the hot level, then fits both levels.
     fn insert_hot(&mut self, block: BlockId, data: Block, crc: u32, c: &Counters) {
         self.hot.insert(block, data, crc);
+        self.fit(c);
+    }
+
+    /// Demotes second-chance victims to cold while the hot level is over
+    /// capacity, then lets the clock evict until the cold level fits.
+    fn fit(&mut self, c: &Counters) {
         while self.hot.bytes > self.hot_cap {
             let Some((victim, data, crc)) = self.hot.pop_victim() else {
                 break;
@@ -547,24 +560,23 @@ mod tests {
 
     /// The cache's policy written naively, as the reference the real cache
     /// must match step for step: each level is a vector searched linearly,
-    /// the hot one in list order (head first). Byte counts are kept as the
-    /// cache keeps them (added on entry, taken off on exit), so a refresh
-    /// that changes a block's length drifts both alike.
+    /// the hot one in list order (head first), and its byte count is the
+    /// sum of the lengths it holds.
     struct Model {
         hot_cap: u64,
         cold_cap: u64,
         /// `(id, data, crc, referenced)`, head first.
         hot: Vec<(BlockId, Block, u32, bool)>,
-        hot_bytes: u64,
         /// `(id, data, crc, referenced)`, in no order.
         cold: Vec<(BlockId, Block, u32, bool)>,
         /// The clock ring, stale ids included.
         ring: VecDeque<BlockId>,
-        cold_bytes: u64,
         rng: u64,
         stats: CacheStats,
         demotions: u64,
         damped: u64,
+        /// Re-admissions that changed a resident block's length.
+        resized: u64,
     }
 
     impl Model {
@@ -573,15 +585,18 @@ mod tests {
                 hot_cap: cfg.hot_bytes(),
                 cold_cap: cfg.cold_bytes(),
                 hot: Vec::new(),
-                hot_bytes: 0,
                 cold: Vec::new(),
                 ring: VecDeque::new(),
-                cold_bytes: 0,
                 rng: seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1,
                 stats: CacheStats::default(),
                 demotions: 0,
                 damped: 0,
+                resized: 0,
             }
+        }
+
+        fn bytes(level: &[(BlockId, Block, u32, bool)]) -> u64 {
+            level.iter().map(|e| e.1.len() as u64).sum()
         }
 
         fn get(&mut self, id: BlockId) -> Option<(Block, u32)> {
@@ -603,29 +618,31 @@ mod tests {
                 return Some((self.cold[at].1.clone(), self.cold[at].2));
             }
             let (_, data, crc, _) = self.cold.remove(at);
-            self.cold_bytes = self.cold_bytes.saturating_sub(data.len() as u64);
-            self.hot_bytes += data.len() as u64;
             self.hot.insert(0, (id, data.clone(), crc, false));
-            while self.hot_bytes > self.hot_cap {
+            self.fit();
+            Some((data, crc))
+        }
+
+        fn fit(&mut self) {
+            while Self::bytes(&self.hot) > self.hot_cap {
                 let Some(tail) = self.hot.pop() else { break };
                 if tail.3 {
                     self.hot.insert(0, (tail.0, tail.1, tail.2, false));
                     continue;
                 }
-                self.hot_bytes = self.hot_bytes.saturating_sub(tail.1.len() as u64);
-                self.cold_bytes += tail.1.len() as u64;
                 self.ring.push_back(tail.0);
                 self.cold.push((tail.0, tail.1, tail.2, false));
                 self.demotions += 1;
             }
             self.evict();
-            Some((data, crc))
         }
 
         fn admit(&mut self, id: BlockId, data: &Block, crc: u32) {
             let hot = self.hot.iter_mut();
             if let Some(e) = hot.chain(self.cold.iter_mut()).find(|e| e.0 == id) {
+                self.resized += u64::from(e.1.len() != data.len());
                 (e.1, e.2) = (data.clone(), crc);
+                self.fit();
                 return;
             }
             let len = data.len() as u64;
@@ -633,7 +650,7 @@ mod tests {
                 self.stats.bypasses += 1;
                 return;
             }
-            let pressed = self.cold_bytes + len > self.cold_cap;
+            let pressed = Self::bytes(&self.cold) + len > self.cold_cap;
             if pressed && self.next_rand().is_multiple_of(ADMIT_DAMPING) {
                 self.stats.bypasses += 1;
                 self.damped += 1;
@@ -641,33 +658,25 @@ mod tests {
             }
             self.cold.push((id, data.clone(), crc, false));
             self.ring.push_back(id);
-            self.cold_bytes += len;
             self.evict();
         }
 
         fn invalidate(&mut self, id: BlockId) {
             let hot = self.hot.iter().position(|e| e.0 == id).map(|at| self.hot.remove(at));
             let cold = self.cold.iter().position(|e| e.0 == id).map(|at| self.cold.remove(at));
-            if let Some(e) = &hot {
-                self.hot_bytes = self.hot_bytes.saturating_sub(e.1.len() as u64);
-            }
-            if let Some(e) = &cold {
-                self.cold_bytes = self.cold_bytes.saturating_sub(e.1.len() as u64);
-            }
             if hot.is_some() || cold.is_some() {
                 self.stats.invalidations += 1;
             }
         }
 
         fn evict(&mut self) {
-            while self.cold_bytes > self.cold_cap {
+            while Self::bytes(&self.cold) > self.cold_cap {
                 let Some(id) = self.ring.pop_front() else { break };
                 let Some(at) = self.cold.iter().position(|e| e.0 == id) else { continue };
                 if std::mem::take(&mut self.cold[at].3) {
                     self.ring.push_back(id);
                 } else {
-                    let e = self.cold.remove(at);
-                    self.cold_bytes = self.cold_bytes.saturating_sub(e.1.len() as u64);
+                    self.cold.remove(at);
                     self.stats.evictions += 1;
                 }
             }
@@ -695,10 +704,11 @@ mod tests {
         // Random get/admit/invalidate sequences over a dozen ids, blocks of
         // 16-64 bytes and caps of a few blocks. After every step the cache
         // and the model have returned the same thing and hold the same
-        // state; over the cases, hot overflow with demotion, clock eviction
-        // and damping all occur.
+        // state, bytes included, within both caps; over the cases, hot
+        // overflow with demotion, clock eviction, damping and re-admissions
+        // at a new length all occur.
         let mut seen = CacheStats::default();
-        let (mut demotions, mut damped) = (0, 0);
+        let (mut demotions, mut damped, mut resized) = (0, 0, 0);
         ear_types::prop::check("second_chance_decides_as_the_reference_model_does", 256, |rng| {
             let cfg = CacheConfig::Sized {
                 hot_bytes: ear_types::prop::range(rng, 16..=256),
@@ -729,14 +739,18 @@ mod tests {
                 }
                 assert_eq!(cache.stats(), model.stats, "step {step}");
                 assert_eq!(cache.resident_blocks(), model.resident_blocks(), "step {step}");
-                let bytes = model.hot_bytes + model.cold_bytes;
-                assert_eq!(cache.data_bytes(), bytes, "step {step}");
+                let (hot, cold) = (Model::bytes(&model.hot), Model::bytes(&model.cold));
+                assert_eq!(cache.data_bytes(), hot + cold, "step {step}");
+                let caps = (cfg.hot_bytes(), cfg.cold_bytes());
+                assert!(hot <= caps.0 && cold <= caps.1, "step {step}: over capacity");
             }
             seen.add(&model.stats);
             demotions += model.demotions;
             damped += model.damped;
+            resized += model.resized;
         });
         assert!(demotions > 0, "hot overflow demotes");
+        assert!(resized > 0, "a re-admission changes a length");
         assert!(seen.evictions > 0, "the clock evicts");
         assert!(damped > 0, "admission is damped");
         assert!(seen.hot_hits > 0 && seen.invalidations > 0);

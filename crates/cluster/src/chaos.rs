@@ -145,8 +145,9 @@ pub struct ChaosReport {
     /// Acked blocks read back through the real client path in the
     /// tail-latency probe.
     pub read_ops: usize,
-    /// Probe reads that failed with a typed error.
-    pub read_failures: usize,
+    /// Probe reads that failed with a typed error, counted by
+    /// [`Error::kind`](ear_types::Error::kind).
+    pub read_failures: BTreeMap<&'static str, usize>,
     /// Median probe-read latency, virtual-clock ticks.
     pub read_p50_ticks: u64,
     /// 99th-percentile probe-read latency, virtual-clock ticks.
@@ -299,7 +300,7 @@ pub fn run_plan(seed: u64, cfg: &ChaosConfig) -> Result<ChaosReport> {
                 .and_then(|ctx| cfs.read_block_in(&ctx, reader, b).map(|_| ctx.elapsed_ticks()));
             match read {
                 Ok(ticks) => lat.push(ticks),
-                Err(_) => report.read_failures += 1,
+                Err(e) => *report.read_failures.entry(e.kind()).or_default() += 1,
             }
         }
         report.read_ops = lat.len();

@@ -5,7 +5,7 @@ use crate::durable::Dir;
 use crate::health::{FailureDetector, HealthTransition};
 use crate::io::{ClusterIo, IoStats};
 use crate::namenode::NameNode;
-use crate::reliability::{self, OpClass, OpContext, Reliability};
+use crate::reliability::{OpClass, OpContext, Reliability};
 use crate::wal::MetaWal;
 pub use ear_core::ClusterPolicy;
 use ear_core::StripeSpread;
@@ -400,17 +400,24 @@ impl MiniCfs {
         Ok(id)
     }
 
-    /// Reads a block to `reader`, trying replicas nearest-first (local, then
-    /// intra-rack, then remote) as HDFS does. A replica that is down, slow
-    /// to answer, or fails checksum verification is skipped in favour of the
-    /// next; transient failures are retried with backoff.
+    /// Reads a block to `reader`: its replicas nearest-first (local, then
+    /// intra-rack, then remote) as HDFS does, then its stripe. A replica
+    /// that is down, slow to answer, or fails checksum verification is
+    /// skipped in favour of the next; transient failures are retried with
+    /// backoff. Once every replica has failed, a block of an encoded stripe
+    /// is decoded at `reader` from `k` surviving members (a degraded read,
+    /// DESIGN.md §14).
     ///
     /// # Errors
     ///
     /// * [`Error::Invariant`] if the block id was never allocated.
-    /// * [`Error::BlockUnavailable`] if the block has no replicas at all.
-    /// * The last per-replica error ([`Error::NodeDown`],
-    ///   [`Error::CorruptBlock`], …) if every replica failed every attempt.
+    /// * [`Error::DeadlineExceeded`] as soon as the op's deadline passes.
+    /// * For a block of an encoded stripe, the stripe leg's error
+    ///   ([`Error::NotEnoughShards`], …) if the replicas and the stripe
+    ///   both failed.
+    /// * For any other block, [`Error::BlockUnavailable`] if it has no
+    ///   replica at all, else the last replica's error ([`Error::NodeDown`],
+    ///   [`Error::CorruptBlock`], …) once every replica failed every attempt.
     pub fn read_block(&self, reader: NodeId, id: BlockId) -> Result<Block> {
         let ctx = self.reliability.ctx(OpClass::ClientRead)?;
         self.read_block_in(&ctx, reader, id)
@@ -418,14 +425,11 @@ impl MiniCfs {
 
     /// [`read_block`](Self::read_block) under a caller-supplied op context
     /// — the entry point for consumers that measure or bound the read on
-    /// the virtual clock (chaos latency probes, MapReduce map tasks).
-    ///
-    /// Beyond the replica-fallback hedging inside
-    /// [`ClusterIo::read_with_fallback`], this is where the last-resort
-    /// hedge lives: when exactly one replica remains and it straggles past
-    /// the hedging threshold, the read races a proactive degraded-EC
-    /// reconstruction from the block's stripe and completes at the
-    /// virtual-clock winner.
+    /// the virtual clock (chaos latency probes, MapReduce map tasks). The
+    /// replicas and the stripe leg charge `ctx` alike, so its deadline
+    /// bounds the whole read. When the last viable replica straggles past
+    /// the hedging threshold, the stripe leg launches early as the hedge
+    /// and the read completes at the virtual-clock winner.
     ///
     /// # Errors
     ///
@@ -435,49 +439,13 @@ impl MiniCfs {
             .namenode
             .locations(id)
             .ok_or_else(|| Error::Invariant(format!("unknown {id}")))?;
-        if locations.is_empty() {
-            return Err(Error::BlockUnavailable { block: id });
-        }
         let ordered = self.by_proximity(reader, locations);
-        if let [only] = ordered.as_slice() {
-            if self.reliability.hedging_enabled() {
-                let delay = self.io.injector().straggler_delay_ticks(
-                    *only,
-                    id,
-                    0,
-                    reliability::NOMINAL_SERVICE_TICKS,
-                );
-                if delay > reliability::HEDGE_THRESHOLD_TICKS {
-                    return self.hedged_degraded_read(ctx, reader, id, *only);
-                }
-            }
-        }
+        let stripe = |leg: &OpContext<'_>| {
+            let es = self.namenode.stripe_of(id)?;
+            Some(crate::recovery::degraded_read(self, leg, reader, &es, id))
+        };
         self.io
-            .read_with_fallback(ctx, reader, id, &ordered, None, None)
-            .map(|(data, _)| data)
-    }
-
-    /// Races the last straggling replica against a degraded-EC
-    /// reconstruction: the reconstruct leg launches at the hedging
-    /// threshold on the virtual clock (plus a fixed decode cost) under its
-    /// own context, and the read completes at whichever leg finishes first.
-    /// Replicas are exhausted here, so losing the race to the decoder is the
-    /// difference between tail latency and a timeout.
-    fn hedged_degraded_read(
-        &self,
-        ctx: &OpContext<'_>,
-        reader: NodeId,
-        id: BlockId,
-        src: NodeId,
-    ) -> Result<Block> {
-        let (primary, primary_cost) = self.io.fetch_costed(src, reader, id, 0);
-        let hedge_ctx = self.reliability.ctx(ctx.class())?;
-        let hedge = crate::recovery::degraded_read(self, &hedge_ctx, reader, id);
-        let hedge_total = reliability::HEDGE_THRESHOLD_TICKS
-            .saturating_add(hedge_ctx.elapsed_ticks())
-            .saturating_add(reliability::DECODE_TICKS);
-        self.io
-            .settle_hedge(ctx, primary, primary_cost, hedge, hedge_total)
+            .read_fallback(ctx, reader, id, &ordered, None, Some(&stripe))
             .map(|(data, _)| data)
     }
 

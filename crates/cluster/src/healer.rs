@@ -432,7 +432,8 @@ mod tests {
         assert!(stats.rounds <= HealerConfig::default().max_rounds);
 
         // Every acknowledged block reads back byte-for-byte, from a live
-        // node, without touching the dead one.
+        // node, without touching the dead one; and since a read may decode
+        // a block from its stripe, each stored copy is checked as well.
         let reader = cfs
             .topology()
             .nodes()
@@ -440,6 +441,7 @@ mod tests {
             .unwrap();
         for &(b, tag) in &acked {
             let locs = cfs.namenode().locations(b).unwrap();
+            assert!(!locs.is_empty(), "{b} has no copy");
             assert!(!locs.contains(&crashed), "{b} still mapped to dead node");
             let data = cfs.read_block(reader, b).unwrap();
             assert_eq!(
@@ -447,6 +449,10 @@ mod tests {
                 cfs.make_block(tag).as_slice(),
                 "{b} corrupted"
             );
+            for n in locs {
+                let copy = cfs.datanode(n).get(b).unwrap();
+                assert_eq!(copy.as_slice(), cfs.make_block(tag).as_slice(), "{b} at {n}");
+            }
         }
         // Healed placements keep the monitor happy.
         assert!(monitor::scan(&cfs).is_empty());

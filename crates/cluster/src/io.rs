@@ -16,8 +16,9 @@
 //! On top of the single-attempt seams it provides the one retry/fallback
 //! policy all consumers share: [`ClusterIo::read_with_fallback`] walks an
 //! ordered replica list, retrying transient faults with seeded-jitter
-//! backoff on the same node, skipping dead nodes (optionally notifying the
-//! caller's blacklist), and [`ClusterIo::write_replicated`] /
+//! backoff on the same node, skipping dead nodes (optionally recording them
+//! in the caller's blacklist) and, for a client read, ending in the block's
+//! stripe leg, and [`ClusterIo::write_replicated`] /
 //! [`ClusterIo::write_with_fallback`] do the same for pipeline and
 //! placement writes. Per-op byte and latency counters are aggregated into
 //! [`IoStats`].
@@ -27,7 +28,8 @@
 //! op's deadline, retries draw from the op class's shared token bucket,
 //! fallback skips breaker-open replicas for one tick instead of paying a
 //! timeout, and reads whose seeded straggler delay crosses the hedging
-//! threshold race a second replica fetch and keep the virtual winner.
+//! threshold race the next replica (or the stripe leg) and keep the virtual
+//! winner.
 
 use crate::cache::CacheStats;
 use crate::datanode::DataNode;
@@ -42,7 +44,7 @@ use std::sync::Arc;
 
 /// Nodes one multi-block job (a stripe's encode, a shard's rebuild) has
 /// found fail-stop dead, shared across the job's reads so each discovery is
-/// paid at most once: the blacklist hook and skip predicate of
+/// paid at most once: the blacklist of
 /// [`read_nearest`](ClusterIo::read_nearest).
 #[derive(Debug, Default)]
 pub struct DeadNodeSet {
@@ -117,6 +119,11 @@ impl Unverified {
         &self.data
     }
 }
+
+/// A client read's stripe leg ([`ClusterIo::read_fallback`]'s tail and
+/// hedge): `None` for a block in no encoded stripe, else the outcome of
+/// decoding it at the reader under the context it is given.
+pub(crate) type StripeLeg<'a, T> = &'a dyn Fn(&OpContext<'_>) -> Option<Result<T>>;
 
 /// What a read attempt hands its caller: bytes it hashed at the boundary
 /// ([`Block`]), or bytes left for the fold's pass ([`Unverified`]).
@@ -629,17 +636,16 @@ impl ClusterIo {
     ///
     /// Sources are tried in the given order. On each one, a transient fault
     /// is retried after seeded-jitter backoff, up to [`IO_ATTEMPTS`]
-    /// attempts (the last one backs off no more); a dead node is reported
-    /// to `on_dead` (a blacklist hook) and skipped; any other failure
-    /// (missing replica, checksum mismatch) falls through to the next
-    /// source. A source for which `skip` returns `true`, or
-    /// whose circuit breaker is open, is bypassed without an attempt unless
-    /// it is the last hope — a breaker skip costs one virtual tick instead
-    /// of a timeout.
+    /// attempts (the last one backs off no more); a dead node is added to
+    /// `dead` (the job's blacklist) and skipped; any other failure (missing
+    /// replica, checksum mismatch) falls through to the next source. A
+    /// source in `dead`, or whose circuit breaker is open, is bypassed
+    /// without an attempt unless it is the last hope — a breaker skip costs
+    /// one virtual tick instead of a timeout.
     ///
     /// When hedging is enabled and an attempt's seeded straggler delay
     /// crosses the threshold, a second fetch races on the next viable
-    /// source — one neither skipped nor breaker-open — and the op completes
+    /// source — one neither dead nor breaker-open — and the op completes
     /// at the virtual-clock winner's time.
     ///
     /// Returns the bytes and the node that served them.
@@ -656,30 +662,38 @@ impl ClusterIo {
         dst: NodeId,
         block: BlockId,
         sources: &[NodeId],
-        on_dead: Option<&dyn Fn(NodeId)>,
-        skip: Option<&dyn Fn(NodeId) -> bool>,
+        dead: Option<&DeadNodeSet>,
     ) -> Result<(Block, NodeId)> {
-        self.read_fallback(ctx, dst, block, sources, on_dead, skip)
+        self.read_fallback(ctx, dst, block, sources, dead, None)
     }
 
     /// [`read_with_fallback`](Self::read_with_fallback), landing the bytes
-    /// as `T`.
-    fn read_fallback<T: Landing>(
+    /// as `T`, with the block's `stripe` leg (a client read's decode at
+    /// `dst`, DESIGN.md §14) as its tail: the leg runs under `ctx` once
+    /// every source failed short of the op's stop, and launches as the
+    /// hedge when the last viable source straggles, at most once an op.
+    /// A walk nothing serves fails with the leg's error, the early leg's
+    /// included; for a block in no encoded stripe the last source's error
+    /// stands.
+    pub(crate) fn read_fallback<T: Landing>(
         &self,
         ctx: &OpContext<'_>,
         dst: NodeId,
         block: BlockId,
         sources: &[NodeId],
-        on_dead: Option<&dyn Fn(NodeId)>,
-        skip: Option<&dyn Fn(NodeId) -> bool>,
+        dead: Option<&DeadNodeSet>,
+        mut stripe: Option<StripeLeg<'_, T>>,
     ) -> Result<(T, NodeId)> {
         let rel = ctx.reliability();
+        let known_dead = |n: NodeId| dead.is_some_and(|d| d.contains(n));
         let mut last = Error::BlockUnavailable { block };
+        // The stripe's answer once its leg has run early, as a hedge.
+        let mut leg_err = None;
         for (i, &src) in sources.iter().enumerate() {
             // Skip a known-bad source while other candidates remain; if it
             // is the last one, try it anyway — a stale blacklist entry must
             // not turn a readable block into a failed read.
-            if i + 1 < sources.len() && skip.is_some_and(|f| f(src)) {
+            if i + 1 < sources.len() && known_dead(src) {
                 last = Error::NodeDown { node: src };
                 continue;
             }
@@ -699,19 +713,31 @@ impl ClusterIo {
                     attempt,
                     reliability::NOMINAL_SERVICE_TICKS,
                 );
-                let hedge_to =
-                    if rel.hedging_enabled() && delay > reliability::HEDGE_THRESHOLD_TICKS {
-                        sources.iter().skip(i + 1).copied().find(|&s| {
-                            s != src && !rel.breaker_open(s) && !skip.is_some_and(|f| f(s))
-                        })
-                    } else {
-                        None
-                    };
-                let outcome = if let Some(alt) = hedge_to {
-                    self.hedged_fetch(ctx, src, alt, dst, block, attempt)
+                let straggles = rel.hedging_enabled() && delay > reliability::HEDGE_THRESHOLD_TICKS;
+                let alt = if straggles {
+                    let viable = |s: NodeId| s != src && !rel.breaker_open(s) && !known_dead(s);
+                    sources.iter().skip(i + 1).copied().find(|&s| viable(s))
                 } else {
-                    let (out, cost) = self.fetch_costed(src, dst, block, attempt);
-                    ctx.charge(cost).and(out).map(|d| (d, src))
+                    None
+                };
+                let outcome = match (alt, stripe.filter(|_| straggles)) {
+                    (Some(alt), _) => self.hedged_fetch(ctx, src, dst, block, attempt, || {
+                        let (hedge, cost) = self.fetch_costed(alt, dst, block, attempt);
+                        Some((hedge, cost, alt))
+                    }),
+                    (None, Some(leg)) => {
+                        stripe = None;
+                        self.hedged_fetch(ctx, src, dst, block, attempt, || {
+                            let child = ctx.child(reliability::HEDGE_THRESHOLD_TICKS);
+                            let hedge = leg(&child)?;
+                            leg_err = hedge.as_ref().err().cloned();
+                            Some((hedge, child.elapsed_ticks(), dst))
+                        })
+                    }
+                    (None, None) => {
+                        let (out, cost) = self.fetch_costed(src, dst, block, attempt);
+                        ctx.charge(cost).and(out).map(|d| (d, src))
+                    }
                 };
                 match outcome {
                     Ok(won) => return Ok(won),
@@ -722,8 +748,8 @@ impl ClusterIo {
                     }
                     Err(e) if e.stops_the_op() => return Err(e),
                     Err(e @ Error::NodeDown { .. }) => {
-                        if let Some(f) = on_dead {
-                            f(src);
+                        if let Some(d) = dead {
+                            d.insert(src);
                         }
                         last = e;
                         break;
@@ -735,64 +761,56 @@ impl ClusterIo {
                 }
             }
         }
-        Err(last)
+        match stripe.and_then(|leg| leg(ctx)) {
+            Some(decoded) => decoded.map(|data| (data, dst)),
+            None => Err(leg_err.unwrap_or(last)),
+        }
     }
 
-    /// Races a straggling primary fetch against a hedge on `alt`: the hedge
-    /// launches at the threshold on the virtual clock, and the op completes
-    /// at whichever leg finishes first. Physically both legs run to
-    /// completion in sequence (determinism over wall-parallelism); the
-    /// loser's virtual cost is discarded.
+    /// Races a straggling primary fetch from `src` against a `hedge` leg —
+    /// the next replica's fetch or the stripe leg, returning its outcome,
+    /// its own ticks and the node its bytes land from, or `None` for a
+    /// block in no encoded stripe — and settles it: the one place a hedge
+    /// is settled. The hedge launches at the threshold on the virtual
+    /// clock, and the op completes at the earlier successful leg, charged
+    /// that much (the loser's cost is discarded). With both legs failed the
+    /// op has observed both, so it completes at the later one and the
+    /// primary's error drives the caller's retry policy. Physically both
+    /// legs run to completion in sequence (determinism over
+    /// wall-parallelism).
     fn hedged_fetch<T: Landing>(
         &self,
         ctx: &OpContext<'_>,
         src: NodeId,
-        alt: NodeId,
         dst: NodeId,
         block: BlockId,
         attempt: u32,
+        hedge: impl FnOnce() -> Option<(Result<T>, u64, NodeId)>,
     ) -> Result<(T, NodeId)> {
         let (primary, primary_cost) = self.fetch_costed(src, dst, block, attempt);
-        let (hedge, hedge_cost) = self.fetch_costed(alt, dst, block, attempt);
+        let Some((hedge, hedge_cost, by)) = hedge() else {
+            return ctx.charge(primary_cost).and(primary).map(|d| (d, src));
+        };
+        self.counters.mine().hedges_launched.fetch_add(1, Ordering::Relaxed);
         // The hedge leg starts once the primary has straggled past the
         // threshold, so its completion sits that far into the op.
         let hedge_total = reliability::HEDGE_THRESHOLD_TICKS.saturating_add(hedge_cost);
-        let (data, hedge_won) = self.settle_hedge(ctx, primary, primary_cost, hedge, hedge_total)?;
-        Ok((data, if hedge_won { alt } else { src }))
-    }
-
-    /// Settles one launched hedge on the virtual clock: `primary` finished
-    /// `primary_cost` ticks into the op, `hedge` at `hedge_total`. The op
-    /// completes at the earlier successful leg (the loser's cost is
-    /// discarded) and is charged that much; the flag says the hedge's bytes
-    /// were taken. With both legs failed the op has observed both, so it
-    /// completes at the later one and the primary's error drives the
-    /// caller's retry policy.
-    pub(crate) fn settle_hedge<T>(
-        &self,
-        ctx: &OpContext<'_>,
-        primary: Result<T>,
-        primary_cost: u64,
-        hedge: Result<T>,
-        hedge_total: u64,
-    ) -> Result<(T, bool)> {
-        self.counters.mine().hedges_launched.fetch_add(1, Ordering::Relaxed);
         let hedge_won = match (&primary, &hedge) {
             (Ok(_), Ok(_)) => hedge_total < primary_cost,
             (Err(_), Ok(_)) => true,
             (Ok(_), Err(_)) => false,
             (Err(_), Err(_)) => {
                 ctx.charge(primary_cost.max(hedge_total))?;
-                return primary.map(|data| (data, false));
+                return primary.map(|data| (data, src));
             }
         };
         if hedge_won {
             self.counters.mine().hedges_won.fetch_add(1, Ordering::Relaxed);
             ctx.charge(hedge_total)?;
-            hedge.map(|data| (data, true))
+            hedge.map(|data| (data, by))
         } else {
             ctx.charge(primary_cost)?;
-            primary.map(|data| (data, false))
+            primary.map(|data| (data, src))
         }
     }
 
@@ -801,8 +819,8 @@ impl ClusterIo {
     /// sorted so that known-dead nodes go last, then `dst` itself (a local
     /// copy pays no wire cost), then `dst`'s rack, ties broken by node index
     /// for determinism — and the sorted list is walked by
-    /// [`read_with_fallback`](Self::read_with_fallback) with `dead` wired
-    /// in as both the blacklist hook and the skip predicate.
+    /// [`read_with_fallback`](Self::read_with_fallback) with `dead` as its
+    /// blacklist, and never ends in a stripe leg.
     ///
     /// # Errors
     ///
@@ -851,9 +869,7 @@ impl ClusterIo {
                 n.index(),
             )
         });
-        let on_dead = |n: NodeId| dead.insert(n);
-        let skip = |n: NodeId| dead.contains(n);
-        self.read_fallback(ctx, dst, block, &ordered, Some(&on_dead), Some(&skip))
+        self.read_fallback(ctx, dst, block, &ordered, Some(dead), None)
     }
 
     /// Counts a rack fold's chain in [`IoStats`]: the `bytes` its paid legs
@@ -1045,7 +1061,7 @@ mod tests {
         let data = Block::from(vec![9u8; 128]);
         io.datanode(NodeId(1)).put(BlockId(3), data.clone()).unwrap();
         let (got, src) = io
-            .read_with_fallback(&ctx, NodeId(0), BlockId(3), &[NodeId(9999), NodeId(1)], None, None)
+            .read_with_fallback(&ctx, NodeId(0), BlockId(3), &[NodeId(9999), NodeId(1)], None)
             .unwrap();
         assert_eq!(src, NodeId(1));
         assert_eq!(got.as_slice(), data.as_slice());
@@ -1060,7 +1076,7 @@ mod tests {
         io.datanode(NodeId(2)).put(BlockId(0), data.clone()).unwrap();
         // NodeId(1) holds nothing: the read falls through to NodeId(2).
         let (got, src) = io
-            .read_with_fallback(&ctx, NodeId(0), BlockId(0), &[NodeId(1), NodeId(2)], None, None)
+            .read_with_fallback(&ctx, NodeId(0), BlockId(0), &[NodeId(1), NodeId(2)], None)
             .unwrap();
         assert_eq!(src, NodeId(2));
         assert_eq!(got.as_slice(), data.as_slice());
@@ -1084,16 +1100,11 @@ mod tests {
         let ctx = rel.ctx(OpClass::ClientRead).unwrap();
         let data = Block::from(vec![1u8; 64]);
         io.datanode(NodeId(3)).put(BlockId(9), data.clone()).unwrap();
-        let skip_all = |_: NodeId| true;
+        let dead = DeadNodeSet::new();
+        dead.insert(NodeId(1));
+        dead.insert(NodeId(3));
         let (_, src) = io
-            .read_with_fallback(
-                &ctx,
-                NodeId(0),
-                BlockId(9),
-                &[NodeId(1), NodeId(3)],
-                None,
-                Some(&skip_all),
-            )
+            .read_with_fallback(&ctx, NodeId(0), BlockId(9), &[NodeId(1), NodeId(3)], Some(&dead))
             .unwrap();
         assert_eq!(src, NodeId(3), "last candidate must be tried despite skip");
     }
@@ -1194,6 +1205,40 @@ mod tests {
     }
 
     #[test]
+    fn an_early_stripe_leg_that_fails_is_the_answer_of_a_walk_nothing_serves() {
+        // The first source straggles past the hedging threshold and the
+        // other is breaker-open, so no replica is left to hedge to and the
+        // stripe leg launches early. Neither source holds the block and the
+        // stripe is short: the read fails with the leg's error, not with
+        // the last replica's, and the leg runs once.
+        let topo = ClusterTopology::uniform(2, 2);
+        let (plan, straggler) = straggling(&topo, 5_000);
+        let io = hedging(service_on(topo.clone(), Some(plan)));
+        let condemned = topo.nodes().find(|&n| n != straggler).unwrap();
+        let reader = topo.nodes().find(|&n| n != straggler && n != condemned).unwrap();
+        let rel = io.reliability().clone();
+        rel.on_transitions(&[crate::health::HealthTransition {
+            tick: 1,
+            node: condemned,
+            from: ear_types::NodeHealth::Live,
+            to: ear_types::NodeHealth::Dead,
+        }]);
+        let short = Error::NotEnoughShards { available: 3, required: 4 };
+        let legs = std::cell::Cell::new(0);
+        let leg = |_: &OpContext<'_>| {
+            legs.set(legs.get() + 1);
+            Some(Err(short.clone()))
+        };
+        let ctx = rel.ctx(OpClass::ClientRead).unwrap();
+        let sources = [straggler, condemned];
+        let err = io
+            .read_fallback::<Block>(&ctx, reader, BlockId(4), &sources, None, Some(&leg))
+            .unwrap_err();
+        assert_eq!(err, short);
+        assert_eq!((legs.get(), io.stats().hedges_launched), (1, 1), "one leg, as the hedge");
+    }
+
+    #[test]
     fn a_read_tries_a_source_io_attempts_times_and_backs_off_only_between_tries() {
         let topo = ClusterTopology::uniform(2, 2);
         let io = service_on(topo.clone(), Some(plan(5, &topo, 0, 1.0)));
@@ -1201,7 +1246,7 @@ mod tests {
         let ctx = rel.ctx(OpClass::ClientRead).unwrap();
         let (src, block) = (NodeId(1), BlockId(7));
         io.datanode(src).put(block, Block::from(vec![1u8; 64])).unwrap();
-        let err = io.read_with_fallback(&ctx, NodeId(0), block, &[src], None, None).unwrap_err();
+        let err = io.read_with_fallback(&ctx, NodeId(0), block, &[src], None).unwrap_err();
         assert_eq!(err, Error::TransientIo { node: src });
         assert_eq!(io.injector().now(), u64::from(IO_ATTEMPTS), "one consultation per attempt");
         let s = io.stats();
@@ -1403,7 +1448,7 @@ mod tests {
         let rel = io.reliability().clone();
         let ctx = rel.ctx(OpClass::ClientRead).unwrap();
         let err = io
-            .read_with_fallback(&ctx, NodeId(0), BlockId(0), &[], None, None)
+            .read_with_fallback(&ctx, NodeId(0), BlockId(0), &[], None)
             .unwrap_err();
         assert!(matches!(err, Error::BlockUnavailable { .. }));
     }

@@ -36,8 +36,8 @@
 //!   queues, and the budgeted background repair scheduler (DESIGN.md §8);
 //! * [`reliability`] — the deterministic reliability substrate under every
 //!   `ClusterIo` consumer (DESIGN.md §14): virtual-clock deadlines, phi-fed
-//!   per-node circuit breakers, seeded retry backoff, and seeded hedged reads
-//!   with degraded-EC fallback;
+//!   per-node circuit breakers, seeded retry backoff, and seeded hedged
+//!   reads; a client read ends in its block's stripe leg (a degraded read);
 //! * [`wal`] / [`ExtentStore`] / [`crashsim`] — the durability layer
 //!   (DESIGN.md §13): a CRC-framed metadata write-ahead log with periodic
 //!   checkpoint compaction, the extent/allocator block engine with

@@ -21,6 +21,7 @@ use crate::exec;
 use crate::fold::{self, Received, Source};
 use crate::health::{RepairKind, RepairTask};
 use crate::io::DeadNodeSet;
+use crate::namenode::EncodedStripe;
 use crate::reliability::{self, OpClass, OpContext};
 use ear_core::{ChainPlan, LinkBalance, Rebuild, RepairPlanner, RepairSite, Survivor};
 use ear_erasure::{Matrix, StripeEncoder};
@@ -284,9 +285,7 @@ fn re_replicate(
             .choose(pool)
             .copied()
             .ok_or(Error::NoRepairDestination { block })?;
-        let (data, src) = cfs
-            .io()
-            .read_with_fallback(op, dst, block, &holders, None, None)?;
+        let (data, src) = cfs.io().read_with_fallback(op, dst, block, &holders, None)?;
         cfs.datanode(dst).put(block, data)?;
         nn.add_location(block, dst)?;
         outcome.downloads += 1;
@@ -416,27 +415,25 @@ fn rebuild_shard(
     }
 }
 
-/// Reconstructs `block`'s bytes at `reader` from any `k` surviving members
-/// of its stripe *without* re-placing the block or touching metadata — the
-/// proactive leg of a hedged read whose last replica is straggling: a
-/// [`rebuild_shard`] into `reader`, sources in member order, charging
-/// `ctx`; the caller adds the fixed decode cost when it scores the race.
+/// The stripe leg of a client read: reconstructs `block`'s bytes at
+/// `reader` from any `k` surviving members of `es`, its stripe, *without*
+/// re-placing the block or touching metadata — a [`rebuild_shard`] into
+/// `reader`, sources in member order with every holder the NameNode lists
+/// (the fold's dead set and the breakers skip the dead ones, as in a
+/// repair), plus [`DECODE_TICKS`](reliability::DECODE_TICKS), all charged
+/// to `ctx`. Its source reads never end in a stripe leg of their own.
 ///
 /// # Errors
 ///
-/// * [`Error::BlockUnavailable`] if the block belongs to no encoded stripe.
 /// * [`Error::NotEnoughShards`] if fewer than `k` members are readable.
 /// * The substrate's stops ([`Error::stops_the_op`]).
 pub(crate) fn degraded_read(
     cfs: &MiniCfs,
     ctx: &OpContext<'_>,
     reader: NodeId,
+    es: &EncodedStripe,
     block: BlockId,
 ) -> Result<Block> {
-    let es = cfs
-        .namenode()
-        .stripe_of(block)
-        .ok_or(Error::BlockUnavailable { block })?;
     let mut lost_idx = None;
     let mut sources: Vec<ShardSource> = Vec::new();
     for (index, m) in es.members().enumerate() {
@@ -444,13 +441,7 @@ pub(crate) fn degraded_read(
             lost_idx = Some(index);
             continue;
         }
-        let holders: Vec<NodeId> = cfs
-            .namenode()
-            .locations(m)
-            .unwrap_or_default()
-            .into_iter()
-            .filter(|&h| !cfs.injector().node_down(h))
-            .collect();
+        let holders = cfs.namenode().locations(m).unwrap_or_default();
         if !holders.is_empty() {
             sources.push(ShardSource {
                 index,
@@ -462,6 +453,7 @@ pub(crate) fn degraded_read(
     let lost_idx =
         lost_idx.ok_or_else(|| Error::Invariant(format!("{block} not a member of its stripe")))?;
     let (rebuilt, _) = rebuild_shard(cfs, ctx, (reader, reader), lost_idx, &sources, None)?;
+    ctx.charge(reliability::DECODE_TICKS)?;
     Ok(rebuilt)
 }
 
@@ -577,6 +569,7 @@ mod tests {
         Bandwidth, ByteSize, CacheConfig, EarConfig, ErasureParams, ReplicationConfig,
         StoreBackend,
     };
+    use std::collections::BTreeMap;
 
     fn boot_with(
         policy: ClusterPolicy,
@@ -594,7 +587,17 @@ mod tests {
         nodes_per_rack: usize,
         seed: u64,
     ) -> MiniCfs {
-        let cfg = ClusterConfig {
+        MiniCfs::new(config(policy, ear, racks, nodes_per_rack, seed)).unwrap()
+    }
+
+    fn config(
+        policy: ClusterPolicy,
+        ear: EarConfig,
+        racks: usize,
+        nodes_per_rack: usize,
+        seed: u64,
+    ) -> ClusterConfig {
+        ClusterConfig {
             racks,
             nodes_per_rack,
             block_size: ByteSize::kib(64),
@@ -607,8 +610,7 @@ mod tests {
             cache: CacheConfig::from_env(),
             durability: Default::default(),
             hedge_reads: true,
-        };
-        MiniCfs::new(cfg).unwrap()
+        }
     }
 
     fn ear_6_4(c: usize) -> EarConfig {
@@ -1226,5 +1228,207 @@ mod tests {
         assert_eq!(reconstruct, reliability::chain_ticks(&chain, b));
         let gather: u64 = chosen.iter().map(|&h| reliability::chain_ticks(&[h, reader], b)).sum();
         assert!(reconstruct <= gather, "{reconstruct} ticks, a gather {gather}");
+    }
+
+    /// The chaos shape, (6,4) EAR over 8 racks × 2 nodes, executing `plan`
+    /// with no block cache (a copy cached before it rots would hide the rot
+    /// from a read): clients write until a stripe seals, skipping writes
+    /// the plan fails, and the stripe is encoded. Returns the cluster and
+    /// the payload tag of each acked block.
+    fn one_encoded_stripe(plan: ear_faults::FaultPlan) -> (MiniCfs, BTreeMap<BlockId, u64>) {
+        let cfg = ClusterConfig {
+            cache: CacheConfig::Off,
+            ..config(ClusterPolicy::Ear, ear_6_4(1), 8, 2, 11)
+        };
+        let cfs = MiniCfs::with_faults(cfg, plan).unwrap();
+        let mut acked = BTreeMap::new();
+        for tag in 0..64u64 {
+            if cfs.namenode().pending_stripe_count() > 0 {
+                break;
+            }
+            if let Ok(id) = cfs.write_block(NodeId(tag as u32 % 16), cfs.make_block(tag)) {
+                acked.insert(id, tag);
+            }
+        }
+        RaidNode::encode_all(&cfs, 4).unwrap();
+        (cfs, acked)
+    }
+
+    /// The first data member of the encoded stripe whose one copy `pick`
+    /// accepts, with that copy's holder.
+    fn member(cfs: &MiniCfs, pick: impl Fn(BlockId, NodeId) -> bool) -> Option<(BlockId, NodeId)> {
+        let es = cfs.namenode().encoded_stripes().into_iter().next()?;
+        es.data.iter().find_map(|&b| match cfs.namenode().locations(b)?.as_slice() {
+            &[holder] if pick(b, holder) => Some((b, holder)),
+            _ => None,
+        })
+    }
+
+    /// Rots `holder`'s copy of `block` under its stored CRC.
+    fn rot(cfs: &MiniCfs, block: BlockId, holder: NodeId) {
+        let mut rotten = cfs.datanode(holder).get(block).unwrap().to_vec();
+        rotten[7] ^= 0xFF;
+        cfs.datanode(holder).rot(block, rotten);
+    }
+
+    /// A reader that holds no copy of `block` and is up.
+    fn remote_reader(cfs: &MiniCfs, block: BlockId) -> NodeId {
+        let holders = cfs.namenode().locations(block).unwrap();
+        let mut nodes = cfs.topology().nodes();
+        nodes.find(|&n| !holders.contains(&n) && !cfs.injector().node_down(n)).unwrap()
+    }
+
+    /// Reads `block`, whose one copy cannot be read, and checks the client
+    /// got the written bytes from the stripe: `k` source reads and a
+    /// decode's ticks on the op.
+    fn assert_served_by_the_stripe(cfs: &MiniCfs, block: BlockId, tag: u64) {
+        let reader = remote_reader(cfs, block);
+        let before = cfs.io_stats();
+        let ctx = cfs.reliability().ctx(OpClass::ClientRead).unwrap();
+        let got = cfs.read_block_in(&ctx, reader, block).unwrap();
+        assert_eq!(got.as_slice(), cfs.make_block(tag).as_slice(), "{block}");
+        let reads = cfs.io_stats().reads - before.reads;
+        assert!(reads >= cfs.codec().params().k() as u64, "{reads} source reads");
+        assert!(ctx.elapsed_ticks() > reliability::DECODE_TICKS);
+    }
+
+    #[test]
+    fn a_read_whose_last_replica_is_rotten_is_served_from_the_stripe() {
+        let (cfs, acked) = one_encoded_stripe(ear_faults::FaultPlan::none());
+        let (block, holder) = member(&cfs, |_, _| true).unwrap();
+        rot(&cfs, block, holder);
+        assert_served_by_the_stripe(&cfs, block, acked[&block]);
+    }
+
+    #[test]
+    fn a_read_whose_last_replica_is_dead_is_served_from_the_stripe() {
+        // One crash, scheduled far beyond the writes and the encode; the
+        // op clock is then moved to it.
+        let faults = ear_faults::FaultConfig {
+            stragglers: 0,
+            transient_error_rate: 0.0,
+            corruption_rate: 0.0,
+            crash_window: 1 << 40,
+            ..ear_faults::FaultConfig::light()
+        };
+        let topo = ear_types::ClusterTopology::uniform(8, 2);
+        let (cfs, acked, block, crash) = (0u64..)
+            .find_map(|seed| {
+                let plan = ear_faults::FaultPlan::generate(seed, &topo, &faults);
+                let crash = plan.crashes()[0];
+                let (cfs, acked) = one_encoded_stripe(plan);
+                let (block, _) = member(&cfs, |_, holder| holder == crash.node)?;
+                Some((cfs, acked, block, crash))
+            })
+            .unwrap();
+        let injector = cfs.injector();
+        injector.advance(crash.at_op - injector.now());
+        assert!(injector.node_down(crash.node));
+        assert_served_by_the_stripe(&cfs, block, acked[&block]);
+    }
+
+    #[test]
+    fn a_read_whose_last_replica_fails_every_attempt_transiently_is_served_from_the_stripe() {
+        let faults = ear_faults::FaultConfig {
+            node_crashes: 0,
+            stragglers: 0,
+            transient_error_rate: 0.3,
+            corruption_rate: 0.0,
+            ..ear_faults::FaultConfig::light()
+        };
+        let topo = ear_types::ClusterTopology::uniform(8, 2);
+        let (cfs, acked, block) = (0u64..)
+            .find_map(|seed| {
+                let (cfs, acked) =
+                    one_encoded_stripe(ear_faults::FaultPlan::generate(seed, &topo, &faults));
+                let transient = Some(ear_faults::IoFault::Transient);
+                let every = |b, holder| {
+                    let mut attempts = 0..crate::io::IO_ATTEMPTS;
+                    attempts.all(|a| cfs.injector().on_read(holder, b, a) == transient)
+                };
+                let (block, _) = member(&cfs, every)?;
+                Some((cfs, acked, block))
+            })
+            .unwrap();
+        assert_served_by_the_stripe(&cfs, block, acked[&block]);
+    }
+
+    #[test]
+    fn a_read_nothing_can_serve_fails_typed() {
+        let (cfs, _) = one_encoded_stripe(ear_faults::FaultPlan::none());
+        // A block in no encoded stripe with every replica rotten: the last
+        // replica's error.
+        let loose = cfs.write_block(NodeId(0), cfs.make_block(99)).unwrap();
+        assert!(cfs.namenode().stripe_of(loose).is_none());
+        let replicas = cfs.namenode().locations(loose).unwrap();
+        assert_eq!(replicas.len(), 2);
+        for &holder in &replicas {
+            rot(&cfs, loose, holder);
+        }
+        let reader = remote_reader(&cfs, loose);
+        match cfs.read_block(reader, loose) {
+            Err(Error::CorruptBlock { block, node }) => {
+                assert_eq!((block, node), (loose, *replicas.last().unwrap()));
+            }
+            other => panic!("expected CorruptBlock, got {other:?}"),
+        }
+        // ...and with no replica listed at all, typed as such.
+        cfs.namenode().set_locations(loose, vec![]).unwrap();
+        assert_eq!(cfs.read_block(reader, loose), Err(Error::BlockUnavailable { block: loose }));
+        // An encoded block whose copy rotted and whose stripe has lost
+        // n − k + 1 members: the stripe leg's error.
+        let (block, holder) = member(&cfs, |_, _| true).unwrap();
+        rot(&cfs, block, holder);
+        let es = cfs.namenode().stripe_of(block).unwrap();
+        for other in es.members().filter(|&m| m != block).take(2) {
+            cfs.namenode().set_locations(other, vec![]).unwrap();
+        }
+        match cfs.read_block(remote_reader(&cfs, block), block) {
+            Err(Error::NotEnoughShards { available: 3, required: 4 }) => {}
+            other => panic!("expected NotEnoughShards, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_deadline_the_replicas_used_up_stops_the_read_before_the_stripe() {
+        let (cfs, _) = one_encoded_stripe(ear_faults::FaultPlan::none());
+        let (block, holder) = member(&cfs, |_, _| true).unwrap();
+        rot(&cfs, block, holder);
+        let reader = remote_reader(&cfs, block);
+        let (before, moved) = (cfs.io_stats(), cfs.network().snapshot());
+        let deadline = reliability::FAULT_PENALTY_TICKS - 1;
+        let ctx = cfs.reliability().ctx_with_deadline(OpClass::ClientRead, deadline);
+        let err = cfs.read_block_in(&ctx, reader, block).unwrap_err();
+        assert!(err.stops_the_op(), "{err}");
+        let (after, moved) = (cfs.io_stats(), cfs.network().snapshot().delta(&moved));
+        assert_eq!(after.reads, before.reads, "no stripe source was read");
+        assert_eq!(after.failed_reads - before.failed_reads, 1, "the rotten replica only");
+        let b = cfs.config().block_size.as_u64();
+        assert!(moved.cross_rack_bytes + moved.intra_rack_bytes <= b, "{moved:?}");
+    }
+
+    #[test]
+    fn a_fault_free_read_is_one_replica_fetch_and_never_the_stripe() {
+        // An encoded member (its stripe intact) and a replicated block: each
+        // read is one fetch from one replica, charged one leg, no hedge and
+        // no decode.
+        let (cfs, _) = one_encoded_stripe(ear_faults::FaultPlan::none());
+        let (encoded, _) = member(&cfs, |_, _| true).unwrap();
+        let replicated = cfs.write_block(NodeId(0), cfs.make_block(99)).unwrap();
+        let b = cfs.config().block_size.as_u64();
+        for (block, tag) in [(encoded, encoded.0), (replicated, 99)] {
+            let reader = remote_reader(&cfs, block);
+            let holder = cfs.namenode().locations(block).unwrap()[0];
+            let before = cfs.io_stats();
+            let ctx = cfs.reliability().ctx(OpClass::ClientRead).unwrap();
+            let got = cfs.read_block_in(&ctx, reader, block).unwrap();
+            assert_eq!(got.as_slice(), cfs.make_block(tag).as_slice());
+            let after = cfs.io_stats();
+            assert_eq!(after.reads - before.reads, 1, "{block}");
+            assert_eq!(after.failed_reads, before.failed_reads);
+            assert_eq!(after.hedges_launched, before.hedges_launched);
+            assert_eq!(after.transfer_bytes, before.transfer_bytes, "no fold chain");
+            assert_eq!(ctx.elapsed_ticks(), reliability::chain_ticks(&[holder, reader], b));
+        }
     }
 }

@@ -85,11 +85,12 @@ pub(crate) const TIMEOUT_PENALTY_TICKS: u64 = 2_000;
 /// Cost of skipping a breaker-open replica (the point of breakers: this
 /// replaces [`TIMEOUT_PENALTY_TICKS`]).
 pub(crate) const BREAKER_SKIP_TICKS: u64 = 1;
-/// Fixed cost of a degraded-EC decode in a hedged single-source read.
+/// Price of a stripe leg's decode: what a client read served from its
+/// block's stripe pays on top of the fold that gathers the sources.
 pub(crate) const DECODE_TICKS: u64 = 512;
 /// Straggler delay past which a read hedges: once an attempt's seeded
-/// delay exceeds it, a second replica fetch (or degraded-EC reconstruct)
-/// launches at this point on the virtual clock.
+/// delay exceeds it, the next replica's fetch (or, past the last replica,
+/// the stripe leg) launches at this point on the virtual clock.
 pub(crate) const HEDGE_THRESHOLD_TICKS: u64 = 1_000;
 /// Deadline of an [`OpContext`] made by [`Reliability::ctx`].
 pub(crate) const DEFAULT_DEADLINE_TICKS: u64 = 10_000_000;
@@ -138,8 +139,8 @@ pub struct Reliability {
 impl Reliability {
     /// A substrate for `num_nodes` DataNodes, all breakers closed. With
     /// `hedge_reads`, a read whose attempt straggles past
-    /// [`HEDGE_THRESHOLD_TICKS`] races a second replica fetch (or a
-    /// degraded-EC reconstruct) and takes the virtual-clock winner.
+    /// [`HEDGE_THRESHOLD_TICKS`] races the next replica's fetch (or the
+    /// block's stripe leg) and takes the virtual-clock winner.
     pub fn new(hedge_reads: bool, seed: u64, num_nodes: usize) -> Self {
         Reliability {
             hedge_reads,
@@ -161,7 +162,7 @@ impl Reliability {
     ///
     /// Never fails: no op is refused. The `Result` stays for the callers
     /// that propagate it, the benchmark harness among them, until the next
-    /// rebaseline drops it (ROADMAP.md item 9).
+    /// rebaseline drops it (ROADMAP.md item 11).
     pub fn ctx(&self, class: OpClass) -> Result<OpContext<'_>> {
         Ok(self.ctx_with_deadline(class, DEFAULT_DEADLINE_TICKS))
     }
@@ -267,6 +268,14 @@ impl OpContext<'_> {
             });
         }
         Ok(())
+    }
+
+    /// A context for a leg this op launches `launch_at` ticks from now
+    /// beside its own work (a hedge): the same class, its own clock from
+    /// zero, and a deadline of the ticks this op has left at the launch.
+    pub(crate) fn child(&self, launch_at: u64) -> OpContext<'_> {
+        let left = self.deadline_ticks.saturating_sub(self.elapsed.get());
+        self.rel.ctx_with_deadline(self.class, left.saturating_sub(launch_at))
     }
 
     /// The owning substrate.

@@ -399,6 +399,17 @@ fn node_recovery_races_cleanly_with_client_reads() {
         recovered.store(true, Ordering::SeqCst);
     });
 
+    // A read may decode a block from its stripe, so the sweeps above do not
+    // show that the rebuilt copies landed: every stored copy must hold its
+    // bytes.
+    for &(id, tag) in &written {
+        let holders = cfs.namenode().locations(id).unwrap();
+        assert!(!holders.is_empty(), "{id} has no copy");
+        for n in holders {
+            let copy = cfs.datanode(n).get(id).unwrap();
+            assert_eq!(copy.as_slice(), cfs.make_block(tag).as_slice(), "{id} at {n}");
+        }
+    }
     for es in &encoded {
         let mut per_rack = vec![0usize; topo.num_racks()];
         for b in es.members() {

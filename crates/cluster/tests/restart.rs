@@ -111,7 +111,9 @@ fn extent_round_trips_through_restart_from_checkpoint_and_from_wal_alone() {
         );
 
         // Every acknowledged block reads back its exact bytes (replicated
-        // or post-encoding single copies alike).
+        // or post-encoding single copies alike), and so does each of its
+        // stored copies: a client read may decode a block from its stripe,
+        // so the read alone does not show that a copy survived.
         for (&id, data) in &contents {
             let back = cfs.read_block(NodeId(0), id).expect("readable after restart");
             assert_eq!(
@@ -119,6 +121,16 @@ fn extent_round_trips_through_restart_from_checkpoint_and_from_wal_alone() {
                 data.as_slice(),
                 "checkpoint={checkpoint}: {id} bytes"
             );
+            let holders = cfs.namenode().locations(id).expect("located");
+            assert!(!holders.is_empty(), "checkpoint={checkpoint}: {id} has no copy");
+            for n in holders {
+                let copy = cfs.datanode(n).get(id).expect("stored copy after restart");
+                assert_eq!(
+                    copy.as_slice(),
+                    data.as_slice(),
+                    "checkpoint={checkpoint}: {id} at {n}"
+                );
+            }
         }
 
         // The block → stripe index is rebuilt with the image: a node that
@@ -134,7 +146,7 @@ fn extent_round_trips_through_restart_from_checkpoint_and_from_wal_alone() {
         assert!(stats.blocks_recovered >= 1 && stats.blocks_downloaded >= 4);
         let holder = cfs.namenode().locations(lost).expect("located")[0];
         assert_ne!(holder, victim);
-        let back = cfs.read_block(holder, lost).expect("rebuilt copy");
+        let back = cfs.datanode(holder).get(lost).expect("rebuilt copy");
         assert_eq!(back.as_slice(), contents[&lost].as_slice());
         let after = cfs.namenode().snapshot();
 

@@ -135,6 +135,32 @@ impl Error {
     pub fn stops_the_op(&self) -> bool {
         matches!(self, Error::DeadlineExceeded { .. })
     }
+
+    /// A short stable name for the variant, for counting errors by kind in
+    /// reports (`corrupt`, `down`, …).
+    pub fn kind(&self) -> &'static str {
+        match self {
+            Error::InvalidErasureParams { .. } => "erasure-params",
+            Error::InvalidReplication { .. } => "replication",
+            Error::TopologyTooSmall { .. } => "topology",
+            Error::PlacementExhausted { .. } => "placement",
+            Error::NotEnoughShards { .. } => "shards",
+            Error::ShardLengthMismatch => "shard-length",
+            Error::Invariant(_) => "invariant",
+            Error::NodeDown { .. } => "down",
+            Error::CorruptBlock { .. } => "corrupt",
+            Error::RetriesExhausted { .. } => "retries",
+            Error::BlockUnavailable { .. } => "unavailable",
+            Error::TransientIo { .. } => "transient",
+            Error::NoRepairDestination { .. } => "no-destination",
+            Error::HealerStalled { .. } => "healer-stalled",
+            Error::Io { .. } => "io",
+            Error::LockPoisoned { .. } => "lock-poisoned",
+            Error::NotDurable { .. } => "not-durable",
+            Error::WalCorrupt { .. } => "wal-corrupt",
+            Error::DeadlineExceeded { .. } => "deadline",
+        }
+    }
 }
 
 impl fmt::Display for Error {
@@ -233,6 +259,21 @@ mod tests {
             Error::BlockUnavailable { block: BlockId(2) },
         ];
         assert!(!others.iter().any(Error::stops_the_op));
+    }
+
+    #[test]
+    fn the_read_path_errors_have_short_kinds() {
+        let (node, block) = (NodeId(1), BlockId(2));
+        let errs = [
+            Error::NodeDown { node },
+            Error::CorruptBlock { block, node },
+            Error::TransientIo { node },
+            Error::BlockUnavailable { block },
+            Error::NotEnoughShards { available: 3, required: 4 },
+            Error::DeadlineExceeded { what: "read", deadline_ticks: 1 },
+        ];
+        let kinds: Vec<&str> = errs.iter().map(Error::kind).collect();
+        assert_eq!(kinds, ["down", "corrupt", "transient", "unavailable", "shards", "deadline"]);
     }
 
     #[test]

@@ -348,6 +348,25 @@ impl BlockCache {
         self.state.write().admit(block, data, crc, self.counters.mine());
     }
 
+    /// [`admit`](Self::admit) for a cache in front of a store: admits only
+    /// if `stored()` — the store's CRC for the block, read under this
+    /// cache's write lock — still equals `crc`. A writer changes the store
+    /// before it [`invalidate`](Self::invalidate)s, so a reader's bytes
+    /// fetched before a `put` or `delete` are either refused here or
+    /// dropped by that invalidation, never left to serve.
+    pub fn admit_if_stored(
+        &self,
+        block: BlockId,
+        data: &Block,
+        crc: u32,
+        stored: impl FnOnce() -> Option<u32>,
+    ) {
+        let mut state = self.state.write();
+        if stored() == Some(crc) {
+            state.admit(block, data, crc, self.counters.mine());
+        }
+    }
+
     /// Drops any cached copy of `block` — called on overwrite
     /// and delete so the cache can never serve bytes the store no longer
     /// holds.

@@ -34,9 +34,12 @@ pub struct CachedRead {
 /// # Cache coherence
 ///
 /// The cache is write-invalidate: [`DataNode::put`] and
-/// [`DataNode::delete`] drop any cached copy, and only
-/// [`DataNode::admit`] (called by the I/O service after a checksum pass)
-/// populates it. [`DataNode::get`] / [`DataNode::get_with_crc`] bypass the
+/// [`DataNode::delete`] change the store and then drop any cached copy,
+/// and only [`DataNode::admit`] (called by the I/O service after a
+/// checksum pass) populates it, and only while the store still holds what
+/// was read: a reader that fetched before a `put` or `delete` cannot
+/// re-admit the old bytes after it. [`DataNode::get`] /
+/// [`DataNode::get_with_crc`] bypass the
 /// cache entirely and read the authoritative store — they are the seam the
 /// scrubber uses to force re-verification, so corruption written *under* a
 /// cached block is still caught by the next scrub even while cached reads
@@ -117,7 +120,7 @@ impl DataNode {
     }
 
     /// Stores (or overwrites) a block replica under its CRC32C — the stamp
-    /// the handle carries ([`Block::stamp`]), else hashed here — and
+    /// the handle carries ([`Block::stamp`]), else hashed here — then
     /// invalidates any cached copy.
     ///
     /// # Errors
@@ -126,10 +129,11 @@ impl DataNode {
     /// (extent backend only).
     pub fn put(&self, block: BlockId, data: Block) -> Result<()> {
         let crc = data.stamp().unwrap_or_else(|| crc32c(&data));
+        let stored = self.store.put(block, data, crc);
         if let Some(c) = &self.cache {
             c.invalidate(block);
         }
-        self.store.put(block, data, crc)
+        stored
     }
 
     /// Fetches a block replica, if present — always from the authoritative
@@ -167,12 +171,12 @@ impl DataNode {
     }
 
     /// Admits a checksum-verified read into the cache (no-op when caching
-    /// is off). Only the I/O service's verified reads call this — the
-    /// cache must never hold bytes that were not checked against the
-    /// write-time CRC.
+    /// is off, or when the store no longer holds the block under `crc`).
+    /// Only the I/O service's verified reads call this — the cache must
+    /// never hold bytes that were not checked against the write-time CRC.
     pub fn admit(&self, block: BlockId, data: &Block, crc: u32) {
         if let Some(c) = &self.cache {
-            c.admit(block, data, crc);
+            c.admit_if_stored(block, data, crc, || self.store.stored_crc(block));
         }
     }
 
@@ -185,10 +189,11 @@ impl DataNode {
     /// Deletes a block replica (and any cached copy); returns whether it
     /// existed.
     pub fn delete(&self, block: BlockId) -> bool {
+        let existed = self.store.delete(block);
         if let Some(c) = &self.cache {
             c.invalidate(block);
         }
-        self.store.delete(block)
+        existed
     }
 
     /// Test hook: swaps a stored replica's bytes under its unchanged CRC,
@@ -323,6 +328,46 @@ mod tests {
             let after = dn.cached_read(BlockId(3)).unwrap();
             assert!(!after.verified);
             assert_eq!(after.data.as_slice(), &[9u8; 512][..]);
+        }
+    }
+
+    /// A node with a cache, `v1` stored under block 3, and a reader's miss
+    /// of it: the bytes the reader will admit after its checksum pass.
+    fn node_with_a_read_in_flight(backend: StoreBackend) -> (DataNode, CachedRead) {
+        let dn = DataNode::with_backend(NodeId(1), backend, CacheConfig::default(), 42).unwrap();
+        dn.put(BlockId(3), Block::from(vec![1u8; 512])).unwrap();
+        let miss = dn.cached_read(BlockId(3)).unwrap();
+        assert!(!miss.verified);
+        (dn, miss)
+    }
+
+    #[test]
+    fn a_read_fetched_before_a_put_is_not_admitted_after_it() {
+        for backend in [StoreBackend::Memory, StoreBackend::Extent] {
+            // miss → put(v2) returns → admit(v1): the cache must not serve v1.
+            let (dn, v1) = node_with_a_read_in_flight(backend);
+            let v2 = Block::from(vec![2u8; 512]);
+            dn.put(BlockId(3), v2.clone()).unwrap();
+            dn.admit(BlockId(3), &v1.data, v1.crc);
+            let after = dn.cached_read(BlockId(3)).unwrap();
+            assert!(!after.verified, "{backend:?}: the stale read was admitted");
+            assert_eq!(after.data, v2, "{backend:?}");
+            // A read of what the store holds now is admitted as before.
+            dn.admit(BlockId(3), &after.data, after.crc);
+            let hit = dn.cached_read(BlockId(3)).unwrap();
+            assert!(hit.verified, "{backend:?}");
+            assert_eq!(hit.data, v2, "{backend:?}");
+        }
+    }
+
+    #[test]
+    fn a_read_fetched_before_a_delete_is_not_admitted_after_it() {
+        for backend in [StoreBackend::Memory, StoreBackend::Extent] {
+            let (dn, v1) = node_with_a_read_in_flight(backend);
+            assert!(dn.delete(BlockId(3)));
+            dn.admit(BlockId(3), &v1.data, v1.crc);
+            assert!(dn.cached_read(BlockId(3)).is_none(), "{backend:?}: served a deleted block");
+            assert_eq!(dn.cache_stats().hits(), 0, "{backend:?}");
         }
     }
 

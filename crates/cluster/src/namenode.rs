@@ -276,9 +276,11 @@ impl NameNode {
         wal.checkpoint_holding(nothing, &snap, last_lsn)
     }
 
-    /// Writes a checkpoint if enough records accumulated since the last
-    /// one, for a mutator whose locks are all released. At most one thread
-    /// checkpoints at a time; the others skip.
+    /// Writes a checkpoint if one is due ([`MetaWal`]'s cadence: the log
+    /// has grown to the last checkpoint's size), for a mutator whose locks
+    /// are all released — every mutator calls it, so no mix of them grows
+    /// the log without bound. At most one thread checkpoints at a time;
+    /// the others skip.
     fn maybe_checkpoint(&self, nothing: &mut Held<'_, level::Unlocked>) -> Result<()> {
         let Some(wal) = &self.wal else {
             return Ok(());
@@ -360,9 +362,13 @@ impl NameNode {
     ///
     /// Propagates log-append failures from the WAL.
     pub fn set_locations(&self, block: BlockId, nodes: Vec<NodeId>) -> Result<()> {
-        let (mut shard, mut held) = self.shard(block).write(Held::entry());
-        let rec = MetaRecord::SetLocations { block, nodes };
-        self.commit(&mut held, &rec, None, Some(&mut shard))
+        let nothing = Held::entry();
+        {
+            let (mut shard, mut held) = self.shard(block).write(nothing);
+            let rec = MetaRecord::SetLocations { block, nodes };
+            self.commit(&mut held, &rec, None, Some(&mut shard))?;
+        }
+        self.maybe_checkpoint(nothing)
     }
 
     /// Removes one node from a block's location set (a replica declared
@@ -373,12 +379,17 @@ impl NameNode {
     ///
     /// Propagates log-append failures from the WAL.
     pub fn drop_location(&self, block: BlockId, node: NodeId) -> Result<bool> {
-        let (mut shard, mut held) = self.shard(block).write(Held::entry());
-        let listed = shard.lists(block, node);
-        if listed {
-            let rec = MetaRecord::DropLocation { block, node };
-            self.commit(&mut held, &rec, None, Some(&mut shard))?;
-        }
+        let nothing = Held::entry();
+        let listed = {
+            let (mut shard, mut held) = self.shard(block).write(nothing);
+            let listed = shard.lists(block, node);
+            if listed {
+                let rec = MetaRecord::DropLocation { block, node };
+                self.commit(&mut held, &rec, None, Some(&mut shard))?;
+            }
+            listed
+        };
+        self.maybe_checkpoint(nothing)?;
         Ok(listed)
     }
 
@@ -389,12 +400,16 @@ impl NameNode {
     ///
     /// Propagates log-append failures from the WAL.
     pub fn add_location(&self, block: BlockId, node: NodeId) -> Result<()> {
-        let (mut shard, mut held) = self.shard(block).write(Held::entry());
-        if shard.lists(block, node) {
-            return Ok(());
+        let nothing = Held::entry();
+        {
+            let (mut shard, mut held) = self.shard(block).write(nothing);
+            if shard.lists(block, node) {
+                return Ok(());
+            }
+            let rec = MetaRecord::AddLocation { block, node };
+            self.commit(&mut held, &rec, None, Some(&mut shard))?;
         }
-        let rec = MetaRecord::AddLocation { block, node };
-        self.commit(&mut held, &rec, None, Some(&mut shard))
+        self.maybe_checkpoint(nothing)
     }
 
     /// Registers a brand-new block (parity) at fixed locations, returning
@@ -407,15 +422,20 @@ impl NameNode {
         // Ids are issued under the stripe mutex, so they reach the log in
         // id order — what makes "id below the counter" mean "already
         // applied" at replay.
-        let (mut stripes, mut held) = self.stripes.lock(Held::entry());
-        let block = BlockId(stripes.image().next_block);
-        let rec = MetaRecord::Allocate {
-            block,
-            locations: nodes,
-            assigned: false,
+        let nothing = Held::entry();
+        let block = {
+            let (mut stripes, mut held) = self.stripes.lock(nothing);
+            let block = BlockId(stripes.image().next_block);
+            let rec = MetaRecord::Allocate {
+                block,
+                locations: nodes,
+                assigned: false,
+            };
+            let (mut shard, mut held) = self.shard(block).write(&mut held);
+            self.commit(&mut held, &rec, Some(&mut stripes), Some(&mut shard))?;
+            block
         };
-        let (mut shard, mut held) = self.shard(block).write(&mut held);
-        self.commit(&mut held, &rec, Some(&mut stripes), Some(&mut shard))?;
+        self.maybe_checkpoint(nothing)?;
         Ok(block)
     }
 
@@ -539,6 +559,7 @@ impl NameNode {
 mod tests {
     use super::*;
     use ear_core::{BlockLayout, EncodingAwareReplication, RandomReplicationPolicy};
+    use crate::wal::{CHECKPOINT_FILE, WAL_FILE};
     use ear_types::prop;
     use ear_types::{EarConfig, ErasureParams, RackId, ReplicationConfig};
     use std::path::{Path, PathBuf};
@@ -828,6 +849,41 @@ mod tests {
             assert!(matches!(planned, Err(Error::Invariant(_))), "{planned:?}");
             std::fs::remove_dir_all(&dir).unwrap();
         }
+    }
+
+    #[test]
+    fn location_churn_alone_keeps_the_log_bounded() {
+        // Repair and heal change only locations: each of those mutators
+        // checkpoints when one is due, so the log never outgrows the
+        // cadence bound (the floor's records or the last checkpoint's
+        // bytes, whichever is larger) by more than the frame just appended.
+        const FLOOR: u64 = 16;
+        // len | crc | lsn | tag | block | node
+        const FRAME: u64 = 4 + 4 + 8 + 1 + 8 + 4;
+        let dir = tmp_dir();
+        let topo = ClusterTopology::uniform(8, 4);
+        let policy = Box::new(RandomReplicationPolicy::new(cfg(), topo.clone()).unwrap());
+        let (wal, image) = MetaWal::open(&dir, false, FLOOR).unwrap();
+        let nn = NameNode::new(topo, policy, 1, Some(wal), image);
+        for _ in 0..8 {
+            nn.allocate_block().unwrap();
+        }
+        nn.checkpoint_now().unwrap();
+        let bytes = |name: &str| std::fs::metadata(dir.join(name)).unwrap().len();
+        let mut rng = ChaCha8::from_seed(3);
+        for i in 0..40 * FLOOR {
+            let (block, node) = (BlockId(rng.below(8)), NodeId(rng.below(32) as u32));
+            match rng.below(2) {
+                0 => nn.add_location(block, node).unwrap(),
+                _ => drop(nn.drop_location(block, node).unwrap()),
+            }
+            let bound = bytes(CHECKPOINT_FILE).max(FLOOR * FRAME) + FRAME;
+            assert!(bytes(WAL_FILE) <= bound, "op {i}: log {} > {bound}", bytes(WAL_FILE));
+        }
+        let live = nn.snapshot();
+        drop(nn);
+        assert_eq!(MetaWal::open(&dir, false, FLOOR).unwrap().1, live);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -18,7 +18,11 @@
 //! level of the order declared below. A levelled `lock` / `read` / `write`
 //! takes the zero-sized token of what the caller holds ([`Held`]) and
 //! compiles only in order. A leaf takes no lock while held; one that must,
-//! joins the order here first.
+//! joins the order here first. The one exception is a
+//! [`crate::BlockCache`]'s state lock, which reads its DataNode's store
+//! index under its write lock ([`crate::BlockCache::admit_if_stored`]): the
+//! store's locks are true leaves and no store call enters a cache, so the
+//! pair cannot cycle.
 //!
 //! # Counters
 //!

@@ -35,8 +35,12 @@
 //! - **Checkpoints** are written to `CHECKPOINT.tmp`, fsynced, renamed over
 //!   `CHECKPOINT`, and the directory fsynced — a crash leaves either the
 //!   old or the new checkpoint, never a blend. Only after the rename does
-//!   compaction rewrite the log (same tmp+rename dance), so every state on
-//!   disk replays to the same image.
+//!   compaction cut the log to the frames past it (same tmp+rename dance),
+//!   so every state on disk replays to the same image.
+//! - **Cadence.** One is due once the log holds `checkpoint_every` records
+//!   *and* has grown to the last checkpoint's size: checkpoint bytes
+//!   written never exceed log bytes written (plus the first), and reopen
+//!   replays at most about one image's worth of log.
 
 use crate::durable::{self, Dir, Synced};
 use crate::namenode::{EncodedStripe, PendingStripe};
@@ -46,6 +50,7 @@ use ear_types::crc::crc32c;
 use ear_types::{BlockId, Error, NodeId, RackId, Result, StripeId};
 use std::collections::BTreeMap;
 use std::fs::{self, OpenOptions};
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 
 /// File name of the framed record log inside the meta directory.
@@ -628,15 +633,17 @@ fn decode_checkpoint(buf: &[u8]) -> Result<(MetaSnapshot, u64)> {
     Ok((snap, last_lsn))
 }
 
-/// Outcome of scanning a log image: the decoded `(lsn, record)` prefix and
-/// the byte length of that valid prefix (everything past it is a torn
-/// tail).
+/// One scanned frame: its lsn, its record, and the byte offset it ends at.
+pub type Frame = (u64, MetaRecord, u64);
+
+/// Outcome of scanning a log image: the decoded frames of its valid prefix
+/// and that prefix's byte length (everything past it is a torn tail).
 ///
 /// # Errors
 ///
 /// [`Error::WalCorrupt`] for a frame whose CRC verifies but whose body does
 /// not decode — real corruption, distinct from a torn append.
-pub fn scan_log(buf: &[u8]) -> Result<(Vec<(u64, MetaRecord)>, usize)> {
+pub fn scan_log(buf: &[u8]) -> Result<(Vec<Frame>, usize)> {
     let mut records = Vec::new();
     let mut pos = 0usize;
     let mut expected_lsn: Option<u64> = None;
@@ -672,7 +679,7 @@ pub fn scan_log(buf: &[u8]) -> Result<(Vec<(u64, MetaRecord)>, usize)> {
             .get(8..)
             .and_then(MetaRecord::decode)
             .ok_or_else(|| corrupt(format!("record at lsn {lsn} has valid crc but no decoding")))?;
-        records.push((lsn, rec));
+        records.push((lsn, rec, cursor as u64));
         expected_lsn = Some(lsn + 1);
         pos = cursor;
     }
@@ -686,10 +693,19 @@ pub fn scan_log(buf: &[u8]) -> Result<(Vec<(u64, MetaRecord)>, usize)> {
 struct WalInner {
     file: durable::File,
     last_lsn: u64,
-    since_checkpoint: u64,
+    /// `(lsn, byte end)` of each frame in the log file, in log order.
+    frames: Vec<(u64, u64)>,
+    /// Byte size of the last committed checkpoint (0 before the first).
+    checkpoint_bytes: u64,
 }
 
-/// WAL records between a cluster's automatic checkpoints.
+impl WalInner {
+    fn log_bytes(&self) -> u64 {
+        self.frames.last().map_or(0, |&(_, end)| end)
+    }
+}
+
+/// The fewest WAL records between a cluster's automatic checkpoints.
 pub(crate) const CHECKPOINT_EVERY: u64 = 256;
 
 /// The open write-ahead log of one NameNode. Its lock is the finest level:
@@ -725,9 +741,9 @@ impl MetaWal {
         remove_stale(&dir.path().join(format!("{WAL_FILE}.tmp")))?;
 
         let ckpt_path = dir.path().join(CHECKPOINT_FILE);
-        let (mut snap, ckpt_lsn) = match fs::read(&ckpt_path) {
-            Ok(bytes) => decode_checkpoint(&bytes)?,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => (MetaSnapshot::default(), 0),
+        let (mut snap, ckpt_lsn, checkpoint_bytes) = match fs::read(&ckpt_path) {
+            Ok(bytes) => decode_checkpoint(&bytes).map(|(s, lsn)| (s, lsn, bytes.len() as u64))?,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => (MetaSnapshot::default(), 0, 0),
             Err(e) => return Err(io_err(format!("read {}", ckpt_path.display()))(e)),
         };
 
@@ -739,11 +755,9 @@ impl MetaWal {
         };
         let (records, valid_len) = scan_log(&image)?;
         let mut last_lsn = ckpt_lsn;
-        let mut replayed = 0u64;
-        for (lsn, rec) in &records {
+        for (lsn, rec, _) in &records {
             if *lsn > ckpt_lsn {
                 snap.apply(rec);
-                replayed += 1;
             }
             last_lsn = last_lsn.max(*lsn);
         }
@@ -761,7 +775,8 @@ impl MetaWal {
             wal: Mutex::new(WalInner {
                 file,
                 last_lsn,
-                since_checkpoint: replayed,
+                frames: records.iter().map(|&(lsn, _, end)| (lsn, end)).collect(),
+                checkpoint_bytes,
             }),
         };
         Ok((wal, snap))
@@ -786,9 +801,11 @@ impl MetaWal {
     ) -> Result<(u64, Synced)> {
         let (mut wal, _) = self.wal.lock(held);
         let lsn = wal.last_lsn + 1;
-        let synced = wal.file.append(&encode_frame(lsn, rec))?.sync()?;
+        let frame = encode_frame(lsn, rec);
+        let synced = wal.file.append(&frame)?.sync()?;
+        let end = wal.log_bytes() + frame.len() as u64;
+        wal.frames.push((lsn, end));
         wal.last_lsn = lsn;
-        wal.since_checkpoint += 1;
         Ok((lsn, synced))
     }
 
@@ -802,10 +819,12 @@ impl MetaWal {
         self.wal.lock(held).0.last_lsn
     }
 
-    /// Whether enough records accumulated since the last checkpoint to
-    /// warrant another one, for a caller holding locks up to level `H`.
+    /// Whether a checkpoint is due, for a caller holding locks up to level
+    /// `H`: the log holds `checkpoint_every` records and has grown to at
+    /// least the last checkpoint's size.
     pub(crate) fn should_checkpoint<H: Precedes<level::Wal>>(&self, held: &mut Held<'_, H>) -> bool {
-        self.wal.lock(held).0.since_checkpoint >= self.checkpoint_every
+        let (wal, _) = self.wal.lock(held);
+        wal.frames.len() as u64 >= self.checkpoint_every && wal.log_bytes() >= wal.checkpoint_bytes
     }
 
     /// Commits `snap` as the new checkpoint and compacts the log.
@@ -829,24 +848,22 @@ impl MetaWal {
         snap: &MetaSnapshot,
         last_lsn: u64,
     ) -> Result<()> {
-        self.dir.replace_atomically(CHECKPOINT_FILE, &encode_checkpoint(snap, last_lsn))?;
+        let checkpoint = encode_checkpoint(snap, last_lsn);
+        self.dir.replace_atomically(CHECKPOINT_FILE, &checkpoint)?;
 
-        // The checkpoint is committed; now drop the log prefix it covers.
-        // A crash anywhere in here leaves either the old (uncompacted) log
-        // — replay just skips lsn ≤ last_lsn — or the new one.
+        // The checkpoint is committed; now cut the log prefix it covers (its
+        // frames come first). A crash in here leaves either the old log —
+        // replay just skips lsn ≤ last_lsn — or the new one.
         let (mut wal, _) = self.wal.lock(held);
-        let wal_path = self.dir.path().join(WAL_FILE);
-        let image = fs::read(&wal_path).map_err(io_err("read wal for compaction"))?;
-        let (records, _) = scan_log(&image)?;
-        let mut kept = Vec::new();
-        for (lsn, rec) in &records {
-            if *lsn > last_lsn {
-                kept.extend_from_slice(&encode_frame(*lsn, rec));
-            }
-        }
-        self.dir.replace_atomically(WAL_FILE, &kept)?;
+        wal.checkpoint_bytes = checkpoint.len() as u64;
+        let covered = wal.frames.partition_point(|&(lsn, _)| lsn <= last_lsn);
+        let cut = covered.checked_sub(1).and_then(|i| wal.frames.get(i)).map_or(0, |f| f.1);
+        let mut tail = vec![0; (wal.log_bytes() - cut) as usize];
+        wal.file.read_exact_at(&mut tail, cut).map_err(io_err("read wal tail"))?;
+        self.dir.replace_atomically(WAL_FILE, &tail)?;
         wal.file = self.dir.open(WAL_FILE, OpenOptions::new().read(true).append(true))?;
-        wal.since_checkpoint = 0;
+        wal.frames.drain(..covered);
+        wal.frames.iter_mut().for_each(|f| f.1 -= cut);
         Ok(())
     }
 
@@ -862,6 +879,8 @@ impl MetaWal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ear_types::prop;
+    use ear_types::rng::ChaCha8;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -1037,6 +1056,155 @@ mod tests {
         }
         assert_eq!(recovered, expected);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    fn file_len(dir: &Path, name: &str) -> u64 {
+        fs::metadata(dir.join(name)).unwrap().len()
+    }
+
+    #[test]
+    fn a_checkpoint_waits_for_the_log_to_reach_the_last_ones_size() {
+        let dir = tmp_dir();
+        let (wal, _) = MetaWal::open(&dir, false, 4).unwrap();
+        let mut snap = MetaSnapshot::default();
+        for i in 0..64 {
+            let locations = vec![NodeId(1), NodeId(2), NodeId(3)];
+            let rec = MetaRecord::Allocate {
+                block: BlockId(i),
+                locations,
+                assigned: true,
+            };
+            wal.append(&rec).unwrap();
+            snap.apply(&rec);
+        }
+        assert!(wal.should_checkpoint(Held::entry()));
+        wal.checkpoint(&snap, wal.last_lsn()).unwrap();
+        let size = file_len(&dir, CHECKPOINT_FILE);
+        let mut wal = Some(wal);
+        let mut appended = 0;
+        while file_len(&dir, WAL_FILE) < size {
+            let open = wal.as_ref().unwrap();
+            assert!(!open.should_checkpoint(Held::entry()), "after {appended} records");
+            let node = NodeId(9 + appended as u32 % 2);
+            open.append(&MetaRecord::AddLocation { block: BlockId(appended % 64), node })
+                .unwrap();
+            appended += 1;
+            if appended == 8 {
+                // Past the floor: reopen reads the checkpoint's size back.
+                drop(wal.take());
+                wal = Some(MetaWal::open(&dir, false, 4).unwrap().0);
+            }
+        }
+        assert!(appended > 8, "{appended} records reached {size} bytes");
+        assert!(wal.unwrap().should_checkpoint(Held::entry()));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn frames_that_race_a_checkpoint_are_carried_over_bit_identically() {
+        let dir = tmp_dir();
+        let (wal, _) = MetaWal::open(&dir, true, 1000).unwrap();
+        let recs = sample_records();
+        let mut live = MetaSnapshot::default();
+        for rec in &recs[..3] {
+            wal.append(rec).unwrap();
+            live.apply(rec);
+        }
+        // The low-water mark is read, then records race the gather: the
+        // first lands in the snapshot too, the rest only in the log.
+        let low_water = wal.last_lsn();
+        let at_low_water = file_len(&dir, WAL_FILE) as usize;
+        let mut snap = live.clone();
+        for (i, rec) in recs[3..].iter().enumerate() {
+            wal.append(rec).unwrap();
+            live.apply(rec);
+            if i == 0 {
+                snap.apply(rec);
+            }
+        }
+        let raced = fs::read(dir.join(WAL_FILE)).unwrap().split_off(at_low_water);
+        wal.checkpoint(&snap, low_water).unwrap();
+        assert_eq!(fs::read(dir.join(WAL_FILE)).unwrap(), raced);
+
+        // A second checkpoint cuts inside the carried-over frames.
+        let first = encode_frame(low_water + 1, &recs[3]).len();
+        wal.checkpoint(&live, low_water + 1).unwrap();
+        assert_eq!(fs::read(dir.join(WAL_FILE)).unwrap(), raced[first..]);
+        // Appends go on at a frame boundary.
+        wal.append(&recs[0]).unwrap();
+        live.apply(&recs[0]);
+        drop(wal);
+        let (wal, recovered) = MetaWal::open(&dir, true, 1000).unwrap();
+        assert_eq!(recovered, live);
+        assert_eq!(wal.last_lsn(), recs.len() as u64 + 1);
+        drop(wal);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A record a NameNode could log next: an allocation of the next id,
+    /// or a location change of a block allocated so far.
+    fn next_record(rng: &mut ChaCha8, next_block: u64) -> MetaRecord {
+        let block = BlockId(rng.below(next_block.max(1)));
+        let node = NodeId(rng.below(16) as u32);
+        match rng.below(4) {
+            0 => MetaRecord::Allocate {
+                block: BlockId(next_block),
+                locations: vec![node],
+                assigned: rng.below(2) == 0,
+            },
+            1 => MetaRecord::AddLocation { block, node },
+            2 => MetaRecord::DropLocation { block, node },
+            _ => MetaRecord::SetLocations {
+                block,
+                nodes: vec![node, NodeId(16)],
+            },
+        }
+    }
+
+    #[test]
+    fn reopen_after_any_appends_checkpoints_and_reopens_is_the_live_image() {
+        prop::check("wal_reopen_is_the_live_image", 64, |rng| {
+            let dir = tmp_dir();
+            let every = prop::range(rng, 1..=8);
+            let (mut wal, _) = MetaWal::open(&dir, false, every).unwrap();
+            // The image after each lsn, the empty one at lsn 0.
+            let mut images = vec![MetaSnapshot::default()];
+            let mut covered = 0;
+            for _ in 0..prop::range(rng, 10..=150) {
+                match rng.below(10) {
+                    0 => {
+                        // The low-water mark may lag: frames past it race
+                        // the checkpoint and stay in the log.
+                        let last = wal.last_lsn();
+                        let low_water = last - rng.below(last - covered + 1);
+                        wal.checkpoint(&images[low_water as usize], low_water).unwrap();
+                        covered = low_water;
+                        let image = fs::read(dir.join(WAL_FILE)).unwrap();
+                        let (frames, valid) = scan_log(&image).unwrap();
+                        assert_eq!(valid, image.len());
+                        let lsns: Vec<u64> = frames.iter().map(|f| f.0).collect();
+                        assert_eq!(lsns, (low_water + 1..=last).collect::<Vec<_>>());
+                    }
+                    1 => {
+                        drop(wal);
+                        let (reopened, image) = MetaWal::open(&dir, false, every).unwrap();
+                        assert_eq!(Some(&image), images.last());
+                        wal = reopened;
+                    }
+                    _ => {
+                        let mut live = images.last().unwrap().clone();
+                        let rec = next_record(rng, live.next_block);
+                        wal.append(&rec).unwrap();
+                        live.apply(&rec);
+                        images.push(live);
+                    }
+                }
+            }
+            drop(wal);
+            let (_, image) = MetaWal::open(&dir, false, every).unwrap();
+            assert_eq!(Some(&image), images.last());
+            fs::remove_dir_all(&dir).unwrap();
+        });
     }
 
     #[test]

@@ -41,8 +41,8 @@
 //! exactly the bytes the store holds — which is why chaos/heal soak
 //! reports are bit-identical with the cache off or on.
 
-use crate::sync::{RwLock, Striped};
-use ear_types::{Block, BlockId, CacheConfig};
+use crate::sync::RwLock;
+use ear_types::{Block, BlockId, CacheConfig, Striped};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 

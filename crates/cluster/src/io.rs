@@ -34,10 +34,10 @@
 use crate::cache::CacheStats;
 use crate::datanode::DataNode;
 use crate::reliability::{self, OpContext, Reliability};
-use crate::sync::{Mutex, Striped};
+use crate::sync::Mutex;
 use ear_faults::{FaultInjector, IoFault};
 use ear_netem::EmulatedNetwork;
-use ear_types::{Block, BlockId, ClusterTopology, Error, NodeId, Padded, Result};
+use ear_types::{Block, BlockId, ClusterTopology, Error, NodeId, Padded, Result, Striped};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -18,7 +18,6 @@ use ear_core::{PlacementPolicy, StripePlan};
 use ear_types::rng::ChaCha8;
 use ear_types::{BlockId, ClusterTopology, Error, NodeId, Padded, Result, StripeId};
 use image::{Shard, StripeTable};
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Number of metadata shards. A power of two comfortably above the thread
 /// counts we drive, so stripes of the id space map evenly.
@@ -161,9 +160,6 @@ pub struct NameNode {
     /// The write-ahead log. `None` for the volatile (classic testbed)
     /// NameNode, whose commits skip the append.
     wal: Option<MetaWal>,
-    /// Guards against concurrent checkpoints: the first thread to trip the
-    /// threshold writes the snapshot, the rest carry on.
-    checkpointing: AtomicBool,
 }
 
 impl NameNode {
@@ -193,7 +189,6 @@ impl NameNode {
             shards: shards.into_iter().map(|s| RwLock::new(s).into()).collect(),
             stripes: Mutex::new(StripeTable::load(image)),
             wal,
-            checkpointing: AtomicBool::new(false),
         }
     }
 
@@ -242,17 +237,21 @@ impl NameNode {
         self.snapshot_from(Held::entry())
     }
 
-    /// [`snapshot`](Self::snapshot) for an entry point that holds no lock.
-    fn snapshot_from(&self, nothing: &mut Held<'_, level::Unlocked>) -> MetaSnapshot {
-        let mut snap = self.stripes.lock(nothing).0.image().clone();
+    /// [`snapshot`](Self::snapshot) for a caller that holds no table lock.
+    fn snapshot_from<H>(&self, held: &mut Held<'_, H>) -> MetaSnapshot
+    where
+        H: Precedes<level::Stripes> + Precedes<level::Shard>,
+    {
+        let mut snap = self.stripes.lock(held).0.image().clone();
         for shard in &self.shards {
-            snap.blocks.extend(shard.read(nothing).0.slots());
+            snap.blocks.extend(shard.read(held).0.slots());
         }
         snap
     }
 
     /// Writes a checkpoint now (no-op for a volatile NameNode): snapshot
-    /// the metadata, persist it, compact the log.
+    /// the metadata, persist it, compact the log. A checkpoint already in
+    /// flight finishes first; this one then runs, never skipped.
     ///
     /// # Errors
     ///
@@ -268,19 +267,16 @@ impl NameNode {
         let Some(wal) = &self.wal else {
             return Ok(());
         };
-        // The low-water mark is read *before* gathering: records racing
-        // with the gather land in the snapshot *and* stay in the log, and
-        // re-apply-safe replay converges them.
-        let last_lsn = wal.last_lsn_holding(nothing);
-        let snap = self.snapshot_from(nothing);
-        wal.checkpoint_holding(nothing, &snap, last_lsn)
+        let (_flight, mut flying) = wal.flight.lock(nothing);
+        self.checkpoint_flying(wal, &mut flying)
     }
 
     /// Writes a checkpoint if one is due ([`MetaWal`]'s cadence: the log
     /// has grown to the last checkpoint's size), for a mutator whose locks
     /// are all released — every mutator calls it, so no mix of them grows
-    /// the log without bound. At most one thread checkpoints at a time;
-    /// the others skip.
+    /// the log without bound. It shares the flight of
+    /// [`checkpoint_now`](Self::checkpoint_now), but skips while a
+    /// checkpoint is in it.
     fn maybe_checkpoint(&self, nothing: &mut Held<'_, level::Unlocked>) -> Result<()> {
         let Some(wal) = &self.wal else {
             return Ok(());
@@ -288,12 +284,25 @@ impl NameNode {
         if !wal.should_checkpoint(nothing) {
             return Ok(());
         }
-        if self.checkpointing.swap(true, Ordering::AcqRel) {
+        let Some((_flight, mut flying)) = wal.flight.try_lock(nothing) else {
             return Ok(());
-        }
-        let result = self.checkpoint_from(nothing);
-        self.checkpointing.store(false, Ordering::Release);
-        result
+        };
+        self.checkpoint_flying(wal, &mut flying)
+    }
+
+    /// Gathers, persists and compacts one checkpoint inside the flight, so
+    /// checkpoints install in the order of their low-water marks.
+    fn checkpoint_flying(
+        &self,
+        wal: &MetaWal,
+        flying: &mut Held<'_, level::Checkpoint>,
+    ) -> Result<()> {
+        // The low-water mark is read *before* gathering: records racing
+        // with the gather land in the snapshot *and* stay in the log, and
+        // re-apply-safe replay converges them.
+        let last_lsn = wal.last_lsn_holding(flying);
+        let snap = self.snapshot_from(flying);
+        wal.checkpoint_holding(flying, &snap, last_lsn)
     }
 
     /// The cluster topology.
@@ -563,7 +572,7 @@ mod tests {
     use ear_types::prop;
     use ear_types::{EarConfig, ErasureParams, RackId, ReplicationConfig};
     use std::path::{Path, PathBuf};
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn cfg() -> EarConfig {
         EarConfig::new(
@@ -883,6 +892,33 @@ mod tests {
         let live = nn.snapshot();
         drop(nn);
         assert_eq!(MetaWal::open(&dir, false, FLOOR).unwrap().1, live);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    #[expect(clippy::disallowed_methods, reason = "a second thread meets a checkpoint in flight")]
+    fn checkpoint_now_waits_for_the_checkpoint_in_flight() {
+        // An explicit checkpoint shares the automatic ones' flight: while
+        // one is in it, `checkpoint_now` waits, then writes its own. The
+        // sleep only gives it time to reach the lock; a skip shows
+        // regardless, as a log left uncompacted.
+        let dir = tmp_dir();
+        let nn = namenode(false, 1, Some(&dir));
+        let wal = nn.wal.as_ref().unwrap();
+        nn.allocate_block().unwrap();
+        let (flight, _) = wal.flight.lock(Held::entry());
+        std::thread::scope(|s| {
+            let explicit = s.spawn(|| nn.checkpoint_now());
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            assert!(!explicit.is_finished(), "checkpoint_now skipped the flight");
+            drop(flight);
+            explicit.join().unwrap().unwrap();
+        });
+        assert_eq!(std::fs::metadata(dir.join(WAL_FILE)).unwrap().len(), 0, "log compacted");
+        let live = nn.snapshot();
+        drop(nn);
+        let (_, recovered) = MetaWal::open(&dir, false, u64::MAX).unwrap();
+        assert_eq!(recovered, live);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -27,13 +27,15 @@
 //! # Counters
 //!
 //! Counters that concurrent threads bump without a lock ([`crate::ClusterIo`]'s
-//! I/O accounting, a [`crate::BlockCache`]'s hits) are [`Striped`]: one
-//! padded copy per thread stripe, summed when read.
+//! I/O accounting, a [`crate::BlockCache`]'s hits) are
+//! [`ear_types::Striped`]: one padded copy per thread stripe, summed when
+//! read.
 
-use ear_types::{Error, Padded, Result};
+use ear_types::{Error, Result};
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{self, Condvar, MutexGuard, PoisonError, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{
+    self, Condvar, MutexGuard, PoisonError, RwLockReadGuard, RwLockWriteGuard, TryLockError,
+};
 
 /// The lock levels. Uninhabited: they only name a place in the order.
 pub mod level {
@@ -44,6 +46,9 @@ pub mod level {
     /// Nothing held: the token an entry point starts from.
     #[derive(Debug)]
     pub enum Unlocked {}
+    /// The metadata log's checkpoint flight: one checkpoint at a time.
+    #[derive(Debug)]
+    pub enum Checkpoint {}
     /// The NameNode's placement policy and its RNG stream.
     #[derive(Debug)]
     pub enum Placement {}
@@ -71,7 +76,7 @@ macro_rules! order {
 }
 
 // The lock order, coarse to fine: the only place it is written down.
-order!(Unlocked, Placement, Stripes, Shard, Wal);
+order!(Unlocked, Checkpoint, Placement, Stripes, Shard, Wal);
 
 /// Proof that the caller holds a lock at level `L` (or, for
 /// [`level::Unlocked`], none). Taking a lock at level `L` while holding
@@ -221,6 +226,19 @@ impl<T, L> Mutex<T, L> where level::Unlocked: Precedes<L> {
     ) -> (MutexGuard<'a, T>, Held<'a, L>) {
         (self.0.lock().unwrap_or_else(PoisonError::into_inner), Held(PhantomData))
     }
+
+    /// Acquires the lock while holding `H` if no other thread holds it.
+    pub fn try_lock<'a, H: Precedes<L>>(
+        &'a self,
+        _held: &'a mut Held<'_, H>,
+    ) -> Option<(MutexGuard<'a, T>, Held<'a, L>)> {
+        let guard = match self.0.try_lock() {
+            Ok(guard) => guard,
+            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+            Err(TryLockError::WouldBlock) => return None,
+        };
+        Some((guard, Held(PhantomData)))
+    }
 }
 
 /// A reader-writer lock whose `read()`/`write()` ignore poisoning, at
@@ -262,40 +280,6 @@ impl<T, L> RwLock<T, L> where level::Unlocked: Precedes<L> {
         _held: &'a mut Held<'_, H>,
     ) -> (RwLockWriteGuard<'a, T>, Held<'a, L>) {
         (self.0.write().unwrap_or_else(PoisonError::into_inner), Held(PhantomData))
-    }
-}
-
-/// Counter stripes per [`Striped`]: more than the threads that count at
-/// once (the clients, the encode and repair workers), so consecutive
-/// threads never share one.
-const STRIPES: usize = 16;
-
-/// The stripe the next thread to count is dealt.
-static NEXT_STRIPE: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    /// This thread's stripe, dealt at its first count.
-    static STRIPE: usize = NEXT_STRIPE.fetch_add(1, Ordering::Relaxed) % STRIPES;
-}
-
-/// Per-thread stripes of a counter set `T`, updated relaxed. A thread is
-/// dealt a stripe at its first count, round robin over [`STRIPES`], and
-/// keeps it in every `Striped`, so concurrent threads do not write the
-/// same cache lines. Totals are exact once the counting threads have
-/// joined, which is how every consumer reads them.
-#[derive(Debug, Default)]
-pub(crate) struct Striped<T>([Padded<T>; STRIPES]);
-
-impl<T> Striped<T> {
-    /// The calling thread's stripe.
-    #[expect(clippy::indexing_slicing, reason = "STRIPE is taken modulo STRIPES")]
-    pub(crate) fn mine(&self) -> &T {
-        &self.0[STRIPE.with(|&i| i)]
-    }
-
-    /// One counter summed over the stripes.
-    pub(crate) fn total(&self, counter: impl Fn(&T) -> &AtomicU64) -> u64 {
-        self.0.iter().map(|c| counter(c).load(Ordering::Relaxed)).sum()
     }
 }
 

@@ -42,7 +42,7 @@
 //!   written never exceed log bytes written (plus the first), and reopen
 //!   replays at most about one image's worth of log.
 
-use crate::durable::{self, Dir, Synced};
+use crate::durable::{self, Dir, Synced, Unsynced};
 use crate::namenode::{EncodedStripe, PendingStripe};
 use crate::sync::{level, Held, Mutex, Precedes};
 use ear_core::{BlockLayout, StripePlan};
@@ -697,11 +697,40 @@ struct WalInner {
     frames: Vec<(u64, u64)>,
     /// Byte size of the last committed checkpoint (0 before the first).
     checkpoint_bytes: u64,
+    /// Low-water mark of the last committed checkpoint (0 before the first).
+    checkpoint_lsn: u64,
+    /// A failed append left bytes past the last frame that could not be
+    /// cut: every append is refused until a checkpoint rewrites the log.
+    torn_tail: bool,
+    /// Makes the next append write this many bytes of its frame and fail.
+    #[cfg(test)]
+    tear_next: Option<usize>,
 }
 
 impl WalInner {
     fn log_bytes(&self) -> u64 {
         self.frames.last().map_or(0, |&(_, end)| end)
+    }
+
+    /// Appends `frame` and syncs it. On any failure, cuts the log back to
+    /// its last frame end, so a torn frame never sits between two records
+    /// (replay would stop at it and drop every record after); if that cut
+    /// fails too, refuses every later append instead.
+    fn write(&mut self, frame: &[u8]) -> Result<Synced> {
+        #[cfg(test)]
+        let tear = self.tear_next.take();
+        #[cfg(not(test))]
+        let tear = None;
+        let bytes = tear.and_then(|n| frame.get(..n)).unwrap_or(frame);
+        let written = self.file.append(bytes).and_then(Unsynced::sync).and_then(|synced| {
+            tear.map_or(Ok(synced), |n| {
+                Err(Error::Io { context: format!("torn append after {n} bytes") })
+            })
+        });
+        if written.is_err() {
+            self.torn_tail = self.file.resize(self.log_bytes()).and_then(Unsynced::sync).is_err();
+        }
+        written
     }
 }
 
@@ -710,11 +739,14 @@ pub(crate) const CHECKPOINT_EVERY: u64 = 256;
 
 /// The open write-ahead log of one NameNode. Its lock is the finest level:
 /// the NameNode appends under the table locks, so log order equals apply
-/// order.
+/// order. Checkpoints fly one at a time, under the coarsest lock after
+/// none ([`level::Checkpoint`]).
 #[derive(Debug)]
 pub struct MetaWal {
     dir: Dir,
     checkpoint_every: u64,
+    /// Held by the one checkpoint in flight.
+    pub(crate) flight: Mutex<(), level::Checkpoint>,
     wal: Mutex<WalInner, level::Wal>,
 }
 
@@ -772,11 +804,16 @@ impl MetaWal {
         let wal = MetaWal {
             dir,
             checkpoint_every: checkpoint_every.max(1),
+            flight: Mutex::new(()),
             wal: Mutex::new(WalInner {
                 file,
                 last_lsn,
                 frames: records.iter().map(|&(lsn, _, end)| (lsn, end)).collect(),
                 checkpoint_bytes,
+                checkpoint_lsn: ckpt_lsn,
+                torn_tail: false,
+                #[cfg(test)]
+                tear_next: None,
             }),
         };
         Ok((wal, snap))
@@ -784,11 +821,15 @@ impl MetaWal {
 
     /// Appends one record, fsyncing before return when the log is in
     /// synchronous mode, and returns its LSN. Once this returns, the
-    /// mutation is durable — callers acknowledge only after.
+    /// mutation is durable — callers acknowledge only after. A failed
+    /// append is cut back out of the log, so the next one lands on a frame
+    /// boundary.
     ///
     /// # Errors
     ///
-    /// [`Error::Io`] if the write or fsync fails.
+    /// [`Error::Io`] if the write or fsync fails, or if an earlier failed
+    /// append could not be cut back (every append is refused until a
+    /// checkpoint rewrites the log, or the log is reopened).
     pub fn append(&self, rec: &MetaRecord) -> Result<u64> {
         self.append_holding(Held::entry(), rec).map(|(lsn, _)| lsn)
     }
@@ -800,9 +841,13 @@ impl MetaWal {
         rec: &MetaRecord,
     ) -> Result<(u64, Synced)> {
         let (mut wal, _) = self.wal.lock(held);
+        if wal.torn_tail {
+            let context = "wal append refused: a torn append stays uncut".into();
+            return Err(Error::Io { context });
+        }
         let lsn = wal.last_lsn + 1;
         let frame = encode_frame(lsn, rec);
-        let synced = wal.file.append(&frame)?.sync()?;
+        let synced = wal.write(&frame)?;
         let end = wal.log_bytes() + frame.len() as u64;
         wal.frames.push((lsn, end));
         wal.last_lsn = lsn;
@@ -827,7 +872,8 @@ impl MetaWal {
         wal.frames.len() as u64 >= self.checkpoint_every && wal.log_bytes() >= wal.checkpoint_bytes
     }
 
-    /// Commits `snap` as the new checkpoint and compacts the log.
+    /// Commits `snap` as the new checkpoint and compacts the log, once any
+    /// checkpoint in flight has finished.
     ///
     /// `last_lsn` must be the log position read *before* `snap` was
     /// gathered: any record that raced in between is in the snapshot
@@ -836,32 +882,46 @@ impl MetaWal {
     ///
     /// # Errors
     ///
-    /// [`Error::Io`] if any write, fsync, or rename fails.
+    /// [`Error::Io`] if any write, fsync, or rename fails;
+    /// [`Error::Invariant`] if `last_lsn` lies below the committed
+    /// checkpoint's, whose compaction may already have cut the records in
+    /// between.
     pub fn checkpoint(&self, snap: &MetaSnapshot, last_lsn: u64) -> Result<()> {
-        self.checkpoint_holding(Held::entry(), snap, last_lsn)
+        let (_flight, mut flying) = self.flight.lock(Held::entry());
+        self.checkpoint_holding(&mut flying, snap, last_lsn)
     }
 
-    /// [`MetaWal::checkpoint`] for a caller holding locks up to level `H`.
-    pub(crate) fn checkpoint_holding<H: Precedes<level::Wal>>(
+    /// [`MetaWal::checkpoint`] from inside the checkpoint flight.
+    pub(crate) fn checkpoint_holding(
         &self,
-        held: &mut Held<'_, H>,
+        flying: &mut Held<'_, level::Checkpoint>,
         snap: &MetaSnapshot,
         last_lsn: u64,
     ) -> Result<()> {
+        // Checkpoints commit one at a time, so nothing installs a later one
+        // between this check and the rename below.
+        let installed = self.wal.lock(flying).0.checkpoint_lsn;
+        if last_lsn < installed {
+            return Err(Error::Invariant(format!(
+                "checkpoint at lsn {last_lsn} is below the committed one at lsn {installed}"
+            )));
+        }
         let checkpoint = encode_checkpoint(snap, last_lsn);
         self.dir.replace_atomically(CHECKPOINT_FILE, &checkpoint)?;
 
         // The checkpoint is committed; now cut the log prefix it covers (its
         // frames come first). A crash in here leaves either the old log —
         // replay just skips lsn ≤ last_lsn — or the new one.
-        let (mut wal, _) = self.wal.lock(held);
-        wal.checkpoint_bytes = checkpoint.len() as u64;
+        let (mut wal, _) = self.wal.lock(flying);
+        (wal.checkpoint_bytes, wal.checkpoint_lsn) = (checkpoint.len() as u64, last_lsn);
         let covered = wal.frames.partition_point(|&(lsn, _)| lsn <= last_lsn);
         let cut = covered.checked_sub(1).and_then(|i| wal.frames.get(i)).map_or(0, |f| f.1);
         let mut tail = vec![0; (wal.log_bytes() - cut) as usize];
         wal.file.read_exact_at(&mut tail, cut).map_err(io_err("read wal tail"))?;
         self.dir.replace_atomically(WAL_FILE, &tail)?;
         wal.file = self.dir.open(WAL_FILE, OpenOptions::new().read(true).append(true))?;
+        // The new log holds the uncovered frames and nothing after them.
+        wal.torn_tail = false;
         wal.frames.drain(..covered);
         wal.frames.iter_mut().for_each(|f| f.1 -= cut);
         Ok(())
@@ -873,6 +933,13 @@ impl MetaWal {
     pub(crate) fn fail_appends(&self) {
         let read_only = self.dir.open(WAL_FILE, OpenOptions::new().read(true));
         self.wal.lock(Held::entry()).0.file = read_only.expect("reopen wal read-only");
+    }
+
+    /// Makes the next append write its first `bytes` bytes and then fail,
+    /// as a short write does (e.g. on a full disk).
+    #[cfg(test)]
+    pub(crate) fn tear_next_append(&self, bytes: usize) {
+        self.wal.lock(Held::entry()).0.tear_next = Some(bytes);
     }
 }
 
@@ -1055,6 +1122,82 @@ mod tests {
             expected.apply(rec);
         }
         assert_eq!(recovered, expected);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_torn_append_is_cut_back_and_later_records_survive() {
+        // An append that writes 5 bytes of its frame and fails (a short
+        // write), between two that succeed: the torn bytes must not sit
+        // between the two acknowledged records, or replay stops at them.
+        let dir = tmp_dir();
+        let (wal, _) = MetaWal::open(&dir, true, 1000).unwrap();
+        let recs = sample_records();
+        wal.append(&recs[0]).unwrap();
+        let end = file_len(&dir, WAL_FILE);
+        wal.tear_next_append(5);
+        assert!(matches!(wal.append(&recs[1]), Err(Error::Io { .. })));
+        assert_eq!(file_len(&dir, WAL_FILE), end, "the torn frame is cut");
+        assert_eq!(wal.append(&recs[2]).unwrap(), 2, "the refused record took no lsn");
+        drop(wal);
+        let (_, recovered) = MetaWal::open(&dir, true, 1000).unwrap();
+        let mut acked = MetaSnapshot::default();
+        for rec in [&recs[0], &recs[2]] {
+            acked.apply(rec);
+        }
+        assert_eq!(recovered, acked);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn appends_are_refused_while_a_torn_tail_stays_uncut() {
+        // A read-only handle fails the append and the cut alike: every
+        // later append is refused, typed, until a checkpoint rewrites the
+        // log from its known frames.
+        let dir = tmp_dir();
+        let (wal, _) = MetaWal::open(&dir, false, 1000).unwrap();
+        let recs = sample_records();
+        wal.append(&recs[0]).unwrap();
+        wal.fail_appends();
+        assert!(wal.append(&recs[1]).is_err());
+        match wal.append(&recs[1]) {
+            Err(Error::Io { context }) => assert!(context.contains("refused"), "{context}"),
+            other => panic!("expected a refused append, got {other:?}"),
+        }
+        let mut snap = MetaSnapshot::default();
+        snap.apply(&recs[0]);
+        wal.checkpoint(&snap, wal.last_lsn()).unwrap();
+        wal.append(&recs[1]).unwrap();
+        drop(wal);
+        let (_, recovered) = MetaWal::open(&dir, false, 1000).unwrap();
+        snap.apply(&recs[1]);
+        assert_eq!(recovered, snap);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_checkpoint_below_the_committed_one_is_refused() {
+        // Two checkpoints raced: B (low-water 4) committed and compacted
+        // the log past lsn 2, then A (low-water 2, gathered earlier) came
+        // to rename its snapshot over B's. Installed, A would leave lsns 3
+        // and 4 in neither the checkpoint nor the log.
+        let dir = tmp_dir();
+        let (wal, _) = MetaWal::open(&dir, true, 1000).unwrap();
+        let recs = sample_records();
+        let (mut early, mut live) = (MetaSnapshot::default(), MetaSnapshot::default());
+        for (i, rec) in recs[..4].iter().enumerate() {
+            wal.append(rec).unwrap();
+            live.apply(rec);
+            if i < 2 {
+                early.apply(rec);
+            }
+        }
+        wal.checkpoint(&live, 4).unwrap();
+        assert!(matches!(wal.checkpoint(&early, 2), Err(Error::Invariant(_))));
+        wal.checkpoint(&live, 4).unwrap();
+        drop(wal);
+        let (_, recovered) = MetaWal::open(&dir, true, 1000).unwrap();
+        assert_eq!(recovered, live);
         fs::remove_dir_all(&dir).unwrap();
     }
 

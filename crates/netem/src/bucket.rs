@@ -1,5 +1,8 @@
-//! A blocking token bucket: the building block of the emulated network.
+//! A blocking token bucket with per-thread leases: the building block of
+//! the emulated network.
 
+use crate::network::CHUNK;
+use ear_types::{Striped, STRIPES};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -7,21 +10,40 @@ use std::time::{Duration, Instant};
 /// A token bucket refilled continuously at a fixed byte rate.
 ///
 /// Threads call [`acquire`](TokenBucket::acquire) (or
-/// [`draw`](TokenBucket::draw), with a clock reading they already hold) to
-/// draw tokens before moving bytes. A draw the bucket cannot cover takes
-/// its tokens anyway, leaving the bucket in debt, and sleeps until the
-/// debt has refilled, pacing all users of the link to its bandwidth in
-/// aggregate.
+/// [`draw`](TokenBucket::draw), with a clock reading they may already
+/// hold) to draw tokens before moving bytes. A draw the bucket cannot
+/// cover takes its tokens anyway, leaving the bucket in debt, and sleeps
+/// until the debt has refilled, pacing all users of the link to its
+/// bandwidth in aggregate.
 ///
 /// The bucket capacity (burst) is 5 ms worth of tokens (at least one
 /// 64 KiB chunk), so idle links cannot bank credit that would let later
 /// transfers bypass pacing.
+///
+/// A link whose burst is wide enough also deals *leases*: tokens already
+/// debited from the bucket, held per thread stripe ([`Striped`]). A draw
+/// spends from its stripe's lease first, with one compare-and-swap on that
+/// stripe and no lock or clock; only a draw its lease cannot cover takes
+/// the locked debit, which then tops the lease up if the bucket holds the
+/// tokens. The lease is the largest whole number of [`CHUNK`]s with
+/// `STRIPES × lease ≤ burst / 2`, so the testbeds' paced links (32e6 and
+/// 128e6 B/s: bursts of 160 kB and 640 kB) never lease. While leasing is
+/// on, refills are capped at `burst − STRIPES × lease`: tokens in the
+/// bucket and in leases never sum past `burst`, and the bytes a link
+/// grants in any window stay within `burst + rate × window`.
 #[derive(Debug)]
 pub(crate) struct TokenBucket {
     /// Refill rate in bytes/s, stored as `f64` bits so it can be retuned at
     /// runtime (straggler emulation) without taking the state lock on reads.
     rate_bits: AtomicU64,
-    burst: f64,
+    /// Bytes a lease is topped up to; 0 on a link too slow to lease.
+    lease: u64,
+    /// What a refill may fill the bucket to: `burst` less what the leases
+    /// can hold.
+    cap: f64,
+    /// The leased tokens, one stripe per thread stripe. Relaxed: a lease
+    /// is a count of tokens and publishes no other data.
+    leases: Striped<AtomicU64>,
     state: Mutex<State>,
 }
 
@@ -33,14 +55,14 @@ struct State {
 
 impl State {
     /// Credits the tokens accrued between `last_refill` and `now` at
-    /// `rate`, capped at `burst`. An instant older than `last_refill` (read
+    /// `rate`, capped at `cap`. An instant older than `last_refill` (read
     /// before another thread refilled) credits nothing and leaves
     /// `last_refill` where it is, so the time it missed is credited by the
     /// next draw instead: a stale instant defers a refill, never grants one.
-    fn refill(&mut self, now: Instant, rate: f64, burst: f64) {
+    fn refill(&mut self, now: Instant, rate: f64, cap: f64) {
         let now = now.max(self.last_refill);
         let elapsed = now.duration_since(self.last_refill).as_secs_f64();
-        self.available = (self.available + elapsed * rate).min(burst);
+        self.available = (self.available + elapsed * rate).min(cap);
         self.last_refill = now;
     }
 }
@@ -56,9 +78,13 @@ impl TokenBucket {
             rate_bytes_per_sec.is_finite() && rate_bytes_per_sec > 0.0,
             "token bucket rate must be finite and positive"
         );
+        let burst = (rate_bytes_per_sec * 0.005).max(CHUNK as f64);
+        let lease = (burst / 2.0 / STRIPES as f64 / CHUNK as f64).floor() as u64 * CHUNK;
         TokenBucket {
             rate_bits: AtomicU64::new(rate_bytes_per_sec.to_bits()),
-            burst: (rate_bytes_per_sec * 0.005).max(64.0 * 1024.0),
+            lease,
+            cap: burst - (STRIPES as u64 * lease) as f64,
+            leases: Striped::default(),
             state: Mutex::new(State {
                 available: 0.0,
                 last_refill: Instant::now(),
@@ -80,6 +106,9 @@ impl TokenBucket {
     /// Retunes the refill rate (straggler emulation: a slow NIC or an
     /// oversubscribed link). Tokens accrued so far are settled at the old
     /// rate first, so a rate change never retroactively re-prices the past.
+    /// Every lease is revoked (its tokens are dropped, never handed to
+    /// another draw), so each draw from here on takes the locked debit at
+    /// the new rate until it leases afresh.
     ///
     /// # Panics
     ///
@@ -90,50 +119,81 @@ impl TokenBucket {
             "token bucket rate must be finite and positive"
         );
         let mut s = self.state();
-        s.refill(Instant::now(), self.rate(), self.burst);
+        s.refill(Instant::now(), self.rate(), self.cap);
+        self.leases.iter().for_each(|l| l.store(0, Ordering::Relaxed));
         self.rate_bits
             .store(rate_bytes_per_sec.to_bits(), Ordering::Relaxed);
     }
 
     /// Blocks until `bytes` tokens have been drawn from the bucket.
     pub(crate) fn acquire(&self, bytes: u64) {
-        self.draw(bytes, Instant::now());
+        self.draw(bytes, &mut None);
     }
 
-    /// Draws `bytes` given `now`, a clock reading the caller already holds:
-    /// one [`debit`](Self::debit), then at most one sleep for the debt it
-    /// leaves. Returns the debit's reading, so a caller drawing on several
-    /// buckets in a row reads the clock once unless one of them runs short.
-    pub(crate) fn draw(&self, bytes: u64, now: Instant) -> Instant {
-        let (wait, last) = self.debit(bytes, now, Instant::now);
+    /// [`draw_on`](Self::draw_on) the calling thread's lease.
+    pub(crate) fn draw(&self, bytes: u64, now: &mut Option<Instant>) {
+        self.draw_on(self.leases.mine(), bytes, now);
+    }
+
+    /// Draws `bytes` from `lease` if it covers them; otherwise one
+    /// [`debit`](Self::debit), then at most one sleep for the debt it
+    /// leaves. `now` is a clock reading the caller may already hold: a
+    /// debit reads the clock into it if it is empty and leaves the debit's
+    /// reading there, so a caller drawing on several buckets in a row reads
+    /// the clock at most once unless one of them runs short, and not at all
+    /// while leases serve its draws.
+    fn draw_on(&self, lease: &AtomicU64, bytes: u64, now: &mut Option<Instant>) {
+        if self.lease > 0 && spend(lease, bytes) {
+            return;
+        }
+        let given = *now.get_or_insert_with(Instant::now);
+        let (wait, last) = self.debit(lease, bytes, given, Instant::now);
+        *now = Some(last);
         if let Some(debt) = wait {
             std::thread::sleep(debt);
         }
-        last
     }
 
     /// Takes all of `bytes` under the lock, refilled as of `now` or, if that
     /// does not cover them, as of one fresh `clock()` reading. The tokens may
-    /// go negative: a debt that later debits queue behind, in order. Returns
-    /// the sleep that pays the debt off, if any, and the debit's reading.
+    /// go negative: a debt that later debits queue behind, in order. Then,
+    /// on a leasing link, tops `lease` up to a full lease if the bucket
+    /// still holds the tokens: a lease never puts the bucket in debt.
+    /// Returns the sleep that pays the debt off, if any, and the debit's
+    /// reading.
     fn debit(
         &self,
+        lease: &AtomicU64,
         bytes: u64,
         now: Instant,
         clock: impl FnOnce() -> Instant,
     ) -> (Option<Duration>, Instant) {
         let mut s = self.state();
         let (rate, bytes) = (self.rate(), bytes as f64);
-        s.refill(now, rate, self.burst);
+        s.refill(now, rate, self.cap);
         let mut last = now;
         if s.available < bytes {
             last = clock();
-            s.refill(last, rate, self.burst);
+            s.refill(last, rate, self.cap);
         }
         s.available -= bytes;
+        // Top-ups happen only here, under the lock, and spends only lower
+        // the stripe, so it never holds more than one lease.
+        let top_up = self.lease - lease.load(Ordering::Relaxed).min(self.lease);
+        if top_up > 0 && s.available >= top_up as f64 {
+            s.available -= top_up as f64;
+            lease.fetch_add(top_up, Ordering::Relaxed);
+        }
         let wait = (s.available < 0.0).then(|| Duration::from_secs_f64(-s.available / rate));
         (wait, last)
     }
+}
+
+/// Takes `bytes` from `lease` if it holds them.
+fn spend(lease: &AtomicU64, bytes: u64) -> bool {
+    lease
+        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |have| have.checked_sub(bytes))
+        .is_ok()
 }
 
 #[cfg(test)]
@@ -143,6 +203,19 @@ mod tests {
     use std::cell::Cell;
     use std::sync::Arc;
     use std::time::Instant;
+
+    impl TokenBucket {
+        /// The bucket's capacity: what a refill may fill it to plus what
+        /// the leases can hold.
+        fn burst(&self) -> f64 {
+            self.cap + (STRIPES as u64 * self.lease) as f64
+        }
+
+        /// Tokens in every lease, in stripe order.
+        fn leased(&self) -> Vec<u64> {
+            self.leases.iter().map(|l| l.load(Ordering::Relaxed)).collect()
+        }
+    }
 
     #[test]
     fn acquire_paces_to_rate() {
@@ -187,19 +260,21 @@ mod tests {
         // 1.2 MB request from idle waits for at least (1.2 MB − 64 KiB) of
         // refill: ~1.13 s.
         let b = TokenBucket::new(1e6);
-        assert_eq!(b.burst, 64.0 * 1024.0);
+        assert_eq!(b.burst(), 64.0 * 1024.0);
         std::thread::sleep(Duration::from_millis(50));
         let start = Instant::now();
         b.acquire(1_200_000);
-        let floor = (1_200_000.0 - b.burst) / 1e6;
+        let floor = (1_200_000.0 - b.burst()) / 1e6;
         let elapsed = start.elapsed().as_secs_f64();
         assert!(elapsed >= floor, "expected at least {floor} s, got {elapsed}");
     }
 
     /// Draws `bytes` from `b` as of `at`, which must cover them, and
-    /// returns the tokens left.
+    /// returns the tokens left in the bucket.
     fn draw_at(b: &TokenBucket, bytes: u64, at: Instant) -> f64 {
-        assert_eq!(b.draw(bytes, at), at, "a covered draw reads no clock");
+        let mut now = Some(at);
+        b.draw(bytes, &mut now);
+        assert_eq!(now, Some(at), "a covered draw reads no clock");
         b.state().available
     }
 
@@ -241,7 +316,9 @@ mod tests {
         // from fresh readings and hands the last one back.
         let short = TokenBucket::new(1e6);
         let t0 = short.state().last_refill;
-        assert!(short.draw(100, t0) > t0);
+        let mut now = Some(t0);
+        short.draw(100, &mut now);
+        assert!(now > Some(t0));
     }
 
     #[test]
@@ -257,60 +334,84 @@ mod tests {
             reads.set(reads.get() + 1);
             fresh
         };
-        assert_eq!(b.debit(10_000, t0, clock), (Some(Duration::from_millis(8)), fresh));
+        let lease = b.leases.mine();
+        assert_eq!(b.debit(lease, 10_000, t0, clock), (Some(Duration::from_millis(8)), fresh));
         assert_eq!(reads.get(), 1);
         assert!(near(b.state().available, -8_000.0));
         // The next debit queues behind that debt: 1 000 more bytes on the
         // same reading wait 1 ms longer than the first.
-        let (wait, last) = b.debit(1_000, fresh, || fresh);
+        let (wait, last) = b.debit(lease, 1_000, fresh, || fresh);
         assert_eq!((wait, last), (Some(Duration::from_millis(9)), fresh));
     }
 
     #[test]
     fn debits_never_outrun_the_rate_and_wake_in_debit_order() {
-        // Random debits on one bucket, interleaved with rate changes. The
-        // wall clock is modelled: `wall` only moves forward, a draw's given
-        // reading may lag it by up to 1 ms (read before the lock), and a
-        // fresh reading is `wall` itself. Instants lie an hour past the
-        // bucket's construction, so the wall-clock settle inside `set_rate`
-        // is always stale and credits nothing: a new rate then prices the
-        // whole interval since the last debit, and the bound below prices
-        // each interval at the highest rate that was in effect across it
-        // or that a pending wait was computed at. Wake order is checked
-        // between debits with no rate rise between them: after a rise, a
-        // later debit may wake before an earlier one that priced its wait
-        // at the slower rate, which then sleeps longer than it had to.
+        // Random draws on one bucket at 1e5 to 1e12 B/s (so most runs lease),
+        // spread over four stripes' leases and interleaved with rate changes.
+        // Draws run to 256 KiB or 3 ms of the current rate, so many exceed
+        // the burst and leave multi-burst debts. The wall clock is modelled:
+        // `wall` only moves forward, a draw's given reading may lag it by up
+        // to 1 ms (read before the lock), and a fresh reading is `wall`
+        // itself. A draw its stripe's lease covers is granted at `wall`; any
+        // other is a debit, granted when its wait ends. Instants lie an hour
+        // past the bucket's construction, so the wall-clock settle inside
+        // `set_rate` is always stale and credits nothing: a new rate then
+        // prices the whole interval since the last debit, and the bound below
+        // prices each interval at the highest rate that was in effect across
+        // it or that a pending wait was computed at. The bytes granted in
+        // every window stay within the burst plus that priced interval. Wake
+        // order is checked between debits with no rate rise between them:
+        // after a rise, a later debit may wake before an earlier one that
+        // priced its wait at the slower rate, which then sleeps longer than
+        // it had to.
         prop::check("debits_never_outrun_the_rate_and_wake_in_debit_order", 256, |rng| {
-            let mut rate = 1e5 * prop::range(rng, 1..=200) as f64;
+            let pick = |rng: &mut _| 1e5 * 10f64.powf(prop::range(rng, 0..=70) as f64 / 10.0);
+            let mut rate = pick(rng);
             let b = TokenBucket::new(rate);
+            let burst = (rate * 0.005).max(CHUNK as f64);
+            let leases: Vec<&AtomicU64> = b.leases.iter().take(4).collect();
             let start = b.state().last_refill + Duration::from_secs(3600);
             let secs = |t: Instant| t.duration_since(start).as_secs_f64();
             let mut wall = start;
             // Per debit: refill instant, highest rate since the previous
-            // debit, rate the wait was computed at, wake instant, bytes.
-            let mut debits: Vec<(f64, f64, f64, f64, f64)> = Vec::new();
-            let mut seen = rate;
+            // debit, rate the wait was computed at, wake instant.
+            let mut debits: Vec<(f64, f64, f64, f64)> = Vec::new();
+            // Per grant, lease spends and debits alike: instant, bytes, the
+            // index in `rates` of the rate in effect when it was drawn, and
+            // the instant its tokens left the bucket (a spend's own instant,
+            // a debit's refill).
+            let mut grants: Vec<(f64, f64, usize, f64)> = Vec::new();
+            let mut rates = vec![rate];
+            let (mut seen, mut top) = (rate, rate);
             let mut rose = false;
-            for _ in 0..prop::range(rng, 1..=40) {
+            for _ in 0..prop::range(rng, 1..=60) {
                 if prop::range(rng, 0..=4) == 0 {
-                    let new = 1e5 * prop::range(rng, 1..=200) as f64;
+                    let new = pick(rng);
                     rose |= new > rate;
-                    (rate, seen) = (new, seen.max(new));
+                    (rate, seen, top) = (new, seen.max(new), top.max(new));
                     b.set_rate(rate);
+                    rates.push(rate);
+                    assert!(b.leased().iter().all(|&l| l == 0), "set_rate revokes every lease");
                     continue;
                 }
                 wall += Duration::from_micros(prop::range(rng, 0..=3_000));
                 let lag = Duration::from_micros(prop::range(rng, 0..=1_000));
                 let given = wall.checked_sub(lag).unwrap_or(start).max(start);
-                let bytes = prop::range(rng, 1..=256 * 1024);
+                let most = if prop::range(rng, 0..=1) == 0 { CHUNK } else { (rate * 3e-3) as u64 };
+                let bytes = prop::range(rng, 1..=most.max(256 * 1024));
+                let lease = leases[prop::range(rng, 0..=3) as usize];
+                if b.lease > 0 && spend(lease, bytes) {
+                    grants.push((secs(wall), bytes as f64, rates.len() - 1, secs(wall)));
+                    continue;
+                }
                 let (avail, since) = {
                     let s = b.state();
                     (s.available, s.last_refill)
                 };
                 let credit = given.max(since).duration_since(since).as_secs_f64() * rate;
-                let covered = (avail + credit).min(b.burst) >= bytes as f64;
+                let covered = (avail + credit).min(b.cap) >= bytes as f64;
                 let reads = Cell::new(0);
-                let (wait, last) = b.debit(bytes, given, || {
+                let (wait, last) = b.debit(lease, bytes, given, || {
                     reads.set(reads.get() + 1);
                     wall
                 });
@@ -319,23 +420,31 @@ mod tests {
                 } else {
                     assert_eq!((last, reads.get()), (wall, 1), "a short draw reads once");
                 }
-                let refilled = b.state().last_refill;
+                let (available, refilled) = {
+                    let s = b.state();
+                    (s.available, s.last_refill)
+                };
+                let leased = b.leased();
+                assert!(leased.iter().all(|&l| l <= b.lease), "a stripe holds one lease at most");
+                let banked = available + leased.iter().sum::<u64>() as f64;
+                assert!(banked <= burst + 1.0, "{banked} tokens banked");
                 let wake = refilled + wait.unwrap_or_default();
-                if let Some(&(_, _, _, prev, _)) = debits.last() {
+                if let Some(&(_, _, _, prev)) = debits.last() {
                     assert!(
                         rose || secs(wake) + 1e-9 >= prev,
                         "woke at {} before the previous debit's {prev}",
                         secs(wake)
                     );
                 }
-                debits.push((secs(refilled), seen, rate, secs(wake), bytes as f64));
+                debits.push((secs(refilled), seen, rate, secs(wake)));
+                grants.push((secs(wake), bytes as f64, rates.len() - 1, secs(refilled)));
                 (seen, rose) = (rate, false);
             }
             // r̂(t): the highest rate credited over the debit interval that
             // holds t, or that a wait pending at t was computed at.
             let rate_at = |t: f64| {
                 let mut r: f64 = 0.0;
-                for (i, &(at, _, paid, wake, _)) in debits.iter().enumerate() {
+                for (i, &(at, _, paid, wake)) in debits.iter().enumerate() {
                     let next = debits.get(i + 1).map_or((f64::INFINITY, seen), |d| (d.0, d.1));
                     if at < t && t <= next.0 {
                         r = r.max(paid).max(next.1);
@@ -351,7 +460,7 @@ mod tests {
             cuts.sort_by(f64::total_cmp);
             cuts.dedup();
             let allowed = |t: f64| {
-                let mut sum = b.burst;
+                let mut sum = burst;
                 for w in cuts.windows(2) {
                     let (lo, hi) = (w[0], w[1].min(t));
                     if hi > lo {
@@ -360,15 +469,89 @@ mod tests {
                 }
                 sum
             };
-            for &(_, _, _, t, _) in &debits {
-                let granted: f64 = debits.iter().filter(|d| d.3 <= t).map(|d| d.4).sum();
+            // Wake instants round to whole nanoseconds.
+            let slack = 1.0 + 2e-9 * top;
+            for &(t, ..) in &grants {
+                let granted: f64 = grants.iter().filter(|g| g.0 <= t).map(|g| g.1).sum();
                 assert!(
-                    granted <= allowed(t) + 1.0,
+                    granted <= allowed(t) + slack,
                     "{granted} bytes granted by {t} s, {} allowed",
                     allowed(t)
                 );
             }
+            // Between two rate changes, the grants that rate priced (lease
+            // spends, and debits made there) fit the burst plus that rate
+            // over every window: leases bank no more than the burst allows.
+            // A debit granted in the window is charged from its refill, when
+            // its tokens left the bucket: a draw larger than the burst is
+            // granted whole at its wake, having paid the excess since.
+            for (epoch, &rate) in rates.iter().enumerate() {
+                let priced: Vec<(f64, f64, f64)> =
+                    grants.iter().filter(|g| g.2 == epoch).map(|g| (g.0, g.1, g.3)).collect();
+                for &(from, ..) in &priced {
+                    for &(to, ..) in priced.iter().filter(|g| g.0 >= from) {
+                        let window = || priced.iter().filter(|g| (from..=to).contains(&g.0));
+                        let granted: f64 = window().map(|g| g.1).sum();
+                        let since = window().map(|g| g.2).fold(from, f64::min);
+                        let allowed = burst + rate * (to - since);
+                        assert!(
+                            granted <= allowed + slack,
+                            "{granted} bytes granted in [{from}, {to}] s (charged from \
+                             {since} s) at {rate} B/s, {allowed} allowed"
+                        );
+                    }
+                }
+            }
         });
+    }
+
+    #[test]
+    fn paced_links_never_lease() {
+        // The testbeds' 32e6 B/s and the default 128e6 B/s links: 5 ms of
+        // tokens is 160 kB and 640 kB, too little for a chunk a stripe, so
+        // every stripe stays empty and each draw is the locked debit alone,
+        // refilled up to the whole burst.
+        for rate in [32e6, 128e6] {
+            let b = TokenBucket::new(rate);
+            assert_eq!((b.lease, b.cap), (0, rate * 0.005));
+            let t0 = b.state().last_refill;
+            let (mut expected, credit) = (0.0, 3e-3 * rate);
+            for k in 1..=50 {
+                let at = t0 + Duration::from_millis(3 * k);
+                expected = (expected + credit).min(b.burst()) - CHUNK as f64;
+                assert!(near(draw_at(&b, CHUNK, at), expected), "draw {k} at {rate} B/s");
+                assert!(b.leased().iter().all(|&l| l == 0), "draw {k} at {rate} B/s");
+            }
+        }
+    }
+
+    #[test]
+    fn set_rate_revokes_leases() {
+        // 1e12 B/s: a 5 GB burst, so a lease is the largest whole number of
+        // chunks with 16 leases in half of it (2 384 chunks).
+        let b = TokenBucket::new(1e12);
+        assert_eq!(b.lease, 2_384 * CHUNK);
+        let t0 = b.state().last_refill;
+        let at = t0 + Duration::from_millis(10);
+        // The first draw debits, then leases; the next spends the lease
+        // alone and leaves the bucket as it was.
+        let full = draw_at(&b, CHUNK, at);
+        assert!(near(full, b.cap - (CHUNK + b.lease) as f64));
+        assert!(near(draw_at(&b, CHUNK, at), full));
+        assert!(b.leased().contains(&(b.lease - CHUNK)));
+        // Another stripe's first draw leases too.
+        let other = b.leases.iter().find(|&l| l.load(Ordering::Relaxed) == 0).unwrap();
+        let mut now = Some(at);
+        b.draw_on(other, CHUNK, &mut now);
+        assert_eq!(other.load(Ordering::Relaxed), b.lease);
+        let before = b.state().available;
+        // Throttling drops every lease (the settle inside is stale here and
+        // credits nothing), so the next draw takes the locked debit at the
+        // new rate.
+        b.set_rate(1e6);
+        assert!(b.leased().iter().all(|&l| l == 0));
+        assert!(near(b.state().available, before));
+        assert!(near(draw_at(&b, CHUNK, at), before - (CHUNK + b.lease) as f64));
     }
 
     #[test]

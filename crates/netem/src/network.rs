@@ -1,10 +1,9 @@
 //! The emulated CFS network: per-node and per-rack token-bucket links.
 
 use crate::bucket::TokenBucket;
-use ear_types::{Bandwidth, ClusterTopology, NodeId, Padded};
+use ear_types::{Bandwidth, ClusterTopology, NodeId, Padded, Striped};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Chunk size for pacing transfers: small enough that concurrent transfers
 /// interleave fairly, large enough that bookkeeping stays cheap. Also what a
@@ -35,11 +34,12 @@ struct Inner {
     node_down: Vec<Padded<TokenBucket>>,
     rack_up: Vec<Padded<TokenBucket>>,
     rack_down: Vec<Padded<TokenBucket>>,
-    /// Bytes received, one padded entry per destination node.
-    traffic: Vec<Padded<Traffic>>,
+    /// Bytes moved, one stripe per thread stripe: transfers on different
+    /// threads never write the same line.
+    traffic: Striped<Traffic>,
 }
 
-/// One destination node's traffic totals.
+/// Traffic totals, one thread stripe's share.
 #[derive(Debug, Default)]
 struct Traffic {
     cross_rack_bytes: AtomicU64,
@@ -65,7 +65,7 @@ impl EmulatedNetwork {
             rack_down: (0..topo.num_racks())
                 .map(|_| TokenBucket::new(rack_bw.as_bytes_per_sec()).into())
                 .collect(),
-            traffic: (0..topo.num_nodes()).map(|_| Padded::default()).collect(),
+            traffic: Striped::default(),
         };
         EmulatedNetwork {
             inner: Arc::new(inner),
@@ -92,12 +92,15 @@ impl EmulatedNetwork {
     /// one [`transfer`](Self::transfer) per leg would count them;
     /// consecutive equal nodes are a free leg.
     ///
-    /// The clock is read once per chunk and that reading is passed through
-    /// the chunk's draws. It serves a draw its bucket covers in full; a
-    /// draw it does not cover reads the clock under the bucket's lock, as
-    /// every draw once did, and hands that reading on. A bucket refilled
-    /// since the reading credits nothing for it and leaves the missed time
-    /// to its next draw.
+    /// A draw its thread's lease covers reads no clock. The first draw of a
+    /// chunk that takes its bucket's locked debit reads the clock, and that
+    /// reading is passed through the chunk's later draws, so a chunk reads
+    /// it at most once up front and not at all while leases serve it. The
+    /// reading serves a debit its bucket covers in full; a debit it does
+    /// not cover reads the clock under the bucket's lock, as every draw
+    /// once did, and hands that reading on. A bucket refilled since the
+    /// reading credits nothing for it and leaves the missed time to its
+    /// next draw.
     pub fn transfer_chain(&self, path: &[NodeId], bytes: u64) {
         let i = &self.inner;
         let legs = || {
@@ -108,22 +111,22 @@ impl EmulatedNetwork {
                 _ => None,
             })
         };
-        for (_, dst, sr, dr) in legs() {
-            let t = &i.traffic[dst.index()];
+        let t = i.traffic.mine();
+        for (_, _, sr, dr) in legs() {
             let counter = if sr != dr { &t.cross_rack_bytes } else { &t.intra_rack_bytes };
             counter.fetch_add(bytes, Ordering::Relaxed);
         }
         let mut left = bytes;
         while left > 0 {
             let chunk = left.min(CHUNK);
-            let mut now = Instant::now();
+            let mut now = None;
             for (src, dst, sr, dr) in legs() {
-                now = i.node_up[src.index()].draw(chunk, now);
+                i.node_up[src.index()].draw(chunk, &mut now);
                 if sr != dr {
-                    now = i.rack_up[sr.index()].draw(chunk, now);
-                    now = i.rack_down[dr.index()].draw(chunk, now);
+                    i.rack_up[sr.index()].draw(chunk, &mut now);
+                    i.rack_down[dr.index()].draw(chunk, &mut now);
                 }
-                now = i.node_down[dst.index()].draw(chunk, now);
+                i.node_down[dst.index()].draw(chunk, &mut now);
             }
             left -= chunk;
         }
@@ -176,18 +179,17 @@ impl EmulatedNetwork {
     }
 
     /// A point-in-time reading of both traffic counters, summed over the
-    /// destination nodes. Phases that want per-phase traffic (encode vs
+    /// thread stripes. Phases that want per-phase traffic (encode vs
     /// repair, say) take a snapshot at the phase boundary and subtract with
     /// [`TrafficSnapshot::delta`] — no reset, so concurrent readers never
     /// race each other's zeroing. Totals are exact once the transfers they
     /// cover have returned.
     pub fn snapshot(&self) -> TrafficSnapshot {
-        let mut sum = TrafficSnapshot::default();
-        for t in &self.inner.traffic {
-            sum.cross_rack_bytes += t.cross_rack_bytes.load(Ordering::Relaxed);
-            sum.intra_rack_bytes += t.intra_rack_bytes.load(Ordering::Relaxed);
+        let t = &self.inner.traffic;
+        TrafficSnapshot {
+            cross_rack_bytes: t.total(|s| &s.cross_rack_bytes),
+            intra_rack_bytes: t.total(|s| &s.intra_rack_bytes),
         }
-        sum
     }
 }
 

@@ -10,8 +10,9 @@
 //! language. It also owns the one seeded generator they all draw from,
 //! [`rng::ChaCha8`], the property-test runner built on it, [`prop`], and the
 //! CRC32C every store and log checks its bytes with, [`crc`] — which a
-//! [`Block`] can carry alongside its bytes — and [`Padded`], which keeps
-//! the elements of a concurrently written array on separate cache lines.
+//! [`Block`] can carry alongside its bytes — [`Padded`], which keeps the
+//! elements of a concurrently written array on separate cache lines, and
+//! [`Striped`], which gives each thread its own padded copy of a value.
 //!
 //! # Example
 //!
@@ -44,6 +45,7 @@ mod padded;
 mod params;
 pub mod prop;
 pub mod rng;
+mod striped;
 mod topology;
 mod units;
 
@@ -56,5 +58,6 @@ pub use params::{
     CacheConfig, DurabilityConfig, EarConfig, ErasureParams, RackSpread, ReplicationConfig,
     StoreBackend,
 };
+pub use striped::{Striped, STRIPES};
 pub use topology::ClusterTopology;
 pub use units::{Bandwidth, ByteSize};

@@ -4,7 +4,10 @@
 //! thread and on two at once:
 //!
 //! * `read_block` — a whole `MiniCfs::read_block` served from the hot cache;
-//! * `netem` — one 64 KiB `EmulatedNetwork::transfer` between two nodes;
+//! * `netem` — one 64 KiB `EmulatedNetwork::transfer` between two nodes
+//!   (on these links every bucket deals per-thread token leases, so a
+//!   transfer's draws take no lock and read no clock until a lease runs
+//!   out);
 //! * `hot_hit` — one `BlockCache::get` that hits the hot level (each
 //!   thread has its own cache, as each DataNode does);
 //! * `5_adds_shared` / `5_adds_striped` — five relaxed `fetch_add`s on

@@ -86,9 +86,15 @@ struct StoredBlock {
 /// The stripe index is a pure function of the block id, so two operations
 /// contend only when they touch blocks that hash to the same stripe — the
 /// single coarse `Mutex<HashMap>` this replaces serialized every pair.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct ShardedMemStore {
     shards: Vec<Mutex<HashMap<BlockId, StoredBlock>>>,
+}
+
+impl Default for ShardedMemStore {
+    fn default() -> Self {
+        ShardedMemStore::new()
+    }
 }
 
 impl ShardedMemStore {
@@ -194,23 +200,24 @@ mod tests {
 
     #[test]
     fn memory_roundtrip() {
-        let store = ShardedMemStore::new();
-        assert_eq!(store.backend(), StoreBackend::Memory);
-        let data = Block::from(vec![7u8; 500]);
-        let crc = crc32c(&data);
-        store.put(BlockId(42), data.clone(), crc).unwrap();
-        assert!(store.contains(BlockId(42)));
-        assert_eq!(store.block_count(), 1);
-        assert_eq!(store.bytes_stored(), 500);
-        assert_eq!(store.stored_crc(BlockId(42)), Some(crc));
-        let (bytes, got) = store.get_with_crc(BlockId(42)).unwrap();
-        assert_eq!(bytes.as_slice(), data.as_slice());
-        assert_eq!(got, crc);
-        assert!(store.delete(BlockId(42)));
-        assert!(!store.delete(BlockId(42)));
-        assert!(store.get_with_crc(BlockId(42)).is_none());
-        assert_eq!(store.block_count(), 0);
-        assert_eq!(store.bytes_stored(), 0);
+        for store in [ShardedMemStore::new(), ShardedMemStore::default()] {
+            assert_eq!(store.backend(), StoreBackend::Memory);
+            let data = Block::from(vec![7u8; 500]);
+            let crc = crc32c(&data);
+            store.put(BlockId(42), data.clone(), crc).unwrap();
+            assert!(store.contains(BlockId(42)));
+            assert_eq!(store.block_count(), 1);
+            assert_eq!(store.bytes_stored(), 500);
+            assert_eq!(store.stored_crc(BlockId(42)), Some(crc));
+            let (bytes, got) = store.get_with_crc(BlockId(42)).unwrap();
+            assert_eq!(bytes.as_slice(), data.as_slice());
+            assert_eq!(got, crc);
+            assert!(store.delete(BlockId(42)));
+            assert!(!store.delete(BlockId(42)));
+            assert!(store.get_with_crc(BlockId(42)).is_none());
+            assert_eq!(store.block_count(), 0);
+            assert_eq!(store.bytes_stored(), 0);
+        }
     }
 
     #[test]

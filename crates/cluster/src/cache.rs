@@ -1,11 +1,23 @@
 //! The DataNode-side multi-level block cache (DESIGN.md §12).
 //!
 //! Sits in front of a node's [`crate::blockstore::BlockStore`] and keeps
-//! recently served replicas in memory as shared [`Block`]s, so a cache-hot
-//! read skips the backend entirely (for the extent backend: the `pread`
-//! syscall and the copy out of the segment). Together with the verified-once CRC
-//! seam in [`crate::ClusterIo`], a hit also skips re-running CRC32C over
-//! the payload — the dominant cost of the read path at testbed block sizes.
+//! recently stored and served replicas in memory as shared [`Block`]s, so
+//! a cache-hot read skips the backend entirely (for the extent backend: the
+//! `pread` syscall and the copy out of the segment). Together with the
+//! verified-once CRC seam in [`crate::ClusterIo`], a hit also skips
+//! re-running CRC32C over the payload — the dominant cost of the read path
+//! at testbed block sizes.
+//!
+//! # Admission
+//!
+//! Two paths fill the cache, both under its write lock and both only while
+//! the store still records the block under the CRC they carry. A read that
+//! passed its checksum admits through [`BlockCache::admit_if_stored`], and
+//! may evict. A write stores through [`BlockCache::store_through`]: it
+//! refreshes a resident copy in place or fills free cold room, and never
+//! evicts or draws from the damping stream, so which blocks stay cached
+//! under pressure is still decided by reads. A block stored and then read
+//! back (an encode's sources, a repair's survivors) is a hit.
 //!
 //! # Levels
 //!
@@ -25,9 +37,10 @@
 //! One reader-writer lock per cache. A hot hit and a miss take it shared
 //! and write nothing the other readers read: the reference bit is stored
 //! only when clear, and the counters are per-thread stripes ([`Striped`]).
-//! Cold hits, promotions, admissions, invalidations and evictions take it
-//! exclusive. Invalidation is exclusive, so once it returns no hit on any
-//! thread can serve the dropped bytes.
+//! Cold hits, promotions, admissions, store-throughs, invalidations and
+//! evictions take it exclusive. A store-through and an invalidation are
+//! exclusive, so once one returns no hit on any thread can serve the
+//! replaced or dropped bytes.
 //!
 //! # Determinism
 //!
@@ -37,7 +50,7 @@
 //! seeded at construction, so a fixed single-threaded access sequence
 //! always produces the same cache contents, hits, and evictions. Under
 //! concurrency the *contents* depend on thread interleaving, but coherence
-//! (write-invalidate in [`crate::DataNode`]) guarantees a hit serves
+//! (write-update in [`crate::DataNode`]) guarantees a hit serves
 //! exactly the bytes the store holds — which is why chaos/heal soak
 //! reports are bit-identical with the cache off or on.
 
@@ -351,9 +364,10 @@ impl BlockCache {
     /// [`admit`](Self::admit) for a cache in front of a store: admits only
     /// if `stored()` — the store's CRC for the block, read under this
     /// cache's write lock — still equals `crc`. A writer changes the store
-    /// before it [`invalidate`](Self::invalidate)s, so a reader's bytes
-    /// fetched before a `put` or `delete` are either refused here or
-    /// dropped by that invalidation, never left to serve.
+    /// before it [`store_through`](Self::store_through)s or
+    /// [`invalidate`](Self::invalidate)s, so a reader's bytes fetched
+    /// before a `put` or `delete` are either refused here or replaced or
+    /// dropped by that writer, never left to serve.
     pub fn admit_if_stored(
         &self,
         block: BlockId,
@@ -367,8 +381,33 @@ impl BlockCache {
         }
     }
 
-    /// Drops any cached copy of `block` — called on overwrite
-    /// and delete so the cache can never serve bytes the store no longer
+    /// The write path's entry, called after the store recorded `data` under
+    /// `crc`: if `stored()` — read under this cache's write lock — still
+    /// equals `crc`, a resident copy is refreshed in place, or the block is
+    /// admitted into the cold level's free room; otherwise (a racing
+    /// overwrite or delete) any copy is dropped. A write never evicts and
+    /// never draws from the damping stream: a block that does not fit is
+    /// left out, and a resident copy that would outgrow its level is
+    /// dropped. The bytes need no checksum pass: they are the immutable
+    /// bytes whose CRC the store just recorded.
+    pub fn store_through(
+        &self,
+        block: BlockId,
+        data: &Block,
+        crc: u32,
+        stored: impl FnOnce() -> Option<u32>,
+    ) {
+        let mut state = self.state.write();
+        let c = self.counters.mine();
+        if stored() == Some(crc) {
+            state.store_through(block, data, crc, c);
+        } else {
+            state.invalidate(block, c);
+        }
+    }
+
+    /// Drops any cached copy of `block` — called on a failed overwrite
+    /// and on delete so the cache can never serve bytes the store no longer
     /// holds.
     pub fn invalidate(&self, block: BlockId) {
         self.state.write().invalidate(block, self.counters.mine());
@@ -455,14 +494,7 @@ impl CacheState {
         // Already cached (a concurrent reader admitted first, or a hot
         // entry exists): refresh the payload in place, no level change,
         // then fit both levels as an insert does, for a longer payload.
-        if self.hot.refresh(block, data, crc) {
-            self.fit(c);
-            return;
-        }
-        if let Some(e) = self.cold.get_mut(&block) {
-            self.cold_bytes = (self.cold_bytes + len).saturating_sub(e.data.len() as u64);
-            e.data = data.clone();
-            e.crc = crc;
+        if self.hot.refresh(block, data, crc) || self.refresh_cold(block, data, crc) {
             self.fit(c);
             return;
         }
@@ -475,17 +507,45 @@ impl CacheState {
             count(&c.bypasses, 1);
             return;
         }
-        self.cold.insert(
-            block,
-            ColdEntry {
-                data: data.clone(),
-                crc,
-                referenced: false,
-            },
-        );
-        self.ring.push_back(block);
-        self.cold_bytes += len;
+        self.insert_cold(block, data.clone(), crc);
         self.evict_cold(c);
+    }
+
+    /// [`BlockCache::store_through`], the store's CRC confirmed.
+    fn store_through(&mut self, block: BlockId, data: &Block, crc: u32, c: &Counters) {
+        let len = data.len() as u64;
+        let (bytes, cap, old) = match (self.hot.get(block), self.cold.get(&block)) {
+            (Some(e), _) => (self.hot.bytes, self.hot_cap, e.data.len() as u64),
+            (None, Some(e)) => (self.cold_bytes, self.cold_cap, e.data.len() as u64),
+            (None, None) => (self.cold_bytes, self.cold_cap, 0),
+        };
+        if bytes.saturating_sub(old) + len > cap {
+            self.invalidate(block, c);
+            return;
+        }
+        if !self.hot.refresh(block, data, crc) && !self.refresh_cold(block, data, crc) {
+            self.insert_cold(block, data.clone(), crc);
+        }
+    }
+
+    /// Swaps a cold `block`'s payload in place, the byte count moved by the
+    /// change in length; false when `block` is not cold.
+    fn refresh_cold(&mut self, block: BlockId, data: &Block, crc: u32) -> bool {
+        let Some(e) = self.cold.get_mut(&block) else {
+            return false;
+        };
+        self.cold_bytes = (self.cold_bytes + data.len() as u64).saturating_sub(e.data.len() as u64);
+        e.data = data.clone();
+        e.crc = crc;
+        true
+    }
+
+    /// Adds `block` (not already cached) to the cold level, unreferenced,
+    /// at the back of the clock ring.
+    fn insert_cold(&mut self, block: BlockId, data: Block, crc: u32) {
+        self.cold_bytes += data.len() as u64;
+        self.cold.insert(block, ColdEntry { data, crc, referenced: false });
+        self.ring.push_back(block);
     }
 
     /// [`BlockCache::invalidate`].
@@ -526,9 +586,7 @@ impl CacheState {
             };
             // Demote to cold rather than dropping: recently-hot blocks get
             // one clock revolution of grace.
-            self.cold_bytes += data.len() as u64;
-            self.cold.insert(victim, ColdEntry { data, crc, referenced: false });
-            self.ring.push_back(victim);
+            self.insert_cold(victim, data, crc);
         }
         self.evict_cold(c);
     }
@@ -680,6 +738,28 @@ mod tests {
             self.evict();
         }
 
+        /// `confirmed`: the store still records `crc` for `id`.
+        fn store_through(&mut self, id: BlockId, data: &Block, crc: u32, confirmed: bool) {
+            let len = data.len() as u64;
+            let hot = self.hot.iter().find(|e| e.0 == id);
+            let (level, cap) = match hot {
+                Some(_) => (&self.hot, self.hot_cap),
+                None => (&self.cold, self.cold_cap),
+            };
+            let old = level.iter().find(|e| e.0 == id).map_or(0, |e| e.1.len() as u64);
+            if !confirmed || Self::bytes(level) - old + len > cap {
+                self.invalidate(id);
+                return;
+            }
+            let hot = self.hot.iter_mut();
+            if let Some(e) = hot.chain(self.cold.iter_mut()).find(|e| e.0 == id) {
+                (e.1, e.2) = (data.clone(), crc);
+                return;
+            }
+            self.cold.push((id, data.clone(), crc, false));
+            self.ring.push_back(id);
+        }
+
         fn invalidate(&mut self, id: BlockId) {
             let hot = self.hot.iter().position(|e| e.0 == id).map(|at| self.hot.remove(at));
             let cold = self.cold.iter().position(|e| e.0 == id).map(|at| self.cold.remove(at));
@@ -720,14 +800,17 @@ mod tests {
 
     #[test]
     fn second_chance_decides_as_the_reference_model_does() {
-        // Random get/admit/invalidate sequences over a dozen ids, blocks of
-        // 16-64 bytes and caps of a few blocks. After every step the cache
-        // and the model have returned the same thing and hold the same
-        // state, bytes included, within both caps; over the cases, hot
-        // overflow with demotion, clock eviction, damping and re-admissions
-        // at a new length all occur.
+        // Random get/admit/store-through/invalidate sequences over a dozen
+        // ids, blocks of 16-64 bytes and caps of a few blocks. After every
+        // step the cache and the model have returned the same thing and
+        // hold the same state, bytes included, within both caps, and a
+        // store-through has evicted and bypassed nothing; over the cases,
+        // hot overflow with demotion, clock eviction, damping, re-admissions
+        // at a new length and store-throughs both admitted and left out all
+        // occur.
         let mut seen = CacheStats::default();
         let (mut demotions, mut damped, mut resized) = (0, 0, 0);
+        let (mut stored, mut left_out) = (0, 0);
         ear_types::prop::check("second_chance_decides_as_the_reference_model_does", 256, |rng| {
             let cfg = CacheConfig::Sized {
                 hot_bytes: ear_types::prop::range(rng, 16..=256),
@@ -738,7 +821,7 @@ mod tests {
             let mut model = Model::new(cfg, seed);
             for step in 0..200 {
                 let id = BlockId(rng.below(12));
-                match rng.below(20) {
+                match rng.below(24) {
                     0..=9 => {
                         let got = |c: Option<(Block, u32)>| c.map(|(b, crc)| (b.to_vec(), crc));
                         let (a, b) = (got(cache.get(id)), got(model.get(id)));
@@ -750,6 +833,25 @@ mod tests {
                         let crc = rng.next_u32();
                         cache.admit(id, &data, crc);
                         model.admit(id, &data, crc);
+                    }
+                    17..=20 => {
+                        let len = 16 * (1 + rng.below(4) as usize);
+                        let data = blk(id.0 as u8, len);
+                        let crc = rng.next_u32();
+                        let confirmed = rng.below(4) != 0;
+                        let before = cache.stats();
+                        let stored_crc = if confirmed { crc } else { !crc };
+                        cache.store_through(id, &data, crc, || Some(stored_crc));
+                        model.store_through(id, &data, crc, confirmed);
+                        let after = cache.stats();
+                        assert_eq!(after.evictions, before.evictions, "step {step}");
+                        assert_eq!(after.bypasses, before.bypasses, "step {step}");
+                        let (a, b) = (cache.get(id), model.get(id));
+                        assert_eq!(a.as_ref().map(|e| e.1), b.map(|e| e.1), "step {step}");
+                        match a {
+                            Some((_, c)) if c == crc => stored += 1,
+                            _ => left_out += 1,
+                        }
                     }
                     _ => {
                         cache.invalidate(id);
@@ -772,6 +874,7 @@ mod tests {
         assert!(resized > 0, "a re-admission changes a length");
         assert!(seen.evictions > 0, "the clock evicts");
         assert!(damped > 0, "admission is damped");
+        assert!(stored > 0 && left_out > 0, "store-throughs are admitted and left out");
         assert!(seen.hot_hits > 0 && seen.invalidations > 0);
     }
 
@@ -813,6 +916,44 @@ mod tests {
         let c = cache(1024, 1024);
         c.admit(BlockId(2), &blk(1, 64), 7);
         c.invalidate(BlockId(2));
+        assert!(c.get(BlockId(2)).is_none());
+        assert_eq!(c.stats().invalidations, 1);
+        assert_eq!(c.data_bytes(), 0);
+    }
+
+    #[test]
+    fn a_write_into_a_full_cache_evicts_nothing() {
+        // Cold fits two 64-byte entries, both stored through. A third write
+        // finds no free room: nothing is evicted, bypassed or drawn, and
+        // the counters do not move.
+        let c = cache(1024, 128);
+        let stored = || Some(0);
+        c.store_through(BlockId(1), &blk(1, 64), 0, stored);
+        c.store_through(BlockId(2), &blk(2, 64), 0, stored);
+        let before = c.stats();
+        assert_eq!(before, CacheStats::default());
+        c.store_through(BlockId(3), &blk(3, 64), 0, stored);
+        assert_eq!(c.stats(), before);
+        assert_eq!(c.resident_blocks(), vec![BlockId(1), BlockId(2)]);
+        // A refresh in place fits; a resident copy that would outgrow its
+        // level is dropped rather than evicting its neighbour.
+        let v2 = blk(7, 64);
+        c.store_through(BlockId(2), &v2, 0, stored);
+        assert!(c.get(BlockId(2)).unwrap().0.shares_buffer(&v2));
+        c.store_through(BlockId(1), &blk(1, 96), 0, stored);
+        assert_eq!(c.resident_blocks(), vec![BlockId(2)]);
+        assert_eq!(c.stats().evictions, 0);
+    }
+
+    #[test]
+    fn a_store_through_the_store_no_longer_records_drops_the_copy() {
+        // A racing overwrite recorded another CRC after this write: its
+        // bytes must not be cached, nor the copy it would have replaced.
+        let c = cache(1024, 1024);
+        c.admit(BlockId(1), &blk(1, 64), 11);
+        c.store_through(BlockId(1), &blk(2, 64), 22, || Some(33));
+        assert!(c.get(BlockId(1)).is_none());
+        c.store_through(BlockId(2), &blk(2, 64), 22, || None);
         assert!(c.get(BlockId(2)).is_none());
         assert_eq!(c.stats().invalidations, 1);
         assert_eq!(c.data_bytes(), 0);

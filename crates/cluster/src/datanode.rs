@@ -1,6 +1,10 @@
 //! The DataNode: one emulated machine's block service over a pluggable
 //! [`BlockStore`] backend (memory or extent; DESIGN.md §9), fronted
-//! by an optional [`BlockCache`] (DESIGN.md §12).
+//! by an optional [`BlockCache`] (DESIGN.md §12). The cache is
+//! write-update: a block this node stores is cached as it is written, room
+//! permitting, so reading it back (an encode's source, a repair's
+//! survivor, a first client read) is a verified hit while it stays cached,
+//! with no `pread`, copy or CRC pass.
 
 use crate::blockstore::{open_store, open_store_at, BlockStore, ShardedMemStore};
 use crate::cache::{BlockCache, CacheStats};
@@ -18,8 +22,9 @@ pub struct CachedRead {
     pub data: Block,
     /// Its write-time CRC32C.
     pub crc: u32,
-    /// `true` iff the bytes come from the cache, which only admits
-    /// checksum-verified reads.
+    /// `true` iff the bytes come from the cache, which holds only bytes
+    /// checked against the write-time CRC, or stored under the CRC of
+    /// these bytes.
     pub verified: bool,
 }
 
@@ -33,12 +38,15 @@ pub struct CachedRead {
 ///
 /// # Cache coherence
 ///
-/// The cache is write-invalidate: [`DataNode::put`] and
-/// [`DataNode::delete`] change the store and then drop any cached copy,
-/// and only [`DataNode::admit`] (called by the I/O service after a
-/// checksum pass) populates it, and only while the store still holds what
-/// was read: a reader that fetched before a `put` or `delete` cannot
-/// re-admit the old bytes after it. [`DataNode::get`] /
+/// The cache is write-update: [`DataNode::put`] changes the store and then
+/// stores the same bytes through to the cache (refreshing a resident copy,
+/// or filling free room without evicting), a failed `put` and
+/// [`DataNode::delete`] drop any cached copy, and [`DataNode::admit`]
+/// (called by the I/O service after a checksum pass) admits reads. Both
+/// fill the cache only while the store still records the block under the
+/// CRC they carry: a reader that fetched before a `put` or `delete` cannot
+/// re-admit the old bytes after it, and a `put` overtaken by another
+/// leaves no copy of its bytes behind. [`DataNode::get`] /
 /// [`DataNode::get_with_crc`] bypass the
 /// cache entirely and read the authoritative store — they are the seam the
 /// scrubber uses to force re-verification, so corruption written *under* a
@@ -121,7 +129,8 @@ impl DataNode {
 
     /// Stores (or overwrites) a block replica under its CRC32C — the stamp
     /// the handle carries ([`Block::stamp`]), else hashed here — then
-    /// invalidates any cached copy.
+    /// stores it through to the cache (see the coherence notes on
+    /// [`DataNode`]); a failed write drops any cached copy instead.
     ///
     /// # Errors
     ///
@@ -129,9 +138,12 @@ impl DataNode {
     /// (extent backend only).
     pub fn put(&self, block: BlockId, data: Block) -> Result<()> {
         let crc = data.stamp().unwrap_or_else(|| crc32c(&data));
-        let stored = self.store.put(block, data, crc);
+        let stored = self.store.put(block, data.clone(), crc);
         if let Some(c) = &self.cache {
-            c.invalidate(block);
+            match stored {
+                Ok(()) => c.store_through(block, &data, crc, || self.store.stored_crc(block)),
+                Err(_) => c.invalidate(block),
+            }
         }
         stored
     }
@@ -197,11 +209,15 @@ impl DataNode {
     }
 
     /// Test hook: swaps a stored replica's bytes under its unchanged CRC,
-    /// going around `put` and its write-invalidate — a decaying sector.
+    /// going around `put` and its store-through — a sector that decayed
+    /// under a block the cache no longer holds, so any cached copy goes too.
     #[cfg(test)]
     pub(crate) fn rot(&self, block: BlockId, bytes: Vec<u8>) {
         let crc = self.store.stored_crc(block).unwrap();
         self.store.put(block, Block::from(bytes), crc).unwrap();
+        if let Some(c) = &self.cache {
+            c.invalidate(block);
+        }
     }
 
     /// Whether this node holds the block.
@@ -239,6 +255,8 @@ fn cache_seed(seed: u64, id: NodeId) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
 
     fn nodes(backend: StoreBackend) -> (DataNode, DataNode) {
         (
@@ -277,9 +295,13 @@ mod tests {
         let data = Block::from(vec![9u8; 64]);
         a.put(BlockId(1), data.clone()).unwrap();
         b.put(BlockId(1), data.clone()).unwrap();
-        assert_eq!(data.ref_count(), 3, "two stored views plus the original");
-        assert!(a.get(BlockId(1)).unwrap().shares_buffer(&data));
-        assert!(b.get(BlockId(1)).unwrap().shares_buffer(&data));
+        // A node with a cache holds a second view: the cached copy.
+        let views = if a.cache_enabled() { 4 } else { 2 };
+        assert_eq!(data.ref_count(), views + 1, "the stored and cached views plus the original");
+        for dn in [&a, &b] {
+            assert!(dn.get(BlockId(1)).unwrap().shares_buffer(&data));
+            assert!(dn.cached_read(BlockId(1)).unwrap().data.shares_buffer(&data));
+        }
     }
 
     #[test]
@@ -302,40 +324,41 @@ mod tests {
     #[test]
     fn cached_read_misses_then_hits_after_admit() {
         for backend in [StoreBackend::Memory, StoreBackend::Extent] {
-            let dn = DataNode::with_backend(
-                NodeId(1),
-                backend,
-                CacheConfig::Sized {
-                    hot_bytes: 1 << 16,
-                    cold_bytes: 1 << 16,
-                },
-                42,
-            )
-            .unwrap();
+            let cache = CacheConfig::Sized { hot_bytes: 1 << 16, cold_bytes: 1 << 10 };
+            let dn = DataNode::with_backend(NodeId(1), backend, cache, 42).unwrap();
+            // Block 2 fills most of the 1 KiB cold level; block 3 is stored
+            // but finds no room, and a write never evicts.
+            dn.put(BlockId(2), Block::from(vec![7u8; 768])).unwrap();
             let data = Block::from(vec![8u8; 512]);
             dn.put(BlockId(3), data.clone()).unwrap();
             let miss = dn.cached_read(BlockId(3)).unwrap();
             assert!(!miss.verified, "store reads must be re-verified");
             assert_eq!(miss.data, data);
+            assert!(dn.delete(BlockId(2)));
             dn.admit(BlockId(3), &miss.data, miss.crc);
             let hit = dn.cached_read(BlockId(3)).unwrap();
             assert!(hit.verified, "cache hits are verified-once");
             assert_eq!(hit.data, data);
             assert_eq!(dn.cache_stats().hits(), 1);
             assert_eq!(dn.cache_stats().misses, 1);
-            // Overwrite invalidates: the next cached read misses again.
-            dn.put(BlockId(3), Block::from(vec![9u8; 512])).unwrap();
+            // An overwrite stores the new bytes through: the next cached
+            // read serves them, verified.
+            let v2 = Block::from(vec![9u8; 512]);
+            dn.put(BlockId(3), v2.clone()).unwrap();
             let after = dn.cached_read(BlockId(3)).unwrap();
-            assert!(!after.verified);
-            assert_eq!(after.data.as_slice(), &[9u8; 512][..]);
+            assert!(after.verified);
+            assert!(after.data.shares_buffer(&v2));
+            assert_eq!(dn.cache_stats().evictions, 0, "{backend:?}");
         }
     }
 
-    /// A node with a cache, `v1` stored under block 3, and a reader's miss
-    /// of it: the bytes the reader will admit after its checksum pass.
+    /// A node with a cache, `v1` stored under block 3 but no longer cached
+    /// (as after an eviction), and a reader's miss of it: the bytes the
+    /// reader will admit after its checksum pass.
     fn node_with_a_read_in_flight(backend: StoreBackend) -> (DataNode, CachedRead) {
         let dn = DataNode::with_backend(NodeId(1), backend, CacheConfig::default(), 42).unwrap();
         dn.put(BlockId(3), Block::from(vec![1u8; 512])).unwrap();
+        dn.cache.as_ref().unwrap().invalidate(BlockId(3));
         let miss = dn.cached_read(BlockId(3)).unwrap();
         assert!(!miss.verified);
         (dn, miss)
@@ -350,10 +373,13 @@ mod tests {
             dn.put(BlockId(3), v2.clone()).unwrap();
             dn.admit(BlockId(3), &v1.data, v1.crc);
             let after = dn.cached_read(BlockId(3)).unwrap();
-            assert!(!after.verified, "{backend:?}: the stale read was admitted");
-            assert_eq!(after.data, v2, "{backend:?}");
+            assert!(after.verified, "{backend:?}: the put stored v2 through");
+            assert_eq!(after.data, v2, "{backend:?}: the stale read was admitted");
             // A read of what the store holds now is admitted as before.
-            dn.admit(BlockId(3), &after.data, after.crc);
+            dn.cache.as_ref().unwrap().invalidate(BlockId(3));
+            let read = dn.cached_read(BlockId(3)).unwrap();
+            assert!(!read.verified, "{backend:?}");
+            dn.admit(BlockId(3), &read.data, read.crc);
             let hit = dn.cached_read(BlockId(3)).unwrap();
             assert!(hit.verified, "{backend:?}");
             assert_eq!(hit.data, v2, "{backend:?}");
@@ -369,6 +395,66 @@ mod tests {
             assert!(dn.cached_read(BlockId(3)).is_none(), "{backend:?}: served a deleted block");
             assert_eq!(dn.cache_stats().hits(), 0, "{backend:?}");
         }
+    }
+
+    /// The memory store, refusing every `put` while `refuse` is set.
+    #[derive(Debug, Default)]
+    struct Refusing {
+        store: ShardedMemStore,
+        refuse: Arc<AtomicBool>,
+    }
+
+    impl BlockStore for Refusing {
+        fn put(&self, block: BlockId, data: Block, crc: u32) -> Result<()> {
+            if self.refuse.load(Ordering::Relaxed) {
+                return Err(ear_types::Error::Io { context: "refused".into() });
+            }
+            self.store.put(block, data, crc)
+        }
+        fn get_with_crc(&self, block: BlockId) -> Option<(Block, u32)> {
+            self.store.get_with_crc(block)
+        }
+        fn stored_crc(&self, block: BlockId) -> Option<u32> {
+            self.store.stored_crc(block)
+        }
+        fn delete(&self, block: BlockId) -> bool {
+            self.store.delete(block)
+        }
+        fn contains(&self, block: BlockId) -> bool {
+            self.store.contains(block)
+        }
+        fn block_count(&self) -> usize {
+            self.store.block_count()
+        }
+        fn bytes_stored(&self) -> u64 {
+            self.store.bytes_stored()
+        }
+        fn backend(&self) -> StoreBackend {
+            self.store.backend()
+        }
+    }
+
+    #[test]
+    fn a_put_that_fails_leaves_no_cached_copy() {
+        let store = Refusing::default();
+        let refuse = Arc::clone(&store.refuse);
+        let dn = DataNode {
+            id: NodeId(0),
+            store: Box::new(store),
+            cache: BlockCache::new(CacheConfig::default(), 1),
+        };
+        let v1 = Block::from(vec![1u8; 256]);
+        dn.put(BlockId(4), v1.clone()).unwrap();
+        assert!(dn.cached_read(BlockId(4)).unwrap().verified, "a put stores through");
+        refuse.store(true, Ordering::Relaxed);
+        assert!(dn.put(BlockId(4), Block::from(vec![2u8; 256])).is_err());
+        let after = dn.cached_read(BlockId(4)).unwrap();
+        assert!(!after.verified, "a failed put drops the cached copy");
+        assert_eq!(after.data, v1, "the store keeps what it held");
+        assert_eq!(dn.cache_stats().invalidations, 1);
+        // A failed first put of a block caches nothing either.
+        assert!(dn.put(BlockId(5), Block::from(vec![5u8; 256])).is_err());
+        assert!(dn.cached_read(BlockId(5)).is_none());
     }
 
     #[test]
@@ -390,15 +476,18 @@ mod tests {
         let good = Block::from(vec![0xA5u8; 256]);
         dn.put(BlockId(9), good.clone()).unwrap();
         let read = dn.cached_read(BlockId(9)).unwrap();
-        dn.admit(BlockId(9), &read.data, read.crc);
-        assert!(dn.cached_read(BlockId(9)).unwrap().verified);
+        assert!(read.verified, "the put stored the good bytes through");
 
-        // Rot the stored replica: corrupt bytes under the original CRC.
+        // Rot the stored replica: corrupt bytes under the original CRC. The
+        // hook drops the cached copy; a reader that verified the good
+        // bytes just before the rot re-admits them under the unchanged CRC.
         let mut rotten = good.to_vec();
         rotten[33] ^= 0xFF;
         dn.rot(BlockId(9), rotten);
+        assert!(!dn.cached_read(BlockId(9)).unwrap().verified);
+        dn.admit(BlockId(9), &read.data, read.crc);
 
-        // The cache still serves the admitted (good) bytes...
+        // The cache serves the admitted (good) bytes...
         let hit = dn.cached_read(BlockId(9)).unwrap();
         assert!(hit.verified);
         assert_eq!(hit.data.as_slice(), good.as_slice());
@@ -411,12 +500,15 @@ mod tests {
             "scrub must see the rotten bytes, not the cached copy"
         );
 
-        // Repairing through put() restores coherence: the stale cached
-        // copy is invalidated and the next read re-verifies the new bytes.
-        dn.put(BlockId(9), good.clone()).unwrap();
-        let repaired = dn.cached_read(BlockId(9)).unwrap();
-        assert!(!repaired.verified, "repair must invalidate the cache");
-        assert_eq!(repaired.data.as_slice(), good.as_slice());
+        // Repairing through put() restores coherence: the repaired bytes
+        // replace the cached copy in place.
+        let repaired = Block::from(good.to_vec());
+        dn.put(BlockId(9), repaired.clone()).unwrap();
+        let after = dn.cached_read(BlockId(9)).unwrap();
+        assert!(after.verified);
+        assert!(after.data.shares_buffer(&repaired), "repair must refresh the cache");
+        let (stored, crc) = dn.get_with_crc(BlockId(9)).unwrap();
+        assert_eq!(crc32c(&stored), crc);
     }
 
     #[test]

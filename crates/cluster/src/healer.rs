@@ -334,7 +334,7 @@ mod tests {
     use crate::reliability::OpClass;
     use ear_faults::{FaultConfig, FaultPlan};
     use ear_types::{
-        Bandwidth, ByteSize, CacheConfig, EarConfig, ErasureParams, ReplicationConfig,
+        Bandwidth, Block, ByteSize, CacheConfig, EarConfig, ErasureParams, ReplicationConfig,
         StoreBackend,
     };
 
@@ -482,7 +482,8 @@ mod tests {
         let (cached, uncached) = (locs[0], locs[1]);
         assert!(cfs.datanode(uncached).get(id).unwrap().stamp().is_some());
 
-        // A verified read admits `cached`'s copy into its block cache.
+        // A verified read of `cached`'s copy, served from the block cache
+        // the write stored it through.
         let reader = locs[2];
         let ctx = cfs.reliability().ctx(OpClass::ClientRead).unwrap();
         let fetch = |src| cfs.io().fetch_from(&ctx, src, reader, id, 0);
@@ -491,6 +492,9 @@ mod tests {
         rotten[33] ^= 0xFF;
         cfs.datanode(cached).rot(id, rotten.clone());
         cfs.datanode(uncached).rot(id, rotten);
+        // The rot hook drops both cached copies; a read that verified the
+        // good bytes just before the rot re-admits them to `cached`.
+        cfs.datanode(cached).admit(id, &Block::from(good.clone()), crc32c(&good));
 
         // An uncached read hashes what the store returned and rejects it.
         let err = fetch(uncached).unwrap_err();

@@ -1479,22 +1479,34 @@ mod tests {
         let rel = io.reliability().clone();
         let ctx = rel.ctx(OpClass::ClientRead).unwrap();
         let data = Block::from(vec![4u8; 512]);
-        io.datanode(NodeId(1)).put(BlockId(8), data.clone()).unwrap();
-        for _ in 0..3 {
+        let dn = io.datanode(NodeId(1));
+        dn.put(BlockId(8), data.clone()).unwrap();
+        let fetch = || {
             let got = io.fetch_from(&ctx, NodeId(1), NodeId(0), BlockId(8), 0).unwrap();
             assert_eq!(got, data);
+        };
+        // The put stored the block through: the first fetch is a
+        // verified-once hit already.
+        fetch();
+        let s = io.stats();
+        assert_eq!((s.crc_skipped, s.cache.misses, s.cache.hits()), (1, 0, 1));
+        // A copy the cache no longer holds (the rot hook, the bytes
+        // unchanged): the fetch verifies and admits; the two hits after it
+        // are verified-once.
+        dn.rot(BlockId(8), data.to_vec());
+        for _ in 0..3 {
+            fetch();
         }
         let s = io.stats();
-        assert_eq!(s.reads, 3);
-        // First fetch verifies and admits; the two hits are verified-once.
-        assert_eq!(s.crc_skipped, 2);
-        assert_eq!(s.crc_bytes_skipped, 2 * 512);
+        assert_eq!(s.reads, 4);
+        assert_eq!(s.crc_skipped, 1 + 2);
+        assert_eq!(s.crc_bytes_skipped, 3 * 512);
         assert_eq!(s.cache.misses, 1);
-        assert_eq!(s.cache.hits(), 2);
-        assert_eq!(s.cache.bytes_saved, 2 * 512);
+        assert_eq!(s.cache.hits(), 1 + 2);
+        assert_eq!(s.cache.bytes_saved, 3 * 512);
         // The wire cost is identical with or without the cache: every
         // fetch's payload is accounted as read bytes.
-        assert_eq!(s.bytes_read, 3 * 512);
+        assert_eq!(s.bytes_read, 4 * 512);
     }
 
     #[test]

@@ -20,7 +20,8 @@
 //! compiles only in order. A leaf takes no lock while held; one that must,
 //! joins the order here first. The one exception is a
 //! [`crate::BlockCache`]'s state lock, which reads its DataNode's store
-//! index under its write lock ([`crate::BlockCache::admit_if_stored`]): the
+//! index under its write lock ([`crate::BlockCache::admit_if_stored`],
+//! [`crate::BlockCache::store_through`]): the
 //! store's locks are true leaves and no store call enters a cache, so the
 //! pair cannot cycle.
 //!

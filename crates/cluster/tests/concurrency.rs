@@ -138,6 +138,73 @@ fn no_hit_serves_bytes_older_than_a_returned_put_or_delete() {
     assert!(stats.hot_hits > 0 && stats.invalidations > 0);
 }
 
+#[test]
+#[expect(clippy::disallowed_methods, reason = "races threads against the cluster on purpose")]
+fn racing_writers_and_admitting_readers_leave_only_stored_bytes_cached() {
+    // Each pass, two writers overwrite the same blocks with bytes of their
+    // own while a reader misses, hashes and admits what the store returned.
+    // Once all three have met at the end of the pass, every cached copy is
+    // the stored bytes under the stored CRC: a put overtaken by another
+    // leaves nothing of its own cached, and a read fetched before a put is
+    // not admitted after it. The cache holds three of the four blocks, so
+    // the reader's admissions evict and writes refresh what is resident.
+    const BLOCKS: u64 = 4;
+    const PASSES: u64 = 1500;
+    let payload = |w: u64, pass: u64, b: u64| {
+        Block::from([w, pass, b].map(u64::to_le_bytes).concat().repeat(4))
+    };
+    for backend in [StoreBackend::Memory, StoreBackend::Extent] {
+        let cache = CacheConfig::Sized { hot_bytes: 96, cold_bytes: 192 };
+        let node = DataNode::with_backend(NodeId(0), backend, cache, 1).unwrap();
+        let (start, end, writing) = (Barrier::new(3), Barrier::new(3), AtomicU64::new(0));
+        let mut incoherent = None;
+        let read_and_admit = |b: u64| {
+            if let Some(read) = node.cached_read(BlockId(b)).filter(|r| !r.verified) {
+                if crc32c(&read.data) == read.crc {
+                    node.admit(BlockId(b), &read.data, read.crc);
+                }
+            }
+        };
+        std::thread::scope(|scope| {
+            for w in 0..2u64 {
+                let (node, start, end, writing) = (&node, &start, &end, &writing);
+                scope.spawn(move || {
+                    for pass in 0..PASSES {
+                        start.wait();
+                        for b in 0..BLOCKS {
+                            node.put(BlockId(b), payload(w, pass, b)).unwrap();
+                        }
+                        writing.fetch_sub(1, Ordering::AcqRel);
+                        end.wait();
+                    }
+                });
+            }
+            for pass in 0..PASSES {
+                writing.store(2, Ordering::Release);
+                start.wait();
+                while writing.load(Ordering::Acquire) > 0 {
+                    (0..BLOCKS).for_each(read_and_admit);
+                }
+                end.wait();
+                // The writers wait at the next pass's start: nothing races
+                // the check. A panic here would leave them waiting, so the
+                // first incoherent copy is kept and asserted after the join.
+                for b in 0..BLOCKS {
+                    let (stored, crc) = node.get_with_crc(BlockId(b)).unwrap();
+                    let hit = node.cached_read(BlockId(b)).filter(|r| r.verified);
+                    let torn = crc32c(&stored) != crc;
+                    if torn || hit.is_some_and(|h| (h.data, h.crc) != (stored, crc)) {
+                        incoherent.get_or_insert((pass, b));
+                    }
+                }
+            }
+        });
+        assert_eq!(incoherent, None, "{backend:?}: (pass, block) cached bytes the store lacks");
+        let stats = node.cache_stats();
+        assert!(stats.misses > 0 && stats.hits() > 0 && stats.evictions > 0, "{stats:?}");
+    }
+}
+
 fn boot(policy: ClusterPolicy) -> MiniCfs {
     boot_cached(policy, CacheConfig::from_env())
 }

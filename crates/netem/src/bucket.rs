@@ -16,9 +16,9 @@ use std::time::{Duration, Instant};
 /// until the debt has refilled, pacing all users of the link to its
 /// bandwidth in aggregate.
 ///
-/// The bucket capacity (burst) is 5 ms worth of tokens (at least one
-/// 64 KiB chunk), so idle links cannot bank credit that would let later
-/// transfers bypass pacing.
+/// The bucket capacity (burst) is 5 ms worth of tokens at the current rate
+/// (at least one 64 KiB chunk), so idle links cannot bank credit that would
+/// let later transfers bypass pacing; a retuned link re-derives it.
 ///
 /// A link whose burst is wide enough also deals *leases*: tokens already
 /// debited from the bucket, held per thread stripe ([`Striped`]). A draw
@@ -37,10 +37,10 @@ pub(crate) struct TokenBucket {
     /// runtime (straggler emulation) without taking the state lock on reads.
     rate_bits: AtomicU64,
     /// Bytes a lease is topped up to; 0 on a link too slow to lease.
-    lease: u64,
-    /// What a refill may fill the bucket to: `burst` less what the leases
-    /// can hold.
-    cap: f64,
+    /// Stored under the state lock by [`set_rate`](Self::set_rate), which
+    /// revokes every lease with it; relaxed, as a draw that reads the old
+    /// size finds its lease emptied.
+    lease: AtomicU64,
     /// The leased tokens, one stripe per thread stripe. Relaxed: a lease
     /// is a count of tokens and publishes no other data.
     leases: Striped<AtomicU64>,
@@ -51,6 +51,9 @@ pub(crate) struct TokenBucket {
 struct State {
     available: f64,
     last_refill: Instant,
+    /// What a refill may fill the bucket to: the burst less what the
+    /// leases can hold.
+    cap: f64,
 }
 
 impl State {
@@ -59,12 +62,22 @@ impl State {
     /// before another thread refilled) credits nothing and leaves
     /// `last_refill` where it is, so the time it missed is credited by the
     /// next draw instead: a stale instant defers a refill, never grants one.
-    fn refill(&mut self, now: Instant, rate: f64, cap: f64) {
+    fn refill(&mut self, now: Instant, rate: f64) {
         let now = now.max(self.last_refill);
         let elapsed = now.duration_since(self.last_refill).as_secs_f64();
-        self.available = (self.available + elapsed * rate).min(cap);
+        self.available = (self.available + elapsed * rate).min(self.cap);
         self.last_refill = now;
     }
+}
+
+/// The lease size and the refill cap of a link at `rate`: the burst is 5 ms
+/// of tokens (at least one chunk), a lease the largest whole number of
+/// chunks with `STRIPES × lease ≤ burst / 2`, and the cap the burst less
+/// what the leases can hold.
+fn shape(rate: f64) -> (u64, f64) {
+    let burst = (rate * 0.005).max(CHUNK as f64);
+    let lease = (burst / 2.0 / STRIPES as f64 / CHUNK as f64).floor() as u64 * CHUNK;
+    (lease, burst - (STRIPES as u64 * lease) as f64)
 }
 
 impl TokenBucket {
@@ -78,16 +91,15 @@ impl TokenBucket {
             rate_bytes_per_sec.is_finite() && rate_bytes_per_sec > 0.0,
             "token bucket rate must be finite and positive"
         );
-        let burst = (rate_bytes_per_sec * 0.005).max(CHUNK as f64);
-        let lease = (burst / 2.0 / STRIPES as f64 / CHUNK as f64).floor() as u64 * CHUNK;
+        let (lease, cap) = shape(rate_bytes_per_sec);
         TokenBucket {
             rate_bits: AtomicU64::new(rate_bytes_per_sec.to_bits()),
-            lease,
-            cap: burst - (STRIPES as u64 * lease) as f64,
+            lease: AtomicU64::new(lease),
             leases: Striped::default(),
             state: Mutex::new(State {
                 available: 0.0,
                 last_refill: Instant::now(),
+                cap,
             }),
         }
     }
@@ -108,7 +120,9 @@ impl TokenBucket {
     /// rate first, so a rate change never retroactively re-prices the past.
     /// Every lease is revoked (its tokens are dropped, never handed to
     /// another draw), so each draw from here on takes the locked debit at
-    /// the new rate until it leases afresh.
+    /// the new rate until it leases afresh. The burst, the lease size and
+    /// the cap are re-derived from the new rate, and the bucket keeps no
+    /// more than the new cap: a throttled link banks 5 ms of its new rate.
     ///
     /// # Panics
     ///
@@ -119,8 +133,12 @@ impl TokenBucket {
             "token bucket rate must be finite and positive"
         );
         let mut s = self.state();
-        s.refill(Instant::now(), self.rate(), self.cap);
+        s.refill(Instant::now(), self.rate());
         self.leases.iter().for_each(|l| l.store(0, Ordering::Relaxed));
+        let (lease, cap) = shape(rate_bytes_per_sec);
+        self.lease.store(lease, Ordering::Relaxed);
+        s.cap = cap;
+        s.available = s.available.min(cap);
         self.rate_bits
             .store(rate_bytes_per_sec.to_bits(), Ordering::Relaxed);
     }
@@ -143,7 +161,7 @@ impl TokenBucket {
     /// the clock at most once unless one of them runs short, and not at all
     /// while leases serve its draws.
     fn draw_on(&self, lease: &AtomicU64, bytes: u64, now: &mut Option<Instant>) {
-        if self.lease > 0 && spend(lease, bytes) {
+        if self.lease.load(Ordering::Relaxed) > 0 && spend(lease, bytes) {
             return;
         }
         let given = *now.get_or_insert_with(Instant::now);
@@ -170,16 +188,17 @@ impl TokenBucket {
     ) -> (Option<Duration>, Instant) {
         let mut s = self.state();
         let (rate, bytes) = (self.rate(), bytes as f64);
-        s.refill(now, rate, self.cap);
+        s.refill(now, rate);
         let mut last = now;
         if s.available < bytes {
             last = clock();
-            s.refill(last, rate, self.cap);
+            s.refill(last, rate);
         }
         s.available -= bytes;
         // Top-ups happen only here, under the lock, and spends only lower
         // the stripe, so it never holds more than one lease.
-        let top_up = self.lease - lease.load(Ordering::Relaxed).min(self.lease);
+        let full = self.lease.load(Ordering::Relaxed);
+        let top_up = full - lease.load(Ordering::Relaxed).min(full);
         if top_up > 0 && s.available >= top_up as f64 {
             s.available -= top_up as f64;
             lease.fetch_add(top_up, Ordering::Relaxed);
@@ -208,7 +227,12 @@ mod tests {
         /// The bucket's capacity: what a refill may fill it to plus what
         /// the leases can hold.
         fn burst(&self) -> f64 {
-            self.cap + (STRIPES as u64 * self.lease) as f64
+            self.state().cap + (STRIPES as u64 * self.lease()) as f64
+        }
+
+        /// The lease size.
+        fn lease(&self) -> u64 {
+            self.lease.load(Ordering::Relaxed)
         }
 
         /// Tokens in every lease, in stripe order.
@@ -359,7 +383,9 @@ mod tests {
         // prices the whole interval since the last debit, and the bound below
         // prices each interval at the highest rate that was in effect across
         // it or that a pending wait was computed at. The bytes granted in
-        // every window stay within the burst plus that priced interval. Wake
+        // every window stay within the burst of the rate in effect at the
+        // first debit (which credits the idle hour) plus that priced
+        // interval, and a set_rate keeps no more than its new burst. Wake
         // order is checked between debits with no rate rise between them:
         // after a rise, a later debit may wake before an earlier one that
         // priced its wait at the slower rate, which then sleeps longer than
@@ -368,7 +394,11 @@ mod tests {
             let pick = |rng: &mut _| 1e5 * 10f64.powf(prop::range(rng, 0..=70) as f64 / 10.0);
             let mut rate = pick(rng);
             let b = TokenBucket::new(rate);
-            let burst = (rate * 0.005).max(CHUNK as f64);
+            // 5 ms of a rate: the burst of a link retuned to it.
+            let burst_of = |rate: f64| (rate * 0.005).max(CHUNK as f64);
+            // The bucket fills to the cap of the rate in effect at the
+            // first debit, which credits the hour since construction.
+            let mut opening = None;
             let leases: Vec<&AtomicU64> = b.leases.iter().take(4).collect();
             let start = b.state().last_refill + Duration::from_secs(3600);
             let secs = |t: Instant| t.duration_since(start).as_secs_f64();
@@ -392,6 +422,8 @@ mod tests {
                     b.set_rate(rate);
                     rates.push(rate);
                     assert!(b.leased().iter().all(|&l| l == 0), "set_rate revokes every lease");
+                    let available = b.state().available;
+                    assert!(available <= burst_of(rate) + 1.0, "{available} tokens kept");
                     continue;
                 }
                 wall += Duration::from_micros(prop::range(rng, 0..=3_000));
@@ -400,16 +432,16 @@ mod tests {
                 let most = if prop::range(rng, 0..=1) == 0 { CHUNK } else { (rate * 3e-3) as u64 };
                 let bytes = prop::range(rng, 1..=most.max(256 * 1024));
                 let lease = leases[prop::range(rng, 0..=3) as usize];
-                if b.lease > 0 && spend(lease, bytes) {
+                if b.lease() > 0 && spend(lease, bytes) {
                     grants.push((secs(wall), bytes as f64, rates.len() - 1, secs(wall)));
                     continue;
                 }
-                let (avail, since) = {
+                let (avail, since, cap) = {
                     let s = b.state();
-                    (s.available, s.last_refill)
+                    (s.available, s.last_refill, s.cap)
                 };
                 let credit = given.max(since).duration_since(since).as_secs_f64() * rate;
-                let covered = (avail + credit).min(b.cap) >= bytes as f64;
+                let covered = (avail + credit).min(cap) >= bytes as f64;
                 let reads = Cell::new(0);
                 let (wait, last) = b.debit(lease, bytes, given, || {
                     reads.set(reads.get() + 1);
@@ -425,9 +457,9 @@ mod tests {
                     (s.available, s.last_refill)
                 };
                 let leased = b.leased();
-                assert!(leased.iter().all(|&l| l <= b.lease), "a stripe holds one lease at most");
+                assert!(leased.iter().all(|&l| l <= b.lease()), "a stripe holds one lease at most");
                 let banked = available + leased.iter().sum::<u64>() as f64;
-                assert!(banked <= burst + 1.0, "{banked} tokens banked");
+                assert!(banked <= burst_of(rate) + 1.0, "{banked} tokens banked at {rate} B/s");
                 let wake = refilled + wait.unwrap_or_default();
                 if let Some(&(_, _, _, prev)) = debits.last() {
                     assert!(
@@ -436,6 +468,7 @@ mod tests {
                         secs(wake)
                     );
                 }
+                opening.get_or_insert(burst_of(rate));
                 debits.push((secs(refilled), seen, rate, secs(wake)));
                 grants.push((secs(wake), bytes as f64, rates.len() - 1, secs(refilled)));
                 (seen, rose) = (rate, false);
@@ -460,7 +493,7 @@ mod tests {
             cuts.sort_by(f64::total_cmp);
             cuts.dedup();
             let allowed = |t: f64| {
-                let mut sum = burst;
+                let mut sum = opening.unwrap_or_default();
                 for w in cuts.windows(2) {
                     let (lo, hi) = (w[0], w[1].min(t));
                     if hi > lo {
@@ -480,8 +513,9 @@ mod tests {
                 );
             }
             // Between two rate changes, the grants that rate priced (lease
-            // spends, and debits made there) fit the burst plus that rate
-            // over every window: leases bank no more than the burst allows.
+            // spends, and debits made there) fit that rate's burst plus the
+            // rate over every window: leases bank no more than the burst
+            // allows, and a retuned link keeps no more than its new burst.
             // A debit granted in the window is charged from its refill, when
             // its tokens left the bucket: a draw larger than the burst is
             // granted whole at its wake, having paid the excess since.
@@ -493,7 +527,7 @@ mod tests {
                         let window = || priced.iter().filter(|g| (from..=to).contains(&g.0));
                         let granted: f64 = window().map(|g| g.1).sum();
                         let since = window().map(|g| g.2).fold(from, f64::min);
-                        let allowed = burst + rate * (to - since);
+                        let allowed = burst_of(rate) + rate * (to - since);
                         assert!(
                             granted <= allowed + slack,
                             "{granted} bytes granted in [{from}, {to}] s (charged from \
@@ -513,7 +547,7 @@ mod tests {
         // refilled up to the whole burst.
         for rate in [32e6, 128e6] {
             let b = TokenBucket::new(rate);
-            assert_eq!((b.lease, b.cap), (0, rate * 0.005));
+            assert_eq!((b.lease(), b.state().cap), (0, rate * 0.005));
             let t0 = b.state().last_refill;
             let (mut expected, credit) = (0.0, 3e-3 * rate);
             for k in 1..=50 {
@@ -530,28 +564,69 @@ mod tests {
         // 1e12 B/s: a 5 GB burst, so a lease is the largest whole number of
         // chunks with 16 leases in half of it (2 384 chunks).
         let b = TokenBucket::new(1e12);
-        assert_eq!(b.lease, 2_384 * CHUNK);
+        assert_eq!(b.lease(), 2_384 * CHUNK);
         let t0 = b.state().last_refill;
         let at = t0 + Duration::from_millis(10);
         // The first draw debits, then leases; the next spends the lease
         // alone and leaves the bucket as it was.
         let full = draw_at(&b, CHUNK, at);
-        assert!(near(full, b.cap - (CHUNK + b.lease) as f64));
+        let lease = b.lease();
+        assert!(near(full, b.state().cap - (CHUNK + lease) as f64));
         assert!(near(draw_at(&b, CHUNK, at), full));
-        assert!(b.leased().contains(&(b.lease - CHUNK)));
+        assert!(b.leased().contains(&(lease - CHUNK)));
         // Another stripe's first draw leases too.
         let other = b.leases.iter().find(|&l| l.load(Ordering::Relaxed) == 0).unwrap();
         let mut now = Some(at);
         b.draw_on(other, CHUNK, &mut now);
-        assert_eq!(other.load(Ordering::Relaxed), b.lease);
+        assert_eq!(other.load(Ordering::Relaxed), lease);
         let before = b.state().available;
         // Throttling drops every lease (the settle inside is stale here and
-        // credits nothing), so the next draw takes the locked debit at the
-        // new rate.
+        // credits nothing) and keeps one burst of the new rate, a lone chunk
+        // at 1e6 B/s, too little to lease: the next draw takes the locked
+        // debit at the new rate.
         b.set_rate(1e6);
         assert!(b.leased().iter().all(|&l| l == 0));
-        assert!(near(b.state().available, before));
-        assert!(near(draw_at(&b, CHUNK, at), before - (CHUNK + b.lease) as f64));
+        assert_eq!((b.lease(), b.burst()), (0, CHUNK as f64));
+        let available = b.state().available;
+        assert!(before > b.burst() && near(available, b.burst()));
+        assert!(near(draw_at(&b, CHUNK, at), 0.0));
+    }
+
+    #[test]
+    fn a_throttled_link_banks_no_more_than_its_new_burst() {
+        // A link throttled to 0.04 of its rate after an idle spell at the
+        // old rate, then idle again: every draw it grants without a wait,
+        // lease spends and debits alike on all stripes, sums to no more
+        // than 5 ms of the new rate. Instants are injected as offsets from
+        // the bucket's construction; the settle inside `set_rate` reads the
+        // wall clock, which lags them and so credits nothing.
+        for rate in [1e9, 1e12] {
+            let b = TokenBucket::new(rate);
+            let t0 = b.state().last_refill;
+            draw_at(&b, CHUNK, t0 + Duration::from_secs(3600));
+            b.set_rate(rate * 0.04);
+            let burst = rate * 0.04 * 0.005;
+            assert!(near(b.burst(), burst), "{rate} B/s");
+            let at = t0 + Duration::from_secs(7200);
+            let stripes: Vec<&AtomicU64> = b.leases.iter().collect();
+            let mut granted = 0;
+            for lease in stripes.iter().cycle() {
+                if b.lease() > 0 && spend(lease, CHUNK) {
+                    granted += CHUNK;
+                    continue;
+                }
+                if b.debit(lease, CHUNK, at, || at).0.is_some() {
+                    break;
+                }
+                granted += CHUNK;
+            }
+            // What the leases still hold is granted without a wait too.
+            let granted = (granted + b.leased().iter().sum::<u64>()) as f64;
+            assert!(granted <= burst, "{rate} B/s: {granted} B granted without a wait");
+            // The leases were revoked: all of it came out of the bucket.
+            let cap = b.state().cap;
+            assert!(granted > cap - CHUNK as f64, "{rate} B/s: {granted} B of {cap}");
+        }
     }
 
     #[test]

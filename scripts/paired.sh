@@ -5,7 +5,9 @@
 #
 # Builds REV (default HEAD) from `git archive` and the working tree in
 # place, each into its own target directory under DIR (default
-# ${TMPDIR:-/tmp}/ear-paired; it must lie outside the repo). Then, for each
+# ${TMPDIR:-/tmp}/ear-paired; it must lie outside the repo). The parent's
+# target is wiped whenever REV differs from the commit it was last built
+# from, so one DIR serves any sequence of REVs. Then, for each
 # workload W (default: all four, one after another, in the order given) and
 # each of the ten seeds, runs one pair of
 #
@@ -52,6 +54,13 @@ esac
 rm -rf "$scratch/parent" "$scratch/raw"
 mkdir -p "$scratch/parent" "$scratch/raw"
 git archive "$commit" | tar -x -C "$scratch/parent"
+# `git archive` stamps files with their commit's time, so cargo may count an
+# older REV's sources as fresh against a target built from a newer one: the
+# parent's target is kept only for the commit recorded beside it.
+built="$scratch/target-parent.commit"
+if [ "$(cat "$built" 2>/dev/null)" != "$commit" ]; then
+  rm -rf "$scratch/target-parent" "$built"
+fi
 declare -A tree=([parent]="$scratch/parent" [change]="$repo")
 run() { # side workload seed
   CARGO_TARGET_DIR="$scratch/target-$1" bash "${tree[$1]}/benchmark/run.sh" \
@@ -60,6 +69,7 @@ run() { # side workload seed
 for side in parent change; do # --emit-spec: build, print the spec, run nothing
   CARGO_TARGET_DIR="$scratch/target-$side" bash "${tree[$side]}/benchmark/run.sh" --emit-spec >/dev/null
 done
+echo "$commit" >"$built"
 
 for w in "${workloads[@]}"; do
   for s in "${seeds[@]}"; do

@@ -134,26 +134,12 @@ pub fn wal_script(seed: u64) -> Vec<MetaRecord> {
                 }
                 known.push(block);
             }
-            4 if !known.is_empty() => {
+            4..=6 if !known.is_empty() => {
                 let block = pick(&mut rng, &known).unwrap_or(BlockId(0));
                 let count = 1 + rng.below(3) as usize;
                 records.push(MetaRecord::SetLocations {
                     block,
                     nodes: random_nodes(&mut rng, 32, count),
-                });
-            }
-            5 if !known.is_empty() => {
-                let block = pick(&mut rng, &known).unwrap_or(BlockId(0));
-                records.push(MetaRecord::DropLocation {
-                    block,
-                    node: NodeId(rng.below(32) as u32),
-                });
-            }
-            6 if !known.is_empty() => {
-                let block = pick(&mut rng, &known).unwrap_or(BlockId(0));
-                records.push(MetaRecord::AddLocation {
-                    block,
-                    node: NodeId(rng.below(32) as u32),
                 });
             }
             7 | 8 if unsealed.len() >= 2 => {

@@ -324,9 +324,9 @@ mod tests {
     #[test]
     fn cached_read_misses_then_hits_after_admit() {
         for backend in [StoreBackend::Memory, StoreBackend::Extent] {
-            let cache = CacheConfig::Sized { hot_bytes: 1 << 16, cold_bytes: 1 << 10 };
+            let cache = CacheConfig::Sized { bytes: 1 << 10 };
             let dn = DataNode::with_backend(NodeId(1), backend, cache, 42).unwrap();
-            // Block 2 fills most of the 1 KiB cold level; block 3 is stored
+            // Block 2 fills most of the 1 KiB cache; block 3 is stored
             // but finds no room, and a write never evicts.
             dn.put(BlockId(2), Block::from(vec![7u8; 768])).unwrap();
             let data = Block::from(vec![8u8; 512]);
@@ -466,10 +466,7 @@ mod tests {
         let dn = DataNode::with_backend(
             NodeId(2),
             StoreBackend::Memory,
-            CacheConfig::Sized {
-                hot_bytes: 1 << 16,
-                cold_bytes: 1 << 16,
-            },
+            CacheConfig::Sized { bytes: 2 << 16 },
             7,
         )
         .unwrap();

@@ -346,7 +346,7 @@ mod tests {
     /// A fault-free bed whose nodes cache every block they verify, whatever
     /// the environment asks for.
     fn cached() -> Bed {
-        let cache = ear_types::CacheConfig::Sized { hot_bytes: 1 << 20, cold_bytes: 1 << 20 };
+        let cache = ear_types::CacheConfig::Sized { bytes: 2 << 20 };
         let node = |n| DataNode::with_backend(n, ear_types::StoreBackend::Memory, cache, 5).unwrap();
         bed_with(|_| FaultInjector::disabled(), |topo| topo.nodes().map(node).collect())
     }

@@ -471,10 +471,7 @@ mod tests {
         )
         .unwrap();
         cfg.store = StoreBackend::Memory;
-        cfg.cache = CacheConfig::Sized {
-            hot_bytes: 1 << 20,
-            cold_bytes: 1 << 20,
-        };
+        cfg.cache = CacheConfig::Sized { bytes: 2 << 20 };
         let cfs = MiniCfs::new(cfg).unwrap();
         let good = cfs.make_block(5);
         let id = cfs.write_block(NodeId(0), good.clone()).unwrap();

@@ -1471,10 +1471,7 @@ mod tests {
 
     #[test]
     fn cached_fetch_skips_reverification_but_pays_the_wire() {
-        let cache = ear_types::CacheConfig::Sized {
-            hot_bytes: 1 << 20,
-            cold_bytes: 1 << 20,
-        };
+        let cache = ear_types::CacheConfig::Sized { bytes: 2 << 20 };
         let io = cached_service(cache, FaultInjector::disabled());
         let rel = io.reliability().clone();
         let ctx = rel.ctx(OpClass::ClientRead).unwrap();
@@ -1525,10 +1522,7 @@ mod tests {
             crash_window: 1,
         };
         let plan = FaultPlan::generate(13, &topo, &cfg);
-        let cache = ear_types::CacheConfig::Sized {
-            hot_bytes: 1 << 20,
-            cold_bytes: 1 << 20,
-        };
+        let cache = ear_types::CacheConfig::Sized { bytes: 2 << 20 };
         let io = cached_service(cache, FaultInjector::new(plan, topo));
         let data = Block::from(vec![6u8; 256]);
         let dn = io.datanode(NodeId(1));

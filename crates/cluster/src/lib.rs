@@ -11,10 +11,9 @@
 //! * [`DataNode`] — a block store per emulated machine over a pluggable
 //!   [`BlockStore`] backend: lock-striped memory or the durable extent
 //!   engine (`EAR_STORE=memory|extent`), fronted by an optional
-//!   [`BlockCache`] (`EAR_CACHE=off|<hot>,<cold>`);
-//! * [`cache`] — the deterministic two-level block cache (hot and cold
-//!   second chance, hits under a read lock) behind every DataNode's read
-//!   path;
+//!   [`BlockCache`] (`EAR_CACHE=off|<a>,<b>`, sized `a + b`);
+//! * [`cache`] — the deterministic block cache (SIEVE: one queue and one
+//!   hand, hits under a read lock) behind every DataNode's read path;
 //! * [`ClusterIo`] — the unified data-plane I/O service: every block fetch
 //!   and store goes through its fault-injection + netem + checksum seam,
 //!   with replica fallback, retry/backoff, verified-once CRC over cache

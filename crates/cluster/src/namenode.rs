@@ -90,10 +90,7 @@ mod image {
 
         /// [`MetaSnapshot::apply`]'s block half, on this shard's slots.
         pub(super) fn apply(&mut self, rec: &MetaRecord) {
-            BlockRec::apply(rec, |block, create| match create {
-                true => Some(self.0.entry(block).or_default()),
-                false => self.0.get_mut(&block),
-            });
+            BlockRec::apply(rec, |block| self.0.entry(block).or_default());
         }
     }
 
@@ -383,6 +380,9 @@ impl NameNode {
     /// Removes one node from a block's location set (a replica declared
     /// lost by the failure detector, or dropped by the scrubber). Returns
     /// whether the node was listed; when it was not, nothing is logged.
+    /// The log gets the whole list that results, as
+    /// [`set_locations`](Self::set_locations) logs it: a list record
+    /// replays to the same order over any image.
     ///
     /// # Errors
     ///
@@ -393,7 +393,9 @@ impl NameNode {
             let (mut shard, mut held) = self.shard(block).write(nothing);
             let listed = shard.lists(block, node);
             if listed {
-                let rec = MetaRecord::DropLocation { block, node };
+                let mut nodes = shard.get(block).map(|m| m.locations.clone()).unwrap_or_default();
+                nodes.retain(|&n| n != node);
+                let rec = MetaRecord::SetLocations { block, nodes };
                 self.commit(&mut held, &rec, None, Some(&mut shard))?;
             }
             listed
@@ -402,8 +404,10 @@ impl NameNode {
         Ok(listed)
     }
 
-    /// Adds one node to a block's location set (a repaired copy landed).
-    /// No-op, and nothing logged, if the node is already listed.
+    /// Adds one node to a block's location set (a repaired copy landed),
+    /// logging the whole list that results as
+    /// [`drop_location`](Self::drop_location) does. No-op, and nothing
+    /// logged, if the node is already listed.
     ///
     /// # Errors
     ///
@@ -415,7 +419,9 @@ impl NameNode {
             if shard.lists(block, node) {
                 return Ok(());
             }
-            let rec = MetaRecord::AddLocation { block, node };
+            let mut nodes = shard.get(block).map(|m| m.locations.clone()).unwrap_or_default();
+            nodes.push(node);
+            let rec = MetaRecord::SetLocations { block, nodes };
             self.commit(&mut held, &rec, None, Some(&mut shard))?;
         }
         self.maybe_checkpoint(nothing)
@@ -678,6 +684,49 @@ mod tests {
     }
 
     #[test]
+    fn location_churn_replayed_over_any_raced_snapshot_is_the_live_image() {
+        // Random adds and drops on two blocks of a durable NameNode; each
+        // one changes a list, so it logs one record, and the image after
+        // every record is kept. A checkpoint whose gather raced the log
+        // pairs a low-water mark with an image at or past it: replaying the
+        // log past the mark over that image must rebuild the live image,
+        // the order of each location list included.
+        prop::check("location_churn_replays_over_any_raced_snapshot", 64, |rng| {
+            let dir = tmp_dir();
+            let nn = namenode(false, 1, Some(&dir));
+            let mut images = vec![nn.snapshot()];
+            for _ in 0..prop::range(rng, 1..=10) {
+                let (block, node) = (BlockId(rng.below(2)), NodeId(rng.below(3) as u32));
+                match nn.locations(block).is_some_and(|l| l.contains(&node)) {
+                    true => assert!(nn.drop_location(block, node).unwrap()),
+                    false => nn.add_location(block, node).unwrap(),
+                }
+                images.push(nn.snapshot());
+            }
+            drop(nn);
+            let live = images.last().unwrap();
+            for low_water in 0..images.len() {
+                for (at, snap) in images.iter().enumerate().skip(low_water) {
+                    let raced = tmp_dir();
+                    std::fs::create_dir_all(&raced).unwrap();
+                    for file in [WAL_FILE, CHECKPOINT_FILE] {
+                        if dir.join(file).exists() {
+                            std::fs::copy(dir.join(file), raced.join(file)).unwrap();
+                        }
+                    }
+                    let (wal, _) = MetaWal::open(&raced, false, u64::MAX).unwrap();
+                    wal.checkpoint(snap, low_water as u64).unwrap();
+                    drop(wal);
+                    let (_, recovered) = MetaWal::open(&raced, false, u64::MAX).unwrap();
+                    assert_eq!(&recovered, live, "low water {low_water}, image {at}");
+                    std::fs::remove_dir_all(&raced).unwrap();
+                }
+            }
+            std::fs::remove_dir_all(&dir).unwrap();
+        });
+    }
+
+    #[test]
     fn healed_locations_do_not_break_ear_sealing() {
         // Repair moves a replica of a not-yet-sealed block; stripes must
         // still seal afterwards because matching uses assigned layouts,
@@ -866,9 +915,12 @@ mod tests {
         // checkpoints when one is due, so the log never outgrows the
         // cadence bound (the floor's records or the last checkpoint's
         // bytes, whichever is larger) by more than the frame just appended.
+        // A frame carries the block's whole list, so the bound is taken at
+        // the widest frame logged so far.
         const FLOOR: u64 = 16;
-        // len | crc | lsn | tag | block | node
-        const FRAME: u64 = 4 + 4 + 8 + 1 + 8 + 4;
+        // len | crc | lsn | tag | block | count | nodes
+        let frame = |nodes: usize| 4 + 4 + 8 + 1 + 8 + 4 + 4 * nodes as u64;
+        let mut widest = 0;
         let dir = tmp_dir();
         let topo = ClusterTopology::uniform(8, 4);
         let policy = Box::new(RandomReplicationPolicy::new(cfg(), topo.clone()).unwrap());
@@ -886,7 +938,8 @@ mod tests {
                 0 => nn.add_location(block, node).unwrap(),
                 _ => drop(nn.drop_location(block, node).unwrap()),
             }
-            let bound = bytes(CHECKPOINT_FILE).max(FLOOR * FRAME) + FRAME;
+            widest = widest.max(frame(nn.locations(block).map_or(0, |l| l.len())));
+            let bound = bytes(CHECKPOINT_FILE).max(FLOOR * widest) + widest;
             assert!(bytes(WAL_FILE) <= bound, "op {i}: log {} > {bound}", bytes(WAL_FILE));
         }
         let live = nn.snapshot();

@@ -977,7 +977,7 @@ mod tests {
     /// every node, the stripe, its encoding node and a member that node
     /// holds: the fold reads that member from its own disk first.
     fn one_stripe_with_a_local_member() -> (MiniCfs, PendingStripe, NodeId, BlockId) {
-        let cache = CacheConfig::Sized { hot_bytes: 4 << 20, cold_bytes: 4 << 20 };
+        let cache = CacheConfig::Sized { bytes: 8 << 20 };
         (0..)
             .find_map(|seed| {
                 let cfs = MiniCfs::new(ClusterConfig { seed, cache, ..cfg(ClusterPolicy::Rr, 8, 1) });

@@ -99,26 +99,14 @@ pub enum MetaRecord {
         /// Whether the layout was policy-assigned (data) or fixed (parity).
         assigned: bool,
     },
-    /// A block's location set was replaced wholesale.
+    /// A block's location list was replaced wholesale: every location
+    /// change logs the whole list that results, so a replay over an image
+    /// that already absorbed it leaves the list in the same order.
     SetLocations {
         /// The block.
         block: BlockId,
-        /// The new complete location set.
+        /// The new complete location list.
         nodes: Vec<NodeId>,
-    },
-    /// One node was removed from a block's location set.
-    DropLocation {
-        /// The block.
-        block: BlockId,
-        /// The node declared lost.
-        node: NodeId,
-    },
-    /// One node was added to a block's location set.
-    AddLocation {
-        /// The block.
-        block: BlockId,
-        /// The node a repaired copy landed on.
-        node: NodeId,
     },
     /// The policy sealed a stripe: its blocks leave the unsealed list and
     /// it enters the pre-encoding store, carrying the plan encoding follows.
@@ -298,8 +286,8 @@ fn get_encoded(buf: &[u8], pos: &mut usize) -> Option<EncodedStripe> {
 
 const TAG_ALLOCATE: u8 = 1;
 const TAG_SET_LOCATIONS: u8 = 2;
-const TAG_DROP_LOCATION: u8 = 3;
-const TAG_ADD_LOCATION: u8 = 4;
+// Tags 3 and 4 were one-node location changes; a frame carrying one fails
+// to decode, and neither tag is reused.
 const TAG_SEAL_STRIPE: u8 = 5;
 const TAG_ENCODE_COMMIT: u8 = 6;
 
@@ -321,16 +309,6 @@ impl MetaRecord {
                 out.push(TAG_SET_LOCATIONS);
                 put_u64(out, block.0);
                 put_nodes(out, nodes);
-            }
-            MetaRecord::DropLocation { block, node } => {
-                out.push(TAG_DROP_LOCATION);
-                put_u64(out, block.0);
-                put_u32(out, node.0);
-            }
-            MetaRecord::AddLocation { block, node } => {
-                out.push(TAG_ADD_LOCATION);
-                put_u64(out, block.0);
-                put_u32(out, node.0);
             }
             MetaRecord::SealStripe(stripe) => {
                 out.push(TAG_SEAL_STRIPE);
@@ -365,14 +343,6 @@ impl MetaRecord {
                 block: BlockId(get_u64(buf, &mut pos)?),
                 nodes: get_nodes(buf, &mut pos)?,
             },
-            TAG_DROP_LOCATION => MetaRecord::DropLocation {
-                block: BlockId(get_u64(buf, &mut pos)?),
-                node: NodeId(get_u32(buf, &mut pos)?),
-            },
-            TAG_ADD_LOCATION => MetaRecord::AddLocation {
-                block: BlockId(get_u64(buf, &mut pos)?),
-                node: NodeId(get_u32(buf, &mut pos)?),
-            },
             TAG_SEAL_STRIPE => MetaRecord::SealStripe(get_pending(buf, &mut pos)?),
             TAG_ENCODE_COMMIT => MetaRecord::EncodeCommit(get_encoded(buf, &mut pos)?),
             _ => return None,
@@ -399,39 +369,22 @@ pub struct BlockRec {
 
 impl BlockRec {
     /// The per-block transition: what `rec` does to the slot of the block
-    /// it names, in whichever table holds it. `slot(block, create)` finds
-    /// that slot, first inserting an empty one when `create` — every record
-    /// but a drop, which leaves an unknown block unknown. The two stripe
-    /// records name no block.
-    pub(crate) fn apply<'a>(
-        rec: &MetaRecord,
-        slot: impl FnOnce(BlockId, bool) -> Option<&'a mut BlockRec>,
-    ) {
-        let (block, create) = match rec {
-            MetaRecord::Allocate { block, .. }
-            | MetaRecord::SetLocations { block, .. }
-            | MetaRecord::AddLocation { block, .. } => (*block, true),
-            MetaRecord::DropLocation { block, .. } => (*block, false),
-            MetaRecord::SealStripe(_) | MetaRecord::EncodeCommit(_) => return,
-        };
-        let Some(slot) = slot(block, create) else {
-            return;
-        };
+    /// it names, in whichever table holds it. `slot(block)` finds that
+    /// slot, first inserting an empty one. The two stripe records name no
+    /// block.
+    pub(crate) fn apply<'a>(rec: &MetaRecord, slot: impl FnOnce(BlockId) -> &'a mut BlockRec) {
         match rec {
             MetaRecord::Allocate {
+                block,
                 locations,
                 assigned,
-                ..
             } => {
+                let slot = slot(*block);
                 slot.locations = locations.clone();
                 slot.assigned = assigned.then(|| locations.clone());
             }
-            MetaRecord::SetLocations { nodes, .. } => slot.locations = nodes.clone(),
-            MetaRecord::DropLocation { node, .. } => slot.locations.retain(|n| n != node),
-            MetaRecord::AddLocation { node, .. } if !slot.locations.contains(node) => {
-                slot.locations.push(*node);
-            }
-            _ => {}
+            MetaRecord::SetLocations { block, nodes } => slot(*block).locations = nodes.clone(),
+            MetaRecord::SealStripe(_) | MetaRecord::EncodeCommit(_) => {}
         }
     }
 }
@@ -463,10 +416,7 @@ impl MetaSnapshot {
     /// checkpoint whose snapshot already absorbed a suffix of the log.
     pub fn apply(&mut self, rec: &MetaRecord) {
         self.apply_stripes(rec);
-        BlockRec::apply(rec, |block, create| match create {
-            true => Some(self.blocks.entry(block).or_default()),
-            false => self.blocks.get_mut(&block),
-        });
+        BlockRec::apply(rec, |block| self.blocks.entry(block).or_default());
     }
 
     /// The per-stripe transition: what a record does to everything but the
@@ -498,9 +448,7 @@ impl MetaSnapshot {
                 }
                 self.next_stripe = self.next_stripe.max(stripe.id.0.saturating_add(1));
             }
-            MetaRecord::SetLocations { .. }
-            | MetaRecord::DropLocation { .. }
-            | MetaRecord::AddLocation { .. } => {}
+            MetaRecord::SetLocations { .. } => {}
         }
     }
 
@@ -976,13 +924,13 @@ mod tests {
                 locations: vec![NodeId(4)],
                 assigned: false,
             },
-            MetaRecord::AddLocation {
+            MetaRecord::SetLocations {
                 block: BlockId(0),
-                node: NodeId(9),
+                nodes: vec![NodeId(1), NodeId(2), NodeId(3), NodeId(9)],
             },
-            MetaRecord::DropLocation {
+            MetaRecord::SetLocations {
                 block: BlockId(0),
-                node: NodeId(1),
+                nodes: vec![NodeId(2), NodeId(3), NodeId(9)],
             },
             MetaRecord::SealStripe(PendingStripe {
                 id: StripeId(0),
@@ -1229,7 +1177,8 @@ mod tests {
             let open = wal.as_ref().unwrap();
             assert!(!open.should_checkpoint(Held::entry()), "after {appended} records");
             let node = NodeId(9 + appended as u32 % 2);
-            open.append(&MetaRecord::AddLocation { block: BlockId(appended % 64), node })
+            let nodes = vec![node];
+            open.append(&MetaRecord::SetLocations { block: BlockId(appended % 64), nodes })
                 .unwrap();
             appended += 1;
             if appended == 8 {
@@ -1295,8 +1244,6 @@ mod tests {
                 locations: vec![node],
                 assigned: rng.below(2) == 0,
             },
-            1 => MetaRecord::AddLocation { block, node },
-            2 => MetaRecord::DropLocation { block, node },
             _ => MetaRecord::SetLocations {
                 block,
                 nodes: vec![node, NodeId(16)],
@@ -1461,15 +1408,15 @@ mod tests {
 
     #[test]
     fn on_disk_format_is_pinned() {
-        // CRC32Cs of the bytes the tree wrote before the image types were
-        // merged: no frame and no checkpoint byte may move.
+        // CRC32Cs of the bytes the tree writes: no frame and no checkpoint
+        // byte may move.
         let mut frames = Vec::new();
         let mut snap = MetaSnapshot::default();
         for (i, rec) in sample_records().iter().enumerate() {
             frames.extend_from_slice(&encode_frame(i as u64 + 1, rec));
             snap.apply(rec);
         }
-        assert_eq!((frames.len(), crc32c(&frames)), (303, 0x11bf_296f));
+        assert_eq!((frames.len(), crc32c(&frames)), (331, 0xc376_b271));
         let ckpt = encode_checkpoint(&snap, sample_records().len() as u64);
         assert_eq!((ckpt.len(), crc32c(&ckpt)), (142, 0x9706_fd6e));
         assert_eq!(CHECKPOINT_VERSION, 1);

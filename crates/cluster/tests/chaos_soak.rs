@@ -88,10 +88,7 @@ fn chaos_reports_are_bit_identical_across_backends() {
 /// may depend on the cache configuration.
 #[test]
 fn chaos_reports_are_bit_identical_across_cache_configs() {
-    let small = CacheConfig::Sized {
-        hot_bytes: 1 << 20,
-        cold_bytes: 4 << 20,
-    };
+    let small = CacheConfig::Sized { bytes: 5 << 20 };
     for (seed, heavy) in [(3u64, false), (104, true)] {
         let cfg = |store, cache| {
             let base = if heavy {

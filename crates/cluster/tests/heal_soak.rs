@@ -47,10 +47,7 @@ fn heal_reports_are_bit_identical_across_backends() {
 /// counters) must be independent of the cache configuration.
 #[test]
 fn heal_reports_are_bit_identical_across_cache_configs() {
-    let small = CacheConfig::Sized {
-        hot_bytes: 1 << 20,
-        cold_bytes: 4 << 20,
-    };
+    let small = CacheConfig::Sized { bytes: 5 << 20 };
     for seed in [0u64, 5] {
         let mk = |store, cache| HealSoakConfig {
             store,

@@ -389,33 +389,28 @@ impl DurabilityConfig {
 ///
 /// * `off` — no cache; every read goes to the [`StoreBackend`] and is
 ///   CRC32C-verified.
-/// * `<hot>,<cold>` — byte capacities of the hot (second chance) and cold (clock)
-///   levels, each a plain integer with an optional `k`/`m`/`g` binary
-///   suffix, e.g. `EAR_CACHE=4m,16m`.
+/// * `<a>,<b>` — two byte sizes, each a plain integer with an optional
+///   `k`/`m`/`g` binary suffix, e.g. `EAR_CACHE=4m,16m`; the cache holds
+///   their sum. The benchmark's workloads name their caches in this form.
 ///
-/// Unset defaults to [`CacheConfig::default`] (8 MiB hot, 32 MiB cold per
-/// node — comfortably larger than the testbed working sets so cache-hot
+/// Unset defaults to [`CacheConfig::default`] (40 MiB per node —
+/// comfortably larger than the testbed working sets so cache-hot
 /// benchmarks measure the hit path, small enough that eviction still
 /// exercises under soak workloads).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CacheConfig {
     /// Caching disabled: reads always hit the store and re-verify.
     Off,
-    /// Two-level cache with per-level byte capacities.
+    /// A cache of `bytes` payload bytes.
     Sized {
-        /// Capacity of the hot (second-chance) level in bytes.
-        hot_bytes: u64,
-        /// Capacity of the cold (clock) level in bytes.
-        cold_bytes: u64,
+        /// Capacity in bytes.
+        bytes: u64,
     },
 }
 
 impl Default for CacheConfig {
     fn default() -> Self {
-        CacheConfig::Sized {
-            hot_bytes: 8 << 20,
-            cold_bytes: 32 << 20,
-        }
+        CacheConfig::Sized { bytes: 40 << 20 }
     }
 }
 
@@ -431,24 +426,22 @@ impl CacheConfig {
         match std::env::var("EAR_CACHE") {
             Ok(v) => match Self::parse(&v) {
                 Some(cfg) => cfg,
-                None => panic!("EAR_CACHE must be `off` or `<hot>,<cold>` byte sizes, got `{v}`"),
+                None => panic!("EAR_CACHE must be `off` or `<a>,<b>` byte sizes, got `{v}`"),
             },
             Err(_) => CacheConfig::default(),
         }
     }
 
-    /// Parses `off` or `<hot>,<cold>` (sizes accept `k`/`m`/`g` binary
-    /// suffixes). Returns `None` on malformed input.
+    /// Parses `off` or `<a>,<b>`, sized `a + b` (sizes accept `k`/`m`/`g`
+    /// binary suffixes). Returns `None` on malformed input.
     pub fn parse(s: &str) -> Option<Self> {
         let s = s.trim();
         if s.eq_ignore_ascii_case("off") {
             return Some(CacheConfig::Off);
         }
-        let (hot, cold) = s.split_once(',')?;
-        Some(CacheConfig::Sized {
-            hot_bytes: parse_size(hot)?,
-            cold_bytes: parse_size(cold)?,
-        })
+        let (a, b) = s.split_once(',')?;
+        let bytes = parse_size(a)?.checked_add(parse_size(b)?)?;
+        Some(CacheConfig::Sized { bytes })
     }
 
     /// Whether caching is disabled.
@@ -457,30 +450,19 @@ impl CacheConfig {
         matches!(self, CacheConfig::Off)
     }
 
-    /// Hot-level capacity in bytes (0 when off).
-    pub fn hot_bytes(&self) -> u64 {
+    /// Capacity in bytes (0 when off).
+    pub fn bytes(&self) -> u64 {
         match *self {
             CacheConfig::Off => 0,
-            CacheConfig::Sized { hot_bytes, .. } => hot_bytes,
+            CacheConfig::Sized { bytes } => bytes,
         }
     }
 
-    /// Cold-level capacity in bytes (0 when off).
-    pub fn cold_bytes(&self) -> u64 {
-        match *self {
-            CacheConfig::Off => 0,
-            CacheConfig::Sized { cold_bytes, .. } => cold_bytes,
-        }
-    }
-
-    /// Stable label (`"off"` / `"<hot>,<cold>"`) for stats and bench output.
+    /// Stable label (`"off"` / `"<bytes>"`) for stats and bench output.
     pub fn label(&self) -> String {
         match *self {
             CacheConfig::Off => "off".to_string(),
-            CacheConfig::Sized {
-                hot_bytes,
-                cold_bytes,
-            } => format!("{hot_bytes},{cold_bytes}"),
+            CacheConfig::Sized { bytes } => bytes.to_string(),
         }
     }
 }
@@ -583,38 +565,21 @@ mod tests {
         // suite-wide cache switch.
         assert_eq!(CacheConfig::parse("off"), Some(CacheConfig::Off));
         assert_eq!(CacheConfig::parse("OFF"), Some(CacheConfig::Off));
-        assert_eq!(
-            CacheConfig::parse("4096,65536"),
-            Some(CacheConfig::Sized {
-                hot_bytes: 4096,
-                cold_bytes: 65536
-            })
-        );
-        assert_eq!(
-            CacheConfig::parse("4m, 16M"),
-            Some(CacheConfig::Sized {
-                hot_bytes: 4 << 20,
-                cold_bytes: 16 << 20
-            })
-        );
-        assert_eq!(
-            CacheConfig::parse("1k,1g"),
-            Some(CacheConfig::Sized {
-                hot_bytes: 1 << 10,
-                cold_bytes: 1 << 30
-            })
-        );
+        let sized = |bytes| Some(CacheConfig::Sized { bytes });
+        assert_eq!(CacheConfig::parse("4096,65536"), sized(4096 + 65536));
+        assert_eq!(CacheConfig::parse("4m, 16M"), sized(20 << 20));
+        assert_eq!(CacheConfig::parse("1k,1g"), sized((1 << 10) + (1 << 30)));
         assert_eq!(CacheConfig::parse("on"), None);
-        assert_eq!(CacheConfig::parse("4m"), None, "both levels are required");
+        assert_eq!(CacheConfig::parse("4m"), None, "the `<a>,<b>` form is the only sized one");
         assert_eq!(CacheConfig::parse("x,4m"), None);
+        assert_eq!(CacheConfig::parse("18446744073709551615,1"), None, "a sum past u64");
         assert!(CacheConfig::Off.is_off());
         assert_eq!(CacheConfig::Off.label(), "off");
-        assert_eq!(CacheConfig::Off.hot_bytes(), 0);
+        assert_eq!(CacheConfig::Off.bytes(), 0);
         let d = CacheConfig::default();
         assert!(!d.is_off());
-        assert_eq!(d.hot_bytes(), 8 << 20);
-        assert_eq!(d.cold_bytes(), 32 << 20);
-        assert_eq!(d.label(), format!("{},{}", 8 << 20, 32 << 20));
+        assert_eq!(d.bytes(), 40 << 20);
+        assert_eq!(d.label(), format!("{}", 40 << 20));
     }
 
     #[test]

@@ -3,13 +3,13 @@
 //! 64 KiB blocks, 1e12 B/s links, an `8m,32m` cache per node), on one
 //! thread and on two at once:
 //!
-//! * `read_block` — a whole `MiniCfs::read_block` served from the hot cache;
+//! * `read_block` — a whole `MiniCfs::read_block` served from the cache;
 //! * `netem` — one 64 KiB `EmulatedNetwork::transfer` between two nodes
 //!   (on these links every bucket deals per-thread token leases, so a
 //!   transfer's draws take no lock and read no clock until a lease runs
 //!   out);
-//! * `hot_hit` — one `BlockCache::get` that hits the hot level (each
-//!   thread has its own cache, as each DataNode does);
+//! * `cache_hit` — one `BlockCache::get` that hits (each thread has its
+//!   own cache, as each DataNode does);
 //! * `5_adds_shared` / `5_adds_striped` — five relaxed `fetch_add`s on
 //!   counters every thread shares, and on a stripe of its own;
 //! * `skewed_read` — a `read_block` in the benchmark's own read shape: a
@@ -118,8 +118,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ids = (0..BLOCKS)
         .map(|i| cfs.write_block(NodeId((i % nodes) as u32), cfs.make_block(i)))
         .collect::<Result<Vec<_>, _>>()?;
-    // Reader and block of op `i` on thread `t`; three passes promote every
-    // block each reader touches to its source's hot level.
+    // Reader and block of op `i` on thread `t`; three passes leave every
+    // block each reader touches cached at its source, its bit set.
     let pick = |t: usize, i: u64| {
         let reader = NodeId(((i + t as u64 * 7) % nodes) as u32);
         (reader, ids[(i % BLOCKS) as usize])
@@ -195,8 +195,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let dst = NodeId(((i + t as u64 * 7 + 3) % nodes) as u32);
         net.transfer(src, dst, BLOCK as u64);
     });
-    row("hot_hit", &|t, i| {
-        caches[t].get(BlockId(i % BLOCKS)).expect("a hot hit");
+    row("cache_hit", &|t, i| {
+        caches[t].get(BlockId(i % BLOCKS)).expect("a cache hit");
     });
     row("5_adds_shared", &|_, _| shared.add());
     row("5_adds_striped", &|t, _| stripes[t].add());

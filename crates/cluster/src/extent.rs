@@ -1,14 +1,20 @@
 //! [`ExtentStore`] — the durable block engine (DESIGN.md §9, §13).
 //!
 //! Instead of one file per block (what HDFS does), blocks are packed
-//! into a handful of large, 4 KiB-aligned segment files through a free-list
-//! allocator — the layout real SSD-era stores use, and the layout whose
+//! into a handful of large segment files through a free-list allocator of
+//! 4 KiB pages — the layout real SSD-era stores use, and the layout whose
 //! crash behaviour the kill-point simulator exercises.
 //!
-//! On-disk format. A segment is `ext-<i>.seg`, a fixed-size file carved
-//! into extents. An extent starts with a 64-byte header:
+//! On-disk format. A segment is `ext-<i>.seg`: a header table, one 64-byte
+//! slot per 4 KiB page of the data area behind it, padded to a whole page.
+//! An extent is payload only, padded to whole pages (at least one), and its
+//! header sits in the slot of its first page, so a 64 KiB block is 16 pages
+//! written by one payload write:
 //!
 //! ```text
+//! | slot 0 | slot 1 | … | pad to 4 KiB | page 0 | page 1 | … |
+//!
+//! slot:
 //! off  size  field
 //!   0     4  magic
 //!   4     1  kind (1 = put, 2 = tombstone)
@@ -19,19 +25,26 @@
 //!  28     4  payload crc32c
 //!  32     4  header crc32c (over bytes 0..32)
 //!  36    28  pad (zero)
-//!  64     …  payload
 //! ```
 //!
+//! The data size of a segment is [`SEG_SIZE`], or a record's own size
+//! rounded up to whole pages when it is larger; reopen derives it from the
+//! file length, and a length no such layout has is [`Error::WalCorrupt`].
+//!
 //! Commit protocol (**header-last**): payload bytes are written first, the
-//! header after, then one fsync — and only then is the write acknowledged.
+//! slot after, then one fsync — and only then is the write acknowledged.
 //! A crash mid-write leaves either no valid header (invisible) or a valid
 //! header over a payload that fails its CRC (discarded on recovery): a torn
 //! write can never surface as data. Overwrites allocate a fresh extent and
-//! win by sequence number; deletes commit a durable tombstone before any
-//! header is zeroed, so a crash can lose the *operation* but never
-//! resurrect deleted data once acknowledged. Recovery walks every segment,
-//! keeps the highest-sequence valid record per block, re-zeroes losers, and
-//! rebuilds the free list as the complement of the winners.
+//! win by sequence number; deletes commit a durable tombstone (a slot and
+//! its page, no data written) before any slot is zeroed, so a crash can
+//! lose the *operation* but never resurrect deleted data once acknowledged.
+//! Retiring an extent zeroes its slot and syncs before its pages are
+//! reused. Recovery reads each table in one `pread` and examines every
+//! slot: newest first, a record whose payload passes its CRC keeps its
+//! pages unless a newer record holds one of them, the highest-sequence
+//! keeper per block wins, every other slot is re-zeroed, and the free list
+//! is rebuilt as the complement of the winners.
 //!
 //! (The CRC is 32 bits: a torn header that accidentally verifies has
 //! probability 2⁻³², which the crash-matrix in EXPERIMENTS.md accepts.)
@@ -41,19 +54,20 @@ use crate::durable::{Dir, File, Synced, Unsynced};
 use crate::sync::{Mutex, RwLock};
 use ear_types::crc::crc32c;
 use ear_types::{Block, BlockId, Error, Result, StoreBackend};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{HashMap, HashSet};
 use std::fs::{self, OpenOptions};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Extent alignment: every extent starts and ends on a 4 KiB boundary.
+/// The page: every extent starts on a page of a segment's data area and
+/// spans whole pages.
 pub const ALIGN: u64 = 4096;
-/// Default segment size; records too large for one segment get a dedicated
-/// segment of their own (rounded up to [`ALIGN`]).
+/// Data bytes of a default segment; records too large for one get a
+/// dedicated segment of their own (rounded up to [`ALIGN`]).
 pub const SEG_SIZE: u64 = 8 << 20;
-/// Bytes of header at the start of every extent.
+/// Bytes of one header slot; a segment's table holds one per data page.
 pub const HEADER_LEN: u64 = 64;
 
 const MAGIC: u32 = 0x4558_5445; // "EXTE"
@@ -69,8 +83,32 @@ fn align_up(v: u64) -> u64 {
     v.div_ceil(ALIGN) * ALIGN
 }
 
+/// Pages a record occupies: its payload's, and one for a tombstone.
 fn extent_len(payload_len: u32) -> u64 {
-    align_up(HEADER_LEN + payload_len as u64)
+    align_up(payload_len as u64).max(ALIGN)
+}
+
+/// Bytes of the header table in front of a data area of `data` bytes.
+fn table_len(data: u64) -> u64 {
+    align_up(data / ALIGN * HEADER_LEN)
+}
+
+/// The data size of a segment file `file_len` bytes long, if the store
+/// makes files of that length: empty (created, never sized) or a data area
+/// of at least [`SEG_SIZE`]. A file of `p` data pages is `p + ⌈p / 64⌉`
+/// pages long, so its data pages are the file's pages less one in every
+/// 65, rounded up. A segment written with each header inside its extent
+/// is a bare 8 MiB, which would read as 2 016 data pages: too few.
+fn data_len(file_len: u64) -> Option<u64> {
+    let pages = file_len / ALIGN;
+    let data = (pages - pages.div_ceil(ALIGN / HEADER_LEN + 1)) * ALIGN;
+    let made = data == 0 || data >= SEG_SIZE;
+    (made && table_len(data) + data == file_len).then_some(data)
+}
+
+/// File offset of the slot of the extent starting at data offset `off`.
+fn slot_of(off: u64) -> u64 {
+    off / ALIGN * HEADER_LEN
 }
 
 fn io_err(context: impl Into<String>) -> impl FnOnce(std::io::Error) -> Error {
@@ -78,6 +116,15 @@ fn io_err(context: impl Into<String>) -> impl FnOnce(std::io::Error) -> Error {
     move |e| Error::Io {
         context: format!("{context}: {e}"),
     }
+}
+
+/// Reads `len` bytes at file offset `at` of segment `s` (index `seg`).
+fn read_at(s: &Segment, seg: usize, at: u64, len: usize) -> Result<Vec<u8>> {
+    let mut buf = vec![0u8; len];
+    s.file
+        .read_exact_at(&mut buf, at)
+        .map_err(io_err(format!("read segment {seg} at {at}")))?;
+    Ok(buf)
 }
 
 // ---------------------------------------------------------------------------
@@ -177,6 +224,8 @@ pub enum WriteEvent {
 // Allocator
 // ---------------------------------------------------------------------------
 
+/// A run of pages: `off` and `len` count bytes of segment `seg`'s data
+/// area.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ExtentRef {
     seg: usize,
@@ -243,10 +292,13 @@ impl Allocator {
 // The store
 // ---------------------------------------------------------------------------
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Segment {
     /// Shared so a commit writes and syncs without holding `segments`.
     file: Arc<File>,
+    /// File offset of the data area: the header table's length.
+    base: u64,
+    /// Bytes of data area.
     size: u64,
 }
 
@@ -367,36 +419,35 @@ impl ExtentStore {
         }
     }
 
-    /// Appends a fresh segment of `size` bytes and returns its index.
+    /// Appends a fresh segment of `size` data bytes behind its header
+    /// table and returns its index.
     fn create_segment(&self, size: u64) -> Result<usize> {
         let mut segments = self.segments.write();
         let seg = segments.len();
         let options = &mut OpenOptions::new();
         let file = Arc::new(self.dir.create(&Self::seg_name(seg), options.read(true).write(true))?);
-        file.resize(size)?.sync()?;
-        segments.push(Segment { file, size });
+        let base = table_len(size);
+        file.resize(base + size)?.sync()?;
+        segments.push(Segment { file, base, size });
         drop(segments);
-        self.record(WriteEvent::Create { seg, size });
+        self.record(WriteEvent::Create { seg, size: base + size });
         Ok(seg)
     }
 
-    /// The file of segment `seg`.
-    fn segment(&self, seg: usize) -> Result<Arc<File>> {
+    /// Segment `seg`.
+    fn segment(&self, seg: usize) -> Result<Segment> {
         let segments = self.segments.read();
-        let s = segments
+        segments
             .get(seg)
-            .ok_or_else(|| Error::Invariant(format!("extent segment {seg} out of range")))?;
-        Ok(Arc::clone(&s.file))
+            .cloned()
+            .ok_or_else(|| Error::Invariant(format!("extent segment {seg} out of range")))
     }
 
-    /// Reads `len` bytes at `off` of segment `seg` into an exactly sized
+    /// Reads the first `len` bytes of extent `ext` into an exactly sized
     /// buffer, without holding `segments` across the `pread`.
-    fn read_seg(&self, seg: usize, off: u64, len: usize) -> Result<Vec<u8>> {
-        let mut buf = vec![0u8; len];
-        self.segment(seg)?
-            .read_exact_at(&mut buf, off)
-            .map_err(io_err(format!("read segment {seg} at {off}")))?;
-        Ok(buf)
+    fn read_payload(&self, ext: ExtentRef, len: usize) -> Result<Vec<u8>> {
+        let s = self.segment(ext.seg)?;
+        read_at(&s, ext.seg, s.base + ext.off, len)
     }
 
     /// An fsync point: flushes the segment (when the store is synchronous)
@@ -423,30 +474,31 @@ impl ExtentStore {
             .ok_or_else(|| Error::Invariant("fresh extent segment cannot satisfy alloc".into()))
     }
 
-    /// Writes and commits one record (payload first, header last, fsync),
+    /// Writes and commits one record (payload first, slot last, fsync),
     /// returning its extent. This is the durability point of every
     /// mutation.
     fn commit_record(&self, header: &Header, payload: &[u8]) -> Result<(ExtentRef, Synced)> {
         let ext = self.allocate(extent_len(header.payload_len))?;
-        let file = self.segment(ext.seg)?;
-        let written = file.write_payload(ext.off + HEADER_LEN, payload)?;
+        let s = self.segment(ext.seg)?;
+        let written = s.file.write_payload(s.base + ext.off, payload)?;
         if !payload.is_empty() {
-            self.record_write(ext.seg, ext.off + HEADER_LEN, payload);
+            self.record_write(ext.seg, s.base + ext.off, payload);
         }
         let header = encode_header(header);
-        let committed = file.write_header(ext.off, &header, written)?;
-        self.record_write(ext.seg, ext.off, &header);
+        let committed = s.file.write_header(slot_of(ext.off), &header, written)?;
+        self.record_write(ext.seg, slot_of(ext.off), &header);
         Ok((ext, self.barrier(committed)?))
     }
 
-    /// Zeroes a record's header so recovery no longer sees it, then returns
-    /// the extent to the allocator. Post-acknowledgment maintenance: a
+    /// Zeroes a record's slot so recovery no longer sees it, syncs, then
+    /// returns the extent to the allocator: no page is reused while a
+    /// header on disk still claims it. Post-acknowledgment maintenance: a
     /// crash before the zero reaches disk just leaves a stale record that
     /// loses by sequence number.
     fn retire(&self, ext: ExtentRef) -> Result<Synced> {
-        let file = self.segment(ext.seg)?;
-        let zeroed = file.write_at(ext.off, &[0u8; 64])?;
-        self.record_write(ext.seg, ext.off, &[0u8; 64]);
+        let s = self.segment(ext.seg)?;
+        let zeroed = s.file.write_at(slot_of(ext.off), &[0u8; 64])?;
+        self.record_write(ext.seg, slot_of(ext.off), &[0u8; 64]);
         let synced = self.barrier(zeroed)?;
         self.alloc.lock().release(ext);
         Ok(synced)
@@ -463,8 +515,9 @@ impl ExtentStore {
 
     // -- recovery ----------------------------------------------------------
 
-    /// Walks every segment, keeps the highest-sequence valid record per
-    /// block, zeroes everything else, and rebuilds allocator + index.
+    /// Reads every segment's header table, keeps the newest valid record
+    /// per block that no newer record overlaps, zeroes every other slot,
+    /// and rebuilds allocator + index.
     fn recover(&self) -> Result<()> {
         let mut names = Vec::new();
         for entry in
@@ -489,97 +542,92 @@ impl ExtentStore {
             }
         }
 
-        struct Candidate {
-            header: Header,
-            ext: ExtentRef,
+        let mut segments = Vec::new();
+        for &seg in &names {
+            let name = Self::seg_name(seg);
+            let file = self.dir.open(&name, OpenOptions::new().read(true).write(true))?;
+            let len = file.metadata().map_err(io_err(format!("stat {name}")))?.len();
+            let size = data_len(len).ok_or_else(|| Error::WalCorrupt {
+                context: format!("{name} is {len} bytes, a length the store does not make"),
+            })?;
+            segments.push(Segment { file: Arc::new(file), base: len - size, size });
         }
-        let mut winners: BTreeMap<BlockId, Candidate> = BTreeMap::new();
+        self.segments.write().clone_from(&segments);
+
+        // Every header in a table, each put's payload checked against its
+        // CRC: a record that fails, or runs past its data area, claims no
+        // pages.
+        let mut found: Vec<(Header, ExtentRef)> = Vec::new();
         let mut discard: Vec<ExtentRef> = Vec::new();
         let mut max_seq = 0u64;
-
-        {
-            let mut segments = self.segments.write();
-            for &seg in &names {
-                let name = Self::seg_name(seg);
-                let file = self.dir.open(&name, OpenOptions::new().read(true).write(true))?;
-                let size = file.metadata().map_err(io_err(format!("stat {name}")))?.len();
-                segments.push(Segment { file: Arc::new(file), size });
-            }
-        }
-
-        let segments = self.segments.read();
         for (seg, s) in segments.iter().enumerate() {
-            let mut off = 0u64;
-            while off + HEADER_LEN <= s.size {
-                let mut hdr = [0u8; 64];
-                s.file
-                    .read_exact_at(&mut hdr, off)
-                    .map_err(io_err(format!("read header in segment {seg}")))?;
-                let Some(header) = decode_header(&hdr) else {
-                    off += ALIGN;
+            let table = read_at(s, seg, 0, s.base as usize)?;
+            for (page, slot) in table.chunks_exact(HEADER_LEN as usize).enumerate() {
+                let Some(header) = decode_header(slot) else {
                     continue;
                 };
-                let len = extent_len(header.payload_len);
-                if off + len > s.size {
-                    // Length runs past the segment: torn header that
-                    // happened to verify is astronomically unlikely, but a
-                    // record from a mis-sized segment is not — skip it.
-                    off += ALIGN;
-                    continue;
-                }
-                let ext = ExtentRef { seg, off, len };
+                let off = page as u64 * ALIGN;
+                let ext = ExtentRef { seg, off, len: extent_len(header.payload_len) };
                 max_seq = max_seq.max(header.seq);
-                let mut valid = true;
-                if header.kind == KIND_PUT && header.payload_len > 0 {
-                    let mut payload = vec![0u8; header.payload_len as usize];
-                    s.file
-                        .read_exact_at(&mut payload, off + HEADER_LEN)
-                        .map_err(io_err(format!("read payload in segment {seg}")))?;
-                    valid = crc32c(&payload) == header.payload_crc;
-                }
-                if !valid {
-                    // Header committed but payload torn: the write was
-                    // never acknowledged — discard it.
-                    discard.push(ext);
+                let valid = off + ext.len <= s.size
+                    && (header.kind == KIND_TOMB
+                        || header.payload_len == 0
+                        || crc32c(&read_at(s, seg, s.base + off, header.payload_len as usize)?)
+                            == header.payload_crc);
+                if valid {
+                    found.push((header, ext));
                 } else {
-                    match winners.get(&header.block) {
-                        Some(cur) if cur.header.seq >= header.seq => discard.push(ext),
-                        _ => {
-                            if let Some(prev) = winners.insert(header.block, Candidate { header, ext })
-                            {
-                                discard.push(prev.ext);
-                            }
-                        }
-                    }
+                    // A torn payload (its write was never acknowledged) or
+                    // pages a data area does not have: discard it.
+                    discard.push(ext);
                 }
-                off += len;
             }
         }
-        drop(segments);
 
-        // Tombstone winners delete their block; they are retired like the
-        // losers.
-        let mut live: Vec<(BlockId, Candidate)> = Vec::new();
-        for (block, cand) in winners {
-            if cand.header.kind == KIND_TOMB {
-                discard.push(cand.ext);
+        // Newest first, a record wins its block unless a newer version won
+        // it already, or a newer record holds one of its pages: pages are
+        // reused only after their old slot is zeroed and synced, so such a
+        // header is stale, and its bytes are the newer record's. Tombstone
+        // winners delete their block; they are retired like the losers,
+        // after them.
+        found.sort_unstable_by_key(|(h, _)| std::cmp::Reverse(h.seq));
+        let mut claimed: Vec<Vec<bool>> =
+            segments.iter().map(|s| vec![false; (s.size / ALIGN) as usize]).collect();
+        let mut decided: HashSet<BlockId> = HashSet::new();
+        let mut live: Vec<(BlockId, IndexEntry)> = Vec::new();
+        let mut tombs: Vec<ExtentRef> = Vec::new();
+        for (header, ext) in found {
+            let (first, end) = ((ext.off / ALIGN) as usize, ((ext.off + ext.len) / ALIGN) as usize);
+            let pages = claimed
+                .get_mut(ext.seg)
+                .and_then(|c| c.get_mut(first..end))
+                .ok_or_else(|| Error::Invariant("extent pages outside their segment".into()))?;
+            if decided.contains(&header.block) || pages.contains(&true) {
+                discard.push(ext);
+                continue;
+            }
+            pages.fill(true);
+            decided.insert(header.block);
+            if header.kind == KIND_TOMB {
+                tombs.push(ext);
             } else {
-                live.push((block, cand));
+                let (payload_len, crc) = (header.payload_len, header.payload_crc);
+                live.push((header.block, IndexEntry { ext, payload_len, crc }));
             }
         }
 
-        for ext in &discard {
-            self.segment(ext.seg)?.write_at(ext.off, &[0u8; 64])?.sync()?;
+        // Losers first: a tombstone's slot is zeroed only once every put it
+        // shadows is.
+        for ext in discard.iter().chain(&tombs) {
+            self.segment(ext.seg)?.file.write_at(slot_of(ext.off), &[0u8; 64])?.sync()?;
         }
 
-        // Free list = complement of the live extents, per segment. The
-        // segment sizes are read first: the store's locks are leaves.
-        let mut used: Vec<ExtentRef> = live.iter().map(|(_, c)| c.ext).collect();
+        // Free list = complement of the live extents, per segment.
+        let mut used: Vec<ExtentRef> = live.iter().map(|(_, e)| e.ext).collect();
         used.sort_unstable_by_key(|e| (e.seg, e.off));
-        let sizes: Vec<u64> = self.segments.read().iter().map(|s| s.size).collect();
         let mut alloc = self.alloc.lock();
         let mut it = used.iter().peekable();
-        for (seg, &size) in sizes.iter().enumerate() {
+        for (seg, s) in segments.iter().enumerate() {
             let mut off = 0u64;
             while let Some(e) = it.peek() {
                 if e.seg != seg {
@@ -595,25 +643,18 @@ impl ExtentStore {
                 off = e.off + e.len;
                 it.next();
             }
-            if off < size {
+            if off < s.size {
                 alloc.release(ExtentRef {
                     seg,
                     off,
-                    len: size - off,
+                    len: s.size - off,
                 });
             }
         }
         drop(alloc);
 
-        for (block, cand) in live {
-            self.stripe_for(block).lock().insert(
-                block,
-                IndexEntry {
-                    ext: cand.ext,
-                    payload_len: cand.header.payload_len,
-                    crc: cand.header.payload_crc,
-                },
-            );
+        for (block, entry) in live {
+            self.stripe_for(block).lock().insert(block, entry);
         }
         self.seq.store(max_seq + 1, Ordering::SeqCst);
         Ok(())
@@ -659,9 +700,7 @@ impl BlockStore for ExtentStore {
 
     fn get_with_crc(&self, block: BlockId) -> Option<(Block, u32)> {
         let entry = *self.stripe_for(block).lock().get(&block)?;
-        let payload = self
-            .read_seg(entry.ext.seg, entry.ext.off + HEADER_LEN, entry.payload_len as usize)
-            .ok()?;
+        let payload = self.read_payload(entry.ext, entry.payload_len as usize).ok()?;
         Some((Block::from(payload), entry.crc))
     }
 
@@ -740,9 +779,27 @@ mod tests {
         assert_eq!(align_up(0), 0);
         assert_eq!(align_up(1), ALIGN);
         assert_eq!(align_up(ALIGN), ALIGN);
-        assert_eq!(extent_len(0), ALIGN);
-        assert_eq!(extent_len((ALIGN - HEADER_LEN) as u32), ALIGN);
-        assert_eq!(extent_len((ALIGN - HEADER_LEN) as u32 + 1), 2 * ALIGN);
+        assert_eq!(extent_len(0), ALIGN, "a tombstone owns one page");
+        assert_eq!(extent_len(1), ALIGN);
+        assert_eq!(extent_len(ALIGN as u32), ALIGN);
+        assert_eq!(extent_len(ALIGN as u32 + 1), 2 * ALIGN);
+        assert_eq!(extent_len(64 << 10), 16 * ALIGN, "a 64 KiB block is 16 pages");
+        // The table: one slot per data page, padded to a page.
+        assert_eq!(table_len(SEG_SIZE), 32 * ALIGN);
+        assert_eq!(table_len(ALIGN), ALIGN);
+        assert_eq!(table_len(64 * ALIGN), ALIGN);
+        assert_eq!(table_len(65 * ALIGN), 2 * ALIGN);
+        assert_eq!(slot_of(0), 0);
+        assert_eq!(slot_of(3 * ALIGN), 3 * HEADER_LEN);
+        // Reopen inverts the file length of every segment the store makes;
+        // other lengths are refused, a bare 8 MiB segment among them.
+        for pages in [0, 2048, 2049, 2112, 2113, 4096] {
+            let data = pages * ALIGN;
+            assert_eq!(data_len(table_len(data) + data), Some(data), "{pages} data pages");
+        }
+        for len in [1, ALIGN, 2 * ALIGN, 66 * ALIGN, SEG_SIZE, table_len(SEG_SIZE) + SEG_SIZE - 1] {
+            assert_eq!(data_len(len), None, "a {len}-byte file");
+        }
     }
 
     #[test]
@@ -874,14 +931,148 @@ mod tests {
         let (data, crc) = blk(100, 3);
         s.put(BlockId(0), data, crc).unwrap();
         let ev = s.take_journal();
-        // Create, payload write, header write, barrier.
-        assert!(matches!(ev[0], WriteEvent::Create { seg: 0, .. }));
-        assert!(
-            matches!(&ev[1], WriteEvent::Write { off, data, .. } if *off == HEADER_LEN && data.len() == 100)
-        );
-        assert!(matches!(&ev[2], WriteEvent::Write { off: 0, data, .. } if data.len() == 64));
+        // Create (table and data area), payload write at the first data
+        // page, slot write, barrier.
+        let base = table_len(SEG_SIZE);
+        assert_eq!(ev[0], WriteEvent::Create { seg: 0, size: base + SEG_SIZE });
+        assert_eq!(ev[1], WriteEvent::Write { seg: 0, off: base, data: vec![3; 100] });
+        assert!(matches!(&ev[2], WriteEvent::Write { seg: 0, off: 0, data } if data.len() == 64));
         assert!(matches!(ev[3], WriteEvent::Barrier));
         assert_eq!(ev.len(), 4);
+    }
+
+    /// A fresh directory for a persistent store, named after `label`.
+    fn scratch_dir(label: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!(
+            "ear-extent-{label}-{}-{}",
+            std::process::id(),
+            STORE_SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        #[expect(clippy::let_underscore_must_use, reason = "clears a stale run's dir, if any")]
+        let _ = fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn open_seg(dir: &Path, seg: usize) -> fs::File {
+        fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(dir.join(ExtentStore::seg_name(seg)))
+            .unwrap()
+    }
+
+    #[test]
+    fn stale_header_over_live_pages_neither_resurrects_nor_hides_them() {
+        let dir = scratch_dir("stale");
+        let (a, ca) = blk(3 * ALIGN as usize, 0xA1);
+        {
+            let s = ExtentStore::open_at(&dir, false).unwrap();
+            let (d, cd) = blk(100, 0xD0);
+            s.put(BlockId(1), d, cd).unwrap();
+            s.put(BlockId(2), a.clone(), ca).unwrap();
+            assert!(s.delete(BlockId(1)));
+            let live = *s.stripe_for(BlockId(2)).lock().get(&BlockId(2)).unwrap();
+            assert_eq!(live.ext, ExtentRef { seg: 0, off: ALIGN, len: 3 * ALIGN });
+        }
+        // Forge two stale headers, older than block 2's record and each
+        // with a CRC that holds over the pages it claims: one in the free
+        // slot before block 2 claiming two pages (a walk that skips a
+        // record's pages would then never see block 2's slot), one in a
+        // slot inside block 2's pages.
+        let base = table_len(SEG_SIZE);
+        let f = open_seg(&dir, 0);
+        let mut slot = [0u8; 64];
+        f.read_exact_at(&mut slot, slot_of(ALIGN)).unwrap();
+        let live = decode_header(&slot).unwrap();
+        for (page, block, pages) in [(0u64, BlockId(1), 2u64), (2, BlockId(7), 1)] {
+            let mut bytes = vec![0u8; (pages * ALIGN) as usize];
+            f.read_exact_at(&mut bytes, base + page * ALIGN).unwrap();
+            let forged = encode_header(&Header {
+                kind: KIND_PUT,
+                block,
+                seq: live.seq - 1,
+                payload_len: bytes.len() as u32,
+                payload_crc: crc32c(&bytes),
+            });
+            #[expect(clippy::disallowed_methods, reason = "forges a stale header")]
+            f.write_all_at(&forged, slot_of(page * ALIGN)).unwrap();
+        }
+        for _ in 0..2 {
+            let s = ExtentStore::open_at(&dir, false).unwrap();
+            assert!(!s.contains(BlockId(1)), "a deleted block resurrected");
+            assert!(!s.contains(BlockId(7)), "a stale header became a block");
+            let (bytes, crc) = s.get_with_crc(BlockId(2)).expect("the live record is hidden");
+            assert_eq!((bytes.as_slice(), crc), (a.as_slice(), ca));
+            assert_eq!(s.block_count(), 1);
+        }
+        for page in [0, 2] {
+            f.read_exact_at(&mut slot, slot_of(page * ALIGN)).unwrap();
+            assert_eq!(slot, [0u8; 64], "recovery zeroes the stale slot of page {page}");
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_segment_length_no_layout_has_is_corrupt() {
+        for len in [1, ALIGN, 66 * ALIGN, SEG_SIZE, table_len(SEG_SIZE) + SEG_SIZE - 1] {
+            let dir = scratch_dir("cut");
+            {
+                let s = ExtentStore::open_at(&dir, false).unwrap();
+                let (d, c) = blk(5000, 3);
+                s.put(BlockId(3), d, c).unwrap();
+            }
+            #[expect(clippy::disallowed_methods, reason = "truncates a segment")]
+            open_seg(&dir, 0).set_len(len).unwrap();
+            let reopened = ExtentStore::open_at(&dir, false);
+            assert!(
+                matches!(reopened, Err(Error::WalCorrupt { .. })),
+                "a {len}-byte segment: {reopened:?}"
+            );
+            fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn oversized_record_survives_reopen() {
+        let dir = scratch_dir("big");
+        let (big, cb) = blk((SEG_SIZE + ALIGN) as usize + 1, 0xB1);
+        let (small, cs) = blk(10, 0x51);
+        {
+            let s = ExtentStore::open_at(&dir, false).unwrap();
+            s.put(BlockId(1), big.clone(), cb).unwrap();
+            s.put(BlockId(2), small.clone(), cs).unwrap();
+        }
+        let s = ExtentStore::open_at(&dir, false).unwrap();
+        assert_eq!(s.block_count(), 2);
+        let (bytes, crc) = s.get_with_crc(BlockId(1)).unwrap();
+        assert_eq!((bytes.as_slice(), crc), (big.as_slice(), cb));
+        let (bytes, crc) = s.get_with_crc(BlockId(2)).unwrap();
+        assert_eq!((bytes.as_slice(), crc), (small.as_slice(), cs));
+        drop(s);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn on_disk_format_is_pinned() {
+        // Length and CRC32C of each segment file after a fixed script: no
+        // slot and no payload byte may move.
+        let s = ExtentStore::new("pin").unwrap();
+        for i in 0..6u64 {
+            let (data, crc) = blk(1 + 3000 * i as usize, 1 + i as u8);
+            s.put(BlockId(i), data, crc).unwrap();
+        }
+        let (data, crc) = blk(64 << 10, 0x77);
+        s.put(BlockId(2), data, crc).unwrap();
+        assert!(s.delete(BlockId(4)));
+        let (data, crc) = blk(SEG_SIZE as usize + 1, 0x99);
+        s.put(BlockId(9), data, crc).unwrap();
+        let files: Vec<(usize, u32)> = (0..)
+            .map_while(|seg| fs::read(s.root().join(ExtentStore::seg_name(seg))).ok())
+            .map(|bytes| (bytes.len(), crc32c(&bytes)))
+            .collect();
+        // The default segment (2 080 pages: 32 of table, 2 048 of data) and
+        // the oversized record's own (2 082 pages: 33 and 2 049).
+        assert_eq!(files, vec![(8_519_680, 0x3126_25f5), (8_527_872, 0x6f2b_4967)]);
     }
 
     #[test]

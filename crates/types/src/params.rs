@@ -478,7 +478,7 @@ fn parse_size(s: &str) -> Option<u64> {
         _ => (s, 0),
     };
     let n: u64 = digits.trim().parse().ok()?;
-    n.checked_shl(shift)
+    n.checked_mul(1 << shift)
 }
 
 #[cfg(test)]
@@ -557,6 +557,16 @@ mod tests {
             d.data_dir.as_deref(),
             Some(std::path::Path::new("/tmp/ear-data"))
         );
+    }
+
+    #[test]
+    fn parse_size_refuses_a_size_past_u64() {
+        assert_eq!(parse_size("17179869184g"), None, "2^34 GiB is 2^64 bytes");
+        assert_eq!(parse_size("16383g"), Some(16383 << 30));
+        assert_eq!(parse_size("17179869183g"), Some(17_179_869_183 << 30));
+        assert_eq!(parse_size("18446744073709551615"), Some(u64::MAX));
+        assert_eq!(parse_size("18014398509481984k"), None);
+        assert_eq!(CacheConfig::parse("17179869184g,1"), None, "not a 1-byte cache");
     }
 
     #[test]

@@ -40,7 +40,7 @@ USAGE:
                [--stragglers] [--no-hedge]
   ear heal     [--plans N] [--seed S] [--kills K] [--stripes S]
                [--max-rounds R] [--byte-budget B] [--store memory|extent]
-  ear crashsim [--surface wal|checkpoint|extent|all] [--seeds N] [--kills K]
+  ear crashsim [--surface meta|extent|all] [--seeds N] [--kills K]
                [--seed S]
   ear recover  --dir PATH [--n N] [--k K] [--c C]
   ear list
@@ -50,7 +50,9 @@ variable (memory when unset); --store overrides it. Every chaos plan
 prints its probe reads' failures, tail latencies and hedges; `ear chaos
 --stragglers` runs the straggler-heavy (Pareto-delay) mix, and --no-hedge
 disables hedged reads for comparison. `crashsim` sweeps the durability
-layer's deterministic kill-point simulators; `recover` replays a durable
+layer's deterministic kill-point simulator over its two scripts (the
+metadata log with its checkpoints, and the extent store) and counts the
+cuts landing in each window; `recover` replays a durable
 data directory's WAL + checkpoint and prints the image.
 ";
 
@@ -356,14 +358,13 @@ fn heal(args: &Args) -> Result<String, Box<dyn std::error::Error>> {
     }
 }
 
-/// Sweeps the durability layer's deterministic kill-point simulators
-/// (DESIGN.md §13) over a seeds × kill-points grid. Any invariant
-/// violation comes back with the (seed, kill) pair to replay.
+/// Sweeps the durability layer's deterministic kill-point simulator
+/// (DESIGN.md §13) over a seeds × kill-points grid, per script. Any
+/// invariant violation comes back with the (seed, kill) pair to replay.
 fn crashsim(args: &Args) -> Result<String, Box<dyn std::error::Error>> {
     type KillFn = fn(u64, u64) -> ear_types::Result<crashsim::KillSummary>;
     const SURFACES: &[(&str, KillFn)] = &[
-        ("wal", crashsim::run_wal_kill),
-        ("checkpoint", crashsim::run_checkpoint_kill),
+        ("meta", crashsim::run_meta_kill),
         ("extent", crashsim::run_extent_kill),
     ];
     let seeds: u64 = args.get_parsed("seeds", 8)?;
@@ -383,6 +384,7 @@ fn crashsim(args: &Args) -> Result<String, Box<dyn std::error::Error>> {
         let mut clean = 0usize;
         let mut survivors = 0usize;
         let mut ops = 0usize;
+        let mut windows = std::collections::BTreeMap::new();
         for seed in seed0..seed0 + seeds {
             for j in 0..kills {
                 // Golden-ratio stride spreads the kill points across the
@@ -395,15 +397,18 @@ fn crashsim(args: &Args) -> Result<String, Box<dyn std::error::Error>> {
                         clean += 1;
                         survivors += s.survivors;
                         ops += s.ops;
+                        *windows.entry(s.lands_in).or_insert(0usize) += 1;
                     }
                     Err(e) => failures.push(format!("{name} seed={seed} kill={kill}: {e}")),
                 }
             }
         }
+        let windows: Vec<String> = windows.iter().map(|(w, n)| format!("{w} {n}")).collect();
         out.push_str(&format!(
             "{name:>10}: {clean}/{} kill point(s) recovered clean; \
-             {survivors}/{ops} scripted ops durable at their cuts\n",
+             {survivors}/{ops} scripted ops durable at their cuts; cuts in: {}\n",
             seeds * kills,
+            windows.join(", "),
         ));
     }
     if failures.is_empty() {
@@ -752,8 +757,7 @@ mod tests {
     #[test]
     fn crashsim_sweeps_all_surfaces() {
         let out = run_words(&["crashsim", "--seeds", "2", "--kills", "2"]).unwrap();
-        assert!(out.contains("wal"), "{out}");
-        assert!(out.contains("checkpoint"), "{out}");
+        assert!(out.contains("meta"), "{out}");
         assert!(out.contains("extent"), "{out}");
         assert!(out.contains("all invariants held"), "{out}");
         assert!(run_words(&["crashsim", "--surface", "bogus"]).is_err());

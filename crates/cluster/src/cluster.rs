@@ -78,13 +78,19 @@ impl ClusterConfig {
     }
 }
 
+/// The on-disk formats of a data directory: the extent store's header
+/// table (`extent.rs`) and the metadata log and checkpoint (`wal.rs`). A
+/// change that moves either's `on_disk_format_is_pinned` bumps its number.
+const FORMAT: &str = "extent-table-1 wal-1";
+
 /// Validates (or, on first boot, writes) the data directory's MANIFEST:
-/// the shape parameters a durable cluster must be reopened with. A reopen
-/// under a different shape would silently mis-route every block, so a
-/// mismatch is a hard [`Error::Invariant`].
+/// the on-disk format and the shape parameters a durable cluster must be
+/// reopened with. A reopen in another format would read its files as
+/// garbage, and one under a different shape would silently mis-route every
+/// block, so a mismatch is a hard [`Error::Invariant`].
 fn check_manifest(dir: &Path, config: &ClusterConfig) -> Result<()> {
     let expected = format!(
-        "store={}\nracks={}\nnodes_per_rack={}\nblock_size={}\npolicy={}\nseed={}\n",
+        "format={FORMAT}\nstore={}\nracks={}\nnodes_per_rack={}\nblock_size={}\npolicy={}\nseed={}\n",
         config.store.name(),
         config.racks,
         config.nodes_per_rack,

@@ -1,46 +1,54 @@
 //! Deterministic crash/power-loss simulator (DESIGN.md §13).
 //!
-//! Each runner builds a durable artifact from a seeded script, cuts its
-//! write stream at an arbitrary kill point — byte-granular for the WAL and
-//! checkpoint, event-granular with seeded write tearing for the extent
-//! engine — then recovers and checks the three durability invariants:
+//! A script runs real operations on a store opened on a recording
+//! [`Dir`], which pushes one [`Event`] per raw write, resize, fsync and
+//! rename (`durable.rs`). A kill point cuts that stream, [`materialize`]
+//! rebuilds a directory the power cut could have left, and recovery must
+//! hold three invariants:
 //!
-//! 1. **No acknowledged write is lost.** Everything whose commit barrier
-//!    (full frame on disk / fsync returned) precedes the cut is recovered.
-//! 2. **No unacknowledged write is half-visible.** An operation cut before
-//!    its barrier either fully happened or fully did not; torn bytes never
-//!    surface as data.
-//! 3. **Recovery is deterministic.** Reopening twice from the same kill
-//!    point yields the identical image.
+//! 1. **No acknowledged operation is lost.** An operation is acknowledged
+//!    once the first fsync after its first write lies before the cut.
+//! 2. **Nothing half-done is visible.** Recovery gives the acknowledged
+//!    prefix, or that prefix plus the operation the cut lands in; torn
+//!    bytes never surface as data.
+//! 3. **Recovery is deterministic.** Two reopens from one cut agree.
+//!
+//! Two scripts share the one runner: [`run_meta_kill`] appends
+//! [`wal_script`]'s records to a [`MetaWal`] and checkpoints it at seeded
+//! points; [`run_extent_kill`] puts, overwrites and deletes blocks of an
+//! [`ExtentStore`].
 //!
 //! Everything is a pure function of `(seed, kill)` — a failing pair
 //! printed by `tests/crash_sim.rs` or the CLI replays bit-identically anywhere
-//! (the RNG is `ear-faults`' own ChaCha8 stream, not an external crate's).
+//! (the RNG is `ear-types`' own ChaCha8 stream, not an external crate's).
 
-use crate::extent::{ExtentStore, WriteEvent};
-use crate::wal::{
-    encode_checkpoint, encode_frame, MetaRecord, MetaSnapshot, MetaWal, CHECKPOINT_FILE, WAL_FILE,
-};
+use crate::durable::{Dir, Event, Recorder};
+use crate::extent::ExtentStore;
+use crate::wal::{MetaRecord, MetaSnapshot, MetaWal};
 use crate::{BlockStore, EncodedStripe, PendingStripe};
 use ear_core::{BlockLayout, StripePlan};
 use ear_types::crc::crc32c;
 use ear_types::rng::ChaCha8;
 use ear_types::{Block, BlockId, Error, NodeId, RackId, Result, StripeId};
 use std::collections::BTreeMap;
-use std::fs;
-use std::os::unix::fs::FileExt;
+use std::fs::{self, OpenOptions};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Outcome of one kill-point run, for smoke-test output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KillSummary {
-    /// Operations (records) in the generated script.
+    /// Operations in the script.
     pub ops: usize,
-    /// Where the write stream was cut (bytes or events, per surface).
+    /// Events of the write stream before the cut.
     pub cut: usize,
-    /// Operations that were durable at the cut and survived recovery.
+    /// Operations acknowledged before the cut (all survived recovery).
     pub survivors: usize,
+    /// The window of the operation the cut lands in: `append`,
+    /// `checkpoint tmp`, `checkpoint renamed` (between the rename and the
+    /// compaction), `compaction`, `put` or `delete`; `nothing` for a cut
+    /// before the first event.
+    pub lands_in: &'static str,
 }
 
 static SIM_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -52,19 +60,6 @@ fn sim_dir(tag: &str) -> PathBuf {
         SIM_SEQ.fetch_add(1, Ordering::Relaxed),
         tag
     ))
-}
-
-/// Writes `bytes` to `path` as they are: an image the protocol under test
-/// never wrote, forged past durable.rs on purpose.
-#[expect(clippy::disallowed_methods, reason = "forges torn images on purpose")]
-fn forge(path: &Path, bytes: &[u8], what: &str) -> Result<()> {
-    fs::write(path, bytes).map_err(|e| Error::Io {
-        context: format!("write {what}: {e}"),
-    })
-}
-
-fn invariant(msg: String) -> Error {
-    Error::Invariant(msg)
 }
 
 /// Removes a simulation's scratch directory. Already-gone is success;
@@ -180,188 +175,207 @@ pub fn wal_script(seed: u64) -> Vec<MetaRecord> {
 }
 
 // ---------------------------------------------------------------------------
-// Surface 1: WAL replay
+// The runner
 // ---------------------------------------------------------------------------
 
-/// Cuts a WAL byte image at `kill` and proves recovery equals the apply of
-/// exactly the fully-framed prefix — twice.
+/// One operation's events, `start..end` of the run's stream, and `ack`,
+/// the first fsync after its first write.
+struct Op {
+    kind: &'static str,
+    start: usize,
+    end: usize,
+    ack: usize,
+}
+
+/// A script's run as recorded: its events, its operations, and
+/// `images[i]`, what recovery must give once `ops[..i]` are acknowledged.
+struct Tape<I> {
+    recorder: Recorder,
+    events: Vec<Event>,
+    ops: Vec<Op>,
+    images: Vec<I>,
+}
+
+impl<I> Tape<I> {
+    /// Ends the operation just run: takes its events and the image it left.
+    fn op(&mut self, kind: &'static str, image: I) {
+        let start = self.events.len();
+        self.events.append(&mut self.recorder.take());
+        let mine = self.events.get(start..).unwrap_or_default();
+        let write = mine.iter().position(|e| matches!(e, Event::Write { .. })).unwrap_or(0);
+        let fsync = mine.iter().skip(write).position(|e| matches!(e, Event::Sync { .. } | Event::SyncDir));
+        let ack = fsync.map_or(start, |p| start + write + p);
+        self.ops.push(Op { kind, start, end: self.events.len(), ack });
+        self.images.push(image);
+    }
+}
+
+/// Rebuilds in `out`, through a [`Dir`] with sync off, a directory a power
+/// cut after `events` could leave. The creates and renames before the last
+/// directory fsync persist, and a seeded prefix of those after it. Each
+/// file keeps its bytes as of its last fsync; each write after that is
+/// kept, torn (a prefix, then seeded garbage) or lost, and each resize
+/// kept or lost, by a seeded fate.
+fn materialize(events: &[Event], rng: &mut ChaCha8, out: &Path) -> Result<()> {
+    let dir_synced = events.iter().rposition(|e| *e == Event::SyncDir).unwrap_or(0);
+    let late = events.iter().skip(dir_synced);
+    let late = late.filter(|e| matches!(e, Event::Create { .. } | Event::Rename { .. }));
+    let mut kept_late = rng.below(late.count() as u64 + 1);
+    let mut names: BTreeMap<&str, usize> = BTreeMap::new();
+    let mut synced: BTreeMap<usize, usize> = BTreeMap::new();
+    for (i, event) in events.iter().enumerate() {
+        let (file, name) = match event {
+            Event::Create { file, name } | Event::Rename { file, to: name } => (*file, name),
+            Event::Sync { file } => {
+                synced.insert(*file, i);
+                continue;
+            }
+            _ => continue,
+        };
+        if i >= dir_synced {
+            if kept_late == 0 {
+                continue;
+            }
+            kept_late -= 1;
+        }
+        names.retain(|_, f| *f != file);
+        names.insert(name, file);
+    }
+
+    let dir = Dir::create_all(out, false)?;
+    for (name, file) in names {
+        let f = dir.create(name, OpenOptions::new().write(true))?;
+        let synced = synced.get(&file).copied().unwrap_or(0);
+        for (i, event) in events.iter().enumerate() {
+            match event {
+                Event::Write { file: w, off, bytes } if *w == file => {
+                    let landed = if i < synced { Some(bytes.clone()) } else { fate(rng, bytes) };
+                    if let Some(bytes) = landed {
+                        f.write_at(*off, &bytes)?.sync()?;
+                    }
+                }
+                Event::Resize { file: r, len } if *r == file && (i < synced || rng.below(4) > 0) => {
+                    f.resize(*len)?.sync()?;
+                }
+                _ => {}
+            }
+        }
+    }
+    Ok(())
+}
+
+/// What of an unsynced write of `bytes` lands: nothing (lost), a prefix
+/// and then seeded garbage (torn), or all of it (kept).
+fn fate(rng: &mut ChaCha8, bytes: &[u8]) -> Option<Vec<u8>> {
+    match rng.below(4) {
+        0 => None,
+        1 => {
+            let kept = rng.below(bytes.len() as u64 + 1) as usize;
+            let garbage = rng.below((bytes.len() - kept) as u64 + 1);
+            let mut torn = bytes.get(..kept).unwrap_or_default().to_vec();
+            torn.extend((0..garbage).map(|_| rng.next_u32() as u8));
+            Some(torn)
+        }
+        _ => Some(bytes.to_vec()),
+    }
+}
+
+/// The window of `op` a cut after its events `done` lands in: a
+/// checkpoint's tmp write, its rename, then its compaction (the second
+/// create and rename) are told apart.
+fn window(op: &Op, done: &[Event]) -> &'static str {
+    if op.kind != "checkpoint" {
+        return op.kind;
+    }
+    match done.iter().filter(|e| matches!(e, Event::Create { .. } | Event::Rename { .. })).count() {
+        0 | 1 => "checkpoint tmp",
+        2 => "checkpoint renamed",
+        _ => "compaction",
+    }
+}
+
+/// Runs `script` on a recording directory, cuts its events at `kill`,
+/// materializes the cut, and checks that `recover` gives the acknowledged
+/// prefix (or that plus the operation in flight), twice over.
+fn run<I: PartialEq + Default>(
+    surface: &str,
+    seed: u64,
+    kill: u64,
+    script: impl FnOnce(Dir, &mut Tape<I>) -> Result<()>,
+    recover: impl Fn(&Path) -> Result<I>,
+) -> Result<KillSummary> {
+    let (live, crashed) = (sim_dir(surface), sim_dir(surface));
+    let verdict = (|| {
+        let recorder = Recorder::default();
+        let images = vec![I::default()];
+        let mut tape = Tape { recorder, events: Vec::new(), ops: Vec::new(), images };
+        script(Dir::recording(&live, &tape.recorder)?, &mut tape)?;
+        let cut = (kill % (tape.events.len() as u64 + 1)) as usize;
+        let done = tape.events.get(..cut).unwrap_or_default();
+        let mut rng = ChaCha8::from_seed(seed ^ kill.wrapping_mul(0xC2B2_AE3D_27D4_EB4F));
+        materialize(done, &mut rng, &crashed)?;
+
+        let acked = tape.ops.iter().take_while(|op| op.ack < cut).count();
+        let in_flight = tape.ops.get(acked).is_some_and(|op| op.start < cut);
+        let at = format!("{surface} kill (seed {seed}, kill {kill}, cut {cut})");
+        let recovered = recover(&crashed)?;
+        let is = |i: usize| tape.images.get(i) == Some(&recovered);
+        if !(is(acked) || in_flight && is(acked + 1)) {
+            return Err(Error::Invariant(format!(
+                "{at}: recovery is neither the {acked}-op acknowledged prefix nor that prefix \
+                 and the op in flight"
+            )));
+        }
+        if recover(&crashed)? != recovered {
+            return Err(Error::Invariant(format!("{at}: a second recovery differs from the first")));
+        }
+        let last = tape.ops.iter().find(|op| op.start < cut && cut <= op.end);
+        let lands_in = last.map_or("nothing", |op| {
+            window(op, tape.events.get(op.start..cut).unwrap_or_default())
+        });
+        Ok(KillSummary { ops: tape.ops.len(), cut, survivors: acked, lands_in })
+    })();
+    let cleaned = cleanup(&live).and(cleanup(&crashed));
+    let summary = verdict?;
+    cleaned?;
+    Ok(summary)
+}
+
+// ---------------------------------------------------------------------------
+// The two scripts
+// ---------------------------------------------------------------------------
+
+/// Appends [`wal_script`]'s records to a [`MetaWal`] and checkpoints it at
+/// seeded points, each at a seeded low-water mark no older than the last
+/// (so later frames carry over), then cuts and reopens it.
 ///
 /// # Errors
 ///
-/// [`Error::Invariant`] describing the first violated recovery invariant,
-/// or the underlying typed error if recovery itself fails.
-pub fn run_wal_kill(seed: u64, kill: u64) -> Result<KillSummary> {
-    let records = wal_script(seed);
-
-    // Frame the full log and remember each record's commit boundary.
-    let mut image = Vec::new();
-    let mut commit_at = Vec::new(); // byte length at which record i is acked
-    for (i, rec) in records.iter().enumerate() {
-        image.extend_from_slice(&encode_frame(i as u64 + 1, rec));
-        commit_at.push(image.len());
-    }
-    let cut = (kill % (image.len() as u64 + 1)) as usize;
-
-    // The expected image: every record whose full frame precedes the cut.
-    let mut expected = MetaSnapshot::default();
-    let mut survivors = 0usize;
-    for (rec, &end) in records.iter().zip(&commit_at) {
-        if end <= cut {
-            expected.apply(rec);
-            survivors += 1;
-        }
-    }
-
-    let dir = sim_dir("wal");
-    fs::create_dir_all(&dir).map_err(|e| Error::Io {
-        context: format!("create {}: {e}", dir.display()),
-    })?;
-    let mut torn = image.get(..cut).unwrap_or_default().to_vec();
-    // Half the time, smear seeded garbage after the cut — a torn sector
-    // carries old bytes, not neat truncation.
-    let mut rng = ChaCha8::from_seed(seed ^ kill.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    if rng.below(2) == 0 {
-        let tail = 1 + rng.below(48) as usize;
-        for _ in 0..tail {
-            torn.push(rng.next_u32() as u8);
-        }
-    }
-    forge(&dir.join(WAL_FILE), &torn, "torn wal")?;
-
-    let verdict = (|| {
-        let (_, recovered) = MetaWal::open(&dir, true, 1 << 20)?;
-        if recovered != expected {
-            return Err(invariant(format!(
-                "wal kill (seed {seed}, cut {cut}): recovered image diverges from the \
-                 {survivors}-record prefix"
-            )));
-        }
-        // Determinism: a second open (after the torn tail was truncated)
-        // recovers the identical image.
-        let (_, again) = MetaWal::open(&dir, true, 1 << 20)?;
-        if again != recovered {
-            return Err(invariant(format!(
-                "wal kill (seed {seed}, cut {cut}): second recovery differs from the first"
-            )));
+/// [`Error::Invariant`] naming `(seed, kill)` and the violated invariant,
+/// or the typed error recovery itself failed with.
+pub fn run_meta_kill(seed: u64, kill: u64) -> Result<KillSummary> {
+    let script = |dir: Dir, tape: &mut Tape<MetaSnapshot>| {
+        let (wal, _) = MetaWal::open_on(dir, 1 << 20)?;
+        let mut rng = ChaCha8::from_seed(seed ^ 0xC4EC_4901_47A1_5EED);
+        let mut by_lsn = vec![MetaSnapshot::default()];
+        let mut installed = 0;
+        for rec in wal_script(seed) {
+            wal.append(&rec)?;
+            let mut image = by_lsn.last().cloned().unwrap_or_default();
+            image.apply(&rec);
+            by_lsn.push(image.clone());
+            tape.op("append", image.clone());
+            if rng.below(6) == 0 {
+                installed += rng.below((by_lsn.len() - installed) as u64) as usize;
+                wal.checkpoint(by_lsn.get(installed).unwrap_or(&image), installed as u64)?;
+                tape.op("checkpoint", image);
+            }
         }
         Ok(())
-    })();
-    let cleaned = cleanup(&dir);
-    verdict?;
-    cleaned?;
-    Ok(KillSummary {
-        ops: records.len(),
-        cut,
-        survivors,
-    })
+    };
+    let recover = |dir: &Path| MetaWal::open(dir, false, 1 << 20).map(|(_, image)| image);
+    run("meta", seed, kill, script, recover)
 }
-
-// ---------------------------------------------------------------------------
-// Surface 2: checkpoint load
-// ---------------------------------------------------------------------------
-
-/// Kills the checkpoint protocol in each of its three crash windows —
-/// partial `CHECKPOINT.tmp`, committed checkpoint with an uncompacted log,
-/// and a corrupt committed checkpoint — and proves recovery lands on the
-/// full image (first two) or a typed [`Error::WalCorrupt`] (third).
-///
-/// # Errors
-///
-/// [`Error::Invariant`] describing the violated invariant.
-pub fn run_checkpoint_kill(seed: u64, kill: u64) -> Result<KillSummary> {
-    let records = wal_script(seed);
-    let mid = records.len() / 2;
-
-    let mut full = MetaSnapshot::default();
-    let mut at_mid = MetaSnapshot::default();
-    let mut image = Vec::new();
-    let mut suffix = Vec::new();
-    for (i, rec) in records.iter().enumerate() {
-        full.apply(rec);
-        if i < mid {
-            at_mid.apply(rec);
-        } else {
-            suffix.extend_from_slice(&encode_frame(i as u64 + 1, rec));
-        }
-        image.extend_from_slice(&encode_frame(i as u64 + 1, rec));
-    }
-    let ckpt = encode_checkpoint(&at_mid, mid as u64);
-
-    let dir = sim_dir("ckpt");
-    let verdict = (|| {
-        // (a) Crash mid-checkpoint-write: a partial CHECKPOINT.tmp next to
-        // the full log. The tmp is discarded; replay covers everything.
-        fs::create_dir_all(&dir).map_err(|e| Error::Io {
-            context: format!("create {}: {e}", dir.display()),
-        })?;
-        let tmp_cut = (kill % (ckpt.len() as u64 + 1)) as usize;
-        let tmp = dir.join(format!("{CHECKPOINT_FILE}.tmp"));
-        forge(&tmp, ckpt.get(..tmp_cut).unwrap_or_default(), "partial checkpoint tmp")?;
-        forge(&dir.join(WAL_FILE), &image, "wal")?;
-        let (_, recovered) = MetaWal::open(&dir, true, 1 << 20)?;
-        if recovered != full {
-            return Err(invariant(format!(
-                "checkpoint kill (seed {seed}, cut {tmp_cut}): partial tmp leaked into recovery"
-            )));
-        }
-
-        // (b) Crash after the rename but before compaction: committed
-        // checkpoint + full (uncompacted) log. Replay must skip lsn ≤ mid
-        // and still land on the full image.
-        cleanup(&dir)?;
-        fs::create_dir_all(&dir).map_err(|e| Error::Io {
-            context: format!("create {}: {e}", dir.display()),
-        })?;
-        forge(&dir.join(CHECKPOINT_FILE), &ckpt, "checkpoint")?;
-        forge(&dir.join(WAL_FILE), &image, "wal")?;
-        let (_, recovered) = MetaWal::open(&dir, true, 1 << 20)?;
-        if recovered != full {
-            return Err(invariant(format!(
-                "checkpoint kill (seed {seed}): lsn-skip replay over an uncompacted log diverged"
-            )));
-        }
-        let (_, again) = MetaWal::open(&dir, true, 1 << 20)?;
-        if again != recovered {
-            return Err(invariant(format!(
-                "checkpoint kill (seed {seed}): second recovery differs from the first"
-            )));
-        }
-
-        // (c) A torn *committed* checkpoint (can only come from real
-        // corruption — the rename protocol never exposes one) must surface
-        // as a typed error, never a panic or a silent empty image.
-        cleanup(&dir)?;
-        fs::create_dir_all(&dir).map_err(|e| Error::Io {
-            context: format!("create {}: {e}", dir.display()),
-        })?;
-        let cut = (kill % ckpt.len() as u64) as usize; // strictly short
-        let torn = ckpt.get(..cut).unwrap_or_default();
-        forge(&dir.join(CHECKPOINT_FILE), torn, "torn checkpoint")?;
-        forge(&dir.join(WAL_FILE), &suffix, "wal suffix")?;
-        match MetaWal::open(&dir, true, 1 << 20) {
-            Err(Error::WalCorrupt { .. }) => Ok(()),
-            Err(e) => Err(invariant(format!(
-                "checkpoint kill (seed {seed}, cut {cut}): torn checkpoint raised {e} instead of \
-                 a corruption error"
-            ))),
-            Ok(_) => Err(invariant(format!(
-                "checkpoint kill (seed {seed}, cut {cut}): torn checkpoint recovered silently"
-            ))),
-        }
-    })();
-    let cleaned = cleanup(&dir);
-    verdict?;
-    cleaned?;
-    Ok(KillSummary {
-        ops: records.len(),
-        cut: (kill % (ckpt.len() as u64 + 1)) as usize,
-        survivors: records.len(),
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Surface 3: extent reopen
-// ---------------------------------------------------------------------------
 
 #[derive(Debug, Clone)]
 enum ExtOp {
@@ -395,233 +409,41 @@ fn extent_script(seed: u64) -> Vec<ExtOp> {
     ops
 }
 
-/// One operation's slice of the journaled write stream.
-struct OpSpan {
-    start: usize,
-    ack: usize,
-    end: usize,
-}
-
-/// Replays a seeded put/overwrite/delete script through a journaled
-/// [`ExtentStore`], materializes the write stream cut (and seeded-torn)
-/// at `kill`, reopens, and proves the acked prefix — and nothing torn —
-/// is what comes back. Reopens twice for determinism.
+/// Puts, overwrites and deletes blocks of an [`ExtentStore`] by a seeded
+/// script, then cuts and reopens it.
 ///
 /// # Errors
 ///
-/// [`Error::Invariant`] describing the violated invariant, or the
-/// underlying error if the store itself fails.
+/// [`Error::Invariant`] naming `(seed, kill)` and the violated invariant,
+/// or the typed error recovery itself failed with.
 pub fn run_extent_kill(seed: u64, kill: u64) -> Result<KillSummary> {
-    let ops = extent_script(seed);
-    let store = ExtentStore::journaled("sim")?;
-    let mut spans: Vec<OpSpan> = Vec::new();
-    let mut events: Vec<WriteEvent> = Vec::new();
-    // States[i] = expected contents after ops[0..i] all acked.
-    let mut states: Vec<BTreeMap<BlockId, Vec<u8>>> = vec![BTreeMap::new()];
-    for op in &ops {
-        // The journal is drained after every op, so this op's events start
-        // at the running count.
-        let start = events.len();
-        match op {
-            ExtOp::Put { block, data } => {
-                let crc = crc32c(data);
-                store.put(*block, Block::from(data.clone()), crc)?;
-            }
-            ExtOp::Delete { block } => {
-                store.delete(*block);
-            }
-        }
-        let mut chunk = store.take_journal();
-        let ack = chunk
-            .iter()
-            .position(|e| matches!(e, WriteEvent::Barrier))
-            .map(|p| start + p)
-            .unwrap_or(start);
-        events.append(&mut chunk);
-        let end = events.len();
-        spans.push(OpSpan { start, ack, end });
-        let mut next = states.last().cloned().unwrap_or_default();
-        match op {
-            ExtOp::Put { block, data } => {
-                next.insert(*block, data.clone());
-            }
-            ExtOp::Delete { block } => {
-                next.remove(block);
-            }
-        }
-        states.push(next);
-    }
-    drop(store);
-
-    let cut = (kill % (events.len() as u64 + 1)) as usize;
-    // Every op whose ack barrier lies before the cut is durable.
-    let acked = spans.iter().take_while(|s| s.ack < cut).count();
-    // The op (if any) whose span straddles the cut may atomically be
-    // present or absent.
-    let straddler = spans
-        .iter()
-        .enumerate()
-        .find(|(_, s)| s.start < cut && cut <= s.end && s.ack >= cut)
-        .map(|(i, _)| i);
-
-    // Writes after the last barrier before the cut may be lost, torn, or
-    // reordered by the device; every one gets an independent seeded fate.
-    let last_barrier = events
-        .iter()
-        .take(cut)
-        .rposition(|e| matches!(e, WriteEvent::Barrier))
-        .map(|p| p + 1)
-        .unwrap_or(0);
-
-    let dir = sim_dir("extent");
-    let verdict = (|| {
-        fs::create_dir_all(&dir).map_err(|e| Error::Io {
-            context: format!("create {}: {e}", dir.display()),
-        })?;
-        let mut rng = ChaCha8::from_seed(seed ^ kill.wrapping_mul(0xC2B2_AE3D_27D4_EB4F));
-        let mut files: BTreeMap<usize, fs::File> = BTreeMap::new();
-        let mut dropped_segs: Vec<usize> = Vec::new();
-        for (i, ev) in events.iter().take(cut).enumerate() {
-            let in_window = i >= last_barrier;
-            match ev {
-                WriteEvent::Create { seg, size } => {
-                    if in_window && rng.below(4) == 0 {
-                        // The file creation itself never became durable.
-                        dropped_segs.push(*seg);
-                        continue;
-                    }
-                    let path = dir.join(format!("ext-{seg}.seg"));
-                    let f = fs::OpenOptions::new()
-                        .create(true)
-                        .truncate(false)
-                        .read(true)
-                        .write(true)
-                        .open(&path)
-                        .map_err(|e| Error::Io {
-                            context: format!("materialize {}: {e}", path.display()),
-                        })?;
-                    #[expect(clippy::disallowed_methods, reason = "materializes a crash image")]
-                    f.set_len(*size).map_err(|e| Error::Io {
-                        context: format!("size {}: {e}", path.display()),
-                    })?;
-                    files.insert(*seg, f);
+    type Image = BTreeMap<BlockId, Vec<u8>>;
+    let script = |dir: Dir, tape: &mut Tape<Image>| {
+        let store = ExtentStore::open_on(dir)?;
+        let mut image = Image::new();
+        for op in extent_script(seed) {
+            match op {
+                ExtOp::Put { block, data } => {
+                    store.put(block, Block::from(data.clone()), crc32c(&data))?;
+                    image.insert(block, data);
+                    tape.op("put", image.clone());
                 }
-                WriteEvent::Write { seg, off, data } => {
-                    if dropped_segs.contains(seg) {
-                        continue;
-                    }
-                    let keep = if in_window {
-                        match rng.below(4) {
-                            0 => 0,                                  // lost entirely
-                            1 => rng.below(data.len() as u64 + 1) as usize, // torn
-                            _ => data.len(),                         // made it
-                        }
-                    } else {
-                        data.len()
-                    };
-                    if keep == 0 {
-                        continue;
-                    }
-                    if let Some(f) = files.get(seg) {
-                        #[expect(clippy::disallowed_methods, reason = "materializes a crash image")]
-                        f.write_all_at(data.get(..keep).unwrap_or_default(), *off)
-                            .map_err(|e| Error::Io {
-                                context: format!("materialize write seg {seg}: {e}"),
-                            })?;
-                    }
-                }
-                WriteEvent::Barrier => {}
-            }
-        }
-        drop(files);
-
-        let recovered = ExtentStore::open_at(&dir, true)?;
-        let base = states.get(acked).cloned().unwrap_or_default();
-        let after = straddler
-            .and_then(|i| states.get(i + 1))
-            .cloned()
-            .unwrap_or_default();
-        let straddle_block = straddler.and_then(|i| ops.get(i)).map(|op| match op {
-            ExtOp::Put { block, .. } | ExtOp::Delete { block } => *block,
-        });
-
-        let mut candidates: Vec<BlockId> = base.keys().copied().collect();
-        if let Some(b) = straddle_block {
-            if !candidates.contains(&b) {
-                candidates.push(b);
-            }
-        }
-        for block in candidates {
-            let got = recovered.get_with_crc(block);
-            let want_base = base.get(&block);
-            if Some(block) == straddle_block {
-                let want_after = after.get(&block);
-                let matches_base = contents_match(&got, want_base);
-                let matches_after = contents_match(&got, want_after);
-                if !matches_base && !matches_after {
-                    return Err(invariant(format!(
-                        "extent kill (seed {seed}, cut {cut}): {block:?} is neither its \
-                         pre-crash nor its in-flight image"
-                    )));
-                }
-            } else if !contents_match(&got, want_base) {
-                return Err(invariant(format!(
-                    "extent kill (seed {seed}, cut {cut}): acked content of {block:?} lost or \
-                     altered"
-                )));
-            }
-            // Whatever came back must carry a self-consistent CRC: torn
-            // payloads may never surface.
-            if let Some((bytes, crc)) = &got {
-                if crc32c(bytes) != *crc {
-                    return Err(invariant(format!(
-                        "extent kill (seed {seed}, cut {cut}): {block:?} surfaced with a \
-                         mismatched crc"
-                    )));
+                ExtOp::Delete { block } => {
+                    store.delete(block);
+                    image.remove(&block);
+                    tape.op("delete", image.clone());
                 }
             }
-        }
-
-        // Determinism: a second recovery sees the same image.
-        type Image = Vec<(BlockId, Option<(Vec<u8>, u32)>)>;
-        fn image_of(store: &ExtentStore) -> Image {
-            (0u64..10)
-                .map(BlockId)
-                .map(|b| {
-                    (
-                        b,
-                        store.get_with_crc(b).map(|(d, c)| (d.as_slice().to_vec(), c)),
-                    )
-                })
-                .collect()
-        }
-        let first = image_of(&recovered);
-        drop(recovered);
-        let reopened = ExtentStore::open_at(&dir, true)?;
-        let second = image_of(&reopened);
-        if first != second {
-            return Err(invariant(format!(
-                "extent kill (seed {seed}, cut {cut}): second recovery differs from the first"
-            )));
         }
         Ok(())
-    })();
-    let cleaned = cleanup(&dir);
-    verdict?;
-    cleaned?;
-    Ok(KillSummary {
-        ops: ops.len(),
-        cut,
-        survivors: acked,
-    })
-}
-
-fn contents_match(got: &Option<(Block, u32)>, want: Option<&Vec<u8>>) -> bool {
-    match (got, want) {
-        (None, None) => true,
-        (Some((bytes, _)), Some(w)) => bytes.as_slice() == w.as_slice(),
-        _ => false,
-    }
+    };
+    let recover = |dir: &Path| {
+        let store = ExtentStore::open_at(dir, false)?;
+        let blocks = (0..10).map(BlockId);
+        let stored = blocks.filter_map(|b| Some((b, store.get_with_crc(b)?.0.as_slice().to_vec())));
+        Ok(stored.collect::<Image>())
+    };
+    run("extent", seed, kill, script, recover)
 }
 
 #[cfg(test)]
@@ -636,20 +458,22 @@ mod tests {
         assert_eq!(a, format!("{:?}", extent_script(7)));
     }
 
+    /// Every cut of one run: each window of a checkpoint is cut, and every
+    /// cut recovers clean.
     #[test]
-    fn wal_kill_sweep_smoke() {
-        for seed in 0..3u64 {
-            for kill in [0u64, 13, 97, 511, 4093, u64::MAX] {
-                run_wal_kill(seed, kill).unwrap();
-            }
+    fn checkpoint_kill_sweep_smoke() {
+        let windows: std::collections::BTreeSet<&str> =
+            (0..256).map(|kill| run_meta_kill(0, kill).unwrap().lands_in).collect();
+        for window in ["append", "checkpoint tmp", "checkpoint renamed", "compaction"] {
+            assert!(windows.contains(window), "no cut in {window}: {windows:?}");
         }
     }
 
     #[test]
-    fn checkpoint_kill_sweep_smoke() {
+    fn meta_kill_sweep_smoke() {
         for seed in 0..3u64 {
-            for kill in [0u64, 13, 97, 511, u64::MAX] {
-                run_checkpoint_kill(seed, kill).unwrap();
+            for kill in [0u64, 13, 97, 511, 4093, u64::MAX] {
+                run_meta_kill(seed, kill).unwrap();
             }
         }
     }

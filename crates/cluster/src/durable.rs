@@ -7,13 +7,20 @@
 //! [`Dir::replace_atomically`] (the only rename) fsync the directory. A
 //! [`Dir`] opened with `sync` off keeps the order and skips the fsyncs.
 //! Every call fails only with an [`Error::Io`] that names the file.
+//!
+//! A `Dir` made by `Dir::recording` (the crash simulator's) also pushes
+//! one [`Event`] per raw operation, its own and its files', to a
+//! [`Recorder`]; every other `Dir` records and copies nothing.
 
+use crate::sync::Mutex;
 use ear_types::{Error, Result};
+use std::collections::BTreeMap;
 use std::fs::{self, OpenOptions};
 use std::io::Write;
 use std::ops::Deref;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 fn io_err<'a>(what: &'static str, path: &'a Path) -> impl FnOnce(std::io::Error) -> Error + 'a {
     move |e| Error::Io {
@@ -54,6 +61,7 @@ impl Unsynced<'_> {
             #[expect(clippy::disallowed_methods, reason = "the one data fsync")]
             self.0.file.sync_data().map_err(io_err("fsync", &self.0.path))?;
         }
+        self.0.record(|file| Event::Sync { file });
         Ok(Synced(()))
     }
 }
@@ -85,18 +93,92 @@ pub struct Synced(());
 #[derive(Debug)]
 pub struct PayloadWritten(());
 
-/// A directory of durable files, and whether they are fsynced.
+/// One raw operation of a recording [`Dir`] or of a file opened from it.
+/// `file` numbers files in the order their names first appear, so a
+/// rename moves a file's contents, not just its name.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum Event {
+    /// `name` came to hold a new, empty file.
+    Create { file: usize, name: String },
+    /// `bytes` were written at `off`: an append, a positioned write, a
+    /// payload or a header.
+    Write { file: usize, off: u64, bytes: Vec<u8> },
+    /// The file was cut or extended to `len` bytes.
+    Resize { file: usize, len: u64 },
+    /// The file's data fsync.
+    Sync { file: usize },
+    /// The file was renamed to `to`, replacing whatever `to` held.
+    Rename { file: usize, to: String },
+    /// The directory's fsync: every create and rename before it persists.
+    SyncDir,
+}
+
+/// The event stream of a recording [`Dir`], shared with its files.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Recorder(Arc<Mutex<Recording>>);
+
+#[derive(Debug, Default)]
+struct Recording {
+    events: Vec<Event>,
+    /// The file each name holds now.
+    names: BTreeMap<String, usize>,
+    /// Files numbered so far.
+    files: usize,
+}
+
+impl Recorder {
+    /// Drains the events recorded so far.
+    pub(crate) fn take(&self) -> Vec<Event> {
+        std::mem::take(&mut self.0.lock().events)
+    }
+
+    fn push(&self, event: Event) {
+        self.0.lock().events.push(event);
+    }
+
+    /// The file `name` holds, recording its creation if it holds none.
+    fn file(&self, name: &str) -> usize {
+        let mut r = self.0.lock();
+        if let Some(&file) = r.names.get(name) {
+            return file;
+        }
+        let file = r.files;
+        r.files += 1;
+        r.names.insert(name.to_owned(), file);
+        r.events.push(Event::Create { file, name: name.to_owned() });
+        file
+    }
+
+    fn rename(&self, from: &str, to: &str) {
+        let mut r = self.0.lock();
+        if let Some(file) = r.names.remove(from) {
+            r.names.insert(to.to_owned(), file);
+            r.events.push(Event::Rename { file, to: to.to_owned() });
+        }
+    }
+}
+
+/// A directory of durable files, whether they are fsynced, and (in the
+/// crash simulator's) the recorder of their raw operations.
 #[derive(Debug)]
 pub struct Dir {
     path: PathBuf,
     sync: bool,
+    recorder: Option<Recorder>,
 }
 
 impl Dir {
     /// Creates `path` and its parents if missing.
     pub fn create_all(path: &Path, sync: bool) -> Result<Dir> {
         fs::create_dir_all(path).map_err(io_err("create", path))?;
-        Ok(Dir { path: path.to_path_buf(), sync })
+        Ok(Dir { path: path.to_path_buf(), sync, recorder: None })
+    }
+
+    /// Like [`Dir::create_all`] with `sync` off, but recording every raw
+    /// operation to `recorder`, fsyncs included.
+    pub(crate) fn recording(path: &Path, recorder: &Recorder) -> Result<Dir> {
+        let recorder = Some(recorder.clone());
+        Ok(Dir { recorder, ..Dir::create_all(path, false)? })
     }
 
     /// The directory's path.
@@ -116,7 +198,8 @@ impl Dir {
     pub fn open(&self, name: &str, options: &OpenOptions) -> Result<File> {
         let path = self.path.join(name);
         let file = options.open(&path).map_err(io_err("open", &path))?;
-        Ok(File { file, path, sync: self.sync })
+        let recorder = self.recorder.as_ref().map(|r| (r.clone(), r.file(name)));
+        Ok(File { file, path, sync: self.sync, recorder })
     }
 
     /// Replaces `name` with `bytes` so that a crash leaves the old file or
@@ -129,6 +212,9 @@ impl Dir {
         let (from, to) = (self.path.join(&tmp), self.path.join(name));
         #[expect(clippy::disallowed_methods, reason = "the one rename, fsynced on both sides")]
         fs::rename(&from, &to).map_err(io_err("rename to", &to))?;
+        if let Some(r) = &self.recorder {
+            r.rename(&tmp, name);
+        }
         self.sync_dir()
     }
 
@@ -137,6 +223,9 @@ impl Dir {
             let dir = fs::File::open(&self.path).map_err(io_err("open", &self.path))?;
             #[expect(clippy::disallowed_methods, reason = "the one directory fsync")]
             dir.sync_all().map_err(io_err("fsync", &self.path))?;
+        }
+        if let Some(r) = &self.recorder {
+            r.push(Event::SyncDir);
         }
         Ok(Synced(()))
     }
@@ -148,6 +237,8 @@ pub struct File {
     file: fs::File,
     path: PathBuf,
     sync: bool,
+    /// A recording directory's recorder, and this file's number in it.
+    recorder: Option<(Recorder, usize)>,
 }
 
 impl Deref for File {
@@ -159,10 +250,23 @@ impl Deref for File {
 }
 
 impl File {
+    /// Pushes the event `event` makes of this file's number, if the file
+    /// records.
+    fn record(&self, event: impl FnOnce(usize) -> Event) {
+        if let Some((r, file)) = &self.recorder {
+            r.push(event(*file));
+        }
+    }
+
     /// Appends `bytes` (the file is open for append).
     pub fn append(&self, bytes: &[u8]) -> Result<Unsynced<'_>> {
         #[expect(clippy::disallowed_methods, reason = "the one append")]
         (&self.file).write_all(bytes).map_err(io_err("append to", &self.path))?;
+        if self.recorder.is_some() {
+            let end = self.file.metadata().map_err(io_err("stat", &self.path))?.len();
+            let off = end - bytes.len() as u64;
+            self.record(|file| Event::Write { file, off, bytes: bytes.to_vec() });
+        }
         Ok(Unsynced(self))
     }
 
@@ -170,6 +274,7 @@ impl File {
     pub fn write_at(&self, off: u64, bytes: &[u8]) -> Result<Unsynced<'_>> {
         #[expect(clippy::disallowed_methods, reason = "the one positioned write")]
         self.file.write_all_at(bytes, off).map_err(io_err("write", &self.path))?;
+        self.record(|file| Event::Write { file, off, bytes: bytes.to_vec() });
         Ok(Unsynced(self))
     }
 
@@ -178,6 +283,7 @@ impl File {
         if !payload.is_empty() {
             #[expect(clippy::disallowed_methods, reason = "the one payload write, whose token keys the header")]
             self.file.write_all_at(payload, off).map_err(io_err("write", &self.path))?;
+            self.record(|file| Event::Write { file, off, bytes: payload.to_vec() });
         }
         Ok(PayloadWritten(()))
     }
@@ -191,6 +297,7 @@ impl File {
     pub fn resize(&self, len: u64) -> Result<Unsynced<'_>> {
         #[expect(clippy::disallowed_methods, reason = "the one resize")]
         self.file.set_len(len).map_err(io_err("resize", &self.path))?;
+        self.record(|file| Event::Resize { file, len });
         Ok(Unsynced(self))
     }
 }

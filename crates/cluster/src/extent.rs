@@ -50,14 +50,14 @@
 //! probability 2⁻³², which the crash-matrix in EXPERIMENTS.md accepts.)
 
 use crate::blockstore::BlockStore;
-use crate::durable::{Dir, File, Synced, Unsynced};
+use crate::durable::{Dir, File, Synced};
 use crate::sync::{Mutex, RwLock};
 use ear_types::crc::crc32c;
 use ear_types::{Block, BlockId, Error, Result, StoreBackend};
 use std::collections::{HashMap, HashSet};
 use std::fs::{self, OpenOptions};
 use std::os::unix::fs::FileExt;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -190,37 +190,6 @@ fn decode_header(buf: &[u8]) -> Option<Header> {
 }
 
 // ---------------------------------------------------------------------------
-// Journal (crash-simulator hook)
-// ---------------------------------------------------------------------------
-
-/// One logical event of the store's write stream, captured when the store
-/// is journaled ([`ExtentStore::journaled`]). The crash simulator
-/// materializes a prefix of these events into a fresh directory — cutting
-/// and tearing past the last `Barrier` — and reopens the result.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WriteEvent {
-    /// A segment file came into existence at `size` bytes.
-    Create {
-        /// Segment index (file `ext-<seg>.seg`).
-        seg: usize,
-        /// File size in bytes.
-        size: u64,
-    },
-    /// Bytes were written at an offset of a segment.
-    Write {
-        /// Segment index.
-        seg: usize,
-        /// Byte offset within the segment.
-        off: u64,
-        /// The bytes written.
-        data: Vec<u8>,
-    },
-    /// An fsync point. The first barrier of an operation's event span is
-    /// its acknowledgment: everything written before a barrier is durable.
-    Barrier,
-}
-
-// ---------------------------------------------------------------------------
 // Allocator
 // ---------------------------------------------------------------------------
 
@@ -322,7 +291,6 @@ pub struct ExtentStore {
     alloc: Mutex<Allocator>,
     index: Vec<Mutex<HashMap<BlockId, IndexEntry>>>,
     seq: AtomicU64,
-    journal: Option<Mutex<Vec<WriteEvent>>>,
 }
 
 impl ExtentStore {
@@ -340,24 +308,7 @@ impl ExtentStore {
             seq,
             label
         ));
-        Self::build(root, false, false, false)
-    }
-
-    /// Like [`ExtentStore::new`], but recording every write to the journal
-    /// for the crash simulator ([`WriteEvent`]).
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Io`] if the root cannot be created.
-    pub fn journaled(label: &str) -> Result<Self> {
-        let seq = STORE_SEQ.fetch_add(1, Ordering::Relaxed);
-        let root = std::env::temp_dir().join(format!(
-            "ear-extent-j-{}-{}-{}",
-            std::process::id(),
-            seq,
-            label
-        ));
-        Self::build(root, false, false, true)
+        Ok(Self::build(Dir::create_all(&root, false)?, false))
     }
 
     /// Opens (or creates) a persistent store rooted at `root`, running
@@ -370,21 +321,25 @@ impl ExtentStore {
     /// segment files on disk are not a recognizable store (e.g. a gap in
     /// the segment numbering).
     pub fn open_at(root: &Path, sync: bool) -> Result<Self> {
-        let store = Self::build(root.to_path_buf(), sync, true, false)?;
+        Self::open_on(Dir::create_all(root, sync)?)
+    }
+
+    /// [`ExtentStore::open_at`] on `dir`, which may be a recording one.
+    pub(crate) fn open_on(dir: Dir) -> Result<Self> {
+        let store = Self::build(dir, true);
         store.recover()?;
         Ok(store)
     }
 
-    fn build(root: PathBuf, sync: bool, persistent: bool, journaled: bool) -> Result<Self> {
-        Ok(ExtentStore {
-            dir: Dir::create_all(&root, sync)?,
+    fn build(dir: Dir, persistent: bool) -> Self {
+        ExtentStore {
+            dir,
             persistent,
             segments: RwLock::new(Vec::new()),
             alloc: Mutex::new(Allocator::default()),
             index: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
             seq: AtomicU64::new(1),
-            journal: journaled.then(|| Mutex::new(Vec::new())),
-        })
+        }
     }
 
     /// The directory this store writes under.
@@ -392,31 +347,8 @@ impl ExtentStore {
         self.dir.path()
     }
 
-    /// Drains the captured write stream (journaled stores only).
-    pub fn take_journal(&self) -> Vec<WriteEvent> {
-        match &self.journal {
-            Some(j) => std::mem::take(&mut *j.lock()),
-            None => Vec::new(),
-        }
-    }
-
     fn seg_name(seg: usize) -> String {
         format!("ext-{seg}.seg")
-    }
-
-    fn record(&self, ev: WriteEvent) {
-        if let Some(j) = &self.journal {
-            j.lock().push(ev);
-        }
-    }
-
-    /// Journals a write of `data` at `off` of segment `seg`. Only a
-    /// journaled store copies the bytes.
-    fn record_write(&self, seg: usize, off: u64, data: &[u8]) {
-        if self.journal.is_some() {
-            let data = data.to_vec();
-            self.record(WriteEvent::Write { seg, off, data });
-        }
     }
 
     /// Appends a fresh segment of `size` data bytes behind its header
@@ -429,8 +361,6 @@ impl ExtentStore {
         let base = table_len(size);
         file.resize(base + size)?.sync()?;
         segments.push(Segment { file, base, size });
-        drop(segments);
-        self.record(WriteEvent::Create { seg, size: base + size });
         Ok(seg)
     }
 
@@ -448,15 +378,6 @@ impl ExtentStore {
     fn read_payload(&self, ext: ExtentRef, len: usize) -> Result<Vec<u8>> {
         let s = self.segment(ext.seg)?;
         read_at(&s, ext.seg, s.base + ext.off, len)
-    }
-
-    /// An fsync point: flushes the segment (when the store is synchronous)
-    /// and marks the barrier in the journal. The first barrier of an
-    /// operation is its acknowledgment.
-    fn barrier(&self, written: Unsynced<'_>) -> Result<Synced> {
-        let synced = written.sync()?;
-        self.record(WriteEvent::Barrier);
-        Ok(synced)
     }
 
     /// Carves an extent of at least `need` bytes, growing the segment space
@@ -481,13 +402,8 @@ impl ExtentStore {
         let ext = self.allocate(extent_len(header.payload_len))?;
         let s = self.segment(ext.seg)?;
         let written = s.file.write_payload(s.base + ext.off, payload)?;
-        if !payload.is_empty() {
-            self.record_write(ext.seg, s.base + ext.off, payload);
-        }
-        let header = encode_header(header);
-        let committed = s.file.write_header(slot_of(ext.off), &header, written)?;
-        self.record_write(ext.seg, slot_of(ext.off), &header);
-        Ok((ext, self.barrier(committed)?))
+        let committed = s.file.write_header(slot_of(ext.off), &encode_header(header), written)?;
+        Ok((ext, committed.sync()?))
     }
 
     /// Zeroes a record's slot so recovery no longer sees it, syncs, then
@@ -497,9 +413,7 @@ impl ExtentStore {
     /// loses by sequence number.
     fn retire(&self, ext: ExtentRef) -> Result<Synced> {
         let s = self.segment(ext.seg)?;
-        let zeroed = s.file.write_at(slot_of(ext.off), &[0u8; 64])?;
-        self.record_write(ext.seg, slot_of(ext.off), &[0u8; 64]);
-        let synced = self.barrier(zeroed)?;
+        let synced = s.file.write_at(slot_of(ext.off), &[0u8; 64])?.sync()?;
         self.alloc.lock().release(ext);
         Ok(synced)
     }
@@ -767,6 +681,8 @@ impl BlockStore for ExtentStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::durable::{Event, Recorder};
+    use std::path::PathBuf;
 
     fn blk(n: usize, fill: u8) -> (Block, u32) {
         let data = Block::from(vec![fill; n]);
@@ -927,18 +843,28 @@ mod tests {
 
     #[test]
     fn journal_captures_commit_order() {
-        let s = ExtentStore::journaled("j").unwrap();
+        let dir = scratch_dir("rec");
+        let recorder = Recorder::default();
+        let s = ExtentStore::open_on(Dir::recording(&dir, &recorder).unwrap()).unwrap();
         let (data, crc) = blk(100, 3);
         s.put(BlockId(0), data, crc).unwrap();
-        let ev = s.take_journal();
-        // Create (table and data area), payload write at the first data
-        // page, slot write, barrier.
+        let ev = recorder.take();
+        // The segment's creation and its size (table and data area), each
+        // fsynced; then the payload at the first data page, its slot, and
+        // the one fsync that acknowledges the put.
         let base = table_len(SEG_SIZE);
-        assert_eq!(ev[0], WriteEvent::Create { seg: 0, size: base + SEG_SIZE });
-        assert_eq!(ev[1], WriteEvent::Write { seg: 0, off: base, data: vec![3; 100] });
-        assert!(matches!(&ev[2], WriteEvent::Write { seg: 0, off: 0, data } if data.len() == 64));
-        assert!(matches!(ev[3], WriteEvent::Barrier));
-        assert_eq!(ev.len(), 4);
+        let name = ExtentStore::seg_name(0);
+        assert_eq!(ev[..4], [
+            Event::Create { file: 0, name },
+            Event::SyncDir,
+            Event::Resize { file: 0, len: base + SEG_SIZE },
+            Event::Sync { file: 0 },
+        ]);
+        assert_eq!(ev[4], Event::Write { file: 0, off: base, bytes: vec![3; 100] });
+        assert!(matches!(&ev[5], Event::Write { file: 0, off: 0, bytes } if bytes.len() == 64));
+        assert_eq!(ev[6..], [Event::Sync { file: 0 }]);
+        drop(s);
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     /// A fresh directory for a persistent store, named after `label`.

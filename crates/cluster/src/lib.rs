@@ -42,7 +42,9 @@
 //!   checkpoint compaction, the extent/allocator block engine with
 //!   header-last commits and explicit fsync barriers, and the
 //!   deterministic crash/power-loss simulator that kill-point-tests both.
-//!   Both stores write through [`durable`], whose types hold the order.
+//!   Both stores write through [`durable`], whose types hold the order; a
+//!   recording `durable::Dir` hands the simulator their write stream, and
+//!   one materializer rebuilds what a power cut at any event of it leaves.
 //!   A cluster given `DurabilityConfig::at(dir)` survives
 //!   [`MiniCfs::reopen`] with a bit-identical metadata snapshot.
 //!
@@ -116,7 +118,7 @@ pub mod sync;
 pub mod workloads;
 
 pub use blockstore::{BlockStore, ShardedMemStore};
-pub use extent::{ExtentStore, WriteEvent};
+pub use extent::ExtentStore;
 pub use cache::{BlockCache, CacheStats};
 pub use chaos::{
     run_heal_plan, run_plan, ChaosConfig, ChaosReport, HealSoakConfig, HealSoakReport,

@@ -709,7 +709,11 @@ impl MetaWal {
     /// [`Error::Io`] for host failures, [`Error::WalCorrupt`] for a
     /// corrupt committed checkpoint or a CRC-valid-but-undecodable record.
     pub fn open(dir: &Path, sync: bool, checkpoint_every: u64) -> Result<(MetaWal, MetaSnapshot)> {
-        let dir = Dir::create_all(dir, sync)?;
+        Self::open_on(Dir::create_all(dir, sync)?, checkpoint_every)
+    }
+
+    /// [`MetaWal::open`] on `dir`, which may be a recording one.
+    pub(crate) fn open_on(dir: Dir, checkpoint_every: u64) -> Result<(MetaWal, MetaSnapshot)> {
         fn remove_stale(stale: &Path) -> Result<()> {
             match fs::remove_file(stale) {
                 Ok(()) => Ok(()),
@@ -1297,6 +1301,9 @@ mod tests {
         });
     }
 
+    /// A committed checkpoint with a flipped byte, or cut short at any
+    /// length: corruption, since a crash never leaves either (the rename
+    /// publishes only a synced file), so `open` must say so.
     #[test]
     fn corrupt_checkpoint_is_a_typed_error() {
         let dir = tmp_dir();
@@ -1309,14 +1316,17 @@ mod tests {
         wal.checkpoint(&snap, wal.last_lsn()).unwrap();
         drop(wal);
         let ckpt = dir.join(CHECKPOINT_FILE);
-        let mut bytes = fs::read(&ckpt).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xFF;
-        #[expect(clippy::disallowed_methods, reason = "forges a flipped byte")]
-        fs::write(&ckpt, &bytes).unwrap();
-        match MetaWal::open(&dir, true, 1000) {
-            Err(Error::WalCorrupt { .. }) => {}
-            other => panic!("expected WalCorrupt, got {other:?}"),
+        let good = fs::read(&ckpt).unwrap();
+        let mut flipped = good.clone();
+        flipped[good.len() / 2] ^= 0xFF;
+        let cuts = [0, 1, 8, 23, 24, good.len() / 2, good.len() - 1];
+        for bad in std::iter::once(&flipped[..]).chain(cuts.map(|n| &good[..n])) {
+            #[expect(clippy::disallowed_methods, reason = "forges a corrupt checkpoint")]
+            fs::write(&ckpt, bad).unwrap();
+            match MetaWal::open(&dir, true, 1000) {
+                Err(Error::WalCorrupt { .. }) => {}
+                other => panic!("a {}-byte checkpoint: expected WalCorrupt, got {other:?}", bad.len()),
+            }
         }
         fs::remove_dir_all(&dir).unwrap();
     }

@@ -195,3 +195,36 @@ fn manifest_mismatch_is_a_hard_error() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A data directory whose MANIFEST names no on-disk format (as every one
+/// written before the format line did), or another one, is refused with a
+/// typed error before anything is read, and its records stay as they were.
+#[test]
+fn a_manifest_without_this_format_is_refused() {
+    let dir = fresh_dir("format");
+    let cfg = durable_cfg(StoreBackend::Extent, &dir);
+    let cfs = MiniCfs::new(cfg.clone()).expect("first boot");
+    cfs.write_block(NodeId(0), cfs.make_block(0)).expect("write");
+    let before = cfs.namenode().snapshot();
+    drop(cfs);
+    let manifest = std::fs::read_to_string(dir.join("MANIFEST")).unwrap();
+    let publish = |text: &str| {
+        let root = ear_cluster::durable::Dir::create_all(&dir, false).unwrap();
+        root.replace_atomically("MANIFEST", text.as_bytes()).unwrap();
+    };
+    let unversioned =
+        "store=extent\nracks=8\nnodes_per_rack=1\nblock_size=16384\npolicy=ear\nseed=11\n";
+    let other = format!("format=extent-table-0 wal-0\n{unversioned}");
+    for text in [unversioned, &other] {
+        publish(text);
+        match MiniCfs::reopen(cfg.clone()) {
+            Err(Error::Invariant(msg)) => assert!(msg.contains("manifest"), "got: {msg}"),
+            other => panic!("expected Invariant, got {:?}", other.map(|_| ())),
+        }
+    }
+    publish(&manifest);
+    let cfs = MiniCfs::reopen(cfg).expect("reopen under this format");
+    assert_eq!(cfs.namenode().snapshot(), before);
+    drop(cfs);
+    let _ = std::fs::remove_dir_all(&dir);
+}

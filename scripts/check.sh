@@ -129,9 +129,10 @@ fi
 # delays with hedging on — prints the probe-read tail percentiles and the
 # hedges launched/won; any lost block or untyped failure fails the run.
 cargo run -q --release --locked -p ear-cli -- chaos --plans 3 --seed 0 --stragglers
-# Crash-sim smoke: deterministic kill-point sweep over the durability
-# layer's three surfaces (DESIGN.md §13). Failures name (seed, kill) to
-# replay with `ear crashsim --surface <s> --seed <n> --kills 1`.
+# Crash-sim smoke: deterministic kill-point sweep of the durability
+# layer's one simulator over its two scripts, `meta` (the metadata log and
+# its checkpoints) and `extent` (DESIGN.md §13). A failure names its
+# (seed, kill); `crashsim::run_<script>_kill(seed, kill)` replays it.
 cargo run -q --release --locked -p ear-cli -- crashsim --seeds 4 --kills 8
 # The benchmark harness's own unit tests (benchmark/README.md): they build
 # the harness against this tree, so a change that breaks its API contract
